@@ -242,15 +242,10 @@ impl DepSkyClient {
         name: &str,
         data: &[u8],
     ) -> Result<WriteReceipt, StorageError> {
-        let metadata = match self.cached_metadata(name) {
-            Some(md) => md,
-            None => match self.read_metadata(ctx, name) {
-                Ok(md) => md,
-                Err(StorageError::NotFound { .. }) => DataUnitMetadata::new(name),
-                Err(e) => return Err(e),
-            },
-        };
-        self.write_with_metadata(ctx, name, data, metadata)
+        let metadata = self
+            .find_metadata(ctx, name)?
+            .unwrap_or_else(|| DataUnitMetadata::new(name));
+        self.write_with_metadata(ctx, name, data, metadata, CommitOrder::DataThenMetadata)
     }
 
     /// Writes the *first* version of a data unit known to be new, skipping
@@ -264,11 +259,28 @@ impl DepSkyClient {
         let metadata = self
             .cached_metadata(name)
             .unwrap_or_else(|| DataUnitMetadata::new(name));
-        self.write_with_metadata(ctx, name, data, metadata)
+        self.write_with_metadata(ctx, name, data, metadata, CommitOrder::DataThenMetadata)
     }
 
     fn cached_metadata(&self, name: &str) -> Option<DataUnitMetadata> {
         self.metadata_cache.lock().get(name).cloned()
+    }
+
+    /// The unit's metadata from the cache or, failing that, a quorum read;
+    /// `None` when no cloud returns a record.
+    fn find_metadata(
+        &self,
+        ctx: &mut OpCtx<'_>,
+        name: &str,
+    ) -> Result<Option<DataUnitMetadata>, StorageError> {
+        if let Some(md) = self.cached_metadata(name) {
+            return Ok(Some(md));
+        }
+        match self.read_metadata(ctx, name) {
+            Ok(md) => Ok(Some(md)),
+            Err(StorageError::NotFound { .. }) => Ok(None),
+            Err(e) => Err(e),
+        }
     }
 
     fn write_with_metadata(
@@ -277,6 +289,7 @@ impl DepSkyClient {
         name: &str,
         data: &[u8],
         mut metadata: DataUnitMetadata,
+        order: CommitOrder,
     ) -> Result<WriteReceipt, StorageError> {
         let version = metadata.next_version();
         let hash = sha256(data);
@@ -329,7 +342,7 @@ impl DepSkyClient {
             None => (0..data_clouds).collect(),
         };
         let start = ctx.clock.now();
-        let outcomes = parallel_access(ctx, &self.clouds, &targets, |cloud_index, cloud, c| {
+        let blocks = parallel_access(ctx, &self.clouds, &targets, |cloud_index, cloud, c| {
             // Block slot `i` lives on cloud `targets[i]`.
             let slot = targets
                 .iter()
@@ -337,17 +350,19 @@ impl DepSkyClient {
                 .unwrap_or(cloud_index);
             cloud.put(c, &Self::block_key(name, version, slot), &payloads[slot])
         });
-        self.record_outcomes(start, &outcomes);
+        self.record_outcomes(start, &blocks);
         let needed = match &self.placement {
             Some(spec) => spec.write_wait,
             None if self.config.preferred_quorum => data_clouds,
             None => self.config.write_quorum(),
         };
-        if !advance_to_nth_success(ctx, &outcomes, needed) {
-            return Err(quorum_error(&outcomes, needed));
+        if order == CommitOrder::DataThenMetadata {
+            await_quorum(ctx, &blocks, needed)?;
         }
 
-        // Phase 2: update and store the metadata object in every cloud.
+        // Phase 2: update and store the metadata object in every cloud. The
+        // caller's clock only moves at a quorum wait, so an unordered commit
+        // issues this round from the same instant as the block round.
         let identity: Vec<usize> = (0..data_clouds).collect();
         let placements: Vec<u32> = if targets == identity {
             Vec::new()
@@ -366,14 +381,16 @@ impl DepSkyClient {
         let encoded_md = metadata.encode();
         let all: Vec<usize> = (0..self.clouds.len()).collect();
         let start = ctx.clock.now();
-        let outcomes = parallel_access(ctx, &self.clouds, &all, |_, cloud, c| {
+        let records = parallel_access(ctx, &self.clouds, &all, |_, cloud, c| {
             cloud.put(c, &Self::metadata_key(name), &encoded_md)
         });
-        self.record_outcomes(start, &outcomes);
-        let md_quorum = self.metadata_quorum();
-        if !advance_to_nth_success(ctx, &outcomes, md_quorum) {
-            return Err(quorum_error(&outcomes, md_quorum));
-        }
+        self.record_outcomes(start, &records);
+        // Both rounds are in flight: wait out both quorums (the clock ends at
+        // the later instant; an ordered commit is already past the first)
+        // before reporting a failure of either.
+        let data_quorum = await_quorum(ctx, &blocks, needed);
+        let metadata_quorum = await_quorum(ctx, &records, self.metadata_quorum());
+        data_quorum.and(metadata_quorum)?;
 
         self.metadata_cache
             .lock()
@@ -407,6 +424,15 @@ impl DepSkyClient {
     /// DepSky-CA pipeline (encrypt, erasure-code, secret-share). Writing the
     /// same blob twice is idempotent in content; callers are expected to
     /// skip blobs they know are already stored.
+    ///
+    /// The per-cloud block PUTs and the metadata-record PUTs go out in one
+    /// round, and the call returns at the later of the two quorum instants.
+    /// This is the storage half of SCFS's commit invariant:
+    /// content-addressed objects are unordered among themselves, and only the
+    /// anchor update that publishes their hash is ordered after all of them —
+    /// so no reader can look for this unit before the call has returned, and
+    /// a failed call leaves at most a half-written unit that
+    /// [`DepSkyClient::delete_blob`] reclaims.
     pub fn write_blob(
         &self,
         ctx: &mut OpCtx<'_>,
@@ -422,7 +448,11 @@ impl DepSkyClient {
         }
         // Blobs are write-once: the unit is known to be new, so the
         // metadata-read phase is skipped, exactly like file creation.
-        self.write_new(ctx, &Self::blob_unit(base, hash), data)?;
+        let name = Self::blob_unit(base, hash);
+        let metadata = self
+            .cached_metadata(&name)
+            .unwrap_or_else(|| DataUnitMetadata::new(&name));
+        self.write_with_metadata(ctx, &name, data, metadata, CommitOrder::Unordered)?;
         Ok(())
     }
 
@@ -438,13 +468,35 @@ impl DepSkyClient {
     }
 
     /// Deletes the immutable blob addressed by `base|hash` from all clouds.
+    /// A unit with no readable metadata record may still hold blocks (a
+    /// [`DepSkyClient::write_blob`] whose data quorum landed but whose
+    /// metadata quorum did not), so in that case the keys its only version
+    /// can have used — every `v1/block{slot}` — are deleted on every cloud.
     pub fn delete_blob(
         &self,
         ctx: &mut OpCtx<'_>,
         base: &str,
         hash: &ContentHash,
     ) -> Result<(), StorageError> {
-        self.delete_all(ctx, &Self::blob_unit(base, hash))
+        let name = Self::blob_unit(base, hash);
+        let md = match self.find_metadata(ctx, &name)? {
+            Some(md) => md,
+            None => {
+                let all: Vec<usize> = (0..self.clouds.len()).collect();
+                let width = self.block_width();
+                let outcomes = parallel_access(ctx, &self.clouds, &all, |_, cloud, c| {
+                    for slot in 0..width {
+                        // Best-effort like every unit delete: most of these
+                        // keys never existed.
+                        let _ = cloud.delete(c, &Self::block_key(&name, 1, slot));
+                    }
+                    Ok(())
+                });
+                crate::quorum::advance_to_all(ctx, &outcomes);
+                DataUnitMetadata::new(&name)
+            }
+        };
+        self.delete_unit(ctx, &name, &md)
     }
 
     /// Propagates an ACL to the blob addressed by `base|hash`.
@@ -731,24 +783,27 @@ impl DepSkyClient {
         let outcomes = parallel_access(ctx, &self.clouds, &all, |_, cloud, c| {
             cloud.put(c, &Self::metadata_key(name), &encoded)
         });
-        let md_quorum = self.metadata_quorum();
-        if !advance_to_nth_success(ctx, &outcomes, md_quorum) {
-            return Err(quorum_error(&outcomes, md_quorum));
-        }
+        await_quorum(ctx, &outcomes, self.metadata_quorum())?;
         self.metadata_cache.lock().insert(name.to_string(), md);
         Ok(removed.len())
     }
 
     /// Deletes the whole data unit (all versions and the metadata object).
     pub fn delete_all(&self, ctx: &mut OpCtx<'_>, name: &str) -> Result<(), StorageError> {
-        let md = match self.cached_metadata(name) {
-            Some(md) => md,
-            None => match self.read_metadata(ctx, name) {
-                Ok(md) => md,
-                Err(StorageError::NotFound { .. }) => DataUnitMetadata::new(name),
-                Err(e) => return Err(e),
-            },
-        };
+        let md = self
+            .find_metadata(ctx, name)?
+            .unwrap_or_else(|| DataUnitMetadata::new(name));
+        self.delete_unit(ctx, name, &md)
+    }
+
+    /// Deletes the blocks of every version `md` records, then the metadata
+    /// object, from all clouds.
+    fn delete_unit(
+        &self,
+        ctx: &mut OpCtx<'_>,
+        name: &str,
+        md: &DataUnitMetadata,
+    ) -> Result<(), StorageError> {
         for info in &md.versions {
             let holders: Vec<usize> = info
                 .holder_clouds()
@@ -790,18 +845,35 @@ impl DepSkyClient {
             }
             Ok(())
         });
-        let md_quorum = self.metadata_quorum();
-        if !advance_to_nth_success(ctx, &outcomes, md_quorum) {
-            return Err(quorum_error(&outcomes, md_quorum));
-        }
-        Ok(())
+        await_quorum(ctx, &outcomes, self.metadata_quorum())
     }
 }
 
-fn quorum_error<T>(outcomes: &[CloudOutcome<T>], needed: usize) -> StorageError {
-    StorageError::QuorumNotReached {
-        needed,
-        obtained: outcomes.iter().filter(|o| o.is_ok()).count(),
+/// How a write orders its two rounds of cloud requests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CommitOrder {
+    /// The metadata round starts once the data quorum is in: a mutable unit's
+    /// `read_latest` readers must never find a record naming absent blocks.
+    DataThenMetadata,
+    /// Both rounds start at the same instant: a write-once unit is named only
+    /// by a hash its writer publishes after the whole write returned.
+    Unordered,
+}
+
+/// Waits for `needed` successful outcomes: advances the caller's clock to the
+/// instant the quorum formed, or to the last completion and fails.
+fn await_quorum<T>(
+    ctx: &mut OpCtx<'_>,
+    outcomes: &[CloudOutcome<T>],
+    needed: usize,
+) -> Result<(), StorageError> {
+    if advance_to_nth_success(ctx, outcomes, needed) {
+        Ok(())
+    } else {
+        Err(StorageError::QuorumNotReached {
+            needed,
+            obtained: outcomes.iter().filter(|o| o.is_ok()).count(),
+        })
     }
 }
 
@@ -1007,13 +1079,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn quorum_write_latency_hides_the_slowest_cloud() {
-        // Four clouds with very different latencies; with preferred_quorum
-        // disabled the write waits for 3 of 4, so the 5-second cloud is off
-        // the critical path.
-        let latencies = [100.0, 200.0, 300.0, 5_000.0];
-        let clouds: Vec<Arc<dyn ObjectStore>> = latencies
+    fn constant_latency_clouds(latencies_ms: &[f64]) -> Vec<Arc<dyn ObjectStore>> {
+        latencies_ms
             .iter()
             .enumerate()
             .map(|(i, ms)| {
@@ -1021,7 +1088,36 @@ mod tests {
                 p.latency.request = LatencyModel::constant_ms(*ms);
                 Arc::new(SimulatedCloud::new(p, i as u64)) as Arc<dyn ObjectStore>
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn write_blob_overlaps_the_rounds_a_mutable_write_orders() {
+        let ds = client(constant_latency_clouds(&[100.0; 4]));
+        let data = vec![7u8; 512];
+        let mut clock = Clock::new();
+        ds.write_new(&mut ctx(&mut clock), "unit", &data).unwrap();
+        assert_eq!(
+            clock.now(),
+            SimInstant::from_millis(200),
+            "data round, then metadata round"
+        );
+        let mut clock = Clock::new();
+        ds.write_blob(&mut ctx(&mut clock), "blob", &sha256(&data), &data)
+            .unwrap();
+        assert_eq!(
+            clock.now(),
+            SimInstant::from_millis(100),
+            "both rounds in flight together"
+        );
+    }
+
+    #[test]
+    fn quorum_write_latency_hides_the_slowest_cloud() {
+        // Four clouds with very different latencies; with preferred_quorum
+        // disabled the write waits for 3 of 4, so the 5-second cloud is off
+        // the critical path.
+        let clouds = constant_latency_clouds(&[100.0, 200.0, 300.0, 5_000.0]);
         let config = DepSkyConfig {
             preferred_quorum: false,
             ..DepSkyConfig::scfs_default()

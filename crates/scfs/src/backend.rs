@@ -24,6 +24,21 @@
 //! * propagate ACL changes to the manifests of a file (chunks are owned by
 //!   the shared chunk-store principal and are capability-protected by the
 //!   manifest ACLs, so `setfacl` is O(versions), not O(versions × chunks)).
+//!
+//! ## Commit invariant
+//!
+//! Content-addressed objects are unordered among themselves; only the anchor
+//! update is ordered after all of them. A chunk or manifest is named by its
+//! hash, and no reader learns a version's root hash before the agent, having
+//! seen [`FileStorage::write_version`] return, publishes it in the
+//! coordination service (paper §2.4: the storage service may be unordered,
+//! readers loop until the anchored object appears). So `write_version` sends
+//! the manifest (then its ACL tag) and the first chunk wave at the same
+//! instant and returns when all of it has landed; DepSky's
+//! [`DepSkyClient::write_blob`] does the same with a blob's blocks and
+//! metadata records. A version that fails part-way is invisible, and the
+//! provisional release intents journaled before the wave reclaim whatever
+//! it stored.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
@@ -252,8 +267,10 @@ pub trait FileStorage: Send + Sync {
 
     /// Stores a new version of the object identified by `id`: uploads the
     /// chunks of `data` (laid out by `map`) that are not already in the
-    /// global chunk store, takes one chunk-store reference per distinct
-    /// chunk, then commits the encoded manifest under its root hash.
+    /// global chunk store and, beside the first chunk wave, the encoded
+    /// manifest under its root hash (the module's commit invariant); once
+    /// all of it has landed, takes one chunk-store reference per distinct
+    /// chunk and records the version.
     /// Identical content already stored by *any* file or user is skipped
     /// (cross-file dedup); when the instance has no record of `id` (a fresh
     /// mount), chunks present in `prev` are trusted as stored. Newly written
@@ -261,7 +278,7 @@ pub trait FileStorage: Send + Sync {
     /// the new version (chunks need no tagging — they are owned by the
     /// chunk-store principal). `is_new` hints that the object was never
     /// written before. The dirty chunks move through the transfer engine, at
-    /// most `opts.max_parallel` at a time.
+    /// most `opts.max_parallel` at a time; the bound governs chunks only.
     #[allow(clippy::too_many_arguments)]
     fn write_version(
         &self,
@@ -613,20 +630,33 @@ impl<B: ChunkedBackend> FileStorage for B {
                 .journal_provisional_uploads(plan.jobs().iter().map(|j| j.hash));
             state.chunks.release_manifest(id, root);
         }
-        let (sizes, report) = execute_plan(ctx, opts, &plan, |job, fork_ctx| {
+        // The manifest (and its ACL tag) rides beside the first chunk wave on
+        // a fork taken at the same instant: nothing can name it until the
+        // anchor publishes `root`, so it needs no ordering after the chunks.
+        let mut manifest_clock = ctx.clock.fork();
+        let manifest_put = {
+            let mut side_ctx = OpCtx::new(&mut manifest_clock, ctx.account.clone());
+            self.put_manifest(&mut side_ctx, id, &root, &manifest)
+                .and_then(|()| match acl {
+                    Some(acl) => self.set_manifest_acl(&mut side_ctx, id, &root, acl),
+                    None => Ok(()),
+                })
+        };
+        let uploaded = execute_plan(ctx, opts, &plan, |job, fork_ctx| {
             let chunk = &data[map.byte_range(job.index)];
             // Chunks belong to the shared global namespace: they are written
             // under the chunk-store principal, never the calling user.
             let mut store_ctx = OpCtx::new(&mut *fork_ctx.clock, chunk_store_account());
             self.put_chunk(&mut store_ctx, &job.hash, chunk)?;
             Ok(chunk.len() as u64)
-        })?;
-        let mut bytes_uploaded: u64 = sizes.iter().sum();
-        self.put_manifest(ctx, id, &root, &manifest)?;
-        if let Some(acl) = acl {
-            self.set_manifest_acl(ctx, id, &root, acl)?;
-        }
-        bytes_uploaded += manifest.len() as u64;
+        });
+        // Join before looking at either result: both sides were issued, so a
+        // failure on one still charges the other's time, and whatever it
+        // stored is covered by the provisional intents journaled above.
+        ctx.clock.advance_to(manifest_clock.now());
+        let (sizes, report) = uploaded?;
+        manifest_put?;
+        let bytes_uploaded = sizes.iter().sum::<u64>() + manifest.len() as u64;
         {
             // The version is committed: take its references and cancel the
             // provisional intents (plus any stale pending release from an

@@ -22,6 +22,12 @@
 //! ([`crate::backend`]), and the agent uses it directly for chunk-level
 //! cache faulting and sequential-read prefetch ([`crate::agent`]).
 //!
+//! Waves bound how much is in flight, not what must precede what: under the
+//! commit invariant ([`crate::backend`]) content-addressed objects are
+//! unordered among themselves and only the anchor update is ordered after
+//! all of them. An upload's waves may therefore run in any order, and its
+//! manifest travels beside the first of them.
+//!
 //! The plan/execute seam is also where the storage API's async twin cuts:
 //! [`crate::backend::FileStorage::begin_write_version`] and
 //! [`crate::backend::FileStorage::begin_read_chunks`] run the same plans as

@@ -11,7 +11,10 @@
 //!   reachable from a live manifest, a live chunk reference or a pending
 //!   release-journal entry;
 //! * journal replay is idempotent under arbitrary repeated delete faults
-//!   (property-tested).
+//!   (property-tested);
+//! * a version commit that fails part-way through its single upload wave —
+//!   a chunk PUT beside a stored manifest, or either half of a DepSky blob —
+//!   leaves the anchor untouched and is fully reclaimed by one replay.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -33,7 +36,7 @@ use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::scfs::transfer::TransferOptions;
 use scfs_repro::scfs::types::ChunkMap;
-use scfs_repro::sim_core::time::Clock;
+use scfs_repro::sim_core::time::{Clock, SimDuration};
 use scfs_repro::sim_core::units::Bytes;
 
 const CHUNK: usize = 64 * 1024;
@@ -54,19 +57,27 @@ fn test_config() -> ScfsConfig {
 }
 
 /// An object store that fails `delete` according to a scripted pattern
-/// (front of the queue per call; an empty queue succeeds), delegating
-/// everything else — the fault injector for the orphan-leak regression.
-struct FlakyDeleteCloud {
+/// (front of the queue per call; an empty queue succeeds) and `put` of every
+/// key containing a configured substring, delegating everything else — the
+/// fault injector for the orphan-leak and failed-commit regressions.
+struct FaultyCloud {
     inner: Arc<SimulatedCloud>,
     fail_pattern: Mutex<VecDeque<bool>>,
+    failing_puts: Mutex<Option<&'static str>>,
 }
 
-impl FlakyDeleteCloud {
+impl FaultyCloud {
     fn new(inner: Arc<SimulatedCloud>) -> Self {
-        FlakyDeleteCloud {
+        FaultyCloud {
             inner,
             fail_pattern: Mutex::new(VecDeque::new()),
+            failing_puts: Mutex::new(None),
         }
+    }
+
+    /// Fails every `put` whose key contains `needle` until reset to `None`.
+    fn fail_puts_containing(&self, needle: Option<&'static str>) {
+        *self.failing_puts.lock().unwrap() = needle;
     }
 
     /// Scripts the next delete outcomes: `true` = fail.
@@ -83,7 +94,7 @@ impl FlakyDeleteCloud {
     }
 }
 
-impl ObjectStore for FlakyDeleteCloud {
+impl ObjectStore for FaultyCloud {
     fn id(&self) -> &str {
         self.inner.id()
     }
@@ -93,6 +104,11 @@ impl ObjectStore for FlakyDeleteCloud {
     }
 
     fn put(&self, ctx: &mut OpCtx<'_>, key: &str, data: &[u8]) -> Result<(), StorageError> {
+        if let Some(needle) = *self.failing_puts.lock().unwrap() {
+            if key.contains(needle) {
+                return Err(StorageError::unavailable("injected put fault"));
+            }
+        }
         self.inner.put(ctx, key, data)
     }
 
@@ -162,19 +178,27 @@ fn mount(
     ScfsAgent::mount(user.into(), config, storage, Some(coordinator), seed).unwrap()
 }
 
-fn coc_env() -> (Arc<CloudOfCloudsStorage>, Vec<Arc<SimulatedCloud>>) {
-    let sims: Vec<Arc<SimulatedCloud>> = ProviderSet::test_backend(4)
+fn coc_sims() -> Vec<Arc<SimulatedCloud>> {
+    ProviderSet::test_backend(4)
         .into_iter()
         .enumerate()
         .map(|(i, p)| Arc::new(SimulatedCloud::new(p, i as u64)))
-        .collect();
-    let clouds: Vec<Arc<dyn ObjectStore>> = sims
-        .iter()
-        .map(|c| c.clone() as Arc<dyn ObjectStore>)
-        .collect();
-    let storage = Arc::new(CloudOfCloudsStorage::new(
+        .collect()
+}
+
+fn coc_over(clouds: Vec<Arc<dyn ObjectStore>>) -> Arc<CloudOfCloudsStorage> {
+    Arc::new(CloudOfCloudsStorage::new(
         DepSkyClient::new(clouds, DepSkyConfig::scfs_default(), 11).unwrap(),
-    ));
+    ))
+}
+
+fn coc_env() -> (Arc<CloudOfCloudsStorage>, Vec<Arc<SimulatedCloud>>) {
+    let sims = coc_sims();
+    let storage = coc_over(
+        sims.iter()
+            .map(|c| c.clone() as Arc<dyn ObjectStore>)
+            .collect(),
+    );
     (storage, sims)
 }
 
@@ -280,7 +304,7 @@ fn deleting_one_file_never_reclaims_chunks_another_file_references() {
 #[test]
 fn gc_reaches_zero_orphans_within_two_cycles_despite_delete_faults() {
     let sim = Arc::new(SimulatedCloud::test("s3"));
-    let flaky = Arc::new(FlakyDeleteCloud::new(sim.clone()));
+    let flaky = Arc::new(FaultyCloud::new(sim.clone()));
     let storage = Arc::new(SingleCloudStorage::new(flaky.clone()));
     let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
     let mut config = test_config();
@@ -342,6 +366,130 @@ fn coc_gc_leaves_no_orphans() {
     assert_eq!(fs.read_file("/f").unwrap(), four_chunks(0x13));
 }
 
+/// A backend over put-faultable clouds, with the raw view the failed-commit
+/// tests audit: every key every cloud stores, and the orphan-leak check of
+/// the backend's kind.
+struct FaultEnv {
+    storage: Arc<dyn FileStorage>,
+    faulty: Vec<Arc<FaultyCloud>>,
+    assert_no_orphans: Box<dyn Fn()>,
+}
+
+impl FaultEnv {
+    fn aws() -> Self {
+        let sim = Arc::new(SimulatedCloud::test("s3"));
+        let faulty = Arc::new(FaultyCloud::new(sim.clone()));
+        let storage = Arc::new(SingleCloudStorage::new(faulty.clone()));
+        let audited = storage.clone();
+        FaultEnv {
+            storage,
+            faulty: vec![faulty],
+            assert_no_orphans: Box::new(move || assert_no_orphans_aws(&audited, &sim)),
+        }
+    }
+
+    fn coc() -> Self {
+        let sims = coc_sims();
+        let faulty: Vec<Arc<FaultyCloud>> = sims
+            .iter()
+            .map(|sim| Arc::new(FaultyCloud::new(sim.clone())))
+            .collect();
+        let storage = coc_over(
+            faulty
+                .iter()
+                .map(|c| c.clone() as Arc<dyn ObjectStore>)
+                .collect(),
+        );
+        let audited = storage.clone();
+        FaultEnv {
+            storage,
+            faulty,
+            assert_no_orphans: Box::new(move || assert_no_orphans_coc(&audited, &sims)),
+        }
+    }
+
+    fn stored_keys(&self) -> Vec<Vec<String>> {
+        self.faulty
+            .iter()
+            .map(|cloud| cloud.inner.stored_keys(""))
+            .collect()
+    }
+
+    fn fail_puts_containing(&self, needle: Option<&'static str>) {
+        for cloud in &self.faulty {
+            cloud.fail_puts_containing(needle);
+        }
+    }
+}
+
+/// A dirty close whose PUTs of keys containing `failing_puts` fail, while
+/// everything else in the same wave lands: the close errors out, the anchor
+/// still names the old version, nothing stored is unreachable, and one
+/// journal replay brings the clouds back to exactly the old version's blobs
+/// (so the registry never tracked the failed root — replay deletes a
+/// manifest only when no retained version stores it).
+fn assert_failed_commit_is_reclaimed(env: FaultEnv, failing_puts: &'static str) {
+    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
+    let mut fs = mount(
+        env.storage.clone(),
+        coordinator.clone(),
+        "alice",
+        test_config(),
+        1,
+    );
+    let (v1, v2) = (four_chunks(0x21), four_chunks(0x22));
+    fs.write_file("/f", &v1).unwrap();
+    let committed = env.stored_keys();
+
+    env.fail_puts_containing(Some(failing_puts));
+    assert!(fs.write_file("/f", &v2).is_err());
+    env.fail_puts_containing(None);
+    assert_ne!(
+        env.stored_keys(),
+        committed,
+        "the requests beside the failing ones were issued and landed"
+    );
+    (env.assert_no_orphans)();
+
+    let mut reader = mount(env.storage.clone(), coordinator, "alice", test_config(), 2);
+    reader.sleep(SimDuration::from_secs(1));
+    assert_eq!(reader.read_file("/f").unwrap(), v1, "anchor unchanged");
+
+    let mut clock = Clock::starting_at(fs.now());
+    let mut ctx = OpCtx::new(&mut clock, "alice".into());
+    let report = env
+        .storage
+        .replay_release_journal(&mut ctx, &JournalOpts::default())
+        .unwrap();
+    assert_eq!(report.errors, 0);
+    assert_eq!(env.storage.pending_releases(), 0);
+    assert_eq!(env.stored_keys(), committed, "one replay reclaims the rest");
+    assert_eq!(reader.read_file("/f").unwrap(), v1);
+}
+
+#[test]
+fn failed_chunk_put_beside_a_stored_manifest_is_reclaimed_aws() {
+    assert_failed_commit_is_reclaimed(FaultEnv::aws(), "scfs/chunks/");
+}
+
+#[test]
+fn failed_chunk_put_beside_a_stored_manifest_is_reclaimed_coc() {
+    assert_failed_commit_is_reclaimed(FaultEnv::coc(), "depsky/chunks|");
+}
+
+/// Every blob of the wave lands its DepSky metadata record but no block.
+#[test]
+fn depsky_blobs_with_records_but_no_blocks_are_reclaimed() {
+    assert_failed_commit_is_reclaimed(FaultEnv::coc(), "/block");
+}
+
+/// The reverse: blocks without a record. Nothing but the blob's address says
+/// where they are, so the delete must derive their keys.
+#[test]
+fn depsky_blobs_with_blocks_but_no_records_are_reclaimed() {
+    assert_failed_commit_is_reclaimed(FaultEnv::coc(), "/metadata");
+}
+
 proptest! {
     /// Journal replay is idempotent under arbitrary repeated delete faults:
     /// however the faults interleave across replay passes, once the cloud
@@ -355,7 +503,7 @@ proptest! {
         replay_passes in 1usize..4,
     ) {
         let sim = Arc::new(SimulatedCloud::test("s3"));
-        let flaky = Arc::new(FlakyDeleteCloud::new(sim.clone()));
+        let flaky = Arc::new(FaultyCloud::new(sim.clone()));
         let storage = SingleCloudStorage::new(flaky.clone());
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
