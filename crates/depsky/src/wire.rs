@@ -101,7 +101,9 @@ impl<'a> Reader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.pos + n > self.buf.len() {
+        // `n` may be a hostile length prefix: compare against what is left
+        // instead of adding it to `pos`, which would overflow.
+        if n > self.buf.len() - self.pos {
             return Err(DecodeError::new(format!(
                 "need {n} bytes at offset {}, only {} available",
                 self.pos,
@@ -136,6 +138,19 @@ impl<'a> Reader<'a> {
     pub fn get_bytes(&mut self) -> Result<Vec<u8>, DecodeError> {
         let len = self.get_u64()? as usize;
         Ok(self.take(len)?.to_vec())
+    }
+
+    /// Reads a length-prefixed byte slice of at most `max` bytes, borrowed
+    /// from the input: the claimed length is checked before anything is
+    /// copied.
+    pub fn get_bytes_max(&mut self, max: usize) -> Result<&'a [u8], DecodeError> {
+        let len = self.get_u64()?;
+        if len > max as u64 {
+            return Err(DecodeError::new(format!(
+                "length prefix {len} exceeds the {max}-byte bound"
+            )));
+        }
+        self.take(len as usize)
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -186,6 +201,29 @@ mod tests {
         buf.truncate(4);
         let mut r = Reader::new(&buf);
         assert!(r.get_u64().is_err());
+    }
+
+    #[test]
+    fn hostile_length_prefix_errors_instead_of_overflowing() {
+        // `pos + len` used to overflow (debug) or wrap into an inverted
+        // slice (release): both panicked on a length prefix near u64::MAX.
+        for len in [u64::MAX, u64::MAX - 7, 1 << 63] {
+            let mut w = Writer::new();
+            w.put_u64(len).put_u8(1);
+            let buf = w.finish();
+            assert!(Reader::new(&buf).get_bytes().is_err());
+            assert!(Reader::new(&buf).get_str().is_err());
+            assert!(Reader::new(&buf).get_bytes_max(usize::MAX).is_err());
+        }
+    }
+
+    #[test]
+    fn bounded_bytes_check_the_prefix_before_the_payload() {
+        let mut w = Writer::new();
+        w.put_bytes(&[9; 16]);
+        let buf = w.finish();
+        assert_eq!(Reader::new(&buf).get_bytes_max(16).unwrap(), &[9; 16]);
+        assert!(Reader::new(&buf).get_bytes_max(15).is_err());
     }
 
     #[test]

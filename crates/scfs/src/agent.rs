@@ -6,6 +6,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+use cloud_store::error::StorageError;
 use cloud_store::store::OpCtx;
 use cloud_store::types::{AccountId, Acl, Permission};
 use coord::lock::LockManager;
@@ -27,7 +28,9 @@ use crate::fs::FileSystem;
 use crate::invariant::InvariantViolation;
 use crate::metadata_service::MetadataService;
 use crate::transfer::{execute_plan, TransferOptions, TransferPlan};
-use crate::types::{normalize_path, ChunkMap, FileHandle, FileMetadata, FileType, OpenFlags};
+use crate::types::{
+    normalize_path, ChunkMap, FileHandle, FileMetadata, FileType, OpenFlags, INLINE_MANIFEST_MAX,
+};
 
 /// Chunk payloads in request order, plus whether the cloud was touched.
 type FetchedChunks = (Vec<Arc<[u8]>>, bool);
@@ -517,16 +520,12 @@ impl ScfsAgent {
                 opts,
             )
             .wait(ctx.clock)?;
-        let hash = outcome.root_hash;
         stats.cloud_uploads += 1;
         stats.chunk_uploads += outcome.chunks_uploaded;
         stats.bytes_uploaded += outcome.bytes_uploaded;
         stats.transfer_waves += outcome.waves;
         stats.dedup_hits_cross_file += outcome.dedup_cross_file;
-        metadata.version_hash = Some(hash);
-        metadata.size = data.len() as u64;
-        metadata.modified_at = ctx.clock.now();
-        metadata.version_count += 1;
+        metadata.commit_version(map, ctx.clock.now());
         metadata_svc.update(ctx, metadata.clone())?;
         if unlock {
             if let Some(locks) = locks {
@@ -669,15 +668,20 @@ impl ScfsAgent {
     }
 
     /// Loads the chunk-map manifest of the version of `metadata`'s object
-    /// whose root hash is `root`: memory cache, then disk cache, then the
-    /// cloud via the consistency-anchor retry loop. This is everything
-    /// `open` transfers — the chunks themselves fault in lazily as reads
-    /// touch them.
+    /// whose root hash is `root` — the one place that chooses where a
+    /// manifest comes from: the metadata tuple itself when it carries the
+    /// manifest inline (no transfer at all), else the memory cache, the disk
+    /// cache, and last the cloud via the consistency-anchor retry loop. This
+    /// is everything `open` transfers — the chunks themselves fault in
+    /// lazily as reads touch them.
     fn load_manifest(
         &mut self,
         metadata: &FileMetadata,
         root: scfs_crypto::ContentHash,
     ) -> Result<ChunkMap, ScfsError> {
+        if let Some(map) = metadata.inline_manifest()? {
+            return Ok(map);
+        }
         let manifest_key = Self::manifest_cache_key(&root);
         // The tiered cache handles the memory → disk fallthrough and
         // promotes a disk hit into memory by moving the Arc.
@@ -698,15 +702,19 @@ impl ScfsAgent {
                 )?;
                 self.stats.cloud_downloads += 1;
                 self.stats.anchor_retries += fetched.retries as u64;
-                let bytes: Arc<[u8]> = fetched.data.encode().into();
+                let map = ChunkMap::decode(&fetched.data).map_err(|_| {
+                    StorageError::IntegrityViolation {
+                        key: metadata.storage_id.clone(),
+                    }
+                })?;
                 self.cache.put(
                     &mut self.clock,
                     &manifest_key,
-                    bytes,
+                    fetched.data.into(),
                     Some(root),
                     WriteMode::CacheOnly,
                 );
-                Ok(fetched.data)
+                Ok(map)
             }
         }
     }
@@ -988,16 +996,21 @@ impl ScfsAgent {
         }
     }
 
-    /// Writes a version's chunks and manifest into both cache levels.
+    /// Writes a version's chunks into both cache levels, and its manifest
+    /// too unless the metadata tuple will carry it inline — a cache entry
+    /// nobody looks up would only displace a chunk.
     fn cache_version_locally(&mut self, map: &ChunkMap, data: &[u8]) {
         self.spill_chunks(map, data, true);
-        let manifest: Arc<[u8]> = map.encode().into();
-        let root = map.root_hash();
+        let manifest = map.encode();
+        if manifest.len() <= INLINE_MANIFEST_MAX {
+            return;
+        }
+        let root = scfs_crypto::sha256(&manifest);
         let manifest_key = Self::manifest_cache_key(&root);
         self.cache.put(
             &mut self.clock,
             &manifest_key,
-            manifest,
+            manifest.into(),
             Some(root),
             WriteMode::Through,
         );
@@ -1146,8 +1159,9 @@ impl ScfsAgent {
     }
 
     /// The manifest-only copy: commit a new version of the destination that
-    /// references the source version's chunks through the chunk store's
-    /// refcounts — zero chunk transfers. Returns `Ok(None)` when the
+    /// references the chunks of `src`'s current version through the chunk
+    /// store's refcounts — zero chunk transfers, and zero manifest reads
+    /// when `src` carries its manifest inline. Returns `Ok(None)` when the
     /// preconditions do not hold (the caller materializes instead).
     #[allow(clippy::too_many_arguments)]
     fn copy_and_commit(
@@ -1156,9 +1170,8 @@ impl ScfsAgent {
         locks: &Option<LockManager>,
         ctx: &mut OpCtx<'_>,
         mut dst_md: FileMetadata,
-        src_id: &str,
+        src: &FileMetadata,
         root: scfs_crypto::ContentHash,
-        size: u64,
         unlock: bool,
         stats: &mut AgentStats,
     ) -> Result<Option<FileMetadata>, ScfsError> {
@@ -1172,23 +1185,20 @@ impl ScfsAgent {
         } else {
             None
         };
-        let outcome = match storage.copy_version(
-            ctx,
-            src_id,
-            &dst_md.storage_id,
-            &root,
-            cloud_acl.as_ref(),
-        )? {
-            Some(outcome) => outcome,
-            None => return Ok(None),
+        let (src_id, dst_id, acl) = (&src.storage_id, &dst_md.storage_id, cloud_acl.as_ref());
+        let copied = match src.inline_manifest()? {
+            // The tuple already delivered the source map: hand it down so the
+            // backend reads no manifest, tracked or not.
+            Some(map) => storage.copy_version_with_map(ctx, src_id, dst_id, &root, &map, acl)?,
+            None => storage.copy_version(ctx, src_id, dst_id, &root, acl)?,
+        };
+        let Some(outcome) = copied else {
+            return Ok(None);
         };
         stats.cloud_uploads += 1;
         stats.bytes_uploaded += outcome.bytes_uploaded;
         stats.dedup_hits_cross_file += outcome.dedup_cross_file;
-        dst_md.version_hash = Some(outcome.root_hash);
-        dst_md.size = size;
-        dst_md.modified_at = ctx.clock.now();
-        dst_md.version_count += 1;
+        dst_md.commit_copy_of(src, ctx.clock.now());
         metadata_svc.update(ctx, dst_md.clone())?;
         if unlock {
             if let Some(locks) = locks {
@@ -1236,12 +1246,15 @@ impl FileSystem for ScfsAgent {
         self.charge_syscall();
         let path = normalize_path(path)?;
 
-        // Step 1: read the file metadata (or create it).
+        // Step 1: read the file metadata (or create it). Only absence means
+        // "no such file": a tuple this user may not read, or one that fails
+        // to authenticate, must not look like a free name.
         let existing = {
             let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
             match self.metadata.get(&mut ctx, &path) {
                 Ok(md) if !md.deleted => Some(md),
-                _ => None,
+                Ok(_) | Err(ScfsError::NotFound { .. }) => None,
+                Err(e) => return Err(e),
             }
         };
         // Read-your-writes across the metadata cache's expiry: while this
@@ -1290,9 +1303,11 @@ impl FileSystem for ScfsAgent {
         }
 
         // Step 3: load only the manifest — it lists the chunks this version
-        // is made of. The chunks themselves fault in lazily, at byte-range
-        // granularity, as reads touch them; a cold open of a 16 MiB file
-        // transfers a few hundred bytes, not 16 MiB.
+        // is made of, and for a small file it arrived inside the tuple step 1
+        // read, so a cold open costs no cloud round trip at all. The chunks
+        // themselves fault in lazily, at byte-range granularity, as reads
+        // touch them; a cold open of a 16 MiB file transfers a few hundred
+        // bytes, not 16 MiB.
         let (buffer, chunk_map, present) = match metadata.version_hash {
             Some(root) if !flags.truncate => {
                 let map = self.load_manifest(&metadata, root)?;
@@ -1429,9 +1444,8 @@ impl FileSystem for ScfsAgent {
         } = file;
 
         // Chunk the new version; its root hash — the one hash the anchor
-        // stores — is known immediately, before any cloud access.
+        // stores — follows from the map alone, before any cloud access.
         let map = self.config.chunk_map(&buffer);
-        let new_hash = map.root_hash();
         // The data always reaches the local disk first (level 1).
         self.cache_version_locally(&map, &buffer);
         self.written_since_gc += buffer.len() as u64;
@@ -1458,11 +1472,8 @@ impl FileSystem for ScfsAgent {
                 // client's own view is updated immediately through the local
                 // caches; everyone else waits on this object's token.
                 let mut updated = metadata.clone();
-                updated.version_hash = Some(new_hash);
-                updated.size = buffer.len() as u64;
-                updated.modified_at = self.clock.now();
-                updated.version_count += 1;
                 let now = self.clock.now();
+                updated.commit_version(&map, now);
                 self.metadata.update_local(updated, now);
 
                 // Bounded queue: at most `max_pending_uploads` commits in
@@ -1692,7 +1703,6 @@ impl FileSystem for ScfsAgent {
             None => return self.copy_by_materializing(&from, &to),
         };
         let size = src_md.size;
-        let src_id = src_md.storage_id.clone();
         let src_ready = self.pending_by_path(&from).map(|p| p.ready_at);
 
         // Destination metadata: a new version of an existing file, or a
@@ -1766,9 +1776,8 @@ impl FileSystem for ScfsAgent {
                 locks,
                 &mut ctx,
                 dst_md,
-                &src_id,
+                &src_md,
                 root,
-                size,
                 locked,
                 stats,
             )
@@ -2469,6 +2478,49 @@ mod tests {
     }
 
     #[test]
+    fn copy_file_never_re_reads_a_manifest_the_tuple_delivered() {
+        // Two backend instances over one cloud — two processes of one
+        // account. The second one's registry has never heard of `/src`, so
+        // `copy_version` would have to fetch its manifest from the cloud;
+        // the tuple already carried it.
+        let cloud = Arc::new(SimulatedCloud::test("s3"));
+        let coord: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
+        let mount = |seed| {
+            let storage = Arc::new(SingleCloudStorage::new(cloud.clone()));
+            let coord = Some(coord.clone());
+            ScfsAgent::mount(
+                "alice".into(),
+                ScfsConfig::test(Mode::Blocking),
+                storage,
+                coord,
+                seed,
+            )
+            .unwrap()
+        };
+        let data = vec![5u8; 50_000];
+        mount(1).write_file("/src", &data).unwrap();
+        let mut second = mount(2);
+        second.sleep(SimDuration::from_secs(60));
+        // Identical content written through the second instance: its chunk
+        // store now holds the chunk a manifest-only copy will reference.
+        second.write_file("/twin", &data).unwrap();
+        let before = (cloud.metrics().snapshot(), second.stats());
+        second.copy_file("/src", "/dst").unwrap();
+        let after = (cloud.metrics().snapshot(), second.stats());
+        assert_eq!(after.0.gets, before.0.gets, "no manifest GET, no chunk GET");
+        assert_eq!(after.0.puts, before.0.puts + 1, "the destination manifest");
+        assert_eq!(after.1.chunk_uploads, before.1.chunk_uploads);
+        assert_eq!(second.read_file("/dst").unwrap(), data);
+        let (src, dst) = (second.stat("/src").unwrap(), second.stat("/dst").unwrap());
+        assert_eq!(dst.version_hash, src.version_hash);
+        assert_eq!(
+            dst.inline_manifest().unwrap(),
+            src.inline_manifest().unwrap()
+        );
+        assert!(dst.inline_manifest().unwrap().is_some());
+    }
+
+    #[test]
     fn copy_file_copies_the_committed_version_like_the_default_path() {
         let mut fs = test_agent(Mode::Blocking);
         fs.write_file("/src", &vec![3u8; 8_000]).unwrap();
@@ -2487,6 +2539,71 @@ mod tests {
         fs.close(h2).unwrap();
         fs.copy_file("/fresh", "/fresh-copy").unwrap();
         assert_eq!(fs.read_file("/fresh-copy").unwrap(), b"in-memory only");
+    }
+
+    #[test]
+    fn reopen_during_an_in_flight_commit_sees_the_new_inline_manifest() {
+        let config = ScfsConfig::test(Mode::NonBlocking);
+        let expiry = config.metadata_cache_expiry;
+        let mut fs = wan_agent(config);
+        fs.write_file("/f", &vec![1u8; 300_000]).unwrap();
+        let drain = fs.background_drain_instant();
+        fs.sleep(drain.duration_since(fs.now()) + SimDuration::from_secs(1));
+        let v2 = vec![2u8; 400_000];
+        fs.write_file("/f", &v2).unwrap();
+        // Past the metadata cache's expiry, with the commit still in flight:
+        // the coordination service serves version 1, and the pending
+        // commit's tuple — new hash and new inline manifest together — is
+        // this client's view.
+        fs.sleep(expiry + SimDuration::from_millis(1));
+        let token = fs.upload_token("/f").expect("commit still in flight");
+        assert!(fs.now() < token.ready_at());
+        let md = fs.stat("/f").unwrap();
+        let map = fs.config().chunk_map(&v2);
+        assert_eq!(md.version_count, 2);
+        assert_eq!(md.version_hash, Some(map.root_hash()));
+        assert_eq!(md.inline_manifest().unwrap(), Some(map));
+        let downloads = fs.stats().cloud_downloads;
+        assert_eq!(fs.read_file("/f").unwrap(), v2);
+        assert_eq!(fs.stats().cloud_downloads, downloads);
+        assert!(fs.now() < token.ready_at(), "the reopen did not wait");
+    }
+
+    #[test]
+    fn the_inline_manifest_follows_the_file_across_the_size_bound() {
+        let cloud = Arc::new(SimulatedCloud::test("s3"));
+        let storage: Arc<dyn FileStorage> = Arc::new(SingleCloudStorage::new(cloud.clone()));
+        let coord: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
+        let mut config = ScfsConfig::test(Mode::Blocking);
+        config.chunk_size = Bytes::new(4096);
+        let mount = |seed| {
+            let (storage, coord) = (storage.clone(), Some(coord.clone()));
+            ScfsAgent::mount("alice".into(), config.clone(), storage, coord, seed).unwrap()
+        };
+        // Cloud GETs a cold mount's `open` issues, and whether the tuple it
+        // read carried the manifest.
+        let cold_open = |seed| {
+            let mut reader = mount(seed);
+            reader.sleep(SimDuration::from_secs(60));
+            let before = cloud.metrics().snapshot().gets;
+            let h = reader.open("/f", OpenFlags::read_only()).unwrap();
+            let inline = reader.get_open(h).unwrap().metadata.inline_manifest();
+            (
+                cloud.metrics().snapshot().gets - before,
+                inline.unwrap().is_some(),
+            )
+        };
+        let mut writer = mount(1);
+        // Two chunks: the manifest rides in the tuple, open fetches nothing.
+        writer.write_file("/f", &vec![1u8; 8192]).unwrap();
+        assert_eq!(cold_open(2), (0, true));
+        // Thirteen chunks no longer fit: the tuple drops its inline copy and
+        // a cold reader falls back to the cloud manifest, one GET.
+        writer.write_file("/f", &vec![2u8; 13 * 4096]).unwrap();
+        assert_eq!(cold_open(3), (1, false));
+        // Shrinking back re-inlines it.
+        writer.write_file("/f", &vec![3u8; 4096]).unwrap();
+        assert_eq!(cold_open(4), (0, true));
     }
 
     #[test]

@@ -25,7 +25,6 @@ use sim_core::time::SimDuration;
 use crate::backend::FileStorage;
 use crate::error::ScfsError;
 use crate::transfer::TransferOptions;
-use crate::types::ChunkMap;
 
 /// Result of an anchored fetch, with retry accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,8 +84,8 @@ pub fn anchored_read(
     })
 }
 
-/// Reads the chunk map of the version of `id` whose root hash is `hash`,
-/// retrying while it is not yet visible.
+/// Reads the encoded chunk map of the version of `id` whose root hash is
+/// `hash`, retrying while it is not yet visible.
 pub fn anchored_manifest(
     ctx: &mut OpCtx<'_>,
     storage: &dyn FileStorage,
@@ -94,9 +93,9 @@ pub fn anchored_manifest(
     hash: &ContentHash,
     max_retries: usize,
     backoff: SimDuration,
-) -> Result<Anchored<ChunkMap>, ScfsError> {
+) -> Result<Anchored<Vec<u8>>, ScfsError> {
     anchored_fetch(ctx, max_retries, backoff, |c| {
-        storage.read_manifest(c, id, hash)
+        storage.read_manifest_bytes(c, id, hash)
     })
 }
 
@@ -119,6 +118,7 @@ pub fn anchored_chunk(
 mod tests {
     use super::*;
     use crate::backend::SingleCloudStorage;
+    use crate::types::ChunkMap;
     use cloud_store::providers::{ConsistencyMode, ProviderProfile};
     use cloud_store::sim_cloud::SimulatedCloud;
     use sim_core::latency::LatencyModel;

@@ -302,6 +302,20 @@ pub trait FileStorage: Send + Sync {
         hash: &ContentHash,
     ) -> Result<ChunkMap, ScfsError>;
 
+    /// Reads the encoded chunk map of the version of `id` whose root hash is
+    /// `hash` — the verified bytes themselves, which is what a reader caches.
+    /// Transient not-found like [`FileStorage::read_manifest`]. The default
+    /// serves storages that only implement `read_manifest` by re-encoding
+    /// its result; the chunked backends hand out the stored bytes.
+    fn read_manifest_bytes(
+        &self,
+        ctx: &mut OpCtx<'_>,
+        id: &str,
+        hash: &ContentHash,
+    ) -> Result<Vec<u8>, ScfsError> {
+        Ok(self.read_manifest(ctx, id, hash)?.encode())
+    }
+
     /// Reads one chunk of `id` by content hash, verifying it.
     fn read_chunk(
         &self,
@@ -431,6 +445,25 @@ pub trait FileStorage: Send + Sync {
     ) -> Result<Option<WriteOutcome>, ScfsError> {
         let _ = (ctx, src_id, dst_id, root, acl);
         Ok(None)
+    }
+
+    /// [`FileStorage::copy_version`] for a caller that already holds the
+    /// source version's chunk map `map` (it rode in the metadata tuple,
+    /// authenticated against `root`): the backend must not read the manifest
+    /// again, from its registry or from the cloud. The default forwards to
+    /// `copy_version`, so a storage that does not override it stays correct
+    /// and merely loses the saving.
+    fn copy_version_with_map(
+        &self,
+        ctx: &mut OpCtx<'_>,
+        src_id: &str,
+        dst_id: &str,
+        root: &ContentHash,
+        map: &ChunkMap,
+        acl: Option<&Acl>,
+    ) -> Result<Option<WriteOutcome>, ScfsError> {
+        let _ = map;
+        self.copy_version(ctx, src_id, dst_id, root, acl)
     }
 
     /// The durability level (Table 1) data reaches once a version commit on
@@ -687,10 +720,29 @@ impl<B: ChunkedBackend> FileStorage for B {
     ) -> Result<Option<WriteOutcome>, ScfsError> {
         // The source map comes from the registry when this instance tracks
         // the version, otherwise from the cloud manifest.
-        let map = match self.state().lock().registry.map_of(src_id, root) {
+        let tracked = self.state().lock().registry.map_of(src_id, root);
+        let map = match tracked {
             Some(map) => map,
             None => self.read_manifest(ctx, src_id, root)?,
         };
+        self.copy_version_with_map(ctx, src_id, dst_id, root, &map, acl)
+    }
+
+    fn copy_version_with_map(
+        &self,
+        ctx: &mut OpCtx<'_>,
+        _src_id: &str,
+        dst_id: &str,
+        root: &ContentHash,
+        map: &ChunkMap,
+        acl: Option<&Acl>,
+    ) -> Result<Option<WriteOutcome>, ScfsError> {
+        let manifest = map.encode();
+        if sha256(&manifest) != *root {
+            return Err(ScfsError::invalid(
+                "copy source map does not hash to the version's root hash",
+            ));
+        }
         let unique = map.unique_chunks();
         {
             // Every referenced chunk must be globally stored (the live
@@ -705,7 +757,6 @@ impl<B: ChunkedBackend> FileStorage for B {
             // the manifest put below fails, replay reclaims it.
             state.chunks.release_manifest(dst_id, *root);
         }
-        let manifest = map.encode();
         self.put_manifest(ctx, dst_id, root, &manifest)?;
         if let Some(acl) = acl {
             self.set_manifest_acl(ctx, dst_id, root, acl)?;
@@ -715,7 +766,7 @@ impl<B: ChunkedBackend> FileStorage for B {
             state.chunks.cancel_manifest_release(dst_id, root);
             state.chunks.retain_version(&unique);
             state.chunks.cancel_chunk_releases(&unique);
-            state.registry.push(dst_id, *root, map);
+            state.registry.push(dst_id, *root, map.clone());
         }
         Ok(Some(WriteOutcome {
             root_hash: *root,
@@ -732,13 +783,22 @@ impl<B: ChunkedBackend> FileStorage for B {
         id: &str,
         hash: &ContentHash,
     ) -> Result<ChunkMap, ScfsError> {
-        let bytes = self.get_manifest(ctx, id, hash)?;
+        let bytes = self.read_manifest_bytes(ctx, id, hash)?;
         ChunkMap::decode(&bytes).map_err(|_| {
             StorageError::IntegrityViolation {
                 key: id.to_string(),
             }
             .into()
         })
+    }
+
+    fn read_manifest_bytes(
+        &self,
+        ctx: &mut OpCtx<'_>,
+        id: &str,
+        hash: &ContentHash,
+    ) -> Result<Vec<u8>, ScfsError> {
+        self.get_manifest(ctx, id, hash)
     }
 
     fn read_chunk(

@@ -1,7 +1,9 @@
 //! Core SCFS data types: paths, metadata tuples, chunk maps, open flags and
 //! handles.
 
-use cloud_store::types::{AccountId, Acl};
+use std::sync::Arc;
+
+use cloud_store::types::{AccountId, Acl, Permission};
 use depsky::wire::{DecodeError, Reader, Writer};
 use scfs_crypto::{sha256, ContentHash};
 use sim_core::time::SimInstant;
@@ -17,6 +19,13 @@ pub const DEFAULT_CHUNK_SIZE: usize = 1 << 20;
 /// and [`ChunkMap::decode`] rejects manifests claiming a longer file — a
 /// crafted `file_len` must not translate into an absurd buffer allocation.
 pub const MAX_FILE_LEN: u64 = 1 << 40;
+
+/// Largest encoded [`ChunkMap`] a metadata tuple carries inline
+/// ([`FileMetadata::commit_version`]): 512 bytes hold up to 12 fixed-size or
+/// 9 content-defined chunks, which keeps the tuple inside the ~1 KB the
+/// paper's coordination-service capacity analysis budgets. Larger manifests
+/// are read from the storage service under the anchored root hash.
+pub const INLINE_MANIFEST_MAX: usize = 512;
 
 /// Minimum encoded size of one chunk record in a v1 manifest: the 8-byte
 /// length prefix plus the 32-byte hash. Bounds the chunk count a decoder
@@ -517,6 +526,15 @@ pub struct FileMetadata {
     /// SHA-256 of the current version (the `hash` of the consistency anchor);
     /// `None` until the first version is written.
     pub version_hash: Option<ContentHash>,
+    /// The encoded [`ChunkMap`] of the current version, carried in the tuple
+    /// when it fits [`INLINE_MANIFEST_MAX`], so a reader learns the chunk
+    /// list from the anchor read itself. Authenticated, never trusted:
+    /// whenever it is present `sha256(manifest) == version_hash`, so the
+    /// anchor still names exactly one version. Private to keep that true —
+    /// [`FileMetadata::commit_version`] and [`FileMetadata::commit_copy_of`]
+    /// are the only writers and [`FileMetadata::decode`] rejects a tuple
+    /// that breaks it.
+    manifest: Option<Arc<[u8]>>,
     /// Number of versions written so far.
     pub version_count: u64,
     /// Whether the user deleted the object (kept as a tombstone until the
@@ -537,6 +555,7 @@ impl FileMetadata {
             modified_at: now,
             storage_id,
             version_hash: None,
+            manifest: None,
             version_count: 0,
             deleted: false,
         }
@@ -554,6 +573,7 @@ impl FileMetadata {
             modified_at: now,
             storage_id: String::new(),
             version_hash: None,
+            manifest: None,
             version_count: 0,
             deleted: false,
         }
@@ -564,8 +584,45 @@ impl FileMetadata {
         !self.acl.is_empty()
     }
 
+    /// Points the tuple at the version laid out by `map`, committed at `now`
+    /// — the anchor write of a close: root hash, size, modification time and
+    /// version count move together, and the encoded manifest rides along
+    /// when it fits [`INLINE_MANIFEST_MAX`].
+    pub fn commit_version(&mut self, map: &ChunkMap, now: SimInstant) {
+        let manifest = map.encode();
+        self.version_hash = Some(sha256(&manifest));
+        self.manifest = (manifest.len() <= INLINE_MANIFEST_MAX).then(|| manifest.into());
+        self.size = map.file_len();
+        self.modified_at = now;
+        self.version_count += 1;
+    }
+
+    /// Points the tuple at the current version of `src`, committed at `now`
+    /// — the anchor write of a manifest-only copy. The inline manifest, if
+    /// `src` carries one, is the same bytes under the same root hash.
+    pub fn commit_copy_of(&mut self, src: &FileMetadata, now: SimInstant) {
+        self.version_hash = src.version_hash;
+        self.manifest = src.manifest.clone();
+        self.size = src.size;
+        self.modified_at = now;
+        self.version_count += 1;
+    }
+
+    /// The chunk map of the current version, when the tuple carries it
+    /// inline. The bytes already hash to `version_hash`; an error means the
+    /// writer anchored something that is not a manifest.
+    pub fn inline_manifest(&self) -> Result<Option<ChunkMap>, crate::error::ScfsError> {
+        let decoded = self.manifest.as_deref().map(ChunkMap::decode).transpose();
+        decoded.map_err(|e| {
+            crate::error::ScfsError::invalid(format!(
+                "corrupt metadata tuple: inline manifest: {e}"
+            ))
+        })
+    }
+
     /// Serializes the metadata tuple (stored in the coordination service or
-    /// in a private name space; ~1 KB per the paper's capacity analysis).
+    /// in a private name space; ~1 KB per the paper's capacity analysis,
+    /// which [`INLINE_MANIFEST_MAX`] preserves).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_str(&self.path);
@@ -579,8 +636,8 @@ impl FileMetadata {
         for (account, perm) in self.acl.grants() {
             w.put_str(account.as_str());
             w.put_u8(match perm {
-                cloud_store::types::Permission::Read => 0,
-                cloud_store::types::Permission::Write => 1,
+                Permission::Read => 0,
+                Permission::Write => 1,
             });
         }
         w.put_u64(self.created_at.as_nanos());
@@ -595,49 +652,93 @@ impl FileMetadata {
                 w.put_u8(0);
             }
         }
+        match &self.manifest {
+            Some(manifest) => {
+                w.put_u8(1);
+                w.put_bytes(manifest);
+            }
+            None => {
+                w.put_u8(0);
+            }
+        }
         w.put_u64(self.version_count);
         w.put_u8(u8::from(self.deleted));
         w.finish()
     }
 
     /// Deserializes a metadata tuple.
+    ///
+    /// Fails closed, like [`ChunkMap::decode`]: every tag must be one the
+    /// encoder writes, trailing bytes are rejected, and an inline manifest
+    /// is bounded by [`INLINE_MANIFEST_MAX`] before it is copied and must
+    /// hash to the tuple's `version_hash` — a tuple whose inline copy names
+    /// anything but the anchored version is corrupt, not a second opinion.
     pub fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::new(buf);
         let path = r.get_str()?;
-        let file_type = match r.get_u8()? {
-            0 => FileType::File,
-            _ => FileType::Directory,
+        let file_type = if Self::get_tag(&mut r, "file type")? {
+            FileType::Directory
+        } else {
+            FileType::File
         };
         let size = r.get_u64()?;
         let owner = AccountId::new(r.get_str()?);
-        let grant_count = r.get_u64()? as usize;
+        let grant_count = r.get_u64()?;
         let mut acl = Acl::private();
+        let mut last: Option<AccountId> = None;
         for _ in 0..grant_count {
             let account = AccountId::new(r.get_str()?);
-            let perm = match r.get_u8()? {
-                0 => cloud_store::types::Permission::Read,
-                _ => cloud_store::types::Permission::Write,
+            let perm = if Self::get_tag(&mut r, "permission")? {
+                Permission::Write
+            } else {
+                Permission::Read
             };
-            acl.grant(account, perm);
+            // The encoder writes grants in account order, once each; any
+            // other sequence is a second encoding of some ACL.
+            if last.is_some_and(|last| last >= account) {
+                return Err(DecodeError {
+                    reason: format!("ACL grant for {account} is out of order"),
+                });
+            }
+            acl.grant(account.clone(), perm);
+            last = Some(account);
         }
         let created_at = SimInstant::from_nanos(r.get_u64()?);
         let modified_at = SimInstant::from_nanos(r.get_u64()?);
         let storage_id = r.get_str()?;
-        let version_hash = if r.get_u8()? == 1 {
-            let bytes = r.get_bytes()?;
-            if bytes.len() != 32 {
-                return Err(DecodeError {
-                    reason: "version hash must be 32 bytes".into(),
-                });
+        let version_hash = if Self::get_tag(&mut r, "version hash")? {
+            let bytes = r.get_bytes_max(32)?;
+            Some(ContentHash::try_from(bytes).map_err(|_| DecodeError {
+                reason: "version hash must be 32 bytes".into(),
+            })?)
+        } else {
+            None
+        };
+        let manifest = if Self::get_tag(&mut r, "inline manifest")? {
+            let bytes = r.get_bytes_max(INLINE_MANIFEST_MAX)?;
+            match version_hash {
+                Some(hash) if hash == sha256(bytes) => Some(Arc::from(bytes)),
+                Some(_) => {
+                    return Err(DecodeError {
+                        reason: "inline manifest does not hash to the version hash".into(),
+                    })
+                }
+                None => {
+                    return Err(DecodeError {
+                        reason: "inline manifest without a version hash".into(),
+                    })
+                }
             }
-            let mut h = [0u8; 32];
-            h.copy_from_slice(&bytes);
-            Some(h)
         } else {
             None
         };
         let version_count = r.get_u64()?;
-        let deleted = r.get_u8()? != 0;
+        let deleted = Self::get_tag(&mut r, "deleted")?;
+        if !r.is_exhausted() {
+            return Err(DecodeError {
+                reason: format!("{} trailing bytes after metadata tuple", r.remaining()),
+            });
+        }
         Ok(FileMetadata {
             path,
             file_type,
@@ -648,9 +749,22 @@ impl FileMetadata {
             modified_at,
             storage_id,
             version_hash,
+            manifest,
             version_count,
             deleted,
         })
+    }
+
+    /// Reads a one-byte tag of the tuple encoding. Every tag is binary;
+    /// anything but 0 or 1 is a corrupt tuple, never a default.
+    fn get_tag(r: &mut Reader<'_>, what: &str) -> Result<bool, DecodeError> {
+        match r.get_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(DecodeError {
+                reason: format!("unknown {what} tag {tag}"),
+            }),
+        }
     }
 }
 
@@ -782,11 +896,197 @@ mod tests {
 
     #[test]
     fn metadata_tuple_is_about_1kb_with_long_names() {
-        // The paper assumes ~1 KB tuples with 100-byte file names.
+        // The paper assumes ~1 KB tuples with 100-byte file names — also
+        // with the largest manifest that still rides inline.
         let long_name = format!("/{}", "d".repeat(100));
-        let md = FileMetadata::new_file(&long_name, "alice".into(), "id".into(), SimInstant::EPOCH);
+        let mut md =
+            FileMetadata::new_file(&long_name, "alice".into(), "id".into(), SimInstant::EPOCH);
+        md.acl.grant("bob".into(), Permission::Write);
+        md.commit_version(&ChunkMap::build(&[7u8; 12_000], 1000), SimInstant::EPOCH);
+        assert!(md.inline_manifest().unwrap().is_some());
         let encoded = md.encode();
         assert!(encoded.len() < 1024, "tuple was {} bytes", encoded.len());
+    }
+
+    #[test]
+    fn small_manifests_ride_inline_and_large_ones_do_not() {
+        let now = SimInstant::from_secs(9);
+        let mut md = FileMetadata::new_file("/f", "alice".into(), "id".into(), SimInstant::EPOCH);
+        // 12 fixed-size chunks encode to 24 + 12 * 40 = 504 bytes: inline.
+        let twelve = ChunkMap::build(&[1u8; 12_000], 1000);
+        md.commit_version(&twelve, now);
+        assert_eq!(md.inline_manifest().unwrap(), Some(twelve.clone()));
+        assert_eq!(md.version_hash, Some(twelve.root_hash()));
+        assert_eq!(
+            (md.size, md.modified_at, md.version_count),
+            (12_000, now, 1)
+        );
+        assert_eq!(FileMetadata::decode(&md.encode()).unwrap(), md);
+        // 13 chunks are 544 bytes: the anchor keeps the hash alone, and the
+        // stale inline copy of the previous version is gone.
+        let thirteen = ChunkMap::build(&[1u8; 13_000], 1000);
+        md.commit_version(&thirteen, now);
+        assert_eq!(md.inline_manifest().unwrap(), None);
+        assert_eq!(md.version_hash, Some(thirteen.root_hash()));
+        assert_eq!(FileMetadata::decode(&md.encode()).unwrap(), md);
+        // Content-defined maps carry an extent per chunk: 9 fit, 10 do not.
+        let cdc = |chunks: usize| {
+            let data = random_bytes(8192, 4);
+            (0..data.len())
+                .map(|len| ChunkMap::build_cdc(&data[..len], &CdcParams::with_avg(256)))
+                .find(|map| map.chunk_count() == chunks)
+                .expect("some prefix cuts into that many chunks")
+        };
+        assert_eq!(cdc(9).encode().len(), 33 + 9 * 48);
+        md.commit_version(&cdc(9), now);
+        assert_eq!(md.inline_manifest().unwrap(), Some(cdc(9)));
+        md.commit_version(&cdc(10), now);
+        assert_eq!(md.inline_manifest().unwrap(), None);
+        // A manifest-only copy carries the source's inline manifest along.
+        md.commit_version(&twelve, now);
+        let mut copy = FileMetadata::new_file("/g", "alice".into(), "id2".into(), now);
+        copy.commit_copy_of(&md, now);
+        assert_eq!(copy.inline_manifest().unwrap(), Some(twelve));
+        assert_eq!((copy.version_hash, copy.size), (md.version_hash, md.size));
+        assert_eq!(FileMetadata::decode(&copy.encode()).unwrap(), copy);
+    }
+
+    /// Hand-encodes a metadata tuple field by field, so each decoder check
+    /// can be hit with exactly one thing wrong.
+    struct RawTuple {
+        file_type: u8,
+        grants: Vec<(&'static str, u8)>,
+        hash_tag: u8,
+        hash: Vec<u8>,
+        manifest_tag: u8,
+        manifest: Vec<u8>,
+        deleted: u8,
+        trailing: Vec<u8>,
+    }
+
+    impl RawTuple {
+        /// A well-formed shared file whose one-chunk manifest rides inline.
+        fn valid() -> Self {
+            let manifest = ChunkMap::build(&[5u8; 300], 1000).encode();
+            RawTuple {
+                file_type: 0,
+                grants: vec![("bob", 1), ("carol", 0)],
+                hash_tag: 1,
+                hash: sha256(&manifest).to_vec(),
+                manifest_tag: 1,
+                manifest,
+                deleted: 0,
+                trailing: Vec::new(),
+            }
+        }
+
+        fn encode(&self) -> Vec<u8> {
+            let mut w = Writer::new();
+            w.put_str("/shared/f").put_u8(self.file_type).put_u64(300);
+            w.put_str("alice").put_u64(self.grants.len() as u64);
+            for (account, permission) in &self.grants {
+                w.put_str(account).put_u8(*permission);
+            }
+            w.put_u64(1).put_u64(2).put_str("alice-f1");
+            w.put_u8(self.hash_tag);
+            if self.hash_tag != 0 {
+                w.put_bytes(&self.hash);
+            }
+            w.put_u8(self.manifest_tag);
+            if self.manifest_tag != 0 {
+                w.put_bytes(&self.manifest);
+            }
+            w.put_u64(1).put_u8(self.deleted);
+            let mut bytes = w.finish();
+            bytes.extend_from_slice(&self.trailing);
+            bytes
+        }
+
+        fn decode_err(&self) -> String {
+            FileMetadata::decode(&self.encode())
+                .expect_err("a corrupt tuple decoded")
+                .reason
+        }
+    }
+
+    #[test]
+    fn hand_encoded_tuple_matches_the_encoder() {
+        let raw = RawTuple::valid();
+        let md = FileMetadata::decode(&raw.encode()).unwrap();
+        assert_eq!(md.encode(), raw.encode());
+        assert_eq!(md.acl.len(), 2);
+        assert!(md.inline_manifest().unwrap().is_some());
+    }
+
+    #[test]
+    fn unknown_tags_are_rejected_not_defaulted() {
+        // Each of these used to decode: any non-zero file type as a
+        // directory, any non-zero permission as `Write`, a version-hash tag
+        // of 2 as "no version", a deleted tag of 7 as a tombstone.
+        type Corrupt = fn(&mut RawTuple);
+        let cases: [(&str, Corrupt); 5] = [
+            ("file type", |t| t.file_type = 2),
+            ("permission", |t| t.grants[1].1 = 0xFF),
+            ("version hash", |t| t.hash_tag = 2),
+            ("inline manifest", |t| t.manifest_tag = 3),
+            ("deleted", |t| t.deleted = 7),
+        ];
+        for (what, corrupt) in cases {
+            let mut raw = RawTuple::valid();
+            corrupt(&mut raw);
+            let reason = raw.decode_err();
+            assert!(reason.contains(what), "{what}: {reason}");
+        }
+    }
+
+    #[test]
+    fn trailing_garbage_and_reordered_grants_are_rejected() {
+        // Two distinct blobs must never decode to the same tuple.
+        let mut raw = RawTuple::valid();
+        raw.trailing = b"x".to_vec();
+        assert!(raw.decode_err().contains("trailing"));
+        let mut raw = RawTuple::valid();
+        raw.grants.reverse();
+        assert!(raw.decode_err().contains("out of order"));
+        let mut raw = RawTuple::valid();
+        raw.grants.push(("carol", 1));
+        assert!(raw.decode_err().contains("out of order"));
+    }
+
+    #[test]
+    fn inline_manifest_must_hash_to_the_version_hash() {
+        // One flipped bit in the inline copy: the anchor names one version,
+        // and this is not it.
+        let mut raw = RawTuple::valid();
+        raw.manifest[30] ^= 1;
+        assert!(raw.decode_err().contains("does not hash"));
+        // The same for a well-formed manifest of some other version.
+        let mut raw = RawTuple::valid();
+        raw.manifest = ChunkMap::build(&[6u8; 300], 1000).encode();
+        assert!(raw.decode_err().contains("does not hash"));
+        // An inline manifest with no version hash to check it against.
+        let mut raw = RawTuple::valid();
+        raw.hash_tag = 0;
+        assert!(raw.decode_err().contains("without a version hash"));
+        // A version hash of the wrong width.
+        let mut raw = RawTuple::valid();
+        raw.hash.truncate(31);
+        assert!(raw.decode_err().contains("32 bytes"));
+    }
+
+    #[test]
+    fn oversized_inline_manifest_is_rejected_before_it_is_copied() {
+        // The hash matches, so only the size bound can reject it.
+        let mut raw = RawTuple::valid();
+        raw.manifest = ChunkMap::build(&[1u8; 13_000], 1000).encode();
+        raw.hash = sha256(&raw.manifest).to_vec();
+        assert!(raw.manifest.len() > INLINE_MANIFEST_MAX);
+        assert!(raw.decode_err().contains("exceeds"));
+        // A length prefix claiming far more than the buffer holds.
+        let mut bytes = RawTuple::valid().encode();
+        let at = bytes.len() - RawTuple::valid().manifest.len() - 9 - 8;
+        bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(FileMetadata::decode(&bytes).is_err());
     }
 
     #[test]

@@ -1,11 +1,19 @@
 //! End-to-end integration tests spanning the whole stack: simulated clouds,
 //! replicated coordination service, DepSky, the SCFS agent and the baselines.
 
-use scfs_repro::cloud_store::types::Permission;
+use std::sync::Arc;
+
+use scfs_repro::cloud_store::sim_cloud::SimulatedCloud;
+use scfs_repro::cloud_store::store::OpCtx;
+use scfs_repro::cloud_store::types::{Acl, Permission};
+use scfs_repro::coord::replication::ReplicatedCoordinator;
+use scfs_repro::coord::service::CoordinationService;
+use scfs_repro::scfs::backend::SingleCloudStorage;
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
+use scfs_repro::scfs::error::ScfsError;
 use scfs_repro::scfs::fs::FileSystem;
-use scfs_repro::scfs::types::OpenFlags;
-use scfs_repro::sim_core::time::SimDuration;
+use scfs_repro::scfs::types::{ChunkMap, OpenFlags};
+use scfs_repro::sim_core::time::{Clock, SimDuration};
 use scfs_repro::workloads::setup::{build_system, Backend, SharedScfsEnv, SystemKind};
 
 #[test]
@@ -142,4 +150,116 @@ fn unshared_files_never_touch_the_coordination_service_with_pns() {
     // A file under the shared tree does.
     fs.write_file("/shared/plan.txt", b"ours").unwrap();
     assert!(coordinator.access_count() > before);
+}
+
+/// A blocking single-cloud environment that keeps the cloud and coordinator
+/// handles, so a test can count cloud requests and reach the raw tuples.
+fn counted_env() -> (
+    SharedScfsEnv,
+    Arc<SimulatedCloud>,
+    Arc<dyn CoordinationService>,
+) {
+    let cloud = Arc::new(SimulatedCloud::test("s3"));
+    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
+    let env = SharedScfsEnv {
+        storage: Arc::new(SingleCloudStorage::new(cloud.clone())),
+        coordinator: Some(coordinator.clone()),
+        mode: Mode::Blocking,
+    };
+    (env, cloud, coordinator)
+}
+
+/// Coordination-service key of the metadata tuple of `path`.
+fn tuple_key(path: &str) -> String {
+    format!("/scfs/meta{path}")
+}
+
+/// With the manifest riding in the tuple, the coordination-service ACL is
+/// the only gate in front of the chunk reads: an account that cannot read
+/// the tuple must learn nothing and fetch nothing.
+#[test]
+fn accounts_without_a_grant_cannot_open_and_read_nothing_from_the_cloud() {
+    let (env, cloud, coordinator) = counted_env();
+    let config = ScfsConfig::test(Mode::Blocking);
+    let mut alice = env.mount("alice", config.clone(), 1);
+    alice.write_file("/shared/doc", &[7u8; 20_000]).unwrap();
+    alice
+        .setfacl("/shared/doc", &"bob".into(), Permission::Read)
+        .unwrap();
+
+    let mut bob = env.mount("bob", config.clone(), 2);
+    bob.sleep(SimDuration::from_secs(5));
+    assert_eq!(bob.read_file("/shared/doc").unwrap(), vec![7u8; 20_000]);
+
+    // Never granted: the tuple read is refused, so there is no manifest to
+    // find chunks with.
+    let gets = cloud.metrics().snapshot().gets;
+    let mut mallory = env.mount("mallory", config.clone(), 3);
+    mallory.sleep(SimDuration::from_secs(5));
+    assert!(matches!(
+        mallory.open("/shared/doc", OpenFlags::read_only()),
+        Err(ScfsError::PermissionDenied { .. })
+    ));
+
+    // Revoked: `FileSystem::setfacl` can only grant, so the owner withdraws
+    // the grant where it is enforced, on the tuple in the coordination
+    // service. A cold mount of the former grantee is locked out like anyone.
+    let mut clock = Clock::new();
+    clock.advance_to(alice.now());
+    let mut ctx = OpCtx::new(&mut clock, "alice".into());
+    coordinator
+        .set_acl(&mut ctx, &tuple_key("/shared/doc"), Acl::private())
+        .unwrap();
+    let mut bob_again = env.mount("bob", config, 4);
+    bob_again.sleep(SimDuration::from_secs(5));
+    assert!(matches!(
+        bob_again.open("/shared/doc", OpenFlags::read_only()),
+        Err(ScfsError::PermissionDenied { .. })
+    ));
+    assert_eq!(
+        cloud.metrics().snapshot().gets,
+        gets,
+        "a refused open must not touch the cloud"
+    );
+}
+
+/// The inline manifest is authenticated, never trusted: a tuple whose inline
+/// copy does not hash to its version hash is a corrupt tuple, and the reader
+/// stops before asking the cloud for anything it names.
+#[test]
+fn tampered_inline_manifest_is_rejected_before_any_cloud_read() {
+    let (env, cloud, coordinator) = counted_env();
+    let config = ScfsConfig::test(Mode::Blocking);
+    let mut alice = env.mount("alice", config.clone(), 1);
+    let data = vec![9u8; 20_000];
+    alice.write_file("/shared/doc", &data).unwrap();
+
+    // Point the inline manifest at other content, leaving the anchor hash
+    // alone: swap the one chunk hash inside the stored tuple.
+    let mut clock = Clock::new();
+    clock.advance_to(alice.now());
+    let mut ctx = OpCtx::new(&mut clock, "alice".into());
+    let key = tuple_key("/shared/doc");
+    let mut tuple = coordinator.get(&mut ctx, &key).unwrap().value;
+    let chunk_size = config.chunk_size.get() as usize;
+    let honest = ChunkMap::build(&data, chunk_size).chunks()[0];
+    let forged = ChunkMap::build(&[6u8; 20_000], chunk_size).chunks()[0];
+    let at = tuple
+        .windows(32)
+        .position(|w| w == honest)
+        .expect("the tuple carries the manifest inline");
+    tuple[at..at + 32].copy_from_slice(&forged);
+    coordinator.put(&mut ctx, &key, tuple).unwrap();
+
+    let gets = cloud.metrics().snapshot().gets;
+    let mut reader = env.mount("alice", config, 2);
+    reader.sleep(SimDuration::from_secs(5));
+    match reader.open("/shared/doc", OpenFlags::read_only()) {
+        Err(ScfsError::Invalid { reason }) => {
+            assert!(reason.contains("corrupt metadata tuple"), "{reason}")
+        }
+        other => panic!("a forged tuple opened: {other:?}"),
+    }
+    assert_eq!(reader.stats().cloud_downloads, 0);
+    assert_eq!(cloud.metrics().snapshot().gets, gets);
 }

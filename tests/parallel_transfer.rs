@@ -8,6 +8,8 @@
 //!   chunk wave, so a dirty 1-chunk close costs one blob latency;
 //! * a cold `read(0, 4 KiB)` of a 16 MiB file transfers exactly the
 //!   manifest plus one chunk;
+//! * a cold open + read of a small file, whose manifest rides in the metadata
+//!   tuple, costs one coordination read plus one cloud round trip;
 //! * sequential readers get upcoming chunks prefetched on the background
 //!   clock, and no chunk is ever fetched twice;
 //! * `ChunkMap::chunks_for_range` covers exactly the bytes `read` returns
@@ -37,21 +39,36 @@ const MIB: usize = 1 << 20;
 /// Per-request latency of the slow clouds in the timing tests.
 const CHUNK_LATENCY_MS: f64 = 1_000.0;
 
-fn slow_cloud(id: &str, seed: u64) -> Arc<dyn ObjectStore> {
+fn slow_sim_cloud(id: &str, seed: u64) -> Arc<SimulatedCloud> {
     let mut profile = ProviderProfile::instantaneous(id);
     profile.latency.request = LatencyModel::constant_ms(CHUNK_LATENCY_MS);
     Arc::new(SimulatedCloud::new(profile, seed))
+}
+
+fn slow_cloud(id: &str, seed: u64) -> Arc<dyn ObjectStore> {
+    slow_sim_cloud(id, seed)
 }
 
 fn aws_slow() -> Arc<dyn FileStorage> {
     Arc::new(SingleCloudStorage::new(slow_cloud("s3", 1)))
 }
 
-fn coc_slow_client() -> DepSkyClient {
-    let clouds: Vec<Arc<dyn ObjectStore>> = (0..4)
-        .map(|i| slow_cloud(&format!("cloud{i}"), i as u64))
+fn coc_slow_sim_clouds() -> Vec<Arc<SimulatedCloud>> {
+    (0..4)
+        .map(|i| slow_sim_cloud(&format!("cloud{i}"), i as u64))
+        .collect()
+}
+
+fn coc_client_over(clouds: &[Arc<SimulatedCloud>]) -> DepSkyClient {
+    let clouds = clouds
+        .iter()
+        .map(|c| c.clone() as Arc<dyn ObjectStore>)
         .collect();
     DepSkyClient::new(clouds, DepSkyConfig::scfs_default(), 11).unwrap()
+}
+
+fn coc_slow_client() -> DepSkyClient {
+    coc_client_over(&coc_slow_sim_clouds())
 }
 
 fn coc_slow() -> Arc<dyn FileStorage> {
@@ -204,6 +221,90 @@ fn cold_4k_read_of_16mib_fetches_one_chunk_and_manifest() {
     assert_eq!(stats.bytes_downloaded, MIB as u64);
     assert_eq!(stats.range_reads, 1);
     reader.close(h).unwrap();
+}
+
+/// A storage backend over slow clouds, with the clouds kept for their request
+/// counters.
+type CountedBackend = (Arc<dyn FileStorage>, Vec<Arc<SimulatedCloud>>);
+
+fn aws_slow_counted() -> CountedBackend {
+    let cloud = slow_sim_cloud("s3", 1);
+    (
+        Arc::new(SingleCloudStorage::new(cloud.clone())),
+        vec![cloud],
+    )
+}
+
+fn coc_slow_counted() -> CountedBackend {
+    let clouds = coc_slow_sim_clouds();
+    let storage = CloudOfCloudsStorage::new(coc_client_over(&clouds));
+    (Arc::new(storage), clouds)
+}
+
+fn total_gets(clouds: &[Arc<SimulatedCloud>]) -> u64 {
+    clouds.iter().map(|c| c.metrics().snapshot().gets).sum()
+}
+
+/// The paper's protocol minimum for a cold read of a small file (Fig. 3:
+/// one anchor read, then one storage-service read): the manifest rode in the
+/// metadata tuple, so a second mount with cold caches pays `open` + `read`
+/// one coordination read (free on the test coordinator) plus exactly what a
+/// bare `read_chunk` of the same bytes costs, in time and in cloud GETs. Two
+/// identically built deployments, so neither measurement warms the other.
+fn assert_cold_small_read_is_one_round_trip(build: fn() -> CountedBackend) {
+    let data: Vec<u8> = (0..64 * 1024).map(|i| (i * 31 + 7) as u8).collect();
+    let written = |storage: &Arc<dyn FileStorage>| {
+        let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
+        let mut writer = mount(storage.clone(), coordinator.clone(), 4, 1);
+        writer.write_file("/small", &data).unwrap();
+        (coordinator, writer.now() + SimDuration::from_secs(1))
+    };
+
+    let (storage, clouds) = build();
+    let (_, start) = written(&storage);
+    let mut clock = Clock::new();
+    clock.advance_to(start);
+    let gets = total_gets(&clouds);
+    let mut ctx = OpCtx::new(&mut clock, "alice".into());
+    let chunk = storage
+        .read_chunk(&mut ctx, "alice-f1", &sha256(&data))
+        .unwrap();
+    assert_eq!(chunk, data, "the file is one chunk");
+    let bare_secs = clock.now().duration_since(start).as_secs_f64();
+    let bare_gets = total_gets(&clouds) - gets;
+
+    let (storage, clouds) = build();
+    let (coordinator, start) = written(&storage);
+    let mut reader = mount(storage, coordinator.clone(), 4, 2);
+    reader.sleep(start.duration_since(reader.now()));
+    let (gets, accesses) = (total_gets(&clouds), coordinator.access_count());
+    let h = reader.open("/small", OpenFlags::read_only()).unwrap();
+    assert_eq!(
+        reader.stats().cloud_downloads,
+        0,
+        "open moved nothing: the tuple carried the manifest"
+    );
+    assert_eq!(reader.read(h, 0, data.len()).unwrap(), data);
+    let cold_secs = reader.now().duration_since(start).as_secs_f64();
+    assert!(
+        cold_secs <= 1.25 * bare_secs,
+        "cold open+read took {cold_secs:.3}s, more than one chunk read of {bare_secs:.3}s"
+    );
+    assert_eq!(total_gets(&clouds) - gets, bare_gets, "chunk GETs only");
+    assert_eq!(coordinator.access_count() - accesses, 1, "the anchor read");
+    let stats = reader.stats();
+    assert_eq!((stats.cloud_downloads, stats.chunk_downloads), (1, 1));
+    reader.close(h).unwrap();
+}
+
+#[test]
+fn cold_small_file_read_costs_one_cloud_round_trip_aws() {
+    assert_cold_small_read_is_one_round_trip(aws_slow_counted);
+}
+
+#[test]
+fn cold_small_file_read_costs_one_cloud_round_trip_coc() {
+    assert_cold_small_read_is_one_round_trip(coc_slow_counted);
 }
 
 /// Random-access reads fault in only the touched chunks, in the middle and
