@@ -60,3 +60,79 @@ fn metadata_fleet_trace_is_seed_deterministic() {
     let c = run_fleet_metadata(&other);
     assert_ne!(a.trace_hash, c.trace_hash, "a new seed must reshuffle");
 }
+
+/// Golden pins: the tests above only prove a build agrees with itself. These
+/// constants were recorded at the parent of the agent de-duplication (commit
+/// 4e47a98) so that a refactor which shifts every instant *consistently*
+/// still fails tier-1. A PR that moves the virtual clock on purpose re-pins
+/// them and says why in CHANGES.md.
+mod golden {
+    use super::*;
+    use scfs_repro::scfs::config::{Mode, ScfsConfig};
+    use scfs_repro::scfs::fs::FileSystem;
+    use scfs_repro::sim_core::units::Bytes;
+    use scfs_repro::workloads::filesync::{durable_save, run_file_sync, LockFilePlacement};
+    use scfs_repro::workloads::setup::build_scfs;
+
+    #[test]
+    fn data_fleet_smoke_matches_the_pinned_trace() {
+        for (backend, trace_hash, makespan_ns) in [
+            (Backend::Aws, 17434444165432965124u64, 473331773293u64),
+            (Backend::CloudOfClouds, 18078653104604771259, 459723099447),
+        ] {
+            let report = run_fleet(&FleetConfig::smoke(backend));
+            assert_eq!(
+                (report.trace_hash, report.makespan.as_nanos()),
+                (trace_hash, makespan_ns),
+                "{backend:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn metadata_fleet_smoke_matches_the_pinned_trace() {
+        let report = run_fleet_metadata(&MetadataFleetConfig::smoke(4));
+        assert_eq!(
+            (report.trace_hash, report.makespan.as_nanos()),
+            (945678496857572556, 688230371)
+        );
+    }
+
+    /// The two modes no benchmark workload mounts: one Figure 8 file-sync
+    /// run each on the cloud-of-clouds, then a durable save (`sync` waiting on
+    /// a background commit) and a manifest-only `copy_file`, pinned at the
+    /// foreground instant the run ends and at the instant its last
+    /// background job lands.
+    #[test]
+    fn background_modes_file_sync_matches_the_pinned_instants() {
+        for (mode, end_ns, drain_ns) in [
+            (Mode::NonBlocking, 3633720496u64, 4566020228u64),
+            (Mode::NonSharing, 1477995812, 2204473210),
+        ] {
+            let mut fs = build_scfs(
+                Backend::CloudOfClouds,
+                mode,
+                ScfsConfig::paper_default(mode),
+                42,
+            );
+            run_file_sync(
+                &mut fs,
+                Bytes::kib(1200),
+                LockFilePlacement::InFileSystem,
+                42,
+            )
+            .expect("file sync runs");
+            durable_save(&mut fs, Bytes::mib(3), 43).expect("durable save runs");
+            fs.copy_file("/docs/durable-43.odt", "/docs/copy-43.odt")
+                .expect("copy runs");
+            assert_eq!(
+                (
+                    fs.now().as_nanos(),
+                    fs.background_drain_instant().as_nanos()
+                ),
+                (end_ns, drain_ns),
+                "{mode:?}"
+            );
+        }
+    }
+}
