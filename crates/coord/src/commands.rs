@@ -104,14 +104,6 @@ pub enum Reply {
 }
 
 impl Reply {
-    /// Converts the reply into a `Result`, mapping [`Reply::Error`] to `Err`.
-    pub fn into_result(self) -> Result<Reply, CoordError> {
-        match self {
-            Reply::Error(e) => Err(e),
-            other => Ok(other),
-        }
-    }
-
     /// Extracts a version number, or an error for any other variant.
     pub fn expect_version(self) -> Result<u64, CoordError> {
         match self {

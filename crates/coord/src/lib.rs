@@ -46,9 +46,9 @@
 //!
 //! The plane's shape is `shards × replicas`, configured by
 //! [`sharded::ShardTopology`] (shard count + per-group
-//! [`replication::ReplicationConfig`]), surfaced to SCFS through
-//! `ScfsConfig::metadata_shards` and to cost/capacity analyses through
-//! [`deployment::CoordDeployment::shards`]. Each replica models single-server
+//! [`replication::ReplicationConfig`]) — the harness that builds the
+//! coordination service picks it — and surfaced to cost/capacity analyses
+//! through [`deployment::CoordDeployment::shards`]. Each replica models single-server
 //! queueing, so one group saturates at roughly `1 / processing_time`
 //! regardless of replica count — throughput scales with *shards*, fault
 //! tolerance with *replicas per shard*.

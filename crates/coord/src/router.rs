@@ -3,9 +3,9 @@
 //! CFS-style metadata sharding: keys are partitioned across M register
 //! groups by a hash of their *directory*, so that the entries of one
 //! directory — the unit of `list` and most `rename` traffic — live on one
-//! shard, while unrelated directories spread across the plane. Keys under a
-//! configured set of prefixes (lock keys) are routed by the full key
-//! instead, spreading per-file locks even when they share one directory.
+//! shard, while unrelated directories spread across the plane. Lock keys
+//! (`/scfs/locks/…`) are routed by the full key instead, spreading per-file
+//! locks even when they share one directory.
 //!
 //! Routing must be **stable across processes and runs** — a key must map to
 //! the same shard no matter which mount computes the mapping, or clients
@@ -27,24 +27,18 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NamespaceRouter {
     shards: usize,
-    full_key_prefixes: Vec<String>,
 }
 
+/// Keys under this prefix are routed by the full key rather than by
+/// directory.
+const FULL_KEY_PREFIX: &str = "/scfs/locks/";
+
 impl NamespaceRouter {
-    /// A router over `shards` groups (at least 1). Keys under
-    /// `/scfs/locks/` are routed by full key by default.
+    /// A router over `shards` groups (at least 1).
     pub fn new(shards: usize) -> Self {
         NamespaceRouter {
             shards: shards.max(1),
-            full_key_prefixes: vec!["/scfs/locks/".to_string()],
         }
-    }
-
-    /// Replaces the set of prefixes whose keys are routed by the full key
-    /// rather than by directory.
-    pub fn with_full_key_prefixes(mut self, prefixes: Vec<String>) -> Self {
-        self.full_key_prefixes = prefixes;
-        self
     }
 
     /// Number of shards this router spreads keys over.
@@ -57,11 +51,7 @@ impl NamespaceRouter {
         if self.shards == 1 {
             return 0;
         }
-        let routed = if self
-            .full_key_prefixes
-            .iter()
-            .any(|p| key.starts_with(p.as_str()))
-        {
+        let routed = if key.starts_with(FULL_KEY_PREFIX) {
             key
         } else {
             dirname(key)

@@ -2,6 +2,12 @@
 //! (paper §2.5), combining the storage, metadata and locking services with
 //! the two cache levels, the three operation modes, private name spaces and
 //! the background garbage collector.
+//!
+//! The agent says each thing once: one commit (`commit`, which `close`,
+//! `sync` and `copy_file` all run), one chunk-fetch loop (`fetch_plan`,
+//! behind read faults and the prefetcher alike) and one way onto a
+//! background lane (`on_lane`). The three modes differ only in *when*
+//! `close` returns (paper §3.1), which is one `if` in `run_commit`.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -11,6 +17,7 @@ use cloud_store::store::OpCtx;
 use cloud_store::types::{AccountId, Acl, Permission};
 use coord::lock::LockManager;
 use coord::service::{CoordinationService, SessionId};
+use scfs_crypto::ContentHash;
 use sim_core::background::{BackgroundScheduler, Pending};
 use sim_core::latency::LatencyProfile;
 use sim_core::rng::DetRng;
@@ -18,27 +25,20 @@ use sim_core::schedule::ControllerSlot;
 use sim_core::time::{Clock, SimDuration, SimInstant};
 use sim_core::units::Bytes;
 
-use crate::anchor::{anchored_chunk, anchored_manifest};
+use crate::anchor::anchored_fetch;
 use crate::backend::FileStorage;
 use crate::cache::{TieredCache, TieredStats, WriteMode};
-use crate::config::{Mode, ScfsConfig};
+use crate::chunkstore::JournalOpts;
+use crate::config::ScfsConfig;
 use crate::durability::DurabilityLevel;
 use crate::error::ScfsError;
 use crate::fs::FileSystem;
 use crate::invariant::InvariantViolation;
 use crate::metadata_service::MetadataService;
-use crate::transfer::{execute_plan, TransferOptions, TransferPlan};
+use crate::transfer::{execute_plan, ChunkJob, TransferOptions, TransferPlan};
 use crate::types::{
     normalize_path, ChunkMap, FileHandle, FileMetadata, FileType, OpenFlags, INLINE_MANIFEST_MAX,
 };
-
-/// Chunk payloads in request order, plus whether the cloud was touched.
-type FetchedChunks = (Vec<Arc<[u8]>>, bool);
-
-/// Scheduler lane of the garbage collector: GC cycles serialize with one
-/// another but overlap with uploads and prefetches. Distinct from every
-/// object lane (storage ids always contain `-f`).
-const GC_LANE: &str = "gc";
 
 /// Counters describing the agent's activity, used by the experiment
 /// harnesses to explain latency results.
@@ -99,68 +99,12 @@ pub struct AgentStats {
     pub backpressure_stalls: u64,
 }
 
-/// State of one open file.
-///
-/// `open` no longer materializes the file: it loads only the manifest and
-/// allocates a sparse buffer. Chunks fault in lazily as `read(offset, len)`
-/// touches them (`present` tracks which ones arrived); writes materialize
-/// the whole file first, so a dirty handle is always fully backed.
-#[derive(Debug, Clone)]
-struct OpenFile {
-    path: String,
-    flags: OpenFlags,
-    metadata: FileMetadata,
-    buffer: Vec<u8>,
-    /// Chunk map of the version the buffer was loaded from (`None` for fresh
-    /// or truncated files); the previous-version hint for dirty-chunk upload.
-    chunk_map: Option<ChunkMap>,
-    /// Which chunks of `chunk_map` are materialized in `buffer`; `None` once
-    /// the whole file is materialized (always for fresh/truncated files).
-    present: Option<Vec<bool>>,
-    /// In-flight sequential prefetches: chunk index → the background instant
-    /// the fetch completes. The data is already in the caches, but a
-    /// foreground read arriving earlier must wait for that instant.
-    prefetch_ready: HashMap<usize, SimInstant>,
-    /// End offset of the previous read (`None` before the first read); the
-    /// sequential-pattern detector driving prefetch.
-    last_read_end: Option<u64>,
-    dirty: bool,
-    locked: bool,
-    never_uploaded: bool,
-}
-
-impl OpenFile {
-    /// Indices of `indices` whose chunks are not yet in `buffer`.
-    fn missing_of(&self, indices: std::ops::Range<usize>) -> Vec<usize> {
-        match &self.present {
-            Some(present) => indices.filter(|i| !present[*i]).collect(),
-            None => Vec::new(),
-        }
-    }
-}
-
-/// One in-flight background version commit of this agent: the state a
-/// surfaced [`Pending`] token is built from.
-#[derive(Debug, Clone)]
-struct PendingUpload {
-    /// Path of the object at close time (pending records are retired before
-    /// a rename can move the path).
-    path: String,
-    /// The metadata as committed by the background job — this agent's
-    /// read-your-writes source for reopens and stats while the commit
-    /// instant is still in the foreground's future.
-    metadata: FileMetadata,
-    /// Virtual instant the background job started (after lane queueing).
-    started_at: SimInstant,
-    /// Virtual instant the whole commit (chunks, manifest, metadata update,
-    /// unlock) completes.
-    ready_at: SimInstant,
-}
-
 /// The SCFS agent: one per mounted client.
 pub struct ScfsAgent {
     user: AccountId,
     config: ScfsConfig,
+    /// The clock this agent's code charges: the client's foreground clock,
+    /// except inside [`ScfsAgent::on_lane`], where it is the lane's.
     clock: Clock,
     rng: DetRng,
     storage: Arc<dyn FileStorage>,
@@ -180,8 +124,11 @@ pub struct ScfsAgent {
     /// In-flight background version commits, by storage id. Bounded by
     /// `config.max_pending_uploads` (close applies backpressure); each entry
     /// is the one token `setfacl`, `sync` and reopens of that object wait
-    /// on — never a global drain.
-    pending_uploads: BTreeMap<String, PendingUpload>,
+    /// on — never a global drain. Its value is the metadata as committed by
+    /// the job: this agent's read-your-writes source while the commit
+    /// instant is still in the foreground's future (records are retired
+    /// before a rename can move the path in it).
+    pending_uploads: BTreeMap<String, Pending<FileMetadata>>,
     written_since_gc: u64,
     /// Files this agent has written: storage id → (path, deleted?). The GC
     /// cycle iterates this, so it is ordered for run-to-run determinism.
@@ -226,7 +173,7 @@ impl ScfsAgent {
         let session = SessionId::new(format!("{}-{}", user.as_str(), seed));
         let locks = coord
             .clone()
-            .map(|c| LockManager::new(c, session, config.lock_lease));
+            .map(|c| LockManager::new(c, session, LockManager::DEFAULT_LEASE));
         let use_pns = config.private_name_spaces || !config.mode.uses_coordination();
         let metadata =
             MetadataService::new(coord, use_pns, user.clone(), config.metadata_cache_expiry);
@@ -273,12 +220,6 @@ impl ScfsAgent {
         &self.config
     }
 
-    /// Overrides which path prefixes are treated as shared when PNSs are
-    /// enabled (used by the Figure 10(b) sweep).
-    pub fn set_shared_prefixes(&mut self, prefixes: Vec<String>) {
-        self.metadata.set_shared_prefixes(prefixes);
-    }
-
     /// Instant at which every background job spawned so far (uploads,
     /// prefetches, GC) has completed — the coarse durability horizon of
     /// non-blocking mode. Prefer [`ScfsAgent::upload_token`] to wait for one
@@ -298,8 +239,8 @@ impl ScfsAgent {
         let pending = self.pending_by_path(&path)?;
         Some(Pending::new(
             self.storage.cloud_durability(),
-            pending.started_at,
-            pending.ready_at,
+            pending.started_at(),
+            pending.ready_at(),
         ))
     }
 
@@ -336,91 +277,55 @@ impl ScfsAgent {
         self.scheduler.in_flight(self.clock.now())
     }
 
-    /// Drops the records of background uploads that have completed by now.
-    fn reap_completed_uploads(&mut self) {
-        let now = self.clock.now();
-        self.pending_uploads.retain(|_, p| p.ready_at > now);
+    /// Runs `job` as a background job of this agent on `lane`, starting no
+    /// earlier than `start` — the one place anything is handed to the
+    /// scheduler. While the job runs, `self.clock` *is* the lane's forked
+    /// clock (and the scheduler is checked out, so a job cannot spawn), which
+    /// makes a job ordinary agent code: the commit and the fetch the
+    /// foreground runs, charged to another clock.
+    fn on_lane<T>(
+        &mut self,
+        start: SimInstant,
+        lane: &str,
+        job: impl FnOnce(&mut Self) -> T,
+    ) -> Pending<T> {
+        let mut scheduler = std::mem::take(&mut self.scheduler);
+        let token = scheduler.spawn(start, Some(lane), |lane_clock| {
+            std::mem::swap(&mut self.clock, lane_clock);
+            let value = job(self);
+            std::mem::swap(&mut self.clock, lane_clock);
+            value
+        });
+        self.scheduler = scheduler;
+        token
     }
 
-    /// The in-flight upload of `path`, if any.
-    fn pending_by_path(&self, path: &str) -> Option<&PendingUpload> {
-        let now = self.clock.now();
-        self.pending_uploads
-            .values()
-            .find(|p| p.path == path && p.ready_at > now)
-    }
-
-    /// This agent's freshest view of `path`: `md`, unless an in-flight
-    /// background commit of the object carries a newer version — the
-    /// read-your-writes rule that bridges the metadata cache's expiry while
-    /// the commit instant is still in the foreground's future.
-    fn with_pending_commit(&self, path: &str, md: FileMetadata) -> FileMetadata {
-        match self.pending_by_path(path) {
-            Some(pending) if pending.metadata.version_count > md.version_count => {
-                pending.metadata.clone()
-            }
-            _ => md,
+    /// The metadata of the object at `path`; a tombstone reads as absent.
+    fn lookup(&mut self, path: &str) -> Result<FileMetadata, ScfsError> {
+        let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
+        let md = self.metadata.get(&mut ctx, path)?;
+        if md.deleted {
+            return Err(ScfsError::not_found(path));
         }
+        Ok(md)
     }
 
-    /// Waits for the in-flight upload of one object (by storage id), if any
-    /// — the per-object wait that replaced the global background cursor.
-    fn wait_pending_upload(&mut self, storage_id: &str) {
-        if let Some(pending) = self.pending_uploads.remove(storage_id) {
-            self.clock.advance_to(pending.ready_at);
+    /// [`ScfsAgent::lookup`] of a path that must name a file.
+    fn lookup_file(&mut self, path: &str) -> Result<FileMetadata, ScfsError> {
+        let md = self.lookup(path)?;
+        if md.file_type != FileType::File {
+            return Err(ScfsError::WrongType {
+                path: path.to_string(),
+                expected: "file",
+            });
         }
+        Ok(md)
     }
 
-    /// Waits for the in-flight upload of one object (by path), if any.
-    fn wait_pending_upload_of_path(&mut self, path: &str) {
-        let id = self
-            .pending_uploads
-            .iter()
-            .find(|(_, p)| p.path == path)
-            .map(|(id, _)| id.clone());
-        if let Some(id) = id {
-            self.wait_pending_upload(&id);
-        }
-    }
-
-    /// Waits for every in-flight upload of `path` or anything under it,
-    /// plus (for `rename`) the destination tree — rename moves whole
-    /// prefixes and may clobber the destination, and a pending record left
-    /// behind would resolve reads of the old path to the moved object.
-    fn wait_pending_uploads_under(&mut self, from: &str, to: &str) {
-        let from_dir = format!("{from}/");
-        let to_dir = format!("{to}/");
-        let ids: Vec<String> = self
-            .pending_uploads
-            .iter()
-            .filter(|(_, p)| {
-                p.path == from
-                    || p.path == to
-                    || p.path.starts_with(&from_dir)
-                    || p.path.starts_with(&to_dir)
-            })
-            .map(|(id, _)| id.clone())
-            .collect();
-        for id in ids {
-            self.wait_pending_upload(&id);
-        }
-    }
-
-    /// Close backpressure: blocks until fewer than `max_pending_uploads`
-    /// background commits are in flight, waiting on the earliest completion
-    /// token — the bounded, explicit form of the old unbounded implicit
-    /// upload queue.
-    fn apply_close_backpressure(&mut self) {
-        self.reap_completed_uploads();
-        let max = self.config.max_pending_uploads.max(1);
-        while self.pending_uploads.len() >= max {
-            let Some(earliest) = self.pending_uploads.values().map(|p| p.ready_at).min() else {
-                break;
-            };
-            self.stats.backpressure_stalls += 1;
-            self.clock.advance_to(earliest);
-            self.reap_completed_uploads();
-        }
+    /// The start of every path-taking call: charges it, normalizes the path.
+    fn enter(&mut self, path: &str) -> Result<String, ScfsError> {
+        self.charge_syscall();
+        normalize_path(path)
     }
 
     fn charge_syscall(&mut self) {
@@ -436,31 +341,21 @@ impl ScfsAgent {
         self.clock.advance(d);
     }
 
-    fn alloc_handle(&mut self) -> FileHandle {
-        let h = FileHandle(self.next_handle);
-        self.next_handle += 1;
-        h
-    }
-
     fn alloc_storage_id(&mut self) -> String {
         let id = format!("{}-f{}", self.user.as_str(), self.next_storage_id);
         self.next_storage_id += 1;
         id
     }
 
-    fn lock_id(metadata: &FileMetadata) -> String {
-        metadata.storage_id.clone()
-    }
-
     /// Cache key of a content-addressed chunk. Chunk entries are keyed by
     /// content hash, so they are shared across versions and even files, and
     /// can never be stale.
-    fn chunk_cache_key(hash: &scfs_crypto::ContentHash) -> String {
+    fn chunk_cache_key(hash: &ContentHash) -> String {
         format!("chunk:{}", scfs_crypto::to_hex(hash))
     }
 
     /// Cache key of an encoded chunk-map manifest, keyed by root hash.
-    fn manifest_cache_key(hash: &scfs_crypto::ContentHash) -> String {
+    fn manifest_cache_key(hash: &ContentHash) -> String {
         format!("manifest:{}", scfs_crypto::to_hex(hash))
     }
 
@@ -468,371 +363,357 @@ impl ScfsAgent {
     fn transfer_options(&self) -> TransferOptions {
         TransferOptions::parallel(self.config.max_parallel_transfers)
     }
+}
 
-    /// Uploads the dirty chunks of `data` as the new version of `metadata`'s
-    /// object (through the transfer engine, `opts.max_parallel` chunks at a
-    /// time) and commits the metadata update and unlock, all on the clock
-    /// inside `ctx` (foreground clock for blocking mode, background clock
-    /// otherwise).
-    #[allow(clippy::too_many_arguments)]
-    fn upload_and_commit(
-        storage: &Arc<dyn FileStorage>,
-        metadata_svc: &mut MetadataService,
-        locks: &Option<LockManager>,
-        ctx: &mut OpCtx<'_>,
-        mut metadata: FileMetadata,
-        data: &[u8],
-        map: &ChunkMap,
-        prev: Option<&ChunkMap>,
-        never_uploaded: bool,
-        unlock: bool,
-        opts: &TransferOptions,
-        stats: &mut AgentStats,
-    ) -> Result<FileMetadata, ScfsError> {
-        // The freshly written objects must carry the file ACL so that every
-        // user the file is shared with — including its owner, when the writer
-        // is a grantee — can read the new version. The backend tags exactly
-        // the objects this write stores (O(dirty chunks), not O(all
-        // versions × chunks)).
-        let cloud_acl = if metadata.is_shared() || metadata.owner != ctx.account {
-            let mut acl = metadata.acl.clone();
-            acl.grant(metadata.owner.clone(), Permission::Write);
-            acl.grant(ctx.account.clone(), Permission::Write);
-            Some(acl)
-        } else {
-            None
-        };
-        // The blocking write is the async twin awaited immediately: begin on
-        // a throwaway scheduler (this call already runs on whichever clock —
-        // foreground or lane fork — owns the commit) and wait the token.
-        let mut sched = BackgroundScheduler::new();
-        let outcome = storage
-            .begin_write_version(
-                &mut sched,
-                ctx.clock.now(),
-                ctx.account.clone(),
-                &metadata.storage_id,
-                data,
-                map,
-                prev,
-                never_uploaded,
-                cloud_acl.as_ref(),
-                opts,
-            )
-            .wait(ctx.clock)?;
-        stats.cloud_uploads += 1;
-        stats.chunk_uploads += outcome.chunks_uploaded;
-        stats.bytes_uploaded += outcome.bytes_uploaded;
-        stats.transfer_waves += outcome.waves;
-        stats.dedup_hits_cross_file += outcome.dedup_cross_file;
-        metadata.commit_version(map, ctx.clock.now());
-        metadata_svc.update(ctx, metadata.clone())?;
-        if unlock {
-            if let Some(locks) = locks {
-                locks.unlock(ctx, &Self::lock_id(&metadata))?;
-            }
-        }
-        Ok(metadata)
+impl FileSystem for ScfsAgent {
+    fn name(&self) -> String {
+        format!("SCFS-{}-{}", self.storage.label(), self.config.mode.label())
     }
 
-    /// Schedules the upload-and-commit of a new version of `metadata`'s
-    /// object as a background job on the object's lane (commits of the same
-    /// object serialize, different objects overlap) and returns its
-    /// completion token. Blocking mode waits the token immediately;
-    /// non-blocking mode records it and returns.
-    fn begin_upload(
-        &mut self,
-        metadata: FileMetadata,
-        data: &[u8],
-        map: &ChunkMap,
-        prev: Option<&ChunkMap>,
-        never_uploaded: bool,
-        unlock: bool,
-    ) -> Pending<Result<FileMetadata, ScfsError>> {
-        let opts = self.transfer_options();
-        let lane = metadata.storage_id.clone();
-        let ScfsAgent {
-            scheduler,
-            storage,
-            metadata: metadata_svc,
-            locks,
-            stats,
-            clock,
-            user,
-            ..
-        } = self;
-        let account = user.clone();
-        scheduler.spawn(clock.now(), Some(&lane), |bg_clock| {
-            let mut ctx = OpCtx::new(bg_clock, account);
-            Self::upload_and_commit(
-                storage,
-                metadata_svc,
-                locks,
-                &mut ctx,
-                metadata,
-                data,
-                map,
-                prev,
-                never_uploaded,
-                unlock,
-                &opts,
-                stats,
-            )
+    fn clock(&self) -> &Clock {
+        &self.clock
+    }
+
+    fn sleep(&mut self, duration: SimDuration) {
+        self.clock.advance(duration);
+    }
+
+    fn open(&mut self, path: &str, flags: OpenFlags) -> Result<FileHandle, ScfsError> {
+        self.open_file(path, flags)
+    }
+
+    fn read(&mut self, handle: FileHandle, offset: u64, len: usize) -> Result<Vec<u8>, ScfsError> {
+        self.with_open(handle, |agent, file| agent.read_ranged(file, offset, len))
+    }
+
+    fn write(&mut self, handle: FileHandle, offset: u64, data: &[u8]) -> Result<usize, ScfsError> {
+        self.with_open(handle, |agent, file| agent.write_ranged(file, offset, data))
+    }
+
+    fn truncate(&mut self, handle: FileHandle, size: u64) -> Result<(), ScfsError> {
+        self.with_open(handle, |agent, file| {
+            agent.truncate_materialized(file, size)
         })
     }
 
-    /// Runs the garbage collector if the written-bytes threshold was crossed
-    /// (paper §2.5.3). The whole cycle — version prunes, tombstone removal
-    /// and the release-journal replay — runs as one job on the scheduler's
-    /// GC lane: cycles serialize with one another but overlap with uploads
-    /// and prefetches, and never charge the foreground clock.
-    fn maybe_run_gc(&mut self) {
-        if !self.config.gc.enabled
-            || self.written_since_gc < self.config.gc.written_bytes_threshold.get()
-        {
-            return;
-        }
-        self.written_since_gc = 0;
-        self.stats.gc_runs += 1;
-        let keep = self.config.gc.versions_to_keep;
-        let journal_opts = self.config.gc.journal_opts();
-        // The collector observes the commits this agent has already issued,
-        // so its timeline must start after the in-flight ones complete — a
-        // reclaimed blob must not disappear at a virtual instant before the
-        // upload that wrote it has landed.
-        let start = self
-            .pending_uploads
-            .values()
-            .map(|p| p.ready_at)
-            .fold(self.clock.now(), SimInstant::max);
-        let ScfsAgent {
-            scheduler,
-            storage,
-            metadata,
-            owned_files,
-            stats,
-            user,
-            ..
-        } = self;
-        let account = user.clone();
-        scheduler
-            .spawn(start, Some(GC_LANE), |bg_clock| {
-                let mut ctx = OpCtx::new(bg_clock, account);
-                let mut reclaimed = 0u64;
-                let mut errors = 0u64;
-                let mut fully_deleted: Vec<String> = Vec::new();
-                for (storage_id, (path, deleted)) in owned_files.iter() {
-                    if *deleted {
-                        match storage.delete_all(&mut ctx, storage_id) {
-                            // The blobs are released; the tombstone may go only
-                            // once its metadata delete actually commits — a
-                            // failed delete keeps the entry so a later cycle
-                            // retries it instead of stranding the tombstone.
-                            Ok(()) => match metadata.delete(&mut ctx, path) {
-                                Ok(()) => fully_deleted.push(storage_id.clone()),
-                                Err(_) => errors += 1,
-                            },
-                            // The tombstone stays; the next cycle retries, and
-                            // the failure is surfaced through the stats.
-                            Err(_) => errors += 1,
-                        }
-                    } else {
-                        match storage.delete_old_versions(&mut ctx, storage_id, keep) {
-                            Ok(n) => reclaimed += n as u64,
-                            Err(_) => errors += 1,
-                        }
-                    }
-                }
-                for id in fully_deleted {
-                    owned_files.remove(&id);
-                }
-                // Phase two: replay the release journal — physically delete the
-                // blobs whose refcount hit zero, retrying any entry an earlier
-                // cycle failed on. This is what turns a failed delete into a
-                // delayed reclamation rather than a leaked orphan.
-                match storage.replay_release_journal(&mut ctx, &journal_opts) {
-                    Ok(report) => {
-                        stats.gc_retried += report.retried;
-                        stats.gc_orphans_reclaimed += report.reclaimed_after_retry;
-                        stats.gc_errors += report.errors;
-                    }
-                    Err(_) => errors += 1,
-                }
-                stats.gc_reclaimed_versions += reclaimed;
-                stats.gc_errors += errors;
-            })
-            // The GC lane serializes collection cycles; the token's value is
-            // (), so the bookkeeping can be taken immediately — foreground
-            // operations never wait on the collector.
-            .into_inner();
+    fn handle_size(&mut self, handle: FileHandle) -> Result<u64, ScfsError> {
+        // Served from the open handle: the buffer always has the logical
+        // length of the file, even while chunks are still unmaterialized.
+        self.with_open(handle, |_, file| Ok(file.buffer.len() as u64))
     }
 
-    /// Loads the chunk-map manifest of the version of `metadata`'s object
-    /// whose root hash is `root` — the one place that chooses where a
-    /// manifest comes from: the metadata tuple itself when it carries the
-    /// manifest inline (no transfer at all), else the memory cache, the disk
-    /// cache, and last the cloud via the consistency-anchor retry loop. This
-    /// is everything `open` transfers — the chunks themselves fault in
-    /// lazily as reads touch them.
-    fn load_manifest(
-        &mut self,
-        metadata: &FileMetadata,
-        root: scfs_crypto::ContentHash,
-    ) -> Result<ChunkMap, ScfsError> {
-        if let Some(map) = metadata.inline_manifest()? {
-            return Ok(map);
-        }
-        let manifest_key = Self::manifest_cache_key(&root);
-        // The tiered cache handles the memory → disk fallthrough and
-        // promotes a disk hit into memory by moving the Arc.
-        let cached_manifest = self.cache.get(&mut self.clock, &manifest_key, Some(&root));
-        match cached_manifest {
-            Some(bytes) => ChunkMap::decode(&bytes).map_err(|e| {
-                ScfsError::invalid(format!("cached manifest corrupted: {}", e.reason))
-            }),
-            None => {
-                let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-                let fetched = anchored_manifest(
-                    &mut ctx,
-                    self.storage.as_ref(),
-                    &metadata.storage_id,
-                    &root,
-                    self.config.anchor_read_retries,
-                    self.config.anchor_retry_backoff,
-                )?;
-                self.stats.cloud_downloads += 1;
-                self.stats.anchor_retries += fetched.retries as u64;
-                let map = ChunkMap::decode(&fetched.data).map_err(|_| {
-                    StorageError::IntegrityViolation {
-                        key: metadata.storage_id.clone(),
-                    }
-                })?;
-                self.cache.put(
-                    &mut self.clock,
-                    &manifest_key,
-                    fetched.data.into(),
-                    Some(root),
-                    WriteMode::CacheOnly,
-                );
-                Ok(map)
+    fn fsync(&mut self, handle: FileHandle) -> Result<(), ScfsError> {
+        self.with_open(handle, |agent, file| {
+            if file.dirty {
+                // Durability level 1: the data reaches the local disk, as
+                // chunks. No manifest is spilled — the version is not
+                // committed yet, so there is no root hash for a reader to
+                // look it up under.
+                let map = agent.config.chunk_map(&file.buffer);
+                agent.spill_chunks(&map, &file.buffer, WriteMode::DiskOnly);
             }
-        }
+            Ok(())
+        })
     }
 
-    /// Brings the chunks of `map` at `wanted` indices into this agent's
-    /// caches and returns their bytes in `wanted` order: memory cache, then
-    /// disk cache (promoting), then the cloud — the cloud misses move
-    /// through the transfer engine in parallel waves, each forked request
-    /// running its own consistency-anchor retry loop. Returns the chunks and
-    /// whether the cloud was touched.
-    fn fetch_chunks(
-        &mut self,
-        metadata: &FileMetadata,
-        map: &ChunkMap,
-        wanted: &[usize],
-    ) -> Result<FetchedChunks, ScfsError> {
-        // Plan: exactly the wanted chunks absent from both cache levels
-        // (probes are free and pin the planned cache hits in the policy).
-        let cache = &mut self.cache;
-        let plan = TransferPlan::fetch(map, wanted.iter().copied(), |hash| {
-            cache.probe(&Self::chunk_cache_key(hash), Some(hash))
-        });
+    fn sync(&mut self, handle: FileHandle) -> Result<DurabilityLevel, ScfsError> {
+        self.with_open(handle, Self::sync_open)
+    }
 
-        // Execute: fetch the misses in parallel on forked foreground clocks.
-        let mut fetched: HashMap<scfs_crypto::ContentHash, Arc<[u8]>> = HashMap::new();
-        let cloud_touched = !plan.is_empty();
-        if cloud_touched {
-            let storage = self.storage.clone();
-            let opts = self.transfer_options();
-            let (retries, backoff) = (
-                self.config.anchor_read_retries,
-                self.config.anchor_retry_backoff,
-            );
+    fn close(&mut self, handle: FileHandle) -> Result<(), ScfsError> {
+        self.close_file(handle)
+    }
+
+    fn stat(&mut self, path: &str) -> Result<FileMetadata, ScfsError> {
+        let path = self.enter(path)?;
+        // An open, dirty file is described by its in-memory state (writes
+        // and truncates keep the handle's `metadata.size` at the buffer's).
+        if let Some(open) = self.open_files.values().find(|f| f.path == path && f.dirty) {
+            return Ok(open.metadata.clone());
+        }
+        // Read-your-writes: an in-flight background commit of this object is
+        // already part of this client's view (see `open`).
+        let md = self.lookup(&path)?;
+        Ok(self.with_pending_commit(&path, md))
+    }
+
+    fn mkdir(&mut self, path: &str) -> Result<(), ScfsError> {
+        let path = self.enter(path)?;
+        let now = self.clock.now();
+        let md = FileMetadata::new_directory(&path, self.user.clone(), now);
+        let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
+        if !self.metadata.parent_exists(&mut ctx, &path) {
+            return Err(ScfsError::not_found(crate::types::parent_of(&path)));
+        }
+        self.metadata.create(&mut ctx, md)
+    }
+
+    fn readdir(&mut self, path: &str) -> Result<Vec<String>, ScfsError> {
+        let path = self.enter(path)?;
+        let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
+        self.metadata.list_children(&mut ctx, &path)
+    }
+
+    fn unlink(&mut self, path: &str) -> Result<(), ScfsError> {
+        let path = self.enter(path)?;
+        let md = self.lookup_file(&path)?;
+        // Files are only marked as deleted; the garbage collector reclaims
+        // the cloud objects later (paper §2.5.3). The tombstone carries this
+        // agent's freshest view of the object (including a version committed
+        // by a still-pending upload).
+        let mut md = self.with_pending_commit(&path, md);
+        md.deleted = true;
+        if let Some(entry) = self.owned_files.get_mut(&md.storage_id) {
+            entry.1 = true;
+        }
+        if self.pending_uploads.remove(&md.storage_id).is_some() {
+            // An upload of this object is still in flight: commit the
+            // tombstone on the object's lane, *after* that commit, so the
+            // background metadata update cannot resurrect the file — and the
+            // foreground never waits (unlinking a transient file right after
+            // a non-blocking close is the hot path of Figure 8).
+            let now = self.clock.now();
+            self.metadata.update_local(md.clone(), now);
+            let lane = md.storage_id.clone();
+            let token = self.on_lane(now, &lane, |agent| {
+                let mut ctx = OpCtx::new(&mut agent.clock, agent.user.clone());
+                agent.metadata.update(&mut ctx, md)
+            });
+            token.into_inner()?;
+        } else {
             let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-            let (chunks, report) = execute_plan(&mut ctx, &opts, &plan, |job, fork_ctx| {
-                let fetched = anchored_chunk(
-                    fork_ctx,
-                    storage.as_ref(),
-                    &metadata.storage_id,
-                    &job.hash,
-                    retries,
-                    backoff,
-                )?;
-                if fetched.data.len() != map.chunk_len(job.index) {
-                    return Err(ScfsError::invalid(format!(
-                        "chunk {} of {} has {} bytes, expected {}",
-                        job.index,
-                        metadata.path,
-                        fetched.data.len(),
-                        map.chunk_len(job.index)
-                    )));
-                }
-                Ok(fetched)
-            })?;
-            self.stats.transfer_waves += report.waves;
-            for (job, chunk) in plan.jobs().iter().zip(chunks) {
-                self.stats.chunk_downloads += 1;
-                self.stats.bytes_downloaded += chunk.data.len() as u64;
-                self.stats.anchor_retries += chunk.retries as u64;
-                let key = Self::chunk_cache_key(&job.hash);
-                let data: Arc<[u8]> = chunk.data.into();
-                // Memory-first: a clean chunk the cloud still holds reaches
-                // disk later by demotion if it stays warm enough to matter.
-                self.cache.put(
-                    &mut self.clock,
-                    &key,
-                    data.clone(),
-                    Some(job.hash),
-                    WriteMode::CacheOnly,
-                );
-                fetched.insert(job.hash, data);
+            self.metadata.update(&mut ctx, md)?;
+        }
+        // Cached chunks and manifests are content-addressed, not keyed by
+        // path; they age out of the LRU caches once nothing reads them.
+        Ok(())
+    }
+
+    fn rename(&mut self, from: &str, to: &str) -> Result<(), ScfsError> {
+        let from = self.enter(from)?;
+        let to = normalize_path(to)?;
+        // Rename moves a whole path prefix and may clobber the destination:
+        // the moved metadata must carry any in-flight version commits, and a
+        // pending record left behind under either tree would resolve reads
+        // of the old path to the moved object — settle exactly those tokens
+        // first.
+        let (from_dir, to_dir) = (format!("{from}/"), format!("{to}/"));
+        self.wait_pending_uploads(|_, pending| {
+            let path = &pending.value().path;
+            *path == from || *path == to || path.starts_with(&from_dir) || path.starts_with(&to_dir)
+        });
+        let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
+        self.metadata.rename(&mut ctx, &from, &to)?;
+        // The GC bookkeeping moves with the prefix: a later unlink + GC of a
+        // renamed file must delete the tombstone under its *current* path.
+        for (path, _) in self.owned_files.values_mut() {
+            if *path == from {
+                *path = to.clone();
+            } else if let Some(rest) = path.strip_prefix(&from_dir) {
+                *path = format!("{to}/{rest}");
             }
+        }
+        Ok(())
+    }
+
+    fn setfacl(
+        &mut self,
+        path: &str,
+        user: &AccountId,
+        permission: Permission,
+    ) -> Result<(), ScfsError> {
+        let path = self.enter(path)?;
+        // The grant must not be overwritten by an in-flight metadata update
+        // from an earlier non-blocking close of this file — wait on *this
+        // object's* completion token, not on the global drain: grants on
+        // other files proceed while unrelated uploads are still in flight.
+        self.wait_pending_uploads(|_, pending| pending.value().path == path);
+        let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
+        let metadata = self.metadata.get(&mut ctx, &path)?;
+        if metadata.owner != self.user {
+            return Err(ScfsError::PermissionDenied { path });
+        }
+        let mut acl = metadata.acl.clone();
+        acl.grant(user.clone(), permission);
+        // (i) update the ACLs of the cloud objects holding the file data;
+        // (ii) update the metadata tuple (and its coordination-service ACL).
+        if metadata.file_type == FileType::File && metadata.version_hash.is_some() {
+            self.storage.set_acl(&mut ctx, &metadata.storage_id, &acl)?;
+        }
+        self.metadata.set_acl(&mut ctx, metadata, acl)?;
+        Ok(())
+    }
+
+    fn getfacl(&mut self, path: &str) -> Result<Acl, ScfsError> {
+        let path = self.enter(path)?;
+        let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
+        Ok(self.metadata.get(&mut ctx, &path)?.acl)
+    }
+
+    fn copy_file(&mut self, from: &str, to: &str) -> Result<(), ScfsError> {
+        self.copy(from, to)
+    }
+}
+
+// ---- handles: the open-file table and the byte-range read/write paths ----
+
+/// State of one open file.
+///
+/// `open` does not materialize the file: it loads only the manifest and
+/// allocates a sparse buffer. Chunks fault in lazily as `read(offset, len)`
+/// touches them (`present` tracks which ones arrived); writes materialize
+/// the whole file first, so a dirty handle is always fully backed.
+#[derive(Debug, Clone)]
+struct OpenFile {
+    path: String,
+    flags: OpenFlags,
+    metadata: FileMetadata,
+    buffer: Vec<u8>,
+    /// Chunk map of the version the buffer was loaded from (`None` for fresh
+    /// or truncated files); the previous-version hint for dirty-chunk upload.
+    chunk_map: Option<ChunkMap>,
+    /// Which chunks of `chunk_map` are materialized in `buffer`; `None` once
+    /// the whole file is materialized (always for fresh/truncated files).
+    present: Option<Vec<bool>>,
+    /// In-flight sequential prefetches: chunk index → the background instant
+    /// the fetch completes. The data is already in the caches, but a
+    /// foreground read arriving earlier must wait for that instant.
+    prefetch_ready: HashMap<usize, SimInstant>,
+    /// End offset of the previous read (`None` before the first read); the
+    /// sequential-pattern detector driving prefetch.
+    last_read_end: Option<u64>,
+    dirty: bool,
+    locked: bool,
+}
+
+impl OpenFile {
+    /// Indices of `indices` whose chunks are not yet in `buffer`.
+    fn missing_of(&self, indices: std::ops::Range<usize>) -> Vec<usize> {
+        match &self.present {
+            Some(present) => indices.filter(|i| !present[*i]).collect(),
+            None => Vec::new(),
+        }
+    }
+
+    /// Fails unless the handle was opened for the access `granted` stands
+    /// for.
+    fn require(&self, granted: bool) -> Result<(), ScfsError> {
+        if granted {
+            return Ok(());
+        }
+        Err(ScfsError::PermissionDenied {
+            path: self.path.clone(),
+        })
+    }
+}
+
+impl ScfsAgent {
+    /// Serves one system call on an open handle: charges the call and runs
+    /// `op` with the handle checked out of the table, so `op` may use the
+    /// whole agent beside it.
+    fn with_open<T>(
+        &mut self,
+        handle: FileHandle,
+        op: impl FnOnce(&mut Self, &mut OpenFile) -> Result<T, ScfsError>,
+    ) -> Result<T, ScfsError> {
+        self.charge_syscall();
+        let mut file = self
+            .open_files
+            .remove(&handle)
+            .ok_or(ScfsError::BadHandle { handle: handle.0 })?;
+        let result = op(self, &mut file);
+        self.open_files.insert(handle, file);
+        result
+    }
+
+    /// Steps 1 and 2 of every write (Figure 4): this agent's freshest
+    /// metadata of the file at `path` — created when absent and `create` is
+    /// set — and, when `write` is set on a shared file in a coordinated mode,
+    /// its write lock. Returns the metadata and whether the lock was taken.
+    fn resolve_file(
+        &mut self,
+        path: &str,
+        create: bool,
+        write: bool,
+    ) -> Result<(FileMetadata, bool), ScfsError> {
+        let metadata = match self.lookup_file(path) {
+            // Read-your-writes across the metadata cache's expiry: while this
+            // agent's own non-blocking commit of the object is still in
+            // flight, the coordination service may serve the previous
+            // version — the pending token's committed metadata is the
+            // fresher truth, per object, with no wait and no global drain.
+            Ok(md) => self.with_pending_commit(path, md),
+            Err(ScfsError::NotFound { .. }) if create => {
+                let storage_id = self.alloc_storage_id();
+                let now = self.clock.now();
+                let md = FileMetadata::new_file(path, self.user.clone(), storage_id, now);
+                let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
+                self.metadata.create(&mut ctx, md.clone())?;
+                self.owned_files
+                    .insert(md.storage_id.clone(), (path.to_string(), false));
+                md
+            }
+            // Only absence means "no such file": a tuple this user may not
+            // read, or one that fails to authenticate, must not look like a
+            // free name.
+            Err(e) => return Err(e),
+        };
+        let mut locked = false;
+        if write
+            && self.config.mode.uses_coordination()
+            && !self.metadata.is_private(path, Some(&metadata))
+        {
+            if let Some(locks) = &self.locks {
+                let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
+                locks.try_lock(&mut ctx, &metadata.storage_id)?;
+                locked = true;
+            }
+        }
+        Ok((metadata, locked))
+    }
+
+    fn open_file(&mut self, path: &str, flags: OpenFlags) -> Result<FileHandle, ScfsError> {
+        let path = self.enter(path)?;
+        let (mut metadata, locked) = self.resolve_file(&path, flags.create, flags.write)?;
+
+        // Step 3: load only the manifest — it lists the chunks this version
+        // is made of, and for a small file it arrived inside the tuple step 1
+        // read, so a cold open costs no cloud round trip at all. The chunks
+        // themselves fault in lazily, at byte-range granularity, as reads
+        // touch them; a cold open of a 16 MiB file transfers a few hundred
+        // bytes, not 16 MiB.
+        let (buffer, chunk_map, present) = match metadata.version_hash {
+            Some(root) if !flags.truncate => {
+                let map = self.load_manifest(&metadata, root)?;
+                let buffer = vec![0u8; map.file_len() as usize];
+                let present = vec![false; map.chunk_count()];
+                (buffer, Some(map), Some(present))
+            }
+            _ => (Vec::new(), None, None),
+        };
+
+        if flags.truncate {
+            metadata.size = 0;
         }
 
-        // Assemble: cloud-fetched bytes directly, the rest from the caches.
-        let mut out = Vec::with_capacity(wanted.len());
-        for &index in wanted {
-            let hash = map.chunks()[index];
-            let chunk = match fetched.get(&hash) {
-                Some(bytes) => bytes.clone(),
-                None => {
-                    let key = Self::chunk_cache_key(&hash);
-                    // The tiered get promotes a disk hit into memory by
-                    // moving the Arc (one insert charge, no payload copy).
-                    match self.cache.get(&mut self.clock, &key, Some(&hash)) {
-                        Some(chunk) => chunk,
-                        None => {
-                            // A planned cache hit was evicted by this very
-                            // call's cloud puts (tiny caches): fall back to
-                            // a direct cloud fetch rather than failing.
-                            let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-                            let refetched = anchored_chunk(
-                                &mut ctx,
-                                self.storage.as_ref(),
-                                &metadata.storage_id,
-                                &hash,
-                                self.config.anchor_read_retries,
-                                self.config.anchor_retry_backoff,
-                            )?;
-                            self.stats.chunk_downloads += 1;
-                            self.stats.bytes_downloaded += refetched.data.len() as u64;
-                            self.stats.anchor_retries += refetched.retries as u64;
-                            refetched.data.into()
-                        }
-                    }
-                }
-            };
-            if chunk.len() != map.chunk_len(index) {
-                return Err(ScfsError::invalid(format!(
-                    "chunk {index} of {} has {} bytes, expected {}",
-                    metadata.path,
-                    chunk.len(),
-                    map.chunk_len(index)
-                )));
-            }
-            out.push(chunk);
-        }
-        Ok((out, cloud_touched))
+        let handle = FileHandle(self.next_handle);
+        self.next_handle += 1;
+        self.open_files.insert(
+            handle,
+            OpenFile {
+                path,
+                flags,
+                dirty: flags.truncate && metadata.version_hash.is_some(),
+                metadata,
+                buffer,
+                chunk_map,
+                present,
+                prefetch_ready: HashMap::new(),
+                last_read_end: None,
+                locked,
+            },
+        );
+        Ok(handle)
     }
 
     /// Faults the chunks of `file` at `missing` indices into its buffer
@@ -891,131 +772,6 @@ impl ScfsAgent {
         Ok(())
     }
 
-    /// Schedules a background fetch of the chunks of `file` at `indices`
-    /// that are neither materialized, cached, nor already in flight. The
-    /// fetch runs on the background clock (it never blocks the caller); a
-    /// later foreground read of these chunks waits only for the remainder of
-    /// the background transfer. Prefetch is best-effort: errors are dropped,
-    /// the foreground fault path will retry and surface them.
-    fn prefetch_background(&mut self, file: &mut OpenFile, indices: std::ops::Range<usize>) {
-        let map = match &file.chunk_map {
-            Some(map) => map.clone(),
-            None => return,
-        };
-        let candidates: Vec<usize> = file
-            .missing_of(indices)
-            .into_iter()
-            .filter(|i| !file.prefetch_ready.contains_key(i))
-            .collect();
-        if candidates.is_empty() {
-            return;
-        }
-        let cache = &mut self.cache;
-        let plan = TransferPlan::fetch(&map, candidates.iter().copied(), |hash| {
-            cache.probe(&Self::chunk_cache_key(hash), Some(hash))
-        });
-        if plan.is_empty() {
-            return;
-        }
-        let storage = self.storage.clone();
-        let storage_id = file.metadata.storage_id.clone();
-        let opts = self.transfer_options();
-        let (retries, backoff) = (
-            self.config.anchor_read_retries,
-            self.config.anchor_retry_backoff,
-        );
-        // The prefetch is a scheduler job on the object's lane: it never
-        // blocks the caller, serializes behind an in-flight upload of the
-        // same object (read-after-write order) and overlaps with everything
-        // else. Errors make the job a no-op; the foreground fault path will
-        // retry and surface them.
-        let ScfsAgent {
-            scheduler,
-            clock,
-            user,
-            cache,
-            stats,
-            ..
-        } = self;
-        let account = user.clone();
-        let token = scheduler.spawn(clock.now(), Some(&storage_id), |bg_clock| {
-            let mut bg_ctx = OpCtx::new(bg_clock, account);
-            let (chunks, _) = execute_plan(&mut bg_ctx, &opts, &plan, |job, fork_ctx| {
-                anchored_chunk(
-                    fork_ctx,
-                    storage.as_ref(),
-                    &storage_id,
-                    &job.hash,
-                    retries,
-                    backoff,
-                )
-            })?;
-            for (job, chunk) in plan.jobs().iter().zip(chunks) {
-                stats.prefetched_chunks += 1;
-                stats.chunk_downloads += 1;
-                stats.bytes_downloaded += chunk.data.len() as u64;
-                let key = Self::chunk_cache_key(&job.hash);
-                cache.put(
-                    bg_ctx.clock,
-                    &key,
-                    chunk.data.into(),
-                    Some(job.hash),
-                    WriteMode::CacheOnly,
-                );
-            }
-            Ok::<_, ScfsError>(plan)
-        });
-        let ready_at = token.ready_at();
-        let plan = match token.into_inner() {
-            Ok(plan) => plan,
-            Err(_) => return,
-        };
-        // Every planned chunk (and any duplicate of it among the candidates)
-        // becomes available at the background completion instant.
-        for index in candidates {
-            if plan.jobs().iter().any(|j| j.hash == map.chunks()[index]) {
-                file.prefetch_ready.insert(index, ready_at);
-            }
-        }
-    }
-
-    /// Writes each chunk of `map` into the disk cache (durability level 1:
-    /// the data survives a client restart even before the cloud upload
-    /// commits), optionally mirroring into the memory cache.
-    fn spill_chunks(&mut self, map: &ChunkMap, data: &[u8], also_memory: bool) {
-        let mode = if also_memory {
-            WriteMode::Through
-        } else {
-            WriteMode::DiskOnly
-        };
-        for (index, chunk_hash) in map.chunks().iter().enumerate() {
-            let key = Self::chunk_cache_key(chunk_hash);
-            let chunk: Arc<[u8]> = Arc::from(&data[map.byte_range(index)]);
-            self.cache
-                .put(&mut self.clock, &key, chunk, Some(*chunk_hash), mode);
-        }
-    }
-
-    /// Writes a version's chunks into both cache levels, and its manifest
-    /// too unless the metadata tuple will carry it inline — a cache entry
-    /// nobody looks up would only displace a chunk.
-    fn cache_version_locally(&mut self, map: &ChunkMap, data: &[u8]) {
-        self.spill_chunks(map, data, true);
-        let manifest = map.encode();
-        if manifest.len() <= INLINE_MANIFEST_MAX {
-            return;
-        }
-        let root = scfs_crypto::sha256(&manifest);
-        let manifest_key = Self::manifest_cache_key(&root);
-        self.cache.put(
-            &mut self.clock,
-            &manifest_key,
-            manifest.into(),
-            Some(root),
-            WriteMode::Through,
-        );
-    }
-
     /// The lazy byte-range read path: maps `[offset, offset + len)` onto
     /// chunk indices, faults in only the touched, not-yet-materialized
     /// chunks, and — when the handle shows a sequential pattern — schedules
@@ -1026,11 +782,7 @@ impl ScfsAgent {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>, ScfsError> {
-        if !file.flags.read {
-            return Err(ScfsError::PermissionDenied {
-                path: file.path.clone(),
-            });
-        }
+        file.require(file.flags.read)?;
         let buf_len = file.buffer.len() as u64;
         let start = offset.min(buf_len) as usize;
         let end = offset.saturating_add(len as u64).min(buf_len) as usize;
@@ -1060,19 +812,14 @@ impl ScfsAgent {
 
     /// The write path: writes need the complete old contents around them
     /// (and close needs the whole buffer to chunk the new version), so the
-    /// handle is materialized first — through the parallel engine, which
-    /// also makes cold writes cheaper than the old eager open.
+    /// handle is materialized first, through the parallel engine.
     fn write_ranged(
         &mut self,
         file: &mut OpenFile,
         offset: u64,
         data: &[u8],
     ) -> Result<usize, ScfsError> {
-        if !file.flags.write {
-            return Err(ScfsError::PermissionDenied {
-                path: file.path.clone(),
-            });
-        }
+        file.require(file.flags.write)?;
         // Checked end-offset arithmetic against the maximum file size: a
         // huge-offset write must error out instead of wrapping in release
         // (and then panicking on the slice) — the read path already clamps
@@ -1100,11 +847,7 @@ impl ScfsAgent {
     }
 
     fn truncate_materialized(&mut self, file: &mut OpenFile, size: u64) -> Result<(), ScfsError> {
-        if !file.flags.write {
-            return Err(ScfsError::PermissionDenied {
-                path: file.path.clone(),
-            });
-        }
+        file.require(file.flags.write)?;
         // Same bound as `write_ranged`: growing a file past the maximum size
         // must error, not wrap the usize conversion below.
         if size > crate::types::MAX_FILE_LEN {
@@ -1119,551 +862,314 @@ impl ScfsAgent {
         file.metadata.size = size;
         Ok(())
     }
-
-    /// The `sync` path on one open file: promote its current contents to
-    /// cloud durability (see [`crate::durability`]). A dirty or
-    /// never-committed handle is chunked, spilled to the local disk and
-    /// committed synchronously on the object's lane; a clean handle waits on
-    /// the object's in-flight token, if any.
-    fn sync_open(&mut self, file: &mut OpenFile) -> Result<DurabilityLevel, ScfsError> {
-        if file.dirty || file.never_uploaded {
-            self.materialize(file)?;
-            let buffer = file.buffer.clone();
-            let map = self.config.chunk_map(&buffer);
-            // Level 1 first, as always — then the commit.
-            self.cache_version_locally(&map, &buffer);
-            self.written_since_gc += buffer.len() as u64;
-            // The lane orders this commit behind any in-flight upload of the
-            // same object; the new token supersedes the pending record.
-            self.pending_uploads.remove(&file.metadata.storage_id);
-            let token = self.begin_upload(
-                file.metadata.clone(),
-                &buffer,
-                &map,
-                file.chunk_map.as_ref(),
-                file.never_uploaded,
-                false,
-            );
-            let committed = token.wait(&mut self.clock)?;
-            file.metadata = committed;
-            file.chunk_map = Some(map);
-            file.present = None;
-            file.dirty = false;
-            file.never_uploaded = false;
-            self.maybe_run_gc();
-        } else {
-            let storage_id = file.metadata.storage_id.clone();
-            self.wait_pending_upload(&storage_id);
-        }
-        Ok(self.storage.cloud_durability())
-    }
-
-    /// The manifest-only copy: commit a new version of the destination that
-    /// references the chunks of `src`'s current version through the chunk
-    /// store's refcounts — zero chunk transfers, and zero manifest reads
-    /// when `src` carries its manifest inline. Returns `Ok(None)` when the
-    /// preconditions do not hold (the caller materializes instead).
-    #[allow(clippy::too_many_arguments)]
-    fn copy_and_commit(
-        storage: &Arc<dyn FileStorage>,
-        metadata_svc: &mut MetadataService,
-        locks: &Option<LockManager>,
-        ctx: &mut OpCtx<'_>,
-        mut dst_md: FileMetadata,
-        src: &FileMetadata,
-        root: scfs_crypto::ContentHash,
-        unlock: bool,
-        stats: &mut AgentStats,
-    ) -> Result<Option<FileMetadata>, ScfsError> {
-        // Same ACL rule as `upload_and_commit`: shared destinations carry
-        // the file ACL on the freshly written manifest.
-        let cloud_acl = if dst_md.is_shared() || dst_md.owner != ctx.account {
-            let mut acl = dst_md.acl.clone();
-            acl.grant(dst_md.owner.clone(), Permission::Write);
-            acl.grant(ctx.account.clone(), Permission::Write);
-            Some(acl)
-        } else {
-            None
-        };
-        let (src_id, dst_id, acl) = (&src.storage_id, &dst_md.storage_id, cloud_acl.as_ref());
-        let copied = match src.inline_manifest()? {
-            // The tuple already delivered the source map: hand it down so the
-            // backend reads no manifest, tracked or not.
-            Some(map) => storage.copy_version_with_map(ctx, src_id, dst_id, &root, &map, acl)?,
-            None => storage.copy_version(ctx, src_id, dst_id, &root, acl)?,
-        };
-        let Some(outcome) = copied else {
-            return Ok(None);
-        };
-        stats.cloud_uploads += 1;
-        stats.bytes_uploaded += outcome.bytes_uploaded;
-        stats.dedup_hits_cross_file += outcome.dedup_cross_file;
-        dst_md.commit_copy_of(src, ctx.clock.now());
-        metadata_svc.update(ctx, dst_md.clone())?;
-        if unlock {
-            if let Some(locks) = locks {
-                locks.unlock(ctx, &Self::lock_id(&dst_md))?;
-            }
-        }
-        Ok(Some(dst_md))
-    }
-
-    /// The fallback copy: materialize the source and write it through the
-    /// normal open/read/write/close path (what the [`FileSystem`] trait
-    /// default does for every other system).
-    fn copy_by_materializing(&mut self, from: &str, to: &str) -> Result<(), ScfsError> {
-        let src = self.open(from, OpenFlags::read_only())?;
-        let size = self.handle_size(src)?;
-        let data = self.read(src, 0, size as usize)?;
-        self.close(src)?;
-        let dst = self.open(to, OpenFlags::create_truncate())?;
-        self.write(dst, 0, &data)?;
-        self.close(dst)?;
-        Ok(())
-    }
-
-    fn get_open(&self, handle: FileHandle) -> Result<&OpenFile, ScfsError> {
-        self.open_files
-            .get(&handle)
-            .ok_or(ScfsError::BadHandle { handle: handle.0 })
-    }
 }
 
-impl FileSystem for ScfsAgent {
-    fn name(&self) -> String {
-        format!("SCFS-{}-{}", self.storage.label(), self.config.mode.label())
+// ---- commit: the one version commit and its three callers ----
+
+/// What a commit puts in the storage service — the one step that varies
+/// between `close`/`sync` and `copy_file`.
+#[derive(Clone, Copy)]
+enum NewVersion<'a> {
+    /// The buffer of a handle, laid out by `map`: its dirty chunks go up.
+    Data {
+        data: &'a [u8],
+        map: &'a ChunkMap,
+        prev: Option<&'a ChunkMap>,
+    },
+    /// The version of `src` stored under `root`: a manifest-only copy that
+    /// references its chunks through the chunk store's refcounts — zero
+    /// chunk transfers, and zero manifest reads when `src` carries its
+    /// manifest inline.
+    CopyOf {
+        src: &'a FileMetadata,
+        root: ContentHash,
+    },
+}
+
+impl ScfsAgent {
+    /// Drops the records of background uploads that have completed by now.
+    fn reap_completed_uploads(&mut self) {
+        let now = self.clock.now();
+        self.pending_uploads.retain(|_, p| p.ready_at() > now);
     }
 
-    fn clock(&self) -> &Clock {
-        &self.clock
+    /// The in-flight upload of `path`, if any.
+    fn pending_by_path(&self, path: &str) -> Option<&Pending<FileMetadata>> {
+        let now = self.clock.now();
+        self.pending_uploads
+            .values()
+            .find(|p| p.value().path == path && p.ready_at() > now)
     }
 
-    fn sleep(&mut self, duration: SimDuration) {
-        self.clock.advance(duration);
+    /// This agent's freshest view of `path`: `md`, unless an in-flight
+    /// background commit of the object carries a newer version — the
+    /// read-your-writes rule that bridges the metadata cache's expiry while
+    /// the commit instant is still in the foreground's future.
+    fn with_pending_commit(&self, path: &str, md: FileMetadata) -> FileMetadata {
+        match self.pending_by_path(path) {
+            Some(pending) if pending.value().version_count > md.version_count => {
+                pending.value().clone()
+            }
+            _ => md,
+        }
     }
 
-    fn open(&mut self, path: &str, flags: OpenFlags) -> Result<FileHandle, ScfsError> {
-        self.charge_syscall();
-        let path = normalize_path(path)?;
+    /// Waits for, and retires, the in-flight uploads `concerned` selects by
+    /// storage id and record: a per-object wait, never a global drain.
+    fn wait_pending_uploads(&mut self, concerned: impl Fn(&str, &Pending<FileMetadata>) -> bool) {
+        let mut ready = self.clock.now();
+        self.pending_uploads.retain(|id, pending| {
+            let waited = concerned(id, pending);
+            if waited {
+                ready = ready.max(pending.ready_at());
+            }
+            !waited
+        });
+        self.clock.advance_to(ready);
+    }
 
-        // Step 1: read the file metadata (or create it). Only absence means
-        // "no such file": a tuple this user may not read, or one that fails
-        // to authenticate, must not look like a free name.
-        let existing = {
-            let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-            match self.metadata.get(&mut ctx, &path) {
-                Ok(md) if !md.deleted => Some(md),
-                Ok(_) | Err(ScfsError::NotFound { .. }) => None,
-                Err(e) => return Err(e),
-            }
-        };
-        // Read-your-writes across the metadata cache's expiry: while this
-        // agent's own non-blocking commit of the object is still in flight,
-        // the coordination service may serve the previous version — the
-        // pending token's committed metadata is the fresher truth, per
-        // object, with no wait and no global drain.
-        let existing = existing.map(|md| self.with_pending_commit(&path, md));
-        let (mut metadata, never_uploaded) = match existing {
-            Some(md) => {
-                if md.file_type != FileType::File {
-                    return Err(ScfsError::WrongType {
-                        path,
-                        expected: "file",
-                    });
-                }
-                let never = md.version_hash.is_none();
-                (md, never)
-            }
-            None => {
-                if !flags.create {
-                    return Err(ScfsError::not_found(path));
-                }
-                let storage_id = self.alloc_storage_id();
-                let now = self.clock.now();
-                let md = FileMetadata::new_file(&path, self.user.clone(), storage_id, now);
-                let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-                self.metadata.create(&mut ctx, md.clone())?;
-                self.owned_files
-                    .insert(md.storage_id.clone(), (path.clone(), false));
-                (md, true)
-            }
-        };
+    /// Close backpressure: blocks until fewer than `max_pending_uploads`
+    /// background commits are in flight, waiting on the earliest completion
+    /// token.
+    fn apply_close_backpressure(&mut self) {
+        self.reap_completed_uploads();
+        let max = self.config.max_pending_uploads.max(1);
+        while self.pending_uploads.len() >= max {
+            let Some(earliest) = self.pending_uploads.values().map(|p| p.ready_at()).min() else {
+                break;
+            };
+            self.stats.backpressure_stalls += 1;
+            self.clock.advance_to(earliest);
+            self.reap_completed_uploads();
+        }
+    }
 
-        // Step 2: acquire the write lock for shared files opened for writing.
-        let mut locked = false;
-        if flags.write
-            && self.config.mode.uses_coordination()
-            && !self.metadata.is_private(&path, Some(&metadata))
-        {
+    /// The commit (Figure 4, close path), on whichever clock `self.clock`
+    /// currently is: `version` to the storage service, its hash to the
+    /// consistency anchor, and — when `unlock` is set — the write lock
+    /// released. Returns the committed metadata, or `Ok(None)` when the
+    /// backend cannot commit a [`NewVersion::CopyOf`] (the caller
+    /// materializes instead, under the lock it still holds).
+    ///
+    /// A failed commit still releases the lock: the caller has dropped the
+    /// handle and can retry nothing, so holding on would lock every other
+    /// writer out for a full lease over an error the caller was told about.
+    fn commit(
+        &mut self,
+        metadata: FileMetadata,
+        version: NewVersion<'_>,
+        unlock: bool,
+    ) -> Result<Option<FileMetadata>, ScfsError> {
+        let lock_id = metadata.storage_id.clone();
+        let committed = self.store_and_anchor(metadata, version);
+        if unlock && !matches!(committed, Ok(None)) {
             if let Some(locks) = &self.locks {
                 let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-                locks.try_lock(&mut ctx, &Self::lock_id(&metadata))?;
-                locked = true;
+                let released = locks.unlock(&mut ctx, &lock_id);
+                // Best effort after a failure (the lease still covers a dead
+                // coordinator): the commit's own error is the one to report.
+                if committed.is_ok() {
+                    released?;
+                }
             }
         }
+        committed
+    }
 
-        // Step 3: load only the manifest — it lists the chunks this version
-        // is made of, and for a small file it arrived inside the tuple step 1
-        // read, so a cold open costs no cloud round trip at all. The chunks
-        // themselves fault in lazily, at byte-range granularity, as reads
-        // touch them; a cold open of a 16 MiB file transfers a few hundred
-        // bytes, not 16 MiB.
-        let (buffer, chunk_map, present) = match metadata.version_hash {
-            Some(root) if !flags.truncate => {
-                let map = self.load_manifest(&metadata, root)?;
-                let buffer = vec![0u8; map.file_len() as usize];
-                let present = if map.chunk_count() == 0 {
-                    None
-                } else {
-                    Some(vec![false; map.chunk_count()])
-                };
-                (buffer, Some(map), present)
+    /// Steps w2 and w3 of the consistency-anchor write (Figure 3).
+    fn store_and_anchor(
+        &mut self,
+        mut metadata: FileMetadata,
+        version: NewVersion<'_>,
+    ) -> Result<Option<FileMetadata>, ScfsError> {
+        // The freshly written objects must carry the file ACL so that every
+        // user the file is shared with — including its owner, when the writer
+        // is a grantee — can read the new version. The backend tags exactly
+        // the objects this write stores (O(dirty chunks), not O(all
+        // versions × chunks)).
+        let cloud_acl = (metadata.is_shared() || metadata.owner != self.user).then(|| {
+            let mut acl = metadata.acl.clone();
+            acl.grant(metadata.owner.clone(), Permission::Write);
+            acl.grant(self.user.clone(), Permission::Write);
+            acl
+        });
+        let (id, acl) = (&metadata.storage_id, cloud_acl.as_ref());
+        let opts = self.transfer_options();
+        let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
+        let stored = match version {
+            NewVersion::Data { data, map, prev } => {
+                let is_new = metadata.version_hash.is_none();
+                Some(
+                    self.storage
+                        .write_version(&mut ctx, id, data, map, prev, is_new, acl, &opts)?,
+                )
             }
-            _ => (Vec::new(), None, None),
-        };
-
-        if flags.truncate {
-            metadata.size = 0;
-        }
-
-        let handle = self.alloc_handle();
-        let dirty = flags.truncate && metadata.version_hash.is_some();
-        self.open_files.insert(
-            handle,
-            OpenFile {
-                path,
-                flags,
-                metadata,
-                buffer,
-                chunk_map,
-                present,
-                prefetch_ready: HashMap::new(),
-                last_read_end: None,
-                dirty,
-                locked,
-                never_uploaded,
+            NewVersion::CopyOf { src, root } => match src.inline_manifest()? {
+                // The tuple already delivered the source map: hand it down so
+                // the backend reads no manifest, tracked or not.
+                Some(map) => self.storage.copy_version_with_map(
+                    &mut ctx,
+                    &src.storage_id,
+                    id,
+                    &root,
+                    &map,
+                    acl,
+                )?,
+                None => self
+                    .storage
+                    .copy_version(&mut ctx, &src.storage_id, id, &root, acl)?,
             },
-        );
-        Ok(handle)
-    }
-
-    fn read(&mut self, handle: FileHandle, offset: u64, len: usize) -> Result<Vec<u8>, ScfsError> {
-        self.charge_syscall();
-        let mut file = self
-            .open_files
-            .remove(&handle)
-            .ok_or(ScfsError::BadHandle { handle: handle.0 })?;
-        let result = self.read_ranged(&mut file, offset, len);
-        self.open_files.insert(handle, file);
-        result
-    }
-
-    fn write(&mut self, handle: FileHandle, offset: u64, data: &[u8]) -> Result<usize, ScfsError> {
-        self.charge_syscall();
-        let mut file = self
-            .open_files
-            .remove(&handle)
-            .ok_or(ScfsError::BadHandle { handle: handle.0 })?;
-        let result = self.write_ranged(&mut file, offset, data);
-        self.open_files.insert(handle, file);
-        result
-    }
-
-    fn truncate(&mut self, handle: FileHandle, size: u64) -> Result<(), ScfsError> {
-        self.charge_syscall();
-        let mut file = self
-            .open_files
-            .remove(&handle)
-            .ok_or(ScfsError::BadHandle { handle: handle.0 })?;
-        let result = self.truncate_materialized(&mut file, size);
-        self.open_files.insert(handle, file);
-        result
-    }
-
-    fn handle_size(&mut self, handle: FileHandle) -> Result<u64, ScfsError> {
-        self.charge_syscall();
-        // Served from the open handle: the buffer always has the logical
-        // length of the file, even while chunks are still unmaterialized.
-        Ok(self.get_open(handle)?.buffer.len() as u64)
-    }
-
-    fn fsync(&mut self, handle: FileHandle) -> Result<(), ScfsError> {
-        self.charge_syscall();
-        let file = self.get_open(handle)?;
-        if !file.dirty {
-            return Ok(());
+        };
+        let Some(outcome) = stored else {
+            return Ok(None);
+        };
+        self.stats.cloud_uploads += 1;
+        self.stats.chunk_uploads += outcome.chunks_uploaded;
+        self.stats.bytes_uploaded += outcome.bytes_uploaded;
+        self.stats.transfer_waves += outcome.waves;
+        self.stats.dedup_hits_cross_file += outcome.dedup_cross_file;
+        let now = ctx.clock.now();
+        match version {
+            NewVersion::Data { map, .. } => metadata.commit_version(map, now),
+            NewVersion::CopyOf { src, .. } => metadata.commit_copy_of(src, now),
         }
-        let buffer = file.buffer.clone();
-        // Durability level 1: the data reaches the local disk, as chunks.
-        // No manifest is spilled — the version is not committed yet, so
-        // there is no root hash for a reader to look it up under.
-        let map = self.config.chunk_map(&buffer);
-        self.spill_chunks(&map, &buffer, false);
-        Ok(())
+        self.metadata.update(&mut ctx, metadata.clone())?;
+        Ok(Some(metadata))
     }
 
-    fn sync(&mut self, handle: FileHandle) -> Result<DurabilityLevel, ScfsError> {
-        self.charge_syscall();
-        let mut file = self
-            .open_files
-            .remove(&handle)
-            .ok_or(ScfsError::BadHandle { handle: handle.0 })?;
-        let result = self.sync_open(&mut file);
-        self.open_files.insert(handle, file);
-        result
+    /// Runs [`ScfsAgent::commit`] on the object's lane — commits of the same
+    /// object serialize, different objects overlap — no earlier than
+    /// `not_before`, and settles it the way the caller's mode prescribes.
+    /// `wait` (a blocking close, any `sync`): the job is awaited on the
+    /// foreground clock. Otherwise the call returns now and everyone else
+    /// waits on this object's token; at most `max_pending_uploads` such
+    /// commits are in flight, the call stalling on the earliest one. This
+    /// client's own view needs no separate update: the job's metadata update
+    /// has already refreshed the local caches.
+    fn run_commit(
+        &mut self,
+        not_before: Option<SimInstant>,
+        metadata: FileMetadata,
+        version: NewVersion<'_>,
+        unlock: bool,
+        wait: bool,
+    ) -> Result<Option<FileMetadata>, ScfsError> {
+        if !wait {
+            self.apply_close_backpressure();
+        }
+        let lane = metadata.storage_id.clone();
+        let start = not_before.map_or(self.clock.now(), |at| self.clock.now().max(at));
+        let token = self.on_lane(start, &lane, |agent| {
+            agent.commit(metadata, version, unlock)
+        });
+        if wait {
+            return token.wait(&mut self.clock);
+        }
+        let (started_at, ready_at) = (token.started_at(), token.ready_at());
+        let committed = token.into_inner()?;
+        if let Some(md) = &committed {
+            // A second commit of the same object supersedes the earlier
+            // record: the lane already ordered the commits, and the later
+            // token covers the earlier one.
+            self.pending_uploads
+                .insert(lane, Pending::new(md.clone(), started_at, ready_at));
+        }
+        Ok(committed)
     }
 
-    fn close(&mut self, handle: FileHandle) -> Result<(), ScfsError> {
+    /// Writes each chunk of `map` into the disk cache (durability level 1:
+    /// the data survives a client restart even before the cloud upload
+    /// commits) — and, under [`WriteMode::Through`], the memory cache.
+    fn spill_chunks(&mut self, map: &ChunkMap, data: &[u8], mode: WriteMode) {
+        for (index, chunk_hash) in map.chunks().iter().enumerate() {
+            let key = Self::chunk_cache_key(chunk_hash);
+            let chunk: Arc<[u8]> = Arc::from(&data[map.byte_range(index)]);
+            self.cache
+                .put(&mut self.clock, &key, chunk, Some(*chunk_hash), mode);
+        }
+    }
+
+    /// Commits `file`'s buffer as the new version of its object. The buffer
+    /// is chunked — the version's root hash, the one hash the anchor stores,
+    /// follows from the map alone, before any cloud access — and written
+    /// into both cache levels, so the data always reaches the local disk
+    /// first (level 1); the manifest goes with it unless the metadata tuple
+    /// will carry that inline (a cache entry nobody looks up would only
+    /// displace a chunk). Then the commit runs. Returns the version's map
+    /// and the committed metadata.
+    fn commit_buffer(
+        &mut self,
+        file: &OpenFile,
+        unlock: bool,
+        wait: bool,
+    ) -> Result<(ChunkMap, Option<FileMetadata>), ScfsError> {
+        let map = self.config.chunk_map(&file.buffer);
+        self.spill_chunks(&map, &file.buffer, WriteMode::Through);
+        let manifest = map.encode();
+        if manifest.len() > INLINE_MANIFEST_MAX {
+            let root = scfs_crypto::sha256(&manifest);
+            self.cache.put(
+                &mut self.clock,
+                &Self::manifest_cache_key(&root),
+                manifest.into(),
+                Some(root),
+                WriteMode::Through,
+            );
+        }
+        self.written_since_gc += file.buffer.len() as u64;
+        let version = NewVersion::Data {
+            data: &file.buffer,
+            map: &map,
+            prev: file.chunk_map.as_ref(),
+        };
+        let committed = self.run_commit(None, file.metadata.clone(), version, unlock, wait)?;
+        self.maybe_run_gc();
+        Ok((map, committed))
+    }
+
+    fn close_file(&mut self, handle: FileHandle) -> Result<(), ScfsError> {
         self.charge_syscall();
         let file = self
             .open_files
             .remove(&handle)
             .ok_or(ScfsError::BadHandle { handle: handle.0 })?;
-
         if !file.dirty {
             // Nothing to synchronize; just release the lock if we held it.
-            if file.locked {
-                if let Some(locks) = &self.locks {
-                    let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-                    locks.unlock(&mut ctx, &Self::lock_id(&file.metadata))?;
-                }
+            if let (true, Some(locks)) = (file.locked, &self.locks) {
+                let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
+                locks.unlock(&mut ctx, &file.metadata.storage_id)?;
             }
             return Ok(());
         }
-
         // A dirty handle is always fully materialized (writes and truncates
         // fault the whole file in first), so the buffer is the new version.
         debug_assert!(file.present.is_none(), "dirty handle left sparse");
-        let OpenFile {
-            metadata,
-            buffer,
-            chunk_map: prev_map,
-            locked,
-            never_uploaded,
-            ..
-        } = file;
-
-        // Chunk the new version; its root hash — the one hash the anchor
-        // stores — follows from the map alone, before any cloud access.
-        let map = self.config.chunk_map(&buffer);
-        // The data always reaches the local disk first (level 1).
-        self.cache_version_locally(&map, &buffer);
-        self.written_since_gc += buffer.len() as u64;
-
-        match self.config.mode {
-            Mode::Blocking => {
-                // Consistency-anchor write, fully synchronous: dirty chunks
-                // to the cloud(s), then metadata to the coordination service,
-                // then unlock (Figure 4, close path) — the background job
-                // awaited immediately on the foreground clock.
-                let token = self.begin_upload(
-                    metadata,
-                    &buffer,
-                    &map,
-                    prev_map.as_ref(),
-                    never_uploaded,
-                    locked,
-                );
-                token.wait(&mut self.clock)?;
-            }
-            Mode::NonBlocking | Mode::NonSharing => {
-                // The close returns now; the upload, metadata update and
-                // unlock happen on the object's background lane. This
-                // client's own view is updated immediately through the local
-                // caches; everyone else waits on this object's token.
-                let mut updated = metadata.clone();
-                let now = self.clock.now();
-                updated.commit_version(&map, now);
-                self.metadata.update_local(updated, now);
-
-                // Bounded queue: at most `max_pending_uploads` commits in
-                // flight, with the close stalling on the earliest token.
-                self.apply_close_backpressure();
-                let storage_id = metadata.storage_id.clone();
-                let token = self.begin_upload(
-                    metadata,
-                    &buffer,
-                    &map,
-                    prev_map.as_ref(),
-                    never_uploaded,
-                    locked,
-                );
-                let (started_at, ready_at) = (token.started_at(), token.ready_at());
-                let committed = token.into_inner()?;
-                // A second close of the same object supersedes the earlier
-                // record: the lane already ordered the commits, and the
-                // later token covers the earlier one.
-                self.pending_uploads.insert(
-                    storage_id,
-                    PendingUpload {
-                        path: committed.path.clone(),
-                        metadata: committed,
-                        started_at,
-                        ready_at,
-                    },
-                );
-            }
-        }
-
-        self.maybe_run_gc();
+        self.commit_buffer(&file, file.locked, self.config.mode.blocking_close())?;
         Ok(())
     }
 
-    fn stat(&mut self, path: &str) -> Result<FileMetadata, ScfsError> {
-        self.charge_syscall();
-        let path = normalize_path(path)?;
-        // An open, dirty file is described by its in-memory state.
-        if let Some(open) = self.open_files.values().find(|f| f.path == path && f.dirty) {
-            let mut md = open.metadata.clone();
-            md.size = open.buffer.len() as u64;
-            return Ok(md);
-        }
-        let md = {
-            let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-            self.metadata.get(&mut ctx, &path)?
-        };
-        if md.deleted {
-            return Err(ScfsError::not_found(path));
-        }
-        // Read-your-writes: an in-flight background commit of this object is
-        // already part of this client's view (see `open`).
-        Ok(self.with_pending_commit(&path, md))
-    }
-
-    fn mkdir(&mut self, path: &str) -> Result<(), ScfsError> {
-        self.charge_syscall();
-        let path = normalize_path(path)?;
-        let now = self.clock.now();
-        let md = FileMetadata::new_directory(&path, self.user.clone(), now);
-        let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-        if !self.metadata.parent_exists(&mut ctx, &path) {
-            return Err(ScfsError::not_found(crate::types::parent_of(&path)));
-        }
-        self.metadata.create(&mut ctx, md)
-    }
-
-    fn readdir(&mut self, path: &str) -> Result<Vec<String>, ScfsError> {
-        self.charge_syscall();
-        let path = normalize_path(path)?;
-        let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-        self.metadata.list_children(&mut ctx, &path)
-    }
-
-    fn unlink(&mut self, path: &str) -> Result<(), ScfsError> {
-        self.charge_syscall();
-        let path = normalize_path(path)?;
-        let md = {
-            let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-            self.metadata.get(&mut ctx, &path)?
-        };
-        if md.deleted {
-            return Err(ScfsError::not_found(path));
-        }
-        if md.file_type == FileType::Directory {
-            return Err(ScfsError::WrongType {
-                path,
-                expected: "file",
-            });
-        }
-        // Files are only marked as deleted; the garbage collector reclaims
-        // the cloud objects later (paper §2.5.3). The tombstone carries this
-        // agent's freshest view of the object (including a version committed
-        // by a still-pending upload).
-        let mut md = self.with_pending_commit(&path, md);
-        md.deleted = true;
-        if let Some(entry) = self.owned_files.get_mut(&md.storage_id) {
-            entry.1 = true;
-        }
-        if self.pending_uploads.contains_key(&md.storage_id) {
-            // An upload of this object is still in flight: commit the
-            // tombstone on the object's lane, *after* that commit, so the
-            // background metadata update cannot resurrect the file — and the
-            // foreground never waits (unlinking a transient file right after
-            // a non-blocking close is the hot path of Figure 8).
-            let storage_id = md.storage_id.clone();
-            self.pending_uploads.remove(&storage_id);
-            let now = self.clock.now();
-            self.metadata.update_local(md.clone(), now);
-            let ScfsAgent {
-                scheduler,
-                metadata,
-                clock,
-                user,
-                ..
-            } = self;
-            let account = user.clone();
-            let token = scheduler.spawn(clock.now(), Some(&storage_id), |bg_clock| {
-                let mut ctx = OpCtx::new(bg_clock, account);
-                metadata.update(&mut ctx, md)
-            });
-            token.into_inner()?;
+    /// The `sync` path on one open file: promote its current contents to
+    /// cloud durability (see [`crate::durability`]). A dirty or
+    /// never-committed handle is committed like a close that waits — but the
+    /// handle stays open and keeps its lock; a clean handle waits on the
+    /// object's in-flight token, if any.
+    fn sync_open(&mut self, file: &mut OpenFile) -> Result<DurabilityLevel, ScfsError> {
+        if file.dirty || file.metadata.version_hash.is_none() {
+            self.materialize(file)?;
+            // The lane orders this commit behind any in-flight upload of the
+            // same object; the new token supersedes the pending record.
+            self.pending_uploads.remove(&file.metadata.storage_id);
+            let (map, committed) = self.commit_buffer(file, false, true)?;
+            if let Some(metadata) = committed {
+                file.metadata = metadata;
+            }
+            file.chunk_map = Some(map);
+            file.present = None;
+            file.dirty = false;
         } else {
-            let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-            self.metadata.update(&mut ctx, md)?;
+            self.wait_pending_uploads(|id, _| id == file.metadata.storage_id);
         }
-        // Cached chunks and manifests are content-addressed, not keyed by
-        // path; they age out of the LRU caches once nothing reads them.
-        Ok(())
-    }
-
-    fn rename(&mut self, from: &str, to: &str) -> Result<(), ScfsError> {
-        self.charge_syscall();
-        let from = normalize_path(from)?;
-        let to = normalize_path(to)?;
-        // Rename moves a whole path prefix and may clobber the destination:
-        // the moved metadata must carry any in-flight version commits, and
-        // pending records under either tree would go stale — settle exactly
-        // those tokens first.
-        self.wait_pending_uploads_under(&from, &to);
-        let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-        self.metadata.rename(&mut ctx, &from, &to)?;
-        // The GC bookkeeping moves with the prefix: a later unlink + GC of a
-        // renamed file must delete the tombstone under its *current* path.
-        let from_dir = format!("{from}/");
-        for (path, _) in self.owned_files.values_mut() {
-            if *path == from {
-                *path = to.clone();
-            } else if let Some(rest) = path.strip_prefix(&from_dir) {
-                *path = format!("{to}/{rest}");
-            }
-        }
-        Ok(())
-    }
-
-    fn setfacl(
-        &mut self,
-        path: &str,
-        user: &AccountId,
-        permission: Permission,
-    ) -> Result<(), ScfsError> {
-        self.charge_syscall();
-        let path = normalize_path(path)?;
-        // The grant must not be overwritten by an in-flight metadata update
-        // from an earlier non-blocking close of this file — wait on *this
-        // object's* completion token, not on the global drain: grants on
-        // other files proceed while unrelated uploads are still in flight.
-        self.wait_pending_upload_of_path(&path);
-        let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-        let metadata = self.metadata.get(&mut ctx, &path)?;
-        if metadata.owner != self.user {
-            return Err(ScfsError::PermissionDenied { path });
-        }
-        let mut acl = metadata.acl.clone();
-        acl.grant(user.clone(), permission);
-        // (i) update the ACLs of the cloud objects holding the file data;
-        // (ii) update the metadata tuple (and its coordination-service ACL).
-        if metadata.file_type == FileType::File && metadata.version_hash.is_some() {
-            self.storage.set_acl(&mut ctx, &metadata.storage_id, &acl)?;
-        }
-        self.metadata.set_acl(&mut ctx, metadata, acl)?;
-        Ok(())
-    }
-
-    fn getfacl(&mut self, path: &str) -> Result<Acl, ScfsError> {
-        self.charge_syscall();
-        let path = normalize_path(path)?;
-        let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-        Ok(self.metadata.get(&mut ctx, &path)?.acl)
+        Ok(self.storage.cloud_durability())
     }
 
     /// Manifest-only copy: the destination's new version references the
@@ -1672,149 +1178,338 @@ impl FileSystem for ScfsAgent {
     /// every referenced chunk counts as a cross-file dedup hit
     /// ([`AgentStats::dedup_hits_cross_file`]). Falls back to the
     /// materializing open/read/write/close path (the trait default) when the
-    /// source has no committed version, a dirty open handle hides newer
-    /// bytes, or the backend keeps no chunk registry.
-    fn copy_file(&mut self, from: &str, to: &str) -> Result<(), ScfsError> {
-        self.charge_syscall();
-        let from = normalize_path(from)?;
+    /// source has no committed version or the backend keeps no chunk
+    /// registry.
+    fn copy(&mut self, from: &str, to: &str) -> Result<(), ScfsError> {
+        let from = self.enter(from)?;
         let to = normalize_path(to)?;
-        let src_md = {
-            let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-            match self.metadata.get(&mut ctx, &from) {
-                Ok(md) if !md.deleted => md,
-                _ => return Err(ScfsError::not_found(from)),
-            }
-        };
-        if src_md.file_type != FileType::File {
-            return Err(ScfsError::WrongType {
-                path: from,
-                expected: "file",
-            });
-        }
+        let src = self.lookup_file(&from)?;
         // This agent's own in-flight commit of the source is part of its
-        // view (read-your-writes), and fixes the commit's lower time bound.
-        let src_md = self.with_pending_commit(&from, src_md);
+        // view (read-your-writes), and fixes the commit's lower time bound:
+        // no earlier than the source's chunks are in the cloud.
+        let src = self.with_pending_commit(&from, src);
+        let src_ready = self.pending_by_path(&from).map(Pending::ready_at);
         // Like the materializing default (whose `open` reads the committed
         // version, never another handle's dirty buffer), the copy source is
         // the last committed version; a file that never committed one falls
         // back to the open/read/write path.
-        let root = match src_md.version_hash {
-            Some(root) => root,
-            None => return self.copy_by_materializing(&from, &to),
+        let Some(root) = src.version_hash else {
+            return self.copy_through_handles(&from, &to);
         };
-        let size = src_md.size;
-        let src_ready = self.pending_by_path(&from).map(|p| p.ready_at);
-
-        // Destination metadata: a new version of an existing file, or a
-        // fresh object — exactly what a write-open would have set up.
-        let existing_dst = {
-            let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-            match self.metadata.get(&mut ctx, &to) {
-                Ok(md) if !md.deleted => Some(md),
-                _ => None,
-            }
-        };
-        let dst_md = match existing_dst {
-            Some(md) => {
-                if md.file_type != FileType::File {
-                    return Err(ScfsError::WrongType {
-                        path: to,
-                        expected: "file",
-                    });
-                }
-                md
-            }
-            None => {
-                let storage_id = self.alloc_storage_id();
-                let now = self.clock.now();
-                let md = FileMetadata::new_file(&to, self.user.clone(), storage_id, now);
-                let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-                self.metadata.create(&mut ctx, md.clone())?;
-                self.owned_files
-                    .insert(md.storage_id.clone(), (to.clone(), false));
-                md
-            }
-        };
-
-        // Write lock on the destination, as a write-open would take it.
-        let mut locked = false;
-        if self.config.mode.uses_coordination() && !self.metadata.is_private(&to, Some(&dst_md)) {
-            if let Some(locks) = &self.locks {
-                let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-                locks.try_lock(&mut ctx, &Self::lock_id(&dst_md))?;
-                locked = true;
-            }
-        }
-
-        // The commit runs on the destination's lane, no earlier than the
-        // source's chunks are in the cloud; blocking mode waits the token,
-        // the other modes surface it like any non-blocking close.
-        let blocking = self.config.mode.blocking_close();
-        if !blocking {
-            self.apply_close_backpressure();
-        }
-        let start = match src_ready {
-            Some(ready) => self.clock.now().max(ready),
-            None => self.clock.now(),
-        };
-        let lane = dst_md.storage_id.clone();
-        let ScfsAgent {
-            scheduler,
-            storage,
-            metadata: metadata_svc,
-            locks,
-            stats,
-            user,
-            ..
-        } = self;
-        let account = user.clone();
-        let token = scheduler.spawn(start, Some(&lane), |bg_clock| {
-            let mut ctx = OpCtx::new(bg_clock, account);
-            Self::copy_and_commit(
-                storage,
-                metadata_svc,
-                locks,
-                &mut ctx,
-                dst_md,
-                &src_md,
-                root,
-                locked,
-                stats,
-            )
-        });
-        let (started_at, ready_at) = (token.started_at(), token.ready_at());
-        let committed = if blocking {
-            token.wait(&mut self.clock)?
-        } else {
-            token.into_inner()?
-        };
-        match committed {
-            Some(md) => {
-                if !blocking {
-                    // The manifest-only commit is known to have succeeded:
-                    // only now does this client's local view advance (an
-                    // optimistic update before the outcome would advertise a
-                    // version that may never exist when the backend falls
-                    // back to materializing).
-                    let now = self.clock.now();
-                    self.metadata.update_local(md.clone(), now);
-                    self.pending_uploads.insert(
-                        lane,
-                        PendingUpload {
-                            path: md.path.clone(),
-                            metadata: md,
-                            started_at,
-                            ready_at,
-                        },
-                    );
-                }
-                self.written_since_gc += size;
+        // The destination is what a write-open would have set up: a new
+        // version of an existing file or a fresh object, under its lock.
+        let (dst, locked) = self.resolve_file(&to, true, true)?;
+        let version = NewVersion::CopyOf { src: &src, root };
+        let wait = self.config.mode.blocking_close();
+        match self.run_commit(src_ready, dst, version, locked, wait)? {
+            Some(_) => {
+                self.written_since_gc += src.size;
                 self.maybe_run_gc();
                 Ok(())
             }
             // The backend keeps no chunk registry for the source (or a
             // chunk is no longer stored): materialize instead.
-            None => self.copy_by_materializing(&from, &to),
+            None => self.copy_through_handles(&from, &to),
+        }
+    }
+
+    /// The fallback copy: materialize the source and write it through the
+    /// normal open/read/write/close path (what the [`FileSystem`] trait
+    /// default does for every other system).
+    fn copy_through_handles(&mut self, from: &str, to: &str) -> Result<(), ScfsError> {
+        let data = self.read_file(from)?;
+        self.write_file(to, &data)
+    }
+}
+
+// ---- fetch: manifests and the one chunk-fetch loop ----
+
+/// Chunk payloads in request order, plus whether the cloud was touched.
+type FetchedChunks = (Vec<Arc<[u8]>>, bool);
+
+/// What one executed fetch plan moved: `(job, bytes, anchor retries)` per
+/// job of the plan, and the number of waves.
+type FetchedPlan = (Vec<(ChunkJob, Arc<[u8]>, usize)>, u64);
+
+impl ScfsAgent {
+    /// Loads the chunk-map manifest of the version of `metadata`'s object
+    /// whose root hash is `root` — the one place that chooses where a
+    /// manifest comes from: the metadata tuple itself when it carries the
+    /// manifest inline (no transfer at all), else the memory cache, the disk
+    /// cache, and last the cloud via the consistency-anchor retry loop. This
+    /// is everything `open` transfers — the chunks themselves fault in
+    /// lazily as reads touch them.
+    fn load_manifest(
+        &mut self,
+        metadata: &FileMetadata,
+        root: ContentHash,
+    ) -> Result<ChunkMap, ScfsError> {
+        if let Some(map) = metadata.inline_manifest()? {
+            return Ok(map);
+        }
+        let manifest_key = Self::manifest_cache_key(&root);
+        // The tiered cache handles the memory → disk fallthrough and
+        // promotes a disk hit into memory by moving the Arc.
+        if let Some(bytes) = self.cache.get(&mut self.clock, &manifest_key, Some(&root)) {
+            return ChunkMap::decode(&bytes).map_err(|e| {
+                ScfsError::invalid(format!("cached manifest corrupted: {}", e.reason))
+            });
+        }
+        let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
+        let fetched = anchored_fetch(&mut ctx, |ctx| {
+            self.storage
+                .read_manifest_bytes(ctx, &metadata.storage_id, &root)
+        })?;
+        self.stats.cloud_downloads += 1;
+        self.stats.anchor_retries += fetched.retries as u64;
+        let map =
+            ChunkMap::decode(&fetched.data).map_err(|_| StorageError::IntegrityViolation {
+                key: metadata.storage_id.clone(),
+            })?;
+        self.cache.put(
+            &mut self.clock,
+            &manifest_key,
+            fetched.data.into(),
+            Some(root),
+            WriteMode::CacheOnly,
+        );
+        Ok(map)
+    }
+
+    /// Plans a fetch of the chunks of `map` at `indices` absent from both
+    /// cache levels (probes are free and pin the planned cache hits in the
+    /// policy).
+    fn plan_fetch(&mut self, map: &ChunkMap, indices: &[usize]) -> TransferPlan {
+        let cache = &mut self.cache;
+        TransferPlan::fetch(map, indices.iter().copied(), |hash| {
+            cache.probe(&Self::chunk_cache_key(hash), Some(hash))
+        })
+    }
+
+    /// Fails unless a chunk of `len` bytes can be chunk `index` of `map`
+    /// (what keeps a hostile manifest from panicking the buffer copy).
+    fn check_chunk_len(
+        file: &FileMetadata,
+        map: &ChunkMap,
+        index: usize,
+        len: usize,
+    ) -> Result<(), ScfsError> {
+        if len == map.chunk_len(index) {
+            return Ok(());
+        }
+        Err(ScfsError::invalid(format!(
+            "chunk {index} of {} has {len} bytes, expected {}",
+            file.path,
+            map.chunk_len(index)
+        )))
+    }
+
+    /// The one chunk-fetch loop: moves the chunks of `plan` — chunks of
+    /// `file`'s object, laid out by `map` — from the cloud into the cache,
+    /// on whichever clock `self.clock` currently is. The GETs run through
+    /// the transfer engine in parallel waves, each forked request inside its
+    /// own consistency-anchor retry loop; every chunk is checked against the
+    /// map's length and inserted memory-first (a clean chunk the cloud still
+    /// holds reaches disk later by demotion, if it stays warm enough to
+    /// matter).
+    fn fetch_plan(
+        &mut self,
+        file: &FileMetadata,
+        map: &ChunkMap,
+        plan: &TransferPlan,
+    ) -> Result<FetchedPlan, ScfsError> {
+        let storage = self.storage.as_ref();
+        let opts = self.transfer_options();
+        let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
+        let (chunks, report) = execute_plan(&mut ctx, &opts, plan, |job, fork_ctx| {
+            let fetched = anchored_fetch(fork_ctx, |ctx| {
+                storage.read_chunk(ctx, &file.storage_id, &job.hash)
+            })?;
+            Self::check_chunk_len(file, map, job.index, fetched.data.len())?;
+            Ok(fetched)
+        })?;
+        let mut out = Vec::with_capacity(chunks.len());
+        for (job, chunk) in plan.jobs().iter().zip(chunks) {
+            self.stats.chunk_downloads += 1;
+            self.stats.bytes_downloaded += chunk.data.len() as u64;
+            let data: Arc<[u8]> = chunk.data.into();
+            self.cache.put(
+                &mut self.clock,
+                &Self::chunk_cache_key(&job.hash),
+                data.clone(),
+                Some(job.hash),
+                WriteMode::CacheOnly,
+            );
+            out.push((*job, data, chunk.retries));
+        }
+        Ok((out, report.waves))
+    }
+
+    /// Brings the chunks of `map` at `wanted` indices into this agent's
+    /// caches and returns their bytes in `wanted` order: memory cache, then
+    /// disk cache (promoting), then the cloud. Returns the chunks and
+    /// whether the cloud was touched.
+    fn fetch_chunks(
+        &mut self,
+        file: &FileMetadata,
+        map: &ChunkMap,
+        wanted: &[usize],
+    ) -> Result<FetchedChunks, ScfsError> {
+        let plan = self.plan_fetch(map, wanted);
+        let cloud_touched = !plan.is_empty();
+        let mut fetched: HashMap<ContentHash, Arc<[u8]>> = HashMap::new();
+        if cloud_touched {
+            let (chunks, waves) = self.fetch_plan(file, map, &plan)?;
+            self.stats.transfer_waves += waves;
+            for (job, data, retries) in chunks {
+                self.stats.anchor_retries += retries as u64;
+                fetched.insert(job.hash, data);
+            }
+        }
+
+        // Assemble: cloud-fetched bytes directly, the rest from the caches.
+        let mut out = Vec::with_capacity(wanted.len());
+        for &index in wanted {
+            let hash = map.chunks()[index];
+            if let Some(bytes) = fetched.get(&hash) {
+                out.push(bytes.clone());
+                continue;
+            }
+            // The tiered get promotes a disk hit into memory by moving the
+            // Arc (one insert charge, no payload copy).
+            let key = Self::chunk_cache_key(&hash);
+            if let Some(chunk) = self.cache.get(&mut self.clock, &key, Some(&hash)) {
+                Self::check_chunk_len(file, map, index, chunk.len())?;
+                out.push(chunk);
+                continue;
+            }
+            // A planned cache hit was evicted by this very call's cloud puts
+            // (tiny caches): fetch it after all rather than failing.
+            let evicted = TransferPlan::fetch(map, [index], |_| false);
+            for (_, data, retries) in self.fetch_plan(file, map, &evicted)?.0 {
+                self.stats.anchor_retries += retries as u64;
+                out.push(data);
+            }
+        }
+        Ok((out, cloud_touched))
+    }
+
+    /// Schedules a background fetch of the chunks of `file` at `indices`
+    /// that are neither materialized, cached, nor already in flight: the
+    /// fetch loop as a job on the object's lane. It never blocks the caller,
+    /// serializes behind an in-flight upload of the same object
+    /// (read-after-write order) and overlaps with everything else; a later
+    /// foreground read of these chunks waits only for the remainder of the
+    /// background transfer. Prefetch is best-effort: an error makes the job a
+    /// no-op, the foreground fault path will retry and surface it.
+    fn prefetch_background(&mut self, file: &mut OpenFile, indices: std::ops::Range<usize>) {
+        let Some(map) = file.chunk_map.clone() else {
+            return;
+        };
+        let candidates: Vec<usize> = file
+            .missing_of(indices)
+            .into_iter()
+            .filter(|i| !file.prefetch_ready.contains_key(i))
+            .collect();
+        let plan = self.plan_fetch(&map, &candidates);
+        if plan.is_empty() {
+            return;
+        }
+        let token = self.on_lane(self.clock.now(), &file.metadata.storage_id, |agent| {
+            agent.fetch_plan(&file.metadata, &map, &plan)
+        });
+        let ready_at = token.ready_at();
+        let Ok((chunks, _)) = token.into_inner() else {
+            return;
+        };
+        self.stats.prefetched_chunks += chunks.len() as u64;
+        // Every planned chunk (and any duplicate of it among the candidates)
+        // becomes available at the background completion instant.
+        for index in candidates {
+            if plan.jobs().iter().any(|j| j.hash == map.chunks()[index]) {
+                file.prefetch_ready.insert(index, ready_at);
+            }
+        }
+    }
+}
+
+// ---- gc: the background garbage collector ----
+
+/// Scheduler lane of the garbage collector: GC cycles serialize with one
+/// another but overlap with uploads and prefetches. Distinct from every
+/// object lane (storage ids always contain `-f`).
+const GC_LANE: &str = "gc";
+
+impl ScfsAgent {
+    /// Runs the garbage collector if the written-bytes threshold was crossed
+    /// (paper §2.5.3). The whole cycle runs as one job on the scheduler's GC
+    /// lane: cycles serialize with one another but overlap with uploads and
+    /// prefetches, and never charge the foreground clock.
+    fn maybe_run_gc(&mut self) {
+        if self.written_since_gc < self.config.gc.written_bytes_threshold.get() {
+            return;
+        }
+        self.written_since_gc = 0;
+        self.stats.gc_runs += 1;
+        // The collector observes the commits this agent has already issued,
+        // so its timeline must start after the in-flight ones complete — a
+        // reclaimed blob must not disappear at a virtual instant before the
+        // upload that wrote it has landed.
+        let start = self
+            .pending_uploads
+            .values()
+            .map(Pending::ready_at)
+            .fold(self.clock.now(), SimInstant::max);
+        // The token's value is (), so the bookkeeping can be taken
+        // immediately — foreground operations never wait on the collector.
+        self.on_lane(start, GC_LANE, Self::collect).into_inner();
+    }
+
+    /// One collection cycle: version prunes, tombstone removal and the
+    /// release-journal replay.
+    fn collect(&mut self) {
+        let keep = self.config.gc.versions_to_keep;
+        let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
+        let mut fully_deleted: Vec<String> = Vec::new();
+        for (storage_id, (path, deleted)) in self.owned_files.iter() {
+            if *deleted {
+                match self.storage.delete_all(&mut ctx, storage_id) {
+                    // The blobs are released; the tombstone may go only once
+                    // its metadata delete actually commits — a failed delete
+                    // keeps the entry so a later cycle retries it instead of
+                    // stranding the tombstone.
+                    Ok(()) => match self.metadata.delete(&mut ctx, path) {
+                        Ok(()) => fully_deleted.push(storage_id.clone()),
+                        Err(_) => self.stats.gc_errors += 1,
+                    },
+                    // The tombstone stays; the next cycle retries, and the
+                    // failure is surfaced through the stats.
+                    Err(_) => self.stats.gc_errors += 1,
+                }
+            } else {
+                match self.storage.delete_old_versions(&mut ctx, storage_id, keep) {
+                    Ok(n) => self.stats.gc_reclaimed_versions += n as u64,
+                    Err(_) => self.stats.gc_errors += 1,
+                }
+            }
+        }
+        for id in fully_deleted {
+            self.owned_files.remove(&id);
+        }
+        // Phase two: replay the release journal — physically delete the
+        // blobs whose refcount hit zero, retrying any entry an earlier cycle
+        // failed on. This is what turns a failed delete into a delayed
+        // reclamation rather than a leaked orphan.
+        match self
+            .storage
+            .replay_release_journal(&mut ctx, &JournalOpts::default())
+        {
+            Ok(report) => {
+                self.stats.gc_retried += report.retried;
+                self.stats.gc_orphans_reclaimed += report.reclaimed_after_retry;
+                self.stats.gc_errors += report.errors;
+            }
+            Err(_) => self.stats.gc_errors += 1,
         }
     }
 }
@@ -1823,6 +1518,7 @@ impl FileSystem for ScfsAgent {
 mod tests {
     use super::*;
     use crate::backend::SingleCloudStorage;
+    use crate::config::Mode;
     use cloud_store::sim_cloud::SimulatedCloud;
     use coord::replication::ReplicatedCoordinator;
 
@@ -2587,7 +2283,7 @@ mod tests {
             reader.sleep(SimDuration::from_secs(60));
             let before = cloud.metrics().snapshot().gets;
             let h = reader.open("/f", OpenFlags::read_only()).unwrap();
-            let inline = reader.get_open(h).unwrap().metadata.inline_manifest();
+            let inline = reader.open_files[&h].metadata.inline_manifest();
             (
                 cloud.metrics().snapshot().gets - before,
                 inline.unwrap().is_some(),

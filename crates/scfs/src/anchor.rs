@@ -19,12 +19,14 @@
 //! for how long the loop had to spin.
 
 use cloud_store::store::OpCtx;
-use scfs_crypto::ContentHash;
 use sim_core::time::SimDuration;
 
-use crate::backend::FileStorage;
 use crate::error::ScfsError;
-use crate::transfer::TransferOptions;
+
+/// Retries [`anchored_fetch`] spends before giving up, and the back-off
+/// between them: 10 s of virtual time in all.
+const READ_RETRIES: usize = 50;
+const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(200);
 
 /// Result of an anchored fetch, with retry accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,19 +38,15 @@ pub struct Anchored<T> {
     pub retries: usize,
 }
 
-/// Result of an anchored whole-file read.
-pub type AnchoredRead = Anchored<Vec<u8>>;
-
-/// Runs `op` against the storage service, retrying while it reports a
-/// transient error — the version is not yet visible (step r2 of Figure 3).
+/// Runs `op` — a read of a manifest or chunk by its anchored hash — against
+/// the storage service, retrying while it reports a transient error: the
+/// version is not yet visible (step r2 of Figure 3).
 ///
-/// Each retry backs off by `backoff` of virtual time before asking again; the
-/// loop gives up after `max_retries` attempts and surfaces the last transient
-/// error, which callers translate into an I/O error.
+/// Each retry backs off by 200 ms of virtual time before asking again; the
+/// loop gives up after 50 retries and surfaces the last transient error,
+/// which callers translate into an I/O error.
 pub fn anchored_fetch<T>(
     ctx: &mut OpCtx<'_>,
-    max_retries: usize,
-    backoff: SimDuration,
     mut op: impl FnMut(&mut OpCtx<'_>) -> Result<T, ScfsError>,
 ) -> Result<Anchored<T>, ScfsError> {
     let mut retries = 0usize;
@@ -56,68 +54,22 @@ pub fn anchored_fetch<T>(
         match op(ctx) {
             Ok(data) => return Ok(Anchored { data, retries }),
             Err(ScfsError::Storage(e)) if e.is_transient() => {
-                if retries >= max_retries {
+                if retries >= READ_RETRIES {
                     return Err(ScfsError::Storage(e));
                 }
                 retries += 1;
-                ctx.clock.advance(backoff);
+                ctx.clock.advance(RETRY_BACKOFF);
             }
             Err(e) => return Err(e),
         }
     }
 }
 
-/// Reads and reassembles the whole version of `id` whose root hash is `hash`
-/// from the storage service, retrying while it is not yet visible. The
-/// chunks move through the transfer engine under `opts`.
-pub fn anchored_read(
-    ctx: &mut OpCtx<'_>,
-    storage: &dyn FileStorage,
-    id: &str,
-    hash: &ContentHash,
-    max_retries: usize,
-    backoff: SimDuration,
-    opts: &TransferOptions,
-) -> Result<AnchoredRead, ScfsError> {
-    anchored_fetch(ctx, max_retries, backoff, |c| {
-        storage.read_version(c, id, hash, opts)
-    })
-}
-
-/// Reads the encoded chunk map of the version of `id` whose root hash is
-/// `hash`, retrying while it is not yet visible.
-pub fn anchored_manifest(
-    ctx: &mut OpCtx<'_>,
-    storage: &dyn FileStorage,
-    id: &str,
-    hash: &ContentHash,
-    max_retries: usize,
-    backoff: SimDuration,
-) -> Result<Anchored<Vec<u8>>, ScfsError> {
-    anchored_fetch(ctx, max_retries, backoff, |c| {
-        storage.read_manifest_bytes(c, id, hash)
-    })
-}
-
-/// Reads one chunk of `id` by content hash, retrying while it is not yet
-/// visible.
-pub fn anchored_chunk(
-    ctx: &mut OpCtx<'_>,
-    storage: &dyn FileStorage,
-    id: &str,
-    hash: &ContentHash,
-    max_retries: usize,
-    backoff: SimDuration,
-) -> Result<Anchored<Vec<u8>>, ScfsError> {
-    anchored_fetch(ctx, max_retries, backoff, |c| {
-        storage.read_chunk(c, id, hash)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::SingleCloudStorage;
+    use crate::backend::{FileStorage, SingleCloudStorage};
+    use crate::transfer::TransferOptions;
     use crate::types::ChunkMap;
     use cloud_store::providers::{ConsistencyMode, ProviderProfile};
     use cloud_store::sim_cloud::SimulatedCloud;
@@ -135,12 +87,8 @@ mod tests {
         SingleCloudStorage::new(Arc::new(SimulatedCloud::new(profile, 1)))
     }
 
-    fn write(
-        storage: &dyn FileStorage,
-        ctx: &mut OpCtx<'_>,
-        id: &str,
-        data: &[u8],
-    ) -> scfs_crypto::ContentHash {
+    /// Writes `data` as one version of `id` and returns its chunk map.
+    fn write(storage: &dyn FileStorage, ctx: &mut OpCtx<'_>, id: &str, data: &[u8]) -> ChunkMap {
         let map = ChunkMap::build(data, 1024);
         storage
             .write_version(
@@ -153,8 +101,8 @@ mod tests {
                 None,
                 &TransferOptions::default(),
             )
-            .unwrap()
-            .root_hash
+            .unwrap();
+        map
     }
 
     #[test]
@@ -163,22 +111,19 @@ mod tests {
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
         let data = b"anchored contents".to_vec();
-        let hash = write(&storage, &mut ctx, "f", &data);
+        let map = write(&storage, &mut ctx, "f", &data);
 
-        // Immediately after the write the object is invisible; the anchored
+        // Immediately after the write the version is invisible; the anchored
         // read must spin until the visibility window (5 s) elapses.
-        let result = anchored_read(
-            &mut ctx,
-            &storage,
-            "f",
-            &hash,
-            100,
-            SimDuration::from_millis(200),
-            &TransferOptions::default(),
-        )
+        let manifest = anchored_fetch(&mut ctx, |c| {
+            storage.read_manifest_bytes(c, "f", &map.root_hash())
+        })
         .unwrap();
-        assert_eq!(result.data, data);
-        assert!(result.retries > 0, "expected at least one retry");
+        assert_eq!(manifest.data, map.encode());
+        assert!(manifest.retries > 0, "expected at least one retry");
+        let chunk =
+            anchored_fetch(&mut ctx, |c| storage.read_chunk(c, "f", &map.chunks()[0])).unwrap();
+        assert_eq!(chunk.data, data);
         assert!(clock.now().as_secs_f64() >= 5.0);
     }
 
@@ -188,19 +133,11 @@ mod tests {
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
         let hash = scfs_crypto::sha256(b"never written");
-        let err = anchored_read(
-            &mut ctx,
-            &storage,
-            "f",
-            &hash,
-            3,
-            SimDuration::from_millis(100),
-            &TransferOptions::default(),
-        )
-        .unwrap_err();
+        let err = anchored_fetch(&mut ctx, |c| storage.read_chunk(c, "f", &hash)).unwrap_err();
         assert!(matches!(err, ScfsError::Storage(_)));
-        // 3 retries of 100 ms each were charged to the clock.
-        assert!(clock.now().as_millis_f64() >= 300.0);
+        // Every retry's back-off was charged to the clock.
+        let spun = RETRY_BACKOFF.as_millis_f64() * READ_RETRIES as f64;
+        assert!(clock.now().as_millis_f64() >= spun);
     }
 
     #[test]
@@ -209,18 +146,15 @@ mod tests {
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
         let data = b"visible at once".to_vec();
-        let hash = write(&storage, &mut ctx, "f", &data);
-        let result = anchored_read(
-            &mut ctx,
-            &storage,
-            "f",
-            &hash,
-            10,
-            SimDuration::from_millis(50),
-            &TransferOptions::default(),
-        )
+        let map = write(&storage, &mut ctx, "f", &data);
+        let manifest = anchored_fetch(&mut ctx, |c| {
+            storage.read_manifest_bytes(c, "f", &map.root_hash())
+        })
         .unwrap();
-        assert_eq!(result.retries, 0);
-        assert_eq!(result.data, data);
+        assert_eq!(manifest.retries, 0);
+        let chunk =
+            anchored_fetch(&mut ctx, |c| storage.read_chunk(c, "f", &map.chunks()[0])).unwrap();
+        assert_eq!(chunk.retries, 0);
+        assert_eq!(chunk.data, data);
     }
 }

@@ -40,7 +40,7 @@
 //! provisional release intents journaled before the wave reclaim whatever
 //! it stored.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
 use cloud_store::error::StorageError;
@@ -163,13 +163,9 @@ impl VersionRegistry {
     /// Every `(id, root)` manifest pair of every retained version.
     fn all_manifests(&self) -> Vec<(String, ContentHash)> {
         let mut out = Vec::new();
-        for (id, versions) in &self.versions {
-            let mut seen = HashSet::new();
-            for version in versions {
-                if seen.insert(version.root) {
-                    out.push((id.clone(), version.root));
-                }
-            }
+        for id in self.versions.keys() {
+            let roots = self.live_manifests(id);
+            out.extend(roots.into_iter().map(|root| (id.clone(), root)));
         }
         out
     }
@@ -256,6 +252,35 @@ impl StoreState {
         let mut manifests = self.registry.all_manifests();
         manifests.extend(self.chunks.pending_manifests());
         BlobAudit::new(self.chunks.reachable_chunks(), manifests)
+    }
+
+    /// The tail of every version commit, once all its blobs have landed:
+    /// takes the version's chunk references, records it, and cancels the
+    /// provisional intents journaled before the upload (plus any stale
+    /// pending release from an earlier prune of the same root or chunks — a
+    /// pending delete must not destroy a blob just recommitted).
+    fn commit_version(
+        &mut self,
+        id: &str,
+        root: ContentHash,
+        map: &ChunkMap,
+        unique: &BTreeSet<ContentHash>,
+    ) {
+        self.chunks.cancel_manifest_release(id, &root);
+        self.chunks.retain_version(unique);
+        self.chunks.cancel_chunk_releases(unique);
+        self.registry.push(id, root, map.clone());
+    }
+
+    /// Phase one of deletion: drops the references of `pruned`'s versions of
+    /// `id` and journals the release intents.
+    fn release(&mut self, id: &str, pruned: PruneResult) {
+        for root in &pruned.manifests {
+            self.chunks.release_manifest(id, *root);
+        }
+        for chunks in pruned.version_chunks {
+            self.chunks.release_version(chunks);
+        }
     }
 }
 
@@ -602,6 +627,23 @@ trait ChunkedBackend: Send + Sync {
     ) -> Result<(), ScfsError>;
 }
 
+/// Stores the manifest of `id` under `root` and tags it with `acl`, when
+/// given, so collaborators can read the version it describes.
+fn put_tagged_manifest(
+    backend: &impl ChunkedBackend,
+    ctx: &mut OpCtx<'_>,
+    id: &str,
+    root: &ContentHash,
+    manifest: &[u8],
+    acl: Option<&Acl>,
+) -> Result<(), ScfsError> {
+    backend.put_manifest(ctx, id, root, manifest)?;
+    match acl {
+        Some(acl) => backend.set_manifest_acl(ctx, id, root, acl),
+        None => Ok(()),
+    }
+}
+
 impl<B: ChunkedBackend> FileStorage for B {
     fn label(&self) -> &'static str {
         self.backend_label()
@@ -669,11 +711,7 @@ impl<B: ChunkedBackend> FileStorage for B {
         let mut manifest_clock = ctx.clock.fork();
         let manifest_put = {
             let mut side_ctx = OpCtx::new(&mut manifest_clock, ctx.account.clone());
-            self.put_manifest(&mut side_ctx, id, &root, &manifest)
-                .and_then(|()| match acl {
-                    Some(acl) => self.set_manifest_acl(&mut side_ctx, id, &root, acl),
-                    None => Ok(()),
-                })
+            put_tagged_manifest(self, &mut side_ctx, id, &root, &manifest, acl)
         };
         let uploaded = execute_plan(ctx, opts, &plan, |job, fork_ctx| {
             let chunk = &data[map.byte_range(job.index)];
@@ -690,17 +728,7 @@ impl<B: ChunkedBackend> FileStorage for B {
         let (sizes, report) = uploaded?;
         manifest_put?;
         let bytes_uploaded = sizes.iter().sum::<u64>() + manifest.len() as u64;
-        {
-            // The version is committed: take its references and cancel the
-            // provisional intents (plus any stale pending release from an
-            // earlier prune of the same root or chunks — a pending delete
-            // must not destroy a blob just recommitted).
-            let mut state = self.state().lock();
-            state.chunks.cancel_manifest_release(id, &root);
-            state.chunks.retain_version(&unique);
-            state.chunks.cancel_chunk_releases(&unique);
-            state.registry.push(id, root, map.clone());
-        }
+        self.state().lock().commit_version(id, root, map, &unique);
         Ok(WriteOutcome {
             root_hash: root,
             chunks_uploaded: report.chunks,
@@ -757,17 +785,10 @@ impl<B: ChunkedBackend> FileStorage for B {
             // the manifest put below fails, replay reclaims it.
             state.chunks.release_manifest(dst_id, *root);
         }
-        self.put_manifest(ctx, dst_id, root, &manifest)?;
-        if let Some(acl) = acl {
-            self.set_manifest_acl(ctx, dst_id, root, acl)?;
-        }
-        {
-            let mut state = self.state().lock();
-            state.chunks.cancel_manifest_release(dst_id, root);
-            state.chunks.retain_version(&unique);
-            state.chunks.cancel_chunk_releases(&unique);
-            state.registry.push(dst_id, *root, map.clone());
-        }
+        put_tagged_manifest(self, ctx, dst_id, root, &manifest, acl)?;
+        self.state()
+            .lock()
+            .commit_version(dst_id, *root, map, &unique);
         Ok(Some(WriteOutcome {
             root_hash: *root,
             chunks_uploaded: 0,
@@ -822,24 +843,15 @@ impl<B: ChunkedBackend> FileStorage for B {
     ) -> Result<usize, ScfsError> {
         let mut state = self.state().lock();
         let pruned = state.registry.prune(id, keep);
-        for root in &pruned.manifests {
-            state.chunks.release_manifest(id, *root);
-        }
-        for chunks in pruned.version_chunks {
-            state.chunks.release_version(chunks);
-        }
-        Ok(pruned.removed)
+        let removed = pruned.removed;
+        state.release(id, pruned);
+        Ok(removed)
     }
 
     fn delete_all(&self, _ctx: &mut OpCtx<'_>, id: &str) -> Result<(), ScfsError> {
         let mut state = self.state().lock();
         let pruned = state.registry.remove_all(id);
-        for root in &pruned.manifests {
-            state.chunks.release_manifest(id, *root);
-        }
-        for chunks in pruned.version_chunks {
-            state.chunks.release_version(chunks);
-        }
+        state.release(id, pruned);
         Ok(())
     }
 

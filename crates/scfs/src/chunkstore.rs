@@ -185,11 +185,6 @@ impl ChunkStore {
         self.refcounts.get(hash).copied().unwrap_or(0)
     }
 
-    /// Number of distinct chunks with at least one live reference.
-    pub fn stored_chunks(&self) -> usize {
-        self.refcounts.values().filter(|rc| **rc > 0).count()
-    }
-
     /// Number of pending release intents.
     pub fn pending_len(&self) -> usize {
         self.pending.len()

@@ -99,14 +99,8 @@ pub trait FileSystem {
     /// does. The source size comes from the open handle, not a second
     /// metadata round-trip.
     fn copy_file(&mut self, from: &str, to: &str) -> Result<(), ScfsError> {
-        let src = self.open(from, OpenFlags::read_only())?;
-        let size = self.handle_size(src)?;
-        let data = self.read(src, 0, size as usize)?;
-        self.close(src)?;
-        let dst = self.open(to, OpenFlags::create_truncate())?;
-        self.write(dst, 0, &data)?;
-        self.close(dst)?;
-        Ok(())
+        let data = self.read_file(from)?;
+        self.write_file(to, &data)
     }
 
     /// Convenience: writes a whole file in one open/write/close sequence.

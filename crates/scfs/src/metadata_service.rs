@@ -33,6 +33,10 @@ pub struct MetadataStats {
     pub coordination_writes: u64,
 }
 
+/// Paths under this prefix are shared by convention: with PNSs enabled they
+/// still go to the coordination service, whatever their ACL.
+const SHARED_PREFIX: &str = "/shared";
+
 /// The metadata service of one SCFS agent.
 pub struct MetadataService {
     coord: Option<Arc<dyn CoordinationService>>,
@@ -42,7 +46,6 @@ pub struct MetadataService {
     /// retain) visit entries in a run-independent order.
     cache: BTreeMap<String, (FileMetadata, SimInstant)>,
     cache_expiry: SimDuration,
-    shared_prefixes: Vec<String>,
     stats: MetadataStats,
 }
 
@@ -79,14 +82,8 @@ impl MetadataService {
             user,
             cache: BTreeMap::new(),
             cache_expiry,
-            shared_prefixes: vec!["/shared".to_string()],
             stats: MetadataStats::default(),
         }
-    }
-
-    /// Overrides the path prefixes treated as shared when PNSs are enabled.
-    pub fn set_shared_prefixes(&mut self, prefixes: Vec<String>) {
-        self.shared_prefixes = prefixes;
     }
 
     /// Access to the lookup counters.
@@ -112,11 +109,7 @@ impl MetadataService {
         if self.coord.is_none() {
             return true;
         }
-        if self
-            .shared_prefixes
-            .iter()
-            .any(|p| path.starts_with(p.as_str()))
-        {
+        if path.starts_with(SHARED_PREFIX) {
             return false;
         }
         match metadata {

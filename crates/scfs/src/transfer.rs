@@ -32,8 +32,9 @@
 //! [`crate::backend::FileStorage::begin_write_version`] and
 //! [`crate::backend::FileStorage::begin_read_chunks`] run the same plans as
 //! jobs on a [`sim_core::background::BackgroundScheduler`] lane and hand the
-//! caller a [`sim_core::background::Pending`] completion token; the blocking
-//! calls are the degenerate `begin_*(...).wait(clock)` form.
+//! caller a [`sim_core::background::Pending`] completion token. The agent
+//! needs neither: it puts a whole commit or prefetch on a lane of its own
+//! scheduler and calls the blocking forms from there.
 
 use cloud_store::store::OpCtx;
 use scfs_crypto::ContentHash;

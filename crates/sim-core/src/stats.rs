@@ -263,11 +263,6 @@ impl OpRecorder {
         self.ops.get(op)
     }
 
-    /// Mutable summary of `op` (for percentile queries, which sort).
-    pub fn summary_mut(&mut self, op: &str) -> Option<&mut Summary> {
-        self.ops.get_mut(op)
-    }
-
     /// Percentile of `op` in seconds; 0.0 when the op was never recorded.
     pub fn percentile(&mut self, op: &str, p: f64) -> f64 {
         self.ops.get_mut(op).map_or(0.0, |s| s.percentile(p))

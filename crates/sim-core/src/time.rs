@@ -276,11 +276,6 @@ impl Clock {
     pub fn fork(&self) -> Clock {
         Clock { now: self.now }
     }
-
-    /// Elapsed virtual time since `start`.
-    pub fn elapsed_since(&self, start: SimInstant) -> SimDuration {
-        self.now.duration_since(start)
-    }
 }
 
 impl Default for Clock {

@@ -490,6 +490,64 @@ fn depsky_blobs_with_blocks_but_no_records_are_reclaimed() {
     assert_failed_commit_is_reclaimed(FaultEnv::coc(), "/metadata");
 }
 
+/// A failed commit releases the write lock it was going to release. `alice`
+/// holds the lock of a file she shares with `bob` when the cloud starts
+/// failing the PUTs `failing_puts` names; `commit` is her blocking close or
+/// manifest-only copy onto `/f`. It errors out, the anchor still names the
+/// old version — and `bob` opens the file for writing at once, not a lease
+/// (120 s) later: the handle is gone, so nothing could retry under the lock.
+fn assert_failed_commit_releases_the_lock(
+    failing_puts: &'static str,
+    commit: impl FnOnce(&mut ScfsAgent) -> Result<(), scfs_repro::scfs::error::ScfsError>,
+) {
+    use scfs_repro::cloud_store::types::Permission;
+    use scfs_repro::scfs::types::OpenFlags;
+
+    let env = FaultEnv::aws();
+    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
+    let mut alice = mount(
+        env.storage.clone(),
+        coordinator.clone(),
+        "alice",
+        test_config(),
+        1,
+    );
+    let v1 = four_chunks(0x31);
+    alice.write_file("/f", &v1).unwrap();
+    alice.write_file("/src", &four_chunks(0x32)).unwrap();
+    alice
+        .setfacl("/f", &"bob".into(), Permission::Write)
+        .unwrap();
+
+    env.fail_puts_containing(Some(failing_puts));
+    assert!(commit(&mut alice).is_err());
+    env.fail_puts_containing(None);
+
+    let mut bob = mount(env.storage.clone(), coordinator, "bob", test_config(), 2);
+    bob.sleep(alice.now().duration_since(bob.now()) + SimDuration::from_secs(1));
+    let handle = bob
+        .open("/f", OpenFlags::read_write())
+        .expect("the failed commit released its lock");
+    assert_eq!(
+        bob.read(handle, 0, v1.len()).unwrap(),
+        v1,
+        "anchor unchanged"
+    );
+    bob.close(handle).unwrap();
+}
+
+#[test]
+fn failed_close_of_a_shared_file_releases_its_write_lock() {
+    assert_failed_commit_releases_the_lock("scfs/chunks/", |alice| {
+        alice.write_file("/f", &four_chunks(0x33))
+    });
+}
+
+#[test]
+fn failed_copy_onto_a_shared_file_releases_its_write_lock() {
+    assert_failed_commit_releases_the_lock("/manifest/", |alice| alice.copy_file("/src", "/f"));
+}
+
 proptest! {
     /// Journal replay is idempotent under arbitrary repeated delete faults:
     /// however the faults interleave across replay passes, once the cloud
