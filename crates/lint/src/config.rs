@@ -10,13 +10,15 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A module-scoped layering rule (the L002 family): within one file, a set
-/// of identifiers is banned outright.
+/// A module-scoped layering rule (the L002 family): within one module — a
+/// file, or a directory and everything nested under it — a set of
+/// identifiers is banned outright.
 #[derive(Debug, Clone)]
 pub struct ModuleRule {
-    /// Workspace-relative path of the file the rule applies to.
-    pub file: &'static str,
-    /// Identifiers that must not appear in the file's non-test code.
+    /// Workspace-relative path prefix of the files the rule applies to: a
+    /// file path, or a directory path ending in `/`.
+    pub path_prefix: &'static str,
+    /// Identifiers that must not appear in those files' non-test code.
     pub banned_idents: &'static [&'static str],
     /// Why — shown in the violation message.
     pub why: &'static str,
@@ -171,7 +173,7 @@ impl Default for LintConfig {
             schedule_controller_crates: set(&["sim_core", "check"]),
             dag,
             module_rules: vec![ModuleRule {
-                file: "crates/scfs/src/agent.rs",
+                path_prefix: "crates/scfs/src/agent/",
                 banned_idents: &["CloudStore", "SimulatedCloud", "sim_cloud"],
                 why: "the agent must route all blob I/O through \
                       scfs::transfer / scfs::chunkstore (FileStorage), \

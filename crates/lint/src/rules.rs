@@ -78,6 +78,12 @@ pub fn rule_catalog(cfg: &LintConfig) -> Vec<RuleInfo> {
         "all crates except {}",
         join_set(&cfg.schedule_controller_crates)
     );
+    let modules = cfg
+        .module_rules
+        .iter()
+        .map(|rule| format!("`{}`", rule.path_prefix))
+        .collect::<Vec<_>>()
+        .join(", ");
     let row = |id, class, summary, scope: &str| RuleInfo {
         id,
         class,
@@ -143,7 +149,7 @@ pub fn rule_catalog(cfg: &LintConfig) -> Vec<RuleInfo> {
             "L002",
             "layering",
             "module-scoped bans (agent never touches blob APIs)",
-            "per-module (see config)",
+            &modules,
         ),
         row(
             "E001",
@@ -741,7 +747,7 @@ fn crate_dag(sf: &SourceFile, cfg: &LintConfig, out: &mut Vec<Violation>) {
 
 fn module_bans(sf: &SourceFile, cfg: &LintConfig, out: &mut Vec<Violation>) {
     for rule in &cfg.module_rules {
-        if sf.rel_path != rule.file {
+        if !sf.rel_path.starts_with(rule.path_prefix) {
             continue;
         }
         for i in 0..sf.tokens.len() {
@@ -755,7 +761,7 @@ fn module_bans(sf: &SourceFile, cfg: &LintConfig, out: &mut Vec<Violation>) {
                         "L002",
                         sf,
                         line_of(sf, i),
-                        format!("`{name}` is banned in {}: {}", rule.file, rule.why),
+                        format!("`{name}` is banned in {}: {}", rule.path_prefix, rule.why),
                     );
                 }
             }
@@ -1071,12 +1077,15 @@ mod tests {
 
     #[test]
     fn l002_bans_blob_apis_in_the_agent_module() {
-        let vs = lint(
-            "scfs",
-            "crates/scfs/src/agent.rs",
-            "use cloud_store::store::CloudStore;",
-        );
-        assert_eq!(active(&vs, "L002").len(), 1);
+        // Every file of the module is covered, however deeply nested.
+        for path in [
+            "crates/scfs/src/agent/mod.rs",
+            "crates/scfs/src/agent/fetch.rs",
+            "crates/scfs/src/agent/commit/lanes.rs",
+        ] {
+            let vs = lint("scfs", path, "use cloud_store::store::CloudStore;");
+            assert_eq!(active(&vs, "L002").len(), 1, "{path}");
+        }
         // Same tokens in another module are fine.
         let vs = lint(
             "scfs",

@@ -130,6 +130,11 @@ fn check_fails_on_synthetic_violations() {
                 "crates/depsky/src/lib.rs",
                 "fn drop_token(s: &mut Sched) { let _ = s.spawn(now, None, job); }\n",
             ),
+            // The agent module is a directory: its rule follows nested files.
+            (
+                "crates/scfs/src/agent/fetch/direct.rs",
+                "use cloud_store::sim_cloud::SimulatedCloud;\n",
+            ),
         ],
     );
     let cfg = LintConfig::default();
@@ -138,6 +143,7 @@ fn check_fails_on_synthetic_violations() {
     assert!(rules.contains(&"D001"), "synthetic Instant: {rules:?}");
     assert!(rules.contains(&"L001"), "synthetic layering: {rules:?}");
     assert!(rules.contains(&"C002"), "dropped Pending: {rules:?}");
+    assert!(rules.contains(&"L002"), "blob API in the agent: {rules:?}");
     // Without a baseline every active violation is drift from zero.
     assert!(!drift.is_empty());
     assert!(drift.iter().all(|d| matches!(d, Drift::New { .. })));
