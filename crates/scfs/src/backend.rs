@@ -273,14 +273,15 @@ impl StoreState {
     }
 
     /// Phase one of deletion: drops the references of `pruned`'s versions of
-    /// `id` and journals the release intents.
-    fn release(&mut self, id: &str, pruned: PruneResult) {
+    /// `id` and journals the release intents. Returns how many versions went.
+    fn release(&mut self, id: &str, pruned: PruneResult) -> usize {
         for root in &pruned.manifests {
             self.chunks.release_manifest(id, *root);
         }
         for chunks in pruned.version_chunks {
             self.chunks.release_version(chunks);
         }
+        pruned.removed
     }
 }
 
@@ -843,9 +844,7 @@ impl<B: ChunkedBackend> FileStorage for B {
     ) -> Result<usize, ScfsError> {
         let mut state = self.state().lock();
         let pruned = state.registry.prune(id, keep);
-        let removed = pruned.removed;
-        state.release(id, pruned);
-        Ok(removed)
+        Ok(state.release(id, pruned))
     }
 
     fn delete_all(&self, _ctx: &mut OpCtx<'_>, id: &str) -> Result<(), ScfsError> {

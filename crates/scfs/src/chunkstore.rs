@@ -117,7 +117,7 @@ pub struct JournalEntry {
     pub attempts: u32,
 }
 
-/// Knobs of one journal replay pass ([`crate::config::GcConfig`]).
+/// Knobs of one journal replay pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalOpts {
     /// Maximum number of pending entries attempted per pass (0 = all).
