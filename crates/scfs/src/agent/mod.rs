@@ -407,9 +407,12 @@ impl FileSystem for ScfsAgent {
     }
 
     fn handle_size(&mut self, handle: FileHandle) -> Result<u64, ScfsError> {
+        self.charge_syscall();
         // Served from the open handle: the buffer always has the logical
         // length of the file, even while chunks are still unmaterialized.
-        self.with_open(handle, |_, file| Ok(file.buffer.len() as u64))
+        let file = self.open_files.get(&handle);
+        file.map(|file| file.buffer.len() as u64)
+            .ok_or(ScfsError::BadHandle { handle: handle.0 })
     }
 
     fn fsync(&mut self, handle: FileHandle) -> Result<(), ScfsError> {

@@ -24,7 +24,7 @@ use scfs_repro::cloud_store::error::StorageError;
 use scfs_repro::cloud_store::providers::{ProviderProfile, ProviderSet};
 use scfs_repro::cloud_store::sim_cloud::SimulatedCloud;
 use scfs_repro::cloud_store::store::{ObjectStore, OpCtx};
-use scfs_repro::cloud_store::types::{Acl, ObjectMeta};
+use scfs_repro::cloud_store::types::{Acl, ObjectMeta, Permission};
 use scfs_repro::coord::replication::ReplicatedCoordinator;
 use scfs_repro::coord::service::CoordinationService;
 use scfs_repro::depsky::config::DepSkyConfig;
@@ -33,9 +33,10 @@ use scfs_repro::scfs::agent::ScfsAgent;
 use scfs_repro::scfs::backend::{CloudOfCloudsStorage, FileStorage, SingleCloudStorage};
 use scfs_repro::scfs::chunkstore::{JournalOpts, KeyStyle};
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
+use scfs_repro::scfs::error::ScfsError;
 use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::scfs::transfer::TransferOptions;
-use scfs_repro::scfs::types::ChunkMap;
+use scfs_repro::scfs::types::{ChunkMap, OpenFlags};
 use scfs_repro::sim_core::time::{Clock, SimDuration};
 use scfs_repro::sim_core::units::Bytes;
 
@@ -498,11 +499,8 @@ fn depsky_blobs_with_blocks_but_no_records_are_reclaimed() {
 /// (120 s) later: the handle is gone, so nothing could retry under the lock.
 fn assert_failed_commit_releases_the_lock(
     failing_puts: &'static str,
-    commit: impl FnOnce(&mut ScfsAgent) -> Result<(), scfs_repro::scfs::error::ScfsError>,
+    commit: impl FnOnce(&mut ScfsAgent) -> Result<(), ScfsError>,
 ) {
-    use scfs_repro::cloud_store::types::Permission;
-    use scfs_repro::scfs::types::OpenFlags;
-
     let env = FaultEnv::aws();
     let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
     let mut alice = mount(
