@@ -245,7 +245,14 @@ impl DepSkyClient {
         let metadata = self
             .find_metadata(ctx, name)?
             .unwrap_or_else(|| DataUnitMetadata::new(name));
-        self.write_with_metadata(ctx, name, data, metadata, CommitOrder::DataThenMetadata)
+        self.write_with_metadata(
+            ctx,
+            name,
+            data,
+            sha256(data),
+            metadata,
+            CommitOrder::DataThenMetadata,
+        )
     }
 
     /// Writes the *first* version of a data unit known to be new, skipping
@@ -259,7 +266,14 @@ impl DepSkyClient {
         let metadata = self
             .cached_metadata(name)
             .unwrap_or_else(|| DataUnitMetadata::new(name));
-        self.write_with_metadata(ctx, name, data, metadata, CommitOrder::DataThenMetadata)
+        self.write_with_metadata(
+            ctx,
+            name,
+            data,
+            sha256(data),
+            metadata,
+            CommitOrder::DataThenMetadata,
+        )
     }
 
     fn cached_metadata(&self, name: &str) -> Option<DataUnitMetadata> {
@@ -283,16 +297,18 @@ impl DepSkyClient {
         }
     }
 
+    /// Writes `data`, whose SHA-256 the caller has computed as `hash`, as the
+    /// next version of the unit `metadata` describes.
     fn write_with_metadata(
         &self,
         ctx: &mut OpCtx<'_>,
         name: &str,
         data: &[u8],
+        hash: ContentHash,
         mut metadata: DataUnitMetadata,
         order: CommitOrder,
     ) -> Result<WriteReceipt, StorageError> {
         let version = metadata.next_version();
-        let hash = sha256(data);
         let data_clouds = self.block_width();
         let data_shards = self.config.data_shards();
 
@@ -452,7 +468,9 @@ impl DepSkyClient {
         let metadata = self
             .cached_metadata(&name)
             .unwrap_or_else(|| DataUnitMetadata::new(&name));
-        self.write_with_metadata(ctx, &name, data, metadata, CommitOrder::Unordered)?;
+        // The address was just verified against the content: it is the
+        // version's plaintext hash, and is not computed a second time.
+        self.write_with_metadata(ctx, &name, data, *hash, metadata, CommitOrder::Unordered)?;
         Ok(())
     }
 
@@ -1198,6 +1216,51 @@ mod tests {
         let mut clock_b = Clock::new();
         let mut cb = ctx(&mut clock_b);
         assert!(reader.read_blob(&mut cb, "file-1", &hash).is_err());
+    }
+
+    #[test]
+    fn write_blob_rejects_a_wrong_address_before_any_put() {
+        let clouds = sim_clouds(4);
+        let ds = client(as_stores(&clouds));
+        let mut clock = Clock::new();
+        let data = vec![9u8; 2048];
+        let wrong = sha256(b"other");
+        assert!(ds
+            .write_blob(&mut ctx(&mut clock), "file-1", &wrong, &data)
+            .is_err());
+        for cloud in &clouds {
+            assert_eq!(cloud.metrics().snapshot().puts, 0);
+        }
+        assert_eq!(clock.now(), SimInstant::EPOCH);
+    }
+
+    #[test]
+    fn the_verified_address_is_the_hash_every_write_path_records() {
+        // `write_blob` hands its verified address down as the version's
+        // plaintext hash; `write_new` hashes the data itself. On one key
+        // stream the two must store byte-identical metadata records of the
+        // unit, and the receipt must carry the same hash.
+        let data: Vec<u8> = (0..40_000u32).map(|i| (i * 7 + i / 256) as u8).collect();
+        let hash = sha256(&data);
+        let unit = DepSkyClient::blob_unit("file-1", &hash);
+        let stored_metadata = |as_blob: bool| {
+            let clouds = sim_clouds(4);
+            let ds = client(as_stores(&clouds));
+            let mut clock = Clock::new();
+            let mut c = ctx(&mut clock);
+            if as_blob {
+                ds.write_blob(&mut c, "file-1", &hash, &data).unwrap();
+            } else {
+                let receipt = ds.write_new(&mut c, &unit, &data).unwrap();
+                assert_eq!((receipt.hash, receipt.size), (hash, data.len() as u64));
+            }
+            let md = ds.read_metadata(&mut c, &unit).unwrap();
+            assert_eq!(md.versions.len(), 1);
+            assert_eq!(md.versions[0].hash, hash);
+            assert_eq!(ds.read_by_hash(&mut c, &unit, &hash).unwrap(), data);
+            md.encode()
+        };
+        assert_eq!(stored_metadata(true), stored_metadata(false));
     }
 
     #[test]

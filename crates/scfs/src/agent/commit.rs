@@ -243,6 +243,19 @@ impl ScfsAgent {
         }
     }
 
+    /// The chunk map of `file`'s buffer: the newest map the handle has,
+    /// re-cut and re-hashed over the dirty extent only.
+    pub(super) fn cut_buffer(&mut self, file: &OpenFile) -> ChunkMap {
+        let (map, rehashed) = ChunkMap::rebuild(
+            file.staged.as_ref().or(file.chunk_map.as_ref()),
+            &file.buffer,
+            file.dirty.clone().unwrap_or(0..0),
+            self.config.cut_rule(),
+        );
+        self.stats.rehashed_bytes += rehashed;
+        map
+    }
+
     /// Commits `file`'s buffer as the new version of its object. The buffer
     /// is chunked — the version's root hash, the one hash the anchor stores,
     /// follows from the map alone, before any cloud access — and written
@@ -257,7 +270,7 @@ impl ScfsAgent {
         unlock: bool,
         wait: bool,
     ) -> Result<(ChunkMap, Option<FileMetadata>), ScfsError> {
-        let map = self.config.chunk_map(&file.buffer);
+        let map = self.cut_buffer(file);
         self.spill_chunks(&map, &file.buffer, WriteMode::Through);
         let manifest = map.encode();
         if manifest.len() > INLINE_MANIFEST_MAX {
@@ -287,7 +300,7 @@ impl ScfsAgent {
             .open_files
             .remove(&handle)
             .ok_or(ScfsError::BadHandle { handle: handle.0 })?;
-        if !file.dirty {
+        if !file.is_dirty() {
             // Nothing to synchronize; just release the lock if we held it.
             if let (true, Some(locks)) = (file.locked, &self.locks) {
                 let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
@@ -308,7 +321,7 @@ impl ScfsAgent {
     /// handle stays open and keeps its lock; a clean handle waits on the
     /// object's in-flight token, if any.
     pub(super) fn sync_open(&mut self, file: &mut OpenFile) -> Result<DurabilityLevel, ScfsError> {
-        if file.dirty || file.metadata.version_hash.is_none() {
+        if file.is_dirty() || file.metadata.version_hash.is_none() {
             self.materialize(file)?;
             // The lane orders this commit behind any in-flight upload of the
             // same object; the new token supersedes the pending record.
@@ -318,8 +331,9 @@ impl ScfsAgent {
                 file.metadata = metadata;
             }
             file.chunk_map = Some(map);
+            file.staged = None;
             file.present = None;
-            file.dirty = false;
+            file.dirty = None;
         } else {
             self.wait_pending_uploads(|id, _| id == file.metadata.storage_id);
         }

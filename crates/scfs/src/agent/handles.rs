@@ -2,6 +2,7 @@
 //! paths over a handle's lazily materialized buffer.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use cloud_store::store::OpCtx;
 use sim_core::time::SimInstant;
@@ -16,6 +17,11 @@ use crate::types::{ChunkMap, FileHandle, FileMetadata, OpenFlags};
 /// allocates a sparse buffer. Chunks fault in lazily as `read(offset, len)`
 /// touches them (`present` tracks which ones arrived); writes materialize
 /// the whole file first, so a dirty handle is always fully backed.
+///
+/// A handle knows the chunk map of its buffer up to one byte extent: `dirty`
+/// covers everything written since the newest map — `staged`, else
+/// `chunk_map` — was cut, and [`ChunkMap::rebuild`] re-cuts only from the
+/// chunk holding its start.
 #[derive(Debug, Clone)]
 pub(super) struct OpenFile {
     pub(super) path: String,
@@ -25,6 +31,9 @@ pub(super) struct OpenFile {
     /// Chunk map of the version the buffer was loaded from (`None` for fresh
     /// or truncated files); the previous-version hint for dirty-chunk upload.
     pub(super) chunk_map: Option<ChunkMap>,
+    /// The map `fsync` cut of the buffer when it put the chunks on the local
+    /// disk: staged, not committed, so never the upload hint.
+    pub(super) staged: Option<ChunkMap>,
     /// Which chunks of `chunk_map` are materialized in `buffer`; `None` once
     /// the whole file is materialized (always for fresh/truncated files).
     pub(super) present: Option<Vec<bool>>,
@@ -35,11 +44,27 @@ pub(super) struct OpenFile {
     /// End offset of the previous read (`None` before the first read); the
     /// sequential-pattern detector driving prefetch.
     pub(super) last_read_end: Option<u64>,
-    pub(super) dirty: bool,
+    /// The one extent covering every byte written since the buffer's newest
+    /// map was cut; it ends at EOF whenever the length changed. `None` when
+    /// nothing was written.
+    pub(super) dirty: Option<Range<u64>>,
     pub(super) locked: bool,
 }
 
 impl OpenFile {
+    /// Whether the buffer holds changes no committed version has.
+    pub(super) fn is_dirty(&self) -> bool {
+        self.dirty.is_some() || self.staged.is_some()
+    }
+
+    /// Widens the dirty extent to cover `written`.
+    fn mark_dirty(&mut self, written: Range<u64>) {
+        self.dirty = Some(match self.dirty.take() {
+            Some(dirty) => dirty.start.min(written.start)..dirty.end.max(written.end),
+            None => written,
+        });
+    }
+
     /// Indices of `indices` whose chunks are not yet in `buffer`.
     pub(super) fn missing_of(&self, indices: std::ops::Range<usize>) -> Vec<usize> {
         match &self.present {
@@ -160,10 +185,11 @@ impl ScfsAgent {
             OpenFile {
                 path,
                 flags,
-                dirty: flags.truncate && metadata.version_hash.is_some(),
+                dirty: (flags.truncate && metadata.version_hash.is_some()).then_some(0..0),
                 metadata,
                 buffer,
                 chunk_map,
+                staged: None,
                 present,
                 prefetch_ready: HashMap::new(),
                 last_read_end: None,
@@ -277,6 +303,11 @@ impl ScfsAgent {
         data: &[u8],
     ) -> Result<usize, ScfsError> {
         file.require(file.flags.write)?;
+        if data.is_empty() {
+            // POSIX: a zero-length write changes nothing — it neither
+            // extends the file to `offset` nor makes the handle dirty.
+            return Ok(0);
+        }
         // Checked end-offset arithmetic against the maximum file size: a
         // huge-offset write must error out instead of wrapping in release
         // (and then panicking on the slice) — the read path already clamps
@@ -292,11 +323,13 @@ impl ScfsAgent {
                 ))
             })? as usize;
         self.materialize(file)?;
-        if file.buffer.len() < end {
+        let old_len = file.buffer.len();
+        if old_len < end {
             file.buffer.resize(end, 0);
         }
         file.buffer[offset as usize..end].copy_from_slice(data);
-        file.dirty = true;
+        // A write past EOF also zero-filled everything from the old EOF on.
+        file.mark_dirty(offset.min(old_len as u64)..end as u64);
         file.metadata.size = file.buffer.len() as u64;
         let len = data.len();
         self.charge_memory(len);
@@ -318,8 +351,9 @@ impl ScfsAgent {
             )));
         }
         self.materialize(file)?;
+        let old_len = file.buffer.len() as u64;
         file.buffer.resize(size as usize, 0);
-        file.dirty = true;
+        file.mark_dirty(old_len.min(size)..size);
         file.metadata.size = size;
         Ok(())
     }
@@ -431,6 +465,48 @@ mod tests {
         fs.write(h, 2, b"!").unwrap();
         fs.close(h).unwrap();
         assert_eq!(fs.read_file("/f").unwrap(), b"ok!");
+    }
+
+    #[test]
+    fn zero_length_write_is_a_no_op() {
+        // Regression: an empty write used to materialize the whole file,
+        // zero-extend it to `offset`, and commit a new version on close.
+        let cloud = Arc::new(SimulatedCloud::test("s3"));
+        let storage = Arc::new(SingleCloudStorage::new(cloud.clone()));
+        let coord: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
+        let mount = |seed| {
+            let config = ScfsConfig::test(Mode::Blocking);
+            ScfsAgent::mount(
+                "alice".into(),
+                config,
+                storage.clone(),
+                Some(coord.clone()),
+                seed,
+            )
+            .unwrap()
+        };
+        let size = 3 << 20;
+        mount(1).write_file("/f", &vec![3u8; size]).unwrap();
+        // A second mount: nothing of the file is in its caches.
+        let mut fs = mount(2);
+        fs.sleep(SimDuration::from_secs(60));
+        let h = fs.open("/f", OpenFlags::read_write()).unwrap();
+        let gets = cloud.metrics().snapshot().gets;
+        assert_eq!(fs.write(h, 5, &[]).unwrap(), 0);
+        assert_eq!(fs.write(h, 10 << 20, &[]).unwrap(), 0);
+        assert_eq!(cloud.metrics().snapshot().gets, gets, "no chunk faulted in");
+        assert_eq!(fs.handle_size(h).unwrap(), size as u64);
+        fs.close(h).unwrap();
+        assert_eq!(fs.stats().cloud_uploads, 0, "the handle stayed clean");
+        let md = fs.stat("/f").unwrap();
+        assert_eq!((md.size, md.version_count), (size as u64, 1));
+        // The permission check still comes first.
+        let h = fs.open("/f", OpenFlags::read_only()).unwrap();
+        assert!(matches!(
+            fs.write(h, 0, &[]),
+            Err(ScfsError::PermissionDenied { .. })
+        ));
+        fs.close(h).unwrap();
     }
 
     #[test]

@@ -107,6 +107,12 @@ pub struct AgentStats {
     /// complete because `max_pending_uploads` commits were already in flight
     /// (the explicit backpressure of the bounded upload queue).
     pub backpressure_stalls: u64,
+    /// Buffer bytes `close`, `sync` and `fsync` actually cut into chunks and
+    /// hashed: the whole buffer for a first or truncating commit, otherwise
+    /// from the start of the chunk holding the first written byte to where
+    /// the cuts fall back onto the previous map's (EOF once the length
+    /// changed) — see [`crate::types::ChunkMap::rebuild`].
+    pub rehashed_bytes: u64,
 }
 
 /// The SCFS agent: one per mounted client.
@@ -417,13 +423,16 @@ impl FileSystem for ScfsAgent {
 
     fn fsync(&mut self, handle: FileHandle) -> Result<(), ScfsError> {
         self.with_open(handle, |agent, file| {
-            if file.dirty {
+            if file.is_dirty() {
                 // Durability level 1: the data reaches the local disk, as
                 // chunks. No manifest is spilled — the version is not
                 // committed yet, so there is no root hash for a reader to
-                // look it up under.
-                let map = agent.config.chunk_map(&file.buffer);
+                // look it up under. The handle keeps the map: the commit
+                // re-cuts only what is written after this point.
+                let map = agent.cut_buffer(file);
                 agent.spill_chunks(&map, &file.buffer, WriteMode::DiskOnly);
+                file.staged = Some(map);
+                file.dirty = None;
             }
             Ok(())
         })
@@ -441,7 +450,11 @@ impl FileSystem for ScfsAgent {
         let path = self.enter(path)?;
         // An open, dirty file is described by its in-memory state (writes
         // and truncates keep the handle's `metadata.size` at the buffer's).
-        if let Some(open) = self.open_files.values().find(|f| f.path == path && f.dirty) {
+        if let Some(open) = self
+            .open_files
+            .values()
+            .find(|f| f.path == path && f.is_dirty())
+        {
             return Ok(open.metadata.clone());
         }
         // Read-your-writes: an in-flight background commit of this object is

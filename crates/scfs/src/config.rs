@@ -7,7 +7,7 @@ use sim_core::units::Bytes;
 
 pub use crate::cache::CacheConfig;
 use crate::cache::PolicyKind;
-use crate::types::{CdcParams, ChunkMap};
+use crate::types::{CdcParams, ChunkMap, CutRule};
 
 /// How the data path splits file contents into chunks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,14 +182,18 @@ impl ScfsConfig {
         self
     }
 
-    /// Cuts `data` into the chunk map this configuration's chunking mode
-    /// prescribes — the one seam every writer (close, fsync, sync) chunks
-    /// through.
-    pub fn chunk_map(&self, data: &[u8]) -> ChunkMap {
+    /// The cut rule this configuration's chunking mode prescribes — the one
+    /// seam every writer (close, fsync, sync) chunks through.
+    pub fn cut_rule(&self) -> CutRule {
         match self.chunking {
-            ChunkingMode::Fixed => ChunkMap::build(data, self.chunk_size.get() as usize),
-            ChunkingMode::Cdc(params) => ChunkMap::build_cdc(data, &params),
+            ChunkingMode::Fixed => CutRule::Fixed(self.chunk_size.get() as usize),
+            ChunkingMode::Cdc(params) => CutRule::Cdc(params),
         }
+    }
+
+    /// Cuts all of `data` into the chunk map of [`ScfsConfig::cut_rule`].
+    pub fn chunk_map(&self, data: &[u8]) -> ChunkMap {
+        ChunkMap::rebuild(None, data, 0..0, self.cut_rule()).0
     }
 }
 

@@ -123,4 +123,4 @@ pub use fs::FileSystem;
 pub use invariant::InvariantViolation;
 pub use sim_core::background::{BackgroundScheduler, Pending};
 pub use transfer::{TransferOptions, TransferPlan};
-pub use types::{CdcParams, ChunkMap, FileHandle, FileMetadata, FileType, OpenFlags};
+pub use types::{CdcParams, ChunkMap, CutRule, FileHandle, FileMetadata, FileType, OpenFlags};

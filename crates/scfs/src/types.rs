@@ -183,21 +183,55 @@ pub struct ChunkMap {
     offsets: Vec<u64>,
 }
 
+/// How a file is cut into chunks: the one rule [`ChunkMap::rebuild`] — and
+/// so every writer — applies, at fixed strides or at content-defined
+/// boundaries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CutRule {
+    /// Every chunk is this many bytes (the final one may be shorter).
+    Fixed(usize),
+    /// Gear/FastCDC boundaries under these knobs.
+    Cdc(CdcParams),
+}
+
+impl CutRule {
+    /// The rule with its parameters validated (fixed) or clamped (CDC).
+    fn normalized(self) -> CutRule {
+        match self {
+            CutRule::Fixed(stride) => {
+                assert!(
+                    stride > 0 && stride <= u32::MAX as usize,
+                    "chunk size must be in 1..=u32::MAX"
+                );
+                self
+            }
+            CutRule::Cdc(params) => CutRule::Cdc(params.normalized()),
+        }
+    }
+
+    /// The size knob a map cut by this rule records as its `chunk_size`.
+    fn nominal(&self) -> u32 {
+        match self {
+            CutRule::Fixed(stride) => *stride as u32,
+            CutRule::Cdc(params) => params.avg_size as u32,
+        }
+    }
+
+    /// Length of the chunk starting at `rest[0]`, `rest` running to EOF.
+    fn cut(&self, rest: &[u8]) -> usize {
+        match self {
+            CutRule::Fixed(stride) => rest.len().min(*stride),
+            CutRule::Cdc(params) => cdc_cut(rest, params),
+        }
+    }
+}
+
 impl ChunkMap {
     /// Builds the chunk map of `data` split into fixed `chunk_size`-byte
     /// chunks (the final chunk may be shorter). An empty file has zero
     /// chunks. Serializes as a v1 manifest.
     pub fn build(data: &[u8], chunk_size: usize) -> Self {
-        assert!(
-            chunk_size > 0 && chunk_size <= u32::MAX as usize,
-            "chunk size must be in 1..=u32::MAX"
-        );
-        ChunkMap {
-            file_len: data.len() as u64,
-            chunk_size: chunk_size as u32,
-            chunks: data.chunks(chunk_size).map(sha256).collect(),
-            offsets: (0..data.len() as u64).step_by(chunk_size).collect(),
-        }
+        Self::rebuild(None, data, 0..0, CutRule::Fixed(chunk_size)).0
     }
 
     /// Builds the chunk map of `data` with content-defined boundaries (Gear
@@ -205,22 +239,85 @@ impl ChunkMap {
     /// An empty file has zero chunks. Serializes as a v2 manifest carrying
     /// the extent table.
     pub fn build_cdc(data: &[u8], params: &CdcParams) -> Self {
-        let params = params.normalized();
-        let mut chunks = Vec::new();
-        let mut offsets = Vec::new();
-        let mut start = 0usize;
-        while start < data.len() {
-            let len = cdc_cut(&data[start..], &params);
-            offsets.push(start as u64);
-            chunks.push(sha256(&data[start..start + len]));
-            start += len;
+        Self::rebuild(None, data, 0..0, CutRule::Cdc(*params)).0
+    }
+
+    /// The chunk map of `data` under `rule` — exactly the map cutting all of
+    /// `data` from scratch yields — and the number of bytes that had to be
+    /// cut and hashed to get it: all of them without a `prev`, about the
+    /// size of the edit with one.
+    ///
+    /// `prev` is a map `rule` cut of an earlier state of the file, and
+    /// `dirty` covers every byte of `data` that may differ from that state
+    /// at the same offset; when the two lengths differ, everything from
+    /// `dirty.start` on counts as dirty. The cut rule decides where a chunk
+    /// ends from the bytes of that chunk alone — unless EOF ends it — so:
+    ///
+    /// * every `prev` chunk lying wholly before the extent is kept, hash and
+    ///   all. Never the last one across a length change: EOF cut it, not its
+    ///   content, and the same bytes followed by more may cut elsewhere;
+    /// * cutting resumes at the start of the first affected chunk;
+    /// * past `dirty.end`, as soon as a cut lands on a `prev` boundary of a
+    ///   file of unchanged length, the bytes from there on are the bytes
+    ///   `prev` was cut from, and its remaining entries are spliced in
+    ///   unhashed.
+    ///
+    /// A `prev` of another stride or target average is ignored (a full
+    /// rebuild); one cut under different CDC min/max knobs of the same
+    /// average is not recognisable, and yields a valid tiling with correct
+    /// hashes that a from-scratch cut would have placed differently.
+    pub fn rebuild(
+        prev: Option<&ChunkMap>,
+        data: &[u8],
+        dirty: std::ops::Range<u64>,
+        rule: CutRule,
+    ) -> (Self, u64) {
+        let rule = rule.normalized();
+        let len = data.len() as u64;
+        let mut map = ChunkMap {
+            file_len: len,
+            chunk_size: rule.nominal(),
+            chunks: Vec::new(),
+            offsets: Vec::new(),
+        };
+        let prev = prev.filter(|prev| match rule {
+            CutRule::Fixed(_) => prev.chunk_size == map.chunk_size && prev.is_uniform(),
+            CutRule::Cdc(_) => prev.chunk_size == map.chunk_size,
+        });
+        let same_len = prev.is_some_and(|prev| prev.file_len == len);
+        let dirty_end = if same_len { dirty.end.min(len) } else { len };
+        let dirty_start = dirty.start.min(dirty_end);
+        let mut pos = 0usize;
+        if let Some(prev) = prev {
+            if same_len && dirty_start == dirty_end {
+                return (prev.clone(), 0);
+            }
+            // The chunk holding `dirty_start` is the last one starting at or
+            // before it; everything in front of that one is untouched.
+            let keep = prev
+                .offsets
+                .partition_point(|&start| start <= dirty_start)
+                .saturating_sub(1);
+            map.chunks.extend_from_slice(&prev.chunks[..keep]);
+            map.offsets.extend_from_slice(&prev.offsets[..keep]);
+            pos = prev.offsets.get(keep).map_or(0, |&start| start as usize);
         }
-        ChunkMap {
-            file_len: data.len() as u64,
-            chunk_size: params.avg_size as u32,
-            chunks,
-            offsets,
+        let resync = prev.filter(|_| same_len);
+        let recut_from = pos;
+        while pos < data.len() {
+            if let Some(prev) = resync.filter(|_| pos as u64 >= dirty_end) {
+                if let Ok(index) = prev.offsets.binary_search(&(pos as u64)) {
+                    map.chunks.extend_from_slice(&prev.chunks[index..]);
+                    map.offsets.extend_from_slice(&prev.offsets[index..]);
+                    break;
+                }
+            }
+            let end = pos + rule.cut(&data[pos..]);
+            map.offsets.push(pos as u64);
+            map.chunks.push(sha256(&data[pos..end]));
+            pos = end;
         }
+        (map, (pos - recut_from) as u64)
     }
 
     /// The map of an empty file.
