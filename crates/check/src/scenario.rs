@@ -334,11 +334,22 @@ fn run_chunkstore_gc(seed: u64, mutant: bool, decisions: &[usize]) -> RunOutcome
 
     let mut violations = Vec::new();
     let payload = |round: usize, file: usize| -> Vec<u8> {
-        // 3 chunks per version, all distinct, so every overwrite supersedes
-        // a full version's worth of chunks and the GC has real work.
-        let mut data = vec![0u8; 3 * CHUNK as usize];
+        // 3 chunks per version, so every overwrite supersedes a full
+        // version's worth of chunks and the GC has real work. Their
+        // manifests ride inline in the metadata tuple and store no object;
+        // `/b`'s second version has 13 chunks, one past the inline bound, so
+        // a manifest object is written, pruned and released too and journal
+        // replay keeps permuting chunk *and* manifest entries. Five distinct
+        // contents among the 13 keep that batch at eight entries — wide
+        // enough to shuffle, narrow enough for the smoke budget to cover.
+        let big = (round, file) == (1, 1);
+        let mut data = vec![0u8; if big { 13 } else { 3 } * CHUNK as usize];
         for (i, chunk) in data.chunks_mut(CHUNK as usize).enumerate() {
-            chunk.fill((round as u8) << 4 | (file as u8) << 2 | i as u8 | 1);
+            chunk.fill(if big {
+                0x80 | (i % 5) as u8
+            } else {
+                (round as u8) << 4 | (file as u8) << 2 | i as u8 | 1
+            });
         }
         data
     };

@@ -15,7 +15,7 @@ use crate::cache::WriteMode;
 use crate::durability::DurabilityLevel;
 use crate::error::ScfsError;
 use crate::fs::FileSystem;
-use crate::types::{normalize_path, ChunkMap, FileHandle, FileMetadata, INLINE_MANIFEST_MAX};
+use crate::types::{manifest_rides_inline, normalize_path, ChunkMap, FileHandle, FileMetadata};
 
 /// What a commit puts in the storage service — the one step that varies
 /// between `close`/`sync` and `copy_file`.
@@ -29,8 +29,8 @@ enum NewVersion<'a> {
     },
     /// The version of `src` stored under `root`: a manifest-only copy that
     /// references its chunks through the chunk store's refcounts — zero
-    /// chunk transfers, and zero manifest reads when `src` carries its
-    /// manifest inline.
+    /// chunk transfers, and when `src` carries its manifest inline zero
+    /// manifest reads and zero manifest writes: no cloud request at all.
     CopyOf {
         src: &'a FileMetadata,
         root: ContentHash,
@@ -136,11 +136,11 @@ impl ScfsAgent {
         mut metadata: FileMetadata,
         version: NewVersion<'_>,
     ) -> Result<Option<FileMetadata>, ScfsError> {
-        // The freshly written objects must carry the file ACL so that every
-        // user the file is shared with — including its owner, when the writer
-        // is a grantee — can read the new version. The backend tags exactly
-        // the objects this write stores (O(dirty chunks), not O(all
-        // versions × chunks)).
+        // A freshly written manifest object must carry the file ACL so that
+        // every user the file is shared with — including its owner, when the
+        // writer is a grantee — can read the new version. The backend tags
+        // exactly that object, if this write stores one; a manifest that
+        // rides in the tuple is admitted by the tuple's own ACL.
         let cloud_acl = (metadata.is_shared() || metadata.owner != self.user).then(|| {
             let mut acl = metadata.acl.clone();
             acl.grant(metadata.owner.clone(), Permission::Write);
@@ -261,9 +261,9 @@ impl ScfsAgent {
     /// follows from the map alone, before any cloud access — and written
     /// into both cache levels, so the data always reaches the local disk
     /// first (level 1); the manifest goes with it unless the metadata tuple
-    /// will carry that inline (a cache entry nobody looks up would only
-    /// displace a chunk). Then the commit runs. Returns the version's map
-    /// and the committed metadata.
+    /// will carry that ([`manifest_rides_inline`]: a cache entry nobody
+    /// looks up would only displace a chunk). Then the commit runs. Returns
+    /// the version's map and the committed metadata.
     fn commit_buffer(
         &mut self,
         file: &OpenFile,
@@ -273,7 +273,7 @@ impl ScfsAgent {
         let map = self.cut_buffer(file);
         self.spill_chunks(&map, &file.buffer, WriteMode::Through);
         let manifest = map.encode();
-        if manifest.len() > INLINE_MANIFEST_MAX {
+        if !manifest_rides_inline(&manifest) {
             let root = scfs_crypto::sha256(&manifest);
             self.cache.put(
                 &mut self.clock,
@@ -342,7 +342,8 @@ impl ScfsAgent {
 
     /// Manifest-only copy: the destination's new version references the
     /// source version's chunks through the global chunk store's refcounts,
-    /// so zero chunks move — only a manifest and a metadata update — and
+    /// so zero chunks move — only a metadata update and, for a source whose
+    /// manifest is an object rather than part of its tuple, a manifest — and
     /// every referenced chunk counts as a cross-file dedup hit
     /// ([`AgentStats::dedup_hits_cross_file`]). Falls back to the
     /// materializing open/read/write/close path (the trait default) when the
@@ -579,7 +580,8 @@ mod tests {
         second.copy_file("/src", "/dst").unwrap();
         let after = (cloud.metrics().snapshot(), second.stats());
         assert_eq!(after.0.gets, before.0.gets, "no manifest GET, no chunk GET");
-        assert_eq!(after.0.puts, before.0.puts + 1, "the destination manifest");
+        assert_eq!(after.0.puts, before.0.puts, "its manifest rides inline");
+        assert_eq!(after.1.bytes_uploaded, before.1.bytes_uploaded);
         assert_eq!(after.1.chunk_uploads, before.1.chunk_uploads);
         assert_eq!(second.read_file("/dst").unwrap(), data);
         let (src, dst) = (second.stat("/src").unwrap(), second.stat("/dst").unwrap());

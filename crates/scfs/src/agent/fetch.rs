@@ -27,7 +27,8 @@ impl ScfsAgent {
     /// Loads the chunk-map manifest of the version of `metadata`'s object
     /// whose root hash is `root` — the one place that chooses where a
     /// manifest comes from: the metadata tuple itself when it carries the
-    /// manifest inline (no transfer at all), else the memory cache, the disk
+    /// manifest inline (no transfer at all — and no other copy: such a
+    /// version stored no manifest object), else the memory cache, the disk
     /// cache, and last the cloud via the consistency-anchor retry loop. This
     /// is everything `open` transfers — the chunks themselves fault in
     /// lazily as reads touch them.

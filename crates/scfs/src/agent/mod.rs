@@ -66,9 +66,10 @@ pub struct AgentStats {
     pub chunk_uploads: u64,
     /// Individual chunks downloaded from the cloud backend.
     pub chunk_downloads: u64,
-    /// Payload bytes handed to the cloud backend (dirty chunks + manifests).
-    /// Logical bytes: the CoC backend's replication/erasure-coding overhead
-    /// on the wire is accounted per cloud, not here.
+    /// Payload bytes the cloud backend PUT: dirty chunks, plus the manifests
+    /// stored as objects (one that rides in the metadata tuple is not an
+    /// upload). Logical bytes: the CoC backend's replication/erasure-coding
+    /// overhead on the wire is accounted per cloud, not here.
     pub bytes_uploaded: u64,
     /// Payload bytes fetched from the cloud backend (missing chunks).
     pub bytes_downloaded: u64,

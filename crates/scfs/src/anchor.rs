@@ -110,7 +110,9 @@ mod tests {
         let storage = slow_visibility_storage();
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
-        let data = b"anchored contents".to_vec();
+        // Thirteen chunks: over the inline bound, so the version stores a
+        // manifest object whose visibility the loop has to wait for.
+        let data = vec![0xACu8; 13 * 1024];
         let map = write(&storage, &mut ctx, "f", &data);
 
         // Immediately after the write the version is invisible; the anchored
@@ -123,7 +125,7 @@ mod tests {
         assert!(manifest.retries > 0, "expected at least one retry");
         let chunk =
             anchored_fetch(&mut ctx, |c| storage.read_chunk(c, "f", &map.chunks()[0])).unwrap();
-        assert_eq!(chunk.data, data);
+        assert_eq!(chunk.data, data[..1024]);
         assert!(clock.now().as_secs_f64() >= 5.0);
     }
 
@@ -145,7 +147,7 @@ mod tests {
         let storage = SingleCloudStorage::new(Arc::new(SimulatedCloud::test("fast")));
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
-        let data = b"visible at once".to_vec();
+        let data = vec![0xBDu8; 13 * 1024];
         let map = write(&storage, &mut ctx, "f", &data);
         let manifest = anchored_fetch(&mut ctx, |c| {
             storage.read_manifest_bytes(c, "f", &map.root_hash())
@@ -155,6 +157,6 @@ mod tests {
         let chunk =
             anchored_fetch(&mut ctx, |c| storage.read_chunk(c, "f", &map.chunks()[0])).unwrap();
         assert_eq!(chunk.retries, 0);
-        assert_eq!(chunk.data, data);
+        assert_eq!(chunk.data, data[..1024]);
     }
 }

@@ -8,7 +8,8 @@
 //!
 //! * write a new immutable version — upload the chunks of the file that are
 //!   not already in the **global chunk store** (chunks are content-addressed
-//!   across versions, files and users; see [`crate::chunkstore`]) plus a
+//!   across versions, files and users; see [`crate::chunkstore`]) plus,
+//!   unless the caller's metadata tuple carries it (the table below), a
 //!   small [`ChunkMap`] manifest stored per object under its root hash (the
 //!   storage-service half of the consistency-anchor algorithm). Everything
 //!   here is boundary-agnostic: dirty-chunk selection, dedup and refcounts
@@ -21,9 +22,10 @@
 //!   reference count is zero, through the two-phase release journal
 //!   ([`FileStorage::replay_release_journal`]), so a failed delete is
 //!   retried instead of leaking an orphan;
-//! * propagate ACL changes to the manifests of a file (chunks are owned by
-//!   the shared chunk-store principal and are capability-protected by the
-//!   manifest ACLs, so `setfacl` is O(versions), not O(versions × chunks)).
+//! * propagate ACL changes to the stored manifests of a file (chunks are
+//!   owned by the shared chunk-store principal and are capability-protected
+//!   by whatever holds the manifest, so `setfacl` is at most O(versions),
+//!   never O(versions × chunks)).
 //!
 //! ## Commit invariant
 //!
@@ -33,12 +35,32 @@
 //! seen [`FileStorage::write_version`] return, publishes it in the
 //! coordination service (paper §2.4: the storage service may be unordered,
 //! readers loop until the anchored object appears). So `write_version` sends
-//! the manifest (then its ACL tag) and the first chunk wave at the same
-//! instant and returns when all of it has landed; DepSky's
-//! [`DepSkyClient::write_blob`] does the same with a blob's blocks and
-//! metadata records. A version that fails part-way is invisible, and the
-//! provisional release intents journaled before the wave reclaim whatever
-//! it stored.
+//! everything the version stores in one wave — the first chunk wave and,
+//! from the same instant, a stored manifest (then its ACL tag) — and returns
+//! when all of it has landed; DepSky's [`DepSkyClient::write_blob`] does the
+//! same with a blob's blocks and metadata records. A version that fails
+//! part-way is invisible, and the provisional release intents journaled
+//! before the wave reclaim whatever it stored.
+//!
+//! A version's manifest lives in exactly one place, and
+//! [`manifest_rides_inline`] — asked here and by the tuple writer,
+//! [`crate::types::FileMetadata::commit_version`] — is the one decision:
+//!
+//! | encoded manifest | ≤ [`INLINE_MANIFEST_MAX`] (≤ 12 fixed / ≤ 9 CDC chunks) | larger |
+//! |---|---|---|
+//! | lives in | the metadata tuple, beside the root hash it hashes to | an object under `id\|root` |
+//! | read by | whoever may read the tuple (on the committing instance, [`FileStorage::read_manifest`] answers from its registry) | whoever the object's cloud ACL admits |
+//! | a commit stores | the dirty chunks: no manifest PUT, no ACL tag, no manifest intent in the journal | the dirty chunks and, beside them, the tagged manifest |
+//! | GC deletes | the chunks whose refcount reached zero | those chunks and the manifest object |
+//! | the cloud alone reconstructs | chunks by content hash — not which file they belong to, or in what order | every retained version of every id |
+//!
+//! For an inline version a close is therefore its chunk PUTs, one metadata
+//! write and one unlock, and a manifest-only copy is zero cloud requests.
+//! The id → chunks link of such a version has the durability of the anchor
+//! (the coordination service's replicas; the private name space in the
+//! non-sharing mode) — which the path → id → root-hash link always had.
+//!
+//! [`INLINE_MANIFEST_MAX`]: crate::types::INLINE_MANIFEST_MAX
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
@@ -60,7 +82,7 @@ use crate::durability::DurabilityLevel;
 use crate::error::ScfsError;
 use crate::invariant::InvariantViolation;
 use crate::transfer::{execute_plan, TransferOptions, TransferPlan};
-use crate::types::ChunkMap;
+use crate::types::{manifest_rides_inline, ChunkMap};
 
 /// Transfer accounting returned by a successful [`FileStorage::write_version`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,11 +92,13 @@ pub struct WriteOutcome {
     pub root_hash: ContentHash,
     /// Chunks actually uploaded (dirty chunks not already stored globally).
     pub chunks_uploaded: u64,
-    /// Payload bytes handed to the backend: the dirty chunks plus the
-    /// manifest. This counts logical (plaintext) bytes — the CoC backend
-    /// additionally pays its replication/erasure-coding overhead (~1.5× with
-    /// the DepSky-CA preferred quorum) on the wire, which is accounted in
-    /// the per-cloud [`cloud_store::CloudMetrics`], not here.
+    /// Payload bytes a PUT carried: the dirty chunks, plus the manifest when
+    /// the version stores one (an inline manifest travels in the metadata
+    /// tuple and costs the backend nothing). This counts logical (plaintext)
+    /// bytes — the CoC backend additionally pays its replication/
+    /// erasure-coding overhead (~1.5× with the DepSky-CA preferred quorum) on
+    /// the wire, which is accounted in the per-cloud
+    /// [`cloud_store::CloudMetrics`], not here.
     pub bytes_uploaded: u64,
     /// Parallel waves the chunk uploads took (0 when no chunk moved); the
     /// caller's clock advanced by roughly this many chunk-upload latencies.
@@ -93,13 +117,18 @@ pub struct WriteOutcome {
 struct StoredVersion {
     root: ContentHash,
     map: ChunkMap,
+    /// Whether the version has a manifest object in the cloud(s) —
+    /// `!manifest_rides_inline`, decided once at commit. A root names one
+    /// encoding, so versions sharing a root agree on it.
+    stored_manifest: bool,
 }
 
 /// Registry of the versions written through one backend instance: object id
 /// → versions, newest last. Since the refcounted chunk store took over chunk
-/// liveness, the registry only tracks manifests (which version commits exist
-/// and what each one references) — whether a *chunk* is still needed is the
-/// chunk store's refcount, never a scan over this map.
+/// liveness, the registry only tracks versions (which commits exist, what
+/// each one references and whether it stored a manifest object) — whether a
+/// *chunk* is still needed is the chunk store's refcount, never a scan over
+/// this map.
 #[derive(Debug, Default)]
 struct VersionRegistry {
     /// Ordered by object id so audits ([`VersionRegistry::all_manifests`])
@@ -109,11 +138,15 @@ struct VersionRegistry {
 
 impl VersionRegistry {
     /// Records a newly written version.
-    fn push(&mut self, id: &str, root: ContentHash, map: ChunkMap) {
+    fn push(&mut self, id: &str, root: ContentHash, map: ChunkMap, stored_manifest: bool) {
         self.versions
             .entry(id.to_string())
             .or_default()
-            .push(StoredVersion { root, map });
+            .push(StoredVersion {
+                root,
+                map,
+                stored_manifest,
+            });
     }
 
     /// Whether this registry has any record of `id`.
@@ -121,15 +154,14 @@ impl VersionRegistry {
         self.versions.contains_key(id)
     }
 
-    /// The chunk map of the retained version of `id` stored under `root`,
-    /// if this instance still tracks it.
-    fn map_of(&self, id: &str, root: &ContentHash) -> Option<ChunkMap> {
+    /// The retained version of `id` committed under `root`, if this
+    /// instance still tracks it.
+    fn version(&self, id: &str, root: &ContentHash) -> Option<&StoredVersion> {
         self.versions
             .get(id)?
             .iter()
             .rev()
             .find(|v| v.root == *root)
-            .map(|v| v.map.clone())
     }
 
     /// Every chunk hash referenced by a retained version of `id` — the
@@ -146,8 +178,10 @@ impl VersionRegistry {
             .unwrap_or_default()
     }
 
-    /// The distinct manifest roots of the retained versions of `id` — the
-    /// ACL-propagation targets.
+    /// The distinct roots of the retained versions of `id` that stored a
+    /// manifest object — the ACL-propagation targets, and the only manifests
+    /// an audit may find. Inline versions are not listed: nothing of theirs
+    /// exists in the cloud but chunks.
     fn live_manifests(&self, id: &str) -> Vec<ContentHash> {
         let mut seen = HashSet::new();
         self.versions
@@ -155,12 +189,13 @@ impl VersionRegistry {
             .map(Vec::as_slice)
             .unwrap_or(&[])
             .iter()
-            .filter(|v| seen.insert(v.root))
+            .filter(|v| v.stored_manifest && seen.insert(v.root))
             .map(|v| v.root)
             .collect()
     }
 
-    /// Every `(id, root)` manifest pair of every retained version.
+    /// Every `(id, root)` pair of a manifest object a retained version
+    /// stored.
     fn all_manifests(&self) -> Vec<(String, ContentHash)> {
         let mut out = Vec::new();
         for id in self.versions.keys() {
@@ -172,10 +207,11 @@ impl VersionRegistry {
 
     /// Drops all but the newest `keep` versions of `id`. Each dropped
     /// version's distinct chunk set comes back as one release unit (the
-    /// exact references `write_version` took), plus the manifests no kept
-    /// version stores its root under — versions can share manifests (two
-    /// identical versions have the same root hash), so a root still used by
-    /// a kept version must survive.
+    /// exact references `write_version` took), plus the stored manifests no
+    /// kept version stores its root under — versions can share manifests
+    /// (two identical versions have the same root hash), so a root still
+    /// used by a kept version must survive. A dropped inline version
+    /// releases chunks only: there is no manifest object to delete.
     fn prune(&mut self, id: &str, keep: usize) -> PruneResult {
         let list = match self.versions.get_mut(id) {
             Some(list) if list.len() > keep => list,
@@ -200,7 +236,10 @@ impl VersionRegistry {
         };
         let mut seen_roots = HashSet::new();
         for version in &dropped {
-            if !kept_roots.contains(&version.root) && seen_roots.insert(version.root) {
+            if version.stored_manifest
+                && !kept_roots.contains(&version.root)
+                && seen_roots.insert(version.root)
+            {
                 result.manifests.push(version.root);
             }
             // Distinct chunks in file order — journal appends derive from
@@ -227,7 +266,8 @@ impl VersionRegistry {
 struct PruneResult {
     /// Number of versions dropped.
     removed: usize,
-    /// Manifest root hashes no retained version uses any more.
+    /// Root hashes of stored manifest objects no retained version uses any
+    /// more.
     manifests: Vec<ContentHash>,
     /// One distinct-chunk list per dropped version, in file order — the
     /// references to drop from the global chunk store (ordered so journal
@@ -258,18 +298,22 @@ impl StoreState {
     /// takes the version's chunk references, records it, and cancels the
     /// provisional intents journaled before the upload (plus any stale
     /// pending release from an earlier prune of the same root or chunks — a
-    /// pending delete must not destroy a blob just recommitted).
+    /// pending delete must not destroy a blob just recommitted). An inline
+    /// version never had a manifest intent, provisional or stale.
     fn commit_version(
         &mut self,
         id: &str,
         root: ContentHash,
         map: &ChunkMap,
+        stored_manifest: bool,
         unique: &BTreeSet<ContentHash>,
     ) {
-        self.chunks.cancel_manifest_release(id, &root);
+        if stored_manifest {
+            self.chunks.cancel_manifest_release(id, &root);
+        }
         self.chunks.retain_version(unique);
         self.chunks.cancel_chunk_releases(unique);
-        self.registry.push(id, root, map.clone());
+        self.registry.push(id, root, map.clone(), stored_manifest);
     }
 
     /// Phase one of deletion: drops the references of `pruned`'s versions of
@@ -294,9 +338,10 @@ pub trait FileStorage: Send + Sync {
     /// Stores a new version of the object identified by `id`: uploads the
     /// chunks of `data` (laid out by `map`) that are not already in the
     /// global chunk store and, beside the first chunk wave, the encoded
-    /// manifest under its root hash (the module's commit invariant); once
-    /// all of it has landed, takes one chunk-store reference per distinct
-    /// chunk and records the version.
+    /// manifest under its root hash — unless it rides in the caller's
+    /// metadata tuple ([`manifest_rides_inline`]; the module's commit
+    /// invariant); once all of it has landed, takes one chunk-store
+    /// reference per distinct chunk and records the version.
     /// Identical content already stored by *any* file or user is skipped
     /// (cross-file dedup); when the instance has no record of `id` (a fresh
     /// mount), chunks present in `prev` are trusted as stored. Newly written
@@ -318,9 +363,13 @@ pub trait FileStorage: Send + Sync {
         opts: &TransferOptions,
     ) -> Result<WriteOutcome, ScfsError>;
 
-    /// Reads the chunk map of the version of `id` whose root hash is `hash`.
-    /// Returns a transient not-found error while the version is not yet
-    /// visible — the caller runs the consistency-anchor retry loop.
+    /// Reads the chunk map of the version of `id` whose root hash is `hash`:
+    /// from the manifest object, or, for a version this instance committed
+    /// without one, from its registry. Returns a transient not-found error
+    /// while the version is not yet visible — the caller runs the
+    /// consistency-anchor retry loop — and for a version that stored no
+    /// manifest object and that this instance has no record of: its map is
+    /// in its metadata tuple and nowhere else.
     fn read_manifest(
         &self,
         ctx: &mut OpCtx<'_>,
@@ -457,10 +506,13 @@ pub trait FileStorage: Send + Sync {
     /// Commits a new version of `dst_id` that references the chunks of the
     /// version of `src_id` stored under `root` — a manifest-only copy: zero
     /// chunks move, the destination takes one chunk-store reference per
-    /// distinct chunk, and only the (re-tagged) manifest is uploaded.
+    /// distinct chunk, and only the (re-tagged) manifest is uploaded — not
+    /// even that when it rides in the metadata tuple.
     /// Returns `Ok(None)` when the backend cannot commit such a copy (no
-    /// registry record and no globally stored chunks to reference); callers
-    /// fall back to a materializing copy.
+    /// registry record and no globally stored chunks to reference, or a
+    /// source manifest that should have been in the caller's tuple, so that
+    /// neither the copy's tuple nor the cloud would hold it); callers fall
+    /// back to a materializing copy.
     fn copy_version(
         &self,
         ctx: &mut OpCtx<'_>,
@@ -552,7 +604,9 @@ pub trait FileStorage: Send + Sync {
         let _ = out;
     }
 
-    /// Propagates an ACL to the manifests storing `id` in the cloud(s).
+    /// Propagates an ACL to the manifest objects `id` has in the cloud(s);
+    /// versions whose manifest rides in the metadata tuple have none, and
+    /// the tuple's own ACL is what admits their readers.
     fn set_acl(&self, ctx: &mut OpCtx<'_>, id: &str, acl: &Acl) -> Result<(), ScfsError>;
 }
 
@@ -645,6 +699,13 @@ fn put_tagged_manifest(
     }
 }
 
+/// The manifest object a committing version stores: `manifest` itself, or
+/// `None` when it rides in the metadata tuple instead
+/// ([`manifest_rides_inline`]) and the cloud sees chunks only.
+fn manifest_object(manifest: &[u8]) -> Option<&[u8]> {
+    (!manifest_rides_inline(manifest)).then_some(manifest)
+}
+
 impl<B: ChunkedBackend> FileStorage for B {
     fn label(&self) -> &'static str {
         self.backend_label()
@@ -695,6 +756,7 @@ impl<B: ChunkedBackend> FileStorage for B {
         let plan = TransferPlan::upload(map, |h| stored.contains(h) || prev_chunks.contains(h));
         let manifest = map.encode();
         let root = sha256(&manifest);
+        let object = manifest_object(&manifest);
         {
             // Journal this write's uploads provisionally: if anything below
             // fails, the already-stored blobs are covered by pending release
@@ -704,16 +766,19 @@ impl<B: ChunkedBackend> FileStorage for B {
             state
                 .chunks
                 .journal_provisional_uploads(plan.jobs().iter().map(|j| j.hash));
-            state.chunks.release_manifest(id, root);
+            if object.is_some() {
+                state.chunks.release_manifest(id, root);
+            }
         }
-        // The manifest (and its ACL tag) rides beside the first chunk wave on
-        // a fork taken at the same instant: nothing can name it until the
-        // anchor publishes `root`, so it needs no ordering after the chunks.
+        // A stored manifest (and its ACL tag) rides beside the first chunk
+        // wave on a fork taken at the same instant: nothing can name it until
+        // the anchor publishes `root`, so it needs no ordering after the
+        // chunks. An inline one is the caller's to anchor: no request here.
         let mut manifest_clock = ctx.clock.fork();
-        let manifest_put = {
+        let manifest_put = object.map_or(Ok(()), |object| {
             let mut side_ctx = OpCtx::new(&mut manifest_clock, ctx.account.clone());
-            put_tagged_manifest(self, &mut side_ctx, id, &root, &manifest, acl)
-        };
+            put_tagged_manifest(self, &mut side_ctx, id, &root, object, acl)
+        });
         let uploaded = execute_plan(ctx, opts, &plan, |job, fork_ctx| {
             let chunk = &data[map.byte_range(job.index)];
             // Chunks belong to the shared global namespace: they are written
@@ -728,12 +793,13 @@ impl<B: ChunkedBackend> FileStorage for B {
         ctx.clock.advance_to(manifest_clock.now());
         let (sizes, report) = uploaded?;
         manifest_put?;
-        let bytes_uploaded = sizes.iter().sum::<u64>() + manifest.len() as u64;
-        self.state().lock().commit_version(id, root, map, &unique);
+        self.state()
+            .lock()
+            .commit_version(id, root, map, object.is_some(), &unique);
         Ok(WriteOutcome {
             root_hash: root,
             chunks_uploaded: report.chunks,
-            bytes_uploaded,
+            bytes_uploaded: sizes.iter().sum::<u64>() + object.map_or(0, |o| o.len() as u64),
             waves: report.waves,
             dedup_cross_file,
         })
@@ -749,11 +815,21 @@ impl<B: ChunkedBackend> FileStorage for B {
     ) -> Result<Option<WriteOutcome>, ScfsError> {
         // The source map comes from the registry when this instance tracks
         // the version, otherwise from the cloud manifest.
-        let tracked = self.state().lock().registry.map_of(src_id, root);
+        let tracked = {
+            let state = self.state().lock();
+            state.registry.version(src_id, root).map(|v| v.map.clone())
+        };
         let map = match tracked {
             Some(map) => map,
             None => self.read_manifest(ctx, src_id, root)?,
         };
+        // A caller without the map holds a tuple without it, and the copy's
+        // tuple would be a copy of that. If the manifest should have ridden
+        // inline there is no object to copy either: the new version's map
+        // would exist nowhere a reader looks. The caller materializes.
+        if manifest_rides_inline(&map.encode()) {
+            return Ok(None);
+        }
         self.copy_version_with_map(ctx, src_id, dst_id, root, &map, acl)
     }
 
@@ -772,6 +848,7 @@ impl<B: ChunkedBackend> FileStorage for B {
                 "copy source map does not hash to the version's root hash",
             ));
         }
+        let object = manifest_object(&manifest);
         let unique = map.unique_chunks();
         {
             // Every referenced chunk must be globally stored (the live
@@ -784,16 +861,22 @@ impl<B: ChunkedBackend> FileStorage for B {
             }
             // Provisional release intent, exactly like `write_version`: if
             // the manifest put below fails, replay reclaims it.
-            state.chunks.release_manifest(dst_id, *root);
+            if object.is_some() {
+                state.chunks.release_manifest(dst_id, *root);
+            }
         }
-        put_tagged_manifest(self, ctx, dst_id, root, &manifest, acl)?;
+        // The copy of an inline version is chunk references and the
+        // caller's anchor write: no cloud request at all.
+        if let Some(object) = object {
+            put_tagged_manifest(self, ctx, dst_id, root, object, acl)?;
+        }
         self.state()
             .lock()
-            .commit_version(dst_id, *root, map, &unique);
+            .commit_version(dst_id, *root, map, object.is_some(), &unique);
         Ok(Some(WriteOutcome {
             root_hash: *root,
             chunks_uploaded: 0,
-            bytes_uploaded: manifest.len() as u64,
+            bytes_uploaded: object.map_or(0, |o| o.len() as u64),
             waves: 0,
             dedup_cross_file: unique.len() as u64,
         }))
@@ -820,7 +903,18 @@ impl<B: ChunkedBackend> FileStorage for B {
         id: &str,
         hash: &ContentHash,
     ) -> Result<Vec<u8>, ScfsError> {
-        self.get_manifest(ctx, id, hash)
+        // A version this instance committed inline has no manifest object:
+        // its map is the registry's to give. A stored manifest, or a version
+        // this instance has no record of, is the cloud's to answer.
+        let inline = {
+            let state = self.state().lock();
+            let tracked = state.registry.version(id, hash);
+            tracked.and_then(|v| (!v.stored_manifest).then(|| v.map.encode()))
+        };
+        match inline {
+            Some(manifest) => Ok(manifest),
+            None => self.get_manifest(ctx, id, hash),
+        }
     }
 
     fn read_chunk(
@@ -1223,6 +1317,9 @@ mod tests {
     use sim_core::time::{Clock, SimDuration, SimInstant};
 
     const CHUNK: usize = 1024;
+    /// Chunks of the smallest fixed-size map whose manifest no longer rides
+    /// inline, i.e. whose version stores a manifest object.
+    const OVER_BOUND: usize = 13;
 
     fn single() -> SingleCloudStorage {
         SingleCloudStorage::new(Arc::new(SimulatedCloud::test("s3")))
@@ -1393,25 +1490,28 @@ mod tests {
     fn run_shared_chunk_survives_other_files_gc(storage: &dyn FileStorage) {
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
-        let data = vec![0xEEu8; 2 * CHUNK];
-        let (_, _) = write(storage, &mut ctx, "f1", &data, None, true);
-        let (o2, _) = write(storage, &mut ctx, "f2", &data, None, true);
-        // Deleting f1 releases its references but must not reclaim the
-        // chunks f2 still holds.
-        storage.delete_all(&mut ctx, "f1").unwrap();
-        let report = replay(storage, &mut ctx);
-        assert_eq!(report.errors, 0);
-        assert!(
-            report.deleted >= 1,
-            "f1's manifest is reclaimed once nothing references it"
-        );
-        assert_eq!(
-            storage
-                .read_version(&mut ctx, "f2", &o2.root_hash, &TransferOptions::default())
-                .unwrap(),
-            data
-        );
-        assert_eq!(storage.pending_releases(), 0);
+        // An inline version, then one that stores a manifest object.
+        for (chunks, manifests) in [(2, 0), (OVER_BOUND, 1)] {
+            let data = vec![0xE0 | chunks as u8; chunks * CHUNK];
+            let (_, _) = write(storage, &mut ctx, "f1", &data, None, true);
+            let (o2, _) = write(storage, &mut ctx, "f2", &data, None, true);
+            // Deleting f1 releases its references but must not reclaim the
+            // chunks f2 still holds.
+            storage.delete_all(&mut ctx, "f1").unwrap();
+            let report = replay(storage, &mut ctx);
+            assert_eq!(report.errors, 0);
+            assert_eq!(
+                report.deleted, manifests,
+                "only f1's manifest object, if it stored one, is reclaimed"
+            );
+            assert_eq!(
+                storage
+                    .read_version(&mut ctx, "f2", &o2.root_hash, &TransferOptions::default())
+                    .unwrap(),
+                data
+            );
+            assert_eq!(storage.pending_releases(), 0);
+        }
     }
 
     #[test]
@@ -1569,7 +1669,8 @@ mod tests {
         let (storage, cloud) = single_with_cloud();
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
-        let mut data = vec![0u8; 3 * CHUNK];
+        // Over the inline bound, so manifest deletes are among the faulted.
+        let mut data = vec![0u8; OVER_BOUND * CHUNK];
         let mut prev: Option<ChunkMap> = None;
         for i in 0..4u8 {
             data.fill(0x10 | i);
@@ -1690,7 +1791,7 @@ mod tests {
         let storage = SingleCloudStorage::new(faulty.clone());
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
-        let data = vec![0x77u8; 3 * CHUNK];
+        let data = vec![0x77u8; OVER_BOUND * CHUNK];
         let map = ChunkMap::build(&data, CHUNK);
 
         // The chunks upload, then the manifest put fails: the write errors
@@ -1739,8 +1840,8 @@ mod tests {
         let (storage, cloud) = single_with_cloud();
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
-        let v1 = vec![1u8; CHUNK];
-        let v2 = vec![2u8; CHUNK];
+        let v1 = vec![1u8; OVER_BOUND * CHUNK];
+        let v2 = vec![2u8; OVER_BOUND * CHUNK];
         let (o1, m1) = write(&storage, &mut ctx, "f", &v1, None, true);
         let (_, m2) = write(&storage, &mut ctx, "f", &v2, Some(&m1), false);
         // Prune v1 but fail its deletes: the release stays pending.

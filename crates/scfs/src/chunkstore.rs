@@ -19,7 +19,10 @@
 //!   only if its **reference count** is zero — identical content across
 //!   versions, files *and users* moves once. Manifests stay per-object:
 //!   they are the per-file commit point the consistency anchor validates,
-//!   and they carry the user-facing ACL.
+//!   and they carry the user-facing ACL — as an object of their own only
+//!   when they are too large to ride in the metadata tuple
+//!   ([`crate::types::manifest_rides_inline`]); a version whose manifest
+//!   rides inline is chunks and nothing else to this module.
 //! * **Reference counting instead of per-file liveness scans.** Every
 //!   committed version holds one reference on each distinct chunk it uses;
 //!   pruning a version releases exactly those references. A chunk is
@@ -33,14 +36,19 @@
 //!   its pending delete runs is *cancelled*, never deleted.
 //!
 //! Writes are journaled too: before uploading, `write_version` appends
-//! *provisional* intents for the chunks (and manifest) it is about to
-//! store, and cancels them once the version's references are committed. A
-//! write that fails mid-flight — after some chunk uploads, or on the
-//! manifest put — therefore leaves its partial blobs covered by pending
-//! entries, and the next replay reclaims them instead of orphaning them.
+//! *provisional* intents for the chunks (and the manifest object, if the
+//! version stores one) it is about to store, and cancels them once the
+//! version's references are committed. A write that fails mid-flight —
+//! after some chunk uploads, or on the manifest put — therefore leaves its
+//! partial blobs covered by pending entries, and the next replay reclaims
+//! them instead of orphaning them. The journal never holds a
+//! [`ReleaseTarget::Manifest`] for a manifest that rides inline: not
+//! provisionally, not when its version is pruned — there is no object, and
+//! a delete of one would be a request (a round of them on the
+//! cloud-of-clouds) for nothing.
 //! Manifest-only copies ([`crate::backend::FileStorage::copy_version`])
 //! follow the same protocol: the destination takes one reference per
-//! distinct source chunk and commits only a manifest — the agent's
+//! distinct source chunk and commits at most a manifest — the agent's
 //! `copy_file` moves zero chunks.
 //!
 //! Journal replay is driven by the agent's garbage collector, which since
@@ -97,6 +105,7 @@ pub enum ReleaseTarget {
     Chunk(ContentHash),
     /// A per-object manifest blob (no refcount: manifests are unique to
     /// their `(id, root)` pair once no retained version uses the root).
+    /// Only ever journaled for a version that stored one.
     Manifest {
         /// Storage id of the object the manifest belongs to.
         id: String,

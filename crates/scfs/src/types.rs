@@ -27,6 +27,18 @@ pub const MAX_FILE_LEN: u64 = 1 << 40;
 /// are read from the storage service under the anchored root hash.
 pub const INLINE_MANIFEST_MAX: usize = 512;
 
+/// Where a version's manifest lives — the one place that decides. `true`:
+/// the encoded [`ChunkMap`] `manifest` rides in the metadata tuple and the
+/// storage service stores **no** manifest object for the version; `false`:
+/// the tuple carries the root hash alone and the manifest is an object
+/// under `id|root`. The tuple writer ([`FileMetadata::commit_version`]) and
+/// the storage backends ([`crate::backend::FileStorage::write_version`],
+/// `copy_version_with_map`) both ask here, so a version's manifest is
+/// always in exactly one of the two places.
+pub fn manifest_rides_inline(manifest: &[u8]) -> bool {
+    manifest.len() <= INLINE_MANIFEST_MAX
+}
+
 /// Minimum encoded size of one chunk record in a v1 manifest: the 8-byte
 /// length prefix plus the 32-byte hash. Bounds the chunk count a decoder
 /// will believe before it has read a single hash.
@@ -684,11 +696,12 @@ impl FileMetadata {
     /// Points the tuple at the version laid out by `map`, committed at `now`
     /// — the anchor write of a close: root hash, size, modification time and
     /// version count move together, and the encoded manifest rides along
-    /// when it fits [`INLINE_MANIFEST_MAX`].
+    /// when [`manifest_rides_inline`] says so — in which case this tuple is
+    /// the only place it is stored.
     pub fn commit_version(&mut self, map: &ChunkMap, now: SimInstant) {
         let manifest = map.encode();
         self.version_hash = Some(sha256(&manifest));
-        self.manifest = (manifest.len() <= INLINE_MANIFEST_MAX).then(|| manifest.into());
+        self.manifest = manifest_rides_inline(&manifest).then(|| manifest.into());
         self.size = map.file_len();
         self.modified_at = now;
         self.version_count += 1;
@@ -696,8 +709,11 @@ impl FileMetadata {
 
     /// Points the tuple at the current version of `src`, committed at `now`
     /// — the anchor write of a manifest-only copy. The inline manifest, if
-    /// `src` carries one, is the same bytes under the same root hash.
+    /// `src` carries one, is the same bytes under the same root hash, so
+    /// [`manifest_rides_inline`] answers for the copy what it answered for
+    /// the source.
     pub fn commit_copy_of(&mut self, src: &FileMetadata, now: SimInstant) {
+        debug_assert!(src.manifest.as_deref().is_none_or(manifest_rides_inline));
         self.version_hash = src.version_hash;
         self.manifest = src.manifest.clone();
         self.size = src.size;

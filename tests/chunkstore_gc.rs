@@ -14,7 +14,9 @@
 //!   (property-tested);
 //! * a version commit that fails part-way through its single upload wave —
 //!   a chunk PUT beside a stored manifest, or either half of a DepSky blob —
-//!   leaves the anchor untouched and is fully reclaimed by one replay.
+//!   leaves the anchor untouched and is fully reclaimed by one replay; the
+//!   commit of a version whose manifest rides in the tuple journals chunk
+//!   intents only, and its manifest-only copy has no request that can fail.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -42,13 +44,22 @@ use scfs_repro::sim_core::units::Bytes;
 
 const CHUNK: usize = 64 * 1024;
 
-/// A four-chunk test payload whose `CHUNK`-sized blocks all differ.
-fn four_chunks(tag: u8) -> Vec<u8> {
-    let mut data = vec![0u8; 4 * CHUNK];
+/// Chunks of the smallest version whose manifest is stored as an object
+/// rather than carried in the metadata tuple.
+const OVER_BOUND: usize = 13;
+
+/// A test payload of `n` `CHUNK`-sized blocks that all differ.
+fn distinct_chunks(tag: u8, n: usize) -> Vec<u8> {
+    let mut data = vec![0u8; n * CHUNK];
     for (i, chunk) in data.chunks_mut(CHUNK).enumerate() {
         chunk.fill(tag ^ (i as u8 + 1));
     }
     data
+}
+
+/// A four-chunk test payload: its manifest rides in the metadata tuple.
+fn four_chunks(tag: u8) -> Vec<u8> {
+    distinct_chunks(tag, 4)
 }
 
 fn test_config() -> ScfsConfig {
@@ -423,13 +434,21 @@ impl FaultEnv {
     }
 }
 
-/// A dirty close whose PUTs of keys containing `failing_puts` fail, while
-/// everything else in the same wave lands: the close errors out, the anchor
-/// still names the old version, nothing stored is unreachable, and one
-/// journal replay brings the clouds back to exactly the old version's blobs
-/// (so the registry never tracked the failed root — replay deletes a
-/// manifest only when no retained version stores it).
-fn assert_failed_commit_is_reclaimed(env: FaultEnv, failing_puts: &'static str) {
+/// A dirty close of a `chunks`-chunk version whose PUTs of keys containing
+/// `failing_puts` fail, while everything else in the same wave lands
+/// (`lands_beside`: whether there is anything else): the close errors out,
+/// the anchor still names the old version, the journal holds one intent per
+/// chunk plus one for the manifest only if the version was going to store
+/// one, nothing stored is unreachable, and one journal replay brings the
+/// clouds back to exactly the old version's blobs (so the registry never
+/// tracked the failed root — replay deletes a manifest only when no
+/// retained version stores it).
+fn assert_failed_commit_is_reclaimed(
+    env: FaultEnv,
+    failing_puts: &'static str,
+    chunks: usize,
+    lands_beside: bool,
+) {
     let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
     let mut fs = mount(
         env.storage.clone(),
@@ -438,17 +457,22 @@ fn assert_failed_commit_is_reclaimed(env: FaultEnv, failing_puts: &'static str) 
         test_config(),
         1,
     );
-    let (v1, v2) = (four_chunks(0x21), four_chunks(0x22));
+    let (v1, v2) = (distinct_chunks(0x20, chunks), distinct_chunks(0x40, chunks));
     fs.write_file("/f", &v1).unwrap();
     let committed = env.stored_keys();
 
     env.fail_puts_containing(Some(failing_puts));
     assert!(fs.write_file("/f", &v2).is_err());
     env.fail_puts_containing(None);
-    assert_ne!(
-        env.stored_keys(),
-        committed,
+    assert_eq!(
+        env.stored_keys() != committed,
+        lands_beside,
         "the requests beside the failing ones were issued and landed"
+    );
+    assert_eq!(
+        env.storage.pending_releases(),
+        chunks + usize::from(chunks >= OVER_BOUND),
+        "an intent per chunk, and one for a manifest that was to be stored"
     );
     (env.assert_no_orphans)();
 
@@ -470,25 +494,77 @@ fn assert_failed_commit_is_reclaimed(env: FaultEnv, failing_puts: &'static str) 
 
 #[test]
 fn failed_chunk_put_beside_a_stored_manifest_is_reclaimed_aws() {
-    assert_failed_commit_is_reclaimed(FaultEnv::aws(), "scfs/chunks/");
+    assert_failed_commit_is_reclaimed(FaultEnv::aws(), "scfs/chunks/", OVER_BOUND, true);
 }
 
 #[test]
 fn failed_chunk_put_beside_a_stored_manifest_is_reclaimed_coc() {
-    assert_failed_commit_is_reclaimed(FaultEnv::coc(), "depsky/chunks|");
+    assert_failed_commit_is_reclaimed(FaultEnv::coc(), "depsky/chunks|", OVER_BOUND, true);
 }
 
-/// Every blob of the wave lands its DepSky metadata record but no block.
+/// The inline twins: a one-PUT close whose one PUT fails. Nothing landed,
+/// and the journal holds the chunk's intent and no manifest's.
+#[test]
+fn failed_one_put_close_journals_no_manifest_intent_aws() {
+    assert_failed_commit_is_reclaimed(FaultEnv::aws(), "scfs/chunks/", 1, false);
+}
+
+#[test]
+fn failed_one_put_close_journals_no_manifest_intent_coc() {
+    assert_failed_commit_is_reclaimed(FaultEnv::coc(), "depsky/chunks|", 1, false);
+}
+
+/// Every blob of the wave — chunks and the manifest — lands its DepSky
+/// metadata record but no block.
 #[test]
 fn depsky_blobs_with_records_but_no_blocks_are_reclaimed() {
-    assert_failed_commit_is_reclaimed(FaultEnv::coc(), "/block");
+    assert_failed_commit_is_reclaimed(FaultEnv::coc(), "/block", OVER_BOUND, true);
 }
 
 /// The reverse: blocks without a record. Nothing but the blob's address says
 /// where they are, so the delete must derive their keys.
 #[test]
 fn depsky_blobs_with_blocks_but_no_records_are_reclaimed() {
-    assert_failed_commit_is_reclaimed(FaultEnv::coc(), "/metadata");
+    assert_failed_commit_is_reclaimed(FaultEnv::coc(), "/metadata", OVER_BOUND, true);
+}
+
+/// `alice` with a file `/f` she shares with `bob` and a copy source `/src`
+/// of `src_chunks` chunks, on a put-faultable single cloud.
+fn shared_file_env(src_chunks: usize) -> (FaultEnv, Arc<dyn CoordinationService>, ScfsAgent) {
+    let env = FaultEnv::aws();
+    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
+    let mut alice = mount(
+        env.storage.clone(),
+        coordinator.clone(),
+        "alice",
+        test_config(),
+        1,
+    );
+    alice.write_file("/f", &four_chunks(0x31)).unwrap();
+    alice
+        .write_file("/src", &distinct_chunks(0x50, src_chunks))
+        .unwrap();
+    alice
+        .setfacl("/f", &"bob".into(), Permission::Write)
+        .unwrap();
+    (env, coordinator, alice)
+}
+
+/// `bob`, mounted just after everything `alice` has done, opens `/f` for
+/// writing — so no lock is held on it — and finds `expected`.
+fn assert_bob_opens_for_writing(
+    env: &FaultEnv,
+    coordinator: Arc<dyn CoordinationService>,
+    alice: &ScfsAgent,
+    expected: &[u8],
+) {
+    let mut bob = mount(env.storage.clone(), coordinator, "bob", test_config(), 2);
+    bob.sleep(alice.now().duration_since(bob.now()) + SimDuration::from_secs(1));
+    let handle = bob
+        .open("/f", OpenFlags::read_write())
+        .expect("the commit released its lock");
+    assert_eq!(bob.read(handle, 0, expected.len()).unwrap(), expected);
+    bob.close(handle).unwrap();
 }
 
 /// A failed commit releases the write lock it was going to release. `alice`
@@ -501,37 +577,13 @@ fn assert_failed_commit_releases_the_lock(
     failing_puts: &'static str,
     commit: impl FnOnce(&mut ScfsAgent) -> Result<(), ScfsError>,
 ) {
-    let env = FaultEnv::aws();
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
-    let mut alice = mount(
-        env.storage.clone(),
-        coordinator.clone(),
-        "alice",
-        test_config(),
-        1,
-    );
-    let v1 = four_chunks(0x31);
-    alice.write_file("/f", &v1).unwrap();
-    alice.write_file("/src", &four_chunks(0x32)).unwrap();
-    alice
-        .setfacl("/f", &"bob".into(), Permission::Write)
-        .unwrap();
-
+    // The copy source stores a manifest object: its copy has a PUT to fail.
+    let (env, coordinator, mut alice) = shared_file_env(OVER_BOUND);
     env.fail_puts_containing(Some(failing_puts));
     assert!(commit(&mut alice).is_err());
     env.fail_puts_containing(None);
-
-    let mut bob = mount(env.storage.clone(), coordinator, "bob", test_config(), 2);
-    bob.sleep(alice.now().duration_since(bob.now()) + SimDuration::from_secs(1));
-    let handle = bob
-        .open("/f", OpenFlags::read_write())
-        .expect("the failed commit released its lock");
-    assert_eq!(
-        bob.read(handle, 0, v1.len()).unwrap(),
-        v1,
-        "anchor unchanged"
-    );
-    bob.close(handle).unwrap();
+    // The anchor is unchanged.
+    assert_bob_opens_for_writing(&env, coordinator, &alice, &four_chunks(0x31));
 }
 
 #[test]
@@ -544,6 +596,18 @@ fn failed_close_of_a_shared_file_releases_its_write_lock() {
 #[test]
 fn failed_copy_onto_a_shared_file_releases_its_write_lock() {
     assert_failed_commit_releases_the_lock("/manifest/", |alice| alice.copy_file("/src", "/f"));
+}
+
+/// The inline twin: the manifest-only copy of a version whose manifest rides
+/// in the tuple issues no cloud request, so a cloud failing every PUT cannot
+/// fail it — it commits, and unlocks.
+#[test]
+fn an_inline_copy_commits_under_a_put_failing_cloud() {
+    let (env, coordinator, mut alice) = shared_file_env(4);
+    env.fail_puts_containing(Some(""));
+    alice.copy_file("/src", "/f").unwrap();
+    assert_eq!(env.storage.pending_releases(), 0);
+    assert_bob_opens_for_writing(&env, coordinator, &alice, &four_chunks(0x50));
 }
 
 proptest! {

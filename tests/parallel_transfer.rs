@@ -5,7 +5,8 @@
 //! * closing a dirty 16-chunk file with `max_parallel_transfers = 4` costs
 //!   ~4 blob latencies of foreground virtual time (vs ~16 sequentially), on
 //!   both the AWS and CoC backends — the manifest rides beside the first
-//!   chunk wave, so a dirty 1-chunk close costs one blob latency;
+//!   chunk wave, or in the metadata tuple when it fits, so a dirty 1-chunk
+//!   close costs one blob latency;
 //! * a cold `read(0, 4 KiB)` of a 16 MiB file transfers exactly the
 //!   manifest plus one chunk;
 //! * a cold open + read of a small file, whose manifest rides in the metadata
@@ -145,9 +146,10 @@ fn sixteen_chunk_close_costs_four_waves_coc() {
     assert_parallel_close(coc_slow(), coc_slow());
 }
 
-/// The single-wave commit: a dirty 1-chunk close is the chunk, the manifest
-/// and (on CoC) both DepSky rounds of each in flight together, then the two
-/// coordination calls (anchor update, unlock — free on the test coordinator).
+/// The single-wave commit: a dirty 1-chunk close is the chunk — its manifest
+/// rides in the metadata tuple — with (on CoC) both DepSky rounds in flight
+/// together, then the two coordination calls (anchor update, unlock — free
+/// on the test coordinator).
 /// `bare_put_secs` is what the backend pays to store the same bytes as one
 /// blob and nothing else.
 fn assert_one_blob_close(storage: Arc<dyn FileStorage>, bare_put_secs: f64) {
