@@ -8,8 +8,12 @@
 //! reproduce --quick        # reduced workload sizes (for smoke testing)
 //! ```
 //!
+//! An argument that is neither exits 2 and lists the selectors.
+//!
 //! The output is a set of plain-text tables whose shapes are compared with
 //! the paper in EXPERIMENTS.md.
+
+use std::collections::BTreeSet;
 
 use sim_core::units::Bytes;
 use workloads::costs::{figure11a, figure11b, figure11c, table1};
@@ -20,63 +24,90 @@ use workloads::sweeps::{figure10a, figure10b, SweepConfig};
 
 const SEED: u64 = 20140614;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let selected: Vec<String> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(|a| a.to_lowercase())
-        .collect();
-    let want = |name: &str| selected.is_empty() || selected.iter().any(|s| s == name);
+/// Workload sizes of one invocation (`--quick` shrinks them).
+struct Sizes {
+    micro: MicroBenchConfig,
+    sweep: SweepConfig,
+    sharing_runs: usize,
+}
 
-    let micro_cfg = if quick {
-        MicroBenchConfig::quick()
+/// Every section, in print order: its selector, the group selectors that
+/// also pick it, and what prints it.
+type Section = (&'static str, &'static [&'static str], fn(&Sizes));
+const SECTIONS: &[Section] = &[
+    ("table1", &[], |_| println!("{}", table1().render())),
+    ("table3", &[], |sizes| {
+        eprintln!("[running] Table 3: Filebench micro-benchmarks ...");
+        println!("{}", table3(&sizes.micro, SEED).render());
+    }),
+    ("fig8", &[], |_| {
+        eprintln!("[running] Figure 8: file synchronization benchmark ...");
+        let doc_size = Bytes::new(1_200 * 1024);
+        println!("{}", figure8(&figure8a_systems(), doc_size, SEED).render());
+        println!("{}", figure8(&figure8b_systems(), doc_size, SEED).render());
+    }),
+    ("fig9", &[], |sizes| {
+        eprintln!("[running] Figure 9: sharing latency ...");
+        println!("{}", figure9(sizes.sharing_runs, SEED).render());
+    }),
+    ("fig10a", &["fig10"], |sizes| {
+        eprintln!("[running] Figure 10(a): metadata cache sweep ...");
+        println!("{}", figure10a(sizes.sweep, SEED).render());
+    }),
+    ("fig10b", &["fig10"], |sizes| {
+        eprintln!("[running] Figure 10(b): private name space sweep ...");
+        println!("{}", figure10b(sizes.sweep, SEED).render());
+    }),
+    ("fig11a", &["fig11"], |_| {
+        println!("{}", figure11a().render())
+    }),
+    ("fig11b", &["fig11"], |_| {
+        println!("{}", figure11b().render())
+    }),
+    ("fig11c", &["fig11"], |_| {
+        println!("{}", figure11c().render())
+    }),
+];
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
+    let picks = |(name, groups, _): &Section, arg: &str| arg == *name || groups.contains(&arg);
+    let known = |arg: &str| arg == "--quick" || SECTIONS.iter().any(|s| picks(s, arg));
+    if let Some(unknown) = args.iter().find(|arg| !known(arg)) {
+        let valid: BTreeSet<&str> = SECTIONS
+            .iter()
+            .flat_map(|(name, groups, _)| groups.iter().chain([name]).copied())
+            .collect();
+        let valid: Vec<&str> = valid.into_iter().collect();
+        eprintln!("reproduce: unknown argument {unknown:?}");
+        eprintln!("usage: reproduce [--quick] [{}]...", valid.join("|"));
+        std::process::exit(2);
+    }
+    let (flags, selected): (Vec<&str>, Vec<&str>) = args
+        .iter()
+        .map(String::as_str)
+        .partition(|arg| *arg == "--quick");
+
+    let sizes = if !flags.is_empty() {
+        Sizes {
+            micro: MicroBenchConfig::quick(),
+            sweep: SweepConfig::quick(),
+            sharing_runs: 3,
+        }
     } else {
-        MicroBenchConfig::paper()
+        Sizes {
+            micro: MicroBenchConfig::paper(),
+            sweep: SweepConfig::paper(),
+            sharing_runs: 15,
+        }
     };
-    let sweep_cfg = if quick {
-        SweepConfig::quick()
-    } else {
-        SweepConfig::paper()
-    };
-    let sharing_runs = if quick { 3 } else { 15 };
-    let doc_size = Bytes::new(1_200 * 1024);
 
     println!("SCFS reproduction — regenerating the paper's tables and figures");
     println!("(virtual-time simulation; see EXPERIMENTS.md for the comparison)\n");
 
-    if want("table1") {
-        println!("{}", table1().render());
-    }
-    if want("table3") {
-        eprintln!("[running] Table 3: Filebench micro-benchmarks ...");
-        println!("{}", table3(&micro_cfg, SEED).render());
-    }
-    if want("fig8") {
-        eprintln!("[running] Figure 8: file synchronization benchmark ...");
-        println!("{}", figure8(&figure8a_systems(), doc_size, SEED).render());
-        println!("{}", figure8(&figure8b_systems(), doc_size, SEED).render());
-    }
-    if want("fig9") {
-        eprintln!("[running] Figure 9: sharing latency ...");
-        println!("{}", figure9(sharing_runs, SEED).render());
-    }
-    if want("fig10a") || want("fig10") {
-        eprintln!("[running] Figure 10(a): metadata cache sweep ...");
-        println!("{}", figure10a(sweep_cfg, SEED).render());
-    }
-    if want("fig10b") || want("fig10") {
-        eprintln!("[running] Figure 10(b): private name space sweep ...");
-        println!("{}", figure10b(sweep_cfg, SEED).render());
-    }
-    if want("fig11a") || want("fig11") {
-        println!("{}", figure11a().render());
-    }
-    if want("fig11b") || want("fig11") {
-        println!("{}", figure11b().render());
-    }
-    if want("fig11c") || want("fig11") {
-        println!("{}", figure11c().render());
+    for section in SECTIONS {
+        if selected.is_empty() || selected.iter().any(|s| picks(section, s)) {
+            (section.2)(&sizes);
+        }
     }
 }

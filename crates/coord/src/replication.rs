@@ -26,8 +26,6 @@ use sim_core::fault::{FaultDecision, FaultInjector, FaultPlan};
 use sim_core::latency::LatencyModel;
 use sim_core::rng::DetRng;
 use sim_core::time::{SimDuration, SimInstant};
-use sim_core::trace::{TraceCategory, Tracer};
-use sim_core::units::Bytes;
 
 use crate::commands::{Command, Reply, SignedCommand};
 use crate::error::CoordError;
@@ -157,18 +155,6 @@ impl ReplicationConfig {
         }
     }
 
-    /// A crash-fault-tolerant deployment (ZooKeeper-style) over `2f + 1`
-    /// replicas with the same site latencies as the CoC deployment.
-    pub fn coc_crash(f: usize) -> Self {
-        let base = ReplicationConfig::coc_byzantine();
-        ReplicationConfig {
-            mode: ReplicationMode::CrashFaultTolerant { f },
-            replicas: base.replicas.into_iter().take(2 * f + 1).collect(),
-            inter_replica_rtt: base.inter_replica_rtt,
-            processing: base.processing,
-        }
-    }
-
     /// A colocated "metro" crash-fault-tolerant profile for the sharded
     /// metadata plane: replicas in nearby datacentres (2–6 ms apart) reached
     /// by clients over an 8–16 ms metro round trip. This is the per-register-
@@ -224,7 +210,6 @@ pub struct ReplicatedCoordinator {
     replica_faults: Vec<Mutex<FaultInjector>>,
     rng: Mutex<DetRng>,
     accesses: AtomicU64,
-    tracer: Tracer,
 }
 
 impl ReplicatedCoordinator {
@@ -249,7 +234,6 @@ impl ReplicatedCoordinator {
             replica_faults,
             rng: Mutex::new(DetRng::new(seed)),
             accesses: AtomicU64::new(0),
-            tracer: Tracer::new(),
         }
     }
 
@@ -271,22 +255,6 @@ impl ReplicatedCoordinator {
     /// The deployment configuration.
     pub fn config(&self) -> &ReplicationConfig {
         &self.config
-    }
-
-    /// The tracer (disabled by default).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Mean latency of one update operation, useful for calibration tests.
-    pub fn expected_update_latency(&self) -> SimDuration {
-        let leader = self.config.replicas[0].client_rtt.mean();
-        let rounds = match self.config.mode {
-            ReplicationMode::SingleNode => 0,
-            ReplicationMode::CrashFaultTolerant { .. } => 1,
-            ReplicationMode::ByzantineFaultTolerant { .. } => 2,
-        };
-        leader + self.config.inter_replica_rtt.mean().mul(rounds) + self.config.processing.mean()
     }
 
     fn count_access(&self) {
@@ -378,15 +346,6 @@ impl ReplicatedCoordinator {
         let (responsive, corrupt) = self.poll_replicas(start);
         let honest = responsive - corrupt;
         if honest < self.config.mode.write_quorum() {
-            self.tracer.record_op(
-                TraceCategory::Coordination,
-                command.name(),
-                "",
-                start,
-                latency,
-                Bytes::ZERO,
-                false,
-            );
             return Err(CoordError::unavailable(format!(
                 "only {honest} of {} replicas available",
                 self.config.replicas.len()
@@ -397,24 +356,13 @@ impl ReplicatedCoordinator {
             issuer: ctx.account.clone(),
             command,
         };
-        let reply = self.store.lock().apply(&signed, committed_at);
-        self.tracer.record_op(
-            TraceCategory::Coordination,
-            signed.command.name(),
-            "",
-            start,
-            latency,
-            Bytes::ZERO,
-            !matches!(reply, Reply::Error(_)),
-        );
-        Ok(reply)
+        Ok(self.store.lock().apply(&signed, committed_at))
     }
 
     /// Runs a read-only query with reply voting.
     fn query<T>(
         &self,
         ctx: &mut OpCtx<'_>,
-        op: &str,
         f: impl FnOnce(&TupleStore, SimInstant) -> Result<T, CoordError>,
     ) -> Result<T, CoordError> {
         self.count_access();
@@ -425,31 +373,12 @@ impl ReplicatedCoordinator {
         let (responsive, corrupt) = self.poll_replicas(start);
         let honest = responsive - corrupt;
         if honest < self.config.mode.reply_quorum() {
-            self.tracer.record_op(
-                TraceCategory::Coordination,
-                op,
-                "",
-                start,
-                latency,
-                Bytes::ZERO,
-                false,
-            );
             return Err(CoordError::unavailable(format!(
                 "only {honest} matching replies of {} needed",
                 self.config.mode.reply_quorum()
             )));
         }
-        let result = f(&self.store.lock(), read_at);
-        self.tracer.record_op(
-            TraceCategory::Coordination,
-            op,
-            "",
-            start,
-            latency,
-            Bytes::ZERO,
-            result.is_ok(),
-        );
-        result
+        f(&self.store.lock(), read_at)
     }
 }
 
@@ -522,7 +451,7 @@ impl CoordinationService for ReplicatedCoordinator {
 
     fn get(&self, ctx: &mut OpCtx<'_>, key: &str) -> Result<Entry, CoordError> {
         let account = ctx.account.clone();
-        self.query(ctx, "get", |store, now| store.get(key, &account, now))
+        self.query(ctx, |store, now| store.get(key, &account, now))
     }
 
     fn delete(&self, ctx: &mut OpCtx<'_>, key: &str) -> Result<(), CoordError> {
@@ -537,9 +466,7 @@ impl CoordinationService for ReplicatedCoordinator {
 
     fn list(&self, ctx: &mut OpCtx<'_>, prefix: &str) -> Result<Vec<String>, CoordError> {
         let account = ctx.account.clone();
-        self.query(ctx, "list", |store, now| {
-            Ok(store.list(prefix, &account, now))
-        })
+        self.query(ctx, |store, now| Ok(store.list(prefix, &account, now)))
     }
 
     fn set_acl(&self, ctx: &mut OpCtx<'_>, key: &str, acl: Acl) -> Result<(), CoordError> {
@@ -616,7 +543,7 @@ mod tests {
     fn canned_configs_validate() {
         assert!(ReplicationConfig::aws_single_ec2().validate().is_ok());
         assert!(ReplicationConfig::coc_byzantine().validate().is_ok());
-        assert!(ReplicationConfig::coc_crash(1).validate().is_ok());
+        assert!(ReplicationConfig::metro_crash(1).validate().is_ok());
         let mut bad = ReplicationConfig::coc_byzantine();
         bad.replicas.pop();
         assert!(bad.validate().is_err());
@@ -764,17 +691,6 @@ mod tests {
                 SimDuration::from_secs(60),
             )
             .unwrap();
-    }
-
-    #[test]
-    fn expected_update_latency_orders_modes() {
-        let single = ReplicatedCoordinator::new(ReplicationConfig::aws_single_ec2(), 1).unwrap();
-        let coc = ReplicatedCoordinator::new(ReplicationConfig::coc_byzantine(), 1).unwrap();
-        // Both should be within the same order of magnitude (60-150 ms).
-        let s = single.expected_update_latency().as_millis_f64();
-        let c = coc.expected_update_latency().as_millis_f64();
-        assert!(s > 50.0 && s < 120.0, "single {s}");
-        assert!(c > 50.0 && c < 160.0, "coc {c}");
     }
 
     #[test]

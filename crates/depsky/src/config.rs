@@ -1,40 +1,20 @@
 //! DepSky protocol configuration.
 
-/// Which DepSky protocol to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Protocol {
-    /// DepSky-A: full replication of the plaintext in every cloud. Available
-    /// but neither confidential nor storage-efficient; used as an ablation
-    /// baseline.
-    Available,
-    /// DepSky-CA: encryption + erasure coding + secret sharing. This is what
-    /// SCFS uses for its CoC backend.
-    ConfidentialAvailable,
-}
-
-/// Configuration of a DepSky deployment.
+/// Configuration of a DepSky-CA deployment (encryption + erasure coding +
+/// secret sharing) with *preferred quorums*: data blocks go only to the first
+/// `n − f` clouds instead of all `n`, which for `f = 1` stores `1.5×` the
+/// data instead of `2×` (the configuration of the paper's Figure 11(c)
+/// analysis and the only one SCFS deploys).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DepSkyConfig {
     /// Number of tolerated faulty clouds.
     pub f: usize,
-    /// Protocol variant.
-    pub protocol: Protocol,
-    /// Whether to use *preferred quorums*: write data blocks only to the
-    /// first `n − f` clouds (cheapest/fastest) instead of all `n`, reducing
-    /// storage cost from `2×` to `1.5×` for `f = 1` (the configuration used
-    /// by the paper's Figure 11(c) analysis).
-    pub preferred_quorum: bool,
 }
 
 impl DepSkyConfig {
-    /// The configuration used by SCFS-CoC in the paper: `f = 1`, DepSky-CA,
-    /// preferred quorums enabled.
+    /// The configuration used by SCFS-CoC in the paper: `f = 1`.
     pub fn scfs_default() -> Self {
-        DepSkyConfig {
-            f: 1,
-            protocol: Protocol::ConfidentialAvailable,
-            preferred_quorum: true,
-        }
+        DepSkyConfig { f: 1 }
     }
 
     /// Total number of clouds required (`n = 3f + 1`).
@@ -52,24 +32,10 @@ impl DepSkyConfig {
         self.f + 1
     }
 
-    /// Number of clouds that actually hold data blocks for each version.
+    /// Number of clouds that hold a data block of each version: the
+    /// preferred quorum, `n − f`.
     pub fn data_clouds(&self) -> usize {
-        if self.preferred_quorum {
-            self.write_quorum()
-        } else {
-            self.total_clouds()
-        }
-    }
-
-    /// Expected storage overhead factor (stored bytes / logical bytes) under
-    /// this configuration.
-    pub fn storage_overhead(&self) -> f64 {
-        match self.protocol {
-            Protocol::Available => self.data_clouds() as f64,
-            Protocol::ConfidentialAvailable => {
-                self.data_clouds() as f64 / self.data_shards() as f64
-            }
-        }
+        self.write_quorum()
     }
 }
 
@@ -83,39 +49,14 @@ mod tests {
         assert_eq!(c.total_clouds(), 4);
         assert_eq!(c.write_quorum(), 3);
         assert_eq!(c.data_shards(), 2);
-        assert_eq!(c.data_clouds(), 3);
         // Figure 11(c): "two clouds store half of the file each while a third
         // receives an extra block" -> 1.5x the file size.
-        assert!((c.storage_overhead() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn without_preferred_quorum_overhead_is_2x() {
-        let c = DepSkyConfig {
-            preferred_quorum: false,
-            ..DepSkyConfig::scfs_default()
-        };
-        assert_eq!(c.data_clouds(), 4);
-        assert!((c.storage_overhead() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn replication_protocol_overhead() {
-        let c = DepSkyConfig {
-            f: 1,
-            protocol: Protocol::Available,
-            preferred_quorum: false,
-        };
-        assert!((c.storage_overhead() - 4.0).abs() < 1e-12);
+        assert_eq!(c.data_clouds(), 3);
     }
 
     #[test]
     fn f2_configuration() {
-        let c = DepSkyConfig {
-            f: 2,
-            protocol: Protocol::ConfidentialAvailable,
-            preferred_quorum: true,
-        };
+        let c = DepSkyConfig { f: 2 };
         assert_eq!(c.total_clouds(), 7);
         assert_eq!(c.write_quorum(), 5);
         assert_eq!(c.data_shards(), 3);

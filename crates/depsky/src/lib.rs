@@ -1,13 +1,12 @@
 //! DepSky: dependable and secure storage on a cloud-of-clouds.
 //!
-//! The SCFS cloud-of-clouds backend stores every file through an extended
-//! version of DepSky (paper §3.2, Figures 5 and 6). A *data unit* is a
-//! single-writer, multi-reader register replicated over `n = 3f + 1` clouds
-//! that tolerates `f` arbitrarily faulty providers (unavailable, erasing,
-//! corrupting or fabricating data). The DepSky-CA protocol implemented here
-//! combines:
+//! The SCFS cloud-of-clouds backend stores every blob through an extended
+//! version of DepSky (paper §3.2, Figures 5 and 6). A *data unit* is
+//! replicated over `n = 3f + 1` clouds and tolerates `f` arbitrarily faulty
+//! providers (unavailable, erasing, corrupting or fabricating data). The
+//! DepSky-CA protocol implemented here combines:
 //!
-//! 1. a fresh random key per write and symmetric encryption of the file;
+//! 1. a fresh random key per write and symmetric encryption of the data;
 //! 2. a systematic Reed–Solomon erasure code producing one block per cloud,
 //!    so that any `f + 1` clouds can rebuild the ciphertext at roughly half
 //!    the storage cost of full replication;
@@ -16,9 +15,15 @@
 //! 4. Byzantine quorum protocols: writes wait for `n − f` acknowledgements,
 //!    reads gather enough verifiable blocks to reconstruct.
 //!
-//! SCFS additionally required a new operation — *read the version with a
-//! given hash* — to implement its consistency anchor on top of DepSky; this
-//! is [`register::DepSkyClient::read_by_hash`].
+//! The paper keeps whole files as versioned, mutable units and adds one
+//! operation — *read the version with a given hash* — for its consistency
+//! anchor. Everything this repository stores is instead a write-once blob
+//! named by its content hash (an SCFS chunk or chunk-map manifest), so the
+//! client's whole surface is four calls on a blob `(base, hash)`:
+//! [`DepSkyClient::write_blob`], [`DepSkyClient::read_blob`] (the paper's
+//! read-by-hash: the hash is in the unit's name), [`DepSkyClient::delete_blob`]
+//! and [`DepSkyClient::set_blob_acl`]. The mutable-unit register, DepSky-A
+//! (plain replication) and writes to all `n` clouds are not implemented.
 //!
 //! Modules:
 //!
@@ -26,9 +31,10 @@
 //! * [`metadata`] — the per-data-unit metadata object stored in every cloud.
 //! * [`quorum`] — parallel cloud access with virtual-clock forking and
 //!   quorum waits.
-//! * [`config`] — protocol selection (replication vs. erasure-coded), `f`,
-//!   preferred quorums.
-//! * [`register`] — the [`register::DepSkyClient`] register implementation.
+//! * [`config`] — the number of tolerated faulty clouds and the quorum
+//!   sizes that follow from it.
+//! * [`register`] — the [`DepSkyClient`] blob store, and how a blob's unit
+//!   and cloud keys are spelled and parsed back.
 
 pub mod config;
 pub mod metadata;
@@ -36,6 +42,6 @@ pub mod quorum;
 pub mod register;
 pub mod wire;
 
-pub use config::{DepSkyConfig, Protocol};
+pub use config::DepSkyConfig;
 pub use metadata::{DataUnitMetadata, VersionInfo};
-pub use register::{DepSkyClient, WriteReceipt};
+pub use register::DepSkyClient;

@@ -61,11 +61,6 @@ impl VersionInfo {
             self.placements.iter().position(|&c| c as usize == cloud)
         }
     }
-
-    /// The cloud holding block slot `slot`.
-    pub fn cloud_for_slot(&self, slot: usize) -> usize {
-        self.placements.get(slot).map_or(slot, |&c| c as usize)
-    }
 }
 
 /// The metadata object of a data unit.
@@ -106,16 +101,6 @@ impl DataUnitMetadata {
         self.versions.push(info);
     }
 
-    /// Removes all versions older than the newest `keep` versions and returns
-    /// the removed records (used by the SCFS garbage collector).
-    pub fn prune_old_versions(&mut self, keep: usize) -> Vec<VersionInfo> {
-        if self.versions.len() <= keep {
-            return Vec::new();
-        }
-        let cut = self.versions.len() - keep;
-        self.versions.drain(..cut).collect()
-    }
-
     /// Serializes the metadata object.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
@@ -148,44 +133,33 @@ impl DataUnitMetadata {
         w.finish()
     }
 
-    /// Deserializes a metadata object.
+    /// Deserializes a metadata object. The bytes come from a cloud that may
+    /// be Byzantine, so this fails closed: every count is bounded by the
+    /// bytes actually present before anything is allocated for it, and only
+    /// the exact bytes [`DataUnitMetadata::encode`] produces decode.
     pub fn decode(buf: &[u8]) -> Result<Self, DecodeError> {
         let mut r = Reader::new(buf);
         let name = r.get_str()?;
         let count = r.get_u64()? as usize;
-        let mut versions = Vec::with_capacity(count.min(1024));
+        let mut versions = Vec::with_capacity(count.min(r.remaining() / MIN_VERSION_LEN));
         for _ in 0..count {
             let version = r.get_u64()?;
-            let hash_bytes = r.get_bytes()?;
-            let mut hash = [0u8; 32];
-            if hash_bytes.len() != 32 {
-                return Err(DecodeError {
-                    reason: format!("hash must be 32 bytes, got {}", hash_bytes.len()),
-                });
-            }
-            hash.copy_from_slice(&hash_bytes);
+            let hash = get_hash(&mut r, "hash")?;
             let size = r.get_u64()?;
             let block_size = r.get_u64()?;
             let raw_clouds = r.get_u32()?;
             let placed = raw_clouds & PLACEMENT_FLAG != 0;
             let data_clouds = raw_clouds & !PLACEMENT_FLAG;
             let hash_count = r.get_u64()? as usize;
-            let mut block_hashes = Vec::with_capacity(hash_count.min(64));
+            let mut block_hashes = Vec::with_capacity(hash_count.min(r.remaining() / HASH_LEN));
             for _ in 0..hash_count {
-                let bytes = r.get_bytes()?;
-                if bytes.len() != 32 {
-                    return Err(DecodeError {
-                        reason: format!("block hash must be 32 bytes, got {}", bytes.len()),
-                    });
-                }
-                let mut h = [0u8; 32];
-                h.copy_from_slice(&bytes);
-                block_hashes.push(h);
+                block_hashes.push(get_hash(&mut r, "block hash")?);
             }
             let mut placements = Vec::new();
             if placed {
                 let placement_count = r.get_u64()? as usize;
-                if placement_count != data_clouds as usize {
+                // An empty placement vector is spelled by a clear flag.
+                if placement_count != data_clouds as usize || placement_count == 0 {
                     return Err(DecodeError {
                         reason: format!(
                             "placement count {placement_count} does not match \
@@ -193,7 +167,7 @@ impl DataUnitMetadata {
                         ),
                     });
                 }
-                placements.reserve(placement_count.min(64));
+                placements.reserve(placement_count.min(r.remaining() / 4));
                 for _ in 0..placement_count {
                     placements.push(r.get_u32()?);
                 }
@@ -208,13 +182,32 @@ impl DataUnitMetadata {
                 placements,
             });
         }
+        if !r.is_exhausted() {
+            return Err(DecodeError {
+                reason: format!("{} trailing bytes after unit metadata", r.remaining()),
+            });
+        }
         Ok(DataUnitMetadata { name, versions })
     }
+}
+
+/// Encoded length of a hash: its length prefix and 32 bytes.
+const HASH_LEN: usize = 8 + 32;
+
+/// Least encoded length of a version record (one with no block hashes).
+const MIN_VERSION_LEN: usize = 8 + HASH_LEN + 8 + 8 + 4 + 8;
+
+fn get_hash(r: &mut Reader<'_>, what: &str) -> Result<ContentHash, DecodeError> {
+    let bytes = r.get_bytes_max(32)?;
+    bytes.try_into().map_err(|_| DecodeError {
+        reason: format!("{what} must be 32 bytes, got {}", bytes.len()),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use scfs_crypto::sha256;
 
     fn info(v: u64, content: &[u8]) -> VersionInfo {
@@ -258,20 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_keeps_newest_versions() {
-        let mut md = DataUnitMetadata::new("f");
-        for v in 1..=5 {
-            md.push_version(info(v, format!("v{v}").as_bytes()));
-        }
-        let removed = md.prune_old_versions(2);
-        assert_eq!(removed.len(), 3);
-        assert_eq!(md.versions.len(), 2);
-        assert_eq!(md.versions[0].version, 4);
-        // Pruning with enough slack removes nothing.
-        assert!(md.prune_old_versions(10).is_empty());
-    }
-
-    #[test]
     fn placed_versions_round_trip_and_translate_slots() {
         let mut md = DataUnitMetadata::new("placed");
         let mut v = info(1, b"placed");
@@ -285,7 +264,6 @@ mod tests {
         assert_eq!(v.slot_for_cloud(1), Some(1));
         assert_eq!(v.slot_for_cloud(6), Some(2));
         assert_eq!(v.slot_for_cloud(0), None);
-        assert_eq!(v.cloud_for_slot(2), 6);
     }
 
     #[test]
@@ -294,7 +272,6 @@ mod tests {
         assert_eq!(v.holder_clouds(), vec![0, 1, 2]);
         assert_eq!(v.slot_for_cloud(2), Some(2));
         assert_eq!(v.slot_for_cloud(3), None);
-        assert_eq!(v.cloud_for_slot(1), 1);
     }
 
     #[test]
@@ -335,5 +312,45 @@ mod tests {
         let mut buf = md.encode();
         buf.truncate(buf.len() - 3);
         assert!(DataUnitMetadata::decode(&buf).is_err());
+    }
+
+    #[test]
+    fn a_flagged_version_without_placements_fails_to_decode() {
+        // Same record, two spellings: only the one `encode` writes decodes.
+        let mut v = info(1, b"v1");
+        v.data_clouds = 0;
+        let mut md = DataUnitMetadata::new("bad");
+        md.push_version(v);
+        let mut buf = md.encode();
+        let flag_at = buf.len() - (8 + 3 * 40) - 1;
+        buf[flag_at] |= 0x80;
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        assert!(DataUnitMetadata::decode(&buf).is_err());
+    }
+
+    proptest! {
+        /// [`crate::wire::assert_fails_closed`] over records of one to three
+        /// versions, placed and not.
+        #[test]
+        fn prop_damaged_records_fail_closed(
+            versions in 1u64..4,
+            placed in 0u8..2,
+            tail in proptest::collection::vec(any::<u8>(), 1..24),
+            flip in 1u8..=255,
+        ) {
+            let mut md = DataUnitMetadata::new("alice-f1|00ff");
+            for n in 1..=versions {
+                let mut v = info(n, &n.to_le_bytes());
+                if placed == 1 && n % 2 == 1 {
+                    v.placements = vec![4, 1, 6];
+                }
+                md.push_version(v);
+            }
+            let valid = md.encode();
+            prop_assert_eq!(&DataUnitMetadata::decode(&valid).unwrap(), &md);
+            crate::wire::assert_fails_closed(&valid, &tail, flip, 33, |bytes| {
+                DataUnitMetadata::decode(bytes).ok().map(|md| md.encode())
+            });
+        }
     }
 }

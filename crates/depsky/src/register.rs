@@ -1,10 +1,16 @@
-//! The DepSky single-writer register over a cloud-of-clouds.
+//! The DepSky write-once blob store over a cloud-of-clouds.
 //!
-//! [`DepSkyClient`] implements the DepSky-CA write and read protocols
-//! (paper §3.2, Figure 6) plus the extension SCFS required: reading the
-//! version with a given content hash, so the consistency anchor in the
-//! coordination service — not the eventually-consistent clouds — decides
-//! which version a reader observes.
+//! [`DepSkyClient`] runs the DepSky-CA write and read protocols (paper §3.2,
+//! Figure 6) over the only kind of data unit SCFS stores: an immutable blob
+//! named by its content hash. The paper's extension — *read the version with
+//! this hash*, so the consistency anchor in the coordination service and not
+//! the eventually-consistent clouds decides what a reader observes — is what
+//! [`DepSkyClient::read_blob`] does; the hash is in the unit's name.
+//!
+//! This module owns how a blob is spelled in a cloud, both ways: a blob
+//! `(base, hash)` is the unit [`DepSkyClient::blob_unit`] names, a unit's
+//! objects live under [`KEY_SPACE`], and [`DepSkyClient::blob_of_key`] reads
+//! the `(base, hash)` back off any of them.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -20,10 +26,13 @@ use scfs_crypto::{
 use sim_core::time::SimInstant;
 use sim_core::units::Bytes;
 
-use crate::config::{DepSkyConfig, Protocol};
+use crate::config::DepSkyConfig;
 use crate::metadata::{DataUnitMetadata, VersionInfo};
-use crate::quorum::{advance_to_nth_success, parallel_access, CloudOutcome};
-use crate::wire::{Reader, Writer};
+use crate::quorum::{advance_to_all, advance_to_nth_success, parallel_access, CloudOutcome};
+use crate::wire::{DecodeError, Reader, Writer};
+
+/// Prefix of every key a DepSky client stores in a cloud.
+pub const KEY_SPACE: &str = "depsky/";
 
 /// How a placement-aware client selects clouds: the shared provider matrix
 /// (whose health every observed outcome feeds), the policy ranking it, and
@@ -54,18 +63,6 @@ impl std::fmt::Debug for PlacementSpec {
     }
 }
 
-/// Receipt returned by a successful write.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WriteReceipt {
-    /// Version number assigned to the write.
-    pub version: u64,
-    /// SHA-256 of the written plaintext (what SCFS stores in its consistency
-    /// anchor).
-    pub hash: ContentHash,
-    /// Plaintext size in bytes.
-    pub size: u64,
-}
-
 /// One decoded block object fetched from a cloud.
 #[derive(Debug, Clone)]
 struct BlockPayload {
@@ -76,7 +73,7 @@ struct BlockPayload {
     shard: Vec<u8>,
 }
 
-/// The DepSky client: a single-writer multi-reader register per data unit.
+/// The DepSky client: one write-once, content-addressed data unit per blob.
 pub struct DepSkyClient {
     clouds: Vec<Arc<dyn ObjectStore>>,
     config: DepSkyConfig,
@@ -179,21 +176,6 @@ impl DepSkyClient {
         })
     }
 
-    /// The configuration of this client.
-    pub fn config(&self) -> &DepSkyConfig {
-        &self.config
-    }
-
-    /// The clouds backing this client.
-    pub fn clouds(&self) -> &[Arc<dyn ObjectStore>] {
-        &self.clouds
-    }
-
-    /// The placement specification, if this client is placement-aware.
-    pub fn placement(&self) -> Option<&PlacementSpec> {
-        self.placement.as_ref()
-    }
-
     /// Number of clouds holding data blocks for each written version.
     fn block_width(&self) -> usize {
         self.placement
@@ -227,228 +209,70 @@ impl DepSkyClient {
     }
 
     fn metadata_key(name: &str) -> String {
-        format!("depsky/{name}/metadata")
+        format!("{KEY_SPACE}{name}/metadata")
     }
 
     fn block_key(name: &str, version: u64, slot: usize) -> String {
-        format!("depsky/{name}/v{version}/block{slot}")
+        format!("{KEY_SPACE}{name}/v{version}/block{slot}")
     }
 
-    /// Writes a new version of the data unit `name`, reading the current
-    /// metadata from the clouds first if it is not cached locally.
-    pub fn write(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        name: &str,
-        data: &[u8],
-    ) -> Result<WriteReceipt, StorageError> {
-        let metadata = self
-            .find_metadata(ctx, name)?
-            .unwrap_or_else(|| DataUnitMetadata::new(name));
-        self.write_with_metadata(
-            ctx,
-            name,
-            data,
-            sha256(data),
-            metadata,
-            CommitOrder::DataThenMetadata,
-        )
+    /// Name of the data unit holding the immutable, content-addressed blob
+    /// `(base, hash)`: the base joined with the hash in hex. SCFS stores
+    /// chunks under one shared base and each object's manifests under the
+    /// object's id; `base` must not contain `/`.
+    pub fn blob_unit(base: &str, hash: &ContentHash) -> String {
+        format!("{base}|{}", scfs_crypto::to_hex(hash))
     }
 
-    /// Writes the *first* version of a data unit known to be new, skipping
-    /// the metadata read phase (SCFS uses this on file creation).
-    pub fn write_new(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        name: &str,
-        data: &[u8],
-    ) -> Result<WriteReceipt, StorageError> {
-        let metadata = self
-            .cached_metadata(name)
-            .unwrap_or_else(|| DataUnitMetadata::new(name));
-        self.write_with_metadata(
-            ctx,
-            name,
-            data,
-            sha256(data),
-            metadata,
-            CommitOrder::DataThenMetadata,
-        )
+    /// The `(base, hash)` of the blob a stored cloud key belongs to — the
+    /// inverse of [`DepSkyClient::blob_unit`] under either kind of object a
+    /// unit has (metadata record, block). `None` for a key that is not one
+    /// this client could have written for a blob.
+    pub fn blob_of_key(key: &str) -> Option<(&str, ContentHash)> {
+        let unit = key.strip_prefix(KEY_SPACE)?.split('/').next()?;
+        let (base, hex) = unit.rsplit_once('|')?;
+        Some((base, scfs_crypto::hash_from_hex(hex)?))
     }
 
     fn cached_metadata(&self, name: &str) -> Option<DataUnitMetadata> {
         self.metadata_cache.lock().get(name).cloned()
     }
 
-    /// The unit's metadata from the cache or, failing that, a quorum read;
-    /// `None` when no cloud returns a record.
-    fn find_metadata(
+    /// The unit's metadata from the cache or, failing that, a quorum read.
+    fn known_metadata(
         &self,
         ctx: &mut OpCtx<'_>,
         name: &str,
-    ) -> Result<Option<DataUnitMetadata>, StorageError> {
-        if let Some(md) = self.cached_metadata(name) {
-            return Ok(Some(md));
-        }
-        match self.read_metadata(ctx, name) {
-            Ok(md) => Ok(Some(md)),
-            Err(StorageError::NotFound { .. }) => Ok(None),
-            Err(e) => Err(e),
+    ) -> Result<DataUnitMetadata, StorageError> {
+        match self.cached_metadata(name) {
+            Some(md) => Ok(md),
+            None => self.read_metadata(ctx, name),
         }
     }
 
-    /// Writes `data`, whose SHA-256 the caller has computed as `hash`, as the
-    /// next version of the unit `metadata` describes.
-    fn write_with_metadata(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        name: &str,
-        data: &[u8],
-        hash: ContentHash,
-        mut metadata: DataUnitMetadata,
-        order: CommitOrder,
-    ) -> Result<WriteReceipt, StorageError> {
-        let version = metadata.next_version();
-        let data_clouds = self.block_width();
-        let data_shards = self.config.data_shards();
-
-        // Prepare the per-cloud block payloads.
-        let (key, nonce) = {
-            let mut kg = self.keygen.lock();
-            (kg.next_key(), kg.next_nonce())
-        };
-        let payloads: Vec<Vec<u8>> = match self.config.protocol {
-            Protocol::ConfidentialAvailable => {
-                let cipher = ChaCha20::new(&key, &nonce);
-                let ciphertext = cipher.encrypt(data);
-                let shards = self.coder.encode(&ciphertext);
-                let shares = {
-                    let mut kg = self.keygen.lock();
-                    split_secret(&key, data_shards, data_clouds, move || {
-                        (kg.next_key()[0]) ^ (kg.next_nonce()[0])
-                    })
-                    .map_err(|e| StorageError::invalid(e.to_string()))?
-                };
-                shards
-                    .into_iter()
-                    .take(data_clouds)
-                    .zip(shares)
-                    .enumerate()
-                    .map(|(slot, (shard, share))| {
-                        encode_block(slot as u8, share.index, &nonce, &share.data, &shard)
-                    })
-                    .collect()
-            }
-            Protocol::Available => (0..data_clouds)
-                .map(|slot| encode_block(slot as u8, 0, &nonce, &[], data))
-                .collect(),
-        };
-        let block_size = payloads.first().map_or(0, |p| p.len() as u64);
-        let block_hashes: Vec<ContentHash> = payloads.iter().map(|p| sha256(p)).collect();
-
-        // Phase 1: store the data blocks in parallel on the clouds the
-        // placement policy picks (the first `width` clouds when fixed).
-        let targets: Vec<usize> = match &self.placement {
-            Some(spec) => spec.policy.write_targets(
-                &spec.matrix,
-                spec.width,
-                spec.write_wait,
-                Bytes::new(block_size),
-            ),
-            None => (0..data_clouds).collect(),
-        };
-        let start = ctx.clock.now();
-        let blocks = parallel_access(ctx, &self.clouds, &targets, |cloud_index, cloud, c| {
-            // Block slot `i` lives on cloud `targets[i]`.
-            let slot = targets
-                .iter()
-                .position(|&t| t == cloud_index)
-                .unwrap_or(cloud_index);
-            cloud.put(c, &Self::block_key(name, version, slot), &payloads[slot])
-        });
-        self.record_outcomes(start, &blocks);
-        let needed = match &self.placement {
-            Some(spec) => spec.write_wait,
-            None if self.config.preferred_quorum => data_clouds,
-            None => self.config.write_quorum(),
-        };
-        if order == CommitOrder::DataThenMetadata {
-            await_quorum(ctx, &blocks, needed)?;
-        }
-
-        // Phase 2: update and store the metadata object in every cloud. The
-        // caller's clock only moves at a quorum wait, so an unordered commit
-        // issues this round from the same instant as the block round.
-        let identity: Vec<usize> = (0..data_clouds).collect();
-        let placements: Vec<u32> = if targets == identity {
-            Vec::new()
-        } else {
-            targets.iter().map(|&c| c as u32).collect()
-        };
-        metadata.push_version(VersionInfo {
-            version,
-            hash,
-            size: data.len() as u64,
-            block_size,
-            data_clouds: data_clouds as u32,
-            block_hashes,
-            placements,
-        });
-        let encoded_md = metadata.encode();
-        let all: Vec<usize> = (0..self.clouds.len()).collect();
-        let start = ctx.clock.now();
-        let records = parallel_access(ctx, &self.clouds, &all, |_, cloud, c| {
-            cloud.put(c, &Self::metadata_key(name), &encoded_md)
-        });
-        self.record_outcomes(start, &records);
-        // Both rounds are in flight: wait out both quorums (the clock ends at
-        // the later instant; an ordered commit is already past the first)
-        // before reporting a failure of either.
-        let data_quorum = await_quorum(ctx, &blocks, needed);
-        let metadata_quorum = await_quorum(ctx, &records, self.metadata_quorum());
-        data_quorum.and(metadata_quorum)?;
-
-        self.metadata_cache
-            .lock()
-            .insert(name.to_string(), metadata);
-        Ok(WriteReceipt {
-            version,
-            hash,
-            size: data.len() as u64,
-        })
-    }
-
-    /// Base name of the global, cross-file chunk namespace: SCFS stores
-    /// every chunk as a `chunks|{hash}` data unit, shared by all files and
-    /// users, while chunk-map manifests keep per-object `{id}|{hash}` units.
-    /// Object ids never collide with this base (they are `{user}-f{n}`).
-    pub const GLOBAL_CHUNK_BASE: &str = "chunks";
-
-    /// Name of the single-version data unit holding an immutable,
-    /// content-addressed blob (an SCFS chunk or chunk-map manifest): the
-    /// base object id joined with the blob's content hash.
-    pub fn blob_unit(base: &str, hash: &ContentHash) -> String {
-        format!("{base}|{}", scfs_crypto::to_hex(hash))
-    }
-
-    /// Name of the data unit holding a chunk of the global namespace.
-    pub fn chunk_unit(hash: &ContentHash) -> String {
-        Self::blob_unit(Self::GLOBAL_CHUNK_BASE, hash)
+    /// The clouds of this pool that hold a block of `info`.
+    fn holders(&self, info: &VersionInfo) -> Vec<usize> {
+        let holders = info.holder_clouds().into_iter();
+        holders.filter(|&c| c < self.clouds.len()).collect()
     }
 
     /// Stores an immutable blob addressed by `base|hash` through the full
     /// DepSky-CA pipeline (encrypt, erasure-code, secret-share). Writing the
     /// same blob twice is idempotent in content; callers are expected to
-    /// skip blobs they know are already stored.
+    /// skip blobs they know are already stored. A repeated write appends a
+    /// version record and stores its blocks under the next `v{n}/`: a reader
+    /// still holding the earlier record keeps finding the blocks of the
+    /// encryption that record describes.
     ///
-    /// The per-cloud block PUTs and the metadata-record PUTs go out in one
-    /// round, and the call returns at the later of the two quorum instants.
-    /// This is the storage half of SCFS's commit invariant:
-    /// content-addressed objects are unordered among themselves, and only the
-    /// anchor update that publishes their hash is ordered after all of them —
-    /// so no reader can look for this unit before the call has returned, and
-    /// a failed call leaves at most a half-written unit that
-    /// [`DepSkyClient::delete_blob`] reclaims.
+    /// Blobs are write-once, so the unit is taken to be new and the
+    /// protocol's metadata-read phase is skipped. The per-cloud block PUTs
+    /// and the metadata-record PUTs go out in one round, and the call
+    /// returns at the later of the two quorum instants. This is the storage
+    /// half of SCFS's commit invariant: content-addressed objects are
+    /// unordered among themselves, and only the anchor update that publishes
+    /// their hash is ordered after all of them — so no reader can look for
+    /// this unit before the call has returned, and a failed call leaves at
+    /// most a half-written unit that [`DepSkyClient::delete_blob`] reclaims.
     pub fn write_blob(
         &self,
         ctx: &mut OpCtx<'_>,
@@ -462,62 +286,182 @@ impl DepSkyClient {
                 scfs_crypto::to_hex(hash)
             )));
         }
-        // Blobs are write-once: the unit is known to be new, so the
-        // metadata-read phase is skipped, exactly like file creation.
         let name = Self::blob_unit(base, hash);
-        let metadata = self
+        let mut metadata = self
             .cached_metadata(&name)
             .unwrap_or_else(|| DataUnitMetadata::new(&name));
-        // The address was just verified against the content: it is the
-        // version's plaintext hash, and is not computed a second time.
-        self.write_with_metadata(ctx, &name, data, *hash, metadata, CommitOrder::Unordered)?;
+        let version = metadata.next_version();
+        let data_clouds = self.block_width();
+        let data_shards = self.config.data_shards();
+
+        // Prepare the per-cloud block payloads: a fresh key encrypts the
+        // blob, the ciphertext is erasure-coded and the key secret-shared.
+        let (key, nonce) = {
+            let mut kg = self.keygen.lock();
+            (kg.next_key(), kg.next_nonce())
+        };
+        let ciphertext = ChaCha20::new(&key, &nonce).encrypt(data);
+        let shards = self.coder.encode(&ciphertext);
+        let shares = {
+            let mut kg = self.keygen.lock();
+            split_secret(&key, data_shards, data_clouds, move || {
+                (kg.next_key()[0]) ^ (kg.next_nonce()[0])
+            })
+            .map_err(|e| StorageError::invalid(e.to_string()))?
+        };
+        let payloads: Vec<Vec<u8>> = shards
+            .into_iter()
+            .take(data_clouds)
+            .zip(shares)
+            .enumerate()
+            .map(|(slot, (shard, share))| {
+                encode_block(slot as u8, share.index, &nonce, &share.data, &shard)
+            })
+            .collect();
+        let block_size = payloads.first().map_or(0, |p| p.len() as u64);
+        let block_hashes: Vec<ContentHash> = payloads.iter().map(|p| sha256(p)).collect();
+
+        // Store the data blocks in parallel on the clouds the placement
+        // policy picks (the first `n − f` clouds when fixed: the paper's
+        // preferred quorum, all of which must acknowledge).
+        let (targets, needed): (Vec<usize>, usize) = match &self.placement {
+            Some(spec) => (
+                spec.policy.write_targets(
+                    &spec.matrix,
+                    spec.width,
+                    spec.write_wait,
+                    Bytes::new(block_size),
+                ),
+                spec.write_wait,
+            ),
+            None => ((0..data_clouds).collect(), data_clouds),
+        };
+        let start = ctx.clock.now();
+        let blocks = parallel_access(ctx, &self.clouds, &targets, |cloud_index, cloud, c| {
+            // Block slot `i` lives on cloud `targets[i]`.
+            let slot = targets
+                .iter()
+                .position(|&t| t == cloud_index)
+                .unwrap_or(cloud_index);
+            cloud.put(c, &Self::block_key(&name, version, slot), &payloads[slot])
+        });
+        self.record_outcomes(start, &blocks);
+
+        // Update and store the metadata object in every cloud. The caller's
+        // clock only moves at a quorum wait, so this round is issued from
+        // the same instant as the block round.
+        let identity: Vec<usize> = (0..data_clouds).collect();
+        let placements: Vec<u32> = if targets == identity {
+            Vec::new()
+        } else {
+            targets.iter().map(|&c| c as u32).collect()
+        };
+        metadata.push_version(VersionInfo {
+            version,
+            // The address was just verified against the content: it is the
+            // version's plaintext hash, and is not computed a second time.
+            hash: *hash,
+            size: data.len() as u64,
+            block_size,
+            data_clouds: data_clouds as u32,
+            block_hashes,
+            placements,
+        });
+        let encoded_md = metadata.encode();
+        let all: Vec<usize> = (0..self.clouds.len()).collect();
+        let start = ctx.clock.now();
+        let records = parallel_access(ctx, &self.clouds, &all, |_, cloud, c| {
+            cloud.put(c, &Self::metadata_key(&name), &encoded_md)
+        });
+        self.record_outcomes(start, &records);
+        // Both rounds are in flight: wait out both quorums (the clock ends at
+        // the later instant) before reporting a failure of either.
+        let data_quorum = await_quorum(ctx, &blocks, needed);
+        let metadata_quorum = await_quorum(ctx, &records, self.metadata_quorum());
+        data_quorum.and(metadata_quorum)?;
+
+        self.metadata_cache.lock().insert(name, metadata);
         Ok(())
     }
 
-    /// Reads back the immutable blob addressed by `base|hash`, verifying its
-    /// content hash.
+    /// Reads back the immutable blob addressed by `base|hash` — the version
+    /// of its unit whose plaintext hash is `hash`, the operation SCFS added
+    /// to DepSky to implement consistency anchors — verifying every block
+    /// against the unit's metadata and the plaintext against `hash`.
     pub fn read_blob(
         &self,
         ctx: &mut OpCtx<'_>,
         base: &str,
         hash: &ContentHash,
     ) -> Result<Vec<u8>, StorageError> {
-        self.read_by_hash(ctx, &Self::blob_unit(base, hash), hash)
+        let name = Self::blob_unit(base, hash);
+        // Prefer cached metadata if it already knows this hash; otherwise do
+        // a quorum metadata read (the version may not be visible yet, in
+        // which case the caller retries — the consistency-anchor loop).
+        let cached = self
+            .cached_metadata(&name)
+            .filter(|md| md.find_by_hash(hash).is_some());
+        let md = match cached {
+            Some(md) => md,
+            None => self.read_metadata(ctx, &name)?,
+        };
+        let info = md
+            .find_by_hash(hash)
+            .ok_or_else(|| StorageError::not_found(&name))?;
+        self.read_version(ctx, &name, info)
     }
 
-    /// Deletes the immutable blob addressed by `base|hash` from all clouds.
-    /// A unit with no readable metadata record may still hold blocks (a
-    /// [`DepSkyClient::write_blob`] whose data quorum landed but whose
+    /// Deletes the immutable blob addressed by `base|hash` from all clouds:
+    /// the blocks of every version its metadata records, then the metadata
+    /// object. A unit with no readable metadata record may still hold blocks
+    /// (a [`DepSkyClient::write_blob`] whose data quorum landed but whose
     /// metadata quorum did not), so in that case the keys its only version
     /// can have used — every `v1/block{slot}` — are deleted on every cloud.
+    /// Deletions are best-effort; the call waits out the slowest attempt.
     pub fn delete_blob(
         &self,
         ctx: &mut OpCtx<'_>,
         base: &str,
         hash: &ContentHash,
     ) -> Result<(), StorageError> {
-        let name = Self::blob_unit(base, hash);
-        let md = match self.find_metadata(ctx, &name)? {
-            Some(md) => md,
-            None => {
-                let all: Vec<usize> = (0..self.clouds.len()).collect();
+        let name = &Self::blob_unit(base, hash);
+        let all: Vec<usize> = (0..self.clouds.len()).collect();
+        match self.known_metadata(ctx, name) {
+            Ok(md) => {
+                for info in &md.versions {
+                    let holders = self.holders(info);
+                    let outcomes =
+                        parallel_access(ctx, &self.clouds, &holders, |cloud_index, cloud, c| {
+                            let slot = info.slot_for_cloud(cloud_index).unwrap_or(cloud_index);
+                            cloud.delete(c, &Self::block_key(name, info.version, slot))
+                        });
+                    advance_to_all(ctx, &outcomes);
+                }
+            }
+            Err(StorageError::NotFound { .. }) => {
                 let width = self.block_width();
                 let outcomes = parallel_access(ctx, &self.clouds, &all, |_, cloud, c| {
                     for slot in 0..width {
-                        // Best-effort like every unit delete: most of these
-                        // keys never existed.
-                        let _ = cloud.delete(c, &Self::block_key(&name, 1, slot));
+                        // Most of these keys never existed.
+                        let _ = cloud.delete(c, &Self::block_key(name, 1, slot));
                     }
                     Ok(())
                 });
-                crate::quorum::advance_to_all(ctx, &outcomes);
-                DataUnitMetadata::new(&name)
+                advance_to_all(ctx, &outcomes);
             }
-        };
-        self.delete_unit(ctx, &name, &md)
+            Err(e) => return Err(e),
+        }
+        let key = Self::metadata_key(name);
+        let outcomes =
+            parallel_access(ctx, &self.clouds, &all, |_, cloud, c| cloud.delete(c, &key));
+        advance_to_all(ctx, &outcomes);
+        self.metadata_cache.lock().remove(name);
+        Ok(())
     }
 
-    /// Propagates an ACL to the blob addressed by `base|hash`.
+    /// Propagates an ACL to the metadata and all block objects of the blob
+    /// addressed by `base|hash` in all clouds (the cloud-level half of SCFS
+    /// `setfacl`, paper §2.6).
     pub fn set_blob_acl(
         &self,
         ctx: &mut OpCtx<'_>,
@@ -525,11 +469,26 @@ impl DepSkyClient {
         hash: &ContentHash,
         acl: &Acl,
     ) -> Result<(), StorageError> {
-        self.set_acl(ctx, &Self::blob_unit(base, hash), acl)
+        let name = &Self::blob_unit(base, hash);
+        let md = self.known_metadata(ctx, name)?;
+        let all: Vec<usize> = (0..self.clouds.len()).collect();
+        let md_key = Self::metadata_key(name);
+        let outcomes = parallel_access(ctx, &self.clouds, &all, |cloud_index, cloud, c| {
+            cloud.set_acl(c, &md_key, acl.clone()).or(Ok(()))?;
+            // Each cloud also updates the ACL of the blocks it holds.
+            for info in &md.versions {
+                if let Some(slot) = info.slot_for_cloud(cloud_index) {
+                    let _ =
+                        cloud.set_acl(c, &Self::block_key(name, info.version, slot), acl.clone());
+                }
+            }
+            Ok(())
+        });
+        await_quorum(ctx, &outcomes, self.metadata_quorum())
     }
 
     /// Reads the data-unit metadata from the clouds (quorum read).
-    pub fn read_metadata(
+    fn read_metadata(
         &self,
         ctx: &mut OpCtx<'_>,
         name: &str,
@@ -568,52 +527,6 @@ impl DepSkyClient {
             }
             None => Err(StorageError::not_found(key)),
         }
-    }
-
-    /// Reads the latest version of the data unit.
-    pub fn read_latest(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        name: &str,
-    ) -> Result<(Vec<u8>, VersionInfo), StorageError> {
-        let md = self.read_metadata(ctx, name)?;
-        // Try versions from newest to oldest: a Byzantine cloud may have
-        // advertised a version whose blocks cannot be verified.
-        for info in md.versions.iter().rev() {
-            match self.read_version(ctx, name, info) {
-                Ok(data) => return Ok((data, info.clone())),
-                Err(e) if e.is_transient() => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(StorageError::not_found(name))
-    }
-
-    /// Reads the version whose plaintext hash is `hash` — the operation SCFS
-    /// added to DepSky to implement consistency anchors.
-    pub fn read_by_hash(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        name: &str,
-        hash: &ContentHash,
-    ) -> Result<Vec<u8>, StorageError> {
-        // Prefer cached metadata if it already knows this hash; otherwise do
-        // a quorum metadata read (the version may not be visible yet, in
-        // which case the caller retries — the consistency-anchor loop).
-        let cached = self
-            .cached_metadata(name)
-            .filter(|md| md.find_by_hash(hash).is_some());
-        let md = match cached {
-            Some(md) => md,
-            None => self.read_metadata(ctx, name)?,
-        };
-        let info = md
-            .find_by_hash(hash)
-            .ok_or_else(|| {
-                StorageError::not_found(format!("{name}@{}", scfs_crypto::to_hex(hash)))
-            })?
-            .clone();
-        self.read_version(ctx, name, &info)
     }
 
     /// Issues block GETs against one wave of holder clouds, folding hash-
@@ -666,15 +579,8 @@ impl DepSkyClient {
         name: &str,
         info: &VersionInfo,
     ) -> Result<Vec<u8>, StorageError> {
-        let needed = match self.config.protocol {
-            Protocol::ConfidentialAvailable => self.config.data_shards(),
-            Protocol::Available => 1,
-        };
-        let holders: Vec<usize> = info
-            .holder_clouds()
-            .into_iter()
-            .filter(|&c| c < self.clouds.len())
-            .collect();
+        let needed = self.config.data_shards();
+        let holders = self.holders(info);
         // Fixed placement races every holder at once (the paper's read). A
         // placement-aware read races only the policy's first `needed` picks
         // and widens to the remaining holders on a miss or failure.
@@ -722,41 +628,33 @@ impl DepSkyClient {
             }
         }
 
-        let plaintext = match self.config.protocol {
-            Protocol::Available => valid[0].shard.clone(),
-            Protocol::ConfidentialAvailable => {
-                // Reassemble the ciphertext from the erasure-coded shards.
-                let mut shards: Vec<Option<Vec<u8>>> = vec![None; self.coder.total_shards()];
-                for block in &valid {
-                    if (block.slot as usize) < shards.len() {
-                        shards[block.slot as usize] = Some(block.shard.clone());
-                    }
-                }
-                let ciphertext = self
-                    .coder
-                    .decode(&shards, info.size as usize)
-                    .map_err(|e| StorageError::invalid(e.to_string()))?;
-                // Recover the key from the secret shares and decrypt.
-                let shares: Vec<Share> = valid
-                    .iter()
-                    .map(|b| Share {
-                        index: b.share_index,
-                        data: b.share_data.clone(),
-                    })
-                    .collect();
-                let key_bytes = combine_shares(&shares, self.config.data_shards())
-                    .map_err(|e| StorageError::invalid(e.to_string()))?;
-                let mut key = [0u8; 32];
-                if key_bytes.len() != 32 {
-                    return Err(StorageError::IntegrityViolation {
-                        key: name.to_string(),
-                    });
-                }
-                key.copy_from_slice(&key_bytes);
-                let cipher = ChaCha20::new(&key, &valid[0].nonce);
-                cipher.decrypt(&ciphertext)
+        // Reassemble the ciphertext from the erasure-coded shards.
+        let mut shards: Vec<Option<Vec<u8>>> = vec![None; self.coder.total_shards()];
+        for block in &valid {
+            if (block.slot as usize) < shards.len() {
+                shards[block.slot as usize] = Some(block.shard.clone());
             }
-        };
+        }
+        let ciphertext = self
+            .coder
+            .decode(&shards, info.size as usize)
+            .map_err(|e| StorageError::invalid(e.to_string()))?;
+        // Recover the key from the secret shares and decrypt.
+        let shares: Vec<Share> = valid
+            .iter()
+            .map(|b| Share {
+                index: b.share_index,
+                data: b.share_data.clone(),
+            })
+            .collect();
+        let key_bytes =
+            combine_shares(&shares, needed).map_err(|e| StorageError::invalid(e.to_string()))?;
+        let key: [u8; 32] = key_bytes
+            .try_into()
+            .map_err(|_| StorageError::IntegrityViolation {
+                key: name.to_string(),
+            })?;
+        let plaintext = ChaCha20::new(&key, &valid[0].nonce).decrypt(&ciphertext);
 
         if sha256(&plaintext) != info.hash {
             return Err(StorageError::IntegrityViolation {
@@ -765,117 +663,6 @@ impl DepSkyClient {
         }
         Ok(plaintext)
     }
-
-    /// Deletes every version except the newest `keep`, updating the metadata
-    /// object; returns the number of versions removed. Used by the SCFS
-    /// garbage collector.
-    pub fn delete_old_versions(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        name: &str,
-        keep: usize,
-    ) -> Result<usize, StorageError> {
-        let mut md = match self.cached_metadata(name) {
-            Some(md) => md,
-            None => self.read_metadata(ctx, name)?,
-        };
-        let removed = md.prune_old_versions(keep);
-        if removed.is_empty() {
-            return Ok(0);
-        }
-        for info in &removed {
-            let holders: Vec<usize> = info
-                .holder_clouds()
-                .into_iter()
-                .filter(|&c| c < self.clouds.len())
-                .collect();
-            let outcomes = parallel_access(ctx, &self.clouds, &holders, |cloud_index, cloud, c| {
-                let slot = info.slot_for_cloud(cloud_index).unwrap_or(cloud_index);
-                cloud.delete(c, &Self::block_key(name, info.version, slot))
-            });
-            // Deletions are best-effort; advance past the slowest attempt.
-            crate::quorum::advance_to_all(ctx, &outcomes);
-        }
-        let encoded = md.encode();
-        let all: Vec<usize> = (0..self.clouds.len()).collect();
-        let outcomes = parallel_access(ctx, &self.clouds, &all, |_, cloud, c| {
-            cloud.put(c, &Self::metadata_key(name), &encoded)
-        });
-        await_quorum(ctx, &outcomes, self.metadata_quorum())?;
-        self.metadata_cache.lock().insert(name.to_string(), md);
-        Ok(removed.len())
-    }
-
-    /// Deletes the whole data unit (all versions and the metadata object).
-    pub fn delete_all(&self, ctx: &mut OpCtx<'_>, name: &str) -> Result<(), StorageError> {
-        let md = self
-            .find_metadata(ctx, name)?
-            .unwrap_or_else(|| DataUnitMetadata::new(name));
-        self.delete_unit(ctx, name, &md)
-    }
-
-    /// Deletes the blocks of every version `md` records, then the metadata
-    /// object, from all clouds.
-    fn delete_unit(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        name: &str,
-        md: &DataUnitMetadata,
-    ) -> Result<(), StorageError> {
-        for info in &md.versions {
-            let holders: Vec<usize> = info
-                .holder_clouds()
-                .into_iter()
-                .filter(|&c| c < self.clouds.len())
-                .collect();
-            let outcomes = parallel_access(ctx, &self.clouds, &holders, |cloud_index, cloud, c| {
-                let slot = info.slot_for_cloud(cloud_index).unwrap_or(cloud_index);
-                cloud.delete(c, &Self::block_key(name, info.version, slot))
-            });
-            crate::quorum::advance_to_all(ctx, &outcomes);
-        }
-        let all: Vec<usize> = (0..self.clouds.len()).collect();
-        let key = Self::metadata_key(name);
-        let outcomes =
-            parallel_access(ctx, &self.clouds, &all, |_, cloud, c| cloud.delete(c, &key));
-        crate::quorum::advance_to_all(ctx, &outcomes);
-        self.metadata_cache.lock().remove(name);
-        Ok(())
-    }
-
-    /// Propagates an ACL change to the metadata and all block objects in all
-    /// clouds (the cloud-level half of SCFS `setfacl`, paper §2.6).
-    pub fn set_acl(&self, ctx: &mut OpCtx<'_>, name: &str, acl: &Acl) -> Result<(), StorageError> {
-        let md = match self.cached_metadata(name) {
-            Some(md) => md,
-            None => self.read_metadata(ctx, name)?,
-        };
-        let all: Vec<usize> = (0..self.clouds.len()).collect();
-        let md_key = Self::metadata_key(name);
-        let outcomes = parallel_access(ctx, &self.clouds, &all, |cloud_index, cloud, c| {
-            cloud.set_acl(c, &md_key, acl.clone()).or(Ok(()))?;
-            // Each cloud also updates the ACL of the blocks it holds.
-            for info in &md.versions {
-                if let Some(slot) = info.slot_for_cloud(cloud_index) {
-                    let _ =
-                        cloud.set_acl(c, &Self::block_key(name, info.version, slot), acl.clone());
-                }
-            }
-            Ok(())
-        });
-        await_quorum(ctx, &outcomes, self.metadata_quorum())
-    }
-}
-
-/// How a write orders its two rounds of cloud requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CommitOrder {
-    /// The metadata round starts once the data quorum is in: a mutable unit's
-    /// `read_latest` readers must never find a record naming absent blocks.
-    DataThenMetadata,
-    /// Both rounds start at the same instant: a write-once unit is named only
-    /// by a hash its writer publishes after the whole write returned.
-    Unordered,
 }
 
 /// Waits for `needed` successful outcomes: advances the caller's clock to the
@@ -911,27 +698,28 @@ fn encode_block(
     w.finish()
 }
 
-fn decode_block(bytes: &[u8]) -> Result<BlockPayload, StorageError> {
+fn decode_block(bytes: &[u8]) -> Result<BlockPayload, DecodeError> {
     let mut r = Reader::new(bytes);
-    let mut parse = || -> Result<BlockPayload, crate::wire::DecodeError> {
-        let slot = r.get_u8()?;
-        let share_index = r.get_u8()?;
-        let nonce_bytes = r.get_bytes()?;
-        let mut nonce = [0u8; 12];
-        if nonce_bytes.len() == 12 {
-            nonce.copy_from_slice(&nonce_bytes);
-        }
-        let share_data = r.get_bytes()?;
-        let shard = r.get_bytes()?;
-        Ok(BlockPayload {
-            slot,
-            share_index,
-            nonce,
-            share_data,
-            shard,
-        })
-    };
-    parse().map_err(|e| StorageError::invalid(e.to_string()))
+    let slot = r.get_u8()?;
+    let share_index = r.get_u8()?;
+    let nonce_bytes = r.get_bytes_max(12)?;
+    let nonce: [u8; 12] = nonce_bytes.try_into().map_err(|_| DecodeError {
+        reason: format!("nonce must be 12 bytes, got {}", nonce_bytes.len()),
+    })?;
+    let share_data = r.get_bytes()?;
+    let shard = r.get_bytes()?;
+    if !r.is_exhausted() {
+        return Err(DecodeError {
+            reason: format!("{} trailing bytes after block", r.remaining()),
+        });
+    }
+    Ok(BlockPayload {
+        slot,
+        share_index,
+        nonce,
+        share_data,
+        shard,
+    })
 }
 
 #[cfg(test)]
@@ -942,7 +730,7 @@ mod tests {
     use proptest::prelude::*;
     use sim_core::fault::FaultPlan;
     use sim_core::latency::LatencyModel;
-    use sim_core::time::{Clock, SimInstant};
+    use sim_core::time::{Clock, SimDuration, SimInstant};
 
     fn sim_clouds(n: usize) -> Vec<Arc<SimulatedCloud>> {
         ProviderSet::test_backend(n)
@@ -971,34 +759,57 @@ mod tests {
         OpCtx::new(clock, "alice".into())
     }
 
-    #[test]
-    fn write_then_read_latest_round_trips() {
-        let ds = client(test_clouds(4));
+    /// Writes `data` as a blob of base `f` and returns its address.
+    fn write(ds: &DepSkyClient, c: &mut OpCtx<'_>, data: &[u8]) -> ContentHash {
+        let hash = sha256(data);
+        ds.write_blob(c, "f", &hash, data).unwrap();
+        hash
+    }
+
+    /// Reads blob `hash` of base `f` through a client with no metadata
+    /// cache, on a clock of its own that starts at `at`.
+    fn cold_read(
+        reader: &DepSkyClient,
+        at: SimDuration,
+        hash: &ContentHash,
+    ) -> Result<Vec<u8>, StorageError> {
         let mut clock = Clock::new();
-        let mut c = ctx(&mut clock);
-        let data = b"the contents of a shared document".to_vec();
-        let receipt = ds.write_new(&mut c, "files/doc", &data).unwrap();
-        assert_eq!(receipt.version, 1);
-        assert_eq!(receipt.hash, sha256(&data));
-        let (read, info) = ds.read_latest(&mut c, "files/doc").unwrap();
-        assert_eq!(read, data);
-        assert_eq!(info.version, 1);
+        clock.advance(at);
+        reader.read_blob(&mut ctx(&mut clock), "f", hash)
+    }
+
+    fn stored_bytes(sims: &[Arc<SimulatedCloud>]) -> u64 {
+        sims.iter().map(|cl| cl.stored_bytes().get()).sum()
     }
 
     #[test]
     fn read_by_hash_returns_the_right_version() {
-        let ds = client(test_clouds(4));
+        // A re-written unit holds two encryptions of one content. A reader
+        // holding the first record is handed the first one's blocks, a cold
+        // one the second's: overwriting `v1` in place would give the former
+        // the blocks of a key its record's hashes do not describe.
+        let sims = sim_clouds(4);
+        let writer = client(as_stores(&sims));
+        let reader = client(as_stores(&sims));
         let mut clock = Clock::new();
         let mut c = ctx(&mut clock);
-        let v1 = b"version one".to_vec();
-        let v2 = b"version two, longer".to_vec();
-        let r1 = ds.write_new(&mut c, "f", &v1).unwrap();
-        let r2 = ds.write(&mut c, "f", &v2).unwrap();
-        assert_eq!(r2.version, 2);
-        assert_eq!(ds.read_by_hash(&mut c, "f", &r1.hash).unwrap(), v1);
-        assert_eq!(ds.read_by_hash(&mut c, "f", &r2.hash).unwrap(), v2);
+        let data = b"one content, written twice".to_vec();
+        let hash = write(&writer, &mut c, &data);
+        let unit = DepSkyClient::blob_unit("f", &hash);
+        assert_eq!(reader.read_blob(&mut c, "f", &hash).unwrap(), data);
+        write(&writer, &mut c, &data);
+
+        assert_eq!(reader.cached_metadata(&unit).unwrap().versions.len(), 1);
+        assert_eq!(reader.read_blob(&mut c, "f", &hash).unwrap(), data);
+        let cold = client(as_stores(&sims));
+        let md = cold.read_metadata(&mut c, &unit).unwrap();
+        let versions: Vec<u64> = md.versions.iter().map(|v| v.version).collect();
+        assert_eq!(versions, [1, 2], "a re-write appends, it does not replace");
+        assert_ne!(md.versions[0].block_hashes, md.versions[1].block_hashes);
+        assert_eq!(md.find_by_hash(&hash).unwrap().version, 2);
+        assert_eq!(cold.read_blob(&mut c, "f", &hash).unwrap(), data);
         let missing = sha256(b"never written");
-        assert!(ds.read_by_hash(&mut c, "f", &missing).is_err());
+        assert!(writer.read_blob(&mut c, "f", &missing).is_err());
     }
 
     #[test]
@@ -1012,9 +823,8 @@ mod tests {
         let sims = sim_clouds(4);
         let ds = client(as_stores(&sims));
         let mut clock = Clock::new();
-        let mut c = ctx(&mut clock);
         let data = vec![7u8; 4096];
-        let receipt = ds.write_new(&mut c, "f", &data).unwrap();
+        let hash = write(&ds, &mut ctx(&mut clock), &data);
 
         // Cloud 0 turns Byzantine after the write and corrupts everything it
         // returns; the quorum read must mask it.
@@ -1022,12 +832,7 @@ mod tests {
 
         // A fresh client (no metadata cache) must still read the data.
         let reader = client(as_stores(&sims));
-        let mut clock_b = Clock::new();
-        let mut cb = ctx(&mut clock_b);
-        assert_eq!(
-            reader.read_by_hash(&mut cb, "f", &receipt.hash).unwrap(),
-            data
-        );
+        assert_eq!(cold_read(&reader, SimDuration::ZERO, &hash).unwrap(), data);
     }
 
     #[test]
@@ -1035,9 +840,8 @@ mod tests {
         let sims = sim_clouds(4);
         let ds = client(as_stores(&sims));
         let mut clock = Clock::new();
-        let mut c = ctx(&mut clock);
         let data = vec![3u8; 1000];
-        let receipt = ds.write_new(&mut c, "f", &data).unwrap();
+        let hash = write(&ds, &mut ctx(&mut clock), &data);
 
         sims[1].set_fault_plan(
             FaultPlan::outage(SimInstant::EPOCH, SimInstant::from_secs(1_000_000)),
@@ -1045,12 +849,7 @@ mod tests {
         );
 
         let reader = client(as_stores(&sims));
-        let mut clock_b = Clock::new();
-        let mut cb = ctx(&mut clock_b);
-        assert_eq!(
-            reader.read_by_hash(&mut cb, "f", &receipt.hash).unwrap(),
-            data
-        );
+        assert_eq!(cold_read(&reader, SimDuration::ZERO, &hash).unwrap(), data);
     }
 
     #[test]
@@ -1058,15 +857,14 @@ mod tests {
         let clouds = test_clouds(4);
         let ds = client(clouds.clone());
         let mut clock = Clock::new();
-        let mut c = ctx(&mut clock);
         let secret = b"TOP-SECRET corporate budget 2014".to_vec();
-        ds.write_new(&mut c, "budget", &secret).unwrap();
+        write(&ds, &mut ctx(&mut clock), &secret);
         // Inspect every object in every cloud: none of them may contain the
         // plaintext (confidentiality against a curious provider).
         for cloud in &clouds {
             let mut clk = Clock::new();
             let mut cc = OpCtx::new(&mut clk, "alice".into());
-            for key in cloud.list(&mut cc, "depsky/").unwrap() {
+            for key in cloud.list(&mut cc, KEY_SPACE).unwrap() {
                 let bytes = cloud.get(&mut cc, &key).unwrap();
                 assert!(
                     !contains_subslice(&bytes, &secret),
@@ -1086,43 +884,34 @@ mod tests {
         let sims = sim_clouds(4);
         let ds = client(as_stores(&sims));
         let mut clock = Clock::new();
-        let mut c = ctx(&mut clock);
         let data = vec![0u8; 1_000_000];
-        ds.write_new(&mut c, "big", &data).unwrap();
-        let stored: u64 = sims.iter().map(|cl| cl.stored_bytes().get()).sum();
-        let overhead = stored as f64 / data.len() as f64;
+        write(&ds, &mut ctx(&mut clock), &data);
+        let overhead = stored_bytes(&sims) as f64 / data.len() as f64;
         assert!(
             (1.4..1.7).contains(&overhead),
             "storage overhead was {overhead}"
         );
     }
 
-    fn constant_latency_clouds(latencies_ms: &[f64]) -> Vec<Arc<dyn ObjectStore>> {
-        latencies_ms
-            .iter()
-            .enumerate()
-            .map(|(i, ms)| {
-                let mut p = ProviderProfile::instantaneous(&format!("c{i}"));
-                p.latency.request = LatencyModel::constant_ms(*ms);
-                Arc::new(SimulatedCloud::new(p, i as u64)) as Arc<dyn ObjectStore>
-            })
-            .collect()
+    /// A fixed-placement client over clouds of the given constant latencies.
+    fn client_with_latencies(latencies_ms: [f64; 4]) -> DepSkyClient {
+        let clouds = latencies_ms.iter().enumerate().map(|(i, ms)| {
+            let mut p = ProviderProfile::instantaneous(&format!("c{i}"));
+            p.latency.request = LatencyModel::constant_ms(*ms);
+            Arc::new(SimulatedCloud::new(p, i as u64)) as Arc<dyn ObjectStore>
+        });
+        client(clouds.collect())
     }
 
     #[test]
     fn write_blob_overlaps_the_rounds_a_mutable_write_orders() {
-        let ds = client(constant_latency_clouds(&[100.0; 4]));
-        let data = vec![7u8; 512];
+        // DepSky's register stores the metadata record only once the data
+        // quorum is in (two rounds: 200 ms here). Nothing can name a
+        // write-once blob before its writer returns and publishes the hash,
+        // so its two rounds leave at the same instant.
+        let ds = client_with_latencies([100.0; 4]);
         let mut clock = Clock::new();
-        ds.write_new(&mut ctx(&mut clock), "unit", &data).unwrap();
-        assert_eq!(
-            clock.now(),
-            SimInstant::from_millis(200),
-            "data round, then metadata round"
-        );
-        let mut clock = Clock::new();
-        ds.write_blob(&mut ctx(&mut clock), "blob", &sha256(&data), &data)
-            .unwrap();
+        write(&ds, &mut ctx(&mut clock), &[7u8; 512]);
         assert_eq!(
             clock.now(),
             SimInstant::from_millis(100),
@@ -1132,70 +921,34 @@ mod tests {
 
     #[test]
     fn quorum_write_latency_hides_the_slowest_cloud() {
-        // Four clouds with very different latencies; with preferred_quorum
-        // disabled the write waits for 3 of 4, so the 5-second cloud is off
-        // the critical path.
-        let clouds = constant_latency_clouds(&[100.0, 200.0, 300.0, 5_000.0]);
-        let config = DepSkyConfig {
-            preferred_quorum: false,
-            ..DepSkyConfig::scfs_default()
-        };
-        let ds = DepSkyClient::new(clouds, config, 1).unwrap();
+        // Blocks go to the three preferred clouds and all must acknowledge;
+        // the metadata record goes to all four and waits for `n − f` = 3. The
+        // 5-second cloud holds no block and is off the critical path.
+        let ds = client_with_latencies([100.0, 200.0, 300.0, 5_000.0]);
         let mut clock = Clock::new();
-        let mut c = ctx(&mut clock);
-        ds.write_new(&mut c, "f", b"x").unwrap();
-        // Two phases, each bounded by the third-slowest cloud (300 ms).
-        let elapsed = clock.now().as_millis_f64();
-        assert!(elapsed < 1_000.0, "write took {elapsed} ms");
-    }
-
-    #[test]
-    fn garbage_collection_removes_old_versions() {
-        let sims = sim_clouds(4);
-        let ds = client(as_stores(&sims));
-        let mut clock = Clock::new();
-        let mut c = ctx(&mut clock);
-        for i in 0..5u8 {
-            ds.write(&mut c, "f", &[i; 100]).unwrap();
-        }
-        let before: u64 = sims.iter().map(|cl| cl.stored_bytes().get()).sum();
-        let removed = ds.delete_old_versions(&mut c, "f", 2).unwrap();
-        assert_eq!(removed, 3);
-        let after: u64 = sims.iter().map(|cl| cl.stored_bytes().get()).sum();
-        assert!(after < before);
-        // The remaining versions are still readable.
-        assert!(ds.read_latest(&mut c, "f").is_ok());
-        // Running the GC again removes nothing.
-        assert_eq!(ds.delete_old_versions(&mut c, "f", 2).unwrap(), 0);
+        write(&ds, &mut ctx(&mut clock), b"x");
+        assert_eq!(clock.now(), SimInstant::from_millis(300));
     }
 
     #[test]
     fn delete_all_removes_the_data_unit() {
-        let clouds = test_clouds(4);
-        let ds = client(clouds.clone());
+        // Every version's blocks go, not only the newest's or `v1`'s.
+        let sims = sim_clouds(4);
+        let ds = client(as_stores(&sims));
         let mut clock = Clock::new();
         let mut c = ctx(&mut clock);
-        ds.write_new(&mut c, "f", b"data").unwrap();
-        ds.delete_all(&mut c, "f").unwrap();
-        let reader = client(clouds);
-        let mut clock_b = Clock::new();
-        let mut cb = ctx(&mut clock_b);
-        assert!(reader.read_latest(&mut cb, "f").is_err());
-    }
-
-    #[test]
-    fn replication_protocol_also_round_trips() {
-        let config = DepSkyConfig {
-            f: 1,
-            protocol: Protocol::Available,
-            preferred_quorum: false,
-        };
-        let ds = DepSkyClient::new(test_clouds(4), config, 7).unwrap();
-        let mut clock = Clock::new();
-        let mut c = ctx(&mut clock);
-        let data = b"plain replication".to_vec();
-        let r = ds.write_new(&mut c, "f", &data).unwrap();
-        assert_eq!(ds.read_by_hash(&mut c, "f", &r.hash).unwrap(), data);
+        let data = vec![5u8; 300];
+        let hash = write(&ds, &mut c, &data);
+        write(&ds, &mut c, &data);
+        let keys: Vec<String> = sims.iter().flat_map(|s| s.stored_keys(KEY_SPACE)).collect();
+        assert_eq!(keys.iter().filter(|k| k.contains("/v1/")).count(), 3);
+        assert_eq!(keys.iter().filter(|k| k.contains("/v2/")).count(), 3);
+        ds.delete_blob(&mut c, "f", &hash).unwrap();
+        for sim in &sims {
+            assert_eq!(sim.stored_keys(KEY_SPACE), Vec::<String>::new());
+        }
+        let reader = client(as_stores(&sims));
+        assert!(cold_read(&reader, SimDuration::ZERO, &hash).is_err());
     }
 
     #[test]
@@ -1212,7 +965,7 @@ mod tests {
         assert!(ds.write_blob(&mut c, "file-1", &wrong, &data).is_err());
         // Deleting the blob makes it unreadable for a fresh client.
         ds.delete_blob(&mut c, "file-1", &hash).unwrap();
-        let reader = client(ds.clouds().to_vec());
+        let reader = client(ds.clouds.clone());
         let mut clock_b = Clock::new();
         let mut cb = ctx(&mut clock_b);
         assert!(reader.read_blob(&mut cb, "file-1", &hash).is_err());
@@ -1237,49 +990,46 @@ mod tests {
     #[test]
     fn the_verified_address_is_the_hash_every_write_path_records() {
         // `write_blob` hands its verified address down as the version's
-        // plaintext hash; `write_new` hashes the data itself. On one key
-        // stream the two must store byte-identical metadata records of the
-        // unit, and the receipt must carry the same hash.
+        // plaintext hash instead of hashing the data a second time: the
+        // record every cloud stores must carry the content's SHA-256.
         let data: Vec<u8> = (0..40_000u32).map(|i| (i * 7 + i / 256) as u8).collect();
-        let hash = sha256(&data);
-        let unit = DepSkyClient::blob_unit("file-1", &hash);
-        let stored_metadata = |as_blob: bool| {
-            let clouds = sim_clouds(4);
-            let ds = client(as_stores(&clouds));
-            let mut clock = Clock::new();
-            let mut c = ctx(&mut clock);
-            if as_blob {
-                ds.write_blob(&mut c, "file-1", &hash, &data).unwrap();
-            } else {
-                let receipt = ds.write_new(&mut c, &unit, &data).unwrap();
-                assert_eq!((receipt.hash, receipt.size), (hash, data.len() as u64));
-            }
-            let md = ds.read_metadata(&mut c, &unit).unwrap();
-            assert_eq!(md.versions.len(), 1);
-            assert_eq!(md.versions[0].hash, hash);
-            assert_eq!(ds.read_by_hash(&mut c, &unit, &hash).unwrap(), data);
-            md.encode()
-        };
-        assert_eq!(stored_metadata(true), stored_metadata(false));
+        let ds = client(test_clouds(4));
+        let mut clock = Clock::new();
+        let mut c = ctx(&mut clock);
+        let hash = write(&ds, &mut c, &data);
+        let unit = DepSkyClient::blob_unit("f", &hash);
+        let md = client(ds.clouds.clone())
+            .read_metadata(&mut c, &unit)
+            .unwrap();
+        assert_eq!(md.versions.len(), 1);
+        assert_eq!(md.versions[0].hash, sha256(&data));
+        assert_eq!(md.versions[0].size, data.len() as u64);
+        assert_eq!(Some(md), ds.cached_metadata(&unit));
     }
 
     #[test]
     fn blob_units_embed_base_and_hash() {
         let hash = sha256(b"x");
+        let hex = scfs_crypto::to_hex(&hash);
         let unit = DepSkyClient::blob_unit("alice-f1", &hash);
-        assert!(unit.starts_with("alice-f1|"));
-        assert!(unit.ends_with(&scfs_crypto::to_hex(&hash)));
-    }
-
-    #[test]
-    fn chunk_units_live_in_the_global_namespace() {
-        let hash = sha256(b"chunk");
-        let unit = DepSkyClient::chunk_unit(&hash);
-        assert_eq!(
-            unit,
-            format!("chunks|{}", scfs_crypto::to_hex(&hash)),
-            "global chunks are addressed by hash alone, not per object id"
-        );
+        assert_eq!(unit, format!("alice-f1|{hex}"));
+        // Both kinds of object a unit has name the blob, and nothing else
+        // under or outside the key space does.
+        for key in [
+            DepSkyClient::metadata_key(&unit),
+            DepSkyClient::block_key(&unit, 3, 2),
+        ] {
+            assert!(key.starts_with(&format!("depsky/alice-f1|{hex}/")), "{key}");
+            assert_eq!(DepSkyClient::blob_of_key(&key), Some(("alice-f1", hash)));
+        }
+        for key in [
+            format!("depsky/alice-f1/{hex}/metadata"),
+            format!("depsky/alice-f1|{}/metadata", hex.to_uppercase()),
+            format!("depsky/alice-f1|{}/metadata", &hex[2..]),
+            format!("other/alice-f1|{hex}/metadata"),
+        ] {
+            assert_eq!(DepSkyClient::blob_of_key(&key), None, "{key}");
+        }
     }
 
     #[test]
@@ -1290,27 +1040,63 @@ mod tests {
         let mut clock = Clock::new();
         let mut c = ctx(&mut clock);
         let data = b"shared doc".to_vec();
-        let receipt = ds.write_new(&mut c, "shared/doc", &data).unwrap();
+        let hash = write(&ds, &mut c, &data);
 
-        let mut acl = Acl::private();
-        acl.grant("bob".into(), Permission::Read);
-        ds.set_acl(&mut c, "shared/doc", &acl).unwrap();
-
-        // Bob, with his own client and account, can now read the file.
+        // Bob, with his own client and account, is not admitted...
         let bob = client(clouds);
         let mut clock_b = Clock::new();
-        clock_b.advance(sim_core::time::SimDuration::from_secs(5));
+        clock_b.advance(SimDuration::from_secs(5));
         let mut cb = OpCtx::new(&mut clock_b, "bob".into());
-        assert_eq!(
-            bob.read_by_hash(&mut cb, "shared/doc", &receipt.hash)
-                .unwrap(),
-            data
-        );
+        assert!(bob.read_blob(&mut cb, "f", &hash).is_err());
+
+        // ...until the ACL reaches the unit's objects in every cloud.
+        let mut acl = Acl::private();
+        acl.grant("bob".into(), Permission::Read);
+        ds.set_blob_acl(&mut c, "f", &hash, &acl).unwrap();
+        assert_eq!(bob.read_blob(&mut cb, "f", &hash).unwrap(), data);
+    }
+
+    // ---- hostile bytes: what a Byzantine cloud may hand the decoders ----
+
+    #[test]
+    fn a_block_with_a_short_nonce_or_a_tail_is_rejected() {
+        let valid = encode_block(1, 2, &[9; 12], &[3; 33], &[4; 50]);
+        assert!(decode_block(&valid).is_ok());
+        let mut w = Writer::new();
+        w.put_u8(1).put_u8(2).put_bytes(&[9; 11]);
+        w.put_bytes(&[3; 33]).put_bytes(&[4; 50]);
+        assert!(decode_block(&w.finish()).is_err(), "11-byte nonce");
+        let mut tailed = valid;
+        tailed.push(0);
+        assert!(decode_block(&tailed).is_err(), "trailing byte");
+    }
+
+    proptest! {
+        /// [`crate::wire::assert_fails_closed`] over blocks of any share and
+        /// shard length.
+        #[test]
+        fn prop_damaged_blocks_fail_closed(
+            share in proptest::collection::vec(any::<u8>(), 0..40),
+            shard in proptest::collection::vec(any::<u8>(), 0..120),
+            tail in proptest::collection::vec(any::<u8>(), 1..24),
+            flip in 1u8..=255,
+        ) {
+            let valid = encode_block(2, 3, &[7; 12], &share, &shard);
+            crate::wire::assert_fails_closed(&valid, &tail, flip, 13, |bytes| {
+                let b = decode_block(bytes).ok()?;
+                Some(encode_block(b.slot, b.share_index, &b.nonce, &b.share_data, &b.shard))
+            });
+        }
     }
 
     // ---- placement-aware clients over the heterogeneous matrix ----
 
     use placement::{PolicyKind, ProviderMatrix};
+
+    /// Past the eventual-consistency visibility windows of the archive and
+    /// flaky tiers — SCFS's consistency-anchor loop retries across that gap;
+    /// a raw DepSky read must simply start after it.
+    const SETTLED: SimDuration = SimDuration::from_secs(3_600);
 
     fn matrix_clouds(seed: u64) -> (Vec<Arc<SimulatedCloud>>, Arc<ProviderMatrix>) {
         let profiles = ProviderSet::heterogeneous_matrix();
@@ -1352,24 +1138,19 @@ mod tests {
             let mut clock = Clock::new();
             let mut c = ctx(&mut clock);
             let data = vec![0xABu8; 9_000];
-            let receipt = ds.write_new(&mut c, "f", &data).unwrap();
-            // Let the eventual-consistency windows of the archive and flaky
-            // tiers lapse — SCFS's consistency-anchor loop retries across
-            // this gap; a raw DepSky read must simply wait it out.
-            c.clock.advance(sim_core::time::SimDuration::from_secs(60));
-            let (read, info) = ds.read_latest(&mut c, "f").unwrap();
-            assert_eq!(read, data, "{}", kind.label());
-            assert_eq!(info.version, 1);
-            // A fresh client with no metadata cache resolves the placement
-            // from the encoded metadata alone. Its clock starts well past
-            // the eventual-consistency visibility windows of the archive
-            // and flaky tiers.
-            let reader = placed_client(&sims, matrix, kind, 43);
-            let mut clock_b = Clock::new();
-            clock_b.advance(sim_core::time::SimDuration::from_secs(3_600));
-            let mut cb = ctx(&mut clock_b);
+            let hash = write(&ds, &mut c, &data);
+            c.clock.advance(SimDuration::from_secs(60));
             assert_eq!(
-                reader.read_by_hash(&mut cb, "f", &receipt.hash).unwrap(),
+                ds.read_blob(&mut c, "f", &hash).unwrap(),
+                data,
+                "{}",
+                kind.label()
+            );
+            // A fresh client with no metadata cache resolves the placement
+            // from the encoded metadata alone.
+            let reader = placed_client(&sims, matrix, kind, 43);
+            assert_eq!(
+                cold_read(&reader, SETTLED, &hash).unwrap(),
                 data,
                 "{}",
                 kind.label()
@@ -1388,8 +1169,9 @@ mod tests {
         );
         let mut clock = Clock::new();
         let mut c = ctx(&mut clock);
-        ds.write_new(&mut c, "f", &vec![5u8; 4096]).unwrap();
-        let md = ds.read_metadata(&mut c, "f").unwrap();
+        let hash = write(&ds, &mut c, &vec![5u8; 4096]);
+        let unit = DepSkyClient::blob_unit("f", &hash);
+        let md = ds.read_metadata(&mut c, &unit).unwrap();
         let info = md.latest().unwrap();
         // The matrix puts the premium tier at index 0, so the cheapest
         // quorum is never the identity and the placement must be explicit.
@@ -1398,9 +1180,9 @@ mod tests {
         // Exactly the holders store a block for this version.
         for (cloud, sim) in sims.iter().enumerate() {
             let holds = info.slot_for_cloud(cloud).is_some();
-            let key = DepSkyClient::block_key("f", 1, info.slot_for_cloud(cloud).unwrap_or(0));
+            let key = DepSkyClient::block_key(&unit, 1, info.slot_for_cloud(cloud).unwrap_or(0));
             let mut probe_clock = Clock::new();
-            probe_clock.advance(sim_core::time::SimDuration::from_secs(3_600));
+            probe_clock.advance(SETTLED);
             let mut pc = ctx(&mut probe_clock);
             assert_eq!(sim.get(&mut pc, &key).is_ok(), holds, "cloud {cloud}");
         }
@@ -1413,14 +1195,15 @@ mod tests {
         let mut clock = Clock::new();
         let mut c = ctx(&mut clock);
         let data = vec![0x5Au8; 6_000];
-        let receipt = ds.write_new(&mut c, "f", &data).unwrap();
-        let md = ds.read_metadata(&mut c, "f").unwrap();
+        let hash = write(&ds, &mut c, &data);
+        let unit = DepSkyClient::blob_unit("f", &hash);
+        let md = ds.read_metadata(&mut c, &unit).unwrap();
         let holders = md.latest().unwrap().holder_clouds();
 
         // Knock out the holder FastestRead would race first (the healthiest
         // one); the first wave falls short and the read must widen to the
         // remaining holders instead of failing.
-        let spec = ds.placement().unwrap();
+        let spec = ds.placement.as_ref().unwrap();
         let first = spec
             .policy
             .read_order(&spec.matrix, &holders, 2, Bytes::new(1))[0];
@@ -1430,13 +1213,7 @@ mod tests {
         );
 
         let reader = placed_client(&sims, matrix, PolicyKind::FastestRead, 10);
-        let mut clock_b = Clock::new();
-        clock_b.advance(sim_core::time::SimDuration::from_secs(3_600));
-        let mut cb = ctx(&mut clock_b);
-        assert_eq!(
-            reader.read_by_hash(&mut cb, "f", &receipt.hash).unwrap(),
-            data
-        );
+        assert_eq!(cold_read(&reader, SETTLED, &hash).unwrap(), data);
     }
 
     proptest! {
@@ -1454,9 +1231,8 @@ mod tests {
             let (sims, matrix) = matrix_clouds(variant);
             let ds = placed_client(&sims, matrix.clone(), PolicyKind::FastestRead, variant);
             let mut clock = Clock::new();
-            let mut c = ctx(&mut clock);
             let data = vec![(variant % 251) as u8; 512 + (variant as usize) * 37];
-            let receipt = ds.write_new(&mut c, "f", &data).unwrap();
+            let hash = write(&ds, &mut ctx(&mut clock), &data);
 
             sims[faulted].set_fault_plan(
                 FaultPlan::outage(SimInstant::EPOCH, SimInstant::from_secs(1_000_000)),
@@ -1464,11 +1240,7 @@ mod tests {
             );
 
             let reader = placed_client(&sims, matrix, PolicyKind::FastestRead, variant + 1);
-            let mut clock_b = Clock::new();
-            clock_b.advance(sim_core::time::SimDuration::from_secs(3_600));
-            let mut cb = ctx(&mut clock_b);
-            let read = reader.read_by_hash(&mut cb, "f", &receipt.hash).unwrap();
-            prop_assert_eq!(read, data);
+            prop_assert_eq!(cold_read(&reader, SETTLED, &hash).unwrap(), data);
         }
     }
 }

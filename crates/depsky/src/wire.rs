@@ -170,6 +170,43 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Test support for the decoders of bytes a Byzantine cloud controls:
+/// structure-aware damage to a `valid` encoding, so the decoder gets deep
+/// into it. At every offset a hostile `u64` is planted (counts and length
+/// prefixes are `u64`s: near-`u64::MAX` values overflow offset arithmetic,
+/// `small` redirects the decoder mid-field) and a byte is flipped; every
+/// truncation and `tail` appended are tried too. `reencode` decodes and,
+/// on success, encodes again: each input must fail or come back as itself —
+/// the codec is canonical, so nothing hostile hides in bytes that pass.
+#[cfg(test)]
+pub(crate) fn assert_fails_closed(
+    valid: &[u8],
+    tail: &[u8],
+    flip: u8,
+    small: u64,
+    reencode: impl Fn(&[u8]) -> Option<Vec<u8>>,
+) {
+    let check = |bytes: &[u8]| {
+        if let Some(again) = reencode(bytes) {
+            assert_eq!(again, bytes, "two encodings of one value");
+        }
+    };
+    assert_eq!(reencode(valid).as_deref(), Some(valid));
+    assert_eq!(reencode(&[valid, tail].concat()), None, "trailing bytes");
+    for at in 0..valid.len() {
+        for hostile in [u64::MAX, u64::MAX - 7, 1 << 63, 1 << 32, small] {
+            let mut bytes = valid.to_vec();
+            let end = (at + 8).min(bytes.len());
+            bytes[at..end].copy_from_slice(&hostile.to_le_bytes()[..end - at]);
+            check(&bytes);
+        }
+        let mut bytes = valid.to_vec();
+        bytes[at] ^= flip;
+        check(&bytes);
+        assert_eq!(reencode(&valid[..at]), None, "truncated at {at}");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -72,6 +72,14 @@ pub fn from_hex(s: &str) -> Option<Vec<u8>> {
     Some(out)
 }
 
+/// Parses a content hash from the one spelling [`to_hex`] gives it (64
+/// lower-case hex digits); `None` for anything else, so a name built around
+/// a hash has exactly one spelling too.
+pub fn hash_from_hex(s: &str) -> Option<ContentHash> {
+    let hash: ContentHash = from_hex(s)?.try_into().ok()?;
+    (to_hex(&hash) == s).then_some(hash)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,5 +102,15 @@ mod tests {
     #[test]
     fn hex_accepts_uppercase() {
         assert_eq!(from_hex("A5FF").unwrap(), vec![0xa5, 0xff]);
+    }
+
+    #[test]
+    fn a_hash_parses_from_its_one_spelling_only() {
+        let hash = sha256(b"x");
+        let hex = to_hex(&hash);
+        assert_eq!(hash_from_hex(&hex), Some(hash));
+        assert_eq!(hash_from_hex(&hex.to_uppercase()), None);
+        assert_eq!(hash_from_hex(&hex[2..]), None);
+        assert_eq!(hash_from_hex(&format!("{hex}00")), None);
     }
 }

@@ -2,7 +2,11 @@
 //!
 //! SCFS provides a pluggable backplane (paper §3.2, Figure 5): file data can
 //! go to a single storage cloud (Amazon S3 in the paper's AWS backend) or to
-//! a DepSky cloud-of-clouds. Both are hidden behind [`FileStorage`], whose
+//! a DepSky cloud-of-clouds. Both are one engine, [`ChunkedStorage`], over a
+//! private seam of four primitives — put, get, delete and set-ACL of a blob
+//! named by a [`BlobName`], which alone knows how either backend spells it —
+//! and each backend is an adapter of four short forwards ([`SingleCloud`],
+//! [`CloudOfClouds`]). Both are hidden behind [`FileStorage`], whose
 //! operations are what the storage service of the agent needs on the chunked
 //! data path:
 //!
@@ -70,14 +74,12 @@ use cloud_store::store::{ObjectStore, OpCtx};
 use cloud_store::types::{AccountId, Acl};
 use depsky::register::DepSkyClient;
 use parking_lot::Mutex;
-use scfs_crypto::{sha256, to_hex, ContentHash};
+use scfs_crypto::{sha256, ContentHash};
 use sim_core::background::{BackgroundScheduler, Pending};
 use sim_core::schedule::{ChoiceKind, ControllerSlot};
 use sim_core::time::SimInstant;
 
-use crate::chunkstore::{
-    chunk_store_account, BlobAudit, ChunkStore, JournalOpts, ReleaseTarget, ReplayReport,
-};
+use crate::chunkstore::{BlobAudit, BlobName, ChunkStore, JournalOpts, ReplayReport};
 use crate::durability::DurabilityLevel;
 use crate::error::ScfsError;
 use crate::invariant::InvariantViolation;
@@ -194,13 +196,12 @@ impl VersionRegistry {
             .collect()
     }
 
-    /// Every `(id, root)` pair of a manifest object a retained version
-    /// stored.
-    fn all_manifests(&self) -> Vec<(String, ContentHash)> {
+    /// Every manifest object a retained version stored.
+    fn all_manifests(&self) -> Vec<BlobName> {
         let mut out = Vec::new();
         for id in self.versions.keys() {
             let roots = self.live_manifests(id);
-            out.extend(roots.into_iter().map(|root| (id.clone(), root)));
+            out.extend(roots.into_iter().map(|root| BlobName::manifest(id, root)));
         }
         out
     }
@@ -244,8 +245,8 @@ impl VersionRegistry {
             }
             // Distinct chunks in file order — journal appends derive from
             // this, and hash-map iteration order would make GC behavior
-            // (which blob a bounded replay batch reaches, which delete a
-            // fault hits) vary run to run, breaking determinism.
+            // (which delete a fault hits) vary run to run, breaking
+            // determinism.
             let mut seen = HashSet::new();
             result.version_chunks.push(
                 version
@@ -289,9 +290,9 @@ struct StoreState {
 
 impl StoreState {
     fn blob_audit(&self) -> BlobAudit {
-        let mut manifests = self.registry.all_manifests();
-        manifests.extend(self.chunks.pending_manifests());
-        BlobAudit::new(self.chunks.reachable_chunks(), manifests)
+        let mut reachable = self.chunks.reachable_blobs();
+        reachable.extend(self.registry.all_manifests());
+        BlobAudit::new(reachable)
     }
 
     /// The tail of every version commit, once all its blobs have landed:
@@ -610,93 +611,86 @@ pub trait FileStorage: Send + Sync {
     fn set_acl(&self, ctx: &mut OpCtx<'_>, id: &str, acl: &Acl) -> Result<(), ScfsError>;
 }
 
-/// The primitives each backend supplies: immutable blob storage for the two
-/// blob kinds — **global chunks**, addressed by content hash alone and
-/// always accessed under the chunk-store principal (the blanket impl builds
-/// those contexts), and **per-object manifests**, addressed by `id|root` and
-/// accessed under the calling user. Everything else — dirty-chunk selection,
+/// What each backend supplies: the four things one can do to a named blob
+/// in its cloud(s). `ctx` carries the principal the engine chose for the
+/// blob's kind ([`principal_ctx`]); how the name is spelled there is
+/// [`BlobName`]'s to say. Everything else — dirty-chunk selection,
 /// refcounting, cross-file dedup, manifest commit, the release journal, ACL
-/// fan-out — is the blanket [`FileStorage`] implementation below, written
-/// once.
-trait ChunkedBackend: Send + Sync {
+/// fan-out — is [`ChunkedStorage`]'s [`FileStorage`] implementation below,
+/// written once.
+trait BlobStore: Send + Sync {
     /// Short backend label for result tables.
-    fn backend_label(&self) -> &'static str;
-
+    const LABEL: &'static str;
     /// Durability level a committed version reaches on this backend.
-    fn backend_durability(&self) -> DurabilityLevel {
-        DurabilityLevel::SingleCloud
+    const DURABILITY: DurabilityLevel;
+
+    /// Stores `data` as `blob`.
+    fn put(&self, ctx: &mut OpCtx<'_>, blob: &BlobName, data: &[u8]) -> Result<(), StorageError>;
+
+    /// Reads `blob` back, verified against the hash that names it.
+    fn get(&self, ctx: &mut OpCtx<'_>, blob: &BlobName) -> Result<Vec<u8>, StorageError>;
+
+    /// Deletes `blob`; a missing blob is not an error (replay may race with
+    /// another instance's collector).
+    fn delete(&self, ctx: &mut OpCtx<'_>, blob: &BlobName) -> Result<(), StorageError>;
+
+    /// Propagates an ACL to `blob`.
+    fn set_acl(&self, ctx: &mut OpCtx<'_>, blob: &BlobName, acl: &Acl) -> Result<(), StorageError>;
+}
+
+/// The context a request for `blob` is made under: the caller's clock, and
+/// the account its kind calls for ([`BlobName::principal`]).
+fn principal_ctx<'c>(ctx: &'c mut OpCtx<'_>, blob: &BlobName) -> OpCtx<'c> {
+    OpCtx::new(&mut *ctx.clock, blob.principal(&ctx.account))
+}
+
+/// The chunked storage engine over one backend's four blob primitives: the
+/// version registry, the global chunk store and its release journal, and
+/// the whole of [`FileStorage`]. Public under its two instantiations,
+/// [`SingleCloudStorage`] and [`CloudOfCloudsStorage`].
+pub struct ChunkedStorage<B> {
+    blobs: B,
+    state: Mutex<StoreState>,
+}
+
+impl<B> ChunkedStorage<B> {
+    fn over(blobs: B) -> Self {
+        ChunkedStorage {
+            blobs,
+            state: Mutex::new(StoreState::default()),
+        }
     }
 
-    /// The version registry and global chunk store of this instance.
-    fn state(&self) -> &Mutex<StoreState>;
+    /// Current global reference count of a chunk (test/diagnostic hook).
+    pub fn chunk_refcount(&self, hash: &ContentHash) -> u64 {
+        self.state.lock().chunks.refcount(hash)
+    }
 
-    /// Stores chunk `hash` in the global namespace (`ctx` carries the
-    /// chunk-store principal).
-    fn put_chunk(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        hash: &ContentHash,
-        data: &[u8],
-    ) -> Result<(), ScfsError>;
-
-    /// Reads chunk `hash` from the global namespace, verifying its content.
-    fn get_chunk(&self, ctx: &mut OpCtx<'_>, hash: &ContentHash) -> Result<Vec<u8>, ScfsError>;
-
-    /// Deletes chunk `hash` from the global namespace; missing blobs are not
-    /// an error (replay may race with another instance's collector).
-    fn delete_chunk(&self, ctx: &mut OpCtx<'_>, hash: &ContentHash) -> Result<(), ScfsError>;
-
-    /// Stores the manifest of `id` under `root`.
-    fn put_manifest(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        id: &str,
-        root: &ContentHash,
-        data: &[u8],
-    ) -> Result<(), ScfsError>;
-
-    /// Reads back the manifest of `id` stored under `root`.
-    fn get_manifest(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        id: &str,
-        root: &ContentHash,
-    ) -> Result<Vec<u8>, ScfsError>;
-
-    /// Deletes the manifest of `id` under `root`; missing blobs are not an
-    /// error.
-    fn delete_manifest(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        id: &str,
-        root: &ContentHash,
-    ) -> Result<(), ScfsError>;
-
-    /// Propagates an ACL to the manifest of `id` under `root`.
-    fn set_manifest_acl(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        id: &str,
-        root: &ContentHash,
-        acl: &Acl,
-    ) -> Result<(), ScfsError>;
+    /// The blobs that may legitimately exist in the cloud(s) right now; feed
+    /// a raw key listing to [`BlobAudit::orphans`] to assert the GC leaked
+    /// nothing.
+    pub fn blob_audit(&self) -> BlobAudit {
+        self.state.lock().blob_audit()
+    }
 }
 
 /// Stores the manifest of `id` under `root` and tags it with `acl`, when
 /// given, so collaborators can read the version it describes.
 fn put_tagged_manifest(
-    backend: &impl ChunkedBackend,
+    blobs: &impl BlobStore,
     ctx: &mut OpCtx<'_>,
     id: &str,
     root: &ContentHash,
     manifest: &[u8],
     acl: Option<&Acl>,
 ) -> Result<(), ScfsError> {
-    backend.put_manifest(ctx, id, root, manifest)?;
-    match acl {
-        Some(acl) => backend.set_manifest_acl(ctx, id, root, acl),
-        None => Ok(()),
+    let blob = BlobName::manifest(id, *root);
+    let mut ctx = principal_ctx(ctx, &blob);
+    blobs.put(&mut ctx, &blob, manifest)?;
+    if let Some(acl) = acl {
+        blobs.set_acl(&mut ctx, &blob, acl)?;
     }
+    Ok(())
 }
 
 /// The manifest object a committing version stores: `manifest` itself, or
@@ -706,13 +700,13 @@ fn manifest_object(manifest: &[u8]) -> Option<&[u8]> {
     (!manifest_rides_inline(manifest)).then_some(manifest)
 }
 
-impl<B: ChunkedBackend> FileStorage for B {
+impl<B: BlobStore> FileStorage for ChunkedStorage<B> {
     fn label(&self) -> &'static str {
-        self.backend_label()
+        B::LABEL
     }
 
     fn cloud_durability(&self) -> DurabilityLevel {
-        self.backend_durability()
+        B::DURABILITY
     }
 
     fn write_version(
@@ -728,7 +722,7 @@ impl<B: ChunkedBackend> FileStorage for B {
     ) -> Result<WriteOutcome, ScfsError> {
         let unique = map.unique_chunks();
         let (stored, own, tracked) = {
-            let state = self.state().lock();
+            let state = self.state.lock();
             let stored: HashSet<ContentHash> = unique
                 .iter()
                 .filter(|h| state.chunks.is_stored(h))
@@ -762,7 +756,7 @@ impl<B: ChunkedBackend> FileStorage for B {
             // fails, the already-stored blobs are covered by pending release
             // intents and the next replay reclaims them — a failed write
             // must not orphan what it managed to upload.
-            let mut state = self.state().lock();
+            let mut state = self.state.lock();
             state
                 .chunks
                 .journal_provisional_uploads(plan.jobs().iter().map(|j| j.hash));
@@ -777,14 +771,13 @@ impl<B: ChunkedBackend> FileStorage for B {
         let mut manifest_clock = ctx.clock.fork();
         let manifest_put = object.map_or(Ok(()), |object| {
             let mut side_ctx = OpCtx::new(&mut manifest_clock, ctx.account.clone());
-            put_tagged_manifest(self, &mut side_ctx, id, &root, object, acl)
+            put_tagged_manifest(&self.blobs, &mut side_ctx, id, &root, object, acl)
         });
         let uploaded = execute_plan(ctx, opts, &plan, |job, fork_ctx| {
             let chunk = &data[map.byte_range(job.index)];
-            // Chunks belong to the shared global namespace: they are written
-            // under the chunk-store principal, never the calling user.
-            let mut store_ctx = OpCtx::new(&mut *fork_ctx.clock, chunk_store_account());
-            self.put_chunk(&mut store_ctx, &job.hash, chunk)?;
+            let blob = BlobName::Chunk(job.hash);
+            self.blobs
+                .put(&mut principal_ctx(fork_ctx, &blob), &blob, chunk)?;
             Ok(chunk.len() as u64)
         });
         // Join before looking at either result: both sides were issued, so a
@@ -793,7 +786,7 @@ impl<B: ChunkedBackend> FileStorage for B {
         ctx.clock.advance_to(manifest_clock.now());
         let (sizes, report) = uploaded?;
         manifest_put?;
-        self.state()
+        self.state
             .lock()
             .commit_version(id, root, map, object.is_some(), &unique);
         Ok(WriteOutcome {
@@ -816,7 +809,7 @@ impl<B: ChunkedBackend> FileStorage for B {
         // The source map comes from the registry when this instance tracks
         // the version, otherwise from the cloud manifest.
         let tracked = {
-            let state = self.state().lock();
+            let state = self.state.lock();
             state.registry.version(src_id, root).map(|v| v.map.clone())
         };
         let map = match tracked {
@@ -855,7 +848,7 @@ impl<B: ChunkedBackend> FileStorage for B {
             // source version guarantees that on the instance that wrote it);
             // otherwise a manifest-only copy would commit an unreadable
             // version — signal the caller to materialize instead.
-            let mut state = self.state().lock();
+            let mut state = self.state.lock();
             if !unique.iter().all(|h| state.chunks.is_stored(h)) {
                 return Ok(None);
             }
@@ -868,9 +861,9 @@ impl<B: ChunkedBackend> FileStorage for B {
         // The copy of an inline version is chunk references and the
         // caller's anchor write: no cloud request at all.
         if let Some(object) = object {
-            put_tagged_manifest(self, ctx, dst_id, root, object, acl)?;
+            put_tagged_manifest(&self.blobs, ctx, dst_id, root, object, acl)?;
         }
-        self.state()
+        self.state
             .lock()
             .commit_version(dst_id, *root, map, object.is_some(), &unique);
         Ok(Some(WriteOutcome {
@@ -907,13 +900,16 @@ impl<B: ChunkedBackend> FileStorage for B {
         // its map is the registry's to give. A stored manifest, or a version
         // this instance has no record of, is the cloud's to answer.
         let inline = {
-            let state = self.state().lock();
+            let state = self.state.lock();
             let tracked = state.registry.version(id, hash);
             tracked.and_then(|v| (!v.stored_manifest).then(|| v.map.encode()))
         };
         match inline {
             Some(manifest) => Ok(manifest),
-            None => self.get_manifest(ctx, id, hash),
+            None => {
+                let blob = BlobName::manifest(id, *hash);
+                Ok(self.blobs.get(&mut principal_ctx(ctx, &blob), &blob)?)
+            }
         }
     }
 
@@ -923,11 +919,8 @@ impl<B: ChunkedBackend> FileStorage for B {
         _id: &str,
         hash: &ContentHash,
     ) -> Result<Vec<u8>, ScfsError> {
-        // Chunk reads go through the chunk-store principal: the caller's
-        // right to the chunk was established by reading a manifest its ACL
-        // admits it to, and the hash acts as the capability.
-        let mut store_ctx = OpCtx::new(&mut *ctx.clock, chunk_store_account());
-        self.get_chunk(&mut store_ctx, hash)
+        let blob = BlobName::Chunk(*hash);
+        Ok(self.blobs.get(&mut principal_ctx(ctx, &blob), &blob)?)
     }
 
     fn delete_old_versions(
@@ -936,13 +929,13 @@ impl<B: ChunkedBackend> FileStorage for B {
         id: &str,
         keep: usize,
     ) -> Result<usize, ScfsError> {
-        let mut state = self.state().lock();
+        let mut state = self.state.lock();
         let pruned = state.registry.prune(id, keep);
         Ok(state.release(id, pruned))
     }
 
     fn delete_all(&self, _ctx: &mut OpCtx<'_>, id: &str) -> Result<(), ScfsError> {
-        let mut state = self.state().lock();
+        let mut state = self.state.lock();
         let pruned = state.registry.remove_all(id);
         state.release(id, pruned);
         Ok(())
@@ -951,19 +944,16 @@ impl<B: ChunkedBackend> FileStorage for B {
     fn replay_release_journal(
         &self,
         ctx: &mut OpCtx<'_>,
-        opts: &JournalOpts,
+        _opts: &JournalOpts,
     ) -> Result<ReplayReport, ScfsError> {
         let mut report = ReplayReport::default();
-        let mut snapshot = {
-            let state = self.state().lock();
-            state.chunks.pending_snapshot(opts.replay_batch)
-        };
+        let mut snapshot = self.state.lock().chunks.pending_snapshot();
         {
             // Model-checking seam: explore other replay interleavings of
             // this batch (the order entries of one pass race each other).
             // With no controller installed the snapshot order — oldest
             // first — is kept untouched.
-            let slot = self.state().lock().controller.clone();
+            let slot = self.state.lock().controller.clone();
             slot.permute(ChoiceKind::JournalReplay, "gc-replay", &mut snapshot);
         }
         for entry in snapshot {
@@ -972,39 +962,30 @@ impl<B: ChunkedBackend> FileStorage for B {
             if retried {
                 report.retried += 1;
             }
-            let action = self.state().lock().chunks.decide(entry.seq);
-            let deleted = match action {
-                None => {
-                    report.cancelled += 1;
-                    continue;
-                }
-                Some(ReleaseTarget::Chunk(hash)) => {
-                    let mut store_ctx = OpCtx::new(&mut *ctx.clock, chunk_store_account());
-                    self.delete_chunk(&mut store_ctx, &hash)
-                }
-                Some(ReleaseTarget::Manifest { id, root }) => {
-                    // The registry is the liveness authority for manifests
-                    // (the analogue of the chunk refcount check in
-                    // `decide`): a root a retained version still stores —
-                    // e.g. one recommitted after this entry was journaled —
-                    // is cancelled, never deleted.
-                    let live = {
-                        let mut state = self.state().lock();
-                        if state.registry.live_manifests(&id).contains(&root) {
-                            state.chunks.mark_applied(entry.seq);
-                            true
-                        } else {
-                            false
-                        }
-                    };
-                    if live {
-                        report.cancelled += 1;
-                        continue;
+            let blob = {
+                let mut state = self.state.lock();
+                let due = state.chunks.decide(entry.seq);
+                // The registry is the liveness authority for manifests (the
+                // analogue of the chunk refcount check in `decide`): a root
+                // a retained version still stores — e.g. one recommitted
+                // after this entry was journaled — is cancelled, never
+                // deleted.
+                due.filter(|blob| match blob {
+                    BlobName::Manifest { id, root }
+                        if state.registry.live_manifests(id).contains(root) =>
+                    {
+                        state.chunks.mark_applied(entry.seq);
+                        false
                     }
-                    self.delete_manifest(ctx, &id, &root)
-                }
+                    _ => true,
+                })
             };
-            let mut state = self.state().lock();
+            let Some(blob) = blob else {
+                report.cancelled += 1;
+                continue;
+            };
+            let deleted = self.blobs.delete(&mut principal_ctx(ctx, &blob), &blob);
+            let mut state = self.state.lock();
             match deleted {
                 Ok(()) => {
                     state.chunks.mark_applied(entry.seq);
@@ -1019,289 +1000,121 @@ impl<B: ChunkedBackend> FileStorage for B {
                 }
             }
         }
-        self.state().lock().chunks.compact(opts.keep_applied);
         Ok(report)
     }
 
     fn pending_releases(&self) -> usize {
-        self.state().lock().chunks.pending_len()
+        self.state.lock().chunks.pending_len()
     }
 
     fn install_schedule_controller(&self, slot: ControllerSlot) {
-        self.state().lock().controller = slot;
+        self.state.lock().controller = slot;
     }
 
     fn check_invariants(&self, out: &mut Vec<InvariantViolation>) {
-        self.state().lock().chunks.check_invariants(out);
+        self.state.lock().chunks.check_invariants(out);
     }
 
     fn set_acl(&self, ctx: &mut OpCtx<'_>, id: &str, acl: &Acl) -> Result<(), ScfsError> {
-        let manifests = self.state().lock().registry.live_manifests(id);
-        for root in &manifests {
-            self.set_manifest_acl(ctx, id, root, acl)?;
+        let manifests = self.state.lock().registry.live_manifests(id);
+        for root in manifests {
+            let blob = BlobName::manifest(id, root);
+            self.blobs
+                .set_acl(&mut principal_ctx(ctx, &blob), &blob, acl)?;
         }
         Ok(())
     }
 }
 
-/// Single-cloud backend: chunks stored as objects under global
-/// `scfs/chunks/{hash}` keys, manifests under per-object
-/// `scfs/{id}/manifest/{hash}` keys, in one provider (the paper's AWS
-/// backend uses Amazon S3).
-pub struct SingleCloudStorage {
-    cloud: Arc<dyn ObjectStore>,
-    state: Mutex<StoreState>,
-}
+/// Single-cloud adapter: each blob is one object, under its
+/// [`BlobName::key`], in one provider (the paper's AWS backend uses Amazon
+/// S3).
+pub struct SingleCloud(Arc<dyn ObjectStore>);
+
+/// Single-cloud backend: the chunked storage engine over one provider.
+pub type SingleCloudStorage = ChunkedStorage<SingleCloud>;
 
 impl SingleCloudStorage {
     /// Creates a backend over one cloud.
     pub fn new(cloud: Arc<dyn ObjectStore>) -> Self {
-        SingleCloudStorage {
-            cloud,
-            state: Mutex::new(StoreState::default()),
-        }
+        ChunkedStorage::over(SingleCloud(cloud))
+    }
+}
+
+/// What a delete or an ACL change of one blob may meet without failing.
+fn tolerated(result: Result<(), StorageError>) -> Result<(), StorageError> {
+    match result {
+        Err(StorageError::NotFound { .. }) | Err(StorageError::AccessDenied { .. }) => Ok(()),
+        other => other,
+    }
+}
+
+impl BlobStore for SingleCloud {
+    const LABEL: &'static str = "AWS";
+    const DURABILITY: DurabilityLevel = DurabilityLevel::SingleCloud;
+
+    fn put(&self, ctx: &mut OpCtx<'_>, blob: &BlobName, data: &[u8]) -> Result<(), StorageError> {
+        self.0.put(ctx, &blob.key(), data)
     }
 
-    /// The underlying cloud.
-    pub fn cloud(&self) -> &Arc<dyn ObjectStore> {
-        &self.cloud
-    }
-
-    /// Key of a chunk in the global, cross-file namespace.
-    pub fn chunk_key(hash: &ContentHash) -> String {
-        format!("scfs/chunks/{}", to_hex(hash))
-    }
-
-    /// Key of the manifest of `id` stored under `root`.
-    pub fn manifest_key(id: &str, root: &ContentHash) -> String {
-        format!("scfs/{id}/manifest/{}", to_hex(root))
-    }
-
-    /// Current global reference count of a chunk (test/diagnostic hook).
-    pub fn chunk_refcount(&self, hash: &ContentHash) -> u64 {
-        self.state.lock().chunks.refcount(hash)
-    }
-
-    /// The blobs that may legitimately exist in the cloud right now; feed a
-    /// raw key listing to [`BlobAudit::orphans`] to assert the GC leaked
-    /// nothing.
-    pub fn blob_audit(&self) -> BlobAudit {
-        self.state.lock().blob_audit()
-    }
-
-    fn verified_get(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        key: &str,
-        hash: &ContentHash,
-    ) -> Result<Vec<u8>, ScfsError> {
-        let bytes = self.cloud.get(ctx, key)?;
+    fn get(&self, ctx: &mut OpCtx<'_>, blob: &BlobName) -> Result<Vec<u8>, StorageError> {
+        let key = blob.key();
+        let bytes = self.0.get(ctx, &key)?;
         // Verify the content against the anchor hash (step r3 of Figure 3).
-        if &sha256(&bytes) != hash {
-            return Err(StorageError::IntegrityViolation {
-                key: key.to_string(),
-            }
-            .into());
+        if &sha256(&bytes) != blob.hash() {
+            return Err(StorageError::IntegrityViolation { key });
         }
         Ok(bytes)
     }
 
-    fn tolerant_delete(&self, ctx: &mut OpCtx<'_>, key: &str) -> Result<(), ScfsError> {
-        match self.cloud.delete(ctx, key) {
-            // AccessDenied mirrors set_manifest_acl: a collaborator-written
-            // blob is owned by its writer, and when the write-time ACL grant
-            // failed to reach it, retrying a delete under this account could
-            // never succeed — surrendering the blob to its owner beats a
-            // journal entry that livelocks forever.
-            Ok(())
-            | Err(StorageError::NotFound { .. })
-            | Err(StorageError::AccessDenied { .. }) => Ok(()),
-            Err(e) => Err(e.into()),
-        }
+    fn delete(&self, ctx: &mut OpCtx<'_>, blob: &BlobName) -> Result<(), StorageError> {
+        // AccessDenied mirrors `set_acl`: a collaborator-written blob is
+        // owned by its writer, and when the write-time ACL grant failed to
+        // reach it, retrying a delete under this account could never succeed
+        // — surrendering the blob to its owner beats a journal entry that
+        // livelocks forever.
+        tolerated(self.0.delete(ctx, &blob.key()))
+    }
+
+    fn set_acl(&self, ctx: &mut OpCtx<'_>, blob: &BlobName, acl: &Acl) -> Result<(), StorageError> {
+        // Versions written by other collaborators are owned by them; only
+        // their writer can retag those objects, so skip them.
+        tolerated(self.0.set_acl(ctx, &blob.key(), acl.clone()))
     }
 }
 
-impl ChunkedBackend for SingleCloudStorage {
-    fn backend_label(&self) -> &'static str {
-        "AWS"
-    }
+/// Cloud-of-clouds adapter: each blob is an immutable DepSky-CA data unit,
+/// addressed by its [`BlobName::base`] and [`BlobName::hash`].
+pub struct CloudOfClouds(DepSkyClient);
 
-    fn state(&self) -> &Mutex<StoreState> {
-        &self.state
-    }
-
-    fn put_chunk(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        hash: &ContentHash,
-        data: &[u8],
-    ) -> Result<(), ScfsError> {
-        Ok(self.cloud.put(ctx, &Self::chunk_key(hash), data)?)
-    }
-
-    fn get_chunk(&self, ctx: &mut OpCtx<'_>, hash: &ContentHash) -> Result<Vec<u8>, ScfsError> {
-        self.verified_get(ctx, &Self::chunk_key(hash), hash)
-    }
-
-    fn delete_chunk(&self, ctx: &mut OpCtx<'_>, hash: &ContentHash) -> Result<(), ScfsError> {
-        self.tolerant_delete(ctx, &Self::chunk_key(hash))
-    }
-
-    fn put_manifest(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        id: &str,
-        root: &ContentHash,
-        data: &[u8],
-    ) -> Result<(), ScfsError> {
-        Ok(self.cloud.put(ctx, &Self::manifest_key(id, root), data)?)
-    }
-
-    fn get_manifest(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        id: &str,
-        root: &ContentHash,
-    ) -> Result<Vec<u8>, ScfsError> {
-        self.verified_get(ctx, &Self::manifest_key(id, root), root)
-    }
-
-    fn delete_manifest(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        id: &str,
-        root: &ContentHash,
-    ) -> Result<(), ScfsError> {
-        self.tolerant_delete(ctx, &Self::manifest_key(id, root))
-    }
-
-    fn set_manifest_acl(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        id: &str,
-        root: &ContentHash,
-        acl: &Acl,
-    ) -> Result<(), ScfsError> {
-        match self
-            .cloud
-            .set_acl(ctx, &Self::manifest_key(id, root), acl.clone())
-        {
-            // Versions written by other collaborators are owned by them;
-            // only their writer can retag those objects, so skip them.
-            Ok(())
-            | Err(StorageError::NotFound { .. })
-            | Err(StorageError::AccessDenied { .. }) => Ok(()),
-            Err(e) => Err(e.into()),
-        }
-    }
-}
-
-/// Cloud-of-clouds backend: chunks stored through DepSky-CA as immutable
-/// single-version data units in the global `chunks|{hash}` namespace,
-/// manifests as per-object `{id}|{hash}` units.
-pub struct CloudOfCloudsStorage {
-    depsky: DepSkyClient,
-    state: Mutex<StoreState>,
-}
+/// Cloud-of-clouds backend: the chunked storage engine over DepSky.
+pub type CloudOfCloudsStorage = ChunkedStorage<CloudOfClouds>;
 
 impl CloudOfCloudsStorage {
     /// Creates a backend over a DepSky client.
     pub fn new(depsky: DepSkyClient) -> Self {
-        CloudOfCloudsStorage {
-            depsky,
-            state: Mutex::new(StoreState::default()),
-        }
-    }
-
-    /// The underlying DepSky client.
-    pub fn depsky(&self) -> &DepSkyClient {
-        &self.depsky
-    }
-
-    /// Current global reference count of a chunk (test/diagnostic hook).
-    pub fn chunk_refcount(&self, hash: &ContentHash) -> u64 {
-        self.state.lock().chunks.refcount(hash)
-    }
-
-    /// The blobs that may legitimately exist in the clouds right now; see
-    /// [`SingleCloudStorage::blob_audit`].
-    pub fn blob_audit(&self) -> BlobAudit {
-        self.state.lock().blob_audit()
+        ChunkedStorage::over(CloudOfClouds(depsky))
     }
 }
 
-impl ChunkedBackend for CloudOfCloudsStorage {
-    fn backend_label(&self) -> &'static str {
-        "CoC"
+impl BlobStore for CloudOfClouds {
+    const LABEL: &'static str = "CoC";
+    const DURABILITY: DurabilityLevel = DurabilityLevel::CloudOfClouds;
+
+    fn put(&self, ctx: &mut OpCtx<'_>, blob: &BlobName, data: &[u8]) -> Result<(), StorageError> {
+        self.0.write_blob(ctx, blob.base(), blob.hash(), data)
     }
 
-    fn backend_durability(&self) -> DurabilityLevel {
-        DurabilityLevel::CloudOfClouds
+    fn get(&self, ctx: &mut OpCtx<'_>, blob: &BlobName) -> Result<Vec<u8>, StorageError> {
+        self.0.read_blob(ctx, blob.base(), blob.hash())
     }
 
-    fn state(&self) -> &Mutex<StoreState> {
-        &self.state
+    fn delete(&self, ctx: &mut OpCtx<'_>, blob: &BlobName) -> Result<(), StorageError> {
+        self.0.delete_blob(ctx, blob.base(), blob.hash())
     }
 
-    fn put_chunk(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        hash: &ContentHash,
-        data: &[u8],
-    ) -> Result<(), ScfsError> {
-        Ok(self
-            .depsky
-            .write_blob(ctx, DepSkyClient::GLOBAL_CHUNK_BASE, hash, data)?)
-    }
-
-    fn get_chunk(&self, ctx: &mut OpCtx<'_>, hash: &ContentHash) -> Result<Vec<u8>, ScfsError> {
-        Ok(self
-            .depsky
-            .read_blob(ctx, DepSkyClient::GLOBAL_CHUNK_BASE, hash)?)
-    }
-
-    fn delete_chunk(&self, ctx: &mut OpCtx<'_>, hash: &ContentHash) -> Result<(), ScfsError> {
-        Ok(self
-            .depsky
-            .delete_blob(ctx, DepSkyClient::GLOBAL_CHUNK_BASE, hash)?)
-    }
-
-    fn put_manifest(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        id: &str,
-        root: &ContentHash,
-        data: &[u8],
-    ) -> Result<(), ScfsError> {
-        Ok(self.depsky.write_blob(ctx, id, root, data)?)
-    }
-
-    fn get_manifest(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        id: &str,
-        root: &ContentHash,
-    ) -> Result<Vec<u8>, ScfsError> {
-        Ok(self.depsky.read_blob(ctx, id, root)?)
-    }
-
-    fn delete_manifest(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        id: &str,
-        root: &ContentHash,
-    ) -> Result<(), ScfsError> {
-        Ok(self.depsky.delete_blob(ctx, id, root)?)
-    }
-
-    fn set_manifest_acl(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        id: &str,
-        root: &ContentHash,
-        acl: &Acl,
-    ) -> Result<(), ScfsError> {
-        Ok(self.depsky.set_blob_acl(ctx, id, root, acl)?)
+    fn set_acl(&self, ctx: &mut OpCtx<'_>, blob: &BlobName, acl: &Acl) -> Result<(), StorageError> {
+        self.0.set_blob_acl(ctx, blob.base(), blob.hash(), acl)
     }
 }
 

@@ -1,28 +1,28 @@
-//! The global, refcounted chunk store: cross-file dedup and leak-free GC.
+//! The global, refcounted chunk store: cross-file dedup and leak-free GC —
+//! and [`BlobName`], the one place that says what SCFS calls what it stores
+//! in a cloud.
 //!
-//! Until this refactor chunks were content-addressed *per object id*
-//! (`scfs/{id}/blob/{hash}`), so identical content written under two file
-//! ids — or by two collaborators — moved and was stored twice, and the
-//! garbage collector decided chunk liveness by scanning the versions of one
-//! file at a time. Worse, a failed blob deletion aborted the GC loop *after*
-//! the version registry had already been pruned: the remaining blobs were
-//! permanently orphaned, unreachable by any retry.
+//! Everything SCFS sends to a cloud is a write-once, content-addressed blob
+//! of one of two kinds, and [`BlobName`] is its name: how it is spelled on
+//! the single cloud, which DepSky unit it is, which principal touches it,
+//! and how a raw cloud key parses back. The release journal
+//! ([`JournalEntry`]), the orphan audit ([`BlobAudit`]) and both storage
+//! adapters of [`crate::backend`] speak it and spell nothing themselves.
 //!
-//! [`ChunkStore`] fixes both, CFS-style (global chunk addressing, see
-//! PAPERS: *CFS: A Distributed File System for Large Scale Container
-//! Platforms*):
+//! [`ChunkStore`] is the liveness authority for the first kind, CFS-style
+//! (global chunk addressing, see PAPERS: *CFS: A Distributed File System for
+//! Large Scale Container Platforms*):
 //!
 //! * **One chunk namespace for everything.** Chunks live under a single
-//!   content-addressed namespace (`scfs/chunks/{hash}` on the AWS backend,
-//!   the `chunks|{hash}` DepSky data units on CoC), owned by a dedicated
+//!   content-addressed namespace ([`BlobName::Chunk`]), owned by a dedicated
 //!   chunk-store principal ([`chunk_store_account`]). A chunk is uploaded
 //!   only if its **reference count** is zero — identical content across
-//!   versions, files *and users* moves once. Manifests stay per-object:
-//!   they are the per-file commit point the consistency anchor validates,
-//!   and they carry the user-facing ACL — as an object of their own only
-//!   when they are too large to ride in the metadata tuple
-//!   ([`crate::types::manifest_rides_inline`]); a version whose manifest
-//!   rides inline is chunks and nothing else to this module.
+//!   versions, files *and users* moves once. Manifests stay per-object
+//!   ([`BlobName::Manifest`]): they are the per-file commit point the
+//!   consistency anchor validates, and they carry the user-facing ACL — as
+//!   an object of their own only when they are too large to ride in the
+//!   metadata tuple ([`crate::types::manifest_rides_inline`]); a version
+//!   whose manifest rides inline is chunks and nothing else to this module.
 //! * **Reference counting instead of per-file liveness scans.** Every
 //!   committed version holds one reference on each distinct chunk it uses;
 //!   pruning a version releases exactly those references. A chunk is
@@ -42,7 +42,7 @@
 //! after some chunk uploads, or on the manifest put — therefore leaves its
 //! partial blobs covered by pending entries, and the next replay reclaims
 //! them instead of orphaning them. The journal never holds a
-//! [`ReleaseTarget::Manifest`] for a manifest that rides inline: not
+//! [`BlobName::Manifest`] for a manifest that rides inline: not
 //! provisionally, not when its version is pruned — there is no object, and
 //! a delete of one would be a request (a round of them on the
 //! cloud-of-clouds) for nothing.
@@ -81,10 +81,11 @@
 //! refcount journal, CFS-style) is the natural next step and is tracked in
 //! the ROADMAP.
 
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use cloud_store::types::AccountId;
-use scfs_crypto::{to_hex, ContentHash};
+use depsky::register::DepSkyClient;
+use scfs_crypto::{hash_from_hex, to_hex, ContentHash};
 
 use crate::invariant::InvariantViolation;
 
@@ -98,14 +99,22 @@ pub fn chunk_store_account() -> AccountId {
     AccountId::new(CHUNK_STORE_PRINCIPAL)
 }
 
-/// What a pending release intent targets.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReleaseTarget {
-    /// A chunk in the global namespace; deleted only once its refcount is 0.
+/// The name of one write-once blob SCFS stores in a cloud — all it ever
+/// stores there. This type alone knows how a blob is spelled on either
+/// backend and how a raw cloud key parses back; the release journal, the
+/// orphan audit and both storage adapters speak it.
+///
+/// | blob | single-cloud key | DepSky unit (`base\|hash`) | principal | deleted by |
+/// |---|---|---|---|---|
+/// | chunk | `scfs/chunks/{hex}` | `chunks\|{hex}` | [`chunk_store_account`] | journal replay, once its refcount is 0 |
+/// | manifest | `scfs/{id}/manifest/{hex}` | `{id}\|{hex}` | the calling user | journal replay, once no retained version of `id` stores the root |
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub enum BlobName {
+    /// A chunk in the global namespace, shared by every file and user and
+    /// addressed by content hash alone.
     Chunk(ContentHash),
-    /// A per-object manifest blob (no refcount: manifests are unique to
-    /// their `(id, root)` pair once no retained version uses the root).
-    /// Only ever journaled for a version that stored one.
+    /// The chunk-map manifest of one version of an object. Only a version
+    /// whose manifest does not ride in the metadata tuple has one.
     Manifest {
         /// Storage id of the object the manifest belongs to.
         id: String,
@@ -114,35 +123,103 @@ pub enum ReleaseTarget {
     },
 }
 
+/// Prefix of every key SCFS stores on a single cloud.
+const KEY_SPACE: &str = "scfs/";
+/// Where the global chunks live under [`KEY_SPACE`]; also the DepSky base
+/// of their units. Object ids never collide with it (they are `{user}-f{n}`).
+const CHUNKS: &str = "chunks";
+/// What separates an object id from a manifest's root hash in a key.
+const MANIFEST: &str = "/manifest/";
+
+impl BlobName {
+    /// The manifest of `id` stored under `root`.
+    pub fn manifest(id: &str, root: ContentHash) -> Self {
+        BlobName::Manifest {
+            id: id.to_string(),
+            root,
+        }
+    }
+
+    /// The content hash the blob is addressed by and verified against.
+    pub fn hash(&self) -> &ContentHash {
+        match self {
+            BlobName::Chunk(hash) | BlobName::Manifest { root: hash, .. } => hash,
+        }
+    }
+
+    /// The base of the blob's DepSky unit; with [`BlobName::hash`], its
+    /// address on the cloud-of-clouds.
+    pub fn base(&self) -> &str {
+        match self {
+            BlobName::Chunk(_) => CHUNKS,
+            BlobName::Manifest { id, .. } => id,
+        }
+    }
+
+    /// The blob's key on a single cloud.
+    pub fn key(&self) -> String {
+        let hex = to_hex(self.hash());
+        match self {
+            BlobName::Chunk(_) => format!("{KEY_SPACE}{CHUNKS}/{hex}"),
+            BlobName::Manifest { id, .. } => format!("{KEY_SPACE}{id}{MANIFEST}{hex}"),
+        }
+    }
+
+    /// The account every request for this blob is made under. Chunks belong
+    /// to the shared global namespace and are written, read and deleted
+    /// under the chunk-store principal, never the calling user (whose right
+    /// to a chunk was established by reading a manifest its ACL admits it
+    /// to — the hash is the capability); manifests are the caller's own.
+    pub fn principal(&self, caller: &AccountId) -> AccountId {
+        match self {
+            BlobName::Chunk(_) => chunk_store_account(),
+            BlobName::Manifest { .. } => caller.clone(),
+        }
+    }
+
+    /// The blob a raw cloud key of `style` belongs to — for a single-cloud
+    /// key the inverse of [`BlobName::key`], for a DepSky one the blob whose
+    /// unit the object is part of. `None` for a key that spells no blob.
+    pub fn parse(style: KeyStyle, key: &str) -> Option<BlobName> {
+        match style {
+            KeyStyle::Aws => {
+                let rest = key.strip_prefix(KEY_SPACE)?;
+                match rest.strip_prefix(CHUNKS).and_then(|r| r.strip_prefix('/')) {
+                    Some(hex) => hash_from_hex(hex).map(BlobName::Chunk),
+                    None => {
+                        let (id, hex) = rest.split_once(MANIFEST)?;
+                        Some(BlobName::manifest(id, hash_from_hex(hex)?))
+                    }
+                }
+            }
+            KeyStyle::DepSky => {
+                let (base, hash) = DepSkyClient::blob_of_key(key)?;
+                Some(match base {
+                    CHUNKS => BlobName::Chunk(hash),
+                    id => BlobName::manifest(id, hash),
+                })
+            }
+        }
+    }
+}
+
 /// One entry of the release journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalEntry {
     /// Monotonic sequence number (append order).
     pub seq: u64,
     /// The blob this entry intends to release.
-    pub target: ReleaseTarget,
+    pub target: BlobName,
     /// Failed physical-delete attempts so far; an entry with `attempts > 0`
     /// being attempted again is a *retry* of a previously leaked blob.
     pub attempts: u32,
 }
 
-/// Knobs of one journal replay pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JournalOpts {
-    /// Maximum number of pending entries attempted per pass (0 = all).
-    pub replay_batch: usize,
-    /// Number of most recently applied entries retained for inspection.
-    pub keep_applied: usize,
-}
-
-impl Default for JournalOpts {
-    fn default() -> Self {
-        JournalOpts {
-            replay_batch: 0,
-            keep_applied: 64,
-        }
-    }
-}
+/// Options of one journal replay pass: there are none. The type stays
+/// because `FileStorage::replay_release_journal`'s signature names it, and
+/// goes with the Benchmark-v2 item that un-pins that signature (ROADMAP).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct JournalOpts {}
 
 /// Accounting of one journal replay pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -173,8 +250,6 @@ pub struct ChunkStore {
     refcounts: BTreeMap<ContentHash, u64>,
     /// Release intents not yet applied, oldest first.
     pending: VecDeque<JournalEntry>,
-    /// Most recently applied entries (bounded by `JournalOpts::keep_applied`).
-    applied: VecDeque<JournalEntry>,
     next_seq: u64,
     /// Times a release dropped a reference that was not held. The counts
     /// themselves saturate at zero (an underflow must not corrupt
@@ -204,11 +279,6 @@ impl ChunkStore {
         self.pending.iter()
     }
 
-    /// The retained applied entries, oldest first.
-    pub fn applied_entries(&self) -> impl Iterator<Item = &JournalEntry> {
-        self.applied.iter()
-    }
-
     /// Takes one reference on each chunk of a newly committed version.
     /// `chunks` must be the version's *distinct* chunk set — the exact set a
     /// later [`ChunkStore::release_version`] of the same version passes back.
@@ -232,7 +302,7 @@ impl ChunkStore {
             }
             *rc = rc.saturating_sub(1);
             if *rc == 0 {
-                self.append(ReleaseTarget::Chunk(chunk));
+                self.append(BlobName::Chunk(chunk));
             }
         }
     }
@@ -246,7 +316,7 @@ impl ChunkStore {
     /// references).
     pub fn journal_provisional_uploads(&mut self, chunks: impl IntoIterator<Item = ContentHash>) {
         for chunk in chunks {
-            self.append(ReleaseTarget::Chunk(chunk));
+            self.append(BlobName::Chunk(chunk));
         }
     }
 
@@ -255,43 +325,31 @@ impl ChunkStore {
     /// upload — replay checks registry liveness before deleting, so a
     /// committed manifest is never destroyed by its own provisional entry.
     pub fn release_manifest(&mut self, id: &str, root: ContentHash) {
-        self.append(ReleaseTarget::Manifest {
-            id: id.to_string(),
-            root,
-        });
+        self.append(BlobName::manifest(id, root));
     }
 
     /// Cancels any pending release of `(id, root)` — called when a version
     /// with that manifest is (re)committed, so a pending delete from an
     /// earlier prune cannot destroy the recreated blob.
     pub fn cancel_manifest_release(&mut self, id: &str, root: &ContentHash) {
-        self.cancel_where(|target| {
-            matches!(
-                target,
-                ReleaseTarget::Manifest { id: eid, root: eroot }
-                    if eid == id && eroot == root
-            )
-        });
+        let manifest = BlobName::manifest(id, *root);
+        self.cancel_where(|target| *target == manifest);
     }
 
     /// Cancels every pending chunk release whose hash is in `live` — called
     /// when a version commits, clearing its provisional upload intents and
     /// any stale entry for a chunk the commit just re-referenced.
     pub fn cancel_chunk_releases(&mut self, live: &BTreeSet<ContentHash>) {
-        self.cancel_where(
-            |target| matches!(target, ReleaseTarget::Chunk(hash) if live.contains(hash)),
-        );
+        self.cancel_where(|target| matches!(target, BlobName::Chunk(hash) if live.contains(hash)));
     }
 
-    /// Drops the pending entries matching `cancelled` outright: commit-time
-    /// cancellations are pure bookkeeping, and parking them in the applied
-    /// history would grow it unboundedly between replays (compaction only
-    /// runs there) — one write's worth of provisional entries per commit.
-    fn cancel_where(&mut self, cancelled: impl Fn(&ReleaseTarget) -> bool) {
+    /// Drops the pending entries matching `cancelled`: commit-time
+    /// cancellations are pure bookkeeping.
+    fn cancel_where(&mut self, cancelled: impl Fn(&BlobName) -> bool) {
         self.pending.retain(|entry| !cancelled(&entry.target));
     }
 
-    fn append(&mut self, target: ReleaseTarget) {
+    fn append(&mut self, target: BlobName) {
         self.pending.push_back(JournalEntry {
             seq: self.next_seq,
             target,
@@ -300,23 +358,18 @@ impl ChunkStore {
         self.next_seq += 1;
     }
 
-    /// Snapshot of up to `batch` pending entries (0 = all), oldest first.
-    pub fn pending_snapshot(&self, batch: usize) -> Vec<JournalEntry> {
-        let take = if batch == 0 {
-            self.pending.len()
-        } else {
-            batch.min(self.pending.len())
-        };
-        self.pending.iter().take(take).cloned().collect()
+    /// Snapshot of the pending entries, oldest first.
+    pub fn pending_snapshot(&self) -> Vec<JournalEntry> {
+        self.pending.iter().cloned().collect()
     }
 
     /// Decides what entry `seq` requires *now*: `Some(target)` if the blob
     /// must be deleted, `None` if the entry was applied without a delete
     /// (the chunk has been re-referenced in the meantime).
-    pub fn decide(&mut self, seq: u64) -> Option<ReleaseTarget> {
+    pub fn decide(&mut self, seq: u64) -> Option<BlobName> {
         let entry = self.pending.iter().find(|e| e.seq == seq)?;
         match &entry.target {
-            ReleaseTarget::Chunk(hash) if self.refcount(hash) > 0 => {
+            BlobName::Chunk(hash) if self.refcount(hash) > 0 => {
                 self.mark_applied(seq);
                 None
             }
@@ -330,19 +383,17 @@ impl ChunkStore {
             return;
         };
         if let Some(entry) = self.pending.remove(pos) {
-            if let ReleaseTarget::Chunk(hash) = &entry.target {
+            if let BlobName::Chunk(hash) = &entry.target {
                 if self.refcount(hash) == 0 {
                     self.refcounts.remove(hash);
                 }
             }
-            self.applied.push_back(entry);
         }
     }
 
     /// Records a failed delete attempt of entry `seq`: the entry stays
     /// pending but rotates to the back of the queue, so a persistently
-    /// failing blob cannot monopolize a bounded replay batch and starve the
-    /// entries behind it.
+    /// failing blob is not what every pass attempts first.
     pub fn mark_failed(&mut self, seq: u64) {
         let Some(pos) = self.pending.iter().position(|e| e.seq == seq) else {
             return;
@@ -353,47 +404,15 @@ impl ChunkStore {
         }
     }
 
-    /// Trims the applied-entry history to `keep` entries.
-    pub fn compact(&mut self, keep: usize) {
-        while self.applied.len() > keep {
-            self.applied.pop_front();
-        }
-    }
-
-    /// Distinct chunk hashes with a live reference or a pending release —
-    /// exactly the chunk blobs that may legitimately exist in the cloud.
-    pub fn reachable_chunks(&self) -> BTreeSet<ContentHash> {
-        let mut set: BTreeSet<ContentHash> = self
-            .refcounts
-            .iter()
-            .filter(|(_, rc)| **rc > 0)
-            .map(|(h, _)| *h)
-            .collect();
-        for entry in &self.pending {
-            if let ReleaseTarget::Chunk(hash) = &entry.target {
-                set.insert(*hash);
-            }
-        }
+    /// The blobs this store accounts for: every chunk with a live reference
+    /// and every blob with a pending release. With the manifests of the
+    /// retained versions, exactly the blobs that may legitimately exist in
+    /// the cloud.
+    pub fn reachable_blobs(&self) -> BTreeSet<BlobName> {
+        let live = self.refcounts.iter().filter(|(_, rc)| **rc > 0);
+        let mut set: BTreeSet<BlobName> = live.map(|(h, _)| BlobName::Chunk(*h)).collect();
+        set.extend(self.pending.iter().map(|entry| entry.target.clone()));
         set
-    }
-
-    /// `(id, root)` pairs of manifests with a pending release.
-    pub fn pending_manifests(&self) -> BTreeSet<(String, ContentHash)> {
-        self.pending
-            .iter()
-            .filter_map(|e| match &e.target {
-                ReleaseTarget::Manifest { id, root } => Some((id.clone(), *root)),
-                ReleaseTarget::Chunk(_) => None,
-            })
-            .collect()
-    }
-
-    /// Times a release dropped a reference that was not held (the counts
-    /// themselves saturate, so this is the only observable trace). Must be
-    /// zero: a nonzero value means some schedule double-released a version
-    /// or released one that never committed.
-    pub fn refcount_underflows(&self) -> u64 {
-        self.underflows
     }
 
     /// Appends any violated chunkstore invariants to `out`: refcounts never
@@ -407,7 +426,7 @@ impl ChunkStore {
             ));
         }
         let mut seen = BTreeSet::new();
-        for entry in self.pending.iter().chain(self.applied.iter()) {
+        for entry in &self.pending {
             if entry.seq >= self.next_seq {
                 out.push(InvariantViolation::new(
                     "chunkstore.journal-seq-range",
@@ -430,74 +449,47 @@ impl ChunkStore {
 /// points at. Anything else under the SCFS key space is an orphan — the
 /// leak class the release journal exists to prevent.
 ///
-/// Built by `SingleCloudStorage::blob_audit` / `CloudOfCloudsStorage::
-/// blob_audit`; tests feed it the raw key listing of a `SimulatedCloud`
-/// (`stored_keys`) and assert [`BlobAudit::orphans`] is empty.
+/// Built by the storages' `blob_audit`; tests feed it the raw key listing of
+/// a `SimulatedCloud` (`stored_keys`) and assert [`BlobAudit::orphans`] is
+/// empty.
 #[derive(Debug, Clone)]
 pub struct BlobAudit {
-    chunk_hex: HashSet<String>,
-    manifest_hex: HashSet<(String, String)>,
+    reachable: BTreeSet<BlobName>,
 }
 
 /// How the audited cloud keys encode SCFS blobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeyStyle {
-    /// Single-cloud keys: `scfs/chunks/{hex}` and `scfs/{id}/manifest/{hex}`.
+    /// Single-cloud keys, [`BlobName::key`].
     Aws,
-    /// DepSky keys: `depsky/{unit}/...` with units `chunks|{hex}` (global
-    /// chunks) and `{id}|{hex}` (manifests).
+    /// DepSky keys: the objects of the unit [`BlobName::base`] and
+    /// [`BlobName::hash`] address.
     DepSky,
 }
 
-impl BlobAudit {
-    /// Builds an audit from the reachable chunk hashes and live-or-pending
-    /// manifests of a backend.
-    pub fn new(
-        chunks: impl IntoIterator<Item = ContentHash>,
-        manifests: impl IntoIterator<Item = (String, ContentHash)>,
-    ) -> Self {
-        BlobAudit {
-            chunk_hex: chunks.into_iter().map(|h| to_hex(&h)).collect(),
-            manifest_hex: manifests
-                .into_iter()
-                .map(|(id, h)| (id, to_hex(&h)))
-                .collect(),
+impl KeyStyle {
+    /// The prefix of every key SCFS stores in a cloud under this style.
+    fn key_space(self) -> &'static str {
+        match self {
+            KeyStyle::Aws => KEY_SPACE,
+            KeyStyle::DepSky => depsky::register::KEY_SPACE,
         }
+    }
+}
+
+impl BlobAudit {
+    /// Builds an audit from the blobs a backend can account for.
+    pub fn new(reachable: BTreeSet<BlobName>) -> Self {
+        BlobAudit { reachable }
     }
 
     /// Whether a stored cloud key is reachable from a live manifest, a live
     /// chunk reference or a pending journal entry. Keys outside the SCFS
-    /// namespaces are ignored (treated as reachable).
+    /// key space are ignored (treated as reachable); one inside it that
+    /// spells no blob is not.
     pub fn permits(&self, style: KeyStyle, key: &str) -> bool {
-        match style {
-            KeyStyle::Aws => {
-                let Some(rest) = key.strip_prefix("scfs/") else {
-                    return true;
-                };
-                if let Some(hex) = rest.strip_prefix("chunks/") {
-                    return self.chunk_hex.contains(hex);
-                }
-                match rest.split_once("/manifest/") {
-                    Some((id, hex)) => self
-                        .manifest_hex
-                        .contains(&(id.to_string(), hex.to_string())),
-                    None => false,
-                }
-            }
-            KeyStyle::DepSky => {
-                let Some(rest) = key.strip_prefix("depsky/") else {
-                    return true;
-                };
-                let unit = rest.split('/').next().unwrap_or(rest);
-                match unit.split_once('|') {
-                    Some(("chunks", hex)) => self.chunk_hex.contains(hex),
-                    Some((id, hex)) => self
-                        .manifest_hex
-                        .contains(&(id.to_string(), hex.to_string())),
-                    None => false,
-                }
-            }
-        }
+        !key.starts_with(style.key_space())
+            || BlobName::parse(style, key).is_some_and(|blob| self.reachable.contains(&blob))
     }
 
     /// The stored keys *not* reachable: the orphans.
@@ -551,7 +543,6 @@ mod tests {
         store.release_version(set.iter().copied());
         store.release_version(set.iter().copied());
         assert_eq!(store.refcount(&h(1)), 0);
-        assert_eq!(store.refcount_underflows(), 1);
         store.check_invariants(&mut violations);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].name, "chunkstore.refcount-underflow");
@@ -619,7 +610,7 @@ mod tests {
         let seq = store.pending_entries().next().unwrap().seq;
         assert!(matches!(
             store.decide(seq),
-            Some(ReleaseTarget::Chunk(hash)) if hash == h(9)
+            Some(BlobName::Chunk(hash)) if hash == h(9)
         ));
         store.mark_failed(seq);
         let entry = store.pending_entries().next().unwrap();
@@ -640,25 +631,7 @@ mod tests {
         store.cancel_manifest_release("f1", &h(3));
         assert_eq!(store.pending_len(), 1);
         let left = store.pending_entries().next().unwrap();
-        assert!(matches!(
-            &left.target,
-            ReleaseTarget::Manifest { id, .. } if id == "f2"
-        ));
-    }
-
-    #[test]
-    fn compact_bounds_applied_history() {
-        let mut store = ChunkStore::default();
-        for i in 0..10u8 {
-            store.release_manifest("f", h(i));
-        }
-        let seqs: Vec<u64> = store.pending_entries().map(|e| e.seq).collect();
-        for seq in seqs {
-            store.mark_applied(seq);
-        }
-        store.compact(3);
-        assert_eq!(store.applied_entries().count(), 3);
-        assert_eq!(store.pending_len(), 0);
+        assert_eq!(left.target, BlobName::manifest("f2", h(3)));
     }
 
     #[test]
@@ -669,34 +642,67 @@ mod tests {
         store.retain_version(&live);
         store.retain_version(&dead);
         store.release_version(dead.iter().copied());
-        let reachable = store.reachable_chunks();
-        assert!(reachable.contains(&h(1)), "live chunk is reachable");
-        assert!(reachable.contains(&h(2)), "pending release is reachable");
-        assert_eq!(reachable.len(), 2);
+        store.release_manifest("f", h(3));
+        let reachable = store.reachable_blobs();
+        let expected = [
+            BlobName::Chunk(h(1)),
+            BlobName::Chunk(h(2)),
+            BlobName::manifest("f", h(3)),
+        ];
+        assert_eq!(
+            reachable,
+            expected.into_iter().collect(),
+            "live chunk, pending chunk release, pending manifest release"
+        );
+    }
+
+    fn audit() -> BlobAudit {
+        let blobs = [BlobName::Chunk(h(1)), BlobName::manifest("alice-f1", h(2))];
+        BlobAudit::new(blobs.into_iter().collect())
     }
 
     #[test]
     fn audit_flags_unknown_scfs_keys_only() {
-        let audit = BlobAudit::new([h(1)], [("alice-f1".to_string(), h(2))]);
         let keys = vec![
             format!("scfs/chunks/{}", to_hex(&h(1))),
             format!("scfs/alice-f1/manifest/{}", to_hex(&h(2))),
             format!("scfs/chunks/{}", to_hex(&h(7))),
+            format!("scfs/chunks/{}", to_hex(&h(1)).to_uppercase()),
+            "scfs/neither-kind".to_string(),
             "unrelated/key".to_string(),
         ];
-        let orphans = audit.orphans(KeyStyle::Aws, keys);
-        assert_eq!(orphans, vec![format!("scfs/chunks/{}", to_hex(&h(7)))]);
+        let orphans = audit().orphans(KeyStyle::Aws, keys.clone());
+        assert_eq!(orphans, keys[2..5]);
     }
 
     #[test]
     fn audit_parses_depsky_units() {
-        let audit = BlobAudit::new([h(1)], [("alice-f1".to_string(), h(2))]);
+        let audit = audit();
         let ok_chunk = format!("depsky/chunks|{}/v1/block0", to_hex(&h(1)));
         let ok_manifest = format!("depsky/alice-f1|{}/metadata", to_hex(&h(2)));
         let orphan = format!("depsky/chunks|{}/v1/block2", to_hex(&h(9)));
         assert!(audit.permits(KeyStyle::DepSky, &ok_chunk));
         assert!(audit.permits(KeyStyle::DepSky, &ok_manifest));
         assert!(!audit.permits(KeyStyle::DepSky, &orphan));
+        assert!(!audit.permits(KeyStyle::DepSky, "depsky/not-a-unit/metadata"));
+        assert!(audit.permits(KeyStyle::DepSky, "unrelated/key"));
+    }
+
+    #[test]
+    fn the_four_key_spellings_are_pinned() {
+        // What is stored in a bucket outlives the code that stored it: a
+        // change here orphans every deployed blob.
+        let hash = sha256(b"pinned");
+        let hex = to_hex(&hash);
+        let chunk = BlobName::Chunk(hash);
+        let manifest = BlobName::manifest("alice-f7", hash);
+        assert_eq!(chunk.key(), format!("scfs/chunks/{hex}"));
+        assert_eq!(manifest.key(), format!("scfs/alice-f7/manifest/{hex}"));
+        let unit = |blob: &BlobName| DepSkyClient::blob_unit(blob.base(), blob.hash());
+        assert_eq!(unit(&chunk), format!("chunks|{hex}"));
+        assert_eq!(unit(&manifest), format!("alice-f7|{hex}"));
+        assert_eq!(chunk.principal(&"alice".into()), chunk_store_account());
+        assert_eq!(manifest.principal(&"alice".into()), "alice".into());
     }
 
     #[test]

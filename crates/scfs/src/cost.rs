@@ -121,20 +121,6 @@ impl CostModel {
             }
         }
     }
-
-    /// Cost of one run of the garbage collector: a LIST per cloud
-    /// (deletes are free on all providers).
-    pub fn gc_run_cost(&self) -> MicroDollars {
-        match self.backend {
-            CostBackend::Aws => self.s3.put_op_cost(),
-            CostBackend::CloudOfClouds => {
-                self.s3.put_op_cost()
-                    + self.gcs.put_op_cost()
-                    + self.rackspace.put_op_cost()
-                    + self.azure.put_op_cost()
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -181,14 +167,5 @@ mod tests {
             (1.3..1.7).contains(&ratio),
             "CoC/AWS storage cost ratio was {ratio}"
         );
-    }
-
-    #[test]
-    fn gc_cost_is_independent_of_deleted_files() {
-        // One LIST per cloud, a few micro-dollars in total, regardless of how
-        // many versions are deleted (deletes are free on all providers).
-        let m = CostModel::new(CostBackend::CloudOfClouds);
-        assert!(m.gc_run_cost().get() < 20.0);
-        assert!(m.gc_run_cost().get() > 0.0);
     }
 }

@@ -70,15 +70,6 @@ impl DurabilityLevel {
             DurabilityLevel::CloudOfClouds => "f cloud provider failures",
         }
     }
-
-    /// Typical write latency magnitude of this level, as described in Table 1.
-    pub fn latency_scale(&self) -> &'static str {
-        match self {
-            DurabilityLevel::MainMemory => "microseconds",
-            DurabilityLevel::LocalDisk => "milliseconds",
-            DurabilityLevel::SingleCloud | DurabilityLevel::CloudOfClouds => "seconds",
-        }
-    }
 }
 
 /// The system call classes of Table 1.
@@ -237,7 +228,6 @@ mod tests {
             DurabilityLevel::CloudOfClouds,
         ] {
             assert!(!level.tolerates().is_empty());
-            assert!(!level.latency_scale().is_empty());
         }
     }
 }

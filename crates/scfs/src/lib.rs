@@ -114,7 +114,7 @@ pub mod types;
 
 pub use agent::{AgentStats, ScfsAgent};
 pub use backend::{CloudOfCloudsStorage, FileStorage, SingleCloudStorage, WriteOutcome};
-pub use chunkstore::{BlobAudit, ChunkStore, JournalOpts, KeyStyle, ReplayReport};
+pub use chunkstore::{BlobAudit, BlobName, ChunkStore, JournalOpts, KeyStyle, ReplayReport};
 pub use config::{ChunkingMode, GcConfig, Mode, ScfsConfig};
 pub use cost::{CostBackend, CostModel};
 pub use durability::{DurabilityLevel, SysCall};

@@ -340,30 +340,25 @@ impl MetadataService {
         metadata.acl = acl.clone();
         let now_private = self.is_private(&metadata.path, Some(&metadata));
 
-        if was_private && !now_private {
-            // The file became shared: move its metadata from the PNS to a
-            // coordination-service tuple (paper §2.7).
+        if now_private {
+            // Still private (e.g. all grants removed): keep it in the PNS.
             if let Some(pns) = self.pns.as_mut() {
-                pns.remove(&metadata.path);
+                pns.insert(metadata.clone());
             }
-            let coord = self.coord.as_ref().ok_or_else(|| {
-                ScfsError::invalid("sharing a file requires a coordination service")
-            })?;
-            self.stats.coordination_writes += 1;
-            coord.put(ctx, &Self::coord_key(&metadata.path), metadata.encode())?;
-            coord.set_acl(ctx, &Self::coord_key(&metadata.path), acl)?;
-        } else if !now_private {
+        } else {
+            if was_private {
+                // The file became shared: its metadata moves from the PNS to
+                // a coordination-service tuple (paper §2.7).
+                if let Some(pns) = self.pns.as_mut() {
+                    pns.remove(&metadata.path);
+                }
+            }
             let coord = self.coord.as_ref().ok_or_else(|| {
                 ScfsError::invalid("shared object requires a coordination service")
             })?;
             self.stats.coordination_writes += 1;
             coord.put(ctx, &Self::coord_key(&metadata.path), metadata.encode())?;
             coord.set_acl(ctx, &Self::coord_key(&metadata.path), acl)?;
-        } else {
-            // Still private (e.g. all grants removed): keep it in the PNS.
-            if let Some(pns) = self.pns.as_mut() {
-                pns.insert(metadata.clone());
-            }
         }
         let now = ctx.clock.now();
         self.cache_put(&metadata, now);

@@ -970,11 +970,6 @@ pub fn parent_of(path: &str) -> String {
     }
 }
 
-/// Returns the final component of a normalized path.
-pub fn basename_of(path: &str) -> &str {
-    path.rsplit('/').next().unwrap_or(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1231,8 +1226,6 @@ mod tests {
     fn parent_and_basename() {
         assert_eq!(parent_of("/a/b/c"), "/a/b");
         assert_eq!(parent_of("/a"), "/");
-        assert_eq!(basename_of("/a/b/c"), "c");
-        assert_eq!(basename_of("/x"), "x");
     }
 
     #[test]

@@ -26,8 +26,6 @@
 //!   data corruption, used to exercise the Byzantine-fault-tolerant paths.
 //! * [`stats`] — mean/percentile summaries used when reporting the paper's
 //!   tables and figures.
-//! * [`trace`] — structured event tracing for debugging and for the
-//!   latency-breakdown analyses in EXPERIMENTS.md.
 //! * [`units`] — byte-size and micro-dollar helpers shared across crates.
 //!
 //! Everything here is deterministic given a seed, which makes the reproduced
@@ -41,7 +39,6 @@ pub mod rng;
 pub mod schedule;
 pub mod stats;
 pub mod time;
-pub mod trace;
 pub mod units;
 
 pub use background::{BackgroundScheduler, Pending};
@@ -54,5 +51,4 @@ pub use schedule::{
 };
 pub use stats::{Histogram, Summary};
 pub use time::{Clock, SimDuration, SimInstant};
-pub use trace::{TraceEvent, Tracer};
 pub use units::{Bytes, MicroDollars};

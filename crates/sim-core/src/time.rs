@@ -90,11 +90,6 @@ impl SimDuration {
         SimDuration(nanos)
     }
 
-    /// Creates a duration from microseconds.
-    pub const fn from_micros(micros: u64) -> Self {
-        SimDuration(micros * 1_000)
-    }
-
     /// Creates a duration from milliseconds.
     pub const fn from_millis(millis: u64) -> Self {
         SimDuration(millis * 1_000_000)

@@ -12,6 +12,9 @@
 //!   release-journal entry;
 //! * journal replay is idempotent under arbitrary repeated delete faults
 //!   (property-tested);
+//! * the keys that audit parses are the keys the backends write: a blob
+//!   name formats and parses back to itself under both key styles
+//!   (property-tested);
 //! * a version commit that fails part-way through its single upload wave —
 //!   a chunk PUT beside a stored manifest, or either half of a DepSky blob —
 //!   leaves the anchor untouched and is fully reclaimed by one replay; the
@@ -33,12 +36,13 @@ use scfs_repro::depsky::config::DepSkyConfig;
 use scfs_repro::depsky::register::DepSkyClient;
 use scfs_repro::scfs::agent::ScfsAgent;
 use scfs_repro::scfs::backend::{CloudOfCloudsStorage, FileStorage, SingleCloudStorage};
-use scfs_repro::scfs::chunkstore::{JournalOpts, KeyStyle};
+use scfs_repro::scfs::chunkstore::{BlobName, JournalOpts, KeyStyle};
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::error::ScfsError;
 use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::scfs::transfer::TransferOptions;
 use scfs_repro::scfs::types::{ChunkMap, OpenFlags};
+use scfs_repro::scfs_crypto::sha256;
 use scfs_repro::sim_core::time::{Clock, SimDuration};
 use scfs_repro::sim_core::units::Bytes;
 
@@ -611,6 +615,31 @@ fn an_inline_copy_commits_under_a_put_failing_cloud() {
 }
 
 proptest! {
+    /// Format → parse is the identity under both key styles, for chunks and
+    /// for the manifests of any `{user}-f{n}` id, whichever of a DepSky
+    /// unit's objects the key names; and neither style reads the other's.
+    #[test]
+    fn prop_blob_names_parse_back_from_their_keys(
+        content in any::<u64>(),
+        user in any::<u32>(),
+        n in any::<u32>(),
+        version in 1u64..9,
+        slot in 0usize..7,
+    ) {
+        let hash = sha256(&content.to_le_bytes());
+        let id = format!("u{user:x}_a.b-f{n}");
+        for blob in [BlobName::Chunk(hash), BlobName::manifest(&id, hash)] {
+            prop_assert_eq!(BlobName::parse(KeyStyle::Aws, &blob.key()).as_ref(), Some(&blob));
+            prop_assert_eq!(BlobName::parse(KeyStyle::DepSky, &blob.key()), None);
+            let unit = DepSkyClient::blob_unit(blob.base(), blob.hash());
+            for object in ["metadata".to_string(), format!("v{version}/block{slot}")] {
+                let key = format!("depsky/{unit}/{object}");
+                prop_assert_eq!(BlobName::parse(KeyStyle::DepSky, &key).as_ref(), Some(&blob));
+                prop_assert_eq!(BlobName::parse(KeyStyle::Aws, &key), None);
+            }
+        }
+    }
+
     /// Journal replay is idempotent under arbitrary repeated delete faults:
     /// however the faults interleave across replay passes, once the cloud
     /// heals the journal drains, no blob is leaked, no retained version is
