@@ -1,12 +1,11 @@
 //! Perf-trajectory harness for the fleet-scale two-tier chunk cache.
 //!
 //! Runs the `workloads::fleet` harness — a zipfian, shared-directory
-//! read/write mix over thousands of simulated mounts — once per cache
-//! policy on both backends, with cache capacities sized well below the
-//! per-team working set so the replacement policy actually decides what
-//! survives. Each row records the measured memory/disk hit rates, byte hit
-//! rate, demotions/promotions, and the p50/p99 virtual latency of the read
-//! and commit paths.
+//! read/write mix over thousands of simulated mounts — once on each
+//! backend, with cache capacities sized well below the per-team working set
+//! so LRU eviction actually decides what survives. Each row records the
+//! measured memory/disk hit rates, byte hit rate, demotions/promotions, and
+//! the p50/p99 virtual latency of the read and commit paths.
 //!
 //! Runs under `cargo bench --bench fleet_cache` (the CI bench-smoke step
 //! uses the small default fleet; set `FLEET_MOUNTS` to scale up). Virtual
@@ -14,18 +13,13 @@
 //! across machines; rows are appended to the committed
 //! `BENCH_transfer.json` trajectory under the `fleet_cache` tag.
 
-use scfs::cache::PolicyKind;
 use scfs::config::{Mode, ScfsConfig};
 use sim_core::time::SimDuration;
 use sim_core::units::Bytes;
 use workloads::fleet::{run_fleet, FleetConfig, FleetReport};
 use workloads::setup::Backend;
 
-/// Memory-tier policies compared per backend (disk tier stays LRU so the
-/// rows isolate the memory-policy effect).
-const POLICIES: [PolicyKind; 3] = [PolicyKind::Lru, PolicyKind::TinyLfu, PolicyKind::Gdsf];
-
-fn fleet_config(backend: Backend, memory_policy: PolicyKind, mounts: usize) -> FleetConfig {
+fn fleet_config(backend: Backend, mounts: usize) -> FleetConfig {
     let mut cfg = FleetConfig::smoke(backend);
     cfg.mounts = mounts;
     cfg.teams = (mounts / 10).max(1);
@@ -36,10 +30,9 @@ fn fleet_config(backend: Backend, memory_policy: PolicyKind, mounts: usize) -> F
     cfg.zipf_theta = 0.99;
     cfg.mean_think = SimDuration::from_secs(20);
     // Memory holds ~8 of the 64 files, disk ~32: both tiers stay under
-    // eviction pressure, so the policy choice is measurable.
-    cfg.scfs = ScfsConfig::test(Mode::Blocking)
-        .with_cache_policies(memory_policy, PolicyKind::Lru)
-        .with_cache_capacities(Bytes::kib(36), Bytes::kib(132));
+    // eviction pressure.
+    cfg.scfs =
+        ScfsConfig::test(Mode::Blocking).with_cache_capacities(Bytes::kib(36), Bytes::kib(132));
     cfg.seed = 0xCAFE;
     cfg
 }
@@ -50,10 +43,9 @@ fn row(backend_label: &str, mounts: usize, report: &mut FleetReport) -> String {
     let commit_p50 = report.recorder.percentile("close_commit", 50.0);
     let commit_p99 = report.recorder.percentile("close_commit", 99.0);
     println!(
-        "  {backend_label} mem={:<7} hit mem {:.3} disk {:.3} bytes {:.3} | \
+        "  {backend_label} hit mem {:.3} disk {:.3} bytes {:.3} | \
          read p50 {read_p50:.4}s p99 {read_p99:.4}s | commit p50 {commit_p50:.3}s \
          p99 {commit_p99:.3}s | {} demotions, {} lock conflicts",
-        report.memory_policy,
         report.memory_hit_rate(),
         report.disk_hit_rate(),
         report.byte_hit_rate(),
@@ -62,15 +54,12 @@ fn row(backend_label: &str, mounts: usize, report: &mut FleetReport) -> String {
     );
     format!(
         "{{\"backend\": \"{backend_label}\", \"mounts\": {mounts}, \
-         \"memory_policy\": \"{}\", \"disk_policy\": \"{}\", \
          \"memory_hit_rate\": {:.4}, \"disk_hit_rate\": {:.4}, \
          \"byte_hit_rate\": {:.4}, \"promotions\": {}, \"demotions\": {}, \
          \"read_p50_virtual_secs\": {read_p50:.6}, \"read_p99_virtual_secs\": {read_p99:.6}, \
          \"commit_p50_virtual_secs\": {commit_p50:.6}, \
          \"commit_p99_virtual_secs\": {commit_p99:.6}, \
          \"ops\": {}, \"lock_conflicts\": {}}}",
-        report.memory_policy,
-        report.disk_policy,
         report.memory_hit_rate(),
         report.disk_hit_rate(),
         report.byte_hit_rate(),
@@ -86,28 +75,19 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(200);
-    println!("fleet_cache: {mounts} mounts, zipfian 90/10 read/write mix, per-policy hit rates");
+    println!("fleet_cache: {mounts} mounts, zipfian 90/10 read/write mix, two-tier LRU hit rates");
     let mut rows = Vec::new();
     for backend in [Backend::Aws, Backend::CloudOfClouds] {
         let label = match backend {
             Backend::Aws => "AWS",
             Backend::CloudOfClouds => "CoC",
         };
-        let mut hit_rates = Vec::new();
-        for policy in POLICIES {
-            let cfg = fleet_config(backend, policy, mounts);
-            let mut report = run_fleet(&cfg);
-            assert!(
-                report.cache.memory.evictions > 0,
-                "the bench must keep the memory tier under eviction pressure"
-            );
-            hit_rates.push(report.memory_hit_rate());
-            rows.push(row(label, mounts, &mut report));
-        }
+        let mut report = run_fleet(&fleet_config(backend, mounts));
         assert!(
-            hit_rates.windows(2).any(|w| (w[0] - w[1]).abs() > 1e-6),
-            "different policies must produce different hit rates on {label}"
+            report.cache.memory.evictions > 0,
+            "the bench must keep the memory tier under eviction pressure"
         );
+        rows.push(row(label, mounts, &mut report));
     }
     let results = format!("[{}]", rows.join(", "));
     bench::record_trajectory("fleet_cache", &results);

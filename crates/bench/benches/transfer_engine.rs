@@ -21,8 +21,8 @@
 //! stable across machines.
 //!
 //! Runs under `cargo bench --bench transfer_engine` (the CI bench-smoke
-//! step); it is a plain `main`, not a Criterion harness, because the metric
-//! is simulated seconds rather than host wall-clock.
+//! step); it is a plain `main` because the metric is simulated seconds
+//! rather than host wall-clock.
 //!
 //! The results are **appended** to the committed `BENCH_transfer.json` at
 //! the repository root — one run record per line, so the file is the

@@ -2,8 +2,8 @@
 //!
 //! The real deliverable of this crate is the [`reproduce`](../reproduce)
 //! binary, which regenerates every table and figure of the paper's
-//! evaluation on the simulated substrate, plus one Criterion bench target per
-//! table/figure that exercises the same harnesses on reduced workloads.
+//! evaluation on the simulated substrate; the bench targets are the four
+//! perf-trajectory harnesses that append to `BENCH_transfer.json`.
 
 use workloads::results::Table;
 
@@ -24,8 +24,8 @@ const TRAJECTORY_HEADER: &str = "{\"benchmark\": \"scfs_perf_trajectory\", \"uni
      \"virtual seconds (deterministic)\", \"benches\": {\"transfer_engine\": \
      \"dirty close of a 16-chunk (16 MiB) file, blocking mode, WAN profiles; \
      dedup column = closing an identical copy under a second path\", \"fleet_cache\": \
-     \"zipfian fleet over the two-tier chunk cache, per-policy hit rates and \
-     p50/p99 operation latencies\", \"metadata_plane\": \
+     \"zipfian fleet over the two-tier LRU chunk cache, hit rates and p50/p99 \
+     operation latencies\", \"metadata_plane\": \
      \"stat/open/mkdir/rename storm over the sharded quorum-replicated \
      metadata plane; throughput and per-op p50/p99 per shard count\", \"provider_matrix\": \
      \"zipfian fleet over the heterogeneous seven-provider matrix; per-policy \

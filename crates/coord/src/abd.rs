@@ -51,7 +51,7 @@ use std::sync::Arc;
 
 use crate::commands::{Command, Reply, SignedCommand};
 use crate::error::CoordError;
-use crate::replication::{kth_smallest_sample, ReplicationConfig, ReplicationMode};
+use crate::replication::{ReplicationConfig, ReplicationMode};
 use crate::router::fnv1a;
 use crate::service::Entry;
 use crate::store::{AbdWriteOutcome, EntryState, TupleStore};
@@ -230,6 +230,39 @@ impl RegisterGroup {
         })
     }
 
+    /// Walks a round's replies in delivery order, offering each to `absorb`
+    /// (which says whether it was a usable acknowledgement), and stops at
+    /// the `write_quorum`-th: the caller's clock advances to the latest
+    /// arrival among the acknowledgements considered. Short of a quorum the
+    /// caller has waited for every replica: all forks are joined and the
+    /// round is `Unavailable`.
+    fn await_write_quorum<R>(
+        &self,
+        ctx: &mut OpCtx<'_>,
+        runs: &[ForkedRun<R>],
+        what: &str,
+        mut absorb: impl FnMut(&R) -> bool,
+    ) -> Result<(), CoordError> {
+        let wq = self.config.mode.write_quorum();
+        let mut acks = 0usize;
+        let mut latest = SimInstant::EPOCH;
+        for run in runs {
+            if !absorb(&run.value) {
+                continue;
+            }
+            acks += 1;
+            latest = latest.max(run.completed_at);
+            if acks == wq {
+                ctx.clock.advance_to(latest);
+                return Ok(());
+            }
+        }
+        join_all(ctx.clock, runs.iter().map(|r| r.completed_at));
+        Err(CoordError::unavailable(format!(
+            "{what} could not reach a write quorum"
+        )))
+    }
+
     /// ABD read: query all replicas, decide from a quorum, write back on
     /// disagreement.
     pub fn read(&self, ctx: &mut OpCtx<'_>, key: &str) -> Result<Entry, CoordError> {
@@ -338,26 +371,13 @@ impl RegisterGroup {
             self.round(ctx, |store, at, _| store.abd_snapshot(key, at).0),
         );
         let mut max_ts = 0u64;
-        let mut acks = 0usize;
-        let mut latest = SimInstant::EPOCH;
-        let mut decided_at = None;
-        for run in &ts_runs {
-            let Some(ts) = run.value else { continue };
-            max_ts = max_ts.max(ts);
-            acks += 1;
-            latest = latest.max(run.completed_at);
-            if acks == wq {
-                decided_at = Some(latest);
-                break;
-            }
-        }
-        let Some(at) = decided_at else {
-            join_all(ctx.clock, ts_runs.iter().map(|r| r.completed_at));
-            return Err(CoordError::unavailable(
-                "timestamp query could not reach a write quorum",
-            ));
-        };
-        ctx.clock.advance_to(at);
+        self.await_write_quorum(ctx, &ts_runs, "timestamp query", |reply| {
+            let Some(ts) = reply else {
+                return false;
+            };
+            max_ts = max_ts.max(*ts);
+            true
+        })?;
 
         let seq = (max_ts >> RANK_BITS) + 1;
         let rank = writer_rank(&ctx.account);
@@ -408,7 +428,6 @@ impl RegisterGroup {
     /// write quorum of replies, so no key installed by a completed write is
     /// missed. Corrupt replies are discarded (keys are self-verifying).
     pub fn list(&self, ctx: &mut OpCtx<'_>, prefix: &str) -> Result<Vec<String>, CoordError> {
-        let wq = self.config.mode.write_quorum();
         let who = ctx.account.clone();
         let runs = self.deliver(
             prefix,
@@ -421,24 +440,14 @@ impl RegisterGroup {
             }),
         );
         let mut union: BTreeSet<String> = BTreeSet::new();
-        let mut acks = 0usize;
-        let mut latest = SimInstant::EPOCH;
-        for run in &runs {
-            let Some(Some(keys)) = &run.value else {
-                continue;
+        self.await_write_quorum(ctx, &runs, "list", |reply| {
+            let Some(Some(keys)) = reply else {
+                return false;
             };
             union.extend(keys.iter().cloned());
-            acks += 1;
-            latest = latest.max(run.completed_at);
-            if acks == wq {
-                ctx.clock.advance_to(latest);
-                return Ok(union.into_iter().collect());
-            }
-        }
-        join_all(ctx.clock, runs.iter().map(|r| r.completed_at));
-        Err(CoordError::unavailable(
-            "list could not reach a write quorum",
-        ))
+            true
+        })?;
+        Ok(union.into_iter().collect())
     }
 
     /// Collect phase of a (possibly cross-shard) rename: every live entry
@@ -449,7 +458,6 @@ impl RegisterGroup {
         ctx: &mut OpCtx<'_>,
         prefix: &str,
     ) -> Result<Vec<(String, EntryState)>, CoordError> {
-        let wq = self.config.mode.write_quorum();
         let runs = self.deliver(
             prefix,
             self.round(ctx, |store, at, corrupt| {
@@ -461,11 +469,9 @@ impl RegisterGroup {
             }),
         );
         let mut merged: BTreeMap<String, (u64, EntryState)> = BTreeMap::new();
-        let mut acks = 0usize;
-        let mut latest = SimInstant::EPOCH;
-        for run in &runs {
-            let Some(Some(entries)) = &run.value else {
-                continue;
+        self.await_write_quorum(ctx, &runs, "rename collect", |reply| {
+            let Some(Some(entries)) = reply else {
+                return false;
             };
             for (key, ts, state) in entries {
                 match merged.get(key) {
@@ -475,17 +481,9 @@ impl RegisterGroup {
                     }
                 }
             }
-            acks += 1;
-            latest = latest.max(run.completed_at);
-            if acks == wq {
-                ctx.clock.advance_to(latest);
-                return Ok(merged.into_iter().map(|(k, (_, s))| (k, s)).collect());
-            }
-        }
-        join_all(ctx.clock, runs.iter().map(|r| r.completed_at));
-        Err(CoordError::unavailable(
-            "rename collect could not reach a write quorum",
-        ))
+            true
+        })?;
+        Ok(merged.into_iter().map(|(k, (_, s))| (k, s)).collect())
     }
 
     /// Runs one command through the group's SMR lane: the leader orders it
@@ -498,7 +496,7 @@ impl RegisterGroup {
             command,
         };
         let mut reply = None;
-        for (i, replica) in self.replicas.iter().enumerate() {
+        for replica in &self.replicas {
             let mut node = replica.lock();
             match node.faults.decide(commit_at) {
                 FaultDecision::Unavailable => continue,
@@ -509,7 +507,6 @@ impl RegisterGroup {
                     if reply.is_none() && matches!(decision, FaultDecision::Allow) {
                         reply = Some(r);
                     }
-                    let _ = i;
                 }
             }
         }
@@ -552,30 +549,7 @@ impl RegisterGroup {
             )));
         }
 
-        let (leader_rtt, proc, ordering) = {
-            let mut rng = self.rng.lock();
-            let leader_rtt = self.config.replicas[0].client_rtt.sample(&mut rng);
-            let proc = self.config.processing.sample(&mut rng);
-            let n = self.config.replicas.len();
-            let ordering = match self.config.mode {
-                ReplicationMode::SingleNode => SimDuration::ZERO,
-                ReplicationMode::CrashFaultTolerant { .. } => kth_smallest_sample(
-                    &self.config.inter_replica_rtt,
-                    &mut rng,
-                    n - 1,
-                    self.config.mode.write_quorum().saturating_sub(1),
-                ),
-                ReplicationMode::ByzantineFaultTolerant { .. } => {
-                    let q = self.config.mode.write_quorum().saturating_sub(1);
-                    let r1 =
-                        kth_smallest_sample(&self.config.inter_replica_rtt, &mut rng, n - 1, q);
-                    let r2 =
-                        kth_smallest_sample(&self.config.inter_replica_rtt, &mut rng, n - 1, q);
-                    r1 + r2
-                }
-            };
-            (leader_rtt, proc, ordering)
-        };
+        let (leader_rtt, proc, ordering) = self.config.sample_ordered_update(&mut self.rng.lock());
         let one_way = SimDuration::from_nanos(leader_rtt.as_nanos() / 2);
         let arrival = start + one_way;
         let commit_at = {

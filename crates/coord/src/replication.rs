@@ -200,6 +200,33 @@ impl ReplicationConfig {
         }
         Ok(())
     }
+
+    /// Samples the three latency terms of one SMR-ordered update, in this
+    /// RNG draw order: the client ↔ leader round trip, the leader's
+    /// processing time, and the protocol's ordering rounds among the
+    /// replicas — none on a single node; one for crash tolerance (the leader
+    /// proposes and waits for acknowledgements from a quorum of followers);
+    /// two for Byzantine tolerance (the PRE-PREPARE/PREPARE and COMMIT
+    /// all-to-all exchanges). Each round is one inter-replica round trip
+    /// bounded by the slowest member of the quorum.
+    pub(crate) fn sample_ordered_update(
+        &self,
+        rng: &mut DetRng,
+    ) -> (SimDuration, SimDuration, SimDuration) {
+        let leader_rtt = self.replicas[0].client_rtt.sample(rng);
+        let processing = self.processing.sample(rng);
+        let rounds = match self.mode {
+            ReplicationMode::SingleNode => 0,
+            ReplicationMode::CrashFaultTolerant { .. } => 1,
+            ReplicationMode::ByzantineFaultTolerant { .. } => 2,
+        };
+        let followers = self.replicas.len() - 1;
+        let slowest_of_quorum = self.mode.write_quorum().saturating_sub(1);
+        let ordering = (0..rounds).fold(SimDuration::ZERO, |total, _| {
+            total + kth_smallest_sample(&self.inter_replica_rtt, rng, followers, slowest_of_quorum)
+        });
+        (leader_rtt, processing, ordering)
+    }
 }
 
 /// The replicated coordination service.
@@ -263,32 +290,8 @@ impl ReplicatedCoordinator {
 
     /// Samples the latency of an ordered (update) operation.
     fn sample_update_latency(&self) -> SimDuration {
-        let mut rng = self.rng.lock();
-        let leader_rtt = self.config.replicas[0].client_rtt.sample(&mut rng);
-        let processing = self.config.processing.sample(&mut rng);
-        let n = self.config.replicas.len();
-        let ordering = match self.config.mode {
-            ReplicationMode::SingleNode => SimDuration::ZERO,
-            ReplicationMode::CrashFaultTolerant { .. } => {
-                // Leader proposes and waits for acknowledgements from a
-                // quorum of followers (one inter-replica round trip, bounded
-                // by the slowest member of the quorum).
-                kth_smallest_sample(
-                    &self.config.inter_replica_rtt,
-                    &mut rng,
-                    n - 1,
-                    self.config.mode.write_quorum().saturating_sub(1),
-                )
-            }
-            ReplicationMode::ByzantineFaultTolerant { .. } => {
-                // PRE-PREPARE/PREPARE and COMMIT phases: two all-to-all
-                // exchanges, each bounded by the quorum-th slowest replica.
-                let q = self.config.mode.write_quorum().saturating_sub(1);
-                let r1 = kth_smallest_sample(&self.config.inter_replica_rtt, &mut rng, n - 1, q);
-                let r2 = kth_smallest_sample(&self.config.inter_replica_rtt, &mut rng, n - 1, q);
-                r1 + r2
-            }
-        };
+        let (leader_rtt, processing, ordering) =
+            self.config.sample_ordered_update(&mut self.rng.lock());
         leader_rtt + ordering + processing
     }
 
@@ -384,7 +387,7 @@ impl ReplicatedCoordinator {
 
 /// Samples `count` values from `model` and returns the `k`-th smallest
 /// (0-based); returns zero when `count` is 0.
-pub(crate) fn kth_smallest_sample(
+fn kth_smallest_sample(
     model: &LatencyModel,
     rng: &mut DetRng,
     count: usize,

@@ -125,7 +125,6 @@ impl Default for LintConfig {
                 "sim_core",
                 "cloud_store",
                 "workloads",
-                "criterion",
                 "coord",
                 "scfs",
                 "placement",
@@ -179,11 +178,7 @@ impl Default for LintConfig {
                       scfs::transfer / scfs::chunkstore (FileStorage), \
                       never call backend blob APIs directly",
             }],
-            skip_crates: vec![
-                "parking_lot".to_string(),
-                "criterion".to_string(),
-                "proptest".to_string(),
-            ],
+            skip_crates: vec!["parking_lot".to_string(), "proptest".to_string()],
             workspace_crates: set(&[
                 "sim_core",
                 "cloud_store",
@@ -198,7 +193,6 @@ impl Default for LintConfig {
                 "lint",
                 "check",
                 "parking_lot",
-                "criterion",
                 "proptest",
                 "scfs_repro",
             ]),
@@ -222,7 +216,7 @@ mod tests {
     #[test]
     fn shims_are_skipped_not_linted() {
         let cfg = LintConfig::default();
-        assert!(cfg.skip_crates.contains(&"criterion".to_string()));
-        assert!(!cfg.order_sensitive_crates.contains("criterion"));
+        assert!(cfg.skip_crates.contains(&"proptest".to_string()));
+        assert!(!cfg.order_sensitive_crates.contains("proptest"));
     }
 }

@@ -1,5 +1,5 @@
 //! The two levels of client-side data cache (paper §2.5.1, "Storage
-//! service"), rebuilt as a pluggable-policy, two-tier chunk cache.
+//! service"): a two-tier LRU chunk cache.
 //!
 //! SCFS keeps every file it reads or writes locally: a **main-memory cache**
 //! (hundreds of MB) over a large, long-term **local-disk cache** (GBs).
@@ -10,39 +10,33 @@
 //!
 //! The module is split in three layers:
 //!
-//! * [`policy`] — the [`CachePolicy`] trait (victim selection + admission)
-//!   and its implementations: LRU over an intrusive recency list (O(1)
-//!   eviction — no full-map scan), TinyLFU frequency-sketch admission, and
-//!   size-aware GDSF. Selected per tier via [`PolicyKind`].
+//! * `policy` — the one replacement policy, as the paper has it: LRU over
+//!   an intrusive recency list (O(1) eviction — no full-map scan).
 //! * [`tier`] — [`CacheTier`], one bounded level owning the payloads
 //!   (`Arc<[u8]>`: hits never copy chunk bytes), the key index, the byte
-//!   accounting and the latency charging.
+//!   accounting, the latency charging and its recency list.
 //! * [`TieredCache`] — the memory-over-disk composition the agent mounts:
 //!   disk hits are **promoted** into memory by moving the `Arc` (one insert
 //!   charge, no copy), and memory evictions are **demoted** to disk instead
 //!   of being dropped, so re-reads stay local instead of touching the
 //!   cloud.
 //!
-//! Policies and capacities are chosen through [`CacheConfig`], carried by
+//! The two capacities are chosen through [`CacheConfig`], carried by
 //! [`crate::config::ScfsConfig`]; the
 //! [fleet harness](../../workloads/fleet/index.html) measures the resulting
 //! hit rates and latency percentiles at 10⁴+ simulated mounts.
 
-pub mod policy;
+mod policy;
 pub mod tier;
 
-pub use policy::{CachePolicy, FrequencySketch, PolicyKind};
+pub use policy::PolicyKind;
 pub use tier::{CacheStats, CacheTier, Evicted, TieredCache, TieredStats, WriteMode};
 
 use sim_core::units::Bytes;
 
-/// Per-tier policy and capacity selection for the agent's two-level cache.
+/// The capacities of the agent's two-level cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Replacement policy of the main-memory tier.
-    pub memory_policy: PolicyKind,
-    /// Replacement policy of the local-disk tier.
-    pub disk_policy: PolicyKind,
     /// Capacity of the main-memory tier (paper: hundreds of MB).
     pub memory_capacity: Bytes,
     /// Capacity of the local-disk tier (paper: GBs).
@@ -50,12 +44,10 @@ pub struct CacheConfig {
 }
 
 impl Default for CacheConfig {
-    /// The paper's configuration: LRU at both levels, 512 MiB of memory
-    /// over 16 GiB of disk.
+    /// The paper's configuration: 512 MiB of memory over 16 GiB of disk
+    /// (LRU at both levels, as every tier is).
     fn default() -> Self {
         CacheConfig {
-            memory_policy: PolicyKind::Lru,
-            disk_policy: PolicyKind::Lru,
             memory_capacity: Bytes::mib(512),
             disk_capacity: Bytes::gib(16),
         }
@@ -63,13 +55,6 @@ impl Default for CacheConfig {
 }
 
 impl CacheConfig {
-    /// Replaces both tiers' policies.
-    pub fn with_policies(mut self, memory: PolicyKind, disk: PolicyKind) -> Self {
-        self.memory_policy = memory;
-        self.disk_policy = disk;
-        self
-    }
-
     /// Replaces both tiers' capacities.
     pub fn with_capacities(mut self, memory: Bytes, disk: Bytes) -> Self {
         self.memory_capacity = memory;
@@ -127,7 +112,7 @@ mod tests {
 
     #[test]
     fn stale_entries_are_not_served() {
-        let mut cache = CacheTier::disk(Bytes::mib(1), PolicyKind::Lru, 2);
+        let mut cache = CacheTier::disk(Bytes::mib(1), 2);
         let mut clock = Clock::new();
         let old = vec![1u8; 100];
         cache.put(&mut clock, "/f", payload(&old), Some(sha256(&old)));
@@ -188,7 +173,7 @@ mod tests {
 
     #[test]
     fn oversized_puts_charge_no_transfer_latency() {
-        let mut cache = CacheTier::disk(Bytes::new(100), PolicyKind::Lru, 12);
+        let mut cache = CacheTier::disk(Bytes::new(100), 12);
         let mut clock = Clock::new();
         let before = clock.now();
         // A bypassed put writes nothing, so it must not pay the (large)
@@ -269,7 +254,7 @@ mod tests {
 
     #[test]
     fn stale_hash_lookup_counts_as_miss_and_entry_is_replaceable() {
-        let mut cache = CacheTier::disk(Bytes::mib(1), PolicyKind::Lru, 9);
+        let mut cache = CacheTier::disk(Bytes::mib(1), 9);
         let mut clock = Clock::new();
         let v1 = b"version one".to_vec();
         let h1 = sha256(&v1);
@@ -307,7 +292,7 @@ mod tests {
     #[test]
     fn memory_is_faster_than_disk() {
         let mut mem = CacheTier::memory(Bytes::mib(64), PolicyKind::Lru, 6);
-        let mut disk = CacheTier::disk(Bytes::mib(64), PolicyKind::Lru, 6);
+        let mut disk = CacheTier::disk(Bytes::mib(64), 6);
         let mut mem_clock = Clock::new();
         let mut disk_clock = Clock::new();
         let data = zeros(64 * 1024);
@@ -316,44 +301,6 @@ mod tests {
             disk.put(&mut disk_clock, &format!("/f{i}"), data.clone(), None);
         }
         assert!(mem_clock.now() < disk_clock.now());
-    }
-
-    #[test]
-    fn tinylfu_protects_hot_entries_from_a_scan() {
-        let mut cache = CacheTier::memory(Bytes::new(300), PolicyKind::TinyLfu, 21);
-        let mut clock = Clock::new();
-        cache.put(&mut clock, "/hot-a", zeros(100), None);
-        cache.put(&mut clock, "/hot-b", zeros(100), None);
-        cache.put(&mut clock, "/hot-c", zeros(100), None);
-        // Establish popularity.
-        for _ in 0..10 {
-            for p in ["/hot-a", "/hot-b", "/hot-c"] {
-                assert!(cache.get(&mut clock, p, None).is_some());
-            }
-        }
-        // A one-shot scan of cold keys must not displace the hot set.
-        for i in 0..10 {
-            cache.put(&mut clock, &format!("/scan-{i}"), zeros(100), None);
-        }
-        for p in ["/hot-a", "/hot-b", "/hot-c"] {
-            assert!(cache.contains(p, None), "{p} was displaced by the scan");
-        }
-        assert!(cache.stats().admission_rejects >= 10);
-    }
-
-    #[test]
-    fn gdsf_tier_evicts_large_cold_entries_first() {
-        let mut cache = CacheTier::memory(Bytes::new(1000), PolicyKind::Gdsf, 22);
-        let mut clock = Clock::new();
-        cache.put(&mut clock, "/big", zeros(600), None);
-        cache.put(&mut clock, "/small-a", zeros(200), None);
-        cache.put(&mut clock, "/small-b", zeros(200), None);
-        // All equally recent; the big entry has the lowest byte-normalized
-        // priority and goes first.
-        cache.put(&mut clock, "/new", zeros(300), None);
-        assert!(!cache.contains("/big", None));
-        assert!(cache.contains("/small-a", None));
-        assert!(cache.contains("/small-b", None));
     }
 
     #[test]
@@ -444,27 +391,6 @@ mod tests {
         cache.put(&mut clock, "/big", zeros(500), None, WriteMode::CacheOnly);
         assert!(!cache.memory().contains("/big", None));
         assert!(cache.disk().contains("/big", None));
-    }
-
-    #[test]
-    fn tiered_remove_clears_both_tiers() {
-        let config = CacheConfig::default().with_capacities(Bytes::new(1000), Bytes::new(10_000));
-        let mut cache = TieredCache::new(&config, 35);
-        let mut clock = Clock::new();
-        cache.put(&mut clock, "/f", zeros(100), None, WriteMode::Through);
-        assert!(cache.contains("/f", None));
-        cache.remove("/f");
-        assert!(!cache.contains("/f", None));
-        assert_eq!(cache.stats().memory.invalidations, 1);
-        assert_eq!(cache.stats().disk.invalidations, 1);
-    }
-
-    #[test]
-    fn policies_are_selectable_per_tier() {
-        let config = CacheConfig::default().with_policies(PolicyKind::TinyLfu, PolicyKind::Gdsf);
-        let cache = TieredCache::new(&config, 36);
-        assert_eq!(cache.memory().policy_kind(), PolicyKind::TinyLfu);
-        assert_eq!(cache.disk().policy_kind(), PolicyKind::Gdsf);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Cache tiers and the two-tier composition used by the agent.
 //!
 //! A [`CacheTier`] owns the resident entries of one level (memory or disk):
-//! a slab of [`Arc<[u8]>`] payloads, a key index, the byte accounting and
-//! the virtual-clock latency charging. Ordering decisions are delegated to
-//! its [`CachePolicy`]. [`TieredCache`] composes a memory tier over a disk
-//! tier and makes the paper's two-level behaviour (§2.5.1) first-class:
+//! a slab of [`Arc<[u8]>`] payloads, a key index, the byte accounting, the
+//! virtual-clock latency charging and the LRU recency list that picks its
+//! victims. [`TieredCache`] composes a memory tier over a disk tier and
+//! makes the paper's two-level behaviour (§2.5.1) first-class:
 //!
 //! * **promotion** — a disk hit moves the `Arc` into the memory tier,
 //!   charging one memory insert (request latency, no payload copy);
@@ -24,7 +24,7 @@ use sim_core::rng::DetRng;
 use sim_core::time::Clock;
 use sim_core::units::Bytes;
 
-use super::policy::{CachePolicy, EntryId, PolicyKind};
+use super::policy::{EntryId, PolicyKind, RecencyList};
 use super::CacheConfig;
 use crate::invariant::InvariantViolation;
 
@@ -35,19 +35,17 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that missed (absent or stale).
     pub misses: u64,
-    /// Entries evicted by the capacity policy to make room.
+    /// Least-recently-used entries evicted to make room.
     pub evictions: u64,
     /// Entries dropped for non-capacity reasons: displaced by an oversized
     /// replacement that bypassed the tier, or removed on unlink.
     pub invalidations: u64,
     /// Payload bytes served by hits.
     pub bytes_hit: u64,
-    /// Payload bytes evicted by the capacity policy.
+    /// Payload bytes evicted to make room.
     pub bytes_evicted: u64,
-    /// Inserts refused by the admission policy under capacity pressure.
-    pub admission_rejects: u64,
-    /// Bookkeeping steps performed by the replacement policy; flat per
-    /// eviction for an O(1) policy regardless of resident entry count.
+    /// Bookkeeping steps performed on the recency list; flat per eviction
+    /// regardless of resident entry count.
     pub policy_steps: u64,
 }
 
@@ -71,19 +69,8 @@ pub struct Evicted {
     pub hash: Option<ContentHash>,
 }
 
-/// FNV-1a over the key, feeding the policy's admission filter.
-fn hash_key(key: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in key.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// One cache level: bounded by total payload bytes, charging its latency
-/// profile on every data access, with replacement delegated to a pluggable
-/// [`CachePolicy`].
+/// profile on every data access, evicting least-recently-used first.
 #[derive(Debug)]
 pub struct CacheTier {
     name: &'static str,
@@ -92,36 +79,25 @@ pub struct CacheTier {
     index: HashMap<String, EntryId>,
     slots: Vec<Option<Entry>>,
     free: Vec<EntryId>,
-    policy: Box<dyn CachePolicy>,
+    recency: RecencyList,
     latency: LatencyProfile,
     rng: DetRng,
     stats: CacheStats,
 }
 
 impl CacheTier {
-    /// Creates a main-memory tier.
-    pub fn memory(capacity: Bytes, policy: PolicyKind, seed: u64) -> Self {
-        CacheTier::new(
-            "memory",
-            capacity,
-            policy,
-            LatencyProfile::main_memory(),
-            seed,
-        )
+    /// Creates a main-memory tier ([`PolicyKind`] has one value and selects
+    /// nothing).
+    pub fn memory(capacity: Bytes, _policy: PolicyKind, seed: u64) -> Self {
+        CacheTier::new("memory", capacity, LatencyProfile::main_memory(), seed)
     }
 
     /// Creates a local-disk tier.
-    pub fn disk(capacity: Bytes, policy: PolicyKind, seed: u64) -> Self {
-        CacheTier::new("disk", capacity, policy, LatencyProfile::local_disk(), seed)
+    pub fn disk(capacity: Bytes, seed: u64) -> Self {
+        CacheTier::new("disk", capacity, LatencyProfile::local_disk(), seed)
     }
 
-    fn new(
-        name: &'static str,
-        capacity: Bytes,
-        policy: PolicyKind,
-        latency: LatencyProfile,
-        seed: u64,
-    ) -> Self {
+    fn new(name: &'static str, capacity: Bytes, latency: LatencyProfile, seed: u64) -> Self {
         CacheTier {
             name,
             capacity,
@@ -129,21 +105,11 @@ impl CacheTier {
             index: HashMap::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            policy: policy.build(capacity.get()),
+            recency: RecencyList::new(),
             latency,
             rng: DetRng::new(seed),
             stats: CacheStats::default(),
         }
-    }
-
-    /// The tier name (`"memory"` or `"disk"`).
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// The replacement policy this tier runs.
-    pub fn policy_kind(&self) -> PolicyKind {
-        self.policy.kind()
     }
 
     /// Total capacity in bytes.
@@ -156,10 +122,10 @@ impl CacheTier {
         Bytes::new(self.used)
     }
 
-    /// Access statistics (with the policy's step counter folded in).
+    /// Access statistics (with the recency list's step counter folded in).
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            policy_steps: self.policy.steps(),
+            policy_steps: self.recency.steps(),
             ..self.stats
         }
     }
@@ -253,9 +219,6 @@ impl CacheTier {
         key: &str,
         expected_hash: Option<&ContentHash>,
     ) -> Option<(Arc<[u8]>, Option<ContentHash>)> {
-        // Every lookup feeds the admission filter, so frequency estimates
-        // cover keys that are not (or no longer) resident.
-        self.policy.record_access(hash_key(key));
         // An index entry pointing at a vacated slot would be an invariant
         // breach; it degrades to a miss rather than a panic on the read path.
         let hit = self.index.get(key).copied().and_then(|id| {
@@ -264,7 +227,7 @@ impl CacheTier {
         });
         match hit {
             Some((id, data, hash)) => {
-                self.policy.on_access(id);
+                self.recency.touch(id);
                 self.stats.hits += 1;
                 self.stats.bytes_hit += data.len() as u64;
                 self.charge(clock, Bytes::ZERO, Bytes::new(data.len() as u64));
@@ -279,9 +242,9 @@ impl CacheTier {
     }
 
     /// Inserts (or replaces) `key` with `data` tagged by `hash`, charging
-    /// the tier's write latency for the payload size and evicting entries
-    /// as the policy directs. Evicted entries are returned so the caller
-    /// can demote them to a lower tier.
+    /// the tier's write latency for the payload size and evicting the least
+    /// recently used entries until it fits. Evicted entries are returned so
+    /// the caller can demote them to a lower tier.
     pub fn put(
         &mut self,
         clock: &mut Clock,
@@ -329,28 +292,23 @@ impl CacheTier {
         } else {
             self.charge(clock, Bytes::ZERO, Bytes::ZERO);
         }
-        let key_hash = hash_key(key);
         let mut evicted = Vec::new();
         // Single index lookup decides replace-in-place vs fresh insert; the
         // old implementation hashed the key up to three times per put
         // (remove, evict loop, insert).
         if let Some(id) = self.index.get(key).copied() {
             if let Some(slot) = self.slots.get_mut(id as usize).and_then(|s| s.as_mut()) {
-                // Replacing in place: retire the old payload from the policy
-                // and the byte accounting, make room, then re-register. While
-                // the entry is out of the policy it cannot be a victim.
+                // Replacing in place: retire the old payload from the
+                // recency list and the byte accounting, make room, then
+                // re-register. While the entry is off the list it cannot be
+                // a victim.
                 self.used -= slot.data.len() as u64;
                 slot.data = data;
                 slot.hash = hash;
-                self.policy.on_remove(id);
-                while self.used + size > self.capacity.get() {
-                    match self.evict_one() {
-                        Some(e) => evicted.push(e),
-                        None => break,
-                    }
-                }
+                self.recency.remove(id);
+                self.evict_until_fits(size, &mut evicted);
                 self.used += size;
-                self.policy.on_insert(id, key_hash, size);
+                self.recency.insert(id);
                 return evicted;
             }
             // An index entry naming a vacated slot is an invariant breach;
@@ -358,18 +316,7 @@ impl CacheTier {
             // panicking on the write path.
             self.index.remove(key);
         }
-        // Under capacity pressure the admission policy may refuse the
-        // newcomer instead of displacing a more valuable victim.
-        if self.used + size > self.capacity.get() && !self.policy.admit(key_hash, size) {
-            self.stats.admission_rejects += 1;
-            return evicted;
-        }
-        while self.used + size > self.capacity.get() {
-            match self.evict_one() {
-                Some(e) => evicted.push(e),
-                None => break,
-            }
-        }
+        self.evict_until_fits(size, &mut evicted);
         let entry = Entry {
             key: key.to_string(),
             data,
@@ -387,8 +334,19 @@ impl CacheTier {
         };
         self.index.insert(key.to_string(), id);
         self.used += size;
-        self.policy.on_insert(id, key_hash, size);
+        self.recency.insert(id);
         evicted
+    }
+
+    /// Evicts least-recently-used entries into `evicted` until `size` more
+    /// bytes fit (or nothing evictable is left).
+    fn evict_until_fits(&mut self, size: u64, evicted: &mut Vec<Evicted>) {
+        while self.used + size > self.capacity.get() {
+            match self.evict_one() {
+                Some(e) => evicted.push(e),
+                None => break,
+            }
+        }
     }
 
     /// Removes `key` from the tier (e.g. on unlink); counted as an
@@ -406,23 +364,23 @@ impl CacheTier {
         // A vacated slot behind a live index entry degrades to "nothing to
         // remove" (the index entry is already gone).
         let entry = self.slots.get_mut(id as usize).and_then(|s| s.take())?;
-        self.policy.on_remove(id);
+        self.recency.remove(id);
         self.used -= entry.data.len() as u64;
         self.free.push(id);
         Some(entry)
     }
 
-    /// Evicts the policy's victim, surrendering its owned key and payload —
-    /// no clones on the eviction path.
+    /// Evicts the least recently used entry, surrendering its owned key and
+    /// payload — no clones on the eviction path.
     fn evict_one(&mut self) -> Option<Evicted> {
-        let id = self.policy.victim()?;
+        let id = self.recency.victim()?;
         let Some(entry) = self.slots.get_mut(id as usize).and_then(|s| s.take()) else {
             // A victim naming a vacated slot would loop forever if retried;
-            // retire it from the policy and report no eviction.
-            self.policy.on_remove(id);
+            // retire it from the list and report no eviction.
+            self.recency.remove(id);
             return None;
         };
-        self.policy.on_remove(id);
+        self.recency.remove(id);
         self.index.remove(&entry.key);
         self.used -= entry.data.len() as u64;
         self.free.push(id);
@@ -450,7 +408,7 @@ impl CacheTier {
             .and_then(|s| s.as_ref())
             .is_some_and(|entry| Self::fresh(entry, expected_hash));
         if fresh {
-            self.policy.on_access(id);
+            self.recency.touch(id);
         }
         fresh
     }
@@ -500,7 +458,6 @@ impl TieredStats {
             a.invalidations += b.invalidations;
             a.bytes_hit += b.bytes_hit;
             a.bytes_evicted += b.bytes_evicted;
-            a.admission_rejects += b.admission_rejects;
             a.policy_steps += b.policy_steps;
         }
         add(&mut self.memory, &other.memory);
@@ -534,8 +491,8 @@ impl TieredCache {
     /// Builds both tiers from the configuration.
     pub fn new(config: &CacheConfig, seed: u64) -> Self {
         TieredCache {
-            memory: CacheTier::memory(config.memory_capacity, config.memory_policy, seed ^ 0x11),
-            disk: CacheTier::disk(config.disk_capacity, config.disk_policy, seed ^ 0x22),
+            memory: CacheTier::memory(config.memory_capacity, PolicyKind::Lru, seed ^ 0x11),
+            disk: CacheTier::disk(config.disk_capacity, seed ^ 0x22),
             promotions: 0,
             demotions: 0,
         }
@@ -640,16 +597,5 @@ impl TieredCache {
         let in_memory = self.memory.probe(key, expected_hash);
         let on_disk = self.disk.probe(key, expected_hash);
         in_memory || on_disk
-    }
-
-    /// Whether either tier holds a usable entry (accounting only).
-    pub fn contains(&self, key: &str, expected_hash: Option<&ContentHash>) -> bool {
-        self.memory.contains(key, expected_hash) || self.disk.contains(key, expected_hash)
-    }
-
-    /// Removes `key` from both tiers (e.g. on unlink).
-    pub fn remove(&mut self, key: &str) {
-        self.memory.remove(key);
-        self.disk.remove(key);
     }
 }

@@ -6,7 +6,6 @@ use sim_core::time::SimDuration;
 use sim_core::units::Bytes;
 
 pub use crate::cache::CacheConfig;
-use crate::cache::PolicyKind;
 use crate::types::{CdcParams, ChunkMap, CutRule};
 
 /// How the data path splits file contents into chunks.
@@ -96,8 +95,8 @@ pub struct ScfsConfig {
     /// Expiration time of the short-lived metadata cache (paper §2.5.1 and
     /// Figure 10(a); 500 ms in all headline experiments).
     pub metadata_cache_expiry: SimDuration,
-    /// The two-level chunk cache: per-tier replacement policies and
-    /// capacities ([`CacheConfig`]).
+    /// The two-level chunk cache: the memory and disk capacities
+    /// ([`CacheConfig`]).
     pub cache: CacheConfig,
     /// Whether private name spaces are used for non-shared files (§2.7,
     /// Figure 10(b)). The headline experiments disable PNS (worst case).
@@ -163,12 +162,6 @@ impl ScfsConfig {
         }
     }
 
-    /// Replaces the cache tiers' replacement policies.
-    pub fn with_cache_policies(mut self, memory: PolicyKind, disk: PolicyKind) -> Self {
-        self.cache = self.cache.with_policies(memory, disk);
-        self
-    }
-
     /// Replaces the cache tiers' capacities.
     pub fn with_cache_capacities(mut self, memory: Bytes, disk: Bytes) -> Self {
         self.cache = self.cache.with_capacities(memory, disk);
@@ -219,19 +212,14 @@ mod tests {
         assert_eq!(c.metadata_cache_expiry, SimDuration::from_millis(500));
         assert!(!c.private_name_spaces);
         assert_eq!(c.gc.versions_to_keep, 4);
-        assert_eq!(c.cache.memory_policy, PolicyKind::Lru);
-        assert_eq!(c.cache.disk_policy, PolicyKind::Lru);
         assert_eq!(c.cache.memory_capacity, Bytes::mib(512));
         assert_eq!(c.cache.disk_capacity, Bytes::gib(16));
     }
 
     #[test]
     fn cache_builders_override_policies_and_capacities() {
-        let c = ScfsConfig::test(Mode::Blocking)
-            .with_cache_policies(PolicyKind::TinyLfu, PolicyKind::Gdsf)
-            .with_cache_capacities(Bytes::mib(64), Bytes::gib(1));
-        assert_eq!(c.cache.memory_policy, PolicyKind::TinyLfu);
-        assert_eq!(c.cache.disk_policy, PolicyKind::Gdsf);
+        let c =
+            ScfsConfig::test(Mode::Blocking).with_cache_capacities(Bytes::mib(64), Bytes::gib(1));
         assert_eq!(c.cache.memory_capacity, Bytes::mib(64));
         assert_eq!(c.cache.disk_capacity, Bytes::gib(1));
     }

@@ -48,7 +48,7 @@ impl MicroBenchConfig {
         }
     }
 
-    /// A reduced configuration for unit tests and Criterion benches.
+    /// A reduced configuration for unit tests and `reproduce --quick`.
     pub fn quick() -> Self {
         MicroBenchConfig {
             io_file_size: Bytes::kib(256),

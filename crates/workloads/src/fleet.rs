@@ -16,8 +16,8 @@
 //! mount)` interleaves all mounts in virtual-time order, so 10⁴+ mounts run
 //! in one pass without threads. Every file-system call is timed into a
 //! [`sim_core::stats::OpRecorder`] (p50/p99 per operation), and the
-//! per-mount [`scfs::cache::TieredStats`] are aggregated so cache policies
-//! ([`scfs::cache::PolicyKind`]) can be compared by measured hit rate.
+//! per-mount [`scfs::cache::TieredStats`] are aggregated into fleet-wide
+//! hit rates of the two cache tiers.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -96,8 +96,8 @@ pub struct FleetConfig {
     pub zipf_theta: f64,
     /// Mean think time between a mount's operations.
     pub mean_think: SimDuration,
-    /// The agent configuration every mount uses (cache policies and
-    /// capacities live in `scfs.cache`).
+    /// The agent configuration every mount uses (the cache capacities live
+    /// in `scfs.cache`).
     pub scfs: ScfsConfig,
     /// Master seed: same seed, same trace.
     pub seed: u64,
@@ -151,10 +151,6 @@ pub struct FleetReport {
     pub chunk_downloads: u64,
     /// Reads served entirely from the caches.
     pub cache_served_reads: u64,
-    /// Memory-tier policy label of the run.
-    pub memory_policy: &'static str,
-    /// Disk-tier policy label of the run.
-    pub disk_policy: &'static str,
     /// FNV-1a hash over every `(mount, op, file, instant)` tuple: two runs
     /// with the same seed must produce the same trace hash.
     pub trace_hash: u64,
@@ -421,8 +417,6 @@ pub fn run_fleet_in(env: &SharedScfsEnv, cfg: &FleetConfig) -> FleetReport {
         cloud_downloads,
         chunk_downloads,
         cache_served_reads: cache_reads,
-        memory_policy: cfg.scfs.cache.memory_policy.label(),
-        disk_policy: cfg.scfs.cache.disk_policy.label(),
         trace_hash,
     }
 }

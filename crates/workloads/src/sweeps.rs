@@ -33,7 +33,7 @@ impl SweepConfig {
         }
     }
 
-    /// Reduced sizes for tests and Criterion benches.
+    /// Reduced sizes for tests and `reproduce --quick`.
     pub fn quick() -> Self {
         SweepConfig {
             create_files: 20,

@@ -1,7 +1,7 @@
 //! Integration tests of the chunked, content-addressed data path: appending
 //! a small amount of data to a large file must move O(1) chunks — not the
 //! whole file — through both the AWS and CoC backends (the acceptance
-//! criterion of the chunked-pipeline refactor), and unchanged chunks must be
+//! test of the chunked-pipeline refactor), and unchanged chunks must be
 //! shared across versions.
 
 use std::sync::Arc;
