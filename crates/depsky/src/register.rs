@@ -628,18 +628,19 @@ impl DepSkyClient {
             }
         }
 
-        // Reassemble the ciphertext from the erasure-coded shards.
+        // Reassemble the ciphertext from the erasure-coded shards, each moved
+        // out of the block it arrived in.
         let mut shards: Vec<Option<Vec<u8>>> = vec![None; self.coder.total_shards()];
-        for block in &valid {
-            if (block.slot as usize) < shards.len() {
-                shards[block.slot as usize] = Some(block.shard.clone());
+        for block in &mut valid {
+            if let Some(slot) = shards.get_mut(block.slot as usize) {
+                *slot = Some(std::mem::take(&mut block.shard));
             }
         }
-        let ciphertext = self
+        let mut plaintext = self
             .coder
             .decode(&shards, info.size as usize)
             .map_err(|e| StorageError::invalid(e.to_string()))?;
-        // Recover the key from the secret shares and decrypt.
+        // Recover the key from the secret shares and decrypt in place.
         let shares: Vec<Share> = valid
             .iter()
             .map(|b| Share {
@@ -654,7 +655,7 @@ impl DepSkyClient {
             .map_err(|_| StorageError::IntegrityViolation {
                 key: name.to_string(),
             })?;
-        let plaintext = ChaCha20::new(&key, &valid[0].nonce).decrypt(&ciphertext);
+        ChaCha20::new(&key, &valid[0].nonce).apply_keystream(1, &mut plaintext);
 
         if sha256(&plaintext) != info.hash {
             return Err(StorageError::IntegrityViolation {
@@ -1005,6 +1006,37 @@ mod tests {
         assert_eq!(md.versions[0].hash, sha256(&data));
         assert_eq!(md.versions[0].size, data.len() as u64);
         assert_eq!(Some(md), ds.cached_metadata(&unit));
+    }
+
+    #[test]
+    fn stored_bytes_do_not_depend_on_the_kernel_that_wrote_them() {
+        // Every byte a fixed-seed write leaves in the clouds, pinned to the
+        // digest the scalar-only kernels of ab8a71c produced: a reader of old
+        // data cannot tell which SHA-256, ChaCha20 or GF(256) code wrote it.
+        let clouds: Vec<Arc<dyn ObjectStore>> = (0..4)
+            .map(|i| Arc::new(SimulatedCloud::test(&format!("pin{i}"))) as Arc<dyn ObjectStore>)
+            .collect();
+        let ds = client(clouds.clone());
+        let mut clock = Clock::new();
+        let mut c = ctx(&mut clock);
+        let data: Vec<u8> = (0..(1usize << 20) + 17)
+            .map(|i| (i * 31 + i / 251) as u8)
+            .collect();
+        let hash = write(&ds, &mut c, &data);
+        let mut stored = scfs_crypto::Sha256::new();
+        for cloud in &clouds {
+            let mut keys = cloud.list(&mut c, KEY_SPACE).unwrap();
+            keys.sort();
+            for key in keys {
+                stored.update(key.as_bytes());
+                stored.update(&cloud.get(&mut c, &key).unwrap());
+            }
+        }
+        assert_eq!(
+            scfs_crypto::to_hex(&stored.finalize()),
+            "c111b82efd563771266d74999e3da574a5b58759c8b8712a85a6e3f271229851"
+        );
+        assert_eq!(ds.read_blob(&mut c, "f", &hash).unwrap(), data);
     }
 
     #[test]

@@ -50,6 +50,9 @@ pub struct LintConfig {
     pub dag: BTreeMap<String, BTreeSet<String>>,
     /// Module-scoped bans (L002).
     pub module_rules: Vec<ModuleRule>,
+    /// Workspace-relative paths of the only files that may say `unsafe`
+    /// (U001): the `std::arch` kernels, each behind run-time CPU detection.
+    pub unsafe_allowed_files: BTreeSet<String>,
     /// Vendored shim crates that are never scanned (they exist to wrap the
     /// very constructs the D-rules forbid).
     pub skip_crates: Vec<String>,
@@ -178,6 +181,11 @@ impl Default for LintConfig {
                       scfs::transfer / scfs::chunkstore (FileStorage), \
                       never call backend blob APIs directly",
             }],
+            unsafe_allowed_files: set(&[
+                "crates/scfs-crypto/src/sha256.rs",
+                "crates/scfs-crypto/src/chacha20.rs",
+                "crates/scfs-crypto/src/gf256.rs",
+            ]),
             skip_crates: vec!["parking_lot".to_string(), "proptest".to_string()],
             workspace_crates: set(&[
                 "sim_core",

@@ -17,7 +17,7 @@
 //!
 //! - [`scanner`] — tokenizer, `#[cfg(test)]` region masking, waiver comments
 //! - [`config`] — rule scopes and the declared crate DAG
-//! - [`rules`] — the D/C/L/E/W rule passes
+//! - [`rules`] — the D/C/L/E/U/W rule passes
 //! - [`baseline`] — the `lint-baseline.toml` ratchet
 //! - [`report`] — human and JSON output
 //!

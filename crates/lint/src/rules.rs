@@ -18,11 +18,13 @@
 //! | E001 | errors       | no `.unwrap()` in data-path code                        |
 //! | E002 | errors       | no `.expect(…)` in data-path code                       |
 //! | E003 | errors       | no `panic!`/`unreachable!`/`todo!`/`unimplemented!`     |
+//! | U001 | safety       | `unsafe` only in allow-listed files, under `// SAFETY:` |
 //! | W001 | waivers      | every waiver carries a reason                           |
 //!
-//! All rules skip `#[cfg(test)]` / `#[test]` regions: the invariants guard
-//! the simulated system, and test scaffolding legitimately unwraps, builds
-//! ad-hoc clocks and iterates hash maps. Violations are reported at their
+//! All rules but U001 skip `#[cfg(test)]` / `#[test]` regions: the invariants
+//! guard the simulated system, and test scaffolding legitimately unwraps,
+//! builds ad-hoc clocks and iterates hash maps — but undefined behaviour in a
+//! test is still undefined behaviour. Violations are reported at their
 //! source line and can be waived inline with
 //! `// scfs-lint: allow(ID, reason)` — on the offending line or the line
 //! directly above it — or carried as committed debt in `lint-baseline.toml`
@@ -55,7 +57,7 @@ pub struct RuleInfo {
     /// Stable rule id (`D001`, …).
     pub id: &'static str,
     /// Rule class (`determinism`, `clock`, `schedule`, `layering`,
-    /// `errors`, `waivers`).
+    /// `errors`, `safety`, `waivers`).
     pub class: &'static str,
     /// One-line invariant statement.
     pub summary: &'static str,
@@ -78,12 +80,20 @@ pub fn rule_catalog(cfg: &LintConfig) -> Vec<RuleInfo> {
         "all crates except {}",
         join_set(&cfg.schedule_controller_crates)
     );
-    let modules = cfg
-        .module_rules
-        .iter()
-        .map(|rule| format!("`{}`", rule.path_prefix))
-        .collect::<Vec<_>>()
-        .join(", ");
+    let code_list = |items: Vec<&str>| {
+        let quoted: Vec<String> = items.iter().map(|item| format!("`{item}`")).collect();
+        quoted.join(", ")
+    };
+    let modules = code_list(cfg.module_rules.iter().map(|r| r.path_prefix).collect());
+    let unsafe_scope = format!(
+        "all workspace crates, tests included; allowed in {}",
+        code_list(
+            cfg.unsafe_allowed_files
+                .iter()
+                .map(String::as_str)
+                .collect()
+        )
+    );
     let row = |id, class, summary, scope: &str| RuleInfo {
         id,
         class,
@@ -170,6 +180,12 @@ pub fn rule_catalog(cfg: &LintConfig) -> Vec<RuleInfo> {
             &errors,
         ),
         row(
+            "U001",
+            "safety",
+            "`unsafe` only in the allow-listed files, each directly under a `// SAFETY:` comment",
+            &unsafe_scope,
+        ),
+        row(
             "W001",
             "waivers",
             "every waiver carries a reason",
@@ -216,6 +232,7 @@ pub fn lint_file(sf: &SourceFile, cfg: &LintConfig) -> Vec<Violation> {
     if cfg.error_path_crates.contains(&sf.crate_name) {
         error_hygiene(sf, &mut out);
     }
+    unsafe_confinement(sf, cfg, &mut out);
     reasonless_waivers(sf, &mut out);
     apply_waivers(sf, &mut out);
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
@@ -816,6 +833,32 @@ fn error_hygiene(sf: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
+// --- U001: unsafe confinement ------------------------------------------------
+
+/// `unsafe` — block, fn, impl or attribute, in tests as anywhere else — may
+/// be written only in the allow-listed kernel files, and there only directly
+/// under the comment that says why it is sound.
+fn unsafe_confinement(sf: &SourceFile, cfg: &LintConfig, out: &mut Vec<Violation>) {
+    let allowed = cfg.unsafe_allowed_files.contains(&sf.rel_path);
+    for i in 0..sf.tokens.len() {
+        if ident_at(sf, i) != Some("unsafe") {
+            continue;
+        }
+        let line = line_of(sf, i);
+        let message = if !allowed {
+            "`unsafe` outside the allow-listed kernel files \
+             (`LintConfig::unsafe_allowed_files`); use a safe construct, or move \
+             the code behind one of those files' dispatch functions"
+        } else if !sf.safety_comments.contains(&line.wrapping_sub(1)) {
+            "`unsafe` without a `// SAFETY:` comment ending on the line directly \
+             above it; say why the operation's requirements hold"
+        } else {
+            continue;
+        };
+        push(out, "U001", sf, line, message.to_string());
+    }
+}
+
 // --- W001 + waiver application ---------------------------------------------
 
 fn reasonless_waivers(sf: &SourceFile, out: &mut Vec<Violation>) {
@@ -1039,7 +1082,7 @@ mod tests {
         let ids: Vec<&str> = catalog.iter().map(|r| r.id).collect();
         for id in [
             "D001", "D002", "D003", "D004", "C001", "C002", "C003", "C004", "L001", "L002", "E001",
-            "E002", "E003", "W001",
+            "E002", "E003", "U001", "W001",
         ] {
             assert!(ids.contains(&id), "catalog is missing {id}");
         }
@@ -1121,6 +1164,44 @@ mod tests {
         let src = "#[test]\nfn t() { Some(1).unwrap(); }";
         let vs = lint("scfs", "crates/scfs/src/x.rs", src);
         assert!(active(&vs, "E001").is_empty());
+    }
+
+    #[test]
+    fn u001_confines_unsafe_to_the_allow_list_and_under_a_safety_comment() {
+        let kernel = "crates/scfs-crypto/src/gf256.rs";
+        let documented = "fn f(p: *const u8) -> u8 {\n\
+                          // SAFETY: the caller passes a live pointer,\n\
+                          // and says so in two lines.\n\
+                          unsafe { *p }\n}";
+        assert!(active(&lint("scfs_crypto", kernel, documented), "U001").is_empty());
+        // The same code anywhere else, tests included, is a violation.
+        let elsewhere = lint(
+            "scfs_crypto",
+            "crates/scfs-crypto/src/erasure.rs",
+            documented,
+        );
+        assert_eq!(active(&elsewhere, "U001").len(), 1);
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n{documented}\n}}");
+        let vs = lint("depsky", "crates/depsky/src/register.rs", &in_test);
+        assert_eq!(active(&vs, "U001").len(), 1);
+        // In a kernel file the comment must sit directly above.
+        for undocumented in [
+            "fn f(p: *const u8) -> u8 { unsafe { *p } }",
+            "// SAFETY: too far away.\n\nunsafe fn f() {}",
+            "// SAFETY: a statement intervenes.\nlet x = 1;\nlet y = unsafe { g() };",
+            "let x = 1; // SAFETY: trails code.\nlet y = unsafe { g() };",
+            "/// # Safety\n/// Docs are not the comment.\nunsafe fn f() {}",
+        ] {
+            let vs = lint("scfs_crypto", kernel, undocumented);
+            assert_eq!(active(&vs, "U001").len(), 1, "{undocumented}");
+        }
+        // Strings, comments and longer identifiers are not the keyword.
+        let vs = lint(
+            "scfs",
+            "crates/scfs/src/x.rs",
+            "#![forbid(unsafe_code)]\n// unsafe\nconst S: &str = \"unsafe\";",
+        );
+        assert!(active(&vs, "U001").is_empty());
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //!   line immediately below it, so it can sit at the end of the offending
 //!   line or on its own line above. A waiver without a reason is reported by
 //!   rule `W001` instead of being honoured.
+//! * **Safety comments** — `// SAFETY: …` — are collected by the line their
+//!   run of comment lines ends on, which is what rule `U001` asks to see
+//!   directly above every `unsafe`.
 //! * **Test regions** — items under `#[cfg(test)]` or `#[test]` — are
 //!   marked token-by-token, so rules scoped to non-test code (the E-rules,
 //!   most D-rules) can skip them without a real parser.
@@ -78,12 +81,15 @@ pub struct SourceFile {
     pub test_mask: Vec<bool>,
     /// All waivers found in comments.
     pub waivers: Vec<Waiver>,
+    /// The last line of every `// SAFETY:` comment: the line it opens on, or
+    /// the last of the `//` comment lines that directly follow it.
+    pub safety_comments: Vec<u32>,
 }
 
 impl SourceFile {
     /// Scans `source`, attributing it to `rel_path` within `crate_name`.
     pub fn parse(rel_path: &str, crate_name: &str, source: &str) -> SourceFile {
-        let (tokens, waivers) = tokenize(source);
+        let (tokens, waivers, safety_comments) = tokenize(source);
         let test_mask = test_mask(&tokens);
         SourceFile {
             rel_path: rel_path.to_string(),
@@ -91,6 +97,7 @@ impl SourceFile {
             tokens,
             test_mask,
             waivers,
+            safety_comments,
         }
     }
 
@@ -100,12 +107,14 @@ impl SourceFile {
     }
 }
 
-/// Tokenizes Rust source, returning the token stream and any waivers found
-/// in comments. Never fails: unexpected bytes become `Punct` tokens.
-pub fn tokenize(source: &str) -> (Vec<Token>, Vec<Waiver>) {
+/// Tokenizes Rust source, returning the token stream, any waivers found in
+/// comments, and the end lines of the `// SAFETY:` comment runs. Never fails:
+/// unexpected bytes become `Punct` tokens.
+pub fn tokenize(source: &str) -> (Vec<Token>, Vec<Waiver>, Vec<u32>) {
     let bytes = source.as_bytes();
     let mut tokens = Vec::new();
     let mut waivers = Vec::new();
+    let mut safety_comments: Vec<u32> = Vec::new();
     let mut i = 0usize;
     let mut line = 1u32;
     while i < bytes.len() {
@@ -121,7 +130,21 @@ pub fn tokenize(source: &str) -> (Vec<Token>, Vec<Waiver>) {
                 while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
-                collect_waivers(&source[start..i], line, &mut waivers);
+                let comment = &source[start..i];
+                collect_waivers(comment, line, &mut waivers);
+                // A comment trailing code neither opens nor continues a run.
+                if tokens.last().is_none_or(|t: &Token| t.line != line) {
+                    let continued = |end: &&mut u32| **end + 1 == line;
+                    if comment
+                        .trim_start_matches('/')
+                        .trim_start()
+                        .starts_with("SAFETY:")
+                    {
+                        safety_comments.push(line);
+                    } else if let Some(end) = safety_comments.last_mut().filter(continued) {
+                        *end = line;
+                    }
+                }
             }
             b'/' if bytes.get(i + 1) == Some(&b'*') => {
                 let start = i;
@@ -221,7 +244,7 @@ pub fn tokenize(source: &str) -> (Vec<Token>, Vec<Waiver>) {
             }
         }
     }
-    (tokens, waivers)
+    (tokens, waivers, safety_comments)
 }
 
 fn is_ident_start(c: u8) -> bool {
@@ -585,7 +608,7 @@ mod tests {
     #[test]
     fn lifetimes_are_not_char_literals() {
         let src = "fn f<'a>(x: &'a str) -> &'a str { let c = 'x'; let n = '\\n'; x }";
-        let (tokens, _) = tokenize(src);
+        let (tokens, _, _) = tokenize(src);
         let lifetimes = tokens.iter().filter(|t| t.tok == Tok::Lifetime).count();
         let chars = tokens.iter().filter(|t| t.tok == Tok::Char).count();
         assert_eq!(lifetimes, 3);
@@ -604,7 +627,7 @@ mod tests {
     fn waivers_parse_with_rule_and_reason() {
         let src = "foo(); // scfs-lint: allow(E002, invariant: index is in bounds)\n\
                    // scfs-lint: allow(D004)\n";
-        let (_, waivers) = tokenize(src);
+        let (_, waivers, _) = tokenize(src);
         assert_eq!(waivers.len(), 2);
         assert_eq!(waivers[0].rule, "E002");
         assert_eq!(waivers[0].reason, "invariant: index is in bounds");

@@ -99,6 +99,32 @@ fn error_fixtures() {
     assert!(neg.iter().any(|v| v.rule == "E001" && v.waived.is_some()));
 }
 
+#[test]
+fn safety_fixtures() {
+    let u001 = |vs: &[Violation]| -> Vec<u32> {
+        let hits = vs.iter().filter(|v| v.rule == "U001" && v.waived.is_none());
+        hits.map(|v| v.line).collect()
+    };
+    let cfg = LintConfig::default();
+    let kernel = cfg.unsafe_allowed_files.iter().next().unwrap();
+    let lint_as_kernel = |name: &str| {
+        lint_file(
+            &SourceFile::parse(kernel, "scfs_crypto", &fixture(name)),
+            &cfg,
+        )
+    };
+
+    // Outside the allow list every `unsafe` fires, test code included.
+    let pos = lint_fixture("safety_positive.rs", "scfs_crypto");
+    assert_eq!(u001(&pos).len(), 5, "{pos:?}");
+    // Inside it, the ones not directly under a `// SAFETY:` comment.
+    let pos = lint_as_kernel("safety_positive.rs");
+    assert_eq!(u001(&pos), [12, 17, 22], "{pos:?}");
+
+    let neg = lint_as_kernel("safety_negative.rs");
+    assert!(active_rules(&neg).is_empty(), "false positives: {neg:?}");
+}
+
 /// Builds a minimal fake workspace on disk under the cargo test tmpdir.
 fn synth_workspace(name: &str, files: &[(&str, &str)]) -> PathBuf {
     let root = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);

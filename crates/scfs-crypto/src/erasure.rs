@@ -12,7 +12,7 @@
 //! parity. Reconstruction selects any `k` available shards, inverts the
 //! corresponding `k × k` sub-matrix and multiplies.
 
-use crate::gf256::Matrix;
+use crate::gf256::{mul_acc, Matrix};
 
 /// Errors returned by the erasure coder.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,27 +146,19 @@ impl ErasureCoder {
         // Split (and zero-pad) the data into k shards.
         let mut shards: Vec<Vec<u8>> = Vec::with_capacity(self.total_shards());
         for i in 0..self.data_shards {
-            let start = i * shard_size;
+            let start = (i * shard_size).min(data.len());
             let end = ((i + 1) * shard_size).min(data.len());
-            let mut shard = if start < data.len() {
-                data[start..end].to_vec()
-            } else {
-                Vec::new()
-            };
+            let mut shard = Vec::with_capacity(shard_size);
+            shard.extend_from_slice(&data[start..end]);
             shard.resize(shard_size, 0);
             shards.push(shard);
         }
         // Generate parity shards.
         for p in 0..self.parity_shards {
-            let row = self.encode_matrix.row(self.data_shards + p).to_vec();
             let mut parity = vec![0u8; shard_size];
-            for (j, coeff) in row.iter().enumerate() {
-                if *coeff == 0 {
-                    continue;
-                }
-                for (b, &d) in parity.iter_mut().zip(shards[j].iter()) {
-                    *b ^= crate::gf256::mul(*coeff, d);
-                }
+            let row = self.encode_matrix.row(self.data_shards + p);
+            for (&coeff, shard) in row.iter().zip(&shards) {
+                mul_acc(coeff, shard, &mut parity);
             }
             shards.push(parity);
         }
@@ -187,10 +179,10 @@ impl ErasureCoder {
                 actual: shards.len(),
             });
         }
-        let available: Vec<usize> = shards
+        let available: Vec<(usize, &[u8])> = shards
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| i))
+            .filter_map(|(i, s)| Some((i, s.as_deref()?)))
             .collect();
         if available.len() < self.data_shards {
             return Err(ErasureError::NotEnoughShards {
@@ -198,53 +190,36 @@ impl ErasureCoder {
                 available: available.len(),
             });
         }
-        let shard_size = shards[available[0]].as_ref().map(|s| s.len()).unwrap_or(0);
-        if shards.iter().flatten().any(|s| s.len() != shard_size) {
+        let shard_size = available[0].1.len();
+        if available.iter().any(|(_, s)| s.len() != shard_size) {
             return Err(ErasureError::ShardSizeMismatch);
         }
 
-        // Fast path: all data shards present — just concatenate.
-        let chosen: Vec<usize> = available.iter().copied().take(self.data_shards).collect();
-        let data_rows: Vec<u8> = (0..self.data_shards as u8).collect();
-        let all_data_present = chosen
-            .iter()
-            .zip(data_rows.iter())
-            .all(|(&a, &b)| a == b as usize);
-
-        let data_shards: Vec<Vec<u8>> = if all_data_present {
-            chosen
-                .iter()
-                .map(|&i| shards[i].clone().expect("checked above"))
-                .collect()
+        // The output is built straight from the borrowed shards.
+        let chosen = &available[..self.data_shards];
+        let mut data;
+        if chosen.iter().map(|&(i, _)| i).eq(0..self.data_shards) {
+            // Fast path: all data shards present — just concatenate.
+            data = Vec::with_capacity(self.data_shards * shard_size);
+            for (_, shard) in chosen {
+                data.extend_from_slice(shard);
+            }
         } else {
             // Invert the sub-matrix corresponding to the chosen shards and
             // multiply it with the shard contents to recover the data shards.
-            let sub = self.encode_matrix.select_rows(&chosen);
+            let rows: Vec<usize> = chosen.iter().map(|&(i, _)| i).collect();
+            let sub = self.encode_matrix.select_rows(&rows);
             let decode_matrix = sub.invert().ok_or(ErasureError::NotEnoughShards {
                 needed: self.data_shards,
                 available: available.len(),
             })?;
-            (0..self.data_shards)
-                .map(|r| {
-                    let mut out = vec![0u8; shard_size];
-                    for (c, &src) in chosen.iter().enumerate() {
-                        let coeff = decode_matrix.get(r, c);
-                        if coeff == 0 {
-                            continue;
-                        }
-                        let shard = shards[src].as_ref().expect("chosen shards are present");
-                        for (o, &s) in out.iter_mut().zip(shard.iter()) {
-                            *o ^= crate::gf256::mul(coeff, s);
-                        }
-                    }
-                    out
-                })
-                .collect()
-        };
-
-        let mut data = Vec::with_capacity(self.data_shards * shard_size);
-        for shard in data_shards {
-            data.extend_from_slice(&shard);
+            data = vec![0u8; self.data_shards * shard_size];
+            // `chunks_exact_mut(0)` panics; empty shards decode to nothing.
+            for (r, out) in data.chunks_exact_mut(shard_size.max(1)).enumerate() {
+                for (c, (_, shard)) in chosen.iter().enumerate() {
+                    mul_acc(decode_matrix.get(r, c), shard, out);
+                }
+            }
         }
         data.truncate(data_len);
         Ok(data)
@@ -304,6 +279,32 @@ mod tests {
                     data,
                     "failed with shards {i} and {j}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn every_loss_pattern_round_trips_at_odd_shard_lengths() {
+        // Every way to keep two shards of three (DepSky's three preferred
+        // clouds) and of four, at shard lengths either side of the 32-byte
+        // vector width and of a whole chunk.
+        for total in [3, 4] {
+            let c = ErasureCoder::new(2, total - 2).unwrap();
+            for len in [1, 2, 61, 63, 65, 67, 1999, (1 << 20) + 17] {
+                let data = sample_data(len);
+                let encoded = c.encode(&data);
+                assert_eq!(encoded[0].len(), len.div_ceil(2));
+                for keep_a in 0..total {
+                    for keep_b in keep_a + 1..total {
+                        let mut shards: Vec<Option<Vec<u8>>> = vec![None; total];
+                        shards[keep_a] = Some(encoded[keep_a].clone());
+                        shards[keep_b] = Some(encoded[keep_b].clone());
+                        assert!(
+                            c.decode(&shards, len).unwrap() == data,
+                            "{len} bytes from shards {keep_a} and {keep_b} of {total}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -6,7 +6,9 @@
 //! same field used by the original Jerasure/DepSky implementations.
 //!
 //! Multiplication and division use precomputed log/antilog tables built at
-//! first use; addition and subtraction are both XOR.
+//! first use; addition and subtraction are both XOR. The erasure coder's
+//! bulk work — a whole shard times one coefficient — goes through
+//! [`mul_acc`], which has a vector form.
 
 use std::sync::OnceLock;
 
@@ -107,6 +109,89 @@ pub fn pow(base: u8, exp: u32) -> u8 {
     let log_b = t.log[base as usize] as u64;
     let e = (log_b * exp as u64) % 255;
     t.exp[e as usize]
+}
+
+/// Multiply-accumulate over a run of bytes, the inner loop of Reed–Solomon
+/// coding: `dst[i] ^= coeff · src[i]`. Thirty-two bytes at a time go through
+/// AVX2 when this CPU has it.
+///
+/// # Panics
+///
+/// Panics if `src` and `dst` differ in length.
+pub fn mul_acc(coeff: u8, src: &[u8], dst: &mut [u8]) {
+    assert_eq!(src.len(), dst.len(), "mul_acc over unequal runs");
+    if coeff == 0 {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the feature `x86::mul_acc` is compiled for was detected on
+        // this CPU on the line above.
+        return unsafe { x86::mul_acc(coeff, src, dst) };
+    }
+    mul_acc_scalar(coeff, src, dst)
+}
+
+/// The portable multiply-accumulate, one lookup per byte in the coefficient's
+/// row of products: the only path on a CPU without AVX2, and the reference
+/// the accelerated one is tested against.
+fn mul_acc_scalar(coeff: u8, src: &[u8], dst: &mut [u8]) {
+    let mut row = [0u8; 256];
+    for (b, product) in row.iter_mut().enumerate() {
+        *product = mul(coeff, b as u8);
+    }
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d ^= row[s as usize];
+    }
+}
+
+/// Multiply-accumulate on AVX2. Multiplication by a constant is linear over
+/// GF(2), so `coeff · s = coeff · (s & 0x0f) ^ coeff · (s & 0xf0)`: two
+/// sixteen-entry tables, each looked up for 32 bytes by one `vpshufb`.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use std::arch::x86_64::*;
+
+    #[target_feature(enable = "avx2")]
+    fn load(run: &[u8]) -> __m256i {
+        assert_eq!(run.len(), 32);
+        // SAFETY: `run` is 32 readable bytes (asserted above) and the load
+        // is unaligned.
+        unsafe { _mm256_loadu_si256(run.as_ptr().cast()) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn store(run: &mut [u8], v: __m256i) {
+        assert_eq!(run.len(), 32);
+        // SAFETY: `run` is 32 writable bytes (asserted above) and the store
+        // is unaligned.
+        unsafe { _mm256_storeu_si256(run.as_mut_ptr().cast(), v) }
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn mul_acc(coeff: u8, src: &[u8], dst: &mut [u8]) {
+        // `vpshufb` looks up within each 16-byte half: the tables repeat.
+        let low: [u8; 32] = std::array::from_fn(|n| super::mul(coeff, n as u8 & 0x0f));
+        let high: [u8; 32] = std::array::from_fn(|n| super::mul(coeff, (n as u8) << 4));
+        let (low_v, high_v) = (load(&low), load(&high));
+        let nibble = _mm256_set1_epi8(0x0f);
+
+        let mut src_runs = src.chunks_exact(32);
+        let mut dst_runs = dst.chunks_exact_mut(32);
+        for (s, d) in (&mut src_runs).zip(&mut dst_runs) {
+            let s = load(s);
+            let product = _mm256_xor_si256(
+                _mm256_shuffle_epi8(low_v, _mm256_and_si256(s, nibble)),
+                _mm256_shuffle_epi8(high_v, _mm256_and_si256(_mm256_srli_epi64(s, 4), nibble)),
+            );
+            store(d, _mm256_xor_si256(load(d), product));
+        }
+        // Fewer than 32 bytes are left: the same tables, a byte at a time.
+        let tail = dst_runs.into_remainder().iter_mut();
+        for (d, &s) in tail.zip(src_runs.remainder()) {
+            *d ^= low[(s & 0x0f) as usize] ^ high[(s >> 4) as usize];
+        }
+    }
 }
 
 /// Evaluates a polynomial (coefficients in ascending degree order) at `x`
@@ -350,6 +435,40 @@ mod tests {
         assert_eq!(poly_eval(&[3, 2], 5), add(3, mul(2, 5)));
         // At x = 0 the value is the constant term (secret sharing relies on this).
         assert_eq!(poly_eval(&[99, 1, 2, 3], 0), 99);
+    }
+
+    /// `mul_acc` (accelerated where the CPU allows), the scalar reference and
+    /// the definition agree over `len` bytes.
+    fn assert_mul_acc_matches(coeff: u8, len: usize) {
+        let src: Vec<u8> = (0..len).map(|i| (i * 29 + i / 256) as u8).collect();
+        let dst: Vec<u8> = (0..len).map(|i| (i * 101 + 7) as u8).collect();
+        let expected: Vec<u8> = dst
+            .iter()
+            .zip(&src)
+            .map(|(d, s)| d ^ mul(coeff, *s))
+            .collect();
+        let mut dispatched = dst.clone();
+        mul_acc(coeff, &src, &mut dispatched);
+        assert!(dispatched == expected, "coeff {coeff}, len {len}");
+        let mut scalar = dst;
+        mul_acc_scalar(coeff, &src, &mut scalar);
+        assert!(scalar == expected, "scalar, coeff {coeff}, len {len}");
+    }
+
+    #[test]
+    fn mul_acc_matches_mul_for_every_coefficient_and_short_length() {
+        for coeff in 0..=255 {
+            for len in 0..=100 {
+                assert_mul_acc_matches(coeff, len);
+            }
+            assert_mul_acc_matches(coeff, (64 << 10) + 5);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unequal runs")]
+    fn mul_acc_rejects_unequal_runs() {
+        mul_acc(3, &[1, 2, 3], &mut [0, 0]);
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! This crate implements all of those primitives from scratch so that the
 //! workspace has no external cryptography dependencies:
 //!
-//! * [`sha256()`] and [`sha1()`] — collision-resistant hashes (the paper uses
-//!   SHA-1 for metadata tuples; we provide SHA-256 as the default and SHA-1
-//!   for fidelity).
+//! * [`sha256()`] — the collision-resistant hash of every tuple, version,
+//!   chunk and DepSky block (the paper uses SHA-1; nothing here does).
 //! * [`chacha20`] — a stream cipher used to encrypt file contents before
 //!   they are dispersed to the clouds.
 //! * [`gf256`] — arithmetic over GF(2⁸), the base field for both the erasure
@@ -21,6 +20,19 @@
 //!   `m` parity blocks; any `k` blocks reconstruct the data).
 //! * [`shamir`] — Shamir secret sharing for the file encryption keys.
 //! * [`keys`] — deterministic-for-testing key generation.
+//!
+//! The three kernels every stored byte goes through — the SHA-256
+//! compression function, the ChaCha20 keystream and the GF(2⁸)
+//! multiply-accumulate ([`gf256::mul_acc`]) under the erasure code — each
+//! have exactly two implementations: a portable scalar one, and an x86-64 one
+//! on the SHA extensions (SHA-256) or AVX2 (the other two). Every call picks
+//! by what `is_x86_feature_detected!` reports for the CPU it runs on and by
+//! nothing else — no cargo feature, build flag, configuration field or
+//! environment variable. The two produce the same bytes: the scalar code is
+//! the only path elsewhere and the reference the accelerated code is tested
+//! against, and no digest, ciphertext or shard records which one ran. Each
+//! accelerated kernel is a private `x86` module of its file; those three
+//! files hold all the `unsafe` in the workspace (`scfs-lint` rule U001).
 //!
 //! None of this code is intended for production cryptographic use; it exists
 //! to faithfully reproduce the *system behaviour* (sizes, overheads, failure
@@ -31,14 +43,12 @@ pub mod erasure;
 pub mod gf256;
 pub mod hmac;
 pub mod keys;
-pub mod sha1;
 pub mod sha256;
 pub mod shamir;
 
 pub use chacha20::ChaCha20;
 pub use erasure::{ErasureCoder, ErasureError};
 pub use keys::KeyGenerator;
-pub use sha1::sha1;
 pub use sha256::{sha256, sha256_hex, Sha256};
 pub use shamir::{combine_shares, split_secret, ShamirError, Share};
 
