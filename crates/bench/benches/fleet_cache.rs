@@ -17,10 +17,10 @@ use scfs::config::{Mode, ScfsConfig};
 use sim_core::time::SimDuration;
 use sim_core::units::Bytes;
 use workloads::fleet::{run_fleet, FleetConfig, FleetReport};
-use workloads::setup::Backend;
+use workloads::setup::{Backend, Deployment};
 
-fn fleet_config(backend: Backend, mounts: usize) -> FleetConfig {
-    let mut cfg = FleetConfig::smoke(backend);
+fn fleet_config(mounts: usize) -> FleetConfig {
+    let mut cfg = FleetConfig::smoke();
     cfg.mounts = mounts;
     cfg.teams = (mounts / 10).max(1);
     cfg.files_per_team = 64;
@@ -78,16 +78,13 @@ fn main() {
     println!("fleet_cache: {mounts} mounts, zipfian 90/10 read/write mix, two-tier LRU hit rates");
     let mut rows = Vec::new();
     for backend in [Backend::Aws, Backend::CloudOfClouds] {
-        let label = match backend {
-            Backend::Aws => "AWS",
-            Backend::CloudOfClouds => "CoC",
-        };
-        let mut report = run_fleet(&fleet_config(backend, mounts));
+        let cfg = fleet_config(mounts);
+        let mut report = run_fleet(&Deployment::paper(backend, cfg.seed), &cfg);
         assert!(
             report.cache.memory.evictions > 0,
             "the bench must keep the memory tier under eviction pressure"
         );
-        rows.push(row(label, mounts, &mut report));
+        rows.push(row(backend.label(), mounts, &mut report));
     }
     let results = format!("[{}]", rows.join(", "));
     bench::record_trajectory("fleet_cache", &results);

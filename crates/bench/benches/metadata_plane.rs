@@ -22,14 +22,12 @@ use coord::sharded::ShardTopology;
 use scfs::config::{Mode, ScfsConfig};
 use sim_core::time::SimDuration;
 use workloads::fleet::{run_fleet_metadata, MetadataFleetConfig, MetadataFleetReport, MetadataMix};
-use workloads::setup::Backend;
+use workloads::setup::{Backend, Deployment, Plane};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
-fn plane_config(shards: usize, mounts: usize, disjoint: bool) -> MetadataFleetConfig {
-    let mut cfg = MetadataFleetConfig::smoke(shards);
-    cfg.backend = Backend::Aws;
-    cfg.topology = ShardTopology::metro(shards, 1);
+fn plane_config(mounts: usize, disjoint: bool) -> MetadataFleetConfig {
+    let mut cfg = MetadataFleetConfig::smoke();
     cfg.mounts = mounts;
     // Two teams, so the overlapping variant concentrates the whole fleet on
     // two directories — at most two of the four shards see any routed load.
@@ -61,23 +59,31 @@ fn plane_config(shards: usize, mounts: usize, disjoint: bool) -> MetadataFleetCo
     cfg
 }
 
-fn row(label: &str, report: &mut MetadataFleetReport) -> String {
+/// One storm on the single-cloud deployment over `shards` metro register
+/// groups (CFT, f = 1).
+fn run_storm(shards: usize, cfg: &MetadataFleetConfig) -> MetadataFleetReport {
+    let deployment = Deployment::on(Backend::Aws)
+        .plane(Plane::Sharded(ShardTopology::metro(shards, 1)))
+        .build(cfg.seed);
+    run_fleet_metadata(&deployment, cfg)
+}
+
+fn row(label: &str, shards: usize, report: &mut MetadataFleetReport) -> String {
     let stat_p50 = report.recorder.percentile("stat", 50.0);
     let stat_p99 = report.recorder.percentile("stat", 99.0);
     let open_p99 = report.recorder.percentile("open", 99.0);
     let mkdir_p99 = report.recorder.percentile("mkdir", 99.0);
     let rename_p99 = report.recorder.percentile("rename", 99.0);
     println!(
-        "  {label:<12} shards={} {:>5} ops {:>8.1} ops/s | stat p50 {stat_p50:.4}s \
+        "  {label:<12} shards={shards} {:>5} ops {:>8.1} ops/s | stat p50 {stat_p50:.4}s \
          p99 {stat_p99:.4}s | open p99 {open_p99:.4}s | mkdir p99 {mkdir_p99:.4}s | \
          rename p99 {rename_p99:.4}s | {} conflicts",
-        report.shards,
         report.ops_executed(),
         report.throughput(),
         report.conflicts,
     );
     format!(
-        "{{\"dirs\": \"{label}\", \"shards\": {}, \"mounts\": {}, \
+        "{{\"dirs\": \"{label}\", \"shards\": {shards}, \"mounts\": {}, \
          \"ops\": {}, \"throughput_ops_per_virtual_sec\": {:.2}, \
          \"stat_p50_virtual_secs\": {stat_p50:.6}, \
          \"stat_p99_virtual_secs\": {stat_p99:.6}, \
@@ -85,7 +91,6 @@ fn row(label: &str, report: &mut MetadataFleetReport) -> String {
          \"mkdir_p99_virtual_secs\": {mkdir_p99:.6}, \
          \"rename_p99_virtual_secs\": {rename_p99:.6}, \
          \"conflicts\": {}}}",
-        report.shards,
         report.mounts,
         report.ops_executed(),
         report.throughput(),
@@ -102,14 +107,14 @@ fn main() {
     let mut rows = Vec::new();
     let mut disjoint = Vec::new();
     for shards in SHARD_COUNTS {
-        let cfg = plane_config(shards, mounts, true);
-        let mut report = run_fleet_metadata(&cfg);
-        rows.push(row("disjoint", &mut report));
+        let mut report = run_storm(shards, &plane_config(mounts, true));
+        rows.push(row("disjoint", shards, &mut report));
         disjoint.push(report);
     }
     // The headline scaling claim: with disjoint home directories the plane's
     // throughput is linear-in-shards (≥ 3× from 1 to 4 shards) and the tail
     // collapses as the per-group queues drain.
+    let widest = SHARD_COUNTS[SHARD_COUNTS.len() - 1];
     let base = &disjoint[0];
     let wide = &disjoint[SHARD_COUNTS.len() - 1];
     let scaling = wide.throughput() / base.throughput();
@@ -119,8 +124,7 @@ fn main() {
         wide_rec.percentile("stat", 99.0),
     );
     println!(
-        "  scaling 1→{} shards: {scaling:.2}x throughput, stat p99 {p99_1:.3}s → {p99_4:.3}s",
-        wide.shards
+        "  scaling 1→{widest} shards: {scaling:.2}x throughput, stat p99 {p99_1:.3}s → {p99_4:.3}s"
     );
     assert!(
         scaling >= 3.0,
@@ -132,9 +136,8 @@ fn main() {
     );
     // Contrast: overlapping team directories hash to few shards, so the
     // same fleet sees much less benefit from the same 4-shard plane.
-    let cfg = plane_config(*SHARD_COUNTS.last().unwrap(), mounts, false);
-    let mut overlap = run_fleet_metadata(&cfg);
-    rows.push(row("overlapping", &mut overlap));
+    let mut overlap = run_storm(widest, &plane_config(mounts, false));
+    rows.push(row("overlapping", widest, &mut overlap));
     let results = format!("[{}]", rows.join(", "));
     bench::record_trajectory("metadata_plane", &results);
     println!("trajectory: BENCH_transfer.json");

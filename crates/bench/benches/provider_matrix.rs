@@ -32,8 +32,8 @@ use scfs::config::{Mode, ScfsConfig};
 use sim_core::fault::FaultPlan;
 use sim_core::time::SimDuration;
 use sim_core::units::Bytes;
-use workloads::fleet::{run_fleet_in, FleetConfig, FleetReport};
-use workloads::setup::{Backend, MatrixEnv};
+use workloads::fleet::{run_fleet, FleetConfig, FleetReport};
+use workloads::setup::{Backend, Deployment, Providers};
 
 /// Matrix index of Amazon S3 (the 10x-latency victim) and of the flaky
 /// regional store (fault injection + the 10x-price victim).
@@ -86,7 +86,7 @@ struct RunOutcome {
 }
 
 fn fleet_config(mounts: usize) -> FleetConfig {
-    let mut cfg = FleetConfig::smoke(Backend::CloudOfClouds);
+    let mut cfg = FleetConfig::smoke();
     cfg.mounts = mounts;
     cfg.teams = 4.min(mounts);
     cfg.files_per_team = 12;
@@ -103,18 +103,14 @@ fn fleet_config(mounts: usize) -> FleetConfig {
 
 fn run_sweep(policy: PolicyKind, sweep: Sweep, mounts: usize) -> RunOutcome {
     let cfg = fleet_config(mounts);
-    let menv = MatrixEnv::coc_matrix(
-        sweep.profiles(),
-        policy,
-        WIDTH,
-        WRITE_WAIT,
-        cfg.mode,
-        cfg.seed,
-    );
+    let menv = Deployment::on(Backend::CloudOfClouds)
+        .providers(Providers::Explicit(sweep.profiles()))
+        .placement(policy, WIDTH, WRITE_WAIT)
+        .build(cfg.seed);
     if sweep == Sweep::SlowS3 {
         menv.clouds[FLAKY].set_fault_plan(FaultPlan::flaky(0.04), cfg.seed);
     }
-    let report = run_fleet_in(&menv.env, &cfg);
+    let report = run_fleet(&menv, &cfg);
 
     // $/user/month: the operation/traffic ledgers cover the makespan, so
     // scale them to 30 days, then add a month of storage rent on what the

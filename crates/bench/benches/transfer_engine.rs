@@ -36,7 +36,7 @@ use scfs::config::{Mode, ScfsConfig};
 use scfs::fs::FileSystem;
 use sim_core::units::Bytes;
 use workloads::editsync::{run_mid_file_insert, InsertResult};
-use workloads::setup::{Backend, SharedScfsEnv};
+use workloads::setup::{Backend, Deployment};
 
 const MIB: usize = 1 << 20;
 const CHUNKS: usize = 16;
@@ -55,10 +55,9 @@ fn sixteen_mib() -> Vec<u8> {
 /// agent and (b) closing an identical copy under a second path right after
 /// — the cross-file dedup write, which moves only the manifest.
 fn close_latencies_secs(backend: Backend, parallel: usize, data: &[u8]) -> (f64, f64) {
-    let env = SharedScfsEnv::new(backend, Mode::Blocking, 7);
     let mut config = ScfsConfig::paper_default(Mode::Blocking);
     config.max_parallel_transfers = parallel;
-    let mut fs = env.mount("alice", config, 7);
+    let mut fs = Deployment::paper(backend, 7).mount("alice", config, 7);
     let start = fs.now();
     fs.write_file("/bench/big", data).expect("close commits");
     let cold = fs.now().duration_since(start).as_secs_f64();
@@ -78,8 +77,7 @@ fn close_latencies_secs(backend: Backend, parallel: usize, data: &[u8]) -> (f64,
 /// The mid-file-insert workload under the given chunking: a 1 KiB insert at
 /// the midpoint of a committed 16 MiB file, on a fresh agent.
 fn insert_outcome(backend: Backend, config: ScfsConfig) -> InsertResult {
-    let env = SharedScfsEnv::new(backend, Mode::Blocking, 7);
-    let mut fs = env.mount("alice", config, 7);
+    let mut fs = Deployment::paper(backend, 7).mount("alice", config, 7);
     run_mid_file_insert(&mut fs, "/bench/doc", Bytes::mib(16), Bytes::kib(1), 7)
         .expect("mid-file insert commits")
 }
@@ -89,10 +87,7 @@ fn main() {
     let mut rows = Vec::new();
     println!("transfer_engine: 16-chunk dirty close, foreground virtual seconds");
     for backend in [Backend::Aws, Backend::CloudOfClouds] {
-        let label = match backend {
-            Backend::Aws => "AWS",
-            Backend::CloudOfClouds => "CoC",
-        };
+        let label = backend.label();
         let mut sequential = None;
         for parallel in PARALLELISMS {
             let (secs, dedup_secs) = close_latencies_secs(backend, parallel, &data);
@@ -112,10 +107,7 @@ fn main() {
     }
     println!("transfer_engine: 1 KiB mid-file insert into a committed 16 MiB file");
     for backend in [Backend::Aws, Backend::CloudOfClouds] {
-        let label = match backend {
-            Backend::Aws => "AWS",
-            Backend::CloudOfClouds => "CoC",
-        };
+        let label = backend.label();
         let fixed = insert_outcome(backend, ScfsConfig::paper_default(Mode::Blocking));
         let cdc = insert_outcome(
             backend,

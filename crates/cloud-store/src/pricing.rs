@@ -291,15 +291,6 @@ impl CostLedger {
             .sum()
     }
 
-    /// Total charged to `account` for one category.
-    pub fn total_for_kind(&self, account: &AccountId, kind: ChargeKind) -> MicroDollars {
-        self.inner
-            .lock()
-            .get(&(account.clone(), kind))
-            .copied()
-            .unwrap_or(MicroDollars::ZERO)
-    }
-
     /// Grand total across all accounts.
     pub fn grand_total(&self) -> MicroDollars {
         self.inner.lock().values().copied().sum()
@@ -409,7 +400,6 @@ mod tests {
         ledger.charge(&alice, ChargeKind::Request, MicroDollars::new(1.0));
         ledger.charge(&bob, ChargeKind::Storage, MicroDollars::new(2.0));
         assert!((ledger.total_for(&alice).get() - 16.0).abs() < 1e-9);
-        assert!((ledger.total_for_kind(&alice, ChargeKind::Outbound).get() - 15.0).abs() < 1e-9);
         assert!((ledger.total_for(&bob).get() - 2.0).abs() < 1e-9);
         assert!((ledger.grand_total().get() - 18.0).abs() < 1e-9);
         ledger.reset();

@@ -113,10 +113,12 @@ pub trait CoordinationService: Send + Sync {
     /// Replaces the ACL of an entry (owner only).
     fn set_acl(&self, ctx: &mut OpCtx<'_>, key: &str, acl: Acl) -> Result<(), CoordError>;
 
-    /// Renames every entry whose key starts with `old_prefix`, replacing that
-    /// prefix with `new_prefix`. This is the trigger extension the authors
-    /// added to DepSpace to implement `rename` efficiently (paper §3.2).
-    /// Returns the number of renamed entries.
+    /// Renames every entry under the path `old_prefix` — the key is the
+    /// prefix, the prefix ends in `/`, or the key continues at a `/`, so
+    /// `/d` moves `/d` and `/d/x` but never the sibling `/dx` — replacing
+    /// that prefix with `new_prefix`. This is the trigger extension the
+    /// authors added to DepSpace to implement `rename` efficiently (paper
+    /// §3.2). Returns the number of renamed entries.
     fn rename_prefix(
         &self,
         ctx: &mut OpCtx<'_>,

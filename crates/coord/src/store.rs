@@ -163,6 +163,20 @@ impl TupleStore {
             .take_while(move |(k, _)| k.starts_with(prefix))
     }
 
+    /// The keys a rename of `prefix` moves: those of [`Self::prefix_range`]
+    /// that lie *under the path* `prefix` — the key is the prefix, the prefix
+    /// ends in `/`, or the key continues at a `/` — so renaming `/d` moves
+    /// `/d` and `/d/x` and leaves the sibling `/dx` alone. The one rule of
+    /// both the replicated rename and the sharded collect phase.
+    fn rename_range<'a>(
+        &'a self,
+        prefix: &'a str,
+    ) -> impl Iterator<Item = (&'a String, &'a KeyHistory)> + 'a {
+        self.prefix_range(prefix).filter(move |(k, _)| {
+            prefix.ends_with('/') || matches!(k.as_bytes().get(prefix.len()), None | Some(b'/'))
+        })
+    }
+
     /// Applies one command at commit instant `now` and returns its reply.
     pub fn apply(&mut self, signed: &SignedCommand, now: SimInstant) -> Reply {
         let who = &signed.issuer;
@@ -312,14 +326,15 @@ impl TupleStore {
         AbdWriteOutcome::Installed
     }
 
-    /// Snapshot of every live entry under `prefix` at `now`, with its
-    /// register timestamp — the collect phase of a cross-shard rename.
+    /// Snapshot of every live entry under the path `prefix` at `now`
+    /// ([`Self::rename_range`]), with its register timestamp — the collect
+    /// phase of a cross-shard rename.
     pub(crate) fn collect_prefix(
         &self,
         prefix: &str,
         now: SimInstant,
     ) -> Vec<(String, u64, EntryState)> {
-        self.prefix_range(prefix)
+        self.rename_range(prefix)
             .filter_map(|(k, h)| {
                 h.state_at(now)
                     .map(|s| (k.clone(), h.max_version(), s.clone()))
@@ -531,7 +546,7 @@ impl TupleStore {
         // Bounded range scan: only the keys under the prefix are visited,
         // instead of cloning every matching key out of a full-store walk.
         let affected: Vec<String> = self
-            .prefix_range(old_prefix)
+            .rename_range(old_prefix)
             .filter(|(_, h)| h.state_at(now).is_some())
             .map(|(k, _)| k.clone())
             .collect();
@@ -1084,5 +1099,52 @@ mod tests {
         let moved = dst.get("/new/a", &"alice".into(), t(4)).unwrap();
         assert_eq!(moved.value, b"1");
         assert_eq!(moved.owner, AccountId::new("alice"));
+    }
+
+    /// A rename is a path operation: `/d` names `/d` and what lies under
+    /// `/d/`, never the sibling `/dx` — in the replicated apply and in the
+    /// sharded collect alike. A prefix that ends in `/` is a raw prefix.
+    #[test]
+    fn rename_matches_on_path_boundaries() {
+        let populated = || {
+            let mut store = TupleStore::new();
+            for key in ["/d", "/d/", "/d/x", "/dx", "/e"] {
+                let value = val(key.as_bytes());
+                let put = Command::Put {
+                    key: key.into(),
+                    value,
+                };
+                store.apply(&signed("alice", put), t(1));
+            }
+            store
+        };
+        let live = |store: &TupleStore| store.list("/", &"alice".into(), t(3));
+        let rename = |old: &str, new: &str| Command::RenamePrefix {
+            old_prefix: old.into(),
+            new_prefix: new.into(),
+        };
+
+        let mut store = populated();
+        let collected: Vec<String> = store
+            .collect_prefix("/d", t(2))
+            .into_iter()
+            .map(|(key, _, _)| key)
+            .collect();
+        assert_eq!(collected, ["/d", "/d/", "/d/x"]);
+        assert_eq!(
+            store.apply(&signed("alice", rename("/d", "/n")), t(2)),
+            Reply::Count(3)
+        );
+        assert_eq!(live(&store), ["/dx", "/e", "/n", "/n/", "/n/x"]);
+        let moved = store.get("/n/x", &"alice".into(), t(3)).unwrap();
+        assert_eq!(moved.value, b"/d/x");
+
+        let mut store = populated();
+        assert_eq!(store.collect_prefix("/d/", t(2)).len(), 2);
+        assert_eq!(
+            store.apply(&signed("alice", rename("/d/", "/n/")), t(2)),
+            Reply::Count(2)
+        );
+        assert_eq!(live(&store), ["/d", "/dx", "/e", "/n/", "/n/x"]);
     }
 }

@@ -29,16 +29,14 @@
 //!
 //! * [`wire`] — a tiny length-prefixed binary codec for metadata objects.
 //! * [`metadata`] — the per-data-unit metadata object stored in every cloud.
-//! * [`quorum`] — parallel cloud access with virtual-clock forking and
-//!   quorum waits.
 //! * [`config`] — the number of tolerated faulty clouds and the quorum
 //!   sizes that follow from it.
 //! * [`register`] — the [`DepSkyClient`] blob store, and how a blob's unit
-//!   and cloud keys are spelled and parsed back.
+//!   and cloud keys are spelled and parsed back. Parallel cloud access and
+//!   quorum waits are [`sim_core::parallel`]'s fork/join, called directly.
 
 pub mod config;
 pub mod metadata;
-pub mod quorum;
 pub mod register;
 pub mod wire;
 

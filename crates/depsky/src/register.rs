@@ -23,12 +23,12 @@ use placement::{PlacementPolicy, ProviderMatrix};
 use scfs_crypto::{
     combine_shares, sha256, split_secret, ChaCha20, ContentHash, ErasureCoder, KeyGenerator, Share,
 };
+use sim_core::parallel::{join_all, join_nth, run_forked, ForkedRun};
 use sim_core::time::SimInstant;
 use sim_core::units::Bytes;
 
 use crate::config::DepSkyConfig;
 use crate::metadata::{DataUnitMetadata, VersionInfo};
-use crate::quorum::{advance_to_all, advance_to_nth_success, parallel_access, CloudOutcome};
 use crate::wire::{DecodeError, Reader, Writer};
 
 /// Prefix of every key a DepSky client stores in a cloud.
@@ -196,13 +196,13 @@ impl DepSkyClient {
 
     /// Feeds observed outcomes into the provider matrix's health state (a
     /// no-op for fixed-placement clients).
-    fn record_outcomes<T>(&self, start: SimInstant, outcomes: &[CloudOutcome<T>]) {
+    fn record_outcomes<T>(&self, start: SimInstant, outcomes: &[CloudRun<T>]) {
         if let Some(spec) = &self.placement {
             for o in outcomes {
                 spec.matrix.record(
-                    o.cloud_index,
+                    o.index,
                     o.completed_at.duration_since(start),
-                    o.is_ok(),
+                    o.value.is_ok(),
                 );
             }
         }
@@ -435,7 +435,7 @@ impl DepSkyClient {
                             let slot = info.slot_for_cloud(cloud_index).unwrap_or(cloud_index);
                             cloud.delete(c, &Self::block_key(name, info.version, slot))
                         });
-                    advance_to_all(ctx, &outcomes);
+                    join_all(ctx.clock, outcomes.iter().map(|o| o.completed_at));
                 }
             }
             Err(StorageError::NotFound { .. }) => {
@@ -447,14 +447,14 @@ impl DepSkyClient {
                     }
                     Ok(())
                 });
-                advance_to_all(ctx, &outcomes);
+                join_all(ctx.clock, outcomes.iter().map(|o| o.completed_at));
             }
             Err(e) => return Err(e),
         }
         let key = Self::metadata_key(name);
         let outcomes =
             parallel_access(ctx, &self.clouds, &all, |_, cloud, c| cloud.delete(c, &key));
-        advance_to_all(ctx, &outcomes);
+        join_all(ctx.clock, outcomes.iter().map(|o| o.completed_at));
         self.metadata_cache.lock().remove(name);
         Ok(())
     }
@@ -506,7 +506,7 @@ impl DepSkyClient {
         }
         let mut best: Option<DataUnitMetadata> = None;
         for outcome in &outcomes {
-            if let Ok(bytes) = &outcome.result {
+            if let Ok(bytes) = &outcome.value {
                 if let Ok(md) = DataUnitMetadata::decode(bytes) {
                     let better = match &best {
                         None => true,
@@ -554,9 +554,9 @@ impl DepSkyClient {
         // hash matches the metadata, until enough valid blocks are gathered.
         let mut reached_at = None;
         for outcome in &outcomes {
-            if let Ok(bytes) = &outcome.result {
+            if let Ok(bytes) = &outcome.value {
                 let expected = info
-                    .slot_for_cloud(outcome.cloud_index)
+                    .slot_for_cloud(outcome.index)
                     .and_then(|slot| info.block_hashes.get(slot));
                 if expected.is_some_and(|h| h == &sha256(bytes)) {
                     if let Ok(block) = decode_block(bytes) {
@@ -666,19 +666,44 @@ impl DepSkyClient {
     }
 }
 
+/// One cloud's answer to a request issued in parallel with the others:
+/// `index` is the cloud's position in the client's cloud list.
+type CloudRun<T> = ForkedRun<Result<T, StorageError>>;
+
+/// Issues `op` against every cloud in `indices` in parallel — each on a fork
+/// of the caller's clock, under the caller's account — and returns the
+/// answers sorted by completion instant. DepSky proceeds as soon as a quorum
+/// has answered (paper §3.2): the caller's clock is *not* advanced here; join
+/// the quorum the protocol step needs ([`await_quorum`], `join_all`).
+fn parallel_access<T>(
+    ctx: &OpCtx<'_>,
+    clouds: &[Arc<dyn ObjectStore>],
+    indices: &[usize],
+    mut op: impl FnMut(usize, &dyn ObjectStore, &mut OpCtx<'_>) -> Result<T, StorageError>,
+) -> Vec<CloudRun<T>> {
+    run_forked(&*ctx.clock, indices.iter().copied(), |i, fork| {
+        op(
+            i,
+            clouds[i].as_ref(),
+            &mut OpCtx::new(fork, ctx.account.clone()),
+        )
+    })
+}
+
 /// Waits for `needed` successful outcomes: advances the caller's clock to the
 /// instant the quorum formed, or to the last completion and fails.
 fn await_quorum<T>(
     ctx: &mut OpCtx<'_>,
-    outcomes: &[CloudOutcome<T>],
+    outcomes: &[CloudRun<T>],
     needed: usize,
 ) -> Result<(), StorageError> {
-    if advance_to_nth_success(ctx, outcomes, needed) {
+    let answers = outcomes.iter().map(|o| (o.completed_at, o.value.is_ok()));
+    if join_nth(ctx.clock, answers, needed) {
         Ok(())
     } else {
         Err(StorageError::QuorumNotReached {
             needed,
-            obtained: outcomes.iter().filter(|o| o.is_ok()).count(),
+            obtained: outcomes.iter().filter(|o| o.value.is_ok()).count(),
         })
     }
 }

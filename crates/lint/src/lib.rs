@@ -18,14 +18,12 @@
 //! - [`scanner`] — tokenizer, `#[cfg(test)]` region masking, waiver comments
 //! - [`config`] — rule scopes and the declared crate DAG
 //! - [`rules`] — the D/C/L/E/U/W rule passes
-//! - [`baseline`] — the `lint-baseline.toml` ratchet
 //! - [`report`] — human and JSON output
 //!
-//! The binary (`scfs-lint`) wires these into `check` and `emit-baseline`
-//! subcommands; see the README's "Static analysis" section for the rule
-//! catalog and waiver syntax.
+//! The binary (`scfs-lint`) wires these into the `check` and `list-rules`
+//! subcommands; `check` fails on any violation not waived inline. See the
+//! README's "Static analysis" section for the rule catalog and waiver syntax.
 
-pub mod baseline;
 pub mod config;
 pub mod report;
 pub mod rules;
@@ -33,7 +31,6 @@ pub mod scanner;
 
 use std::path::Path;
 
-use baseline::{Baseline, Drift};
 use config::LintConfig;
 use rules::Violation;
 use scanner::SourceFile;
@@ -70,21 +67,4 @@ pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> Result<WorkspaceReport, 
         .violations
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(report)
-}
-
-/// Lints the tree and compares against a committed baseline (empty if the
-/// file is absent). Returns the report plus the drift in either direction.
-pub fn check(
-    root: &Path,
-    cfg: &LintConfig,
-    baseline_text: Option<&str>,
-) -> Result<(WorkspaceReport, Vec<Drift>), String> {
-    let report = lint_workspace(root, cfg)?;
-    let committed = match baseline_text {
-        Some(text) => Baseline::parse(text).map_err(|e| format!("baseline: {e}"))?,
-        None => Baseline::default(),
-    };
-    let actual = Baseline::from_violations(&report.violations);
-    let drift = committed.drift(&actual);
-    Ok((report, drift))
 }

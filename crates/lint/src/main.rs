@@ -1,70 +1,54 @@
 //! The `scfs-lint` binary.
 //!
 //! ```text
-//! scfs-lint check [--root DIR] [--baseline PATH] [--json PATH]
-//! scfs-lint emit-baseline [--root DIR] [--baseline PATH]
+//! scfs-lint check [--root DIR] [--json PATH]
 //! scfs-lint list-rules [--markdown]
 //! ```
 //!
-//! `check` exits 0 when the tree carries no violations beyond the committed
-//! baseline and the baseline is not stale, 1 on violations/drift, 2 on usage
-//! or I/O errors. `emit-baseline` rewrites `lint-baseline.toml` from the
-//! current tree, locking in any reductions. `list-rules` prints the rule
-//! catalog with scopes rendered from the live config; `--markdown` emits the
-//! exact table the README embeds, so the docs are generated, not maintained.
+//! `check` exits 0 when the tree carries no violation that is not waived
+//! inline, 1 otherwise, 2 on usage or I/O errors. `list-rules` prints the
+//! rule catalog with scopes rendered from the live config; `--markdown` emits
+//! the exact table the README embeds, so the docs are generated, not
+//! maintained.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use lint::baseline::Baseline;
 use lint::config::LintConfig;
-use lint::{check, lint_workspace, report};
-
-const BASELINE_HEADER: &str = "scfs-lint committed-debt ratchet.\n\
-    Regenerate with: cargo run -p lint --release -- emit-baseline\n\
-    CI fails on any NEW violation and on entries that overstate the current\n\
-    count, so this file only shrinks. Initial emit (2026-08-08) recorded the\n\
-    scfs data-path unwrap/expect debt at 12 sites before the E-rule burndown.";
+use lint::{lint_workspace, report};
 
 struct Args {
     command: String,
     root: PathBuf,
-    baseline: PathBuf,
     json: Option<PathBuf>,
     markdown: bool,
 }
 
 fn usage() -> String {
-    "usage: scfs-lint <check|emit-baseline|list-rules> [--root DIR] \
-     [--baseline PATH] [--json PATH] [--markdown]"
-        .to_string()
+    "usage: scfs-lint <check|list-rules> [--root DIR] [--json PATH] [--markdown]".to_string()
 }
 
 fn parse_args(mut argv: std::env::Args) -> Result<Args, String> {
     let _bin = argv.next();
     let command = argv.next().ok_or_else(usage)?;
-    if command != "check" && command != "emit-baseline" && command != "list-rules" {
+    if command != "check" && command != "list-rules" {
         return Err(usage());
     }
     let mut root = PathBuf::from(".");
-    let mut baseline: Option<PathBuf> = None;
     let mut json = None;
     let mut markdown = false;
     while let Some(flag) = argv.next() {
         let mut value = || argv.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
             "--root" => root = PathBuf::from(value()?),
-            "--baseline" => baseline = Some(PathBuf::from(value()?)),
             "--json" => json = Some(PathBuf::from(value()?)),
             "--markdown" => markdown = true,
             _ => return Err(usage()),
         }
     }
-    let baseline = baseline.unwrap_or_else(|| root.join("lint-baseline.toml"));
     Ok(Args {
         command,
         root,
-        baseline,
         json,
         markdown,
     })
@@ -85,47 +69,20 @@ fn run() -> Result<bool, String> {
             }
             Ok(true)
         }
-        "emit-baseline" => {
-            let report = lint_workspace(&args.root, &cfg)?;
-            let base = Baseline::from_violations(&report.violations);
-            let text = base.to_toml(BASELINE_HEADER);
-            std::fs::write(&args.baseline, text)
-                .map_err(|e| format!("write {}: {e}", args.baseline.display()))?;
-            println!(
-                "scfs-lint: wrote {} ({} entries from {} files)",
-                args.baseline.display(),
-                base.entries.len(),
-                report.files_scanned
-            );
-            Ok(true)
-        }
         _ => {
-            let baseline_text = match std::fs::read_to_string(&args.baseline) {
-                Ok(text) => Some(text),
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-                Err(e) => return Err(format!("read {}: {e}", args.baseline.display())),
-            };
-            let (report, drift) = check(&args.root, &cfg, baseline_text.as_deref())?;
+            let report = lint_workspace(&args.root, &cfg)?;
             if let Some(json_path) = &args.json {
                 std::fs::write(
                     json_path,
-                    report::to_json(report.files_scanned, &report.violations, &drift),
+                    report::to_json(report.files_scanned, &report.violations),
                 )
                 .map_err(|e| format!("write {}: {e}", json_path.display()))?;
             }
-            // With a baseline, violations the ratchet admits are reported as
-            // context but only *drift* fails the run; without one, any active
-            // violation fails.
-            let ok = if baseline_text.is_some() {
-                drift.is_empty()
-            } else {
-                drift.is_empty() && report.active().count() == 0
-            };
             print!(
                 "{}",
-                report::to_text(report.files_scanned, &report.violations, &drift)
+                report::to_text(report.files_scanned, &report.violations)
             );
-            Ok(ok)
+            Ok(report.active().count() == 0)
         }
     }
 }

@@ -8,13 +8,10 @@
 //! {
 //!   "files_scanned": 42,
 //!   "violations": [ {"rule": "E001", "file": "…", "line": 7,
-//!                    "message": "…", "waived": null}, … ],
-//!   "drift": [ {"kind": "new", "file": "…", "rule": "…",
-//!               "allowed": 1, "actual": 2}, … ]
+//!                    "message": "…", "waived": null}, … ]
 //! }
 //! ```
 
-use crate::baseline::Drift;
 use crate::rules::Violation;
 
 /// Escapes a string for embedding in a JSON document.
@@ -37,7 +34,7 @@ fn json_str(s: &str) -> String {
 }
 
 /// Renders the full machine-readable report.
-pub fn to_json(files_scanned: usize, violations: &[Violation], drift: &[Drift]) -> String {
+pub fn to_json(files_scanned: usize, violations: &[Violation]) -> String {
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"files_scanned\": {files_scanned},\n"));
     out.push_str("  \"violations\": [\n");
@@ -56,38 +53,12 @@ pub fn to_json(files_scanned: usize, violations: &[Violation], drift: &[Drift]) 
             if i + 1 < violations.len() { "," } else { "" },
         ));
     }
-    out.push_str("  ],\n  \"drift\": [\n");
-    for (i, d) in drift.iter().enumerate() {
-        let (kind, file, rule, allowed, actual) = match d {
-            Drift::New {
-                file,
-                rule,
-                allowed,
-                actual,
-            } => ("new", file, rule, allowed, actual),
-            Drift::Stale {
-                file,
-                rule,
-                allowed,
-                actual,
-            } => ("stale", file, rule, allowed, actual),
-        };
-        out.push_str(&format!(
-            "    {{\"kind\": {}, \"file\": {}, \"rule\": {}, \"allowed\": {}, \"actual\": {}}}{}\n",
-            json_str(kind),
-            json_str(file),
-            json_str(rule),
-            allowed,
-            actual,
-            if i + 1 < drift.len() { "," } else { "" },
-        ));
-    }
     out.push_str("  ]\n}\n");
     out
 }
 
 /// Renders the human-readable summary printed to stdout.
-pub fn to_text(files_scanned: usize, violations: &[Violation], drift: &[Drift]) -> String {
+pub fn to_text(files_scanned: usize, violations: &[Violation]) -> String {
     let mut out = String::new();
     let active: Vec<&Violation> = violations.iter().filter(|v| v.waived.is_none()).collect();
     let waived = violations.len() - active.len();
@@ -97,34 +68,11 @@ pub fn to_text(files_scanned: usize, violations: &[Violation], drift: &[Drift]) 
             v.file, v.line, v.rule, v.message
         ));
     }
-    for d in drift {
-        match d {
-            Drift::New {
-                file,
-                rule,
-                allowed,
-                actual,
-            } => out.push_str(&format!(
-                "ratchet: {file} / {rule}: {actual} violations, baseline allows {allowed} \
-                 — fix the new ones or waive them with a reason\n"
-            )),
-            Drift::Stale {
-                file,
-                rule,
-                allowed,
-                actual,
-            } => out.push_str(&format!(
-                "ratchet: {file} / {rule}: baseline records {allowed} but only {actual} remain \
-                 — run `scfs-lint emit-baseline` to lock in the reduction\n"
-            )),
-        }
-    }
     out.push_str(&format!(
-        "scfs-lint: {} files scanned, {} active violations ({} waived), {} ratchet drift(s)\n",
+        "scfs-lint: {} files scanned, {} active violations ({} waived)\n",
         files_scanned,
         active.len(),
-        waived,
-        drift.len()
+        waived
     ));
     out
 }
@@ -141,7 +89,7 @@ mod tests {
 
     #[test]
     fn json_document_is_well_formed_for_empty_and_nonempty_inputs() {
-        let empty = to_json(0, &[], &[]);
+        let empty = to_json(0, &[]);
         assert!(empty.contains("\"violations\": [\n  ]"));
         let v = Violation {
             rule: "E001",
@@ -150,15 +98,8 @@ mod tests {
             message: "said \"no\"".to_string(),
             waived: None,
         };
-        let d = Drift::Stale {
-            file: "a.rs".to_string(),
-            rule: "E001".to_string(),
-            allowed: 2,
-            actual: 1,
-        };
-        let doc = to_json(1, &[v], &[d]);
+        let doc = to_json(1, &[v]);
         assert!(doc.contains("\\\"no\\\""));
-        assert!(doc.contains("\"kind\": \"stale\""));
         // No trailing commas before the closing brackets.
         assert!(!doc.contains(",\n  ]"));
     }
@@ -181,7 +122,7 @@ mod tests {
                 waived: None,
             },
         ];
-        let text = to_text(1, &vs, &[]);
+        let text = to_text(1, &vs);
         assert!(text.contains("1 active violations (1 waived)"));
         assert!(text.contains("a.rs:4: E002"));
         assert!(!text.contains("a.rs:3: E001"));

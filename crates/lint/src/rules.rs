@@ -27,8 +27,7 @@
 //! test is still undefined behaviour. Violations are reported at their
 //! source line and can be waived inline with
 //! `// scfs-lint: allow(ID, reason)` — on the offending line or the line
-//! directly above it — or carried as committed debt in `lint-baseline.toml`
-//! (see [`crate::baseline`]).
+//! directly above it.
 
 use std::collections::BTreeSet;
 

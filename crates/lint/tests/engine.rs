@@ -1,16 +1,15 @@
 //! End-to-end tests of the lint engine: the committed fixtures under
 //! `fixtures/` (positive files must trip their rules, negative files must
-//! stay clean), a synthetic workspace that `check` must fail, and the
-//! baseline emit → check round trip.
+//! stay clean), a synthetic workspace that `check` must fail, and this
+//! repository itself, which must carry zero active violations.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use lint::baseline::{Baseline, Drift};
 use lint::config::LintConfig;
+use lint::lint_workspace;
 use lint::rules::{lint_file, Violation};
 use lint::scanner::SourceFile;
-use lint::{check, lint_workspace};
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -140,8 +139,8 @@ fn synth_workspace(name: &str, files: &[(&str, &str)]) -> PathBuf {
 }
 
 /// The acceptance scenario: a tree with a synthetic `Instant::now()`, a
-/// layering violation and a dropped `Pending` must fail `check` (fresh tree,
-/// no baseline → active violations are failures).
+/// layering violation and a dropped `Pending` must fail `check` (active
+/// violations are failures).
 #[test]
 fn check_fails_on_synthetic_violations() {
     let root = synth_workspace(
@@ -164,57 +163,16 @@ fn check_fails_on_synthetic_violations() {
         ],
     );
     let cfg = LintConfig::default();
-    let (report, drift) = check(&root, &cfg, None).unwrap();
+    let report = lint_workspace(&root, &cfg).unwrap();
     let rules = active_rules(&report.violations);
     assert!(rules.contains(&"D001"), "synthetic Instant: {rules:?}");
     assert!(rules.contains(&"L001"), "synthetic layering: {rules:?}");
     assert!(rules.contains(&"C002"), "dropped Pending: {rules:?}");
     assert!(rules.contains(&"L002"), "blob API in the agent: {rules:?}");
-    // Without a baseline every active violation is drift from zero.
-    assert!(!drift.is_empty());
-    assert!(drift.iter().all(|d| matches!(d, Drift::New { .. })));
+    assert!(report.active().count() >= 4);
 }
 
-/// Baseline round trip on a dirty tree: emit, then check against the emitted
-/// file — clean (no drift). Fixing a violation afterwards must be reported
-/// as a stale ratchet.
-#[test]
-fn baseline_round_trip_and_ratchet() {
-    let root = synth_workspace(
-        "synth-ratchet",
-        &[(
-            "crates/scfs/src/lib.rs",
-            "pub fn bad(x: Option<u32>) -> u32 { x.unwrap() }\n",
-        )],
-    );
-    let cfg = LintConfig::default();
-
-    // Emit.
-    let report = lint_workspace(&root, &cfg).unwrap();
-    let base = Baseline::from_violations(&report.violations);
-    let text = base.to_toml("test baseline");
-    assert_eq!(
-        base.entries
-            .get(&("crates/scfs/src/lib.rs".to_string(), "E001".to_string())),
-        Some(&1)
-    );
-
-    // Check against the emitted baseline: no drift.
-    let (_, drift) = check(&root, &cfg, Some(&text)).unwrap();
-    assert!(drift.is_empty(), "round trip must be clean: {drift:?}");
-
-    // Fix the violation; the stale baseline entry must now fail the check.
-    fs::write(
-        root.join("crates/scfs/src/lib.rs"),
-        "pub fn good(x: Option<u32>) -> u32 { x.unwrap_or(0) }\n",
-    )
-    .unwrap();
-    let (_, drift) = check(&root, &cfg, Some(&text)).unwrap();
-    assert_eq!(drift.len(), 1);
-    assert!(matches!(&drift[0], Drift::Stale { rule, .. } if rule == "E001"));
-}
-
-/// A clean synthetic tree passes with no baseline at all.
+/// A clean synthetic tree passes.
 #[test]
 fn check_passes_on_clean_tree() {
     let root = synth_workspace(
@@ -225,27 +183,19 @@ fn check_passes_on_clean_tree() {
         )],
     );
     let cfg = LintConfig::default();
-    let (report, drift) = check(&root, &cfg, None).unwrap();
+    let report = lint_workspace(&root, &cfg).unwrap();
     assert_eq!(report.violations.len(), 0);
-    assert!(drift.is_empty());
 }
 
-/// The real repository itself must lint clean against its committed
-/// baseline — the same invariant CI enforces, minus the process spawn.
+/// This repository has zero active violations — the same invariant CI
+/// enforces, minus the process spawn.
 #[test]
-fn repository_is_clean_against_committed_baseline() {
+fn repository_has_zero_active_violations() {
     let repo_root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)
         .expect("crates/lint has a workspace root two levels up");
-    let cfg = LintConfig::default();
-    let baseline_text = fs::read_to_string(repo_root.join("lint-baseline.toml")).ok();
-    let (report, drift) = check(repo_root, &cfg, baseline_text.as_deref()).unwrap();
-    assert!(
-        drift.is_empty(),
-        "repository drifts from lint-baseline.toml: {drift:?}"
-    );
-    if baseline_text.is_none() {
-        assert_eq!(report.active().count(), 0);
-    }
+    let report = lint_workspace(repo_root, &LintConfig::default()).unwrap();
+    let active: Vec<_> = report.active().collect();
+    assert!(active.is_empty(), "unwaived violations: {active:?}");
 }

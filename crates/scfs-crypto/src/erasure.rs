@@ -133,11 +133,6 @@ impl ErasureCoder {
         data_len.div_ceil(self.data_shards)
     }
 
-    /// Storage overhead factor of this code (total stored bytes / data bytes).
-    pub fn overhead_factor(&self) -> f64 {
-        self.total_shards() as f64 / self.data_shards as f64
-    }
-
     /// Encodes `data` into `total_shards()` shards. The original length is
     /// *not* embedded; callers (DepSky metadata) must remember it to trim the
     /// padding off after decoding.
@@ -241,7 +236,6 @@ mod tests {
         assert_eq!(c.total_shards(), 4);
         assert_eq!(c.data_shards(), 2);
         assert_eq!(c.parity_shards(), 2);
-        assert!((c.overhead_factor() - 2.0).abs() < 1e-12);
     }
 
     #[test]

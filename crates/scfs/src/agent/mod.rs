@@ -41,7 +41,7 @@ use crate::fs::FileSystem;
 use crate::invariant::InvariantViolation;
 use crate::metadata_service::MetadataService;
 use crate::transfer::TransferOptions;
-use crate::types::{normalize_path, FileHandle, FileMetadata, FileType, OpenFlags};
+use crate::types::{is_under, normalize_path, FileHandle, FileMetadata, FileType, OpenFlags};
 
 mod commit;
 mod fetch;
@@ -524,20 +524,17 @@ impl FileSystem for ScfsAgent {
         // pending record left behind under either tree would resolve reads
         // of the old path to the moved object — settle exactly those tokens
         // first.
-        let (from_dir, to_dir) = (format!("{from}/"), format!("{to}/"));
         self.wait_pending_uploads(|_, pending| {
             let path = &pending.value().path;
-            *path == from || *path == to || path.starts_with(&from_dir) || path.starts_with(&to_dir)
+            is_under(path, &from) || is_under(path, &to)
         });
         let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
         self.metadata.rename(&mut ctx, &from, &to)?;
         // The GC bookkeeping moves with the prefix: a later unlink + GC of a
         // renamed file must delete the tombstone under its *current* path.
         for (path, _) in self.owned_files.values_mut() {
-            if *path == from {
-                *path = to.clone();
-            } else if let Some(rest) = path.strip_prefix(&from_dir) {
-                *path = format!("{to}/{rest}");
+            if is_under(path, &from) {
+                *path = format!("{to}{}", &path[from.len()..]);
             }
         }
         Ok(())

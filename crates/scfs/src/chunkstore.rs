@@ -73,7 +73,7 @@
 //!
 //! Refcounts and the journal are state of **one backend instance** — the
 //! deployment's single collector. Every agent sharing a cloud must mount
-//! through the same backend instance (as `workloads::SharedScfsEnv` and
+//! through the same backend instance (as `workloads::setup::Deployment` and
 //! every experiment harness do); an independent instance pointed at the
 //! same bucket must not run GC, because it cannot see the references other
 //! instances hold, and deleting a global chunk it believes is dead could

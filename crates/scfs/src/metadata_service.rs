@@ -18,7 +18,7 @@ use sim_core::time::{SimDuration, SimInstant};
 
 use crate::error::ScfsError;
 use crate::pns::PrivateNameSpace;
-use crate::types::{parent_of, FileMetadata};
+use crate::types::{is_under, parent_of, FileMetadata};
 
 /// Counters describing how the metadata service resolved its lookups.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -305,14 +305,18 @@ impl MetadataService {
         Ok(children)
     }
 
-    /// Renames `from` (and everything under it) to `to`.
+    /// Renames `from` (and everything under it) to `to`. A path operation:
+    /// `/a` names `/a` and the subtree under `/a/`, never the sibling `/ab`.
+    /// What was cached of either tree is dropped — `to`'s too, so a clobbered
+    /// destination is not served from its old tuple until the cache expires.
     pub fn rename(
         &mut self,
         ctx: &mut OpCtx<'_>,
         from: &str,
         to: &str,
     ) -> Result<usize, ScfsError> {
-        self.cache.retain(|k, _| !k.starts_with(from));
+        self.cache
+            .retain(|k, _| !is_under(k, from) && !is_under(k, to));
         let mut moved = 0usize;
         if let Some(pns) = self.pns.as_mut() {
             moved += pns.rename_prefix(from, to);

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 
 use depsky::wire::{DecodeError, Reader, Writer};
 
-use crate::types::FileMetadata;
+use crate::types::{is_under, FileMetadata};
 
 /// The in-memory private name space of one user.
 #[derive(Debug, Clone, Default)]
@@ -92,7 +92,7 @@ impl PrivateNameSpace {
         let affected: Vec<String> = self
             .entries
             .keys()
-            .filter(|k| k.as_str() == from || k.starts_with(&format!("{from}/")))
+            .filter(|k| is_under(k, from))
             .cloned()
             .collect();
         for key in &affected {

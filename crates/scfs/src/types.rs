@@ -970,6 +970,14 @@ pub fn parent_of(path: &str) -> String {
     }
 }
 
+/// Whether the normalized `path` is `root` or lies in the subtree under it:
+/// `/a` and `/a/b` are under `/a`, the sibling `/ab` is not. The one boundary
+/// rule of everything `rename` moves or invalidates on the client.
+pub fn is_under(path: &str, root: &str) -> bool {
+    path.strip_prefix(root)
+        .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

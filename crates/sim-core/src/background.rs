@@ -134,7 +134,6 @@ pub struct BackgroundScheduler {
     completions: Vec<SimInstant>,
     /// Completion instant of the last-finishing job ever spawned.
     drain: SimInstant,
-    spawned: u64,
     /// Schedule-controller seam: empty in production (jobs dispatch at the
     /// default instant); the model checker installs one to delay dispatches
     /// behind other in-flight lanes.
@@ -197,7 +196,6 @@ impl BackgroundScheduler {
         self.completions.retain(|c| *c > now);
         self.completions.push(ready_at);
         self.drain = self.drain.max(ready_at);
-        self.spawned += 1;
         Pending::new(value, started_at, ready_at)
     }
 
@@ -223,11 +221,6 @@ impl BackgroundScheduler {
     /// job is still running.
     pub fn next_completion(&self, now: SimInstant) -> Option<SimInstant> {
         self.completions.iter().filter(|c| **c > now).min().copied()
-    }
-
-    /// Total number of jobs ever spawned.
-    pub fn jobs_spawned(&self) -> u64 {
-        self.spawned
     }
 
     /// Installs a schedule controller driving lane-dispatch decisions. Only
@@ -310,7 +303,6 @@ mod tests {
         assert_eq!(sched.in_flight(SimInstant::from_millis(50)), 1);
         assert_eq!(sched.in_flight(SimInstant::from_millis(200)), 0);
         assert_eq!(sched.next_completion(SimInstant::from_millis(200)), None);
-        assert_eq!(sched.jobs_spawned(), 2);
     }
 
     #[test]

@@ -49,6 +49,6 @@ pub use rng::DetRng;
 pub use schedule::{
     ChoiceKind, ChoicePoint, ControllerSlot, DeterministicController, ScheduleController,
 };
-pub use stats::{Histogram, Summary};
+pub use stats::Summary;
 pub use time::{Clock, SimDuration, SimInstant};
 pub use units::{Bytes, MicroDollars};

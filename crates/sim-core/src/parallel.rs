@@ -12,8 +12,8 @@
 //!    the task it actually had to wait for (the slowest one, or the n-th
 //!    success for quorum waits).
 //!
-//! This module is the one home of that pattern; `depsky::quorum` and
-//! `scfs::transfer` are both written on top of it.
+//! This module is the one home of that pattern; `depsky::register`,
+//! `coord::sharded` and `scfs::transfer` all call it directly.
 
 use crate::time::{Clock, SimInstant};
 

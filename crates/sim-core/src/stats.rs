@@ -2,10 +2,9 @@
 //!
 //! Figure 9 of the paper reports 50th and 90th percentile sharing latencies;
 //! Table 3 and Figures 8/10 report mean latencies over repeated runs. This
-//! module provides a small, dependency-free [`Summary`] accumulator, a
-//! fixed-bucket [`Histogram`] for latency distributions, and a per-operation
-//! [`OpRecorder`] the fleet harness uses to report p50/p99 per file-system
-//! call.
+//! module provides a small, dependency-free [`Summary`] accumulator and a
+//! per-operation [`OpRecorder`] the fleet harness uses to report p50/p99 per
+//! file-system call.
 
 use std::collections::BTreeMap;
 
@@ -31,11 +30,6 @@ impl Summary {
             s.add(v);
         }
         s
-    }
-
-    /// Creates a summary from durations, stored as seconds.
-    pub fn from_durations<I: IntoIterator<Item = SimDuration>>(values: I) -> Self {
-        Summary::from_values(values.into_iter().map(|d| d.as_secs_f64()))
     }
 
     /// Adds one sample.
@@ -156,81 +150,6 @@ impl FiniteOrZero for f64 {
     }
 }
 
-/// A simple linear-bucket histogram over `[0, max)`.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    bucket_width: f64,
-    max: f64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `buckets` equal-width buckets over `[0, max)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets` is zero or `max` is not positive.
-    pub fn new(buckets: usize, max: f64) -> Self {
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        assert!(max > 0.0, "histogram max must be positive");
-        Histogram {
-            buckets: vec![0; buckets],
-            bucket_width: max / buckets as f64,
-            max,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Records one value.
-    pub fn record(&mut self, value: f64) {
-        self.count += 1;
-        if value < 0.0 {
-            self.buckets[0] += 1;
-        } else if value >= self.max {
-            self.overflow += 1;
-        } else {
-            let idx = (value / self.bucket_width) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Total number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Number of values at or above the histogram maximum.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Bucket counts.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Approximate quantile (`q` in `[0,1]`) using bucket upper bounds.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q * self.count as f64).ceil() as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return (i as f64 + 1.0) * self.bucket_width;
-            }
-        }
-        self.max
-    }
-}
-
 /// Per-operation latency recorder: one [`Summary`] per operation name, in a
 /// deterministic (sorted) order. The fleet harness records every timed
 /// file-system call here and reports throughput plus p50/p99 per operation.
@@ -318,43 +237,6 @@ mod tests {
         let mut s = Summary::from_values((1..=100).map(|v| v as f64));
         let p90 = s.percentile(90.0);
         assert!((p90 - 90.0).abs() <= 1.0, "p90 was {p90}");
-    }
-
-    #[test]
-    fn summary_from_durations_uses_seconds() {
-        let s = Summary::from_durations([
-            SimDuration::from_millis(500),
-            SimDuration::from_millis(1500),
-        ]);
-        assert!((s.mean() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_records_and_quantiles() {
-        let mut h = Histogram::new(100, 10.0);
-        for i in 0..1000 {
-            h.record(i as f64 / 100.0); // 0.00 .. 9.99
-        }
-        assert_eq!(h.count(), 1000);
-        assert_eq!(h.overflow(), 0);
-        let q50 = h.quantile(0.5);
-        assert!((q50 - 5.0).abs() < 0.2, "q50 was {q50}");
-    }
-
-    #[test]
-    fn histogram_overflow_and_negative() {
-        let mut h = Histogram::new(10, 1.0);
-        h.record(5.0);
-        h.record(-1.0);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.buckets()[0], 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bucket")]
-    fn histogram_rejects_zero_buckets() {
-        let _ = Histogram::new(0, 1.0);
     }
 
     #[test]

@@ -77,12 +77,11 @@ pub fn run_mid_file_insert(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::setup::{Backend, SharedScfsEnv};
+    use crate::setup::{Backend, Deployment};
     use scfs::config::{Mode, ScfsConfig};
 
     fn run(config: ScfsConfig) -> InsertResult {
-        let env = SharedScfsEnv::new(Backend::Aws, Mode::Blocking, 3);
-        let mut fs = env.mount("alice", config, 3);
+        let mut fs = Deployment::paper(Backend::Aws, 3).mount("alice", config, 3);
         run_mid_file_insert(&mut fs, "/doc", Bytes::mib(16), Bytes::kib(1), 3).unwrap()
     }
 

@@ -217,14 +217,15 @@ pub fn table3(cfg: &MicroBenchConfig, seed: u64) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::setup::{build_system, SystemKind};
+    use crate::setup::Backend;
+    use scfs::config::Mode;
 
     #[test]
     fn quick_run_produces_sane_shapes() {
         let cfg = MicroBenchConfig::quick();
         let mut local = build_system(SystemKind::LocalFs, 1);
         let local_r = run_microbenchmarks(local.as_mut(), &cfg, 1);
-        let mut aws_b = build_system(SystemKind::ScfsAwsB, 1);
+        let mut aws_b = build_system(SystemKind::Scfs(Backend::Aws, Mode::Blocking), 1);
         let aws_b_r = run_microbenchmarks(aws_b.as_mut(), &cfg, 1);
         let mut s3ql = build_system(SystemKind::S3ql, 1);
         let s3ql_r = run_microbenchmarks(s3ql.as_mut(), &cfg, 1);
@@ -243,9 +244,15 @@ mod tests {
     #[test]
     fn non_sharing_scfs_is_close_to_local_for_metadata_workloads() {
         let cfg = MicroBenchConfig::quick();
-        let mut ns = build_system(SystemKind::ScfsCocNs, 2);
+        let mut ns = build_system(
+            SystemKind::Scfs(Backend::CloudOfClouds, Mode::NonSharing),
+            2,
+        );
         let ns_r = run_microbenchmarks(ns.as_mut(), &cfg, 2);
-        let mut nb = build_system(SystemKind::ScfsCocNb, 2);
+        let mut nb = build_system(
+            SystemKind::Scfs(Backend::CloudOfClouds, Mode::NonBlocking),
+            2,
+        );
         let nb_r = run_microbenchmarks(nb.as_mut(), &cfg, 2);
         assert!(
             nb_r.create_files > ns_r.create_files * 5.0,

@@ -7,6 +7,7 @@
 //! file system (`/tmp`) instead, which the paper shows makes the blocking
 //! variants dramatically more responsive.
 
+use scfs::config::Mode;
 use scfs::durability::DurabilityLevel;
 use scfs::error::ScfsError;
 use scfs::fs::FileSystem;
@@ -14,7 +15,7 @@ use scfs::types::OpenFlags;
 use sim_core::units::Bytes;
 
 use crate::results::{fmt_secs, Table};
-use crate::setup::{build_system, SystemKind};
+use crate::setup::{build_system, Backend, SystemKind};
 
 /// Latency of the three benchmark actions, in virtual seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -165,16 +166,20 @@ pub fn figure8(systems: &[SystemKind], doc_size: Bytes, seed: u64) -> Table {
 /// The systems of Figure 8(a): non-blocking variants, SCFS-CoC-NS and S3QL.
 pub fn figure8a_systems() -> Vec<SystemKind> {
     vec![
-        SystemKind::ScfsAwsNb,
-        SystemKind::ScfsCocNb,
-        SystemKind::ScfsCocNs,
+        SystemKind::Scfs(Backend::Aws, Mode::NonBlocking),
+        SystemKind::Scfs(Backend::CloudOfClouds, Mode::NonBlocking),
+        SystemKind::Scfs(Backend::CloudOfClouds, Mode::NonSharing),
         SystemKind::S3ql,
     ]
 }
 
 /// The systems of Figure 8(b): blocking variants and S3FS.
 pub fn figure8b_systems() -> Vec<SystemKind> {
-    vec![SystemKind::ScfsAwsB, SystemKind::ScfsCocB, SystemKind::S3fs]
+    vec![
+        SystemKind::Scfs(Backend::Aws, Mode::Blocking),
+        SystemKind::Scfs(Backend::CloudOfClouds, Mode::Blocking),
+        SystemKind::S3fs,
+    ]
 }
 
 #[cfg(test)]
@@ -184,10 +189,10 @@ mod tests {
     #[test]
     fn blocking_scfs_is_dominated_by_lock_files() {
         let size = Bytes::kib(256);
-        let mut fs = build_system(SystemKind::ScfsAwsB, 3);
+        let mut fs = build_system(SystemKind::Scfs(Backend::Aws, Mode::Blocking), 3);
         let with_locks =
             run_file_sync(fs.as_mut(), size, LockFilePlacement::InFileSystem, 3).unwrap();
-        let mut fs = build_system(SystemKind::ScfsAwsB, 3);
+        let mut fs = build_system(SystemKind::Scfs(Backend::Aws, Mode::Blocking), 3);
         let local_locks = run_file_sync(fs.as_mut(), size, LockFilePlacement::Local, 3).unwrap();
         let total_fs = with_locks.open_s + with_locks.save_s + with_locks.close_s;
         let total_local = local_locks.open_s + local_locks.save_s + local_locks.close_s;
@@ -203,7 +208,7 @@ mod tests {
         // A plain non-blocking save returns at local-disk durability and is
         // fast; the durable save waits for the document's own upload token
         // and reaches the cloud level — costing real upload time.
-        let mut nb = build_system(SystemKind::ScfsAwsNb, 7);
+        let mut nb = build_system(SystemKind::Scfs(Backend::Aws, Mode::NonBlocking), 7);
         let plain_start = nb.now();
         nb.write_file("/docs/plain.odt", &vec![7u8; size.get() as usize])
             .unwrap();
@@ -224,9 +229,13 @@ mod tests {
     #[test]
     fn non_sharing_variant_behaves_like_a_local_file_system() {
         let size = Bytes::kib(256);
-        let mut ns = build_system(SystemKind::ScfsCocNs, 4);
+        let mut ns = build_system(
+            SystemKind::Scfs(Backend::CloudOfClouds, Mode::NonSharing),
+            4,
+        );
         let ns_r = run_file_sync(ns.as_mut(), size, LockFilePlacement::InFileSystem, 4).unwrap();
-        let mut blocking = build_system(SystemKind::ScfsCocB, 4);
+        let mut blocking =
+            build_system(SystemKind::Scfs(Backend::CloudOfClouds, Mode::Blocking), 4);
         let b_r =
             run_file_sync(blocking.as_mut(), size, LockFilePlacement::InFileSystem, 4).unwrap();
         assert!(ns_r.save_s < 1.0, "NS save took {}", ns_r.save_s);

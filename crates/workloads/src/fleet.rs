@@ -14,15 +14,23 @@
 //!
 //! The harness is event-driven: a binary heap keyed by `(virtual instant,
 //! mount)` interleaves all mounts in virtual-time order, so 10⁴+ mounts run
-//! in one pass without threads. Every file-system call is timed into a
-//! [`sim_core::stats::OpRecorder`] (p50/p99 per operation), and the
-//! per-mount [`scfs::cache::TieredStats`] are aggregated into fleet-wide
-//! hit rates of the two cache tiers.
+//! in one pass without threads. There is one such loop, `drive`: staggered
+//! arrivals past the population epoch, pop the earliest mount, run one
+//! operation, think, push, and fold the instant into the FNV-1a trace hash.
+//! The two fleets — [`run_fleet`] (data path: zipfian reads and edits) and
+//! [`run_fleet_metadata`] (stat/open/mkdir/rename storms) — differ only in
+//! how they populate and in the per-operation closure they hand it. Every
+//! file-system call is timed into a [`sim_core::stats::OpRecorder`]
+//! (p50/p99 per operation), and the per-mount [`scfs::cache::TieredStats`]
+//! are aggregated into fleet-wide hit rates of the two cache tiers.
+//!
+//! Neither fleet builds its environment: both run on the
+//! [`Deployment`] they are handed (backend, providers, coordination plane —
+//! see [`crate::setup`]), and mount in the mode `cfg.scfs.mode` names.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use coord::sharded::ShardTopology;
 use scfs::agent::ScfsAgent;
 use scfs::cache::TieredStats;
 use scfs::config::{Mode, ScfsConfig};
@@ -34,7 +42,7 @@ use sim_core::stats::OpRecorder;
 use sim_core::time::{SimDuration, SimInstant};
 use sim_core::units::Bytes;
 
-use crate::setup::{Backend, SharedScfsEnv};
+use crate::setup::Deployment;
 
 /// A zipfian sampler over `0..n` (index 0 most popular): the CDF is
 /// precomputed once, each draw is one uniform variate plus a binary search.
@@ -74,10 +82,6 @@ impl Zipf {
 /// Configuration of one fleet run.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
-    /// Storage backend all teams share.
-    pub backend: Backend,
-    /// SCFS operation mode (must use coordination: the fleet shares files).
-    pub mode: Mode,
     /// Total simulated mounts (clients).
     pub mounts: usize,
     /// Teams the mounts are split into; each team shares one account and
@@ -97,7 +101,8 @@ pub struct FleetConfig {
     /// Mean think time between a mount's operations.
     pub mean_think: SimDuration,
     /// The agent configuration every mount uses (the cache capacities live
-    /// in `scfs.cache`).
+    /// in `scfs.cache`). Its mode must use coordination: the fleet shares
+    /// files.
     pub scfs: ScfsConfig,
     /// Master seed: same seed, same trace.
     pub seed: u64,
@@ -106,10 +111,8 @@ pub struct FleetConfig {
 impl FleetConfig {
     /// A small, fast configuration (CI smoke and unit tests): 60 mounts in
     /// 6 teams over 4 KiB files.
-    pub fn smoke(backend: Backend) -> Self {
+    pub fn smoke() -> Self {
         FleetConfig {
-            backend,
-            mode: Mode::Blocking,
             mounts: 60,
             teams: 6,
             files_per_team: 32,
@@ -211,6 +214,7 @@ fn shared_path(team: usize, file: usize) -> String {
     format!("/t{team}/shared/f{file}")
 }
 
+/// Folds `value` into the FNV-1a trace hash of a fleet run.
 fn fnv_mix(hash: &mut u64, value: u64) {
     for byte in value.to_le_bytes() {
         *hash ^= byte as u64;
@@ -218,39 +222,87 @@ fn fnv_mix(hash: &mut u64, value: u64) {
     }
 }
 
-struct MountState {
+/// One mount of a fleet: its agent, its private random stream, and whatever
+/// the fleet's operations remember between calls.
+struct FleetMount<S> {
     agent: ScfsAgent,
     rng: DetRng,
-    team: usize,
-    remaining: usize,
+    state: S,
 }
 
-/// Runs one fleet: populates every team's shared directory, then drives all
-/// mounts through their operation mix in virtual-time order.
+/// The seed and random stream of mount `m` of a fleet seeded `seed`.
+fn mount_seeds(seed: u64, m: usize) -> (u64, DetRng) {
+    (
+        seed.wrapping_add(0xA11CE).wrapping_add(m as u64),
+        DetRng::new(seed ^ (m as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+    )
+}
+
+/// The fleet event loop. Every mount arrives at a deterministic, staggered
+/// instant past `epoch`; then the mount with the earliest virtual clock
+/// always runs next — so cross-mount interleaving (cache reuse, lock
+/// contention, replica queues) happens in virtual-time order regardless of
+/// fleet size — issuing `op`, thinking for an exponential time and
+/// re-queueing until it has issued `ops_per_mount`. `op` folds what it did
+/// into the trace hash; the loop folds the instant it finished at. Returns
+/// the trace hash and the makespan from `epoch` to the last mount's last
+/// operation.
+fn drive<S>(
+    mounts: &mut [FleetMount<S>],
+    epoch: SimInstant,
+    ops_per_mount: usize,
+    mean_think: SimDuration,
+    mut op: impl FnMut(usize, &mut FleetMount<S>, &mut u64),
+) -> (u64, SimDuration) {
+    let think =
+        |rng: &mut DetRng| SimDuration::from_secs_f64(rng.exponential(mean_think.as_secs_f64()));
+    for st in mounts.iter_mut() {
+        let arrival = epoch
+            .duration_since(st.agent.now())
+            .saturating_add(think(&mut st.rng));
+        st.agent.sleep(arrival);
+    }
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = mounts
+        .iter()
+        .enumerate()
+        .map(|(idx, st)| Reverse((st.agent.now().as_nanos(), idx)))
+        .collect();
+    let mut remaining = vec![ops_per_mount; mounts.len()];
+    let mut trace = 0xcbf2_9ce4_8422_2325;
+    while let Some(Reverse((_, idx))) = heap.pop() {
+        if remaining[idx] == 0 {
+            continue;
+        }
+        remaining[idx] -= 1;
+        let st = &mut mounts[idx];
+        op(idx, st, &mut trace);
+        fnv_mix(&mut trace, st.agent.now().as_nanos());
+        if remaining[idx] > 0 {
+            let pause = think(&mut st.rng);
+            st.agent.sleep(pause);
+            heap.push(Reverse((st.agent.now().as_nanos(), idx)));
+        }
+    }
+    let end = mounts
+        .iter()
+        .map(|st| st.agent.now())
+        .fold(epoch, SimInstant::max);
+    (trace, end.duration_since(epoch))
+}
+
+/// Runs one fleet on `deployment`: populates every team's shared directory,
+/// then drives all mounts through their operation mix in virtual-time order.
+/// Every arrival, think time and popularity draw is a function of
+/// `cfg.seed` alone, so the same workload replays over any backend.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is inconsistent (a non-coordinated mode, no
 /// teams, fewer mounts than teams) or if the file system returns an error
 /// other than a write-lock conflict.
-pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
-    let env = SharedScfsEnv::new(cfg.backend, cfg.mode, cfg.seed);
-    run_fleet_in(&env, cfg)
-}
-
-/// Runs one fleet on an **existing** shared environment — the hook that
-/// lets harnesses drive the same workload over a custom backend (e.g. a
-/// placement-aware cloud-of-clouds over [`crate::setup::MatrixEnv`]) while
-/// keeping every arrival, think time and popularity draw identical to
-/// [`run_fleet`]. `cfg.backend` is ignored; `env.mode` must match
-/// `cfg.mode`.
-///
-/// # Panics
-///
-/// Same contract as [`run_fleet`].
-pub fn run_fleet_in(env: &SharedScfsEnv, cfg: &FleetConfig) -> FleetReport {
+pub fn run_fleet(deployment: &Deployment, cfg: &FleetConfig) -> FleetReport {
     assert!(
-        cfg.mode.uses_coordination(),
+        cfg.scfs.mode.uses_coordination(),
         "the fleet shares directories; Mode::NonSharing cannot"
     );
     assert!(cfg.teams > 0, "need at least one team");
@@ -262,7 +314,7 @@ pub fn run_fleet_in(env: &SharedScfsEnv, cfg: &FleetConfig) -> FleetReport {
     // (foreground and background), so all population writes are visible.
     let mut epoch = SimInstant::EPOCH;
     for team in 0..cfg.teams {
-        let mut writer = env.mount(
+        let mut writer = deployment.mount(
             &format!("team{team}"),
             cfg.scfs.clone(),
             cfg.seed.wrapping_add(0x5EED).wrapping_add(team as u64),
@@ -282,116 +334,85 @@ pub fn run_fleet_in(env: &SharedScfsEnv, cfg: &FleetConfig) -> FleetReport {
 
     // Mount the fleet: team accounts are shared, so every mount of a team
     // sees the team's files without per-file ACL grants (no ACL storm at
-    // 10⁴ mounts).
-    let zipf = Zipf::new(cfg.files_per_team, cfg.zipf_theta);
-    let mut mounts: Vec<MountState> = (0..cfg.mounts)
+    // 10⁴ mounts). A mount's state is its team.
+    let mut mounts: Vec<FleetMount<usize>> = (0..cfg.mounts)
         .map(|m| {
             let team = m % cfg.teams;
-            let mut agent = env.mount(
-                &format!("team{team}"),
-                cfg.scfs.clone(),
-                cfg.seed.wrapping_add(0xA11CE).wrapping_add(m as u64),
-            );
-            let mut rng = DetRng::new(cfg.seed ^ (m as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            // Deterministic staggered arrival after the population epoch.
-            let arrival =
-                epoch
-                    .duration_since(agent.now())
-                    .saturating_add(SimDuration::from_secs_f64(
-                        rng.exponential(cfg.mean_think.as_secs_f64()),
-                    ));
-            agent.sleep(arrival);
-            MountState {
-                agent,
+            let (seed, rng) = mount_seeds(cfg.seed, m);
+            FleetMount {
+                agent: deployment.mount(&format!("team{team}"), cfg.scfs.clone(), seed),
                 rng,
-                team,
-                remaining: cfg.ops_per_mount,
+                state: team,
             }
         })
         .collect();
 
-    // Event loop: always advance the mount with the earliest virtual clock,
-    // so cross-mount interleaving (cache reuse, lock contention) happens in
-    // virtual-time order regardless of fleet size.
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = mounts
-        .iter()
-        .enumerate()
-        .map(|(idx, st)| Reverse((st.agent.now().as_nanos(), idx)))
-        .collect();
+    let zipf = Zipf::new(cfg.files_per_team, cfg.zipf_theta);
     let mut recorder = OpRecorder::new();
     let (mut reads, mut writes, mut lock_conflicts) = (0u64, 0u64, 0u64);
-    let mut trace_hash = 0xcbf2_9ce4_8422_2325u64;
     let edit_len = 4096.min(cfg.file_size.get() as usize).max(1);
 
-    while let Some(Reverse((_, idx))) = heap.pop() {
-        let st = &mut mounts[idx];
-        if st.remaining == 0 {
-            continue;
-        }
-        st.remaining -= 1;
-        let file = zipf.sample(&mut st.rng);
-        let path = shared_path(st.team, file);
-        let is_read = st.rng.chance(cfg.read_fraction);
-        if is_read {
+    let (trace_hash, makespan) = drive(
+        &mut mounts,
+        epoch,
+        cfg.ops_per_mount,
+        cfg.mean_think,
+        |idx, st, trace| {
+            let file = zipf.sample(&mut st.rng);
+            let path = shared_path(st.state, file);
+            let is_read = st.rng.chance(cfg.read_fraction);
             let t0 = st.agent.now();
-            let handle = st
-                .agent
-                .open(&path, OpenFlags::read_only())
-                .expect("populated files open for read");
-            let t1 = st.agent.now();
-            let size = st.agent.handle_size(handle).expect("open handle");
-            let data = st.agent.read(handle, 0, size as usize).expect("read");
-            assert_eq!(data.len() as u64, size, "short read of {path}");
-            let t2 = st.agent.now();
-            st.agent.close(handle).expect("close clean handle");
-            let t3 = st.agent.now();
-            recorder.record("open", t1.duration_since(t0));
-            recorder.record("read", t2.duration_since(t1));
-            recorder.record("close_clean", t3.duration_since(t2));
-            reads += 1;
-            fnv_mix(&mut trace_hash, idx as u64);
-            fnv_mix(&mut trace_hash, 1);
-        } else {
-            let t0 = st.agent.now();
-            match st.agent.open(&path, OpenFlags::read_write()) {
-                Ok(handle) => {
-                    let t1 = st.agent.now();
-                    let edit = st.rng.bytes(edit_len);
-                    st.agent.write(handle, 0, &edit).expect("write open handle");
-                    let t2 = st.agent.now();
-                    st.agent.close(handle).expect("commit edited file");
-                    let t3 = st.agent.now();
-                    recorder.record("open", t1.duration_since(t0));
-                    recorder.record("write", t2.duration_since(t1));
-                    recorder.record("close_commit", t3.duration_since(t2));
-                    writes += 1;
-                    fnv_mix(&mut trace_hash, idx as u64);
-                    fnv_mix(&mut trace_hash, 2);
+            // What happened, as the trace hash spells it.
+            let outcome = if is_read {
+                let handle = st
+                    .agent
+                    .open(&path, OpenFlags::read_only())
+                    .expect("populated files open for read");
+                let t1 = st.agent.now();
+                let size = st.agent.handle_size(handle).expect("open handle");
+                let data = st.agent.read(handle, 0, size as usize).expect("read");
+                assert_eq!(data.len() as u64, size, "short read of {path}");
+                let t2 = st.agent.now();
+                st.agent.close(handle).expect("close clean handle");
+                let t3 = st.agent.now();
+                recorder.record("open", t1.duration_since(t0));
+                recorder.record("read", t2.duration_since(t1));
+                recorder.record("close_clean", t3.duration_since(t2));
+                reads += 1;
+                1
+            } else {
+                match st.agent.open(&path, OpenFlags::read_write()) {
+                    Ok(handle) => {
+                        let t1 = st.agent.now();
+                        let edit = st.rng.bytes(edit_len);
+                        st.agent.write(handle, 0, &edit).expect("write open handle");
+                        let t2 = st.agent.now();
+                        st.agent.close(handle).expect("commit edited file");
+                        let t3 = st.agent.now();
+                        recorder.record("open", t1.duration_since(t0));
+                        recorder.record("write", t2.duration_since(t1));
+                        recorder.record("close_commit", t3.duration_since(t2));
+                        writes += 1;
+                        2
+                    }
+                    Err(ScfsError::Locked { .. }) => {
+                        // Another mount is committing this hot file: count
+                        // the conflict and move on (the app-level retry is a
+                        // fresh arrival).
+                        lock_conflicts += 1;
+                        3
+                    }
+                    Err(e) => panic!("fleet write open failed: {e}"),
                 }
-                Err(ScfsError::Locked { .. }) => {
-                    // Another mount is committing this hot file: count the
-                    // conflict and move on (the app-level retry is a fresh
-                    // arrival).
-                    lock_conflicts += 1;
-                    fnv_mix(&mut trace_hash, idx as u64);
-                    fnv_mix(&mut trace_hash, 3);
-                }
-                Err(e) => panic!("fleet write open failed: {e}"),
-            }
-        }
-        fnv_mix(&mut trace_hash, file as u64);
-        fnv_mix(&mut trace_hash, st.agent.now().as_nanos());
-        if st.remaining > 0 {
-            let think =
-                SimDuration::from_secs_f64(st.rng.exponential(cfg.mean_think.as_secs_f64()));
-            st.agent.sleep(think);
-            heap.push(Reverse((st.agent.now().as_nanos(), idx)));
-        }
-    }
+            };
+            fnv_mix(trace, idx as u64);
+            fnv_mix(trace, outcome);
+            fnv_mix(trace, file as u64);
+        },
+    );
 
     // Aggregate.
     let mut cache = TieredStats::default();
-    let mut end = epoch;
     let (mut bytes_down, mut bytes_up, mut cloud_downloads, mut chunk_downloads, mut cache_reads) =
         (0u64, 0u64, 0u64, 0u64, 0u64);
     for st in &mounts {
@@ -402,14 +423,13 @@ pub fn run_fleet_in(env: &SharedScfsEnv, cfg: &FleetConfig) -> FleetReport {
         cloud_downloads += stats.cloud_downloads;
         chunk_downloads += stats.chunk_downloads;
         cache_reads += stats.cache_served_reads;
-        end = end.max(st.agent.now());
     }
     FleetReport {
         mounts: cfg.mounts,
         reads,
         writes,
         lock_conflicts,
-        makespan: end.duration_since(epoch),
+        makespan,
         recorder,
         cache,
         bytes_downloaded: bytes_down,
@@ -475,13 +495,6 @@ enum MetadataOp {
 /// Configuration of one metadata-heavy fleet run over the sharded plane.
 #[derive(Debug, Clone)]
 pub struct MetadataFleetConfig {
-    /// Storage backend (data-path traffic is negligible here, but files
-    /// still live somewhere).
-    pub backend: Backend,
-    /// SCFS operation mode (must use coordination).
-    pub mode: Mode,
-    /// The coordination plane's `shards × replicas` topology.
-    pub topology: ShardTopology,
     /// Total simulated mounts (clients).
     pub mounts: usize,
     /// Teams for the overlapping-directory variant (ignored when
@@ -501,25 +514,21 @@ pub struct MetadataFleetConfig {
     pub zipf_theta: f64,
     /// Mean think time between a mount's operations.
     pub mean_think: SimDuration,
-    /// The agent configuration every mount uses. Set
-    /// `metadata_cache_expiry` to zero so every `stat` actually reaches the
-    /// coordination plane — with the 500 ms paper cache, a metadata storm
-    /// mostly measures the client cache instead.
+    /// The agent configuration every mount uses; its mode must use
+    /// coordination. Set `metadata_cache_expiry` to zero so every `stat`
+    /// actually reaches the coordination plane — with the 500 ms paper
+    /// cache, a metadata storm mostly measures the client cache instead.
     pub scfs: ScfsConfig,
     /// Master seed: same seed, same trace.
     pub seed: u64,
 }
 
 impl MetadataFleetConfig {
-    /// A small, fast configuration (CI smoke and unit tests) over `shards`
-    /// instantaneous register groups.
-    pub fn smoke(shards: usize) -> Self {
+    /// A small, fast configuration (CI smoke and unit tests).
+    pub fn smoke() -> Self {
         let mut scfs = ScfsConfig::test(Mode::Blocking);
         scfs.metadata_cache_expiry = SimDuration::ZERO;
         MetadataFleetConfig {
-            backend: Backend::Aws,
-            mode: Mode::Blocking,
-            topology: ShardTopology::test(shards),
             mounts: 12,
             teams: 3,
             files_per_dir: 8,
@@ -539,8 +548,6 @@ impl MetadataFleetConfig {
 pub struct MetadataFleetReport {
     /// Mounts simulated.
     pub mounts: usize,
-    /// Shards of the coordination plane.
-    pub shards: usize,
     /// `stat` calls executed.
     pub stats: u64,
     /// `open`+`close` pairs executed.
@@ -578,11 +585,9 @@ impl MetadataFleetReport {
     }
 }
 
-struct MetadataMountState {
-    agent: ScfsAgent,
-    rng: DetRng,
+/// What a metadata-fleet mount remembers between operations.
+struct MetadataHome {
     dir: String,
-    remaining: usize,
     dirs_made: usize,
     own_version: usize,
 }
@@ -597,18 +602,22 @@ fn metadata_home(cfg: &MetadataFleetConfig, mount: usize) -> (String, String) {
     }
 }
 
-/// Runs one metadata-heavy fleet: populates every working directory, then
-/// drives all mounts through stat/open/mkdir/rename storms in virtual-time
-/// order over the sharded coordination plane.
+/// Runs one metadata-heavy fleet on `deployment` (the coordination plane is
+/// the system under test — build it with [`crate::setup::Plane::Sharded`] to
+/// measure shard scaling): populates every working directory, then drives
+/// all mounts through stat/open/mkdir/rename storms in virtual-time order.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is inconsistent (a non-coordinated mode, no
 /// mounts, no files) or if the file system returns an error other than a
 /// lock conflict.
-pub fn run_fleet_metadata(cfg: &MetadataFleetConfig) -> MetadataFleetReport {
+pub fn run_fleet_metadata(
+    deployment: &Deployment,
+    cfg: &MetadataFleetConfig,
+) -> MetadataFleetReport {
     assert!(
-        cfg.mode.uses_coordination(),
+        cfg.scfs.mode.uses_coordination(),
         "the metadata plane is the system under test; Mode::NonSharing bypasses it"
     );
     assert!(cfg.mounts > 0, "need at least one mount");
@@ -618,21 +627,16 @@ pub fn run_fleet_metadata(cfg: &MetadataFleetConfig) -> MetadataFleetReport {
         "overlapping directories need at least one team"
     );
 
-    let env = SharedScfsEnv::with_topology(cfg.backend, cfg.mode, cfg.topology.clone(), cfg.seed);
-
     // Population: each mount mounts its account; the owner of each working
     // directory (every mount when disjoint, the first mount of each team
     // when overlapping) creates the stat/open targets, and every mount
     // creates the private file its renames will churn.
     let mut epoch = SimInstant::EPOCH;
-    let mut mounts: Vec<MetadataMountState> = (0..cfg.mounts)
+    let mut mounts: Vec<FleetMount<MetadataHome>> = (0..cfg.mounts)
         .map(|m| {
             let (account, dir) = metadata_home(cfg, m);
-            let mut agent = env.mount(
-                &account,
-                cfg.scfs.clone(),
-                cfg.seed.wrapping_add(0xA11CE).wrapping_add(m as u64),
-            );
+            let (seed, rng) = mount_seeds(cfg.seed, m);
+            let mut agent = deployment.mount(&account, cfg.scfs.clone(), seed);
             let populates_dir = cfg.disjoint_dirs || m < cfg.teams;
             if populates_dir {
                 // `mkdir` (unlike `write_file`) checks its parent, so the
@@ -652,118 +656,92 @@ pub fn run_fleet_metadata(cfg: &MetadataFleetConfig) -> MetadataFleetReport {
                 .write_file(&format!("{dir}/own_m{m}_v0"), &file_payload(m, !0, 64))
                 .expect("private file creation cannot conflict");
             epoch = epoch.max(agent.now()).max(agent.background_drain_instant());
-            let rng = DetRng::new(cfg.seed ^ (m as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            MetadataMountState {
+            FleetMount {
                 agent,
                 rng,
-                dir,
-                remaining: cfg.ops_per_mount,
-                dirs_made: 0,
-                own_version: 0,
+                state: MetadataHome {
+                    dir,
+                    dirs_made: 0,
+                    own_version: 0,
+                },
             }
         })
         .collect();
     let epoch = epoch + SimDuration::from_secs(1);
 
-    // Staggered arrivals past the population epoch.
-    for st in mounts.iter_mut() {
-        let arrival =
-            epoch
-                .duration_since(st.agent.now())
-                .saturating_add(SimDuration::from_secs_f64(
-                    st.rng.exponential(cfg.mean_think.as_secs_f64()),
-                ));
-        st.agent.sleep(arrival);
-    }
-
     let zipf = Zipf::new(cfg.files_per_dir, cfg.zipf_theta);
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = mounts
-        .iter()
-        .enumerate()
-        .map(|(idx, st)| Reverse((st.agent.now().as_nanos(), idx)))
-        .collect();
     let mut recorder = OpRecorder::new();
     let (mut stats, mut opens, mut mkdirs, mut renames, mut conflicts) =
         (0u64, 0u64, 0u64, 0u64, 0u64);
-    let mut trace_hash = 0xcbf2_9ce4_8422_2325u64;
 
-    while let Some(Reverse((_, idx))) = heap.pop() {
-        let st = &mut mounts[idx];
-        if st.remaining == 0 {
-            continue;
-        }
-        st.remaining -= 1;
-        let op = cfg.mix.draw(&mut st.rng);
-        let t0 = st.agent.now();
-        match op {
-            MetadataOp::Stat => {
-                let file = zipf.sample(&mut st.rng);
-                let path = format!("{}/f{file}", st.dir);
-                st.agent.stat(&path).expect("populated files stat");
-                recorder.record("stat", st.agent.now().duration_since(t0));
-                stats += 1;
-                fnv_mix(&mut trace_hash, file as u64);
-            }
-            MetadataOp::Open => {
-                let file = zipf.sample(&mut st.rng);
-                let path = format!("{}/f{file}", st.dir);
-                let handle = st
-                    .agent
-                    .open(&path, OpenFlags::read_only())
-                    .expect("populated files open for read");
-                st.agent.close(handle).expect("close clean handle");
-                recorder.record("open", st.agent.now().duration_since(t0));
-                opens += 1;
-                fnv_mix(&mut trace_hash, file as u64);
-            }
-            MetadataOp::Mkdir => {
-                let path = format!("{}/m{idx}_d{}", st.dir, st.dirs_made);
-                st.dirs_made += 1;
-                st.agent.mkdir(&path).expect("fresh directory names");
-                recorder.record("mkdir", st.agent.now().duration_since(t0));
-                mkdirs += 1;
-                fnv_mix(&mut trace_hash, st.dirs_made as u64);
-            }
-            MetadataOp::Rename => {
-                let from = format!("{}/own_m{idx}_v{}", st.dir, st.own_version);
-                let to = format!("{}/own_m{idx}_v{}", st.dir, st.own_version + 1);
-                match st.agent.rename(&from, &to) {
-                    Ok(()) => {
-                        st.own_version += 1;
-                        recorder.record("rename", st.agent.now().duration_since(t0));
-                        renames += 1;
-                    }
-                    Err(ScfsError::Locked { .. }) => conflicts += 1,
-                    Err(e) => panic!("metadata fleet rename failed: {e}"),
+    let (trace_hash, makespan) = drive(
+        &mut mounts,
+        epoch,
+        cfg.ops_per_mount,
+        cfg.mean_think,
+        |idx, st, trace| {
+            let FleetMount {
+                agent,
+                rng,
+                state: home,
+            } = st;
+            let op = cfg.mix.draw(rng);
+            let t0 = agent.now();
+            match op {
+                MetadataOp::Stat => {
+                    let file = zipf.sample(rng);
+                    let path = format!("{}/f{file}", home.dir);
+                    agent.stat(&path).expect("populated files stat");
+                    recorder.record("stat", agent.now().duration_since(t0));
+                    stats += 1;
+                    fnv_mix(trace, file as u64);
                 }
-                fnv_mix(&mut trace_hash, st.own_version as u64);
+                MetadataOp::Open => {
+                    let file = zipf.sample(rng);
+                    let path = format!("{}/f{file}", home.dir);
+                    let handle = agent
+                        .open(&path, OpenFlags::read_only())
+                        .expect("populated files open for read");
+                    agent.close(handle).expect("close clean handle");
+                    recorder.record("open", agent.now().duration_since(t0));
+                    opens += 1;
+                    fnv_mix(trace, file as u64);
+                }
+                MetadataOp::Mkdir => {
+                    let path = format!("{}/m{idx}_d{}", home.dir, home.dirs_made);
+                    home.dirs_made += 1;
+                    agent.mkdir(&path).expect("fresh directory names");
+                    recorder.record("mkdir", agent.now().duration_since(t0));
+                    mkdirs += 1;
+                    fnv_mix(trace, home.dirs_made as u64);
+                }
+                MetadataOp::Rename => {
+                    let from = format!("{}/own_m{idx}_v{}", home.dir, home.own_version);
+                    let to = format!("{}/own_m{idx}_v{}", home.dir, home.own_version + 1);
+                    match agent.rename(&from, &to) {
+                        Ok(()) => {
+                            home.own_version += 1;
+                            recorder.record("rename", agent.now().duration_since(t0));
+                            renames += 1;
+                        }
+                        Err(ScfsError::Locked { .. }) => conflicts += 1,
+                        Err(e) => panic!("metadata fleet rename failed: {e}"),
+                    }
+                    fnv_mix(trace, home.own_version as u64);
+                }
             }
-        }
-        fnv_mix(&mut trace_hash, idx as u64);
-        fnv_mix(&mut trace_hash, st.agent.now().as_nanos());
-        if st.remaining > 0 {
-            let think =
-                SimDuration::from_secs_f64(st.rng.exponential(cfg.mean_think.as_secs_f64()));
-            st.agent.sleep(think);
-            heap.push(Reverse((st.agent.now().as_nanos(), idx)));
-        }
-    }
+            fnv_mix(trace, idx as u64);
+        },
+    );
 
-    let end = mounts
-        .iter()
-        .map(|st| st.agent.now())
-        .max()
-        .unwrap_or(epoch)
-        .max(epoch);
     MetadataFleetReport {
         mounts: cfg.mounts,
-        shards: cfg.topology.shards,
         stats,
         opens,
         mkdirs,
         renames,
         conflicts,
-        makespan: end.duration_since(epoch),
+        makespan,
         recorder,
         trace_hash,
     }
@@ -772,6 +750,16 @@ pub fn run_fleet_metadata(cfg: &MetadataFleetConfig) -> MetadataFleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::setup::{Backend, Plane};
+    use coord::sharded::ShardTopology;
+
+    /// The single-cloud paper deployment over `shards` instantaneous
+    /// register groups.
+    fn sharded(shards: usize, seed: u64) -> Deployment {
+        Deployment::on(Backend::Aws)
+            .plane(Plane::Sharded(ShardTopology::test(shards)))
+            .build(seed)
+    }
 
     #[test]
     fn zipf_head_is_hotter_than_tail() {
@@ -815,12 +803,12 @@ mod tests {
 
     #[test]
     fn smoke_fleet_runs_and_reports() {
-        let mut cfg = FleetConfig::smoke(Backend::Aws);
+        let mut cfg = FleetConfig::smoke();
         cfg.mounts = 12;
         cfg.teams = 3;
         cfg.files_per_team = 8;
         cfg.ops_per_mount = 4;
-        let report = run_fleet(&cfg);
+        let report = run_fleet(&Deployment::paper(Backend::Aws, cfg.seed), &cfg);
         assert_eq!(report.mounts, 12);
         assert_eq!(
             report.reads + report.writes + report.lock_conflicts,
@@ -852,10 +840,9 @@ mod tests {
 
     #[test]
     fn metadata_smoke_runs_and_records_per_op_classes() {
-        let cfg = MetadataFleetConfig::smoke(2);
-        let report = run_fleet_metadata(&cfg);
+        let cfg = MetadataFleetConfig::smoke();
+        let report = run_fleet_metadata(&sharded(2, cfg.seed), &cfg);
         assert_eq!(report.mounts, 12);
-        assert_eq!(report.shards, 2);
         assert_eq!(
             report.ops_executed() + report.conflicts,
             (cfg.mounts * cfg.ops_per_mount) as u64
@@ -874,9 +861,9 @@ mod tests {
 
     #[test]
     fn metadata_overlapping_dirs_share_team_directories() {
-        let mut cfg = MetadataFleetConfig::smoke(2);
+        let mut cfg = MetadataFleetConfig::smoke();
         cfg.disjoint_dirs = false;
-        let report = run_fleet_metadata(&cfg);
+        let report = run_fleet_metadata(&sharded(2, cfg.seed), &cfg);
         assert_eq!(
             report.ops_executed() + report.conflicts,
             (cfg.mounts * cfg.ops_per_mount) as u64
@@ -886,9 +873,9 @@ mod tests {
 
     #[test]
     fn metadata_fleet_is_deterministic() {
-        let cfg = MetadataFleetConfig::smoke(3);
-        let a = run_fleet_metadata(&cfg);
-        let b = run_fleet_metadata(&cfg);
+        let cfg = MetadataFleetConfig::smoke();
+        let a = run_fleet_metadata(&sharded(3, cfg.seed), &cfg);
+        let b = run_fleet_metadata(&sharded(3, cfg.seed), &cfg);
         assert_eq!(a.trace_hash, b.trace_hash);
         assert_eq!(a.makespan, b.makespan);
         assert_eq!(a.ops_executed(), b.ops_executed());

@@ -18,7 +18,7 @@ use sim_core::time::SimDuration;
 use sim_core::units::Bytes;
 
 use crate::results::{fmt_secs, Table};
-use crate::setup::{Backend, SharedScfsEnv};
+use crate::setup::{Backend, Deployment};
 
 /// The systems compared in Figure 9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,9 +91,10 @@ pub fn measure_sharing(
                 SharingSystem::AwsNonBlocking => (Backend::Aws, Mode::NonBlocking),
                 SharingSystem::Dropbox => unreachable!(),
             };
-            let env = SharedScfsEnv::new(backend, mode, seed);
-            let mut writer = env.mount("alice", ScfsConfig::paper_default(mode), seed);
-            let mut reader = env.mount("bob", ScfsConfig::paper_default(mode), seed ^ 0xBEEF);
+            let deployment = Deployment::paper(backend, seed);
+            let mut writer = deployment.mount("alice", ScfsConfig::paper_default(mode), seed);
+            let mut reader =
+                deployment.mount("bob", ScfsConfig::paper_default(mode), seed ^ 0xBEEF);
             let mut rng = DetRng::new(seed ^ 0xF00D);
             let path = "/shared/exchange.bin";
 

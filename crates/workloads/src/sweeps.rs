@@ -104,7 +104,7 @@ fn run_create_copy(
 pub fn metadata_cache_point(expiry: SimDuration, cfg: SweepConfig, seed: u64) -> SweepPoint {
     let mut config = ScfsConfig::paper_default(Mode::NonBlocking);
     config.metadata_cache_expiry = expiry;
-    let mut fs = build_scfs(Backend::CloudOfClouds, Mode::NonBlocking, config, seed);
+    let mut fs = build_scfs(Backend::CloudOfClouds, config, seed);
     run_create_copy(&mut fs, cfg, 1.0, seed)
 }
 
@@ -113,7 +113,7 @@ pub fn metadata_cache_point(expiry: SimDuration, cfg: SweepConfig, seed: u64) ->
 pub fn pns_sharing_point(shared_fraction: f64, cfg: SweepConfig, seed: u64) -> SweepPoint {
     let mut config = ScfsConfig::paper_default(Mode::NonBlocking);
     config.private_name_spaces = true;
-    let mut fs = build_scfs(Backend::CloudOfClouds, Mode::NonBlocking, config, seed);
+    let mut fs = build_scfs(Backend::CloudOfClouds, config, seed);
     run_create_copy(&mut fs, cfg, shared_fraction, seed)
 }
 

@@ -16,8 +16,8 @@ use scfs_repro::sim_core::fault::FaultPlan;
 use scfs_repro::sim_core::time::SimDuration;
 use scfs_repro::sim_core::units::{Bytes, MicroDollars};
 use scfs_repro::workloads::costs::{figure11a, figure11b, figure11c};
-use scfs_repro::workloads::fleet::{run_fleet_in, FleetConfig};
-use scfs_repro::workloads::setup::{Backend, MatrixEnv};
+use scfs_repro::workloads::fleet::{run_fleet, FleetConfig};
+use scfs_repro::workloads::setup::{Backend, Deployment, Providers};
 
 /// Runs a small zipfian fleet over the matrix with one placement policy and
 /// returns dollars per user-month: operation/traffic ledgers scaled to 30
@@ -27,7 +27,7 @@ fn fleet_dollars_per_user_month(
     policy: PolicyKind,
     flaky_faults: bool,
 ) -> f64 {
-    let mut cfg = FleetConfig::smoke(Backend::CloudOfClouds);
+    let mut cfg = FleetConfig::smoke();
     cfg.mounts = 12;
     cfg.teams = 3;
     cfg.files_per_team = 8;
@@ -35,11 +35,14 @@ fn fleet_dollars_per_user_month(
     cfg.mean_think = SimDuration::from_secs(20);
     cfg.scfs = ScfsConfig::test(Mode::Blocking).with_cache_capacities(Bytes::new(1), Bytes::new(1));
     cfg.seed = 0xC057;
-    let menv = MatrixEnv::coc_matrix(profiles, policy, 3, 2, cfg.mode, cfg.seed);
+    let menv = Deployment::on(Backend::CloudOfClouds)
+        .providers(Providers::Explicit(profiles))
+        .placement(policy, 3, 2)
+        .build(cfg.seed);
     if flaky_faults {
         menv.clouds[2].set_fault_plan(FaultPlan::flaky(0.04), cfg.seed);
     }
-    let report = run_fleet_in(&menv.env, &cfg);
+    let report = run_fleet(&menv, &cfg);
     let month_factor = 30.0 * 86_400.0 / report.makespan.as_secs_f64().max(1.0);
     let ops: f64 = menv
         .clouds

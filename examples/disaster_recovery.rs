@@ -4,48 +4,19 @@
 //!
 //! Run with: `cargo run --example disaster_recovery`
 
-use std::sync::Arc;
-
-use scfs_repro::cloud_store::providers::ProviderSet;
-use scfs_repro::cloud_store::sim_cloud::SimulatedCloud;
-use scfs_repro::cloud_store::store::ObjectStore;
-use scfs_repro::coord::replication::{ReplicatedCoordinator, ReplicationConfig};
-use scfs_repro::coord::service::CoordinationService;
-use scfs_repro::depsky::config::DepSkyConfig;
-use scfs_repro::depsky::register::DepSkyClient;
-use scfs_repro::scfs::agent::ScfsAgent;
-use scfs_repro::scfs::backend::CloudOfCloudsStorage;
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::sim_core::fault::FaultPlan;
 use scfs_repro::sim_core::time::SimInstant;
+use scfs_repro::workloads::setup::{Backend, Deployment};
 
 fn main() {
-    // Keep handles to the concrete simulated clouds so we can break them.
-    let sims: Vec<Arc<SimulatedCloud>> = ProviderSet::coc_storage_backend()
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| Arc::new(SimulatedCloud::new(p, i as u64)))
-        .collect();
-    let clouds: Vec<Arc<dyn ObjectStore>> = sims
-        .iter()
-        .map(|c| c.clone() as Arc<dyn ObjectStore>)
-        .collect();
-    let depsky = DepSkyClient::new(clouds, DepSkyConfig::scfs_default(), 11).expect("depsky");
-    let storage = Arc::new(CloudOfCloudsStorage::new(depsky));
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(
-        ReplicatedCoordinator::new(ReplicationConfig::coc_byzantine(), 11)
-            .expect("coc_byzantine is a consistent configuration"),
-    );
+    // The paper's cloud-of-clouds deployment; it keeps handles to the
+    // concrete simulated clouds so we can break them.
+    let deployment = Deployment::paper(Backend::CloudOfClouds, 11);
+    let sims = &deployment.clouds;
 
-    let mut fs = ScfsAgent::mount(
-        "ops-team".into(),
-        ScfsConfig::paper_default(Mode::Blocking),
-        storage.clone(),
-        Some(coordinator.clone()),
-        11,
-    )
-    .expect("mount");
+    let mut fs = deployment.mount("ops-team", ScfsConfig::paper_default(Mode::Blocking), 11);
 
     // Back up the critical files.
     let backup = vec![0x42u8; 512 * 1024];
@@ -77,14 +48,7 @@ fn main() {
 
     // Recovery drill: a brand-new agent (fresh machine, empty caches)
     // restores the backup; it must read through the remaining healthy quorum.
-    let mut recovery = ScfsAgent::mount(
-        "ops-team".into(),
-        ScfsConfig::paper_default(Mode::Blocking),
-        storage,
-        Some(coordinator),
-        12,
-    )
-    .expect("mount recovery agent");
+    let mut recovery = deployment.mount("ops-team", ScfsConfig::paper_default(Mode::Blocking), 12);
     recovery.sleep(fs.now().duration_since(recovery.now()));
     let restored = recovery
         .read_file("/backups/customer-db.dump")

@@ -17,7 +17,7 @@ fn main() {
     let mut config = ScfsConfig::paper_default(Mode::NonSharing);
     config.gc.written_bytes_threshold = Bytes::mib(1);
     config.gc.versions_to_keep = 2;
-    let mut fs = build_scfs(Backend::CloudOfClouds, Mode::NonSharing, config, 99);
+    let mut fs = build_scfs(Backend::CloudOfClouds, config, 99);
 
     // A desktop session: the user keeps saving the same documents.
     for revision in 1..=8u8 {

@@ -3,37 +3,18 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use std::sync::Arc;
-
-use scfs_repro::cloud_store::providers::ProviderProfile;
-use scfs_repro::cloud_store::sim_cloud::SimulatedCloud;
-use scfs_repro::coord::replication::{ReplicatedCoordinator, ReplicationConfig};
-use scfs_repro::coord::service::CoordinationService;
-use scfs_repro::scfs::agent::ScfsAgent;
-use scfs_repro::scfs::backend::SingleCloudStorage;
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::fs::FileSystem;
+use scfs_repro::workloads::setup::{Backend, Deployment};
 
 fn main() {
     // 1. The backend: one simulated Amazon S3 (WAN latency, eventual
     //    consistency, 2014 price book) and one coordination-service instance
     //    in EC2 — the paper's "AWS backend".
-    let cloud = Arc::new(SimulatedCloud::new(ProviderProfile::amazon_s3(), 1));
-    let storage = Arc::new(SingleCloudStorage::new(cloud.clone()));
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(
-        ReplicatedCoordinator::new(ReplicationConfig::aws_single_ec2(), 1)
-            .expect("aws_single_ec2 is a consistent configuration"),
-    );
+    let deployment = Deployment::paper(Backend::Aws, 1);
 
     // 2. Mount the agent in blocking mode (full consistency-on-close).
-    let mut fs = ScfsAgent::mount(
-        "alice".into(),
-        ScfsConfig::paper_default(Mode::Blocking),
-        storage,
-        Some(coordinator),
-        42,
-    )
-    .expect("mount SCFS");
+    let mut fs = deployment.mount("alice", ScfsConfig::paper_default(Mode::Blocking), 42);
 
     // 3. Use it like a file system.
     fs.mkdir("/docs").expect("mkdir");
@@ -58,7 +39,7 @@ fn main() {
     println!("virtual time elapsed: {}", fs.now());
     println!(
         "cloud charges for alice so far: {}",
-        cloud.ledger().total_for(&"alice".into())
+        deployment.clouds[0].ledger().total_for(&"alice".into())
     );
     println!("agent stats: {:?}", fs.stats());
 }

@@ -9,12 +9,12 @@ use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::scfs::types::OpenFlags;
 use scfs_repro::sim_core::time::SimDuration;
-use scfs_repro::workloads::setup::{Backend, SharedScfsEnv};
+use scfs_repro::workloads::setup::{Backend, Deployment};
 
 fn main() {
     // One shared environment (cloud-of-clouds backend + BFT coordination
     // service), two agents mounted by two different users.
-    let env = SharedScfsEnv::new(Backend::CloudOfClouds, Mode::Blocking, 7);
+    let env = Deployment::paper(Backend::CloudOfClouds, 7);
     let mut alice = env.mount("alice", ScfsConfig::paper_default(Mode::Blocking), 1);
     let mut bob = env.mount("bob", ScfsConfig::paper_default(Mode::Blocking), 2);
 

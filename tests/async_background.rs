@@ -9,7 +9,7 @@ use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::durability::DurabilityLevel;
 use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::sim_core::time::SimDuration;
-use scfs_repro::workloads::setup::{Backend, SharedScfsEnv};
+use scfs_repro::workloads::setup::{Backend, Deployment};
 
 /// `n` distinct 1 MiB chunks, tagged by `tag` so two files never dedup into
 /// each other.
@@ -28,8 +28,8 @@ fn distinct_chunks(n: usize, tag: u8) -> Vec<u8> {
 /// serialized them, making the drain exactly the sum).
 #[test]
 fn non_blocking_closes_of_different_files_overlap_in_virtual_time() {
-    let env = SharedScfsEnv::new(Backend::Aws, Mode::NonBlocking, 41);
-    let mut fs = env.mount_default("alice", 1);
+    let env = Deployment::paper(Backend::Aws, 41);
+    let mut fs = env.mount("alice", ScfsConfig::paper_default(Mode::NonBlocking), 1);
 
     let start = fs.now();
     fs.write_file("/docs/a.bin", &distinct_chunks(8, 0x00))
@@ -62,7 +62,7 @@ fn non_blocking_closes_of_different_files_overlap_in_virtual_time() {
 /// upload of an unrelated big file.
 #[test]
 fn setfacl_after_pending_uploads_waits_per_object() {
-    let env = SharedScfsEnv::new(Backend::Aws, Mode::NonBlocking, 43);
+    let env = Deployment::paper(Backend::Aws, 43);
     let mut config = ScfsConfig::paper_default(Mode::NonBlocking);
     // Sequential transfers keep the big upload long relative to foreground.
     config.max_parallel_transfers = 1;
@@ -85,7 +85,7 @@ fn setfacl_after_pending_uploads_waits_per_object() {
     );
 
     // The grant itself is fully committed and visible to the grantee.
-    let mut bob = env.mount_default("bob", 2);
+    let mut bob = env.mount("bob", ScfsConfig::paper_default(Mode::NonBlocking), 2);
     bob.sleep(alice.now().duration_since(bob.now()) + SimDuration::from_secs(1));
     assert_eq!(bob.read_file("/shared/small.txt").unwrap(), b"tiny");
 }
@@ -96,9 +96,9 @@ fn setfacl_after_pending_uploads_waits_per_object() {
 /// drain horizon.
 #[test]
 fn second_mount_of_the_same_account_waits_on_the_surfaced_token() {
-    let env = SharedScfsEnv::new(Backend::Aws, Mode::NonBlocking, 47);
-    let mut mount_a = env.mount_default("alice", 1);
-    let mut mount_b = env.mount_default("alice", 2);
+    let env = Deployment::paper(Backend::Aws, 47);
+    let mut mount_a = env.mount("alice", ScfsConfig::paper_default(Mode::NonBlocking), 1);
+    let mut mount_b = env.mount("alice", ScfsConfig::paper_default(Mode::NonBlocking), 2);
 
     let data = distinct_chunks(4, 0x11);
     mount_a.write_file("/work/report.bin", &data).unwrap();
@@ -122,8 +122,8 @@ fn sync_reports_the_backend_durability_level() {
         (Backend::Aws, DurabilityLevel::SingleCloud),
         (Backend::CloudOfClouds, DurabilityLevel::CloudOfClouds),
     ] {
-        let env = SharedScfsEnv::new(backend, Mode::NonBlocking, 53);
-        let mut fs = env.mount_default("alice", 1);
+        let env = Deployment::paper(backend, 53);
+        let mut fs = env.mount("alice", ScfsConfig::paper_default(Mode::NonBlocking), 1);
         fs.write_file("/f", &distinct_chunks(2, 0x22)).unwrap();
         let token = fs.upload_token("/f").expect("pending upload");
         assert_eq!(*token.value(), level);
@@ -143,8 +143,8 @@ fn sync_reports_the_backend_durability_level() {
 #[test]
 fn copy_file_moves_zero_chunks_on_both_backends() {
     for backend in [Backend::Aws, Backend::CloudOfClouds] {
-        let env = SharedScfsEnv::new(backend, Mode::NonBlocking, 59);
-        let mut fs = env.mount_default("alice", 1);
+        let env = Deployment::paper(backend, 59);
+        let mut fs = env.mount("alice", ScfsConfig::paper_default(Mode::NonBlocking), 1);
         let data = distinct_chunks(4, 0x44);
         fs.write_file("/library/original.bin", &data).unwrap();
         let chunks_before = fs.stats().chunk_uploads;
@@ -163,7 +163,7 @@ fn copy_file_moves_zero_chunks_on_both_backends() {
         let token = fs.upload_token("/library/copy.bin").expect("copy pending");
         fs.setfacl("/library/copy.bin", &"bob".into(), Permission::Read)
             .unwrap();
-        let mut bob = env.mount_default("bob", 2);
+        let mut bob = env.mount("bob", ScfsConfig::paper_default(Mode::NonBlocking), 2);
         // The copy's version is visible from the token's ready instant; the
         // ACL grant commits at alice's post-setfacl clock.
         bob.wait_for(&token);

@@ -12,57 +12,29 @@
 //! * v1 (fixed-size) and v2 (extent-table) manifests both round-trip
 //!   through `encode`/`decode`, and decode rejects appended garbage.
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
-use scfs_repro::cloud_store::providers::ProviderSet;
-use scfs_repro::cloud_store::sim_cloud::SimulatedCloud;
-use scfs_repro::cloud_store::store::ObjectStore;
-use scfs_repro::coord::replication::ReplicatedCoordinator;
-use scfs_repro::coord::service::CoordinationService;
-use scfs_repro::depsky::config::DepSkyConfig;
-use scfs_repro::depsky::register::DepSkyClient;
 use scfs_repro::scfs::agent::ScfsAgent;
-use scfs_repro::scfs::backend::{CloudOfCloudsStorage, FileStorage, SingleCloudStorage};
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::scfs::types::{CdcParams, ChunkMap};
 use scfs_repro::sim_core::rng::DetRng;
 use scfs_repro::sim_core::units::Bytes;
 use scfs_repro::workloads::editsync::run_mid_file_insert;
+use scfs_repro::workloads::setup::{Backend, Deployment};
 
 const MIB: usize = 1 << 20;
 
-fn aws_storage() -> Arc<dyn FileStorage> {
-    Arc::new(SingleCloudStorage::new(Arc::new(SimulatedCloud::test(
-        "s3",
-    ))))
+/// `alice` on a fresh instantaneous deployment of `backend`.
+fn mount(backend: Backend, config: ScfsConfig, seed: u64) -> ScfsAgent {
+    Deployment::instant(backend, 11).mount("alice", config, seed)
 }
 
-fn coc_storage() -> Arc<dyn FileStorage> {
-    let clouds: Vec<Arc<dyn ObjectStore>> = ProviderSet::test_backend(4)
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| Arc::new(SimulatedCloud::new(p, i as u64)) as Arc<dyn ObjectStore>)
-        .collect();
-    Arc::new(CloudOfCloudsStorage::new(
-        DepSkyClient::new(clouds, DepSkyConfig::scfs_default(), 11).unwrap(),
-    ))
-}
-
-fn mount(storage: Arc<dyn FileStorage>, config: ScfsConfig, seed: u64) -> ScfsAgent {
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
-    ScfsAgent::mount("alice".into(), config, storage, Some(coordinator), seed).unwrap()
-}
-
-/// The headline acceptance test, on one backend: the 1 KiB mid-file
-/// insert into a committed 16 MiB file moves ≤ 8 chunks under CDC and at
-/// least half the chunk count under fixed-size chunking.
-fn insert_is_o_edit_under_cdc(
-    storage_fixed: Arc<dyn FileStorage>,
-    storage_cdc: Arc<dyn FileStorage>,
-) {
-    let mut fixed_fs = mount(storage_fixed, ScfsConfig::test(Mode::Blocking), 5);
+/// The headline acceptance test, on one backend (a fresh deployment per
+/// chunking mode): the 1 KiB mid-file insert into a committed 16 MiB file
+/// moves ≤ 8 chunks under CDC and at least half the chunk count under
+/// fixed-size chunking.
+fn insert_is_o_edit_under_cdc(backend: Backend) {
+    let mut fixed_fs = mount(backend, ScfsConfig::test(Mode::Blocking), 5);
     let fixed = run_mid_file_insert(&mut fixed_fs, "/doc", Bytes::mib(16), Bytes::kib(1), 5)
         .expect("fixed-size insert commits");
     assert_eq!(fixed.initial_chunks, 16, "16 distinct 1 MiB chunks");
@@ -72,7 +44,7 @@ fn insert_is_o_edit_under_cdc(
         fixed.insert_chunks
     );
 
-    let mut cdc_fs = mount(storage_cdc, ScfsConfig::test(Mode::Blocking).with_cdc(), 5);
+    let mut cdc_fs = mount(backend, ScfsConfig::test(Mode::Blocking).with_cdc(), 5);
     let cdc = run_mid_file_insert(&mut cdc_fs, "/doc", Bytes::mib(16), Bytes::kib(1), 5)
         .expect("CDC insert commits");
     assert!(
@@ -99,12 +71,12 @@ fn insert_is_o_edit_under_cdc(
 
 #[test]
 fn midfile_insert_uploads_o_edit_chunks_aws() {
-    insert_is_o_edit_under_cdc(aws_storage(), aws_storage());
+    insert_is_o_edit_under_cdc(Backend::Aws);
 }
 
 #[test]
 fn midfile_insert_uploads_o_edit_chunks_coc() {
-    insert_is_o_edit_under_cdc(coc_storage(), coc_storage());
+    insert_is_o_edit_under_cdc(Backend::CloudOfClouds);
 }
 
 /// A CDC writer and a fixed-size reader (and vice versa) interoperate: the
@@ -112,24 +84,9 @@ fn midfile_insert_uploads_o_edit_chunks_coc() {
 /// chunking configuration still reads the version it describes.
 #[test]
 fn mixed_chunking_mounts_interoperate() {
-    let storage = aws_storage();
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
-    let mut cdc_writer = ScfsAgent::mount(
-        "alice".into(),
-        ScfsConfig::test(Mode::Blocking).with_cdc(),
-        storage.clone(),
-        Some(coordinator.clone()),
-        1,
-    )
-    .unwrap();
-    let mut fixed_reader = ScfsAgent::mount(
-        "alice".into(),
-        ScfsConfig::test(Mode::Blocking),
-        storage,
-        Some(coordinator),
-        2,
-    )
-    .unwrap();
+    let deployment = Deployment::instant(Backend::Aws, 11);
+    let mut cdc_writer = deployment.mount("alice", ScfsConfig::test(Mode::Blocking).with_cdc(), 1);
+    let mut fixed_reader = deployment.mount("alice", ScfsConfig::test(Mode::Blocking), 2);
     let data = DetRng::new(9).bytes(4 * MIB + 12345);
     cdc_writer.write_file("/f", &data).unwrap();
     fixed_reader.sleep(scfs_repro::sim_core::time::SimDuration::from_secs(1));

@@ -4,50 +4,17 @@
 //! test of the chunked-pipeline refactor), and unchanged chunks must be
 //! shared across versions.
 
-use std::sync::Arc;
-
-use scfs_repro::cloud_store::providers::ProviderSet;
-use scfs_repro::cloud_store::sim_cloud::SimulatedCloud;
-use scfs_repro::cloud_store::store::ObjectStore;
-use scfs_repro::coord::replication::ReplicatedCoordinator;
-use scfs_repro::coord::service::CoordinationService;
-use scfs_repro::depsky::config::DepSkyConfig;
-use scfs_repro::depsky::register::DepSkyClient;
 use scfs_repro::scfs::agent::ScfsAgent;
-use scfs_repro::scfs::backend::{CloudOfCloudsStorage, FileStorage, SingleCloudStorage};
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::scfs::types::OpenFlags;
+use scfs_repro::workloads::setup::{Backend, Deployment};
 
 const MIB: usize = 1 << 20;
 
-fn aws_storage() -> Arc<dyn FileStorage> {
-    Arc::new(SingleCloudStorage::new(Arc::new(SimulatedCloud::test(
-        "s3",
-    ))))
-}
-
-fn coc_storage() -> Arc<dyn FileStorage> {
-    let clouds: Vec<Arc<dyn ObjectStore>> = ProviderSet::test_backend(4)
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| Arc::new(SimulatedCloud::new(p, i as u64)) as Arc<dyn ObjectStore>)
-        .collect();
-    Arc::new(CloudOfCloudsStorage::new(
-        DepSkyClient::new(clouds, DepSkyConfig::scfs_default(), 11).unwrap(),
-    ))
-}
-
-fn mount(storage: Arc<dyn FileStorage>) -> ScfsAgent {
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
-    ScfsAgent::mount(
-        "alice".into(),
-        ScfsConfig::test(Mode::Blocking),
-        storage,
-        Some(coordinator),
-        7,
-    )
-    .unwrap()
+/// `alice`, blocking, on a fresh instantaneous deployment of `backend`.
+fn mount(backend: Backend) -> ScfsAgent {
+    Deployment::instant(backend, 11).mount("alice", ScfsConfig::test(Mode::Blocking), 7)
 }
 
 /// A 16 MiB file whose 1 MiB chunks all differ from one another.
@@ -59,8 +26,8 @@ fn sixteen_mib() -> Vec<u8> {
     data
 }
 
-fn append_uploads_one_chunk(storage: Arc<dyn FileStorage>) {
-    let mut fs = mount(storage);
+fn append_uploads_one_chunk(backend: Backend) {
+    let mut fs = mount(backend);
     let chunk_size = fs.config().chunk_size.get();
     assert_eq!(chunk_size as usize, MIB, "paper-default chunk size");
 
@@ -97,17 +64,17 @@ fn append_uploads_one_chunk(storage: Arc<dyn FileStorage>) {
 
 #[test]
 fn append_1kib_to_16mib_uploads_one_chunk_aws() {
-    append_uploads_one_chunk(aws_storage());
+    append_uploads_one_chunk(Backend::Aws);
 }
 
 #[test]
 fn append_1kib_to_16mib_uploads_one_chunk_coc() {
-    append_uploads_one_chunk(coc_storage());
+    append_uploads_one_chunk(Backend::CloudOfClouds);
 }
 
 #[test]
 fn small_edit_in_the_middle_uploads_one_chunk() {
-    let mut fs = mount(aws_storage());
+    let mut fs = mount(Backend::Aws);
     let file = sixteen_mib();
     fs.write_file("/big", &file).unwrap();
     let before = fs.stats();
@@ -123,24 +90,9 @@ fn small_edit_in_the_middle_uploads_one_chunk() {
 #[test]
 fn reader_fetches_only_missing_chunks() {
     // Alice and Bob share one cloud and coordination service.
-    let storage = aws_storage();
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
-    let mut alice = ScfsAgent::mount(
-        "alice".into(),
-        ScfsConfig::test(Mode::Blocking),
-        storage.clone(),
-        Some(coordinator.clone()),
-        1,
-    )
-    .unwrap();
-    let mut bob = ScfsAgent::mount(
-        "bob".into(),
-        ScfsConfig::test(Mode::Blocking),
-        storage,
-        Some(coordinator),
-        2,
-    )
-    .unwrap();
+    let deployment = Deployment::instant(Backend::Aws, 11);
+    let mut alice = deployment.mount("alice", ScfsConfig::test(Mode::Blocking), 1);
+    let mut bob = deployment.mount("bob", ScfsConfig::test(Mode::Blocking), 2);
 
     let file = sixteen_mib();
     alice.write_file("/shared/big", &file).unwrap();
@@ -174,7 +126,7 @@ fn reader_fetches_only_missing_chunks() {
 
 #[test]
 fn identical_content_rewrite_uploads_no_chunks() {
-    let mut fs = mount(aws_storage());
+    let mut fs = mount(Backend::Aws);
     let data = vec![42u8; 3 * MIB];
     fs.write_file("/f", &data).unwrap();
     let before = fs.stats();

@@ -26,16 +26,12 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use scfs_repro::cloud_store::error::StorageError;
-use scfs_repro::cloud_store::providers::{ProviderProfile, ProviderSet};
+use scfs_repro::cloud_store::providers::ProviderProfile;
 use scfs_repro::cloud_store::sim_cloud::SimulatedCloud;
 use scfs_repro::cloud_store::store::{ObjectStore, OpCtx};
 use scfs_repro::cloud_store::types::{Acl, ObjectMeta, Permission};
-use scfs_repro::coord::replication::ReplicatedCoordinator;
-use scfs_repro::coord::service::CoordinationService;
-use scfs_repro::depsky::config::DepSkyConfig;
 use scfs_repro::depsky::register::DepSkyClient;
 use scfs_repro::scfs::agent::ScfsAgent;
-use scfs_repro::scfs::backend::{CloudOfCloudsStorage, FileStorage, SingleCloudStorage};
 use scfs_repro::scfs::chunkstore::{BlobName, JournalOpts, KeyStyle};
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::error::ScfsError;
@@ -45,6 +41,7 @@ use scfs_repro::scfs::types::{ChunkMap, OpenFlags};
 use scfs_repro::scfs_crypto::sha256;
 use scfs_repro::sim_core::time::{Clock, SimDuration};
 use scfs_repro::sim_core::units::Bytes;
+use scfs_repro::workloads::setup::{Backend, Deployment, Plane, Providers};
 
 const CHUNK: usize = 64 * 1024;
 
@@ -162,68 +159,33 @@ impl ObjectStore for FaultyCloud {
     }
 }
 
-/// The orphan-leak check: every blob the cloud stores under the SCFS
+/// The orphan-leak check: every blob the clouds store under the SCFS
 /// namespace must be reachable from a live manifest, a live chunk reference
-/// or a pending release-journal entry of `storage`.
-fn assert_no_orphans_aws(storage: &SingleCloudStorage, cloud: &SimulatedCloud) {
-    let orphans = storage
-        .blob_audit()
-        .orphans(KeyStyle::Aws, cloud.stored_keys("scfs/"));
+/// or a pending release-journal entry of the deployment's backend.
+fn assert_no_orphans(deployment: &Deployment) {
+    let orphans = deployment.orphans();
     assert!(orphans.is_empty(), "unreachable blobs leaked: {orphans:?}");
 }
 
-fn assert_no_orphans_coc(storage: &CloudOfCloudsStorage, clouds: &[Arc<SimulatedCloud>]) {
-    let audit = storage.blob_audit();
-    for cloud in clouds {
-        let orphans = audit.orphans(KeyStyle::DepSky, cloud.stored_keys("depsky/"));
-        assert!(
-            orphans.is_empty(),
-            "unreachable blobs leaked in {}: {orphans:?}",
-            cloud.id()
-        );
-    }
-}
-
-fn mount(
-    storage: Arc<dyn FileStorage>,
-    coordinator: Arc<dyn CoordinationService>,
-    user: &str,
-    config: ScfsConfig,
-    seed: u64,
-) -> ScfsAgent {
-    ScfsAgent::mount(user.into(), config, storage, Some(coordinator), seed).unwrap()
-}
-
-fn coc_sims() -> Vec<Arc<SimulatedCloud>> {
-    ProviderSet::test_backend(4)
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| Arc::new(SimulatedCloud::new(p, i as u64)))
-        .collect()
-}
-
-fn coc_over(clouds: Vec<Arc<dyn ObjectStore>>) -> Arc<CloudOfCloudsStorage> {
-    Arc::new(CloudOfCloudsStorage::new(
-        DepSkyClient::new(clouds, DepSkyConfig::scfs_default(), 11).unwrap(),
-    ))
-}
-
-fn coc_env() -> (Arc<CloudOfCloudsStorage>, Vec<Arc<SimulatedCloud>>) {
-    let sims = coc_sims();
-    let storage = coc_over(
-        sims.iter()
-            .map(|c| c.clone() as Arc<dyn ObjectStore>)
-            .collect(),
-    );
-    (storage, sims)
+/// An instantaneous deployment of `backend` behind one [`FaultyCloud`] per
+/// cloud, and those interposers.
+fn faulty_deployment(backend: Backend) -> (Deployment, Vec<Arc<FaultyCloud>>) {
+    let mut faulty = Vec::new();
+    let deployment = Deployment::on(backend)
+        .providers(Providers::Instantaneous)
+        .plane(Plane::Instantaneous)
+        .build_behind(11, |sim| {
+            let cloud = Arc::new(FaultyCloud::new(sim));
+            faulty.push(cloud.clone());
+            cloud
+        });
+    (deployment, faulty)
 }
 
 #[test]
 fn identical_content_under_a_second_file_uploads_zero_chunks_aws() {
-    let cloud = Arc::new(SimulatedCloud::test("s3"));
-    let storage = Arc::new(SingleCloudStorage::new(cloud.clone()));
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
-    let mut fs = mount(storage.clone(), coordinator, "alice", test_config(), 1);
+    let deployment = Deployment::instant(Backend::Aws, 11);
+    let mut fs = deployment.mount("alice", test_config(), 1);
 
     let data = four_chunks(0);
     fs.write_file("/a", &data).unwrap();
@@ -239,14 +201,13 @@ fn identical_content_under_a_second_file_uploads_zero_chunks_aws() {
     );
     assert_eq!(second.dedup_hits_cross_file, 4);
     assert_eq!(fs.read_file("/b").unwrap(), data);
-    assert_no_orphans_aws(&storage, &cloud);
+    assert_no_orphans(&deployment);
 }
 
 #[test]
 fn identical_content_under_a_second_file_uploads_zero_chunks_coc() {
-    let (storage, sims) = coc_env();
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
-    let mut fs = mount(storage.clone(), coordinator, "alice", test_config(), 1);
+    let deployment = Deployment::instant(Backend::CloudOfClouds, 11);
+    let mut fs = deployment.mount("alice", test_config(), 1);
 
     let data = four_chunks(0x30);
     fs.write_file("/a", &data).unwrap();
@@ -255,22 +216,14 @@ fn identical_content_under_a_second_file_uploads_zero_chunks_coc() {
     assert_eq!(fs.stats().chunk_uploads, 4, "zero chunks moved for /b");
     assert_eq!(fs.stats().dedup_hits_cross_file, 4);
     assert_eq!(fs.read_file("/b").unwrap(), data);
-    assert_no_orphans_coc(&storage, &sims);
+    assert_no_orphans(&deployment);
 }
 
 #[test]
 fn identical_content_from_a_second_user_uploads_zero_chunks() {
-    let cloud = Arc::new(SimulatedCloud::test("s3"));
-    let storage = Arc::new(SingleCloudStorage::new(cloud.clone()));
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
-    let mut alice = mount(
-        storage.clone(),
-        coordinator.clone(),
-        "alice",
-        test_config(),
-        1,
-    );
-    let mut bob = mount(storage.clone(), coordinator, "bob", test_config(), 2);
+    let deployment = Deployment::instant(Backend::Aws, 11);
+    let mut alice = deployment.mount("alice", test_config(), 1);
+    let mut bob = deployment.mount("bob", test_config(), 2);
 
     let data = four_chunks(0x50);
     alice.write_file("/alice/doc", &data).unwrap();
@@ -281,18 +234,16 @@ fn identical_content_from_a_second_user_uploads_zero_chunks() {
     assert_eq!(bob.stats().chunk_uploads, 0, "cross-user dedup");
     assert_eq!(bob.stats().dedup_hits_cross_file, 4);
     assert_eq!(bob.read_file("/bob/doc").unwrap(), data);
-    assert_no_orphans_aws(&storage, &cloud);
+    assert_no_orphans(&deployment);
 }
 
 #[test]
 fn deleting_one_file_never_reclaims_chunks_another_file_references() {
-    let cloud = Arc::new(SimulatedCloud::test("s3"));
-    let storage = Arc::new(SingleCloudStorage::new(cloud.clone()));
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
+    let deployment = Deployment::instant(Backend::Aws, 11);
     let mut config = test_config();
     config.gc.written_bytes_threshold = Bytes::new(1);
     config.gc.versions_to_keep = 1;
-    let mut fs = mount(storage.clone(), coordinator, "alice", config, 3);
+    let mut fs = deployment.mount("alice", config, 3);
 
     let data = four_chunks(0x70);
     fs.write_file("/keep", &data).unwrap();
@@ -308,27 +259,25 @@ fn deleting_one_file_never_reclaims_chunks_another_file_references() {
     let map = ChunkMap::build(&data, CHUNK);
     for hash in map.unique_chunks() {
         assert_eq!(
-            storage.chunk_refcount(&hash),
+            deployment.chunk_refcount(&hash),
             1,
             "exactly /keep's reference must remain"
         );
     }
-    assert_eq!(storage.pending_releases(), 0);
-    assert_no_orphans_aws(&storage, &cloud);
+    assert_eq!(deployment.storage().pending_releases(), 0);
+    assert_no_orphans(&deployment);
 }
 
 #[test]
 fn gc_reaches_zero_orphans_within_two_cycles_despite_delete_faults() {
-    let sim = Arc::new(SimulatedCloud::test("s3"));
-    let flaky = Arc::new(FaultyCloud::new(sim.clone()));
-    let storage = Arc::new(SingleCloudStorage::new(flaky.clone()));
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
+    let (deployment, faulty) = faulty_deployment(Backend::Aws);
+    let flaky = &faulty[0];
     let mut config = test_config();
     // Three 256 KiB versions cross the threshold on the third close, so the
     // first GC cycle runs with two prunable versions — under delete faults.
     config.gc.written_bytes_threshold = Bytes::new(600_000);
     config.gc.versions_to_keep = 1;
-    let mut fs = mount(storage.clone(), coordinator, "alice", config, 4);
+    let mut fs = deployment.mount("alice", config, 4);
 
     fs.write_file("/f", &four_chunks(0x01)).unwrap();
     fs.write_file("/f", &four_chunks(0x02)).unwrap();
@@ -341,8 +290,8 @@ fn gc_reaches_zero_orphans_within_two_cycles_despite_delete_faults() {
     let after_faulty = fs.stats();
     assert_eq!(after_faulty.gc_runs, 1);
     assert!(after_faulty.gc_errors > 0, "failed deletes must be counted");
-    assert!(storage.pending_releases() > 0);
-    assert_no_orphans_aws(&storage, &sim);
+    assert!(deployment.storage().pending_releases() > 0);
+    assert_no_orphans(&deployment);
 
     // Cycle 2: the cloud heals. The retry pass reclaims every orphan.
     flaky.heal();
@@ -354,20 +303,23 @@ fn gc_reaches_zero_orphans_within_two_cycles_despite_delete_faults() {
         healed.gc_orphans_reclaimed > 0,
         "retried deletions reclaimed the orphans"
     );
-    assert_eq!(storage.pending_releases(), 0, "journal fully drained");
-    assert_no_orphans_aws(&storage, &sim);
+    assert_eq!(
+        deployment.storage().pending_releases(),
+        0,
+        "journal fully drained"
+    );
+    assert_no_orphans(&deployment);
     // The retained data was never touched by any of this.
     assert_eq!(fs.read_file("/f").unwrap(), four_chunks(0x03));
 }
 
 #[test]
 fn coc_gc_leaves_no_orphans() {
-    let (storage, sims) = coc_env();
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
+    let deployment = Deployment::instant(Backend::CloudOfClouds, 11);
     let mut config = test_config();
     config.gc.written_bytes_threshold = Bytes::new(1);
     config.gc.versions_to_keep = 1;
-    let mut fs = mount(storage.clone(), coordinator, "alice", config, 5);
+    let mut fs = deployment.mount("alice", config, 5);
 
     for tag in [0x11u8, 0x12, 0x13] {
         fs.write_file("/f", &four_chunks(tag)).unwrap();
@@ -377,58 +329,27 @@ fn coc_gc_leaves_no_orphans() {
     fs.write_file("/trigger", b"x").unwrap();
     assert!(fs.stats().gc_runs >= 1);
     assert!(fs.stats().gc_reclaimed_versions > 0);
-    assert_eq!(storage.pending_releases(), 0);
-    assert_no_orphans_coc(&storage, &sims);
+    assert_eq!(deployment.storage().pending_releases(), 0);
+    assert_no_orphans(&deployment);
     assert_eq!(fs.read_file("/f").unwrap(), four_chunks(0x13));
 }
 
-/// A backend over put-faultable clouds, with the raw view the failed-commit
-/// tests audit: every key every cloud stores, and the orphan-leak check of
-/// the backend's kind.
+/// A deployment over put-faultable clouds, with the raw view the
+/// failed-commit tests audit: every key every cloud stores.
 struct FaultEnv {
-    storage: Arc<dyn FileStorage>,
+    deployment: Deployment,
     faulty: Vec<Arc<FaultyCloud>>,
-    assert_no_orphans: Box<dyn Fn()>,
 }
 
 impl FaultEnv {
-    fn aws() -> Self {
-        let sim = Arc::new(SimulatedCloud::test("s3"));
-        let faulty = Arc::new(FaultyCloud::new(sim.clone()));
-        let storage = Arc::new(SingleCloudStorage::new(faulty.clone()));
-        let audited = storage.clone();
-        FaultEnv {
-            storage,
-            faulty: vec![faulty],
-            assert_no_orphans: Box::new(move || assert_no_orphans_aws(&audited, &sim)),
-        }
-    }
-
-    fn coc() -> Self {
-        let sims = coc_sims();
-        let faulty: Vec<Arc<FaultyCloud>> = sims
-            .iter()
-            .map(|sim| Arc::new(FaultyCloud::new(sim.clone())))
-            .collect();
-        let storage = coc_over(
-            faulty
-                .iter()
-                .map(|c| c.clone() as Arc<dyn ObjectStore>)
-                .collect(),
-        );
-        let audited = storage.clone();
-        FaultEnv {
-            storage,
-            faulty,
-            assert_no_orphans: Box::new(move || assert_no_orphans_coc(&audited, &sims)),
-        }
+    fn new(backend: Backend) -> Self {
+        let (deployment, faulty) = faulty_deployment(backend);
+        FaultEnv { deployment, faulty }
     }
 
     fn stored_keys(&self) -> Vec<Vec<String>> {
-        self.faulty
-            .iter()
-            .map(|cloud| cloud.inner.stored_keys(""))
-            .collect()
+        let clouds = self.deployment.clouds.iter();
+        clouds.map(|cloud| cloud.stored_keys("")).collect()
     }
 
     fn fail_puts_containing(&self, needle: Option<&'static str>) {
@@ -453,14 +374,8 @@ fn assert_failed_commit_is_reclaimed(
     chunks: usize,
     lands_beside: bool,
 ) {
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
-    let mut fs = mount(
-        env.storage.clone(),
-        coordinator.clone(),
-        "alice",
-        test_config(),
-        1,
-    );
+    let storage = env.deployment.storage();
+    let mut fs = env.deployment.mount("alice", test_config(), 1);
     let (v1, v2) = (distinct_chunks(0x20, chunks), distinct_chunks(0x40, chunks));
     fs.write_file("/f", &v1).unwrap();
     let committed = env.stored_keys();
@@ -474,76 +389,93 @@ fn assert_failed_commit_is_reclaimed(
         "the requests beside the failing ones were issued and landed"
     );
     assert_eq!(
-        env.storage.pending_releases(),
+        storage.pending_releases(),
         chunks + usize::from(chunks >= OVER_BOUND),
         "an intent per chunk, and one for a manifest that was to be stored"
     );
-    (env.assert_no_orphans)();
+    assert_no_orphans(&env.deployment);
 
-    let mut reader = mount(env.storage.clone(), coordinator, "alice", test_config(), 2);
+    let mut reader = env.deployment.mount("alice", test_config(), 2);
     reader.sleep(SimDuration::from_secs(1));
     assert_eq!(reader.read_file("/f").unwrap(), v1, "anchor unchanged");
 
     let mut clock = Clock::starting_at(fs.now());
     let mut ctx = OpCtx::new(&mut clock, "alice".into());
-    let report = env
-        .storage
+    let report = storage
         .replay_release_journal(&mut ctx, &JournalOpts::default())
         .unwrap();
     assert_eq!(report.errors, 0);
-    assert_eq!(env.storage.pending_releases(), 0);
+    assert_eq!(storage.pending_releases(), 0);
     assert_eq!(env.stored_keys(), committed, "one replay reclaims the rest");
     assert_eq!(reader.read_file("/f").unwrap(), v1);
 }
 
 #[test]
 fn failed_chunk_put_beside_a_stored_manifest_is_reclaimed_aws() {
-    assert_failed_commit_is_reclaimed(FaultEnv::aws(), "scfs/chunks/", OVER_BOUND, true);
+    assert_failed_commit_is_reclaimed(
+        FaultEnv::new(Backend::Aws),
+        "scfs/chunks/",
+        OVER_BOUND,
+        true,
+    );
 }
 
 #[test]
 fn failed_chunk_put_beside_a_stored_manifest_is_reclaimed_coc() {
-    assert_failed_commit_is_reclaimed(FaultEnv::coc(), "depsky/chunks|", OVER_BOUND, true);
+    assert_failed_commit_is_reclaimed(
+        FaultEnv::new(Backend::CloudOfClouds),
+        "depsky/chunks|",
+        OVER_BOUND,
+        true,
+    );
 }
 
 /// The inline twins: a one-PUT close whose one PUT fails. Nothing landed,
 /// and the journal holds the chunk's intent and no manifest's.
 #[test]
 fn failed_one_put_close_journals_no_manifest_intent_aws() {
-    assert_failed_commit_is_reclaimed(FaultEnv::aws(), "scfs/chunks/", 1, false);
+    assert_failed_commit_is_reclaimed(FaultEnv::new(Backend::Aws), "scfs/chunks/", 1, false);
 }
 
 #[test]
 fn failed_one_put_close_journals_no_manifest_intent_coc() {
-    assert_failed_commit_is_reclaimed(FaultEnv::coc(), "depsky/chunks|", 1, false);
+    assert_failed_commit_is_reclaimed(
+        FaultEnv::new(Backend::CloudOfClouds),
+        "depsky/chunks|",
+        1,
+        false,
+    );
 }
 
 /// Every blob of the wave — chunks and the manifest — lands its DepSky
 /// metadata record but no block.
 #[test]
 fn depsky_blobs_with_records_but_no_blocks_are_reclaimed() {
-    assert_failed_commit_is_reclaimed(FaultEnv::coc(), "/block", OVER_BOUND, true);
+    assert_failed_commit_is_reclaimed(
+        FaultEnv::new(Backend::CloudOfClouds),
+        "/block",
+        OVER_BOUND,
+        true,
+    );
 }
 
 /// The reverse: blocks without a record. Nothing but the blob's address says
 /// where they are, so the delete must derive their keys.
 #[test]
 fn depsky_blobs_with_blocks_but_no_records_are_reclaimed() {
-    assert_failed_commit_is_reclaimed(FaultEnv::coc(), "/metadata", OVER_BOUND, true);
+    assert_failed_commit_is_reclaimed(
+        FaultEnv::new(Backend::CloudOfClouds),
+        "/metadata",
+        OVER_BOUND,
+        true,
+    );
 }
 
 /// `alice` with a file `/f` she shares with `bob` and a copy source `/src`
 /// of `src_chunks` chunks, on a put-faultable single cloud.
-fn shared_file_env(src_chunks: usize) -> (FaultEnv, Arc<dyn CoordinationService>, ScfsAgent) {
-    let env = FaultEnv::aws();
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
-    let mut alice = mount(
-        env.storage.clone(),
-        coordinator.clone(),
-        "alice",
-        test_config(),
-        1,
-    );
+fn shared_file_env(src_chunks: usize) -> (FaultEnv, ScfsAgent) {
+    let env = FaultEnv::new(Backend::Aws);
+    let mut alice = env.deployment.mount("alice", test_config(), 1);
     alice.write_file("/f", &four_chunks(0x31)).unwrap();
     alice
         .write_file("/src", &distinct_chunks(0x50, src_chunks))
@@ -551,18 +483,13 @@ fn shared_file_env(src_chunks: usize) -> (FaultEnv, Arc<dyn CoordinationService>
     alice
         .setfacl("/f", &"bob".into(), Permission::Write)
         .unwrap();
-    (env, coordinator, alice)
+    (env, alice)
 }
 
 /// `bob`, mounted just after everything `alice` has done, opens `/f` for
 /// writing — so no lock is held on it — and finds `expected`.
-fn assert_bob_opens_for_writing(
-    env: &FaultEnv,
-    coordinator: Arc<dyn CoordinationService>,
-    alice: &ScfsAgent,
-    expected: &[u8],
-) {
-    let mut bob = mount(env.storage.clone(), coordinator, "bob", test_config(), 2);
+fn assert_bob_opens_for_writing(env: &FaultEnv, alice: &ScfsAgent, expected: &[u8]) {
+    let mut bob = env.deployment.mount("bob", test_config(), 2);
     bob.sleep(alice.now().duration_since(bob.now()) + SimDuration::from_secs(1));
     let handle = bob
         .open("/f", OpenFlags::read_write())
@@ -582,12 +509,12 @@ fn assert_failed_commit_releases_the_lock(
     commit: impl FnOnce(&mut ScfsAgent) -> Result<(), ScfsError>,
 ) {
     // The copy source stores a manifest object: its copy has a PUT to fail.
-    let (env, coordinator, mut alice) = shared_file_env(OVER_BOUND);
+    let (env, mut alice) = shared_file_env(OVER_BOUND);
     env.fail_puts_containing(Some(failing_puts));
     assert!(commit(&mut alice).is_err());
     env.fail_puts_containing(None);
     // The anchor is unchanged.
-    assert_bob_opens_for_writing(&env, coordinator, &alice, &four_chunks(0x31));
+    assert_bob_opens_for_writing(&env, &alice, &four_chunks(0x31));
 }
 
 #[test]
@@ -607,11 +534,11 @@ fn failed_copy_onto_a_shared_file_releases_its_write_lock() {
 /// fail it — it commits, and unlocks.
 #[test]
 fn an_inline_copy_commits_under_a_put_failing_cloud() {
-    let (env, coordinator, mut alice) = shared_file_env(4);
+    let (env, mut alice) = shared_file_env(4);
     env.fail_puts_containing(Some(""));
     alice.copy_file("/src", "/f").unwrap();
-    assert_eq!(env.storage.pending_releases(), 0);
-    assert_bob_opens_for_writing(&env, coordinator, &alice, &four_chunks(0x50));
+    assert_eq!(env.deployment.storage().pending_releases(), 0);
+    assert_bob_opens_for_writing(&env, &alice, &four_chunks(0x50));
 }
 
 proptest! {
@@ -651,9 +578,8 @@ proptest! {
         fault_pattern in collection::vec(any::<bool>(), 0..40),
         replay_passes in 1usize..4,
     ) {
-        let sim = Arc::new(SimulatedCloud::test("s3"));
-        let flaky = Arc::new(FaultyCloud::new(sim.clone()));
-        let storage = SingleCloudStorage::new(flaky.clone());
+        let (deployment, faulty) = faulty_deployment(Backend::Aws);
+        let (storage, flaky) = (deployment.storage(), &faulty[0]);
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
         let opts = TransferOptions::default();
@@ -688,9 +614,7 @@ proptest! {
                 .replay_release_journal(&mut ctx, &JournalOpts::default())
                 .unwrap();
             // Invariant: nothing reachable is ever lost mid-replay.
-            let orphans = storage
-                .blob_audit()
-                .orphans(KeyStyle::Aws, sim.stored_keys("scfs/"));
+            let orphans = deployment.orphans();
             prop_assert!(orphans.is_empty(), "orphans mid-replay: {:?}", orphans);
         }
 
@@ -710,9 +634,7 @@ proptest! {
             storage.read_version(&mut ctx, "f2", &o2.root_hash, &opts).unwrap(),
             shared
         );
-        let orphans = storage
-            .blob_audit()
-            .orphans(KeyStyle::Aws, sim.stored_keys("scfs/"));
+        let orphans = deployment.orphans();
         prop_assert!(orphans.is_empty(), "orphans after drain: {:?}", orphans);
 
         // Idempotence: one more replay does nothing at all.

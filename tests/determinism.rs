@@ -8,10 +8,25 @@
 //! FNV-1a, so any iteration-order leak anywhere on the simulated data or
 //! metadata path shows up as a hash mismatch here.
 
+use scfs_repro::coord::sharded::ShardTopology;
 use scfs_repro::workloads::fleet::{
-    run_fleet, run_fleet_metadata, FleetConfig, MetadataFleetConfig,
+    run_fleet, run_fleet_metadata, FleetConfig, FleetReport, MetadataFleetConfig,
+    MetadataFleetReport,
 };
-use scfs_repro::workloads::setup::Backend;
+use scfs_repro::workloads::setup::{Backend, Deployment, Plane};
+
+/// The data fleet's smoke run on the paper deployment of `backend`.
+fn data_fleet(backend: Backend, cfg: &FleetConfig) -> FleetReport {
+    run_fleet(&Deployment::paper(backend, cfg.seed), cfg)
+}
+
+/// The metadata fleet's smoke run over four instantaneous register groups.
+fn metadata_fleet(cfg: &MetadataFleetConfig) -> MetadataFleetReport {
+    let deployment = Deployment::on(Backend::Aws)
+        .plane(Plane::Sharded(ShardTopology::test(4)))
+        .build(cfg.seed);
+    run_fleet_metadata(&deployment, cfg)
+}
 
 /// Two runs of the same data-plane fleet config replay byte-identically, on
 /// both backends (the cloud-of-clouds path exercises `depsky::register`'s metadata
@@ -19,9 +34,9 @@ use scfs_repro::workloads::setup::Backend;
 #[test]
 fn data_fleet_trace_is_seed_deterministic() {
     for backend in [Backend::Aws, Backend::CloudOfClouds] {
-        let cfg = FleetConfig::smoke(backend);
-        let a = run_fleet(&cfg);
-        let b = run_fleet(&cfg);
+        let cfg = FleetConfig::smoke();
+        let a = data_fleet(backend, &cfg);
+        let b = data_fleet(backend, &cfg);
         assert_eq!(
             a.trace_hash, b.trace_hash,
             "{backend:?}: same seed, same trace"
@@ -43,9 +58,9 @@ fn data_fleet_trace_is_seed_deterministic() {
 /// different seed reshuffles the trace.
 #[test]
 fn metadata_fleet_trace_is_seed_deterministic() {
-    let cfg = MetadataFleetConfig::smoke(4);
-    let a = run_fleet_metadata(&cfg);
-    let b = run_fleet_metadata(&cfg);
+    let cfg = MetadataFleetConfig::smoke();
+    let a = metadata_fleet(&cfg);
+    let b = metadata_fleet(&cfg);
     assert_eq!(a.trace_hash, b.trace_hash, "same seed, same trace");
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.opens, b.opens);
@@ -57,7 +72,7 @@ fn metadata_fleet_trace_is_seed_deterministic() {
 
     let mut other = cfg;
     other.seed ^= 0x0DD5_EED5;
-    let c = run_fleet_metadata(&other);
+    let c = metadata_fleet(&other);
     assert_ne!(a.trace_hash, c.trace_hash, "a new seed must reshuffle");
 }
 
@@ -82,7 +97,7 @@ mod golden {
             (Backend::Aws, 3258201416117948381u64, 473332502952u64),
             (Backend::CloudOfClouds, 9334592592812106320, 473793421013),
         ] {
-            let report = run_fleet(&FleetConfig::smoke(backend));
+            let report = data_fleet(backend, &FleetConfig::smoke());
             assert_eq!(
                 (report.trace_hash, report.makespan.as_nanos()),
                 (trace_hash, makespan_ns),
@@ -93,7 +108,7 @@ mod golden {
 
     #[test]
     fn metadata_fleet_smoke_matches_the_pinned_trace() {
-        let report = run_fleet_metadata(&MetadataFleetConfig::smoke(4));
+        let report = metadata_fleet(&MetadataFleetConfig::smoke());
         assert_eq!(
             (report.trace_hash, report.makespan.as_nanos()),
             (8530320169238504625, 688230371)
@@ -111,12 +126,7 @@ mod golden {
             (Mode::NonBlocking, 3104267807u64, 3310090141u64),
             (Mode::NonSharing, 948543123, 948543123),
         ] {
-            let mut fs = build_scfs(
-                Backend::CloudOfClouds,
-                mode,
-                ScfsConfig::paper_default(mode),
-                42,
-            );
+            let mut fs = build_scfs(Backend::CloudOfClouds, ScfsConfig::paper_default(mode), 42);
             run_file_sync(
                 &mut fs,
                 Bytes::kib(1200),

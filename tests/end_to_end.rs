@@ -1,20 +1,14 @@
 //! End-to-end integration tests spanning the whole stack: simulated clouds,
 //! replicated coordination service, DepSky, the SCFS agent and the baselines.
 
-use std::sync::Arc;
-
-use scfs_repro::cloud_store::sim_cloud::SimulatedCloud;
 use scfs_repro::cloud_store::store::OpCtx;
 use scfs_repro::cloud_store::types::{Acl, Permission};
-use scfs_repro::coord::replication::ReplicatedCoordinator;
-use scfs_repro::coord::service::CoordinationService;
-use scfs_repro::scfs::backend::SingleCloudStorage;
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::error::ScfsError;
 use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::scfs::types::{ChunkMap, OpenFlags};
 use scfs_repro::sim_core::time::{Clock, SimDuration};
-use scfs_repro::workloads::setup::{build_system, Backend, SharedScfsEnv, SystemKind};
+use scfs_repro::workloads::setup::{build_system, Backend, Deployment, SystemKind};
 
 #[test]
 fn every_system_supports_the_basic_posix_workflow() {
@@ -45,9 +39,9 @@ fn every_system_supports_the_basic_posix_workflow() {
 
 #[test]
 fn consistency_on_close_across_two_clients_on_the_coc_backend() {
-    let env = SharedScfsEnv::new(Backend::CloudOfClouds, Mode::Blocking, 77);
-    let mut alice = env.mount_default("alice", 1);
-    let mut bob = env.mount_default("bob", 2);
+    let env = Deployment::paper(Backend::CloudOfClouds, 77);
+    let mut alice = env.mount("alice", ScfsConfig::paper_default(Mode::Blocking), 1);
+    let mut bob = env.mount("bob", ScfsConfig::paper_default(Mode::Blocking), 2);
 
     alice.write_file("/shared/design.md", b"version 1").unwrap();
     alice
@@ -69,7 +63,7 @@ fn consistency_on_close_across_two_clients_on_the_coc_backend() {
 
 #[test]
 fn locks_serialize_writers_and_expire_for_crashed_clients() {
-    let env = SharedScfsEnv::new(Backend::Aws, Mode::Blocking, 99);
+    let env = Deployment::paper(Backend::Aws, 99);
     let mut alice = env.mount("alice", ScfsConfig::test(Mode::Blocking), 1);
     let mut bob = env.mount("bob", ScfsConfig::test(Mode::Blocking), 2);
 
@@ -99,9 +93,9 @@ fn locks_serialize_writers_and_expire_for_crashed_clients() {
 
 #[test]
 fn non_blocking_mode_trades_durability_latency_for_visibility_delay() {
-    let env = SharedScfsEnv::new(Backend::Aws, Mode::NonBlocking, 5);
-    let mut writer = env.mount_default("alice", 1);
-    let mut reader = env.mount_default("bob", 2);
+    let env = Deployment::paper(Backend::Aws, 5);
+    let mut writer = env.mount("alice", ScfsConfig::paper_default(Mode::NonBlocking), 1);
+    let mut reader = env.mount("bob", ScfsConfig::paper_default(Mode::NonBlocking), 2);
 
     writer.write_file("/shared/feed.json", b"seed").unwrap();
     writer
@@ -132,8 +126,8 @@ fn non_blocking_mode_trades_durability_latency_for_visibility_delay() {
 fn unshared_files_never_touch_the_coordination_service_with_pns() {
     let mut config = ScfsConfig::test(Mode::NonBlocking);
     config.private_name_spaces = true;
-    let env = SharedScfsEnv::new(Backend::Aws, Mode::NonBlocking, 13);
-    let coordinator = env.coordinator.clone().expect("NB mode has a coordinator");
+    let env = Deployment::paper(Backend::Aws, 13);
+    let coordinator = env.coordinator();
     let mut fs = env.mount("alice", config, 3);
 
     let before = coordinator.access_count();
@@ -152,23 +146,6 @@ fn unshared_files_never_touch_the_coordination_service_with_pns() {
     assert!(coordinator.access_count() > before);
 }
 
-/// A blocking single-cloud environment that keeps the cloud and coordinator
-/// handles, so a test can count cloud requests and reach the raw tuples.
-fn counted_env() -> (
-    SharedScfsEnv,
-    Arc<SimulatedCloud>,
-    Arc<dyn CoordinationService>,
-) {
-    let cloud = Arc::new(SimulatedCloud::test("s3"));
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
-    let env = SharedScfsEnv {
-        storage: Arc::new(SingleCloudStorage::new(cloud.clone())),
-        coordinator: Some(coordinator.clone()),
-        mode: Mode::Blocking,
-    };
-    (env, cloud, coordinator)
-}
-
 /// Coordination-service key of the metadata tuple of `path`.
 fn tuple_key(path: &str) -> String {
     format!("/scfs/meta{path}")
@@ -179,7 +156,8 @@ fn tuple_key(path: &str) -> String {
 /// the tuple must learn nothing and fetch nothing.
 #[test]
 fn accounts_without_a_grant_cannot_open_and_read_nothing_from_the_cloud() {
-    let (env, cloud, coordinator) = counted_env();
+    let env = Deployment::instant(Backend::Aws, 0);
+    let (cloud, coordinator) = (&env.clouds[0], env.coordinator());
     let config = ScfsConfig::test(Mode::Blocking);
     let mut alice = env.mount("alice", config.clone(), 1);
     alice.write_file("/shared/doc", &[7u8; 20_000]).unwrap();
@@ -228,7 +206,8 @@ fn accounts_without_a_grant_cannot_open_and_read_nothing_from_the_cloud() {
 /// stops before asking the cloud for anything it names.
 #[test]
 fn tampered_inline_manifest_is_rejected_before_any_cloud_read() {
-    let (env, cloud, coordinator) = counted_env();
+    let env = Deployment::instant(Backend::Aws, 0);
+    let (cloud, coordinator) = (&env.clouds[0], env.coordinator());
     let config = ScfsConfig::test(Mode::Blocking);
     let mut alice = env.mount("alice", config.clone(), 1);
     let data = vec![9u8; 20_000];

@@ -2,10 +2,11 @@
 //! *shape* as the paper's results (who wins, by roughly what factor). These
 //! are reduced-size versions of the tables regenerated by `reproduce`.
 
+use scfs_repro::scfs::config::Mode;
 use scfs_repro::sim_core::time::SimDuration;
 use scfs_repro::sim_core::units::Bytes;
 use scfs_repro::workloads::filebench::{run_microbenchmarks, MicroBenchConfig};
-use scfs_repro::workloads::setup::{build_system, SystemKind};
+use scfs_repro::workloads::setup::{build_system, Backend, SystemKind};
 use scfs_repro::workloads::sharing::{measure_sharing, SharingSystem};
 use scfs_repro::workloads::sweeps::{metadata_cache_point, pns_sharing_point, SweepConfig};
 
@@ -14,10 +15,10 @@ fn table3_shape_metadata_benchmarks_separate_shared_from_single_user_systems() {
     let cfg = MicroBenchConfig::quick();
     let mut results = std::collections::BTreeMap::new();
     for kind in [
-        SystemKind::ScfsAwsNs,
-        SystemKind::ScfsAwsB,
-        SystemKind::ScfsCocB,
-        SystemKind::ScfsCocNb,
+        SystemKind::Scfs(Backend::Aws, Mode::NonSharing),
+        SystemKind::Scfs(Backend::Aws, Mode::Blocking),
+        SystemKind::Scfs(Backend::CloudOfClouds, Mode::Blocking),
+        SystemKind::Scfs(Backend::CloudOfClouds, Mode::NonBlocking),
         SystemKind::S3fs,
         SystemKind::S3ql,
         SystemKind::LocalFs,

@@ -2,57 +2,24 @@
 //! `f = 1` faulty storage providers and one faulty coordination replica,
 //! which is the availability/integrity argument of the paper (§3.2).
 
-use std::sync::Arc;
-
-use scfs_repro::cloud_store::providers::ProviderSet;
-use scfs_repro::cloud_store::sim_cloud::SimulatedCloud;
 use scfs_repro::cloud_store::store::ObjectStore;
-use scfs_repro::coord::replication::{ReplicatedCoordinator, ReplicationConfig};
-use scfs_repro::coord::service::CoordinationService;
-use scfs_repro::depsky::config::DepSkyConfig;
-use scfs_repro::depsky::register::DepSkyClient;
 use scfs_repro::scfs::agent::ScfsAgent;
-use scfs_repro::scfs::backend::CloudOfCloudsStorage;
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::sim_core::fault::FaultPlan;
 use scfs_repro::sim_core::time::{SimDuration, SimInstant};
+use scfs_repro::workloads::setup::{Backend, Deployment, Providers};
 
-struct CocFixture {
-    sims: Vec<Arc<SimulatedCloud>>,
-    coordinator: Arc<ReplicatedCoordinator>,
-    storage: Arc<CloudOfCloudsStorage>,
+/// Four instantaneous clouds under DepSky, beside the paper's four-replica
+/// Byzantine coordination service.
+fn fixture(seed: u64) -> Deployment {
+    Deployment::on(Backend::CloudOfClouds)
+        .providers(Providers::Instantaneous)
+        .build(seed)
 }
 
-fn fixture(seed: u64) -> CocFixture {
-    let sims: Vec<Arc<SimulatedCloud>> = ProviderSet::test_backend(4)
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| Arc::new(SimulatedCloud::new(p, seed + i as u64)))
-        .collect();
-    let clouds: Vec<Arc<dyn ObjectStore>> = sims
-        .iter()
-        .map(|c| c.clone() as Arc<dyn ObjectStore>)
-        .collect();
-    let depsky = DepSkyClient::new(clouds, DepSkyConfig::scfs_default(), seed).unwrap();
-    CocFixture {
-        sims,
-        coordinator: Arc::new(
-            ReplicatedCoordinator::new(ReplicationConfig::coc_byzantine(), seed).unwrap(),
-        ),
-        storage: Arc::new(CloudOfCloudsStorage::new(depsky)),
-    }
-}
-
-fn mount(fx: &CocFixture, user: &str, seed: u64) -> ScfsAgent {
-    ScfsAgent::mount(
-        user.into(),
-        ScfsConfig::test(Mode::Blocking),
-        fx.storage.clone(),
-        Some(fx.coordinator.clone() as Arc<dyn CoordinationService>),
-        seed,
-    )
-    .unwrap()
+fn mount(fx: &Deployment, user: &str, seed: u64) -> ScfsAgent {
+    fx.mount(user, ScfsConfig::test(Mode::Blocking), seed)
 }
 
 #[test]
@@ -63,7 +30,7 @@ fn files_survive_a_byzantine_storage_cloud() {
     fs.write_file("/critical/db.bak", &data).unwrap();
 
     // One cloud starts corrupting everything it returns.
-    fx.sims[2].set_fault_plan(FaultPlan::always_byzantine(), 7);
+    fx.clouds[2].set_fault_plan(FaultPlan::always_byzantine(), 7);
 
     // A fresh agent (empty caches) still reads the correct bytes.
     let mut fresh = mount(&fx, "alice", 2);
@@ -76,7 +43,7 @@ fn files_survive_a_storage_cloud_outage_during_writes() {
     let fx = fixture(2);
     // One provider is down from the very beginning; writes must still work
     // because DepSky only waits for a quorum.
-    fx.sims[3].set_fault_plan(
+    fx.clouds[3].set_fault_plan(
         FaultPlan::outage(SimInstant::EPOCH, SimInstant::from_secs(1 << 20)),
         3,
     );
@@ -89,8 +56,7 @@ fn files_survive_a_storage_cloud_outage_during_writes() {
 #[test]
 fn coordination_service_masks_one_byzantine_replica() {
     let fx = fixture(3);
-    fx.coordinator
-        .set_replica_fault(1, FaultPlan::always_byzantine(), 5);
+    fx.set_replica_fault(1, FaultPlan::always_byzantine(), 5);
     let mut fs = mount(&fx, "alice", 4);
     fs.write_file("/docs/spec.txt", b"metadata still consistent")
         .unwrap();
@@ -104,10 +70,8 @@ fn coordination_service_masks_one_byzantine_replica() {
 #[test]
 fn too_many_coordination_faults_make_the_service_unavailable() {
     let fx = fixture(4);
-    fx.coordinator
-        .set_replica_fault(0, FaultPlan::crash_at(SimInstant::EPOCH), 1);
-    fx.coordinator
-        .set_replica_fault(1, FaultPlan::crash_at(SimInstant::EPOCH), 2);
+    fx.set_replica_fault(0, FaultPlan::crash_at(SimInstant::EPOCH), 1);
+    fx.set_replica_fault(1, FaultPlan::crash_at(SimInstant::EPOCH), 2);
     let mut fs = mount(&fx, "alice", 5);
     // With two of four replicas crashed (f = 1), updates cannot commit.
     assert!(fs.write_file("/docs/spec.txt", b"x").is_err());
@@ -120,7 +84,7 @@ fn confidentiality_no_single_cloud_holds_readable_file_contents() {
     let secret = b"extremely confidential merger contract".to_vec();
     fs.write_file("/legal/contract.txt", &secret).unwrap();
 
-    for sim in &fx.sims {
+    for sim in &fx.clouds {
         let mut clock = scfs_repro::sim_core::time::Clock::new();
         clock.advance(SimDuration::from_secs(60));
         let mut ctx = scfs_repro::cloud_store::store::OpCtx::new(&mut clock, "alice".into());

@@ -27,7 +27,7 @@ use scfs_repro::scfs_crypto::{sha256, ContentHash};
 use scfs_repro::sim_core::time::{Clock, SimDuration};
 use scfs_repro::sim_core::units::Bytes;
 use scfs_repro::workloads::fleet::{run_fleet, FleetConfig};
-use scfs_repro::workloads::setup::{Backend, SharedScfsEnv};
+use scfs_repro::workloads::setup::{Backend, Deployment};
 
 const ENTRY: usize = 1024;
 
@@ -70,8 +70,8 @@ fn eviction_cost_is_independent_of_resident_count() {
     );
 }
 
-fn pressured_fleet(backend: Backend, memory_capacity: Bytes) -> FleetConfig {
-    let mut cfg = FleetConfig::smoke(backend);
+fn pressured_fleet(memory_capacity: Bytes) -> FleetConfig {
+    let mut cfg = FleetConfig::smoke();
     cfg.mounts = 20;
     cfg.teams = 2;
     cfg.files_per_team = 24;
@@ -90,7 +90,8 @@ fn fleet_eviction_cost_stays_flat_across_cache_sizes_on_both_backends() {
     for backend in [Backend::Aws, Backend::CloudOfClouds] {
         let mut ratios = Vec::new();
         for capacity in [Bytes::kib(16), Bytes::kib(256)] {
-            let report = run_fleet(&pressured_fleet(backend, capacity));
+            let cfg = pressured_fleet(capacity);
+            let report = run_fleet(&Deployment::paper(backend, cfg.seed), &cfg);
             let mem = report.cache.memory;
             let lookups = mem.hits + mem.misses;
             assert!(lookups > 0, "{backend:?}: fleet must exercise the cache");
@@ -111,7 +112,7 @@ fn fleet_eviction_cost_stays_flat_across_cache_sizes_on_both_backends() {
 /// read of a demoted chunk is served from disk — promotions rise, cloud
 /// chunk downloads do not.
 fn demoted_chunks_are_served_from_disk(backend: Backend) {
-    let env = SharedScfsEnv::new(backend, Mode::Blocking, 11);
+    let env = Deployment::paper(backend, 11);
     let files = 8usize;
     let payload = |i: usize| vec![i as u8 + 1; 4 * 1024];
 
@@ -187,9 +188,10 @@ fn demoted_chunks_are_served_from_disk_on_coc() {
 /// Same seed, same trace: the fleet harness replays byte-identically.
 #[test]
 fn fleet_runs_are_deterministic_per_seed() {
-    let cfg = pressured_fleet(Backend::Aws, Bytes::kib(16));
-    let mut a = run_fleet(&cfg);
-    let mut b = run_fleet(&cfg);
+    let run = |cfg: &FleetConfig| run_fleet(&Deployment::paper(Backend::Aws, cfg.seed), cfg);
+    let cfg = pressured_fleet(Bytes::kib(16));
+    let mut a = run(&cfg);
+    let mut b = run(&cfg);
     assert_eq!(
         a.trace_hash, b.trace_hash,
         "identical seeds, identical traces"
@@ -208,7 +210,7 @@ fn fleet_runs_are_deterministic_per_seed() {
 
     let mut other = cfg;
     other.seed ^= 0xDEAD_BEEF;
-    let c = run_fleet(&other);
+    let c = run(&other);
     assert_ne!(
         a.trace_hash, c.trace_hash,
         "a different seed must reshuffle"
@@ -221,12 +223,12 @@ fn fleet_runs_are_deterministic_per_seed() {
 #[test]
 #[ignore = "large: 10^4 mounts, run explicitly in release"]
 fn fleet_scale_ten_thousand_mounts() {
-    let mut cfg = FleetConfig::smoke(Backend::Aws);
+    let mut cfg = FleetConfig::smoke();
     cfg.mounts = 10_000;
     cfg.teams = 100;
     cfg.files_per_team = 32;
     cfg.ops_per_mount = 4;
-    let report = run_fleet(&cfg);
+    let report = run_fleet(&Deployment::paper(Backend::Aws, cfg.seed), &cfg);
     assert_eq!(report.mounts, 10_000);
     assert_eq!(
         report.ops_executed() + report.lock_conflicts,

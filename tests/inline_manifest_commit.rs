@@ -20,17 +20,12 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 use scfs_repro::cloud_store::error::StorageError;
-use scfs_repro::cloud_store::providers::{ProviderProfile, ProviderSet};
+use scfs_repro::cloud_store::providers::ProviderProfile;
 use scfs_repro::cloud_store::sim_cloud::SimulatedCloud;
 use scfs_repro::cloud_store::store::{ObjectStore, OpCtx};
 use scfs_repro::cloud_store::types::{Acl, ObjectMeta, Permission};
-use scfs_repro::coord::replication::ReplicatedCoordinator;
-use scfs_repro::coord::service::CoordinationService;
-use scfs_repro::depsky::config::DepSkyConfig;
-use scfs_repro::depsky::register::DepSkyClient;
 use scfs_repro::scfs::agent::ScfsAgent;
-use scfs_repro::scfs::backend::{CloudOfCloudsStorage, FileStorage, SingleCloudStorage};
-use scfs_repro::scfs::chunkstore::{JournalOpts, KeyStyle};
+use scfs_repro::scfs::chunkstore::JournalOpts;
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::error::ScfsError;
 use scfs_repro::scfs::fs::FileSystem;
@@ -39,6 +34,7 @@ use scfs_repro::scfs_crypto::to_hex;
 use scfs_repro::sim_core::rng::DetRng;
 use scfs_repro::sim_core::time::{Clock, SimDuration};
 use scfs_repro::sim_core::units::Bytes;
+use scfs_repro::workloads::setup::{Backend, Deployment, Plane, Providers};
 
 const CHUNK: usize = 4096;
 
@@ -152,110 +148,58 @@ fn blobs(log: &[(Op, String)], op: Op) -> Vec<Blob> {
     of_kind.map(|(_, key)| blob_of(key)).collect()
 }
 
-/// One backend instance, with the concrete type its orphan audit needs.
-enum Backend {
-    Aws(Arc<SingleCloudStorage>),
-    Coc(Arc<CloudOfCloudsStorage>),
-}
-
-impl Backend {
-    fn storage(&self) -> Arc<dyn FileStorage> {
-        match self {
-            Backend::Aws(storage) => storage.clone(),
-            Backend::Coc(storage) => storage.clone(),
-        }
-    }
-}
-
-/// The clouds and coordination service of one deployment, every cloud
-/// request logged. Backend instances are made on demand: a second one is a
-/// second process — empty registry, empty chunk store, same buckets.
+/// One deployment with every cloud request logged. `deployment` is its
+/// first backend instance; [`Deployment::second_instance`] is a second
+/// process — empty registry, empty chunk store, same buckets, same log.
 struct Env {
-    sims: Vec<Arc<SimulatedCloud>>,
-    clouds: Vec<Arc<Recorder>>,
-    coordinator: Arc<dyn CoordinationService>,
+    deployment: Deployment,
+    recorders: Vec<Arc<Recorder>>,
 }
 
 impl Env {
     fn new(coc: bool) -> Env {
-        let sims: Vec<Arc<SimulatedCloud>> = if coc {
-            let profiles = ProviderSet::test_backend(4).into_iter().enumerate();
-            profiles
-                .map(|(i, p)| Arc::new(SimulatedCloud::new(p, i as u64)))
-                .collect()
+        let backend = if coc {
+            Backend::CloudOfClouds
         } else {
-            vec![Arc::new(SimulatedCloud::test("s3"))]
+            Backend::Aws
         };
-        let record = |sim: &Arc<SimulatedCloud>| {
-            Arc::new(Recorder {
-                inner: sim.clone(),
-                log: Mutex::new(Vec::new()),
-            })
-        };
+        let mut recorders = Vec::new();
+        let deployment = Deployment::on(backend)
+            .providers(Providers::Instantaneous)
+            .plane(Plane::Instantaneous)
+            .build_behind(11, |sim| {
+                let recorder = Arc::new(Recorder {
+                    inner: sim,
+                    log: Mutex::new(Vec::new()),
+                });
+                recorders.push(recorder.clone());
+                recorder
+            });
         Env {
-            clouds: sims.iter().map(record).collect(),
-            sims,
-            coordinator: Arc::new(ReplicatedCoordinator::test()),
+            deployment,
+            recorders,
         }
-    }
-
-    fn is_coc(&self) -> bool {
-        self.clouds.len() > 1
-    }
-
-    fn backend(&self) -> Backend {
-        let mut clouds = self
-            .clouds
-            .iter()
-            .map(|c| c.clone() as Arc<dyn ObjectStore>);
-        if self.is_coc() {
-            let depsky = DepSkyClient::new(clouds.collect(), DepSkyConfig::scfs_default(), 11);
-            Backend::Coc(Arc::new(CloudOfCloudsStorage::new(depsky.unwrap())))
-        } else {
-            let cloud = clouds.next().expect("one cloud");
-            Backend::Aws(Arc::new(SingleCloudStorage::new(cloud)))
-        }
-    }
-
-    fn mount(&self, backend: &Backend, user: &str, config: &ScfsConfig, seed: u64) -> ScfsAgent {
-        let coordinator = Some(self.coordinator.clone());
-        ScfsAgent::mount(
-            user.into(),
-            config.clone(),
-            backend.storage(),
-            coordinator,
-            seed,
-        )
-        .unwrap()
     }
 
     /// A mount through a backend instance of its own, its clock past
     /// everything `after` has done.
     fn cold_mount(&self, user: &str, config: &ScfsConfig, after: &ScfsAgent) -> ScfsAgent {
-        let mut agent = self.mount(&self.backend(), user, config, 2);
+        let second = self.deployment.second_instance();
+        let mut agent = second.mount(user, config.clone(), 2);
         agent.sleep(after.now().duration_since(agent.now()) + SimDuration::from_secs(1));
         agent
     }
 
     /// The distinct blobs the clouds' raw key listings hold.
     fn stored(&self) -> BTreeSet<Blob> {
-        let keys = self.sims.iter().flat_map(|sim| sim.stored_keys(""));
+        let clouds = self.deployment.clouds.iter();
+        let keys = clouds.flat_map(|sim| sim.stored_keys(""));
         keys.map(|key| blob_of(&key)).collect()
-    }
-
-    /// Stored keys the backend's audit cannot account for.
-    fn orphans(&self, backend: &Backend) -> Vec<String> {
-        let (audit, style, prefix) = match backend {
-            Backend::Aws(storage) => (storage.blob_audit(), KeyStyle::Aws, "scfs/"),
-            Backend::Coc(storage) => (storage.blob_audit(), KeyStyle::DepSky, "depsky/"),
-        };
-        let keys = self.sims.iter().flat_map(|sim| sim.stored_keys(prefix));
-        audit.orphans(style, keys)
     }
 
     /// Drains the request log of every cloud.
     fn take_log(&self) -> Vec<(Op, String)> {
-        let logs = self.clouds.iter();
+        let logs = self.recorders.iter();
         logs.flat_map(|cloud| std::mem::take(&mut *cloud.log.lock().unwrap()))
             .collect()
     }
@@ -330,7 +274,7 @@ fn assert_manifests_are_stored_iff_over_the_bound(coc: bool) {
         let config = shape.config();
         let (v1, v2) = (shape.payload(1), shape.payload(2));
         let (m1, m2) = (config.chunk_map(&v1), config.chunk_map(&v2));
-        let mut writer = env.mount(&env.backend(), "alice", &config, 1);
+        let mut writer = env.deployment.mount("alice", config.clone(), 1);
         writer.write_file("/f", &v1).unwrap();
         writer.write_file("/f", &v2).unwrap();
 
@@ -397,8 +341,7 @@ fn assert_crossing_the_bound_and_back_leaves_no_manifest_behind(coc: bool) {
     let mut config = Shape::Fixed(1).config();
     config.gc.written_bytes_threshold = Bytes::new(1);
     config.gc.versions_to_keep = 1;
-    let backend = env.backend();
-    let mut fs = env.mount(&backend, "alice", &config, 1);
+    let mut fs = env.deployment.mount("alice", config.clone(), 1);
     let versions = [Shape::Fixed(2), Shape::Fixed(13), Shape::Fixed(1)];
     let versions: Vec<Vec<u8>> = (1..).zip(versions).map(|(i, s)| s.payload(i)).collect();
     for data in &versions {
@@ -408,7 +351,7 @@ fn assert_crossing_the_bound_and_back_leaves_no_manifest_behind(coc: bool) {
     assert_eq!(fs.stats().gc_errors, 0);
     let mut clock = Clock::starting_at(fs.background_drain_instant());
     let mut ctx = OpCtx::new(&mut clock, "alice".into());
-    let storage = backend.storage();
+    let storage = env.deployment.storage();
     let replayed = storage
         .replay_release_journal(&mut ctx, &JournalOpts::default())
         .unwrap();
@@ -421,7 +364,7 @@ fn assert_crossing_the_bound_and_back_leaves_no_manifest_behind(coc: bool) {
         chunks_of(&maps[2]),
         "the live version's chunk and no manifest object"
     );
-    assert_eq!(env.orphans(&backend), Vec::<String>::new());
+    assert_eq!(env.deployment.orphans(), Vec::<String>::new());
 
     // Every DELETE named a blob that had been stored: the two dead
     // versions' chunks and the one manifest object the file ever had.
@@ -433,7 +376,7 @@ fn assert_crossing_the_bound_and_back_leaves_no_manifest_behind(coc: bool) {
     if !coc {
         assert_eq!(deleted.len(), dead.len());
         assert_eq!(
-            env.sims[0].metrics().snapshot().deletes,
+            env.deployment.clouds[0].metrics().snapshot().deletes,
             dead.len() as u64,
             "no DELETE for a manifest that was never stored"
         );
@@ -456,7 +399,7 @@ fn crossing_the_bound_and_back_leaves_no_manifest_behind_coc() {
 fn assert_bytes_uploaded_counts_what_a_put_carried(coc: bool) {
     let env = Env::new(coc);
     let config = Shape::Fixed(1).config();
-    let mut fs = env.mount(&env.backend(), "alice", &config, 1);
+    let mut fs = env.deployment.mount("alice", config.clone(), 1);
 
     let one = Shape::Fixed(1).payload(1);
     fs.write_file("/one", &one).unwrap();
@@ -497,7 +440,7 @@ fn bytes_uploaded_counts_what_a_put_carried_coc() {
 fn assert_setfacl_tags_only_the_manifests_that_exist(coc: bool) {
     let env = Env::new(coc);
     let config = Shape::Fixed(1).config();
-    let mut alice = env.mount(&env.backend(), "alice", &config, 1);
+    let mut alice = env.deployment.mount("alice", config.clone(), 1);
     let bob = "bob".into();
 
     // Every retained version inline: the grant is a tuple update alone, and
@@ -549,7 +492,7 @@ fn setfacl_tags_only_the_manifests_that_exist_coc() {
 fn a_tuple_stripped_of_its_inline_manifest_fails_closed_on_a_cold_reader() {
     let env = Env::new(false);
     let config = Shape::Fixed(1).config();
-    let mut alice = env.mount(&env.backend(), "alice", &config, 1);
+    let mut alice = env.deployment.mount("alice", config.clone(), 1);
     let data = Shape::Fixed(3).payload(1);
     let map = config.chunk_map(&data);
     alice.write_file("/f", &data).unwrap();
@@ -559,7 +502,8 @@ fn a_tuple_stripped_of_its_inline_manifest_fails_closed_on_a_cold_reader() {
     let mut clock = Clock::starting_at(alice.now());
     let mut ctx = OpCtx::new(&mut clock, "alice".into());
     let key = "/scfs/meta/f";
-    let tuple = env.coordinator.get(&mut ctx, key).unwrap().value;
+    let coordinator = env.deployment.coordinator();
+    let tuple = coordinator.get(&mut ctx, key).unwrap().value;
     let manifest = map.encode();
     let at = tuple
         .windows(manifest.len())
@@ -571,7 +515,7 @@ fn a_tuple_stripped_of_its_inline_manifest_fails_closed_on_a_cold_reader() {
     let decoded = FileMetadata::decode(&stripped).expect("a syntactically valid tuple");
     assert_eq!(decoded.version_hash, Some(map.root_hash()));
     assert_eq!(decoded.inline_manifest().unwrap(), None);
-    env.coordinator.put(&mut ctx, key, stripped).unwrap();
+    coordinator.put(&mut ctx, key, stripped).unwrap();
 
     let mut reader = env.cold_mount("alice", &config, &alice);
     env.take_log();

@@ -30,6 +30,7 @@ use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::sim_core::fault::FaultPlan;
 use scfs_repro::sim_core::time::{Clock, SimDuration, SimInstant};
 use scfs_repro::workloads::fleet::{run_fleet_metadata, MetadataFleetConfig};
+use scfs_repro::workloads::setup::{Backend, Deployment, Plane};
 
 // ---------------------------------------------------------------------------
 // Router stability and balance
@@ -307,15 +308,17 @@ fn sharded_plane_serves_the_full_coordination_api() {
 #[test]
 fn metadata_fleet_throughput_scales_with_shards() {
     let run = |shards: usize| {
-        let mut cfg = MetadataFleetConfig::smoke(shards);
-        cfg.topology = ShardTopology::metro(shards, 1);
+        let mut cfg = MetadataFleetConfig::smoke();
         cfg.mounts = 48;
         cfg.ops_per_mount = 12;
         cfg.mean_think = SimDuration::from_millis(10);
         let mut scfs = ScfsConfig::test(Mode::Blocking);
         scfs.metadata_cache_expiry = SimDuration::ZERO;
         cfg.scfs = scfs;
-        run_fleet_metadata(&cfg)
+        let deployment = Deployment::on(Backend::Aws)
+            .plane(Plane::Sharded(ShardTopology::metro(shards, 1)))
+            .build(cfg.seed);
+        run_fleet_metadata(&deployment, &cfg)
     };
     let narrow = run(1);
     let wide = run(4);

@@ -14,24 +14,16 @@
 //!   the same contents does.
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use proptest::prelude::*;
-use scfs_repro::cloud_store::providers::ProviderSet;
-use scfs_repro::cloud_store::sim_cloud::SimulatedCloud;
-use scfs_repro::cloud_store::store::ObjectStore;
-use scfs_repro::coord::replication::ReplicatedCoordinator;
-use scfs_repro::coord::service::CoordinationService;
-use scfs_repro::depsky::config::DepSkyConfig;
-use scfs_repro::depsky::register::DepSkyClient;
 use scfs_repro::scfs::agent::ScfsAgent;
-use scfs_repro::scfs::backend::{CloudOfCloudsStorage, FileStorage, SingleCloudStorage};
 use scfs_repro::scfs::config::{ChunkingMode, Mode, ScfsConfig};
 use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::scfs::types::{CdcParams, ChunkMap, CutRule, FileHandle, OpenFlags};
 use scfs_repro::sim_core::rng::DetRng;
 use scfs_repro::sim_core::time::SimDuration;
 use scfs_repro::sim_core::units::Bytes;
+use scfs_repro::workloads::setup::{Backend, Deployment};
 
 const KIB: usize = 1 << 10;
 const MIB: usize = 1 << 20;
@@ -266,44 +258,6 @@ fn rebuild_handles_tiny_and_empty_files_and_foreign_maps() {
     }
 }
 
-fn aws_storage() -> Arc<dyn FileStorage> {
-    Arc::new(SingleCloudStorage::new(Arc::new(SimulatedCloud::test(
-        "s3",
-    ))))
-}
-
-fn coc_storage() -> Arc<dyn FileStorage> {
-    let clouds: Vec<Arc<dyn ObjectStore>> = ProviderSet::test_backend(4)
-        .into_iter()
-        .enumerate()
-        .map(|(i, p)| Arc::new(SimulatedCloud::new(p, i as u64)) as Arc<dyn ObjectStore>)
-        .collect();
-    Arc::new(CloudOfCloudsStorage::new(
-        DepSkyClient::new(clouds, DepSkyConfig::scfs_default(), 11).unwrap(),
-    ))
-}
-
-/// Mounts `alice` on `storage`; every mount of one test shares `coordinator`.
-fn mount(
-    storage: &Arc<dyn FileStorage>,
-    coordinator: &Arc<dyn CoordinationService>,
-    config: &ScfsConfig,
-    seed: u64,
-) -> ScfsAgent {
-    ScfsAgent::mount(
-        "alice".into(),
-        config.clone(),
-        storage.clone(),
-        Some(coordinator.clone()),
-        seed,
-    )
-    .unwrap()
-}
-
-fn coordinator() -> Arc<dyn CoordinationService> {
-    Arc::new(ReplicatedCoordinator::test())
-}
-
 /// `rehashed_bytes` spent by `op`.
 fn rehashed_by(fs: &mut ScfsAgent, op: impl FnOnce(&mut ScfsAgent)) -> u64 {
     let before = fs.stats().rehashed_bytes;
@@ -324,7 +278,7 @@ fn rehashed_bytes_count_the_edit_not_the_file() {
     let fixed = ScfsConfig::test(Mode::Blocking);
     for config in [fixed.clone(), fixed.with_cdc()] {
         let is_fixed = config.chunking == ChunkingMode::Fixed;
-        let mut fs = mount(&aws_storage(), &coordinator(), &config, 7);
+        let mut fs = Deployment::instant(Backend::Aws, 11).mount("alice", config.clone(), 7);
         let mut model = file.clone();
 
         // A first commit cuts and hashes the whole buffer.
@@ -395,14 +349,14 @@ fn rehashed_bytes_count_the_edit_not_the_file() {
 /// write, fsync, write, sync, write, close through one handle, against a
 /// writer that commits the same two versions from scratch (O_TRUNC opens
 /// have no previous map to rebuild from) on a deployment of its own.
-fn incremental_commits_match_from_scratch_commits(make_storage: fn() -> Arc<dyn FileStorage>) {
+fn incremental_commits_match_from_scratch_commits(backend: Backend) {
     let mut chunked = ScfsConfig::test(Mode::Blocking);
     chunked.chunk_size = Bytes::kib(16);
     for config in [chunked.clone(), chunked.with_cdc()] {
         let mut rng = DetRng::new(99);
         let original = rng.bytes(600 * KIB);
-        let (storage, coord) = (make_storage(), coordinator());
-        let mut fs = mount(&storage, &coord, &config, 1);
+        let deployment = Deployment::instant(backend, 11);
+        let mut fs = deployment.mount("alice", config.clone(), 1);
         fs.write_file("/f", &original).unwrap();
         let base = fs.stats();
 
@@ -433,8 +387,7 @@ fn incremental_commits_match_from_scratch_commits(make_storage: fn() -> Arc<dyn 
         fs.close(h).unwrap();
         let incremental = fs.stats();
 
-        let (storage2, coord2) = (make_storage(), coordinator());
-        let mut scratch = mount(&storage2, &coord2, &config, 1);
+        let mut scratch = Deployment::instant(backend, 11).mount("alice", config.clone(), 1);
         scratch.write_file("/f", &original).unwrap();
         assert_eq!(scratch.stats().chunk_uploads, base.chunk_uploads);
         scratch.write_file("/f", &synced).unwrap();
@@ -449,7 +402,7 @@ fn incremental_commits_match_from_scratch_commits(make_storage: fn() -> Arc<dyn 
         );
 
         // A cold mount reads back the model, under the from-scratch root.
-        let mut reader = mount(&storage, &coord, &config, 2);
+        let mut reader = deployment.mount("alice", config.clone(), 2);
         reader.sleep(SimDuration::from_secs(60));
         assert_eq!(reader.read_file("/f").unwrap(), model.data);
         for fs in [&mut reader, &mut scratch] {
@@ -463,10 +416,10 @@ fn incremental_commits_match_from_scratch_commits(make_storage: fn() -> Arc<dyn 
 
 #[test]
 fn incremental_commits_match_from_scratch_commits_aws() {
-    incremental_commits_match_from_scratch_commits(aws_storage);
+    incremental_commits_match_from_scratch_commits(Backend::Aws);
 }
 
 #[test]
 fn incremental_commits_match_from_scratch_commits_coc() {
-    incremental_commits_match_from_scratch_commits(coc_storage);
+    incremental_commits_match_from_scratch_commits(Backend::CloudOfClouds);
 }

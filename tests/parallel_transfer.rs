@@ -16,18 +16,10 @@
 //! * `ChunkMap::chunks_for_range` covers exactly the bytes `read` returns
 //!   (property-tested over random sizes, offsets and lengths).
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
-use scfs_repro::cloud_store::providers::ProviderProfile;
-use scfs_repro::cloud_store::sim_cloud::SimulatedCloud;
+use scfs_repro::cloud_store::providers::ProviderSet;
 use scfs_repro::cloud_store::store::{ObjectStore, OpCtx};
-use scfs_repro::coord::replication::ReplicatedCoordinator;
-use scfs_repro::coord::service::CoordinationService;
-use scfs_repro::depsky::config::DepSkyConfig;
-use scfs_repro::depsky::register::DepSkyClient;
 use scfs_repro::scfs::agent::ScfsAgent;
-use scfs_repro::scfs::backend::{CloudOfCloudsStorage, FileStorage, SingleCloudStorage};
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::scfs::types::{ChunkMap, OpenFlags};
@@ -35,62 +27,38 @@ use scfs_repro::scfs_crypto::sha256;
 use scfs_repro::sim_core::latency::LatencyModel;
 use scfs_repro::sim_core::time::{Clock, SimDuration};
 use scfs_repro::sim_core::units::Bytes;
+use scfs_repro::workloads::setup::{Backend, Deployment, Plane, Providers};
 
 const MIB: usize = 1 << 20;
 /// Per-request latency of the slow clouds in the timing tests.
 const CHUNK_LATENCY_MS: f64 = 1_000.0;
 
-fn slow_sim_cloud(id: &str, seed: u64) -> Arc<SimulatedCloud> {
-    let mut profile = ProviderProfile::instantaneous(id);
-    profile.latency.request = LatencyModel::constant_ms(CHUNK_LATENCY_MS);
-    Arc::new(SimulatedCloud::new(profile, seed))
+/// A fresh deployment of `backend` whose clouds take a constant
+/// `CHUNK_LATENCY_MS` per request, beside an instantaneous coordinator.
+fn slow(backend: Backend) -> Deployment {
+    let clouds = match backend {
+        Backend::Aws => 1,
+        Backend::CloudOfClouds => 4,
+    };
+    let mut profiles = ProviderSet::test_backend(clouds);
+    for profile in &mut profiles {
+        profile.latency.request = LatencyModel::constant_ms(CHUNK_LATENCY_MS);
+    }
+    Deployment::on(backend)
+        .providers(Providers::Explicit(profiles))
+        .plane(Plane::Instantaneous)
+        .build(11)
 }
 
-fn slow_cloud(id: &str, seed: u64) -> Arc<dyn ObjectStore> {
-    slow_sim_cloud(id, seed)
+/// A fresh all-instantaneous single-cloud deployment.
+fn aws_fast() -> Deployment {
+    Deployment::instant(Backend::Aws, 0)
 }
 
-fn aws_slow() -> Arc<dyn FileStorage> {
-    Arc::new(SingleCloudStorage::new(slow_cloud("s3", 1)))
-}
-
-fn coc_slow_sim_clouds() -> Vec<Arc<SimulatedCloud>> {
-    (0..4)
-        .map(|i| slow_sim_cloud(&format!("cloud{i}"), i as u64))
-        .collect()
-}
-
-fn coc_client_over(clouds: &[Arc<SimulatedCloud>]) -> DepSkyClient {
-    let clouds = clouds
-        .iter()
-        .map(|c| c.clone() as Arc<dyn ObjectStore>)
-        .collect();
-    DepSkyClient::new(clouds, DepSkyConfig::scfs_default(), 11).unwrap()
-}
-
-fn coc_slow_client() -> DepSkyClient {
-    coc_client_over(&coc_slow_sim_clouds())
-}
-
-fn coc_slow() -> Arc<dyn FileStorage> {
-    Arc::new(CloudOfCloudsStorage::new(coc_slow_client()))
-}
-
-fn aws_fast() -> Arc<dyn FileStorage> {
-    Arc::new(SingleCloudStorage::new(Arc::new(SimulatedCloud::test(
-        "s3",
-    ))))
-}
-
-fn mount(
-    storage: Arc<dyn FileStorage>,
-    coordinator: Arc<dyn CoordinationService>,
-    parallel: usize,
-    seed: u64,
-) -> ScfsAgent {
+fn mount(deployment: &Deployment, parallel: usize, seed: u64) -> ScfsAgent {
     let mut config = ScfsConfig::test(Mode::Blocking);
     config.max_parallel_transfers = parallel;
-    ScfsAgent::mount("alice".into(), config, storage, Some(coordinator), seed).unwrap()
+    deployment.mount("alice", config, seed)
 }
 
 /// A 16 MiB file whose 1 MiB chunks all differ from one another.
@@ -103,9 +71,8 @@ fn sixteen_mib() -> Vec<u8> {
 }
 
 /// Foreground virtual seconds one agent takes to `write_file` `data`.
-fn close_latency_secs(storage: Arc<dyn FileStorage>, parallel: usize, data: &[u8]) -> f64 {
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
-    let mut fs = mount(storage, coordinator, parallel, 7);
+fn close_latency_secs(deployment: &Deployment, parallel: usize, data: &[u8]) -> f64 {
+    let mut fs = mount(deployment, parallel, 7);
     let start = fs.now();
     fs.write_file("/big", data).unwrap();
     fs.now().duration_since(start).as_secs_f64()
@@ -117,11 +84,12 @@ fn close_latency_secs(storage: Arc<dyn FileStorage>, parallel: usize, data: &[u8
 /// latency, plus a little local cache work that only loosens `seq`'s floor)
 /// so the same bound holds for the single-request AWS backend and the
 /// quorum-per-blob CoC backend.
-fn assert_parallel_close(storage_seq: Arc<dyn FileStorage>, storage_par: Arc<dyn FileStorage>) {
-    let per_blob = close_latency_secs(storage_seq.clone(), 1, &vec![0x5A; MIB]);
+fn assert_parallel_close(backend: Backend) {
+    let (seq_deployment, par_deployment) = (slow(backend), slow(backend));
+    let per_blob = close_latency_secs(&seq_deployment, 1, &vec![0x5A; MIB]);
     let file = sixteen_mib();
-    let seq = close_latency_secs(storage_seq, 1, &file);
-    let par = close_latency_secs(storage_par, 4, &file);
+    let seq = close_latency_secs(&seq_deployment, 1, &file);
+    let par = close_latency_secs(&par_deployment, 4, &file);
     assert!(
         seq >= 15.5 * per_blob,
         "sequential close of 16 chunks took {seq:.2}s (< 16 blobs of {per_blob:.2}s)"
@@ -138,25 +106,36 @@ fn assert_parallel_close(storage_seq: Arc<dyn FileStorage>, storage_par: Arc<dyn
 
 #[test]
 fn sixteen_chunk_close_costs_four_waves_aws() {
-    assert_parallel_close(aws_slow(), aws_slow());
+    assert_parallel_close(Backend::Aws);
 }
 
 #[test]
 fn sixteen_chunk_close_costs_four_waves_coc() {
-    assert_parallel_close(coc_slow(), coc_slow());
+    assert_parallel_close(Backend::CloudOfClouds);
 }
 
 /// The single-wave commit: a dirty 1-chunk close is the chunk — its manifest
 /// rides in the metadata tuple — with (on CoC) both DepSky rounds in flight
 /// together, then the two coordination calls (anchor update, unlock — free
 /// on the test coordinator).
-/// `bare_put_secs` is what the backend pays to store the same bytes as one
-/// blob and nothing else.
-fn assert_one_blob_close(storage: Arc<dyn FileStorage>, bare_put_secs: f64) {
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
-    let mut fs = mount(storage, coordinator, 4, 7);
+/// The yardstick is independent of the backend layer: one bare PUT of the
+/// same bytes to one of the deployment's clouds. Every cloud answers in the
+/// same constant request latency, and `depsky::register`'s
+/// `write_blob_overlaps_the_rounds…` pins a DepSky blob write at one of them,
+/// so a second sequential blob (a manifest object, ordered DepSky rounds)
+/// doubles `close` and not the yardstick.
+fn assert_one_blob_close(backend: Backend) {
+    let chunk = vec![0x5A; MIB];
+    let mut clock = Clock::new();
+    let mut ctx = OpCtx::new(&mut clock, "alice".into());
+    slow(backend).clouds[0]
+        .put(&mut ctx, "bare", &chunk)
+        .unwrap();
+    let bare_put_secs = clock.now().as_secs_f64();
+
+    let mut fs = mount(&slow(backend), 4, 7);
     let h = fs.open("/one", OpenFlags::create_truncate()).unwrap();
-    fs.write(h, 0, &vec![0x5A; MIB]).unwrap();
+    fs.write(h, 0, &chunk).unwrap();
     let start = fs.now();
     fs.close(h).unwrap();
     let close = fs.now().duration_since(start).as_secs_f64();
@@ -168,29 +147,17 @@ fn assert_one_blob_close(storage: Arc<dyn FileStorage>, bare_put_secs: f64) {
 
 #[test]
 fn one_chunk_dirty_close_costs_one_blob_latency_aws() {
-    let cloud = slow_cloud("s3", 1);
-    let mut clock = Clock::new();
-    let mut ctx = OpCtx::new(&mut clock, "alice".into());
-    cloud.put(&mut ctx, "bare", &vec![0x5A; MIB]).unwrap();
-    assert_one_blob_close(aws_slow(), clock.now().as_secs_f64());
+    assert_one_blob_close(Backend::Aws);
 }
 
 #[test]
 fn one_chunk_dirty_close_costs_one_blob_latency_coc() {
-    let depsky = coc_slow_client();
-    let chunk = vec![0x5A; MIB];
-    let mut clock = Clock::new();
-    let mut ctx = OpCtx::new(&mut clock, "alice".into());
-    depsky
-        .write_blob(&mut ctx, "bare", &sha256(&chunk), &chunk)
-        .unwrap();
-    assert_one_blob_close(coc_slow(), clock.now().as_secs_f64());
+    assert_one_blob_close(Backend::CloudOfClouds);
 }
 
 #[test]
 fn close_reports_the_parallel_waves() {
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
-    let mut fs = mount(aws_fast(), coordinator, 4, 7);
+    let mut fs = mount(&aws_fast(), 4, 7);
     fs.write_file("/big", &sixteen_mib()).unwrap();
     assert_eq!(fs.stats().chunk_uploads, 16);
     assert_eq!(fs.stats().transfer_waves, 4, "16 chunks / parallelism 4");
@@ -200,14 +167,13 @@ fn close_reports_the_parallel_waves() {
 /// manifest plus one chunk.
 #[test]
 fn cold_4k_read_of_16mib_fetches_one_chunk_and_manifest() {
-    let storage = aws_fast();
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
+    let deployment = aws_fast();
     let file = sixteen_mib();
-    let mut writer = mount(storage.clone(), coordinator.clone(), 4, 1);
+    let mut writer = mount(&deployment, 4, 1);
     writer.write_file("/big", &file).unwrap();
 
     // A second mount of the same account: cold caches.
-    let mut reader = mount(storage, coordinator, 4, 2);
+    let mut reader = mount(&deployment, 4, 2);
     reader.sleep(SimDuration::from_secs(1));
     let h = reader.open("/big", OpenFlags::read_only()).unwrap();
     assert_eq!(reader.handle_size(h).unwrap(), file.len() as u64);
@@ -225,26 +191,9 @@ fn cold_4k_read_of_16mib_fetches_one_chunk_and_manifest() {
     reader.close(h).unwrap();
 }
 
-/// A storage backend over slow clouds, with the clouds kept for their request
-/// counters.
-type CountedBackend = (Arc<dyn FileStorage>, Vec<Arc<SimulatedCloud>>);
-
-fn aws_slow_counted() -> CountedBackend {
-    let cloud = slow_sim_cloud("s3", 1);
-    (
-        Arc::new(SingleCloudStorage::new(cloud.clone())),
-        vec![cloud],
-    )
-}
-
-fn coc_slow_counted() -> CountedBackend {
-    let clouds = coc_slow_sim_clouds();
-    let storage = CloudOfCloudsStorage::new(coc_client_over(&clouds));
-    (Arc::new(storage), clouds)
-}
-
-fn total_gets(clouds: &[Arc<SimulatedCloud>]) -> u64 {
-    clouds.iter().map(|c| c.metrics().snapshot().gets).sum()
+fn total_gets(deployment: &Deployment) -> u64 {
+    let clouds = deployment.clouds.iter();
+    clouds.map(|c| c.metrics().snapshot().gets).sum()
 }
 
 /// The paper's protocol minimum for a cold read of a small file (Fig. 3:
@@ -253,33 +202,34 @@ fn total_gets(clouds: &[Arc<SimulatedCloud>]) -> u64 {
 /// one coordination read (free on the test coordinator) plus exactly what a
 /// bare `read_chunk` of the same bytes costs, in time and in cloud GETs. Two
 /// identically built deployments, so neither measurement warms the other.
-fn assert_cold_small_read_is_one_round_trip(build: fn() -> CountedBackend) {
+fn assert_cold_small_read_is_one_round_trip(backend: Backend) {
     let data: Vec<u8> = (0..64 * 1024).map(|i| (i * 31 + 7) as u8).collect();
-    let written = |storage: &Arc<dyn FileStorage>| {
-        let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
-        let mut writer = mount(storage.clone(), coordinator.clone(), 4, 1);
+    let written = |deployment: &Deployment| {
+        let mut writer = mount(deployment, 4, 1);
         writer.write_file("/small", &data).unwrap();
-        (coordinator, writer.now() + SimDuration::from_secs(1))
+        writer.now() + SimDuration::from_secs(1)
     };
 
-    let (storage, clouds) = build();
-    let (_, start) = written(&storage);
+    let deployment = slow(backend);
+    let start = written(&deployment);
     let mut clock = Clock::new();
     clock.advance_to(start);
-    let gets = total_gets(&clouds);
+    let gets = total_gets(&deployment);
     let mut ctx = OpCtx::new(&mut clock, "alice".into());
-    let chunk = storage
+    let chunk = deployment
+        .storage()
         .read_chunk(&mut ctx, "alice-f1", &sha256(&data))
         .unwrap();
     assert_eq!(chunk, data, "the file is one chunk");
     let bare_secs = clock.now().duration_since(start).as_secs_f64();
-    let bare_gets = total_gets(&clouds) - gets;
+    let bare_gets = total_gets(&deployment) - gets;
 
-    let (storage, clouds) = build();
-    let (coordinator, start) = written(&storage);
-    let mut reader = mount(storage, coordinator.clone(), 4, 2);
+    let deployment = slow(backend);
+    let start = written(&deployment);
+    let coordinator = deployment.coordinator();
+    let mut reader = mount(&deployment, 4, 2);
     reader.sleep(start.duration_since(reader.now()));
-    let (gets, accesses) = (total_gets(&clouds), coordinator.access_count());
+    let (gets, accesses) = (total_gets(&deployment), coordinator.access_count());
     let h = reader.open("/small", OpenFlags::read_only()).unwrap();
     assert_eq!(
         reader.stats().cloud_downloads,
@@ -292,7 +242,7 @@ fn assert_cold_small_read_is_one_round_trip(build: fn() -> CountedBackend) {
         cold_secs <= 1.25 * bare_secs,
         "cold open+read took {cold_secs:.3}s, more than one chunk read of {bare_secs:.3}s"
     );
-    assert_eq!(total_gets(&clouds) - gets, bare_gets, "chunk GETs only");
+    assert_eq!(total_gets(&deployment) - gets, bare_gets, "chunk GETs only");
     assert_eq!(coordinator.access_count() - accesses, 1, "the anchor read");
     let stats = reader.stats();
     assert_eq!((stats.cloud_downloads, stats.chunk_downloads), (1, 1));
@@ -301,25 +251,24 @@ fn assert_cold_small_read_is_one_round_trip(build: fn() -> CountedBackend) {
 
 #[test]
 fn cold_small_file_read_costs_one_cloud_round_trip_aws() {
-    assert_cold_small_read_is_one_round_trip(aws_slow_counted);
+    assert_cold_small_read_is_one_round_trip(Backend::Aws);
 }
 
 #[test]
 fn cold_small_file_read_costs_one_cloud_round_trip_coc() {
-    assert_cold_small_read_is_one_round_trip(coc_slow_counted);
+    assert_cold_small_read_is_one_round_trip(Backend::CloudOfClouds);
 }
 
 /// Random-access reads fault in only the touched chunks, in the middle and
 /// at the tail of the file.
 #[test]
 fn sparse_reads_fetch_only_touched_chunks() {
-    let storage = aws_fast();
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
+    let deployment = aws_fast();
     let file = sixteen_mib();
-    let mut writer = mount(storage.clone(), coordinator.clone(), 4, 1);
+    let mut writer = mount(&deployment, 4, 1);
     writer.write_file("/big", &file).unwrap();
 
-    let mut reader = mount(storage, coordinator, 4, 2);
+    let mut reader = mount(&deployment, 4, 2);
     reader.sleep(SimDuration::from_secs(1));
     let h = reader.open("/big", OpenFlags::read_only()).unwrap();
     // A read straddling the chunk 7/8 boundary faults exactly two chunks.
@@ -341,13 +290,12 @@ fn sparse_reads_fetch_only_touched_chunks() {
 /// and every chunk still moves at most once.
 #[test]
 fn sequential_reads_prefetch_in_the_background() {
-    let storage = aws_fast();
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
+    let deployment = aws_fast();
     let file = sixteen_mib();
-    let mut writer = mount(storage.clone(), coordinator.clone(), 4, 1);
+    let mut writer = mount(&deployment, 4, 1);
     writer.write_file("/big", &file).unwrap();
 
-    let mut reader = mount(storage, coordinator, 4, 2);
+    let mut reader = mount(&deployment, 4, 2);
     reader.sleep(SimDuration::from_secs(1));
     let h = reader.open("/big", OpenFlags::read_only()).unwrap();
     // First read: not yet a sequential pattern — one chunk, no prefetch.
@@ -383,13 +331,12 @@ fn sequential_reads_prefetch_in_the_background() {
 /// the prefetcher around to the start of the file.
 #[test]
 fn eof_read_does_not_prefetch_from_file_start() {
-    let storage = aws_fast();
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
+    let deployment = aws_fast();
     let file = sixteen_mib();
-    let mut writer = mount(storage.clone(), coordinator.clone(), 4, 1);
+    let mut writer = mount(&deployment, 4, 1);
     writer.write_file("/big", &file).unwrap();
 
-    let mut reader = mount(storage, coordinator, 4, 2);
+    let mut reader = mount(&deployment, 4, 2);
     reader.sleep(SimDuration::from_secs(1));
     let h = reader.open("/big", OpenFlags::read_only()).unwrap();
     // Read only the last chunk, then hit EOF the way read loops do.
@@ -411,20 +358,19 @@ fn eof_read_does_not_prefetch_from_file_start() {
 /// first, so close commits a complete, correct version.
 #[test]
 fn partial_write_to_lazy_handle_round_trips() {
-    let storage = aws_fast();
-    let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
+    let deployment = aws_fast();
     let mut file = sixteen_mib();
-    let mut writer = mount(storage.clone(), coordinator.clone(), 4, 1);
+    let mut writer = mount(&deployment, 4, 1);
     writer.write_file("/big", &file).unwrap();
 
-    let mut editor = mount(storage.clone(), coordinator.clone(), 4, 2);
+    let mut editor = mount(&deployment, 4, 2);
     editor.sleep(SimDuration::from_secs(1));
     let h = editor.open("/big", OpenFlags::read_write()).unwrap();
     editor.write(h, (5 * MIB + 17) as u64, b"edited").unwrap();
     editor.close(h).unwrap();
     file[5 * MIB + 17..5 * MIB + 23].copy_from_slice(b"edited");
 
-    let mut checker = mount(storage, coordinator, 4, 3);
+    let mut checker = mount(&deployment, 4, 3);
     checker.sleep(SimDuration::from_secs(10));
     assert_eq!(checker.read_file("/big").unwrap(), file);
     // The edit dirtied exactly one chunk.
@@ -471,20 +417,15 @@ proptest! {
         len in 0usize..100_000,
         seed in 0u64..1_000,
     ) {
-        let storage = aws_fast();
-        let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
+        let deployment = aws_fast();
         let chunk_size = 4096usize;
         let file: Vec<u8> = (0..file_len).map(|i| (i * 31 + 7) as u8).collect();
         let mut config = ScfsConfig::test(Mode::Blocking);
         config.chunk_size = Bytes::new(chunk_size as u64);
-        let mut writer = ScfsAgent::mount(
-            "alice".into(), config.clone(), storage.clone(), Some(coordinator.clone()), 1,
-        ).unwrap();
+        let mut writer = deployment.mount("alice", config.clone(), 1);
         writer.write_file("/f", &file).unwrap();
 
-        let mut reader = ScfsAgent::mount(
-            "alice".into(), config, storage, Some(coordinator), 2 + seed,
-        ).unwrap();
+        let mut reader = deployment.mount("alice", config, 2 + seed);
         reader.sleep(SimDuration::from_secs(1));
         let h = reader.open("/f", OpenFlags::read_only()).unwrap();
         let data = reader.read(h, offset, len).unwrap();
