@@ -80,7 +80,8 @@ impl FileSystem for S3fsLike {
         // S3FS checks the object (and its parent "directory" marker) on S3.
         let head = self.cloud_op(|cloud, ctx| cloud.head(ctx, &key));
         let parent_key = Self::object_key(&parent_of(&norm));
-        let _ = self.cloud_op(|cloud, ctx| cloud.head(ctx, &parent_key));
+        self.cloud_op(|cloud, ctx| cloud.head(ctx, &parent_key))
+            .ok();
         match head {
             Ok(_) => {
                 // Fetch the contents if we have no local copy yet (S3FS keeps
@@ -180,7 +181,7 @@ impl FileSystem for S3fsLike {
     fn readdir(&mut self, path: &str) -> Result<Vec<String>, ScfsError> {
         let norm = normalize_path(path)?;
         let key = Self::object_key(&norm);
-        let _ = self.cloud_op(|cloud, ctx| cloud.list(ctx, &key));
+        self.cloud_op(|cloud, ctx| cloud.list(ctx, &key)).ok();
         self.inner.readdir(&norm)
     }
 
@@ -202,7 +203,8 @@ impl FileSystem for S3fsLike {
         let to_key = Self::object_key(&to_n);
         if let Ok(data) = self.cloud_op(|cloud, ctx| cloud.get(ctx, &from_key)) {
             self.cloud_op(|cloud, ctx| cloud.put(ctx, &to_key, &data))?;
-            let _ = self.cloud_op(|cloud, ctx| cloud.delete(ctx, &from_key));
+            self.cloud_op(|cloud, ctx| cloud.delete(ctx, &from_key))
+                .ok();
         }
         self.inner.rename(&from_n, &to_n)
     }
@@ -216,11 +218,12 @@ impl FileSystem for S3fsLike {
         let norm = normalize_path(path)?;
         let key = Self::object_key(&norm);
         let user_c = user.clone();
-        let _ = self.cloud_op(|cloud, ctx| {
+        self.cloud_op(|cloud, ctx| {
             let mut acl = cloud.get_acl(ctx, &key)?;
             acl.grant(user_c, permission);
             cloud.set_acl(ctx, &key, acl)
-        });
+        })
+        .ok();
         self.inner.setfacl(&norm, user, permission)
     }
 

@@ -122,13 +122,13 @@ impl S3qlLike {
                     continue;
                 }
                 let key = format!("s3ql/block/{}", to_hex(&hash));
-                let _ = cloud.put(&mut ctx, &key, chunk);
+                cloud.put(&mut ctx, &key, chunk).ok();
             }
             if data.is_empty() {
                 let hash = sha256(&[]);
                 if uploaded_blocks.insert(hash) {
                     let key = format!("s3ql/block/{}", to_hex(&hash));
-                    let _ = cloud.put(&mut ctx, &key, &[]);
+                    cloud.put(&mut ctx, &key, &[]).ok();
                 } else {
                     *dedup_skipped += 1;
                 }

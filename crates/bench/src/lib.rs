@@ -117,7 +117,7 @@ mod tests {
     fn temp_trajectory(name: &str) -> std::path::PathBuf {
         let path =
             std::env::temp_dir().join(format!("scfs_bench_{name}_{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&path);
+        std::fs::remove_file(&path).ok();
         path
     }
 
@@ -140,7 +140,7 @@ mod tests {
         // Earlier records are never rewritten.
         assert!(fourth
             .contains("{\"run\": 1, \"bench\": \"transfer_engine\", \"results\": [{\"a\": 1}]}"));
-        let _ = std::fs::remove_file(&path);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -157,6 +157,6 @@ mod tests {
         let out = append_run(&path, "transfer_engine", "[{\"a\": 1}]");
         assert!(out.contains("{\"run\": 1, \"results\": [{\"a\": 1}]}"));
         assert!(!out.contains("\"run\": 2"));
-        let _ = std::fs::remove_file(&path);
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -95,10 +95,10 @@ impl Schedule {
     pub fn serialize(&self, records: &[ChoiceRecord]) -> String {
         let mut out = String::new();
         use std::fmt::Write as _;
-        let _ = writeln!(out, "{MAGIC}");
-        let _ = writeln!(out, "scenario: {}", self.scenario.name());
-        let _ = writeln!(out, "seed: {}", self.seed);
-        let _ = writeln!(
+        writeln!(out, "{MAGIC}").ok();
+        writeln!(out, "scenario: {}", self.scenario.name()).ok();
+        writeln!(out, "seed: {}", self.seed).ok();
+        writeln!(
             out,
             "mutant: {}",
             if self.mutant {
@@ -106,23 +106,25 @@ impl Schedule {
             } else {
                 "none"
             }
-        );
-        let _ = writeln!(out, "expect: {}", self.expect.name());
-        let _ = writeln!(out, "trace: {:#018x}", self.trace_hash);
+        )
+        .ok();
+        writeln!(out, "expect: {}", self.expect.name()).ok();
+        writeln!(out, "trace: {:#018x}", self.trace_hash).ok();
         for (i, &d) in self.decisions.iter().enumerate() {
             if d == 0 {
                 continue;
             }
             match records.get(i) {
                 Some(r) => {
-                    let _ = writeln!(
+                    writeln!(
                         out,
                         "decide: {i}={d}  # {}@{} options={}",
                         r.kind, r.site, r.options
-                    );
+                    )
+                    .ok();
                 }
                 None => {
-                    let _ = writeln!(out, "decide: {i}={d}");
+                    writeln!(out, "decide: {i}={d}").ok();
                 }
             }
         }

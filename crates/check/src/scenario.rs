@@ -277,14 +277,15 @@ fn run_abd(seed: u64, mutant: bool, decisions: &[usize]) -> RunOutcome {
     let mut trace = String::new();
     for e in &events {
         use std::fmt::Write as _;
-        let _ = write!(
+        write!(
             trace,
             "{}:v{}:i{}:r{};",
             e.label,
             e.version,
             e.invoked.as_nanos(),
             e.responded.as_nanos()
-        );
+        )
+        .ok();
     }
 
     RunOutcome {

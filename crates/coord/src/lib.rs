@@ -77,6 +77,11 @@
 //!   which VM sizes, how many shards) and their fixed cost / capacity,
 //!   reproducing Figure 11(a).
 
+#![cfg_attr(
+    test,
+    allow(clippy::disallowed_methods, reason = "a unit test is a clock root")
+)]
+
 pub mod abd;
 pub mod commands;
 pub mod deployment;

@@ -35,6 +35,11 @@
 //!   and cloud keys are spelled and parsed back. Parallel cloud access and
 //!   quorum waits are [`sim_core::parallel`]'s fork/join, called directly.
 
+#![cfg_attr(
+    test,
+    allow(clippy::disallowed_methods, reason = "a unit test is a clock root")
+)]
+
 pub mod config;
 pub mod metadata;
 pub mod register;

@@ -443,7 +443,7 @@ impl DepSkyClient {
                 let outcomes = parallel_access(ctx, &self.clouds, &all, |_, cloud, c| {
                     for slot in 0..width {
                         // Most of these keys never existed.
-                        let _ = cloud.delete(c, &Self::block_key(name, 1, slot));
+                        cloud.delete(c, &Self::block_key(name, 1, slot)).ok();
                     }
                     Ok(())
                 });
@@ -478,8 +478,9 @@ impl DepSkyClient {
             // Each cloud also updates the ACL of the blocks it holds.
             for info in &md.versions {
                 if let Some(slot) = info.slot_for_cloud(cloud_index) {
-                    let _ =
-                        cloud.set_acl(c, &Self::block_key(name, info.version, slot), acl.clone());
+                    cloud
+                        .set_acl(c, &Self::block_key(name, info.version, slot), acl.clone())
+                        .ok();
                 }
             }
             Ok(())

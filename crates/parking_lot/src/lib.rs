@@ -113,11 +113,11 @@ mod tests {
     fn panicking_holder_does_not_poison() {
         let m = std::sync::Arc::new(Mutex::new(7));
         let m2 = m.clone();
-        let _ = std::thread::spawn(move || {
+        let holder = std::thread::spawn(move || {
             let _guard = m2.lock();
             panic!("holder dies");
-        })
-        .join();
+        });
+        assert!(holder.join().is_err());
         assert_eq!(*m.lock(), 7);
     }
 }

@@ -25,6 +25,11 @@
 //! functions of the matrix state, which keeps them deterministic and
 //! property-testable.
 
+#![cfg_attr(
+    test,
+    allow(clippy::disallowed_methods, reason = "a unit test is a clock root")
+)]
+
 pub mod matrix;
 pub mod policy;
 

@@ -132,7 +132,6 @@ mod tests {
             self.0.label()
         }
 
-        #[allow(clippy::too_many_arguments)]
         fn write_version(
             &self,
             ctx: &mut OpCtx<'_>,

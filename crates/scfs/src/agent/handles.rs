@@ -11,6 +11,10 @@ use super::ScfsAgent;
 use crate::error::ScfsError;
 use crate::types::{ChunkMap, FileHandle, FileMetadata, OpenFlags};
 
+/// How many upcoming chunks the sequential-read prefetcher schedules on the
+/// background clock once a handle shows a sequential read pattern.
+const PREFETCH_CHUNKS: usize = 2;
+
 /// State of one open file.
 ///
 /// `open` does not materialize the file: it loads only the manifest and
@@ -280,10 +284,8 @@ impl ScfsAgent {
             // Sequential readers get the next chunks prefetched in the
             // background; the very first read of a handle is not yet a
             // pattern (a cold `read(0, 4 KiB)` moves exactly one chunk).
-            let prefetch = self.config.prefetch_chunks;
-            if sequential && prefetch > 0 && !touched.is_empty() && touched.end < map.chunk_count()
-            {
-                let until = touched.end.saturating_add(prefetch).min(map.chunk_count());
+            if sequential && !touched.is_empty() && touched.end < map.chunk_count() {
+                let until = (touched.end + PREFETCH_CHUNKS).min(map.chunk_count());
                 self.prefetch_background(file, touched.end..until);
             }
         }

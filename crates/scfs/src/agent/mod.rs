@@ -199,7 +199,10 @@ impl ScfsAgent {
             mem_latency: LatencyProfile::main_memory(),
             user,
             config,
-            // scfs-lint: allow(C003, mount is the agent's clock root; every session starts at the virtual epoch by design)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "mount is the agent's clock root; every session starts at the virtual epoch by design"
+            )]
             clock: Clock::new(),
             rng: DetRng::new(seed),
             storage,

@@ -351,7 +351,7 @@ pub trait FileStorage: Send + Sync {
     /// chunk-store principal). `is_new` hints that the object was never
     /// written before. The dirty chunks move through the transfer engine, at
     /// most `opts.max_parallel` at a time; the bound governs chunks only.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one per part of the transfer")]
     fn write_version(
         &self,
         ctx: &mut OpCtx<'_>,
@@ -406,7 +406,7 @@ pub trait FileStorage: Send + Sync {
     /// its completion token. The job runs on a scheduler-owned forked clock,
     /// so the caller's clock is not charged — the blocking form is
     /// `begin_write_version(...).wait(ctx.clock)`.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one per part of the transfer")]
     fn begin_write_version(
         &self,
         sched: &mut BackgroundScheduler,
@@ -430,7 +430,7 @@ pub trait FileStorage: Send + Sync {
     /// chunks of `map` at `indices` on the object's lane of `sched` and
     /// returns a token for their bytes, in `indices` order (duplicate
     /// content moves once and fills every requesting position).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one per part of the transfer")]
     fn begin_read_chunks(
         &self,
         sched: &mut BackgroundScheduler,

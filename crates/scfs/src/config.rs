@@ -114,10 +114,6 @@ pub struct ScfsConfig {
     /// many parallel transfers, so a 16-chunk upload costs
     /// ~⌈16 / max_parallel_transfers⌉ chunk latencies of wall-clock.
     pub max_parallel_transfers: usize,
-    /// Number of upcoming chunks the sequential-read prefetcher schedules on
-    /// the background clock once a handle shows a sequential read pattern
-    /// (0 disables prefetch).
-    pub prefetch_chunks: usize,
     /// Maximum number of background version commits (non-blocking closes)
     /// in flight at once. A `close` that would exceed the bound blocks until
     /// the earliest pending upload completes — explicit backpressure instead
@@ -143,7 +139,6 @@ impl ScfsConfig {
             chunk_size: Bytes::new(crate::types::DEFAULT_CHUNK_SIZE as u64),
             chunking: ChunkingMode::Fixed,
             max_parallel_transfers: crate::transfer::DEFAULT_MAX_PARALLEL,
-            prefetch_chunks: 2,
             max_pending_uploads: 64,
             gc: GcConfig::default(),
             syscall_overhead: LatencyModel::Uniform {
@@ -234,7 +229,6 @@ mod tests {
     fn transfer_knobs_default_to_parallel_with_prefetch() {
         let c = ScfsConfig::paper_default(Mode::Blocking);
         assert_eq!(c.max_parallel_transfers, 4);
-        assert_eq!(c.prefetch_chunks, 2);
         assert!(c.max_pending_uploads >= 1);
     }
 

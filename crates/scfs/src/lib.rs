@@ -96,6 +96,15 @@
 //! fs.close(h).unwrap();
 //! ```
 
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "a unit test is a clock root over simulated clouds"
+    )
+)]
+
 pub mod agent;
 pub mod anchor;
 pub mod backend;

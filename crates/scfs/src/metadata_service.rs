@@ -18,7 +18,7 @@ use sim_core::time::{SimDuration, SimInstant};
 
 use crate::error::ScfsError;
 use crate::pns::PrivateNameSpace;
-use crate::types::{is_under, parent_of, FileMetadata};
+use crate::types::{is_child_of, is_under, parent_of, FileMetadata};
 
 /// Counters describing how the metadata service resolved its lookups.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -291,14 +291,12 @@ impl MetadataService {
             };
             let keys = coord.list(ctx, &prefix)?;
             let meta_prefix = Self::coord_key("");
-            for key in keys {
-                let child_path = key.trim_start_matches(&meta_prefix).to_string();
-                // Only direct children.
-                let rel = child_path.trim_start_matches(path).trim_start_matches('/');
-                if !rel.is_empty() && !rel.contains('/') {
-                    children.push(child_path);
-                }
-            }
+            children.extend(
+                keys.iter()
+                    .filter_map(|key| key.strip_prefix(&meta_prefix))
+                    .filter(|child| is_child_of(child, path))
+                    .map(str::to_string),
+            );
         }
         children.sort();
         children.dedup();

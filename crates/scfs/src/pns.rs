@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 
 use depsky::wire::{DecodeError, Reader, Writer};
 
-use crate::types::{is_under, FileMetadata};
+use crate::types::{is_child_of, is_under, FileMetadata};
 
 /// The in-memory private name space of one user.
 #[derive(Debug, Clone, Default)]
@@ -71,18 +71,9 @@ impl PrivateNameSpace {
 
     /// Lists the direct children of `dir`.
     pub fn children_of(&self, dir: &str) -> Vec<String> {
-        let prefix = if dir == "/" {
-            "/".to_string()
-        } else {
-            format!("{dir}/")
-        };
         self.entries
             .keys()
-            .filter(|p| {
-                p.starts_with(&prefix)
-                    && !p[prefix.len()..].contains('/')
-                    && !p[prefix.len()..].is_empty()
-            })
+            .filter(|p| is_child_of(p, dir))
             .cloned()
             .collect()
     }

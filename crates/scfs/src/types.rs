@@ -978,6 +978,17 @@ pub fn is_under(path: &str, root: &str) -> bool {
         .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
 }
 
+/// Whether the normalized `path` is a direct child of the directory `dir`:
+/// `/a/a` and `/a/b` are children of `/a`; `/a` itself, the grandchild
+/// `/a/a/x` and the sibling `/ab` are not. The one rule `readdir` lists by,
+/// in the private name space and on the coordination service alike.
+pub fn is_child_of(path: &str, dir: &str) -> bool {
+    let dir = if dir == "/" { "" } else { dir };
+    path.strip_prefix(dir)
+        .and_then(|rest| rest.strip_prefix('/'))
+        .is_some_and(|name| !name.is_empty() && !name.contains('/'))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

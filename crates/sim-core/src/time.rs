@@ -149,7 +149,7 @@ impl SimDuration {
     }
 
     /// Multiplies the duration by an integer factor.
-    #[allow(clippy::should_implement_trait)]
+    #[allow(clippy::should_implement_trait, reason = "saturating, unlike `Mul`")]
     pub fn mul(self, factor: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(factor))
     }
@@ -227,13 +227,13 @@ impl fmt::Display for SimDuration {
 /// owns one `Clock`. Simulated services advance the clock by the latency of
 /// each operation. The clock can only move forward.
 #[derive(Debug, Clone)]
+#[must_use = "a clock nobody reads or advances times nothing"]
 pub struct Clock {
     now: SimInstant,
 }
 
 impl Clock {
     /// Creates a clock positioned at the virtual epoch.
-    #[must_use]
     pub fn new() -> Self {
         Clock {
             now: SimInstant::EPOCH,
@@ -241,7 +241,6 @@ impl Clock {
     }
 
     /// Creates a clock positioned at `start`.
-    #[must_use]
     pub fn starting_at(start: SimInstant) -> Self {
         Clock { now: start }
     }
@@ -274,7 +273,6 @@ impl Clock {
 }
 
 impl Default for Clock {
-    // scfs-lint: allow(C001, trait impl methods cannot carry must_use; Clock::new is annotated)
     fn default() -> Self {
         Clock::new()
     }

@@ -1,5 +1,5 @@
 //! Regression tests for whole-run determinism after the ordered-container
-//! sweep (`scfs-lint` rule D004): every map the agent, chunk store, metadata
+//! sweep (now `clippy::iter_over_hash_type`, README "Static analysis"): every map the agent, chunk store, metadata
 //! service or DepSky register iterates is now a `BTreeMap`/`BTreeSet`, so a
 //! fleet run's trace must be a pure function of its seed — across repeated
 //! runs in one process and regardless of std's per-process `HashMap` seed.

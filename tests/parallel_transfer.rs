@@ -304,7 +304,7 @@ fn sequential_reads_prefetch_in_the_background() {
     // Second, sequential read: prefetch of the next chunks kicks in.
     reader.read(h, 4096, 4096).unwrap();
     let stats = reader.stats();
-    assert_eq!(stats.prefetched_chunks, 2, "prefetch_chunks defaults to 2");
+    assert_eq!(stats.prefetched_chunks, 2, "PREFETCH_CHUNKS is 2");
     assert_eq!(stats.chunk_downloads, 3, "1 faulted + 2 prefetched");
     // Stream the whole file sequentially: correctness, and 16 fetches total.
     let mut assembled = Vec::new();

@@ -1,7 +1,8 @@
-//! `rename` is a path operation, not a string-prefix one — two regressions,
-//! each driven through `FileSystem` on the replicated coordination service,
-//! on a 4-shard ABD plane, and on a `NonSharing` mount (the private name
-//! space, which always matched on path boundaries: the control of the first):
+//! `rename` and `readdir` are path operations, not string-prefix ones — three
+//! regressions, each driven through `FileSystem` on the replicated
+//! coordination service, on a 4-shard ABD plane, and on a `NonSharing` mount
+//! (the private name space, which always matched on path boundaries: the
+//! control of the first and the third):
 //!
 //! * `rename("/a", "/c")` moves `/a` and the subtree under `/a/`, and leaves
 //!   the sibling `/ab` where it is (the coordination planes used to match raw
@@ -9,7 +10,11 @@
 //! * `rename("/a", "/b")` over an existing `/b` that was `stat`ed within the
 //!   metadata-cache expiry serves `/a`'s bytes at once (the cached tuple of
 //!   the destination used to survive the rename for up to 500 ms — in every
-//!   mode, the control included).
+//!   mode, the control included);
+//! * `readdir("/a")` lists `/a`'s direct children, a child named like its
+//!   parent (`/a/a`) included and that child's own children not (the
+//!   coordinated modes used to strip the parent's name repeatedly, drop
+//!   `/a/a` and list `/a/a/x` in its place).
 
 use scfs_repro::coord::sharded::ShardTopology;
 use scfs_repro::scfs::agent::ScfsAgent;
@@ -83,6 +88,18 @@ fn assert_rename_over_a_just_statted_destination_serves_the_source_at_once(under
     assert!(fs.stat("/a").is_err());
 }
 
+fn assert_readdir_lists_direct_children_even_one_named_like_its_parent(under: Under) {
+    let mut fs = mount(under);
+    fs.mkdir("/a").unwrap();
+    fs.mkdir("/a/a").unwrap();
+    for path in ["/a/a/x", "/a/ab", "/a/b", "/ab"] {
+        fs.write_file(path, path.as_bytes()).unwrap();
+    }
+    assert_eq!(fs.readdir("/a").unwrap(), ["/a/a", "/a/ab", "/a/b"]);
+    assert_eq!(fs.readdir("/a/a").unwrap(), ["/a/a/x"]);
+    assert_eq!(fs.readdir("/").unwrap(), ["/a", "/ab"]);
+}
+
 #[test]
 fn rename_leaves_prefix_siblings_on_the_replicated_plane() {
     assert_rename_leaves_siblings_that_share_a_name_prefix(Under::Replicated);
@@ -111,4 +128,19 @@ fn rename_over_a_statted_destination_is_visible_at_once_on_the_four_shard_plane(
 #[test]
 fn rename_over_a_statted_destination_is_visible_at_once_in_non_sharing_mode() {
     assert_rename_over_a_just_statted_destination_serves_the_source_at_once(Under::NonSharing);
+}
+
+#[test]
+fn readdir_lists_a_child_named_like_its_parent_on_the_replicated_plane() {
+    assert_readdir_lists_direct_children_even_one_named_like_its_parent(Under::Replicated);
+}
+
+#[test]
+fn readdir_lists_a_child_named_like_its_parent_on_the_four_shard_plane() {
+    assert_readdir_lists_direct_children_even_one_named_like_its_parent(Under::FourShards);
+}
+
+#[test]
+fn readdir_lists_a_child_named_like_its_parent_in_non_sharing_mode() {
+    assert_readdir_lists_direct_children_even_one_named_like_its_parent(Under::NonSharing);
 }
