@@ -54,7 +54,7 @@ use crate::error::CoordError;
 use crate::replication::{ReplicationConfig, ReplicationMode};
 use crate::router::fnv1a;
 use crate::service::Entry;
-use crate::store::{AbdWriteOutcome, EntryState, TupleStore};
+use crate::store::{AbdWriteOutcome, EntryState, KeyedState, TupleStore};
 
 /// Number of low bits of an ABD timestamp that carry the writer rank; the
 /// sequence number lives in the bits above.
@@ -88,10 +88,10 @@ pub struct RegisterGroup {
 }
 
 /// What one replica answered to an ABD read round.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ReadReply {
     ts: u64,
-    state: Option<EntryState>,
+    state: Option<Arc<EntryState>>,
     updated_at: Option<SimInstant>,
 }
 
@@ -236,12 +236,12 @@ impl RegisterGroup {
     /// arrival among the acknowledgements considered. Short of a quorum the
     /// caller has waited for every replica: all forks are joined and the
     /// round is `Unavailable`.
-    fn await_write_quorum<R>(
+    fn await_write_quorum<'r, R>(
         &self,
         ctx: &mut OpCtx<'_>,
-        runs: &[ForkedRun<R>],
+        runs: &'r [ForkedRun<R>],
         what: &str,
-        mut absorb: impl FnMut(&R) -> bool,
+        mut absorb: impl FnMut(&'r R) -> bool,
     ) -> Result<(), CoordError> {
         let wq = self.config.mode.write_quorum();
         let mut acks = 0usize;
@@ -287,7 +287,7 @@ impl RegisterGroup {
         // arrival among the replies actually considered (identical to the
         // deciding reply's arrival when delivery order is arrival order).
         let mut considered: Vec<&ReadReply> = Vec::new();
-        let mut decided: Option<(ReadReply, SimInstant)> = None;
+        let mut decided: Option<(&ReadReply, SimInstant)> = None;
         let mut latest = SimInstant::EPOCH;
         for run in &runs {
             let Some(reply) = &run.value else { continue };
@@ -311,31 +311,36 @@ impl RegisterGroup {
         ctx.clock.advance_to(decided_at);
 
         // Write-back: if the considered replies were not unanimous, install
-        // the winning (timestamp, state) on a write quorum before returning,
-        // so any later read is guaranteed to see it (the ABD read fix-up).
-        let unanimous = considered.iter().all(|r| r.matches(&winner));
+        // the winning (timestamp, state) — a value or a deletion alike — on a
+        // write quorum before returning, so any later read is guaranteed to
+        // see it (the ABD read fix-up).
+        let unanimous = considered.iter().all(|r| r.matches(winner));
         if !unanimous {
-            if let Some(state) = &winner.state {
-                let mut install = state.clone();
-                install.version = winner.ts;
-                let install_runs = self.deliver(
-                    key,
-                    self.round(ctx, |store, at, _| {
-                        store.abd_install(key, install.clone(), at)
-                    }),
-                );
-                let ok = sim_core::parallel::join_nth(
-                    ctx.clock,
-                    install_runs
-                        .iter()
-                        .map(|r| (r.completed_at, r.value.is_some())),
-                    wq,
-                );
-                if !ok {
-                    return Err(CoordError::unavailable(
-                        "read write-back could not reach a write quorum",
-                    ));
+            // The installed state carries the register timestamp; a reply
+            // read between two commits may hold an older version.
+            let ts = winner.ts;
+            let install = winner.state.as_ref().map(|state| {
+                if state.version == ts {
+                    Arc::clone(state)
+                } else {
+                    Arc::new(state.at_version(ts))
                 }
+            });
+            let install_runs = self.round(ctx, |store, at, _| {
+                store.abd_install(key, ts, install.as_ref(), at)
+            });
+            let install_runs = self.deliver(key, install_runs);
+            let ok = sim_core::parallel::join_nth(
+                ctx.clock,
+                install_runs
+                    .iter()
+                    .map(|r| (r.completed_at, r.value.is_some())),
+                wq,
+            );
+            if !ok {
+                return Err(CoordError::unavailable(
+                    "read write-back could not reach a write quorum",
+                ));
             }
         }
 
@@ -385,11 +390,10 @@ impl RegisterGroup {
 
         // Phase 2: install on a write quorum. `Stale` still acknowledges —
         // the write is linearized before the newer one that beat it.
-        let who = ctx.account.clone();
         let write_runs = self.deliver(
             key,
             self.round(ctx, |store, at, _| {
-                store.abd_write(key, ts, Arc::clone(&value), &who, at)
+                store.abd_write(key, ts, Arc::clone(&value), &ctx.account, at)
             }),
         );
         let mut installs = 0usize;
@@ -412,7 +416,7 @@ impl RegisterGroup {
                         ctx.clock.advance_to(latest);
                         return Err(CoordError::AccessDenied {
                             key: key.to_string(),
-                            account: who.to_string(),
+                            account: ctx.account.to_string(),
                         });
                     }
                 }
@@ -424,30 +428,37 @@ impl RegisterGroup {
         ))
     }
 
-    /// Lists the keys under `prefix` visible to the caller: the union over a
-    /// write quorum of replies, so no key installed by a completed write is
-    /// missed. Corrupt replies are discarded (keys are self-verifying).
-    pub fn list(&self, ctx: &mut OpCtx<'_>, prefix: &str) -> Result<Vec<String>, CoordError> {
-        let who = ctx.account.clone();
+    /// Lists the keys under `prefix` visible to the caller, in key order: the
+    /// union over a write quorum of replies, so no key installed by a
+    /// completed write is missed. Corrupt replies are discarded (keys are
+    /// self-verifying). Each reply is a sorted range scan, so when the quorum
+    /// agrees — every fault-free round — the first reply *is* the union.
+    pub fn list(&self, ctx: &mut OpCtx<'_>, prefix: &str) -> Result<Vec<Arc<str>>, CoordError> {
         let runs = self.deliver(
             prefix,
             self.round(ctx, |store, at, corrupt| {
                 if corrupt {
                     None
                 } else {
-                    Some(store.list(prefix, &who, at))
+                    Some(store.list(prefix, &ctx.account, at))
                 }
             }),
         );
-        let mut union: BTreeSet<String> = BTreeSet::new();
+        let mut replies: Vec<&Vec<Arc<str>>> = Vec::new();
         self.await_write_quorum(ctx, &runs, "list", |reply| {
             let Some(Some(keys)) = reply else {
                 return false;
             };
-            union.extend(keys.iter().cloned());
+            replies.push(keys);
             true
         })?;
-        Ok(union.into_iter().collect())
+        if replies.windows(2).all(|pair| pair[0] == pair[1]) {
+            // The first usable reply in delivery order is the first absorbed.
+            let first = runs.into_iter().find_map(|run| run.value.flatten());
+            return Ok(first.unwrap_or_default());
+        }
+        let union: BTreeSet<&Arc<str>> = replies.into_iter().flatten().collect();
+        Ok(union.into_iter().cloned().collect())
     }
 
     /// Collect phase of a (possibly cross-shard) rename: every live entry
@@ -457,7 +468,7 @@ impl RegisterGroup {
         &self,
         ctx: &mut OpCtx<'_>,
         prefix: &str,
-    ) -> Result<Vec<(String, EntryState)>, CoordError> {
+    ) -> Result<Vec<KeyedState>, CoordError> {
         let runs = self.deliver(
             prefix,
             self.round(ctx, |store, at, corrupt| {
@@ -468,7 +479,7 @@ impl RegisterGroup {
                 }
             }),
         );
-        let mut merged: BTreeMap<String, (u64, EntryState)> = BTreeMap::new();
+        let mut merged: BTreeMap<&Arc<str>, (u64, &Arc<EntryState>)> = BTreeMap::new();
         self.await_write_quorum(ctx, &runs, "rename collect", |reply| {
             let Some(Some(entries)) = reply else {
                 return false;
@@ -477,13 +488,16 @@ impl RegisterGroup {
                 match merged.get(key) {
                     Some((best, _)) if best >= ts => {}
                     _ => {
-                        merged.insert(key.clone(), (*ts, state.clone()));
+                        merged.insert(key, (*ts, state));
                     }
                 }
             }
             true
         })?;
-        Ok(merged.into_iter().map(|(k, (_, s))| (k, s)).collect())
+        Ok(merged
+            .into_iter()
+            .map(|(k, (_, s))| (Arc::clone(k), Arc::clone(s)))
+            .collect())
     }
 
     /// Runs one command through the group's SMR lane: the leader orders it
@@ -518,8 +532,8 @@ impl RegisterGroup {
     pub(crate) fn rename_apply(
         &self,
         ctx: &mut OpCtx<'_>,
-        deletes: &[String],
-        inserts: &[(String, EntryState)],
+        deletes: &[Arc<str>],
+        inserts: &[(String, Arc<EntryState>)],
     ) -> Result<(), CoordError> {
         let commit_at = self.smr_commit(ctx)?;
         for replica in &self.replicas {
@@ -565,7 +579,7 @@ impl RegisterGroup {
 
 /// Picks the reply supported by at least `quorum` matching votes with the
 /// highest timestamp, if any.
-fn vote(considered: &[&ReadReply], quorum: usize) -> Option<ReadReply> {
+fn vote<'a>(considered: &[&'a ReadReply], quorum: usize) -> Option<&'a ReadReply> {
     let mut best: Option<&ReadReply> = None;
     for candidate in considered {
         let support = considered
@@ -580,22 +594,22 @@ fn vote(considered: &[&ReadReply], quorum: usize) -> Option<ReadReply> {
             best = Some(candidate);
         }
     }
-    best.cloned()
+    best
 }
 
 /// A Byzantine replica's rendition of a state: value bytes flipped, metadata
 /// (timestamp, owner, ACL) intact because it is self-verifying.
-fn garble(state: EntryState) -> EntryState {
+fn garble(state: Arc<EntryState>) -> Arc<EntryState> {
     let garbled: Vec<u8> = state.value.iter().map(|b| b ^ 0xFF).collect();
-    EntryState {
+    Arc::new(EntryState {
         value: garbled.into(),
-        ..state
-    }
+        ..EntryState::clone(&state)
+    })
 }
 
 /// Hashes an account name into a writer rank for timestamp tie-breaking.
 pub(crate) fn writer_rank(account: &AccountId) -> u64 {
-    fnv1a(account.to_string().as_bytes()) & RANK_MASK
+    fnv1a(account.as_str().as_bytes()) & RANK_MASK
 }
 
 #[cfg(test)]

@@ -107,7 +107,8 @@ pub trait CoordinationService: Send + Sync {
     /// Deletes an entry.
     fn delete(&self, ctx: &mut OpCtx<'_>, key: &str) -> Result<(), CoordError>;
 
-    /// Lists the keys with the given prefix that the caller may read.
+    /// Lists the keys with the given prefix that the caller may read, in key
+    /// order and each once.
     fn list(&self, ctx: &mut OpCtx<'_>, prefix: &str) -> Result<Vec<String>, CoordError>;
 
     /// Replaces the ACL of an entry (owner only).

@@ -16,6 +16,7 @@
 //! plane would drive the same phases from a transaction log.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use cloud_store::store::OpCtx;
 use cloud_store::types::Acl;
@@ -129,9 +130,8 @@ impl ShardedCoordinator {
         ctx: &mut OpCtx<'_>,
         mut op: impl FnMut(&RegisterGroup, &mut OpCtx<'_>) -> Result<T, CoordError>,
     ) -> Result<Vec<T>, CoordError> {
-        let account = ctx.account.clone();
         let runs = run_forked(ctx.clock, 0..self.groups.len(), |i, fork| {
-            let mut sub = OpCtx::new(fork, account.clone());
+            let mut sub = OpCtx::new(fork, ctx.account.clone());
             op(&self.groups[i], &mut sub)
         });
         join_all(ctx.clock, runs.iter().map(|r| r.completed_at));
@@ -214,10 +214,18 @@ impl CoordinationService for ShardedCoordinator {
     fn list(&self, ctx: &mut OpCtx<'_>, prefix: &str) -> Result<Vec<String>, CoordError> {
         self.count_access();
         let per_group = self.scatter(ctx, |group, sub| group.list(sub, prefix))?;
-        let mut union: Vec<String> = per_group.into_iter().flatten().collect();
-        union.sort();
-        union.dedup();
-        Ok(union)
+        // Every group is asked; a directory's keys live on one, whose sorted
+        // reply is then the answer as is. Only a prefix that spans
+        // directories unions — and sorts — several.
+        let mut answers = per_group.into_iter().filter(|keys| !keys.is_empty());
+        let mut union = answers.next().unwrap_or_default();
+        let single = union.len();
+        union.extend(answers.flatten());
+        if union.len() > single {
+            union.sort();
+            union.dedup();
+        }
+        Ok(union.iter().map(|key| key.to_string()).collect())
     }
 
     fn set_acl(&self, ctx: &mut OpCtx<'_>, key: &str, acl: Acl) -> Result<(), CoordError> {
@@ -249,42 +257,38 @@ impl CoordinationService for ShardedCoordinator {
 
         // Check: the rename is all-or-nothing, so permissions are verified
         // before any shard mutates.
-        let account = ctx.account.clone();
-        for entries in &collected {
-            for (key, state) in entries {
-                if !state.writable_by(&account) {
-                    return Err(CoordError::AccessDenied {
-                        key: key.clone(),
-                        account: account.to_string(),
-                    });
-                }
+        for (key, state) in collected.iter().flatten() {
+            if !state.writable_by(&ctx.account) {
+                return Err(CoordError::AccessDenied {
+                    key: key.to_string(),
+                    account: ctx.account.to_string(),
+                });
             }
         }
 
-        // Plan: deletes stay on the source shard, each moved entry lands on
-        // the shard that owns its *new* key.
-        let shards = self.groups.len();
-        let mut deletes: Vec<Vec<String>> = vec![Vec::new(); shards];
-        let mut inserts: Vec<Vec<(String, EntryState)>> = vec![Vec::new(); shards];
+        // Plan, per shard: deletes stay on the source shard, each moved
+        // entry lands on the shard that owns its *new* key.
+        type Plan = (Vec<Arc<str>>, Vec<(String, Arc<EntryState>)>);
+        let mut plan: Vec<Plan> = self.groups.iter().map(|_| Plan::default()).collect();
         let mut moved = 0usize;
         for (source, entries) in collected.into_iter().enumerate() {
             for (key, state) in entries {
                 let new_key = format!("{new_prefix}{}", &key[old_prefix.len()..]);
                 let target = self.router.route(&new_key);
-                deletes[source].push(key);
-                inserts[target].push((new_key, state));
+                plan[source].0.push(key);
+                plan[target].1.push((new_key, state));
                 moved += 1;
             }
         }
 
         // Apply: one batched SMR commit per group that has work.
-        let account = ctx.account.clone();
-        let runs = run_forked(ctx.clock, 0..shards, |i, fork| {
-            if deletes[i].is_empty() && inserts[i].is_empty() {
+        let runs = run_forked(ctx.clock, 0..plan.len(), |i, fork| {
+            let (deletes, inserts) = &plan[i];
+            if deletes.is_empty() && inserts.is_empty() {
                 return Ok(());
             }
-            let mut sub = OpCtx::new(fork, account.clone());
-            self.groups[i].rename_apply(&mut sub, &deletes[i], &inserts[i])
+            let mut sub = OpCtx::new(fork, ctx.account.clone());
+            self.groups[i].rename_apply(&mut sub, deletes, inserts)
         });
         join_all(ctx.clock, runs.iter().map(|r| r.completed_at));
         for run in runs {

@@ -18,9 +18,13 @@
 //! Entry payloads are stored as `Arc<[u8]>` (and ACLs as `Arc<Acl>`): a
 //! command replayed on the N replicas of a register group shares one payload
 //! allocation instead of copying it N×, and pushing a new history event
-//! never deep-copies the value.
+//! never deep-copies the value. Keys (`Arc<str>`) and committed states
+//! (`Arc<EntryState>`) are shared the same way, so what a replica answers to
+//! a read, a `list` or a rename collect costs a reference count per item
+//! returned, not a copy.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use cloud_store::types::{AccountId, Acl, Permission};
@@ -58,6 +62,31 @@ impl EntryState {
         }
     }
 
+    /// The state a plain write of `value` by `who` leaves: the `current`
+    /// owner and ACL are preserved on overwrite, a new entry is private.
+    fn written(
+        value: Arc<[u8]>,
+        version: u64,
+        current: Option<&Arc<EntryState>>,
+        who: &AccountId,
+    ) -> EntryState {
+        EntryState {
+            value,
+            version,
+            owner: current.map_or_else(|| who.clone(), |c| c.owner.clone()),
+            acl: current.map_or_else(|| Arc::new(Acl::private()), |c| Arc::clone(&c.acl)),
+            ephemeral: None,
+        }
+    }
+
+    /// A copy of this state at register timestamp `version`.
+    pub(crate) fn at_version(&self, version: u64) -> EntryState {
+        EntryState {
+            version,
+            ..self.clone()
+        }
+    }
+
     /// Whether `who` may read this entry.
     pub(crate) fn readable_by(&self, who: &AccountId) -> bool {
         &self.owner == who || self.acl.allows(who, Permission::Read)
@@ -68,6 +97,10 @@ impl EntryState {
         &self.owner == who || self.acl.allows(who, Permission::Write)
     }
 }
+
+/// A live entry as a rename's collect phase hands it on: key and state, both
+/// shared with the replica that answered.
+pub(crate) type KeyedState = (Arc<str>, Arc<EntryState>);
 
 /// The outcome of installing an ABD write on one replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,33 +115,52 @@ pub(crate) enum AbdWriteOutcome {
 }
 
 /// One committed change to a key: the instant it became effective and the new
-/// state (`None` = deleted).
+/// state (`None` = deleted). States are shared: a read hands the `Arc` from
+/// the replica through the vote to the caller without copying the entry.
 #[derive(Debug, Clone)]
 struct HistoryEvent {
     at: SimInstant,
-    state: Option<EntryState>,
+    state: Option<Arc<EntryState>>,
 }
 
 /// History of one key.
 #[derive(Debug, Clone, Default)]
 struct KeyHistory {
     events: Vec<HistoryEvent>,
+    /// The register timestamp: the highest version ever assigned to this
+    /// key, by a value or by a deletion. Kept here so a read costs the same
+    /// whatever the number of versions the key has had.
+    max_version: u64,
 }
 
 impl KeyHistory {
-    /// Inserts an event keeping the history sorted by commit instant.
-    fn push(&mut self, event: HistoryEvent) {
+    /// Commits `state` at `at`, keeping the history sorted by commit instant
+    /// and the register timestamp at the highest version seen.
+    fn push(&mut self, at: SimInstant, state: Option<Arc<EntryState>>) {
+        if let Some(state) = &state {
+            self.max_version = self.max_version.max(state.version);
+        }
         let pos = self
             .events
             .iter()
-            .rposition(|e| e.at <= event.at)
+            .rposition(|e| e.at <= at)
             .map(|p| p + 1)
             .unwrap_or(0);
-        self.events.insert(pos, event);
+        self.events.insert(pos, HistoryEvent { at, state });
+    }
+
+    /// Commits a deletion at `at` under register timestamp `ts` — the next
+    /// one, as a value would take: a replica that missed the deletion then
+    /// holds an *older* timestamp than the replicas that applied it, so a
+    /// quorum read prefers the tombstone over the stale live state instead
+    /// of tying with it.
+    fn tombstone(&mut self, at: SimInstant, ts: u64) {
+        self.max_version = self.max_version.max(ts);
+        self.push(at, None);
     }
 
     /// The state visible at instant `t`, accounting for ephemeral expiry.
-    fn state_at(&self, t: SimInstant) -> Option<&EntryState> {
+    fn state_at(&self, t: SimInstant) -> Option<&Arc<EntryState>> {
         let state = self
             .events
             .iter()
@@ -127,21 +179,14 @@ impl KeyHistory {
     fn updated_at(&self, t: SimInstant) -> Option<SimInstant> {
         self.events.iter().rev().find(|e| e.at <= t).map(|e| e.at)
     }
-
-    /// The highest version number ever assigned to this key.
-    fn max_version(&self) -> u64 {
-        self.events
-            .iter()
-            .filter_map(|e| e.state.as_ref().map(|s| s.version))
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// The tuple store: the replicated state machine of the coordination service.
 #[derive(Debug, Clone, Default)]
 pub struct TupleStore {
-    keys: BTreeMap<String, KeyHistory>,
+    /// Keys are shared strings: a `list` or a rename collect hands each
+    /// replica's keys on by reference count instead of copying them.
+    keys: BTreeMap<Arc<str>, KeyHistory>,
 }
 
 impl TupleStore {
@@ -151,15 +196,15 @@ impl TupleStore {
     }
 
     /// Bounded range scan over the keys starting with `prefix`: seeks to the
-    /// first candidate with `BTreeMap::range` and stops at the first key past
-    /// the prefix, so the cost is O(log n + matches) instead of a full-store
-    /// walk per call.
+    /// first candidate with `BTreeMap::range` (borrowing the prefix) and
+    /// stops at the first key past it, so the cost is O(log n + matches)
+    /// instead of a full-store walk per call.
     fn prefix_range<'a>(
         &'a self,
         prefix: &'a str,
-    ) -> impl Iterator<Item = (&'a String, &'a KeyHistory)> + 'a {
+    ) -> impl Iterator<Item = (&'a Arc<str>, &'a KeyHistory)> + 'a {
         self.keys
-            .range(prefix.to_string()..)
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(move |(k, _)| k.starts_with(prefix))
     }
 
@@ -171,10 +216,25 @@ impl TupleStore {
     fn rename_range<'a>(
         &'a self,
         prefix: &'a str,
-    ) -> impl Iterator<Item = (&'a String, &'a KeyHistory)> + 'a {
+    ) -> impl Iterator<Item = (&'a Arc<str>, &'a KeyHistory)> + 'a {
         self.prefix_range(prefix).filter(move |(k, _)| {
             prefix.ends_with('/') || matches!(k.as_bytes().get(prefix.len()), None | Some(b'/'))
         })
+    }
+
+    /// Runs `f` on the history of `key`. Only a key the store has never seen
+    /// allocates, and its fresh history is kept only if `f` committed an
+    /// event: a refused command leaves nothing for later scans to visit.
+    fn with_history<R>(&mut self, key: &str, f: impl FnOnce(&mut KeyHistory) -> R) -> R {
+        if let Some(history) = self.keys.get_mut(key) {
+            return f(history);
+        }
+        let mut history = KeyHistory::default();
+        let result = f(&mut history);
+        if !history.events.is_empty() {
+            self.keys.insert(Arc::from(key), history);
+        }
+        result
     }
 
     /// Applies one command at commit instant `now` and returns its reply.
@@ -222,18 +282,12 @@ impl TupleStore {
         Ok(state.to_entry(key, history.updated_at(now).unwrap_or(SimInstant::EPOCH)))
     }
 
-    /// Lists the keys with `prefix` that `who` may read, as seen at `now`.
-    pub fn list(&self, prefix: &str, who: &AccountId, now: SimInstant) -> Vec<String> {
+    /// Lists the keys with `prefix` that `who` may read, as seen at `now`,
+    /// in key order.
+    pub fn list(&self, prefix: &str, who: &AccountId, now: SimInstant) -> Vec<Arc<str>> {
         self.prefix_range(prefix)
-            .filter_map(|(k, h)| {
-                h.state_at(now).and_then(|s| {
-                    if s.readable_by(who) {
-                        Some(k.clone())
-                    } else {
-                        None
-                    }
-                })
-            })
+            .filter(|(_, h)| h.state_at(now).is_some_and(|s| s.readable_by(who)))
+            .map(|(k, _)| Arc::clone(k))
             .collect()
     }
 
@@ -245,25 +299,17 @@ impl TupleStore {
             .count()
     }
 
-    /// Total bytes of live values at instant `now` (memory-capacity analyses).
-    pub fn stored_bytes(&self, now: SimInstant) -> u64 {
-        self.keys
-            .values()
-            .filter_map(|h| h.state_at(now).map(|s| s.value.len() as u64))
-            .sum()
-    }
-
     /// ABD read phase at one replica: the register timestamp (the highest
-    /// version ever assigned, so deletions and lease expiries never move it
-    /// backwards) and the live state, read as of instant `now`.
+    /// version ever assigned, by a value or a deletion, so lease expiries
+    /// never move it backwards) and the live state, read as of instant `now`.
     pub(crate) fn abd_snapshot(
         &self,
         key: &str,
         now: SimInstant,
-    ) -> (u64, Option<EntryState>, Option<SimInstant>) {
+    ) -> (u64, Option<Arc<EntryState>>, Option<SimInstant>) {
         match self.keys.get(key) {
             Some(history) => (
-                history.max_version(),
+                history.max_version,
                 history.state_at(now).cloned(),
                 history.updated_at(now),
             ),
@@ -271,19 +317,27 @@ impl TupleStore {
         }
     }
 
-    /// ABD write-back at one replica: installs `state` (whose `version` must
-    /// carry the register timestamp) iff the timestamp is newer than anything
-    /// this replica has seen for the key. Returns whether it was installed.
-    pub(crate) fn abd_install(&mut self, key: &str, state: EntryState, now: SimInstant) -> bool {
-        let history = self.keys.entry(key.to_string()).or_default();
-        if state.version <= history.max_version() {
-            return false;
-        }
-        history.push(HistoryEvent {
-            at: now,
-            state: Some(state),
-        });
-        true
+    /// ABD write-back at one replica: installs the winner of a read — a
+    /// `state` whose `version` is the register timestamp `ts`, or a deletion
+    /// (`None`) — iff `ts` is newer than anything this replica has seen for
+    /// the key. Returns whether it was installed.
+    pub(crate) fn abd_install(
+        &mut self,
+        key: &str,
+        ts: u64,
+        state: Option<&Arc<EntryState>>,
+        now: SimInstant,
+    ) -> bool {
+        self.with_history(key, |history| {
+            let newer = ts > history.max_version;
+            if newer {
+                match state {
+                    Some(state) => history.push(now, Some(Arc::clone(state))),
+                    None => history.tombstone(now, ts),
+                }
+            }
+            newer
+        })
     }
 
     /// ABD write phase at one replica: checks write permission against the
@@ -297,33 +351,18 @@ impl TupleStore {
         who: &AccountId,
         now: SimInstant,
     ) -> AbdWriteOutcome {
-        let history = self.keys.entry(key.to_string()).or_default();
-        let current = history.state_at(now).cloned();
-        if let Some(cur) = &current {
-            if !cur.writable_by(who) {
+        self.with_history(key, |history| {
+            let current = history.state_at(now);
+            if current.is_some_and(|cur| !cur.writable_by(who)) {
                 return AbdWriteOutcome::Denied;
             }
-        }
-        if ts <= history.max_version() {
-            return AbdWriteOutcome::Stale;
-        }
-        let state = EntryState {
-            value,
-            version: ts,
-            owner: current
-                .as_ref()
-                .map(|c| c.owner.clone())
-                .unwrap_or_else(|| who.clone()),
-            acl: current
-                .map(|c| c.acl)
-                .unwrap_or_else(|| Arc::new(Acl::private())),
-            ephemeral: None,
-        };
-        history.push(HistoryEvent {
-            at: now,
-            state: Some(state),
-        });
-        AbdWriteOutcome::Installed
+            if ts <= history.max_version {
+                return AbdWriteOutcome::Stale;
+            }
+            let state = EntryState::written(value, ts, current, who);
+            history.push(now, Some(Arc::new(state)));
+            AbdWriteOutcome::Installed
+        })
     }
 
     /// Snapshot of every live entry under the path `prefix` at `now`
@@ -333,11 +372,11 @@ impl TupleStore {
         &self,
         prefix: &str,
         now: SimInstant,
-    ) -> Vec<(String, u64, EntryState)> {
+    ) -> Vec<(Arc<str>, u64, Arc<EntryState>)> {
         self.rename_range(prefix)
             .filter_map(|(k, h)| {
                 h.state_at(now)
-                    .map(|s| (k.clone(), h.max_version(), s.clone()))
+                    .map(|s| (Arc::clone(k), h.max_version, Arc::clone(s)))
             })
             .collect()
     }
@@ -348,28 +387,19 @@ impl TupleStore {
     /// before any shard mutates.
     pub(crate) fn apply_rename_batch(
         &mut self,
-        deletes: &[String],
-        inserts: &[(String, EntryState)],
+        deletes: &[Arc<str>],
+        inserts: &[(String, Arc<EntryState>)],
         now: SimInstant,
     ) {
         for key in deletes {
-            self.keys
-                .entry(key.clone())
-                .or_default()
-                .push(HistoryEvent {
-                    at: now,
-                    state: None,
-                });
+            if let Some(history) = self.keys.get_mut(key) {
+                history.tombstone(now, history.max_version + 1);
+            }
         }
         for (key, state) in inserts {
-            let target = self.keys.entry(key.clone()).or_default();
-            let version = target.max_version().max(state.version) + 1;
-            target.push(HistoryEvent {
-                at: now,
-                state: Some(EntryState {
-                    version,
-                    ..state.clone()
-                }),
+            self.with_history(key, |target| {
+                let version = target.max_version.max(state.version) + 1;
+                target.push(now, Some(Arc::new(state.at_version(version))));
             });
         }
     }
@@ -385,63 +415,42 @@ impl TupleStore {
         if key.is_empty() {
             return Reply::Error(CoordError::invalid("empty key"));
         }
-        let history = self.keys.entry(key.to_string()).or_default();
-        let current = history.state_at(now).cloned();
+        self.with_history(key, |history| {
+            let current = history.state_at(now);
 
-        // Conditional-update checks.
-        if let Some(expected) = expected {
-            match (&expected, &current) {
-                (None, Some(_)) => {
-                    return Reply::Error(CoordError::AlreadyExists {
-                        key: key.to_string(),
-                    })
+            // Conditional-update checks.
+            if let Some(expected) = expected {
+                let actual = current.map(|cur| cur.version);
+                match (expected, actual) {
+                    (None, Some(_)) => {
+                        return Reply::Error(CoordError::AlreadyExists {
+                            key: key.to_string(),
+                        })
+                    }
+                    (Some(_), _) if expected != actual => {
+                        return Reply::Error(CoordError::VersionMismatch {
+                            key: key.to_string(),
+                            expected,
+                            actual,
+                        })
+                    }
+                    _ => {}
                 }
-                (Some(_), None) => {
-                    return Reply::Error(CoordError::VersionMismatch {
-                        key: key.to_string(),
-                        expected,
-                        actual: None,
-                    })
-                }
-                (Some(v), Some(cur)) if *v != cur.version => {
-                    return Reply::Error(CoordError::VersionMismatch {
-                        key: key.to_string(),
-                        expected,
-                        actual: Some(cur.version),
-                    })
-                }
-                _ => {}
             }
-        }
 
-        // Access control for overwrites.
-        if let Some(cur) = &current {
-            if !cur.writable_by(who) {
+            // Access control for overwrites.
+            if current.is_some_and(|cur| !cur.writable_by(who)) {
                 return Reply::Error(CoordError::AccessDenied {
                     key: key.to_string(),
                     account: who.to_string(),
                 });
             }
-        }
 
-        let new_version = history.max_version() + 1;
-        let state = EntryState {
-            value,
-            version: new_version,
-            owner: current
-                .as_ref()
-                .map(|c| c.owner.clone())
-                .unwrap_or_else(|| who.clone()),
-            acl: current
-                .map(|c| c.acl)
-                .unwrap_or_else(|| Arc::new(Acl::private())),
-            ephemeral: None,
-        };
-        history.push(HistoryEvent {
-            at: now,
-            state: Some(state),
-        });
-        Reply::Version(new_version)
+            let new_version = history.max_version + 1;
+            let state = EntryState::written(value, new_version, current, who);
+            history.push(now, Some(Arc::new(state)));
+            Reply::Version(new_version)
+        })
     }
 
     fn apply_create_ephemeral(
@@ -456,30 +465,29 @@ impl TupleStore {
         if key.is_empty() {
             return Reply::Error(CoordError::invalid("empty key"));
         }
-        let history = self.keys.entry(key.to_string()).or_default();
-        if let Some(current) = history.state_at(now) {
-            let holder = current
-                .ephemeral
-                .as_ref()
-                .map(|(s, _)| s.to_string())
-                .unwrap_or_else(|| "non-ephemeral entry".to_string());
-            return Reply::Error(CoordError::LockHeld {
-                key: key.to_string(),
-                holder,
-            });
-        }
-        let new_version = history.max_version() + 1;
-        history.push(HistoryEvent {
-            at: now,
-            state: Some(EntryState {
+        self.with_history(key, |history| {
+            if let Some(current) = history.state_at(now) {
+                let holder = current
+                    .ephemeral
+                    .as_ref()
+                    .map(|(s, _)| s.to_string())
+                    .unwrap_or_else(|| "non-ephemeral entry".to_string());
+                return Reply::Error(CoordError::LockHeld {
+                    key: key.to_string(),
+                    holder,
+                });
+            }
+            let new_version = history.max_version + 1;
+            let state = EntryState {
                 value,
                 version: new_version,
                 owner: who.clone(),
                 acl: Arc::new(Acl::private()),
                 ephemeral: Some((session.clone(), expires_at)),
-            }),
-        });
-        Reply::Version(new_version)
+            };
+            history.push(now, Some(Arc::new(state)));
+            Reply::Version(new_version)
+        })
     }
 
     fn apply_delete(&mut self, key: &str, who: &AccountId, now: SimInstant) -> Reply {
@@ -495,10 +503,7 @@ impl TupleStore {
                 account: who.to_string(),
             });
         }
-        history.push(HistoryEvent {
-            at: now,
-            state: None,
-        });
+        history.tombstone(now, history.max_version + 1);
         Reply::Unit
     }
 
@@ -512,7 +517,7 @@ impl TupleStore {
         let Some(history) = self.keys.get_mut(key) else {
             return Reply::Error(CoordError::not_found(key));
         };
-        let Some(current) = history.state_at(now).cloned() else {
+        let Some(current) = history.state_at(now) else {
             return Reply::Error(CoordError::not_found(key));
         };
         if &current.owner != who {
@@ -521,15 +526,12 @@ impl TupleStore {
                 account: who.to_string(),
             });
         }
-        let new_version = history.max_version() + 1;
-        history.push(HistoryEvent {
-            at: now,
-            state: Some(EntryState {
-                acl,
-                version: new_version,
-                ..current
-            }),
-        });
+        let new_version = history.max_version + 1;
+        let state = EntryState {
+            acl,
+            ..current.at_version(new_version)
+        };
+        history.push(now, Some(Arc::new(state)));
         Reply::Version(new_version)
     }
 
@@ -543,45 +545,29 @@ impl TupleStore {
         if old_prefix.is_empty() {
             return Reply::Error(CoordError::invalid("empty rename prefix"));
         }
-        // Bounded range scan: only the keys under the prefix are visited,
-        // instead of cloning every matching key out of a full-store walk.
-        let affected: Vec<String> = self
-            .rename_range(old_prefix)
-            .filter(|(_, h)| h.state_at(now).is_some())
-            .map(|(k, _)| k.clone())
-            .collect();
+        // Bounded range scan: only the keys under the prefix are visited.
+        let affected = self.collect_prefix(old_prefix, now);
 
         // Check permissions up front so the rename is all-or-nothing.
-        for key in &affected {
-            let Some(state) = self.keys.get(key).and_then(|h| h.state_at(now)) else {
-                continue;
-            };
-            if !state.writable_by(who) {
-                return Reply::Error(CoordError::AccessDenied {
-                    key: key.clone(),
-                    account: who.to_string(),
-                });
-            }
+        if let Some((key, _, _)) = affected.iter().find(|(_, _, s)| !s.writable_by(who)) {
+            return Reply::Error(CoordError::AccessDenied {
+                key: key.to_string(),
+                account: who.to_string(),
+            });
         }
 
-        for key in &affected {
-            let Some(state) = self.keys.get(key).and_then(|h| h.state_at(now)).cloned() else {
-                continue;
-            };
-            let new_key = format!("{new_prefix}{}", &key[old_prefix.len()..]);
-            // Delete the old entry.
+        // Delete the old entries, then create the new ones, preserving
+        // value, owner and ACL.
+        for (key, _, _) in &affected {
             if let Some(history) = self.keys.get_mut(key) {
-                history.push(HistoryEvent {
-                    at: now,
-                    state: None,
-                });
+                history.tombstone(now, history.max_version + 1);
             }
-            // Create the new one, preserving value, owner and ACL.
-            let target = self.keys.entry(new_key).or_default();
-            let version = target.max_version() + 1;
-            target.push(HistoryEvent {
-                at: now,
-                state: Some(EntryState { version, ..state }),
+        }
+        for (key, _, state) in &affected {
+            let new_key = format!("{new_prefix}{}", &key[old_prefix.len()..]);
+            self.with_history(&new_key, |target| {
+                let version = target.max_version + 1;
+                target.push(now, Some(Arc::new(state.at_version(version))));
             });
         }
         Reply::Count(affected.len())
@@ -739,6 +725,7 @@ mod tests {
             r,
             Reply::Error(CoordError::VersionMismatch { .. })
         ));
+        assert!(store.keys.is_empty(), "a refused command leaves no history");
     }
 
     #[test]
@@ -982,7 +969,6 @@ mod tests {
         assert_eq!(store.list("/m/", &"alice".into(), t(2)).len(), 2);
         assert!(store.list("/m/", &"bob".into(), t(2)).is_empty());
         assert_eq!(store.entry_count(t(2)), 2);
-        assert_eq!(store.stored_bytes(t(2)), 150);
         assert_eq!(store.entry_count(SimInstant::EPOCH), 0);
     }
 
@@ -1005,7 +991,7 @@ mod tests {
         }
         assert_eq!(
             store.list("/m/", &"alice".into(), t(2)),
-            vec!["/m/1".to_string(), "/m/2".to_string()]
+            [Arc::from("/m/1"), Arc::from("/m/2")]
         );
         assert_eq!(store.list("/", &"alice".into(), t(2)).len(), 6);
         assert!(store.list("/q", &"alice".into(), t(2)).is_empty());
@@ -1067,12 +1053,20 @@ mod tests {
 
         // Write-back installs an exact state only if its ts is newer.
         let (_, state, _) = store.abd_snapshot("/r", t(5));
-        let mut wb = state.unwrap();
-        assert!(!store.abd_install("/r", wb.clone(), t(6)), "same ts: no-op");
-        wb.version = 7 << 20;
-        assert!(store.abd_install("/r", wb, t(6)));
+        let wb = state.unwrap();
+        assert!(
+            !store.abd_install("/r", wb.version, Some(&wb), t(6)),
+            "same ts: no-op"
+        );
+        let wb = Arc::new(wb.at_version(7 << 20));
+        assert!(store.abd_install("/r", 7 << 20, Some(&wb), t(6)));
         let (ts, _, _) = store.abd_snapshot("/r", t(7));
         assert_eq!(ts, 7 << 20);
+
+        // So does a deletion, and only if its ts is newer.
+        assert!(!store.abd_install("/r", 7 << 20, None, t(8)));
+        assert!(store.abd_install("/r", 8 << 20, None, t(8)));
+        assert_eq!(store.abd_snapshot("/r", t(9)), (8 << 20, None, Some(t(8))));
     }
 
     #[test]
@@ -1092,13 +1086,110 @@ mod tests {
         let collected = src.collect_prefix("/dir/", t(2));
         assert_eq!(collected.len(), 1);
         let (key, _, state) = collected.into_iter().next().unwrap();
-        assert_eq!(key, "/dir/a");
+        assert_eq!(&*key, "/dir/a");
         src.apply_rename_batch(&[key], &[], t(3));
         dst.apply_rename_batch(&[], &[("/new/a".into(), state)], t(3));
         assert!(src.get("/dir/a", &"alice".into(), t(4)).is_err());
         let moved = dst.get("/new/a", &"alice".into(), t(4)).unwrap();
         assert_eq!(moved.value, b"1");
         assert_eq!(moved.owner, AccountId::new("alice"));
+    }
+
+    /// The register timestamp is kept, not recomputed: over a seeded run of
+    /// random commands it equals a per-key counter stepped once per put, cas,
+    /// ACL change, rename target and deletion, it never decreases, and a
+    /// refused command — a `cas(Some(v))` on a key the store never saw
+    /// included — leaves no history behind.
+    #[test]
+    fn register_timestamp_tracks_a_reference_counter() {
+        let names = ["/a/x", "/a/y", "/b/x", "/b/y"];
+        let mut rng = sim_core::rng::DetRng::new(0x5cf5);
+        let mut store = TupleStore::new();
+        let mut counter: BTreeMap<String, u64> = BTreeMap::new();
+        let mut live: std::collections::BTreeSet<String> = Default::default();
+        let timestamp = |store: &TupleStore, key: &str| store.keys.get(key).map(|h| h.max_version);
+        for step in 0..2000 {
+            let key = names[rng.next_below(4) as usize];
+            let histories = store.keys.len();
+            let command = match rng.next_below(6) {
+                0 => Command::Put {
+                    key: key.into(),
+                    value: val(b"p"),
+                },
+                1 => Command::Cas {
+                    key: key.into(),
+                    expected: timestamp(&store, key).filter(|_| live.contains(key)),
+                    value: val(b"c"),
+                },
+                2 => Command::Cas {
+                    key: key.into(),
+                    expected: Some(u64::MAX),
+                    value: val(b"never"),
+                },
+                3 => Command::SetAcl {
+                    key: key.into(),
+                    acl: Acl::private().into(),
+                },
+                4 => Command::Delete { key: key.into() },
+                _ => Command::RenamePrefix {
+                    old_prefix: key[..3].into(),
+                    new_prefix: if key.starts_with("/a/") { "/b/" } else { "/a/" }.into(),
+                },
+            };
+            let before: Vec<u64> = names
+                .iter()
+                .map(|name| timestamp(&store, name).unwrap_or(0))
+                .collect();
+            let reply = store.apply(&signed("alice", command.clone()), t(step));
+            match (&command, &reply) {
+                (_, Reply::Error(_)) => assert_eq!(store.keys.len(), histories, "{command:?}"),
+                (
+                    Command::RenamePrefix {
+                        old_prefix,
+                        new_prefix,
+                    },
+                    Reply::Count(moved),
+                ) => {
+                    let sources: Vec<String> = live
+                        .iter()
+                        .filter(|name| name.starts_with(old_prefix.as_str()))
+                        .cloned()
+                        .collect();
+                    assert_eq!(*moved, sources.len());
+                    for source in sources {
+                        let target = format!("{new_prefix}{}", &source[old_prefix.len()..]);
+                        *counter.entry(source.clone()).or_default() += 1;
+                        *counter.entry(target.clone()).or_default() += 1;
+                        live.remove(&source);
+                        live.insert(target);
+                    }
+                }
+                (Command::Delete { key }, _) => {
+                    *counter.entry(key.clone()).or_default() += 1;
+                    live.remove(key);
+                }
+                (
+                    Command::Put { key, .. }
+                    | Command::Cas { key, .. }
+                    | Command::SetAcl { key, .. },
+                    _,
+                ) => {
+                    *counter.entry(key.clone()).or_default() += 1;
+                    live.insert(key.clone());
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+            for (name, before) in names.iter().zip(before) {
+                let now = timestamp(&store, name).unwrap_or(0);
+                assert!(now >= before, "step {step}: {name} went {before} -> {now}");
+                assert_eq!(
+                    now,
+                    counter.get(*name).copied().unwrap_or(0),
+                    "step {step}: {name}"
+                );
+            }
+        }
+        assert!(counter.values().all(|steps| *steps > 100), "{counter:?}");
     }
 
     /// A rename is a path operation: `/d` names `/d` and what lies under
@@ -1118,19 +1209,22 @@ mod tests {
             }
             store
         };
-        let live = |store: &TupleStore| store.list("/", &"alice".into(), t(3));
+        let live = |store: &TupleStore| -> Vec<String> {
+            let keys = store.list("/", &"alice".into(), t(3));
+            keys.iter().map(|key| key.to_string()).collect()
+        };
         let rename = |old: &str, new: &str| Command::RenamePrefix {
             old_prefix: old.into(),
             new_prefix: new.into(),
         };
 
         let mut store = populated();
-        let collected: Vec<String> = store
+        let collected: Vec<Arc<str>> = store
             .collect_prefix("/d", t(2))
             .into_iter()
             .map(|(key, _, _)| key)
             .collect();
-        assert_eq!(collected, ["/d", "/d/", "/d/x"]);
+        assert_eq!(collected, ["/d".into(), "/d/".into(), "/d/x".into()]);
         assert_eq!(
             store.apply(&signed("alice", rename("/d", "/n")), t(2)),
             Reply::Count(3)

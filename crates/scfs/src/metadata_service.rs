@@ -37,6 +37,9 @@ pub struct MetadataStats {
 /// still go to the coordination service, whatever their ACL.
 const SHARED_PREFIX: &str = "/shared";
 
+/// Where the metadata tuples live in the coordination service's key space.
+const META_PREFIX: &str = "/scfs/meta";
+
 /// The metadata service of one SCFS agent.
 pub struct MetadataService {
     coord: Option<Arc<dyn CoordinationService>>,
@@ -97,7 +100,7 @@ impl MetadataService {
     }
 
     fn coord_key(path: &str) -> String {
-        format!("/scfs/meta{path}")
+        format!("{META_PREFIX}{path}")
     }
 
     /// Whether `path`/`metadata` is handled by the PNS (true) or by the
@@ -282,6 +285,7 @@ impl MetadataService {
         if let Some(pns) = &self.pns {
             children.extend(pns.children_of(path));
         }
+        let private = children.len();
         if let Some(coord) = &self.coord {
             self.stats.coordination_reads += 1;
             let prefix = if path == "/" {
@@ -289,17 +293,20 @@ impl MetadataService {
             } else {
                 format!("{}/", Self::coord_key(path))
             };
-            let keys = coord.list(ctx, &prefix)?;
-            let meta_prefix = Self::coord_key("");
-            children.extend(
-                keys.iter()
-                    .filter_map(|key| key.strip_prefix(&meta_prefix))
-                    .filter(|child| is_child_of(child, path))
-                    .map(str::to_string),
-            );
+            // The keys come back sorted and distinct, and stay so with their
+            // common `/scfs/meta` cut off in place.
+            children.extend(coord.list(ctx, &prefix)?.into_iter().filter_map(|mut key| {
+                if !key.starts_with(META_PREFIX) {
+                    return None;
+                }
+                key.drain(..META_PREFIX.len());
+                is_child_of(&key, path).then_some(key)
+            }));
         }
-        children.sort();
-        children.dedup();
+        if private > 0 {
+            children.sort();
+            children.dedup();
+        }
         Ok(children)
     }
 

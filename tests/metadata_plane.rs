@@ -22,6 +22,7 @@
 use proptest::prelude::*;
 use scfs_repro::cloud_store::store::OpCtx;
 use scfs_repro::coord::abd::RegisterGroup;
+use scfs_repro::coord::error::CoordError;
 use scfs_repro::coord::replication::ReplicationConfig;
 use scfs_repro::coord::router::{dirname, fnv1a, NamespaceRouter};
 use scfs_repro::coord::service::CoordinationService;
@@ -254,6 +255,182 @@ fn reads_ride_out_a_replica_outage() {
     clock.advance(SimDuration::from_secs(120));
     let mut ctx = OpCtx::new(&mut clock, "alice".into());
     assert_eq!(plane.get(&mut ctx, "/dir/file").unwrap().value, b"v2");
+}
+
+// ---------------------------------------------------------------------------
+// A partition that heals: what a replica missed stays decided
+// ---------------------------------------------------------------------------
+
+/// A `delete`, a lock release and a rename that completed while one replica
+/// was partitioned stay completed once it heals. The deletion takes a
+/// register timestamp of its own, so the stale replica's live state loses
+/// the vote instead of tying with the tombstone, and the read writes the
+/// tombstone back.
+#[test]
+fn a_completed_delete_survives_the_heal_of_a_partitioned_replica() {
+    let (tuple, lock, old, new) = (
+        "/scfs/meta/d/tuple",
+        "/scfs/locks/d/tuple",
+        "/scfs/meta/d/old",
+        "/scfs/meta/d/new",
+    );
+    for shards in [1, 4] {
+        for seed in 0..8 {
+            let plane = ShardedCoordinator::new(ShardTopology::metro(shards, 1), seed).unwrap();
+            let mut clock = Clock::new();
+            let mut ctx = OpCtx::new(&mut clock, "alice".into());
+            plane.cas(&mut ctx, tuple, None, b"meta".to_vec()).unwrap();
+            plane.cas(&mut ctx, old, None, b"moved".to_vec()).unwrap();
+            let session = scfs_repro::coord::service::SessionId::new("s1");
+            let lease = SimDuration::from_secs(3600);
+            plane
+                .create_ephemeral(&mut ctx, lock, vec![], &session, lease)
+                .unwrap();
+
+            let t0 = ctx.clock.now();
+            let healed = t0 + SimDuration::from_secs(1);
+            // Replica 1 of each owning group is partitioned away: one fault
+            // per group, within the f = 1 every call promises to mask.
+            for key in [tuple, lock, old] {
+                let shard = plane.router().route(key);
+                plane.set_replica_fault(shard, 1, FaultPlan::outage(t0, healed), 3);
+            }
+            plane.delete(&mut ctx, tuple).unwrap();
+            plane.delete(&mut ctx, lock).unwrap();
+            assert_eq!(plane.rename_prefix(&mut ctx, old, new).unwrap(), 1);
+
+            clock.advance_to(healed + SimDuration::from_secs(1));
+            let mut ctx = OpCtx::new(&mut clock, "alice".into());
+            for round in 0..10 {
+                for gone in [tuple, lock, old] {
+                    let read = plane.get(&mut ctx, gone);
+                    assert!(
+                        matches!(read, Err(CoordError::NotFound { .. })),
+                        "{shards} shards, seed {seed}, read {round}: {gone} came back as {read:?}"
+                    );
+                }
+                assert_eq!(plane.get(&mut ctx, new).unwrap().value, b"moved");
+            }
+        }
+    }
+}
+
+/// The keys the model-based tests below work on: a handful of directories
+/// (so a four-shard plane spreads them) with a few names each.
+fn model_key(pick: u32) -> String {
+    format!("/scfs/meta/d{}/k{}", pick % 3, pick / 3 % 3)
+}
+
+/// A plane of `shards` groups in which one non-leader replica of *every*
+/// group is partitioned away while steps `[from, to)` run; step `i` starts
+/// at [`step_instant`]`(i)`.
+fn plane_with_outage(
+    shards: usize,
+    seed: u32,
+    replica: usize,
+    from: usize,
+    to: usize,
+) -> ShardedCoordinator {
+    let plane = ShardedCoordinator::new(ShardTopology::metro(shards, 1), seed as u64).unwrap();
+    for shard in 0..shards {
+        let plan = FaultPlan::outage(step_instant(from), step_instant(to));
+        plane.set_replica_fault(shard, replica, plan, 7);
+    }
+    plane
+}
+
+/// Steps are a virtual second apart — far more than any call takes — so
+/// each runs entirely inside or outside the outage.
+fn step_instant(step: usize) -> SimInstant {
+    SimInstant::from_secs(1 + step as u64)
+}
+
+proptest! {
+    /// Point reads against a `BTreeMap` reference: a random sequence of
+    /// `put`, `cas` (create or update) and `delete` with one non-leader
+    /// replica of each group partitioned for a random run of steps; after
+    /// every step — during the outage and after it — `get` of every key
+    /// equals the model's.
+    #[test]
+    fn prop_point_reads_match_a_model_across_a_partition(
+        seed in any::<u32>(),
+        shards in 1usize..5,
+        replica in 1usize..3,
+        outage in collection::vec(0usize..40, 2..3),
+        commands in collection::vec(any::<u32>(), 20..40),
+    ) {
+        let (from, to) = (outage[0].min(outage[1]), outage[0].max(outage[1]));
+        let plane = plane_with_outage(shards, seed, replica, from, to);
+        let mut model: std::collections::BTreeMap<String, Vec<u8>> = Default::default();
+        let mut clock = Clock::new();
+        for (step, command) in commands.iter().enumerate() {
+            let mut ctx = ctx_at(&mut clock, step_instant(step), "alice");
+            let key = model_key(command >> 8);
+            let value = command.to_le_bytes().to_vec();
+            match command % 4 {
+                0 => {
+                    plane.put(&mut ctx, &key, value.clone()).unwrap();
+                    model.insert(key, value);
+                }
+                1 | 2 => {
+                    // A conditional update the model says must succeed:
+                    // exclusive create of an absent key, or an update at the
+                    // version a read just returned.
+                    let expected = model
+                        .contains_key(&key)
+                        .then(|| plane.get(&mut ctx, &key).unwrap().version);
+                    plane.cas(&mut ctx, &key, expected, value.clone()).unwrap();
+                    model.insert(key, value);
+                }
+                _ => {
+                    let deleted = plane.delete(&mut ctx, &key);
+                    match model.remove(&key) {
+                        Some(_) => deleted.unwrap(),
+                        None => prop_assert!(matches!(deleted, Err(CoordError::NotFound { .. }))),
+                    }
+                }
+            }
+            for pick in 0..9 {
+                let key = model_key(pick);
+                let read = plane.get(&mut ctx, &key).map(|entry| entry.value).ok();
+                prop_assert_eq!(read.as_ref(), model.get(&key), "step {} ({}..{}): {}", step, from, to, key);
+            }
+        }
+    }
+
+    /// `list` against the same reference, on creating commands only (`put`,
+    /// `cas`): the replica that was partitioned lacks keys the others hold,
+    /// so the quorum's replies differ and `list` must take their union — the
+    /// path the agreeing-quorum shortcut bypasses.
+    #[test]
+    fn prop_list_matches_a_model_across_a_partition(
+        seed in any::<u32>(),
+        shards in 1usize..5,
+        replica in 1usize..3,
+        outage in collection::vec(0usize..30, 2..3),
+        commands in collection::vec(any::<u32>(), 15..30),
+    ) {
+        let (from, to) = (outage[0].min(outage[1]), outage[0].max(outage[1]));
+        let plane = plane_with_outage(shards, seed, replica, from, to);
+        let mut model: std::collections::BTreeSet<String> = Default::default();
+        let mut clock = Clock::new();
+        for (step, command) in commands.iter().enumerate() {
+            let mut ctx = ctx_at(&mut clock, step_instant(step), "alice");
+            let key = model_key(command >> 8);
+            if command % 2 == 0 || model.contains(&key) {
+                plane.put(&mut ctx, &key, vec![1]).unwrap();
+            } else {
+                plane.cas(&mut ctx, &key, None, vec![2]).unwrap();
+            }
+            model.insert(key);
+            for dir in 0..3 {
+                let prefix = format!("/scfs/meta/d{dir}/");
+                let expected: Vec<&String> = model.iter().filter(|key| key.starts_with(&prefix)).collect();
+                let listed = plane.list(&mut ctx, &prefix).unwrap();
+                prop_assert_eq!(listed.iter().collect::<Vec<_>>(), expected, "step {} ({}..{})", step, from, to);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
