@@ -21,14 +21,16 @@
 
 use proptest::prelude::*;
 use scfs_repro::cloud_store::store::OpCtx;
+use scfs_repro::cloud_store::types::{Acl, Permission};
 use scfs_repro::coord::abd::RegisterGroup;
 use scfs_repro::coord::error::CoordError;
 use scfs_repro::coord::replication::ReplicationConfig;
 use scfs_repro::coord::router::{dirname, fnv1a, NamespaceRouter};
-use scfs_repro::coord::service::CoordinationService;
+use scfs_repro::coord::service::{CoordinationService, SessionId};
 use scfs_repro::coord::sharded::{ShardTopology, ShardedCoordinator};
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::sim_core::fault::FaultPlan;
+use scfs_repro::sim_core::rng::DetRng;
 use scfs_repro::sim_core::time::{Clock, SimDuration, SimInstant};
 use scfs_repro::workloads::fleet::{run_fleet_metadata, MetadataFleetConfig};
 use scfs_repro::workloads::setup::{Backend, Deployment, Plane};
@@ -431,6 +433,113 @@ proptest! {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Fault paths a fault-free run never takes, pinned by digest
+// ---------------------------------------------------------------------------
+
+/// Folds `bytes` into a running FNV-1a digest.
+fn fnv1a_fold(digest: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(digest, |hash, byte| {
+        (hash ^ u64::from(*byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A seeded random mix of every coordination call, by two accounts, on a
+/// few directories and their lock keys, one call a virtual second; each
+/// `(call, result, clock.now())` is folded into `digest`.
+fn fold_random_calls(plane: &ShardedCoordinator, seed: u64, mut digest: u64) -> u64 {
+    let mut rng = DetRng::new(seed);
+    let mut clock = Clock::new();
+    for step in 0..80 {
+        let who = if rng.next_below(4) == 0 {
+            "bob"
+        } else {
+            "alice"
+        };
+        let mut ctx = ctx_at(&mut clock, step_instant(step), who);
+        let dir = rng.next_below(4);
+        let name = rng.next_below(3);
+        let key = format!("/scfs/meta/d{dir}/k{name}");
+        let lock = format!("/scfs/locks/d{dir}/k{name}");
+        let value = rng.next_u64().to_le_bytes().to_vec();
+        let (call, result) = match rng.next_below(8) {
+            0 => ("put", format!("{:?}", plane.put(&mut ctx, &key, value))),
+            1 => ("get", format!("{:?}", plane.get(&mut ctx, &key))),
+            2 => {
+                let expected = match rng.next_below(3) {
+                    0 => None,
+                    _ => plane.get(&mut ctx, &key).ok().map(|entry| entry.version),
+                };
+                let cas = plane.cas(&mut ctx, &key, expected, value);
+                ("cas", format!("{expected:?} {cas:?}"))
+            }
+            3 => {
+                let target = if rng.next_below(2) == 0 { &key } else { &lock };
+                ("delete", format!("{:?}", plane.delete(&mut ctx, target)))
+            }
+            4 => {
+                let session = SessionId::new(format!("{who}-{step}"));
+                let lease = SimDuration::from_secs(1 + rng.next_below(4));
+                let created = plane.create_ephemeral(&mut ctx, &lock, value, &session, lease);
+                ("create_ephemeral", format!("{created:?}"))
+            }
+            5 => {
+                let mut acl = Acl::private();
+                let grant = [Permission::Read, Permission::Write][rng.next_below(2) as usize];
+                acl.grant("bob".into(), grant);
+                (
+                    "set_acl",
+                    format!("{:?}", plane.set_acl(&mut ctx, &key, acl)),
+                )
+            }
+            6 => {
+                let prefix = format!("/scfs/meta/d{dir}/");
+                ("list", format!("{:?}", plane.list(&mut ctx, &prefix)))
+            }
+            _ => {
+                let from = format!("/scfs/meta/d{dir}");
+                let to = format!("/scfs/meta/d{}", (dir + 1 + rng.next_below(3)) % 4);
+                let renamed = plane.rename_prefix(&mut ctx, &from, &to);
+                ("rename_prefix", format!("{from} {to} {renamed:?}"))
+            }
+        };
+        let line = format!(
+            "{step} {who} {call} {key}: {result} @ {:?}",
+            ctx.clock.now()
+        );
+        digest = fnv1a_fold(digest, line.as_bytes());
+    }
+    fnv1a_fold(digest, &plane.entry_count().to_le_bytes())
+}
+
+/// Write-back, garbled votes, the `list` union of replicas that disagree
+/// and the collect merge of a rename, on two 2-shard planes: a crash-tolerant
+/// one with a replica partitioned for a window in one group and a replica
+/// crashed in the other, and a Byzantine one with a lying replica in each
+/// group. Every call's result and completion instant are folded into one
+/// digest, so a change to any fault path's votes, replies or timing moves it.
+#[test]
+fn fault_paths_fold_to_a_pinned_digest() {
+    let mut digest = 0xcbf2_9ce4_8422_2325;
+    for seed in 0..4 {
+        let crash = ShardedCoordinator::new(ShardTopology::metro(2, 1), seed).unwrap();
+        let outage = FaultPlan::outage(step_instant(10), step_instant(35));
+        crash.set_replica_fault(0, 1, outage, 3);
+        crash.set_replica_fault(1, 2, FaultPlan::crash_at(step_instant(50)), 5);
+        digest = fold_random_calls(&crash, seed, digest);
+
+        let byzantine = ShardTopology::new(2, ReplicationConfig::coc_byzantine());
+        let byzantine = ShardedCoordinator::new(byzantine, seed).unwrap();
+        byzantine.set_replica_fault(0, 1, FaultPlan::always_byzantine(), 7);
+        byzantine.set_replica_fault(1, 3, FaultPlan::always_byzantine(), 11);
+        digest = fold_random_calls(&byzantine, seed, digest);
+    }
+    assert_eq!(
+        digest, 0xbaf3_3e23_a83c_f241,
+        "fault-path digest moved: {digest:#018x}"
+    );
 }
 
 // ---------------------------------------------------------------------------
