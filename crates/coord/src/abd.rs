@@ -45,29 +45,30 @@ use sim_core::rng::DetRng;
 use sim_core::schedule::{ChoiceKind, ControllerSlot};
 use sim_core::time::{SimDuration, SimInstant};
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 
 use crate::commands::{Command, Reply, SignedCommand};
 use crate::error::CoordError;
-use crate::replication::{ReplicationConfig, ReplicationMode};
+use crate::replication::ReplicationConfig;
 use crate::router::fnv1a;
 use crate::service::Entry;
-use crate::store::{AbdWriteOutcome, EntryState, KeyedState, TupleStore};
+use crate::store::{AbdWriteOutcome, Built, EntryState, KeyedState, TupleStore};
 
 /// Number of low bits of an ABD timestamp that carry the writer rank; the
 /// sequence number lives in the bits above.
 const RANK_BITS: u32 = 20;
 const RANK_MASK: u64 = (1 << RANK_BITS) - 1;
 
-/// One replica of the group: its state machine, its fault plan and the
-/// instant until which its (single) server thread is occupied.
+/// One replica of the group: its state machine, its fault plan, the
+/// instant until which its (single) server thread is occupied, and how many
+/// read-only replies its store has computed.
 #[derive(Debug)]
 struct ReplicaNode {
     store: TupleStore,
     faults: FaultInjector,
     busy_until: SimInstant,
+    evaluated: u64,
 }
 
 /// One quorum-replicated register group (a metadata shard).
@@ -120,6 +121,7 @@ impl RegisterGroup {
                     store: TupleStore::new(),
                     faults: FaultInjector::inert(),
                     busy_until: SimInstant::EPOCH,
+                    evaluated: 0,
                 })
             })
             .collect();
@@ -130,14 +132,6 @@ impl RegisterGroup {
             controller: Mutex::new(ControllerSlot::inactive()),
             read_quorum_skew: AtomicUsize::new(0),
         }
-    }
-
-    /// An instantaneous single-node group for unit tests.
-    pub fn test() -> Self {
-        RegisterGroup::from_validated(
-            ReplicationConfig::test_instant(ReplicationMode::SingleNode),
-            0,
-        )
     }
 
     /// Installs a schedule controller driving reply-delivery order. Only the
@@ -187,10 +181,14 @@ impl RegisterGroup {
 
     /// Broadcasts one round to every replica on forked clocks and returns the
     /// outcomes sorted by reply arrival. `visit` runs on the replica's store
-    /// at its service instant; the `bool` argument is set when the replica is
-    /// Byzantine and the reply value must be garbled. A `None` outcome means
-    /// the replica sent no reply (crashed or partitioned); its fork still
-    /// advances a full round trip so a failed quorum waits a realistic time.
+    /// at its service instant, replica after replica; the `bool` argument is
+    /// set when the replica is Byzantine and the reply value must be garbled.
+    /// A read-only round keeps both as a ticket, and [`Self::evaluate`] visits
+    /// the store only for a reply the client absorbs, before the group's next
+    /// mutating round (the register timestamp is not time-indexed). A `None`
+    /// outcome means the replica sent no reply (crashed or partitioned); its
+    /// fork still advances a full round trip so a failed quorum waits a
+    /// realistic time.
     fn round<T>(
         &self,
         ctx: &OpCtx<'_>,
@@ -230,6 +228,13 @@ impl RegisterGroup {
         })
     }
 
+    /// Locks replica `i` to compute a reply on its store.
+    fn evaluate(&self, i: usize) -> MutexGuard<'_, ReplicaNode> {
+        let mut node = self.replicas[i].lock();
+        node.evaluated += 1;
+        node
+    }
+
     /// Walks a round's replies in delivery order, offering each to `absorb`
     /// (which says whether it was a usable acknowledgement), and stops at
     /// the `write_quorum`-th: the caller's clock advances to the latest
@@ -241,13 +246,13 @@ impl RegisterGroup {
         ctx: &mut OpCtx<'_>,
         runs: &'r [ForkedRun<R>],
         what: &str,
-        mut absorb: impl FnMut(&'r R) -> bool,
+        mut absorb: impl FnMut(&'r ForkedRun<R>) -> bool,
     ) -> Result<(), CoordError> {
         let wq = self.config.mode.write_quorum();
         let mut acks = 0usize;
         let mut latest = SimInstant::EPOCH;
         for run in runs {
-            if !absorb(&run.value) {
+            if !absorb(run) {
                 continue;
             }
             acks += 1;
@@ -263,36 +268,63 @@ impl RegisterGroup {
         )))
     }
 
+    /// A scan round (`list`, rename collect): awaits a write quorum of honest
+    /// replies — a corrupt one is discarded, keys being self-verifying — and
+    /// returns their replicas, locked, in delivery order, with the instants
+    /// they served the request at.
+    fn scan_quorum(
+        &self,
+        ctx: &mut OpCtx<'_>,
+        site: &str,
+        what: &str,
+    ) -> Result<Vec<(MutexGuard<'_, ReplicaNode>, SimInstant)>, CoordError> {
+        let runs = self.deliver(site, self.round(ctx, |_, at, corrupt| (at, corrupt)));
+        let mut absorbed = Vec::new();
+        self.await_write_quorum(ctx, &runs, what, |run| {
+            let Some((at, false)) = run.value else {
+                return false;
+            };
+            absorbed.push((self.evaluate(run.index), at));
+            true
+        })?;
+        Ok(absorbed)
+    }
+
     /// ABD read: query all replicas, decide from a quorum, write back on
     /// disagreement.
     pub fn read(&self, ctx: &mut OpCtx<'_>, key: &str) -> Result<Entry, CoordError> {
         let skew = self.read_quorum_skew.load(Ordering::Relaxed);
         let wq = self.config.mode.write_quorum().saturating_sub(skew).max(1);
         let rq = self.config.mode.reply_quorum();
-        let runs = self.round(ctx, |store, at, corrupt| {
-            let (ts, state, updated_at) = store.abd_snapshot(key, at);
-            let state = if corrupt { state.map(garble) } else { state };
-            ReadReply {
+        let runs = self.deliver(key, self.round(ctx, |_, at, corrupt| (at, corrupt)));
+
+        // Walk replies in delivery order, computing each as it is
+        // considered; once `write_quorum` have arrived, look for a value
+        // supported by `reply_quorum` matching replies, extending the
+        // considered set one reply at a time if the first quorum does not
+        // agree enough. The decision instant is the latest arrival among the
+        // replies actually considered (identical to the deciding reply's
+        // arrival when delivery order is arrival order).
+        let mut considered: Vec<ReadReply> = Vec::with_capacity(self.replicas.len());
+        let mut decided: Option<(usize, SimInstant)> = None;
+        let mut latest = SimInstant::EPOCH;
+        for run in &runs {
+            let Some((at, corrupt)) = run.value else {
+                continue;
+            };
+            latest = latest.max(run.completed_at);
+            let node = self.evaluate(run.index);
+            let (ts, state, updated_at) = node.store.abd_snapshot(key, at);
+            let state = if corrupt {
+                state.map(garble)
+            } else {
+                state.cloned()
+            };
+            considered.push(ReadReply {
                 ts,
                 state,
                 updated_at,
-            }
-        });
-        let runs = self.deliver(key, runs);
-
-        // Walk replies in delivery order; once `write_quorum` have arrived,
-        // look for a value supported by `reply_quorum` matching replies,
-        // extending the considered set one reply at a time if the first
-        // quorum does not agree enough. The decision instant is the latest
-        // arrival among the replies actually considered (identical to the
-        // deciding reply's arrival when delivery order is arrival order).
-        let mut considered: Vec<&ReadReply> = Vec::new();
-        let mut decided: Option<(&ReadReply, SimInstant)> = None;
-        let mut latest = SimInstant::EPOCH;
-        for run in &runs {
-            let Some(reply) = &run.value else { continue };
-            latest = latest.max(run.completed_at);
-            considered.push(reply);
+            });
             if considered.len() < wq {
                 continue;
             }
@@ -309,6 +341,7 @@ impl RegisterGroup {
             )));
         };
         ctx.clock.advance_to(decided_at);
+        let winner = &considered[winner];
 
         // Write-back: if the considered replies were not unanimous, install
         // the winning (timestamp, state) — a value or a deletion alike — on a
@@ -326,8 +359,9 @@ impl RegisterGroup {
                     Arc::new(state.at_version(ts))
                 }
             });
+            let mut built = Built::default();
             let install_runs = self.round(ctx, |store, at, _| {
-                store.abd_install(key, ts, install.as_ref(), at)
+                store.abd_install(key, ts, install.as_ref(), at, &mut built)
             });
             let install_runs = self.deliver(key, install_runs);
             let ok = sim_core::parallel::join_nth(
@@ -349,10 +383,7 @@ impl RegisterGroup {
             .as_ref()
             .ok_or_else(|| CoordError::not_found(key))?;
         if !state.readable_by(&ctx.account) {
-            return Err(CoordError::AccessDenied {
-                key: key.to_string(),
-                account: ctx.account.to_string(),
-            });
+            return Err(CoordError::denied(key, &ctx.account));
         }
         Ok(state.to_entry(key, winner.updated_at.unwrap_or(SimInstant::EPOCH)))
     }
@@ -371,16 +402,14 @@ impl RegisterGroup {
         // Phase 1: timestamp query. Byzantine replicas cannot forge
         // timestamps (commands are signed), so the plain quorum max is safe;
         // at worst a corrupt replica burns sequence numbers.
-        let ts_runs = self.deliver(
-            key,
-            self.round(ctx, |store, at, _| store.abd_snapshot(key, at).0),
-        );
+        let ts_runs = self.deliver(key, self.round(ctx, |_, at, corrupt| (at, corrupt)));
         let mut max_ts = 0u64;
-        self.await_write_quorum(ctx, &ts_runs, "timestamp query", |reply| {
-            let Some(ts) = reply else {
+        self.await_write_quorum(ctx, &ts_runs, "timestamp query", |run| {
+            let Some((at, _)) = run.value else {
                 return false;
             };
-            max_ts = max_ts.max(*ts);
+            let ts = self.evaluate(run.index).store.abd_snapshot(key, at).0;
+            max_ts = max_ts.max(ts);
             true
         })?;
 
@@ -390,10 +419,11 @@ impl RegisterGroup {
 
         // Phase 2: install on a write quorum. `Stale` still acknowledges —
         // the write is linearized before the newer one that beat it.
+        let mut built = Built::default();
         let write_runs = self.deliver(
             key,
             self.round(ctx, |store, at, _| {
-                store.abd_write(key, ts, Arc::clone(&value), &ctx.account, at)
+                store.abd_write(key, ts, &value, &ctx.account, at, &mut built)
             }),
         );
         let mut installs = 0usize;
@@ -414,10 +444,7 @@ impl RegisterGroup {
                     denials += 1;
                     if denials == rq {
                         ctx.clock.advance_to(latest);
-                        return Err(CoordError::AccessDenied {
-                            key: key.to_string(),
-                            account: ctx.account.to_string(),
-                        });
+                        return Err(CoordError::denied(key, &ctx.account));
                     }
                 }
             }
@@ -429,75 +456,39 @@ impl RegisterGroup {
     }
 
     /// Lists the keys under `prefix` visible to the caller, in key order: the
-    /// union over a write quorum of replies, so no key installed by a
-    /// completed write is missed. Corrupt replies are discarded (keys are
-    /// self-verifying). Each reply is a sorted range scan, so when the quorum
-    /// agrees — every fault-free round — the first reply *is* the union.
-    pub fn list(&self, ctx: &mut OpCtx<'_>, prefix: &str) -> Result<Vec<Arc<str>>, CoordError> {
-        let runs = self.deliver(
-            prefix,
-            self.round(ctx, |store, at, corrupt| {
-                if corrupt {
-                    None
-                } else {
-                    Some(store.list(prefix, &ctx.account, at))
-                }
-            }),
-        );
-        let mut replies: Vec<&Vec<Arc<str>>> = Vec::new();
-        self.await_write_quorum(ctx, &runs, "list", |reply| {
-            let Some(Some(keys)) = reply else {
-                return false;
-            };
-            replies.push(keys);
-            true
-        })?;
-        if replies.windows(2).all(|pair| pair[0] == pair[1]) {
-            // The first usable reply in delivery order is the first absorbed.
-            let first = runs.into_iter().find_map(|run| run.value.flatten());
-            return Ok(first.unwrap_or_default());
-        }
-        let union: BTreeSet<&Arc<str>> = replies.into_iter().flatten().collect();
-        Ok(union.into_iter().cloned().collect())
+    /// union over a write quorum of honest replies, so no key installed by a
+    /// completed write is missed — one pass over the absorbed replicas'
+    /// ranges side by side, one `String` per listed key.
+    pub fn list(&self, ctx: &mut OpCtx<'_>, prefix: &str) -> Result<Vec<String>, CoordError> {
+        let nodes = self.scan_quorum(ctx, prefix, "list")?;
+        let scans = nodes.iter().map(|(node, at)| {
+            let keys = node.store.visible(prefix, &ctx.account, *at);
+            keys.map(|key| (key, ()))
+        });
+        let mut keys = Vec::new();
+        merge_scans(scans, |held, _| held, |key, ()| keys.push(key.to_string()));
+        Ok(keys)
     }
 
     /// Collect phase of a (possibly cross-shard) rename: every live entry
     /// under `prefix`, each at its highest timestamp over a write quorum of
-    /// replies. Corrupt replies are discarded.
+    /// honest replies (the first delivered on a tie).
     pub(crate) fn collect_prefix(
         &self,
         ctx: &mut OpCtx<'_>,
         prefix: &str,
     ) -> Result<Vec<KeyedState>, CoordError> {
-        let runs = self.deliver(
-            prefix,
-            self.round(ctx, |store, at, corrupt| {
-                if corrupt {
-                    None
-                } else {
-                    Some(store.collect_prefix(prefix, at))
-                }
-            }),
-        );
-        let mut merged: BTreeMap<&Arc<str>, (u64, &Arc<EntryState>)> = BTreeMap::new();
-        self.await_write_quorum(ctx, &runs, "rename collect", |reply| {
-            let Some(Some(entries)) = reply else {
-                return false;
-            };
-            for (key, ts, state) in entries {
-                match merged.get(key) {
-                    Some((best, _)) if best >= ts => {}
-                    _ => {
-                        merged.insert(key, (*ts, state));
-                    }
-                }
-            }
-            true
-        })?;
-        Ok(merged
-            .into_iter()
-            .map(|(k, (_, s))| (Arc::clone(k), Arc::clone(s)))
-            .collect())
+        let nodes = self.scan_quorum(ctx, prefix, "rename collect")?;
+        let scans = nodes.iter().map(|(node, at)| {
+            let entries = node.store.collect_prefix(prefix, *at);
+            entries.map(|(key, ts, state)| (key, (ts, state)))
+        });
+        let mut entries = Vec::new();
+        let newest = |held: (u64, _), other: (u64, _)| if other.0 > held.0 { other } else { held };
+        merge_scans(scans, newest, |key, (_, state)| {
+            entries.push((Arc::clone(key), Arc::clone(state)));
+        });
+        Ok(entries)
     }
 
     /// Runs one command through the group's SMR lane: the leader orders it
@@ -510,12 +501,13 @@ impl RegisterGroup {
             command,
         };
         let mut reply = None;
+        let mut built = Built::default();
         for replica in &self.replicas {
             let mut node = replica.lock();
             match node.faults.decide(commit_at) {
                 FaultDecision::Unavailable => continue,
                 decision => {
-                    let r = node.store.apply(&signed, commit_at);
+                    let r = node.store.apply_with(&signed, commit_at, &mut built);
                     // The voted reply comes from honest replicas; a corrupt
                     // replica's answer is outvoted and ignored.
                     if reply.is_none() && matches!(decision, FaultDecision::Allow) {
@@ -536,10 +528,12 @@ impl RegisterGroup {
         inserts: &[(String, Arc<EntryState>)],
     ) -> Result<(), CoordError> {
         let commit_at = self.smr_commit(ctx)?;
+        let mut built = Built::default();
         for replica in &self.replicas {
             let mut node = replica.lock();
             if !matches!(node.faults.decide(commit_at), FaultDecision::Unavailable) {
-                node.store.apply_rename_batch(deletes, inserts, commit_at);
+                node.store
+                    .apply_rename_batch(deletes, inserts, commit_at, &mut built);
             }
         }
         Ok(())
@@ -577,33 +571,58 @@ impl RegisterGroup {
     }
 }
 
-/// Picks the reply supported by at least `quorum` matching votes with the
-/// highest timestamp, if any.
-fn vote<'a>(considered: &[&'a ReadReply], quorum: usize) -> Option<&'a ReadReply> {
-    let mut best: Option<&ReadReply> = None;
-    for candidate in considered {
+/// The index of the highest-timestamped reply that at least `quorum` of the
+/// considered replies match, if any.
+fn vote(considered: &[ReadReply], quorum: usize) -> Option<usize> {
+    let mut best: Option<usize> = None;
+    for (index, candidate) in considered.iter().enumerate() {
         let support = considered
             .iter()
             .filter(|other| candidate.matches(other))
             .count();
         let is_better = match best {
-            Some(b) => candidate.ts > b.ts,
+            Some(b) => candidate.ts > considered[b].ts,
             None => true,
         };
         if support >= quorum && is_better {
-            best = Some(candidate);
+            best = Some(index);
         }
     }
     best
 }
 
+/// Walks key-sorted scans of several replicas side by side and calls `emit`
+/// once per key, with the items of the scans that hold it folded by `pick`
+/// in the order the scans are given. A key the replicas share compares by
+/// pointer.
+fn merge_scans<'a, T>(
+    scans: impl Iterator<Item = impl Iterator<Item = (&'a Arc<str>, T)>>,
+    mut pick: impl FnMut(T, T) -> T,
+    mut emit: impl FnMut(&'a Arc<str>, T),
+) {
+    let mut scans: Vec<_> = scans.map(Iterator::peekable).collect();
+    let first = |a: &'a Arc<str>, b: &'a Arc<str>| if Arc::ptr_eq(a, b) || a <= b { a } else { b };
+    while let Some(next) = scans
+        .iter_mut()
+        .filter_map(|s| Some(s.peek()?.0))
+        .reduce(first)
+    {
+        let held = scans
+            .iter_mut()
+            .filter_map(|s| s.next_if(|(key, _)| *key == next));
+        if let Some(held) = held.map(|(_, item)| item).reduce(&mut pick) {
+            emit(next, held);
+        }
+    }
+}
+
 /// A Byzantine replica's rendition of a state: value bytes flipped, metadata
 /// (timestamp, owner, ACL) intact because it is self-verifying.
-fn garble(state: Arc<EntryState>) -> Arc<EntryState> {
+fn garble(state: &Arc<EntryState>) -> Arc<EntryState> {
     let garbled: Vec<u8> = state.value.iter().map(|b| b ^ 0xFF).collect();
     Arc::new(EntryState {
         value: garbled.into(),
-        ..EntryState::clone(&state)
+        ..EntryState::clone(state)
     })
 }
 
@@ -615,6 +634,7 @@ pub(crate) fn writer_rank(account: &AccountId) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replication::ReplicationMode;
     use sim_core::time::Clock;
 
     fn ctx<'a>(clock: &'a mut Clock, who: &str) -> OpCtx<'a> {
@@ -765,6 +785,171 @@ mod tests {
             group.write(&mut c, "/f", b"v".to_vec().into()),
             Err(CoordError::Unavailable { .. })
         ));
+    }
+
+    /// Store visits replica by replica, so far.
+    fn evaluated(group: &RegisterGroup) -> Vec<u64> {
+        group.replicas.iter().map(|r| r.lock().evaluated).collect()
+    }
+
+    /// Replica `i`'s keys and newest states, against replica 0's: the same
+    /// allocations (`shared`) or equal ones.
+    fn assert_stores_as_replica_0(group: &RegisterGroup, i: usize, shared: bool) {
+        let first = group.replicas[0].lock();
+        let other = group.replicas[i].lock();
+        let (first, other) = (first.store.newest(), other.store.newest());
+        assert_eq!(first.len(), other.len(), "replica {i}");
+        for ((key, state), (other_key, other_state)) in first.into_iter().zip(other) {
+            assert_eq!(key, other_key);
+            assert_eq!(state, other_state, "replica {i}: {key}");
+            if shared {
+                assert!(Arc::ptr_eq(key, other_key), "replica {i}: {key}");
+                let same = state
+                    .zip(other_state)
+                    .is_none_or(|(a, b)| Arc::ptr_eq(a, b));
+                assert!(same, "replica {i}: {key} state");
+            }
+        }
+    }
+
+    /// Every lane and round that stores: ABD writes (new key, overwrite),
+    /// SMR creates, ACL change, delete and rename, and a cross-shard rename's
+    /// collect and apply.
+    fn mix_of_commands(group: &RegisterGroup, c: &mut OpCtx<'_>) {
+        group.write(c, "/d/a", b"1".to_vec().into()).unwrap();
+        let create = |key: &str| Command::Cas {
+            key: key.into(),
+            expected: None,
+            value: b"c".to_vec().into(),
+        };
+        group.smr(c, create("/d/b")).unwrap();
+        group.smr(c, create("/d/c")).unwrap();
+        let lock = Command::CreateEphemeral {
+            key: "/l/a".into(),
+            value: b"".to_vec().into(),
+            session: crate::service::SessionId::new("s"),
+            expires_at: SimInstant::from_secs(3600),
+        };
+        group.smr(c, lock).unwrap();
+        let mut acl = cloud_store::types::Acl::private();
+        acl.grant("bob".into(), cloud_store::types::Permission::Read);
+        let acl = acl.into();
+        group
+            .smr(
+                c,
+                Command::SetAcl {
+                    key: "/d/a".into(),
+                    acl,
+                },
+            )
+            .unwrap();
+        group.write(c, "/d/a", b"2".to_vec().into()).unwrap();
+        group
+            .smr(c, Command::Delete { key: "/d/b".into() })
+            .unwrap();
+        let rename = Command::RenamePrefix {
+            old_prefix: "/d".into(),
+            new_prefix: "/e".into(),
+        };
+        group.smr(c, rename).unwrap();
+        let collected = group.collect_prefix(c, "/e").unwrap();
+        let deletes: Vec<Arc<str>> = collected.iter().map(|(k, _)| Arc::clone(k)).collect();
+        let moved = |(k, s): &KeyedState| (format!("/f{}", &k[2..]), Arc::clone(s));
+        let inserts: Vec<_> = collected.iter().map(moved).collect();
+        group.rename_apply(c, &deletes, &inserts).unwrap();
+    }
+
+    #[test]
+    fn a_fault_free_group_stores_each_key_and_state_once() {
+        let group = cft_group(21);
+        let mut clock = Clock::new();
+        mix_of_commands(&group, &mut ctx(&mut clock, "alice"));
+        assert!(group.replicas[0].lock().store.newest().len() >= 6);
+        for i in 1..3 {
+            assert_stores_as_replica_0(&group, i, true);
+        }
+    }
+
+    #[test]
+    fn a_replica_partitioned_at_creation_keeps_its_own_key_and_still_votes() {
+        let group = cft_group(22);
+        group.set_fault(
+            2,
+            FaultPlan::outage(SimInstant::EPOCH, SimInstant::from_secs(1)),
+            1,
+        );
+        let mut clock = Clock::new();
+        group
+            .write(&mut ctx(&mut clock, "alice"), "/d/a", b"1".to_vec().into())
+            .unwrap();
+        assert!(group.replicas[2].lock().store.newest().is_empty());
+
+        // After the heal, replica 0 crashes: every quorum is {1, 2}, and the
+        // first read writes the value back to replica 2.
+        clock.advance_to(SimInstant::from_secs(2));
+        group.set_fault(0, FaultPlan::crash_at(clock.now()), 2);
+        let mut c = ctx(&mut clock, "alice");
+        assert_eq!(group.read(&mut c, "/d/a").unwrap().value, b"1");
+        let key = |i: usize| Arc::clone(group.replicas[i].lock().store.newest()[0].0);
+        assert!(!Arc::ptr_eq(&key(1), &key(2)), "written back: its own key");
+        assert_stores_as_replica_0(&group, 2, false);
+
+        let before = evaluated(&group)[2];
+        group.write(&mut c, "/d/a", b"2".to_vec().into()).unwrap();
+        for _ in 0..5 {
+            assert_eq!(group.read(&mut c, "/d/a").unwrap().value, b"2");
+        }
+        let voted = evaluated(&group)[2] - before;
+        assert_eq!(voted, 6, "the timestamp query and every read");
+        let state = |i: usize| group.replicas[i].lock().store.newest()[0].1.cloned();
+        assert!(Arc::ptr_eq(&state(1).unwrap(), &state(2).unwrap()));
+    }
+
+    #[test]
+    fn a_byzantine_replica_stores_what_the_honest_ones_store() {
+        let group = RegisterGroup::new(
+            ReplicationConfig::test_instant(ReplicationMode::ByzantineFaultTolerant { f: 1 }),
+            23,
+        )
+        .unwrap();
+        group.set_fault(2, FaultPlan::always_byzantine(), 13);
+        let mut clock = Clock::new();
+        let mut c = ctx(&mut clock, "alice");
+        mix_of_commands(&group, &mut c);
+        // The newest state of every key the mix wrote on either lane.
+        group.write(&mut c, "/g", b"3".to_vec().into()).unwrap();
+        let create = Command::Cas {
+            key: "/h".into(),
+            expected: None,
+            value: b"4".to_vec().into(),
+        };
+        group.smr(&mut c, create).unwrap();
+        for i in 1..4 {
+            assert_stores_as_replica_0(&group, i, false);
+        }
+        assert_eq!(group.read(&mut c, "/f/a").unwrap().value, b"2");
+    }
+
+    #[test]
+    fn a_fault_free_round_visits_a_write_quorum_of_stores() {
+        for (config, wq) in [
+            (ReplicationConfig::metro_crash(1), 2),
+            (ReplicationConfig::coc_byzantine(), 3),
+        ] {
+            let group = RegisterGroup::new(config, 24).unwrap();
+            let mut clock = Clock::new();
+            let mut c = ctx(&mut clock, "alice");
+            mix_of_commands(&group, &mut c);
+            for round in 0..20 {
+                let before: u64 = evaluated(&group).iter().sum();
+                if round % 2 == 0 {
+                    assert_eq!(group.read(&mut c, "/f/a").unwrap().value, b"2");
+                } else {
+                    assert_eq!(group.list(&mut c, "/f/").unwrap(), ["/f/a", "/f/c"]);
+                }
+                assert_eq!(evaluated(&group).iter().sum::<u64>(), before + wq);
+            }
+        }
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use cloud_store::types::AccountId;
+
 /// Errors returned by the coordination service and the lock manager.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoordError {
@@ -61,6 +63,14 @@ impl CoordError {
     pub fn unavailable(reason: impl Into<String>) -> Self {
         CoordError::Unavailable {
             reason: reason.into(),
+        }
+    }
+
+    /// Convenience constructor for [`CoordError::AccessDenied`].
+    pub(crate) fn denied(key: &str, account: &AccountId) -> Self {
+        CoordError::AccessDenied {
+            key: key.to_string(),
+            account: account.to_string(),
         }
     }
 

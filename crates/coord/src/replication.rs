@@ -469,8 +469,10 @@ impl CoordinationService for ReplicatedCoordinator {
 
     fn list(&self, ctx: &mut OpCtx<'_>, prefix: &str) -> Result<Vec<String>, CoordError> {
         let account = ctx.account.clone();
-        let keys = self.query(ctx, |store, now| Ok(store.list(prefix, &account, now)))?;
-        Ok(keys.iter().map(|key| key.to_string()).collect())
+        self.query(ctx, |store, now| {
+            let keys = store.visible(prefix, &account, now);
+            Ok(keys.map(|key| key.to_string()).collect())
+        })
     }
 
     fn set_acl(&self, ctx: &mut OpCtx<'_>, key: &str, acl: Acl) -> Result<(), CoordError> {

@@ -130,18 +130,13 @@ impl ShardedCoordinator {
         ctx: &mut OpCtx<'_>,
         mut op: impl FnMut(&RegisterGroup, &mut OpCtx<'_>) -> Result<T, CoordError>,
     ) -> Result<Vec<T>, CoordError> {
-        let runs = run_forked(ctx.clock, 0..self.groups.len(), |i, fork| {
+        let mut runs = run_forked(ctx.clock, 0..self.groups.len(), |i, fork| {
             let mut sub = OpCtx::new(fork, ctx.account.clone());
             op(&self.groups[i], &mut sub)
         });
         join_all(ctx.clock, runs.iter().map(|r| r.completed_at));
-        let mut results = Vec::with_capacity(runs.len());
-        let mut runs = runs;
         runs.sort_by_key(|r| r.index);
-        for run in runs {
-            results.push(run.value?);
-        }
-        Ok(results)
+        runs.into_iter().map(|run| run.value).collect()
     }
 }
 
@@ -159,16 +154,12 @@ impl CoordinationService for ShardedCoordinator {
         value: Vec<u8>,
     ) -> Result<u64, CoordError> {
         self.count_access();
-        self.owner(key)
-            .smr(
-                ctx,
-                Command::Cas {
-                    key: key.to_string(),
-                    expected,
-                    value: value.into(),
-                },
-            )?
-            .expect_version()
+        let cas = Command::Cas {
+            key: key.to_string(),
+            expected,
+            value: value.into(),
+        };
+        self.owner(key).smr(ctx, cas)?.expect_version()
     }
 
     fn create_ephemeral(
@@ -180,18 +171,13 @@ impl CoordinationService for ShardedCoordinator {
         lease: SimDuration,
     ) -> Result<(), CoordError> {
         self.count_access();
-        let expires_at = ctx.clock.now() + lease;
-        self.owner(key)
-            .smr(
-                ctx,
-                Command::CreateEphemeral {
-                    key: key.to_string(),
-                    value: value.into(),
-                    session: session.clone(),
-                    expires_at,
-                },
-            )?
-            .expect_unit()
+        let create = Command::CreateEphemeral {
+            key: key.to_string(),
+            value: value.into(),
+            session: session.clone(),
+            expires_at: ctx.clock.now() + lease,
+        };
+        self.owner(key).smr(ctx, create)?.expect_unit()
     }
 
     fn get(&self, ctx: &mut OpCtx<'_>, key: &str) -> Result<Entry, CoordError> {
@@ -201,13 +187,9 @@ impl CoordinationService for ShardedCoordinator {
 
     fn delete(&self, ctx: &mut OpCtx<'_>, key: &str) -> Result<(), CoordError> {
         self.count_access();
-        self.owner(key)
-            .smr(
-                ctx,
-                Command::Delete {
-                    key: key.to_string(),
-                },
-            )?
+        let key = key.to_string();
+        self.owner(&key)
+            .smr(ctx, Command::Delete { key })?
             .expect_unit()
     }
 
@@ -225,19 +207,14 @@ impl CoordinationService for ShardedCoordinator {
             union.sort();
             union.dedup();
         }
-        Ok(union.iter().map(|key| key.to_string()).collect())
+        Ok(union)
     }
 
     fn set_acl(&self, ctx: &mut OpCtx<'_>, key: &str, acl: Acl) -> Result<(), CoordError> {
         self.count_access();
-        self.owner(key)
-            .smr(
-                ctx,
-                Command::SetAcl {
-                    key: key.to_string(),
-                    acl: acl.into(),
-                },
-            )?
+        let (key, acl) = (key.to_string(), acl.into());
+        self.owner(&key)
+            .smr(ctx, Command::SetAcl { key, acl })?
             .expect_unit()
     }
 
@@ -259,10 +236,7 @@ impl CoordinationService for ShardedCoordinator {
         // before any shard mutates.
         for (key, state) in collected.iter().flatten() {
             if !state.writable_by(&ctx.account) {
-                return Err(CoordError::AccessDenied {
-                    key: key.to_string(),
-                    account: ctx.account.to_string(),
-                });
+                return Err(CoordError::denied(key, &ctx.account));
             }
         }
 
@@ -291,9 +265,7 @@ impl CoordinationService for ShardedCoordinator {
             self.groups[i].rename_apply(&mut sub, deletes, inserts)
         });
         join_all(ctx.clock, runs.iter().map(|r| r.completed_at));
-        for run in runs {
-            run.value?;
-        }
+        runs.into_iter().try_for_each(|run| run.value)?;
         Ok(moved)
     }
 

@@ -19,9 +19,10 @@
 //! command replayed on the N replicas of a register group shares one payload
 //! allocation instead of copying it N×, and pushing a new history event
 //! never deep-copies the value. Keys (`Arc<str>`) and committed states
-//! (`Arc<EntryState>`) are shared the same way, so what a replica answers to
-//! a read, a `list` or a rename collect costs a reference count per item
-//! returned, not a copy.
+//! (`Arc<EntryState>`) are shared across the replicas themselves: replicas
+//! apply a command one after another, and each takes an `Arc` clone of a key
+//! or state equal to the one the previous replica built (`Built`), so a
+//! group stores each once and its replicas' scans read the same bytes.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -38,8 +39,9 @@ use crate::service::{Entry, SessionId};
 ///
 /// Crate-visible so the quorum-register layer ([`crate::abd`]) can snapshot,
 /// transport and re-install states during read write-back and cross-shard
-/// renames without round-tripping through the public [`Entry`] type.
-#[derive(Debug, Clone, PartialEq)]
+/// renames without round-tripping through the public [`Entry`] type. `Eq`
+/// lets two `Arc`s of one state compare by pointer before content.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct EntryState {
     pub(crate) value: Arc<[u8]>,
     pub(crate) version: u64,
@@ -102,6 +104,39 @@ impl EntryState {
 /// shared with the replica that answered.
 pub(crate) type KeyedState = (Arc<str>, Arc<EntryState>);
 
+/// What the previous replica of a group built while applying the same
+/// command: the next replica takes an `Arc` clone of an equal key or state
+/// instead of allocating its own. A replica that diverged — it missed a
+/// command, or holds another owner or ACL — builds, and hands on, its own.
+#[derive(Debug, Default)]
+pub(crate) struct Built {
+    key: Option<Arc<str>>,
+    state: Option<Arc<EntryState>>,
+    /// One per entry a rename moves.
+    moved: Vec<Built>,
+}
+
+impl Built {
+    fn moved(&mut self, entries: usize) -> &mut [Built] {
+        self.moved.resize_with(entries, Built::default);
+        &mut self.moved
+    }
+
+    fn key(&mut self, key: &str) -> Arc<str> {
+        match &mut self.key {
+            Some(built) if **built == *key => Arc::clone(built),
+            free => Arc::clone(free.insert(Arc::from(key))),
+        }
+    }
+
+    fn state(&mut self, state: EntryState) -> Arc<EntryState> {
+        match &mut self.state {
+            Some(built) if **built == state => Arc::clone(built),
+            free => Arc::clone(free.insert(Arc::new(state))),
+        }
+    }
+}
+
 /// The outcome of installing an ABD write on one replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum AbdWriteOutcome {
@@ -123,10 +158,13 @@ struct HistoryEvent {
     state: Option<Arc<EntryState>>,
 }
 
-/// History of one key.
+/// History of one key: its newest event inline, so a read of the present —
+/// the common one — touches no heap memory, and the older ones sorted by
+/// commit instant.
 #[derive(Debug, Clone, Default)]
 struct KeyHistory {
-    events: Vec<HistoryEvent>,
+    latest: Option<HistoryEvent>,
+    older: Vec<HistoryEvent>,
     /// The register timestamp: the highest version ever assigned to this
     /// key, by a value or by a deletion. Kept here so a read costs the same
     /// whatever the number of versions the key has had.
@@ -140,13 +178,20 @@ impl KeyHistory {
         if let Some(state) = &state {
             self.max_version = self.max_version.max(state.version);
         }
-        let pos = self
-            .events
-            .iter()
-            .rposition(|e| e.at <= at)
-            .map(|p| p + 1)
-            .unwrap_or(0);
-        self.events.insert(pos, HistoryEvent { at, state });
+        let event = HistoryEvent { at, state };
+        match &mut self.latest {
+            Some(latest) if latest.at > at => {
+                let pos = self.older.iter().rposition(|e| e.at <= at);
+                self.older.insert(pos.map_or(0, |p| p + 1), event);
+            }
+            latest => self.older.extend(latest.replace(event)),
+        }
+    }
+
+    /// The last event committed at or before `t`.
+    fn event_at(&self, t: SimInstant) -> Option<&HistoryEvent> {
+        let mut events = self.latest.iter().chain(self.older.iter().rev());
+        events.find(|e| e.at <= t)
     }
 
     /// Commits a deletion at `at` under register timestamp `ts` — the next
@@ -161,12 +206,7 @@ impl KeyHistory {
 
     /// The state visible at instant `t`, accounting for ephemeral expiry.
     fn state_at(&self, t: SimInstant) -> Option<&Arc<EntryState>> {
-        let state = self
-            .events
-            .iter()
-            .rev()
-            .find(|e| e.at <= t)
-            .and_then(|e| e.state.as_ref())?;
+        let state = self.event_at(t)?.state.as_ref()?;
         if let Some((_, expires_at)) = &state.ephemeral {
             if *expires_at <= t {
                 return None;
@@ -177,7 +217,7 @@ impl KeyHistory {
 
     /// Instant of the last committed change at or before `t`.
     fn updated_at(&self, t: SimInstant) -> Option<SimInstant> {
-        self.events.iter().rev().find(|e| e.at <= t).map(|e| e.at)
+        self.event_at(t).map(|e| e.at)
     }
 }
 
@@ -195,17 +235,30 @@ impl TupleStore {
         TupleStore::default()
     }
 
-    /// Bounded range scan over the keys starting with `prefix`: seeks to the
-    /// first candidate with `BTreeMap::range` (borrowing the prefix) and
-    /// stops at the first key past it, so the cost is O(log n + matches)
-    /// instead of a full-store walk per call.
+    /// Bounded range scan over the keys starting with `prefix`, O(log n +
+    /// matches). When the prefix ends in an ASCII byte below `0x7f`, the
+    /// range ends before the prefix with that byte incremented and no key is
+    /// tested; otherwise the scan stops at the first key without the prefix.
     fn prefix_range<'a>(
         &'a self,
         prefix: &'a str,
     ) -> impl Iterator<Item = (&'a Arc<str>, &'a KeyHistory)> + 'a {
+        let mut end = prefix.to_owned();
+        let bounded = match end.pop() {
+            Some(last) if last < '\x7f' => {
+                end.push(char::from(last as u8 + 1));
+                true
+            }
+            _ => false,
+        };
+        let end = if bounded {
+            Bound::Excluded(end.as_str())
+        } else {
+            Bound::Unbounded
+        };
         self.keys
-            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
-            .take_while(move |(k, _)| k.starts_with(prefix))
+            .range::<str, _>((Bound::Included(prefix), end))
+            .take_while(move |(k, _)| bounded || k.starts_with(prefix))
     }
 
     /// The keys a rename of `prefix` moves: those of [`Self::prefix_range`]
@@ -223,44 +276,62 @@ impl TupleStore {
     }
 
     /// Runs `f` on the history of `key`. Only a key the store has never seen
-    /// allocates, and its fresh history is kept only if `f` committed an
-    /// event: a refused command leaves nothing for later scans to visit.
-    fn with_history<R>(&mut self, key: &str, f: impl FnOnce(&mut KeyHistory) -> R) -> R {
+    /// allocates (or takes the one `built` holds), and its fresh history is
+    /// kept only if `f` committed an event: a refused command leaves nothing
+    /// for later scans to visit.
+    fn with_history<R>(
+        &mut self,
+        key: &str,
+        built: &mut Built,
+        f: impl FnOnce(&mut KeyHistory, &mut Built) -> R,
+    ) -> R {
         if let Some(history) = self.keys.get_mut(key) {
-            return f(history);
+            return f(history, built);
         }
         let mut history = KeyHistory::default();
-        let result = f(&mut history);
-        if !history.events.is_empty() {
-            self.keys.insert(Arc::from(key), history);
+        let result = f(&mut history, built);
+        if history.latest.is_some() {
+            self.keys.insert(built.key(key), history);
         }
         result
     }
 
     /// Applies one command at commit instant `now` and returns its reply.
     pub fn apply(&mut self, signed: &SignedCommand, now: SimInstant) -> Reply {
+        self.apply_with(signed, now, &mut Built::default())
+    }
+
+    /// [`Self::apply`] on one replica of a group, sharing what the previous
+    /// replica `built` for the same command.
+    pub(crate) fn apply_with(
+        &mut self,
+        signed: &SignedCommand,
+        now: SimInstant,
+        built: &mut Built,
+    ) -> Reply {
         let who = &signed.issuer;
         match &signed.command {
-            Command::Put { key, value } => self.apply_put(key, Arc::clone(value), who, None, now),
+            Command::Put { key, value } => self.apply_put(key, value, who, None, now, built),
             Command::Cas {
                 key,
                 expected,
                 value,
-            } => self.apply_put(key, Arc::clone(value), who, Some(*expected), now),
+            } => self.apply_put(key, value, who, Some(*expected), now, built),
             Command::CreateEphemeral {
                 key,
                 value,
                 session,
                 expires_at,
             } => {
-                self.apply_create_ephemeral(key, Arc::clone(value), session, *expires_at, who, now)
+                let ephemeral = (session, *expires_at);
+                self.apply_create_ephemeral(key, value, ephemeral, who, now, built)
             }
             Command::Delete { key } => self.apply_delete(key, who, now),
-            Command::SetAcl { key, acl } => self.apply_set_acl(key, Arc::clone(acl), who, now),
+            Command::SetAcl { key, acl } => self.apply_set_acl(key, acl, who, now, built),
             Command::RenamePrefix {
                 old_prefix,
                 new_prefix,
-            } => self.apply_rename(old_prefix, new_prefix, who, now),
+            } => self.apply_rename(old_prefix, new_prefix, who, now, built),
         }
     }
 
@@ -274,21 +345,22 @@ impl TupleStore {
             .state_at(now)
             .ok_or_else(|| CoordError::not_found(key))?;
         if !state.readable_by(who) {
-            return Err(CoordError::AccessDenied {
-                key: key.to_string(),
-                account: who.to_string(),
-            });
+            return Err(CoordError::denied(key, who));
         }
         Ok(state.to_entry(key, history.updated_at(now).unwrap_or(SimInstant::EPOCH)))
     }
 
-    /// Lists the keys with `prefix` that `who` may read, as seen at `now`,
-    /// in key order.
-    pub fn list(&self, prefix: &str, who: &AccountId, now: SimInstant) -> Vec<Arc<str>> {
+    /// The keys with `prefix` that `who` may read, as seen at `now`, in key
+    /// order: one pass over the range, nothing copied.
+    pub(crate) fn visible<'a>(
+        &'a self,
+        prefix: &'a str,
+        who: &'a AccountId,
+        now: SimInstant,
+    ) -> impl Iterator<Item = &'a Arc<str>> + 'a {
         self.prefix_range(prefix)
-            .filter(|(_, h)| h.state_at(now).is_some_and(|s| s.readable_by(who)))
-            .map(|(k, _)| Arc::clone(k))
-            .collect()
+            .filter(move |(_, h)| h.state_at(now).is_some_and(|s| s.readable_by(who)))
+            .map(|(k, _)| k)
     }
 
     /// Number of live entries at instant `now`.
@@ -306,11 +378,11 @@ impl TupleStore {
         &self,
         key: &str,
         now: SimInstant,
-    ) -> (u64, Option<Arc<EntryState>>, Option<SimInstant>) {
+    ) -> (u64, Option<&Arc<EntryState>>, Option<SimInstant>) {
         match self.keys.get(key) {
             Some(history) => (
                 history.max_version,
-                history.state_at(now).cloned(),
+                history.state_at(now),
                 history.updated_at(now),
             ),
             None => (0, None, None),
@@ -327,8 +399,9 @@ impl TupleStore {
         ts: u64,
         state: Option<&Arc<EntryState>>,
         now: SimInstant,
+        built: &mut Built,
     ) -> bool {
-        self.with_history(key, |history| {
+        self.with_history(key, built, |history, _| {
             let newer = ts > history.max_version;
             if newer {
                 match state {
@@ -347,11 +420,12 @@ impl TupleStore {
         &mut self,
         key: &str,
         ts: u64,
-        value: Arc<[u8]>,
+        value: &Arc<[u8]>,
         who: &AccountId,
         now: SimInstant,
+        built: &mut Built,
     ) -> AbdWriteOutcome {
-        self.with_history(key, |history| {
+        self.with_history(key, built, |history, built| {
             let current = history.state_at(now);
             if current.is_some_and(|cur| !cur.writable_by(who)) {
                 return AbdWriteOutcome::Denied;
@@ -359,26 +433,22 @@ impl TupleStore {
             if ts <= history.max_version {
                 return AbdWriteOutcome::Stale;
             }
-            let state = EntryState::written(value, ts, current, who);
-            history.push(now, Some(Arc::new(state)));
+            let state = EntryState::written(Arc::clone(value), ts, current, who);
+            history.push(now, Some(built.state(state)));
             AbdWriteOutcome::Installed
         })
     }
 
-    /// Snapshot of every live entry under the path `prefix` at `now`
-    /// ([`Self::rename_range`]), with its register timestamp — the collect
-    /// phase of a cross-shard rename.
-    pub(crate) fn collect_prefix(
-        &self,
-        prefix: &str,
+    /// Every live entry under the path `prefix` at `now`
+    /// ([`Self::rename_range`]) with its register timestamp, in key order —
+    /// what a rename's collect phase reads.
+    pub(crate) fn collect_prefix<'a>(
+        &'a self,
+        prefix: &'a str,
         now: SimInstant,
-    ) -> Vec<(Arc<str>, u64, Arc<EntryState>)> {
+    ) -> impl Iterator<Item = (&'a Arc<str>, u64, &'a Arc<EntryState>)> + 'a {
         self.rename_range(prefix)
-            .filter_map(|(k, h)| {
-                h.state_at(now)
-                    .map(|s| (Arc::clone(k), h.max_version, Arc::clone(s)))
-            })
-            .collect()
+            .filter_map(move |(k, h)| h.state_at(now).map(|s| (k, h.max_version, s)))
     }
 
     /// Apply phase of a cross-shard rename on one replica: tombstones the
@@ -390,16 +460,17 @@ impl TupleStore {
         deletes: &[Arc<str>],
         inserts: &[(String, Arc<EntryState>)],
         now: SimInstant,
+        built: &mut Built,
     ) {
         for key in deletes {
             if let Some(history) = self.keys.get_mut(key) {
                 history.tombstone(now, history.max_version + 1);
             }
         }
-        for (key, state) in inserts {
-            self.with_history(key, |target| {
+        for ((key, state), built) in inserts.iter().zip(built.moved(inserts.len())) {
+            self.with_history(key, built, |target, built| {
                 let version = target.max_version.max(state.version) + 1;
-                target.push(now, Some(Arc::new(state.at_version(version))));
+                target.push(now, Some(built.state(state.at_version(version))));
             });
         }
     }
@@ -407,15 +478,16 @@ impl TupleStore {
     fn apply_put(
         &mut self,
         key: &str,
-        value: Arc<[u8]>,
+        value: &Arc<[u8]>,
         who: &AccountId,
         expected: Option<Option<u64>>,
         now: SimInstant,
+        built: &mut Built,
     ) -> Reply {
         if key.is_empty() {
             return Reply::Error(CoordError::invalid("empty key"));
         }
-        self.with_history(key, |history| {
+        self.with_history(key, built, |history, built| {
             let current = history.state_at(now);
 
             // Conditional-update checks.
@@ -440,15 +512,12 @@ impl TupleStore {
 
             // Access control for overwrites.
             if current.is_some_and(|cur| !cur.writable_by(who)) {
-                return Reply::Error(CoordError::AccessDenied {
-                    key: key.to_string(),
-                    account: who.to_string(),
-                });
+                return Reply::Error(CoordError::denied(key, who));
             }
 
             let new_version = history.max_version + 1;
-            let state = EntryState::written(value, new_version, current, who);
-            history.push(now, Some(Arc::new(state)));
+            let state = EntryState::written(Arc::clone(value), new_version, current, who);
+            history.push(now, Some(built.state(state)));
             Reply::Version(new_version)
         })
     }
@@ -456,16 +525,16 @@ impl TupleStore {
     fn apply_create_ephemeral(
         &mut self,
         key: &str,
-        value: Arc<[u8]>,
-        session: &SessionId,
-        expires_at: SimInstant,
+        value: &Arc<[u8]>,
+        (session, expires_at): (&SessionId, SimInstant),
         who: &AccountId,
         now: SimInstant,
+        built: &mut Built,
     ) -> Reply {
         if key.is_empty() {
             return Reply::Error(CoordError::invalid("empty key"));
         }
-        self.with_history(key, |history| {
+        self.with_history(key, built, |history, built| {
             if let Some(current) = history.state_at(now) {
                 let holder = current
                     .ephemeral
@@ -479,13 +548,13 @@ impl TupleStore {
             }
             let new_version = history.max_version + 1;
             let state = EntryState {
-                value,
+                value: Arc::clone(value),
                 version: new_version,
                 owner: who.clone(),
                 acl: Arc::new(Acl::private()),
                 ephemeral: Some((session.clone(), expires_at)),
             };
-            history.push(now, Some(Arc::new(state)));
+            history.push(now, Some(built.state(state)));
             Reply::Version(new_version)
         })
     }
@@ -498,10 +567,7 @@ impl TupleStore {
             return Reply::Error(CoordError::not_found(key));
         };
         if !current.writable_by(who) {
-            return Reply::Error(CoordError::AccessDenied {
-                key: key.to_string(),
-                account: who.to_string(),
-            });
+            return Reply::Error(CoordError::denied(key, who));
         }
         history.tombstone(now, history.max_version + 1);
         Reply::Unit
@@ -510,9 +576,10 @@ impl TupleStore {
     fn apply_set_acl(
         &mut self,
         key: &str,
-        acl: Arc<Acl>,
+        acl: &Arc<Acl>,
         who: &AccountId,
         now: SimInstant,
+        built: &mut Built,
     ) -> Reply {
         let Some(history) = self.keys.get_mut(key) else {
             return Reply::Error(CoordError::not_found(key));
@@ -521,17 +588,14 @@ impl TupleStore {
             return Reply::Error(CoordError::not_found(key));
         };
         if &current.owner != who {
-            return Reply::Error(CoordError::AccessDenied {
-                key: key.to_string(),
-                account: who.to_string(),
-            });
+            return Reply::Error(CoordError::denied(key, who));
         }
         let new_version = history.max_version + 1;
         let state = EntryState {
-            acl,
+            acl: Arc::clone(acl),
             ..current.at_version(new_version)
         };
-        history.push(now, Some(Arc::new(state)));
+        history.push(now, Some(built.state(state)));
         Reply::Version(new_version)
     }
 
@@ -541,33 +605,34 @@ impl TupleStore {
         new_prefix: &str,
         who: &AccountId,
         now: SimInstant,
+        built: &mut Built,
     ) -> Reply {
         if old_prefix.is_empty() {
             return Reply::Error(CoordError::invalid("empty rename prefix"));
         }
         // Bounded range scan: only the keys under the prefix are visited.
-        let affected = self.collect_prefix(old_prefix, now);
+        let affected: Vec<KeyedState> = self
+            .collect_prefix(old_prefix, now)
+            .map(|(key, _, state)| (Arc::clone(key), Arc::clone(state)))
+            .collect();
 
         // Check permissions up front so the rename is all-or-nothing.
-        if let Some((key, _, _)) = affected.iter().find(|(_, _, s)| !s.writable_by(who)) {
-            return Reply::Error(CoordError::AccessDenied {
-                key: key.to_string(),
-                account: who.to_string(),
-            });
+        if let Some((key, _)) = affected.iter().find(|(_, s)| !s.writable_by(who)) {
+            return Reply::Error(CoordError::denied(key, who));
         }
 
         // Delete the old entries, then create the new ones, preserving
         // value, owner and ACL.
-        for (key, _, _) in &affected {
+        for (key, _) in &affected {
             if let Some(history) = self.keys.get_mut(key) {
                 history.tombstone(now, history.max_version + 1);
             }
         }
-        for (key, _, state) in &affected {
+        for ((key, state), built) in affected.iter().zip(built.moved(affected.len())) {
             let new_key = format!("{new_prefix}{}", &key[old_prefix.len()..]);
-            self.with_history(&new_key, |target| {
+            self.with_history(&new_key, built, |target, built| {
                 let version = target.max_version + 1;
-                target.push(now, Some(Arc::new(state.at_version(version))));
+                target.push(now, Some(built.state(state.at_version(version))));
             });
         }
         Reply::Count(affected.len())
@@ -592,6 +657,26 @@ mod tests {
 
     fn val(bytes: &[u8]) -> Arc<[u8]> {
         bytes.into()
+    }
+
+    impl TupleStore {
+        /// Every key the store holds, with its newest state (`None` for a
+        /// tombstone): what the replicas of a group share, for tests.
+        pub(crate) fn newest<'a>(&'a self) -> Vec<(&'a Arc<str>, Option<&'a Arc<EntryState>>)> {
+            let newest = |(k, h): (&'a Arc<str>, &'a KeyHistory)| {
+                (k, h.latest.as_ref().and_then(|e| e.state.as_ref()))
+            };
+            self.keys.iter().map(newest).collect()
+        }
+    }
+
+    /// The keys `who` may read under `prefix` at `now`.
+    fn listed(store: &TupleStore, prefix: &str, who: &str, now: SimInstant) -> Vec<String> {
+        let who = AccountId::new(who);
+        store
+            .visible(prefix, &who, now)
+            .map(|k| k.to_string())
+            .collect()
     }
 
     #[test]
@@ -966,8 +1051,8 @@ mod tests {
             ),
             t(1),
         );
-        assert_eq!(store.list("/m/", &"alice".into(), t(2)).len(), 2);
-        assert!(store.list("/m/", &"bob".into(), t(2)).is_empty());
+        assert_eq!(listed(&store, "/m/", "alice", t(2)).len(), 2);
+        assert!(listed(&store, "/m/", "bob", t(2)).is_empty());
         assert_eq!(store.entry_count(t(2)), 2);
         assert_eq!(store.entry_count(SimInstant::EPOCH), 0);
     }
@@ -989,12 +1074,9 @@ mod tests {
                 t(1),
             );
         }
-        assert_eq!(
-            store.list("/m/", &"alice".into(), t(2)),
-            [Arc::from("/m/1"), Arc::from("/m/2")]
-        );
-        assert_eq!(store.list("/", &"alice".into(), t(2)).len(), 6);
-        assert!(store.list("/q", &"alice".into(), t(2)).is_empty());
+        assert_eq!(listed(&store, "/m/", "alice", t(2)), ["/m/1", "/m/2"]);
+        assert_eq!(listed(&store, "/", "alice", t(2)).len(), 6);
+        assert!(listed(&store, "/q", "alice", t(2)).is_empty());
     }
 
     #[test]
@@ -1031,41 +1113,42 @@ mod tests {
     #[test]
     fn abd_snapshot_install_and_write() {
         let mut store = TupleStore::new();
+        let built = &mut Built::default();
         let (ts, state, _) = store.abd_snapshot("/r", t(1));
         assert_eq!(ts, 0);
         assert!(state.is_none());
 
         // A fresh ABD write installs at its timestamp.
-        let outcome = store.abd_write("/r", 5 << 20, val(b"v1"), &"alice".into(), t(1));
+        let outcome = store.abd_write("/r", 5 << 20, &val(b"v1"), &"alice".into(), t(1), built);
         assert_eq!(outcome, AbdWriteOutcome::Installed);
         let (ts, state, _) = store.abd_snapshot("/r", t(2));
         assert_eq!(ts, 5 << 20);
         assert_eq!(&*state.unwrap().value, b"v1");
 
         // A stale write (lower ts) is acknowledged without changing state.
-        let outcome = store.abd_write("/r", 3 << 20, val(b"old"), &"alice".into(), t(3));
+        let outcome = store.abd_write("/r", 3 << 20, &val(b"old"), &"alice".into(), t(3), built);
         assert_eq!(outcome, AbdWriteOutcome::Stale);
         assert_eq!(store.get("/r", &"alice".into(), t(4)).unwrap().value, b"v1");
 
         // A non-owner without write permission is denied.
-        let outcome = store.abd_write("/r", 9 << 20, val(b"evil"), &"bob".into(), t(5));
+        let outcome = store.abd_write("/r", 9 << 20, &val(b"evil"), &"bob".into(), t(5), built);
         assert_eq!(outcome, AbdWriteOutcome::Denied);
 
         // Write-back installs an exact state only if its ts is newer.
         let (_, state, _) = store.abd_snapshot("/r", t(5));
-        let wb = state.unwrap();
+        let wb = Arc::clone(state.unwrap());
         assert!(
-            !store.abd_install("/r", wb.version, Some(&wb), t(6)),
+            !store.abd_install("/r", wb.version, Some(&wb), t(6), built),
             "same ts: no-op"
         );
         let wb = Arc::new(wb.at_version(7 << 20));
-        assert!(store.abd_install("/r", 7 << 20, Some(&wb), t(6)));
+        assert!(store.abd_install("/r", 7 << 20, Some(&wb), t(6), built));
         let (ts, _, _) = store.abd_snapshot("/r", t(7));
         assert_eq!(ts, 7 << 20);
 
         // So does a deletion, and only if its ts is newer.
-        assert!(!store.abd_install("/r", 7 << 20, None, t(8)));
-        assert!(store.abd_install("/r", 8 << 20, None, t(8)));
+        assert!(!store.abd_install("/r", 7 << 20, None, t(8), built));
+        assert!(store.abd_install("/r", 8 << 20, None, t(8), built));
         assert_eq!(store.abd_snapshot("/r", t(9)), (8 << 20, None, Some(t(8))));
     }
 
@@ -1083,12 +1166,16 @@ mod tests {
             ),
             t(1),
         );
-        let collected = src.collect_prefix("/dir/", t(2));
+        let collected: Vec<KeyedState> = src
+            .collect_prefix("/dir/", t(2))
+            .map(|(key, _, state)| (Arc::clone(key), Arc::clone(state)))
+            .collect();
         assert_eq!(collected.len(), 1);
-        let (key, _, state) = collected.into_iter().next().unwrap();
+        let (key, state) = collected.into_iter().next().unwrap();
         assert_eq!(&*key, "/dir/a");
-        src.apply_rename_batch(&[key], &[], t(3));
-        dst.apply_rename_batch(&[], &[("/new/a".into(), state)], t(3));
+        src.apply_rename_batch(&[key], &[], t(3), &mut Built::default());
+        let inserts = [("/new/a".into(), state)];
+        dst.apply_rename_batch(&[], &inserts, t(3), &mut Built::default());
         assert!(src.get("/dir/a", &"alice".into(), t(4)).is_err());
         let moved = dst.get("/new/a", &"alice".into(), t(4)).unwrap();
         assert_eq!(moved.value, b"1");
@@ -1209,22 +1296,18 @@ mod tests {
             }
             store
         };
-        let live = |store: &TupleStore| -> Vec<String> {
-            let keys = store.list("/", &"alice".into(), t(3));
-            keys.iter().map(|key| key.to_string()).collect()
-        };
+        let live = |store: &TupleStore| listed(store, "/", "alice", t(3));
         let rename = |old: &str, new: &str| Command::RenamePrefix {
             old_prefix: old.into(),
             new_prefix: new.into(),
         };
 
         let mut store = populated();
-        let collected: Vec<Arc<str>> = store
+        let collected: Vec<&str> = store
             .collect_prefix("/d", t(2))
-            .into_iter()
-            .map(|(key, _, _)| key)
+            .map(|(key, _, _)| &**key)
             .collect();
-        assert_eq!(collected, ["/d".into(), "/d/".into(), "/d/x".into()]);
+        assert_eq!(collected, ["/d", "/d/", "/d/x"]);
         assert_eq!(
             store.apply(&signed("alice", rename("/d", "/n")), t(2)),
             Reply::Count(3)
@@ -1234,7 +1317,7 @@ mod tests {
         assert_eq!(moved.value, b"/d/x");
 
         let mut store = populated();
-        assert_eq!(store.collect_prefix("/d/", t(2)).len(), 2);
+        assert_eq!(store.collect_prefix("/d/", t(2)).count(), 2);
         assert_eq!(
             store.apply(&signed("alice", rename("/d/", "/n/")), t(2)),
             Reply::Count(2)
