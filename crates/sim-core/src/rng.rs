@@ -4,7 +4,8 @@
 //! reproduction flows through [`DetRng`], a small SplitMix64-based generator.
 //! Using our own generator (instead of `rand::thread_rng`) keeps every
 //! experiment bit-for-bit reproducible from its seed, which matters because
-//! the tables in EXPERIMENTS.md are regenerated on every benchmark run.
+//! the shape tests of `tests/experiment_shapes.rs` and the golden pins of
+//! `tests/determinism.rs` re-run the paper's experiments on every test run.
 
 /// A deterministic pseudo-random number generator (SplitMix64 core).
 ///

@@ -10,8 +10,8 @@
 //!
 //! An argument that is neither exits 2 and lists the selectors.
 //!
-//! The output is a set of plain-text tables whose shapes are compared with
-//! the paper in EXPERIMENTS.md.
+//! The output is a set of plain-text tables. `tests/experiment_shapes.rs`
+//! maps every selector to the test that states its shape against the paper.
 
 use std::collections::BTreeSet;
 
@@ -103,7 +103,7 @@ fn main() {
     };
 
     println!("SCFS reproduction — regenerating the paper's tables and figures");
-    println!("(virtual-time simulation; see EXPERIMENTS.md for the comparison)\n");
+    println!("(virtual-time simulation; see tests/experiment_shapes.rs for the comparison)\n");
 
     for section in SECTIONS {
         if selected.is_empty() || selected.iter().any(|s| picks(section, s)) {

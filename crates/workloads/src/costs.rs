@@ -1,12 +1,19 @@
-//! The cost analyses of Figure 11 and the durability table (Table 1).
+//! The cost analyses of Figure 11 and the durability table (Table 1), and
+//! what a user-month of a fleet costs under a placement policy over the
+//! heterogeneous provider matrix.
 
 use cloud_store::pricing::VmInstanceSize;
+use cloud_store::providers::ProviderSet;
 use coord::deployment::CoordDeployment;
+use placement::PolicyKind;
 use scfs::cost::{CostBackend, CostModel};
 use scfs::durability::table1_rows;
+use sim_core::fault::FaultPlan;
 use sim_core::units::Bytes;
 
+use crate::fleet::FleetReport;
 use crate::results::Table;
+use crate::setup::{Backend, Deployment, Providers};
 
 /// Table 1: durability levels.
 pub fn table1() -> Table {
@@ -127,6 +134,68 @@ pub fn figure11c() -> Table {
         ]);
     }
     table
+}
+
+/// A condition of the seven-provider matrix
+/// ([`ProviderSet::heterogeneous_matrix`]) that placement policies are
+/// compared under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MatrixSweep {
+    /// Every provider behaves as advertised.
+    Healthy,
+    /// Amazon S3 answers 10x slower, and the flaky regional store drops
+    /// about 4 % of requests.
+    SlowS3,
+    /// The flaky regional store, a block holder under the identity
+    /// placement, charges 10x every price.
+    PriceyFlaky,
+}
+
+/// Matrix index of Amazon S3 and of the flaky regional store.
+const S3: usize = 1;
+const FLAKY: usize = 2;
+
+/// The cloud-of-clouds over the provider matrix in `sweep`'s condition,
+/// `policy` placing each version on 3 clouds and waiting for 2 block acks.
+pub fn matrix_deployment(sweep: MatrixSweep, policy: PolicyKind, seed: u64) -> Deployment {
+    let mut profiles = ProviderSet::heterogeneous_matrix();
+    match sweep {
+        MatrixSweep::Healthy => {}
+        MatrixSweep::SlowS3 => profiles[S3] = profiles[S3].with_latency_scaled(10.0),
+        MatrixSweep::PriceyFlaky => profiles[FLAKY] = profiles[FLAKY].with_prices_scaled(10.0),
+    }
+    let deployment = Deployment::on(Backend::CloudOfClouds)
+        .providers(Providers::Explicit(profiles))
+        .placement(policy, 3, 2)
+        .build(seed);
+    if sweep == MatrixSweep::SlowS3 {
+        deployment.clouds[FLAKY].set_fault_plan(FaultPlan::flaky(0.04), seed);
+    }
+    deployment
+}
+
+/// What one user-month of `report`'s fleet costs on `deployment`: the
+/// clouds' operation and traffic ledgers, which cover the makespan, scaled
+/// to 30 days, plus a month of storage rent on what the fleet left behind,
+/// divided by the mounts.
+pub fn dollars_per_user_month(deployment: &Deployment, report: &FleetReport) -> f64 {
+    let month_factor = 30.0 * 86_400.0 / report.makespan.as_secs_f64().max(1.0);
+    let ops: f64 = deployment
+        .clouds
+        .iter()
+        .map(|c| c.ledger().grand_total().as_dollars())
+        .sum();
+    let rent: f64 = deployment
+        .clouds
+        .iter()
+        .map(|c| {
+            c.profile()
+                .prices
+                .storage_cost(c.stored_bytes(), 30.0)
+                .as_dollars()
+        })
+        .sum();
+    (ops * month_factor + rent) / report.mounts as f64
 }
 
 #[cfg(test)]

@@ -14,8 +14,8 @@
 //!
 //! [`run_mid_file_insert`] drives one agent through the commit + edit +
 //! re-commit sequence and reports how many chunks (and bytes) the edit
-//! close actually uploaded — the number the `transfer_engine` bench records
-//! per chunking mode in `BENCH_transfer.json`.
+//! close actually uploaded — the number `tests/cdc_dedup.rs` bounds per
+//! chunking mode on both backends.
 
 use scfs::agent::ScfsAgent;
 use scfs::error::ScfsError;

@@ -1,5 +1,6 @@
 //! Workload generators and experiment harnesses reproducing the SCFS
-//! evaluation (paper §4).
+//! evaluation (paper §4). The crate's `reproduce` binary prints every table
+//! and figure.
 //!
 //! * [`setup`] — [`setup::Deployment`], the one place clouds, a storage
 //!   backend and a coordination plane are stood up, and on it the paper-table
@@ -18,8 +19,9 @@
 //!   [`setup::Deployment`] it is handed.
 //! * [`sweeps`] — the metadata-cache and private-name-space parameter sweeps
 //!   of Figure 10.
-//! * [`costs`] — the operation and storage cost analyses of Figure 11 and
-//!   the durability table (Table 1).
+//! * [`costs`] — the operation and storage cost analyses of Figure 11, the
+//!   durability table (Table 1), and dollars per user-month of a fleet over
+//!   the provider matrix.
 
 pub mod costs;
 pub mod editsync;

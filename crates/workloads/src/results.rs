@@ -1,8 +1,8 @@
 //! Plain-text result tables.
 //!
 //! Every experiment produces a [`Table`] that the `reproduce` binary prints;
-//! EXPERIMENTS.md copies these tables next to the numbers reported in the
-//! paper so the shapes can be compared directly.
+//! `tests/experiment_shapes.rs` names, per table, the test that holds its
+//! shape to the paper's.
 
 /// A rectangular result table.
 #[derive(Debug, Clone, PartialEq, Eq)]

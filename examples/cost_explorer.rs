@@ -7,26 +7,20 @@
 //! Run with: `cargo run --example cost_explorer`
 
 use scfs_repro::cloud_store::pricing::VmInstanceSize;
-use scfs_repro::cloud_store::providers::{ProviderProfile, ProviderSet};
 use scfs_repro::coord::deployment::CoordDeployment;
 use scfs_repro::placement::PolicyKind;
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::cost::{CostBackend, CostModel};
-use scfs_repro::sim_core::fault::FaultPlan;
 use scfs_repro::sim_core::time::SimDuration;
 use scfs_repro::sim_core::units::{Bytes, MicroDollars};
-use scfs_repro::workloads::costs::{figure11a, figure11b, figure11c};
+use scfs_repro::workloads::costs::{
+    dollars_per_user_month, figure11a, figure11b, figure11c, matrix_deployment, MatrixSweep,
+};
 use scfs_repro::workloads::fleet::{run_fleet, FleetConfig};
-use scfs_repro::workloads::setup::{Backend, Deployment, Providers};
 
-/// Runs a small zipfian fleet over the matrix with one placement policy and
-/// returns dollars per user-month: operation/traffic ledgers scaled to 30
-/// days plus a month of storage rent, split over the mounts.
-fn fleet_dollars_per_user_month(
-    profiles: Vec<ProviderProfile>,
-    policy: PolicyKind,
-    flaky_faults: bool,
-) -> f64 {
+/// Runs a small zipfian fleet over the matrix in `sweep`'s condition with
+/// one placement policy and returns what a user-month of it costs.
+fn fleet_dollars_per_user_month(sweep: MatrixSweep, policy: PolicyKind) -> f64 {
     let mut cfg = FleetConfig::smoke();
     cfg.mounts = 12;
     cfg.teams = 3;
@@ -35,31 +29,9 @@ fn fleet_dollars_per_user_month(
     cfg.mean_think = SimDuration::from_secs(20);
     cfg.scfs = ScfsConfig::test(Mode::Blocking).with_cache_capacities(Bytes::new(1), Bytes::new(1));
     cfg.seed = 0xC057;
-    let menv = Deployment::on(Backend::CloudOfClouds)
-        .providers(Providers::Explicit(profiles))
-        .placement(policy, 3, 2)
-        .build(cfg.seed);
-    if flaky_faults {
-        menv.clouds[2].set_fault_plan(FaultPlan::flaky(0.04), cfg.seed);
-    }
-    let report = run_fleet(&menv, &cfg);
-    let month_factor = 30.0 * 86_400.0 / report.makespan.as_secs_f64().max(1.0);
-    let ops: f64 = menv
-        .clouds
-        .iter()
-        .map(|c| c.ledger().grand_total().as_dollars())
-        .sum();
-    let rent: f64 = menv
-        .clouds
-        .iter()
-        .map(|c| {
-            c.profile()
-                .prices
-                .storage_cost(c.stored_bytes(), 30.0)
-                .as_dollars()
-        })
-        .sum();
-    (ops * month_factor + rent) / cfg.mounts as f64
+    let deployment = matrix_deployment(sweep, policy, cfg.seed);
+    let report = run_fleet(&deployment, &cfg);
+    dollars_per_user_month(&deployment, &report)
 }
 
 fn main() {
@@ -107,20 +79,14 @@ fn main() {
         PolicyKind::FastestRead,
     ];
     let sweeps = [
-        ("healthy", 0, false),
-        ("slow s3 (10x latency, flaky faults)", 1, true),
-        ("pricey flaky (10x prices)", 2, false),
+        ("healthy", MatrixSweep::Healthy),
+        ("slow s3 (10x latency, flaky faults)", MatrixSweep::SlowS3),
+        ("pricey flaky (10x prices)", MatrixSweep::PriceyFlaky),
     ];
-    for (label, sweep, faults) in sweeps {
-        let mut profiles = ProviderSet::heterogeneous_matrix();
-        match sweep {
-            1 => profiles[1] = profiles[1].with_latency_scaled(10.0),
-            2 => profiles[2] = profiles[2].with_prices_scaled(10.0),
-            _ => {}
-        }
+    for (label, sweep) in sweeps {
         println!("  {label}:");
         for policy in policies {
-            let dollars = fleet_dollars_per_user_month(profiles.clone(), policy, faults);
+            let dollars = fleet_dollars_per_user_month(sweep, policy);
             println!("    {:<16} ${dollars:.4}/user/month", policy.label());
         }
     }
