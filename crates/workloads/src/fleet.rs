@@ -870,4 +870,14 @@ mod tests {
         );
         assert!(report.stats + report.opens > 0);
     }
+
+    #[test]
+    fn metadata_fleet_is_deterministic() {
+        let cfg = MetadataFleetConfig::smoke();
+        let a = run_fleet_metadata(&sharded(3, cfg.seed), &cfg);
+        let b = run_fleet_metadata(&sharded(3, cfg.seed), &cfg);
+        assert_eq!(a.trace_hash, b.trace_hash);
+        assert_eq!(a.makespan, b.makespan);
+        assert_eq!(a.ops_executed(), b.ops_executed());
+    }
 }

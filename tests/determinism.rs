@@ -1,4 +1,5 @@
-//! Whole-run determinism, and the ledger of what the virtual clock promises.
+//! Whole-run determinism, and the golden pins of the fleets and the
+//! background modes.
 //!
 //! Every map the agent, chunk store, metadata service or DepSky register
 //! iterates is ordered (`clippy::iter_over_hash_type`, README "Static
@@ -8,63 +9,24 @@
 //! tuple through FNV-1a, so any iteration-order leak anywhere on the
 //! simulated data or metadata path shows up as a hash mismatch here.
 //!
-//! Self-agreement only proves a build agrees with itself, so [`PINS`]
-//! records what the virtual clock produced: a refactor that shifts every
-//! instant *consistently* still fails tier-1. A change that moves the clock
-//! on purpose re-pins with one command, `cargo test --test determinism`: the
-//! failure prints the moved pins as an old → new Markdown table for
-//! CHANGES.md, and the replacement `PINS` block to paste over this one.
+//! Self-agreement only proves a build agrees with itself; [`golden`] checks
+//! the runs against the one ledger of pins, `tests/pins/mod.rs`.
 
-use std::fmt::Write as _;
+mod pins;
 
-use scfs_repro::cloud_store::store::OpCtx;
-use scfs_repro::cloud_store::types::{Acl, Permission};
-use scfs_repro::coord::replication::ReplicationConfig;
-use scfs_repro::coord::service::{CoordinationService, SessionId};
-use scfs_repro::coord::sharded::{ShardTopology, ShardedCoordinator};
-use scfs_repro::scfs::config::{Mode, ScfsConfig};
-use scfs_repro::scfs::fs::FileSystem;
-use scfs_repro::sim_core::fault::FaultPlan;
-use scfs_repro::sim_core::rng::DetRng;
-use scfs_repro::sim_core::time::{Clock, SimDuration, SimInstant};
-use scfs_repro::sim_core::units::Bytes;
-use scfs_repro::workloads::filesync::{durable_save, run_file_sync, LockFilePlacement};
-use scfs_repro::workloads::fleet::{
-    run_fleet, run_fleet_metadata, FleetConfig, FleetReport, MetadataFleetConfig,
-    MetadataFleetReport,
-};
-use scfs_repro::workloads::setup::{build_scfs, Backend, Deployment, Plane};
+use pins::{data_fleet, metadata_fleet};
+use scfs_repro::workloads::fleet::{FleetConfig, MetadataFleetConfig};
+use scfs_repro::workloads::setup::Backend;
 
-/// The data fleet on the paper deployment of `backend`.
-fn data_fleet(backend: Backend, cfg: &FleetConfig) -> FleetReport {
-    run_fleet(&Deployment::paper(backend, cfg.seed), cfg)
-}
-
-/// The metadata fleet over four instantaneous register groups.
-fn metadata_fleet(cfg: &MetadataFleetConfig) -> MetadataFleetReport {
-    let deployment = Deployment::on(Backend::Aws)
-        .plane(Plane::Sharded(ShardTopology::test(4)))
-        .build(cfg.seed);
-    run_fleet_metadata(&deployment, cfg)
-}
-
-/// Two runs of a data fleet whose caches evict — 20 mounts over 48 files,
-/// a 16 KiB memory tier and a 96 KiB disk tier — replay byte-identically on
-/// both backends (the cloud-of-clouds path exercises `depsky::register`'s
-/// metadata cache, the AWS path the plain chunk store), and a different
-/// seed reshuffles the trace.
+/// Two runs of the same data-plane fleet config replay byte-identically, on
+/// both backends (the cloud-of-clouds path exercises `depsky::register`'s metadata
+/// cache, the AWS path the plain chunk store).
 #[test]
 fn data_fleet_trace_is_seed_deterministic() {
-    let mut cfg = FleetConfig::smoke();
-    cfg.mounts = 20;
-    cfg.teams = 2;
-    cfg.files_per_team = 24;
-    cfg.ops_per_mount = 10;
-    cfg.scfs =
-        ScfsConfig::test(Mode::Blocking).with_cache_capacities(Bytes::kib(16), Bytes::kib(96));
     for backend in [Backend::Aws, Backend::CloudOfClouds] {
-        let mut a = data_fleet(backend, &cfg);
-        let mut b = data_fleet(backend, &cfg);
+        let cfg = FleetConfig::smoke();
+        let a = data_fleet(backend, &cfg);
+        let b = data_fleet(backend, &cfg);
         assert_eq!(
             a.trace_hash, b.trace_hash,
             "{backend:?}: same seed, same trace"
@@ -78,24 +40,6 @@ fn data_fleet_trace_is_seed_deterministic() {
         assert_eq!(a.chunk_downloads, b.chunk_downloads, "{backend:?}");
         assert_eq!(a.cache.memory, b.cache.memory, "{backend:?}");
         assert_eq!(a.cache.disk, b.cache.disk, "{backend:?}");
-        assert_eq!(
-            a.recorder.total_count(),
-            b.recorder.total_count(),
-            "{backend:?}"
-        );
-        assert_eq!(
-            a.recorder.percentile("read", 99.0),
-            b.recorder.percentile("read", 99.0),
-            "{backend:?}"
-        );
-
-        let mut other = cfg.clone();
-        other.seed ^= 0xDEAD_BEEF;
-        let c = data_fleet(backend, &other);
-        assert_ne!(
-            a.trace_hash, c.trace_hash,
-            "{backend:?}: a new seed must reshuffle"
-        );
     }
 }
 
@@ -122,227 +66,24 @@ fn metadata_fleet_trace_is_seed_deterministic() {
     assert_ne!(a.trace_hash, c.trace_hash, "a new seed must reshuffle");
 }
 
-// ---------------------------------------------------------------------------
-// The golden pins
-// ---------------------------------------------------------------------------
+/// Each run's values against the `PINS` ledger. A moved clock fails every
+/// run it moved, and each failure prints the same old → new table and
+/// replacement block.
+mod golden {
+    use super::pins::{assert_pins_hold, data_fleet_pins, file_sync_pins, metadata_fleet_pins};
 
-/// Every golden pin, in the order [`measure_pins`] measures them. Last moved
-/// when versions whose manifest rides in the metadata tuple stopped storing
-/// a manifest object: every workload here commits only such versions, so
-/// half the PUTs (and every draw they took from the clouds' latency streams)
-/// are gone.
-const PINS: &[(&str, u64)] = &[
-    ("data_fleet.AWS.trace_hash", 0x2d37_74ec_de62_8fdd),
-    ("data_fleet.AWS.makespan_ns", 473332502952),
-    ("data_fleet.CoC.trace_hash", 0x818b_2281_a18e_e250),
-    ("data_fleet.CoC.makespan_ns", 473793421013),
-    ("metadata_fleet.trace_hash", 0x7661_c8ff_93cf_a4b1),
-    ("metadata_fleet.makespan_ns", 688230371),
-    ("file_sync.NonBlocking.end_ns", 3104267807),
-    ("file_sync.NonBlocking.drain_ns", 3310090141),
-    ("file_sync.NonSharing.end_ns", 948543123),
-    ("file_sync.NonSharing.drain_ns", 948543123),
-    ("fault_paths.digest", 0xbaf3_3e23_a83c_f241),
-];
-
-/// Measures every pin:
-///
-/// * the data fleet's smoke run on each backend's paper deployment;
-/// * the metadata fleet's smoke run;
-/// * the two modes no benchmark workload mounts: one Figure 8 file-sync run
-///   each on the cloud-of-clouds, then a durable save (`sync` waiting on a
-///   background commit) and a manifest-only `copy_file`, at the foreground
-///   instant the run ends and at the instant its last background job lands;
-/// * the coordination plane's fault paths ([`fault_path_digest`]).
-fn measure_pins() -> Vec<(String, u64)> {
-    let mut pins = Vec::new();
-    for backend in [Backend::Aws, Backend::CloudOfClouds] {
-        let report = data_fleet(backend, &FleetConfig::smoke());
-        let run = format!("data_fleet.{}", backend.label());
-        pins.push((format!("{run}.trace_hash"), report.trace_hash));
-        pins.push((format!("{run}.makespan_ns"), report.makespan.as_nanos()));
+    #[test]
+    fn data_fleet_smoke_matches_the_pinned_trace() {
+        assert_pins_hold(&data_fleet_pins());
     }
-    let report = metadata_fleet(&MetadataFleetConfig::smoke());
-    pins.push(("metadata_fleet.trace_hash".into(), report.trace_hash));
-    pins.push((
-        "metadata_fleet.makespan_ns".into(),
-        report.makespan.as_nanos(),
-    ));
-    for mode in [Mode::NonBlocking, Mode::NonSharing] {
-        let mut fs = build_scfs(Backend::CloudOfClouds, ScfsConfig::paper_default(mode), 42);
-        run_file_sync(
-            &mut fs,
-            Bytes::kib(1200),
-            LockFilePlacement::InFileSystem,
-            42,
-        )
-        .expect("file sync runs");
-        durable_save(&mut fs, Bytes::mib(3), 43).expect("durable save runs");
-        fs.copy_file("/docs/durable-43.odt", "/docs/copy-43.odt")
-            .expect("copy runs");
-        let run = format!("file_sync.{mode:?}");
-        pins.push((format!("{run}.end_ns"), fs.now().as_nanos()));
-        let drain = fs.background_drain_instant().as_nanos();
-        pins.push((format!("{run}.drain_ns"), drain));
+
+    #[test]
+    fn metadata_fleet_smoke_matches_the_pinned_trace() {
+        assert_pins_hold(&metadata_fleet_pins());
     }
-    pins.push(("fault_paths.digest".into(), fault_path_digest()));
-    pins
-}
 
-/// How a pin is spelled in [`PINS`]: instants in decimal nanoseconds, hashes
-/// in hex.
-fn literal(name: &str, value: u64) -> String {
-    if name.ends_with("_ns") {
-        return value.to_string();
+    #[test]
+    fn background_modes_file_sync_matches_the_pinned_instants() {
+        assert_pins_hold(&file_sync_pins());
     }
-    let hex = format!("{value:016x}");
-    format!(
-        "0x{}_{}_{}_{}",
-        &hex[..4],
-        &hex[4..8],
-        &hex[8..12],
-        &hex[12..]
-    )
-}
-
-/// The re-pin a moved clock needs: the moved (or new) pins as an old → new
-/// Markdown table, then the `PINS` block that holds `measured`.
-fn re_pin(measured: &[(String, u64)]) -> String {
-    let mut out =
-        String::from("the golden pins moved\n\n| pin | old | new |\n| --- | --- | --- |\n");
-    for (name, value) in measured {
-        let old = PINS.iter().find(|(pin, _)| pin == name);
-        let old = old.map_or("—".into(), |&(_, old)| literal(name, old));
-        let new = literal(name, *value);
-        if old != new {
-            writeln!(out, "| `{name}` | {old} | {new} |").ok();
-        }
-    }
-    out.push_str("\nconst PINS: &[(&str, u64)] = &[\n");
-    for (name, value) in measured {
-        writeln!(out, "    (\"{name}\", {}),", literal(name, *value)).ok();
-    }
-    out.push_str("];\n");
-    out
-}
-
-/// Measures every pin, then compares the whole table at once: a moved clock
-/// fails here once, printing the re-pin.
-#[test]
-fn every_golden_pin_holds() {
-    let measured = measure_pins();
-    let holds = measured
-        .iter()
-        .map(|(name, value)| (name.as_str(), *value))
-        .eq(PINS.iter().copied());
-    assert!(holds, "{}", re_pin(&measured));
-}
-
-// ---------------------------------------------------------------------------
-// Fault paths a fault-free run never takes
-// ---------------------------------------------------------------------------
-
-/// Folds `bytes` into a running FNV-1a digest.
-fn fnv1a_fold(digest: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(digest, |hash, byte| {
-        (hash ^ u64::from(*byte)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
-
-/// Calls are a virtual second apart — far more than any call takes.
-fn step_instant(step: u64) -> SimInstant {
-    SimInstant::from_secs(1 + step)
-}
-
-/// A seeded random mix of every coordination call, by two accounts, on a
-/// few directories and their lock keys, one call a virtual second; each
-/// `(call, result, clock.now())` is folded into `digest`.
-fn fold_random_calls(plane: &ShardedCoordinator, seed: u64, mut digest: u64) -> u64 {
-    let mut rng = DetRng::new(seed);
-    let mut clock = Clock::new();
-    for step in 0..80 {
-        let who = if rng.next_below(4) == 0 {
-            "bob"
-        } else {
-            "alice"
-        };
-        clock.advance_to(step_instant(step));
-        let mut ctx = OpCtx::new(&mut clock, who.into());
-        let dir = rng.next_below(4);
-        let name = rng.next_below(3);
-        let key = format!("/scfs/meta/d{dir}/k{name}");
-        let lock = format!("/scfs/locks/d{dir}/k{name}");
-        let value = rng.next_u64().to_le_bytes().to_vec();
-        let (call, result) = match rng.next_below(8) {
-            0 => ("put", format!("{:?}", plane.put(&mut ctx, &key, value))),
-            1 => ("get", format!("{:?}", plane.get(&mut ctx, &key))),
-            2 => {
-                let expected = match rng.next_below(3) {
-                    0 => None,
-                    _ => plane.get(&mut ctx, &key).ok().map(|entry| entry.version),
-                };
-                let cas = plane.cas(&mut ctx, &key, expected, value);
-                ("cas", format!("{expected:?} {cas:?}"))
-            }
-            3 => {
-                let target = if rng.next_below(2) == 0 { &key } else { &lock };
-                ("delete", format!("{:?}", plane.delete(&mut ctx, target)))
-            }
-            4 => {
-                let session = SessionId::new(format!("{who}-{step}"));
-                let lease = SimDuration::from_secs(1 + rng.next_below(4));
-                let created = plane.create_ephemeral(&mut ctx, &lock, value, &session, lease);
-                ("create_ephemeral", format!("{created:?}"))
-            }
-            5 => {
-                let mut acl = Acl::private();
-                let grant = [Permission::Read, Permission::Write][rng.next_below(2) as usize];
-                acl.grant("bob".into(), grant);
-                (
-                    "set_acl",
-                    format!("{:?}", plane.set_acl(&mut ctx, &key, acl)),
-                )
-            }
-            6 => {
-                let prefix = format!("/scfs/meta/d{dir}/");
-                ("list", format!("{:?}", plane.list(&mut ctx, &prefix)))
-            }
-            _ => {
-                let from = format!("/scfs/meta/d{dir}");
-                let to = format!("/scfs/meta/d{}", (dir + 1 + rng.next_below(3)) % 4);
-                let renamed = plane.rename_prefix(&mut ctx, &from, &to);
-                ("rename_prefix", format!("{from} {to} {renamed:?}"))
-            }
-        };
-        let line = format!(
-            "{step} {who} {call} {key}: {result} @ {:?}",
-            ctx.clock.now()
-        );
-        digest = fnv1a_fold(digest, line.as_bytes());
-    }
-    fnv1a_fold(digest, &plane.entry_count().to_le_bytes())
-}
-
-/// Write-back, garbled votes, the `list` union of replicas that disagree
-/// and the collect merge of a rename, on two 2-shard planes: a crash-tolerant
-/// one with a replica partitioned for a window in one group and a replica
-/// crashed in the other, and a Byzantine one with a lying replica in each
-/// group. Every call's result and completion instant are folded into one
-/// digest, so a change to any fault path's votes, replies or timing moves it.
-fn fault_path_digest() -> u64 {
-    let mut digest = 0xcbf2_9ce4_8422_2325;
-    for seed in 0..4 {
-        let crash = ShardedCoordinator::new(ShardTopology::metro(2, 1), seed).unwrap();
-        let outage = FaultPlan::outage(step_instant(10), step_instant(35));
-        crash.set_replica_fault(0, 1, outage, 3);
-        crash.set_replica_fault(1, 2, FaultPlan::crash_at(step_instant(50)), 5);
-        digest = fold_random_calls(&crash, seed, digest);
-
-        let byzantine = ShardTopology::new(2, ReplicationConfig::coc_byzantine());
-        let byzantine = ShardedCoordinator::new(byzantine, seed).unwrap();
-        byzantine.set_replica_fault(0, 1, FaultPlan::always_byzantine(), 7);
-        byzantine.set_replica_fault(1, 3, FaultPlan::always_byzantine(), 11);
-        digest = fold_random_calls(&byzantine, seed, digest);
-    }
-    digest
 }

@@ -11,9 +11,9 @@
 //!   (property-tested);
 //! * a tier, and the memory-over-disk composition, answer, evict and count
 //!   exactly like a `Vec`-backed reference LRU, step by step, under
-//!   arbitrary operation sequences (model-based property tests).
-//!
-//! Per-seed replay of the fleet harness is asserted in `tests/determinism.rs`.
+//!   arbitrary operation sequences (model-based property tests);
+//! * the fleet harness is deterministic: the same seed reproduces the same
+//!   trace hash and the same measured numbers.
 
 use std::sync::Arc;
 
@@ -183,6 +183,38 @@ fn demoted_chunks_are_served_from_disk_on_aws() {
 #[test]
 fn demoted_chunks_are_served_from_disk_on_coc() {
     demoted_chunks_are_served_from_disk(Backend::CloudOfClouds);
+}
+
+/// Same seed, same trace: the fleet harness replays byte-identically.
+#[test]
+fn fleet_runs_are_deterministic_per_seed() {
+    let run = |cfg: &FleetConfig| run_fleet(&Deployment::paper(Backend::Aws, cfg.seed), cfg);
+    let cfg = pressured_fleet(Bytes::kib(16));
+    let mut a = run(&cfg);
+    let mut b = run(&cfg);
+    assert_eq!(
+        a.trace_hash, b.trace_hash,
+        "identical seeds, identical traces"
+    );
+    assert_eq!(a.reads, b.reads);
+    assert_eq!(a.writes, b.writes);
+    assert_eq!(a.lock_conflicts, b.lock_conflicts);
+    assert_eq!(a.makespan, b.makespan);
+    assert_eq!(a.cache.memory, b.cache.memory);
+    assert_eq!(a.cache.disk, b.cache.disk);
+    assert_eq!(a.recorder.total_count(), b.recorder.total_count());
+    assert_eq!(
+        a.recorder.percentile("read", 99.0),
+        b.recorder.percentile("read", 99.0)
+    );
+
+    let mut other = cfg;
+    other.seed ^= 0xDEAD_BEEF;
+    let c = run(&other);
+    assert_ne!(
+        a.trace_hash, c.trace_hash,
+        "a different seed must reshuffle"
+    );
 }
 
 /// The harness holds at fleet scale: 10⁴ mounts in one event-driven pass

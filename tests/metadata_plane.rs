@@ -18,10 +18,12 @@
 //!   (put/get/cas/list/rename across shard boundaries);
 //! * the metadata-heavy fleet mode scales with the shard count (≥ 3× from one
 //!   shard to four, stat p99 not rising, overlapping team directories slower
-//!   than disjoint homes) and records per-op-class latencies.
-//!
-//! The fault paths no fault-free run takes are pinned by the digest of
-//! `tests/determinism.rs`.
+//!   than disjoint homes) and records per-op-class latencies;
+//! * the fault paths no fault-free run takes (write-back, garbled votes,
+//!   disagreeing `list` unions, the rename collect merge) fold to a pinned
+//!   digest, whose call mix and value live in the ledger `tests/pins/mod.rs`.
+
+mod pins;
 
 use proptest::prelude::*;
 use scfs_repro::cloud_store::store::OpCtx;
@@ -432,6 +434,18 @@ proptest! {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Fault paths a fault-free run never takes, pinned by digest
+// ---------------------------------------------------------------------------
+
+/// Write-back, garbled votes, the `list` union of replicas that disagree
+/// and the collect merge of a rename, on a crash-tolerant and a Byzantine
+/// plane with faulty replicas, fold to the `fault_paths.digest` pin.
+#[test]
+fn fault_paths_fold_to_a_pinned_digest() {
+    pins::assert_pins_hold(&pins::fault_path_pins());
 }
 
 // ---------------------------------------------------------------------------
