@@ -14,7 +14,10 @@ use std::collections::{BTreeMap, HashMap};
 use cloud_store::types::{AccountId, Acl, Permission};
 use scfs::error::ScfsError;
 use scfs::fs::FileSystem;
-use scfs::types::{normalize_path, FileHandle, FileMetadata, FileType, OpenFlags};
+use scfs::types::{
+    is_child_of, is_under, normalize_path, truncate_len, write_end, FileHandle, FileMetadata,
+    FileType, OpenFlags,
+};
 use sim_core::latency::{LatencyModel, LatencyProfile};
 use sim_core::rng::DetRng;
 use sim_core::time::{Clock, SimDuration};
@@ -242,7 +245,12 @@ impl FileSystem for LocalFs {
                 path: file.path.clone(),
             });
         }
-        let end = offset as usize + data.len();
+        // As on the agent: an empty write changes nothing, and one past the
+        // maximum file size is refused rather than wrapped.
+        if data.is_empty() {
+            return Ok(0);
+        }
+        let end = write_end(offset, data.len())?;
         if file.buffer.len() < end {
             file.buffer.resize(end, 0);
         }
@@ -257,7 +265,7 @@ impl FileSystem for LocalFs {
             .open
             .get_mut(&handle)
             .ok_or(ScfsError::BadHandle { handle: handle.0 })?;
-        file.buffer.resize(size as usize, 0);
+        file.buffer.resize(truncate_len(size)?, 0);
         file.dirty = true;
         Ok(())
     }
@@ -324,19 +332,10 @@ impl FileSystem for LocalFs {
     fn readdir(&mut self, path: &str) -> Result<Vec<String>, ScfsError> {
         self.charge_syscall();
         let path = normalize_path(path)?;
-        let prefix = if path == "/" {
-            "/".to_string()
-        } else {
-            format!("{path}/")
-        };
         Ok(self
             .files
             .keys()
-            .filter(|k| {
-                k.starts_with(&prefix)
-                    && !k[prefix.len()..].is_empty()
-                    && !k[prefix.len()..].contains('/')
-            })
+            .filter(|k| is_child_of(k, &path))
             .cloned()
             .collect())
     }
@@ -357,7 +356,7 @@ impl FileSystem for LocalFs {
         let affected: Vec<String> = self
             .files
             .keys()
-            .filter(|k| k.as_str() == from || k.starts_with(&format!("{from}/")))
+            .filter(|k| is_under(k, &from))
             .cloned()
             .collect();
         if affected.is_empty() {
@@ -435,6 +434,26 @@ mod tests {
         assert!(fs.stat("/d/f1").is_err());
         fs.unlink("/e/f1").unwrap();
         assert_eq!(fs.readdir("/e").unwrap().len(), 1);
+    }
+
+    #[test]
+    fn rename_and_readdir_respect_path_boundaries() {
+        // The sibling `/ab` of `/a` and the child `/a/a` of `/a`, as in the
+        // agent's regressions (`tests/rename_paths.rs`).
+        let mut fs = fs();
+        fs.mkdir("/a").unwrap();
+        fs.mkdir("/a/a").unwrap();
+        for path in ["/a/a/x", "/a/ab", "/a/b", "/ab"] {
+            fs.write_file(path, path.as_bytes()).unwrap();
+        }
+        assert_eq!(fs.readdir("/a").unwrap(), ["/a/a", "/a/ab", "/a/b"]);
+        assert_eq!(fs.readdir("/a/a").unwrap(), ["/a/a/x"]);
+        assert_eq!(fs.readdir("/").unwrap(), ["/a", "/ab"]);
+        fs.rename("/a", "/c").unwrap();
+        assert_eq!(fs.read_file("/c/a/x").unwrap(), b"/a/a/x");
+        assert_eq!(fs.read_file("/ab").unwrap(), b"/ab", "/ab stays");
+        assert!(fs.stat("/cb").is_err(), "/ab must not become /cb");
+        assert_eq!(fs.readdir("/").unwrap(), ["/ab", "/c"]);
     }
 
     #[test]

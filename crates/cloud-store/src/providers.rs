@@ -282,28 +282,6 @@ impl ProviderProfile {
             ..self.clone()
         }
     }
-
-    /// Elastichosts, UK — used only as a *compute* cloud in the paper (one of
-    /// the four coordination-service hosts); it has no blob-storage service,
-    /// so its storage latency profile is never exercised.
-    pub fn elastichosts() -> Self {
-        ProviderProfile {
-            id: "elastichosts".into(),
-            name: "Elastichosts (UK)".into(),
-            region: "uk".into(),
-            latency: LatencyProfile {
-                request: LatencyModel::LogNormal {
-                    median_millis: 400.0,
-                    sigma: 0.3,
-                },
-                upload: BandwidthModel::mib_per_sec(4.0),
-                download: BandwidthModel::mib_per_sec(6.0),
-            },
-            consistency: ConsistencyMode::Strong,
-            prices: PriceBook::rackspace(),
-            vm_prices: VmPricing::elastichosts(),
-        }
-    }
 }
 
 /// Named sets of providers matching the paper's two backends (Figure 5).
@@ -323,17 +301,6 @@ impl ProviderSet {
             ProviderProfile::google_cloud_storage(),
             ProviderProfile::rackspace(),
             ProviderProfile::windows_azure(),
-        ]
-    }
-
-    /// The four *compute* clouds that host coordination-service replicas in
-    /// the CoC backend: EC2, Rackspace, Azure and Elastichosts.
-    pub fn coc_compute_backend() -> Vec<ProviderProfile> {
-        vec![
-            ProviderProfile::amazon_s3(),
-            ProviderProfile::rackspace(),
-            ProviderProfile::windows_azure(),
-            ProviderProfile::elastichosts(),
         ]
     }
 
@@ -439,7 +406,6 @@ mod tests {
     #[test]
     fn test_backend_sizes() {
         assert_eq!(ProviderSet::test_backend(4).len(), 4);
-        assert_eq!(ProviderSet::coc_compute_backend().len(), 4);
     }
 
     #[test]

@@ -30,15 +30,6 @@ impl<'a> OpCtx<'a> {
     pub fn new(clock: &'a mut Clock, account: AccountId) -> Self {
         OpCtx { clock, account }
     }
-
-    /// Re-borrows this context (useful when a helper needs to issue several
-    /// operations with the same clock and account).
-    pub fn reborrow(&mut self) -> OpCtx<'_> {
-        OpCtx {
-            clock: self.clock,
-            account: self.account.clone(),
-        }
-    }
 }
 
 /// A cloud object store: the lowest-level storage abstraction in the system.
@@ -74,22 +65,4 @@ pub trait ObjectStore: Send + Sync {
 
     /// Reads the ACL of `key`.
     fn get_acl(&self, ctx: &mut OpCtx<'_>, key: &str) -> Result<Acl, StorageError>;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sim_core::time::SimDuration;
-
-    #[test]
-    fn op_ctx_reborrow_keeps_clock_and_account() {
-        let mut clock = Clock::new();
-        let mut ctx = OpCtx::new(&mut clock, "alice".into());
-        {
-            let inner = ctx.reborrow();
-            assert_eq!(inner.account, AccountId::new("alice"));
-            inner.clock.advance(SimDuration::from_millis(5));
-        }
-        assert_eq!(ctx.clock.now().as_nanos(), 5_000_000);
-    }
 }

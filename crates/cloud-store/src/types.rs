@@ -71,11 +71,6 @@ impl Acl {
         self.grants.insert(account, permission);
     }
 
-    /// Removes any grant for `account`.
-    pub fn revoke(&mut self, account: &AccountId) {
-        self.grants.remove(account);
-    }
-
     /// Whether `account` holds at least `permission` through an explicit grant.
     pub fn allows(&self, account: &AccountId, permission: Permission) -> bool {
         match self.grants.get(account) {
@@ -151,16 +146,6 @@ mod tests {
         acl.grant("bob".into(), Permission::Read);
         assert!(acl.allows(&"bob".into(), Permission::Read));
         assert!(!acl.allows(&"bob".into(), Permission::Write));
-    }
-
-    #[test]
-    fn revoke_removes_grant() {
-        let mut acl = Acl::private();
-        acl.grant("bob".into(), Permission::Write);
-        assert_eq!(acl.len(), 1);
-        acl.revoke(&"bob".into());
-        assert!(!acl.allows(&"bob".into(), Permission::Read));
-        assert!(acl.is_empty());
     }
 
     #[test]

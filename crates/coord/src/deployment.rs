@@ -19,24 +19,16 @@ pub struct DeploymentSite {
     pub pricing: VmPricing,
 }
 
-/// A coordination-service deployment: a set of sites, an instance size and a
-/// shard count.
-///
-/// The paper's deployments are one replicated group (`shards = 1`). The
-/// sharded metadata plane ([`crate::sharded`]) rents the same site set once
-/// per shard: costs multiply by the shard count, and so does metadata
-/// capacity, because each shard holds a disjoint partition of the namespace
-/// instead of a full copy.
+/// A coordination-service deployment: a set of sites and an instance size —
+/// one replicated group, as in the paper.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoordDeployment {
     /// Descriptive name (e.g. `"EC2"`, `"EC2×4"`, `"CoC"`).
     pub name: String,
-    /// The replica sites of one shard (register group).
+    /// The replica sites.
     pub sites: Vec<DeploymentSite>,
     /// The VM size used at every site.
     pub instance_size: VmInstanceSize,
-    /// Number of register groups the namespace is partitioned over.
-    pub shards: usize,
 }
 
 impl CoordDeployment {
@@ -49,7 +41,6 @@ impl CoordDeployment {
                 pricing: VmPricing::ec2(),
             }],
             instance_size,
-            shards: 1,
         }
     }
 
@@ -64,7 +55,6 @@ impl CoordDeployment {
                 })
                 .collect(),
             instance_size,
-            shards: 1,
         }
     }
 
@@ -92,28 +82,20 @@ impl CoordDeployment {
                 },
             ],
             instance_size,
-            shards: 1,
         }
     }
 
-    /// Scales the deployment out to `shards` register groups.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Number of replicas in the deployment, across all shards.
+    /// Number of replicas in the deployment.
     pub fn replica_count(&self) -> usize {
-        self.sites.len() * self.shards
+        self.sites.len()
     }
 
-    /// Total VM rental cost per day: every shard rents the full site set.
+    /// Total VM rental cost per day.
     pub fn cost_per_day(&self) -> MicroDollars {
         self.sites
             .iter()
             .map(|s| s.pricing.per_day(self.instance_size))
             .sum::<MicroDollars>()
-            * self.shards as f64
     }
 
     /// Total VM rental cost per 30-day month.
@@ -122,11 +104,10 @@ impl CoordDeployment {
     }
 
     /// Expected metadata capacity: the number of ~1 KB metadata tuples the
-    /// service can hold in memory. Within a shard every replica stores a
-    /// full copy, so one shard's capacity is bounded by a single instance —
-    /// but shards hold disjoint partitions, so capacity scales with them.
+    /// service can hold in memory. Every replica stores a full copy, so the
+    /// capacity is bounded by a single instance.
     pub fn capacity_files(&self) -> u64 {
-        self.instance_size.metadata_capacity() * self.shards as u64
+        self.instance_size.metadata_capacity()
     }
 
     /// How many users can share this deployment if each contributes
@@ -181,17 +162,6 @@ mod tests {
         );
         assert!(coc.cost_per_month().as_dollars() < 1250.0);
         assert!(ec2_4.cost_per_month().as_dollars() < 800.0);
-    }
-
-    #[test]
-    fn sharded_deployment_scales_cost_and_capacity() {
-        let coc = CoordDeployment::cloud_of_clouds(VmInstanceSize::Large);
-        let sharded = coc.clone().with_shards(4);
-        assert_eq!(sharded.replica_count(), 16);
-        assert_eq!(sharded.capacity_files(), 4 * coc.capacity_files());
-        let ratio = sharded.cost_per_day().as_dollars() / coc.cost_per_day().as_dollars();
-        assert!((ratio - 4.0).abs() < 1e-9, "cost ratio {ratio}");
-        assert_eq!(coc.clone().with_shards(0).shards, 1);
     }
 
     #[test]

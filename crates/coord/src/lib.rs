@@ -47,8 +47,7 @@
 //! The plane's shape is `shards × replicas`, configured by
 //! [`sharded::ShardTopology`] (shard count + per-group
 //! [`replication::ReplicationConfig`]) — the harness that builds the
-//! coordination service picks it — and surfaced to cost/capacity analyses
-//! through [`deployment::CoordDeployment::shards`]. Each replica models single-server
+//! coordination service picks it. Each replica models single-server
 //! queueing, so one group saturates at roughly `1 / processing_time`
 //! regardless of replica count — throughput scales with *shards*, fault
 //! tolerance with *replicas per shard*.

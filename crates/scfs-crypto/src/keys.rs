@@ -25,14 +25,6 @@ impl KeyGenerator {
         }
     }
 
-    /// Creates a generator from arbitrary seed material.
-    pub fn from_material(material: &[u8]) -> Self {
-        KeyGenerator {
-            seed: crate::sha256::sha256(material),
-            counter: 0,
-        }
-    }
-
     /// Generates the next 32-byte key.
     pub fn next_key(&mut self) -> [u8; 32] {
         self.counter += 1;
@@ -52,11 +44,6 @@ impl KeyGenerator {
         let mut nonce = [0u8; 12];
         nonce.copy_from_slice(&digest[..12]);
         nonce
-    }
-
-    /// Number of keys/nonces generated so far.
-    pub fn generated(&self) -> u64 {
-        self.counter
     }
 }
 
@@ -88,13 +75,5 @@ mod tests {
         assert_ne!(k1, k2);
         assert_ne!(k2, k3);
         assert_ne!(k1, k3);
-        assert_eq!(g.generated(), 3);
-    }
-
-    #[test]
-    fn material_constructor_hashes_input() {
-        let mut a = KeyGenerator::from_material(b"user-alice");
-        let mut b = KeyGenerator::from_material(b"user-bob");
-        assert_ne!(a.next_key(), b.next_key());
     }
 }

@@ -310,20 +310,9 @@ impl ScfsAgent {
             // extends the file to `offset` nor makes the handle dirty.
             return Ok(0);
         }
-        // Checked end-offset arithmetic against the maximum file size: a
-        // huge-offset write must error out instead of wrapping in release
-        // (and then panicking on the slice) — the read path already clamps
-        // with saturating math.
-        let end = offset
-            .checked_add(data.len() as u64)
-            .filter(|&end| end <= crate::types::MAX_FILE_LEN)
-            .ok_or_else(|| {
-                ScfsError::invalid(format!(
-                    "write of {} bytes at offset {offset} exceeds the maximum file size of {} bytes",
-                    data.len(),
-                    crate::types::MAX_FILE_LEN
-                ))
-            })? as usize;
+        // A huge-offset write errors out instead of wrapping (and then
+        // panicking on the slice); the read path clamps with saturating math.
+        let end = crate::types::write_end(offset, data.len())?;
         self.materialize(file)?;
         let old_len = file.buffer.len();
         if old_len < end {
@@ -344,17 +333,10 @@ impl ScfsAgent {
         size: u64,
     ) -> Result<(), ScfsError> {
         file.require(file.flags.write)?;
-        // Same bound as `write_ranged`: growing a file past the maximum size
-        // must error, not wrap the usize conversion below.
-        if size > crate::types::MAX_FILE_LEN {
-            return Err(ScfsError::invalid(format!(
-                "truncate to {size} bytes exceeds the maximum file size of {} bytes",
-                crate::types::MAX_FILE_LEN
-            )));
-        }
+        let len = crate::types::truncate_len(size)?;
         self.materialize(file)?;
         let old_len = file.buffer.len() as u64;
-        file.buffer.resize(size as usize, 0);
+        file.buffer.resize(len, 0);
         file.mark_dirty(old_len.min(size)..size);
         file.metadata.size = size;
         Ok(())

@@ -22,8 +22,9 @@
 //! * read the manifest with a given root hash, and individual chunks by
 //!   content hash (only the chunks a reader is missing);
 //! * release old versions — each version drops one reference per distinct
-//!   chunk, and a chunk is physically reclaimed only once its global
-//!   reference count is zero, through the two-phase release journal
+//!   chunk and on its manifest object, if it stored one, and a blob is
+//!   physically reclaimed only once its reference count is zero, through
+//!   the two-phase release journal
 //!   ([`FileStorage::replay_release_journal`]), so a failed delete is
 //!   retried instead of leaking an orphan;
 //! * propagate ACL changes to the stored manifests of a file (chunks are
@@ -114,7 +115,7 @@ pub struct WriteOutcome {
 
 /// One stored version of an object: its root hash and chunk map. Backends
 /// keep these per object id so the garbage collector can release per-version
-/// chunk references without listing the cloud.
+/// references without listing the cloud.
 #[derive(Debug, Clone)]
 struct StoredVersion {
     root: ContentHash,
@@ -126,15 +127,12 @@ struct StoredVersion {
 }
 
 /// Registry of the versions written through one backend instance: object id
-/// → versions, newest last. Since the refcounted chunk store took over chunk
-/// liveness, the registry only tracks versions (which commits exist, what
-/// each one references and whether it stored a manifest object) — whether a
-/// *chunk* is still needed is the chunk store's refcount, never a scan over
-/// this map.
+/// → versions, newest last. It records which commits exist, the map of each
+/// (for copies and for manifests that ride inline) and whether it stored a
+/// manifest object (for `set_acl`). Whether any *blob* is still needed is the
+/// chunk store's refcount, never a scan over this map.
 #[derive(Debug, Default)]
 struct VersionRegistry {
-    /// Ordered by object id so audits ([`VersionRegistry::all_manifests`])
-    /// enumerate in a run-independent order.
     versions: BTreeMap<String, Vec<StoredVersion>>,
 }
 
@@ -181,9 +179,8 @@ impl VersionRegistry {
     }
 
     /// The distinct roots of the retained versions of `id` that stored a
-    /// manifest object — the ACL-propagation targets, and the only manifests
-    /// an audit may find. Inline versions are not listed: nothing of theirs
-    /// exists in the cloud but chunks.
+    /// manifest object — the ACL-propagation targets. Inline versions are
+    /// not listed: nothing of theirs exists in the cloud but chunks.
     fn live_manifests(&self, id: &str) -> Vec<ContentHash> {
         let mut seen = HashSet::new();
         self.versions
@@ -196,84 +193,22 @@ impl VersionRegistry {
             .collect()
     }
 
-    /// Every manifest object a retained version stored.
-    fn all_manifests(&self) -> Vec<BlobName> {
-        let mut out = Vec::new();
-        for id in self.versions.keys() {
-            let roots = self.live_manifests(id);
-            out.extend(roots.into_iter().map(|root| BlobName::manifest(id, root)));
-        }
-        out
-    }
-
-    /// Drops all but the newest `keep` versions of `id`. Each dropped
-    /// version's distinct chunk set comes back as one release unit (the
-    /// exact references `write_version` took), plus the stored manifests no
-    /// kept version stores its root under — versions can share manifests
-    /// (two identical versions have the same root hash), so a root still
-    /// used by a kept version must survive. A dropped inline version
-    /// releases chunks only: there is no manifest object to delete.
-    fn prune(&mut self, id: &str, keep: usize) -> PruneResult {
-        let list = match self.versions.get_mut(id) {
-            Some(list) if list.len() > keep => list,
-            _ => return PruneResult::default(),
-        };
-        let cut = list.len() - keep;
-        let dropped: Vec<StoredVersion> = list.drain(..cut).collect();
-        let kept_roots: HashSet<ContentHash> = list.iter().map(|v| v.root).collect();
-        Self::released(dropped, &kept_roots)
-    }
-
-    /// Removes every version of `id`, returning its release units.
-    fn remove_all(&mut self, id: &str) -> PruneResult {
-        let all = self.versions.remove(id).unwrap_or_default();
-        Self::released(all, &HashSet::new())
-    }
-
-    fn released(dropped: Vec<StoredVersion>, kept_roots: &HashSet<ContentHash>) -> PruneResult {
-        let mut result = PruneResult {
-            removed: dropped.len(),
-            ..PruneResult::default()
-        };
-        let mut seen_roots = HashSet::new();
-        for version in &dropped {
-            if version.stored_manifest
-                && !kept_roots.contains(&version.root)
-                && seen_roots.insert(version.root)
-            {
-                result.manifests.push(version.root);
+    /// Drops and returns all but the newest `keep` versions of `id`, oldest
+    /// first.
+    fn prune(&mut self, id: &str, keep: usize) -> Vec<StoredVersion> {
+        match self.versions.get_mut(id) {
+            Some(list) if list.len() > keep => {
+                let cut = list.len() - keep;
+                list.drain(..cut).collect()
             }
-            // Distinct chunks in file order — journal appends derive from
-            // this, and hash-map iteration order would make GC behavior
-            // (which delete a fault hits) vary run to run, breaking
-            // determinism.
-            let mut seen = HashSet::new();
-            result.version_chunks.push(
-                version
-                    .map
-                    .chunks()
-                    .iter()
-                    .filter(|h| seen.insert(**h))
-                    .copied()
-                    .collect(),
-            );
+            _ => Vec::new(),
         }
-        result
     }
-}
 
-/// Objects released by a registry prune.
-#[derive(Debug, Default)]
-struct PruneResult {
-    /// Number of versions dropped.
-    removed: usize,
-    /// Root hashes of stored manifest objects no retained version uses any
-    /// more.
-    manifests: Vec<ContentHash>,
-    /// One distinct-chunk list per dropped version, in file order — the
-    /// references to drop from the global chunk store (ordered so journal
-    /// appends, and therefore replay, are deterministic).
-    version_chunks: Vec<Vec<ContentHash>>,
+    /// Removes and returns every version of `id`.
+    fn remove_all(&mut self, id: &str) -> Vec<StoredVersion> {
+        self.versions.remove(id).unwrap_or_default()
+    }
 }
 
 /// The shared mutable state of one backend instance: the per-object version
@@ -289,18 +224,10 @@ struct StoreState {
 }
 
 impl StoreState {
-    fn blob_audit(&self) -> BlobAudit {
-        let mut reachable = self.chunks.reachable_blobs();
-        reachable.extend(self.registry.all_manifests());
-        BlobAudit::new(reachable)
-    }
-
     /// The tail of every version commit, once all its blobs have landed:
-    /// takes the version's chunk references, records it, and cancels the
-    /// provisional intents journaled before the upload (plus any stale
-    /// pending release from an earlier prune of the same root or chunks — a
-    /// pending delete must not destroy a blob just recommitted). An inline
-    /// version never had a manifest intent, provisional or stale.
+    /// takes the version's references — its distinct chunks and its manifest
+    /// object, if it stores one — which cancels the provisional intents
+    /// journaled before the upload, and records the version.
     fn commit_version(
         &mut self,
         id: &str,
@@ -309,24 +236,31 @@ impl StoreState {
         stored_manifest: bool,
         unique: &BTreeSet<ContentHash>,
     ) {
+        let mut blobs: BTreeSet<BlobName> = unique.iter().map(|h| BlobName::Chunk(*h)).collect();
         if stored_manifest {
-            self.chunks.cancel_manifest_release(id, &root);
+            blobs.insert(BlobName::manifest(id, root));
         }
-        self.chunks.retain_version(unique);
-        self.chunks.cancel_chunk_releases(unique);
+        self.chunks.retain(&blobs);
         self.registry.push(id, root, map.clone(), stored_manifest);
     }
 
-    /// Phase one of deletion: drops the references of `pruned`'s versions of
-    /// `id` and journals the release intents. Returns how many versions went.
-    fn release(&mut self, id: &str, pruned: PruneResult) -> usize {
-        for root in &pruned.manifests {
-            self.chunks.release_manifest(id, *root);
-        }
-        for chunks in pruned.version_chunks {
-            self.chunks.release_version(chunks);
-        }
-        pruned.removed
+    /// Phase one of deletion: drops the references of `dropped`, versions of
+    /// `id`, and journals the release intents — the stored manifests, then
+    /// each version's distinct chunks in file order (hash-set order would
+    /// make which delete a fault hits vary run to run). Returns how many
+    /// versions went.
+    fn release(&mut self, id: &str, dropped: Vec<StoredVersion>) -> usize {
+        let manifests = dropped
+            .iter()
+            .filter(|v| v.stored_manifest)
+            .map(|v| BlobName::manifest(id, v.root));
+        let chunks = dropped.iter().flat_map(|v| {
+            let mut seen = HashSet::new();
+            let distinct = v.map.chunks().iter().filter(move |h| seen.insert(**h));
+            distinct.map(|h| BlobName::Chunk(*h))
+        });
+        self.chunks.release(manifests.chain(chunks));
+        dropped.len()
     }
 }
 
@@ -570,8 +504,8 @@ pub trait FileStorage: Send + Sync {
     fn delete_all(&self, ctx: &mut OpCtx<'_>, id: &str) -> Result<(), ScfsError>;
 
     /// Phase two of reclamation: attempts the pending release intents —
-    /// deleting chunk blobs whose reference count reached zero and manifests
-    /// no retained version uses — and marks the successful ones applied.
+    /// deleting the blobs no retained version references — and marks the
+    /// successful ones applied.
     /// Failed deletes leave their entries pending for the next pass, so a
     /// transient cloud error delays reclamation instead of leaking blobs.
     /// Best-effort: per-blob failures are counted in the report, not
@@ -663,14 +597,14 @@ impl<B> ChunkedStorage<B> {
 
     /// Current global reference count of a chunk (test/diagnostic hook).
     pub fn chunk_refcount(&self, hash: &ContentHash) -> u64 {
-        self.state.lock().chunks.refcount(hash)
+        self.state.lock().chunks.refcount(&BlobName::Chunk(*hash))
     }
 
     /// The blobs that may legitimately exist in the cloud(s) right now; feed
     /// a raw key listing to [`BlobAudit::orphans`] to assert the GC leaked
     /// nothing.
     pub fn blob_audit(&self) -> BlobAudit {
-        self.state.lock().blob_audit()
+        BlobAudit::new(self.state.lock().chunks.reachable_blobs())
     }
 }
 
@@ -725,7 +659,7 @@ impl<B: BlobStore> FileStorage for ChunkedStorage<B> {
             let state = self.state.lock();
             let stored: HashSet<ContentHash> = unique
                 .iter()
-                .filter(|h| state.chunks.is_stored(h))
+                .filter(|h| state.chunks.is_stored(&BlobName::Chunk(**h)))
                 .copied()
                 .collect();
             (
@@ -751,19 +685,17 @@ impl<B: BlobStore> FileStorage for ChunkedStorage<B> {
         let manifest = map.encode();
         let root = sha256(&manifest);
         let object = manifest_object(&manifest);
-        {
-            // Journal this write's uploads provisionally: if anything below
-            // fails, the already-stored blobs are covered by pending release
-            // intents and the next replay reclaims them — a failed write
-            // must not orphan what it managed to upload.
-            let mut state = self.state.lock();
-            state
-                .chunks
-                .journal_provisional_uploads(plan.jobs().iter().map(|j| j.hash));
-            if object.is_some() {
-                state.chunks.release_manifest(id, root);
-            }
-        }
+        // Journal this write's uploads provisionally, its plan's chunks then
+        // its manifest: if anything below fails, the already-stored blobs
+        // are covered by pending release intents and the next replay
+        // reclaims them — a failed write must not orphan what it managed to
+        // upload.
+        let chunks = plan.jobs().iter().map(|j| BlobName::Chunk(j.hash));
+        let stored_manifest = object.map(|_| BlobName::manifest(id, root));
+        self.state
+            .lock()
+            .chunks
+            .journal_provisional(chunks.chain(stored_manifest));
         // A stored manifest (and its ACL tag) rides beside the first chunk
         // wave on a fork taken at the same instant: nothing can name it until
         // the anchor publishes `root`, so it needs no ordering after the
@@ -849,14 +781,16 @@ impl<B: BlobStore> FileStorage for ChunkedStorage<B> {
             // otherwise a manifest-only copy would commit an unreadable
             // version — signal the caller to materialize instead.
             let mut state = self.state.lock();
-            if !unique.iter().all(|h| state.chunks.is_stored(h)) {
+            if !unique
+                .iter()
+                .all(|h| state.chunks.is_stored(&BlobName::Chunk(*h)))
+            {
                 return Ok(None);
             }
             // Provisional release intent, exactly like `write_version`: if
             // the manifest put below fails, replay reclaims it.
-            if object.is_some() {
-                state.chunks.release_manifest(dst_id, *root);
-            }
+            let stored_manifest = object.map(|_| BlobName::manifest(dst_id, *root));
+            state.chunks.journal_provisional(stored_manifest);
         }
         // The copy of an inline version is chunk references and the
         // caller's anchor write: no cloud request at all.
@@ -962,25 +896,7 @@ impl<B: BlobStore> FileStorage for ChunkedStorage<B> {
             if retried {
                 report.retried += 1;
             }
-            let blob = {
-                let mut state = self.state.lock();
-                let due = state.chunks.decide(entry.seq);
-                // The registry is the liveness authority for manifests (the
-                // analogue of the chunk refcount check in `decide`): a root
-                // a retained version still stores — e.g. one recommitted
-                // after this entry was journaled — is cancelled, never
-                // deleted.
-                due.filter(|blob| match blob {
-                    BlobName::Manifest { id, root }
-                        if state.registry.live_manifests(id).contains(root) =>
-                    {
-                        state.chunks.mark_applied(entry.seq);
-                        false
-                    }
-                    _ => true,
-                })
-            };
-            let Some(blob) = blob else {
+            let Some(blob) = self.state.lock().chunks.decide(entry.seq) else {
                 report.cancelled += 1;
                 continue;
             };
@@ -1680,6 +1596,55 @@ mod tests {
                 .unwrap(),
             v1
         );
+    }
+
+    #[test]
+    fn a_prune_journals_manifests_then_chunks_version_by_version() {
+        // The journal a prune leaves, as `(seq, target)`: the manifest
+        // objects it frees, then the chunks whose count reaches zero, version
+        // by version; an inline version frees no manifest, and a root a kept
+        // version still stores frees nothing. Replay walks this order, so it
+        // decides which delete a fault hits: the literal must not move.
+        let storage = single();
+        let mut clock = Clock::new();
+        let mut ctx = OpCtx::new(&mut clock, "alice".into());
+        let fill = |tags: &[u8]| -> Vec<u8> { tags.iter().flat_map(|t| [*t; CHUNK]).collect() };
+        let chunk = |tag: u8| BlobName::Chunk(sha256(&[tag; CHUNK]));
+        let versions = [
+            fill(&[0xA0, 0xA1]),
+            fill(&[[0xA0].as_slice(), &[0xB0; OVER_BOUND - 1]].concat()),
+            fill(&[0xB1; OVER_BOUND]),
+            fill(&[0xC0; OVER_BOUND]),
+            fill(&[0xC0; OVER_BOUND]),
+        ];
+        let mut roots = Vec::new();
+        for data in &versions {
+            let (outcome, _) = write(&storage, &mut ctx, "f", data, None, roots.is_empty());
+            roots.push(outcome.root_hash);
+        }
+        assert_eq!(storage.delete_old_versions(&mut ctx, "f", 1).unwrap(), 4);
+        let journal: Vec<(u64, BlobName)> = storage
+            .state
+            .lock()
+            .chunks
+            .pending_entries()
+            .map(|entry| (entry.seq, entry.target.clone()))
+            .collect();
+        assert_eq!(
+            journal,
+            [
+                (9, BlobName::manifest("f", roots[1])),
+                (10, BlobName::manifest("f", roots[2])),
+                (11, chunk(0xA1)),
+                (12, chunk(0xA0)),
+                (13, chunk(0xB0)),
+                (14, chunk(0xB1)),
+            ]
+        );
+        let report = replay(&storage, &mut ctx);
+        assert_eq!((report.deleted, report.cancelled, report.errors), (6, 0, 0));
+        let kept = storage.read_version(&mut ctx, "f", &roots[4], &TransferOptions::default());
+        assert_eq!(kept.unwrap(), versions[4]);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! ([`JournalEntry`]), the orphan audit ([`BlobAudit`]) and both storage
 //! adapters of [`crate::backend`] speak it and spell nothing themselves.
 //!
-//! [`ChunkStore`] is the liveness authority for the first kind, CFS-style
-//! (global chunk addressing, see PAPERS: *CFS: A Distributed File System for
-//! Large Scale Container Platforms*):
+//! [`ChunkStore`] is the liveness authority for both kinds, CFS-style
+//! (global chunk addressing and global refcounts, see PAPERS: *CFS: A
+//! Distributed File System for Large Scale Container Platforms*):
 //!
 //! * **One chunk namespace for everything.** Chunks live under a single
 //!   content-addressed namespace ([`BlobName::Chunk`]), owned by a dedicated
@@ -23,17 +23,19 @@
 //!   an object of their own only when they are too large to ride in the
 //!   metadata tuple ([`crate::types::manifest_rides_inline`]); a version
 //!   whose manifest rides inline is chunks and nothing else to this module.
-//! * **Reference counting instead of per-file liveness scans.** Every
-//!   committed version holds one reference on each distinct chunk it uses;
-//!   pruning a version releases exactly those references. A chunk is
-//!   reclaimable iff its count is zero, no matter how many files share it.
+//! * **One reference count per blob instead of liveness scans.** Every
+//!   committed version holds one reference on each distinct chunk it uses
+//!   and on the manifest object it stores, if any; pruning a version
+//!   releases exactly those references. A blob is reclaimable iff its count
+//!   is zero, no matter how many files or versions share it.
 //! * **A two-phase release journal makes reclamation idempotent.** Dropping
-//!   a version first *appends* "intent to release" entries (phase one: the
-//!   registry may forget the version, the journal has not), and only then
-//!   are zero-count blobs physically deleted and the entries marked applied
-//!   (phase two). A failed delete leaves its entry pending: the next replay
-//!   retries it instead of leaking the blob. A chunk re-referenced before
-//!   its pending delete runs is *cancelled*, never deleted.
+//!   a version first *appends* "intent to release" entries for the blobs
+//!   whose count reached zero (phase one: the registry may forget the
+//!   version, the journal has not), and only then are they physically
+//!   deleted and the entries marked applied (phase two). A failed delete
+//!   leaves its entry pending: the next replay retries it instead of leaking
+//!   the blob. A blob re-referenced before its pending delete runs is
+//!   *cancelled*, never deleted.
 //!
 //! Writes are journaled too: before uploading, `write_version` appends
 //! *provisional* intents for the chunks (and the manifest object, if the
@@ -48,8 +50,8 @@
 //! cloud-of-clouds) for nothing.
 //! Manifest-only copies ([`crate::backend::FileStorage::copy_version`])
 //! follow the same protocol: the destination takes one reference per
-//! distinct source chunk and commits at most a manifest — the agent's
-//! `copy_file` moves zero chunks.
+//! distinct source chunk and commits at most a manifest of its own — the
+//! agent's `copy_file` moves zero chunks.
 //!
 //! Journal replay is driven by the agent's garbage collector, which since
 //! the completion-token redesign runs as a job on the
@@ -107,7 +109,7 @@ pub fn chunk_store_account() -> AccountId {
 /// | blob | single-cloud key | DepSky unit (`base\|hash`) | principal | deleted by |
 /// |---|---|---|---|---|
 /// | chunk | `scfs/chunks/{hex}` | `chunks\|{hex}` | [`chunk_store_account`] | journal replay, once its refcount is 0 |
-/// | manifest | `scfs/{id}/manifest/{hex}` | `{id}\|{hex}` | the calling user | journal replay, once no retained version of `id` stores the root |
+/// | manifest | `scfs/{id}/manifest/{hex}` | `{id}\|{hex}` | the calling user | journal replay, once its refcount (the retained versions of `id` that store the root) is 0 |
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum BlobName {
     /// A chunk in the global namespace, shared by every file and user and
@@ -240,33 +242,34 @@ pub struct ReplayReport {
     pub errors: u64,
 }
 
-/// The refcounted global chunk store shared by every agent mounting through
-/// one backend instance.
+/// The refcounted blob store shared by every agent mounting through one
+/// backend instance: the one liveness rule for everything SCFS stores.
 #[derive(Debug, Default)]
 pub struct ChunkStore {
-    /// Live references per chunk: one per (committed version, distinct
-    /// chunk) pair. Absent or zero means reclaimable. Ordered so snapshots
-    /// ([`ChunkStore::reachable_chunks`]) iterate deterministically.
-    refcounts: BTreeMap<ContentHash, u64>,
+    /// Live references per blob: one per (committed version, distinct blob
+    /// it stores) pair — each distinct chunk, and the manifest object if the
+    /// version stores one. A blob with no entry is reclaimable; an entry is
+    /// never zero. Ordered so snapshots ([`ChunkStore::reachable_blobs`])
+    /// iterate deterministically.
+    refcounts: BTreeMap<BlobName, u64>,
     /// Release intents not yet applied, oldest first.
     pending: VecDeque<JournalEntry>,
     next_seq: u64,
-    /// Times a release dropped a reference that was not held. The counts
-    /// themselves saturate at zero (an underflow must not corrupt
-    /// neighbouring chunks' counts), so this counter is the only trace a
+    /// Times a release dropped a reference that was not held. Such a release
+    /// leaves every other count alone, so this counter is the only trace a
     /// double-release leaves; [`ChunkStore::check_invariants`] reports it.
     underflows: u64,
 }
 
 impl ChunkStore {
-    /// Whether the global namespace holds a live (referenced) copy of `hash`.
-    pub fn is_stored(&self, hash: &ContentHash) -> bool {
-        self.refcounts.get(hash).is_some_and(|rc| *rc > 0)
+    /// Whether a committed version still holds `blob`.
+    pub fn is_stored(&self, blob: &BlobName) -> bool {
+        self.refcounts.contains_key(blob)
     }
 
-    /// Current reference count of `hash` (0 if unknown).
-    pub fn refcount(&self, hash: &ContentHash) -> u64 {
-        self.refcounts.get(hash).copied().unwrap_or(0)
+    /// Current reference count of `blob` (0 if unknown).
+    pub fn refcount(&self, blob: &BlobName) -> u64 {
+        self.refcounts.get(blob).copied().unwrap_or(0)
     }
 
     /// Number of pending release intents.
@@ -279,74 +282,50 @@ impl ChunkStore {
         self.pending.iter()
     }
 
-    /// Takes one reference on each chunk of a newly committed version.
-    /// `chunks` must be the version's *distinct* chunk set — the exact set a
-    /// later [`ChunkStore::release_version`] of the same version passes back.
-    pub fn retain_version(&mut self, chunks: &BTreeSet<ContentHash>) {
-        for chunk in chunks {
-            *self.refcounts.entry(*chunk).or_insert(0) += 1;
+    /// Takes one reference on each of `blobs` — the distinct blobs of a newly
+    /// committed version, the exact set a later [`ChunkStore::release`] of
+    /// the version passes back — and cancels their pending releases: the
+    /// version's provisional intents, and any stale one from an earlier
+    /// prune (a pending delete must not destroy a blob just recommitted).
+    /// Cancellation is pure bookkeeping.
+    pub fn retain(&mut self, blobs: &BTreeSet<BlobName>) {
+        for blob in blobs {
+            *self.refcounts.entry(blob.clone()).or_insert(0) += 1;
         }
+        self.pending.retain(|entry| !blobs.contains(&entry.target));
     }
 
-    /// Phase one of releasing a dropped version: drops the version's
-    /// references and appends an intent entry for each chunk whose count
-    /// thereby reached zero (a chunk other versions still hold needs no
-    /// entry — it could only ever be cancelled at replay). The physical
-    /// deletes happen in replay (phase two), so a crash or delete failure
-    /// between the phases leaves retryable journal entries, never orphans.
-    pub fn release_version(&mut self, chunks: impl IntoIterator<Item = ContentHash>) {
-        for chunk in chunks {
-            let rc = self.refcounts.entry(chunk).or_insert(0);
-            if *rc == 0 {
-                self.underflows += 1;
+    /// Phase one of releasing dropped versions: drops one reference per blob
+    /// and appends an intent entry for each blob whose count thereby reached
+    /// zero (a blob other versions still hold needs no entry — it could only
+    /// ever be cancelled at replay). The physical deletes happen in replay
+    /// (phase two), so a crash or delete failure between the phases leaves
+    /// retryable journal entries, never orphans.
+    pub fn release(&mut self, blobs: impl IntoIterator<Item = BlobName>) {
+        for blob in blobs {
+            match self.refcounts.get_mut(&blob) {
+                Some(rc) if *rc > 1 => {
+                    *rc -= 1;
+                    continue;
+                }
+                Some(_) => {
+                    self.refcounts.remove(&blob);
+                }
+                None => self.underflows += 1,
             }
-            *rc = rc.saturating_sub(1);
-            if *rc == 0 {
-                self.append(BlobName::Chunk(chunk));
-            }
+            self.append(blob);
         }
     }
 
-    /// Journals intents for chunks a write is *about to upload*: if the
-    /// write fails before it commits its references, replay finds the
-    /// uploaded blobs at refcount zero and reclaims them instead of
-    /// orphaning them. A write that commits cancels these entries via
-    /// [`ChunkStore::cancel_chunk_releases`] (and a surviving entry would be
-    /// cancelled at replay anyway, since the committed chunks hold
-    /// references).
-    pub fn journal_provisional_uploads(&mut self, chunks: impl IntoIterator<Item = ContentHash>) {
-        for chunk in chunks {
-            self.append(BlobName::Chunk(chunk));
+    /// Journals intents for blobs a write is *about to store*: if the write
+    /// fails before it commits its references, replay finds them
+    /// unreferenced and reclaims them instead of orphaning them. A write that
+    /// commits cancels these entries in [`ChunkStore::retain`] (and a
+    /// surviving entry of a blob some version holds is cancelled at replay).
+    pub fn journal_provisional(&mut self, blobs: impl IntoIterator<Item = BlobName>) {
+        for blob in blobs {
+            self.append(blob);
         }
-    }
-
-    /// Appends the release intent for a manifest no retained version of `id`
-    /// stores its root under. Also used provisionally before a manifest
-    /// upload — replay checks registry liveness before deleting, so a
-    /// committed manifest is never destroyed by its own provisional entry.
-    pub fn release_manifest(&mut self, id: &str, root: ContentHash) {
-        self.append(BlobName::manifest(id, root));
-    }
-
-    /// Cancels any pending release of `(id, root)` — called when a version
-    /// with that manifest is (re)committed, so a pending delete from an
-    /// earlier prune cannot destroy the recreated blob.
-    pub fn cancel_manifest_release(&mut self, id: &str, root: &ContentHash) {
-        let manifest = BlobName::manifest(id, *root);
-        self.cancel_where(|target| *target == manifest);
-    }
-
-    /// Cancels every pending chunk release whose hash is in `live` — called
-    /// when a version commits, clearing its provisional upload intents and
-    /// any stale entry for a chunk the commit just re-referenced.
-    pub fn cancel_chunk_releases(&mut self, live: &BTreeSet<ContentHash>) {
-        self.cancel_where(|target| matches!(target, BlobName::Chunk(hash) if live.contains(hash)));
-    }
-
-    /// Drops the pending entries matching `cancelled`: commit-time
-    /// cancellations are pure bookkeeping.
-    fn cancel_where(&mut self, cancelled: impl Fn(&BlobName) -> bool) {
-        self.pending.retain(|entry| !cancelled(&entry.target));
     }
 
     fn append(&mut self, target: BlobName) {
@@ -364,30 +343,21 @@ impl ChunkStore {
     }
 
     /// Decides what entry `seq` requires *now*: `Some(target)` if the blob
-    /// must be deleted, `None` if the entry was applied without a delete
-    /// (the chunk has been re-referenced in the meantime).
+    /// must be deleted, `None` if the entry was applied without a delete (a
+    /// committed version holds the blob again).
     pub fn decide(&mut self, seq: u64) -> Option<BlobName> {
         let entry = self.pending.iter().find(|e| e.seq == seq)?;
-        match &entry.target {
-            BlobName::Chunk(hash) if self.refcount(hash) > 0 => {
-                self.mark_applied(seq);
-                None
-            }
-            target => Some(target.clone()),
+        if self.is_stored(&entry.target) {
+            self.mark_applied(seq);
+            return None;
         }
+        Some(entry.target.clone())
     }
 
     /// Marks entry `seq` applied (the blob is gone, or provably not needed).
     pub fn mark_applied(&mut self, seq: u64) {
-        let Some(pos) = self.pending.iter().position(|e| e.seq == seq) else {
-            return;
-        };
-        if let Some(entry) = self.pending.remove(pos) {
-            if let BlobName::Chunk(hash) = &entry.target {
-                if self.refcount(hash) == 0 {
-                    self.refcounts.remove(hash);
-                }
-            }
+        if let Some(pos) = self.pending.iter().position(|e| e.seq == seq) {
+            self.pending.remove(pos);
         }
     }
 
@@ -404,13 +374,11 @@ impl ChunkStore {
         }
     }
 
-    /// The blobs this store accounts for: every chunk with a live reference
-    /// and every blob with a pending release. With the manifests of the
-    /// retained versions, exactly the blobs that may legitimately exist in
-    /// the cloud.
+    /// The blobs this store accounts for: every blob a committed version
+    /// holds and every blob with a pending release — exactly the blobs that
+    /// may legitimately exist in the cloud.
     pub fn reachable_blobs(&self) -> BTreeSet<BlobName> {
-        let live = self.refcounts.iter().filter(|(_, rc)| **rc > 0);
-        let mut set: BTreeSet<BlobName> = live.map(|(h, _)| BlobName::Chunk(*h)).collect();
+        let mut set: BTreeSet<BlobName> = self.refcounts.keys().cloned().collect();
         set.extend(self.pending.iter().map(|entry| entry.target.clone()));
         set
     }
@@ -444,10 +412,10 @@ impl ChunkStore {
 }
 
 /// The set of blobs that may legitimately exist in the cloud(s) for one
-/// backend instance: every chunk reachable from a live reference or pending
-/// journal entry, and every manifest a retained version or pending entry
-/// points at. Anything else under the SCFS key space is an orphan — the
-/// leak class the release journal exists to prevent.
+/// backend instance: every blob with a live reference or a pending journal
+/// entry ([`ChunkStore::reachable_blobs`]). Anything else under the SCFS key
+/// space is an orphan — the leak class the release journal exists to
+/// prevent.
 ///
 /// Built by the storages' `blob_audit`; tests feed it the raw key listing of
 /// a `SimulatedCloud` (`stored_keys`) and assert [`BlobAudit::orphans`] is
@@ -483,8 +451,8 @@ impl BlobAudit {
         BlobAudit { reachable }
     }
 
-    /// Whether a stored cloud key is reachable from a live manifest, a live
-    /// chunk reference or a pending journal entry. Keys outside the SCFS
+    /// Whether a stored cloud key is reachable from a live reference or a
+    /// pending journal entry. Keys outside the SCFS
     /// key space are ignored (treated as reachable); one inside it that
     /// spells no blob is not.
     pub fn permits(&self, style: KeyStyle, key: &str) -> bool {
@@ -509,40 +477,47 @@ mod tests {
         sha256(&[tag])
     }
 
+    fn chunk(tag: u8) -> BlobName {
+        BlobName::Chunk(h(tag))
+    }
+
+    fn set(blobs: impl IntoIterator<Item = BlobName>) -> BTreeSet<BlobName> {
+        blobs.into_iter().collect()
+    }
+
     #[test]
     fn retain_release_refcounting() {
         let mut store = ChunkStore::default();
-        let shared: BTreeSet<ContentHash> = [h(1), h(2)].into_iter().collect();
-        store.retain_version(&shared);
-        store.retain_version(&shared);
-        assert_eq!(store.refcount(&h(1)), 2);
-        assert!(store.is_stored(&h(1)));
-        store.release_version(shared.iter().copied());
-        assert_eq!(store.refcount(&h(1)), 1);
-        assert!(store.is_stored(&h(1)));
+        let shared = set([chunk(1), chunk(2), BlobName::manifest("f", h(3))]);
+        store.retain(&shared);
+        store.retain(&shared);
+        assert_eq!(store.refcount(&chunk(1)), 2);
+        assert!(store.is_stored(&chunk(1)));
+        store.release(shared.iter().cloned());
+        assert_eq!(store.refcount(&chunk(1)), 1);
+        assert!(store.is_stored(&BlobName::manifest("f", h(3))));
         assert_eq!(
             store.pending_len(),
             0,
             "a release that leaves references needs no intent — it could only be cancelled"
         );
-        store.release_version(shared.iter().copied());
-        assert_eq!(store.refcount(&h(1)), 0);
-        assert_eq!(store.pending_len(), 2, "zero-count chunks get intents");
+        store.release(shared.iter().cloned());
+        assert_eq!(store.refcount(&chunk(1)), 0);
+        assert_eq!(store.pending_len(), 3, "zero-count blobs get intents");
     }
 
     #[test]
     fn underflow_is_counted_and_reported() {
         let mut store = ChunkStore::default();
-        let set: BTreeSet<ContentHash> = [h(1)].into_iter().collect();
-        store.retain_version(&set);
+        store.retain(&set([chunk(1)]));
         let mut violations = Vec::new();
         store.check_invariants(&mut violations);
         assert!(violations.is_empty());
-        // Releasing twice against one retain is a double-release: the count
-        // saturates (no corruption) but the invariant check reports it.
-        store.release_version(set.iter().copied());
-        store.release_version(set.iter().copied());
-        assert_eq!(store.refcount(&h(1)), 0);
+        // Releasing twice against one retain is a double-release: no count
+        // is corrupted, but the invariant check reports it.
+        store.release([chunk(1)]);
+        store.release([chunk(1)]);
+        assert_eq!(store.refcount(&chunk(1)), 0);
         store.check_invariants(&mut violations);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].name, "chunkstore.refcount-underflow");
@@ -551,9 +526,9 @@ mod tests {
     #[test]
     fn provisional_upload_intents_cover_failed_writes() {
         let mut store = ChunkStore::default();
-        let set: BTreeSet<ContentHash> = [h(4), h(5)].into_iter().collect();
+        let blobs = set([chunk(4), chunk(5)]);
         // A write journals its uploads first...
-        store.journal_provisional_uploads(set.iter().copied());
+        store.journal_provisional(blobs.iter().cloned());
         assert_eq!(store.pending_len(), 2);
         // ...and if it never commits, the entries demand deletion (rc 0).
         let seqs: Vec<u64> = store.pending_entries().map(|e| e.seq).collect();
@@ -564,17 +539,15 @@ mod tests {
             );
         }
         // A committed write cancels its provisional entries instead.
-        store.retain_version(&set);
-        store.cancel_chunk_releases(&set);
+        store.retain(&blobs);
         assert_eq!(store.pending_len(), 0);
-        assert!(store.is_stored(&h(4)));
+        assert!(store.is_stored(&chunk(4)));
     }
 
     #[test]
     fn failed_entries_rotate_to_the_back() {
         let mut store = ChunkStore::default();
-        store.release_manifest("f", h(1));
-        store.release_manifest("f", h(2));
+        store.journal_provisional([BlobName::manifest("f", h(1)), BlobName::manifest("f", h(2))]);
         let first = store.pending_entries().next().unwrap().seq;
         store.mark_failed(first);
         let order: Vec<u64> = store.pending_entries().map(|e| e.seq).collect();
@@ -589,29 +562,33 @@ mod tests {
     #[test]
     fn decide_cancels_rereferenced_chunks() {
         let mut store = ChunkStore::default();
-        let set: BTreeSet<ContentHash> = [h(1)].into_iter().collect();
-        store.retain_version(&set);
-        store.release_version(set.iter().copied());
-        assert_eq!(store.refcount(&h(1)), 0);
-        // A new version re-references the chunk before the delete ran.
-        store.retain_version(&set);
+        store.retain(&set([chunk(1)]));
+        store.release([chunk(1)]);
+        assert_eq!(store.refcount(&chunk(1)), 0);
+        // A version re-references the chunk before the delete ran: its
+        // commit cancels the release.
         let seq = store.pending_entries().next().unwrap().seq;
-        assert_eq!(store.decide(seq), None, "re-referenced chunk is cancelled");
+        store.retain(&set([chunk(1)]));
         assert_eq!(store.pending_len(), 0);
-        assert!(store.is_stored(&h(1)));
+        // An intent journaled while the chunk is held — by a write that then
+        // failed — is cancelled at replay.
+        store.journal_provisional([chunk(1)]);
+        assert_eq!(
+            store.decide(seq + 1),
+            None,
+            "re-referenced chunk is cancelled"
+        );
+        assert_eq!(store.pending_len(), 0);
+        assert!(store.is_stored(&chunk(1)));
     }
 
     #[test]
     fn failed_deletes_stay_pending_and_count_attempts() {
         let mut store = ChunkStore::default();
-        let set: BTreeSet<ContentHash> = [h(9)].into_iter().collect();
-        store.retain_version(&set);
-        store.release_version(set.iter().copied());
+        store.retain(&set([chunk(9)]));
+        store.release([chunk(9)]);
         let seq = store.pending_entries().next().unwrap().seq;
-        assert!(matches!(
-            store.decide(seq),
-            Some(BlobName::Chunk(hash)) if hash == h(9)
-        ));
+        assert_eq!(store.decide(seq), Some(chunk(9)));
         store.mark_failed(seq);
         let entry = store.pending_entries().next().unwrap();
         assert_eq!(entry.attempts, 1, "failure recorded, entry still pending");
@@ -619,36 +596,35 @@ mod tests {
         assert!(store.decide(seq).is_some());
         store.mark_applied(seq);
         assert_eq!(store.pending_len(), 0);
-        assert_eq!(store.refcount(&h(9)), 0);
+        assert_eq!(store.refcount(&chunk(9)), 0);
     }
 
     #[test]
     fn manifest_release_and_cancel() {
         let mut store = ChunkStore::default();
-        store.release_manifest("f1", h(3));
-        store.release_manifest("f2", h(3));
+        let (f1, f2) = (
+            BlobName::manifest("f1", h(3)),
+            BlobName::manifest("f2", h(3)),
+        );
+        store.retain(&set([f1.clone(), f2.clone()]));
+        store.release([f1.clone(), f2.clone()]);
         assert_eq!(store.pending_len(), 2);
-        store.cancel_manifest_release("f1", &h(3));
+        // Manifests are per object: recommitting f1's root cancels f1's
+        // release only.
+        store.retain(&set([f1]));
         assert_eq!(store.pending_len(), 1);
         let left = store.pending_entries().next().unwrap();
-        assert_eq!(left.target, BlobName::manifest("f2", h(3)));
+        assert_eq!(left.target, f2);
     }
 
     #[test]
     fn reachable_chunks_include_pending_releases() {
         let mut store = ChunkStore::default();
-        let live: BTreeSet<ContentHash> = [h(1)].into_iter().collect();
-        let dead: BTreeSet<ContentHash> = [h(2)].into_iter().collect();
-        store.retain_version(&live);
-        store.retain_version(&dead);
-        store.release_version(dead.iter().copied());
-        store.release_manifest("f", h(3));
+        store.retain(&set([chunk(1), chunk(2)]));
+        store.release([chunk(2)]);
+        store.journal_provisional([BlobName::manifest("f", h(3))]);
         let reachable = store.reachable_blobs();
-        let expected = [
-            BlobName::Chunk(h(1)),
-            BlobName::Chunk(h(2)),
-            BlobName::manifest("f", h(3)),
-        ];
+        let expected = [chunk(1), chunk(2), BlobName::manifest("f", h(3))];
         assert_eq!(
             reachable,
             expected.into_iter().collect(),

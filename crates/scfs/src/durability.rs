@@ -27,15 +27,12 @@
 //! * either way `sync` returns the level the backend provides:
 //!   [`DurabilityLevel::SingleCloud`] (2) on AWS,
 //!   [`DurabilityLevel::CloudOfClouds`] (3) on the cloud-of-clouds —
-//!   regardless of the agent's operation mode ([`level_on_return`] with
-//!   [`SysCall::Sync`]).
+//!   regardless of the agent's operation mode.
 //!
 //! A second mount of the same account reaches the same point without the
 //! handle: the writer surfaces its upload token
 //! (`ScfsAgent::upload_token`), and the other mount waits on it precisely
 //! instead of sleeping past a drain estimate.
-
-use crate::config::Mode;
 
 /// The durability level reached by a write.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -72,61 +69,6 @@ impl DurabilityLevel {
     }
 }
 
-/// The system call classes of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SysCall {
-    /// A `write` on an open file.
-    Write,
-    /// An `fsync` of an open file.
-    Fsync,
-    /// A `close` of a modified file.
-    Close,
-    /// A `sync` of an open file: explicit promotion to cloud durability.
-    Sync,
-}
-
-/// The durability level guaranteed *when the call returns*, for a given
-/// backend (`cloud_of_clouds`) and operation mode.
-///
-/// In blocking mode `close` waits for the cloud upload, so it returns at
-/// level 2 or 3; in the non-blocking and non-sharing modes `close` returns
-/// after the local-disk write (level 1) and the cloud level is only reached
-/// when the background upload completes.
-pub fn level_on_return(call: SysCall, mode: Mode, cloud_of_clouds: bool) -> DurabilityLevel {
-    match call {
-        SysCall::Write => DurabilityLevel::MainMemory,
-        SysCall::Fsync => DurabilityLevel::LocalDisk,
-        SysCall::Close => {
-            if mode.blocking_close() {
-                cloud_level(cloud_of_clouds)
-            } else {
-                DurabilityLevel::LocalDisk
-            }
-        }
-        // `sync` blocks until the object's version commit (pending or
-        // started by the call itself) lands in the cloud, in every mode.
-        SysCall::Sync => cloud_level(cloud_of_clouds),
-    }
-}
-
-/// The durability level *eventually* reached once background uploads drain.
-pub fn level_eventually(call: SysCall, cloud_of_clouds: bool) -> DurabilityLevel {
-    match call {
-        SysCall::Write => DurabilityLevel::MainMemory,
-        SysCall::Fsync => DurabilityLevel::LocalDisk,
-        SysCall::Close | SysCall::Sync => cloud_level(cloud_of_clouds),
-    }
-}
-
-/// Level 2 or 3, depending on the backend (Table 1's two cloud rows).
-pub fn cloud_level(cloud_of_clouds: bool) -> DurabilityLevel {
-    if cloud_of_clouds {
-        DurabilityLevel::CloudOfClouds
-    } else {
-        DurabilityLevel::SingleCloud
-    }
-}
-
 /// One row of Table 1, for the `reproduce` binary.
 pub fn table1_rows() -> Vec<(u8, &'static str, &'static str, &'static str, &'static str)> {
     vec![
@@ -153,61 +95,6 @@ mod tests {
         assert!(DurabilityLevel::LocalDisk < DurabilityLevel::SingleCloud);
         assert!(DurabilityLevel::SingleCloud < DurabilityLevel::CloudOfClouds);
         assert_eq!(DurabilityLevel::CloudOfClouds.level(), 3);
-    }
-
-    #[test]
-    fn table1_mapping_for_blocking_mode() {
-        assert_eq!(
-            level_on_return(SysCall::Write, Mode::Blocking, true),
-            DurabilityLevel::MainMemory
-        );
-        assert_eq!(
-            level_on_return(SysCall::Fsync, Mode::Blocking, false),
-            DurabilityLevel::LocalDisk
-        );
-        assert_eq!(
-            level_on_return(SysCall::Close, Mode::Blocking, false),
-            DurabilityLevel::SingleCloud
-        );
-        assert_eq!(
-            level_on_return(SysCall::Close, Mode::Blocking, true),
-            DurabilityLevel::CloudOfClouds
-        );
-    }
-
-    #[test]
-    fn sync_promotes_to_cloud_level_in_every_mode() {
-        for mode in [Mode::Blocking, Mode::NonBlocking, Mode::NonSharing] {
-            assert_eq!(
-                level_on_return(SysCall::Sync, mode, false),
-                DurabilityLevel::SingleCloud
-            );
-            assert_eq!(
-                level_on_return(SysCall::Sync, mode, true),
-                DurabilityLevel::CloudOfClouds
-            );
-        }
-        assert_eq!(
-            level_eventually(SysCall::Sync, true),
-            DurabilityLevel::CloudOfClouds
-        );
-        assert_eq!(cloud_level(false), DurabilityLevel::SingleCloud);
-    }
-
-    #[test]
-    fn non_blocking_close_returns_at_disk_level_but_eventually_reaches_cloud() {
-        assert_eq!(
-            level_on_return(SysCall::Close, Mode::NonBlocking, true),
-            DurabilityLevel::LocalDisk
-        );
-        assert_eq!(
-            level_eventually(SysCall::Close, true),
-            DurabilityLevel::CloudOfClouds
-        );
-        assert_eq!(
-            level_eventually(SysCall::Close, false),
-            DurabilityLevel::SingleCloud
-        );
     }
 
     #[test]

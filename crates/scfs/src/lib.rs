@@ -126,7 +126,7 @@ pub use backend::{CloudOfCloudsStorage, FileStorage, SingleCloudStorage, WriteOu
 pub use chunkstore::{BlobAudit, BlobName, ChunkStore, JournalOpts, KeyStyle, ReplayReport};
 pub use config::{ChunkingMode, GcConfig, Mode, ScfsConfig};
 pub use cost::{CostBackend, CostModel};
-pub use durability::{DurabilityLevel, SysCall};
+pub use durability::DurabilityLevel;
 pub use error::ScfsError;
 pub use fs::FileSystem;
 pub use invariant::InvariantViolation;

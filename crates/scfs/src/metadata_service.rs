@@ -383,15 +383,6 @@ impl MetadataService {
         self.get(ctx, &parent).is_ok()
     }
 
-    /// All private files known to this agent (used by the garbage collector
-    /// and the PNS persistence path).
-    pub fn private_files(&self) -> Vec<FileMetadata> {
-        self.pns
-            .as_ref()
-            .map(|p| p.iter().cloned().collect())
-            .unwrap_or_default()
-    }
-
     /// The user this service acts for.
     pub fn user(&self) -> &AccountId {
         &self.user
@@ -551,6 +542,6 @@ mod tests {
         svc.create(&mut ctx, md("/f")).unwrap();
         assert!(svc.get(&mut ctx, "/f").is_ok());
         assert!(svc.is_private("/anything", None));
-        assert_eq!(svc.private_files().len(), 1);
+        assert_eq!(svc.pns().unwrap().len(), 1);
     }
 }

@@ -131,12 +131,6 @@ impl PrivateNameSpace {
             dirty: false,
         })
     }
-
-    /// Estimated coordination-service savings: with a PNS, `len()` files need
-    /// one tuple instead of `len()` tuples (the §2.7 back-of-envelope).
-    pub fn coordination_tuples_saved(&self) -> usize {
-        self.len().saturating_sub(1)
-    }
 }
 
 #[cfg(test)]
@@ -215,6 +209,5 @@ mod tests {
         assert!(!pns.is_dirty());
         pns.insert(md("/c"));
         assert!(pns.is_dirty());
-        assert_eq!(pns.coordination_tuples_saved(), 2);
     }
 }

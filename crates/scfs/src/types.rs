@@ -20,6 +20,32 @@ pub const DEFAULT_CHUNK_SIZE: usize = 1 << 20;
 /// crafted `file_len` must not translate into an absurd buffer allocation.
 pub const MAX_FILE_LEN: u64 = 1 << 40;
 
+/// Where a write of `len` bytes at `offset` ends, or the error every mount —
+/// the agent and the baselines alike — returns for a write that would grow a
+/// file past [`MAX_FILE_LEN`] (checked, so a huge offset cannot wrap).
+pub fn write_end(offset: u64, len: usize) -> Result<usize, crate::error::ScfsError> {
+    offset
+        .checked_add(len as u64)
+        .filter(|&end| end <= MAX_FILE_LEN)
+        .map(|end| end as usize)
+        .ok_or_else(|| {
+            crate::error::ScfsError::invalid(format!(
+                "write of {len} bytes at offset {offset} exceeds the maximum file size of {MAX_FILE_LEN} bytes"
+            ))
+        })
+}
+
+/// `size` as a file length, or the error every mount returns for a truncate
+/// past [`MAX_FILE_LEN`].
+pub fn truncate_len(size: u64) -> Result<usize, crate::error::ScfsError> {
+    if size > MAX_FILE_LEN {
+        return Err(crate::error::ScfsError::invalid(format!(
+            "truncate to {size} bytes exceeds the maximum file size of {MAX_FILE_LEN} bytes"
+        )));
+    }
+    Ok(size as usize)
+}
+
 /// Largest encoded [`ChunkMap`] a metadata tuple carries inline
 /// ([`FileMetadata::commit_version`]): 512 bytes hold up to 12 fixed-size or
 /// 9 content-defined chunks, which keeps the tuple inside the ~1 KB the

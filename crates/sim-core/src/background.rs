@@ -81,11 +81,6 @@ impl<T> Pending<T> {
         self.ready_at.duration_since(self.started_at)
     }
 
-    /// Whether the operation has completed by `now`.
-    pub fn is_ready(&self, now: SimInstant) -> bool {
-        self.ready_at <= now
-    }
-
     /// The operation's value, without waiting (simulation bookkeeping only —
     /// the effect is observable from [`Pending::ready_at`]).
     pub fn value(&self) -> &T {
@@ -217,12 +212,6 @@ impl BackgroundScheduler {
         self.completions.iter().filter(|c| **c > now).count()
     }
 
-    /// The earliest completion instant still in the future of `now`, if any
-    /// job is still running.
-    pub fn next_completion(&self, now: SimInstant) -> Option<SimInstant> {
-        self.completions.iter().filter(|c| **c > now).min().copied()
-    }
-
     /// Installs a schedule controller driving lane-dispatch decisions. Only
     /// the model checker does this; an inactive slot (the default) keeps
     /// dispatch at the deterministic instant.
@@ -288,7 +277,7 @@ mod tests {
     }
 
     #[test]
-    fn in_flight_and_next_completion_track_the_window() {
+    fn in_flight_tracks_the_window() {
         let mut sched = BackgroundScheduler::new();
         let now = SimInstant::EPOCH;
         // The tokens are deliberately unused: this test watches the
@@ -296,13 +285,8 @@ mod tests {
         let _a = sched.spawn(now, Some("a"), delay_job(100));
         let _b = sched.spawn(now, Some("b"), delay_job(40));
         assert_eq!(sched.in_flight(now), 2);
-        assert_eq!(
-            sched.next_completion(now),
-            Some(SimInstant::from_millis(40))
-        );
         assert_eq!(sched.in_flight(SimInstant::from_millis(50)), 1);
         assert_eq!(sched.in_flight(SimInstant::from_millis(200)), 0);
-        assert_eq!(sched.next_completion(SimInstant::from_millis(200)), None);
     }
 
     #[test]
@@ -351,8 +335,6 @@ mod tests {
     fn pending_accessors_and_map() {
         let p = Pending::new("x", SimInstant::from_millis(5), SimInstant::from_millis(20));
         assert_eq!(p.duration(), SimDuration::from_millis(15));
-        assert!(!p.is_ready(SimInstant::from_millis(10)));
-        assert!(p.is_ready(SimInstant::from_millis(20)));
         assert_eq!(*p.value(), "x");
         let q = p.map(|s| s.len());
         assert_eq!(q.into_inner(), 1);

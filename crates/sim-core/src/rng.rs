@@ -135,17 +135,6 @@ impl DetRng {
         v
     }
 
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        if slice.len() < 2 {
-            return;
-        }
-        for i in (1..slice.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
-    }
-
     /// Picks a uniformly random element of a non-empty slice.
     pub fn choose<'a, T>(&mut self, slice: &'a [T]) -> Option<&'a T> {
         if slice.is_empty() {
@@ -233,16 +222,6 @@ mod tests {
         let mut buf = [0u8; 13];
         r.fill_bytes(&mut buf);
         assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
-    fn shuffle_preserves_elements() {
-        let mut r = DetRng::new(19);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

@@ -179,23 +179,6 @@ impl FleetReport {
     pub fn memory_hit_rate(&self) -> f64 {
         TieredStats::hit_rate(&self.cache.memory)
     }
-
-    /// Disk-tier hit rate by lookup count.
-    pub fn disk_hit_rate(&self) -> f64 {
-        TieredStats::hit_rate(&self.cache.disk)
-    }
-
-    /// Fleet-wide hit rate by bytes: bytes served from either tier over
-    /// bytes served plus bytes fetched from the cloud.
-    pub fn byte_hit_rate(&self) -> f64 {
-        let hit = self.cache.memory.bytes_hit + self.cache.disk.bytes_hit;
-        let total = hit + self.bytes_downloaded;
-        if total == 0 {
-            0.0
-        } else {
-            hit as f64 / total as f64
-        }
-    }
 }
 
 /// Deterministic, per-file-distinct payload: a repeating 8-byte stamp of the

@@ -570,11 +570,16 @@ proptest! {
     /// Journal replay is idempotent under arbitrary repeated delete faults:
     /// however the faults interleave across replay passes, once the cloud
     /// heals the journal drains, no blob is leaked, no retained version is
-    /// damaged, and a further replay is a no-op.
+    /// damaged, and a further replay is a no-op. A version is drawn inline
+    /// (four chunks) or over the bound (it stores a manifest object), and
+    /// version `repeat` re-commits its predecessor's content, so two versions
+    /// share a root.
     #[test]
     fn prop_journal_replay_is_idempotent_under_repeated_faults(
         versions in 2usize..5,
         keep in 1usize..3,
+        over_bound in collection::vec(any::<bool>(), 4),
+        repeat in 1usize..5,
         fault_pattern in collection::vec(any::<bool>(), 0..40),
         replay_passes in 1usize..4,
     ) {
@@ -584,18 +589,26 @@ proptest! {
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
         let opts = TransferOptions::default();
 
-        // f1 accumulates versions that share chunks 0..3 and vary chunk 3;
-        // f2 shares f1's base content entirely.
+        // f1 accumulates versions that share their leading chunks and vary
+        // their last one; f2 shares f1's base content entirely.
         let mut roots = Vec::new();
+        let mut contents: Vec<Vec<u8>> = Vec::new();
         let mut prev: Option<ChunkMap> = None;
         for v in 0..versions {
-            let mut data = four_chunks(0x20);
-            data[3 * CHUNK..].fill(v as u8 ^ 0xAB);
+            let data = if v == repeat {
+                contents[v - 1].clone()
+            } else {
+                let n = if over_bound[v] { OVER_BOUND } else { 4 };
+                let mut data = distinct_chunks(0x20, n);
+                data[(n - 1) * CHUNK..].fill(v as u8 ^ 0xAB);
+                data
+            };
             let map = ChunkMap::build(&data, CHUNK);
             let outcome = storage.write_version(
                 &mut ctx, "f1", &data, &map, prev.as_ref(), v == 0, None, &opts,
             ).unwrap();
             roots.push(outcome.root_hash);
+            contents.push(data);
             prev = Some(map);
         }
         let shared = four_chunks(0x20);
@@ -627,8 +640,8 @@ proptest! {
         prop_assert_eq!(storage.pending_releases(), 0);
 
         // Retained versions of f1 and all of f2 are intact.
-        for root in roots.iter().skip(versions.saturating_sub(keep)) {
-            prop_assert!(storage.read_version(&mut ctx, "f1", root, &opts).is_ok());
+        for (root, data) in roots.iter().zip(&contents).skip(versions.saturating_sub(keep)) {
+            prop_assert_eq!(&storage.read_version(&mut ctx, "f1", root, &opts).unwrap(), data);
         }
         prop_assert_eq!(
             storage.read_version(&mut ctx, "f2", &o2.root_hash, &opts).unwrap(),

@@ -6,7 +6,7 @@ use scfs_repro::cloud_store::types::{Acl, Permission};
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::error::ScfsError;
 use scfs_repro::scfs::fs::FileSystem;
-use scfs_repro::scfs::types::{ChunkMap, OpenFlags};
+use scfs_repro::scfs::types::{ChunkMap, OpenFlags, MAX_FILE_LEN};
 use scfs_repro::sim_core::time::{Clock, SimDuration};
 use scfs_repro::workloads::setup::{build_system, Backend, Deployment, SystemKind};
 
@@ -34,6 +34,38 @@ fn every_system_supports_the_basic_posix_workflow() {
         fs.unlink("/work/a.bin").unwrap();
         assert!(fs.stat("/work/a.bin").is_err(), "{}", kind.label());
         assert_eq!(fs.read_file("/work/b.bin").unwrap().len(), 32 * 1024);
+    }
+}
+
+/// The baselines bound a write and a truncate by the maximum file size and
+/// answer as the agent does, instead of panicking on the end-offset
+/// arithmetic or the allocation; and an empty write changes nothing.
+#[test]
+fn baselines_refuse_to_grow_a_file_past_the_maximum_size() {
+    for kind in [SystemKind::LocalFs, SystemKind::S3fs, SystemKind::S3ql] {
+        let label = kind.label();
+        let mut fs = build_system(kind, 7);
+        fs.write_file("/f", b"ok").unwrap();
+        let versions = fs.stat("/f").unwrap().version_count;
+        let h = fs.open("/f", OpenFlags::read_write()).unwrap();
+        for offset in [u64::MAX - 1, MAX_FILE_LEN - 1] {
+            let refused = fs.write(h, offset, b"boom");
+            assert!(
+                matches!(refused, Err(ScfsError::Invalid { .. })),
+                "{label}: write at {offset}: {refused:?}"
+            );
+        }
+        let refused = fs.truncate(h, u64::MAX);
+        assert!(
+            matches!(refused, Err(ScfsError::Invalid { .. })),
+            "{label}: {refused:?}"
+        );
+        assert_eq!(fs.write(h, 1 << 20, b"").unwrap(), 0, "{label}");
+        assert_eq!(fs.handle_size(h).unwrap(), 2, "{label}: extended");
+        fs.close(h).unwrap();
+        assert_eq!(fs.read_file("/f").unwrap(), b"ok", "{label}");
+        let after = fs.stat("/f").unwrap().version_count;
+        assert_eq!(after, versions, "{label}: the close committed a version");
     }
 }
 
