@@ -70,8 +70,11 @@ impl LockManager {
     ///
     /// Returns `Ok(())` on success and [`CoordError::LockHeld`] if another
     /// live session holds it. The lock is re-entrant with respect to this
-    /// session: re-acquiring a lock we already hold (e.g. re-opening a file
-    /// whose previous non-blocking close has not released it yet) succeeds.
+    /// session: re-acquiring a lock we already hold succeeds and creates no
+    /// entry. A release of ours already in flight therefore still deletes
+    /// the one entry there is — re-opening a file whose previous
+    /// non-blocking close has not released it yet yields a handle that holds
+    /// no lock once that release lands.
     pub fn try_lock(&self, ctx: &mut OpCtx<'_>, file_id: &str) -> Result<(), CoordError> {
         match self.coord.create_ephemeral(
             ctx,

@@ -103,31 +103,46 @@ impl ScfsAgent {
     /// consistency anchor, and — when `unlock` is set — the write lock
     /// released. Returns the committed metadata, or `Ok(None)` when the
     /// backend cannot commit a [`NewVersion::CopyOf`] (the caller
-    /// materializes instead, under the lock it still holds).
+    /// materializes instead, under the lock it still holds), and the instant
+    /// the anchor update returned: where a waiting close returns.
     ///
     /// A failed commit still releases the lock: the caller has dropped the
     /// handle and can retry nothing, so holding on would lock every other
     /// writer out for a full lease over an error the caller was told about.
+    /// The release is never the commit's error: it lands after the close
+    /// returned, and the lease covers one that fails.
     fn commit(
         &mut self,
         metadata: FileMetadata,
         version: NewVersion<'_>,
         unlock: bool,
-    ) -> Result<Option<FileMetadata>, ScfsError> {
+    ) -> (Result<Option<FileMetadata>, ScfsError>, SimInstant) {
         let lock_id = metadata.storage_id.clone();
         let committed = self.store_and_anchor(metadata, version);
+        let anchored = self.clock.now();
         if unlock && !matches!(committed, Ok(None)) {
-            if let Some(locks) = &self.locks {
-                let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-                let released = locks.unlock(&mut ctx, &lock_id);
-                // Best effort after a failure (the lease still covers a dead
-                // coordinator): the commit's own error is the one to report.
-                if committed.is_ok() {
-                    released?;
-                }
-            }
+            self.release_lock(&lock_id);
         }
-        committed
+        (committed, anchored)
+    }
+
+    /// Releases this session's write lock on `id`, best effort, on
+    /// whichever clock `self.clock` currently is.
+    fn release_lock(&mut self, id: &str) {
+        if let Some(locks) = &self.locks {
+            let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
+            locks.unlock(&mut ctx, id).ok();
+        }
+    }
+
+    /// Records that a release of the lock on `id`, which this agent did not
+    /// wait for, lands at `at`, and forgets the releases that have landed.
+    fn release_in_flight(&mut self, id: String, at: SimInstant) {
+        let now = self.clock.now();
+        self.releases_in_flight.retain(|_, landed| *landed > now);
+        if at > now {
+            self.releases_in_flight.insert(id, at);
+        }
     }
 
     /// Steps w2 and w3 of the consistency-anchor write (Figure 3).
@@ -194,12 +209,14 @@ impl ScfsAgent {
     /// Runs [`ScfsAgent::commit`] on the object's lane — commits of the same
     /// object serialize, different objects overlap — no earlier than
     /// `not_before`, and settles it the way the caller's mode prescribes.
-    /// `wait` (a blocking close, any `sync`): the job is awaited on the
-    /// foreground clock. Otherwise the call returns now and everyone else
-    /// waits on this object's token; at most `max_pending_uploads` such
-    /// commits are in flight, the call stalling on the earliest one. This
-    /// client's own view needs no separate update: the job's metadata update
-    /// has already refreshed the local caches.
+    /// `wait` (a blocking close, any `sync`): the foreground waits for the
+    /// anchor update — not for the lock release behind it, which the job
+    /// still sends and a write-open of the object waits for. Otherwise the
+    /// call returns now and everyone else waits on this object's token; at
+    /// most `max_pending_uploads` such commits are in flight, the call
+    /// stalling on the earliest one. This client's own view needs no
+    /// separate update: the job's metadata update has already refreshed the
+    /// local caches.
     fn run_commit(
         &mut self,
         not_before: Option<SimInstant>,
@@ -216,11 +233,14 @@ impl ScfsAgent {
         let token = self.on_lane(start, &lane, |agent| {
             agent.commit(metadata, version, unlock)
         });
-        if wait {
-            return token.wait(&mut self.clock);
-        }
         let (started_at, ready_at) = (token.started_at(), token.ready_at());
-        let committed = token.into_inner()?;
+        let (committed, anchored) = token.into_inner();
+        if wait {
+            self.clock.advance_to(anchored);
+            self.release_in_flight(lane, ready_at);
+            return committed;
+        }
+        let committed = committed?;
         if let Some(md) = &committed {
             // A second commit of the same object supersedes the earlier
             // record: the lane already ordered the commits, and the later
@@ -301,10 +321,14 @@ impl ScfsAgent {
             .remove(&handle)
             .ok_or(ScfsError::BadHandle { handle: handle.0 })?;
         if !file.is_dirty() {
-            // Nothing to synchronize; just release the lock if we held it.
-            if let (true, Some(locks)) = (file.locked, &self.locks) {
-                let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-                locks.unlock(&mut ctx, &file.metadata.storage_id)?;
+            // Nothing to synchronize; just release the lock if we held it —
+            // on the object's lane, behind any in-flight commit of it, and
+            // without waiting.
+            if file.locked {
+                let id = file.metadata.storage_id;
+                let now = self.clock.now();
+                let released = self.on_lane(now, &id, |agent| agent.release_lock(&id));
+                self.release_in_flight(id, released.ready_at());
             }
             return Ok(());
         }

@@ -146,6 +146,9 @@ impl ScfsAgent {
             && !self.metadata.is_private(path, Some(&metadata))
         {
             if let Some(locks) = &self.locks {
+                if let Some(landed) = self.releases_in_flight.remove(&metadata.storage_id) {
+                    self.clock.advance_to(landed);
+                }
                 let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
                 locks.try_lock(&mut ctx, &metadata.storage_id)?;
                 locked = true;

@@ -146,6 +146,11 @@ pub struct ScfsAgent {
     /// instant is still in the foreground's future (records are retired
     /// before a rename can move the path in it).
     pending_uploads: BTreeMap<String, Pending<FileMetadata>>,
+    /// Lock releases a close sent and did not wait for, by storage id: the
+    /// instant each lands. The lock is re-entrant per session, so a
+    /// write-open of the object waits for that instant before it locks —
+    /// else it would "re-acquire" a lock the release then deletes.
+    releases_in_flight: BTreeMap<String, SimInstant>,
     written_since_gc: u64,
     /// Files this agent has written: storage id → (path, deleted?). The GC
     /// cycle iterates this, so it is ordered for run-to-run determinism.
@@ -213,6 +218,7 @@ impl ScfsAgent {
             next_storage_id: 1,
             scheduler: BackgroundScheduler::new(),
             pending_uploads: BTreeMap::new(),
+            releases_in_flight: BTreeMap::new(),
             written_since_gc: 0,
             owned_files: BTreeMap::new(),
             stats: AgentStats::default(),

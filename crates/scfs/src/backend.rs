@@ -59,8 +59,9 @@
 //! | GC deletes | the chunks whose refcount reached zero | those chunks and the manifest object |
 //! | the cloud alone reconstructs | chunks by content hash — not which file they belong to, or in what order | every retained version of every id |
 //!
-//! For an inline version a close is therefore its chunk PUTs, one metadata
-//! write and one unlock, and a manifest-only copy is zero cloud requests.
+//! For an inline version a close therefore sends its chunk PUTs, one
+//! metadata write and one unlock, and waits for all but the unlock; a
+//! manifest-only copy is zero cloud requests.
 //! The id → chunks link of such a version has the durability of the anchor
 //! (the coordination service's replicas; the private name space in the
 //! non-sharing mode) — which the path → id → root-hash link always had.

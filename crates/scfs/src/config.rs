@@ -26,8 +26,11 @@ pub enum ChunkingMode {
 /// The three modes of operation supported by the prototype (paper §3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// `close` blocks until the file data is in the cloud(s) and the metadata
-    /// and lock updates are committed (full consistency-on-close).
+    /// `close` blocks until the file data is in the cloud(s) and its root
+    /// hash is anchored in the coordination service (full
+    /// consistency-on-close). The lock release behind the anchor is sent but
+    /// not waited for; a write-open of the file by the same agent waits for
+    /// it instead.
     Blocking,
     /// `close` returns once the data is safely on the local disk and queued
     /// for upload; the metadata update and unlock happen when the background

@@ -116,8 +116,8 @@ fn sixteen_chunk_close_costs_four_waves_coc() {
 
 /// The single-wave commit: a dirty 1-chunk close is the chunk — its manifest
 /// rides in the metadata tuple — with (on CoC) both DepSky rounds in flight
-/// together, then the two coordination calls (anchor update, unlock — free
-/// on the test coordinator).
+/// together, then the anchor update (free on the test coordinator). The
+/// unlock behind it is not on the close's path.
 /// The yardstick is independent of the backend layer: one bare PUT of the
 /// same bytes to one of the deployment's clouds. Every cloud answers in the
 /// same constant request latency, and `depsky::register`'s

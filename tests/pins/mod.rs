@@ -32,19 +32,21 @@ use scfs_repro::workloads::fleet::{
 use scfs_repro::workloads::setup::{build_scfs, Backend, Deployment, Plane};
 
 /// Every golden pin, in the order [`measure_pins`] measures them. Last moved
-/// when versions whose manifest rides in the metadata tuple stopped storing
-/// a manifest object: every workload here commits only such versions, so
-/// half the PUTs (and every draw they took from the clouds' latency streams)
-/// are gone.
+/// when a close stopped waiting for its lock release: a blocking dirty close
+/// returns at the anchor update, so each data-fleet mount issues its next
+/// call one coordination write earlier; and a clean close of a write-opened
+/// handle sends its release on the object's lane, behind the in-flight
+/// commit, so Figure 8's non-blocking reopen of the document waits for that
+/// commit instead of re-entering a lock it is about to lose.
 const PINS: &[(&str, u64)] = &[
-    ("data_fleet.AWS.trace_hash", 0x2d37_74ec_de62_8fdd),
-    ("data_fleet.AWS.makespan_ns", 473332502952),
-    ("data_fleet.CoC.trace_hash", 0x818b_2281_a18e_e250),
-    ("data_fleet.CoC.makespan_ns", 473793421013),
+    ("data_fleet.AWS.trace_hash", 0xf6d9_03eb_b994_627d),
+    ("data_fleet.AWS.makespan_ns", 473079612301),
+    ("data_fleet.CoC.trace_hash", 0xde60_ddff_e4b8_8a10),
+    ("data_fleet.CoC.makespan_ns", 473729443683),
     ("metadata_fleet.trace_hash", 0x7661_c8ff_93cf_a4b1),
     ("metadata_fleet.makespan_ns", 688230371),
-    ("file_sync.NonBlocking.end_ns", 3104267807),
-    ("file_sync.NonBlocking.drain_ns", 3310090141),
+    ("file_sync.NonBlocking.end_ns", 3424808060),
+    ("file_sync.NonBlocking.drain_ns", 3600466998),
     ("file_sync.NonSharing.end_ns", 948543123),
     ("file_sync.NonSharing.drain_ns", 948543123),
     ("fault_paths.digest", 0xbaf3_3e23_a83c_f241),
