@@ -17,7 +17,7 @@
 //! blocks are also strictly **fixed-size** (as in the real system), so a
 //! mid-file insert shifts every later block boundary and re-uploads the
 //! tail — the workload SCFS's content-defined chunking
-//! (`scfs::config::ChunkingMode::Cdc`) turns into an O(edit) transfer.
+//! (`scfs::types::CutRule::Cdc`) turns into an O(edit) transfer.
 
 use std::collections::HashSet;
 use std::sync::Arc;

@@ -38,7 +38,7 @@ use scfs::chunkstore::KeyStyle;
 use scfs::config::{Mode, ScfsConfig};
 use scfs::fs::FileSystem;
 use scfs::invariant::InvariantViolation;
-use scfs::types::OpenFlags;
+use scfs::types::{CutRule, OpenFlags};
 use sim_core::background::Pending;
 use sim_core::fault::FaultPlan;
 use sim_core::schedule::ControllerSlot;
@@ -318,7 +318,7 @@ fn run_chunkstore_gc(seed: u64, mutant: bool, decisions: &[usize]) -> RunOutcome
     let storage = Arc::new(SingleCloudStorage::new(cloud.clone()));
     let coordinator: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
     let mut config = ScfsConfig::test(Mode::NonBlocking);
-    config.chunk_size = Bytes::new(CHUNK);
+    config.chunking = CutRule::Fixed(CHUNK as usize);
     config.gc.written_bytes_threshold = Bytes::new(6 * CHUNK);
     config.gc.versions_to_keep = 1;
     let mut fs = ScfsAgent::mount(

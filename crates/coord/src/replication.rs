@@ -264,7 +264,8 @@ impl ReplicatedCoordinator {
         }
     }
 
-    /// Creates an instantaneous single-node coordinator for unit tests.
+    /// Creates an instantaneous single-node coordinator: for unit tests, and
+    /// as an agent's private name space.
     pub fn test() -> Self {
         ReplicatedCoordinator::from_validated(
             ReplicationConfig::test_instant(ReplicationMode::SingleNode),

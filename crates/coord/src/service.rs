@@ -1,11 +1,12 @@
 //! The client-facing coordination-service interface.
 //!
-//! SCFS's metadata service, lock service and private-name-space machinery
-//! are all written against [`CoordinationService`]. The paper's prototype
-//! supports two implementations (ZooKeeper and DepSpace); in the
-//! reproduction both are modelled by [`crate::ReplicatedCoordinator`]
-//! configured with the appropriate replication mode, and a zero-latency
-//! in-process implementation is available for unit tests.
+//! SCFS's metadata service, lock service and private name spaces are all
+//! written against [`CoordinationService`]. The paper's prototype supports
+//! two implementations (ZooKeeper and DepSpace); in the reproduction both
+//! are modelled by [`crate::ReplicatedCoordinator`] configured with the
+//! appropriate replication mode. Its zero-latency single node
+//! ([`crate::ReplicatedCoordinator::test`]) serves unit tests, and is each
+//! agent's private name space: a coordination node of one.
 
 use cloud_store::store::OpCtx;
 use cloud_store::types::{AccountId, Acl};

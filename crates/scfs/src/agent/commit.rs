@@ -270,7 +270,7 @@ impl ScfsAgent {
             file.staged.as_ref().or(file.chunk_map.as_ref()),
             &file.buffer,
             file.dirty.clone().unwrap_or(0..0),
-            self.config.cut_rule(),
+            self.config.chunking,
         );
         self.stats.rehashed_bytes += rehashed;
         map
@@ -423,12 +423,11 @@ mod tests {
     use crate::backend::SingleCloudStorage;
     use crate::config::{Mode, ScfsConfig};
     use crate::fs::FileSystem;
-    use crate::types::OpenFlags;
+    use crate::types::{CutRule, OpenFlags};
     use cloud_store::sim_cloud::SimulatedCloud;
     use coord::replication::ReplicatedCoordinator;
     use coord::service::CoordinationService;
     use sim_core::time::SimDuration;
-    use sim_core::units::Bytes;
     use std::sync::Arc;
 
     #[test]
@@ -487,7 +486,7 @@ mod tests {
         let storage = Arc::new(SingleCloudStorage::new(cloud));
         let coord: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
         let mut config = ScfsConfig::test(Mode::Blocking);
-        config.chunk_size = Bytes::kib(4);
+        config.chunking = CutRule::Fixed(4096);
         let mut fs =
             ScfsAgent::mount("alice".into(), config.with_cdc(), storage, Some(coord), 7).unwrap();
         let mut rng = sim_core::rng::DetRng::new(17);
@@ -672,7 +671,7 @@ mod tests {
         let storage: Arc<dyn FileStorage> = Arc::new(SingleCloudStorage::new(cloud.clone()));
         let coord: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
         let mut config = ScfsConfig::test(Mode::Blocking);
-        config.chunk_size = Bytes::new(4096);
+        config.chunking = CutRule::Fixed(4096);
         let mount = |seed| {
             let (storage, coord) = (storage.clone(), Some(coord.clone()));
             ScfsAgent::mount("alice".into(), config.clone(), storage, coord, seed).unwrap()

@@ -236,7 +236,7 @@ impl ScfsAgent {
         self.cache.stats()
     }
 
-    /// The agent's metadata service (exposes PNS and cache statistics).
+    /// The agent's metadata service (lookup statistics, private tuples).
     pub fn metadata_service(&self) -> &MetadataService {
         &self.metadata
     }
@@ -508,8 +508,9 @@ impl FileSystem for ScfsAgent {
             // background metadata update cannot resurrect the file — and the
             // foreground never waits (unlinking a transient file right after
             // a non-blocking close is the hot path of Figure 8).
+            let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
+            self.metadata.update_local(&mut ctx, md.clone())?;
             let now = self.clock.now();
-            self.metadata.update_local(md.clone(), now);
             let lane = md.storage_id.clone();
             let token = self.on_lane(now, &lane, |agent| {
                 let mut ctx = OpCtx::new(&mut agent.clock, agent.user.clone());

@@ -6,22 +6,7 @@ use sim_core::time::SimDuration;
 use sim_core::units::Bytes;
 
 pub use crate::cache::CacheConfig;
-use crate::types::{CdcParams, ChunkMap, CutRule};
-
-/// How the data path splits file contents into chunks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChunkingMode {
-    /// Fixed-size chunks of [`ScfsConfig::chunk_size`] bytes. Serializes as
-    /// v1 manifests (the pre-extent format, so committed registries keep
-    /// working), but an insert in the middle of a file shifts every
-    /// subsequent boundary and re-uploads the whole tail.
-    Fixed,
-    /// Content-defined boundaries (Gear/FastCDC rolling hash) with the given
-    /// min/avg/max knobs: an insert or delete moves only O(edit) chunks
-    /// because the shifted tail re-aligns to identical chunk hashes.
-    /// Serializes as v2 manifests carrying the per-chunk extent table.
-    Cdc(CdcParams),
-}
+use crate::types::{CdcParams, ChunkMap, CutRule, DEFAULT_CHUNK_SIZE};
 
 /// The three modes of operation supported by the prototype (paper §3.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,14 +89,14 @@ pub struct ScfsConfig {
     /// Whether private name spaces are used for non-shared files (§2.7,
     /// Figure 10(b)). The headline experiments disable PNS (worst case).
     pub private_name_spaces: bool,
-    /// Chunk size of the content-addressed data path: the fixed chunk size
-    /// under [`ChunkingMode::Fixed`] (and the conventional reference point
-    /// for the CDC knobs). Only dirty chunks are uploaded on close (missing
-    /// chunks downloaded on read).
-    pub chunk_size: Bytes,
-    /// How file contents are cut into chunks: fixed-size strides or
-    /// content-defined (shift-resistant) boundaries.
-    pub chunking: ChunkingMode,
+    /// How the content-addressed data path cuts file contents into chunks
+    /// (only dirty chunks are uploaded on close, missing chunks downloaded
+    /// on read). [`CutRule::Fixed`] strides serialize as v1 manifests, but an
+    /// insert in the middle of a file shifts every later boundary and
+    /// re-uploads the whole tail; [`CutRule::Cdc`] boundaries (Gear/FastCDC)
+    /// move only O(edit) chunks, because the shifted tail re-aligns to
+    /// identical chunk hashes, and serialize as v2 manifests.
+    pub chunking: CutRule,
     /// Maximum number of chunk transfers the engine keeps in flight at once:
     /// a dirty close or a cold range read moves its chunks in waves of this
     /// many parallel transfers, so a 16-chunk upload costs
@@ -139,8 +124,7 @@ impl ScfsConfig {
             metadata_cache_expiry: SimDuration::from_millis(500),
             cache: CacheConfig::default(),
             private_name_spaces: false,
-            chunk_size: Bytes::new(crate::types::DEFAULT_CHUNK_SIZE as u64),
-            chunking: ChunkingMode::Fixed,
+            chunking: CutRule::Fixed(DEFAULT_CHUNK_SIZE),
             max_parallel_transfers: crate::transfer::DEFAULT_MAX_PARALLEL,
             max_pending_uploads: 64,
             gc: GcConfig::default(),
@@ -166,25 +150,18 @@ impl ScfsConfig {
         self
     }
 
-    /// Switches to content-defined chunking with [`ScfsConfig::chunk_size`]
-    /// as the target average (min `avg/4`, max `4*avg`).
+    /// Switches fixed-size chunking to content-defined chunking whose target
+    /// average is the fixed chunk size (min `avg/4`, max `4*avg`).
     pub fn with_cdc(mut self) -> Self {
-        self.chunking = ChunkingMode::Cdc(CdcParams::with_avg(self.chunk_size.get() as usize));
+        if let CutRule::Fixed(size) = self.chunking {
+            self.chunking = CutRule::Cdc(CdcParams::with_avg(size));
+        }
         self
     }
 
-    /// The cut rule this configuration's chunking mode prescribes — the one
-    /// seam every writer (close, fsync, sync) chunks through.
-    pub fn cut_rule(&self) -> CutRule {
-        match self.chunking {
-            ChunkingMode::Fixed => CutRule::Fixed(self.chunk_size.get() as usize),
-            ChunkingMode::Cdc(params) => CutRule::Cdc(params),
-        }
-    }
-
-    /// Cuts all of `data` into the chunk map of [`ScfsConfig::cut_rule`].
+    /// Cuts all of `data` into the chunk map of [`ScfsConfig::chunking`].
     pub fn chunk_map(&self, data: &[u8]) -> ChunkMap {
-        ChunkMap::rebuild(None, data, 0..0, self.cut_rule()).0
+        ChunkMap::rebuild(None, data, 0..0, self.chunking).0
     }
 }
 
@@ -225,7 +202,7 @@ mod tests {
     #[test]
     fn default_chunk_size_is_1_mib() {
         let c = ScfsConfig::paper_default(Mode::Blocking);
-        assert_eq!(c.chunk_size, Bytes::mib(1));
+        assert_eq!(c.chunking, CutRule::Fixed(Bytes::mib(1).get() as usize));
     }
 
     #[test]
@@ -238,14 +215,14 @@ mod tests {
     #[test]
     fn chunking_defaults_to_fixed_and_with_cdc_derives_knobs() {
         let c = ScfsConfig::paper_default(Mode::Blocking);
-        assert_eq!(c.chunking, ChunkingMode::Fixed);
+        assert_eq!(c.chunking, CutRule::Fixed(1 << 20));
         let data = vec![1u8; 3 << 20];
         let fixed = c.chunk_map(&data);
         assert_eq!(fixed.chunk_count(), 3, "1 MiB fixed chunks");
 
         let cdc = c.clone().with_cdc();
         match cdc.chunking {
-            ChunkingMode::Cdc(p) => {
+            CutRule::Cdc(p) => {
                 assert_eq!(p.avg_size, 1 << 20);
                 assert_eq!(p.min_size, 1 << 18);
                 assert_eq!(p.max_size, 1 << 22);
@@ -256,6 +233,7 @@ mod tests {
         let map = cdc.chunk_map(&data);
         assert_eq!(map.file_len(), data.len() as u64);
         assert!(map.chunk_count() >= 1);
+        assert_eq!(cdc.clone().with_cdc(), cdc, "already content-defined");
     }
 
     #[test]

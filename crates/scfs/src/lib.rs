@@ -14,9 +14,9 @@
 //! * **Consistency anchors** — the strongly consistent coordination service
 //!   anchors the consistency of the eventually-consistent clouds
 //!   ([`anchor`]).
-//! * **Private name spaces** — metadata of non-shared files is aggregated
-//!   into one cloud object instead of one coordination tuple per file
-//!   ([`pns`]).
+//! * **Private name spaces** — metadata of non-shared files stays in a
+//!   coordination node of one that the agent owns, instead of one tuple per
+//!   file in the shared coordination service ([`metadata_service`]).
 //!
 //! The file data itself goes either to a single cloud or to a DepSky
 //! cloud-of-clouds ([`backend`]), moving through the parallel chunk
@@ -29,7 +29,7 @@
 //! retries failed deletes instead of leaking orphans.
 //!
 //! Chunk boundaries are either fixed-size strides or **content-defined**
-//! (Gear/FastCDC rolling hash; [`config::ChunkingMode`],
+//! (Gear/FastCDC rolling hash; [`types::CutRule`],
 //! [`types::CdcParams`]): under CDC, an insert in the middle of a file
 //! re-cuts only the chunks around the edit and the shifted tail re-aligns
 //! to identical hashes, so the dedup survives byte shifts that would force
@@ -117,14 +117,13 @@ pub mod error;
 pub mod fs;
 pub mod invariant;
 pub mod metadata_service;
-pub mod pns;
 pub mod transfer;
 pub mod types;
 
 pub use agent::{AgentStats, ScfsAgent};
 pub use backend::{CloudOfCloudsStorage, FileStorage, SingleCloudStorage, WriteOutcome};
 pub use chunkstore::{BlobAudit, BlobName, ChunkStore, JournalOpts, KeyStyle, ReplayReport};
-pub use config::{ChunkingMode, GcConfig, Mode, ScfsConfig};
+pub use config::{GcConfig, Mode, ScfsConfig};
 pub use cost::{CostBackend, CostModel};
 pub use durability::DurabilityLevel;
 pub use error::ScfsError;

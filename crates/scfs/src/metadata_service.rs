@@ -1,23 +1,33 @@
 //! The agent's local metadata service (paper §2.5.1, "Metadata service").
 //!
-//! Every file-system object is represented by a metadata tuple. Shared
-//! objects live in the coordination service (the consistency anchor); private
-//! objects live in the agent's [`PrivateNameSpace`]. A small, short-lived
-//! metadata cache absorbs the bursts of `stat`-like calls that applications
-//! issue around every high-level action (opening a document in an editor can
-//! trigger more than five `stat`s), which is the knob explored in
-//! Figure 10(a).
+//! Every file-system object is represented by a metadata tuple: an encoded
+//! [`FileMetadata`] under the key `/scfs/meta{path}`. Shared objects' tuples
+//! live in the coordination service (the consistency anchor). With private
+//! name spaces (paper §2.7), the tuples of unshared objects live in a
+//! coordination node of one that the agent owns: the zero-latency single
+//! node of [`ReplicatedCoordinator::test`], behind the same
+//! [`CoordinationService`] trait and under the same path rules, so each call
+//! below has one body and only [`MetadataService::is_private`] picks the
+//! store. A private file that becomes shared keeps its private tuple,
+//! carrying the shared ACL: the marker that sends `get` and `delete` on to
+//! the coordination service.
+//!
+//! A small, short-lived metadata cache absorbs the bursts of `stat`-like
+//! calls that applications issue around every high-level action (opening a
+//! document in an editor can trigger more than five `stat`s), which is the
+//! knob explored in Figure 10(a).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use cloud_store::store::OpCtx;
 use cloud_store::types::{AccountId, Acl};
+use coord::error::CoordError;
+use coord::replication::ReplicatedCoordinator;
 use coord::service::CoordinationService;
 use sim_core::time::{SimDuration, SimInstant};
 
 use crate::error::ScfsError;
-use crate::pns::PrivateNameSpace;
 use crate::types::{is_child_of, is_under, parent_of, FileMetadata};
 
 /// Counters describing how the metadata service resolved its lookups.
@@ -37,13 +47,14 @@ pub struct MetadataStats {
 /// still go to the coordination service, whatever their ACL.
 const SHARED_PREFIX: &str = "/shared";
 
-/// Where the metadata tuples live in the coordination service's key space.
+/// Where the metadata tuples live in a store's key space.
 const META_PREFIX: &str = "/scfs/meta";
 
 /// The metadata service of one SCFS agent.
 pub struct MetadataService {
     coord: Option<Arc<dyn CoordinationService>>,
-    pns: Option<PrivateNameSpace>,
+    /// The private name space, when one is in use.
+    private: Option<Arc<dyn CoordinationService>>,
     user: AccountId,
     /// Ordered so expiry sweeps ([`MetadataService::rename`]'s prefix
     /// retain) visit entries in a run-independent order.
@@ -56,9 +67,21 @@ impl std::fmt::Debug for MetadataService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetadataService")
             .field("user", &self.user)
-            .field("pns", &self.pns.as_ref().map(|p| p.len()))
+            .field("private_tuples", &self.private_tuples())
             .field("cache_entries", &self.cache.len())
             .finish()
+    }
+}
+
+/// `e`, a store's answer about the tuple of `path`, in the file system's
+/// terms.
+fn path_error(path: &str, e: CoordError) -> ScfsError {
+    match e {
+        CoordError::NotFound { .. } => ScfsError::not_found(path),
+        CoordError::AlreadyExists { .. } => ScfsError::AlreadyExists {
+            path: path.to_string(),
+        },
+        other => other.into(),
     }
 }
 
@@ -74,14 +97,11 @@ impl MetadataService {
         user: AccountId,
         cache_expiry: SimDuration,
     ) -> Self {
-        let pns = if use_pns || coord.is_none() {
-            Some(PrivateNameSpace::new())
-        } else {
-            None
-        };
+        let private = (use_pns || coord.is_none())
+            .then(|| Arc::new(ReplicatedCoordinator::test()) as Arc<dyn CoordinationService>);
         MetadataService {
             coord,
-            pns,
+            private,
             user,
             cache: BTreeMap::new(),
             cache_expiry,
@@ -94,9 +114,9 @@ impl MetadataService {
         self.stats
     }
 
-    /// Access to the private name space, if one is in use.
-    pub fn pns(&self) -> Option<&PrivateNameSpace> {
-        self.pns.as_ref()
+    /// Number of tuples in the private name space (0 without one).
+    pub fn private_tuples(&self) -> usize {
+        self.private.as_ref().map_or(0, |p| p.entry_count())
     }
 
     fn coord_key(path: &str) -> String {
@@ -106,19 +126,29 @@ impl MetadataService {
     /// Whether `path`/`metadata` is handled by the PNS (true) or by the
     /// coordination service (false).
     pub fn is_private(&self, path: &str, metadata: Option<&FileMetadata>) -> bool {
-        let Some(_) = self.pns else {
+        if self.private.is_none() {
             return false;
-        };
+        }
         if self.coord.is_none() {
             return true;
         }
-        if path.starts_with(SHARED_PREFIX) {
-            return false;
-        }
-        match metadata {
-            Some(md) => !md.is_shared(),
-            None => true,
-        }
+        !path.starts_with(SHARED_PREFIX) && metadata.is_none_or(|md| !md.is_shared())
+    }
+
+    /// The private name space or the coordination service.
+    fn store(&self, private: bool) -> Result<&dyn CoordinationService, ScfsError> {
+        let store = if private { &self.private } else { &self.coord };
+        store
+            .as_deref()
+            .ok_or_else(|| ScfsError::invalid("shared object requires a coordination service"))
+    }
+
+    /// Every store this service has, the private name space first.
+    fn stores(&self) -> impl Iterator<Item = &dyn CoordinationService> {
+        [&self.private, &self.coord]
+            .into_iter()
+            .flatten()
+            .map(|s| &**s)
     }
 
     fn cache_get(&mut self, path: &str, now: SimInstant) -> Option<FileMetadata> {
@@ -141,161 +171,135 @@ impl MetadataService {
         }
     }
 
-    fn cache_invalidate(&mut self, path: &str) {
-        self.cache.remove(path);
-    }
-
-    /// Reads the metadata of `path`.
-    pub fn get(&mut self, ctx: &mut OpCtx<'_>, path: &str) -> Result<FileMetadata, ScfsError> {
-        let now = ctx.clock.now();
-        if let Some(md) = self.cache_get(path, now) {
-            return Ok(md);
+    /// The tuple of `path` in the store `private` names, uncached.
+    fn read(
+        &mut self,
+        ctx: &mut OpCtx<'_>,
+        private: bool,
+        path: &str,
+    ) -> Result<FileMetadata, ScfsError> {
+        if !private {
+            self.stats.coordination_reads += 1;
         }
-        // Private files are resolved against the PNS without touching the
-        // coordination service.
-        if let Some(pns) = &self.pns {
-            if let Some(md) = pns.get(path) {
-                if self.is_private(path, Some(md)) {
-                    self.stats.pns_hits += 1;
-                    let md = md.clone();
-                    self.cache_put(&md, now);
-                    return Ok(md);
-                }
-            }
-        }
-        // A path that routes to the private name space and is absent from it
-        // does not exist as far as this user is concerned; consulting the
-        // coordination service would defeat the whole point of PNSs.
-        if self.pns.is_some() && self.is_private(path, None) {
-            return Err(ScfsError::not_found(path));
-        }
-        let Some(coord) = &self.coord else {
-            return Err(ScfsError::not_found(path));
-        };
-        self.stats.coordination_reads += 1;
-        let entry = coord
+        let entry = self
+            .store(private)?
             .get(ctx, &Self::coord_key(path))
-            .map_err(|e| match e {
-                coord::error::CoordError::NotFound { .. } => ScfsError::not_found(path),
-                other => other.into(),
-            })?;
+            .map_err(|e| path_error(path, e))?;
         let mut md = FileMetadata::decode(&entry.value)
             .map_err(|e| ScfsError::invalid(format!("corrupt metadata tuple: {e}")))?;
         // After a rename the tuple is stored under the new key but its `path`
         // field still carries the old name; the key is authoritative.
         md.path = path.to_string();
-        let now = ctx.clock.now();
-        self.cache_put(&md, now);
         Ok(md)
+    }
+
+    /// Reads the metadata of `path`. A path that routes to the private name
+    /// space is resolved there without touching the coordination service —
+    /// unless its tuple is a marker.
+    pub fn get(&mut self, ctx: &mut OpCtx<'_>, path: &str) -> Result<FileMetadata, ScfsError> {
+        if let Some(md) = self.cache_get(path, ctx.clock.now()) {
+            return Ok(md);
+        }
+        let private = self.is_private(path, None);
+        let mut md = self.read(ctx, private, path)?;
+        if private && self.is_private(path, Some(&md)) {
+            self.stats.pns_hits += 1;
+        } else if private {
+            md = self.read(ctx, false, path)?;
+        }
+        self.cache_put(&md, ctx.clock.now());
+        Ok(md)
+    }
+
+    /// Writes `metadata`'s tuple to the store its path and ACL route it to:
+    /// an exclusive create, or an unconditional update.
+    fn write(
+        &mut self,
+        ctx: &mut OpCtx<'_>,
+        metadata: FileMetadata,
+        exclusive: bool,
+    ) -> Result<(), ScfsError> {
+        let private = self.is_private(&metadata.path, Some(&metadata));
+        if !private {
+            self.stats.coordination_writes += 1;
+        }
+        let (store, key) = (self.store(private)?, Self::coord_key(&metadata.path));
+        let written = if exclusive {
+            store.cas(ctx, &key, None, metadata.encode())
+        } else {
+            store.put(ctx, &key, metadata.encode())
+        };
+        written.map_err(|e| path_error(&metadata.path, e))?;
+        self.cache_put(&metadata, ctx.clock.now());
+        Ok(())
     }
 
     /// Creates the metadata of a new object (exclusive).
     pub fn create(&mut self, ctx: &mut OpCtx<'_>, metadata: FileMetadata) -> Result<(), ScfsError> {
-        let path = metadata.path.clone();
-        if self.is_private(&path, Some(&metadata)) {
-            let Some(pns) = self.pns.as_mut() else {
-                return Err(ScfsError::invalid(
-                    "private path routed to a service with no private name space",
-                ));
-            };
-            if pns.get(&path).is_some() {
-                return Err(ScfsError::AlreadyExists { path });
-            }
-            pns.insert(metadata.clone());
-        } else {
-            let coord = self.coord.as_ref().ok_or_else(|| {
-                ScfsError::invalid("shared object requires a coordination service")
-            })?;
-            self.stats.coordination_writes += 1;
-            coord
-                .cas(ctx, &Self::coord_key(&path), None, metadata.encode())
-                .map_err(|e| match e {
-                    coord::error::CoordError::AlreadyExists { .. } => {
-                        ScfsError::AlreadyExists { path: path.clone() }
-                    }
-                    other => other.into(),
-                })?;
-        }
-        let now = ctx.clock.now();
-        self.cache_put(&metadata, now);
-        Ok(())
+        self.write(ctx, metadata, true)
     }
 
     /// Updates the metadata of an existing object.
     pub fn update(&mut self, ctx: &mut OpCtx<'_>, metadata: FileMetadata) -> Result<(), ScfsError> {
-        let path = metadata.path.clone();
-        if self.is_private(&path, Some(&metadata)) {
-            let Some(pns) = self.pns.as_mut() else {
-                return Err(ScfsError::invalid(
-                    "private path routed to a service with no private name space",
-                ));
-            };
-            pns.insert(metadata.clone());
-        } else {
-            let coord = self.coord.as_ref().ok_or_else(|| {
-                ScfsError::invalid("shared object requires a coordination service")
-            })?;
-            self.stats.coordination_writes += 1;
-            coord.put(ctx, &Self::coord_key(&path), metadata.encode())?;
+        self.write(ctx, metadata, false)
+    }
+
+    /// Updates what this client sees without a coordination-service write
+    /// (used by the non-blocking unlink path, which defers that write to the
+    /// object's lane but must let this client observe its own change
+    /// immediately): the cache, and a private tuple in place.
+    pub fn update_local(
+        &mut self,
+        ctx: &mut OpCtx<'_>,
+        metadata: FileMetadata,
+    ) -> Result<(), ScfsError> {
+        if self.is_private(&metadata.path, Some(&metadata)) {
+            return self.update(ctx, metadata);
         }
         let now = ctx.clock.now();
-        self.cache_put(&metadata, now);
+        self.cache.insert(metadata.path.clone(), (metadata, now));
         Ok(())
     }
 
-    /// Updates only the local caches (used by the non-blocking close path,
-    /// which defers the coordination-service update to the background upload
-    /// but must let this client observe its own write immediately).
-    pub fn update_local(&mut self, metadata: FileMetadata, now: SimInstant) {
-        if self.is_private(&metadata.path, Some(&metadata)) {
-            if let Some(pns) = self.pns.as_mut() {
-                pns.insert(metadata.clone());
-            }
-        }
-        self.cache.insert(metadata.path.clone(), (metadata, now));
-    }
-
-    /// Deletes the metadata of `path`.
+    /// Deletes the metadata of `path`: its private tuple, and the
+    /// coordination tuple a marker stands for.
     pub fn delete(&mut self, ctx: &mut OpCtx<'_>, path: &str) -> Result<(), ScfsError> {
-        self.cache_invalidate(path);
-        if let Some(pns) = self.pns.as_mut() {
-            if pns.remove(path).is_some() {
-                return Ok(());
-            }
+        self.cache.remove(path);
+        let key = Self::coord_key(path);
+        let mut private = self.is_private(path, None);
+        if private {
+            let md = self.read(ctx, true, path)?;
+            self.store(true)?
+                .delete(ctx, &key)
+                .map_err(|e| path_error(path, e))?;
+            private = self.is_private(path, Some(&md));
         }
-        let Some(coord) = &self.coord else {
-            return Err(ScfsError::not_found(path));
-        };
-        self.stats.coordination_writes += 1;
-        coord
-            .delete(ctx, &Self::coord_key(path))
-            .map_err(|e| match e {
-                coord::error::CoordError::NotFound { .. } => ScfsError::not_found(path),
-                other => other.into(),
-            })
+        if !private {
+            self.stats.coordination_writes += 1;
+            self.store(false)?
+                .delete(ctx, &key)
+                .map_err(|e| path_error(path, e))?;
+        }
+        Ok(())
     }
 
-    /// Lists the direct children of directory `path`.
+    /// Lists the direct children of directory `path`, from every store.
     pub fn list_children(
         &mut self,
         ctx: &mut OpCtx<'_>,
         path: &str,
     ) -> Result<Vec<String>, ScfsError> {
+        let prefix = if path == "/" {
+            Self::coord_key("/")
+        } else {
+            format!("{}/", Self::coord_key(path))
+        };
+        self.stats.coordination_reads += u64::from(self.coord.is_some());
         let mut children: Vec<String> = Vec::new();
-        if let Some(pns) = &self.pns {
-            children.extend(pns.children_of(path));
-        }
-        let private = children.len();
-        if let Some(coord) = &self.coord {
-            self.stats.coordination_reads += 1;
-            let prefix = if path == "/" {
-                Self::coord_key("/")
-            } else {
-                format!("{}/", Self::coord_key(path))
-            };
+        for store in self.stores() {
             // The keys come back sorted and distinct, and stay so with their
             // common `/scfs/meta` cut off in place.
-            children.extend(coord.list(ctx, &prefix)?.into_iter().filter_map(|mut key| {
+            children.extend(store.list(ctx, &prefix)?.into_iter().filter_map(|mut key| {
                 if !key.starts_with(META_PREFIX) {
                     return None;
                 }
@@ -303,17 +307,19 @@ impl MetadataService {
                 is_child_of(&key, path).then_some(key)
             }));
         }
-        if private > 0 {
+        // A marker and its coordination tuple name one file.
+        if self.private.is_some() && self.coord.is_some() {
             children.sort();
             children.dedup();
         }
         Ok(children)
     }
 
-    /// Renames `from` (and everything under it) to `to`. A path operation:
-    /// `/a` names `/a` and the subtree under `/a/`, never the sibling `/ab`.
-    /// What was cached of either tree is dropped — `to`'s too, so a clobbered
-    /// destination is not served from its old tuple until the cache expires.
+    /// Renames `from` (and everything under it) to `to`, in every store. A
+    /// path operation: `/a` names `/a` and the subtree under `/a/`, never the
+    /// sibling `/ab`. What was cached of either tree is dropped — `to`'s too,
+    /// so a clobbered destination is not served from its old tuple until the
+    /// cache expires.
     pub fn rename(
         &mut self,
         ctx: &mut OpCtx<'_>,
@@ -322,13 +328,11 @@ impl MetadataService {
     ) -> Result<usize, ScfsError> {
         self.cache
             .retain(|k, _| !is_under(k, from) && !is_under(k, to));
+        let (old, new) = (Self::coord_key(from), Self::coord_key(to));
+        self.stats.coordination_writes += u64::from(self.coord.is_some());
         let mut moved = 0usize;
-        if let Some(pns) = self.pns.as_mut() {
-            moved += pns.rename_prefix(from, to);
-        }
-        if let Some(coord) = &self.coord {
-            self.stats.coordination_writes += 1;
-            moved += coord.rename_prefix(ctx, &Self::coord_key(from), &Self::coord_key(to))?;
+        for store in self.stores() {
+            moved += store.rename_prefix(ctx, &old, &new)?;
         }
         if moved == 0 {
             return Err(ScfsError::not_found(from));
@@ -336,41 +340,29 @@ impl MetadataService {
         Ok(moved)
     }
 
-    /// Applies an ACL change: updates the metadata tuple, moves it between
-    /// PNS and coordination service if its sharing status changed, and sets
-    /// the coordination-service entry ACL so the grantee can actually read it.
+    /// Applies an ACL change to the metadata tuple. A file outside `/shared`
+    /// keeps its private tuple, which carries the new ACL; once that ACL
+    /// shares the file, the tuple is a marker and the coordination service
+    /// holds the file's tuple too, with the entry ACL set so the grantee can
+    /// actually read it (paper §2.7).
     pub fn set_acl(
         &mut self,
         ctx: &mut OpCtx<'_>,
         mut metadata: FileMetadata,
         acl: Acl,
     ) -> Result<FileMetadata, ScfsError> {
-        let was_private = self.is_private(&metadata.path, Some(&metadata));
         metadata.acl = acl.clone();
-        let now_private = self.is_private(&metadata.path, Some(&metadata));
-
-        if now_private {
-            // Still private (e.g. all grants removed): keep it in the PNS.
-            if let Some(pns) = self.pns.as_mut() {
-                pns.insert(metadata.clone());
-            }
-        } else {
-            if was_private {
-                // The file became shared: its metadata moves from the PNS to
-                // a coordination-service tuple (paper §2.7).
-                if let Some(pns) = self.pns.as_mut() {
-                    pns.remove(&metadata.path);
-                }
-            }
-            let coord = self.coord.as_ref().ok_or_else(|| {
-                ScfsError::invalid("shared object requires a coordination service")
-            })?;
-            self.stats.coordination_writes += 1;
-            coord.put(ctx, &Self::coord_key(&metadata.path), metadata.encode())?;
-            coord.set_acl(ctx, &Self::coord_key(&metadata.path), acl)?;
+        let key = Self::coord_key(&metadata.path);
+        if self.is_private(&metadata.path, None) {
+            self.store(true)?.put(ctx, &key, metadata.encode())?;
         }
-        let now = ctx.clock.now();
-        self.cache_put(&metadata, now);
+        if !self.is_private(&metadata.path, Some(&metadata)) {
+            self.stats.coordination_writes += 1;
+            let coord = self.store(false)?;
+            coord.put(ctx, &key, metadata.encode())?;
+            coord.set_acl(ctx, &key, acl)?;
+        }
+        self.cache_put(&metadata, ctx.clock.now());
         Ok(metadata)
     }
 
@@ -392,7 +384,6 @@ impl MetadataService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coord::replication::ReplicatedCoordinator;
     use sim_core::time::Clock;
 
     fn coord() -> Arc<dyn CoordinationService> {
@@ -527,11 +518,20 @@ mod tests {
         acl.grant("bob".into(), Permission::Read);
         let updated = svc.set_acl(&mut ctx, metadata, acl).unwrap();
         assert!(updated.is_shared());
-        assert!(
-            c.access_count() > 0,
-            "sharing must create a coordination tuple"
-        );
-        assert!(svc.pns().unwrap().get("/docs/report").is_none());
+        // The grantee reads the coordination tuple...
+        let mut bob_clock = Clock::new();
+        let mut bob = OpCtx::new(&mut bob_clock, "bob".into());
+        let tuple = c.get(&mut bob, "/scfs/meta/docs/report").unwrap();
+        assert!(FileMetadata::decode(&tuple.value).unwrap().is_shared());
+        // ...and the owner still finds the file, through the private marker.
+        let reads = svc.stats().coordination_reads;
+        assert!(svc.get(&mut ctx, "/docs/report").unwrap().is_shared());
+        assert_eq!(svc.stats().coordination_reads, reads + 1);
+        assert_eq!(svc.private_tuples(), 1);
+        // Deleting the file removes both tuples.
+        svc.delete(&mut ctx, "/docs/report").unwrap();
+        assert_eq!(svc.private_tuples(), 0);
+        assert!(c.get(&mut ctx, "/scfs/meta/docs/report").is_err());
     }
 
     #[test]
@@ -542,6 +542,6 @@ mod tests {
         svc.create(&mut ctx, md("/f")).unwrap();
         assert!(svc.get(&mut ctx, "/f").is_ok());
         assert!(svc.is_private("/anything", None));
-        assert_eq!(svc.pns().unwrap().len(), 1);
+        assert_eq!(svc.private_tuples(), 1);
     }
 }

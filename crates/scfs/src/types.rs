@@ -9,7 +9,7 @@ use scfs_crypto::{sha256, ContentHash};
 use sim_core::time::SimInstant;
 
 /// Default chunk size of the chunked data path (1 MiB), overridable through
-/// [`crate::config::ScfsConfig::chunk_size`].
+/// [`crate::config::ScfsConfig::chunking`].
 pub const DEFAULT_CHUNK_SIZE: usize = 1 << 20;
 
 /// Upper bound on the logical length of a file (1 TiB).
@@ -102,8 +102,7 @@ const fn gear_table() -> [u64; 256] {
 static GEAR: [u64; 256] = gear_table();
 
 /// The min/avg/max chunk-size knobs of the content-defined chunker
-/// ([`ChunkMap::build_cdc`], surfaced as
-/// [`crate::config::ChunkingMode::Cdc`]).
+/// ([`ChunkMap::build_cdc`], surfaced as [`CutRule::Cdc`]).
 ///
 /// Boundaries are found FastCDC-style: a Gear rolling hash is evaluated
 /// from `min_size` on, against a hard mask before the `avg_size` point and

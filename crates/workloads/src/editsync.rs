@@ -8,7 +8,7 @@
 //! shifts, so the close re-uploads the whole tail — O(file) traffic for an
 //! O(edit) change, exactly what the paper's "always write / avoid reading"
 //! principle (§2.5.1) says the client should never generate. Under
-//! content-defined chunking ([`scfs::config::ChunkingMode::Cdc`]) the
+//! content-defined chunking ([`scfs::types::CutRule::Cdc`]) the
 //! shifted tail re-aligns to identical chunk hashes and only the chunks
 //! around the edit move.
 //!

@@ -59,8 +59,8 @@ fn main() {
         stats.cloud_uploads, stats.gc_runs, stats.gc_reclaimed_versions
     );
     println!(
-        "private files tracked in the PNS (no coordination service at all): {}",
-        fs.metadata_service().pns().map(|p| p.len()).unwrap_or(0)
+        "private tuples in the PNS (no coordination service at all): {}",
+        fs.metadata_service().private_tuples()
     );
 
     // Everything is still there.

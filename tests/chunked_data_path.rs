@@ -7,7 +7,7 @@
 use scfs_repro::scfs::agent::ScfsAgent;
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::fs::FileSystem;
-use scfs_repro::scfs::types::OpenFlags;
+use scfs_repro::scfs::types::{CutRule, OpenFlags};
 use scfs_repro::workloads::setup::{Backend, Deployment};
 
 const MIB: usize = 1 << 20;
@@ -28,8 +28,11 @@ fn sixteen_mib() -> Vec<u8> {
 
 fn append_uploads_one_chunk(backend: Backend) {
     let mut fs = mount(backend);
-    let chunk_size = fs.config().chunk_size.get();
-    assert_eq!(chunk_size as usize, MIB, "paper-default chunk size");
+    assert_eq!(
+        fs.config().chunking,
+        CutRule::Fixed(MIB),
+        "paper-default chunk size"
+    );
 
     let file = sixteen_mib();
     fs.write_file("/big", &file).unwrap();
@@ -51,8 +54,8 @@ fn append_uploads_one_chunk(backend: Backend) {
     );
     let appended_bytes = after_append.bytes_uploaded - after_write.bytes_uploaded;
     assert!(
-        appended_bytes < chunk_size,
-        "a 1 KiB append uploaded {appended_bytes} bytes (>= one chunk of {chunk_size})"
+        appended_bytes < MIB as u64,
+        "a 1 KiB append uploaded {appended_bytes} bytes (>= one chunk of {MIB})"
     );
 
     // The file reads back intact.

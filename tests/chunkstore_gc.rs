@@ -37,7 +37,7 @@ use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::error::ScfsError;
 use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::scfs::transfer::TransferOptions;
-use scfs_repro::scfs::types::{ChunkMap, OpenFlags};
+use scfs_repro::scfs::types::{ChunkMap, CutRule, OpenFlags};
 use scfs_repro::scfs_crypto::sha256;
 use scfs_repro::sim_core::time::{Clock, SimDuration};
 use scfs_repro::sim_core::units::Bytes;
@@ -65,7 +65,7 @@ fn four_chunks(tag: u8) -> Vec<u8> {
 
 fn test_config() -> ScfsConfig {
     let mut config = ScfsConfig::test(Mode::Blocking);
-    config.chunk_size = Bytes::new(CHUNK as u64);
+    config.chunking = CutRule::Fixed(CHUNK);
     config
 }
 

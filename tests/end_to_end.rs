@@ -1,12 +1,14 @@
 //! End-to-end integration tests spanning the whole stack: simulated clouds,
 //! replicated coordination service, DepSky, the SCFS agent and the baselines.
 
+use proptest::prelude::*;
 use scfs_repro::cloud_store::store::OpCtx;
 use scfs_repro::cloud_store::types::{Acl, Permission};
+use scfs_repro::scfs::agent::ScfsAgent;
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::error::ScfsError;
 use scfs_repro::scfs::fs::FileSystem;
-use scfs_repro::scfs::types::{ChunkMap, OpenFlags, MAX_FILE_LEN};
+use scfs_repro::scfs::types::{OpenFlags, MAX_FILE_LEN};
 use scfs_repro::sim_core::time::{Clock, SimDuration};
 use scfs_repro::workloads::setup::{build_system, Backend, Deployment, SystemKind};
 
@@ -178,6 +180,135 @@ fn unshared_files_never_touch_the_coordination_service_with_pns() {
     assert!(coordinator.access_count() > before);
 }
 
+/// A private file its owner shares outside `/shared` stays visible to the
+/// owner: its tuple moves to the coordination service, where the grantee
+/// reads it, and the private tuple stays behind, carrying the shared ACL, as
+/// the marker that sends the owner's lookups there — across a rename too.
+#[test]
+fn a_private_file_shared_outside_the_shared_tree_stays_visible_to_its_owner() {
+    for mode in [Mode::Blocking, Mode::NonBlocking] {
+        let env = Deployment::instant(Backend::Aws, 7);
+        let mut config = ScfsConfig::test(mode);
+        config.private_name_spaces = true;
+        let mut alice = env.mount("alice", config, 1);
+        let mut bob = env.mount("bob", ScfsConfig::test(mode), 2);
+        alice.mkdir("/docs").unwrap();
+        alice.write_file("/docs/report", b"q3 numbers").unwrap();
+        alice
+            .setfacl("/docs/report", &"bob".into(), Permission::Read)
+            .unwrap();
+        // Past the 500 ms metadata cache: every lookup reads a store.
+        alice.sleep(SimDuration::from_secs(2));
+        assert_eq!(alice.stat("/docs/report").unwrap().size, 10, "{mode:?}");
+        assert_eq!(alice.read_file("/docs/report").unwrap(), b"q3 numbers");
+        alice.copy_file("/docs/report", "/docs/copy").unwrap();
+        assert_eq!(
+            alice.readdir("/docs").unwrap(),
+            ["/docs/copy", "/docs/report"]
+        );
+        bob.sleep(alice.now().duration_since(bob.now()));
+        assert_eq!(bob.read_file("/docs/report").unwrap(), b"q3 numbers");
+
+        alice.rename("/docs", "/d2").unwrap();
+        alice.sleep(SimDuration::from_secs(2));
+        assert_eq!(alice.read_file("/d2/report").unwrap(), b"q3 numbers");
+        assert_eq!(alice.readdir("/d2").unwrap(), ["/d2/copy", "/d2/report"]);
+    }
+}
+
+/// An open hole, pinned as it behaves in every mode, with the private name
+/// space on or off: `unlink` leaves a tombstone tuple, and `create`'s
+/// exclusive write refuses it until the owner's collector deletes the tuple
+/// (by default only after 256 MiB written). The path is still listed, reads
+/// as absent, and cannot be created again. A fix lets `create` replace a
+/// tombstone — and makes the collector's tombstone delete conditional, or it
+/// would delete the new file's tuple — and flips the last assertion to
+/// `Ok(())`.
+#[test]
+fn open_hole_an_unlinked_path_cannot_be_created_again() {
+    for mode in [Mode::Blocking, Mode::NonBlocking, Mode::NonSharing] {
+        for pns in [false, true] {
+            let mut config = ScfsConfig::test(mode);
+            config.private_name_spaces = pns;
+            let mut fs = Deployment::instant(Backend::Aws, 7).mount("alice", config, 1);
+            fs.write_file("/docs/notes", b"draft").unwrap();
+            fs.unlink("/docs/notes").unwrap();
+            fs.sleep(SimDuration::from_secs(2));
+            let label = format!("{mode:?}, PNS {pns}");
+            assert_eq!(fs.readdir("/docs").unwrap(), ["/docs/notes"], "{label}");
+            assert!(
+                matches!(fs.read_file("/docs/notes"), Err(ScfsError::NotFound { .. })),
+                "{label}"
+            );
+            let written = fs.write_file("/docs/notes", b"again");
+            assert!(
+                matches!(written, Err(ScfsError::AlreadyExists { .. })),
+                "{label}: {written:?}"
+            );
+        }
+    }
+}
+
+/// Runs the call `word` encodes on `fs` over a handful of paths outside
+/// `/shared`, nested and namesake ones among them. Returns what the
+/// specification compares: the names a listing returned, the bytes a read
+/// returned, a `stat`'s size and type, or the variant of an error.
+fn run_encoded_call(
+    fs: &mut ScfsAgent,
+    word: u64,
+) -> Result<String, std::mem::Discriminant<ScfsError>> {
+    const PATHS: [&str; 6] = ["/a", "/a/x", "/a/y", "/ab", "/b", "/b/x"];
+    let path = PATHS[(word >> 8) as usize % PATHS.len()];
+    let other = PATHS[(word >> 16) as usize % PATHS.len()];
+    let bytes = vec![(word >> 24) as u8; 1 + (word >> 32) as usize % 300];
+    let answer = match word % 8 {
+        0 => fs.mkdir(path).map(|()| String::new()),
+        1 => fs.write_file(path, &bytes).map(|()| String::new()),
+        2 => fs.read_file(path).map(|data| format!("{data:?}")),
+        3 => fs
+            .stat(path)
+            .map(|md| format!("{} {:?}", md.size, md.file_type)),
+        4 => fs.readdir(path).map(|names| format!("{names:?}")),
+        5 => fs.rename(path, other).map(|()| String::new()),
+        6 => fs.unlink(path).map(|()| String::new()),
+        _ => fs
+            .setfacl(path, &"bob".into(), Permission::Read)
+            .map(|()| String::new()),
+    };
+    answer.map_err(|e| std::mem::discriminant(&e))
+}
+
+proptest! {
+    /// One specification for both metadata stores: a random sequence of
+    /// calls on paths outside `/shared` answers the same on a mount whose
+    /// tuples all live in the coordination service, on one with a private
+    /// name space, and in non-sharing mode. With no metadata cache, every
+    /// lookup reads a store. Only coordination access counts may differ.
+    #[test]
+    fn private_and_coordinated_metadata_answer_every_call_alike(
+        calls in collection::vec(any::<u64>(), 1..40)
+    ) {
+        let mounts = [
+            (Mode::Blocking, false),
+            (Mode::Blocking, true),
+            (Mode::NonSharing, false),
+        ];
+        let [mut coordinated, mut private, mut non_sharing] = mounts.map(|(mode, pns)| {
+            let mut config = ScfsConfig::test(mode);
+            config.private_name_spaces = pns;
+            config.metadata_cache_expiry = SimDuration::ZERO;
+            Deployment::instant(Backend::Aws, 7).mount("alice", config, 1)
+        });
+        for (step, &word) in calls.iter().enumerate() {
+            let expected = run_encoded_call(&mut coordinated, word);
+            let pns = run_encoded_call(&mut private, word);
+            prop_assert_eq!(&pns, &expected, "PNS, call {}", step);
+            let ns = run_encoded_call(&mut non_sharing, word);
+            prop_assert_eq!(&ns, &expected, "NS, call {}", step);
+        }
+    }
+}
+
 /// Coordination-service key of the metadata tuple of `path`.
 fn tuple_key(path: &str) -> String {
     format!("/scfs/meta{path}")
@@ -252,9 +383,8 @@ fn tampered_inline_manifest_is_rejected_before_any_cloud_read() {
     let mut ctx = OpCtx::new(&mut clock, "alice".into());
     let key = tuple_key("/shared/doc");
     let mut tuple = coordinator.get(&mut ctx, &key).unwrap().value;
-    let chunk_size = config.chunk_size.get() as usize;
-    let honest = ChunkMap::build(&data, chunk_size).chunks()[0];
-    let forged = ChunkMap::build(&[6u8; 20_000], chunk_size).chunks()[0];
+    let honest = config.chunk_map(&data).chunks()[0];
+    let forged = config.chunk_map(&[6u8; 20_000]).chunks()[0];
     let at = tuple
         .windows(32)
         .position(|w| w == honest)

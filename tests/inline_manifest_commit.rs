@@ -29,7 +29,7 @@ use scfs_repro::scfs::chunkstore::JournalOpts;
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::error::ScfsError;
 use scfs_repro::scfs::fs::FileSystem;
-use scfs_repro::scfs::types::{manifest_rides_inline, ChunkMap, FileMetadata, OpenFlags};
+use scfs_repro::scfs::types::{manifest_rides_inline, ChunkMap, CutRule, FileMetadata, OpenFlags};
 use scfs_repro::scfs_crypto::to_hex;
 use scfs_repro::sim_core::rng::DetRng;
 use scfs_repro::sim_core::time::{Clock, SimDuration};
@@ -230,7 +230,7 @@ impl Shape {
 
     fn config(self) -> ScfsConfig {
         let mut config = ScfsConfig::test(Mode::Blocking);
-        config.chunk_size = Bytes::new(CHUNK as u64);
+        config.chunking = CutRule::Fixed(CHUNK);
         match self {
             Shape::Fixed(_) => config,
             Shape::Cdc(_) => config.with_cdc(),

@@ -17,12 +17,11 @@ use std::ops::Range;
 
 use proptest::prelude::*;
 use scfs_repro::scfs::agent::ScfsAgent;
-use scfs_repro::scfs::config::{ChunkingMode, Mode, ScfsConfig};
+use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::scfs::types::{CdcParams, ChunkMap, CutRule, FileHandle, OpenFlags};
 use scfs_repro::sim_core::rng::DetRng;
 use scfs_repro::sim_core::time::SimDuration;
-use scfs_repro::sim_core::units::Bytes;
 use scfs_repro::workloads::setup::{Backend, Deployment};
 
 const KIB: usize = 1 << 10;
@@ -277,7 +276,7 @@ fn rehashed_bytes_count_the_edit_not_the_file() {
     let file = DetRng::new(20140614).bytes(16 * MIB);
     let fixed = ScfsConfig::test(Mode::Blocking);
     for config in [fixed.clone(), fixed.with_cdc()] {
-        let is_fixed = config.chunking == ChunkingMode::Fixed;
+        let is_fixed = matches!(config.chunking, CutRule::Fixed(_));
         let mut fs = Deployment::instant(Backend::Aws, 11).mount("alice", config.clone(), 7);
         let mut model = file.clone();
 
@@ -351,7 +350,7 @@ fn rehashed_bytes_count_the_edit_not_the_file() {
 /// have no previous map to rebuild from) on a deployment of its own.
 fn incremental_commits_match_from_scratch_commits(backend: Backend) {
     let mut chunked = ScfsConfig::test(Mode::Blocking);
-    chunked.chunk_size = Bytes::kib(16);
+    chunked.chunking = CutRule::Fixed(16 * KIB);
     for config in [chunked.clone(), chunked.with_cdc()] {
         let mut rng = DetRng::new(99);
         let original = rng.bytes(600 * KIB);

@@ -22,11 +22,10 @@ use scfs_repro::cloud_store::store::{ObjectStore, OpCtx};
 use scfs_repro::scfs::agent::ScfsAgent;
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::fs::FileSystem;
-use scfs_repro::scfs::types::{ChunkMap, OpenFlags};
+use scfs_repro::scfs::types::{ChunkMap, CutRule, OpenFlags};
 use scfs_repro::scfs_crypto::sha256;
 use scfs_repro::sim_core::latency::LatencyModel;
 use scfs_repro::sim_core::time::{Clock, SimDuration};
-use scfs_repro::sim_core::units::Bytes;
 use scfs_repro::workloads::setup::{Backend, Deployment, Plane, Providers};
 
 const MIB: usize = 1 << 20;
@@ -421,7 +420,7 @@ proptest! {
         let chunk_size = 4096usize;
         let file: Vec<u8> = (0..file_len).map(|i| (i * 31 + 7) as u8).collect();
         let mut config = ScfsConfig::test(Mode::Blocking);
-        config.chunk_size = Bytes::new(chunk_size as u64);
+        config.chunking = CutRule::Fixed(chunk_size);
         let mut writer = deployment.mount("alice", config.clone(), 1);
         writer.write_file("/f", &file).unwrap();
 

@@ -1,8 +1,8 @@
 //! `rename` and `readdir` are path operations, not string-prefix ones — three
 //! regressions, each driven through `FileSystem` on the replicated
 //! coordination service, on a 4-shard ABD plane, and on a `NonSharing` mount
-//! (the private name space, which always matched on path boundaries: the
-//! control of the first and the third):
+//! (the private name space: a coordination node of one, under the same
+//! `TupleStore` path rules as the replicated plane):
 //!
 //! * `rename("/a", "/c")` moves `/a` and the subtree under `/a/`, and leaves
 //!   the sibling `/ab` where it is (the coordination planes used to match raw
@@ -10,7 +10,7 @@
 //! * `rename("/a", "/b")` over an existing `/b` that was `stat`ed within the
 //!   metadata-cache expiry serves `/a`'s bytes at once (the cached tuple of
 //!   the destination used to survive the rename for up to 500 ms — in every
-//!   mode, the control included);
+//!   mode, non-sharing included);
 //! * `readdir("/a")` lists `/a`'s direct children, a child named like its
 //!   parent (`/a/a`) included and that child's own children not (the
 //!   coordinated modes used to strip the parent's name repeatedly, drop
