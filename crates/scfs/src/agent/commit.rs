@@ -15,7 +15,15 @@ use crate::cache::WriteMode;
 use crate::durability::DurabilityLevel;
 use crate::error::ScfsError;
 use crate::fs::FileSystem;
+use crate::transfer::TransferOptions;
 use crate::types::{manifest_rides_inline, normalize_path, ChunkMap, FileHandle, FileMetadata};
+
+/// Maximum number of background version commits (non-blocking closes) in
+/// flight at once. A `close` that would exceed the bound blocks until the
+/// earliest pending upload completes — explicit backpressure instead of an
+/// unbounded implicit queue (counted in
+/// [`super::AgentStats::backpressure_stalls`]).
+const MAX_PENDING_UPLOADS: usize = 64;
 
 /// What a commit puts in the storage service — the one step that varies
 /// between `close`/`sync` and `copy_file`.
@@ -82,13 +90,12 @@ impl ScfsAgent {
         self.clock.advance_to(ready);
     }
 
-    /// Close backpressure: blocks until fewer than `max_pending_uploads`
+    /// Close backpressure: blocks until fewer than [`MAX_PENDING_UPLOADS`]
     /// background commits are in flight, waiting on the earliest completion
     /// token.
     fn apply_close_backpressure(&mut self) {
         self.reap_completed_uploads();
-        let max = self.config.max_pending_uploads.max(1);
-        while self.pending_uploads.len() >= max {
+        while self.pending_uploads.len() >= MAX_PENDING_UPLOADS {
             let Some(earliest) = self.pending_uploads.values().map(|p| p.ready_at()).min() else {
                 break;
             };
@@ -163,7 +170,7 @@ impl ScfsAgent {
             acl
         });
         let (id, acl) = (&metadata.storage_id, cloud_acl.as_ref());
-        let opts = self.transfer_options();
+        let opts = TransferOptions::default();
         let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
         let stored = match version {
             NewVersion::Data { data, map, prev } => {
@@ -213,7 +220,7 @@ impl ScfsAgent {
     /// anchor update — not for the lock release behind it, which the job
     /// still sends and a write-open of the object waits for. Otherwise the
     /// call returns now and everyone else waits on this object's token; at
-    /// most `max_pending_uploads` such commits are in flight, the call
+    /// most [`MAX_PENDING_UPLOADS`] such commits are in flight, the call
     /// stalling on the earliest one. This client's own view needs no
     /// separate update: the job's metadata update has already refreshed the
     /// local caches.
@@ -320,10 +327,11 @@ impl ScfsAgent {
             .open_files
             .remove(&handle)
             .ok_or(ScfsError::BadHandle { handle: handle.0 })?;
-        if !file.is_dirty() {
-            // Nothing to synchronize; just release the lock if we held it —
-            // on the object's lane, behind any in-flight commit of it, and
-            // without waiting.
+        if !file.is_dirty() || file.unlinked {
+            // Nothing to synchronize — or nowhere to: this agent unlinked
+            // the file, and a commit would bring the name back. Just release
+            // the lock if we held it — on the object's lane, behind any
+            // in-flight commit of it, and without waiting.
             if file.locked {
                 let id = file.metadata.storage_id;
                 let now = self.clock.now();
@@ -345,6 +353,10 @@ impl ScfsAgent {
     /// handle stays open and keeps its lock; a clean handle waits on the
     /// object's in-flight token, if any.
     pub(super) fn sync_open(&mut self, file: &mut OpenFile) -> Result<DurabilityLevel, ScfsError> {
+        if file.unlinked {
+            // Nothing of an unlinked file outlives its handle's buffer.
+            return Ok(DurabilityLevel::MainMemory);
+        }
         if file.is_dirty() || file.metadata.version_hash.is_none() {
             self.materialize(file)?;
             // The lane orders this commit behind any in-flight upload of the
@@ -704,17 +716,17 @@ mod tests {
 
     #[test]
     fn close_backpressure_bounds_the_pending_upload_queue() {
-        let mut config = ScfsConfig::test(Mode::NonBlocking);
-        config.max_pending_uploads = 2;
-        let mut fs = wan_agent(config);
-        for i in 0..5 {
-            fs.write_file(&format!("/f{i}"), &vec![i as u8; 400_000])
-                .unwrap();
+        let mut fs = wan_agent(ScfsConfig::test(Mode::NonBlocking));
+        for i in 0..MAX_PENDING_UPLOADS {
+            fs.write_file(&format!("/f{i}"), &[i as u8; 1000]).unwrap();
         }
+        assert_eq!(fs.pending_uploads.len(), MAX_PENDING_UPLOADS);
+        assert_eq!(fs.stats().backpressure_stalls, 0);
+        fs.write_file("/one-more", &[0xFF; 1000]).unwrap();
         assert!(
             fs.stats().backpressure_stalls >= 1,
-            "the third close must stall behind the two pending uploads"
+            "the 65th close must stall behind the 64 pending uploads"
         );
-        assert!(fs.pending_uploads.len() <= 2);
+        assert!(fs.pending_uploads.len() <= MAX_PENDING_UPLOADS);
     }
 }

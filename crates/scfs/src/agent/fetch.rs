@@ -13,7 +13,7 @@ use super::ScfsAgent;
 use crate::anchor::anchored_fetch;
 use crate::cache::WriteMode;
 use crate::error::ScfsError;
-use crate::transfer::{execute_plan, ChunkJob, TransferPlan};
+use crate::transfer::{execute_plan, ChunkJob, TransferOptions, TransferPlan};
 use crate::types::{ChunkMap, FileMetadata};
 
 /// Chunk payloads in request order, plus whether the cloud was touched.
@@ -112,8 +112,8 @@ impl ScfsAgent {
         plan: &TransferPlan,
     ) -> Result<FetchedPlan, ScfsError> {
         let storage = self.storage.as_ref();
-        let opts = self.transfer_options();
         let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
+        let opts = TransferOptions::default();
         let (chunks, report) = execute_plan(&mut ctx, &opts, plan, |job, fork_ctx| {
             let fetched = anchored_fetch(fork_ctx, |ctx| {
                 storage.read_chunk(ctx, &file.storage_id, &job.hash)

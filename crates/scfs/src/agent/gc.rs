@@ -1,4 +1,8 @@
-//! The background garbage collector (paper §2.5.3).
+//! The background garbage collector (paper §2.5.3). It reclaims storage
+//! only: the old versions of the files this agent wrote, and every version
+//! of the ones it unlinked. It makes no metadata call — `unlink` already
+//! deleted the tuple, so the collector learns deletions from the agent's own
+//! `owned_files`.
 
 use cloud_store::store::OpCtx;
 use sim_core::background::Pending;
@@ -37,51 +41,38 @@ impl ScfsAgent {
         self.on_lane(start, GC_LANE, Self::collect).into_inner();
     }
 
-    /// One collection cycle: version prunes, tombstone removal and the
-    /// release-journal replay.
+    /// One collection cycle: version prunes, the release of unlinked files
+    /// and the release-journal replay.
     fn collect(&mut self) {
         let keep = self.config.gc.versions_to_keep;
         let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-        let mut fully_deleted: Vec<String> = Vec::new();
-        for (storage_id, (path, deleted)) in self.owned_files.iter() {
-            if *deleted {
-                match self.storage.delete_all(&mut ctx, storage_id) {
-                    // The blobs are released; the tombstone may go only once
-                    // its metadata delete actually commits — a failed delete
-                    // keeps the entry so a later cycle retries it instead of
-                    // stranding the tombstone.
-                    Ok(()) => match self.metadata.delete(&mut ctx, path) {
-                        Ok(()) => fully_deleted.push(storage_id.clone()),
-                        Err(_) => self.stats.gc_errors += 1,
-                    },
-                    // The tombstone stays; the next cycle retries, and the
-                    // failure is surfaced through the stats.
-                    Err(_) => self.stats.gc_errors += 1,
-                }
-            } else {
-                match self.storage.delete_old_versions(&mut ctx, storage_id, keep) {
-                    Ok(n) => self.stats.gc_reclaimed_versions += n as u64,
-                    Err(_) => self.stats.gc_errors += 1,
-                }
+        let storage = self.storage.as_ref();
+        let stats = &mut self.stats;
+        self.owned_files.retain(|storage_id, unlinked| {
+            if *unlinked {
+                // A failed release keeps the entry: the next cycle retries
+                // it, and the failure is surfaced through the stats.
+                let released = storage.delete_all(&mut ctx, storage_id).is_ok();
+                stats.gc_errors += u64::from(!released);
+                return !released;
             }
-        }
-        for id in fully_deleted {
-            self.owned_files.remove(&id);
-        }
+            match storage.delete_old_versions(&mut ctx, storage_id, keep) {
+                Ok(n) => stats.gc_reclaimed_versions += n as u64,
+                Err(_) => stats.gc_errors += 1,
+            }
+            true
+        });
         // Phase two: replay the release journal — physically delete the
         // blobs whose refcount hit zero, retrying any entry an earlier cycle
         // failed on. This is what turns a failed delete into a delayed
         // reclamation rather than a leaked orphan.
-        match self
-            .storage
-            .replay_release_journal(&mut ctx, &JournalOpts::default())
-        {
+        match storage.replay_release_journal(&mut ctx, &JournalOpts::default()) {
             Ok(report) => {
-                self.stats.gc_retried += report.retried;
-                self.stats.gc_orphans_reclaimed += report.reclaimed_after_retry;
-                self.stats.gc_errors += report.errors;
+                stats.gc_retried += report.retried;
+                stats.gc_orphans_reclaimed += report.reclaimed_after_retry;
+                stats.gc_errors += report.errors;
             }
-            Err(_) => self.stats.gc_errors += 1,
+            Err(_) => stats.gc_errors += 1,
         }
     }
 }
@@ -208,15 +199,14 @@ mod tests {
         assert_eq!(stats.gc_reclaimed_versions, 0);
         assert!(
             stats.gc_errors >= 2,
-            "both the prune and the tombstone removal failures must surface, got {}",
+            "both the prune and the release failures must surface, got {}",
             stats.gc_errors
         );
         // The data is untouched by the failing collector.
         assert_eq!(fs.read_file("/big").unwrap().len(), 10_000);
     }
 
-    /// A coordination service whose `delete` always fails, for testing the
-    /// GC's tombstone-removal retry path.
+    /// A coordination service whose metadata deletes always fail.
     struct FailingDeleteCoord(ReplicatedCoordinator);
 
     impl CoordinationService for FailingDeleteCoord {
@@ -304,8 +294,11 @@ mod tests {
         }
     }
 
+    /// The tuple delete is the unlink: when it fails, so does the call, and
+    /// the file stays whole — its name, its data, and its storage, which the
+    /// collector keeps pruning instead of releasing.
     #[test]
-    fn failed_tombstone_metadata_delete_is_counted_and_retried() {
+    fn a_failed_metadata_delete_fails_the_unlink_and_keeps_the_file() {
         let cloud = Arc::new(SimulatedCloud::test("s3"));
         let storage = Arc::new(SingleCloudStorage::new(cloud));
         let coord: Arc<dyn CoordinationService> =
@@ -315,20 +308,41 @@ mod tests {
         config.gc.versions_to_keep = 1;
         let mut fs = ScfsAgent::mount("alice".into(), config, storage, Some(coord), 5).unwrap();
         fs.write_file("/doomed", &vec![1u8; 10_000]).unwrap();
-        fs.unlink("/doomed").unwrap();
-        let mut last_errors = 0;
+        let unlinked = fs.unlink("/doomed");
+        assert!(
+            matches!(unlinked, Err(ScfsError::Coordination(_))),
+            "{unlinked:?}"
+        );
         for _ in 0..10 {
             fs.write_file("/big", &vec![7u8; 10_000]).unwrap();
-            last_errors = fs.stats().gc_errors;
         }
         let stats = fs.stats();
         assert!(stats.gc_runs >= 2);
-        assert!(
-            stats.gc_errors >= 2,
-            "every cycle's failed tombstone removal must surface, got {}",
-            stats.gc_errors
-        );
-        assert!(last_errors >= 2, "the entry is retried each cycle");
+        assert_eq!(stats.gc_errors, 0, "nothing was released, nothing failed");
+        assert_eq!(fs.owned_files.len(), 2, "both files are still collected");
+        assert!(fs.owned_files.values().all(|unlinked| !unlinked));
+        assert_eq!(fs.read_file("/doomed").unwrap(), vec![1u8; 10_000]);
+    }
+
+    /// The collector reclaims storage only: collecting an unlinked file costs
+    /// the coordination service nothing, because `unlink` already deleted its
+    /// tuple.
+    #[test]
+    fn a_gc_cycle_that_collects_an_unlinked_file_makes_no_coordination_call() {
+        let cloud = Arc::new(SimulatedCloud::test("s3"));
+        let storage = Arc::new(SingleCloudStorage::new(cloud));
+        let coord: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
+        let config = ScfsConfig::test(Mode::Blocking);
+        let mut fs =
+            ScfsAgent::mount("alice".into(), config, storage, Some(coord.clone()), 5).unwrap();
+        fs.write_file("/doomed", &vec![1u8; 10_000]).unwrap();
+        fs.unlink("/doomed").unwrap();
+        let accesses = coord.access_count();
+        fs.written_since_gc = u64::MAX;
+        fs.maybe_run_gc();
+        assert_eq!(fs.stats().gc_runs, 1);
+        assert!(fs.owned_files.is_empty(), "the unlinked file was released");
+        assert_eq!(coord.access_count(), accesses);
     }
 
     #[test]
@@ -348,10 +362,8 @@ mod tests {
         }
         let stats = fs.stats();
         assert!(stats.gc_runs >= 1);
-        assert_eq!(
-            stats.gc_errors, 0,
-            "the tombstone delete must target the renamed path"
-        );
+        assert_eq!(stats.gc_errors, 0, "the renamed file's storage is released");
+        assert!(fs.owned_files.len() == 1, "only /big is still collected");
         assert!(matches!(
             fs.stat("/moved/doomed"),
             Err(ScfsError::NotFound { .. })

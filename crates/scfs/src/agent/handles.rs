@@ -53,6 +53,10 @@ pub(super) struct OpenFile {
     /// nothing was written.
     pub(super) dirty: Option<Range<u64>>,
     pub(super) locked: bool,
+    /// Set when this agent unlinks the file: the handle still reads and
+    /// writes its buffer, but `close` and `sync` commit nothing, so the name
+    /// stays gone and no tuple points at storage the collector reclaims.
+    pub(super) unlinked: bool,
 }
 
 impl OpenFile {
@@ -131,8 +135,7 @@ impl ScfsAgent {
                 let md = FileMetadata::new_file(path, self.user.clone(), storage_id, now);
                 let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
                 self.metadata.create(&mut ctx, md.clone())?;
-                self.owned_files
-                    .insert(md.storage_id.clone(), (path.to_string(), false));
+                self.owned_files.insert(md.storage_id.clone(), false);
                 md
             }
             // Only absence means "no such file": a tuple this user may not
@@ -201,6 +204,7 @@ impl ScfsAgent {
                 prefetch_ready: HashMap::new(),
                 last_read_end: None,
                 locked,
+                unlinked: false,
             },
         );
         Ok(handle)

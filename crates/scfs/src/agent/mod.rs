@@ -12,7 +12,9 @@
 //!   only in *when* `close` returns (paper §3.1): one `if` in `run_commit`;
 //! * `fetch` — manifests and the chunk-fetch loop behind read faults and
 //!   the sequential prefetcher;
-//! * `gc` — the background collector.
+//! * `gc` — the background collector, which reclaims the storage of the files
+//!   this agent wrote: old versions, and the whole object of a file it
+//!   unlinked. It makes no metadata call: `unlink` already deleted the tuple.
 //!
 //! This file holds the agent itself, `on_lane` — the one way onto a
 //! background lane — and the [`FileSystem`] calls that touch only metadata.
@@ -40,7 +42,6 @@ use crate::error::ScfsError;
 use crate::fs::FileSystem;
 use crate::invariant::InvariantViolation;
 use crate::metadata_service::MetadataService;
-use crate::transfer::TransferOptions;
 use crate::types::{is_under, normalize_path, FileHandle, FileMetadata, FileType, OpenFlags};
 
 mod commit;
@@ -81,9 +82,9 @@ pub struct AgentStats {
     pub gc_runs: u64,
     /// File versions reclaimed by the garbage collector.
     pub gc_reclaimed_versions: u64,
-    /// Failed garbage-collection deletions (old-version prunes, full
-    /// removals, tombstone metadata deletes or journaled blob deletes that
-    /// errored); the collector keeps going, but the failures are surfaced
+    /// Failed garbage-collection deletions (old-version prunes, releases of
+    /// unlinked files or journaled blob deletes that errored); the
+    /// collector keeps going, but the failures are surfaced
     /// here instead of being silently swallowed.
     pub gc_errors: u64,
     /// Release-journal entries re-attempted after a previous failed delete —
@@ -105,8 +106,8 @@ pub struct AgentStats {
     /// Chunks fetched ahead of a sequential reader on the background clock.
     pub prefetched_chunks: u64,
     /// Non-blocking closes that had to wait for an earlier pending upload to
-    /// complete because `max_pending_uploads` commits were already in flight
-    /// (the explicit backpressure of the bounded upload queue).
+    /// complete because 64 commits were already in flight (the explicit
+    /// backpressure of the bounded upload queue).
     pub backpressure_stalls: u64,
     /// Buffer bytes `close`, `sync` and `fsync` actually cut into chunks and
     /// hashed: the whole buffer for a first or truncating commit, otherwise
@@ -139,7 +140,7 @@ pub struct ScfsAgent {
     /// different objects overlaps in virtual time.
     scheduler: BackgroundScheduler,
     /// In-flight background version commits, by storage id. Bounded by
-    /// `config.max_pending_uploads` (close applies backpressure); each entry
+    /// `MAX_PENDING_UPLOADS` (close applies backpressure); each entry
     /// is the one token `setfacl`, `sync` and reopens of that object wait
     /// on — never a global drain. Its value is the metadata as committed by
     /// the job: this agent's read-your-writes source while the commit
@@ -152,9 +153,9 @@ pub struct ScfsAgent {
     /// else it would "re-acquire" a lock the release then deletes.
     releases_in_flight: BTreeMap<String, SimInstant>,
     written_since_gc: u64,
-    /// Files this agent has written: storage id → (path, deleted?). The GC
-    /// cycle iterates this, so it is ordered for run-to-run determinism.
-    owned_files: BTreeMap<String, (String, bool)>,
+    /// Files this agent has written: storage id → unlinked? The GC cycle
+    /// iterates this, so it is ordered for run-to-run determinism.
+    owned_files: BTreeMap<String, bool>,
     stats: AgentStats,
 }
 
@@ -326,14 +327,10 @@ impl ScfsAgent {
         token
     }
 
-    /// The metadata of the object at `path`; a tombstone reads as absent.
+    /// The metadata of the object at `path`.
     fn lookup(&mut self, path: &str) -> Result<FileMetadata, ScfsError> {
         let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-        let md = self.metadata.get(&mut ctx, path)?;
-        if md.deleted {
-            return Err(ScfsError::not_found(path));
-        }
-        Ok(md)
+        self.metadata.get(&mut ctx, path)
     }
 
     /// [`ScfsAgent::lookup`] of a path that must name a file.
@@ -383,11 +380,6 @@ impl ScfsAgent {
     /// Cache key of an encoded chunk-map manifest, keyed by root hash.
     fn manifest_cache_key(hash: &ContentHash) -> String {
         format!("manifest:{}", scfs_crypto::to_hex(hash))
-    }
-
-    /// The engine options every transfer of this agent runs under.
-    fn transfer_options(&self) -> TransferOptions {
-        TransferOptions::parallel(self.config.max_parallel_transfers)
     }
 }
 
@@ -459,11 +451,12 @@ impl FileSystem for ScfsAgent {
     fn stat(&mut self, path: &str) -> Result<FileMetadata, ScfsError> {
         let path = self.enter(path)?;
         // An open, dirty file is described by its in-memory state (writes
-        // and truncates keep the handle's `metadata.size` at the buffer's).
+        // and truncates keep the handle's `metadata.size` at the buffer's),
+        // unless the file was unlinked under it.
         if let Some(open) = self
             .open_files
             .values()
-            .find(|f| f.path == path && f.is_dirty())
+            .find(|f| f.path == path && f.is_dirty() && !f.unlinked)
         {
             return Ok(open.metadata.clone());
         }
@@ -492,34 +485,34 @@ impl FileSystem for ScfsAgent {
 
     fn unlink(&mut self, path: &str) -> Result<(), ScfsError> {
         let path = self.enter(path)?;
-        let md = self.lookup_file(&path)?;
-        // Files are only marked as deleted; the garbage collector reclaims
-        // the cloud objects later (paper §2.5.3). The tombstone carries this
-        // agent's freshest view of the object (including a version committed
-        // by a still-pending upload).
-        let mut md = self.with_pending_commit(&path, md);
-        md.deleted = true;
-        if let Some(entry) = self.owned_files.get_mut(&md.storage_id) {
-            entry.1 = true;
-        }
-        if self.pending_uploads.remove(&md.storage_id).is_some() {
-            // An upload of this object is still in flight: commit the
-            // tombstone on the object's lane, *after* that commit, so the
-            // background metadata update cannot resurrect the file — and the
-            // foreground never waits (unlinking a transient file right after
-            // a non-blocking close is the hot path of Figure 8).
-            let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-            self.metadata.update_local(&mut ctx, md.clone())?;
+        let id = self.lookup_file(&path)?.storage_id;
+        // The name goes with the tuple; the garbage collector reclaims the
+        // cloud objects later (paper §2.5.3).
+        let delete = |agent: &mut Self| {
+            let mut ctx = OpCtx::new(&mut agent.clock, agent.user.clone());
+            agent.metadata.delete(&mut ctx, &path)
+        };
+        if self.pending_uploads.contains_key(&id) {
+            // An upload of this object is still in flight: delete on the
+            // object's lane, *after* that commit, so its metadata update
+            // cannot bring the file back — and the foreground never waits
+            // (unlinking a transient file right after a non-blocking close is
+            // the hot path of Figure 8). This client still sees the path
+            // absent at once: the metadata cache holds the absence the
+            // delete records until past the instant it lands.
             let now = self.clock.now();
-            let lane = md.storage_id.clone();
-            let token = self.on_lane(now, &lane, |agent| {
-                let mut ctx = OpCtx::new(&mut agent.clock, agent.user.clone());
-                agent.metadata.update(&mut ctx, md)
-            });
-            token.into_inner()?;
+            self.on_lane(now, &id, delete).into_inner()?;
+            self.pending_uploads.remove(&id);
         } else {
-            let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-            self.metadata.update(&mut ctx, md)?;
+            delete(self)?;
+        }
+        if let Some(unlinked) = self.owned_files.get_mut(&id) {
+            *unlinked = true;
+        }
+        // An open handle of the file keeps its buffer, like a descriptor of
+        // an unlinked POSIX file, but no commit gives the name back.
+        for file in self.open_files.values_mut() {
+            file.unlinked |= file.metadata.storage_id == id;
         }
         // Cached chunks and manifests are content-addressed, not keyed by
         // path; they age out of the LRU caches once nothing reads them.
@@ -540,13 +533,6 @@ impl FileSystem for ScfsAgent {
         });
         let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
         self.metadata.rename(&mut ctx, &from, &to)?;
-        // The GC bookkeeping moves with the prefix: a later unlink + GC of a
-        // renamed file must delete the tombstone under its *current* path.
-        for (path, _) in self.owned_files.values_mut() {
-            if is_under(path, &from) {
-                *path = format!("{to}{}", &path[from.len()..]);
-            }
-        }
         Ok(())
     }
 
@@ -667,9 +653,9 @@ mod tests {
             Err(ScfsError::NotFound { .. })
         ));
         assert_eq!(
-            fs.readdir("/projects").unwrap().len(),
-            2,
-            "tombstone remains until GC"
+            fs.readdir("/projects").unwrap(),
+            ["/projects/b.txt"],
+            "unlink removes the name at once"
         );
         // mkdir under a missing parent fails.
         assert!(fs.mkdir("/does/not/exist").is_err());
@@ -736,12 +722,10 @@ mod tests {
 
     #[test]
     fn setfacl_waits_only_on_its_own_objects_token() {
-        let mut config = ScfsConfig::test(Mode::NonBlocking);
-        // Sequential transfers keep /big's background upload far longer than
-        // the foreground work between the two closes.
-        config.max_parallel_transfers = 1;
-        let mut fs = wan_agent(config);
-        // 32 distinct chunks, so the upload cannot collapse through dedup.
+        // 32 distinct chunks take eight waves, which keeps /big's background
+        // upload far longer than the foreground work between the two closes;
+        // distinct, so the upload cannot collapse through dedup.
+        let mut fs = wan_agent(ScfsConfig::test(Mode::NonBlocking));
         let mut big = vec![0u8; 32 << 20];
         for (i, chunk) in big.chunks_mut(1 << 20).enumerate() {
             chunk.fill(i as u8 + 1);

@@ -97,17 +97,6 @@ pub struct ScfsConfig {
     /// move only O(edit) chunks, because the shifted tail re-aligns to
     /// identical chunk hashes, and serialize as v2 manifests.
     pub chunking: CutRule,
-    /// Maximum number of chunk transfers the engine keeps in flight at once:
-    /// a dirty close or a cold range read moves its chunks in waves of this
-    /// many parallel transfers, so a 16-chunk upload costs
-    /// ~⌈16 / max_parallel_transfers⌉ chunk latencies of wall-clock.
-    pub max_parallel_transfers: usize,
-    /// Maximum number of background version commits (non-blocking closes)
-    /// in flight at once. A `close` that would exceed the bound blocks until
-    /// the earliest pending upload completes — explicit backpressure instead
-    /// of an unbounded implicit queue (counted in
-    /// [`crate::agent::AgentStats::backpressure_stalls`]).
-    pub max_pending_uploads: usize,
     /// Garbage-collection policy.
     pub gc: GcConfig,
     /// Per-system-call dispatch overhead (the FUSE-J user-level file system
@@ -125,8 +114,6 @@ impl ScfsConfig {
             cache: CacheConfig::default(),
             private_name_spaces: false,
             chunking: CutRule::Fixed(DEFAULT_CHUNK_SIZE),
-            max_parallel_transfers: crate::transfer::DEFAULT_MAX_PARALLEL,
-            max_pending_uploads: 64,
             gc: GcConfig::default(),
             syscall_overhead: LatencyModel::Uniform {
                 lo_millis: 0.11,
@@ -207,9 +194,9 @@ mod tests {
 
     #[test]
     fn transfer_knobs_default_to_parallel_with_prefetch() {
-        let c = ScfsConfig::paper_default(Mode::Blocking);
-        assert_eq!(c.max_parallel_transfers, 4);
-        assert!(c.max_pending_uploads >= 1);
+        // Wave width is a constant of the engine, not a configuration knob.
+        let opts = crate::transfer::TransferOptions::default();
+        assert_eq!(opts.max_parallel, 4);
     }
 
     #[test]

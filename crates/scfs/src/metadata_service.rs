@@ -12,10 +12,15 @@
 //! carrying the shared ACL: the marker that sends `get` and `delete` on to
 //! the coordination service.
 //!
+//! A deleted object has no tuple: [`MetadataService::delete`] removes it, so
+//! a path that was unlinked answers every call like one never created.
+//!
 //! A small, short-lived metadata cache absorbs the bursts of `stat`-like
 //! calls that applications issue around every high-level action (opening a
 //! document in an editor can trigger more than five `stat`s), which is the
-//! knob explored in Figure 10(a).
+//! knob explored in Figure 10(a). It also remembers this client's own
+//! deletes: a delete that lands on a background lane, in the foreground's
+//! future, hides the path from this client at once and until it lands.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -56,9 +61,11 @@ pub struct MetadataService {
     /// The private name space, when one is in use.
     private: Option<Arc<dyn CoordinationService>>,
     user: AccountId,
+    /// What this client last learned of each path — its tuple, or `None`
+    /// for a path it deleted — and the instant that knowledge expires.
     /// Ordered so expiry sweeps ([`MetadataService::rename`]'s prefix
     /// retain) visit entries in a run-independent order.
-    cache: BTreeMap<String, (FileMetadata, SimInstant)>,
+    cache: BTreeMap<String, (Option<FileMetadata>, SimInstant)>,
     cache_expiry: SimDuration,
     stats: MetadataStats,
 }
@@ -151,23 +158,29 @@ impl MetadataService {
             .map(|s| &**s)
     }
 
-    fn cache_get(&mut self, path: &str, now: SimInstant) -> Option<FileMetadata> {
-        match self.cache.get(path) {
-            Some((md, cached_at)) => {
-                if now.duration_since(*cached_at) < self.cache_expiry {
-                    self.stats.cache_hits += 1;
-                    Some(md.clone())
-                } else {
-                    None
-                }
-            }
-            None => None,
+    /// The cached answer for `path` at `now`, if one is still fresh: the
+    /// tuple, or `Err(NotFound)` for a path this client deleted.
+    fn cache_get(
+        &mut self,
+        path: &str,
+        now: SimInstant,
+    ) -> Option<Result<FileMetadata, ScfsError>> {
+        let (md, expires_at) = self.cache.get(path)?;
+        if now >= *expires_at {
+            return None;
         }
+        self.stats.cache_hits += 1;
+        Some(md.clone().ok_or_else(|| ScfsError::not_found(path)))
     }
 
-    fn cache_put(&mut self, md: &FileMetadata, now: SimInstant) {
-        if self.cache_expiry > SimDuration::ZERO {
-            self.cache.insert(md.path.clone(), (md.clone(), now));
+    /// Caches what this client learned of `path` at `now`. An absence is
+    /// kept even with the cache off: a delete committed at a lane's `now`
+    /// must hide the path from the foreground until then.
+    fn cache_put(&mut self, path: &str, md: Option<&FileMetadata>, now: SimInstant) {
+        if self.cache_expiry > SimDuration::ZERO || md.is_none() {
+            let expires_at = now + self.cache_expiry;
+            self.cache
+                .insert(path.to_string(), (md.cloned(), expires_at));
         }
     }
 
@@ -197,8 +210,8 @@ impl MetadataService {
     /// space is resolved there without touching the coordination service —
     /// unless its tuple is a marker.
     pub fn get(&mut self, ctx: &mut OpCtx<'_>, path: &str) -> Result<FileMetadata, ScfsError> {
-        if let Some(md) = self.cache_get(path, ctx.clock.now()) {
-            return Ok(md);
+        if let Some(cached) = self.cache_get(path, ctx.clock.now()) {
+            return cached;
         }
         let private = self.is_private(path, None);
         let mut md = self.read(ctx, private, path)?;
@@ -207,7 +220,7 @@ impl MetadataService {
         } else if private {
             md = self.read(ctx, false, path)?;
         }
-        self.cache_put(&md, ctx.clock.now());
+        self.cache_put(path, Some(&md), ctx.clock.now());
         Ok(md)
     }
 
@@ -230,7 +243,7 @@ impl MetadataService {
             store.put(ctx, &key, metadata.encode())
         };
         written.map_err(|e| path_error(&metadata.path, e))?;
-        self.cache_put(&metadata, ctx.clock.now());
+        self.cache_put(&metadata.path, Some(&metadata), ctx.clock.now());
         Ok(())
     }
 
@@ -244,25 +257,9 @@ impl MetadataService {
         self.write(ctx, metadata, false)
     }
 
-    /// Updates what this client sees without a coordination-service write
-    /// (used by the non-blocking unlink path, which defers that write to the
-    /// object's lane but must let this client observe its own change
-    /// immediately): the cache, and a private tuple in place.
-    pub fn update_local(
-        &mut self,
-        ctx: &mut OpCtx<'_>,
-        metadata: FileMetadata,
-    ) -> Result<(), ScfsError> {
-        if self.is_private(&metadata.path, Some(&metadata)) {
-            return self.update(ctx, metadata);
-        }
-        let now = ctx.clock.now();
-        self.cache.insert(metadata.path.clone(), (metadata, now));
-        Ok(())
-    }
-
     /// Deletes the metadata of `path`: its private tuple, and the
-    /// coordination tuple a marker stands for.
+    /// coordination tuple a marker stands for. This client then caches the
+    /// path as absent from the instant the delete committed.
     pub fn delete(&mut self, ctx: &mut OpCtx<'_>, path: &str) -> Result<(), ScfsError> {
         self.cache.remove(path);
         let key = Self::coord_key(path);
@@ -280,6 +277,7 @@ impl MetadataService {
                 .delete(ctx, &key)
                 .map_err(|e| path_error(path, e))?;
         }
+        self.cache_put(path, None, ctx.clock.now());
         Ok(())
     }
 
@@ -362,7 +360,7 @@ impl MetadataService {
             coord.put(ctx, &key, metadata.encode())?;
             coord.set_acl(ctx, &key, acl)?;
         }
-        self.cache_put(&metadata, ctx.clock.now());
+        self.cache_put(&metadata.path, Some(&metadata), ctx.clock.now());
         Ok(metadata)
     }
 

@@ -43,8 +43,9 @@ use sim_core::parallel::{join_all, run_forked};
 use crate::error::ScfsError;
 use crate::types::ChunkMap;
 
-/// Default bound on concurrent per-chunk transfers
-/// ([`crate::config::ScfsConfig::max_parallel_transfers`]).
+/// Bound on concurrent per-chunk transfers of every agent transfer: a dirty
+/// close or a cold range read moves its chunks in waves of this many, so a
+/// 16-chunk upload costs ~⌈16 / 4⌉ chunk latencies of wall-clock.
 pub const DEFAULT_MAX_PARALLEL: usize = 4;
 
 /// Knobs of one engine invocation.

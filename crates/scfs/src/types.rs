@@ -638,6 +638,10 @@ pub enum FileType {
 /// identifier of the object in the storage service, and the hash of the
 /// current version — the last two being exactly the `(id, hash)` pair stored
 /// in the consistency anchor.
+///
+/// A tuple lives exactly as long as its name: `unlink` deletes it, and the
+/// garbage collector later reclaims the object's cloud data (paper §2.5.3).
+/// No tuple describes a deleted file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileMetadata {
     /// Absolute path of the object (doubles as its name + parent).
@@ -671,9 +675,6 @@ pub struct FileMetadata {
     manifest: Option<Arc<[u8]>>,
     /// Number of versions written so far.
     pub version_count: u64,
-    /// Whether the user deleted the object (kept as a tombstone until the
-    /// garbage collector reclaims it, paper §2.5.3).
-    pub deleted: bool,
 }
 
 impl FileMetadata {
@@ -691,7 +692,6 @@ impl FileMetadata {
             version_hash: None,
             manifest: None,
             version_count: 0,
-            deleted: false,
         }
     }
 
@@ -709,7 +709,6 @@ impl FileMetadata {
             version_hash: None,
             manifest: None,
             version_count: 0,
-            deleted: false,
         }
     }
 
@@ -800,7 +799,6 @@ impl FileMetadata {
             }
         }
         w.put_u64(self.version_count);
-        w.put_u8(u8::from(self.deleted));
         w.finish()
     }
 
@@ -871,7 +869,6 @@ impl FileMetadata {
             None
         };
         let version_count = r.get_u64()?;
-        let deleted = Self::get_tag(&mut r, "deleted")?;
         if !r.is_exhausted() {
             return Err(DecodeError {
                 reason: format!("{} trailing bytes after metadata tuple", r.remaining()),
@@ -889,7 +886,6 @@ impl FileMetadata {
             version_hash,
             manifest,
             version_count,
-            deleted,
         })
     }
 
@@ -1032,7 +1028,6 @@ mod tests {
         md.version_hash = Some(sha256(b"contents"));
         md.version_count = 3;
         md.acl.grant("bob".into(), Permission::Read);
-        md.deleted = false;
         let decoded = FileMetadata::decode(&md.encode()).unwrap();
         assert_eq!(decoded, md);
     }
@@ -1112,7 +1107,6 @@ mod tests {
         hash: Vec<u8>,
         manifest_tag: u8,
         manifest: Vec<u8>,
-        deleted: u8,
         trailing: Vec<u8>,
     }
 
@@ -1127,7 +1121,6 @@ mod tests {
                 hash: sha256(&manifest).to_vec(),
                 manifest_tag: 1,
                 manifest,
-                deleted: 0,
                 trailing: Vec::new(),
             }
         }
@@ -1148,7 +1141,7 @@ mod tests {
             if self.manifest_tag != 0 {
                 w.put_bytes(&self.manifest);
             }
-            w.put_u64(1).put_u8(self.deleted);
+            w.put_u64(1);
             let mut bytes = w.finish();
             bytes.extend_from_slice(&self.trailing);
             bytes
@@ -1174,14 +1167,13 @@ mod tests {
     fn unknown_tags_are_rejected_not_defaulted() {
         // Each of these used to decode: any non-zero file type as a
         // directory, any non-zero permission as `Write`, a version-hash tag
-        // of 2 as "no version", a deleted tag of 7 as a tombstone.
+        // of 2 as "no version".
         type Corrupt = fn(&mut RawTuple);
-        let cases: [(&str, Corrupt); 5] = [
+        let cases: [(&str, Corrupt); 4] = [
             ("file type", |t| t.file_type = 2),
             ("permission", |t| t.grants[1].1 = 0xFF),
             ("version hash", |t| t.hash_tag = 2),
             ("inline manifest", |t| t.manifest_tag = 3),
-            ("deleted", |t| t.deleted = 7),
         ];
         for (what, corrupt) in cases {
             let mut raw = RawTuple::valid();
@@ -1197,6 +1189,11 @@ mod tests {
         let mut raw = RawTuple::valid();
         raw.trailing = b"x".to_vec();
         assert!(raw.decode_err().contains("trailing"));
+        // The version count ends the tuple: no byte follows it, so no tuple
+        // can say "deleted" — a deleted file has no tuple at all.
+        let mut raw = RawTuple::valid();
+        raw.trailing = vec![1];
+        assert!(raw.decode_err().contains("1 trailing bytes"));
         let mut raw = RawTuple::valid();
         raw.grants.reverse();
         assert!(raw.decode_err().contains("out of order"));

@@ -63,10 +63,9 @@ fn non_blocking_closes_of_different_files_overlap_in_virtual_time() {
 #[test]
 fn setfacl_after_pending_uploads_waits_per_object() {
     let env = Deployment::paper(Backend::Aws, 43);
-    let mut config = ScfsConfig::paper_default(Mode::NonBlocking);
-    // Sequential transfers keep the big upload long relative to foreground.
-    config.max_parallel_transfers = 1;
-    let mut alice = env.mount("alice", config, 1);
+    // 32 chunks take eight waves: the big upload stays long relative to the
+    // foreground work.
+    let mut alice = env.mount("alice", ScfsConfig::paper_default(Mode::NonBlocking), 1);
 
     alice
         .write_file("/shared/big.bin", &distinct_chunks(32, 0x3C))

@@ -268,6 +268,41 @@ fn deleting_one_file_never_reclaims_chunks_another_file_references() {
     assert_no_orphans(&deployment);
 }
 
+/// A handle outlives the unlink of its file, as a descriptor of an unlinked
+/// POSIX file does, but its close gives the name back to nobody: it commits
+/// nothing, so no tuple is left pointing at the storage the collector
+/// releases.
+#[test]
+fn closing_a_dirty_handle_of_an_unlinked_file_commits_nothing() {
+    let deployment = Deployment::instant(Backend::Aws, 11);
+    let mut config = test_config();
+    config.gc.written_bytes_threshold = Bytes::new(1);
+    let mut fs = deployment.mount("alice", config, 3);
+
+    fs.write_file("/doomed", &four_chunks(0x21)).unwrap();
+    let h = fs.open("/doomed", OpenFlags::read_write()).unwrap();
+    fs.write(h, 0, &four_chunks(0x22)).unwrap();
+    fs.unlink("/doomed").unwrap();
+    let gone = |fs: &mut ScfsAgent| matches!(fs.stat("/doomed"), Err(ScfsError::NotFound { .. }));
+    assert!(gone(&mut fs), "the dirty handle no longer names the path");
+    fs.close(h).unwrap();
+    assert_eq!(fs.stats().cloud_uploads, 1, "the close committed nothing");
+    // Any write past the 1-byte threshold runs a GC cycle, which releases
+    // every version of /doomed.
+    fs.write_file("/trigger", b"x").unwrap();
+    assert!(fs.stats().gc_runs >= 2);
+    assert!(gone(&mut fs));
+    fs.sleep(SimDuration::from_secs(2));
+    assert!(gone(&mut fs), "past the metadata cache too");
+    assert_eq!(deployment.storage().pending_releases(), 0);
+    assert_no_orphans(&deployment);
+    let mut clock = Clock::new();
+    clock.advance_to(fs.now());
+    let mut ctx = OpCtx::new(&mut clock, "alice".into());
+    let tuple = deployment.coordinator().get(&mut ctx, "/scfs/meta/doomed");
+    assert!(tuple.is_err(), "a tuple was left behind: {tuple:?}");
+}
+
 #[test]
 fn gc_reaches_zero_orphans_within_two_cycles_despite_delete_faults() {
     let (deployment, faulty) = faulty_deployment(Backend::Aws);

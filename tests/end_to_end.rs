@@ -10,6 +10,7 @@ use scfs_repro::scfs::error::ScfsError;
 use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::scfs::types::{OpenFlags, MAX_FILE_LEN};
 use scfs_repro::sim_core::time::{Clock, SimDuration};
+use scfs_repro::sim_core::units::Bytes;
 use scfs_repro::workloads::setup::{build_system, Backend, Deployment, SystemKind};
 
 #[test]
@@ -216,37 +217,136 @@ fn a_private_file_shared_outside_the_shared_tree_stays_visible_to_its_owner() {
     }
 }
 
-/// An open hole, pinned as it behaves in every mode, with the private name
-/// space on or off: `unlink` leaves a tombstone tuple, and `create`'s
-/// exclusive write refuses it until the owner's collector deletes the tuple
-/// (by default only after 256 MiB written). The path is still listed, reads
-/// as absent, and cannot be created again. A fix lets `create` replace a
-/// tombstone — and makes the collector's tombstone delete conditional, or it
-/// would delete the new file's tuple — and flips the last assertion to
-/// `Ok(())`.
+/// What one call answers on a path: the variant of its error, or what it
+/// returned with the path itself written as `P`, so the answers for two
+/// different paths compare.
+fn answer_on(fs: &mut ScfsAgent, call: &str, path: &str) -> Result<String, String> {
+    let answer = match call {
+        "readdir" => fs.readdir("/docs").map(|names| format!("{names:?}")),
+        "stat" => fs.stat(path).map(|md| format!("{:?}", md.file_type)),
+        "write_file" => fs.write_file(path, b"again").map(|()| String::new()),
+        "copy_file" => fs.copy_file("/docs/src", path).map(|()| String::new()),
+        "mkdir" => fs.mkdir(path).map(|()| String::new()),
+        "rename" => fs.rename(path, "/docs/moved").map(|()| String::new()),
+        "unlink" => fs.unlink(path).map(|()| String::new()),
+        "getfacl" => fs.getfacl(path).map(|acl| format!("{acl:?}")),
+        "setfacl" => fs
+            .setfacl(path, &"bob".into(), Permission::Read)
+            .map(|()| String::new()),
+        other => unreachable!("no call {other}"),
+    };
+    let answer = answer.map(|ok| ok.replace(path, "P"));
+    answer.map_err(|e| format!("{:?}", std::mem::discriminant(&e)))
+}
+
+/// A deleted file has one representation, no tuple, so an unlinked path
+/// answers every call as a path that was never created does — in every
+/// mode, with the private name space on or off, and right after the unlink
+/// as well as once the metadata cache has expired.
 #[test]
-fn open_hole_an_unlinked_path_cannot_be_created_again() {
+fn an_unlinked_path_answers_like_one_never_created() {
+    let calls = [
+        "readdir",
+        "stat",
+        "write_file",
+        "copy_file",
+        "mkdir",
+        "rename",
+        "unlink",
+        "getfacl",
+        "setfacl",
+    ];
     for mode in [Mode::Blocking, Mode::NonBlocking, Mode::NonSharing] {
         for pns in [false, true] {
-            let mut config = ScfsConfig::test(mode);
-            config.private_name_spaces = pns;
-            let mut fs = Deployment::instant(Backend::Aws, 7).mount("alice", config, 1);
-            fs.write_file("/docs/notes", b"draft").unwrap();
-            fs.unlink("/docs/notes").unwrap();
-            fs.sleep(SimDuration::from_secs(2));
-            let label = format!("{mode:?}, PNS {pns}");
-            assert_eq!(fs.readdir("/docs").unwrap(), ["/docs/notes"], "{label}");
-            assert!(
-                matches!(fs.read_file("/docs/notes"), Err(ScfsError::NotFound { .. })),
-                "{label}"
-            );
-            let written = fs.write_file("/docs/notes", b"again");
-            assert!(
-                matches!(written, Err(ScfsError::AlreadyExists { .. })),
-                "{label}: {written:?}"
-            );
+            for pause in [SimDuration::ZERO, SimDuration::from_secs(2)] {
+                // A fresh mount per call: /docs/src exists, /docs/notes was
+                // written and unlinked, /docs/fresh never existed.
+                let setup = || {
+                    let mut config = ScfsConfig::test(mode);
+                    config.private_name_spaces = pns;
+                    let mut fs = Deployment::instant(Backend::Aws, 7).mount("alice", config, 1);
+                    fs.write_file("/docs/src", b"source").unwrap();
+                    fs.write_file("/docs/notes", b"draft").unwrap();
+                    fs.unlink("/docs/notes").unwrap();
+                    fs.sleep(pause);
+                    fs
+                };
+                for call in calls {
+                    let unlinked = answer_on(&mut setup(), call, "/docs/notes");
+                    let fresh = answer_on(&mut setup(), call, "/docs/fresh");
+                    assert_eq!(
+                        unlinked, fresh,
+                        "{call}: {mode:?}, PNS {pns}, after {pause}"
+                    );
+                }
+            }
         }
     }
+}
+
+/// The unlink of a file whose non-blocking upload is still in flight is a
+/// delete on the object's lane, behind that upload: its writer sees the file
+/// gone at once, another client until the delete lands, and afterwards the
+/// name is free and the collector leaves nothing behind.
+#[test]
+fn unlink_during_an_in_flight_upload_hides_the_file_from_its_writer_at_once() {
+    let env = Deployment::paper(Backend::Aws, 17);
+    let mut config = ScfsConfig::paper_default(Mode::NonBlocking);
+    config.gc.written_bytes_threshold = Bytes::new(1);
+    let mut alice = env.mount("alice", config, 1);
+    let mut bob = env.mount("bob", ScfsConfig::paper_default(Mode::NonBlocking), 2);
+    let not_found = |r: Result<_, ScfsError>| matches!(r, Err(ScfsError::NotFound { .. }));
+
+    alice.write_file("/shared/doc", &[1u8; 300_000]).unwrap();
+    alice
+        .setfacl("/shared/doc", &"bob".into(), Permission::Read)
+        .unwrap();
+    alice.write_file("/shared/doc", &[2u8; 300_000]).unwrap();
+    let upload = alice.upload_token("/shared/doc").expect("upload in flight");
+    alice.unlink("/shared/doc").unwrap();
+    assert!(alice.now() < upload.ready_at(), "the unlink did not wait");
+    assert!(not_found(alice.stat("/shared/doc")));
+    let landed = alice.background_drain_instant();
+    assert!(
+        landed > upload.ready_at(),
+        "the delete lands behind the upload"
+    );
+
+    bob.sleep(alice.now().duration_since(bob.now()));
+    assert!(bob.stat("/shared/doc").is_ok(), "not deleted for bob yet");
+    // Past the landing instant and bob's metadata cache.
+    bob.sleep(landed.duration_since(bob.now()) + SimDuration::from_secs(1));
+    assert!(not_found(bob.stat("/shared/doc")));
+
+    alice.sleep(landed.duration_since(alice.now()));
+    assert!(not_found(alice.stat("/shared/doc")));
+    alice.write_file("/shared/doc", b"new").unwrap();
+    assert_eq!(alice.read_file("/shared/doc").unwrap(), b"new");
+    // That write ran a GC cycle, which released the unlinked object.
+    alice.sleep(alice.background_drain_instant().duration_since(alice.now()));
+    assert_eq!(alice.stats().gc_runs, 3, "one per close");
+    assert_eq!(alice.stats().gc_errors, 0);
+    assert_eq!(env.orphans(), Vec::<String>::new());
+}
+
+/// An open hole, pinned as it behaves: a non-blocking unlink deletes the
+/// tuple on the object's lane, behind the in-flight upload, but a rename of
+/// the parent issued before that delete lands applies at an earlier virtual
+/// instant, and carries the file's tuple — as it was before the upload
+/// committed — to the new name. A fix (a rename that waits for the deferred
+/// deletes under its prefix, say) flips the last assertion to `NotFound`.
+#[test]
+fn open_hole_a_rename_before_a_deferred_unlink_lands_carries_the_file_along() {
+    let env = Deployment::paper(Backend::Aws, 19);
+    let mut fs = env.mount("alice", ScfsConfig::test(Mode::NonBlocking), 1);
+    fs.write_file("/d/f", &[1u8; 300_000]).unwrap();
+    assert!(fs.upload_token("/d/f").is_some());
+    fs.unlink("/d/f").unwrap();
+    fs.rename("/d", "/e").unwrap();
+    fs.sleep(SimDuration::from_secs(30));
+    assert!(matches!(fs.stat("/d/f"), Err(ScfsError::NotFound { .. })));
+    let carried = fs.stat("/e/f").map(|md| md.size);
+    assert!(matches!(carried, Ok(0)), "{carried:?}");
 }
 
 /// Runs the call `word` encodes on `fs` over a handful of paths outside

@@ -42,7 +42,6 @@ fn tuple(name_len: usize, grants: &[(u8, bool)], chunks: usize, seed: u64) -> Fi
             SimInstant::from_nanos(seed.wrapping_mul(3)),
         );
     }
-    md.deleted = seed.is_multiple_of(5);
     md
 }
 
@@ -79,7 +78,11 @@ proptest! {
         let decoded = FileMetadata::decode(&encoded).unwrap();
         prop_assert_eq!(&decoded, &md);
         prop_assert_eq!(decoded.inline_manifest().unwrap(), inline);
-        prop_assert_eq!(decoded.encode(), encoded);
+        prop_assert_eq!(&decoded.encode(), &encoded);
+        // The version count ends the tuple: no flag byte follows it (a
+        // deleted file has no tuple), so any appended byte is refused.
+        let longer = [encoded.as_slice(), &[seed as u8]].concat();
+        prop_assert!(FileMetadata::decode(&longer).is_err());
     }
 
     #[test]

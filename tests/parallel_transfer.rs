@@ -2,11 +2,11 @@
 //! byte-range read path — the acceptance criteria of the transfer-pipeline
 //! refactor:
 //!
-//! * closing a dirty 16-chunk file with `max_parallel_transfers = 4` costs
-//!   ~4 blob latencies of foreground virtual time (vs ~16 sequentially), on
-//!   both the AWS and CoC backends — the manifest rides beside the first
-//!   chunk wave, or in the metadata tuple when it fits, so a dirty 1-chunk
-//!   close costs one blob latency;
+//! * closing a dirty 16-chunk file at the engine's wave width of 4 costs
+//!   ~4 blob latencies of foreground virtual time (vs ~16 for the backend's
+//!   `write_version` in waves of one), on both the AWS and CoC backends —
+//!   the manifest rides beside the first chunk wave, or in the metadata
+//!   tuple when it fits, so a dirty 1-chunk close costs one blob latency;
 //! * a cold `read(0, 4 KiB)` of a 16 MiB file transfers exactly the
 //!   manifest plus one chunk;
 //! * a cold open + read of a small file, whose manifest rides in the metadata
@@ -23,6 +23,7 @@ use scfs_repro::scfs::agent::ScfsAgent;
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::scfs::types::{ChunkMap, CutRule, OpenFlags};
+use scfs_repro::scfs::TransferOptions;
 use scfs_repro::scfs_crypto::sha256;
 use scfs_repro::sim_core::latency::LatencyModel;
 use scfs_repro::sim_core::time::{Clock, SimDuration};
@@ -54,10 +55,8 @@ fn aws_fast() -> Deployment {
     Deployment::instant(Backend::Aws, 0)
 }
 
-fn mount(deployment: &Deployment, parallel: usize, seed: u64) -> ScfsAgent {
-    let mut config = ScfsConfig::test(Mode::Blocking);
-    config.max_parallel_transfers = parallel;
-    deployment.mount("alice", config, seed)
+fn mount(deployment: &Deployment, seed: u64) -> ScfsAgent {
+    deployment.mount("alice", ScfsConfig::test(Mode::Blocking), seed)
 }
 
 /// A 16 MiB file whose 1 MiB chunks all differ from one another.
@@ -70,25 +69,40 @@ fn sixteen_mib() -> Vec<u8> {
 }
 
 /// Foreground virtual seconds one agent takes to `write_file` `data`.
-fn close_latency_secs(deployment: &Deployment, parallel: usize, data: &[u8]) -> f64 {
-    let mut fs = mount(deployment, parallel, 7);
+fn close_latency_secs(deployment: &Deployment, data: &[u8]) -> f64 {
+    let mut fs = mount(deployment, 7);
     let start = fs.now();
     fs.write_file("/big", data).unwrap();
     fs.now().duration_since(start).as_secs_f64()
 }
 
-/// A dirty 16-chunk close at parallelism 4 must cost ~⌈16/4⌉ blob latencies
-/// of foreground time instead of 16 — the manifest rides beside the first
-/// wave. Asserted relative to an empirically measured 1-chunk close (one blob
+/// Virtual seconds the deployment's backend takes to store `data` as a new
+/// version, moving its chunks in waves of `parallel`.
+fn write_version_secs(deployment: &Deployment, parallel: usize, data: &[u8]) -> f64 {
+    let map = ScfsConfig::test(Mode::Blocking).chunk_map(data);
+    let mut clock = Clock::new();
+    let mut ctx = OpCtx::new(&mut clock, "alice".into());
+    let opts = TransferOptions::parallel(parallel);
+    deployment
+        .storage()
+        .write_version(&mut ctx, "seq", data, &map, None, true, None, &opts)
+        .unwrap();
+    clock.now().as_secs_f64()
+}
+
+/// A dirty 16-chunk close at the agent's wave width of 4 must cost
+/// ~⌈16/4⌉ blob latencies of foreground time, where the same upload in
+/// waves of one costs 16 — the manifest rides beside the first wave.
+/// Asserted relative to an empirically measured 1-chunk close (one blob
 /// latency, plus a little local cache work that only loosens `seq`'s floor)
 /// so the same bound holds for the single-request AWS backend and the
 /// quorum-per-blob CoC backend.
 fn assert_parallel_close(backend: Backend) {
     let (seq_deployment, par_deployment) = (slow(backend), slow(backend));
-    let per_blob = close_latency_secs(&seq_deployment, 1, &vec![0x5A; MIB]);
+    let per_blob = close_latency_secs(&seq_deployment, &vec![0x5A; MIB]);
     let file = sixteen_mib();
-    let seq = close_latency_secs(&seq_deployment, 1, &file);
-    let par = close_latency_secs(&par_deployment, 4, &file);
+    let seq = write_version_secs(&seq_deployment, 1, &file);
+    let par = close_latency_secs(&par_deployment, &file);
     assert!(
         seq >= 15.5 * per_blob,
         "sequential close of 16 chunks took {seq:.2}s (< 16 blobs of {per_blob:.2}s)"
@@ -132,7 +146,7 @@ fn assert_one_blob_close(backend: Backend) {
         .unwrap();
     let bare_put_secs = clock.now().as_secs_f64();
 
-    let mut fs = mount(&slow(backend), 4, 7);
+    let mut fs = mount(&slow(backend), 7);
     let h = fs.open("/one", OpenFlags::create_truncate()).unwrap();
     fs.write(h, 0, &chunk).unwrap();
     let start = fs.now();
@@ -156,7 +170,7 @@ fn one_chunk_dirty_close_costs_one_blob_latency_coc() {
 
 #[test]
 fn close_reports_the_parallel_waves() {
-    let mut fs = mount(&aws_fast(), 4, 7);
+    let mut fs = mount(&aws_fast(), 7);
     fs.write_file("/big", &sixteen_mib()).unwrap();
     assert_eq!(fs.stats().chunk_uploads, 16);
     assert_eq!(fs.stats().transfer_waves, 4, "16 chunks / parallelism 4");
@@ -168,11 +182,11 @@ fn close_reports_the_parallel_waves() {
 fn cold_4k_read_of_16mib_fetches_one_chunk_and_manifest() {
     let deployment = aws_fast();
     let file = sixteen_mib();
-    let mut writer = mount(&deployment, 4, 1);
+    let mut writer = mount(&deployment, 1);
     writer.write_file("/big", &file).unwrap();
 
     // A second mount of the same account: cold caches.
-    let mut reader = mount(&deployment, 4, 2);
+    let mut reader = mount(&deployment, 2);
     reader.sleep(SimDuration::from_secs(1));
     let h = reader.open("/big", OpenFlags::read_only()).unwrap();
     assert_eq!(reader.handle_size(h).unwrap(), file.len() as u64);
@@ -204,7 +218,7 @@ fn total_gets(deployment: &Deployment) -> u64 {
 fn assert_cold_small_read_is_one_round_trip(backend: Backend) {
     let data: Vec<u8> = (0..64 * 1024).map(|i| (i * 31 + 7) as u8).collect();
     let written = |deployment: &Deployment| {
-        let mut writer = mount(deployment, 4, 1);
+        let mut writer = mount(deployment, 1);
         writer.write_file("/small", &data).unwrap();
         writer.now() + SimDuration::from_secs(1)
     };
@@ -226,7 +240,7 @@ fn assert_cold_small_read_is_one_round_trip(backend: Backend) {
     let deployment = slow(backend);
     let start = written(&deployment);
     let coordinator = deployment.coordinator();
-    let mut reader = mount(&deployment, 4, 2);
+    let mut reader = mount(&deployment, 2);
     reader.sleep(start.duration_since(reader.now()));
     let (gets, accesses) = (total_gets(&deployment), coordinator.access_count());
     let h = reader.open("/small", OpenFlags::read_only()).unwrap();
@@ -264,10 +278,10 @@ fn cold_small_file_read_costs_one_cloud_round_trip_coc() {
 fn sparse_reads_fetch_only_touched_chunks() {
     let deployment = aws_fast();
     let file = sixteen_mib();
-    let mut writer = mount(&deployment, 4, 1);
+    let mut writer = mount(&deployment, 1);
     writer.write_file("/big", &file).unwrap();
 
-    let mut reader = mount(&deployment, 4, 2);
+    let mut reader = mount(&deployment, 2);
     reader.sleep(SimDuration::from_secs(1));
     let h = reader.open("/big", OpenFlags::read_only()).unwrap();
     // A read straddling the chunk 7/8 boundary faults exactly two chunks.
@@ -291,10 +305,10 @@ fn sparse_reads_fetch_only_touched_chunks() {
 fn sequential_reads_prefetch_in_the_background() {
     let deployment = aws_fast();
     let file = sixteen_mib();
-    let mut writer = mount(&deployment, 4, 1);
+    let mut writer = mount(&deployment, 1);
     writer.write_file("/big", &file).unwrap();
 
-    let mut reader = mount(&deployment, 4, 2);
+    let mut reader = mount(&deployment, 2);
     reader.sleep(SimDuration::from_secs(1));
     let h = reader.open("/big", OpenFlags::read_only()).unwrap();
     // First read: not yet a sequential pattern — one chunk, no prefetch.
@@ -332,10 +346,10 @@ fn sequential_reads_prefetch_in_the_background() {
 fn eof_read_does_not_prefetch_from_file_start() {
     let deployment = aws_fast();
     let file = sixteen_mib();
-    let mut writer = mount(&deployment, 4, 1);
+    let mut writer = mount(&deployment, 1);
     writer.write_file("/big", &file).unwrap();
 
-    let mut reader = mount(&deployment, 4, 2);
+    let mut reader = mount(&deployment, 2);
     reader.sleep(SimDuration::from_secs(1));
     let h = reader.open("/big", OpenFlags::read_only()).unwrap();
     // Read only the last chunk, then hit EOF the way read loops do.
@@ -359,17 +373,17 @@ fn eof_read_does_not_prefetch_from_file_start() {
 fn partial_write_to_lazy_handle_round_trips() {
     let deployment = aws_fast();
     let mut file = sixteen_mib();
-    let mut writer = mount(&deployment, 4, 1);
+    let mut writer = mount(&deployment, 1);
     writer.write_file("/big", &file).unwrap();
 
-    let mut editor = mount(&deployment, 4, 2);
+    let mut editor = mount(&deployment, 2);
     editor.sleep(SimDuration::from_secs(1));
     let h = editor.open("/big", OpenFlags::read_write()).unwrap();
     editor.write(h, (5 * MIB + 17) as u64, b"edited").unwrap();
     editor.close(h).unwrap();
     file[5 * MIB + 17..5 * MIB + 23].copy_from_slice(b"edited");
 
-    let mut checker = mount(&deployment, 4, 3);
+    let mut checker = mount(&deployment, 3);
     checker.sleep(SimDuration::from_secs(10));
     assert_eq!(checker.read_file("/big").unwrap(), file);
     // The edit dirtied exactly one chunk.
