@@ -55,7 +55,10 @@ pub(super) struct OpenFile {
     pub(super) locked: bool,
     /// Set when this agent unlinks the file: the handle still reads and
     /// writes its buffer, but `close` and `sync` commit nothing, so the name
-    /// stays gone and no tuple points at storage the collector reclaims.
+    /// stays gone and no tuple of this agent's points at storage its
+    /// collector reclaims. Another mount's handle is not flagged: its close
+    /// still writes the tuple back (a pinned open hole, see
+    /// `tests/chunkstore_gc.rs`).
     pub(super) unlinked: bool,
 }
 

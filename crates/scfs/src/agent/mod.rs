@@ -188,18 +188,13 @@ impl ScfsAgent {
                 config.mode
             )));
         }
-        let coord = if config.mode.uses_coordination() {
-            coord
-        } else {
-            None
-        };
+        let coord = coord.filter(|_| config.mode.uses_coordination());
         let session = SessionId::new(format!("{}-{}", user.as_str(), seed));
         let locks = coord
             .clone()
             .map(|c| LockManager::new(c, session, LockManager::DEFAULT_LEASE));
-        let use_pns = config.private_name_spaces || !config.mode.uses_coordination();
-        let metadata =
-            MetadataService::new(coord, use_pns, user.clone(), config.metadata_cache_expiry);
+        let (pns, expiry) = (config.private_name_spaces, config.metadata_cache_expiry);
+        let metadata = MetadataService::new(coord, pns, user.clone(), expiry);
         Ok(ScfsAgent {
             cache: TieredCache::new(&config.cache, seed),
             mem_latency: LatencyProfile::main_memory(),
@@ -471,8 +466,10 @@ impl FileSystem for ScfsAgent {
         let now = self.clock.now();
         let md = FileMetadata::new_directory(&path, self.user.clone(), now);
         let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-        if !self.metadata.parent_exists(&mut ctx, &path) {
-            return Err(ScfsError::not_found(crate::types::parent_of(&path)));
+        // The root always exists.
+        let parent = crate::types::parent_of(&path);
+        if parent != "/" && self.metadata.get(&mut ctx, &parent).is_err() {
+            return Err(ScfsError::not_found(parent));
         }
         self.metadata.create(&mut ctx, md)
     }
@@ -509,8 +506,9 @@ impl FileSystem for ScfsAgent {
         if let Some(unlinked) = self.owned_files.get_mut(&id) {
             *unlinked = true;
         }
-        // An open handle of the file keeps its buffer, like a descriptor of
-        // an unlinked POSIX file, but no commit gives the name back.
+        // This agent's open handles of the file keep their buffers, like
+        // descriptors of an unlinked POSIX file, but no commit of theirs
+        // gives the name back. Another mount's handles are not reached.
         for file in self.open_files.values_mut() {
             file.unlinked |= file.metadata.storage_id == id;
         }

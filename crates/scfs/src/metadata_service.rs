@@ -19,8 +19,10 @@
 //! calls that applications issue around every high-level action (opening a
 //! document in an editor can trigger more than five `stat`s), which is the
 //! knob explored in Figure 10(a). It also remembers this client's own
-//! deletes: a delete that lands on a background lane, in the foreground's
-//! future, hides the path from this client at once and until it lands.
+//! deletes. A delete that lands on a background lane, in the foreground's
+//! future, hides the path from this client at once: `get` answers
+//! `NotFound`, a listing leaves the name out, a rename from it fails, and a
+//! create of it waits until the delete has landed.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -33,7 +35,7 @@ use coord::service::CoordinationService;
 use sim_core::time::{SimDuration, SimInstant};
 
 use crate::error::ScfsError;
-use crate::types::{is_child_of, is_under, parent_of, FileMetadata};
+use crate::types::{is_child_of, is_under, FileMetadata};
 
 /// Counters describing how the metadata service resolved its lookups.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -62,9 +64,10 @@ pub struct MetadataService {
     private: Option<Arc<dyn CoordinationService>>,
     user: AccountId,
     /// What this client last learned of each path — its tuple, or `None`
-    /// for a path it deleted — and the instant that knowledge expires.
-    /// Ordered so expiry sweeps ([`MetadataService::rename`]'s prefix
-    /// retain) visit entries in a run-independent order.
+    /// for a path it deleted — and the instant it learned it: for an
+    /// absence, the instant the delete commits. Ordered so sweeps
+    /// ([`MetadataService::rename`]'s prefix retain) visit entries in a
+    /// run-independent order.
     cache: BTreeMap<String, (Option<FileMetadata>, SimInstant)>,
     cache_expiry: SimDuration,
     stats: MetadataStats,
@@ -159,18 +162,31 @@ impl MetadataService {
     }
 
     /// The cached answer for `path` at `now`, if one is still fresh: the
-    /// tuple, or `Err(NotFound)` for a path this client deleted.
+    /// tuple, or `Err(NotFound)` for a path this client deleted. With the
+    /// cache off it holds absences only, and drops those that have landed.
     fn cache_get(
         &mut self,
         path: &str,
         now: SimInstant,
     ) -> Option<Result<FileMetadata, ScfsError>> {
-        let (md, expires_at) = self.cache.get(path)?;
-        if now >= *expires_at {
+        if self.cache_expiry == SimDuration::ZERO {
+            self.cache.retain(|_, (_, landed)| now < *landed);
+        }
+        let (md, learned) = self.cache.get(path)?;
+        if now >= *learned + self.cache_expiry {
             return None;
         }
         self.stats.cache_hits += 1;
         Some(md.clone().ok_or_else(|| ScfsError::not_found(path)))
+    }
+
+    /// The instant this client's own delete of `path` lands, while the path
+    /// is cached as absent at `now`.
+    fn deleted_until(&self, path: &str, now: SimInstant) -> Option<SimInstant> {
+        match self.cache.get(path) {
+            Some((None, landed)) if now < *landed + self.cache_expiry => Some(*landed),
+            _ => None,
+        }
     }
 
     /// Caches what this client learned of `path` at `now`. An absence is
@@ -178,9 +194,7 @@ impl MetadataService {
     /// must hide the path from the foreground until then.
     fn cache_put(&mut self, path: &str, md: Option<&FileMetadata>, now: SimInstant) {
         if self.cache_expiry > SimDuration::ZERO || md.is_none() {
-            let expires_at = now + self.cache_expiry;
-            self.cache
-                .insert(path.to_string(), (md.cloned(), expires_at));
+            self.cache.insert(path.to_string(), (md.cloned(), now));
         }
     }
 
@@ -247,8 +261,12 @@ impl MetadataService {
         Ok(())
     }
 
-    /// Creates the metadata of a new object (exclusive).
+    /// Creates the metadata of a new object (exclusive), once this client's
+    /// own delete of the name, if one is still landing, has landed.
     pub fn create(&mut self, ctx: &mut OpCtx<'_>, metadata: FileMetadata) -> Result<(), ScfsError> {
+        let now = ctx.clock.now();
+        ctx.clock
+            .advance_to(self.deleted_until(&metadata.path, now).unwrap_or(now));
         self.write(ctx, metadata, true)
     }
 
@@ -281,7 +299,8 @@ impl MetadataService {
         Ok(())
     }
 
-    /// Lists the direct children of directory `path`, from every store.
+    /// Lists the direct children of directory `path`, from every store,
+    /// without the ones this client deleted.
     pub fn list_children(
         &mut self,
         ctx: &mut OpCtx<'_>,
@@ -310,6 +329,8 @@ impl MetadataService {
             children.sort();
             children.dedup();
         }
+        let now = ctx.clock.now();
+        children.retain(|child| self.deleted_until(child, now).is_none());
         Ok(children)
     }
 
@@ -317,13 +338,16 @@ impl MetadataService {
     /// path operation: `/a` names `/a` and the subtree under `/a/`, never the
     /// sibling `/ab`. What was cached of either tree is dropped — `to`'s too,
     /// so a clobbered destination is not served from its old tuple until the
-    /// cache expires.
+    /// cache expires. A path this client deleted is not there to move.
     pub fn rename(
         &mut self,
         ctx: &mut OpCtx<'_>,
         from: &str,
         to: &str,
     ) -> Result<usize, ScfsError> {
+        if self.deleted_until(from, ctx.clock.now()).is_some() {
+            return Err(ScfsError::not_found(from));
+        }
         self.cache
             .retain(|k, _| !is_under(k, from) && !is_under(k, to));
         let (old, new) = (Self::coord_key(from), Self::coord_key(to));
@@ -362,15 +386,6 @@ impl MetadataService {
         }
         self.cache_put(&metadata.path, Some(&metadata), ctx.clock.now());
         Ok(metadata)
-    }
-
-    /// Whether `path`'s parent directory exists (the root always does).
-    pub fn parent_exists(&mut self, ctx: &mut OpCtx<'_>, path: &str) -> bool {
-        let parent = parent_of(path);
-        if parent == "/" {
-            return true;
-        }
-        self.get(ctx, &parent).is_ok()
     }
 
     /// The user this service acts for.
@@ -530,6 +545,46 @@ mod tests {
         svc.delete(&mut ctx, "/docs/report").unwrap();
         assert_eq!(svc.private_tuples(), 0);
         assert!(c.get(&mut ctx, "/scfs/meta/docs/report").is_err());
+    }
+
+    #[test]
+    fn a_delete_landing_later_hides_the_path_until_then() {
+        let mut svc = MetadataService::new(Some(coord()), false, "alice".into(), SimDuration::ZERO);
+        let mut clock = Clock::new();
+        let mut ctx = OpCtx::new(&mut clock, "alice".into());
+        svc.create(&mut ctx, md("/d/f")).unwrap();
+        // The delete commits ten seconds into the foreground's future, as
+        // one on a background lane does.
+        let mut lane = Clock::new();
+        lane.advance_to(clock.now() + SimDuration::from_secs(10));
+        let landed = lane.now();
+        svc.delete(&mut OpCtx::new(&mut lane, "alice".into()), "/d/f")
+            .unwrap();
+        let mut ctx = OpCtx::new(&mut clock, "alice".into());
+        assert!(svc.get(&mut ctx, "/d/f").is_err());
+        assert!(svc.list_children(&mut ctx, "/d").unwrap().is_empty());
+        assert!(matches!(
+            svc.rename(&mut ctx, "/d/f", "/d/g"),
+            Err(ScfsError::NotFound { .. })
+        ));
+        // A create of the name waits for the delete.
+        svc.create(&mut ctx, md("/d/f")).unwrap();
+        assert_eq!(ctx.clock.now(), landed);
+        assert!(svc.get(&mut ctx, "/d/f").is_ok());
+    }
+
+    #[test]
+    fn with_the_cache_off_landed_deletes_leave_nothing_cached() {
+        let mut svc = MetadataService::new(Some(coord()), false, "alice".into(), SimDuration::ZERO);
+        let mut clock = Clock::new();
+        let mut ctx = OpCtx::new(&mut clock, "alice".into());
+        for i in 0..10 {
+            let path = format!("/f{i}");
+            svc.create(&mut ctx, md(&path)).unwrap();
+            svc.delete(&mut ctx, &path).unwrap();
+        }
+        assert!(svc.get(&mut ctx, "/f0").is_err());
+        assert!(svc.cache.is_empty(), "{svc:?}");
     }
 
     #[test]

@@ -303,6 +303,47 @@ fn closing_a_dirty_handle_of_an_unlinked_file_commits_nothing() {
     assert!(tuple.is_err(), "a tuple was left behind: {tuple:?}");
 }
 
+/// An open hole, pinned as it behaves: only the unlinking agent knows its
+/// handles of the file. A write handle on another mount — here a grantee's —
+/// still commits on close, and its unconditional anchor update writes the
+/// tuple back. The owner's collector then releases every version of the
+/// object, the one just committed included, so the name lists and stats but
+/// its bytes are gone. A fix (a close whose anchor update is conditional on
+/// the tuple it opened, ROADMAP item 12) makes that close fail and flips the
+/// last assertion to `NotFound`.
+#[test]
+fn open_hole_a_close_on_another_mount_after_unlink_anchors_a_tuple_without_storage() {
+    let deployment = Deployment::instant(Backend::Aws, 11);
+    let mut config = test_config();
+    config.gc.written_bytes_threshold = Bytes::new(1);
+    let mut alice = deployment.mount("alice", config, 3);
+    let mut bob = deployment.mount("bob", test_config(), 4);
+
+    alice.write_file("/shared/doc", &four_chunks(0x31)).unwrap();
+    alice
+        .setfacl("/shared/doc", &"bob".into(), Permission::Write)
+        .unwrap();
+    bob.sleep(SimDuration::from_secs(1));
+    let h = bob.open("/shared/doc", OpenFlags::read_write()).unwrap();
+    bob.write(h, 0, &four_chunks(0x32)).unwrap();
+    alice.sleep(bob.now().duration_since(alice.now()));
+    alice.unlink("/shared/doc").unwrap();
+    bob.sleep(alice.now().duration_since(bob.now()));
+    bob.close(h).unwrap();
+    // Past the 1-byte threshold: alice's collector releases the object.
+    alice.sleep(bob.now().duration_since(alice.now()));
+    alice.write_file("/trigger", b"x").unwrap();
+    assert!(alice.stats().gc_runs >= 2);
+    assert_no_orphans(&deployment);
+    // A cold mount: nothing of the file is in its caches.
+    let mut reader = deployment.mount("bob", test_config(), 5);
+    reader.sleep(alice.now().duration_since(reader.now()) + SimDuration::from_secs(2));
+    let read = reader.read_file("/shared/doc");
+    assert!(read.is_err(), "its storage is gone");
+    let stat = reader.stat("/shared/doc").map(|md| md.version_count);
+    assert!(matches!(stat, Ok(2)), "{stat:?}");
+}
+
 #[test]
 fn gc_reaches_zero_orphans_within_two_cycles_despite_delete_faults() {
     let (deployment, faulty) = faulty_deployment(Backend::Aws);

@@ -242,7 +242,10 @@ fn answer_on(fs: &mut ScfsAgent, call: &str, path: &str) -> Result<String, Strin
 /// A deleted file has one representation, no tuple, so an unlinked path
 /// answers every call as a path that was never created does — in every
 /// mode, with the private name space on or off, and right after the unlink
-/// as well as once the metadata cache has expired.
+/// as well as once the metadata cache has expired. On the paper deployment a
+/// non-blocking unlink lands later, on the object's lane behind the upload;
+/// its writer gets the same answers before it lands, and a create of the
+/// name waits for the delete instead of meeting the old tuple.
 #[test]
 fn an_unlinked_path_answers_like_one_never_created() {
     let calls = [
@@ -256,7 +259,16 @@ fn an_unlinked_path_answers_like_one_never_created() {
         "getfacl",
         "setfacl",
     ];
-    for mode in [Mode::Blocking, Mode::NonBlocking, Mode::NonSharing] {
+    let instant = || Deployment::instant(Backend::Aws, 7);
+    let paper = || Deployment::paper(Backend::Aws, 7);
+    let cases: [(Mode, &dyn Fn() -> Deployment); 4] = [
+        (Mode::Blocking, &instant),
+        (Mode::NonBlocking, &instant),
+        (Mode::NonSharing, &instant),
+        (Mode::NonBlocking, &paper),
+    ];
+    let mut windows = 0;
+    for (mode, deployment) in cases {
         for pns in [false, true] {
             for pause in [SimDuration::ZERO, SimDuration::from_secs(2)] {
                 // A fresh mount per call: /docs/src exists, /docs/notes was
@@ -264,24 +276,29 @@ fn an_unlinked_path_answers_like_one_never_created() {
                 let setup = || {
                     let mut config = ScfsConfig::test(mode);
                     config.private_name_spaces = pns;
-                    let mut fs = Deployment::instant(Backend::Aws, 7).mount("alice", config, 1);
+                    let mut fs = deployment().mount("alice", config, 1);
                     fs.write_file("/docs/src", b"source").unwrap();
                     fs.write_file("/docs/notes", b"draft").unwrap();
+                    let upload = fs.upload_token("/docs/notes");
                     fs.unlink("/docs/notes").unwrap();
                     fs.sleep(pause);
-                    fs
+                    let in_flight = upload.is_some_and(|u| fs.now() < u.ready_at());
+                    (fs, in_flight)
                 };
+                let (_, in_flight) = setup();
+                windows += usize::from(in_flight);
                 for call in calls {
-                    let unlinked = answer_on(&mut setup(), call, "/docs/notes");
-                    let fresh = answer_on(&mut setup(), call, "/docs/fresh");
+                    let unlinked = answer_on(&mut setup().0, call, "/docs/notes");
+                    let fresh = answer_on(&mut setup().0, call, "/docs/fresh");
                     assert_eq!(
                         unlinked, fresh,
-                        "{call}: {mode:?}, PNS {pns}, after {pause}"
+                        "{call}: {mode:?}, PNS {pns}, after {pause}, in flight {in_flight}"
                     );
                 }
             }
         }
     }
+    assert_eq!(windows, 2, "the paper cases right after the unlink");
 }
 
 /// The unlink of a file whose non-blocking upload is still in flight is a
