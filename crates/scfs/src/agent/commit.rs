@@ -258,16 +258,38 @@ impl ScfsAgent {
         Ok(committed)
     }
 
-    /// Writes each chunk of `map` into the disk cache (durability level 1:
-    /// the data survives a client restart even before the cloud upload
-    /// commits) — and, under [`WriteMode::Through`], the memory cache.
-    pub(super) fn spill_chunks(&mut self, map: &ChunkMap, data: &[u8], mode: WriteMode) {
+    /// Spills the chunks of `map` to the disk cache — and, under
+    /// [`WriteMode::Through`], the memory cache — behind the caller, and
+    /// returns the instant the spill lands: from then on every chunk of the
+    /// version is on the local disk (durability level 1: the data survives a
+    /// client restart even before the cloud upload commits). A chunk key is
+    /// a content address, so a chunk the disk already holds under its hash
+    /// is those very bytes: it is refreshed in the disk's recency, neither
+    /// copied nor written, and a spill writes only the chunks the edit made
+    /// (plus any clean chunk that so far sat in memory only).
+    pub(super) fn spill_chunks(
+        &mut self,
+        map: &ChunkMap,
+        data: &[u8],
+        mode: WriteMode,
+    ) -> SimInstant {
+        let mut landed = self.clock.now();
         for (index, chunk_hash) in map.chunks().iter().enumerate() {
             let key = Self::chunk_cache_key(chunk_hash);
+            if self.cache.probe_disk(&key, chunk_hash) {
+                continue;
+            }
             let chunk: Arc<[u8]> = Arc::from(&data[map.byte_range(index)]);
-            self.cache
-                .put(&mut self.clock, &key, chunk, Some(*chunk_hash), mode);
+            landed = self.cache.put_after(
+                &mut self.clock,
+                landed,
+                &key,
+                chunk,
+                Some(*chunk_hash),
+                mode,
+            );
         }
+        landed
     }
 
     /// The chunk map of `file`'s buffer: the newest map the handle has,
@@ -285,12 +307,17 @@ impl ScfsAgent {
 
     /// Commits `file`'s buffer as the new version of its object. The buffer
     /// is chunked — the version's root hash, the one hash the anchor stores,
-    /// follows from the map alone, before any cloud access — and written
-    /// into both cache levels, so the data always reaches the local disk
-    /// first (level 1); the manifest goes with it unless the metadata tuple
+    /// follows from the map alone, before any cloud access — and spilled to
+    /// both cache levels; the manifest goes with it unless the metadata tuple
     /// will carry that ([`manifest_rides_inline`]: a cache entry nobody
-    /// looks up would only displace a chunk). Then the commit runs. Returns
-    /// the version's map and the committed metadata.
+    /// looks up would only displace a chunk). The spill is written behind.
+    /// A close that returns at level 1 (non-blocking, non-sharing) waits for
+    /// it to land and starts the upload from there, so its data reaches the
+    /// local disk first. A waiting commit (a blocking close, `sync`) starts
+    /// the upload at the spill's own instant, so the two overlap and the
+    /// data may reach the cloud before the local disk; it returns at the
+    /// later of the anchor update and the spill landing. Returns the
+    /// version's map and the committed metadata.
     fn commit_buffer(
         &mut self,
         file: &OpenFile,
@@ -298,12 +325,13 @@ impl ScfsAgent {
         wait: bool,
     ) -> Result<(ChunkMap, Option<FileMetadata>), ScfsError> {
         let map = self.cut_buffer(file);
-        self.spill_chunks(&map, &file.buffer, WriteMode::Through);
+        let mut spilled = self.spill_chunks(&map, &file.buffer, WriteMode::Through);
         let manifest = map.encode();
         if !manifest_rides_inline(&manifest) {
             let root = scfs_crypto::sha256(&manifest);
-            self.cache.put(
+            spilled = self.cache.put_after(
                 &mut self.clock,
+                spilled,
                 &Self::manifest_cache_key(&root),
                 manifest.into(),
                 Some(root),
@@ -316,7 +344,13 @@ impl ScfsAgent {
             map: &map,
             prev: file.chunk_map.as_ref(),
         };
-        let committed = self.run_commit(None, file.metadata.clone(), version, unlock, wait)?;
+        if !wait {
+            // Level 1 first: the upload starts where the spill lands.
+            self.clock.advance_to(spilled);
+        }
+        let committed = self.run_commit(None, file.metadata.clone(), version, unlock, wait);
+        self.clock.advance_to(spilled);
+        let committed = committed?;
         self.maybe_run_gc();
         Ok((map, committed))
     }
@@ -440,6 +474,7 @@ mod tests {
     use coord::replication::ReplicatedCoordinator;
     use coord::service::CoordinationService;
     use sim_core::time::SimDuration;
+    use sim_core::units::Bytes;
     use std::sync::Arc;
 
     #[test]
@@ -712,6 +747,150 @@ mod tests {
         // Shrinking back re-inlines it.
         writer.write_file("/f", &vec![3u8; 4096]).unwrap();
         assert_eq!(cold_open(4), (0, true));
+    }
+
+    /// Four distinct 1 MiB chunks (the default chunk size).
+    fn four_chunks() -> Vec<u8> {
+        let mut data = vec![0u8; 4 << 20];
+        for (i, chunk) in data.chunks_mut(1 << 20).enumerate() {
+            chunk.fill(i as u8 + 1);
+        }
+        data
+    }
+
+    /// `data` with one chunk's worth of edit: four bytes into chunk `index`.
+    fn edited(mut data: Vec<u8>, index: usize) -> (Vec<u8>, u64) {
+        let offset = (index << 20) + 10;
+        data[offset..offset + 4].copy_from_slice(b"edit");
+        (data, offset as u64)
+    }
+
+    /// Whether every chunk of `data`, cut as `fs` cuts it, is on `fs`'s
+    /// disk tier.
+    fn on_disk(fs: &ScfsAgent, data: &[u8]) -> bool {
+        let map = fs.config().chunk_map(data);
+        map.chunks().iter().all(|hash| {
+            let key = ScfsAgent::chunk_cache_key(hash);
+            fs.cache.disk().contains(&key, Some(hash))
+        })
+    }
+
+    /// The least the local disk takes to write `chunks` chunks of 1 MiB, one
+    /// after another: the request floor plus the transfer, each.
+    fn min_spill(chunks: u64) -> SimDuration {
+        let disk = sim_core::latency::LatencyProfile::local_disk();
+        let one = SimDuration::from_millis_f64(0.5) + disk.upload.transfer_time(Bytes::mib(1));
+        one.mul(chunks)
+    }
+
+    #[test]
+    fn a_one_chunk_edit_spills_one_chunk_and_its_blocking_close_waits_on_no_disk() {
+        // The same edit on two WAN agents, one of them without a disk tier.
+        let edit = |disk: Bytes| {
+            let config =
+                ScfsConfig::test(Mode::Blocking).with_cache_capacities(Bytes::mib(512), disk);
+            let mut fs = wan_agent(config);
+            let data = four_chunks();
+            fs.write_file("/f", &data).unwrap();
+            let map = fs.config().chunk_map(&data);
+            let keys: Vec<String> = map
+                .chunks()
+                .iter()
+                .map(ScfsAgent::chunk_cache_key)
+                .collect();
+            let spilled: Vec<_> = keys
+                .iter()
+                .map(|k| fs.cache.disk().peek(k).cloned())
+                .collect();
+            let h = fs.open("/f", OpenFlags::read_write()).unwrap();
+            let (data, offset) = edited(data, 2);
+            fs.write(h, offset, b"edit").unwrap();
+            let start = fs.now();
+            fs.close(h).unwrap();
+            let took = fs.now().duration_since(start);
+            (fs, data, keys, spilled, took)
+        };
+        let (fs, data, keys, spilled, took) = edit(Bytes::gib(16));
+        // The chunks the edit left alone are the very allocations the first
+        // close spilled: only the new chunk was written.
+        for i in [0, 1, 3] {
+            let now = fs.cache.disk().peek(&keys[i]).expect("still on disk");
+            let then = spilled[i].as_ref().expect("spilled by the first close");
+            assert!(Arc::ptr_eq(now, then), "chunk {i} was rewritten");
+        }
+        assert!(on_disk(&fs, &data), "the new version is on the local disk");
+        // Upload plus anchor update, and no disk term: no slower than the
+        // same close on an agent whose disk holds nothing.
+        let (_, _, _, _, without_disk) = edit(Bytes::ZERO);
+        assert!(
+            took <= without_disk,
+            "the close waited on the disk: {took} vs {without_disk} without one"
+        );
+    }
+
+    #[test]
+    fn fsync_and_every_close_that_returns_early_wait_for_their_spill() {
+        // Second mounts of the account edit files they have never read: the
+        // write faults all four chunks in from the cloud, into memory only.
+        let cloud = Arc::new(SimulatedCloud::test("s3"));
+        let coord: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
+        let mount = |mode, seed| {
+            let storage = Arc::new(SingleCloudStorage::new(cloud.clone()));
+            let (config, coord) = (ScfsConfig::test(mode), Some(coord.clone()));
+            ScfsAgent::mount("alice".into(), config, storage, coord, seed).unwrap()
+        };
+        let mut writer = mount(Mode::Blocking, 1);
+        writer.write_file("/fsync", &four_chunks()).unwrap();
+        writer.write_file("/nb", &four_chunks()).unwrap();
+        for (path, mode, seed) in [("/fsync", Mode::Blocking, 2), ("/nb", Mode::NonBlocking, 3)] {
+            let mut fs = mount(mode, seed);
+            fs.sleep(SimDuration::from_secs(60));
+            let h = fs.open(path, OpenFlags::read_write()).unwrap();
+            let (data, offset) = edited(four_chunks(), 3);
+            fs.write(h, offset, b"edit").unwrap();
+            let clean = ScfsAgent::chunk_cache_key(&fs.config().chunk_map(&data).chunks()[0]);
+            assert!(fs.cache.memory().contains(&clean, None));
+            assert!(
+                !fs.cache.disk().contains(&clean, None),
+                "fetched into memory only"
+            );
+            let start = fs.now();
+            if mode == Mode::Blocking {
+                fs.fsync(h).unwrap();
+            } else {
+                fs.close(h).unwrap();
+            }
+            // Three clean chunks and the new one land one after another.
+            let took = fs.now().duration_since(start);
+            assert!(
+                took >= min_spill(4),
+                "{path}: returned {took} after the call"
+            );
+            assert!(
+                on_disk(&fs, &data),
+                "{path}: a chunk is not on the local disk"
+            );
+            if mode == Mode::Blocking {
+                fs.close(h).unwrap();
+            }
+        }
+
+        // A non-sharing close: a new file spills four chunks, a one-chunk
+        // edit of it spills one.
+        let storage = Arc::new(SingleCloudStorage::new(cloud.clone()));
+        let config = ScfsConfig::test(Mode::NonSharing);
+        let mut fs = ScfsAgent::mount("carol".into(), config, storage, None, 4).unwrap();
+        let start = fs.now();
+        fs.write_file("/ns", &four_chunks()).unwrap();
+        assert!(fs.now().duration_since(start) >= min_spill(4));
+        assert!(on_disk(&fs, &four_chunks()));
+        let h = fs.open("/ns", OpenFlags::read_write()).unwrap();
+        let (data, offset) = edited(four_chunks(), 1);
+        fs.write(h, offset, b"edit").unwrap();
+        let start = fs.now();
+        fs.close(h).unwrap();
+        assert!(fs.now().duration_since(start) >= min_spill(1));
+        assert!(on_disk(&fs, &data));
     }
 
     #[test]

@@ -422,12 +422,14 @@ impl FileSystem for ScfsAgent {
         self.with_open(handle, |agent, file| {
             if file.is_dirty() {
                 // Durability level 1: the data reaches the local disk, as
-                // chunks. No manifest is spilled — the version is not
-                // committed yet, so there is no root hash for a reader to
-                // look it up under. The handle keeps the map: the commit
-                // re-cuts only what is written after this point.
+                // chunks, and the call returns once the spill has landed.
+                // No manifest is spilled — the version is not committed yet,
+                // so there is no root hash for a reader to look it up under.
+                // The handle keeps the map: the commit re-cuts only what is
+                // written after this point.
                 let map = agent.cut_buffer(file);
-                agent.spill_chunks(&map, &file.buffer, WriteMode::DiskOnly);
+                let spilled = agent.spill_chunks(&map, &file.buffer, WriteMode::DiskOnly);
+                agent.clock.advance_to(spilled);
                 file.staged = Some(map);
                 file.dirty = None;
             }

@@ -3,8 +3,9 @@
 //!
 //! SCFS keeps every file it reads or writes locally: a **main-memory cache**
 //! (hundreds of MB) over a large, long-term **local-disk cache** (GBs).
-//! Both tiers charge realistic local latencies to the client's virtual
-//! clock (microseconds for memory, milliseconds for disk), and a cached
+//! Both tiers draw realistic local latencies (microseconds for memory,
+//! milliseconds for disk) — reads and memory writes on the client's virtual
+//! clock, disk writes behind it — and a cached
 //! entry is validated against the coordination service's version hash
 //! before being served, so a stale copy is never returned.
 //!
@@ -19,7 +20,9 @@
 //!   disk hits are **promoted** into memory by moving the `Arc` (one insert
 //!   charge, no copy), and memory evictions are **demoted** to disk instead
 //!   of being dropped, so re-reads stay local instead of touching the
-//!   cloud.
+//!   cloud. Every disk write, a demotion included, is **written behind**:
+//!   it leaves the caller's clock alone and reports the instant it lands,
+//!   so only a call that owes level-1 durability waits for the disk.
 //!
 //! The two capacities are chosen through [`CacheConfig`], carried by
 //! [`crate::config::ScfsConfig`]; the
@@ -67,7 +70,9 @@ impl CacheConfig {
 mod tests {
     use super::*;
     use scfs_crypto::sha256;
-    use sim_core::time::Clock;
+    use sim_core::latency::LatencyProfile;
+    use sim_core::rng::DetRng;
+    use sim_core::time::{Clock, SimDuration};
     use std::sync::Arc;
 
     fn payload(bytes: &[u8]) -> Arc<[u8]> {
@@ -391,6 +396,160 @@ mod tests {
         cache.put(&mut clock, "/big", zeros(500), None, WriteMode::CacheOnly);
         assert!(!cache.memory().contains("/big", None));
         assert!(cache.disk().contains("/big", None));
+    }
+
+    #[test]
+    fn a_miss_on_either_tier_leaves_the_clock_where_it_was() {
+        let config = CacheConfig::default().with_capacities(Bytes::new(300), Bytes::new(10_000));
+        let mut cache = TieredCache::new(&config, 35);
+        let mut clock = Clock::new();
+        let data = vec![4u8; 200];
+        let hash = sha256(&data);
+        cache.put(
+            &mut clock,
+            "/f",
+            payload(&data),
+            Some(hash),
+            WriteMode::DiskOnly,
+        );
+        let before = clock.now();
+        // Absent from both tiers, and present on disk under another version:
+        // the index answers both, so neither is an access.
+        assert!(cache.get(&mut clock, "/missing", None).is_none());
+        assert!(cache
+            .get(&mut clock, "/f", Some(&sha256(b"other")))
+            .is_none());
+        assert_eq!(clock.now(), before, "a miss is free on both tiers");
+        assert_eq!(cache.stats().memory.misses, 2);
+        assert_eq!(cache.stats().disk.misses, 2);
+        let mut disk = CacheTier::disk(Bytes::new(1000), 36);
+        assert!(disk.get(&mut clock, "/missing", None).is_none());
+        assert_eq!(clock.now(), before);
+    }
+
+    /// The latency streams of `TieredCache::new(_, seed)`'s two tiers,
+    /// replayed draw by draw: what each access of a test costs.
+    struct Latencies {
+        memory: DetRng,
+        disk: DetRng,
+    }
+
+    impl Latencies {
+        fn new(seed: u64) -> Self {
+            Latencies {
+                memory: DetRng::new(seed ^ 0x11),
+                disk: DetRng::new(seed ^ 0x22),
+            }
+        }
+
+        fn memory_write(&mut self, len: u64) -> SimDuration {
+            LatencyProfile::main_memory().sample_op(&mut self.memory, Bytes::new(len), Bytes::ZERO)
+        }
+
+        fn disk_write(&mut self, len: u64) -> SimDuration {
+            let latency = LatencyProfile::local_disk().sample_op(
+                &mut self.disk,
+                Bytes::new(len),
+                Bytes::ZERO,
+            );
+            assert!(latency >= min_disk_write(len));
+            latency
+        }
+
+        fn disk_read(&mut self, len: u64) -> SimDuration {
+            LatencyProfile::local_disk().sample_op(&mut self.disk, Bytes::ZERO, Bytes::new(len))
+        }
+    }
+
+    /// The least a disk write of `len` bytes can take: the request floor
+    /// (0.5 ms) plus the transfer at the disk's bandwidth.
+    fn min_disk_write(len: u64) -> SimDuration {
+        SimDuration::from_millis_f64(0.5)
+            + LatencyProfile::local_disk()
+                .upload
+                .transfer_time(Bytes::new(len))
+    }
+
+    #[test]
+    fn disk_writes_land_behind_the_caller_one_after_another() {
+        let config = CacheConfig::default().with_capacities(Bytes::new(300), Bytes::new(10_000));
+        let mut cache = TieredCache::new(&config, 37);
+        let mut lat = Latencies::new(37);
+        let mut clock = Clock::new();
+        let entry = |byte: u8| {
+            let data = vec![byte; 200];
+            let hash = sha256(&data);
+            (payload(&data), Some(hash))
+        };
+
+        // DiskOnly: the caller's clock does not move; the write lands later.
+        let (a, ha) = entry(1);
+        let t = clock.now();
+        let landed = cache.put(&mut clock, "/a", a, ha, WriteMode::DiskOnly);
+        assert_eq!(clock.now(), t, "a disk write leaves the clock alone");
+        assert_eq!(landed, t + lat.disk_write(200));
+        assert!(landed >= t + min_disk_write(200));
+
+        // Through: the caller pays the memory write only.
+        let (b, hb) = entry(2);
+        let t = clock.now();
+        let landed = cache.put(&mut clock, "/b", b, hb, WriteMode::Through);
+        assert_eq!(clock.now(), t + lat.memory_write(200));
+        assert_eq!(landed, t + lat.disk_write(200));
+
+        // CacheOnly with an eviction: /b is on disk already, so nothing is
+        // demoted and nothing lands later than now.
+        let (m, hm) = entry(3);
+        let t = clock.now();
+        let landed = cache.put(&mut clock, "/m", m, hm, WriteMode::CacheOnly);
+        assert_eq!(clock.now(), t + lat.memory_write(200));
+        assert_eq!(landed, clock.now());
+        assert_eq!(cache.stats().demotions, 0);
+
+        // ...but evicting the memory-only /m demotes it, behind the caller.
+        let (n, hn) = entry(4);
+        let t = clock.now();
+        let landed = cache.put(&mut clock, "/n", n, hn, WriteMode::CacheOnly);
+        let after = t + lat.memory_write(200);
+        assert_eq!(clock.now(), after);
+        assert_eq!(landed, after + lat.disk_write(200));
+        assert_eq!(cache.stats().demotions, 1);
+        assert!(cache.disk().contains("/m", hm.as_ref()));
+
+        // One call's disk writes queue: a Through put that evicts /n lands
+        // its own write, then the demotion of /n behind it.
+        let (u, hu) = entry(5);
+        let t = clock.now();
+        let landed = cache.put(&mut clock, "/u", u, hu, WriteMode::Through);
+        assert_eq!(clock.now(), t + lat.memory_write(200));
+        let own = lat.disk_write(200);
+        assert_eq!(landed, t + own + lat.disk_write(200));
+        assert!(landed >= t + min_disk_write(200) + min_disk_write(200));
+        assert_eq!(cache.stats().demotions, 2);
+
+        // So do the writes of a caller that threads its landing instant
+        // through several puts.
+        let (v, hv) = entry(6);
+        let (w, hw) = entry(7);
+        let t = clock.now();
+        let first = cache.put(&mut clock, "/v", v, hv, WriteMode::DiskOnly);
+        let second = cache.put_after(&mut clock, first, "/w", w, hw, WriteMode::DiskOnly);
+        assert_eq!(clock.now(), t);
+        assert_eq!(first, t + lat.disk_write(200));
+        assert_eq!(second, first + lat.disk_write(200));
+
+        // Promotion: a disk hit is read on the caller's clock and moved into
+        // memory; the memory-only /x it pushes out is demoted behind.
+        let (x, hx) = entry(8);
+        cache.put(&mut clock, "/x", x, hx, WriteMode::CacheOnly);
+        lat.memory_write(200);
+        let t = clock.now();
+        assert!(cache.get(&mut clock, "/m", hm.as_ref()).is_some());
+        let read = lat.disk_read(200);
+        assert_eq!(clock.now(), t + read + lat.memory_write(0));
+        assert_eq!(cache.stats().promotions, 1);
+        assert_eq!(cache.stats().demotions, 3);
+        assert!(cache.disk().contains("/x", hx.as_ref()));
     }
 
     #[test]

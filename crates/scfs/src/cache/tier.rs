@@ -12,6 +12,19 @@
 //!   written to the disk tier instead of being dropped, so a later read is
 //!   a disk hit rather than a cloud download.
 //!
+//! Every disk-tier payload write — a `Through` or `DiskOnly` put, an
+//! oversized `CacheOnly` put, a demotion — is **written behind** the caller:
+//! it draws its latency from the disk tier's stream as a charged write
+//! would, but leaves the caller's clock where it was and reports the
+//! instant it lands instead. The writes one call issues queue behind each
+//! other (they land at the call's instant plus the sum of their
+//! latencies); there is no device horizon shared across clocks, since lane
+//! jobs insert from forked clocks. Whoever owes the local disk's durability
+//! (`fsync`, a close that returns at level 1) waits for the landing
+//! instant; everyone else does not. Memory writes, and reads on both tiers,
+//! are charged on the caller's clock, and a miss is free on both tiers: the
+//! in-memory index answered it.
+//!
 //! Payloads are `Arc<[u8]>` end to end: hits, promotions and demotions move
 //! reference counts, never chunk bytes.
 
@@ -21,7 +34,7 @@ use std::sync::Arc;
 use scfs_crypto::ContentHash;
 use sim_core::latency::LatencyProfile;
 use sim_core::rng::DetRng;
-use sim_core::time::Clock;
+use sim_core::time::{Clock, SimDuration, SimInstant};
 use sim_core::units::Bytes;
 
 use super::policy::{EntryId, PolicyKind, RecencyList};
@@ -184,11 +197,6 @@ impl CacheTier {
         }
     }
 
-    fn charge(&mut self, clock: &mut Clock, upload: Bytes, download: Bytes) {
-        let latency = self.latency.sample_op(&mut self.rng, upload, download);
-        clock.advance(latency);
-    }
-
     fn fresh(entry: &Entry, expected_hash: Option<&ContentHash>) -> bool {
         match expected_hash {
             None => true,
@@ -200,7 +208,7 @@ impl CacheTier {
     /// `expected_hash` (a `None` expectation accepts any entry — used for
     /// freshly created files that have no cloud version yet). A hit charges
     /// the tier's read latency for the payload size; the payload itself is
-    /// an `Arc` clone, never a byte copy.
+    /// an `Arc` clone, never a byte copy. A miss charges nothing.
     pub fn get(
         &mut self,
         clock: &mut Clock,
@@ -230,12 +238,13 @@ impl CacheTier {
                 self.recency.touch(id);
                 self.stats.hits += 1;
                 self.stats.bytes_hit += data.len() as u64;
-                self.charge(clock, Bytes::ZERO, Bytes::new(data.len() as u64));
+                let read = Bytes::new(data.len() as u64);
+                clock.advance(self.latency.sample_op(&mut self.rng, Bytes::ZERO, read));
                 Some((data, hash))
             }
+            // The index answered: a miss costs no access (like `probe`).
             None => {
                 self.stats.misses += 1;
-                self.charge(clock, Bytes::ZERO, Bytes::ZERO);
                 None
             }
         }
@@ -252,7 +261,9 @@ impl CacheTier {
         data: Arc<[u8]>,
         hash: Option<ContentHash>,
     ) -> Vec<Evicted> {
-        self.insert(clock, key, data, hash, true)
+        let (latency, evicted) = self.insert(key, data, hash, true);
+        clock.advance(latency);
+        evicted
     }
 
     /// Inserts an entry whose payload is already resident in a lower tier —
@@ -265,17 +276,22 @@ impl CacheTier {
         data: Arc<[u8]>,
         hash: Option<ContentHash>,
     ) -> Vec<Evicted> {
-        self.insert(clock, key, data, hash, false)
+        let (latency, evicted) = self.insert(key, data, hash, false);
+        clock.advance(latency);
+        evicted
     }
 
+    /// Inserts `key`, evicting until it fits, and returns the latency of the
+    /// write (the payload transfer only when `charge_payload`) for the
+    /// caller to charge — or, for [`TieredCache`]'s disk writes, to land
+    /// behind.
     fn insert(
         &mut self,
-        clock: &mut Clock,
         key: &str,
         data: Arc<[u8]>,
         hash: Option<ContentHash>,
         charge_payload: bool,
-    ) -> Vec<Evicted> {
+    ) -> (SimDuration, Vec<Evicted>) {
         let size = data.len() as u64;
         // A payload larger than the whole tier bypasses it: no bytes are
         // written, so no transfer latency is charged. The entry it would
@@ -285,13 +301,10 @@ impl CacheTier {
             if self.remove_resident(key).is_some() {
                 self.stats.invalidations += 1;
             }
-            return Vec::new();
+            return (SimDuration::ZERO, Vec::new());
         }
-        if charge_payload {
-            self.charge(clock, Bytes::new(size), Bytes::ZERO);
-        } else {
-            self.charge(clock, Bytes::ZERO, Bytes::ZERO);
-        }
+        let payload = Bytes::new(if charge_payload { size } else { 0 });
+        let latency = self.latency.sample_op(&mut self.rng, payload, Bytes::ZERO);
         let mut evicted = Vec::new();
         // Single index lookup decides replace-in-place vs fresh insert; the
         // old implementation hashed the key up to three times per put
@@ -309,7 +322,7 @@ impl CacheTier {
                 self.evict_until_fits(size, &mut evicted);
                 self.used += size;
                 self.recency.insert(id);
-                return evicted;
+                return (latency, evicted);
             }
             // An index entry naming a vacated slot is an invariant breach;
             // drop it and fall through to a fresh insert instead of
@@ -335,7 +348,7 @@ impl CacheTier {
         self.index.insert(key.to_string(), id);
         self.used += size;
         self.recency.insert(id);
-        evicted
+        (latency, evicted)
     }
 
     /// Evicts least-recently-used entries into `evicted` until `size` more
@@ -423,7 +436,8 @@ impl CacheTier {
     }
 }
 
-/// How a [`TieredCache::put`] routes the payload.
+/// How a [`TieredCache::put`] routes the payload. Whatever reaches the disk
+/// tier is written behind the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WriteMode {
     /// Write both tiers (a durability spill that should also stay hot).
@@ -528,7 +542,7 @@ impl TieredCache {
     /// Two-level lookup: memory first, then disk. A disk hit is promoted
     /// into the memory tier by moving the `Arc` (one insert charge, no
     /// payload copy); entries the promotion pushes out of memory are
-    /// demoted back to disk.
+    /// demoted back to disk, behind the caller.
     pub fn get(
         &mut self,
         clock: &mut Clock,
@@ -541,12 +555,14 @@ impl TieredCache {
         let (data, stored_hash) = self.disk.get_with_hash(clock, key, expected_hash)?;
         self.promotions += 1;
         let evicted = self.memory.put_moved(clock, key, data.clone(), stored_hash);
-        self.demote(clock, evicted);
+        self.demote(clock, clock.now(), evicted);
         Some(data)
     }
 
     /// Inserts `key` into the tier(s) selected by `mode`. Memory evictions
-    /// caused by the insert are demoted to disk.
+    /// caused by the insert are demoted to disk. Disk writes are written
+    /// behind: returns the instant the last of them lands (now, if the put
+    /// wrote nothing to disk).
     pub fn put(
         &mut self,
         clock: &mut Clock,
@@ -554,41 +570,77 @@ impl TieredCache {
         data: Arc<[u8]>,
         hash: Option<ContentHash>,
         mode: WriteMode,
-    ) {
+    ) -> SimInstant {
+        let now = clock.now();
+        self.put_after(clock, now, key, data, hash, mode)
+    }
+
+    /// As [`TieredCache::put`], with this put's disk writes queued behind
+    /// `queued`, the landing instant of the same call's earlier disk writes:
+    /// how a call that writes several entries lands them one after another.
+    pub fn put_after(
+        &mut self,
+        clock: &mut Clock,
+        queued: SimInstant,
+        key: &str,
+        data: Arc<[u8]>,
+        hash: Option<ContentHash>,
+        mode: WriteMode,
+    ) -> SimInstant {
+        let start = queued.max(clock.now());
         match mode {
             WriteMode::Through => {
-                self.disk.put(clock, key, data.clone(), hash);
+                let landed = self.write_behind(start, key, data.clone(), hash);
                 let evicted = self.memory.put(clock, key, data, hash);
-                self.demote(clock, evicted);
+                self.demote(clock, landed, evicted)
+            }
+            WriteMode::CacheOnly if data.len() as u64 > self.memory.capacity().get() => {
+                self.write_behind(start, key, data, hash)
             }
             WriteMode::CacheOnly => {
-                if data.len() as u64 > self.memory.capacity().get() {
-                    self.disk.put(clock, key, data, hash);
-                } else {
-                    let evicted = self.memory.put(clock, key, data, hash);
-                    self.demote(clock, evicted);
-                }
+                let evicted = self.memory.put(clock, key, data, hash);
+                self.demote(clock, start, evicted)
             }
-            WriteMode::DiskOnly => {
-                self.disk.put(clock, key, data, hash);
-            }
+            WriteMode::DiskOnly => self.write_behind(start, key, data, hash),
         }
     }
 
-    /// Writes memory-tier evictions into the disk tier, charging a real
-    /// disk write (the bytes genuinely move from RAM to disk). Payloads the
-    /// disk already holds under the same version hash are skipped — in
-    /// particular, promoted entries falling back out of memory, whose disk
-    /// copy never went away. Disk evictions caused by a demotion leave the
-    /// cache for good.
-    fn demote(&mut self, clock: &mut Clock, evicted: Vec<Evicted>) {
+    /// Writes memory-tier evictions into the disk tier, behind the caller:
+    /// each is a real disk write (the bytes genuinely move from RAM to
+    /// disk), queued after `queued` and the ones before it; returns where the
+    /// last one lands. Payloads the disk already holds under the same
+    /// version hash are skipped — in particular, promoted entries falling
+    /// back out of memory, whose disk copy never went away. Disk evictions
+    /// caused by a demotion leave the cache for good.
+    fn demote(&mut self, clock: &Clock, queued: SimInstant, evicted: Vec<Evicted>) -> SimInstant {
+        let mut landed = queued.max(clock.now());
         for e in evicted {
             if e.hash.is_some() && self.disk.contains(&e.key, e.hash.as_ref()) {
                 continue;
             }
             self.demotions += 1;
-            self.disk.put(clock, &e.key, e.data, e.hash);
+            landed = self.write_behind(landed, &e.key, e.data, e.hash);
         }
+        landed
+    }
+
+    /// Writes `key` to the disk tier behind the caller, starting at `from`,
+    /// and returns the instant it lands. Disk evictions leave the cache.
+    fn write_behind(
+        &mut self,
+        from: SimInstant,
+        key: &str,
+        data: Arc<[u8]>,
+        hash: Option<ContentHash>,
+    ) -> SimInstant {
+        from + self.disk.insert(key, data, hash, true).0
+    }
+
+    /// Whether the disk tier holds `key` under `hash`, refreshing its disk
+    /// recency as a rewrite would — without the write (no latency, no
+    /// hit/miss counted).
+    pub fn probe_disk(&mut self, key: &str, hash: &ContentHash) -> bool {
+        self.disk.probe(key, Some(hash))
     }
 
     /// Presence probe across both tiers (no latency, no hit/miss counted);
@@ -597,5 +649,15 @@ impl TieredCache {
         let in_memory = self.memory.probe(key, expected_hash);
         let on_disk = self.disk.probe(key, expected_hash);
         in_memory || on_disk
+    }
+}
+
+#[cfg(test)]
+impl CacheTier {
+    /// The payload resident under `key`, read without an access: lets a test
+    /// tell a rewritten entry from one left alone by its allocation.
+    pub(crate) fn peek(&self, key: &str) -> Option<&Arc<[u8]>> {
+        let id = *self.index.get(key)?;
+        Some(&self.slots.get(id as usize)?.as_ref()?.data)
     }
 }

@@ -10,6 +10,25 @@
 //! | 2     | single cloud    | seconds      | local disk failure | `close` |
 //! | 3     | cloud-of-clouds | seconds      | f cloud providers  | `close` |
 //!
+//! # What each call waits for
+//!
+//! The agent's local disk is its cache's disk tier, and every write to it
+//! lands behind the caller ([`crate::cache`]): a call waits for the disk
+//! only where this table promises level 1, and for the cloud only where it
+//! promises level 2/3.
+//!
+//! * `write` waits for nothing but memory (level 0).
+//! * `fsync` spills the handle's chunks to the local disk and returns once
+//!   the spill has landed (level 1).
+//! * A non-blocking or non-sharing `close` does the same — only the chunks
+//!   the disk does not already hold are written — and then starts the
+//!   upload in the background: it returns at level 1, and the object's
+//!   completion token fires at level 2/3.
+//! * A blocking `close` and `sync` start the upload at the same instant as
+//!   the spill, so the two overlap. They return at the later of the anchor
+//!   update (level 2/3) and the spill landing; on a WAN the anchor is
+//!   always later.
+//!
 //! # `sync(handle)`: explicit durability promotion
 //!
 //! The table describes what each call guarantees *when it returns* — and in
@@ -19,8 +38,9 @@
 //! that closes this gap on demand, per object:
 //!
 //! * a dirty (or never-uploaded) handle is chunked, spilled to the local
-//!   disk (level 1) and committed to the backend synchronously, exactly like
-//!   a blocking close but without releasing the handle;
+//!   disk (level 1) and committed to the backend synchronously, the spill
+//!   and the upload overlapping, exactly like a blocking close but without
+//!   releasing the handle;
 //! * a clean handle with an in-flight background upload waits on *that
 //!   object's* [`sim_core::background::Pending`] token — not on the global
 //!   drain horizon;

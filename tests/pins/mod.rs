@@ -32,23 +32,23 @@ use scfs_repro::workloads::fleet::{
 use scfs_repro::workloads::setup::{build_scfs, Backend, Deployment, Plane};
 
 /// Every golden pin, in the order [`measure_pins`] measures them. Last moved
-/// when a close stopped waiting for its lock release: a blocking dirty close
-/// returns at the anchor update, so each data-fleet mount issues its next
-/// call one coordination write earlier; and a clean close of a write-opened
-/// handle sends its release on the object's lane, behind the in-flight
-/// commit, so Figure 8's non-blocking reopen of the document waits for that
-/// commit instead of re-entering a lock it is about to lose.
+/// when the local disk left the close path: a commit spills only the chunks
+/// the disk does not already hold, a disk-cache write lands behind the
+/// caller (only `fsync` and a close that returns at level 1 wait for it), and
+/// a cache miss no longer charges a tier access. A blocking data-fleet close
+/// no longer waits for the disk, and the file-sync runs spill one edited
+/// chunk per save, not the whole document.
 const PINS: &[(&str, u64)] = &[
-    ("data_fleet.AWS.trace_hash", 0xf6d9_03eb_b994_627d),
-    ("data_fleet.AWS.makespan_ns", 473079612301),
-    ("data_fleet.CoC.trace_hash", 0xde60_ddff_e4b8_8a10),
-    ("data_fleet.CoC.makespan_ns", 473729443683),
-    ("metadata_fleet.trace_hash", 0x7661_c8ff_93cf_a4b1),
+    ("data_fleet.AWS.trace_hash", 0xd88f_2fb2_30e8_566d),
+    ("data_fleet.AWS.makespan_ns", 473066559787),
+    ("data_fleet.CoC.trace_hash", 0xac7d_6623_4f10_f585),
+    ("data_fleet.CoC.makespan_ns", 473716391169),
+    ("metadata_fleet.trace_hash", 0xfec0_71ce_884e_3fbf),
     ("metadata_fleet.makespan_ns", 688230371),
-    ("file_sync.NonBlocking.end_ns", 3424808060),
-    ("file_sync.NonBlocking.drain_ns", 3600466998),
-    ("file_sync.NonSharing.end_ns", 948543123),
-    ("file_sync.NonSharing.drain_ns", 948543123),
+    ("file_sync.NonBlocking.end_ns", 3405509076),
+    ("file_sync.NonBlocking.drain_ns", 3581168014),
+    ("file_sync.NonSharing.end_ns", 923981594),
+    ("file_sync.NonSharing.drain_ns", 923981594),
     ("fault_paths.digest", 0xbaf3_3e23_a83c_f241),
 ];
 
