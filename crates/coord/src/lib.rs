@@ -1,13 +1,15 @@
-//! Modular coordination service for SCFS — now a sharded metadata plane.
+//! The coordination service SCFS runs over — now a sharded metadata plane.
 //!
 //! One of the paper's four novel techniques is *modular coordination*
 //! (paper §1, §2.3): instead of embedding a lock and metadata manager in the
-//! file system, SCFS stores all metadata and locks in an off-the-shelf
+//! file system, SCFS keeps its metadata and locks in an off-the-shelf
 //! fault-tolerant coordination service — ZooKeeper or DepSpace replicated
 //! with BFT-SMaRt. The coordination service plays the role of the
 //! *consistency anchor* (paper §2.4): it is small, strongly consistent, and
 //! supports operations with synchronization power (compare-and-swap,
-//! ephemeral entries) that implement locking.
+//! ephemeral entries). Like the paper's, it knows nothing of the file system:
+//! the recipes built on it — metadata tuples and write locks — are the
+//! client's (`scfs::metadata_service`), and its keys are opaque strings.
 //!
 //! The paper deploys that anchor as **one** replicated instance, which is the
 //! scalability bottleneck it names in §5. This crate therefore provides two
@@ -69,9 +71,6 @@
 //!   behind [`service::CoordinationService`].
 //! * [`service`] — the [`service::CoordinationService`] trait used by the
 //!   SCFS agent.
-//! * [`lock`] — lock recipes built from ephemeral entries, with session
-//!   leases so that locks held by crashed clients expire automatically
-//!   (paper §2.5.1, "Locking service").
 //! * [`deployment`] — deployment descriptions (which clouds host replicas,
 //!   which VM sizes, how many shards) and their fixed cost / capacity,
 //!   reproducing Figure 11(a).
@@ -85,7 +84,6 @@ pub mod abd;
 pub mod commands;
 pub mod deployment;
 pub mod error;
-pub mod lock;
 pub mod replication;
 pub mod router;
 pub mod service;
@@ -96,7 +94,6 @@ pub use abd::RegisterGroup;
 pub use commands::{Command, Reply};
 pub use deployment::CoordDeployment;
 pub use error::CoordError;
-pub use lock::LockManager;
 pub use replication::{ReplicatedCoordinator, ReplicationConfig, ReplicationMode};
 pub use router::NamespaceRouter;
 pub use service::{CoordinationService, Entry, SessionId};

@@ -3,9 +3,9 @@
 //! CFS-style metadata sharding: keys are partitioned across M register
 //! groups by a hash of their *directory*, so that the entries of one
 //! directory — the unit of `list` and most `rename` traffic — live on one
-//! shard, while unrelated directories spread across the plane. Lock keys
-//! (`/scfs/locks/…`) are routed by the full key instead, spreading per-file
-//! locks even when they share one directory.
+//! shard, while unrelated directories spread across the plane. That is the
+//! router's one rule: it reads no key's meaning, so a client that wants
+//! keys spread (one lock per file, say) gives each its own directory.
 //!
 //! Routing must be **stable across processes and runs** — a key must map to
 //! the same shard no matter which mount computes the mapping, or clients
@@ -29,10 +29,6 @@ pub struct NamespaceRouter {
     shards: usize,
 }
 
-/// Keys under this prefix are routed by the full key rather than by
-/// directory.
-const FULL_KEY_PREFIX: &str = "/scfs/locks/";
-
 impl NamespaceRouter {
     /// A router over `shards` groups (at least 1).
     pub fn new(shards: usize) -> Self {
@@ -46,17 +42,12 @@ impl NamespaceRouter {
         self.shards
     }
 
-    /// The shard that owns `key`.
+    /// The shard that owns `key`: the one its directory hashes to.
     pub fn route(&self, key: &str) -> usize {
         if self.shards == 1 {
             return 0;
         }
-        let routed = if key.starts_with(FULL_KEY_PREFIX) {
-            key
-        } else {
-            dirname(key)
-        };
-        (fnv1a(routed.as_bytes()) % self.shards as u64) as usize
+        (fnv1a(dirname(key).as_bytes()) % self.shards as u64) as usize
     }
 }
 
@@ -100,18 +91,6 @@ mod tests {
         // does, for 8 shards).
         let other = router.route("/scfs/meta/u4/file_a");
         assert!(other < 8);
-    }
-
-    #[test]
-    fn lock_keys_route_by_full_key() {
-        let router = NamespaceRouter::new(8);
-        let shards: std::collections::BTreeSet<usize> = (0..32)
-            .map(|i| router.route(&format!("/scfs/locks/f{i}")))
-            .collect();
-        assert!(
-            shards.len() > 1,
-            "per-file lock keys should spread across shards"
-        );
     }
 
     #[test]

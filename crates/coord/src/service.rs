@@ -59,16 +59,6 @@ pub struct Entry {
     pub updated_at: SimInstant,
 }
 
-impl Entry {
-    /// Whether the entry is ephemeral and still alive at `now`.
-    pub fn is_live_ephemeral(&self, now: SimInstant) -> bool {
-        match &self.ephemeral {
-            Some((_, expires)) => *expires > now,
-            None => false,
-        }
-    }
-}
-
 /// The coordination service used by SCFS for metadata storage and locking.
 ///
 /// All operations are linearizable: the service is the *consistency anchor*
@@ -145,22 +135,5 @@ mod tests {
         let s = SessionId::new("agent-1");
         assert_eq!(s.to_string(), "agent-1");
         assert_eq!(s.as_str(), "agent-1");
-    }
-
-    #[test]
-    fn entry_ephemeral_liveness() {
-        let mut e = Entry {
-            key: "/lock".into(),
-            value: vec![],
-            version: 1,
-            owner: "alice".into(),
-            acl: Acl::private(),
-            ephemeral: Some((SessionId::new("s"), SimInstant::from_secs(10))),
-            updated_at: SimInstant::EPOCH,
-        };
-        assert!(e.is_live_ephemeral(SimInstant::from_secs(5)));
-        assert!(!e.is_live_ephemeral(SimInstant::from_secs(10)));
-        e.ephemeral = None;
-        assert!(!e.is_live_ephemeral(SimInstant::EPOCH));
     }
 }

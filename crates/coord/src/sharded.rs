@@ -394,7 +394,7 @@ mod tests {
         plane
             .create_ephemeral(
                 &mut c,
-                "/scfs/locks/f",
+                "/scfs/locks/alice-f1/write",
                 vec![],
                 &session,
                 SimDuration::from_secs(30),
@@ -403,14 +403,14 @@ mod tests {
         assert!(matches!(
             plane.create_ephemeral(
                 &mut c,
-                "/scfs/locks/f",
+                "/scfs/locks/alice-f1/write",
                 vec![],
                 &SessionId::new("s2"),
                 SimDuration::from_secs(30)
             ),
             Err(CoordError::LockHeld { .. })
         ));
-        plane.delete(&mut c, "/scfs/locks/f").unwrap();
+        plane.delete(&mut c, "/scfs/locks/alice-f1/write").unwrap();
     }
 
     #[test]

@@ -136,10 +136,8 @@ impl ScfsAgent {
     /// Releases this session's write lock on `id`, best effort, on
     /// whichever clock `self.clock` currently is.
     fn release_lock(&mut self, id: &str) {
-        if let Some(locks) = &self.locks {
-            let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-            locks.unlock(&mut ctx, id).ok();
-        }
+        let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
+        self.metadata.unlock(&mut ctx, id).ok();
     }
 
     /// Records that a release of the lock on `id`, which this agent did not

@@ -146,19 +146,13 @@ impl ScfsAgent {
             // free name.
             Err(e) => return Err(e),
         };
-        let mut locked = false;
-        if write
-            && self.config.mode.uses_coordination()
-            && !self.metadata.is_private(path, Some(&metadata))
-        {
-            if let Some(locks) = &self.locks {
-                if let Some(landed) = self.releases_in_flight.remove(&metadata.storage_id) {
-                    self.clock.advance_to(landed);
-                }
-                let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-                locks.try_lock(&mut ctx, &metadata.storage_id)?;
-                locked = true;
+        let locked = write && self.metadata.write_open_locks(&metadata);
+        if locked {
+            if let Some(landed) = self.releases_in_flight.remove(&metadata.storage_id) {
+                self.clock.advance_to(landed);
             }
+            let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
+            self.metadata.lock(&mut ctx, &metadata)?;
         }
         Ok((metadata, locked))
     }
@@ -428,6 +422,27 @@ mod tests {
         bob.sleep(SimDuration::from_secs(1));
         let h2 = bob.open("/shared/doc", OpenFlags::read_write()).unwrap();
         bob.close(h2).unwrap();
+    }
+
+    #[test]
+    fn private_files_and_non_sharing_mounts_take_no_lock() {
+        let coord: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
+        for (mode, private_name_spaces) in [(Mode::Blocking, true), (Mode::NonSharing, false)] {
+            let cloud = Arc::new(SimulatedCloud::test("s3"));
+            let storage = Arc::new(SingleCloudStorage::new(cloud));
+            let config = ScfsConfig {
+                private_name_spaces,
+                ..ScfsConfig::test(mode)
+            };
+            let mut fs =
+                ScfsAgent::mount("alice".into(), config, storage, Some(coord.clone()), 1).unwrap();
+            fs.write_file("/docs/notes", b"mine").unwrap();
+            let h = fs.open("/docs/notes", OpenFlags::read_write()).unwrap();
+            assert!(!fs.open_files[&h].locked, "{mode:?}");
+            fs.write(h, 0, b"ours").unwrap();
+            fs.close(h).unwrap();
+        }
+        assert_eq!(coord.access_count(), 0, "no coordination call at all");
     }
 
     #[test]

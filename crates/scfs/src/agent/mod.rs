@@ -24,7 +24,6 @@ use std::sync::Arc;
 
 use cloud_store::store::OpCtx;
 use cloud_store::types::{AccountId, Acl, Permission};
-use coord::lock::LockManager;
 use coord::service::{CoordinationService, SessionId};
 use scfs_crypto::ContentHash;
 use sim_core::background::{BackgroundScheduler, Pending};
@@ -126,8 +125,9 @@ pub struct ScfsAgent {
     clock: Clock,
     rng: DetRng,
     storage: Arc<dyn FileStorage>,
+    /// The metadata and locking services: the agent's one coordination
+    /// client.
     metadata: MetadataService,
-    locks: Option<LockManager>,
     cache: TieredCache,
     mem_latency: LatencyProfile,
     /// Ordered: `flush_all`-style sweeps and the dirty-handle scan iterate,
@@ -190,11 +190,8 @@ impl ScfsAgent {
         }
         let coord = coord.filter(|_| config.mode.uses_coordination());
         let session = SessionId::new(format!("{}-{}", user.as_str(), seed));
-        let locks = coord
-            .clone()
-            .map(|c| LockManager::new(c, session, LockManager::DEFAULT_LEASE));
         let (pns, expiry) = (config.private_name_spaces, config.metadata_cache_expiry);
-        let metadata = MetadataService::new(coord, pns, user.clone(), expiry);
+        let metadata = MetadataService::new(coord, pns, user.clone(), session, expiry);
         Ok(ScfsAgent {
             cache: TieredCache::new(&config.cache, seed),
             mem_latency: LatencyProfile::main_memory(),
@@ -208,7 +205,6 @@ impl ScfsAgent {
             rng: DetRng::new(seed),
             storage,
             metadata,
-            locks,
             open_files: BTreeMap::new(),
             next_handle: 1,
             next_storage_id: 1,

@@ -25,11 +25,6 @@ pub enum ScfsError {
         /// What was expected ("file" or "directory").
         expected: &'static str,
     },
-    /// A directory that must be empty is not.
-    NotEmpty {
-        /// Offending path.
-        path: String,
-    },
     /// The caller lacks the required permission.
     PermissionDenied {
         /// Offending path.
@@ -80,7 +75,6 @@ impl fmt::Display for ScfsError {
             ScfsError::WrongType { path, expected } => {
                 write!(f, "{path} is not a {expected}")
             }
-            ScfsError::NotEmpty { path } => write!(f, "directory not empty: {path}"),
             ScfsError::PermissionDenied { path } => write!(f, "permission denied: {path}"),
             ScfsError::Locked { path, holder } => {
                 write!(f, "{path} is locked by {holder}")

@@ -7,7 +7,7 @@
 //! coordination node of one that the agent owns: the zero-latency single
 //! node of [`ReplicatedCoordinator::test`], behind the same
 //! [`CoordinationService`] trait and under the same path rules, so each call
-//! below has one body and only [`MetadataService::is_private`] picks the
+//! below has one body and only `MetadataService::is_private` picks the
 //! store. A private file that becomes shared keeps its private tuple,
 //! carrying the shared ACL: the marker that sends `get` and `delete` on to
 //! the coordination service.
@@ -23,6 +23,16 @@
 //! future, hides the path from this client at once: `get` answers
 //! `NotFound`, a listing leaves the name out, a rename from it fails, and a
 //! create of it waits until the delete has landed.
+//!
+//! The service also holds the write-lock recipe (paper §2.5.1, "Locking
+//! service"): a write-open of a shared file on a coordinated mount takes
+//! `MetadataService::lock` and its close releases it. The lock is an
+//! ephemeral coordination entry bound to the mount's session with a lease
+//! ([`MetadataService::LOCK_LEASE`]) — a ZooKeeper ephemeral znode or a
+//! DepSpace timed tuple — so the lock of a client that crashes before its
+//! close expires on its own. Each lock key has a directory of its own,
+//! `/scfs/locks/{storage id}`, so the coordination service's
+//! directory-hash router spreads the locks of one directory's files.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -31,24 +41,11 @@ use cloud_store::store::OpCtx;
 use cloud_store::types::{AccountId, Acl};
 use coord::error::CoordError;
 use coord::replication::ReplicatedCoordinator;
-use coord::service::CoordinationService;
+use coord::service::{CoordinationService, SessionId};
 use sim_core::time::{SimDuration, SimInstant};
 
 use crate::error::ScfsError;
 use crate::types::{is_child_of, is_under, FileMetadata};
-
-/// Counters describing how the metadata service resolved its lookups.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetadataStats {
-    /// Lookups answered from the short-lived metadata cache.
-    pub cache_hits: u64,
-    /// Lookups answered by the private name space (no remote access).
-    pub pns_hits: u64,
-    /// Lookups that had to query the coordination service.
-    pub coordination_reads: u64,
-    /// Updates sent to the coordination service.
-    pub coordination_writes: u64,
-}
 
 /// Paths under this prefix are shared by convention: with PNSs enabled they
 /// still go to the coordination service, whatever their ACL.
@@ -57,12 +54,17 @@ const SHARED_PREFIX: &str = "/shared";
 /// Where the metadata tuples live in a store's key space.
 const META_PREFIX: &str = "/scfs/meta";
 
+/// Where the write locks live: one directory per object.
+const LOCK_PREFIX: &str = "/scfs/locks";
+
 /// The metadata service of one SCFS agent.
 pub struct MetadataService {
     coord: Option<Arc<dyn CoordinationService>>,
     /// The private name space, when one is in use.
     private: Option<Arc<dyn CoordinationService>>,
     user: AccountId,
+    /// The mount's session: the holder of its write locks.
+    session: SessionId,
     /// What this client last learned of each path — its tuple, or `None`
     /// for a path it deleted — and the instant it learned it: for an
     /// absence, the instant the delete commits. Ordered so sweeps
@@ -70,7 +72,6 @@ pub struct MetadataService {
     /// run-independent order.
     cache: BTreeMap<String, (Option<FileMetadata>, SimInstant)>,
     cache_expiry: SimDuration,
-    stats: MetadataStats,
 }
 
 impl std::fmt::Debug for MetadataService {
@@ -96,7 +97,12 @@ fn path_error(path: &str, e: CoordError) -> ScfsError {
 }
 
 impl MetadataService {
-    /// Creates a metadata service.
+    /// How long a write lock outlives a client that never releases it: long
+    /// enough for a whole-file upload to any of the clouds, short enough that
+    /// a crashed client does not block writers for long.
+    pub const LOCK_LEASE: SimDuration = SimDuration::from_secs(120);
+
+    /// Creates a metadata service for `user`'s mount `session`.
     ///
     /// * `coord == None` — non-sharing mode: everything lives in the PNS.
     /// * `use_pns == false` — every object gets its own coordination tuple
@@ -105,6 +111,7 @@ impl MetadataService {
         coord: Option<Arc<dyn CoordinationService>>,
         use_pns: bool,
         user: AccountId,
+        session: SessionId,
         cache_expiry: SimDuration,
     ) -> Self {
         let private = (use_pns || coord.is_none())
@@ -113,15 +120,10 @@ impl MetadataService {
             coord,
             private,
             user,
+            session,
             cache: BTreeMap::new(),
             cache_expiry,
-            stats: MetadataStats::default(),
         }
-    }
-
-    /// Access to the lookup counters.
-    pub fn stats(&self) -> MetadataStats {
-        self.stats
     }
 
     /// Number of tuples in the private name space (0 without one).
@@ -135,7 +137,7 @@ impl MetadataService {
 
     /// Whether `path`/`metadata` is handled by the PNS (true) or by the
     /// coordination service (false).
-    pub fn is_private(&self, path: &str, metadata: Option<&FileMetadata>) -> bool {
+    fn is_private(&self, path: &str, metadata: Option<&FileMetadata>) -> bool {
         if self.private.is_none() {
             return false;
         }
@@ -176,7 +178,6 @@ impl MetadataService {
         if now >= *learned + self.cache_expiry {
             return None;
         }
-        self.stats.cache_hits += 1;
         Some(md.clone().ok_or_else(|| ScfsError::not_found(path)))
     }
 
@@ -200,14 +201,11 @@ impl MetadataService {
 
     /// The tuple of `path` in the store `private` names, uncached.
     fn read(
-        &mut self,
+        &self,
         ctx: &mut OpCtx<'_>,
         private: bool,
         path: &str,
     ) -> Result<FileMetadata, ScfsError> {
-        if !private {
-            self.stats.coordination_reads += 1;
-        }
         let entry = self
             .store(private)?
             .get(ctx, &Self::coord_key(path))
@@ -229,9 +227,7 @@ impl MetadataService {
         }
         let private = self.is_private(path, None);
         let mut md = self.read(ctx, private, path)?;
-        if private && self.is_private(path, Some(&md)) {
-            self.stats.pns_hits += 1;
-        } else if private {
+        if private && !self.is_private(path, Some(&md)) {
             md = self.read(ctx, false, path)?;
         }
         self.cache_put(path, Some(&md), ctx.clock.now());
@@ -247,9 +243,6 @@ impl MetadataService {
         exclusive: bool,
     ) -> Result<(), ScfsError> {
         let private = self.is_private(&metadata.path, Some(&metadata));
-        if !private {
-            self.stats.coordination_writes += 1;
-        }
         let (store, key) = (self.store(private)?, Self::coord_key(&metadata.path));
         let written = if exclusive {
             store.cas(ctx, &key, None, metadata.encode())
@@ -290,7 +283,6 @@ impl MetadataService {
             private = self.is_private(path, Some(&md));
         }
         if !private {
-            self.stats.coordination_writes += 1;
             self.store(false)?
                 .delete(ctx, &key)
                 .map_err(|e| path_error(path, e))?;
@@ -311,7 +303,6 @@ impl MetadataService {
         } else {
             format!("{}/", Self::coord_key(path))
         };
-        self.stats.coordination_reads += u64::from(self.coord.is_some());
         let mut children: Vec<String> = Vec::new();
         for store in self.stores() {
             // The keys come back sorted and distinct, and stay so with their
@@ -351,7 +342,6 @@ impl MetadataService {
         self.cache
             .retain(|k, _| !is_under(k, from) && !is_under(k, to));
         let (old, new) = (Self::coord_key(from), Self::coord_key(to));
-        self.stats.coordination_writes += u64::from(self.coord.is_some());
         let mut moved = 0usize;
         for store in self.stores() {
             moved += store.rename_prefix(ctx, &old, &new)?;
@@ -379,13 +369,59 @@ impl MetadataService {
             self.store(true)?.put(ctx, &key, metadata.encode())?;
         }
         if !self.is_private(&metadata.path, Some(&metadata)) {
-            self.stats.coordination_writes += 1;
             let coord = self.store(false)?;
             coord.put(ctx, &key, metadata.encode())?;
             coord.set_acl(ctx, &key, acl)?;
         }
         self.cache_put(&metadata.path, Some(&metadata), ctx.clock.now());
         Ok(metadata)
+    }
+
+    /// The coordination key of the write lock on the object stored under
+    /// `id`: alone in a directory of its own.
+    pub fn lock_key(id: &str) -> String {
+        format!("{LOCK_PREFIX}/{id}/write")
+    }
+
+    /// Whether a write-open of the file `metadata` describes takes its write
+    /// lock: a shared file on a coordinated mount. A private file, and every
+    /// file of a non-sharing mount, has no other writer to exclude.
+    pub(crate) fn write_open_locks(&self, metadata: &FileMetadata) -> bool {
+        self.coord.is_some() && !self.is_private(&metadata.path, Some(metadata))
+    }
+
+    /// Takes this session's write lock on the file `metadata` describes. The
+    /// lock is re-entrant per session: re-taking a lock this session holds
+    /// succeeds and creates no entry, so a release of ours still in flight
+    /// deletes the one entry there is — a write-open must wait for it first.
+    /// A lock another live session holds is [`ScfsError::Locked`] on the
+    /// file's path.
+    pub(crate) fn lock(
+        &self,
+        ctx: &mut OpCtx<'_>,
+        metadata: &FileMetadata,
+    ) -> Result<(), ScfsError> {
+        let (coord, session) = (self.store(false)?, &self.session);
+        let value = session.as_str().as_bytes().to_vec();
+        let key = Self::lock_key(&metadata.storage_id);
+        match coord.create_ephemeral(ctx, &key, value, session, Self::LOCK_LEASE) {
+            Ok(()) => Ok(()),
+            Err(CoordError::LockHeld { holder, .. }) if holder == session.as_str() => Ok(()),
+            Err(CoordError::LockHeld { holder, .. }) => Err(ScfsError::Locked {
+                path: metadata.path.clone(),
+                holder,
+            }),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Releases this session's write lock on the object stored under `id`.
+    /// Releasing a lock that is not held (it expired, say) is no error.
+    pub(crate) fn unlock(&self, ctx: &mut OpCtx<'_>, id: &str) -> Result<(), ScfsError> {
+        match self.store(false)?.delete(ctx, &Self::lock_key(id)) {
+            Ok(()) | Err(CoordError::NotFound { .. }) => Ok(()),
+            Err(e) => Err(e.into()),
+        }
     }
 
     /// The user this service acts for.
@@ -397,10 +433,27 @@ impl MetadataService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coord::router::dirname;
     use sim_core::time::Clock;
 
     fn coord() -> Arc<dyn CoordinationService> {
         Arc::new(ReplicatedCoordinator::test())
+    }
+
+    /// Alice's metadata service, on her mount session `alice-1`.
+    fn service(
+        coord: Option<Arc<dyn CoordinationService>>,
+        use_pns: bool,
+        cache_expiry: SimDuration,
+    ) -> MetadataService {
+        let session = SessionId::new("alice-1");
+        MetadataService::new(coord, use_pns, "alice".into(), session, cache_expiry)
+    }
+
+    /// Bob's metadata service over `coord`, on his mount session `bob-1`.
+    fn bobs(coord: Arc<dyn CoordinationService>) -> MetadataService {
+        let session = SessionId::new("bob-1");
+        MetadataService::new(Some(coord), false, "bob".into(), session, SimDuration::ZERO)
     }
 
     fn md(path: &str) -> FileMetadata {
@@ -415,24 +468,19 @@ mod tests {
     #[test]
     fn shared_metadata_goes_to_coordination_service() {
         let c = coord();
-        let mut svc =
-            MetadataService::new(Some(c.clone()), false, "alice".into(), SimDuration::ZERO);
+        let mut svc = service(Some(c.clone()), false, SimDuration::ZERO);
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
         svc.create(&mut ctx, md("/docs/a")).unwrap();
+        assert_eq!(c.access_count(), 1, "a create is one coordination call");
         assert_eq!(svc.get(&mut ctx, "/docs/a").unwrap().path, "/docs/a");
-        assert!(
-            c.access_count() >= 2,
-            "coordination service should have been used"
-        );
-        assert!(svc.stats().coordination_reads >= 1);
+        assert_eq!(c.access_count(), 2, "an uncached lookup is one more");
     }
 
     #[test]
     fn private_metadata_stays_in_the_pns() {
         let c = coord();
-        let mut svc =
-            MetadataService::new(Some(c.clone()), true, "alice".into(), SimDuration::ZERO);
+        let mut svc = service(Some(c.clone()), true, SimDuration::ZERO);
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
         svc.create(&mut ctx, md("/docs/private")).unwrap();
@@ -442,41 +490,37 @@ mod tests {
             0,
             "private files must not touch the coordination service"
         );
-        assert_eq!(svc.stats().pns_hits, 1);
         // Files under the shared prefix still use the coordination service.
         svc.create(&mut ctx, md("/shared/group-report")).unwrap();
-        assert!(c.access_count() > 0);
+        assert_eq!(c.access_count(), 1);
     }
 
     #[test]
     fn metadata_cache_absorbs_repeated_stats() {
         let c = coord();
-        let mut svc = MetadataService::new(
-            Some(c.clone()),
-            false,
-            "alice".into(),
-            SimDuration::from_millis(500),
-        );
+        let mut svc = service(Some(c.clone()), false, SimDuration::from_millis(500));
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
         svc.create(&mut ctx, md("/f")).unwrap();
+        // Past the expiry of what the create cached, a burst of stats within
+        // 500 ms reads the coordination service once.
+        clock.advance(SimDuration::from_secs(1));
+        let mut ctx = OpCtx::new(&mut clock, "alice".into());
         let before = c.access_count();
-        // A burst of stats within 500 ms hits the cache.
         for _ in 0..5 {
             svc.get(&mut ctx, "/f").unwrap();
         }
-        assert_eq!(c.access_count(), before);
-        assert!(svc.stats().cache_hits >= 5);
+        assert_eq!(c.access_count(), before + 1);
         // After the expiry the next stat goes to the coordination service again.
         clock.advance(SimDuration::from_secs(1));
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
         svc.get(&mut ctx, "/f").unwrap();
-        assert_eq!(c.access_count(), before + 1);
+        assert_eq!(c.access_count(), before + 2);
     }
 
     #[test]
     fn exclusive_create_detects_duplicates() {
-        let mut svc = MetadataService::new(Some(coord()), false, "alice".into(), SimDuration::ZERO);
+        let mut svc = service(Some(coord()), false, SimDuration::ZERO);
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
         svc.create(&mut ctx, md("/f")).unwrap();
@@ -488,7 +532,7 @@ mod tests {
 
     #[test]
     fn list_children_merges_pns_and_coordination() {
-        let mut svc = MetadataService::new(Some(coord()), true, "alice".into(), SimDuration::ZERO);
+        let mut svc = service(Some(coord()), true, SimDuration::ZERO);
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
         svc.create(&mut ctx, md("/docs/private1")).unwrap();
@@ -501,7 +545,7 @@ mod tests {
 
     #[test]
     fn rename_and_delete() {
-        let mut svc = MetadataService::new(Some(coord()), false, "alice".into(), SimDuration::ZERO);
+        let mut svc = service(Some(coord()), false, SimDuration::ZERO);
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
         svc.create(&mut ctx, md("/old/f")).unwrap();
@@ -520,8 +564,7 @@ mod tests {
     fn setfacl_moves_private_file_to_coordination_service() {
         use cloud_store::types::Permission;
         let c = coord();
-        let mut svc =
-            MetadataService::new(Some(c.clone()), true, "alice".into(), SimDuration::ZERO);
+        let mut svc = service(Some(c.clone()), true, SimDuration::ZERO);
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
         svc.create(&mut ctx, md("/docs/report")).unwrap();
@@ -536,10 +579,11 @@ mod tests {
         let mut bob = OpCtx::new(&mut bob_clock, "bob".into());
         let tuple = c.get(&mut bob, "/scfs/meta/docs/report").unwrap();
         assert!(FileMetadata::decode(&tuple.value).unwrap().is_shared());
-        // ...and the owner still finds the file, through the private marker.
-        let reads = svc.stats().coordination_reads;
+        // ...and the owner still finds the file, through the private marker:
+        // one coordination read.
+        let reads = c.access_count();
         assert!(svc.get(&mut ctx, "/docs/report").unwrap().is_shared());
-        assert_eq!(svc.stats().coordination_reads, reads + 1);
+        assert_eq!(c.access_count(), reads + 1);
         assert_eq!(svc.private_tuples(), 1);
         // Deleting the file removes both tuples.
         svc.delete(&mut ctx, "/docs/report").unwrap();
@@ -549,7 +593,7 @@ mod tests {
 
     #[test]
     fn a_delete_landing_later_hides_the_path_until_then() {
-        let mut svc = MetadataService::new(Some(coord()), false, "alice".into(), SimDuration::ZERO);
+        let mut svc = service(Some(coord()), false, SimDuration::ZERO);
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
         svc.create(&mut ctx, md("/d/f")).unwrap();
@@ -575,7 +619,7 @@ mod tests {
 
     #[test]
     fn with_the_cache_off_landed_deletes_leave_nothing_cached() {
-        let mut svc = MetadataService::new(Some(coord()), false, "alice".into(), SimDuration::ZERO);
+        let mut svc = service(Some(coord()), false, SimDuration::ZERO);
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
         for i in 0..10 {
@@ -589,12 +633,106 @@ mod tests {
 
     #[test]
     fn non_sharing_mode_works_without_coordination() {
-        let mut svc = MetadataService::new(None, true, "alice".into(), SimDuration::ZERO);
+        let mut svc = service(None, true, SimDuration::ZERO);
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
         svc.create(&mut ctx, md("/f")).unwrap();
         assert!(svc.get(&mut ctx, "/f").is_ok());
         assert!(svc.is_private("/anything", None));
         assert_eq!(svc.private_tuples(), 1);
+    }
+
+    #[test]
+    fn lock_is_re_entrant_per_session() {
+        let c = coord();
+        let alice = service(Some(c.clone()), false, SimDuration::ZERO);
+        let bob = bobs(c.clone());
+        let file = md("/shared/doc");
+        let mut clock = Clock::new();
+        let mut ctx = OpCtx::new(&mut clock, "alice".into());
+        alice.lock(&mut ctx, &file).unwrap();
+        alice.lock(&mut ctx, &file).unwrap();
+        let key = MetadataService::lock_key(&file.storage_id);
+        assert_eq!(
+            c.get(&mut ctx, &key).unwrap().version,
+            1,
+            "a re-take writes nothing"
+        );
+        // One release frees it for everyone.
+        alice.unlock(&mut ctx, &file.storage_id).unwrap();
+        bob.lock(&mut OpCtx::new(&mut clock, "bob".into()), &file)
+            .unwrap();
+    }
+
+    #[test]
+    fn second_session_cannot_lock_a_held_file() {
+        let c = coord();
+        let alice = service(Some(c.clone()), false, SimDuration::ZERO);
+        let bob = bobs(c);
+        let file = md("/shared/doc");
+        let mut clock = Clock::new();
+        alice
+            .lock(&mut OpCtx::new(&mut clock, "alice".into()), &file)
+            .unwrap();
+        // The refusal names the file, not the coordination key.
+        assert_eq!(
+            bob.lock(&mut OpCtx::new(&mut clock, "bob".into()), &file),
+            Err(ScfsError::Locked {
+                path: "/shared/doc".into(),
+                holder: "alice-1".into(),
+            })
+        );
+        // After alice unlocks, bob succeeds.
+        let mut ctx = OpCtx::new(&mut clock, "alice".into());
+        alice.unlock(&mut ctx, &file.storage_id).unwrap();
+        bob.lock(&mut OpCtx::new(&mut clock, "bob".into()), &file)
+            .unwrap();
+    }
+
+    #[test]
+    fn crashed_clients_lock_expires() {
+        let c = coord();
+        let alice = service(Some(c.clone()), false, SimDuration::ZERO);
+        let bob = bobs(c);
+        let file = md("/shared/doc");
+        let mut clock = Clock::new();
+        alice
+            .lock(&mut OpCtx::new(&mut clock, "alice".into()), &file)
+            .unwrap();
+        // Alice "crashes": she never unlocks. Bob is refused within the
+        // lease and succeeds past it.
+        let second = SimDuration::from_secs(1);
+        let lease_end = clock.now() + MetadataService::LOCK_LEASE;
+        clock.advance(MetadataService::LOCK_LEASE.saturating_sub(second));
+        let mut ctx = OpCtx::new(&mut clock, "bob".into());
+        assert!(matches!(
+            bob.lock(&mut ctx, &file),
+            Err(ScfsError::Locked { .. })
+        ));
+        clock.advance_to(lease_end + second);
+        bob.lock(&mut OpCtx::new(&mut clock, "bob".into()), &file)
+            .unwrap();
+    }
+
+    #[test]
+    fn unlock_is_idempotent() {
+        let svc = service(Some(coord()), false, SimDuration::ZERO);
+        let file = md("/shared/doc");
+        let mut clock = Clock::new();
+        let mut ctx = OpCtx::new(&mut clock, "alice".into());
+        // Unlocking a never-locked file is fine.
+        svc.unlock(&mut ctx, "nope").unwrap();
+        svc.lock(&mut ctx, &file).unwrap();
+        svc.unlock(&mut ctx, &file.storage_id).unwrap();
+        svc.unlock(&mut ctx, &file.storage_id).unwrap();
+    }
+
+    #[test]
+    fn lock_keys_are_namespaced() {
+        let key = MetadataService::lock_key("alice-f3");
+        assert_eq!(key, "/scfs/locks/alice-f3/write");
+        // Its directory is the lock's own: the router hashes
+        // `/scfs/locks/alice-f3`.
+        assert_eq!(dirname(&key), "/scfs/locks/alice-f3");
     }
 }

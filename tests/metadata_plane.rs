@@ -33,6 +33,7 @@ use scfs_repro::coord::replication::ReplicationConfig;
 use scfs_repro::coord::router::{dirname, fnv1a, NamespaceRouter};
 use scfs_repro::coord::service::CoordinationService;
 use scfs_repro::coord::sharded::{ShardTopology, ShardedCoordinator};
+use scfs_repro::scfs::metadata_service::MetadataService;
 use scfs_repro::sim_core::fault::FaultPlan;
 use scfs_repro::sim_core::time::{Clock, SimDuration, SimInstant};
 use scfs_repro::workloads::fleet::{
@@ -46,22 +47,39 @@ use scfs_repro::workloads::setup::{Backend, Deployment, Plane};
 
 /// The routing rule is pinned — the FNV-1a of the directory component
 /// (`coord::router`'s tests pin the hash's reference vectors), modulo the
-/// shard count — or a rolling upgrade would re-partition the namespace.
+/// shard count — or a rolling upgrade would re-partition the namespace. It
+/// is the router's one rule: a lock key routes like any other key.
 #[test]
 fn router_hash_is_process_stable_fnv1a() {
     let router = NamespaceRouter::new(8);
-    for key in ["/scfs/meta/u7/f3", "/a/b/c", "rootless", "/top"] {
+    let lock = MetadataService::lock_key("u7-f3");
+    for key in ["/scfs/meta/u7/f3", "/a/b/c", "rootless", "/top", &lock] {
         assert_eq!(
             router.route(key),
             (fnv1a(dirname(key).as_bytes()) % 8) as usize
         );
     }
-    // Lock keys route by full key, so each lock spreads independently of
-    // its directory.
-    assert_eq!(
-        router.route("/scfs/locks/u7/f3"),
-        (fnv1a(b"/scfs/locks/u7/f3") % 8) as usize
-    );
+}
+
+/// A lock key has a directory of its own, `/scfs/locks/{storage id}`: the
+/// whole key the router once hashed for locks alone. So every lock lands on
+/// the shard it did under that rule, and a directory's locks still spread.
+#[test]
+fn lock_keys_route_as_their_full_key_did() {
+    for shards in [2, 4, 8] {
+        let router = NamespaceRouter::new(shards);
+        let mut used = std::collections::BTreeSet::new();
+        for k in 0..8 {
+            for n in 1..=8 {
+                let id = format!("u{k}-f{n}");
+                let old_rule = fnv1a(format!("/scfs/locks/{id}").as_bytes()) % shards as u64;
+                let shard = router.route(&MetadataService::lock_key(&id));
+                assert_eq!(shard, old_rule as usize, "{id} on {shards} shards");
+                used.insert(shard);
+            }
+        }
+        assert!(used.len() > 1, "64 locks on one of {shards} shards");
+    }
 }
 
 #[test]
@@ -273,7 +291,7 @@ fn reads_ride_out_a_replica_outage() {
 fn a_completed_delete_survives_the_heal_of_a_partitioned_replica() {
     let (tuple, lock, old, new) = (
         "/scfs/meta/d/tuple",
-        "/scfs/locks/d/tuple",
+        "/scfs/locks/d/tuple/write",
         "/scfs/meta/d/old",
         "/scfs/meta/d/new",
     );

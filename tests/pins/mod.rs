@@ -31,13 +31,15 @@ use scfs_repro::workloads::fleet::{
 };
 use scfs_repro::workloads::setup::{build_scfs, Backend, Deployment, Plane};
 
-/// Every golden pin, in the order [`measure_pins`] measures them. Last moved
-/// when the local disk left the close path: a commit spills only the chunks
-/// the disk does not already hold, a disk-cache write lands behind the
-/// caller (only `fsync` and a close that returns at level 1 wait for it), and
-/// a cache miss no longer charges a tier access. A blocking data-fleet close
-/// no longer waits for the disk, and the file-sync runs spill one edited
-/// chunk per save, not the whole document.
+/// Every golden pin, in the order [`measure_pins`] measures them. The clock
+/// last moved when the local disk left the close path: a commit spills only
+/// the chunks the disk does not already hold, a disk-cache write lands
+/// behind the caller (only `fsync` and a close that returns at level 1 wait
+/// for it), and a cache miss no longer charges a tier access. A blocking
+/// data-fleet close no longer waits for the disk, and the file-sync runs
+/// spill one edited chunk per save, not the whole document. The fault-path
+/// digest moved since, and only by text: a lock key gained its `/write`
+/// leaf, and the `LockHeld` and `NotFound` results it folds print the key.
 const PINS: &[(&str, u64)] = &[
     ("data_fleet.AWS.trace_hash", 0xd88f_2fb2_30e8_566d),
     ("data_fleet.AWS.makespan_ns", 473066559787),
@@ -49,7 +51,7 @@ const PINS: &[(&str, u64)] = &[
     ("file_sync.NonBlocking.drain_ns", 3581168014),
     ("file_sync.NonSharing.end_ns", 923981594),
     ("file_sync.NonSharing.drain_ns", 923981594),
-    ("fault_paths.digest", 0xbaf3_3e23_a83c_f241),
+    ("fault_paths.digest", 0xd2ab_3477_db9c_e361),
 ];
 
 /// The data fleet on the paper deployment of `backend`.
@@ -213,7 +215,7 @@ fn fold_random_calls(plane: &ShardedCoordinator, seed: u64, mut digest: u64) -> 
         let dir = rng.next_below(4);
         let name = rng.next_below(3);
         let key = format!("/scfs/meta/d{dir}/k{name}");
-        let lock = format!("/scfs/locks/d{dir}/k{name}");
+        let lock = format!("/scfs/locks/d{dir}/k{name}/write");
         let value = rng.next_u64().to_le_bytes().to_vec();
         let (call, result) = match rng.next_below(8) {
             0 => ("put", format!("{:?}", plane.put(&mut ctx, &key, value))),
