@@ -19,7 +19,7 @@ use cloud_store::error::StorageError;
 use cloud_store::store::{ObjectStore, OpCtx};
 use cloud_store::types::Acl;
 use parking_lot::Mutex;
-use placement::{PlacementPolicy, ProviderMatrix};
+use placement::{AllClouds, PlacementPolicy, ProviderMatrix};
 use scfs_crypto::{
     combine_shares, sha256, split_secret, ChaCha20, ContentHash, ErasureCoder, KeyGenerator, Share,
 };
@@ -28,15 +28,16 @@ use sim_core::time::SimInstant;
 use sim_core::units::Bytes;
 
 use crate::config::DepSkyConfig;
-use crate::metadata::{DataUnitMetadata, VersionInfo};
+use crate::metadata::{BlockSlot, DataUnitMetadata, VersionInfo};
 use crate::wire::{DecodeError, Reader, Writer};
 
 /// Prefix of every key a DepSky client stores in a cloud.
 pub const KEY_SPACE: &str = "depsky/";
 
-/// How a placement-aware client selects clouds: the shared provider matrix
-/// (whose health every observed outcome feeds), the policy ranking it, and
-/// the write geometry.
+/// How a client selects clouds: the shared provider matrix (whose health
+/// every observed outcome feeds), the policy ranking it, and the write
+/// geometry. The paper's fixed layout is one such spec
+/// ([`DepSkyClient::new`]).
 #[derive(Clone)]
 pub struct PlacementSpec {
     /// The provider registry; shared with the harness so reports can read
@@ -47,7 +48,8 @@ pub struct PlacementSpec {
     /// Number of clouds holding data blocks per version (the paper's
     /// `n − f` under preferred quorums).
     pub width: usize,
-    /// Number of block-store acknowledgements a write waits for
+    /// Number of block-store acknowledgements a write waits for, and of
+    /// holders a read races before widening to the rest
     /// (`data_shards ≤ write_wait ≤ width`; `width − write_wait` stragglers
     /// are off the critical path).
     pub write_wait: usize,
@@ -80,11 +82,8 @@ pub struct DepSkyClient {
     coder: ErasureCoder,
     keygen: Mutex<KeyGenerator>,
     metadata_cache: Mutex<BTreeMap<String, DataUnitMetadata>>,
-    /// `None` runs the paper's fixed placement over exactly `total_clouds()`
-    /// clouds — byte-identical to the pre-placement client. `Some` lets a
-    /// policy choose which clouds of a (possibly larger) pool serve each
-    /// operation.
-    placement: Option<PlacementSpec>,
+    /// Which clouds of the pool serve each operation.
+    placement: PlacementSpec,
 }
 
 impl std::fmt::Debug for DepSkyClient {
@@ -97,8 +96,9 @@ impl std::fmt::Debug for DepSkyClient {
 }
 
 impl DepSkyClient {
-    /// Creates a client over `clouds` (which must match the configuration's
-    /// required cloud count).
+    /// Creates a client over exactly the configuration's `n` clouds in the
+    /// paper's layout (§3.2, preferred quorums): the first `n − f` clouds
+    /// hold every version's blocks, and a write waits for all of them.
     pub fn new(
         clouds: Vec<Arc<dyn ObjectStore>>,
         config: DepSkyConfig,
@@ -111,25 +111,22 @@ impl DepSkyClient {
                 clouds.len()
             )));
         }
-        let data_shards = config.data_shards();
-        let parity = config.data_clouds() - data_shards;
-        let coder = ErasureCoder::new(data_shards, parity)
-            .map_err(|e| StorageError::invalid(e.to_string()))?;
-        Ok(DepSkyClient {
-            clouds,
-            config,
-            coder,
-            keygen: Mutex::new(KeyGenerator::from_seed(seed)),
-            metadata_cache: Mutex::new(BTreeMap::new()),
-            placement: None,
-        })
+        let profiles = clouds.iter().map(|c| c.profile().clone()).collect();
+        let spec = PlacementSpec {
+            matrix: Arc::new(ProviderMatrix::new(profiles)),
+            policy: Arc::new(AllClouds),
+            width: config.data_clouds(),
+            write_wait: config.data_clouds(),
+        };
+        Self::with_placement(clouds, config, spec, seed)
     }
 
-    /// Creates a placement-aware client over a cloud pool that may be larger
-    /// than the protocol's `n`: `spec.width` clouds (chosen per write by
+    /// Creates a client over a cloud pool that may be larger than the
+    /// protocol's `n`: `spec.width` clouds (chosen per write by
     /// `spec.policy`) hold each version's blocks, metadata goes to every
-    /// cloud with majority acknowledgement, and reads race a policy-chosen
-    /// subset with escalation to the remaining holders.
+    /// cloud with majority acknowledgement, and a read races the first
+    /// `spec.write_wait` holders in the policy's order, widening to the rest
+    /// on a miss or failure.
     pub fn with_placement(
         clouds: Vec<Arc<dyn ObjectStore>>,
         config: DepSkyConfig,
@@ -172,39 +169,23 @@ impl DepSkyClient {
             coder,
             keygen: Mutex::new(KeyGenerator::from_seed(seed)),
             metadata_cache: Mutex::new(BTreeMap::new()),
-            placement: Some(spec),
+            placement: spec,
         })
     }
 
-    /// Number of clouds holding data blocks for each written version.
-    fn block_width(&self) -> usize {
-        self.placement
-            .as_ref()
-            .map_or(self.config.data_clouds(), |s| s.width)
-    }
-
-    /// Acknowledgements a metadata write (or read) waits for. The fixed
-    /// deployment uses the protocol's `n − f`; a placement-aware pool uses a
-    /// majority of the pool, so any two metadata quorums intersect.
+    /// Acknowledgements a metadata write (or read) waits for: a majority of
+    /// the pool, so any two metadata quorums intersect (`n − f` on the
+    /// paper's four clouds).
     fn metadata_quorum(&self) -> usize {
-        if self.placement.is_some() {
-            self.clouds.len() / 2 + 1
-        } else {
-            self.config.write_quorum()
-        }
+        self.clouds.len() / 2 + 1
     }
 
-    /// Feeds observed outcomes into the provider matrix's health state (a
-    /// no-op for fixed-placement clients).
+    /// Feeds observed outcomes into the provider matrix's health state.
     fn record_outcomes<T>(&self, start: SimInstant, outcomes: &[CloudRun<T>]) {
-        if let Some(spec) = &self.placement {
-            for o in outcomes {
-                spec.matrix.record(
-                    o.index,
-                    o.completed_at.duration_since(start),
-                    o.value.is_ok(),
-                );
-            }
+        let matrix = &self.placement.matrix;
+        for o in outcomes {
+            let latency = o.completed_at.duration_since(start);
+            matrix.record(o.index, latency, o.value.is_ok());
         }
     }
 
@@ -291,7 +272,8 @@ impl DepSkyClient {
             .cached_metadata(&name)
             .unwrap_or_else(|| DataUnitMetadata::new(&name));
         let version = metadata.next_version();
-        let data_clouds = self.block_width();
+        let spec = &self.placement;
+        let data_clouds = spec.width;
         let data_shards = self.config.data_shards();
 
         // Prepare the per-cloud block payloads: a fresh key encrypts the
@@ -319,23 +301,14 @@ impl DepSkyClient {
             })
             .collect();
         let block_size = payloads.first().map_or(0, |p| p.len() as u64);
-        let block_hashes: Vec<ContentHash> = payloads.iter().map(|p| sha256(p)).collect();
 
         // Store the data blocks in parallel on the clouds the placement
-        // policy picks (the first `n − f` clouds when fixed: the paper's
-        // preferred quorum, all of which must acknowledge).
-        let (targets, needed): (Vec<usize>, usize) = match &self.placement {
-            Some(spec) => (
-                spec.policy.write_targets(
-                    &spec.matrix,
-                    spec.width,
-                    spec.write_wait,
-                    Bytes::new(block_size),
-                ),
-                spec.write_wait,
-            ),
-            None => ((0..data_clouds).collect(), data_clouds),
-        };
+        // policy picks (the paper's: the first `n − f` clouds, all of which
+        // must acknowledge).
+        let block = Bytes::new(block_size);
+        let targets = spec
+            .policy
+            .write_targets(&spec.matrix, data_clouds, spec.write_wait, block);
         let start = ctx.clock.now();
         let blocks = parallel_access(ctx, &self.clouds, &targets, |cloud_index, cloud, c| {
             // Block slot `i` lives on cloud `targets[i]`.
@@ -350,12 +323,11 @@ impl DepSkyClient {
         // Update and store the metadata object in every cloud. The caller's
         // clock only moves at a quorum wait, so this round is issued from
         // the same instant as the block round.
-        let identity: Vec<usize> = (0..data_clouds).collect();
-        let placements: Vec<u32> = if targets == identity {
-            Vec::new()
-        } else {
-            targets.iter().map(|&c| c as u32).collect()
-        };
+        let slots = targets.iter().zip(&payloads);
+        let slots = slots.map(|(&cloud, block)| BlockSlot {
+            cloud: cloud as u32,
+            hash: sha256(block),
+        });
         metadata.push_version(VersionInfo {
             version,
             // The address was just verified against the content: it is the
@@ -363,9 +335,7 @@ impl DepSkyClient {
             hash: *hash,
             size: data.len() as u64,
             block_size,
-            data_clouds: data_clouds as u32,
-            block_hashes,
-            placements,
+            slots: slots.collect(),
         });
         let encoded_md = metadata.encode();
         let all: Vec<usize> = (0..self.clouds.len()).collect();
@@ -376,7 +346,7 @@ impl DepSkyClient {
         self.record_outcomes(start, &records);
         // Both rounds are in flight: wait out both quorums (the clock ends at
         // the later instant) before reporting a failure of either.
-        let data_quorum = await_quorum(ctx, &blocks, needed);
+        let data_quorum = await_quorum(ctx, &blocks, spec.write_wait);
         let metadata_quorum = await_quorum(ctx, &records, self.metadata_quorum());
         data_quorum.and(metadata_quorum)?;
 
@@ -439,7 +409,7 @@ impl DepSkyClient {
                 }
             }
             Err(StorageError::NotFound { .. }) => {
-                let width = self.block_width();
+                let width = self.placement.width;
                 let outcomes = parallel_access(ctx, &self.clouds, &all, |_, cloud, c| {
                     for slot in 0..width {
                         // Most of these keys never existed.
@@ -558,7 +528,8 @@ impl DepSkyClient {
             if let Ok(bytes) = &outcome.value {
                 let expected = info
                     .slot_for_cloud(outcome.index)
-                    .and_then(|slot| info.block_hashes.get(slot));
+                    .and_then(|slot| info.slots.get(slot))
+                    .map(|slot| &slot.hash);
                 if expected.is_some_and(|h| h == &sha256(bytes)) {
                     if let Ok(block) = decode_block(bytes) {
                         valid.push(block);
@@ -581,23 +552,16 @@ impl DepSkyClient {
         info: &VersionInfo,
     ) -> Result<Vec<u8>, StorageError> {
         let needed = self.config.data_shards();
+        let spec = &self.placement;
+        // The first wave races `write_wait` holders in the policy's order
+        // (all `n − f` in the paper's layout, `f + 1` when a write waits for
+        // only that many) and widens to the rest on a miss or failure.
         let holders = self.holders(info);
-        // Fixed placement races every holder at once (the paper's read). A
-        // placement-aware read races only the policy's first `needed` picks
-        // and widens to the remaining holders on a miss or failure.
-        let order: Vec<usize> = match &self.placement {
-            Some(spec) => {
-                spec.policy
-                    .read_order(&spec.matrix, &holders, needed, Bytes::new(info.block_size))
-            }
-            None => holders,
-        };
-        let wave_len = if self.placement.is_some() {
-            needed.min(order.len())
-        } else {
-            order.len()
-        };
-        let (primary, fallback) = order.split_at(wave_len);
+        let block = Bytes::new(info.block_size);
+        let order = spec
+            .policy
+            .read_order(&spec.matrix, &holders, needed, block);
+        let (primary, fallback) = order.split_at(spec.write_wait.min(order.len()));
 
         let mut valid: Vec<BlockPayload> = Vec::new();
         let (mut reached_at, mut last) =
@@ -832,7 +796,7 @@ mod tests {
         let md = cold.read_metadata(&mut c, &unit).unwrap();
         let versions: Vec<u64> = md.versions.iter().map(|v| v.version).collect();
         assert_eq!(versions, [1, 2], "a re-write appends, it does not replace");
-        assert_ne!(md.versions[0].block_hashes, md.versions[1].block_hashes);
+        assert_ne!(md.versions[0].slots, md.versions[1].slots);
         assert_eq!(md.find_by_hash(&hash).unwrap().version, 2);
         assert_eq!(cold.read_blob(&mut c, "f", &hash).unwrap(), data);
         let missing = sha256(b"never written");
@@ -841,8 +805,96 @@ mod tests {
 
     #[test]
     fn wrong_cloud_count_is_rejected() {
-        let err = DepSkyClient::new(test_clouds(3), DepSkyConfig::scfs_default(), 1).unwrap_err();
-        assert!(matches!(err, StorageError::InvalidRequest { .. }));
+        for n in [3, 5] {
+            let err =
+                DepSkyClient::new(test_clouds(n), DepSkyConfig::scfs_default(), 1).unwrap_err();
+            assert!(matches!(err, StorageError::InvalidRequest { .. }), "{n}");
+        }
+    }
+
+    /// An [`AllClouds`] spec of the given geometry over the first `matrix`
+    /// of `sims`' profiles.
+    fn all_clouds_spec(
+        sims: &[Arc<SimulatedCloud>],
+        matrix: usize,
+        width: usize,
+        write_wait: usize,
+    ) -> PlacementSpec {
+        let profiles = sims[..matrix].iter().map(|s| s.profile().clone());
+        PlacementSpec {
+            matrix: Arc::new(ProviderMatrix::new(profiles.collect())),
+            policy: Arc::new(AllClouds),
+            width,
+            write_wait,
+        }
+    }
+
+    #[test]
+    fn with_placement_rejects_a_geometry_the_pool_cannot_serve() {
+        // (pool, matrix, width, write wait, the complaint), with f + 1 = 2.
+        let sims = sim_clouds(5);
+        let cases = [
+            (3, 3, 2, 2, "at least 4 clouds"),
+            (5, 4, 3, 2, "matrix covers 4 clouds but the pool has 5"),
+            (5, 5, 1, 1, "width 1 outside [2, 5]"),
+            (5, 5, 6, 2, "width 6 outside [2, 5]"),
+            (5, 5, 3, 1, "wait 1 outside [2, 3]"),
+            (5, 5, 3, 4, "wait 4 outside [2, 3]"),
+        ];
+        for (pool, matrix, width, wait, complaint) in cases {
+            let spec = all_clouds_spec(&sims, matrix, width, wait);
+            let stores = as_stores(&sims[..pool]);
+            let config = DepSkyConfig::scfs_default();
+            match DepSkyClient::with_placement(stores, config, spec, 1) {
+                Err(StorageError::InvalidRequest { reason }) => {
+                    assert!(reason.contains(complaint), "{reason}");
+                }
+                other => panic!("{complaint}: {other:?}"),
+            }
+        }
+        // The bounds themselves are served.
+        for (width, wait) in [(2, 2), (5, 2), (5, 5)] {
+            let spec = all_clouds_spec(&sims, 5, width, wait);
+            let config = DepSkyConfig::scfs_default();
+            assert!(DepSkyClient::with_placement(as_stores(&sims), config, spec, 1).is_ok());
+        }
+    }
+
+    #[test]
+    fn a_cold_read_races_write_wait_holders_then_widens() {
+        // (write wait, cloud down at the read, block GETs): the paper's
+        // layout through `new` races all three holders; a (3, 2) spec races
+        // two, and a third once one of those two is down.
+        for (wait, down, gets) in [(None, None, 3), (Some(2), None, 2), (Some(2), Some(0), 3)] {
+            let sims = sim_clouds(4);
+            let build = |seed| match wait {
+                None => client(as_stores(&sims)),
+                Some(wait) => {
+                    let spec = all_clouds_spec(&sims, 4, 3, wait);
+                    let config = DepSkyConfig::scfs_default();
+                    DepSkyClient::with_placement(as_stores(&sims), config, spec, seed).unwrap()
+                }
+            };
+            let mut clock = Clock::new();
+            let data = vec![1u8; 4096];
+            let hash = write(&build(1), &mut ctx(&mut clock), &data);
+            if let Some(cloud) = down {
+                let outage = FaultPlan::outage(SimInstant::EPOCH, SimInstant::from_secs(1_000_000));
+                sims[cloud].set_fault_plan(outage, 2);
+            }
+            // Every GET a cloud saw, answered or refused.
+            let requests = || -> u64 {
+                let snapshots = sims.iter().map(|s| s.metrics().snapshot());
+                snapshots.map(|m| m.gets + m.errors).sum()
+            };
+            let before = requests();
+            assert_eq!(
+                cold_read(&build(2), SimDuration::ZERO, &hash).unwrap(),
+                data
+            );
+            // One metadata GET per cloud, then the block GETs.
+            assert_eq!(requests() - before - 4, gets, "{wait:?} {down:?}");
+        }
     }
 
     #[test]
@@ -1036,9 +1088,12 @@ mod tests {
 
     #[test]
     fn stored_bytes_do_not_depend_on_the_kernel_that_wrote_them() {
-        // Every byte a fixed-seed write leaves in the clouds, pinned to the
-        // digest the scalar-only kernels of ab8a71c produced: a reader of old
+        // Every byte a fixed-seed write leaves in the clouds: a reader of old
         // data cannot tell which SHA-256, ChaCha20 or GF(256) code wrote it.
+        // The blocks alone are pinned to the digest the scalar-only kernels
+        // of ab8a71c produced; the metadata records have since changed
+        // format (each names its holders), so the digest over every object
+        // is pinned to that of the same kernels writing today's records.
         let clouds: Vec<Arc<dyn ObjectStore>> = (0..4)
             .map(|i| Arc::new(SimulatedCloud::test(&format!("pin{i}"))) as Arc<dyn ObjectStore>)
             .collect();
@@ -1050,17 +1105,27 @@ mod tests {
             .collect();
         let hash = write(&ds, &mut c, &data);
         let mut stored = scfs_crypto::Sha256::new();
+        let mut blocks = scfs_crypto::Sha256::new();
         for cloud in &clouds {
             let mut keys = cloud.list(&mut c, KEY_SPACE).unwrap();
             keys.sort();
             for key in keys {
+                let bytes = cloud.get(&mut c, &key).unwrap();
                 stored.update(key.as_bytes());
-                stored.update(&cloud.get(&mut c, &key).unwrap());
+                stored.update(&bytes);
+                if key.contains("/block") {
+                    blocks.update(key.as_bytes());
+                    blocks.update(&bytes);
+                }
             }
         }
         assert_eq!(
+            scfs_crypto::to_hex(&blocks.finalize()),
+            "4b902a48180bf1eb47baa8137819965c589fe5e0497386dd73c8052da90d6aae"
+        );
+        assert_eq!(
             scfs_crypto::to_hex(&stored.finalize()),
-            "c111b82efd563771266d74999e3da574a5b58759c8b8712a85a6e3f271229851"
+            "5f725c6d2bef474c66d7071bd53834c4fb4f25d0ec119cf08910b39e1b1ff01b"
         );
         assert_eq!(ds.read_blob(&mut c, "f", &hash).unwrap(), data);
     }
@@ -1149,7 +1214,7 @@ mod tests {
 
     // ---- placement-aware clients over the heterogeneous matrix ----
 
-    use placement::{PolicyKind, ProviderMatrix};
+    use placement::PolicyKind;
 
     /// Past the eventual-consistency visibility windows of the archive and
     /// flaky tiers — SCFS's consistency-anchor loop retries across that gap;
@@ -1232,8 +1297,8 @@ mod tests {
         let md = ds.read_metadata(&mut c, &unit).unwrap();
         let info = md.latest().unwrap();
         // The matrix puts the premium tier at index 0, so the cheapest
-        // quorum is never the identity and the placement must be explicit.
-        assert_eq!(info.placements.len(), 3);
+        // quorum never includes it.
+        assert_eq!(info.slots.len(), 3);
         assert!(!info.holder_clouds().contains(&0));
         // Exactly the holders store a block for this version.
         for (cloud, sim) in sims.iter().enumerate() {
@@ -1261,7 +1326,7 @@ mod tests {
         // Knock out the holder FastestRead would race first (the healthiest
         // one); the first wave falls short and the read must widen to the
         // remaining holders instead of failing.
-        let spec = ds.placement.as_ref().unwrap();
+        let spec = &ds.placement;
         let first = spec
             .policy
             .read_order(&spec.matrix, &holders, 2, Bytes::new(1))[0];

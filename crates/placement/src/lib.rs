@@ -1,12 +1,12 @@
 //! Cost/latency-aware cloud placement over a heterogeneous provider matrix.
 //!
 //! The paper's cloud-of-clouds evaluation (§4.1, Figure 11) treats its four
-//! providers as a fixed, uniform set: every DepSky write targets all of them
-//! and every read races all of them. This crate makes the provider set open
-//! and *unequal* — a matrix mixing the 2014 paper clouds with a cheap-slow
-//! archival tier, an expensive-fast premium tier and a flaky regional store
-//! — and turns "which clouds serve this operation" into a live policy
-//! decision:
+//! providers as a fixed, uniform set: every DepSky write puts its blocks on
+//! the first `n − f` of them and every read races those. This crate makes
+//! the provider set open and *unequal* — a matrix mixing the 2014 paper
+//! clouds with a cheap-slow archival tier, an expensive-fast premium tier
+//! and a flaky regional store — and turns "which clouds serve this
+//! operation" into a live policy decision:
 //!
 //! - [`ProviderMatrix`] is the registry: the static profiles (latency,
 //!   bandwidth, price book) plus per-provider *health*, a deterministic EWMA
@@ -14,7 +14,7 @@
 //!   outcome the DepSky client sees.
 //! - [`PlacementPolicy`] chooses index subsets: [`CheapestQuorum`] picks the
 //!   lowest-dollar write quorum whose predicted latency still meets an SLO,
-//!   [`FastestRead`] races the predicted-fastest `f + 1` clouds and widens on
+//!   [`FastestRead`] races the predicted-fastest holders and widens on
 //!   failure, and [`AllClouds`] reproduces the paper's fixed placement.
 //! - [`PolicyKind`] is the `Copy` configuration surface the SCFS config and
 //!   the harnesses plumb around.

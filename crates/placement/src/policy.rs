@@ -39,9 +39,10 @@ pub trait PlacementPolicy: Send + Sync {
     ) -> Vec<usize>;
 
     /// Orders the clouds currently `holders` of a version for a read that
-    /// needs `needed` valid blocks: the first `needed` entries are raced
-    /// first, the rest form the escalation tail. The returned vector is a
-    /// permutation of `holders`.
+    /// needs `needed` valid blocks. The client races as many entries first
+    /// as a write waits for acknowledgements (its spec's `write_wait`); the
+    /// rest form the escalation tail. The returned vector is a permutation
+    /// of `holders`.
     fn read_order(
         &self,
         matrix: &ProviderMatrix,
@@ -51,9 +52,10 @@ pub trait PlacementPolicy: Send + Sync {
     ) -> Vec<usize>;
 }
 
-/// The paper's fixed placement: the first `width` clouds hold every version
-/// and reads race every holder. Byte-identical to a placement-oblivious
-/// deployment, and the fallback every other policy degrades to.
+/// The paper's fixed placement: the first `width` clouds hold every version,
+/// and a read tries them in index order, racing the first `write_wait`. The
+/// paper's layout is this policy with `width = write_wait = n − f`, so its
+/// reads race every holder; it is also the fallback other policies degrade to.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AllClouds;
 
@@ -177,8 +179,8 @@ impl PlacementPolicy for CheapestQuorum {
 }
 
 /// Latency-first placement: writes go to the predicted-fastest clouds and
-/// reads race the predicted-fastest `f + 1` holders, widening to the rest on
-/// a miss. Observed error rates inflate a provider's effective latency, so a
+/// reads race the predicted-fastest holders, widening to the rest on a
+/// miss. Observed error rates inflate a provider's effective latency, so a
 /// cloud that starts dropping requests is demoted even if its raw latency
 /// EWMA still looks good.
 #[derive(Debug, Clone, Copy, Default)]

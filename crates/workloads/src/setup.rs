@@ -209,7 +209,8 @@ impl DeploymentSpec {
 }
 
 /// Builds a backend instance over `stores`: the one place a storage backend
-/// or a DepSky client is constructed.
+/// or a DepSky client is constructed. Without a placement the client runs
+/// the paper's layout, itself an `AllClouds` spec, over exactly `n` clouds.
 fn new_backend(
     backend: Backend,
     stores: &[Arc<dyn ObjectStore>],

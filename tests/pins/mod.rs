@@ -32,23 +32,22 @@ use scfs_repro::workloads::fleet::{
 use scfs_repro::workloads::setup::{build_scfs, Backend, Deployment, Plane};
 
 /// Every golden pin, in the order [`measure_pins`] measures them. The clock
-/// last moved when the local disk left the close path: a commit spills only
-/// the chunks the disk does not already hold, a disk-cache write lands
-/// behind the caller (only `fsync` and a close that returns at level 1 wait
-/// for it), and a cache miss no longer charges a tier access. A blocking
-/// data-fleet close no longer waits for the disk, and the file-sync runs
-/// spill one edited chunk per save, not the whole document. The fault-path
-/// digest moved since, and only by text: a lock key gained its `/write`
-/// leaf, and the `LockHeld` and `NotFound` results it folds print the key.
+/// last moved when DepSky's version record took one format that names every
+/// block's holder: a paper-layout record grew by 8 bytes, so the CoC data
+/// fleet and the non-blocking file-sync runs moved by the transfer time of
+/// those bytes and nothing else (request counts, RNG draws and every AWS
+/// instant are unchanged). The fault-path digest last moved by text alone:
+/// a lock key gained its `/write` leaf, and the `LockHeld` and `NotFound`
+/// results it folds print the key.
 const PINS: &[(&str, u64)] = &[
     ("data_fleet.AWS.trace_hash", 0xd88f_2fb2_30e8_566d),
     ("data_fleet.AWS.makespan_ns", 473066559787),
-    ("data_fleet.CoC.trace_hash", 0xac7d_6623_4f10_f585),
+    ("data_fleet.CoC.trace_hash", 0x79d9_7814_18e7_963e),
     ("data_fleet.CoC.makespan_ns", 473716391169),
     ("metadata_fleet.trace_hash", 0xfec0_71ce_884e_3fbf),
     ("metadata_fleet.makespan_ns", 688230371),
-    ("file_sync.NonBlocking.end_ns", 3405509076),
-    ("file_sync.NonBlocking.drain_ns", 3581168014),
+    ("file_sync.NonBlocking.end_ns", 3405510984),
+    ("file_sync.NonBlocking.drain_ns", 3581169922),
     ("file_sync.NonSharing.end_ns", 923981594),
     ("file_sync.NonSharing.drain_ns", 923981594),
     ("fault_paths.digest", 0xd2ab_3477_db9c_e361),
