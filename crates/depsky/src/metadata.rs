@@ -239,17 +239,23 @@ mod tests {
     fn placed_versions_round_trip_and_translate_slots() {
         let mut md = DataUnitMetadata::new("placed");
         md.push_version(placed(1, b"placed", [4, 1, 6]));
-        md.push_version(info(2, b"paper layout"));
         let decoded = DataUnitMetadata::decode(&md.encode()).unwrap();
         assert_eq!(decoded, md);
-        let v = &decoded.versions[0];
+        let v = decoded.latest().unwrap();
         assert_eq!(v.holder_clouds(), vec![4, 1, 6]);
         assert_eq!(v.slot_for_cloud(4), Some(0));
         assert_eq!(v.slot_for_cloud(1), Some(1));
         assert_eq!(v.slot_for_cloud(6), Some(2));
         assert_eq!(v.slot_for_cloud(0), None);
-        // The paper's layout is a placement like any other.
-        let v = &decoded.versions[1];
+    }
+
+    #[test]
+    fn identity_versions_translate_slots_as_before() {
+        // The paper's layout is a placement like any other: slot i on cloud i.
+        let mut md = DataUnitMetadata::new("paper");
+        md.push_version(info(1, b"x"));
+        let decoded = DataUnitMetadata::decode(&md.encode()).unwrap();
+        let v = decoded.latest().unwrap();
         assert_eq!(v.holder_clouds(), vec![0, 1, 2]);
         assert_eq!(v.slot_for_cloud(2), Some(2));
         assert_eq!(v.slot_for_cloud(3), None);
