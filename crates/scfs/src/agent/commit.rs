@@ -9,7 +9,7 @@ use scfs_crypto::ContentHash;
 use sim_core::background::Pending;
 use sim_core::time::SimInstant;
 
-use super::handles::OpenFile;
+use super::handles::{Faulting, OpenFile};
 use super::ScfsAgent;
 use crate::cache::WriteMode;
 use crate::durability::DurabilityLevel;
@@ -256,28 +256,31 @@ impl ScfsAgent {
         Ok(committed)
     }
 
-    /// Spills the chunks of `map` to the disk cache — and, under
-    /// [`WriteMode::Through`], the memory cache — behind the caller, and
-    /// returns the instant the spill lands: from then on every chunk of the
-    /// version is on the local disk (durability level 1: the data survives a
-    /// client restart even before the cloud upload commits). A chunk key is
-    /// a content address, so a chunk the disk already holds under its hash
-    /// is those very bytes: it is refreshed in the disk's recency, neither
+    /// Spills the chunks `file` holds of `map`, the map of its buffer, to
+    /// the disk cache — and, under [`WriteMode::Through`], the memory cache
+    /// — behind the caller, and returns the instant the spill lands: from
+    /// then on every chunk of the version the handle holds is on the local
+    /// disk (durability level 1: the data survives a client restart even
+    /// before the cloud upload commits). A hole is skipped: the handle never
+    /// had its bytes, and the cloud already stores them. A chunk key is a
+    /// content address, so a chunk the disk already holds under its hash is
+    /// those very bytes: it is refreshed in the disk's recency, neither
     /// copied nor written, and a spill writes only the chunks the edit made
-    /// (plus any clean chunk that so far sat in memory only).
+    /// (plus any clean chunk the handle faulted into memory only).
     pub(super) fn spill_chunks(
         &mut self,
+        file: &OpenFile,
         map: &ChunkMap,
-        data: &[u8],
         mode: WriteMode,
     ) -> SimInstant {
         let mut landed = self.clock.now();
         for (index, chunk_hash) in map.chunks().iter().enumerate() {
+            let range = map.byte_range(index);
             let key = Self::chunk_cache_key(chunk_hash);
-            if self.cache.probe_disk(&key, chunk_hash) {
+            if file.is_hole(&range) || self.cache.probe_disk(&key, chunk_hash) {
                 continue;
             }
-            let chunk: Arc<[u8]> = Arc::from(&data[map.byte_range(index)]);
+            let chunk: Arc<[u8]> = Arc::from(&file.buffer[range]);
             landed = self.cache.put_after(
                 &mut self.clock,
                 landed,
@@ -291,22 +294,23 @@ impl ScfsAgent {
     }
 
     /// The chunk map of `file`'s buffer: the newest map the handle has,
-    /// re-cut and re-hashed over the dirty extent only.
-    pub(super) fn cut_buffer(&mut self, file: &OpenFile) -> ChunkMap {
-        let (map, rehashed) = ChunkMap::rebuild(
-            file.staged.as_ref().or(file.chunk_map.as_ref()),
-            &file.buffer,
-            file.dirty.clone().unwrap_or(0..0),
-            self.config.chunking,
-        );
+    /// re-cut and re-hashed over the dirty extent only — faulting in the
+    /// holes the cut runs into.
+    pub(super) fn cut_buffer(&mut self, file: &mut OpenFile) -> Result<ChunkMap, ScfsError> {
+        let prev = file.staged.clone().or_else(|| file.chunk_map.clone());
+        let dirty = file.dirty.clone().unwrap_or(0..0);
+        let rule = self.config.chunking;
+        let mut source = Faulting { agent: self, file };
+        let (map, rehashed) = ChunkMap::rebuild_from(prev.as_ref(), &mut source, dirty, rule)?;
         self.stats.rehashed_bytes += rehashed;
-        map
+        Ok(map)
     }
 
     /// Commits `file`'s buffer as the new version of its object. The buffer
     /// is chunked — the version's root hash, the one hash the anchor stores,
-    /// follows from the map alone, before any cloud access — and spilled to
-    /// both cache levels; the manifest goes with it unless the metadata tuple
+    /// follows from the map alone, before any cloud access — and the chunks
+    /// the handle holds are spilled to both cache levels (its holes are in
+    /// the cloud already); the manifest goes with it unless the metadata tuple
     /// will carry that ([`manifest_rides_inline`]: a cache entry nobody
     /// looks up would only displace a chunk). The spill is written behind.
     /// A close that returns at level 1 (non-blocking, non-sharing) waits for
@@ -318,12 +322,12 @@ impl ScfsAgent {
     /// version's map and the committed metadata.
     fn commit_buffer(
         &mut self,
-        file: &OpenFile,
+        file: &mut OpenFile,
         unlock: bool,
         wait: bool,
     ) -> Result<(ChunkMap, Option<FileMetadata>), ScfsError> {
-        let map = self.cut_buffer(file);
-        let mut spilled = self.spill_chunks(&map, &file.buffer, WriteMode::Through);
+        let map = self.cut_buffer(file)?;
+        let mut spilled = self.spill_chunks(file, &map, WriteMode::Through);
         let manifest = map.encode();
         if !manifest_rides_inline(&manifest) {
             let root = scfs_crypto::sha256(&manifest);
@@ -355,7 +359,7 @@ impl ScfsAgent {
 
     pub(super) fn close_file(&mut self, handle: FileHandle) -> Result<(), ScfsError> {
         self.charge_syscall();
-        let file = self
+        let mut file = self
             .open_files
             .remove(&handle)
             .ok_or(ScfsError::BadHandle { handle: handle.0 })?;
@@ -372,10 +376,10 @@ impl ScfsAgent {
             }
             return Ok(());
         }
-        // A dirty handle is always fully materialized (writes and truncates
-        // fault the whole file in first), so the buffer is the new version.
-        debug_assert!(file.present.is_none(), "dirty handle left sparse");
-        self.commit_buffer(&file, file.locked, self.config.mode.blocking_close())?;
+        // The buffer is the new version up to its holes, which the cut
+        // leaves where the committed map has them and the upload skips.
+        let (unlock, wait) = (file.locked, self.config.mode.blocking_close());
+        self.commit_buffer(&mut file, unlock, wait)?;
         Ok(())
     }
 
@@ -390,7 +394,6 @@ impl ScfsAgent {
             return Ok(DurabilityLevel::MainMemory);
         }
         if file.is_dirty() || file.metadata.version_hash.is_none() {
-            self.materialize(file)?;
             // The lane orders this commit behind any in-flight upload of the
             // same object; the new token supersedes the pending record.
             self.pending_uploads.remove(&file.metadata.storage_id);
@@ -398,9 +401,8 @@ impl ScfsAgent {
             if let Some(metadata) = committed {
                 file.metadata = metadata;
             }
-            file.chunk_map = Some(map);
+            file.rebase(map);
             file.staged = None;
-            file.present = None;
             file.dirty = None;
         } else {
             self.wait_pending_uploads(|id, _| id == file.metadata.storage_id);
@@ -829,7 +831,8 @@ mod tests {
     #[test]
     fn fsync_and_every_close_that_returns_early_wait_for_their_spill() {
         // Second mounts of the account edit files they have never read: the
-        // write faults all four chunks in from the cloud, into memory only.
+        // write faults in the one chunk it lands in, into memory only, and
+        // the other three stay holes.
         let cloud = Arc::new(SimulatedCloud::test("s3"));
         let coord: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
         let mount = |mode, seed| {
@@ -840,16 +843,18 @@ mod tests {
         let mut writer = mount(Mode::Blocking, 1);
         writer.write_file("/fsync", &four_chunks()).unwrap();
         writer.write_file("/nb", &four_chunks()).unwrap();
+        let old = writer.config().chunk_map(&four_chunks());
         for (path, mode, seed) in [("/fsync", Mode::Blocking, 2), ("/nb", Mode::NonBlocking, 3)] {
             let mut fs = mount(mode, seed);
             fs.sleep(SimDuration::from_secs(60));
             let h = fs.open(path, OpenFlags::read_write()).unwrap();
             let (data, offset) = edited(four_chunks(), 3);
             fs.write(h, offset, b"edit").unwrap();
-            let clean = ScfsAgent::chunk_cache_key(&fs.config().chunk_map(&data).chunks()[0]);
-            assert!(fs.cache.memory().contains(&clean, None));
+            assert_eq!(fs.stats().chunk_downloads, 1, "{path}: one chunk fetched");
+            let faulted = ScfsAgent::chunk_cache_key(&old.chunks()[3]);
+            assert!(fs.cache.memory().contains(&faulted, None));
             assert!(
-                !fs.cache.disk().contains(&clean, None),
+                !fs.cache.disk().contains(&faulted, None),
                 "fetched into memory only"
             );
             let start = fs.now();
@@ -858,19 +863,33 @@ mod tests {
             } else {
                 fs.close(h).unwrap();
             }
-            // Three clean chunks and the new one land one after another.
+            // The new chunk lands; the holes are not spilled.
             let took = fs.now().duration_since(start);
             assert!(
-                took >= min_spill(4),
+                took >= min_spill(1),
                 "{path}: returned {took} after the call"
             );
+            let new = fs.config().chunk_map(&data);
+            let on_disk = |i: usize| {
+                let hash = &new.chunks()[i];
+                fs.cache
+                    .disk()
+                    .contains(&ScfsAgent::chunk_cache_key(hash), Some(hash))
+            };
             assert!(
-                on_disk(&fs, &data),
-                "{path}: a chunk is not on the local disk"
+                on_disk(3),
+                "{path}: the edited chunk is not on the local disk"
+            );
+            assert!((0..3).all(|i| !on_disk(i)), "{path}: a hole was spilled");
+            assert_eq!(
+                fs.stats().chunk_downloads,
+                1,
+                "{path}: the commit fetched nothing"
             );
             if mode == Mode::Blocking {
                 fs.close(h).unwrap();
             }
+            assert_eq!(fs.read_file(path).unwrap(), data);
         }
 
         // A non-sharing close: a new file spills four chunks, a one-chunk

@@ -1,5 +1,5 @@
 //! The open-file table: `open`, and the byte-range read, write and truncate
-//! paths over a handle's lazily materialized buffer.
+//! paths over a handle's sparse buffer.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -9,7 +9,7 @@ use sim_core::time::SimInstant;
 
 use super::ScfsAgent;
 use crate::error::ScfsError;
-use crate::types::{ChunkMap, FileHandle, FileMetadata, OpenFlags};
+use crate::types::{ChunkMap, ChunkSource, FileHandle, FileMetadata, OpenFlags};
 
 /// How many upcoming chunks the sequential-read prefetcher schedules on the
 /// background clock once a handle shows a sequential read pattern.
@@ -18,9 +18,17 @@ const PREFETCH_CHUNKS: usize = 2;
 /// State of one open file.
 ///
 /// `open` does not materialize the file: it loads only the manifest and
-/// allocates a sparse buffer. Chunks fault in lazily as `read(offset, len)`
-/// touches them (`present` tracks which ones arrived); writes materialize
-/// the whole file first, so a dirty handle is always fully backed.
+/// allocates a flat buffer of the file's length in which every chunk of
+/// `chunk_map` starts as a *hole* — zeros standing for bytes the handle has
+/// not needed yet. A chunk faults in the first time something needs its
+/// bytes: a read touching it, a write or truncate covering only part of it
+/// (the rest of the chunk survives the write), or a cut of the new version
+/// running into it ([`ChunkMap::rebuild_from`]). A write that covers a hole
+/// whole replaces it without a fault. So a dirty handle holds the chunks the
+/// new version needs and nothing more, and every hole left is clean by
+/// construction: its bytes sit at the offset, under the hash, that
+/// `chunk_map` gives them, and the cloud already stores them — no spill and
+/// no upload touches a hole.
 ///
 /// A handle knows the chunk map of its buffer up to one byte extent: `dirty`
 /// covers everything written since the newest map — `staged`, else
@@ -32,14 +40,16 @@ pub(super) struct OpenFile {
     pub(super) flags: OpenFlags,
     pub(super) metadata: FileMetadata,
     pub(super) buffer: Vec<u8>,
-    /// Chunk map of the version the buffer was loaded from (`None` for fresh
-    /// or truncated files); the previous-version hint for dirty-chunk upload.
+    /// Chunk map of the version the buffer was loaded from or last committed
+    /// (`None` for fresh or truncated files): the previous-version hint for
+    /// dirty-chunk upload, and the map `present` indexes.
     pub(super) chunk_map: Option<ChunkMap>,
     /// The map `fsync` cut of the buffer when it put the chunks on the local
     /// disk: staged, not committed, so never the upload hint.
     pub(super) staged: Option<ChunkMap>,
-    /// Which chunks of `chunk_map` are materialized in `buffer`; `None` once
-    /// the whole file is materialized (always for fresh/truncated files).
+    /// Which chunks of `chunk_map` are no longer holes — faulted in,
+    /// overwritten whole, or cut off by a truncate; `None` once none is
+    /// (always for fresh/truncated files).
     pub(super) present: Option<Vec<bool>>,
     /// In-flight sequential prefetches: chunk index → the background instant
     /// the fetch completes. The data is already in the caches, but a
@@ -76,12 +86,76 @@ impl OpenFile {
         });
     }
 
-    /// Indices of `indices` whose chunks are not yet in `buffer`.
-    pub(super) fn missing_of(&self, indices: std::ops::Range<usize>) -> Vec<usize> {
+    /// Indices of `indices` whose chunks are holes.
+    pub(super) fn missing_of(&self, indices: Range<usize>) -> Vec<usize> {
         match &self.present {
             Some(present) => indices.filter(|i| !present[*i]).collect(),
             None => Vec::new(),
         }
+    }
+
+    /// The holes among the chunks overlapping the buffer bytes `range`.
+    fn holes_in(&self, range: &Range<usize>) -> Vec<usize> {
+        match &self.chunk_map {
+            Some(map) => self.missing_of(map.chunks_for_range(range.start as u64, range.len())),
+            None => Vec::new(),
+        }
+    }
+
+    /// Marks the chunks at `indices` as no longer holes.
+    fn fill(&mut self, indices: &[usize]) {
+        if let Some(present) = &mut self.present {
+            for &index in indices {
+                present[index] = true;
+            }
+            if present.iter().all(|p| *p) {
+                self.present = None;
+            }
+        }
+    }
+
+    /// Whether the buffer bytes `range` are exactly a hole.
+    pub(super) fn is_hole(&self, range: &Range<usize>) -> bool {
+        let Some(map) = &self.chunk_map else {
+            return false;
+        };
+        match self.holes_in(&(range.start..range.start + 1))[..] {
+            [index] => map.byte_range(index) == *range,
+            _ => false,
+        }
+    }
+
+    /// Where the run of buffer bytes that are no hole, starting at `pos`,
+    /// ends.
+    fn present_until(&self, pos: usize) -> usize {
+        let holes = self.holes_in(&(pos..self.buffer.len()));
+        match (holes.first(), &self.chunk_map) {
+            (Some(&hole), Some(map)) => map.byte_range(hole).start.max(pos),
+            _ => self.buffer.len(),
+        }
+    }
+
+    /// Makes `map` — just committed from this buffer — the map the handle
+    /// loaded. No cut ever reads a hole, so each hole is a chunk of `map`
+    /// at its old extent, under its old hash: the holes, and the prefetches
+    /// still in flight for them, move to their indices in `map`.
+    pub(super) fn rebase(&mut self, map: ChunkMap) {
+        let mut present = Vec::with_capacity(map.chunk_count());
+        let mut ready = HashMap::new();
+        for index in 0..map.chunk_count() {
+            let range = map.byte_range(index);
+            let hole = self.is_hole(&range);
+            if let Some(old) = self.chunk_map.as_ref().filter(|_| hole) {
+                let old_index = old.chunks_for_range(range.start as u64, 1).start;
+                if let Some(&at) = self.prefetch_ready.get(&old_index) {
+                    ready.insert(index, at);
+                }
+            }
+            present.push(!hole);
+        }
+        self.chunk_map = Some(map);
+        self.prefetch_ready = ready;
+        self.present = present.contains(&false).then_some(present);
     }
 
     /// Fails unless the handle was opened for the access `granted` stands
@@ -93,6 +167,30 @@ impl OpenFile {
         Err(ScfsError::PermissionDenied {
             path: self.path.clone(),
         })
+    }
+}
+
+/// An open handle's buffer as the [`ChunkSource`] a commit cuts: a hole
+/// faults in the first time the cut touches it.
+pub(super) struct Faulting<'a> {
+    pub(super) agent: &'a mut ScfsAgent,
+    pub(super) file: &'a mut OpenFile,
+}
+
+impl ChunkSource for Faulting<'_> {
+    type Error = ScfsError;
+
+    fn bytes(&self) -> &[u8] {
+        &self.file.buffer
+    }
+
+    fn present_until(&self, pos: usize) -> usize {
+        self.file.present_until(pos)
+    }
+
+    fn fault(&mut self, range: Range<usize>) -> Result<(), ScfsError> {
+        let holes = self.file.holes_in(&range);
+        self.agent.fault_into_buffer(self.file, &holes)
     }
 }
 
@@ -221,7 +319,7 @@ impl ScfsAgent {
         }
         let Some(map) = file.chunk_map.clone() else {
             return Err(ScfsError::invalid(
-                "read fault on a file without a chunk map",
+                "chunk fault on a file without a chunk map",
             ));
         };
         // An in-flight prefetch already has the data on the way: wait for
@@ -234,15 +332,8 @@ impl ScfsAgent {
         let (chunks, cloud_touched) = self.fetch_chunks(&file.metadata, &map, missing)?;
         for (&index, chunk) in missing.iter().zip(&chunks) {
             file.buffer[map.byte_range(index)].copy_from_slice(&chunk[..]);
-            if let Some(present) = &mut file.present {
-                present[index] = true;
-            }
         }
-        if let Some(present) = &file.present {
-            if present.iter().all(|p| *p) {
-                file.present = None;
-            }
-        }
+        file.fill(missing);
         if cloud_touched {
             self.stats.cloud_downloads += 1;
         } else {
@@ -251,22 +342,26 @@ impl ScfsAgent {
         Ok(())
     }
 
-    /// Materializes the whole file behind `file` (writes and fsync need the
-    /// complete buffer; a dirty handle is therefore always fully backed).
-    pub(super) fn materialize(&mut self, file: &mut OpenFile) -> Result<(), ScfsError> {
-        let missing = match &file.chunk_map {
-            Some(map) => file.missing_of(0..map.chunk_count()),
-            None => Vec::new(),
+    /// Readies `file` for the buffer bytes `range` to be replaced: a hole the
+    /// range covers in part faults in, because the rest of its chunk stays;
+    /// a hole it covers whole is gone without a fault.
+    fn fault_around(&mut self, file: &mut OpenFile, range: Range<usize>) -> Result<(), ScfsError> {
+        let Some(map) = &file.chunk_map else {
+            return Ok(());
         };
-        self.fault_into_buffer(file, &missing)?;
-        file.present = None;
-        Ok(())
+        let (covered, partial): (Vec<usize>, Vec<usize>) =
+            file.holes_in(&range).into_iter().partition(|&index| {
+                let chunk = map.byte_range(index);
+                range.start <= chunk.start && chunk.end <= range.end
+            });
+        file.fill(&covered);
+        self.fault_into_buffer(file, &partial)
     }
 
     /// The lazy byte-range read path: maps `[offset, offset + len)` onto
-    /// chunk indices, faults in only the touched, not-yet-materialized
-    /// chunks, and — when the handle shows a sequential pattern — schedules
-    /// the next chunks on the background clock.
+    /// chunk indices, faults in only the touched holes, and — when the
+    /// handle shows a sequential pattern — schedules the next chunks on the
+    /// background clock.
     pub(super) fn read_ranged(
         &mut self,
         file: &mut OpenFile,
@@ -299,9 +394,9 @@ impl ScfsAgent {
         Ok(data)
     }
 
-    /// The write path: writes need the complete old contents around them
-    /// (and close needs the whole buffer to chunk the new version), so the
-    /// handle is materialized first, through the parallel engine.
+    /// The write path: only a hole the write covers in part faults in
+    /// first; whatever else the new version needs, its cut faults in at
+    /// commit.
     pub(super) fn write_ranged(
         &mut self,
         file: &mut OpenFile,
@@ -317,7 +412,7 @@ impl ScfsAgent {
         // A huge-offset write errors out instead of wrapping (and then
         // panicking on the slice); the read path clamps with saturating math.
         let end = crate::types::write_end(offset, data.len())?;
-        self.materialize(file)?;
+        self.fault_around(file, offset as usize..end)?;
         let old_len = file.buffer.len();
         if old_len < end {
             file.buffer.resize(end, 0);
@@ -331,17 +426,19 @@ impl ScfsAgent {
         Ok(len)
     }
 
-    pub(super) fn truncate_materialized(
+    /// The truncate path: a shrink faults in the hole the new EOF falls
+    /// into, and the holes past it are gone.
+    pub(super) fn truncate_handle(
         &mut self,
         file: &mut OpenFile,
         size: u64,
     ) -> Result<(), ScfsError> {
         file.require(file.flags.write)?;
         let len = crate::types::truncate_len(size)?;
-        self.materialize(file)?;
-        let old_len = file.buffer.len() as u64;
+        let old_len = file.buffer.len();
+        self.fault_around(file, len.min(old_len)..old_len)?;
         file.buffer.resize(len, 0);
-        file.mark_dirty(old_len.min(size)..size);
+        file.mark_dirty((old_len as u64).min(size)..size);
         file.metadata.size = size;
         Ok(())
     }

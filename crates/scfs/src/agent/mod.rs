@@ -6,7 +6,8 @@
 //! The agent says each thing once, one module each:
 //!
 //! * `handles` — the open-file table: `open`, and byte-range reads, writes
-//!   and truncates over a handle's lazily materialized buffer;
+//!   and truncates over a handle's sparse buffer, which faults a chunk in
+//!   only when a read, a write or a commit's re-cut needs its bytes;
 //! * `commit` — the version commit that `close`, `sync` and `copy_file` all
 //!   run, and the records of commits still in flight. The three modes differ
 //!   only in *when* `close` returns (paper §3.1): one `if` in `run_commit`;
@@ -400,9 +401,7 @@ impl FileSystem for ScfsAgent {
     }
 
     fn truncate(&mut self, handle: FileHandle, size: u64) -> Result<(), ScfsError> {
-        self.with_open(handle, |agent, file| {
-            agent.truncate_materialized(file, size)
-        })
+        self.with_open(handle, |agent, file| agent.truncate_handle(file, size))
     }
 
     fn handle_size(&mut self, handle: FileHandle) -> Result<u64, ScfsError> {
@@ -423,8 +422,8 @@ impl FileSystem for ScfsAgent {
                 // so there is no root hash for a reader to look it up under.
                 // The handle keeps the map: the commit re-cuts only what is
                 // written after this point.
-                let map = agent.cut_buffer(file);
-                let spilled = agent.spill_chunks(&map, &file.buffer, WriteMode::DiskOnly);
+                let map = agent.cut_buffer(file)?;
+                let spilled = agent.spill_chunks(file, &map, WriteMode::DiskOnly);
                 agent.clock.advance_to(spilled);
                 file.staged = Some(map);
                 file.dirty = None;

@@ -280,7 +280,11 @@ pub trait FileStorage: Send + Sync {
     /// reference per distinct chunk and records the version.
     /// Identical content already stored by *any* file or user is skipped
     /// (cross-file dedup); when the instance has no record of `id` (a fresh
-    /// mount), chunks present in `prev` are trusted as stored. Newly written
+    /// mount), chunks present in `prev` are trusted as stored. Only the
+    /// chunks it uploads are read from `data`: a caller may leave a chunk
+    /// `prev` names unread (an open handle's hole), and a chunk `prev` names
+    /// whose bytes in `data` do not hash to it fails the write with an
+    /// integrity violation before anything is stored. Newly written
     /// manifests are tagged with `acl` when given, so collaborators can read
     /// the new version (chunks need no tagging — they are owned by the
     /// chunk-store principal). `is_new` hints that the object was never
@@ -674,15 +678,26 @@ impl<B: BlobStore> FileStorage for ChunkedStorage<B> {
         // trusted on a fresh instance with no record — otherwise a chunk
         // that is clean relative to `prev` but already reclaimed would be
         // silently omitted, committing a version that can never be read.
-        let prev_chunks: HashSet<ContentHash> = match prev {
-            Some(prev) if !tracked => prev.chunks().iter().copied().collect(),
-            _ => HashSet::new(),
-        };
+        let prev_chunks: HashSet<ContentHash> =
+            prev.map_or_else(HashSet::new, |prev| prev.chunks().iter().copied().collect());
+        let trusted = |h: &ContentHash| !tracked && prev_chunks.contains(h);
         let dedup_cross_file = unique
             .iter()
-            .filter(|h| stored.contains(*h) && !own.contains(*h) && !prev_chunks.contains(*h))
+            .filter(|h| stored.contains(*h) && !own.contains(*h) && !trusted(h))
             .count() as u64;
-        let plan = TransferPlan::upload(map, |h| stored.contains(h) || prev_chunks.contains(h));
+        let plan = TransferPlan::upload(map, |h| stored.contains(h) || trusted(h));
+        // A chunk clean relative to `prev` is one the caller need not hold:
+        // an open handle leaves a chunk it never read as a hole in `data`.
+        // When the store no longer has it, `data` has no copy to upload, and
+        // bytes that do not hash to the name must never be stored under it.
+        if let Some(job) = plan.jobs().iter().find(|job| {
+            prev_chunks.contains(&job.hash) && sha256(&data[map.byte_range(job.index)]) != job.hash
+        }) {
+            return Err(StorageError::IntegrityViolation {
+                key: BlobName::Chunk(job.hash).key(),
+            }
+            .into());
+        }
         let manifest = map.encode();
         let root = sha256(&manifest);
         let object = manifest_object(&manifest);
@@ -1061,14 +1076,21 @@ mod tests {
     }
 
     fn coc() -> CloudOfCloudsStorage {
-        let clouds: Vec<Arc<dyn ObjectStore>> = ProviderSet::test_backend(4)
+        coc_with_clouds().0
+    }
+
+    fn coc_with_clouds() -> (CloudOfCloudsStorage, Vec<Arc<SimulatedCloud>>) {
+        let sims: Vec<Arc<SimulatedCloud>> = ProviderSet::test_backend(4)
             .into_iter()
             .enumerate()
-            .map(|(i, p)| Arc::new(SimulatedCloud::new(p, i as u64)) as Arc<dyn ObjectStore>)
+            .map(|(i, p)| Arc::new(SimulatedCloud::new(p, i as u64)))
             .collect();
-        CloudOfCloudsStorage::new(
-            DepSkyClient::new(clouds, DepSkyConfig::scfs_default(), 1).unwrap(),
-        )
+        let clouds = sims
+            .iter()
+            .map(|sim| sim.clone() as Arc<dyn ObjectStore>)
+            .collect();
+        let depsky = DepSkyClient::new(clouds, DepSkyConfig::scfs_default(), 1).unwrap();
+        (CloudOfCloudsStorage::new(depsky), sims)
     }
 
     fn write(
@@ -1284,6 +1306,63 @@ mod tests {
                 .unwrap(),
             data
         );
+    }
+
+    /// A writer whose `prev` names a chunk the store no longer holds, and
+    /// whose buffer has only zeros where that chunk was — an open handle's
+    /// hole — must get an integrity error before anything is PUT: the zeros
+    /// must never be stored under the chunk's name.
+    fn run_a_hole_is_never_uploaded(storage: &dyn FileStorage, puts: &dyn Fn() -> u64) {
+        let mut clock = Clock::new();
+        let mut ctx = OpCtx::new(&mut clock, "alice".into());
+        let mut data = vec![0u8; 2 * CHUNK];
+        data[..CHUNK].fill(0xA1);
+        data[CHUNK..].fill(0xB2);
+        let (_, m1) = write(storage, &mut ctx, "f", &data, None, true);
+        // A newer version replaces chunk 0, and the collector reclaims it.
+        data[..CHUNK].fill(0xC3);
+        let (o2, _) = write(storage, &mut ctx, "f", &data, Some(&m1), false);
+        assert_eq!(storage.delete_old_versions(&mut ctx, "f", 1).unwrap(), 1);
+        assert!(replay(storage, &mut ctx).deleted > 0);
+
+        let (before, pending) = (puts(), storage.pending_releases());
+        let holes = vec![0u8; 2 * CHUNK];
+        let result = storage.write_version(
+            &mut ctx,
+            "f",
+            &holes,
+            &m1,
+            Some(&m1),
+            false,
+            None,
+            &TransferOptions::default(),
+        );
+        let key = BlobName::Chunk(m1.chunks()[0]).key();
+        assert!(
+            matches!(
+                &result,
+                Err(ScfsError::Storage(StorageError::IntegrityViolation { key: k })) if *k == key
+            ),
+            "{result:?}"
+        );
+        assert_eq!(puts(), before, "nothing was PUT");
+        assert_eq!(storage.pending_releases(), pending, "nothing was journaled");
+        // The store is as it was: the live version still reads back.
+        let read = storage.read_version(&mut ctx, "f", &o2.root_hash, &TransferOptions::default());
+        assert_eq!(read.unwrap(), data);
+    }
+
+    #[test]
+    fn single_cloud_never_uploads_a_hole() {
+        let (storage, cloud) = single_with_cloud();
+        run_a_hole_is_never_uploaded(&storage, &|| cloud.metrics().snapshot().puts);
+    }
+
+    #[test]
+    fn cloud_of_clouds_never_uploads_a_hole() {
+        let (storage, clouds) = coc_with_clouds();
+        let puts = || clouds.iter().map(|c| c.metrics().snapshot().puts).sum();
+        run_a_hole_is_never_uploaded(&storage, &puts);
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //! promises level 2/3.
 //!
 //! * `write` waits for nothing but memory (level 0).
-//! * `fsync` spills the handle's chunks to the local disk and returns once
-//!   the spill has landed (level 1).
+//! * `fsync` spills the chunks the handle holds to the local disk and
+//!   returns once the spill has landed (level 1). A chunk the handle never
+//!   read is a hole in its buffer: unchanged since the version the handle
+//!   opened, so already at level 2/3, and neither spilled nor uploaded.
 //! * A non-blocking or non-sharing `close` does the same — only the chunks
 //!   the disk does not already hold are written — and then starts the
 //!   upload in the background: it returns at level 1, and the object's

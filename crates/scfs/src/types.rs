@@ -153,11 +153,12 @@ impl Default for CdcParams {
 /// Length of the next chunk of `data` under the FastCDC cut rule: the first
 /// position past `min_size` where the Gear hash matches the hard mask
 /// (before the average point) or the easy mask (after it), else `max_size`,
-/// else all of `data`.
-fn cdc_cut(data: &[u8], params: &CdcParams) -> usize {
+/// else all of `data`. Only the first `known` bytes of `data` are read:
+/// `None` when the cut lies beyond them.
+fn cdc_cut(data: &[u8], known: usize, params: &CdcParams) -> Option<usize> {
     let len = data.len();
     if len <= params.min_size {
-        return len;
+        return Some(len);
     }
     let max = params.max_size.min(len);
     let bits = params.avg_size.ilog2();
@@ -166,23 +167,59 @@ fn cdc_cut(data: &[u8], params: &CdcParams) -> usize {
     let mask_hard: u64 = (1u64 << (bits + 2)) - 1;
     let mask_easy: u64 = (1u64 << bits.saturating_sub(2)) - 1;
     let normal = params.avg_size.min(max);
+    let stop = max.min(known);
     let mut hash: u64 = 0;
     let mut i = params.min_size;
-    while i < normal {
+    while i < normal.min(stop) {
         hash = (hash << 1).wrapping_add(GEAR[data[i] as usize]);
         if hash & mask_hard == 0 {
-            return i + 1;
+            return Some(i + 1);
         }
         i += 1;
     }
-    while i < max {
+    while i < stop {
         hash = (hash << 1).wrapping_add(GEAR[data[i] as usize]);
         if hash & mask_easy == 0 {
-            return i + 1;
+            return Some(i + 1);
         }
         i += 1;
     }
-    max
+    (i >= max).then_some(max)
+}
+
+/// The bytes [`ChunkMap::rebuild_from`] cuts and hashes: a flat buffer of the
+/// file's length in which some extents may not have arrived yet. A slice has
+/// every byte; an open handle's buffer faults an absent chunk in the first
+/// time a cut or a hash touches it.
+pub trait ChunkSource {
+    /// Why bringing bytes in failed.
+    type Error;
+
+    /// The file's bytes; an extent not yet faulted in may hold anything.
+    fn bytes(&self) -> &[u8];
+
+    /// Where the run of present bytes that starts at `pos` ends: `pos`
+    /// itself when an absent extent starts there.
+    fn present_until(&self, pos: usize) -> usize;
+
+    /// Brings every byte of `range` in.
+    fn fault(&mut self, range: std::ops::Range<usize>) -> Result<(), Self::Error>;
+}
+
+impl ChunkSource for &[u8] {
+    type Error = std::convert::Infallible;
+
+    fn bytes(&self) -> &[u8] {
+        self
+    }
+
+    fn present_until(&self, _pos: usize) -> usize {
+        self.len()
+    }
+
+    fn fault(&mut self, _range: std::ops::Range<usize>) -> Result<(), Self::Error> {
+        Ok(())
+    }
 }
 
 /// The ordered list of content-addressed chunks making up one file version.
@@ -254,11 +291,13 @@ impl CutRule {
         }
     }
 
-    /// Length of the chunk starting at `rest[0]`, `rest` running to EOF.
-    fn cut(&self, rest: &[u8]) -> usize {
+    /// Length of the chunk starting at `rest[0]`, `rest` running to EOF, if
+    /// the rule can tell from the first `known` bytes of `rest`: a stride
+    /// reads none of them.
+    fn cut(&self, rest: &[u8], known: usize) -> Option<usize> {
         match self {
-            CutRule::Fixed(stride) => rest.len().min(*stride),
-            CutRule::Cdc(params) => cdc_cut(rest, params),
+            CutRule::Fixed(stride) => Some(rest.len().min(*stride)),
+            CutRule::Cdc(params) => cdc_cut(rest, known, params),
         }
     }
 }
@@ -309,8 +348,25 @@ impl ChunkMap {
         dirty: std::ops::Range<u64>,
         rule: CutRule,
     ) -> (Self, u64) {
+        match Self::rebuild_from(prev, &mut { data }, dirty, rule) {
+            Ok(rebuilt) => rebuilt,
+            Err(never) => match never {},
+        }
+    }
+
+    /// [`ChunkMap::rebuild`] over bytes that arrive on demand: every byte the
+    /// rebuild cuts or hashes is faulted in from `source` first — the dirty
+    /// extent's chunks in one call, then, past it, each chunk a CDC re-cut
+    /// runs into before it falls back onto `prev`. An extent no cut reaches
+    /// is never read, so it keeps `prev`'s offset and hash in the result.
+    pub fn rebuild_from<S: ChunkSource>(
+        prev: Option<&ChunkMap>,
+        source: &mut S,
+        dirty: std::ops::Range<u64>,
+        rule: CutRule,
+    ) -> Result<(Self, u64), S::Error> {
         let rule = rule.normalized();
-        let len = data.len() as u64;
+        let len = source.bytes().len() as u64;
         let mut map = ChunkMap {
             file_len: len,
             chunk_size: rule.nominal(),
@@ -327,7 +383,7 @@ impl ChunkMap {
         let mut pos = 0usize;
         if let Some(prev) = prev {
             if same_len && dirty_start == dirty_end {
-                return (prev.clone(), 0);
+                return Ok((prev.clone(), 0));
             }
             // The chunk holding `dirty_start` is the last one starting at or
             // before it; everything in front of that one is untouched.
@@ -341,7 +397,10 @@ impl ChunkMap {
         }
         let resync = prev.filter(|_| same_len);
         let recut_from = pos;
-        while pos < data.len() {
+        // Every byte from here to the end of the extent is cut and hashed:
+        // bring it in with one call, so its chunks move in parallel waves.
+        source.fault(recut_from..dirty_end as usize)?;
+        while pos < len as usize {
             if let Some(prev) = resync.filter(|_| pos as u64 >= dirty_end) {
                 if let Ok(index) = prev.offsets.binary_search(&(pos as u64)) {
                     map.chunks.extend_from_slice(&prev.chunks[index..]);
@@ -349,12 +408,19 @@ impl ChunkMap {
                     break;
                 }
             }
-            let end = pos + rule.cut(&data[pos..]);
+            let end = loop {
+                let known = source.present_until(pos) - pos;
+                match rule.cut(&source.bytes()[pos..], known) {
+                    Some(cut) => break pos + cut,
+                    None => source.fault(pos + known..pos + known + 1)?,
+                }
+            };
+            source.fault(pos..end)?;
             map.offsets.push(pos as u64);
-            map.chunks.push(sha256(&data[pos..end]));
+            map.chunks.push(sha256(&source.bytes()[pos..end]));
             pos = end;
         }
-        (map, (pos - recut_from) as u64)
+        Ok((map, (pos - recut_from) as u64))
     }
 
     /// The map of an empty file.

@@ -26,6 +26,7 @@ use scfs_repro::scfs::types::{ChunkMap, CutRule, OpenFlags};
 use scfs_repro::scfs::TransferOptions;
 use scfs_repro::scfs_crypto::sha256;
 use scfs_repro::sim_core::latency::LatencyModel;
+use scfs_repro::sim_core::rng::DetRng;
 use scfs_repro::sim_core::time::{Clock, SimDuration};
 use scfs_repro::workloads::setup::{Backend, Deployment, Plane, Providers};
 
@@ -367,8 +368,9 @@ fn eof_read_does_not_prefetch_from_file_start() {
     reader.close(h).unwrap();
 }
 
-/// A partial write to a lazily opened file materializes the old contents
-/// first, so close commits a complete, correct version.
+/// A partial write to a lazily opened file faults in only the chunk it lands
+/// in; the other fifteen stay holes, and close still commits a complete,
+/// correct version.
 #[test]
 fn partial_write_to_lazy_handle_round_trips() {
     let deployment = aws_fast();
@@ -386,8 +388,57 @@ fn partial_write_to_lazy_handle_round_trips() {
     let mut checker = mount(&deployment, 3);
     checker.sleep(SimDuration::from_secs(10));
     assert_eq!(checker.read_file("/big").unwrap(), file);
-    // The edit dirtied exactly one chunk.
+    // The edit fetched exactly one chunk and dirtied exactly that one.
+    assert_eq!(editor.stats().chunk_downloads, 1);
     assert_eq!(editor.stats().chunk_uploads, 1);
+}
+
+/// The content-defined twin: a cold same-length edit fetches the chunk it
+/// lands in and the chunks the re-cut runs into before it falls back onto
+/// the old boundaries — not the file.
+#[test]
+fn partial_write_to_a_lazy_cdc_handle_fetches_the_recut_chunks_only() {
+    let deployment = aws_fast();
+    let config = ScfsConfig::test(Mode::Blocking).with_cdc();
+    let original = DetRng::new(5).bytes(16 * MIB);
+    let mut writer = deployment.mount("alice", config.clone(), 1);
+    writer.write_file("/big", &original).unwrap();
+
+    let mut editor = deployment.mount("alice", config.clone(), 2);
+    editor.sleep(SimDuration::from_secs(1));
+    let at = 5 * MIB + 17;
+    let h = editor.open("/big", OpenFlags::read_write()).unwrap();
+    editor.write(h, at as u64, b"edited").unwrap();
+    editor.close(h).unwrap();
+    let mut file = original.clone();
+    file[at..at + 6].copy_from_slice(b"edited");
+
+    let mut checker = deployment.mount("alice", config.clone(), 3);
+    checker.sleep(SimDuration::from_secs(10));
+    assert_eq!(checker.read_file("/big").unwrap(), file);
+    // What the re-cut reads: from the start of the chunk the edit lands in,
+    // over the edit, on to the first cut that lands on an old boundary.
+    let old = config.chunk_map(&original);
+    let (new, rehashed) =
+        ChunkMap::rebuild(Some(&old), &file, at as u64..at as u64 + 6, config.chunking);
+    let touched = old.chunks_for_range(at as u64, 6);
+    let recut_from = old.byte_range(touched.start).start;
+    let recut = old.chunks_for_range(recut_from as u64, rehashed as usize);
+    let downloads = editor.stats().chunk_downloads;
+    assert!(downloads >= touched.len() as u64);
+    assert!(
+        downloads <= recut.len() as u64,
+        "{downloads} chunks fetched; the re-cut spans {recut:?}"
+    );
+    assert!(
+        recut.len() < old.chunk_count() / 2,
+        "{recut:?} of {}",
+        old.chunk_count()
+    );
+    assert_eq!(
+        editor.stats().chunk_uploads,
+        new.dirty_chunks(Some(&old)).len() as u64
+    );
 }
 
 proptest! {

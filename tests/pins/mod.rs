@@ -32,24 +32,24 @@ use scfs_repro::workloads::fleet::{
 use scfs_repro::workloads::setup::{build_scfs, Backend, Deployment, Plane};
 
 /// Every golden pin, in the order [`measure_pins`] measures them. The clock
-/// last moved when DepSky's version record took one format that names every
-/// block's holder: a paper-layout record grew by 8 bytes, so the CoC data
-/// fleet and the non-blocking file-sync runs moved by the transfer time of
-/// those bytes and nothing else (request counts, RNG draws and every AWS
-/// instant are unchanged). The fault-path digest last moved by text alone:
+/// last moved when open handles became sparse: a write that covers a chunk
+/// whole no longer reads it first, and a truncate no longer reads the
+/// chunks it cuts off. The data fleet's edits rewrite whole 4 KiB files and
+/// the file-sync save truncates its document to zero, so both fetch fewer
+/// chunks before they write. The fault-path digest last moved by text alone:
 /// a lock key gained its `/write` leaf, and the `LockHeld` and `NotFound`
 /// results it folds print the key.
 const PINS: &[(&str, u64)] = &[
-    ("data_fleet.AWS.trace_hash", 0xd88f_2fb2_30e8_566d),
-    ("data_fleet.AWS.makespan_ns", 473066559787),
-    ("data_fleet.CoC.trace_hash", 0x79d9_7814_18e7_963e),
-    ("data_fleet.CoC.makespan_ns", 473716391169),
+    ("data_fleet.AWS.trace_hash", 0x0185_a9d2_df7a_bb13),
+    ("data_fleet.AWS.makespan_ns", 471351749462),
+    ("data_fleet.CoC.trace_hash", 0xf72b_225c_8546_0004),
+    ("data_fleet.CoC.makespan_ns", 473363736391),
     ("metadata_fleet.trace_hash", 0xfec0_71ce_884e_3fbf),
     ("metadata_fleet.makespan_ns", 688230371),
-    ("file_sync.NonBlocking.end_ns", 3405510984),
-    ("file_sync.NonBlocking.drain_ns", 3581169922),
-    ("file_sync.NonSharing.end_ns", 923981594),
-    ("file_sync.NonSharing.drain_ns", 923981594),
+    ("file_sync.NonBlocking.end_ns", 3405363454),
+    ("file_sync.NonBlocking.drain_ns", 3581022392),
+    ("file_sync.NonSharing.end_ns", 923829991),
+    ("file_sync.NonSharing.drain_ns", 923829991),
     ("fault_paths.digest", 0xd2ab_3477_db9c_e361),
 ];
 
