@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use cloud_store::error::StorageError;
 use cloud_store::store::OpCtx;
 use cloud_store::types::Permission;
 use scfs_crypto::ContentHash;
@@ -12,6 +13,7 @@ use sim_core::time::SimInstant;
 use super::handles::{Faulting, OpenFile};
 use super::ScfsAgent;
 use crate::cache::WriteMode;
+use crate::chunkstore::BlobName;
 use crate::durability::DurabilityLevel;
 use crate::error::ScfsError;
 use crate::fs::FileSystem;
@@ -43,6 +45,17 @@ enum NewVersion<'a> {
         src: &'a FileMetadata,
         root: ContentHash,
     },
+}
+
+impl<'a> NewVersion<'a> {
+    /// The buffer of `file`, laid out by `map`.
+    fn buffer(file: &'a OpenFile, map: &'a ChunkMap) -> Self {
+        NewVersion::Data {
+            data: &file.buffer,
+            map,
+            prev: file.chunk_map.as_ref(),
+        }
+    }
 }
 
 impl ScfsAgent {
@@ -106,10 +119,11 @@ impl ScfsAgent {
     }
 
     /// The commit (Figure 4, close path), on whichever clock `self.clock`
-    /// currently is: `version` to the storage service, its hash to the
-    /// consistency anchor, and — when `unlock` is set — the write lock
-    /// released. Returns the committed metadata, or `Ok(None)` when the
-    /// backend cannot commit a [`NewVersion::CopyOf`] (the caller
+    /// currently is: `store` puts the new version of `metadata`'s object in
+    /// the storage service and its hash in the consistency anchor
+    /// ([`ScfsAgent::store_and_anchor`]), then — when `unlock` is set — the
+    /// write lock is released. Returns the committed metadata, or `Ok(None)`
+    /// when the backend cannot commit a [`NewVersion::CopyOf`] (the caller
     /// materializes instead, under the lock it still holds), and the instant
     /// the anchor update returned: where a waiting close returns.
     ///
@@ -121,11 +135,11 @@ impl ScfsAgent {
     fn commit(
         &mut self,
         metadata: FileMetadata,
-        version: NewVersion<'_>,
+        store: impl FnOnce(&mut Self, FileMetadata) -> Result<Option<FileMetadata>, ScfsError>,
         unlock: bool,
     ) -> (Result<Option<FileMetadata>, ScfsError>, SimInstant) {
         let lock_id = metadata.storage_id.clone();
-        let committed = self.store_and_anchor(metadata, version);
+        let committed = store(self, metadata);
         let anchored = self.clock.now();
         if unlock && !matches!(committed, Ok(None)) {
             self.release_lock(&lock_id);
@@ -211,6 +225,37 @@ impl ScfsAgent {
         Ok(Some(metadata))
     }
 
+    /// [`ScfsAgent::store_and_anchor`] of `file`'s buffer, laid out by
+    /// `map`. The upload skips the handle's holes when the store holds their
+    /// chunks — but a backend instance knows only the chunks it saw stored:
+    /// a version another process committed may name chunks this instance
+    /// would have to upload, and it refuses to upload a hole (an integrity
+    /// violation naming the chunk, before any PUT). The handle then faults
+    /// in every hole it still has and stores once more, so the upload has
+    /// the real bytes.
+    fn store_buffer(
+        &mut self,
+        metadata: FileMetadata,
+        file: &mut OpenFile,
+        map: &ChunkMap,
+    ) -> Result<Option<FileMetadata>, ScfsError> {
+        let holes = file.holes();
+        let Some(prev) = file.chunk_map.as_ref().filter(|_| !holes.is_empty()) else {
+            return self.store_and_anchor(metadata, NewVersion::buffer(file, map));
+        };
+        let refused = |key: &str| {
+            let mut names = holes.iter().map(|&i| BlobName::Chunk(prev.chunks()[i]));
+            names.any(|name| name.key() == key)
+        };
+        match self.store_and_anchor(metadata.clone(), NewVersion::buffer(file, map)) {
+            Err(ScfsError::Storage(StorageError::IntegrityViolation { key })) if refused(&key) => {
+                self.fault_into_buffer(file, &holes)?;
+                self.store_and_anchor(metadata, NewVersion::buffer(file, map))
+            }
+            stored => stored,
+        }
+    }
+
     /// Runs [`ScfsAgent::commit`] on the object's lane — commits of the same
     /// object serialize, different objects overlap — no earlier than
     /// `not_before`, and settles it the way the caller's mode prescribes.
@@ -226,7 +271,7 @@ impl ScfsAgent {
         &mut self,
         not_before: Option<SimInstant>,
         metadata: FileMetadata,
-        version: NewVersion<'_>,
+        store: impl FnOnce(&mut Self, FileMetadata) -> Result<Option<FileMetadata>, ScfsError>,
         unlock: bool,
         wait: bool,
     ) -> Result<Option<FileMetadata>, ScfsError> {
@@ -235,9 +280,7 @@ impl ScfsAgent {
         }
         let lane = metadata.storage_id.clone();
         let start = not_before.map_or(self.clock.now(), |at| self.clock.now().max(at));
-        let token = self.on_lane(start, &lane, |agent| {
-            agent.commit(metadata, version, unlock)
-        });
+        let token = self.on_lane(start, &lane, |agent| agent.commit(metadata, store, unlock));
         let (started_at, ready_at) = (token.started_at(), token.ready_at());
         let (committed, anchored) = token.into_inner();
         if wait {
@@ -341,16 +384,13 @@ impl ScfsAgent {
             );
         }
         self.written_since_gc += file.buffer.len() as u64;
-        let version = NewVersion::Data {
-            data: &file.buffer,
-            map: &map,
-            prev: file.chunk_map.as_ref(),
-        };
         if !wait {
             // Level 1 first: the upload starts where the spill lands.
             self.clock.advance_to(spilled);
         }
-        let committed = self.run_commit(None, file.metadata.clone(), version, unlock, wait);
+        let metadata = file.metadata.clone();
+        let store = |agent: &mut Self, metadata| agent.store_buffer(metadata, file, &map);
+        let committed = self.run_commit(None, metadata, store, unlock, wait);
         self.clock.advance_to(spilled);
         let committed = committed?;
         self.maybe_run_gc();
@@ -377,7 +417,9 @@ impl ScfsAgent {
             return Ok(());
         }
         // The buffer is the new version up to its holes, which the cut
-        // leaves where the committed map has them and the upload skips.
+        // leaves where the committed map has them and the upload skips —
+        // unless the backend has no record of a hole's chunk, and the
+        // commit faults the holes in after all (`store_buffer`).
         let (unlock, wait) = (file.locked, self.config.mode.blocking_close());
         self.commit_buffer(&mut file, unlock, wait)?;
         Ok(())
@@ -439,8 +481,9 @@ impl ScfsAgent {
         // version of an existing file or a fresh object, under its lock.
         let (dst, locked) = self.resolve_file(&to, true, true)?;
         let version = NewVersion::CopyOf { src: &src, root };
+        let store = |agent: &mut Self, dst| agent.store_and_anchor(dst, version);
         let wait = self.config.mode.blocking_close();
-        match self.run_commit(src_ready, dst, version, locked, wait)? {
+        match self.run_commit(src_ready, dst, store, locked, wait)? {
             Some(_) => {
                 self.written_since_gc += src.size;
                 self.maybe_run_gc();

@@ -4,6 +4,8 @@
 //! deleted the tuple, so the collector learns deletions from the agent's own
 //! `owned_files`.
 
+use std::collections::BTreeSet;
+
 use cloud_store::store::OpCtx;
 use sim_core::background::Pending;
 use sim_core::time::SimInstant;
@@ -43,12 +45,22 @@ impl ScfsAgent {
 
     /// One collection cycle: version prunes, the release of unlinked files
     /// and the release-journal replay.
+    ///
+    /// A file with an open handle that still has holes is left alone until
+    /// the handle closes: the holes stand for chunks of the version the
+    /// handle opened, which its reads fault in and its close commits by
+    /// reference, so that version must stay stored.
     fn collect(&mut self) {
         let keep = self.config.gc.versions_to_keep;
         let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
         let storage = self.storage.as_ref();
         let stats = &mut self.stats;
+        let sparse = self.open_files.values().filter(|f| f.present.is_some());
+        let pinned: BTreeSet<&str> = sparse.map(|f| f.metadata.storage_id.as_str()).collect();
         self.owned_files.retain(|storage_id, unlinked| {
+            if pinned.contains(storage_id.as_str()) {
+                return true;
+            }
             if *unlinked {
                 // A failed release keeps the entry: the next cycle retries
                 // it, and the failure is surfaced through the stats.

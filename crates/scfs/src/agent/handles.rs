@@ -28,7 +28,11 @@ const PREFETCH_CHUNKS: usize = 2;
 /// new version needs and nothing more, and every hole left is clean by
 /// construction: its bytes sit at the offset, under the hash, that
 /// `chunk_map` gives them, and the cloud already stores them — no spill and
-/// no upload touches a hole.
+/// no upload touches a hole. The agent's collector keeps that so: it
+/// leaves alone every file an open handle still has holes in. A backend
+/// instance that has no record of a hole's chunk refuses the commit; the
+/// commit then faults the holes in and stores again
+/// ([`ScfsAgent::store_buffer`]).
 ///
 /// A handle knows the chunk map of its buffer up to one byte extent: `dirty`
 /// covers everything written since the newest map — `staged`, else
@@ -92,6 +96,11 @@ impl OpenFile {
             Some(present) => indices.filter(|i| !present[*i]).collect(),
             None => Vec::new(),
         }
+    }
+
+    /// Indices of every hole.
+    pub(super) fn holes(&self) -> Vec<usize> {
+        self.missing_of(0..self.present.as_ref().map_or(0, Vec::len))
     }
 
     /// The holes among the chunks overlapping the buffer bytes `range`.
@@ -309,7 +318,7 @@ impl ScfsAgent {
     /// (waiting for any in-flight prefetch of those chunks first) and
     /// updates the per-read stats: one `cloud_downloads` when the cloud was
     /// touched, one `cache_served_reads` otherwise.
-    fn fault_into_buffer(
+    pub(super) fn fault_into_buffer(
         &mut self,
         file: &mut OpenFile,
         missing: &[usize],

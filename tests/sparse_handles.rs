@@ -20,6 +20,7 @@ use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::scfs::types::{CdcParams, ChunkMap, CutRule, FileHandle, OpenFlags};
 use scfs_repro::sim_core::rng::DetRng;
 use scfs_repro::sim_core::time::SimDuration;
+use scfs_repro::sim_core::units::Bytes;
 use scfs_repro::workloads::setup::{Backend, Deployment};
 
 const PATH: &str = "/f";
@@ -315,4 +316,70 @@ fn a_write_or_truncate_fetches_only_the_chunks_it_covers_in_part() {
     let mut checker = deployment.mount("alice", config(rule), 9);
     checker.sleep(SimDuration::from_secs(600));
     assert_eq!(checker.read_file(PATH).unwrap(), expected);
+}
+
+/// A backend instance counts as stored only the chunks it saw stored. When
+/// another process of the deployment committed the version a handle opened,
+/// the chunks that version added are news to this instance, so the close
+/// must upload them although the handle left them unread: it reads them and
+/// commits again.
+#[test]
+fn a_close_uploads_the_holes_another_instance_stored() {
+    let rule = CutRule::Fixed(1000);
+    for backend in [Backend::Aws, Backend::CloudOfClouds] {
+        let deployment = Deployment::instant(backend, 11);
+        let mut expected = DetRng::new(5).bytes(4000);
+        let mut writer = deployment.mount("alice", config(rule), 1);
+        writer.write_file(PATH, &expected).unwrap();
+        // A second process of the deployment rewrites chunk 0.
+        let mut other = deployment.second_instance().mount("alice", config(rule), 2);
+        other.sleep(SimDuration::from_secs(60));
+        let h = other.open(PATH, OpenFlags::read_write()).unwrap();
+        other.write(h, 0, &[1u8; 1000]).unwrap();
+        other.close(h).unwrap();
+        expected[..1000].fill(1);
+        // The first process cold-opens that version and edits chunk 3.
+        let mut editor = deployment.mount("alice", config(rule), 3);
+        editor.sleep(SimDuration::from_secs(120));
+        let h = editor.open(PATH, OpenFlags::read_write()).unwrap();
+        editor.write(h, 3500, b"edit").unwrap();
+        editor.close(h).unwrap();
+        expected[3500..3504].copy_from_slice(b"edit");
+        // Chunk 0 is news to the editor's instance, chunk 3 is new.
+        assert_eq!(editor.stats().chunk_uploads, 2, "{backend:?}");
+        let mut checker = deployment.second_instance().mount("alice", config(rule), 4);
+        checker.sleep(SimDuration::from_secs(600));
+        assert_eq!(checker.read_file(PATH).unwrap(), expected, "{backend:?}");
+    }
+}
+
+/// An open handle's holes pin its file against the agent's collector: the
+/// versions another handle commits meanwhile reclaim none of the chunks the
+/// handle left unread, and its close commits them by reference.
+#[test]
+fn the_collector_spares_the_version_an_open_handle_left_holes_in() {
+    let deployment = Deployment::instant(Backend::Aws, 11);
+    // No write lock in a non-sharing mount: two write handles on one file.
+    let mut config = config(CutRule::Fixed(1000));
+    config.mode = Mode::NonSharing;
+    config.gc.written_bytes_threshold = Bytes::new(1);
+    config.gc.versions_to_keep = 1;
+    let mut fs = deployment.mount("alice", config, 1);
+    let mut expected = DetRng::new(6).bytes(4000);
+    fs.write_file(PATH, &expected).unwrap();
+    let h = fs.open(PATH, OpenFlags::read_write()).unwrap();
+    fs.write(h, 3500, b"edit").unwrap();
+    expected[3500..3504].copy_from_slice(b"edit");
+    for seed in 7..9 {
+        fs.write_file(PATH, &DetRng::new(seed).bytes(4000)).unwrap();
+    }
+    assert!(fs.stats().gc_runs >= 2);
+    assert_eq!(fs.stats().gc_reclaimed_versions, 0);
+    let before = fs.stats().chunk_uploads;
+    fs.close(h).unwrap();
+    assert_eq!(fs.stats().chunk_uploads - before, 1);
+    assert_eq!(fs.read_file(PATH).unwrap(), expected);
+    // Closed, the handle pins nothing: the next cycle reclaims.
+    fs.write_file(PATH, &expected).unwrap();
+    assert!(fs.stats().gc_reclaimed_versions > 0);
 }
