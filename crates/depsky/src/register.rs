@@ -219,16 +219,27 @@ impl DepSkyClient {
         self.metadata_cache.lock().get(name).cloned()
     }
 
-    /// The unit's metadata from the cache or, failing that, a quorum read.
+    /// The unit's metadata from the cache or, failing that, every version
+    /// the records of a quorum read name, each once.
     fn known_metadata(
         &self,
         ctx: &mut OpCtx<'_>,
         name: &str,
     ) -> Result<DataUnitMetadata, StorageError> {
-        match self.cached_metadata(name) {
-            Some(md) => Ok(md),
-            None => self.read_metadata(ctx, name),
+        if let Some(md) = self.cached_metadata(name) {
+            return Ok(md);
         }
+        let mut union = DataUnitMetadata::new(name);
+        for info in self
+            .read_records(ctx, name)?
+            .iter()
+            .flat_map(|md| &md.versions)
+        {
+            if !union.versions.contains(info) {
+                union.push_version(info.clone());
+            }
+        }
+        Ok(union)
     }
 
     /// The clouds of this pool that hold a block of `info`.
@@ -368,17 +379,35 @@ impl DepSkyClient {
         // Prefer cached metadata if it already knows this hash; otherwise do
         // a quorum metadata read (the version may not be visible yet, in
         // which case the caller retries — the consistency-anchor loop).
-        let cached = self
-            .cached_metadata(&name)
-            .filter(|md| md.find_by_hash(hash).is_some());
-        let md = match cached {
-            Some(md) => md,
-            None => self.read_metadata(ctx, &name)?,
-        };
-        let info = md
-            .find_by_hash(hash)
-            .ok_or_else(|| StorageError::not_found(&name))?;
-        self.read_version(ctx, &name, info)
+        if let Some(md) = self.cached_metadata(&name) {
+            if let Some(info) = md.find_by_hash(hash) {
+                return self.read_version(ctx, &name, info);
+            }
+        }
+        // Records are unsigned: one Byzantine cloud may serve a fabricated
+        // or an older one. Each distinct version of `hash` the records
+        // name is tried in turn, the most-returned record's first, until
+        // its blocks verify; only that record is cached.
+        let records = self.read_records(ctx, &name)?;
+        let mut tried: Vec<&VersionInfo> = Vec::new();
+        let mut failure = StorageError::not_found(&name);
+        for md in &records {
+            let Some(info) = md.find_by_hash(hash) else {
+                continue;
+            };
+            if tried.contains(&info) {
+                continue;
+            }
+            tried.push(info);
+            match self.read_version(ctx, &name, info) {
+                Ok(data) => {
+                    self.metadata_cache.lock().insert(name, md.clone());
+                    return Ok(data);
+                }
+                Err(e) => failure = e,
+            }
+        }
+        Err(failure)
     }
 
     /// Deletes the immutable blob addressed by `base|hash` from all clouds:
@@ -458,12 +487,15 @@ impl DepSkyClient {
         await_quorum(ctx, &outcomes, self.metadata_quorum())
     }
 
-    /// Reads the data-unit metadata from the clouds (quorum read).
-    fn read_metadata(
+    /// Reads the unit's record from every cloud and waits for a quorum of
+    /// answers. Returns the distinct records that decode, the one the most
+    /// clouds returned first (on a tie, the one listing more versions); a
+    /// record every answering cloud agrees on is cached.
+    fn read_records(
         &self,
         ctx: &mut OpCtx<'_>,
         name: &str,
-    ) -> Result<DataUnitMetadata, StorageError> {
+    ) -> Result<Vec<DataUnitMetadata>, StorageError> {
         let all: Vec<usize> = (0..self.clouds.len()).collect();
         let key = Self::metadata_key(name);
         let start = ctx.clock.now();
@@ -475,29 +507,27 @@ impl DepSkyClient {
         if outcomes.len() >= quorum {
             ctx.clock.advance_to(outcomes[quorum - 1].completed_at);
         }
-        let mut best: Option<DataUnitMetadata> = None;
-        for outcome in &outcomes {
-            if let Ok(bytes) = &outcome.value {
-                if let Ok(md) = DataUnitMetadata::decode(bytes) {
-                    let better = match &best {
-                        None => true,
-                        Some(b) => md.versions.len() > b.versions.len(),
-                    };
-                    if better {
-                        best = Some(md);
-                    }
-                }
+        let mut records: Vec<(usize, DataUnitMetadata)> = Vec::new();
+        let answers = outcomes.iter().filter_map(|o| o.value.as_ref().ok());
+        for md in answers.filter_map(|bytes| DataUnitMetadata::decode(bytes).ok()) {
+            match records.iter_mut().find(|(_, known)| *known == md) {
+                Some((votes, _)) => *votes += 1,
+                None => records.push((1, md)),
             }
         }
-        match best {
-            Some(md) => {
-                self.metadata_cache
-                    .lock()
-                    .insert(name.to_string(), md.clone());
-                Ok(md)
-            }
-            None => Err(StorageError::not_found(key)),
+        records.sort_by(|(va, a), (vb, b)| {
+            vb.cmp(va)
+                .then_with(|| b.versions.len().cmp(&a.versions.len()))
+        });
+        if let [(_, md)] = records.as_slice() {
+            self.metadata_cache
+                .lock()
+                .insert(name.to_string(), md.clone());
         }
+        if records.is_empty() {
+            return Err(StorageError::not_found(key));
+        }
+        Ok(records.into_iter().map(|(_, md)| md).collect())
     }
 
     /// Issues block GETs against one wave of holder clouds, folding hash-
@@ -793,7 +823,7 @@ mod tests {
         assert_eq!(reader.cached_metadata(&unit).unwrap().versions.len(), 1);
         assert_eq!(reader.read_blob(&mut c, "f", &hash).unwrap(), data);
         let cold = client(as_stores(&sims));
-        let md = cold.read_metadata(&mut c, &unit).unwrap();
+        let md = cold.known_metadata(&mut c, &unit).unwrap();
         let versions: Vec<u64> = md.versions.iter().map(|v| v.version).collect();
         assert_eq!(versions, [1, 2], "a re-write appends, it does not replace");
         assert_ne!(md.versions[0].slots, md.versions[1].slots);
@@ -1078,7 +1108,7 @@ mod tests {
         let hash = write(&ds, &mut c, &data);
         let unit = DepSkyClient::blob_unit("f", &hash);
         let md = client(ds.clouds.clone())
-            .read_metadata(&mut c, &unit)
+            .known_metadata(&mut c, &unit)
             .unwrap();
         assert_eq!(md.versions.len(), 1);
         assert_eq!(md.versions[0].hash, sha256(&data));
@@ -1294,7 +1324,7 @@ mod tests {
         let mut c = ctx(&mut clock);
         let hash = write(&ds, &mut c, &vec![5u8; 4096]);
         let unit = DepSkyClient::blob_unit("f", &hash);
-        let md = ds.read_metadata(&mut c, &unit).unwrap();
+        let md = ds.known_metadata(&mut c, &unit).unwrap();
         let info = md.latest().unwrap();
         // The matrix puts the premium tier at index 0, so the cheapest
         // quorum never includes it.
@@ -1320,7 +1350,7 @@ mod tests {
         let data = vec![0x5Au8; 6_000];
         let hash = write(&ds, &mut c, &data);
         let unit = DepSkyClient::blob_unit("f", &hash);
-        let md = ds.read_metadata(&mut c, &unit).unwrap();
+        let md = ds.known_metadata(&mut c, &unit).unwrap();
         let holders = md.latest().unwrap().holder_clouds();
 
         // Knock out the holder FastestRead would race first (the healthiest
