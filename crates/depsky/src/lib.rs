@@ -22,13 +22,17 @@
 //! client's whole surface is four calls on a blob `(base, hash)`:
 //! [`DepSkyClient::write_blob`], [`DepSkyClient::read_blob`] (the paper's
 //! read-by-hash: the hash is in the unit's name), [`DepSkyClient::delete_blob`]
-//! and [`DepSkyClient::set_blob_acl`]. The mutable-unit register, DepSky-A
+//! and [`DepSkyClient::set_blob_acl`] — plus the bare twins of the first
+//! three for a blob whose hash the caller keeps where readers find it (an
+//! SCFS chunk, named by its anchored manifest): such a blob is its blocks
+//! alone, with no metadata record. The mutable-unit register, DepSky-A
 //! (plain replication) and writes to all `n` clouds are not implemented.
 //!
 //! Modules:
 //!
 //! * [`wire`] — a tiny length-prefixed binary codec for metadata objects.
-//! * [`metadata`] — the per-data-unit metadata object stored in every cloud.
+//! * [`metadata`] — the per-data-unit metadata object stored in every cloud
+//!   (for a unit with a record).
 //! * [`config`] — the number of tolerated faulty clouds and the quorum
 //!   sizes that follow from it.
 //! * [`register`] — the [`DepSkyClient`] blob store, and how a blob's unit

@@ -7,6 +7,22 @@
 //! the eventually-consistent clouds decides what a reader observes — is what
 //! [`DepSkyClient::read_blob`] does; the hash is in the unit's name.
 //!
+//! A blob is stored one of two ways:
+//!
+//! | | a unit with a record | a bare blob |
+//! |---|---|---|
+//! | calls | [`DepSkyClient::write_blob`], [`DepSkyClient::read_blob`], [`DepSkyClient::delete_blob`] | [`DepSkyClient::write_bare_blob`], [`DepSkyClient::read_bare_blob`], [`DepSkyClient::delete_bare_blob`] |
+//! | in SCFS | a manifest: one record per file version, as in the paper | a chunk, whose hash the anchored manifest names |
+//! | a write | `width` block PUTs and a record PUT on every cloud, one round | `width` block PUTs |
+//! | a cold read | a record quorum round, then a block round checked against the record's block hashes | a block round, the plaintext checked against the hash |
+//! | a delete | the blocks of every version the records name, then the records | one DELETE per holder |
+//! | cached | the record | nothing |
+//!
+//! A blob is bare only under a placement whose holders follow from the spec
+//! alone ([`PlacementPolicy::implied_holders`]: the paper's layout puts slot
+//! `i` on cloud `i`); under a policy that chooses holders per write, the
+//! bare calls store and find a unit with a record.
+//!
 //! This module owns how a blob is spelled in a cloud, both ways: a blob
 //! `(base, hash)` is the unit [`DepSkyClient::blob_unit`] names, a unit's
 //! objects live under [`KEY_SPACE`], and [`DepSkyClient::blob_of_key`] reads
@@ -19,6 +35,7 @@ use cloud_store::error::StorageError;
 use cloud_store::store::{ObjectStore, OpCtx};
 use cloud_store::types::Acl;
 use parking_lot::Mutex;
+use placement::policy::combinations;
 use placement::{AllClouds, PlacementPolicy, ProviderMatrix};
 use scfs_crypto::{
     combine_shares, sha256, split_secret, ChaCha20, ContentHash, ErasureCoder, KeyGenerator, Share,
@@ -71,6 +88,8 @@ struct BlockPayload {
     slot: u8,
     share_index: u8,
     nonce: [u8; 12],
+    /// Length of the plaintext the blob decodes to.
+    size: u64,
     share_data: Vec<u8>,
     shard: Vec<u8>,
 }
@@ -81,6 +100,8 @@ pub struct DepSkyClient {
     config: DepSkyConfig,
     coder: ErasureCoder,
     keygen: Mutex<KeyGenerator>,
+    /// The record of each unit this client wrote, or read and verified:
+    /// manifests, never bare blobs.
     metadata_cache: Mutex<BTreeMap<String, DataUnitMetadata>>,
     /// Which clouds of the pool serve each operation.
     placement: PlacementSpec,
@@ -215,6 +236,14 @@ impl DepSkyClient {
         Some((base, scfs_crypto::hash_from_hex(hex)?))
     }
 
+    /// The units whose record this client caches, in name order: those it
+    /// wrote, or read and verified, with [`DepSkyClient::write_blob`] and
+    /// [`DepSkyClient::read_blob`] and has not deleted since. A bare blob
+    /// has no record, so it is never among them.
+    pub fn cached_units(&self) -> Vec<String> {
+        self.metadata_cache.lock().keys().cloned().collect()
+    }
+
     fn cached_metadata(&self, name: &str) -> Option<DataUnitMetadata> {
         self.metadata_cache.lock().get(name).cloned()
     }
@@ -248,13 +277,74 @@ impl DepSkyClient {
         holders.filter(|&c| c < self.clouds.len()).collect()
     }
 
+    /// The holders of a bare blob's blocks, slot `i` on the `i`-th, when the
+    /// placement implies them ([`PlacementPolicy::implied_holders`]).
+    fn implied_holders(&self) -> Option<Vec<usize>> {
+        let spec = &self.placement;
+        spec.policy.implied_holders(&spec.matrix, spec.width)
+    }
+
+    /// Encrypts `data` under a fresh key, erasure-codes the ciphertext and
+    /// secret-shares the key: one encoded block per slot of the placement's
+    /// width, slot order. Refuses content that does not hash to its address.
+    fn encode_blocks(&self, hash: &ContentHash, data: &[u8]) -> Result<Vec<Vec<u8>>, StorageError> {
+        if &sha256(data) != hash {
+            return Err(StorageError::invalid(format!(
+                "blob content does not match its address {}",
+                scfs_crypto::to_hex(hash)
+            )));
+        }
+        let data_clouds = self.placement.width;
+        let data_shards = self.config.data_shards();
+        let (key, nonce) = {
+            let mut kg = self.keygen.lock();
+            (kg.next_key(), kg.next_nonce())
+        };
+        let ciphertext = ChaCha20::new(&key, &nonce).encrypt(data);
+        let shards = self.coder.encode(&ciphertext);
+        let shares = {
+            let mut kg = self.keygen.lock();
+            split_secret(&key, data_shards, data_clouds, move || {
+                (kg.next_key()[0]) ^ (kg.next_nonce()[0])
+            })
+            .map_err(|e| StorageError::invalid(e.to_string()))?
+        };
+        let size = data.len() as u64;
+        let blocks = shards.into_iter().take(data_clouds).zip(shares).enumerate();
+        let blocks = blocks.map(|(slot, (shard, share))| {
+            encode_block(slot as u8, share.index, &nonce, size, &share.data, &shard)
+        });
+        Ok(blocks.collect())
+    }
+
+    /// PUTs block slot `i` of `version` on cloud `holders[i]`, every slot in
+    /// one round from the caller's instant, which does not move.
+    fn put_blocks(
+        &self,
+        ctx: &mut OpCtx<'_>,
+        name: &str,
+        version: u64,
+        holders: &[usize],
+        blocks: &[Vec<u8>],
+    ) -> Vec<CloudRun<()>> {
+        let start = ctx.clock.now();
+        let outcomes = parallel_access(ctx, &self.clouds, holders, |cloud_index, cloud, c| {
+            let slot = slot_on(holders, cloud_index);
+            cloud.put(c, &Self::block_key(name, version, slot), &blocks[slot])
+        });
+        self.record_outcomes(start, &outcomes);
+        outcomes
+    }
+
     /// Stores an immutable blob addressed by `base|hash` through the full
-    /// DepSky-CA pipeline (encrypt, erasure-code, secret-share). Writing the
-    /// same blob twice is idempotent in content; callers are expected to
-    /// skip blobs they know are already stored. A repeated write appends a
-    /// version record and stores its blocks under the next `v{n}/`: a reader
-    /// still holding the earlier record keeps finding the blocks of the
-    /// encryption that record describes.
+    /// DepSky-CA pipeline (encrypt, erasure-code, secret-share) as a unit
+    /// with a version record — in SCFS, a manifest: one record per file
+    /// version, as in the paper. Writing the same blob twice is idempotent
+    /// in content; callers are expected to skip blobs they know are already
+    /// stored. A repeated write appends a version record and stores its
+    /// blocks under the next `v{n}/`: a reader still holding the earlier
+    /// record keeps finding the blocks of the encryption that record
+    /// describes.
     ///
     /// Blobs are write-once, so the unit is taken to be new and the
     /// protocol's metadata-read phase is skipped. The per-cloud block PUTs
@@ -272,45 +362,13 @@ impl DepSkyClient {
         hash: &ContentHash,
         data: &[u8],
     ) -> Result<(), StorageError> {
-        if &sha256(data) != hash {
-            return Err(StorageError::invalid(format!(
-                "blob content does not match its address {}",
-                scfs_crypto::to_hex(hash)
-            )));
-        }
+        let payloads = self.encode_blocks(hash, data)?;
         let name = Self::blob_unit(base, hash);
         let mut metadata = self
             .cached_metadata(&name)
             .unwrap_or_else(|| DataUnitMetadata::new(&name));
         let version = metadata.next_version();
         let spec = &self.placement;
-        let data_clouds = spec.width;
-        let data_shards = self.config.data_shards();
-
-        // Prepare the per-cloud block payloads: a fresh key encrypts the
-        // blob, the ciphertext is erasure-coded and the key secret-shared.
-        let (key, nonce) = {
-            let mut kg = self.keygen.lock();
-            (kg.next_key(), kg.next_nonce())
-        };
-        let ciphertext = ChaCha20::new(&key, &nonce).encrypt(data);
-        let shards = self.coder.encode(&ciphertext);
-        let shares = {
-            let mut kg = self.keygen.lock();
-            split_secret(&key, data_shards, data_clouds, move || {
-                (kg.next_key()[0]) ^ (kg.next_nonce()[0])
-            })
-            .map_err(|e| StorageError::invalid(e.to_string()))?
-        };
-        let payloads: Vec<Vec<u8>> = shards
-            .into_iter()
-            .take(data_clouds)
-            .zip(shares)
-            .enumerate()
-            .map(|(slot, (shard, share))| {
-                encode_block(slot as u8, share.index, &nonce, &share.data, &shard)
-            })
-            .collect();
         let block_size = payloads.first().map_or(0, |p| p.len() as u64);
 
         // Store the data blocks in parallel on the clouds the placement
@@ -319,17 +377,8 @@ impl DepSkyClient {
         let block = Bytes::new(block_size);
         let targets = spec
             .policy
-            .write_targets(&spec.matrix, data_clouds, spec.write_wait, block);
-        let start = ctx.clock.now();
-        let blocks = parallel_access(ctx, &self.clouds, &targets, |cloud_index, cloud, c| {
-            // Block slot `i` lives on cloud `targets[i]`.
-            let slot = targets
-                .iter()
-                .position(|&t| t == cloud_index)
-                .unwrap_or(cloud_index);
-            cloud.put(c, &Self::block_key(&name, version, slot), &payloads[slot])
-        });
-        self.record_outcomes(start, &blocks);
+            .write_targets(&spec.matrix, spec.width, spec.write_wait, block);
+        let blocks = self.put_blocks(ctx, &name, version, &targets, &payloads);
 
         // Update and store the metadata object in every cloud. The caller's
         // clock only moves at a quorum wait, so this round is issued from
@@ -363,6 +412,157 @@ impl DepSkyClient {
 
         self.metadata_cache.lock().insert(name, metadata);
         Ok(())
+    }
+
+    /// Stores the blob `base|hash` as its blocks and nothing else — in SCFS,
+    /// a chunk, whose hash the anchored manifest names. A block carries
+    /// what a record would tell its reader (slot, key share, nonce,
+    /// plaintext length), so this needs a placement whose holders follow
+    /// from the spec alone ([`PlacementPolicy::implied_holders`]; the
+    /// paper's layout puts slot `i` on cloud `i`). Under a policy that
+    /// chooses holders per write, the blob is a unit with a record,
+    /// [`DepSkyClient::write_blob`].
+    ///
+    /// One round of `width` block PUTs, waiting for `write_wait`; nothing is
+    /// cached. The blocks are always `v1/`: a repeated write stores a fresh
+    /// encryption over them, and a reader that meets blocks of both decodes
+    /// no `f + 1` of them to `hash` unless they are of one
+    /// ([`DepSkyClient::read_bare_blob`]).
+    pub fn write_bare_blob(
+        &self,
+        ctx: &mut OpCtx<'_>,
+        base: &str,
+        hash: &ContentHash,
+        data: &[u8],
+    ) -> Result<(), StorageError> {
+        let Some(holders) = self.implied_holders() else {
+            return self.write_blob(ctx, base, hash, data);
+        };
+        let payloads = self.encode_blocks(hash, data)?;
+        let name = Self::blob_unit(base, hash);
+        let blocks = self.put_blocks(ctx, &name, 1, &holders, &payloads);
+        await_quorum(ctx, &blocks, self.placement.write_wait)
+    }
+
+    /// Reads back the blob [`DepSkyClient::write_bare_blob`] stored: one
+    /// round of block GETs racing `write_wait` of the implied holders and
+    /// widening to the rest on a shortfall, as a read of a unit with a
+    /// record does. No record vouches for a block, so the plaintext is
+    /// checked against `hash` instead: the read returns once some `f + 1`
+    /// arrived blocks — each carrying the slot its holder should hold —
+    /// decode to it, trying each such set that includes the newest arrival
+    /// (at most C(3, 2) = 3 decodes at `f = 1`). A Byzantine holder, or a
+    /// repeated write that replaced some blocks, only costs decodes. If no
+    /// set verifies the read fails with a transient
+    /// [`StorageError::QuorumNotReached`], so the anchor loop retries.
+    pub fn read_bare_blob(
+        &self,
+        ctx: &mut OpCtx<'_>,
+        base: &str,
+        hash: &ContentHash,
+    ) -> Result<Vec<u8>, StorageError> {
+        let Some(holders) = self.implied_holders() else {
+            return self.read_blob(ctx, base, hash);
+        };
+        let name = Self::blob_unit(base, hash);
+        let needed = self.config.data_shards();
+        let spec = &self.placement;
+        // No record gives the block size before the read.
+        let order = spec
+            .policy
+            .read_order(&spec.matrix, &holders, needed, Bytes::ZERO);
+        let slot_key = |cloud| Self::block_key(&name, 1, slot_on(&holders, cloud));
+        let mut arrived: Vec<BlockPayload> = Vec::new();
+        let read = self.race_holders(ctx, &order, slot_key, |cloud, bytes| {
+            let block = decode_block(bytes).ok()?;
+            let shard_len = self.coder.shard_size(block.size as usize).max(1);
+            if block.slot as usize != slot_on(&holders, cloud) || block.shard.len() != shard_len {
+                return None;
+            }
+            arrived.push(block);
+            self.open_with_newest(&mut arrived, hash)
+        });
+        // No `f + 1` of the blocks are one encryption of `hash`: at most `f`
+        // of them count.
+        read.ok_or(StorageError::QuorumNotReached {
+            needed,
+            obtained: arrived.len().min(needed - 1),
+        })
+    }
+
+    /// Deletes the blocks [`DepSkyClient::write_bare_blob`] stored: one DELETE
+    /// per implied holder, best-effort, waiting out the slowest.
+    pub fn delete_bare_blob(
+        &self,
+        ctx: &mut OpCtx<'_>,
+        base: &str,
+        hash: &ContentHash,
+    ) -> Result<(), StorageError> {
+        let Some(holders) = self.implied_holders() else {
+            return self.delete_blob(ctx, base, hash);
+        };
+        let name = Self::blob_unit(base, hash);
+        let outcomes = parallel_access(ctx, &self.clouds, &holders, |cloud_index, cloud, c| {
+            cloud.delete(
+                c,
+                &Self::block_key(&name, 1, slot_on(&holders, cloud_index)),
+            )
+        });
+        join_all(ctx.clock, outcomes.iter().map(|o| o.completed_at));
+        Ok(())
+    }
+
+    /// Tries each set of `f + 1` of `blocks` that includes the last one and
+    /// whose blocks agree on nonce and plaintext length: the plaintext of the
+    /// first that decodes to content hashing to `hash`.
+    fn open_with_newest(&self, blocks: &mut [BlockPayload], hash: &ContentHash) -> Option<Vec<u8>> {
+        let newest = blocks.len().checked_sub(1)?;
+        let picks = combinations(blocks.len(), self.config.data_shards());
+        for pick in picks.into_iter().filter(|pick| pick.contains(&newest)) {
+            let (nonce, size) = (blocks[newest].nonce, blocks[newest].size);
+            if pick
+                .iter()
+                .any(|&i| blocks[i].nonce != nonce || blocks[i].size != size)
+            {
+                continue;
+            }
+            let plaintext = self.open(blocks, &pick, size);
+            if plaintext.as_ref().is_some_and(|p| &sha256(p) == hash) {
+                return plaintext;
+            }
+        }
+        None
+    }
+
+    /// Decrypts the blob of `size` bytes that the `f + 1` blocks `pick` of
+    /// `blocks` encode, if they are one encryption: their shards are lent to
+    /// the decoder and put back, their key shares combined. `None` if they
+    /// do not decode.
+    fn open(&self, blocks: &mut [BlockPayload], pick: &[usize], size: u64) -> Option<Vec<u8>> {
+        let mut shards: Vec<Option<Vec<u8>>> = vec![None; self.coder.total_shards()];
+        for &i in pick {
+            if let Some(shard) = shards.get_mut(blocks[i].slot as usize) {
+                *shard = Some(std::mem::take(&mut blocks[i].shard));
+            }
+        }
+        let decoded = self.coder.decode(&shards, size as usize);
+        for &i in pick {
+            let lent = shards.get_mut(blocks[i].slot as usize);
+            if let Some(shard) = lent.and_then(Option::take) {
+                blocks[i].shard = shard;
+            }
+        }
+        let mut plaintext = decoded.ok()?;
+        let shares: Vec<Share> = pick
+            .iter()
+            .map(|&i| Share {
+                index: blocks[i].share_index,
+                data: blocks[i].share_data.clone(),
+            })
+            .collect();
+        let key: [u8; 32] = combine_shares(&shares, pick.len()).ok()?.try_into().ok()?;
+        ChaCha20::new(&key, &blocks[pick[0]].nonce).apply_keystream(1, &mut plaintext);
+        Some(plaintext)
     }
 
     /// Reads back the immutable blob addressed by `base|hash` — the version
@@ -530,51 +730,51 @@ impl DepSkyClient {
         Ok(records.into_iter().map(|(_, md)| md).collect())
     }
 
-    /// Issues block GETs against one wave of holder clouds, folding hash-
-    /// valid blocks into `valid` until `needed` are gathered. Returns the
-    /// instant the quorum was reached (if it was) and the last completion.
-    fn fetch_block_wave(
+    /// Races the first `write_wait` clouds of `order` for the objects
+    /// `key_of` names, widening to the rest once that wave has fully
+    /// resolved (so a widening pays its latency), and hands each answer, in
+    /// completion order, to `take` until it yields. The clock ends at the
+    /// answer `take` yielded on or, failing that, at the last one.
+    fn race_holders<T>(
         &self,
         ctx: &mut OpCtx<'_>,
-        name: &str,
-        info: &VersionInfo,
-        wave: &[usize],
-        needed: usize,
-        valid: &mut Vec<BlockPayload>,
-    ) -> (Option<SimInstant>, Option<SimInstant>) {
-        if wave.is_empty() {
-            return (None, None);
-        }
-        let start = ctx.clock.now();
-        let outcomes = parallel_access(ctx, &self.clouds, wave, |cloud_index, cloud, c| {
-            let slot = info.slot_for_cloud(cloud_index).unwrap_or(cloud_index);
-            cloud.get(c, &Self::block_key(name, info.version, slot))
-        });
-        self.record_outcomes(start, &outcomes);
-        // Walk the outcomes in completion order, keeping only blocks whose
-        // hash matches the metadata, until enough valid blocks are gathered.
-        let mut reached_at = None;
-        for outcome in &outcomes {
-            if let Ok(bytes) = &outcome.value {
-                let expected = info
-                    .slot_for_cloud(outcome.index)
-                    .and_then(|slot| info.slots.get(slot))
-                    .map(|slot| &slot.hash);
-                if expected.is_some_and(|h| h == &sha256(bytes)) {
-                    if let Ok(block) = decode_block(bytes) {
-                        valid.push(block);
-                        if valid.len() >= needed {
-                            reached_at = Some(outcome.completed_at);
-                            break;
-                        }
-                    }
+        order: &[usize],
+        key_of: impl Fn(usize) -> String,
+        mut take: impl FnMut(usize, &[u8]) -> Option<T>,
+    ) -> Option<T> {
+        let (primary, fallback) = order.split_at(self.placement.write_wait.min(order.len()));
+        let mut last = None;
+        for wave in [primary, fallback] {
+            if wave.is_empty() {
+                continue;
+            }
+            if let Some(at) = last {
+                ctx.clock.advance_to(at);
+            }
+            let start = ctx.clock.now();
+            let outcomes = parallel_access(ctx, &self.clouds, wave, |cloud_index, cloud, c| {
+                cloud.get(c, &key_of(cloud_index))
+            });
+            self.record_outcomes(start, &outcomes);
+            for outcome in &outcomes {
+                let bytes = outcome.value.as_deref().ok();
+                if let Some(found) = bytes.and_then(|bytes| take(outcome.index, bytes)) {
+                    ctx.clock.advance_to(outcome.completed_at);
+                    return Some(found);
                 }
             }
+            last = outcomes.last().map(|o| o.completed_at).or(last);
         }
-        (reached_at, outcomes.last().map(|o| o.completed_at))
+        if let Some(at) = last {
+            ctx.clock.advance_to(at);
+        }
+        None
     }
 
-    /// Fetches and reconstructs one specific version.
+    /// Fetches and reconstructs one specific version: its holders are raced
+    /// in the policy's order (all `n − f` first in the paper's layout,
+    /// `f + 1` when a write waits for only that many), and only blocks whose
+    /// hash the record names count towards the `f + 1` it decodes.
     fn read_version(
         &self,
         ctx: &mut OpCtx<'_>,
@@ -583,81 +783,37 @@ impl DepSkyClient {
     ) -> Result<Vec<u8>, StorageError> {
         let needed = self.config.data_shards();
         let spec = &self.placement;
-        // The first wave races `write_wait` holders in the policy's order
-        // (all `n − f` in the paper's layout, `f + 1` when a write waits for
-        // only that many) and widens to the rest on a miss or failure.
         let holders = self.holders(info);
         let block = Bytes::new(info.block_size);
         let order = spec
             .policy
             .read_order(&spec.matrix, &holders, needed, block);
-        let (primary, fallback) = order.split_at(spec.write_wait.min(order.len()));
-
+        let slot_of = |cloud| info.slot_for_cloud(cloud).unwrap_or(cloud);
+        let slot_key = |cloud| Self::block_key(name, info.version, slot_of(cloud));
         let mut valid: Vec<BlockPayload> = Vec::new();
-        let (mut reached_at, mut last) =
-            self.fetch_block_wave(ctx, name, info, primary, needed, &mut valid);
-        if reached_at.is_none() && !fallback.is_empty() {
-            // The primary wave fell short: escalate to the rest of the
-            // holders. The widening can only start once the first wave has
-            // fully resolved, so the escalation pays its latency.
-            if let Some(at) = last {
-                ctx.clock.advance_to(at);
+        let quorum = self.race_holders(ctx, &order, slot_key, |cloud, bytes| {
+            let slot = info.slots.get(info.slot_for_cloud(cloud)?)?;
+            if slot.hash != sha256(bytes) {
+                return None;
             }
-            let (escalated, escalated_last) =
-                self.fetch_block_wave(ctx, name, info, fallback, needed, &mut valid);
-            reached_at = escalated;
-            last = escalated_last.or(last);
-        }
-        match reached_at {
-            Some(at) => {
-                ctx.clock.advance_to(at);
-            }
-            None => {
-                if let Some(at) = last {
-                    ctx.clock.advance_to(at);
-                }
-                return Err(StorageError::QuorumNotReached {
-                    needed,
-                    obtained: valid.len(),
-                });
-            }
-        }
-
-        // Reassemble the ciphertext from the erasure-coded shards, each moved
-        // out of the block it arrived in.
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; self.coder.total_shards()];
-        for block in &mut valid {
-            if let Some(slot) = shards.get_mut(block.slot as usize) {
-                *slot = Some(std::mem::take(&mut block.shard));
-            }
-        }
-        let mut plaintext = self
-            .coder
-            .decode(&shards, info.size as usize)
-            .map_err(|e| StorageError::invalid(e.to_string()))?;
-        // Recover the key from the secret shares and decrypt in place.
-        let shares: Vec<Share> = valid
-            .iter()
-            .map(|b| Share {
-                index: b.share_index,
-                data: b.share_data.clone(),
-            })
-            .collect();
-        let key_bytes =
-            combine_shares(&shares, needed).map_err(|e| StorageError::invalid(e.to_string()))?;
-        let key: [u8; 32] = key_bytes
-            .try_into()
-            .map_err(|_| StorageError::IntegrityViolation {
-                key: name.to_string(),
-            })?;
-        ChaCha20::new(&key, &valid[0].nonce).apply_keystream(1, &mut plaintext);
-
-        if sha256(&plaintext) != info.hash {
-            return Err(StorageError::IntegrityViolation {
-                key: name.to_string(),
+            valid.push(decode_block(bytes).ok()?);
+            (valid.len() >= needed).then_some(())
+        });
+        if quorum.is_none() {
+            return Err(StorageError::QuorumNotReached {
+                needed,
+                obtained: valid.len(),
             });
         }
-        Ok(plaintext)
+        // Every block verified against the record: decode them, and check
+        // the plaintext against the address as well.
+        let pick: Vec<usize> = (0..valid.len()).collect();
+        match self.open(&mut valid, &pick, info.size) {
+            Some(plaintext) if sha256(&plaintext) == info.hash => Ok(plaintext),
+            _ => Err(StorageError::IntegrityViolation {
+                key: name.to_string(),
+            }),
+        }
     }
 }
 
@@ -703,10 +859,16 @@ fn await_quorum<T>(
     }
 }
 
+/// The slot a write of `holders` puts on cloud `cloud`: its position there.
+fn slot_on(holders: &[usize], cloud: usize) -> usize {
+    holders.iter().position(|&h| h == cloud).unwrap_or(cloud)
+}
+
 fn encode_block(
     slot: u8,
     share_index: u8,
     nonce: &[u8; 12],
+    size: u64,
     share: &[u8],
     shard: &[u8],
 ) -> Vec<u8> {
@@ -714,6 +876,7 @@ fn encode_block(
     w.put_u8(slot)
         .put_u8(share_index)
         .put_bytes(nonce)
+        .put_u64(size)
         .put_bytes(share)
         .put_bytes(shard);
     w.finish()
@@ -727,6 +890,7 @@ fn decode_block(bytes: &[u8]) -> Result<BlockPayload, DecodeError> {
     let nonce: [u8; 12] = nonce_bytes.try_into().map_err(|_| DecodeError {
         reason: format!("nonce must be 12 bytes, got {}", nonce_bytes.len()),
     })?;
+    let size = r.get_u64()?;
     let share_data = r.get_bytes()?;
     let shard = r.get_bytes()?;
     if !r.is_exhausted() {
@@ -738,6 +902,7 @@ fn decode_block(bytes: &[u8]) -> Result<BlockPayload, DecodeError> {
         slot,
         share_index,
         nonce,
+        size,
         share_data,
         shard,
     })
@@ -797,6 +962,25 @@ mod tests {
         let mut clock = Clock::new();
         clock.advance(at);
         reader.read_blob(&mut ctx(&mut clock), "f", hash)
+    }
+
+    /// Writes `data` as a bare blob of base `chunks` and returns its
+    /// address.
+    fn write_bare(ds: &DepSkyClient, c: &mut OpCtx<'_>, data: &[u8]) -> ContentHash {
+        let hash = sha256(data);
+        ds.write_bare_blob(c, "chunks", &hash, data).unwrap();
+        hash
+    }
+
+    /// Reads bare blob `hash` of base `chunks` as [`cold_read`] does.
+    fn cold_bare_read(
+        reader: &DepSkyClient,
+        at: SimDuration,
+        hash: &ContentHash,
+    ) -> Result<Vec<u8>, StorageError> {
+        let mut clock = Clock::new();
+        clock.advance(at);
+        reader.read_bare_blob(&mut ctx(&mut clock), "chunks", hash)
     }
 
     fn stored_bytes(sims: &[Arc<SimulatedCloud>]) -> u64 {
@@ -908,6 +1092,7 @@ mod tests {
             let mut clock = Clock::new();
             let data = vec![1u8; 4096];
             let hash = write(&build(1), &mut ctx(&mut clock), &data);
+            let bare = write_bare(&build(1), &mut ctx(&mut clock), &data);
             if let Some(cloud) = down {
                 let outage = FaultPlan::outage(SimInstant::EPOCH, SimInstant::from_secs(1_000_000));
                 sims[cloud].set_fault_plan(outage, 2);
@@ -924,6 +1109,11 @@ mod tests {
             );
             // One metadata GET per cloud, then the block GETs.
             assert_eq!(requests() - before - 4, gets, "{wait:?} {down:?}");
+            // A bare blob makes the block GETs alone.
+            let before = requests();
+            let read = cold_bare_read(&build(3), SimDuration::ZERO, &bare);
+            assert_eq!(read.unwrap(), data);
+            assert_eq!(requests() - before, gets, "bare {wait:?} {down:?}");
         }
     }
 
@@ -1120,10 +1310,9 @@ mod tests {
     fn stored_bytes_do_not_depend_on_the_kernel_that_wrote_them() {
         // Every byte a fixed-seed write leaves in the clouds: a reader of old
         // data cannot tell which SHA-256, ChaCha20 or GF(256) code wrote it.
-        // The blocks alone are pinned to the digest the scalar-only kernels
-        // of ab8a71c produced; the metadata records have since changed
-        // format (each names its holders), so the digest over every object
-        // is pinned to that of the same kernels writing today's records.
+        // Both digests are those the scalar kernels alone produce (each
+        // detection forced off) for today's formats: a block carries its
+        // blob's plaintext length, and a record names its holders.
         let clouds: Vec<Arc<dyn ObjectStore>> = (0..4)
             .map(|i| Arc::new(SimulatedCloud::test(&format!("pin{i}"))) as Arc<dyn ObjectStore>)
             .collect();
@@ -1151,11 +1340,11 @@ mod tests {
         }
         assert_eq!(
             scfs_crypto::to_hex(&blocks.finalize()),
-            "4b902a48180bf1eb47baa8137819965c589fe5e0497386dd73c8052da90d6aae"
+            "c66ef412f9b4916c0bd6e48370a7ae4dbc7c360a3909ba5ece35b9e6de6b400b"
         );
         assert_eq!(
             scfs_crypto::to_hex(&stored.finalize()),
-            "5f725c6d2bef474c66d7071bd53834c4fb4f25d0ec119cf08910b39e1b1ff01b"
+            "2e16c65eded4218fed05f1d415592cd74a8066e0e4278911b24873d9a7a55f25"
         );
         assert_eq!(ds.read_blob(&mut c, "f", &hash).unwrap(), data);
     }
@@ -1209,14 +1398,181 @@ mod tests {
         assert_eq!(bob.read_blob(&mut cb, "f", &hash).unwrap(), data);
     }
 
+    // ---- bare blobs: a chunk is its blocks ----
+
+    /// (PUTs, GETs answered or refused, DELETEs) the clouds have seen.
+    fn request_counts(sims: &[Arc<SimulatedCloud>]) -> (u64, u64, u64) {
+        let snapshots = sims.iter().map(|s| s.metrics().snapshot());
+        snapshots.fold((0, 0, 0), |(p, g, d), m| {
+            (p + m.puts, g + m.gets + m.errors, d + m.deletes)
+        })
+    }
+
+    #[test]
+    fn a_bare_blob_is_one_round_of_blocks_each_way() {
+        let sims = sim_clouds(4);
+        let ds = client(as_stores(&sims));
+        let mut clock = Clock::new();
+        let mut c = ctx(&mut clock);
+        let data: Vec<u8> = (0..5_000u32).map(|i| (i % 251) as u8).collect();
+        let hash = write_bare(&ds, &mut c, &data);
+        assert_eq!(request_counts(&sims), (3, 0, 0), "three block PUTs");
+        let keys: Vec<Vec<String>> = sims.iter().map(|s| s.stored_keys(KEY_SPACE)).collect();
+        let unit = DepSkyClient::blob_unit("chunks", &hash);
+        for (cloud, keys) in keys.iter().enumerate() {
+            let expected: Vec<String> = (cloud < 3)
+                .then(|| DepSkyClient::block_key(&unit, 1, cloud))
+                .into_iter()
+                .collect();
+            assert_eq!(keys, &expected, "slot i on cloud i, and no record");
+        }
+        assert_eq!(ds.cached_units(), Vec::<String>::new());
+
+        assert_eq!(
+            cold_bare_read(&client(as_stores(&sims)), SimDuration::ZERO, &hash),
+            Ok(data)
+        );
+        assert_eq!(request_counts(&sims), (3, 3, 0), "three block GETs");
+        ds.delete_bare_blob(&mut c, "chunks", &hash).unwrap();
+        assert_eq!(request_counts(&sims), (3, 3, 3), "three block DELETEs");
+        for sim in &sims {
+            assert_eq!(sim.stored_keys(KEY_SPACE), Vec::<String>::new());
+        }
+        assert!(cold_bare_read(&ds, SimDuration::ZERO, &hash).is_err());
+    }
+
+    #[test]
+    fn a_bare_blob_keeps_a_record_where_the_policy_places_per_write() {
+        // Nothing but a record could say which clouds a cheapest quorum
+        // chose, so there the blob is a unit with one.
+        let (sims, matrix) = matrix_clouds(7);
+        let kind = PolicyKind::CheapestQuorum { slo_millis: 2_500 };
+        let ds = placed_client(&sims, matrix.clone(), kind, 1);
+        let mut clock = Clock::new();
+        let data = vec![4u8; 3_000];
+        let hash = write_bare(&ds, &mut ctx(&mut clock), &data);
+        let unit = DepSkyClient::blob_unit("chunks", &hash);
+        assert_eq!(ds.cached_units(), vec![unit.clone()]);
+        let records = sims
+            .iter()
+            .map(|s| s.stored_keys(&DepSkyClient::metadata_key(&unit)));
+        assert_eq!(records.filter(|keys| !keys.is_empty()).count(), sims.len());
+        let reader = placed_client(&sims, matrix, kind, 2);
+        assert_eq!(cold_bare_read(&reader, SETTLED, &hash), Ok(data));
+    }
+
+    #[test]
+    fn a_bare_blob_survives_one_byzantine_holder() {
+        for holder in 0..3 {
+            let sims = sim_clouds(4);
+            let mut clock = Clock::new();
+            let data = vec![7u8; 4096];
+            let hash = write_bare(&client(as_stores(&sims)), &mut ctx(&mut clock), &data);
+            sims[holder].set_fault_plan(FaultPlan::always_byzantine(), 99);
+            let reader = client(as_stores(&sims));
+            let read = cold_bare_read(&reader, SimDuration::ZERO, &hash);
+            assert_eq!(read, Ok(data), "holder {holder}");
+            assert_eq!(reader.cached_units(), Vec::<String>::new());
+        }
+    }
+
+    #[test]
+    fn a_rewrite_over_some_holders_still_reads_the_blob() {
+        // A second client stores a fresh encryption of the same chunk over
+        // the blocks of the holders `replaced` names, so a reader meets
+        // blocks of two encryptions: only blocks of one decode to the hash.
+        for replaced in [&[0][..], &[1], &[2], &[0, 1], &[1, 2], &[0, 2]] {
+            let (sims, again) = (sim_clouds(4), sim_clouds(4));
+            let mut clock = Clock::new();
+            let mut c = ctx(&mut clock);
+            let data: Vec<u8> = (0..3_000u32).map(|i| (i * 13) as u8).collect();
+            let hash = write_bare(&client(as_stores(&sims)), &mut c, &data);
+            let second = DepSkyClient::new(as_stores(&again), DepSkyConfig::scfs_default(), 7);
+            write_bare(&second.unwrap(), &mut c, &data);
+            let unit = DepSkyClient::blob_unit("chunks", &hash);
+            for &cloud in replaced {
+                let key = DepSkyClient::block_key(&unit, 1, cloud);
+                let fresh = again[cloud].get(&mut c, &key).unwrap();
+                assert_ne!(fresh, sims[cloud].get(&mut c, &key).unwrap());
+                sims[cloud].put(&mut c, &key, &fresh).unwrap();
+            }
+            let read = cold_bare_read(&client(as_stores(&sims)), SimDuration::ZERO, &hash);
+            assert_eq!(read, Ok(data), "{replaced:?}");
+        }
+    }
+
+    #[test]
+    fn two_corrupted_holders_fail_a_bare_read_transiently() {
+        // Past f: one honest block is left, and no two decode to the hash.
+        let sims = sim_clouds(4);
+        let mut clock = Clock::new();
+        let hash = write_bare(
+            &client(as_stores(&sims)),
+            &mut ctx(&mut clock),
+            &[5u8; 4096],
+        );
+        sims[0].set_fault_plan(FaultPlan::always_byzantine(), 1);
+        sims[2].set_fault_plan(FaultPlan::always_byzantine(), 2);
+        let err = cold_bare_read(&client(as_stores(&sims)), SimDuration::ZERO, &hash).unwrap_err();
+        assert_eq!(
+            err,
+            StorageError::QuorumNotReached {
+                needed: 2,
+                obtained: 1
+            }
+        );
+        assert!(err.is_transient());
+    }
+
+    proptest! {
+        /// What a Byzantine holder may serve in place of a bare blob's
+        /// block: it with a hostile `u64` planted at `at`, a byte flipped
+        /// there, or cut short there — on one holder (masked) or on two
+        /// (past `f`: a transient error). Never other bytes, never a panic.
+        #[test]
+        fn prop_hostile_bare_blocks_never_read_as_other_bytes(
+            len in 0usize..2_000,
+            at in 0usize..4_096,
+            how in 0usize..7,
+            two in any::<bool>(),
+        ) {
+            let sims = sim_clouds(4);
+            let mut clock = Clock::new();
+            let mut c = ctx(&mut clock);
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+            let hash = write_bare(&client(as_stores(&sims)), &mut c, &data);
+            let unit = DepSkyClient::blob_unit("chunks", &hash);
+            let damaged: &[usize] = if two { &[0, 2] } else { &[1] };
+            for &cloud in damaged {
+                let key = DepSkyClient::block_key(&unit, 1, cloud);
+                let mut block = sims[cloud].get(&mut c, &key).unwrap();
+                let at = at % block.len();
+                match how {
+                    5 => block[at] ^= 0xA5,
+                    6 => block.truncate(at),
+                    _ => {
+                        let hostile = [u64::MAX, u64::MAX - 7, 1 << 63, 1 << 32, 13][how];
+                        let end = (at + 8).min(block.len());
+                        block[at..end].copy_from_slice(&hostile.to_le_bytes()[..end - at]);
+                    }
+                }
+                sims[cloud].put(&mut c, &key, &block).unwrap();
+            }
+            match cold_bare_read(&client(as_stores(&sims)), SimDuration::ZERO, &hash) {
+                Ok(read) => prop_assert_eq!(read, data),
+                Err(e) => prop_assert!(two && e.is_transient(), "{e:?}"),
+            }
+        }
+    }
+
     // ---- hostile bytes: what a Byzantine cloud may hand the decoders ----
 
     #[test]
     fn a_block_with_a_short_nonce_or_a_tail_is_rejected() {
-        let valid = encode_block(1, 2, &[9; 12], &[3; 33], &[4; 50]);
-        assert!(decode_block(&valid).is_ok());
+        let valid = encode_block(1, 2, &[9; 12], 99, &[3; 33], &[4; 50]);
+        assert_eq!(decode_block(&valid).unwrap().size, 99);
         let mut w = Writer::new();
-        w.put_u8(1).put_u8(2).put_bytes(&[9; 11]);
+        w.put_u8(1).put_u8(2).put_bytes(&[9; 11]).put_u64(99);
         w.put_bytes(&[3; 33]).put_bytes(&[4; 50]);
         assert!(decode_block(&w.finish()).is_err(), "11-byte nonce");
         let mut tailed = valid;
@@ -1226,18 +1582,19 @@ mod tests {
 
     proptest! {
         /// [`crate::wire::assert_fails_closed`] over blocks of any share and
-        /// shard length.
+        /// shard length and any plaintext length.
         #[test]
         fn prop_damaged_blocks_fail_closed(
+            size in any::<u64>(),
             share in proptest::collection::vec(any::<u8>(), 0..40),
             shard in proptest::collection::vec(any::<u8>(), 0..120),
             tail in proptest::collection::vec(any::<u8>(), 1..24),
             flip in 1u8..=255,
         ) {
-            let valid = encode_block(2, 3, &[7; 12], &share, &shard);
+            let valid = encode_block(2, 3, &[7; 12], size, &share, &shard);
             crate::wire::assert_fails_closed(&valid, &tail, flip, 13, |bytes| {
                 let b = decode_block(bytes).ok()?;
-                Some(encode_block(b.slot, b.share_index, &b.nonce, &b.share_data, &b.shard))
+                Some(encode_block(b.slot, b.share_index, &b.nonce, b.size, &b.share_data, &b.shard))
             });
         }
     }

@@ -50,6 +50,14 @@ pub trait PlacementPolicy: Send + Sync {
         needed: usize,
         block: Bytes,
     ) -> Vec<usize>;
+
+    /// The holders of every write of `width` blocks, slot `i` on the `i`-th
+    /// entry, when they follow from the matrix's size and `width` alone —
+    /// so a reader needs no record of where a write put its blocks. `None`
+    /// (the default) for a policy that chooses holders per write.
+    fn implied_holders(&self, _matrix: &ProviderMatrix, _width: usize) -> Option<Vec<usize>> {
+        None
+    }
 }
 
 /// The paper's fixed placement: the first `width` clouds hold every version,
@@ -72,6 +80,10 @@ impl PlacementPolicy for AllClouds {
         _block: Bytes,
     ) -> Vec<usize> {
         (0..width.min(matrix.len())).collect()
+    }
+
+    fn implied_holders(&self, matrix: &ProviderMatrix, width: usize) -> Option<Vec<usize>> {
+        Some((0..width.min(matrix.len())).collect())
     }
 
     fn read_order(
@@ -279,8 +291,8 @@ impl PolicyKind {
     }
 }
 
-/// All `k`-subsets of `0..n` in lexicographic order.
-fn combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
+/// All `k`-subsets of `0..n` in lexicographic order (none when `k` is 0).
+pub fn combinations(n: usize, k: usize) -> Vec<Vec<usize>> {
     let mut out = Vec::new();
     if k == 0 || k > n {
         return out;
@@ -347,6 +359,21 @@ mod tests {
         let p = AllClouds;
         assert_eq!(p.write_targets(&m, 3, 2, BLOCK), vec![0, 1, 2]);
         assert_eq!(p.read_order(&m, &[0, 1, 2], 2, BLOCK), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn only_all_clouds_implies_its_holders() {
+        let m = matrix();
+        assert_eq!(AllClouds.implied_holders(&m, 3), Some(vec![0, 1, 2]));
+        assert_eq!(
+            AllClouds.implied_holders(&m, 3),
+            Some(AllClouds.write_targets(&m, 3, 3, BLOCK))
+        );
+        let cheapest = CheapestQuorum {
+            slo_millis: 2_500.0,
+        };
+        assert_eq!(cheapest.implied_holders(&m, 3), None);
+        assert_eq!(FastestRead.implied_holders(&m, 3), None);
     }
 
     #[test]

@@ -356,6 +356,15 @@ impl Deployment {
         }
     }
 
+    /// The units whose DepSky record the backend's client caches
+    /// ([`DepSkyClient::cached_units`]); none on the single cloud.
+    pub fn cached_record_units(&self) -> Vec<String> {
+        match &self.storage {
+            Storage::Single(_) => Vec::new(),
+            Storage::Coc(storage) => storage.depsky().cached_units(),
+        }
+    }
+
     /// The orphan-leak check: every key any cloud stores under the SCFS
     /// namespace that is reachable from no live manifest, live chunk
     /// reference or pending release-journal entry of this backend instance.

@@ -14,9 +14,13 @@
 //!   of an inline version is no cloud request at all;
 //! * `setfacl` tags the manifest objects that exist and nothing else;
 //! * a tuple whose writer stripped the inline manifest of an at-or-below-bound
-//!   version fails closed on a cold reader.
+//!   version fails closed on a cold reader;
+//! * on the paper's cloud-of-clouds a chunk is its three blocks and nothing
+//!   else — three PUTs to write, one round of three GETs to read cold, three
+//!   DELETEs to collect, and no record cached — while a manifest object is
+//!   a DepSky unit with a record: seven PUTs, and the only record GETs.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
 use scfs_repro::cloud_store::error::StorageError;
@@ -29,12 +33,13 @@ use scfs_repro::scfs::chunkstore::JournalOpts;
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::error::ScfsError;
 use scfs_repro::scfs::fs::FileSystem;
+use scfs_repro::scfs::transfer::TransferOptions;
 use scfs_repro::scfs::types::{manifest_rides_inline, ChunkMap, CutRule, FileMetadata, OpenFlags};
 use scfs_repro::scfs_crypto::to_hex;
 use scfs_repro::sim_core::rng::DetRng;
 use scfs_repro::sim_core::time::{Clock, SimDuration};
 use scfs_repro::sim_core::units::Bytes;
-use scfs_repro::workloads::setup::{Backend, Deployment, Plane, Providers};
+use scfs_repro::workloads::setup::{Backend, Deployment, DeploymentSpec, Plane, Providers};
 
 const CHUNK: usize = 4096;
 
@@ -163,18 +168,22 @@ impl Env {
         } else {
             Backend::Aws
         };
-        let mut recorders = Vec::new();
-        let deployment = Deployment::on(backend)
+        let spec = Deployment::on(backend)
             .providers(Providers::Instantaneous)
-            .plane(Plane::Instantaneous)
-            .build_behind(11, |sim| {
-                let recorder = Arc::new(Recorder {
-                    inner: sim,
-                    log: Mutex::new(Vec::new()),
-                });
-                recorders.push(recorder.clone());
-                recorder
+            .plane(Plane::Instantaneous);
+        Env::build(spec)
+    }
+
+    fn build(spec: DeploymentSpec) -> Env {
+        let mut recorders = Vec::new();
+        let deployment = spec.build_behind(11, |sim| {
+            let recorder = Arc::new(Recorder {
+                inner: sim,
+                log: Mutex::new(Vec::new()),
             });
+            recorders.push(recorder.clone());
+            recorder
+        });
         Env {
             deployment,
             recorders,
@@ -199,8 +208,13 @@ impl Env {
 
     /// Drains the request log of every cloud.
     fn take_log(&self) -> Vec<(Op, String)> {
+        self.take_logs().into_iter().flatten().collect()
+    }
+
+    /// Drains the request log of each cloud, in provider order.
+    fn take_logs(&self) -> Vec<Vec<(Op, String)>> {
         let logs = self.recorders.iter();
-        logs.flat_map(|cloud| std::mem::take(&mut *cloud.log.lock().unwrap()))
+        logs.map(|cloud| std::mem::take(&mut *cloud.log.lock().unwrap()))
             .collect()
     }
 }
@@ -541,4 +555,113 @@ fn a_tuple_stripped_of_its_inline_manifest_fails_closed_on_a_cold_reader() {
     alice.copy_file("/f", "/copy").unwrap();
     let mut reader = env.cold_mount("alice", &config, &alice);
     assert_eq!(reader.read_file("/copy").unwrap(), data);
+}
+
+/// `(op, key)` requests of kind `op` in `log`.
+fn keys_of(log: &[(Op, String)], op: Op) -> Vec<&str> {
+    let of_kind = log.iter().filter(|(kind, _)| *kind == op);
+    of_kind.map(|(_, key)| key.as_str()).collect()
+}
+
+#[test]
+fn a_coc_chunk_is_its_three_blocks_and_a_manifest_a_unit_with_a_record() {
+    // The paper's deployment: WAN clouds, S3, GCS, Rackspace and Azure.
+    let env = Env::build(Deployment::on(Backend::CloudOfClouds));
+    let shape = Shape::Fixed(13);
+    let config = shape.config();
+    let data = shape.payload(5);
+    let map = config.chunk_map(&data);
+    let mut writer = env.deployment.mount("alice", config.clone(), 1);
+    writer.write_file("/f", &data).unwrap();
+
+    // A blocking write: three block PUTs per chunk, and the manifest's three
+    // blocks plus its record on each of the four clouds.
+    let logs = env.take_logs();
+    let puts: usize = logs.iter().map(|log| keys_of(log, Op::Put).len()).sum();
+    assert_eq!(puts, 13 * 3 + 7);
+    let azure = keys_of(&logs[3], Op::Put);
+    assert_eq!(blobs(&logs[3], Op::Put), [manifest_of(&map)], "{azure:?}");
+    assert!(azure[0].ends_with("/metadata"), "no block reaches cloud 3");
+
+    // A cold read through a second backend instance: one round of three
+    // block GETs per chunk. The only records it reads are the manifest's.
+    let second = env.deployment.second_instance();
+    let mut reader = second.mount("alice", config, 2);
+    reader.sleep(writer.now().duration_since(reader.now()) + SimDuration::from_secs(60));
+    assert_eq!(reader.read_file("/f").unwrap(), data);
+    let log = env.take_log();
+    let gets = keys_of(&log, Op::Get);
+    let (records, blocks): (Vec<&str>, Vec<&str>) =
+        gets.into_iter().partition(|key| key.ends_with("/metadata"));
+    let records: Vec<Blob> = records.into_iter().map(blob_of).collect();
+    assert_eq!(records, vec![manifest_of(&map); 4]);
+    let mut per_blob: BTreeMap<Blob, usize> = BTreeMap::new();
+    for key in blocks {
+        *per_blob.entry(blob_of(key)).or_default() += 1;
+    }
+    let mut expected: BTreeMap<Blob, usize> = chunks_of(&map).into_iter().map(|c| (c, 3)).collect();
+    expected.insert(manifest_of(&map), 3);
+    assert_eq!(per_blob, expected);
+
+    // Neither instance holds the record of a chunk: each caches the one
+    // manifest record it wrote or read.
+    for deployment in [&env.deployment, &second] {
+        let units = deployment.cached_record_units();
+        assert_eq!(units.len(), 1, "{units:?}");
+        assert!(!units[0].starts_with("chunks|"), "{units:?}");
+    }
+}
+
+#[test]
+fn collecting_a_coc_chunk_is_one_delete_per_holder() {
+    let env = Env::build(Deployment::on(Backend::CloudOfClouds));
+    let storage = env.deployment.storage();
+    let config = Shape::Fixed(2).config();
+    let mut clock = Clock::new();
+    let mut ctx = OpCtx::new(&mut clock, "alice".into());
+    let opts = TransferOptions::default();
+    let v1 = DetRng::new(3).bytes(2 * CHUNK);
+    let mut v2 = v1.clone();
+    v2[CHUNK] ^= 1;
+    let (m1, m2) = (config.chunk_map(&v1), config.chunk_map(&v2));
+    storage
+        .write_version(&mut ctx, "alice-f1", &v1, &m1, None, true, None, &opts)
+        .unwrap();
+    storage
+        .write_version(
+            &mut ctx,
+            "alice-f1",
+            &v2,
+            &m2,
+            Some(&m1),
+            false,
+            None,
+            &opts,
+        )
+        .unwrap();
+    assert_eq!(
+        storage
+            .delete_old_versions(&mut ctx, "alice-f1", 1)
+            .unwrap(),
+        1
+    );
+    env.take_log();
+
+    // The replaced chunk goes; the manifests rode inline, so it is all.
+    let report = storage
+        .replay_release_journal(&mut ctx, &JournalOpts::default())
+        .unwrap();
+    assert_eq!(report.errors, 0);
+    let logs = env.take_logs();
+    let gone = Blob::Chunk(to_hex(&m1.chunks()[1]));
+    for (cloud, log) in logs.iter().enumerate() {
+        let expected = if cloud < 3 {
+            vec![gone.clone()]
+        } else {
+            Vec::new()
+        };
+        assert_eq!(blobs(log, Op::Delete), expected, "cloud {cloud}");
+        assert_eq!(log.len(), expected.len(), "cloud {cloud}: {log:?}");
+    }
+    assert_eq!(env.deployment.cached_record_units(), Vec::<String>::new());
 }

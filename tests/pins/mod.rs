@@ -31,25 +31,29 @@ use scfs_repro::workloads::fleet::{
 };
 use scfs_repro::workloads::setup::{build_scfs, Backend, Deployment, Plane};
 
-/// Every golden pin, in the order [`measure_pins`] measures them. The clock
-/// last moved when open handles became sparse: a write that covers a chunk
-/// whole no longer reads it first, and a truncate no longer reads the
-/// chunks it cuts off. The data fleet's edits rewrite whole 4 KiB files and
-/// the file-sync save truncates its document to zero, so both fetch fewer
-/// chunks before they write. The fault-path digest last moved by text alone:
-/// a lock key gained its `/write` leaf, and the `LockHeld` and `NotFound`
-/// results it folds print the key.
+/// Every golden pin, in the order [`measure_pins`] measures them. The
+/// cloud-of-clouds rows last moved when a chunk became its blocks alone: a
+/// chunk write no longer PUTs a DepSky record on each of the four clouds,
+/// nor a collection DELETEs one, and every simulated cloud draws its
+/// latencies from one random stream per cloud, so each request after the
+/// first dropped one draws a different latency. With one stream per key
+/// instead, the old and the new protocol give identical rows: the record
+/// round never set the instant a chunk write returned. The AWS rows last
+/// moved when open handles became sparse (a whole-chunk overwrite and a
+/// truncate read nothing first). The fault-path digest last moved by text
+/// alone: a lock key gained its `/write` leaf, and the `LockHeld` and
+/// `NotFound` results it folds print the key.
 const PINS: &[(&str, u64)] = &[
     ("data_fleet.AWS.trace_hash", 0x0185_a9d2_df7a_bb13),
     ("data_fleet.AWS.makespan_ns", 471351749462),
-    ("data_fleet.CoC.trace_hash", 0xf72b_225c_8546_0004),
-    ("data_fleet.CoC.makespan_ns", 473363736391),
+    ("data_fleet.CoC.trace_hash", 0x484b_64ae_f0a6_66ca),
+    ("data_fleet.CoC.makespan_ns", 471988809771),
     ("metadata_fleet.trace_hash", 0xfec0_71ce_884e_3fbf),
     ("metadata_fleet.makespan_ns", 688230371),
-    ("file_sync.NonBlocking.end_ns", 3405363454),
-    ("file_sync.NonBlocking.drain_ns", 3581022392),
-    ("file_sync.NonSharing.end_ns", 923829991),
-    ("file_sync.NonSharing.drain_ns", 923829991),
+    ("file_sync.NonBlocking.end_ns", 3615107778),
+    ("file_sync.NonBlocking.drain_ns", 3790766716),
+    ("file_sync.NonSharing.end_ns", 986561165),
+    ("file_sync.NonSharing.drain_ns", 986561165),
     ("fault_paths.digest", 0xd2ab_3477_db9c_e361),
 ];
 
