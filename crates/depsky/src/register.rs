@@ -7,21 +7,13 @@
 //! the eventually-consistent clouds decides what a reader observes — is what
 //! [`DepSkyClient::read_blob`] does; the hash is in the unit's name.
 //!
-//! A blob is stored one of two ways:
-//!
-//! | | a unit with a record | a bare blob |
-//! |---|---|---|
-//! | calls | [`DepSkyClient::write_blob`], [`DepSkyClient::read_blob`], [`DepSkyClient::delete_blob`] | [`DepSkyClient::write_bare_blob`], [`DepSkyClient::read_bare_blob`], [`DepSkyClient::delete_bare_blob`] |
-//! | in SCFS | a manifest: one record per file version, as in the paper | a chunk, whose hash the anchored manifest names |
-//! | a write | `width` block PUTs and a record PUT on every cloud, one round | `width` block PUTs |
-//! | a cold read | a record quorum round, then a block round checked against the record's block hashes | a block round, the plaintext checked against the hash |
-//! | a delete | the blocks of every version the records name, then the records | one DELETE per holder |
-//! | cached | the record | nothing |
-//!
-//! A blob is bare only under a placement whose holders follow from the spec
-//! alone ([`PlacementPolicy::implied_holders`]: the paper's layout puts slot
-//! `i` on cloud `i`); under a policy that chooses holders per write, the
-//! bare calls store and find a unit with a record.
+//! A blob is a unit with a metadata record on every cloud — in SCFS a
+//! manifest, one record per file version as in the paper — or a *bare*
+//! blob, its blocks and nothing else: an SCFS chunk, whose hash the anchored
+//! manifest names ([`DepSkyClient::write_bare_blob`]). A blob is bare only
+//! under a placement whose holders follow from the spec alone
+//! ([`PlacementPolicy::implied_holders`]: the paper's layout puts slot `i` on
+//! cloud `i`); elsewhere the bare calls store and find a unit with a record.
 //!
 //! This module owns how a blob is spelled in a cloud, both ways: a blob
 //! `(base, hash)` is the unit [`DepSkyClient::blob_unit`] names, a unit's
@@ -248,32 +240,23 @@ impl DepSkyClient {
         self.metadata_cache.lock().get(name).cloned()
     }
 
-    /// The unit's metadata from the cache or, failing that, every version
-    /// the records of a quorum read name, each once.
+    /// The unit's metadata from the cache or, failing that, the record the
+    /// most clouds of a quorum read returned.
     fn known_metadata(
         &self,
         ctx: &mut OpCtx<'_>,
         name: &str,
     ) -> Result<DataUnitMetadata, StorageError> {
-        if let Some(md) = self.cached_metadata(name) {
-            return Ok(md);
+        match self.cached_metadata(name) {
+            Some(md) => Ok(md),
+            None => Ok(self.read_records(ctx, name)?.swap_remove(0)),
         }
-        let mut union = DataUnitMetadata::new(name);
-        for info in self
-            .read_records(ctx, name)?
-            .iter()
-            .flat_map(|md| &md.versions)
-        {
-            if !union.versions.contains(info) {
-                union.push_version(info.clone());
-            }
-        }
-        Ok(union)
     }
 
-    /// The clouds of this pool that hold a block of `info`.
-    fn holders(&self, info: &VersionInfo) -> Vec<usize> {
-        let holders = info.holder_clouds().into_iter();
+    /// The clouds of `slots` (slot `i` on cloud `slots[i]`) in this pool: a
+    /// record may name others.
+    fn holders(&self, slots: &[usize]) -> Vec<usize> {
+        let holders = slots.iter().copied();
         holders.filter(|&c| c < self.clouds.len()).collect()
     }
 
@@ -445,15 +428,11 @@ impl DepSkyClient {
     }
 
     /// Reads back the blob [`DepSkyClient::write_bare_blob`] stored: one
-    /// round of block GETs racing `write_wait` of the implied holders and
-    /// widening to the rest on a shortfall, as a read of a unit with a
-    /// record does. No record vouches for a block, so the plaintext is
-    /// checked against `hash` instead: the read returns once some `f + 1`
-    /// arrived blocks — each carrying the slot its holder should hold —
-    /// decode to it, trying each such set that includes the newest arrival
-    /// (at most C(3, 2) = 3 decodes at `f = 1`). A Byzantine holder, or a
+    /// round of block GETs to the implied holders, the plaintext checked
+    /// against `hash` (at most C(3, 2) = 3 decodes at `f = 1`), exactly as
+    /// the block round of a unit with a record. A Byzantine holder, or a
     /// repeated write that replaced some blocks, only costs decodes. If no
-    /// set verifies the read fails with a transient
+    /// `f + 1` blocks verify the read fails with a transient
     /// [`StorageError::QuorumNotReached`], so the anchor loop retries.
     pub fn read_bare_blob(
         &self,
@@ -465,29 +444,9 @@ impl DepSkyClient {
             return self.read_blob(ctx, base, hash);
         };
         let name = Self::blob_unit(base, hash);
-        let needed = self.config.data_shards();
-        let spec = &self.placement;
-        // No record gives the block size before the read.
-        let order = spec
-            .policy
-            .read_order(&spec.matrix, &holders, needed, Bytes::ZERO);
-        let slot_key = |cloud| Self::block_key(&name, 1, slot_on(&holders, cloud));
-        let mut arrived: Vec<BlockPayload> = Vec::new();
-        let read = self.race_holders(ctx, &order, slot_key, |cloud, bytes| {
-            let block = decode_block(bytes).ok()?;
-            let shard_len = self.coder.shard_size(block.size as usize).max(1);
-            if block.slot as usize != slot_on(&holders, cloud) || block.shard.len() != shard_len {
-                return None;
-            }
-            arrived.push(block);
-            self.open_with_newest(&mut arrived, hash)
-        });
-        // No `f + 1` of the blocks are one encryption of `hash`: at most `f`
-        // of them count.
-        read.ok_or(StorageError::QuorumNotReached {
-            needed,
-            obtained: arrived.len().min(needed - 1),
-        })
+        // No record gives the block size before the read, or block hashes.
+        let any_block = |_: usize, _: &[u8]| true;
+        self.read_blocks(ctx, &name, 1, &holders, Bytes::ZERO, hash, any_block)
     }
 
     /// Deletes the blocks [`DepSkyClient::write_bare_blob`] stored: one DELETE
@@ -501,15 +460,21 @@ impl DepSkyClient {
         let Some(holders) = self.implied_holders() else {
             return self.delete_blob(ctx, base, hash);
         };
-        let name = Self::blob_unit(base, hash);
+        self.delete_blocks(ctx, &Self::blob_unit(base, hash), 1, &holders);
+        Ok(())
+    }
+
+    /// Deletes block slot `i` of `version` from cloud `slots[i]`, every slot
+    /// at once and best-effort, and waits out the slowest.
+    fn delete_blocks(&self, ctx: &mut OpCtx<'_>, name: &str, version: u64, slots: &[usize]) {
+        let holders = self.holders(slots);
         let outcomes = parallel_access(ctx, &self.clouds, &holders, |cloud_index, cloud, c| {
             cloud.delete(
                 c,
-                &Self::block_key(&name, 1, slot_on(&holders, cloud_index)),
+                &Self::block_key(name, version, slot_on(slots, cloud_index)),
             )
         });
         join_all(ctx.clock, outcomes.iter().map(|o| o.completed_at));
-        Ok(())
     }
 
     /// Tries each set of `f + 1` of `blocks` that includes the last one and
@@ -567,8 +532,8 @@ impl DepSkyClient {
 
     /// Reads back the immutable blob addressed by `base|hash` — the version
     /// of its unit whose plaintext hash is `hash`, the operation SCFS added
-    /// to DepSky to implement consistency anchors — verifying every block
-    /// against the unit's metadata and the plaintext against `hash`.
+    /// to DepSky to implement consistency anchors — from the holders its
+    /// record names, the plaintext checked against `hash`.
     pub fn read_blob(
         &self,
         ctx: &mut OpCtx<'_>,
@@ -628,13 +593,7 @@ impl DepSkyClient {
         match self.known_metadata(ctx, name) {
             Ok(md) => {
                 for info in &md.versions {
-                    let holders = self.holders(info);
-                    let outcomes =
-                        parallel_access(ctx, &self.clouds, &holders, |cloud_index, cloud, c| {
-                            let slot = info.slot_for_cloud(cloud_index).unwrap_or(cloud_index);
-                            cloud.delete(c, &Self::block_key(name, info.version, slot))
-                        });
-                    join_all(ctx.clock, outcomes.iter().map(|o| o.completed_at));
+                    self.delete_blocks(ctx, name, info.version, &info.holder_clouds());
                 }
             }
             Err(StorageError::NotFound { .. }) => {
@@ -688,9 +647,9 @@ impl DepSkyClient {
     }
 
     /// Reads the unit's record from every cloud and waits for a quorum of
-    /// answers. Returns the distinct records that decode, the one the most
-    /// clouds returned first (on a tie, the one listing more versions); a
-    /// record every answering cloud agrees on is cached.
+    /// answers. Returns the distinct records that decode, never none, the
+    /// one the most clouds returned first (on a tie, the one listing more
+    /// versions); a record every answering cloud agrees on is cached.
     fn read_records(
         &self,
         ctx: &mut OpCtx<'_>,
@@ -730,19 +689,55 @@ impl DepSkyClient {
         Ok(records.into_iter().map(|(_, md)| md).collect())
     }
 
-    /// Races the first `write_wait` clouds of `order` for the objects
-    /// `key_of` names, widening to the rest once that wave has fully
-    /// resolved (so a widening pays its latency), and hands each answer, in
-    /// completion order, to `take` until it yields. The clock ends at the
-    /// answer `take` yielded on or, failing that, at the last one.
-    fn race_holders<T>(
+    /// Fetches and reconstructs one specific version: only a block whose
+    /// hash the record names for its slot is a candidate, and the plaintext
+    /// is checked against the address as well.
+    fn read_version(
         &self,
         ctx: &mut OpCtx<'_>,
-        order: &[usize],
-        key_of: impl Fn(usize) -> String,
-        mut take: impl FnMut(usize, &[u8]) -> Option<T>,
-    ) -> Option<T> {
-        let (primary, fallback) = order.split_at(self.placement.write_wait.min(order.len()));
+        name: &str,
+        info: &VersionInfo,
+    ) -> Result<Vec<u8>, StorageError> {
+        let block = Bytes::new(info.block_size);
+        let recorded = |slot: usize, bytes: &[u8]| {
+            (info.slots.get(slot)).is_some_and(|s| s.hash == sha256(bytes))
+        };
+        let slots = info.holder_clouds();
+        self.read_blocks(ctx, name, info.version, &slots, block, &info.hash, recorded)
+    }
+
+    /// Reads the blob `hash` from the blocks of `version`, slot `i` on cloud
+    /// `slots[i]`: one round of GETs racing the first `write_wait` holders
+    /// in the policy's order (every holder in the paper's layout, `f + 1`
+    /// when a write waits for only that many), widening to the rest once
+    /// that wave has fully resolved (so a widening pays its latency). Each
+    /// block that arrives carrying the slot its holder should hold, and that
+    /// `vouched` accepts for that slot, joins the candidates; the read returns at the first arrival that completes
+    /// `f + 1` of them decoding to `hash` ([`DepSkyClient::open_with_newest`]).
+    /// If none does, the clock ends at the last answer and the read fails
+    /// with a transient [`StorageError::QuorumNotReached`].
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "what the unit, its version and its holders each say"
+    )]
+    fn read_blocks(
+        &self,
+        ctx: &mut OpCtx<'_>,
+        name: &str,
+        version: u64,
+        slots: &[usize],
+        block: Bytes,
+        hash: &ContentHash,
+        vouched: impl Fn(usize, &[u8]) -> bool,
+    ) -> Result<Vec<u8>, StorageError> {
+        let needed = self.config.data_shards();
+        let spec = &self.placement;
+        let holders = self.holders(slots);
+        let order = spec
+            .policy
+            .read_order(&spec.matrix, &holders, needed, block);
+        let (primary, fallback) = order.split_at(spec.write_wait.min(order.len()));
+        let mut arrived: Vec<BlockPayload> = Vec::new();
         let mut last = None;
         for wave in [primary, fallback] {
             if wave.is_empty() {
@@ -753,14 +748,29 @@ impl DepSkyClient {
             }
             let start = ctx.clock.now();
             let outcomes = parallel_access(ctx, &self.clouds, wave, |cloud_index, cloud, c| {
-                cloud.get(c, &key_of(cloud_index))
+                cloud.get(
+                    c,
+                    &Self::block_key(name, version, slot_on(slots, cloud_index)),
+                )
             });
             self.record_outcomes(start, &outcomes);
             for outcome in &outcomes {
+                let slot = slot_on(slots, outcome.index);
                 let bytes = outcome.value.as_deref().ok();
-                if let Some(found) = bytes.and_then(|bytes| take(outcome.index, bytes)) {
+                let Some(block) = bytes
+                    .filter(|bytes| vouched(slot, bytes))
+                    .and_then(|bytes| decode_block(bytes).ok())
+                else {
+                    continue;
+                };
+                let shard_len = self.coder.shard_size(block.size as usize).max(1);
+                if block.slot as usize != slot || block.shard.len() != shard_len {
+                    continue;
+                }
+                arrived.push(block);
+                if let Some(plaintext) = self.open_with_newest(&mut arrived, hash) {
                     ctx.clock.advance_to(outcome.completed_at);
-                    return Some(found);
+                    return Ok(plaintext);
                 }
             }
             last = outcomes.last().map(|o| o.completed_at).or(last);
@@ -768,52 +778,12 @@ impl DepSkyClient {
         if let Some(at) = last {
             ctx.clock.advance_to(at);
         }
-        None
-    }
-
-    /// Fetches and reconstructs one specific version: its holders are raced
-    /// in the policy's order (all `n − f` first in the paper's layout,
-    /// `f + 1` when a write waits for only that many), and only blocks whose
-    /// hash the record names count towards the `f + 1` it decodes.
-    fn read_version(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        name: &str,
-        info: &VersionInfo,
-    ) -> Result<Vec<u8>, StorageError> {
-        let needed = self.config.data_shards();
-        let spec = &self.placement;
-        let holders = self.holders(info);
-        let block = Bytes::new(info.block_size);
-        let order = spec
-            .policy
-            .read_order(&spec.matrix, &holders, needed, block);
-        let slot_of = |cloud| info.slot_for_cloud(cloud).unwrap_or(cloud);
-        let slot_key = |cloud| Self::block_key(name, info.version, slot_of(cloud));
-        let mut valid: Vec<BlockPayload> = Vec::new();
-        let quorum = self.race_holders(ctx, &order, slot_key, |cloud, bytes| {
-            let slot = info.slots.get(info.slot_for_cloud(cloud)?)?;
-            if slot.hash != sha256(bytes) {
-                return None;
-            }
-            valid.push(decode_block(bytes).ok()?);
-            (valid.len() >= needed).then_some(())
-        });
-        if quorum.is_none() {
-            return Err(StorageError::QuorumNotReached {
-                needed,
-                obtained: valid.len(),
-            });
-        }
-        // Every block verified against the record: decode them, and check
-        // the plaintext against the address as well.
-        let pick: Vec<usize> = (0..valid.len()).collect();
-        match self.open(&mut valid, &pick, info.size) {
-            Some(plaintext) if sha256(&plaintext) == info.hash => Ok(plaintext),
-            _ => Err(StorageError::IntegrityViolation {
-                key: name.to_string(),
-            }),
-        }
+        // No `f + 1` of the blocks are one encryption of `hash`: at most `f`
+        // of them count.
+        Err(StorageError::QuorumNotReached {
+            needed,
+            obtained: arrived.len().min(needed - 1),
+        })
     }
 }
 

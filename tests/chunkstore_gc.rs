@@ -523,8 +523,8 @@ fn failed_one_put_close_journals_no_manifest_intent_coc() {
     );
 }
 
-/// Every blob of the wave — chunks and the manifest — lands its DepSky
-/// metadata record but no block.
+/// No block of the wave lands: the manifest lands its DepSky metadata
+/// record alone, and a chunk, which has no record, lands nothing.
 #[test]
 fn depsky_blobs_with_records_but_no_blocks_are_reclaimed() {
     assert_failed_commit_is_reclaimed(
@@ -535,8 +535,11 @@ fn depsky_blobs_with_records_but_no_blocks_are_reclaimed() {
     );
 }
 
-/// The reverse: blocks without a record. Nothing but the blob's address says
-/// where they are, so the delete must derive their keys.
+/// The reverse: blocks without a record. The chunks land their blocks (a
+/// chunk never has a record) and the manifest its blocks but no record.
+/// Nothing but a blob's address says where they are: a chunk's delete always
+/// derives its keys, and the manifest's takes `delete_blob`'s no-record
+/// branch, which this test keeps covering.
 #[test]
 fn depsky_blobs_with_blocks_but_no_records_are_reclaimed() {
     assert_failed_commit_is_reclaimed(
