@@ -482,9 +482,9 @@ impl DepSkyClient {
     /// first that decodes to content hashing to `hash`.
     fn open_with_newest(&self, blocks: &mut [BlockPayload], hash: &ContentHash) -> Option<Vec<u8>> {
         let newest = blocks.len().checked_sub(1)?;
+        let (nonce, size) = (blocks[newest].nonce, blocks[newest].size);
         let picks = combinations(blocks.len(), self.config.data_shards());
         for pick in picks.into_iter().filter(|pick| pick.contains(&newest)) {
-            let (nonce, size) = (blocks[newest].nonce, blocks[newest].size);
             if pick
                 .iter()
                 .any(|&i| blocks[i].nonce != nonce || blocks[i].size != size)
