@@ -13,7 +13,14 @@
 //! manifest names ([`DepSkyClient::write_bare_blob`]). A blob is bare only
 //! under a placement whose holders follow from the spec alone
 //! ([`PlacementPolicy::implied_holders`]: the paper's layout puts slot `i` on
-//! cloud `i`); elsewhere the bare calls store and find a unit with a record.
+//! the `i`-th fastest cloud); elsewhere the bare calls store and find a unit
+//! with a record.
+//!
+//! A write stores `width` blocks; a read needs `f + 1` of them, so it races
+//! the first `f + 1` holders in the policy's order and widens to the rest
+//! only on a miss. In the paper's layout ([`DepSkyClient::new`]) the holders
+//! are the `n − f` clouds advertising the lowest request latency, and the
+//! read races the two fastest of them.
 //!
 //! This module owns how a blob is spelled in a cloud, both ways: a blob
 //! `(base, hash)` is the unit [`DepSkyClient::blob_unit`] names, a unit's
@@ -57,10 +64,10 @@ pub struct PlacementSpec {
     /// Number of clouds holding data blocks per version (the paper's
     /// `n − f` under preferred quorums).
     pub width: usize,
-    /// Number of block-store acknowledgements a write waits for, and of
-    /// holders a read races before widening to the rest
+    /// Number of block-store acknowledgements a write waits for
     /// (`data_shards ≤ write_wait ≤ width`; `width − write_wait` stragglers
-    /// are off the critical path).
+    /// are off the critical path). Reads do not use it: a read races
+    /// `data_shards` (`f + 1`) holders.
     pub write_wait: usize,
 }
 
@@ -110,10 +117,18 @@ impl std::fmt::Debug for DepSkyClient {
 
 impl DepSkyClient {
     /// Creates a client over exactly the configuration's `n` clouds in the
-    /// paper's layout (§3.2, preferred quorums): the first `n − f` clouds
+    /// paper's layout (§3.2, preferred quorums): the `n − f` fastest clouds
     /// hold every version's blocks, and a write waits for all of them.
+    ///
+    /// "Fastest" is each profile's advertised mean request latency. The pool
+    /// is sorted by it, stably, and the [`AllClouds`] spec is built over
+    /// that order, so slot `i` lives on the `i`-th fastest cloud and the
+    /// cloud left without blocks is the slowest. Every client of a
+    /// deployment sorts the same pool the same way, so the holders one
+    /// implies are the holders another wrote; equal profiles keep pool
+    /// order.
     pub fn new(
-        clouds: Vec<Arc<dyn ObjectStore>>,
+        mut clouds: Vec<Arc<dyn ObjectStore>>,
         config: DepSkyConfig,
         seed: u64,
     ) -> Result<Self, StorageError> {
@@ -124,6 +139,7 @@ impl DepSkyClient {
                 clouds.len()
             )));
         }
+        clouds.sort_by_key(|c| c.profile().latency.request.mean());
         let profiles = clouds.iter().map(|c| c.profile().clone()).collect();
         let spec = PlacementSpec {
             matrix: Arc::new(ProviderMatrix::new(profiles)),
@@ -138,8 +154,8 @@ impl DepSkyClient {
     /// protocol's `n`: `spec.width` clouds (chosen per write by
     /// `spec.policy`) hold each version's blocks, metadata goes to every
     /// cloud with majority acknowledgement, and a read races the first
-    /// `spec.write_wait` holders in the policy's order, widening to the rest
-    /// on a miss or failure.
+    /// `f + 1` holders in the policy's order, widening to the rest on a miss
+    /// or failure. The pool keeps the caller's order.
     pub fn with_placement(
         clouds: Vec<Arc<dyn ObjectStore>>,
         config: DepSkyConfig,
@@ -355,7 +371,7 @@ impl DepSkyClient {
         let block_size = payloads.first().map_or(0, |p| p.len() as u64);
 
         // Store the data blocks in parallel on the clouds the placement
-        // policy picks (the paper's: the first `n − f` clouds, all of which
+        // policy picks (the paper's: the `n − f` fastest clouds, all of which
         // must acknowledge).
         let block = Bytes::new(block_size);
         let targets = spec
@@ -402,9 +418,9 @@ impl DepSkyClient {
     /// what a record would tell its reader (slot, key share, nonce,
     /// plaintext length), so this needs a placement whose holders follow
     /// from the spec alone ([`PlacementPolicy::implied_holders`]; the
-    /// paper's layout puts slot `i` on cloud `i`). Under a policy that
-    /// chooses holders per write, the blob is a unit with a record,
-    /// [`DepSkyClient::write_blob`].
+    /// paper's layout puts slot `i` on the `i`-th fastest cloud). Under a
+    /// policy that chooses holders per write, the blob is a unit with a
+    /// record, [`DepSkyClient::write_blob`].
     ///
     /// One round of `width` block PUTs, waiting for `write_wait`; nothing is
     /// cached. The blocks are always `v1/`: a repeated write stores a fresh
@@ -428,11 +444,12 @@ impl DepSkyClient {
     }
 
     /// Reads back the blob [`DepSkyClient::write_bare_blob`] stored: one
-    /// round of block GETs to the implied holders, the plaintext checked
-    /// against `hash` (at most C(3, 2) = 3 decodes at `f = 1`), exactly as
-    /// the block round of a unit with a record. A Byzantine holder, or a
-    /// repeated write that replaced some blocks, only costs decodes. If no
-    /// `f + 1` blocks verify the read fails with a transient
+    /// round of block GETs to `f + 1` of the implied holders, widening to
+    /// the rest on a miss, the plaintext checked against `hash` (at most
+    /// C(3, 2) = 3 decodes at `f = 1`), exactly as the block round of a unit
+    /// with a record. A Byzantine holder, or a repeated write that replaced
+    /// some blocks, only costs a wave and decodes. If no `f + 1` blocks
+    /// verify the read fails with a transient
     /// [`StorageError::QuorumNotReached`], so the anchor loop retries.
     pub fn read_bare_blob(
         &self,
@@ -707,15 +724,16 @@ impl DepSkyClient {
     }
 
     /// Reads the blob `hash` from the blocks of `version`, slot `i` on cloud
-    /// `slots[i]`: one round of GETs racing the first `write_wait` holders
-    /// in the policy's order (every holder in the paper's layout, `f + 1`
-    /// when a write waits for only that many), widening to the rest once
-    /// that wave has fully resolved (so a widening pays its latency). Each
-    /// block that arrives carrying the slot its holder should hold, and that
-    /// `vouched` accepts for that slot, joins the candidates; the read returns at the first arrival that completes
-    /// `f + 1` of them decoding to `hash` ([`DepSkyClient::open_with_newest`]).
-    /// If none does, the clock ends at the last answer and the read fails
-    /// with a transient [`StorageError::QuorumNotReached`].
+    /// `slots[i]`: one round of GETs racing the first `f + 1` holders in the
+    /// policy's order, exactly the blocks a decode needs, widening to the
+    /// rest once that wave has fully resolved (so a widening pays its
+    /// latency). Each block that arrives carrying the slot its holder
+    /// should hold, and that `vouched` accepts for that slot, joins the
+    /// candidates; the read returns at the first arrival that completes
+    /// `f + 1` of them decoding to `hash`
+    /// ([`DepSkyClient::open_with_newest`]). If none does, the clock ends
+    /// at the last answer and the read fails with a transient
+    /// [`StorageError::QuorumNotReached`].
     #[expect(
         clippy::too_many_arguments,
         reason = "what the unit, its version and its holders each say"
@@ -736,7 +754,7 @@ impl DepSkyClient {
         let order = spec
             .policy
             .read_order(&spec.matrix, &holders, needed, block);
-        let (primary, fallback) = order.split_at(spec.write_wait.min(order.len()));
+        let (primary, fallback) = order.split_at(needed.min(order.len()));
         let mut arrived: Vec<BlockPayload> = Vec::new();
         let mut last = None;
         for wave in [primary, fallback] {
@@ -1045,11 +1063,18 @@ mod tests {
     }
 
     #[test]
-    fn a_cold_read_races_write_wait_holders_then_widens() {
+    fn a_cold_read_races_f_plus_one_holders_then_widens() {
         // (write wait, cloud down at the read, block GETs): the paper's
-        // layout through `new` races all three holders; a (3, 2) spec races
-        // two, and a third once one of those two is down.
-        for (wait, down, gets) in [(None, None, 3), (Some(2), None, 2), (Some(2), Some(0), 3)] {
+        // layout through `new`, whose writes wait for all three holders, and
+        // a (3, 2) spec both race two, and a third once one of those two is
+        // down.
+        let cases = [
+            (None, None, 2),
+            (Some(2), None, 2),
+            (None, Some(0), 3),
+            (Some(2), Some(0), 3),
+        ];
+        for (wait, down, gets) in cases {
             let sims = sim_clouds(4);
             let build = |seed| match wait {
                 None => client(as_stores(&sims)),
@@ -1162,14 +1187,19 @@ mod tests {
         );
     }
 
-    /// A fixed-placement client over clouds of the given constant latencies.
-    fn client_with_latencies(latencies_ms: [f64; 4]) -> DepSkyClient {
+    /// Clouds of the given constant request latencies, named `c{i}`.
+    fn latency_clouds(latencies_ms: [f64; 4]) -> Vec<Arc<SimulatedCloud>> {
         let clouds = latencies_ms.iter().enumerate().map(|(i, ms)| {
             let mut p = ProviderProfile::instantaneous(&format!("c{i}"));
             p.latency.request = LatencyModel::constant_ms(*ms);
-            Arc::new(SimulatedCloud::new(p, i as u64)) as Arc<dyn ObjectStore>
+            Arc::new(SimulatedCloud::new(p, i as u64))
         });
-        client(clouds.collect())
+        clouds.collect()
+    }
+
+    /// A fixed-placement client over clouds of the given constant latencies.
+    fn client_with_latencies(latencies_ms: [f64; 4]) -> DepSkyClient {
+        client(as_stores(&latency_clouds(latencies_ms)))
     }
 
     #[test]
@@ -1402,13 +1432,155 @@ mod tests {
             cold_bare_read(&client(as_stores(&sims)), SimDuration::ZERO, &hash),
             Ok(data)
         );
-        assert_eq!(request_counts(&sims), (3, 3, 0), "three block GETs");
+        assert_eq!(request_counts(&sims), (3, 2, 0), "f + 1 block GETs");
         ds.delete_bare_blob(&mut c, "chunks", &hash).unwrap();
-        assert_eq!(request_counts(&sims), (3, 3, 3), "three block DELETEs");
+        assert_eq!(request_counts(&sims), (3, 2, 3), "three block DELETEs");
         for sim in &sims {
             assert_eq!(sim.stored_keys(KEY_SPACE), Vec::<String>::new());
         }
         assert!(cold_bare_read(&ds, SimDuration::ZERO, &hash).is_err());
+    }
+
+    /// The paper's four clouds, handed to a client in `order` of
+    /// [`ProviderSet::coc_storage_backend`] (S3, GCS, Rackspace, Azure).
+    fn paper_clouds(order: [usize; 4]) -> Vec<Arc<SimulatedCloud>> {
+        let profiles = ProviderSet::coc_storage_backend();
+        let clouds = order.iter().map(|&i| {
+            let profile = profiles[i].clone();
+            Arc::new(SimulatedCloud::new(profile, i as u64))
+        });
+        clouds.collect()
+    }
+
+    /// The cloud id each block slot of `unit`'s `v1` is stored on, and the
+    /// ids of the clouds storing any object of it.
+    fn placement_of(sims: &[Arc<SimulatedCloud>], unit: &str) -> (Vec<String>, Vec<String>) {
+        let on = |key: &str| -> Vec<String> {
+            let clouds = sims.iter().filter(|s| !s.stored_keys(key).is_empty());
+            clouds.map(|s| s.id().to_string()).collect()
+        };
+        let slots = (0..3).flat_map(|slot| on(&DepSkyClient::block_key(unit, 1, slot)));
+        (slots.collect(), on(&format!("{KEY_SPACE}{unit}/")))
+    }
+
+    #[test]
+    fn new_puts_blocks_on_the_three_fastest_clouds() {
+        // However the pool is handed over, slot i lands on the i-th fastest
+        // paper cloud by advertised request latency: Azure, Rackspace, S3.
+        // GCS, the slowest, holds a unit's record and never a block.
+        for order in [[0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]] {
+            let sims = paper_clouds(order);
+            let ds = client(as_stores(&sims));
+            let mut clock = Clock::new();
+            let mut c = ctx(&mut clock);
+            let data = vec![6u8; 3_000];
+            let bare = write_bare(&ds, &mut c, &data);
+            let (slots, holders) = placement_of(&sims, &DepSkyClient::blob_unit("chunks", &bare));
+            assert_eq!(slots, ["azure", "rackspace", "s3"], "{order:?}");
+            assert!(!holders.contains(&"gcs".to_string()), "{order:?}");
+            let hash = write(&ds, &mut c, &data);
+            let unit = DepSkyClient::blob_unit("f", &hash);
+            assert_eq!(placement_of(&sims, &unit).0, ["azure", "rackspace", "s3"]);
+            let gcs = sims.iter().find(|s| s.id() == "gcs").unwrap();
+            assert_eq!(
+                gcs.stored_keys(KEY_SPACE),
+                [DepSkyClient::metadata_key(&unit)],
+                "{order:?}"
+            );
+        }
+        // Equal profiles keep pool order: slot i on the i-th cloud handed
+        // over, whichever that is.
+        let sims = sim_clouds(4);
+        let pool = [2, 0, 3, 1].map(|i| sims[i].clone());
+        let mut clock = Clock::new();
+        let bare = write_bare(&client(as_stores(&pool)), &mut ctx(&mut clock), b"equal");
+        let (slots, _) = placement_of(&pool, &DepSkyClient::blob_unit("chunks", &bare));
+        assert_eq!(slots, ["cloud2", "cloud0", "cloud3"]);
+    }
+
+    #[test]
+    fn a_cold_bare_read_fetches_f_plus_one_blocks_from_the_fastest_holders() {
+        // In the paper's layout a fault-free read races Azure and Rackspace
+        // and never asks S3, the third holder, or GCS, which holds nothing.
+        let sims = paper_clouds([0, 1, 2, 3]);
+        let mut clock = Clock::new();
+        let data: Vec<u8> = (0..20_000u32).map(|i| (i % 241) as u8).collect();
+        let hash = write_bare(&client(as_stores(&sims)), &mut ctx(&mut clock), &data);
+        let read = cold_bare_read(&client(as_stores(&sims)), SETTLED, &hash);
+        assert_eq!(read, Ok(data));
+        let gets = sims.iter().map(|s| {
+            let m = s.metrics().snapshot();
+            (s.id().to_string(), m.gets + m.errors)
+        });
+        let gets: BTreeMap<String, u64> = gets.collect();
+        let expected = [("azure", 1), ("gcs", 0), ("rackspace", 1), ("s3", 0)];
+        let expected = expected.map(|(id, n)| (id.to_string(), n));
+        assert_eq!(gets, BTreeMap::from(expected));
+    }
+
+    /// The faults a raced holder may show a read: down, or lying about
+    /// every byte it returns.
+    fn faults() -> [(&'static str, FaultPlan); 2] {
+        let outage = FaultPlan::outage(SimInstant::EPOCH, SimInstant::from_secs(1_000_000));
+        [
+            ("outage", outage),
+            ("byzantine", FaultPlan::always_byzantine()),
+        ]
+    }
+
+    #[test]
+    fn a_faulty_raced_holder_costs_one_widening() {
+        // Handed over as c0..c3, the clouds sort to c1 (100 ms), c3 (200),
+        // c0 (300), c2 (400): the read races c1 and c3. With c1 faulty the
+        // first wave resolves 200 ms in without two good blocks, and only
+        // then does the read ask c0, which answers 300 ms later.
+        let start = SimInstant::from_secs(1);
+        for (what, plan) in faults() {
+            let sims = latency_clouds([300.0, 100.0, 400.0, 200.0]);
+            let mut clock = Clock::new();
+            let data = vec![8u8; 4096];
+            let hash = write_bare(&client(as_stores(&sims)), &mut ctx(&mut clock), &data);
+            assert!(clock.now() <= start, "{what}: the blocks are stored");
+            sims[1].set_fault_plan(plan, 4);
+            let before = request_counts(&sims).1;
+            let mut clock = Clock::new();
+            clock.advance_to(start);
+            let reader = client(as_stores(&sims));
+            let read = reader.read_bare_blob(&mut ctx(&mut clock), "chunks", &hash);
+            assert!(read == Ok(data), "{what}: {read:?}");
+            assert_eq!(request_counts(&sims).1 - before, 3, "{what}");
+            assert_eq!(sims[2].metrics().snapshot().gets, 0, "{what}");
+            let first_wave = start + SimDuration::from_millis(200);
+            let widened = first_wave + SimDuration::from_millis(300);
+            assert_eq!(clock.now(), widened, "{what}");
+        }
+    }
+
+    #[test]
+    fn two_faulty_raced_holders_fail_a_read_transiently() {
+        // Past f: both raced holders are faulty, and the widening finds one
+        // honest block, which decodes to nothing on its own.
+        for (first, one) in faults() {
+            for (second, two) in faults() {
+                let sims = sim_clouds(4);
+                let mut clock = Clock::new();
+                let hash = write_bare(
+                    &client(as_stores(&sims)),
+                    &mut ctx(&mut clock),
+                    &[5u8; 4096],
+                );
+                sims[0].set_fault_plan(one.clone(), 1);
+                sims[1].set_fault_plan(two.clone(), 2);
+                let read = cold_bare_read(&client(as_stores(&sims)), SimDuration::ZERO, &hash);
+                let err = read.unwrap_err();
+                let expected = StorageError::QuorumNotReached {
+                    needed: 2,
+                    obtained: 1,
+                };
+                assert_eq!(err, expected, "{first} + {second}");
+                assert!(err.is_transient(), "{first} + {second}");
+            }
+        }
     }
 
     #[test]

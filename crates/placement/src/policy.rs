@@ -39,10 +39,9 @@ pub trait PlacementPolicy: Send + Sync {
     ) -> Vec<usize>;
 
     /// Orders the clouds currently `holders` of a version for a read that
-    /// needs `needed` valid blocks. The client races as many entries first
-    /// as a write waits for acknowledgements (its spec's `write_wait`); the
-    /// rest form the escalation tail. The returned vector is a permutation
-    /// of `holders`.
+    /// needs `needed` valid blocks. The client races the first `needed`
+    /// entries; the rest form the escalation tail. The returned vector is a
+    /// permutation of `holders`.
     fn read_order(
         &self,
         matrix: &ProviderMatrix,
@@ -60,10 +59,11 @@ pub trait PlacementPolicy: Send + Sync {
     }
 }
 
-/// The paper's fixed placement: the first `width` clouds hold every version,
-/// and a read tries them in index order, racing the first `write_wait`. The
-/// paper's layout is this policy with `width = write_wait = n − f`, so its
-/// reads race every holder; it is also the fallback other policies degrade to.
+/// The paper's fixed placement: the first `width` clouds of the pool hold
+/// every version, and a read tries them in index order, racing the first
+/// `needed`. The paper's layout is this policy with `width = write_wait =
+/// n − f` over a pool its client sorts fastest first, so its reads race the
+/// two fastest holders; it is also the fallback other policies degrade to.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AllClouds;
 

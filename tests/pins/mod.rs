@@ -32,28 +32,27 @@ use scfs_repro::workloads::fleet::{
 use scfs_repro::workloads::setup::{build_scfs, Backend, Deployment, Plane};
 
 /// Every golden pin, in the order [`measure_pins`] measures them. The
-/// cloud-of-clouds rows last moved when a chunk became its blocks alone: a
-/// chunk write no longer PUTs a DepSky record on each of the four clouds,
-/// nor a collection DELETEs one, and every simulated cloud draws its
-/// latencies from one random stream per cloud, so each request after the
-/// first dropped one draws a different latency. With one stream per key
-/// instead, the old and the new protocol give identical rows: the record
-/// round never set the instant a chunk write returned. The AWS rows last
-/// moved when open handles became sparse (a whole-chunk overwrite and a
-/// truncate read nothing first). The fault-path digest last moved by text
-/// alone: a lock key gained its `/write` leaf, and the `LockHeld` and
+/// cloud-of-clouds rows last moved when the paper's layout put its blocks on
+/// the three clouds advertising the fastest requests (Azure, Rackspace, S3;
+/// GCS, the slowest, holds records only) and a cold read raced two holders,
+/// not three: a write no longer waits for a GCS block, and a read downloads
+/// `f + 1` blocks per chunk. In NonSharing mode the foreground now ends
+/// before the last background job lands, so its two rows differ. The AWS
+/// rows last moved when open handles became sparse (a whole-chunk overwrite
+/// and a truncate read nothing first). The fault-path digest last moved by
+/// text alone: a lock key gained its `/write` leaf, and the `LockHeld` and
 /// `NotFound` results it folds print the key.
 const PINS: &[(&str, u64)] = &[
     ("data_fleet.AWS.trace_hash", 0x0185_a9d2_df7a_bb13),
     ("data_fleet.AWS.makespan_ns", 471351749462),
-    ("data_fleet.CoC.trace_hash", 0x484b_64ae_f0a6_66ca),
-    ("data_fleet.CoC.makespan_ns", 471988809771),
+    ("data_fleet.CoC.trace_hash", 0x104f_e9de_cc06_ed6e),
+    ("data_fleet.CoC.makespan_ns", 471740579186),
     ("metadata_fleet.trace_hash", 0xfec0_71ce_884e_3fbf),
     ("metadata_fleet.makespan_ns", 688230371),
-    ("file_sync.NonBlocking.end_ns", 3615107778),
-    ("file_sync.NonBlocking.drain_ns", 3790766716),
-    ("file_sync.NonSharing.end_ns", 986561165),
-    ("file_sync.NonSharing.drain_ns", 986561165),
+    ("file_sync.NonBlocking.end_ns", 3355253266),
+    ("file_sync.NonBlocking.drain_ns", 3530912204),
+    ("file_sync.NonSharing.end_ns", 726706653),
+    ("file_sync.NonSharing.drain_ns", 777560938),
     ("fault_paths.digest", 0xd2ab_3477_db9c_e361),
 ];
 
