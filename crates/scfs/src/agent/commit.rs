@@ -11,6 +11,7 @@ use sim_core::background::Pending;
 use sim_core::time::SimInstant;
 
 use super::handles::{Faulting, OpenFile};
+use super::versions::VersionRecord;
 use super::ScfsAgent;
 use crate::cache::WriteMode;
 use crate::chunkstore::BlobName;
@@ -184,6 +185,12 @@ impl ScfsAgent {
         let (id, acl) = (&metadata.storage_id, cloud_acl.as_ref());
         let opts = TransferOptions::default();
         let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
+        // The tuple may already have delivered a copy's source map: then the
+        // backend reads no manifest, tracked or not.
+        let copied = match version {
+            NewVersion::CopyOf { src, .. } => src.inline_manifest()?,
+            NewVersion::Data { .. } => None,
+        };
         let stored = match version {
             NewVersion::Data { data, map, prev } => {
                 let is_new = metadata.version_hash.is_none();
@@ -192,15 +199,13 @@ impl ScfsAgent {
                         .write_version(&mut ctx, id, data, map, prev, is_new, acl, &opts)?,
                 )
             }
-            NewVersion::CopyOf { src, root } => match src.inline_manifest()? {
-                // The tuple already delivered the source map: hand it down so
-                // the backend reads no manifest, tracked or not.
+            NewVersion::CopyOf { src, root } => match &copied {
                 Some(map) => self.storage.copy_version_with_map(
                     &mut ctx,
                     &src.storage_id,
                     id,
                     &root,
-                    &map,
+                    map,
                     acl,
                 )?,
                 None => self
@@ -222,7 +227,35 @@ impl ScfsAgent {
             NewVersion::CopyOf { src, .. } => metadata.commit_copy_of(src, now),
         }
         self.metadata.update(&mut ctx, metadata.clone())?;
+        // Anchored: the version this one replaced is no longer live here.
+        if let Some(record) = self.record_of(&metadata, version, copied.as_ref()) {
+            self.move_record(&metadata.storage_id, Some(record));
+        }
         Ok(Some(metadata))
+    }
+
+    /// The record of `version`, just anchored as `metadata`. A copy's chunks
+    /// are its source's: the map the tuple carried (`copied`), else this
+    /// agent's record of that version. With neither — a manifest object this
+    /// agent never loaded — there is no record, and the destination keeps
+    /// its old one until its next open: no chunk of the copy is dropped
+    /// meanwhile.
+    fn record_of(
+        &self,
+        metadata: &FileMetadata,
+        version: NewVersion<'_>,
+        copied: Option<&ChunkMap>,
+    ) -> Option<VersionRecord> {
+        let (root, count) = (metadata.version_hash?, metadata.version_count);
+        match (version, copied) {
+            (NewVersion::Data { map, .. }, _) | (NewVersion::CopyOf { .. }, Some(map)) => {
+                Some(VersionRecord::new(count, root, map))
+            }
+            (NewVersion::CopyOf { src, .. }, None) => self
+                .versions
+                .at(&src.storage_id, &root)
+                .map(|record| record.renumbered(count)),
+        }
     }
 
     /// [`ScfsAgent::store_and_anchor`] of `file`'s buffer, laid out by
@@ -506,7 +539,7 @@ impl ScfsAgent {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{test_agent, wan_agent};
+    use super::super::tests::{edited, four_chunks, test_agent, wan_agent};
     use super::*;
     use crate::backend::FileStorage;
     use crate::backend::SingleCloudStorage;
@@ -790,22 +823,6 @@ mod tests {
         // Shrinking back re-inlines it.
         writer.write_file("/f", &vec![3u8; 4096]).unwrap();
         assert_eq!(cold_open(4), (0, true));
-    }
-
-    /// Four distinct 1 MiB chunks (the default chunk size).
-    fn four_chunks() -> Vec<u8> {
-        let mut data = vec![0u8; 4 << 20];
-        for (i, chunk) in data.chunks_mut(1 << 20).enumerate() {
-            chunk.fill(i as u8 + 1);
-        }
-        data
-    }
-
-    /// `data` with one chunk's worth of edit: four bytes into chunk `index`.
-    fn edited(mut data: Vec<u8>, index: usize) -> (Vec<u8>, u64) {
-        let offset = (index << 20) + 10;
-        data[offset..offset + 4].copy_from_slice(b"edit");
-        (data, offset as u64)
     }
 
     /// Whether every chunk of `data`, cut as `fs` cuts it, is on `fs`'s

@@ -5,8 +5,10 @@ use std::collections::HashMap;
 use std::ops::Range;
 
 use cloud_store::store::OpCtx;
+use scfs_crypto::ContentHash;
 use sim_core::time::SimInstant;
 
+use super::versions::VersionRecord;
 use super::ScfsAgent;
 use crate::error::ScfsError;
 use crate::types::{ChunkMap, ChunkSource, FileHandle, FileMetadata, OpenFlags};
@@ -167,6 +169,14 @@ impl OpenFile {
         self.present = present.contains(&false).then_some(present);
     }
 
+    /// Whether the handle's loaded or staged map names the chunk `hash`.
+    pub(super) fn names(&self, hash: &ContentHash) -> bool {
+        let maps = [&self.chunk_map, &self.staged];
+        maps.into_iter()
+            .flatten()
+            .any(|map| map.chunks().contains(hash))
+    }
+
     /// Fails unless the handle was opened for the access `granted` stands
     /// for.
     fn require(&self, granted: bool) -> Result<(), ScfsError> {
@@ -281,6 +291,10 @@ impl ScfsAgent {
         let (buffer, chunk_map, present) = match metadata.version_hash {
             Some(root) if !flags.truncate => {
                 let map = self.load_manifest(&metadata, root)?;
+                let (id, count) = (&metadata.storage_id, metadata.version_count);
+                if self.versions.is_behind(id, count, &root) {
+                    self.move_record(id, Some(VersionRecord::new(count, root, &map)));
+                }
                 let buffer = vec![0u8; map.file_len() as usize];
                 let present = vec![false; map.chunk_count()];
                 (buffer, Some(map), Some(present))

@@ -15,7 +15,10 @@
 //!   the sequential prefetcher;
 //! * `gc` — the background collector, which reclaims the storage of the files
 //!   this agent wrote: old versions, and the whole object of a file it
-//!   unlinked. It makes no metadata call: `unlink` already deleted the tuple.
+//!   unlinked. It makes no metadata call: `unlink` already deleted the tuple;
+//! * `versions` — the version records: per object, the newest version this
+//!   agent opened or anchored. A record that moves or goes takes what only
+//!   its old version named out of the cache.
 //!
 //! This file holds the agent itself, `on_lane` — the one way onto a
 //! background lane — and the [`FileSystem`] calls that touch only metadata.
@@ -48,8 +51,10 @@ mod commit;
 mod fetch;
 mod gc;
 mod handles;
+mod versions;
 
 use handles::OpenFile;
+use versions::Versions;
 
 /// Counters describing the agent's activity, used by the experiment
 /// harnesses to explain latency results.
@@ -130,6 +135,8 @@ pub struct ScfsAgent {
     /// client.
     metadata: MetadataService,
     cache: TieredCache,
+    /// Which version of each object the cache holds on purpose.
+    versions: Versions,
     mem_latency: LatencyProfile,
     /// Ordered: `flush_all`-style sweeps and the dirty-handle scan iterate,
     /// so the container must not leak hash order into simulated behaviour.
@@ -195,6 +202,7 @@ impl ScfsAgent {
         let metadata = MetadataService::new(coord, pns, user.clone(), session, expiry);
         Ok(ScfsAgent {
             cache: TieredCache::new(&config.cache, seed),
+            versions: Versions::default(),
             mem_latency: LatencyProfile::main_memory(),
             user,
             config,
@@ -509,8 +517,9 @@ impl FileSystem for ScfsAgent {
         for file in self.open_files.values_mut() {
             file.unlinked |= file.metadata.storage_id == id;
         }
-        // Cached chunks and manifests are content-addressed, not keyed by
-        // path; they age out of the LRU caches once nothing reads them.
+        // No version of the object is live any more: what only it named
+        // leaves the cache, but for what those handles still name.
+        self.move_record(&id, None);
         Ok(())
     }
 
@@ -684,6 +693,22 @@ mod tests {
             .getfacl("/doc")
             .unwrap()
             .allows(&"bob".into(), Permission::Read));
+    }
+
+    /// Four distinct 1 MiB chunks (the default chunk size).
+    pub(super) fn four_chunks() -> Vec<u8> {
+        let mut data = vec![0u8; 4 << 20];
+        for (i, chunk) in data.chunks_mut(1 << 20).enumerate() {
+            chunk.fill(i as u8 + 1);
+        }
+        data
+    }
+
+    /// `data` with one chunk's worth of edit: four bytes into chunk `index`.
+    pub(super) fn edited(mut data: Vec<u8>, index: usize) -> (Vec<u8>, u64) {
+        let offset = (index << 20) + 10;
+        data[offset..offset + 4].copy_from_slice(b"edit");
+        (data, offset as u64)
     }
 
     /// An agent over a WAN-latency simulated cloud, so background uploads

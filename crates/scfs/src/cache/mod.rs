@@ -24,6 +24,13 @@
 //!   it leaves the caller's clock alone and reports the instant it lands,
 //!   so only a call that owes level-1 durability waits for the disk.
 //!
+//! Entries are keyed by content hash, so one chunk serves every version
+//! and file that names it. The cache holds live versions only: when a
+//! newer version supersedes an object's version, or the object is
+//! unlinked, the agent takes out of both tiers
+//! ([`TieredCache::remove`]) what only the old version named — an
+//! invalidation, not an eviction. LRU ranks what is left.
+//!
 //! The two capacities are chosen through [`CacheConfig`], carried by
 //! [`crate::config::ScfsConfig`]; the
 //! [fleet harness](../../workloads/fleet/index.html) measures the resulting

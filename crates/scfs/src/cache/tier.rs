@@ -51,7 +51,9 @@ pub struct CacheStats {
     /// Least-recently-used entries evicted to make room.
     pub evictions: u64,
     /// Entries dropped for non-capacity reasons: displaced by an oversized
-    /// replacement that bypassed the tier, or removed on unlink.
+    /// replacement that bypassed the tier, or removed because no live
+    /// version names them any more (a newer version superseded theirs, or
+    /// the file was unlinked).
     pub invalidations: u64,
     /// Payload bytes served by hits.
     pub bytes_hit: u64,
@@ -362,8 +364,10 @@ impl CacheTier {
         }
     }
 
-    /// Removes `key` from the tier (e.g. on unlink); counted as an
-    /// invalidation, not an eviction.
+    /// Removes `key` from the tier — the agent's drop of a chunk or
+    /// manifest no live version names, after a newer version or an unlink;
+    /// counted as an invalidation, not an eviction. No latency is charged:
+    /// the index answers, and no payload moves.
     pub fn remove(&mut self, key: &str) {
         if self.remove_resident(key).is_some() {
             self.stats.invalidations += 1;
@@ -634,6 +638,13 @@ impl TieredCache {
         hash: Option<ContentHash>,
     ) -> SimInstant {
         from + self.disk.insert(key, data, hash, true).0
+    }
+
+    /// Removes `key` from both tiers (see [`CacheTier::remove`]): each tier
+    /// that held it counts one invalidation.
+    pub fn remove(&mut self, key: &str) {
+        self.memory.remove(key);
+        self.disk.remove(key);
     }
 
     /// Whether the disk tier holds `key` under `hash`, refreshing its disk

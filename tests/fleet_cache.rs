@@ -9,9 +9,10 @@
 //! * `used_bytes` always equals the byte-sum of resident entries and never
 //!   exceeds capacity, under arbitrary put/get/remove/probe sequences
 //!   (property-tested);
-//! * a tier, and the memory-over-disk composition, answer, evict and count
-//!   exactly like a `Vec`-backed reference LRU, step by step, under
-//!   arbitrary operation sequences (model-based property tests);
+//! * a tier, and the memory-over-disk composition (`remove` included),
+//!   answer, evict and count exactly like a `Vec`-backed reference LRU,
+//!   step by step, under arbitrary operation sequences (model-based
+//!   property tests);
 //! * the fleet harness is deterministic: the same seed reproduces the same
 //!   trace hash and the same measured numbers.
 
@@ -305,6 +306,7 @@ struct ModelLru {
     hits: u64,
     misses: u64,
     evictions: u64,
+    invalidations: u64,
     bytes_hit: u64,
 }
 
@@ -316,6 +318,7 @@ impl ModelLru {
             hits: 0,
             misses: 0,
             evictions: 0,
+            invalidations: 0,
             bytes_hit: 0,
         }
     }
@@ -330,19 +333,30 @@ impl ModelLru {
             .position(|e| e.0 == key && (expected.is_none() || e.2.as_ref() == expected))
     }
 
-    fn remove(&mut self, key: &str) {
+    /// Drops `key`, if resident; whether it was.
+    fn forget(&mut self, key: &str) -> bool {
+        let resident = self.order.len();
         self.order.retain(|e| e.0 != key);
+        self.order.len() < resident
+    }
+
+    /// The tier's `remove`: a resident entry leaves as an invalidation.
+    fn remove(&mut self, key: &str) {
+        if self.forget(key) {
+            self.invalidations += 1;
+        }
     }
 
     /// Replaces or inserts `key` as the most recent entry and returns what
     /// had to leave, oldest first; a payload larger than the tier only
-    /// displaces the entry it would have replaced.
+    /// displaces the entry it would have replaced (an invalidation).
     fn put(&mut self, key: &str, size: u64, hash: Option<ContentHash>) -> Vec<ModelEntry> {
-        self.remove(key);
-        let mut evicted = Vec::new();
         if size > self.capacity {
-            return evicted;
+            self.remove(key);
+            return Vec::new();
         }
+        self.forget(key);
+        let mut evicted = Vec::new();
         while self.used() + size > self.capacity {
             evicted.push(self.order.remove(0));
             self.evictions += 1;
@@ -370,7 +384,7 @@ impl ModelLru {
         hit
     }
 
-    /// Resident set, `used_bytes` and the four counters of `tier` equal the
+    /// Resident set, `used_bytes` and the five counters of `tier` equal the
     /// model's.
     fn assert_matches(&self, tier: &CacheTier, what: &str) {
         for i in 0..MODEL_KEYS {
@@ -388,6 +402,10 @@ impl ModelLru {
             (stats.hits, stats.misses, stats.evictions, stats.bytes_hit),
             (self.hits, self.misses, self.evictions, self.bytes_hit),
             "{what}: hits / misses / evictions / bytes_hit"
+        );
+        assert_eq!(
+            stats.invalidations, self.invalidations,
+            "{what}: invalidations"
         );
     }
 }
@@ -477,9 +495,11 @@ proptest! {
     /// The two-tier composition against two reference LRUs: demotions land
     /// on disk in eviction order, a disk hit is promoted (and replaces a
     /// stale memory entry in place), payloads over the memory tier go
-    /// straight to disk, and a promoted entry that falls back out of memory
+    /// straight to disk, a promoted entry that falls back out of memory
     /// — its disk copy still current — is neither counted as a demotion nor
-    /// written (which would refresh its disk recency) a second time.
+    /// written (which would refresh its disk recency) a second time, and
+    /// `remove` takes a key out of both tiers, one invalidation each. After
+    /// every step each tier's `used_bytes` is its resident bytes.
     #[test]
     fn prop_tiered_cache_matches_two_reference_lrus(
         ops in collection::vec(any::<u32>(), 1..200)
@@ -537,6 +557,11 @@ proptest! {
                         wanted.map(|e| e.1),
                         "step {}: get {} answers like the model", step, op.key
                     );
+                }
+                _ if (raw >> 24) % 2 == 0 => {
+                    cache.remove(&op.key);
+                    memory.remove(&op.key);
+                    disk.remove(&op.key);
                 }
                 _ => {
                     let in_memory = memory.touch(&op.key, expected).is_some();

@@ -39,7 +39,11 @@ use scfs_repro::workloads::setup::{build_scfs, Backend, Deployment, Plane};
 /// `f + 1` blocks per chunk. In NonSharing mode the foreground now ends
 /// before the last background job lands, so its two rows differ. The AWS
 /// rows last moved when open handles became sparse (a whole-chunk overwrite
-/// and a truncate read nothing first). The fault-path digest last moved by
+/// and a truncate read nothing first). The `file_sync` rows last moved when
+/// `unlink` began to take the file's chunks out of the cache: the two lock
+/// files hold the same bytes, so the second one's close writes the chunk
+/// the first one's unlink dropped to the local disk again. The fault-path
+/// digest last moved by
 /// text alone: a lock key gained its `/write` leaf, and the `LockHeld` and
 /// `NotFound` results it folds print the key.
 const PINS: &[(&str, u64)] = &[
@@ -49,9 +53,9 @@ const PINS: &[(&str, u64)] = &[
     ("data_fleet.CoC.makespan_ns", 471740579186),
     ("metadata_fleet.trace_hash", 0xfec0_71ce_884e_3fbf),
     ("metadata_fleet.makespan_ns", 688230371),
-    ("file_sync.NonBlocking.end_ns", 3355253266),
-    ("file_sync.NonBlocking.drain_ns", 3530912204),
-    ("file_sync.NonSharing.end_ns", 726706653),
+    ("file_sync.NonBlocking.end_ns", 3353265833),
+    ("file_sync.NonBlocking.drain_ns", 3528924771),
+    ("file_sync.NonSharing.end_ns", 729978730),
     ("file_sync.NonSharing.drain_ns", 777560938),
     ("fault_paths.digest", 0xd2ab_3477_db9c_e361),
 ];
