@@ -111,7 +111,6 @@ pub mod backend;
 pub mod cache;
 pub mod chunkstore;
 pub mod config;
-pub mod cost;
 pub mod durability;
 pub mod error;
 pub mod fs;
@@ -124,7 +123,6 @@ pub use agent::{AgentStats, ScfsAgent};
 pub use backend::{CloudOfCloudsStorage, FileStorage, SingleCloudStorage, WriteOutcome};
 pub use chunkstore::{BlobAudit, BlobName, ChunkStore, JournalOpts, KeyStyle, ReplayReport};
 pub use config::{GcConfig, Mode, ScfsConfig};
-pub use cost::{CostBackend, CostModel};
 pub use durability::DurabilityLevel;
 pub use error::ScfsError;
 pub use fs::FileSystem;

@@ -7,7 +7,7 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 
 /// A number of bytes.
 ///
-/// The SCFS cost model (paper §4.5) charges per GB of outbound traffic and
+/// The clouds' price books (paper §4.5) charge per GB of outbound traffic and
 /// per GB-month of storage, so we keep byte counts in a dedicated type to
 /// avoid unit mistakes between bytes, kilobytes and gigabytes.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]

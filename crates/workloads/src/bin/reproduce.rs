@@ -62,10 +62,12 @@ const SECTIONS: &[Section] = &[
         println!("{}", figure11a().render())
     }),
     ("fig11b", &["fig11"], |_| {
-        println!("{}", figure11b().render())
+        eprintln!("[running] Figure 11(b): cost per operation ...");
+        println!("{}", figure11b(SEED).render())
     }),
     ("fig11c", &["fig11"], |_| {
-        println!("{}", figure11c().render())
+        eprintln!("[running] Figure 11(c): storage cost ...");
+        println!("{}", figure11c(SEED).render())
     }),
 ];
 

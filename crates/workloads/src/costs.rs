@@ -1,15 +1,20 @@
 //! The cost analyses of Figure 11 and the durability table (Table 1), and
 //! what a user-month of a fleet costs under a placement policy over the
-//! heterogeneous provider matrix.
+//! heterogeneous provider matrix. Every cost is measured: what the simulated
+//! clouds' ledgers charged, plus coordination accesses at the paper's price.
 
 use cloud_store::pricing::VmInstanceSize;
 use cloud_store::providers::ProviderSet;
 use coord::deployment::CoordDeployment;
 use placement::PolicyKind;
-use scfs::cost::{CostBackend, CostModel};
+use scfs::agent::ScfsAgent;
+use scfs::config::{Mode, ScfsConfig};
 use scfs::durability::table1_rows;
+use scfs::fs::FileSystem;
 use sim_core::fault::FaultPlan;
-use sim_core::units::Bytes;
+use sim_core::rng::DetRng;
+use sim_core::time::SimDuration;
+use sim_core::units::{Bytes, MicroDollars};
 
 use crate::fleet::FleetReport;
 use crate::results::Table;
@@ -69,6 +74,120 @@ pub fn figure11a() -> Table {
     table
 }
 
+/// The paper's price of one coordination-service access (§4.5): a
+/// `getMetadata` costs 11.32 µ$, the outbound traffic the replication
+/// protocol sends for a ~1 KB tuple included.
+pub const COORDINATION_ACCESS: MicroDollars = MicroDollars::new(11.32);
+
+/// What `deployment`'s clouds have charged so far for requests and traffic.
+fn charged(deployment: &Deployment) -> MicroDollars {
+    let clouds = deployment.clouds.iter();
+    clouds.map(|c| c.ledger().grand_total()).sum()
+}
+
+/// What the bytes `deployment`'s clouds store now rent for over `days`,
+/// each cloud at its own price.
+fn rent(deployment: &Deployment, days: f64) -> MicroDollars {
+    let clouds = deployment.clouds.iter();
+    clouds
+        .map(|c| c.profile().prices.storage_cost(c.stored_bytes(), days))
+        .sum()
+}
+
+/// What one file operation spent, by the layer that spent it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OpCost {
+    /// Cloud PUT requests, summed over the clouds.
+    pub puts: u64,
+    /// Cloud GET requests, summed over the clouds.
+    pub gets: u64,
+    /// Bytes the clouds sent out: the traffic a read pays for.
+    pub egress: Bytes,
+    /// Coordination-service accesses.
+    pub accesses: u64,
+    /// The clouds' request and traffic charges, plus `accesses` at
+    /// [`COORDINATION_ACCESS`].
+    pub cost: MicroDollars,
+}
+
+/// Runs `op` on `deployment` and returns what it spent. Resets the clouds'
+/// ledgers and request counters first.
+fn spent_on(deployment: &Deployment, op: impl FnOnce()) -> OpCost {
+    for cloud in &deployment.clouds {
+        cloud.ledger().reset();
+        cloud.metrics().reset();
+    }
+    let before = deployment.coordinator().access_count();
+    op();
+    let accesses = deployment.coordinator().access_count() - before;
+    let metrics = deployment.clouds.iter().map(|c| c.metrics().snapshot());
+    let (puts, gets, egress) = metrics.fold((0, 0, 0), |(puts, gets, egress), m| {
+        (puts + m.puts, gets + m.gets, egress + m.bytes_out)
+    });
+    OpCost {
+        puts,
+        gets,
+        egress: Bytes::new(egress),
+        accesses,
+        cost: charged(deployment) + COORDINATION_ACCESS * accesses as f64,
+    }
+}
+
+/// Figure 11's measurements of one file on one backend.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FileCosts {
+    /// A blocking write of the whole file: open, write, close.
+    pub write: OpCost,
+    /// A whole-file read by another process of the deployment, caches cold.
+    pub cold_read: OpCost,
+    /// The same reader reading the file again once its metadata cache
+    /// expired: the chunks come from its local cache.
+    pub cached_read: OpCost,
+    /// What the clouds charge per day to store the written version.
+    pub storage_per_day: MicroDollars,
+}
+
+/// Measures one file of `size` incompressible bytes on the paper's
+/// `backend` deployment: a blocking write by one mount, then, once its clock
+/// is past the writer's close, a cold read by a mount on
+/// [`Deployment::second_instance`] (whose DepSky client has not cached the
+/// records the writer wrote), then a cached re-read by that reader after its
+/// metadata cache expired.
+pub fn file_costs(backend: Backend, size: Bytes, seed: u64) -> FileCosts {
+    const PATH: &str = "/file";
+    let deployment = Deployment::paper(backend, seed);
+    let config = ScfsConfig::paper_default(Mode::Blocking);
+    let data = DetRng::new(seed).bytes(size.get() as usize);
+
+    let mut writer = deployment.mount("alice", config.clone(), 1);
+    let write = spent_on(&deployment, || {
+        writer
+            .write_file(PATH, &data)
+            .expect("a write succeeds on fault-free clouds");
+    });
+    let storage_per_day = rent(&deployment, 1.0);
+
+    let mut reader = deployment
+        .second_instance()
+        .mount("alice", config.clone(), 2);
+    reader.sleep(writer.now().duration_since(reader.now()));
+    let read = |reader: &mut ScfsAgent| {
+        let back = reader
+            .read_file(PATH)
+            .expect("a read succeeds on fault-free clouds");
+        assert!(back == data, "the reader reads what the writer wrote");
+    };
+    let cold_read = spent_on(&deployment, || read(&mut reader));
+    reader.sleep(config.metadata_cache_expiry + SimDuration::from_millis(1));
+    let cached_read = spent_on(&deployment, || read(&mut reader));
+    FileCosts {
+        write,
+        cold_read,
+        cached_read,
+        storage_per_day,
+    }
+}
+
 /// The file sizes swept by Figures 11(b) and 11(c).
 pub fn figure11_sizes() -> Vec<Bytes> {
     vec![
@@ -82,38 +201,46 @@ pub fn figure11_sizes() -> Vec<Bytes> {
     ]
 }
 
-/// Figure 11(b): cost per read/write operation vs. file size (micro-dollars).
-pub fn figure11b() -> Table {
-    let aws = CostModel::new(CostBackend::Aws);
-    let coc = CostModel::new(CostBackend::CloudOfClouds);
+/// Figure 11(b): cost per read/write operation vs. file size (micro-dollars),
+/// and the requests each operation made, measured by [`file_costs`]. The
+/// cached read is the AWS reader's; the CoC reader's costs the same.
+pub fn figure11b(seed: u64) -> Table {
+    let columns = [
+        "CoC read",
+        "AWS read",
+        "CoC write",
+        "AWS write",
+        "cached read",
+    ];
+    let mut headers = vec!["file size".to_string()];
+    headers.extend(columns.map(String::from));
+    headers.extend(columns.map(|op| format!("{op} reqs")));
     let mut table = Table::new(
-        "Figure 11(b): cost per operation (micro-dollars)",
-        vec![
-            "file size".into(),
-            "CoC read".into(),
-            "AWS read".into(),
-            "CoC write".into(),
-            "AWS write".into(),
-            "cached read".into(),
-        ],
+        "Figure 11(b): cost per operation (micro-dollars; a reqs cell is cloud PUTs/GETs/egress/coordination accesses)",
+        headers,
     );
     for size in figure11_sizes() {
-        table.push_row(vec![
-            format!("{size}"),
-            format!("{:.1}", coc.read_cost(size).get()),
-            format!("{:.1}", aws.read_cost(size).get()),
-            format!("{:.1}", coc.write_cost(size).get()),
-            format!("{:.1}", aws.write_cost(size).get()),
-            format!("{:.2}", aws.cached_read_cost().get()),
-        ]);
+        let coc = file_costs(Backend::CloudOfClouds, size, seed);
+        let aws = file_costs(Backend::Aws, size, seed);
+        let ops = [
+            coc.cold_read,
+            aws.cold_read,
+            coc.write,
+            aws.write,
+            aws.cached_read,
+        ];
+        let mut row = vec![size.to_string()];
+        row.extend(ops[..4].iter().map(|op| format!("{:.1}", op.cost.get())));
+        row.push(format!("{:.2}", ops[4].cost.get()));
+        row.extend(ops.map(|op| format!("{}/{}/{}/{}", op.puts, op.gets, op.egress, op.accesses)));
+        table.push_row(row);
     }
     table
 }
 
-/// Figure 11(c): storage cost per file version per day (micro-dollars).
-pub fn figure11c() -> Table {
-    let aws = CostModel::new(CostBackend::Aws);
-    let coc = CostModel::new(CostBackend::CloudOfClouds);
+/// Figure 11(c): storage cost per file version per day (micro-dollars),
+/// measured as what each cloud stores after the write of [`file_costs`].
+pub fn figure11c(seed: u64) -> Table {
     let mut table = Table::new(
         "Figure 11(c): storage cost per file version per day (micro-dollars)",
         vec![
@@ -124,13 +251,15 @@ pub fn figure11c() -> Table {
         ],
     );
     for size in figure11_sizes() {
-        let a = aws.storage_cost_per_day(size).get();
-        let c = coc.storage_cost_per_day(size).get();
+        let coc = file_costs(Backend::CloudOfClouds, size, seed)
+            .storage_per_day
+            .get();
+        let aws = file_costs(Backend::Aws, size, seed).storage_per_day.get();
         table.push_row(vec![
-            format!("{size}"),
-            format!("{c:.1}"),
-            format!("{a:.1}"),
-            format!("{:.2}", c / a),
+            size.to_string(),
+            format!("{coc:.1}"),
+            format!("{aws:.1}"),
+            format!("{:.2}", coc / aws),
         ]);
     }
     table
@@ -180,26 +309,16 @@ pub fn matrix_deployment(sweep: MatrixSweep, policy: PolicyKind, seed: u64) -> D
 /// divided by the mounts.
 pub fn dollars_per_user_month(deployment: &Deployment, report: &FleetReport) -> f64 {
     let month_factor = 30.0 * 86_400.0 / report.makespan.as_secs_f64().max(1.0);
-    let ops: f64 = deployment
-        .clouds
-        .iter()
-        .map(|c| c.ledger().grand_total().as_dollars())
-        .sum();
-    let rent: f64 = deployment
-        .clouds
-        .iter()
-        .map(|c| {
-            c.profile()
-                .prices
-                .storage_cost(c.stored_bytes(), 30.0)
-                .as_dollars()
-        })
-        .sum();
-    (ops * month_factor + rent) / report.mounts as f64
+    let month = charged(deployment) * month_factor + rent(deployment, 30.0);
+    month.as_dollars() / report.mounts as f64
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
+    use cloud_store::pricing::PriceBook;
+
     use super::*;
 
     #[test]
@@ -211,19 +330,95 @@ mod tests {
         assert_eq!(t.cell("Extra Large", "capacity (files)"), Some("15M"));
     }
 
+    /// Any seed: on fault-free clouds no count or price depends on it.
+    const SEED: u64 = 7;
+
+    /// A 30 MiB file on `backend`, measured once for every test that reads
+    /// it.
+    fn thirty_mib(backend: Backend) -> FileCosts {
+        static COC: OnceLock<FileCosts> = OnceLock::new();
+        static AWS: OnceLock<FileCosts> = OnceLock::new();
+        let measured = match backend {
+            Backend::CloudOfClouds => &COC,
+            Backend::Aws => &AWS,
+        };
+        *measured.get_or_init(|| file_costs(backend, Bytes::mib(30), SEED))
+    }
+
     #[test]
     fn figure11b_read_costs_dominate_write_costs_for_large_files() {
-        let t = figure11b();
-        let read: f64 = t.cell("30.00MiB", "CoC read").unwrap().parse().unwrap();
-        let write: f64 = t.cell("30.00MiB", "CoC write").unwrap().parse().unwrap();
-        assert!(read > write * 10.0);
+        let coc = thirty_mib(Backend::CloudOfClouds);
+        let (read, write) = (coc.cold_read.cost.get(), coc.write.cost.get());
+        assert!(read > write * 10.0, "read {read} µ$, write {write} µ$");
     }
 
     #[test]
     fn figure11c_coc_premium_is_about_fifty_percent() {
-        let t = figure11c();
-        let ratio: f64 = t.cell("20.00MiB", "CoC/AWS").unwrap().parse().unwrap();
-        assert!((1.3..1.7).contains(&ratio));
+        let per_day = |backend| file_costs(backend, Bytes::mib(20), SEED).storage_per_day;
+        let ratio = per_day(Backend::CloudOfClouds).get() / per_day(Backend::Aws).get();
+        assert!((1.3..1.7).contains(&ratio), "CoC/AWS storage {ratio}");
+    }
+
+    /// The paper's price of a cold AWS read, which the measurement keeps:
+    /// one coordination access, one GET per object (30 chunks and the
+    /// manifest object) and the file's bytes at S3's egress price.
+    #[test]
+    fn figure11b_an_aws_cold_read_costs_what_the_paper_prices() {
+        let s3 = PriceBook::amazon_s3();
+        let size = Bytes::mib(30);
+        let paper = COORDINATION_ACCESS + s3.get_op_cost() * 31.0 + s3.download_cost(size);
+        let read = thirty_mib(Backend::Aws).cold_read;
+        assert_eq!((read.gets, read.accesses), (31, 1));
+        let error = (read.cost.get() - paper.get()).abs() / paper.get();
+        assert!(error < 0.01, "measured {}, paper {paper}", read.cost);
+    }
+
+    /// A cold CoC read races `f + 1` = 2 block holders per chunk, and reads
+    /// the manifest object's four records and two blocks: the second
+    /// instance has not cached the records the writer wrote.
+    #[test]
+    fn figure11b_a_cold_coc_read_is_two_gets_per_chunk_and_the_manifest() {
+        let read = thirty_mib(Backend::CloudOfClouds).cold_read;
+        assert_eq!(
+            (read.puts, read.gets, read.accesses),
+            (0, 30 * 2 + 4 + 2, 1)
+        );
+    }
+
+    #[test]
+    fn figure11b_a_cached_read_is_one_access_and_no_get() {
+        for backend in [Backend::Aws, Backend::CloudOfClouds] {
+            let cached = file_costs(backend, Bytes::mib(1), SEED).cached_read;
+            assert_eq!(
+                (cached.puts, cached.gets, cached.accesses),
+                (0, 0, 1),
+                "{backend:?}"
+            );
+            assert_eq!(cached.cost, COORDINATION_ACCESS, "{backend:?}");
+        }
+    }
+
+    #[test]
+    fn figure11_rows_repeat_per_seed() {
+        for backend in [Backend::Aws, Backend::CloudOfClouds] {
+            let measure = || file_costs(backend, Bytes::mib(1), SEED);
+            assert_eq!(measure(), measure(), "{backend:?}");
+        }
+    }
+
+    /// Where the measured system departs from the paper's flat write: this
+    /// one chunks files at 1 MiB and stores each chunk as an object (three
+    /// blocks on the cloud-of-clouds), plus a manifest object once the file
+    /// is over 12 chunks (three blocks and four DepSky records), and a
+    /// write makes five coordination accesses.
+    #[test]
+    fn figure11b_a_write_costs_one_put_per_chunk() {
+        for (backend, one, thirty) in [(Backend::Aws, 1, 31), (Backend::CloudOfClouds, 3, 97)] {
+            let small = file_costs(backend, Bytes::mib(1), SEED).write;
+            let large = thirty_mib(backend).write;
+            assert_eq!((small.puts, large.puts), (one, thirty), "{backend:?}");
+            assert_eq!((small.accesses, large.accesses), (5, 5), "{backend:?}");
+        }
     }
 
     #[test]

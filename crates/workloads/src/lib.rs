@@ -19,9 +19,11 @@
 //!   [`setup::Deployment`] it is handed.
 //! * [`sweeps`] — the metadata-cache and private-name-space parameter sweeps
 //!   of Figure 10.
-//! * [`costs`] — the operation and storage cost analyses of Figure 11, the
-//!   durability table (Table 1), and dollars per user-month of a fleet over
-//!   the provider matrix.
+//! * [`costs`] — the operation and storage costs of Figure 11, measured
+//!   from the cloud ledgers and coordination accesses of a write, a cold
+//!   read and a cached read on the paper's deployments; the durability table
+//!   (Table 1); and dollars per user-month of a fleet over the provider
+//!   matrix.
 
 pub mod costs;
 pub mod editsync;

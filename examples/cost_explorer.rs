@@ -1,6 +1,7 @@
-//! Explore the SCFS cost model: what the coordination service costs per day,
-//! what a read/write costs per operation, and what storing a file costs per
-//! day — the analyses behind Figure 11 of the paper — plus a fleet-scale
+//! Explore what SCFS costs: what the coordination service costs per day,
+//! and what a read/write costs per operation and storing a file per day,
+//! measured from the simulated clouds' ledgers on the paper's deployments —
+//! the analyses behind Figure 11 of the paper — plus a fleet-scale
 //! placement comparison: what a user-month costs under each placement
 //! policy over the heterogeneous provider matrix, healthy and degraded.
 //!
@@ -10,13 +11,16 @@ use scfs_repro::cloud_store::pricing::VmInstanceSize;
 use scfs_repro::coord::deployment::CoordDeployment;
 use scfs_repro::placement::PolicyKind;
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
-use scfs_repro::scfs::cost::{CostBackend, CostModel};
 use scfs_repro::sim_core::time::SimDuration;
 use scfs_repro::sim_core::units::{Bytes, MicroDollars};
 use scfs_repro::workloads::costs::{
-    dollars_per_user_month, figure11a, figure11b, figure11c, matrix_deployment, MatrixSweep,
+    dollars_per_user_month, figure11a, figure11b, figure11c, file_costs, matrix_deployment,
+    MatrixSweep,
 };
 use scfs_repro::workloads::fleet::{run_fleet, FleetConfig};
+use scfs_repro::workloads::setup::Backend;
+
+const SEED: u64 = 20140614;
 
 /// Runs a small zipfian fleet over the matrix in `sweep`'s condition with
 /// one placement policy and returns what a user-month of it costs.
@@ -36,8 +40,8 @@ fn fleet_dollars_per_user_month(sweep: MatrixSweep, policy: PolicyKind) -> f64 {
 
 fn main() {
     println!("{}", figure11a().render());
-    println!("{}", figure11b().render());
-    println!("{}", figure11c().render());
+    println!("{}", figure11b(SEED).render());
+    println!("{}", figure11c(SEED).render());
 
     // How many users does it take to fund the CoC coordination service at
     // one dollar per month each?
@@ -49,18 +53,18 @@ fn main() {
     );
 
     // A typical personal workload: 2 000 files of 1 MiB, re-read 10% of them
-    // per day without local caches, re-written 5% per day.
-    let coc_model = CostModel::new(CostBackend::CloudOfClouds);
-    let aws_model = CostModel::new(CostBackend::Aws);
+    // per day without local caches, re-written 5% per day, priced from the
+    // measured 1 MiB row of Figure 11.
     let files = 2_000.0;
-    let size = Bytes::mib(1);
-    for (label, model) in [("AWS", &aws_model), ("CoC", &coc_model)] {
-        let storage = model.storage_cost_per_day(size) * files;
-        let reads = model.read_cost(size) * (files * 0.10);
-        let writes = model.write_cost(size) * (files * 0.05);
+    for backend in [Backend::Aws, Backend::CloudOfClouds] {
+        let costs = file_costs(backend, Bytes::mib(1), SEED);
+        let storage = costs.storage_per_day * files;
+        let reads = costs.cold_read.cost * (files * 0.10);
+        let writes = costs.write.cost * (files * 0.05);
         let daily = storage + reads + writes;
         println!(
-            "{label}: storage {:.0}µ$ + reads {:.0}µ$ + writes {:.0}µ$  =>  ${:.4}/day",
+            "{}: storage {:.0}µ$ + reads {:.0}µ$ + writes {:.0}µ$  =>  ${:.4}/day",
+            backend.label(),
             storage.get(),
             reads.get(),
             writes.get(),
