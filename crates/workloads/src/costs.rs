@@ -359,6 +359,22 @@ mod tests {
         assert!((1.3..1.7).contains(&ratio), "CoC/AWS storage {ratio}");
     }
 
+    /// The premium holds at both ends of the sweep: each chunk is stored
+    /// as three half-size blocks, whatever the file's size.
+    #[test]
+    fn coc_storage_is_about_1_5x_aws_storage() {
+        let ratio =
+            |coc: FileCosts, aws: FileCosts| coc.storage_per_day.get() / aws.storage_per_day.get();
+        let small = |backend| file_costs(backend, Bytes::mib(1), SEED);
+        let ratios = [
+            ratio(small(Backend::CloudOfClouds), small(Backend::Aws)),
+            ratio(thirty_mib(Backend::CloudOfClouds), thirty_mib(Backend::Aws)),
+        ];
+        for ratio in ratios {
+            assert!((1.3..1.7).contains(&ratio), "CoC/AWS storage {ratios:?}");
+        }
+    }
+
     /// The paper's price of a cold AWS read, which the measurement keeps:
     /// one coordination access, one GET per object (30 chunks and the
     /// manifest object) and the file's bytes at S3's egress price.
