@@ -22,17 +22,17 @@
 //! client's whole surface is four calls on a blob `(base, hash)`:
 //! [`DepSkyClient::write_blob`], [`DepSkyClient::read_blob`] (the paper's
 //! read-by-hash: the hash is in the unit's name), [`DepSkyClient::delete_blob`]
-//! and [`DepSkyClient::set_blob_acl`] — plus the bare twins of the first
-//! three for a blob whose hash the caller keeps where readers find it (an
-//! SCFS chunk, named by its anchored manifest): such a blob is its blocks
-//! alone, with no metadata record. The mutable-unit register, DepSky-A
-//! (plain replication) and writes to all `n` clouds are not implemented.
+//! and [`DepSkyClient::set_blob_acl`]. A blob is its blocks alone: the paper's
+//! per-unit metadata record is not stored, because the anchored hash names the
+//! unit, the pool's fixed layout names its holders, and each block carries
+//! its slot, key share, nonce and plaintext length. The mutable-unit
+//! register, DepSky-A (plain replication) and writes to all `n` clouds are not
+//! implemented.
 //!
 //! Modules:
 //!
-//! * [`wire`] — a tiny length-prefixed binary codec for metadata objects.
-//! * [`metadata`] — the per-data-unit metadata object stored in every cloud
-//!   (for a unit with a record).
+//! * [`wire`] — a tiny length-prefixed binary codec: the block format (SCFS
+//!   reuses it for its metadata tuples).
 //! * [`config`] — the number of tolerated faulty clouds and the quorum
 //!   sizes that follow from it.
 //! * [`register`] — the [`DepSkyClient`] blob store, and how a blob's unit
@@ -45,10 +45,8 @@
 )]
 
 pub mod config;
-pub mod metadata;
 pub mod register;
 pub mod wire;
 
 pub use config::DepSkyConfig;
-pub use metadata::{DataUnitMetadata, VersionInfo};
 pub use register::DepSkyClient;

@@ -1,10 +1,11 @@
 //! A tiny length-prefixed binary codec.
 //!
-//! DepSky stores a metadata object per data unit in every cloud; the object
-//! must be serialized into bytes before it can be PUT. To avoid pulling in a
-//! serialization framework for what is a handful of fixed fields, this module
-//! provides a minimal writer/reader pair with explicit little-endian
-//! encodings. The SCFS crate reuses it for private-name-space objects.
+//! DepSky stores each blob as blocks that carry, beside the erasure-coded
+//! shard, what a reader needs to decode it (slot, key share, nonce,
+//! plaintext length); a block must be serialized into bytes before it can be
+//! PUT. To avoid pulling in a serialization framework for a handful of fixed
+//! fields, this module provides a minimal writer/reader pair with explicit
+//! little-endian encodings. The SCFS crate reuses it for its metadata tuples.
 
 /// Encoder that appends primitive values to a byte buffer.
 #[derive(Debug, Default, Clone)]
@@ -21,12 +22,6 @@ impl Writer {
     /// Appends a `u8`.
     pub fn put_u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);
-        self
-    }
-
-    /// Appends a `u32` (little endian).
-    pub fn put_u32(&mut self, v: u32) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
@@ -120,12 +115,6 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, DecodeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
     /// Reads a `u64`.
     pub fn get_u64(&mut self) -> Result<u64, DecodeError> {
         let b = self.take(8)?;
@@ -216,14 +205,12 @@ mod tests {
     fn round_trip_primitives() {
         let mut w = Writer::new();
         w.put_u8(7)
-            .put_u32(42)
             .put_u64(1 << 40)
             .put_str("hello")
             .put_bytes(&[1, 2, 3]);
         let buf = w.finish();
         let mut r = Reader::new(&buf);
         assert_eq!(r.get_u8().unwrap(), 7);
-        assert_eq!(r.get_u32().unwrap(), 42);
         assert_eq!(r.get_u64().unwrap(), 1 << 40);
         assert_eq!(r.get_str().unwrap(), "hello");
         assert_eq!(r.get_bytes().unwrap(), vec![1, 2, 3]);
@@ -276,8 +263,8 @@ mod tests {
     fn writer_len_tracking() {
         let mut w = Writer::new();
         assert!(w.is_empty());
-        w.put_u32(1);
-        assert_eq!(w.len(), 4);
+        w.put_u64(1);
+        assert_eq!(w.len(), 8);
     }
 
     proptest! {

@@ -1,13 +1,15 @@
 //! Placement policies: pure, deterministic rankings of cloud indices.
 //!
-//! A policy answers two questions for the DepSky client: *where do the data
-//! blocks of this write go* ([`PlacementPolicy::write_targets`]) and *in what
-//! order should a read try the clouds holding a version*
-//! ([`PlacementPolicy::read_order`]). Policies never touch a cloud — they
-//! rank indices using only the [`ProviderMatrix`]'s predicted latencies,
-//! error rates and price books — so the same matrix state always yields the
-//! same placement, and the properties the policies promise (feasibility,
-//! cost-minimality, escalation order) are checkable without any I/O.
+//! A policy answers two questions for the DepSky client: *which clouds hold
+//! the data blocks* ([`PlacementPolicy::write_targets`], asked once per pool
+//! over the advertised profiles, so the layout cannot vary with health or
+//! blob size) and *in what order should a read try those holders*
+//! ([`PlacementPolicy::read_order`], asked per read over live health).
+//! Policies never touch a cloud — they rank indices using only the
+//! [`ProviderMatrix`]'s predicted latencies, error rates and price books — so
+//! the same matrix state always yields the same placement, and the
+//! properties the policies promise (feasibility, cost-minimality, escalation
+//! order) are checkable without any I/O.
 
 use std::sync::Arc;
 
@@ -25,8 +27,8 @@ pub trait PlacementPolicy: Send + Sync {
     /// Short stable name, used in reports and bench rows.
     fn name(&self) -> &'static str;
 
-    /// Chooses the `width` clouds that will hold the data blocks of one
-    /// write, of which the writer waits for `write_wait` acknowledgements.
+    /// Chooses the `width` clouds that hold the data blocks of every write,
+    /// of which a writer waits for `write_wait` acknowledgements.
     /// `block` is the size of each encoded block. The returned vector has
     /// exactly `width` distinct in-range indices; position `i` holds block
     /// slot `i`.
@@ -38,10 +40,10 @@ pub trait PlacementPolicy: Send + Sync {
         block: Bytes,
     ) -> Vec<usize>;
 
-    /// Orders the clouds currently `holders` of a version for a read that
-    /// needs `needed` valid blocks. The client races the first `needed`
-    /// entries; the rest form the escalation tail. The returned vector is a
-    /// permutation of `holders`.
+    /// Orders the `holders` of a blob for a read that needs `needed` valid
+    /// blocks. The client races the first `needed` entries; the rest form
+    /// the escalation tail. The returned vector is a permutation of
+    /// `holders`.
     fn read_order(
         &self,
         matrix: &ProviderMatrix,
@@ -49,14 +51,6 @@ pub trait PlacementPolicy: Send + Sync {
         needed: usize,
         block: Bytes,
     ) -> Vec<usize>;
-
-    /// The holders of every write of `width` blocks, slot `i` on the `i`-th
-    /// entry, when they follow from the matrix's size and `width` alone —
-    /// so a reader needs no record of where a write put its blocks. `None`
-    /// (the default) for a policy that chooses holders per write.
-    fn implied_holders(&self, _matrix: &ProviderMatrix, _width: usize) -> Option<Vec<usize>> {
-        None
-    }
 }
 
 /// The paper's fixed placement: the first `width` clouds of the pool hold
@@ -80,10 +74,6 @@ impl PlacementPolicy for AllClouds {
         _block: Bytes,
     ) -> Vec<usize> {
         (0..width.min(matrix.len())).collect()
-    }
-
-    fn implied_holders(&self, matrix: &ProviderMatrix, width: usize) -> Option<Vec<usize>> {
-        Some((0..width.min(matrix.len())).collect())
     }
 
     fn read_order(
@@ -359,21 +349,6 @@ mod tests {
         let p = AllClouds;
         assert_eq!(p.write_targets(&m, 3, 2, BLOCK), vec![0, 1, 2]);
         assert_eq!(p.read_order(&m, &[0, 1, 2], 2, BLOCK), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn only_all_clouds_implies_its_holders() {
-        let m = matrix();
-        assert_eq!(AllClouds.implied_holders(&m, 3), Some(vec![0, 1, 2]));
-        assert_eq!(
-            AllClouds.implied_holders(&m, 3),
-            Some(AllClouds.write_targets(&m, 3, 3, BLOCK))
-        );
-        let cheapest = CheapestQuorum {
-            slo_millis: 2_500.0,
-        };
-        assert_eq!(cheapest.implied_holders(&m, 3), None);
-        assert_eq!(FastestRead.implied_holders(&m, 3), None);
     }
 
     #[test]

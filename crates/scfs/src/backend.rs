@@ -1027,39 +1027,24 @@ impl CloudOfCloudsStorage {
     pub fn new(depsky: DepSkyClient) -> Self {
         ChunkedStorage::over(CloudOfClouds(depsky))
     }
-
-    /// The DepSky client under this backend (diagnostics: its record cache).
-    pub fn depsky(&self) -> &DepSkyClient {
-        &self.blobs.0
-    }
 }
 
-/// A chunk is its blocks alone: the anchored manifest that names it is its
-/// record ([`DepSkyClient::write_bare_blob`]). A manifest is a unit with a
-/// record of its own, one per file version as in the paper.
+/// Every blob, chunk or manifest, is its blocks alone: the anchored tuple
+/// names the hash, and the pool's layout names the holders.
 impl BlobStore for CloudOfClouds {
     const LABEL: &'static str = "CoC";
     const DURABILITY: DurabilityLevel = DurabilityLevel::CloudOfClouds;
 
     fn put(&self, ctx: &mut OpCtx<'_>, blob: &BlobName, data: &[u8]) -> Result<(), StorageError> {
-        match blob {
-            BlobName::Chunk(hash) => self.0.write_bare_blob(ctx, blob.base(), hash, data),
-            BlobName::Manifest { root, .. } => self.0.write_blob(ctx, blob.base(), root, data),
-        }
+        self.0.write_blob(ctx, blob.base(), blob.hash(), data)
     }
 
     fn get(&self, ctx: &mut OpCtx<'_>, blob: &BlobName) -> Result<Vec<u8>, StorageError> {
-        match blob {
-            BlobName::Chunk(hash) => self.0.read_bare_blob(ctx, blob.base(), hash),
-            BlobName::Manifest { root, .. } => self.0.read_blob(ctx, blob.base(), root),
-        }
+        self.0.read_blob(ctx, blob.base(), blob.hash())
     }
 
     fn delete(&self, ctx: &mut OpCtx<'_>, blob: &BlobName) -> Result<(), StorageError> {
-        match blob {
-            BlobName::Chunk(hash) => self.0.delete_bare_blob(ctx, blob.base(), hash),
-            BlobName::Manifest { root, .. } => self.0.delete_blob(ctx, blob.base(), root),
-        }
+        self.0.delete_blob(ctx, blob.base(), blob.hash())
     }
 
     fn set_acl(&self, ctx: &mut OpCtx<'_>, blob: &BlobName, acl: &Acl) -> Result<(), StorageError> {

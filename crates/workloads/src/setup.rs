@@ -121,8 +121,9 @@ impl DeploymentSpec {
     }
 
     /// Makes the DepSky client placement-aware ([`Backend::CloudOfClouds`]
-    /// only): `policy` picks `width` clouds per write, waiting for
-    /// `write_wait` block acknowledgements, and orders reads, over a
+    /// only): `policy` picks the pool's `width` holders from the providers'
+    /// advertised profiles, every write waits for `write_wait` block
+    /// acknowledgements, and reads are ordered over a shared
     /// [`ProviderMatrix`] of the provider list.
     pub fn placement(mut self, policy: PolicyKind, width: usize, write_wait: usize) -> Self {
         self.placement = Some((policy, width, write_wait));
@@ -356,15 +357,6 @@ impl Deployment {
         }
     }
 
-    /// The units whose DepSky record the backend's client caches
-    /// ([`DepSkyClient::cached_units`]); none on the single cloud.
-    pub fn cached_record_units(&self) -> Vec<String> {
-        match &self.storage {
-            Storage::Single(_) => Vec::new(),
-            Storage::Coc(storage) => storage.depsky().cached_units(),
-        }
-    }
-
     /// The orphan-leak check: every key any cloud stores under the SCFS
     /// namespace that is reachable from no live manifest, live chunk
     /// reference or pending release-journal entry of this backend instance.
@@ -488,6 +480,60 @@ mod tests {
         let samples: u64 = (0..matrix.len()).map(|i| matrix.health(i).samples).sum();
         assert!(samples > 0, "writes must feed the provider health EWMAs");
         assert!(deployment.orphans().is_empty());
+    }
+
+    #[test]
+    fn one_layout_per_pool_whatever_the_health() {
+        // Each write waits for all three holders. The fastest holder, which
+        // the shared matrix has seen fail for a minute a request, moves a
+        // live `write_targets` of the health-aware policies, but not the
+        // pool's layout: one blob write is still `width` PUTs, and a cold
+        // read through a second instance `f + 1` GETs.
+        use sim_core::time::SimDuration;
+        use sim_core::units::Bytes;
+        let kinds = [
+            PolicyKind::AllClouds,
+            PolicyKind::CheapestQuorum { slo_millis: 2_500 },
+            PolicyKind::FastestRead,
+        ];
+        for kind in kinds {
+            let deployment = Deployment::on(Backend::CloudOfClouds)
+                .providers(Providers::Explicit(ProviderSet::heterogeneous_matrix()))
+                .placement(kind, 3, 3)
+                .build(5);
+            let matrix = &deployment.placement.as_ref().expect("placed").matrix;
+            let (policy, label) = (kind.build(), kind.label());
+            let layout = policy.write_targets(matrix, 3, 3, Bytes::ZERO);
+            let advertised = |c: &&usize| matrix.predicted_op_millis(**c, Bytes::ZERO, Bytes::ZERO);
+            let fastest = layout
+                .iter()
+                .min_by(|a, b| advertised(a).total_cmp(&advertised(b)));
+            let fastest = *fastest.expect("three holders");
+            for _ in 0..20 {
+                matrix.record(fastest, SimDuration::from_secs(60), false);
+            }
+            let live = policy.write_targets(matrix, 3, 3, Bytes::ZERO);
+            assert_eq!(live == layout, kind == PolicyKind::AllClouds, "{label}");
+
+            let requests = || -> (u64, u64) {
+                let snapshots = deployment.clouds.iter().map(|c| c.metrics().snapshot());
+                snapshots.fold((0, 0), |(p, g), m| (p + m.puts, g + m.gets + m.errors))
+            };
+            let config = ScfsConfig::test(Mode::Blocking);
+            let mut alice = deployment.mount("alice", config.clone(), 1);
+            let data = vec![3u8; 3_000];
+            alice.write_file("/one-chunk", &data).unwrap();
+            assert_eq!(requests(), (3, 0), "{label}: width block PUTs");
+            for (cloud, sim) in deployment.clouds.iter().enumerate() {
+                let holds = !sim.stored_keys("depsky/").is_empty();
+                assert_eq!(holds, layout.contains(&cloud), "{label}: cloud {cloud}");
+            }
+
+            let mut reader = deployment.second_instance().mount("alice", config, 2);
+            reader.sleep(SimDuration::from_secs(3_600));
+            assert_eq!(reader.read_file("/one-chunk").unwrap(), data, "{label}");
+            assert_eq!(requests(), (3, 2), "{label}: f + 1 block GETs");
+        }
     }
 
     #[test]

@@ -523,28 +523,15 @@ fn failed_one_put_close_journals_no_manifest_intent_coc() {
     );
 }
 
-/// No block of the wave lands: the manifest lands its DepSky metadata
-/// record alone, and a chunk, which has no record, lands nothing.
+/// Every blob of the wave lands in part: slot 1's PUT fails, so each chunk
+/// and the manifest land two blocks of three and the close fails its write
+/// quorum. Nothing but a blob's address and the pool's layout says where the
+/// landed blocks are, and the journal's deletes find them there.
 #[test]
-fn depsky_blobs_with_records_but_no_blocks_are_reclaimed() {
+fn depsky_blobs_whose_blocks_land_in_part_are_reclaimed() {
     assert_failed_commit_is_reclaimed(
         FaultEnv::new(Backend::CloudOfClouds),
-        "/block",
-        OVER_BOUND,
-        true,
-    );
-}
-
-/// The reverse: blocks without a record. The chunks land their blocks (a
-/// chunk never has a record) and the manifest its blocks but no record.
-/// Nothing but a blob's address says where they are: a chunk's delete always
-/// derives its keys, and the manifest's takes `delete_blob`'s no-record
-/// branch, which this test keeps covering.
-#[test]
-fn depsky_blobs_with_blocks_but_no_records_are_reclaimed() {
-    assert_failed_commit_is_reclaimed(
-        FaultEnv::new(Backend::CloudOfClouds),
-        "/metadata",
+        "/v1/block1",
         OVER_BOUND,
         true,
     );

@@ -2,24 +2,24 @@
 //! `f = 1` faulty storage providers and one faulty coordination replica,
 //! which is the availability/integrity argument of the paper (§3.2).
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
 use scfs_repro::cloud_store::error::StorageError;
 use scfs_repro::cloud_store::providers::{ProviderProfile, ProviderSet};
 use scfs_repro::cloud_store::sim_cloud::SimulatedCloud;
 use scfs_repro::cloud_store::store::{ObjectStore, OpCtx};
 use scfs_repro::cloud_store::types::{Acl, ObjectMeta};
-use scfs_repro::depsky::config::DepSkyConfig;
-use scfs_repro::depsky::metadata::DataUnitMetadata;
-use scfs_repro::depsky::register::DepSkyClient;
+use scfs_repro::depsky::wire::{Reader, Writer};
 use scfs_repro::scfs::agent::ScfsAgent;
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::error::ScfsError;
 use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::scfs::types::CutRule;
-use scfs_repro::scfs_crypto::sha256;
 use scfs_repro::sim_core::fault::FaultPlan;
 use scfs_repro::sim_core::time::{Clock, SimDuration, SimInstant};
+use scfs_repro::sim_core::units::Bytes;
 use scfs_repro::workloads::setup::{Backend, Deployment, Providers};
 
 /// Four instantaneous clouds under DepSky, beside the paper's four-replica
@@ -55,7 +55,7 @@ fn files_survive_a_storage_cloud_outage_during_writes() {
     let fx = fixture(2);
     // One provider is down from the very beginning; writes must still work
     // because DepSky only waits for a quorum. Cloud 3 is the one cloud that
-    // holds no blocks, only records: an outage of a block holder fails
+    // holds no block and gets no request: an outage of a block holder fails
     // every write (`open_hole_an_outage_of_a_block_holder_fails_every_coc_write`).
     fx.clouds[3].set_fault_plan(
         FaultPlan::outage(SimInstant::EPOCH, SimInstant::from_secs(1 << 20)),
@@ -81,8 +81,8 @@ fn block_holders(fx: &Deployment) -> Vec<usize> {
 
 /// An open hole, pinned as it behaves: the paper's layout writes every block
 /// to its `n − f` = 3 holders and waits for all three, so a single holder
-/// down fails every CoC write; only the cloud holding records alone is
-/// masked (`files_survive_a_storage_cloud_outage_during_writes`). DepSky's
+/// down fails every CoC write; only the cloud holding nothing is masked
+/// (`files_survive_a_storage_cloud_outage_during_writes`). DepSky's
 /// preferred-quorum fallback is the fix: the write puts the missing slot on
 /// the spare cloud, and a reader widens to it. It flips the assertion to a
 /// successful write and read back.
@@ -154,25 +154,52 @@ fn confidentiality_no_single_cloud_holds_readable_file_contents() {
     }
 }
 
-/// How a Byzantine cloud answers a GET of a DepSky record. Records are
-/// unsigned, so it may hand out any bytes that decode.
+/// What a Byzantine holder serves for a block of a manifest object, a
+/// well-formed block either way.
 #[derive(Debug, Clone, Copy)]
 enum Lie {
-    /// The real record plus one more version that carries the requested
-    /// hash and names blocks no cloud holds.
-    Fabricate,
-    /// The record as it was before its newest version was appended.
+    /// The block it stored first under that key: a manifest pruned and then
+    /// written again is a fresh encryption over the same keys.
     Stale,
+    /// The real block with every byte of its key share and shard changed.
+    Fabricate,
 }
 
-/// A cloud that tells `lie` about every record it serves and forwards
-/// everything else.
-struct LyingRecords {
+/// A cloud that, once `lying`, tells `lie` about every manifest block it
+/// serves and forwards everything else.
+struct LyingHolder {
     inner: Arc<SimulatedCloud>,
     lie: Lie,
+    lying: AtomicBool,
+    first: Mutex<BTreeMap<String, Vec<u8>>>,
 }
 
-impl ObjectStore for LyingRecords {
+/// A manifest's block key: a DepSky block of an object's blob, not a chunk's.
+fn is_manifest_block(key: &str) -> bool {
+    !key.starts_with("depsky/chunks|") && key.contains("/block")
+}
+
+/// `block` with its key share and shard XORed, still decoding as a block of
+/// the same slot, nonce and plaintext length.
+fn fabricated(block: &[u8]) -> Vec<u8> {
+    let mut r = Reader::new(block);
+    let (slot, share_index) = (r.get_u8().unwrap(), r.get_u8().unwrap());
+    let (nonce, size) = (r.get_bytes().unwrap(), r.get_u64().unwrap());
+    let garble = |bytes: Vec<u8>| -> Vec<u8> { bytes.iter().map(|b| b ^ 0x5A).collect() };
+    let (share, shard) = (
+        garble(r.get_bytes().unwrap()),
+        garble(r.get_bytes().unwrap()),
+    );
+    let mut w = Writer::new();
+    w.put_u8(slot)
+        .put_u8(share_index)
+        .put_bytes(&nonce)
+        .put_u64(size);
+    w.put_bytes(&share).put_bytes(&shard);
+    w.finish()
+}
+
+impl ObjectStore for LyingHolder {
     fn id(&self) -> &str {
         self.inner.id()
     }
@@ -182,35 +209,22 @@ impl ObjectStore for LyingRecords {
     }
 
     fn put(&self, ctx: &mut OpCtx<'_>, key: &str, data: &[u8]) -> Result<(), StorageError> {
+        let mut first = self.first.lock().unwrap();
+        first
+            .entry(key.to_string())
+            .or_insert_with(|| data.to_vec());
         self.inner.put(ctx, key, data)
     }
 
     fn get(&self, ctx: &mut OpCtx<'_>, key: &str) -> Result<Vec<u8>, StorageError> {
         let bytes = self.inner.get(ctx, key)?;
-        let record = key.ends_with("/metadata");
-        let Some(mut md) = record
-            .then(|| DataUnitMetadata::decode(&bytes).ok())
-            .flatten()
-        else {
+        if !self.lying.load(Ordering::SeqCst) || !is_manifest_block(key) {
             return Ok(bytes);
-        };
-        match self.lie {
-            Lie::Fabricate => {
-                let mut forged = md
-                    .latest()
-                    .expect("a stored record names a version")
-                    .clone();
-                forged.version += 1;
-                for slot in &mut forged.slots {
-                    slot.hash = sha256(b"no cloud holds this block");
-                }
-                md.push_version(forged);
-            }
-            Lie::Stale => {
-                md.versions.pop();
-            }
         }
-        Ok(md.encode())
+        Ok(match self.lie {
+            Lie::Stale => self.first.lock().unwrap()[key].clone(),
+            Lie::Fabricate => fabricated(&bytes),
+        })
     }
 
     fn head(&self, ctx: &mut OpCtx<'_>, key: &str) -> Result<ObjectMeta, StorageError> {
@@ -241,73 +255,65 @@ fn gets(sims: &[Arc<SimulatedCloud>]) -> u64 {
 }
 
 #[test]
-fn a_lying_record_does_not_defeat_a_cold_read() {
-    // One cloud of four lies about the record of a unit written twice, so
-    // the honest record names two versions. A cold client tries the record
-    // the most clouds returned first: one record round and one block round
-    // of `f + 1` GETs, as with no liar.
-    for lie in [Lie::Fabricate, Lie::Stale] {
-        for liar in 0..4 {
-            let sims: Vec<Arc<SimulatedCloud>> = ProviderSet::test_backend(4)
-                .into_iter()
-                .enumerate()
-                .map(|(i, p)| Arc::new(SimulatedCloud::new(p, i as u64)))
-                .collect();
-            let stores = |lying: bool| -> Vec<Arc<dyn ObjectStore>> {
-                let stores = sims.iter().enumerate().map(|(i, sim)| {
-                    if lying && i == liar {
-                        Arc::new(LyingRecords {
-                            inner: sim.clone(),
-                            lie,
-                        }) as Arc<dyn ObjectStore>
-                    } else {
-                        sim.clone() as Arc<dyn ObjectStore>
-                    }
-                });
-                stores.collect()
-            };
-            let client = |lying, seed| {
-                DepSkyClient::new(stores(lying), DepSkyConfig::scfs_default(), seed).unwrap()
-            };
-            let data = vec![0x3Cu8; 5_000];
-            let hash = sha256(&data);
-            let mut clock = Clock::new();
-            let mut ctx = OpCtx::new(&mut clock, "alice".into());
-            let writer = client(false, 1);
-            writer.write_blob(&mut ctx, "f", &hash, &data).unwrap();
-            writer.write_blob(&mut ctx, "f", &hash, &data).unwrap();
-
-            let before = gets(&sims);
-            let read = client(true, 2).read_blob(&mut ctx, "f", &hash);
-            assert_eq!(read, Ok(data), "{lie:?} from cloud {liar}");
-            assert_eq!(gets(&sims) - before, 4 + 2, "{lie:?} from cloud {liar}");
-        }
-    }
-}
-
-#[test]
-fn a_cold_mount_reads_a_manifest_past_a_lying_record() {
-    // Thirteen chunks: the manifest is an object of its own, a DepSky unit
-    // with a record, which the second instance has never seen.
+fn a_cold_mount_reads_a_manifest_past_a_lying_holder() {
+    // Thirteen chunks: the manifest is an object of its own. It is written,
+    // pruned and written again, so its holders have stored two encryptions
+    // of it. The first holder a read races, cloud 0, lies about the
+    // manifest's block to a cold mount through a second backend instance:
+    // the read widens to the third holder for the manifest (three GETs) and
+    // reads each chunk with two.
     const CHUNK: usize = 4096;
-    for lie in [Lie::Fabricate, Lie::Stale] {
+    for lie in [Lie::Stale, Lie::Fabricate] {
+        let mut liar = None;
         let fx = Deployment::on(Backend::CloudOfClouds)
             .providers(Providers::Instantaneous)
             .build_behind(7, |cloud| {
-                if cloud.id() == ProviderSet::test_backend(4)[1].id {
-                    Arc::new(LyingRecords { inner: cloud, lie })
-                } else {
-                    cloud
+                if cloud.id() != ProviderSet::test_backend(4)[0].id {
+                    return cloud;
                 }
+                let lying = Arc::new(LyingHolder {
+                    inner: cloud,
+                    lie,
+                    lying: AtomicBool::new(false),
+                    first: Mutex::new(BTreeMap::new()),
+                });
+                liar = Some(lying.clone());
+                lying
             });
+        let liar = liar.expect("cloud 0 is in the pool");
         let mut config = ScfsConfig::test(Mode::Blocking);
         config.chunking = CutRule::Fixed(CHUNK);
-        let data: Vec<u8> = (0..13 * CHUNK).map(|i| (i / CHUNK * 7 + i) as u8).collect();
+        config.gc.written_bytes_threshold = Bytes::new(1);
+        config.gc.versions_to_keep = 1;
+        let file = |tag: usize| -> Vec<u8> {
+            (0..13 * CHUNK)
+                .map(|i| (i / CHUNK * 7 + i + tag) as u8)
+                .collect()
+        };
+        let (data, other) = (file(0), file(1));
         let mut writer = fx.mount("alice", config.clone(), 1);
-        writer.write_file("/big", &data).unwrap();
+        for version in [&data, &other, &data] {
+            writer.write_file("/big", version).unwrap();
+        }
+        // The liar holds two encryptions of one manifest block: the one it
+        // stored first, and the one under the key now.
+        let rewritten = {
+            let first = liar.first.lock().unwrap();
+            let mut clock = Clock::starting_at(writer.now());
+            let mut ctx = OpCtx::new(&mut clock, "alice".into());
+            let mut now = |key: &str| liar.inner.get(&mut ctx, key).ok();
+            let first = first.iter().filter(|(key, _)| is_manifest_block(key));
+            first
+                .filter(|(key, bytes)| now(key).is_some_and(|now| now != **bytes))
+                .count()
+        };
+        assert_eq!(rewritten, 1, "{lie:?}");
 
         let mut reader = fx.second_instance().mount("alice", config, 2);
         reader.sleep(writer.now().duration_since(reader.now()) + SimDuration::from_secs(1));
+        liar.lying.store(true, Ordering::SeqCst);
+        let before = gets(&fx.clouds);
         assert_eq!(reader.read_file("/big").unwrap(), data, "{lie:?}");
+        assert_eq!(gets(&fx.clouds) - before, 13 * 2 + 3, "{lie:?}");
     }
 }

@@ -15,12 +15,10 @@
 //! * `setfacl` tags the manifest objects that exist and nothing else;
 //! * a tuple whose writer stripped the inline manifest of an at-or-below-bound
 //!   version fails closed on a cold reader;
-//! * on the paper's cloud-of-clouds a chunk is its three blocks and nothing
-//!   else — three PUTs to write, one round of `f + 1` = two GETs to read
-//!   cold, three DELETEs to collect, and no record cached — while a manifest
-//!   object is a DepSky unit with a record: seven PUTs, and the only record
-//!   GETs. GCS, the paper cloud advertising the slowest requests, holds no
-//!   block.
+//! * on the paper's cloud-of-clouds every blob, chunk or manifest object,
+//!   is its three blocks and nothing else — three PUTs to write, one round
+//!   of `f + 1` = two GETs to read cold, three DELETEs to collect. GCS, the
+//!   paper cloud advertising the slowest requests, gets no request.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
@@ -572,7 +570,7 @@ fn keys_of(log: &[(Op, String)], op: Op) -> Vec<&str> {
 }
 
 #[test]
-fn a_coc_chunk_is_its_three_blocks_and_a_manifest_a_unit_with_a_record() {
+fn every_coc_blob_is_its_three_blocks_and_the_slowest_cloud_gets_no_request() {
     // The paper's deployment: WAN clouds, S3, GCS, Rackspace and Azure.
     let env = Env::build(Deployment::on(Backend::CloudOfClouds));
     let shape = Shape::Fixed(13);
@@ -582,47 +580,33 @@ fn a_coc_chunk_is_its_three_blocks_and_a_manifest_a_unit_with_a_record() {
     let mut writer = env.deployment.mount("alice", config.clone(), 1);
     writer.write_file("/f", &data).unwrap();
 
-    // A blocking write: three block PUTs per chunk, and the manifest's three
-    // blocks plus its record on each of the four clouds.
+    // A blocking write: three block PUTs per chunk and for the manifest,
+    // none of them to GCS.
     let logs = env.take_logs();
     let puts: usize = logs.iter().map(|log| keys_of(log, Op::Put).len()).sum();
-    assert_eq!(puts, 13 * 3 + 7);
+    assert_eq!(puts, 13 * 3 + 3);
     let gcs = env.cloud_index("gcs");
-    let to_gcs = keys_of(&logs[gcs], Op::Put);
-    assert_eq!(
-        blobs(&logs[gcs], Op::Put),
-        [manifest_of(&map)],
-        "{to_gcs:?}"
-    );
-    assert!(to_gcs[0].ends_with("/metadata"), "no block reaches GCS");
+    assert_eq!(logs[gcs], Vec::new(), "no request reaches GCS");
 
     // A cold read through a second backend instance: one round of `f + 1`
-    // block GETs per chunk. The only records it reads are the manifest's.
+    // block GETs per blob, the manifest's included.
     let second = env.deployment.second_instance();
     let mut reader = second.mount("alice", config, 2);
     reader.sleep(writer.now().duration_since(reader.now()) + SimDuration::from_secs(60));
     assert_eq!(reader.read_file("/f").unwrap(), data);
-    let log = env.take_log();
+    let logs = env.take_logs();
+    assert_eq!(logs[gcs], Vec::new(), "no request reaches GCS");
+    let log: Vec<(Op, String)> = logs.into_iter().flatten().collect();
     let gets = keys_of(&log, Op::Get);
-    let (records, blocks): (Vec<&str>, Vec<&str>) =
-        gets.into_iter().partition(|key| key.ends_with("/metadata"));
-    let records: Vec<Blob> = records.into_iter().map(blob_of).collect();
-    assert_eq!(records, vec![manifest_of(&map); 4]);
+    assert_eq!(gets.len(), log.len(), "{log:?}");
     let mut per_blob: BTreeMap<Blob, usize> = BTreeMap::new();
-    for key in blocks {
+    for key in gets {
+        assert!(key.contains("/v1/block"), "{key}");
         *per_blob.entry(blob_of(key)).or_default() += 1;
     }
     let mut expected: BTreeMap<Blob, usize> = chunks_of(&map).into_iter().map(|c| (c, 2)).collect();
     expected.insert(manifest_of(&map), 2);
     assert_eq!(per_blob, expected);
-
-    // Neither instance holds the record of a chunk: each caches the one
-    // manifest record it wrote or read.
-    for deployment in [&env.deployment, &second] {
-        let units = deployment.cached_record_units();
-        assert_eq!(units.len(), 1, "{units:?}");
-        assert!(!units[0].starts_with("chunks|"), "{units:?}");
-    }
 }
 
 #[test]
@@ -677,5 +661,4 @@ fn collecting_a_coc_chunk_is_one_delete_per_holder() {
         assert_eq!(blobs(log, Op::Delete), expected, "cloud {cloud}");
         assert_eq!(log.len(), expected.len(), "cloud {cloud}: {log:?}");
     }
-    assert_eq!(env.deployment.cached_record_units(), Vec::<String>::new());
 }
