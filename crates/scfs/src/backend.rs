@@ -43,7 +43,7 @@
 //! everything the version stores in one wave — the first chunk wave and,
 //! from the same instant, a stored manifest (then its ACL tag) — and returns
 //! when all of it has landed; DepSky's [`DepSkyClient::write_blob`] does the
-//! same with a blob's blocks and metadata records. A version that fails
+//! same with a blob's blocks. A version that fails
 //! part-way is invisible, and the provisional release intents journaled
 //! before the wave reclaim whatever it stored.
 //!

@@ -129,15 +129,14 @@ fn sixteen_chunk_close_costs_four_waves_coc() {
 }
 
 /// The single-wave commit: a dirty 1-chunk close is the chunk — its manifest
-/// rides in the metadata tuple — with (on CoC) both DepSky rounds in flight
-/// together, then the anchor update (free on the test coordinator). The
-/// unlock behind it is not on the close's path.
+/// rides in the metadata tuple — with (on CoC) one round of DepSky block
+/// PUTs, then the anchor update (free on the test coordinator). The unlock
+/// behind it is not on the close's path.
 /// The yardstick is independent of the backend layer: one bare PUT of the
 /// same bytes to one of the deployment's clouds. Every cloud answers in the
-/// same constant request latency, and `depsky::register`'s
-/// `write_blob_overlaps_the_rounds…` pins a DepSky blob write at one of them,
-/// so a second sequential blob (a manifest object, ordered DepSky rounds)
-/// doubles `close` and not the yardstick.
+/// same constant request latency, and a DepSky blob write is one round of
+/// them, so a second round ordered after the first (a blob written after
+/// another) would double `close` and not the yardstick.
 fn assert_one_blob_close(backend: Backend) {
     let chunk = vec![0x5A; MIB];
     let mut clock = Clock::new();

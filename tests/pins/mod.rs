@@ -34,10 +34,11 @@ use scfs_repro::workloads::setup::{build_scfs, Backend, Deployment, Plane};
 /// Every golden pin, in the order [`measure_pins`] measures them. The
 /// cloud-of-clouds rows last moved when the paper's layout put its blocks on
 /// the three clouds advertising the fastest requests (Azure, Rackspace, S3;
-/// GCS, the slowest, holds records only) and a cold read raced two holders,
-/// not three: a write no longer waits for a GCS block, and a read downloads
-/// `f + 1` blocks per chunk. In NonSharing mode the foreground now ends
-/// before the last background job lands, so its two rows differ. The AWS
+/// GCS, the slowest, then held records and now nothing) and a cold read
+/// raced two holders, not three: a write no longer waits for a GCS block,
+/// and a read downloads `f + 1` blocks per chunk. In NonSharing mode the
+/// foreground now ends before the last background job lands, so its two
+/// rows differ. The AWS
 /// rows last moved when open handles became sparse (a whole-chunk overwrite
 /// and a truncate read nothing first). The `file_sync` rows last moved when
 /// `unlink` began to take the file's chunks out of the cache: the two lock
