@@ -754,17 +754,40 @@ mod tests {
 
     #[test]
     fn data_survives_one_byzantine_cloud() {
-        // Whichever holder turns Byzantine after the write and corrupts
-        // everything it returns, a fresh client reads the data.
+        let sims = sim_clouds(4);
+        let ds = client(as_stores(&sims));
+        let mut clock = Clock::new();
+        let data = vec![7u8; 4096];
+        let hash = write(&ds, &mut ctx(&mut clock), &data);
+
+        // Cloud 0 turns Byzantine after the write and corrupts everything it
+        // returns; the quorum read must mask it.
+        sims[0].set_fault_plan(FaultPlan::always_byzantine(), 99);
+
+        // A fresh client, which has read nothing yet, must still read the
+        // data.
+        let reader = client(as_stores(&sims));
+        assert_eq!(cold_read(&reader, SimDuration::ZERO, &hash).unwrap(), data);
+    }
+
+    #[test]
+    fn a_bare_blob_survives_one_byzantine_holder() {
+        // Every blob is what was once a bare blob: its blocks and no record.
+        // Whichever holder turns Byzantine after the write, a fresh client
+        // reads the data; a raced holder (0 or 1) costs one widening to the
+        // third, the third costs nothing.
         for holder in 0..3 {
             let sims = sim_clouds(4);
             let mut clock = Clock::new();
             let data = vec![7u8; 4096];
             let hash = write(&client(as_stores(&sims)), &mut ctx(&mut clock), &data);
             sims[holder].set_fault_plan(FaultPlan::always_byzantine(), 99);
+            let before = request_counts(&sims).1;
             let reader = client(as_stores(&sims));
             let read = cold_read(&reader, SimDuration::ZERO, &hash);
             assert_eq!(read, Ok(data), "holder {holder}");
+            let gets = 2 + u64::from(holder < 2);
+            assert_eq!(request_counts(&sims).1 - before, gets, "holder {holder}");
         }
     }
 

@@ -523,12 +523,27 @@ fn failed_one_put_close_journals_no_manifest_intent_coc() {
     );
 }
 
-/// Every blob of the wave lands in part: slot 1's PUT fails, so each chunk
-/// and the manifest land two blocks of three and the close fails its write
-/// quorum. Nothing but a blob's address and the pool's layout says where the
-/// landed blocks are, and the journal's deletes find them there.
+/// Named for when a manifest stored a metadata record beside its blocks and
+/// could land the record alone; no blob has a record now. No block of the
+/// wave lands, so nothing lands at all, and the journal still holds every
+/// intent of the failed version.
 #[test]
-fn depsky_blobs_whose_blocks_land_in_part_are_reclaimed() {
+fn depsky_blobs_with_records_but_no_blocks_are_reclaimed() {
+    assert_failed_commit_is_reclaimed(
+        FaultEnv::new(Backend::CloudOfClouds),
+        "/block",
+        OVER_BOUND,
+        false,
+    );
+}
+
+/// Blocks and no record, as every blob is stored now, landing in part: slot
+/// 1's PUT fails, so each chunk and the manifest land two blocks of three
+/// and the close fails its write quorum. Nothing but a blob's address and
+/// the pool's layout says where the landed blocks are, and the journal's
+/// deletes find them there.
+#[test]
+fn depsky_blobs_with_blocks_but_no_records_are_reclaimed() {
     assert_failed_commit_is_reclaimed(
         FaultEnv::new(Backend::CloudOfClouds),
         "/v1/block1",

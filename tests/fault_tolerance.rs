@@ -11,12 +11,15 @@ use scfs_repro::cloud_store::providers::{ProviderProfile, ProviderSet};
 use scfs_repro::cloud_store::sim_cloud::SimulatedCloud;
 use scfs_repro::cloud_store::store::{ObjectStore, OpCtx};
 use scfs_repro::cloud_store::types::{Acl, ObjectMeta};
+use scfs_repro::depsky::config::DepSkyConfig;
+use scfs_repro::depsky::register::DepSkyClient;
 use scfs_repro::depsky::wire::{Reader, Writer};
 use scfs_repro::scfs::agent::ScfsAgent;
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::error::ScfsError;
 use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::scfs::types::CutRule;
+use scfs_repro::scfs_crypto::sha256;
 use scfs_repro::sim_core::fault::FaultPlan;
 use scfs_repro::sim_core::time::{Clock, SimDuration, SimInstant};
 use scfs_repro::sim_core::units::Bytes;
@@ -154,19 +157,21 @@ fn confidentiality_no_single_cloud_holds_readable_file_contents() {
     }
 }
 
-/// What a Byzantine holder serves for a block of a manifest object, a
-/// well-formed block either way.
+/// What a Byzantine holder serves for a block of a blob other than a chunk,
+/// a well-formed block either way.
 #[derive(Debug, Clone, Copy)]
 enum Lie {
-    /// The block it stored first under that key: a manifest pruned and then
-    /// written again is a fresh encryption over the same keys.
+    /// The block it stored first under that key: a blob written again (a
+    /// manifest pruned and then rewritten) is a fresh encryption over the
+    /// same keys.
     Stale,
     /// The real block with every byte of its key share and shard changed.
     Fabricate,
 }
 
-/// A cloud that, once `lying`, tells `lie` about every manifest block it
-/// serves and forwards everything else.
+/// A cloud that, once `lying`, tells `lie` about every block of a blob other
+/// than a chunk (a manifest, or a bare client's blob) it serves and forwards
+/// everything else.
 struct LyingHolder {
     inner: Arc<SimulatedCloud>,
     lie: Lie,
@@ -174,7 +179,7 @@ struct LyingHolder {
     first: Mutex<BTreeMap<String, Vec<u8>>>,
 }
 
-/// A manifest's block key: a DepSky block of an object's blob, not a chunk's.
+/// A block key of a blob stored under an object's base, not the chunks'.
 fn is_manifest_block(key: &str) -> bool {
     !key.starts_with("depsky/chunks|") && key.contains("/block")
 }
@@ -254,8 +259,72 @@ fn gets(sims: &[Arc<SimulatedCloud>]) -> u64 {
     snapshots.map(|m| m.gets + m.errors).sum()
 }
 
+/// `LyingHolder` over `inner`, not lying yet, with what it was handed.
+fn lying_holder(inner: Arc<SimulatedCloud>, lie: Lie) -> Arc<LyingHolder> {
+    Arc::new(LyingHolder {
+        inner,
+        lie,
+        lying: AtomicBool::new(false),
+        first: Mutex::new(BTreeMap::new()),
+    })
+}
+
 #[test]
-fn a_cold_mount_reads_a_manifest_past_a_lying_holder() {
+fn a_lying_record_does_not_defeat_a_cold_read() {
+    // Named for the metadata record a liar once served; a blob has no record
+    // now, so the liar lies about what a read does fetch, the blob's blocks.
+    // One cloud of four serves, for a blob written twice, its first block
+    // (stale) or a garbled one (fabricated). A cold client races the two
+    // first holders: a liar among them costs one widening to the third, a
+    // liar outside them (the third holder, or the fourth cloud, which holds
+    // nothing) costs nothing.
+    for lie in [Lie::Stale, Lie::Fabricate] {
+        for liar in 0..4 {
+            let sims: Vec<Arc<SimulatedCloud>> = ProviderSet::test_backend(4)
+                .into_iter()
+                .enumerate()
+                .map(|(i, p)| Arc::new(SimulatedCloud::new(p, i as u64)))
+                .collect();
+            let lying = lying_holder(sims[liar].clone(), lie);
+            let stores: Vec<Arc<dyn ObjectStore>> = sims
+                .iter()
+                .enumerate()
+                .map(|(i, sim)| {
+                    if i == liar {
+                        lying.clone() as Arc<dyn ObjectStore>
+                    } else {
+                        sim.clone() as Arc<dyn ObjectStore>
+                    }
+                })
+                .collect();
+            let client =
+                |seed| DepSkyClient::new(stores.clone(), DepSkyConfig::scfs_default(), seed);
+            let data = vec![0x3Cu8; 5_000];
+            let hash = sha256(&data);
+            let mut clock = Clock::new();
+            let mut ctx = OpCtx::new(&mut clock, "alice".into());
+            let writer = client(1).unwrap();
+            writer.write_blob(&mut ctx, "f", &hash, &data).unwrap();
+            writer.write_blob(&mut ctx, "f", &hash, &data).unwrap();
+
+            lying.lying.store(true, Ordering::SeqCst);
+            let before = gets(&sims);
+            let read = client(2).unwrap().read_blob(&mut ctx, "f", &hash);
+            assert_eq!(read, Ok(data), "{lie:?} from cloud {liar}");
+            let widening = u64::from(liar < 2);
+            assert_eq!(
+                gets(&sims) - before,
+                2 + widening,
+                "{lie:?} from cloud {liar}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_cold_mount_reads_a_manifest_past_a_lying_record() {
+    // Named for the manifest's metadata record a liar once served; the
+    // manifest has no record now, so the liar lies about its block.
     // Thirteen chunks: the manifest is an object of its own. It is written,
     // pruned and written again, so its holders have stored two encryptions
     // of it. The first holder a read races, cloud 0, lies about the
@@ -271,12 +340,7 @@ fn a_cold_mount_reads_a_manifest_past_a_lying_holder() {
                 if cloud.id() != ProviderSet::test_backend(4)[0].id {
                     return cloud;
                 }
-                let lying = Arc::new(LyingHolder {
-                    inner: cloud,
-                    lie,
-                    lying: AtomicBool::new(false),
-                    first: Mutex::new(BTreeMap::new()),
-                });
+                let lying = lying_holder(cloud, lie);
                 liar = Some(lying.clone());
                 lying
             });
