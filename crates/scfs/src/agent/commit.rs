@@ -52,7 +52,7 @@ impl<'a> NewVersion<'a> {
     /// The buffer of `file`, laid out by `map`.
     fn buffer(file: &'a OpenFile, map: &'a ChunkMap) -> Self {
         NewVersion::Data {
-            data: &file.buffer,
+            data: file.flat(),
             map,
             prev: file.chunk_map.as_ref(),
         }
@@ -282,7 +282,7 @@ impl ScfsAgent {
         };
         match self.store_and_anchor(metadata.clone(), NewVersion::buffer(file, map)) {
             Err(ScfsError::Storage(StorageError::IntegrityViolation { key })) if refused(&key) => {
-                self.fault_into_buffer(file, &holes)?;
+                self.fault_in(file, &holes)?;
                 self.store_and_anchor(metadata, NewVersion::buffer(file, map))
             }
             stored => stored,
@@ -356,7 +356,7 @@ impl ScfsAgent {
             if file.is_hole(&range) || self.cache.probe_disk(&key, chunk_hash) {
                 continue;
             }
-            let chunk: Arc<[u8]> = Arc::from(&file.buffer[range]);
+            let chunk: Arc<[u8]> = Arc::from(&file.flat()[range]);
             landed = self.cache.put_after(
                 &mut self.clock,
                 landed,
@@ -369,10 +369,11 @@ impl ScfsAgent {
         landed
     }
 
-    /// The chunk map of `file`'s buffer: the newest map the handle has,
-    /// re-cut and re-hashed over the dirty extent only — faulting in the
-    /// holes the cut runs into.
+    /// The chunk map of `file`'s buffer — given to the handle here if it has
+    /// none yet: the newest map the handle has, re-cut and re-hashed over
+    /// the dirty extent only — faulting in the holes the cut runs into.
     pub(super) fn cut_buffer(&mut self, file: &mut OpenFile) -> Result<ChunkMap, ScfsError> {
+        file.materialize();
         let prev = file.staged.clone().or_else(|| file.chunk_map.clone());
         let dirty = file.dirty.clone().unwrap_or(0..0);
         let rule = self.config.chunking;
@@ -416,7 +417,7 @@ impl ScfsAgent {
                 WriteMode::Through,
             );
         }
-        self.written_since_gc += file.buffer.len() as u64;
+        self.written_since_gc += file.len() as u64;
         if !wait {
             // Level 1 first: the upload starts where the spill lands.
             self.clock.advance_to(spilled);

@@ -55,7 +55,7 @@ impl ScfsAgent {
         let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
         let storage = self.storage.as_ref();
         let stats = &mut self.stats;
-        let sparse = self.open_files.values().filter(|f| f.present.is_some());
+        let sparse = self.open_files.values().filter(|f| f.has_holes());
         let pinned: BTreeSet<&str> = sparse.map(|f| f.metadata.storage_id.as_str()).collect();
         self.owned_files.retain(|storage_id, unlinked| {
             if pinned.contains(storage_id.as_str()) {

@@ -1,8 +1,9 @@
 //! The open-file table: `open`, and the byte-range read, write and truncate
-//! paths over a handle's sparse buffer.
+//! paths over a handle's chunks and, once it is written, its flat buffer.
 
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 use cloud_store::store::OpCtx;
 use scfs_crypto::ContentHash;
@@ -17,24 +18,39 @@ use crate::types::{ChunkMap, ChunkSource, FileHandle, FileMetadata, OpenFlags};
 /// background clock once a handle shows a sequential read pattern.
 const PREFETCH_CHUNKS: usize = 2;
 
+/// What an open handle holds of one chunk of the map it loaded.
+#[derive(Debug, Clone)]
+pub(super) enum Chunk {
+    /// Not needed yet: the bytes sit at the offset, under the hash, that
+    /// the map gives them, and the cloud stores them.
+    Hole,
+    /// Faulted in by a read: the cache's own allocation, shared, not copied.
+    Clean(Arc<[u8]>),
+    /// In the flat buffer: faulted or copied in, overwritten whole, or cut
+    /// off by a truncate.
+    Buffered,
+}
+
 /// State of one open file.
 ///
-/// `open` does not materialize the file: it loads only the manifest and
-/// allocates a flat buffer of the file's length in which every chunk of
-/// `chunk_map` starts as a *hole* — zeros standing for bytes the handle has
-/// not needed yet. A chunk faults in the first time something needs its
-/// bytes: a read touching it, a write or truncate covering only part of it
-/// (the rest of the chunk survives the write), or a cut of the new version
-/// running into it ([`ChunkMap::rebuild_from`]). A write that covers a hole
-/// whole replaces it without a fault. So a dirty handle holds the chunks the
-/// new version needs and nothing more, and every hole left is clean by
-/// construction: its bytes sit at the offset, under the hash, that
-/// `chunk_map` gives them, and the cloud already stores them — no spill and
-/// no upload touches a hole. The agent's collector keeps that so: it
-/// leaves alone every file an open handle still has holes in. A backend
-/// instance that has no record of a hole's chunk refuses the commit; the
-/// commit then faults the holes in and stores again
-/// ([`ScfsAgent::store_buffer`]).
+/// `open` does not materialize the file: it loads only the manifest, and
+/// every chunk of `chunk_map` starts as a [`Chunk::Hole`]. A chunk faults in
+/// the first time something needs its bytes: a read touching it, a write or
+/// truncate covering only part of it (the rest of the chunk survives the
+/// write), or a cut of the new version running into it
+/// ([`ChunkMap::rebuild_from`]). A read keeps what it faulted in as the
+/// cache's own allocation ([`Chunk::Clean`]) and copies out only the bytes
+/// asked for, so a handle that is never written allocates nothing the size
+/// of its file. The first write, truncate or cut gives the handle its flat
+/// buffer of the file's length: the clean chunks are copied in, the holes
+/// are zeros, and from then on a fault lands in the buffer. A write that
+/// covers a hole whole replaces it without a fault. So a dirty handle holds
+/// the chunks the new version needs and nothing more, and every hole left is
+/// clean by construction: the cloud already stores it, and no spill and no
+/// upload touches a hole. The agent's collector keeps that so: it leaves
+/// alone every file an open handle still has holes in. A backend instance
+/// that has no record of a hole's chunk refuses the commit; the commit then
+/// faults the holes in and stores again ([`ScfsAgent::store_buffer`]).
 ///
 /// A handle knows the chunk map of its buffer up to one byte extent: `dirty`
 /// covers everything written since the newest map — `staged`, else
@@ -45,18 +61,18 @@ pub(super) struct OpenFile {
     pub(super) path: String,
     pub(super) flags: OpenFlags,
     pub(super) metadata: FileMetadata,
-    pub(super) buffer: Vec<u8>,
-    /// Chunk map of the version the buffer was loaded from or last committed
+    /// The flat buffer: `None` until the first write, truncate or cut.
+    pub(super) buffer: Option<Vec<u8>>,
+    /// Chunk map of the version the handle was loaded from or last committed
     /// (`None` for fresh or truncated files): the previous-version hint for
-    /// dirty-chunk upload, and the map `present` indexes.
+    /// dirty-chunk upload, and the map `chunks` follows.
     pub(super) chunk_map: Option<ChunkMap>,
     /// The map `fsync` cut of the buffer when it put the chunks on the local
     /// disk: staged, not committed, so never the upload hint.
     pub(super) staged: Option<ChunkMap>,
-    /// Which chunks of `chunk_map` are no longer holes — faulted in,
-    /// overwritten whole, or cut off by a truncate; `None` once none is
-    /// (always for fresh/truncated files).
-    pub(super) present: Option<Vec<bool>>,
+    /// What the handle holds of each chunk of `chunk_map` (empty without
+    /// one).
+    pub(super) chunks: Vec<Chunk>,
     /// In-flight sequential prefetches: chunk index → the background instant
     /// the fetch completes. The data is already in the caches, but a
     /// foreground read arriving earlier must wait for that instant.
@@ -84,6 +100,61 @@ impl OpenFile {
         self.dirty.is_some() || self.staged.is_some()
     }
 
+    /// The file's length as the handle sees it.
+    pub(super) fn len(&self) -> usize {
+        match (&self.buffer, &self.chunk_map) {
+            (Some(buffer), _) => buffer.len(),
+            (None, Some(map)) => map.file_len() as usize,
+            (None, None) => 0,
+        }
+    }
+
+    /// The flat buffer; empty until the first write, truncate or cut — and
+    /// every commit cuts first.
+    pub(super) fn flat(&self) -> &[u8] {
+        self.buffer.as_deref().unwrap_or_default()
+    }
+
+    /// The flat buffer, allocated at the first call: the clean chunks are
+    /// copied in, and the holes stay zeros.
+    pub(super) fn materialize(&mut self) -> &mut Vec<u8> {
+        let len = self.len();
+        let (map, chunks) = (&self.chunk_map, &mut self.chunks);
+        self.buffer.get_or_insert_with(|| {
+            let mut buffer = vec![0u8; len];
+            if let Some(map) = map {
+                for (index, chunk) in chunks.iter_mut().enumerate() {
+                    if let Chunk::Clean(bytes) = chunk {
+                        buffer[map.byte_range(index)].copy_from_slice(bytes);
+                        *chunk = Chunk::Buffered;
+                    }
+                }
+            }
+            buffer
+        })
+    }
+
+    /// A copy of the bytes `range`: out of the flat buffer when the handle
+    /// has one, else out of the clean chunks it overlaps.
+    fn copy_out(&self, range: Range<usize>) -> Vec<u8> {
+        let (Some(map), None) = (&self.chunk_map, &self.buffer) else {
+            return self.flat()[range].to_vec();
+        };
+        let mut out = Vec::with_capacity(range.len());
+        for index in map.chunks_for_range(range.start as u64, range.len()) {
+            let chunk = map.byte_range(index);
+            let piece =
+                range.start.max(chunk.start) - chunk.start..range.end.min(chunk.end) - chunk.start;
+            match &self.chunks[index] {
+                Chunk::Clean(bytes) => out.extend_from_slice(&bytes[piece]),
+                // The read faulted in every chunk it touches; were one not,
+                // it would read as its zeros in a buffer.
+                Chunk::Hole | Chunk::Buffered => out.resize(out.len() + piece.len(), 0),
+            }
+        }
+        out
+    }
+
     /// Widens the dirty extent to cover `written`.
     fn mark_dirty(&mut self, written: Range<u64>) {
         self.dirty = Some(match self.dirty.take() {
@@ -94,18 +165,22 @@ impl OpenFile {
 
     /// Indices of `indices` whose chunks are holes.
     pub(super) fn missing_of(&self, indices: Range<usize>) -> Vec<usize> {
-        match &self.present {
-            Some(present) => indices.filter(|i| !present[*i]).collect(),
-            None => Vec::new(),
-        }
+        indices
+            .filter(|&index| matches!(self.chunks[index], Chunk::Hole))
+            .collect()
     }
 
     /// Indices of every hole.
     pub(super) fn holes(&self) -> Vec<usize> {
-        self.missing_of(0..self.present.as_ref().map_or(0, Vec::len))
+        self.missing_of(0..self.chunks.len())
     }
 
-    /// The holes among the chunks overlapping the buffer bytes `range`.
+    /// Whether any chunk is still a hole.
+    pub(super) fn has_holes(&self) -> bool {
+        self.chunks.iter().any(|chunk| matches!(chunk, Chunk::Hole))
+    }
+
+    /// The holes among the chunks overlapping the bytes `range`.
     fn holes_in(&self, range: &Range<usize>) -> Vec<usize> {
         match &self.chunk_map {
             Some(map) => self.missing_of(map.chunks_for_range(range.start as u64, range.len())),
@@ -113,19 +188,14 @@ impl OpenFile {
         }
     }
 
-    /// Marks the chunks at `indices` as no longer holes.
+    /// Marks the chunks at `indices` as in the buffer.
     fn fill(&mut self, indices: &[usize]) {
-        if let Some(present) = &mut self.present {
-            for &index in indices {
-                present[index] = true;
-            }
-            if present.iter().all(|p| *p) {
-                self.present = None;
-            }
+        for &index in indices {
+            self.chunks[index] = Chunk::Buffered;
         }
     }
 
-    /// Whether the buffer bytes `range` are exactly a hole.
+    /// Whether the bytes `range` are exactly a hole.
     pub(super) fn is_hole(&self, range: &Range<usize>) -> bool {
         let Some(map) = &self.chunk_map else {
             return false;
@@ -139,10 +209,11 @@ impl OpenFile {
     /// Where the run of buffer bytes that are no hole, starting at `pos`,
     /// ends.
     fn present_until(&self, pos: usize) -> usize {
-        let holes = self.holes_in(&(pos..self.buffer.len()));
+        let len = self.len();
+        let holes = self.holes_in(&(pos..len));
         match (holes.first(), &self.chunk_map) {
             (Some(&hole), Some(map)) => map.byte_range(hole).start.max(pos),
-            _ => self.buffer.len(),
+            _ => len,
         }
     }
 
@@ -151,7 +222,7 @@ impl OpenFile {
     /// at its old extent, under its old hash: the holes, and the prefetches
     /// still in flight for them, move to their indices in `map`.
     pub(super) fn rebase(&mut self, map: ChunkMap) {
-        let mut present = Vec::with_capacity(map.chunk_count());
+        let mut chunks = Vec::with_capacity(map.chunk_count());
         let mut ready = HashMap::new();
         for index in 0..map.chunk_count() {
             let range = map.byte_range(index);
@@ -162,11 +233,11 @@ impl OpenFile {
                     ready.insert(index, at);
                 }
             }
-            present.push(!hole);
+            chunks.push(if hole { Chunk::Hole } else { Chunk::Buffered });
         }
         self.chunk_map = Some(map);
         self.prefetch_ready = ready;
-        self.present = present.contains(&false).then_some(present);
+        self.chunks = chunks;
     }
 
     /// Whether the handle's loaded or staged map names the chunk `hash`.
@@ -189,8 +260,8 @@ impl OpenFile {
     }
 }
 
-/// An open handle's buffer as the [`ChunkSource`] a commit cuts: a hole
-/// faults in the first time the cut touches it.
+/// An open handle's flat buffer as the [`ChunkSource`] a commit cuts: a
+/// hole faults in the first time the cut touches it.
 pub(super) struct Faulting<'a> {
     pub(super) agent: &'a mut ScfsAgent,
     pub(super) file: &'a mut OpenFile,
@@ -200,7 +271,7 @@ impl ChunkSource for Faulting<'_> {
     type Error = ScfsError;
 
     fn bytes(&self) -> &[u8] {
-        &self.file.buffer
+        self.file.flat()
     }
 
     fn present_until(&self, pos: usize) -> usize {
@@ -209,7 +280,7 @@ impl ChunkSource for Faulting<'_> {
 
     fn fault(&mut self, range: Range<usize>) -> Result<(), ScfsError> {
         let holes = self.file.holes_in(&range);
-        self.agent.fault_into_buffer(self.file, &holes)
+        self.agent.fault_in(self.file, &holes)
     }
 }
 
@@ -288,18 +359,17 @@ impl ScfsAgent {
         // themselves fault in lazily, at byte-range granularity, as reads
         // touch them; a cold open of a 16 MiB file transfers a few hundred
         // bytes, not 16 MiB.
-        let (buffer, chunk_map, present) = match metadata.version_hash {
+        let (chunk_map, chunks) = match metadata.version_hash {
             Some(root) if !flags.truncate => {
                 let map = self.load_manifest(&metadata, root)?;
                 let (id, count) = (&metadata.storage_id, metadata.version_count);
                 if self.versions.is_behind(id, count, &root) {
                     self.move_record(id, Some(VersionRecord::new(count, root, &map)));
                 }
-                let buffer = vec![0u8; map.file_len() as usize];
-                let present = vec![false; map.chunk_count()];
-                (buffer, Some(map), Some(present))
+                let chunks = vec![Chunk::Hole; map.chunk_count()];
+                (Some(map), chunks)
             }
-            _ => (Vec::new(), None, None),
+            _ => (None, Vec::new()),
         };
 
         if flags.truncate {
@@ -315,10 +385,10 @@ impl ScfsAgent {
                 flags,
                 dirty: (flags.truncate && metadata.version_hash.is_some()).then_some(0..0),
                 metadata,
-                buffer,
+                buffer: None,
                 chunk_map,
                 staged: None,
-                present,
+                chunks,
                 prefetch_ready: HashMap::new(),
                 last_read_end: None,
                 locked,
@@ -328,11 +398,12 @@ impl ScfsAgent {
         Ok(handle)
     }
 
-    /// Faults the chunks of `file` at `missing` indices into its buffer
-    /// (waiting for any in-flight prefetch of those chunks first) and
-    /// updates the per-read stats: one `cloud_downloads` when the cloud was
-    /// touched, one `cache_served_reads` otherwise.
-    pub(super) fn fault_into_buffer(
+    /// Faults the chunks of `file` at `missing` indices in (waiting for any
+    /// in-flight prefetch of those chunks first) — into its flat buffer when
+    /// it has one, else kept as the cache's own allocations — and updates
+    /// the per-read stats: one `cloud_downloads` when the cloud was touched,
+    /// one `cache_served_reads` otherwise.
+    pub(super) fn fault_in(
         &mut self,
         file: &mut OpenFile,
         missing: &[usize],
@@ -353,10 +424,15 @@ impl ScfsAgent {
             }
         }
         let (chunks, cloud_touched) = self.fetch_chunks(&file.metadata, &map, missing)?;
-        for (&index, chunk) in missing.iter().zip(&chunks) {
-            file.buffer[map.byte_range(index)].copy_from_slice(&chunk[..]);
+        for (&index, chunk) in missing.iter().zip(chunks) {
+            file.chunks[index] = match &mut file.buffer {
+                Some(buffer) => {
+                    buffer[map.byte_range(index)].copy_from_slice(&chunk);
+                    Chunk::Buffered
+                }
+                None => Chunk::Clean(chunk),
+            };
         }
-        file.fill(missing);
         if cloud_touched {
             self.stats.cloud_downloads += 1;
         } else {
@@ -365,10 +441,12 @@ impl ScfsAgent {
         Ok(())
     }
 
-    /// Readies `file` for the buffer bytes `range` to be replaced: a hole the
-    /// range covers in part faults in, because the rest of its chunk stays;
-    /// a hole it covers whole is gone without a fault.
+    /// Gives `file` its flat buffer and readies it for the bytes `range` to
+    /// be replaced: a hole the range covers in part faults in, because the
+    /// rest of its chunk stays; a hole it covers whole is gone without a
+    /// fault.
     fn fault_around(&mut self, file: &mut OpenFile, range: Range<usize>) -> Result<(), ScfsError> {
+        file.materialize();
         let Some(map) = &file.chunk_map else {
             return Ok(());
         };
@@ -378,13 +456,13 @@ impl ScfsAgent {
                 range.start <= chunk.start && chunk.end <= range.end
             });
         file.fill(&covered);
-        self.fault_into_buffer(file, &partial)
+        self.fault_in(file, &partial)
     }
 
     /// The lazy byte-range read path: maps `[offset, offset + len)` onto
-    /// chunk indices, faults in only the touched holes, and — when the
-    /// handle shows a sequential pattern — schedules the next chunks on the
-    /// background clock.
+    /// chunk indices, faults in only the touched holes, copies out only the
+    /// bytes asked for, and — when the handle shows a sequential pattern —
+    /// schedules the next chunks on the background clock.
     pub(super) fn read_ranged(
         &mut self,
         file: &mut OpenFile,
@@ -392,17 +470,17 @@ impl ScfsAgent {
         len: usize,
     ) -> Result<Vec<u8>, ScfsError> {
         file.require(file.flags.read)?;
-        let buf_len = file.buffer.len() as u64;
-        let start = offset.min(buf_len) as usize;
-        let end = offset.saturating_add(len as u64).min(buf_len) as usize;
+        let file_len = file.len() as u64;
+        let start = offset.min(file_len) as usize;
+        let end = offset.saturating_add(len as u64).min(file_len) as usize;
         let sequential = file.last_read_end == Some(offset);
         if let Some(map) = file.chunk_map.clone() {
             let touched = map.chunks_for_range(start as u64, end - start);
-            if file.present.is_some() && touched.len() < map.chunk_count() {
+            if file.has_holes() && touched.len() < map.chunk_count() {
                 self.stats.range_reads += 1;
             }
             let missing = file.missing_of(touched.clone());
-            self.fault_into_buffer(file, &missing)?;
+            self.fault_in(file, &missing)?;
             // Sequential readers get the next chunks prefetched in the
             // background; the very first read of a handle is not yet a
             // pattern (a cold `read(0, 4 KiB)` moves exactly one chunk).
@@ -411,7 +489,7 @@ impl ScfsAgent {
                 self.prefetch_background(file, touched.end..until);
             }
         }
-        let data = file.buffer[start..end].to_vec();
+        let data = file.copy_out(start..end);
         self.charge_memory(data.len());
         file.last_read_end = Some(end as u64);
         Ok(data)
@@ -435,15 +513,16 @@ impl ScfsAgent {
         // A huge-offset write errors out instead of wrapping (and then
         // panicking on the slice); the read path clamps with saturating math.
         let end = crate::types::write_end(offset, data.len())?;
+        let old_len = file.len();
         self.fault_around(file, offset as usize..end)?;
-        let old_len = file.buffer.len();
+        let buffer = file.materialize();
         if old_len < end {
-            file.buffer.resize(end, 0);
+            buffer.resize(end, 0);
         }
-        file.buffer[offset as usize..end].copy_from_slice(data);
+        buffer[offset as usize..end].copy_from_slice(data);
         // A write past EOF also zero-filled everything from the old EOF on.
         file.mark_dirty(offset.min(old_len as u64)..end as u64);
-        file.metadata.size = file.buffer.len() as u64;
+        file.metadata.size = file.len() as u64;
         let len = data.len();
         self.charge_memory(len);
         Ok(len)
@@ -458,9 +537,9 @@ impl ScfsAgent {
     ) -> Result<(), ScfsError> {
         file.require(file.flags.write)?;
         let len = crate::types::truncate_len(size)?;
-        let old_len = file.buffer.len();
+        let old_len = file.len();
         self.fault_around(file, len.min(old_len)..old_len)?;
-        file.buffer.resize(len, 0);
+        file.materialize().resize(len, 0);
         file.mark_dirty((old_len as u64).min(size)..size);
         file.metadata.size = size;
         Ok(())
@@ -472,14 +551,17 @@ mod tests {
     use super::super::tests::test_agent;
     use super::*;
     use crate::backend::SingleCloudStorage;
+    use crate::cache::TieredCache;
     use crate::config::{Mode, ScfsConfig};
     use crate::fs::FileSystem;
+    use crate::types::CutRule;
     use cloud_store::sim_cloud::SimulatedCloud;
     use cloud_store::types::Permission;
     use coord::replication::ReplicatedCoordinator;
     use coord::service::CoordinationService;
+    use sim_core::rng::DetRng;
     use sim_core::time::SimDuration;
-    use std::sync::Arc;
+    use sim_core::units::Bytes;
 
     #[test]
     fn open_missing_file_without_create_fails() {
@@ -675,6 +757,121 @@ mod tests {
             Err(ScfsError::BadHandle { .. })
         ));
         fs.close(h2).unwrap();
+    }
+
+    /// A mount factory over one cloud and one coordination service, each
+    /// mount of `config`.
+    fn deployment(config: ScfsConfig) -> impl Fn(u64) -> ScfsAgent {
+        let cloud = Arc::new(SimulatedCloud::test("s3"));
+        let storage = Arc::new(SingleCloudStorage::new(cloud));
+        let coord: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
+        move |seed| {
+            let (storage, coord) = (storage.clone(), Some(coord.clone()));
+            ScfsAgent::mount("alice".into(), config.clone(), storage, coord, seed).unwrap()
+        }
+    }
+
+    /// Blocking mounts cutting fixed 1000-byte chunks.
+    fn fixed_1000() -> ScfsConfig {
+        ScfsConfig {
+            chunking: CutRule::Fixed(1000),
+            ..ScfsConfig::test(Mode::Blocking)
+        }
+    }
+
+    /// Asserts that `file` is `model` long and holds `model`'s bytes
+    /// everywhere but in its holes.
+    fn assert_holds(file: &OpenFile, model: &[u8]) {
+        assert_eq!(file.len(), model.len());
+        let mut expected = model.to_vec();
+        if let Some(map) = &file.chunk_map {
+            for index in file.holes() {
+                let range = map.byte_range(index);
+                let end = range.end.min(expected.len());
+                expected[range.start.min(end)..end].fill(0);
+            }
+        }
+        assert!(file.copy_out(0..model.len()) == expected);
+    }
+
+    #[test]
+    fn a_read_only_handle_shares_the_caches_bytes() {
+        let mount = deployment(fixed_1000());
+        let data = DetRng::new(1).bytes(4000);
+        mount(1).write_file("/f", &data).unwrap();
+        // A fresh mount: nothing of the file is in its caches.
+        let mut fs = mount(2);
+        fs.sleep(SimDuration::from_secs(60));
+        let h = fs.open("/f", OpenFlags::read_only()).unwrap();
+        assert_eq!(fs.read(h, 2100, 10).unwrap(), &data[2100..2110]);
+        let file = &fs.open_files[&h];
+        assert!(file.buffer.is_none(), "a read allocates no flat buffer");
+        let Some(map) = &file.chunk_map else {
+            panic!("a stored version has a chunk map");
+        };
+        let key = ScfsAgent::chunk_cache_key(&map.chunks()[2]);
+        let cached = fs.cache.memory().peek(&key);
+        match (&file.chunks[2], cached) {
+            (Chunk::Clean(held), Some(cached)) => assert!(Arc::ptr_eq(held, cached)),
+            (held, cached) => panic!("chunk 2 is {held:?}, the cache holds {cached:?}"),
+        }
+        for index in [0, 1, 3] {
+            assert!(matches!(file.chunks[index], Chunk::Hole), "chunk {index}");
+        }
+        assert_eq!(fs.handle_size(h).unwrap(), 4000);
+        fs.close(h).unwrap();
+    }
+
+    /// One cold handle read clean, then written, read, truncated and
+    /// closed: after every step it holds the model's bytes, and while it
+    /// has holes the collector spares the version it opened.
+    #[test]
+    fn a_handle_turns_dirty_after_clean_reads() {
+        let mut config = fixed_1000();
+        config.gc.written_bytes_threshold = Bytes::new(1);
+        config.gc.versions_to_keep = 1;
+        let mount = deployment(config);
+        let mut model = DetRng::new(2).bytes(4000);
+        let mut fs = mount(1);
+        fs.write_file("/f", &model).unwrap();
+        // The owner's collector is the one that could reclaim the opened
+        // version; dropping its caches makes the handle cold.
+        fs.cache = TieredCache::new(&fs.config.cache, 1);
+        let h = fs.open("/f", OpenFlags::read_write()).unwrap();
+
+        assert_eq!(fs.read(h, 1200, 300).unwrap(), &model[1200..1500]);
+        let file = &fs.open_files[&h];
+        assert!(file.buffer.is_none());
+        assert!(matches!(file.chunks[1], Chunk::Clean(_)));
+        assert_eq!(file.holes(), [0, 2, 3]);
+        assert_holds(file, &model);
+        // Two newer versions and a collection after each: none reclaimed.
+        for seed in 3..5 {
+            fs.write_file("/f", &DetRng::new(seed).bytes(4000)).unwrap();
+        }
+        assert!(fs.stats().gc_runs >= 2);
+        assert_eq!(fs.stats().gc_reclaimed_versions, 0);
+
+        fs.write(h, 2500, b"edit").unwrap();
+        model[2500..2504].copy_from_slice(b"edit");
+        let file = &fs.open_files[&h];
+        assert!(file.buffer.is_some(), "the first write allocates it");
+        assert_eq!(file.holes(), [0, 3]);
+        assert_holds(file, &model);
+
+        assert_eq!(fs.read(h, 1100, 1500).unwrap(), &model[1100..2600]);
+        assert_holds(&fs.open_files[&h], &model);
+
+        fs.truncate(h, 3300).unwrap();
+        model.truncate(3300);
+        assert_eq!(fs.open_files[&h].holes(), [0]);
+        assert_holds(&fs.open_files[&h], &model);
+        assert_eq!(fs.handle_size(h).unwrap(), 3300);
+
+        fs.close(h).unwrap();
+        let mut fresh = mount(2);
+        fresh.sleep(SimDuration::from_secs(600));
+        assert_eq!(fresh.read_file("/f").unwrap(), model);
     }
 
     #[test]

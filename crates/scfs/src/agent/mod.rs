@@ -104,9 +104,9 @@ pub struct AgentStats {
     /// that uploads 16 chunks at parallelism 4 adds 4 waves, and its
     /// foreground clock advanced by ~4 chunk-upload latencies.
     pub transfer_waves: u64,
-    /// Reads served at byte-range granularity: the handle was only partially
-    /// materialized and the read touched a strict subset of the file's
-    /// chunks (no whole-file materialization was needed).
+    /// Reads served at byte-range granularity: the handle still had holes
+    /// and the read touched a strict subset of the file's chunks, so it
+    /// faulted in and copied out only those.
     pub range_reads: u64,
     /// Chunks fetched ahead of a sequential reader on the background clock.
     pub prefetched_chunks: u64,
@@ -414,10 +414,10 @@ impl FileSystem for ScfsAgent {
 
     fn handle_size(&mut self, handle: FileHandle) -> Result<u64, ScfsError> {
         self.charge_syscall();
-        // Served from the open handle: the buffer always has the logical
-        // length of the file, even while chunks are still unmaterialized.
+        // Served from the open handle, which knows the file's logical length
+        // whether or not it has a flat buffer yet.
         let file = self.open_files.get(&handle);
-        file.map(|file| file.buffer.len() as u64)
+        file.map(|file| file.len() as u64)
             .ok_or(ScfsError::BadHandle { handle: handle.0 })
     }
 
