@@ -240,6 +240,12 @@ impl DepSkyClient {
     /// Encrypts `data` under a fresh key, erasure-codes the ciphertext and
     /// secret-shares the key: one encoded block per slot of the placement's
     /// width, slot order. Refuses content that does not hash to its address.
+    ///
+    /// Each block is allocated once, at its final size, and built in place:
+    /// its header and key share, then its shard. A data shard is the
+    /// plaintext's bytes encrypted where they land; a parity shard is coded
+    /// from those. The bytes are the ones [`ErasureCoder::encode`] over
+    /// [`ChaCha20::encrypt`] would give, under the same key draws.
     fn encode_blocks(&self, hash: &ContentHash, data: &[u8]) -> Result<Vec<Vec<u8>>, StorageError> {
         if &sha256(data) != hash {
             return Err(StorageError::invalid(format!(
@@ -253,8 +259,6 @@ impl DepSkyClient {
             let mut kg = self.keygen.lock();
             (kg.next_key(), kg.next_nonce())
         };
-        let ciphertext = ChaCha20::new(&key, &nonce).encrypt(data);
-        let shards = self.coder.encode(&ciphertext);
         let shares = {
             let mut kg = self.keygen.lock();
             split_secret(&key, data_shards, data_clouds, move || {
@@ -262,12 +266,30 @@ impl DepSkyClient {
             })
             .map_err(|e| StorageError::invalid(e.to_string()))?
         };
-        let size = data.len() as u64;
-        let blocks = shards.into_iter().take(data_clouds).zip(shares).enumerate();
-        let blocks = blocks.map(|(slot, (shard, share))| {
-            encode_block(slot as u8, share.index, &nonce, size, &share.data, &shard)
+        let cipher = ChaCha20::new(&key, &nonce);
+        let shard_len = self.coder.shard_size(data.len()).max(1);
+        let blocks = shares.iter().enumerate().map(|(slot, share)| {
+            let mut block = block_head(slot as u8, share, &nonce, data.len() as u64, shard_len);
+            let head = block.len();
+            if slot < data_shards {
+                let from = (slot * shard_len).min(data.len());
+                block.extend_from_slice(&data[from..(from + shard_len).min(data.len())]);
+                apply_keystream_at(&cipher, from, &mut block[head..]);
+            }
+            block.resize(head + shard_len, 0);
+            block
         });
-        Ok(blocks.collect())
+        let mut blocks: Vec<Vec<u8>> = blocks.collect();
+        let (data_blocks, parity_blocks) = blocks.split_at_mut(data_shards);
+        let shards: Vec<&[u8]> = data_blocks
+            .iter()
+            .map(|block| &block[block.len() - shard_len..])
+            .collect();
+        for (p, block) in parity_blocks.iter_mut().enumerate() {
+            let head = block.len() - shard_len;
+            self.coder.add_parity(p, &shards, &mut block[head..]);
+        }
+        Ok(blocks)
     }
 
     /// Issues `op` for each block slot of `slots` of the unit `name` on the
@@ -518,22 +540,37 @@ fn await_quorum<T>(
     }
 }
 
-fn encode_block(
-    slot: u8,
-    share_index: u8,
-    nonce: &[u8; 12],
-    size: u64,
-    share: &[u8],
-    shard: &[u8],
-) -> Vec<u8> {
-    let mut w = Writer::new();
+/// The start of the block of `slot` of a blob of `size` bytes: its header
+/// and key share, then the length of its `shard_len`-byte shard, in an
+/// allocation that the shard fills.
+fn block_head(slot: u8, share: &Share, nonce: &[u8; 12], size: u64, shard_len: usize) -> Vec<u8> {
+    let mut w =
+        Writer::with_capacity(2 + 8 + nonce.len() + 8 + 8 + share.data.len() + 8 + shard_len);
     w.put_u8(slot)
-        .put_u8(share_index)
+        .put_u8(share.index)
         .put_bytes(nonce)
         .put_u64(size)
-        .put_bytes(share)
-        .put_bytes(shard);
+        .put_bytes(&share.data)
+        .put_u64(shard_len as u64);
     w.finish()
+}
+
+/// XORs into `data` the keystream bytes `offset..offset + data.len()` of the
+/// message `cipher` encrypts from block 1 ([`ChaCha20::encrypt`]): a shard's
+/// worth of plaintext encrypts where it lands in its block.
+fn apply_keystream_at(cipher: &ChaCha20, offset: usize, data: &mut [u8]) {
+    let counter = 1u32.wrapping_add((offset / 64) as u32);
+    let skip = offset % 64;
+    if skip == 0 {
+        return cipher.apply_keystream(counter, data);
+    }
+    let mut block = [0u8; 64];
+    cipher.apply_keystream(counter, &mut block);
+    let (head, rest) = data.split_at_mut(data.len().min(64 - skip));
+    for (b, k) in head.iter_mut().zip(&block[skip..]) {
+        *b ^= k;
+    }
+    cipher.apply_keystream(counter.wrapping_add(1), rest);
 }
 
 fn decode_block(bytes: &[u8]) -> Result<BlockPayload, DecodeError> {
@@ -572,6 +609,26 @@ mod tests {
     use sim_core::latency::LatencyModel;
     use sim_core::time::{Clock, SimDuration, SimInstant};
     use std::collections::BTreeMap;
+
+    /// A block written field by field, its shard copied in: the reference
+    /// the one-pass blocks of `encode_blocks` are checked against.
+    fn encode_block(
+        slot: u8,
+        share_index: u8,
+        nonce: &[u8; 12],
+        size: u64,
+        share: &[u8],
+        shard: &[u8],
+    ) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_u8(slot)
+            .put_u8(share_index)
+            .put_bytes(nonce)
+            .put_u64(size)
+            .put_bytes(share)
+            .put_bytes(shard);
+        w.finish()
+    }
 
     fn sim_clouds(n: usize) -> Vec<Arc<SimulatedCloud>> {
         ProviderSet::test_backend(n)
@@ -959,6 +1016,58 @@ mod tests {
             "c66ef412f9b4916c0bd6e48370a7ae4dbc7c360a3909ba5ece35b9e6de6b400b"
         );
         assert_eq!(ds.read_blob(&mut c, "f", &hash).unwrap(), data);
+    }
+
+    #[test]
+    fn one_pass_blocks_are_the_reference_blocks() {
+        // The same key draws through the three-copy pipeline (encrypt, code
+        // into shards, write each block) on a second client of the same seed.
+        for len in [0, 1, 63, 64, 65, 129, (1 << 20) + 17] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + i / 13) as u8).collect();
+            let ds = client(test_clouds(4));
+            let blocks = ds.encode_blocks(&sha256(&data), &data).unwrap();
+            let reference = client(test_clouds(4));
+            let (key, nonce) = {
+                let mut kg = reference.keygen.lock();
+                (kg.next_key(), kg.next_nonce())
+            };
+            let (k, n) = (reference.config.data_shards(), reference.placement.width);
+            let shares = {
+                let mut kg = reference.keygen.lock();
+                split_secret(&key, k, n, move || {
+                    (kg.next_key()[0]) ^ (kg.next_nonce()[0])
+                })
+                .unwrap()
+            };
+            let shards = reference
+                .coder
+                .encode(&ChaCha20::new(&key, &nonce).encrypt(&data));
+            assert_eq!(blocks.len(), shards.len());
+            for (slot, (shard, share)) in shards.iter().zip(&shares).enumerate() {
+                let expected = encode_block(
+                    slot as u8,
+                    share.index,
+                    &nonce,
+                    len as u64,
+                    &share.data,
+                    shard,
+                );
+                assert!(blocks[slot] == expected, "{len} bytes, slot {slot}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_keystream_at_an_offset_is_that_slice_of_the_whole() {
+        let cipher = ChaCha20::new(&[7; 32], &[9; 12]);
+        let whole = cipher.encrypt(&[0; 200 + 1100]);
+        for offset in 0..200 {
+            for len in [0, 1, 63, 64, 65, 129, 1100] {
+                let mut keystream = vec![0; len];
+                apply_keystream_at(&cipher, offset, &mut keystream);
+                assert_eq!(keystream, whole[offset..offset + len], "{len} at {offset}");
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,14 @@ impl Writer {
         Writer::default()
     }
 
+    /// Creates an empty writer whose buffer holds `capacity` bytes before it
+    /// grows.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Writer {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Appends a `u8`.
     pub fn put_u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);

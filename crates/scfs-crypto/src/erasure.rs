@@ -148,16 +148,27 @@ impl ErasureCoder {
             shard.resize(shard_size, 0);
             shards.push(shard);
         }
-        // Generate parity shards.
-        for p in 0..self.parity_shards {
-            let mut parity = vec![0u8; shard_size];
-            let row = self.encode_matrix.row(self.data_shards + p);
-            for (&coeff, shard) in row.iter().zip(&shards) {
-                mul_acc(coeff, shard, &mut parity);
-            }
-            shards.push(parity);
-        }
+        let data: Vec<&[u8]> = shards.iter().map(Vec::as_slice).collect();
+        let parity: Vec<Vec<u8>> = (0..self.parity_shards)
+            .map(|p| {
+                let mut parity = vec![0u8; shard_size];
+                self.add_parity(p, &data, &mut parity);
+                parity
+            })
+            .collect();
+        shards.extend(parity);
         shards
+    }
+
+    /// Adds (XORs) parity shard `p` of the data shards `data` — each as long
+    /// as `out` — into `out`: over zeros, `out` becomes the shard
+    /// [`ErasureCoder::encode`] returns at index `data_shards() + p`, in a
+    /// buffer of the caller's.
+    pub fn add_parity(&self, p: usize, data: &[&[u8]], out: &mut [u8]) {
+        let row = self.encode_matrix.row(self.data_shards + p);
+        for (&coeff, shard) in row.iter().zip(data) {
+            mul_acc(coeff, shard, out);
+        }
     }
 
     /// Reconstructs the original data (truncated to `data_len`) from a vector

@@ -373,7 +373,7 @@ impl ScfsAgent {
     /// none yet: the newest map the handle has, re-cut and re-hashed over
     /// the dirty extent only — faulting in the holes the cut runs into.
     pub(super) fn cut_buffer(&mut self, file: &mut OpenFile) -> Result<ChunkMap, ScfsError> {
-        file.materialize();
+        file.materialize(0);
         let prev = file.staged.clone().or_else(|| file.chunk_map.clone());
         let dirty = file.dirty.clone().unwrap_or(0..0);
         let rule = self.config.chunking;

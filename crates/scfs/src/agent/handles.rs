@@ -115,13 +115,17 @@ impl OpenFile {
         self.buffer.as_deref().unwrap_or_default()
     }
 
-    /// The flat buffer, allocated at the first call: the clean chunks are
-    /// copied in, and the holes stay zeros.
-    pub(super) fn materialize(&mut self) -> &mut Vec<u8> {
+    /// The flat buffer, allocated at the first call with room for `room`
+    /// bytes, so a write growing the file that far does not move it: the
+    /// clean chunks are copied in, and the holes stay zeros.
+    pub(super) fn materialize(&mut self, room: usize) -> &mut Vec<u8> {
         let len = self.len();
         let (map, chunks) = (&self.chunk_map, &mut self.chunks);
         self.buffer.get_or_insert_with(|| {
-            let mut buffer = vec![0u8; len];
+            // Zeroed by the allocator, all of its capacity: a hole is never
+            // written.
+            let mut buffer = vec![0u8; len.max(room)];
+            buffer.truncate(len);
             if let Some(map) = map {
                 for (index, chunk) in chunks.iter_mut().enumerate() {
                     if let Chunk::Clean(bytes) = chunk {
@@ -441,12 +445,12 @@ impl ScfsAgent {
         Ok(())
     }
 
-    /// Gives `file` its flat buffer and readies it for the bytes `range` to
-    /// be replaced: a hole the range covers in part faults in, because the
-    /// rest of its chunk stays; a hole it covers whole is gone without a
-    /// fault.
+    /// Gives `file` its flat buffer, with room up to `range.end`, and
+    /// readies it for the bytes `range` to be replaced: a hole the range
+    /// covers in part faults in, because the rest of its chunk stays; a hole
+    /// it covers whole is gone without a fault.
     fn fault_around(&mut self, file: &mut OpenFile, range: Range<usize>) -> Result<(), ScfsError> {
-        file.materialize();
+        file.materialize(range.end);
         let Some(map) = &file.chunk_map else {
             return Ok(());
         };
@@ -515,7 +519,7 @@ impl ScfsAgent {
         let end = crate::types::write_end(offset, data.len())?;
         let old_len = file.len();
         self.fault_around(file, offset as usize..end)?;
-        let buffer = file.materialize();
+        let buffer = file.materialize(end);
         if old_len < end {
             buffer.resize(end, 0);
         }
@@ -539,7 +543,7 @@ impl ScfsAgent {
         let len = crate::types::truncate_len(size)?;
         let old_len = file.len();
         self.fault_around(file, len.min(old_len)..old_len)?;
-        file.materialize().resize(len, 0);
+        file.materialize(len).resize(len, 0);
         file.mark_dirty((old_len as u64).min(size)..size);
         file.metadata.size = size;
         Ok(())
@@ -757,6 +761,23 @@ mod tests {
             Err(ScfsError::BadHandle { .. })
         ));
         fs.close(h2).unwrap();
+    }
+
+    #[test]
+    fn a_first_append_allocates_the_buffer_once() {
+        let mut fs = test_agent(Mode::Blocking);
+        let file = DetRng::new(5).bytes(3000);
+        fs.write_file("/f", &file).unwrap();
+        let h = fs.open("/f", OpenFlags::read_write()).unwrap();
+        fs.write(h, 3000, &[7u8; 100]).unwrap();
+        // Sized for the write's end at the first allocation: a buffer of the
+        // old length regrown by the append would hold twice that.
+        let buffer = fs.open_files[&h].buffer.as_ref().unwrap();
+        assert_eq!((buffer.len(), buffer.capacity()), (3100, 3100));
+        fs.close(h).unwrap();
+        let mut expected = file;
+        expected.extend_from_slice(&[7u8; 100]);
+        assert_eq!(fs.read_file("/f").unwrap(), expected);
     }
 
     /// A mount factory over one cloud and one coordination service, each

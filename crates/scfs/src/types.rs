@@ -150,12 +150,41 @@ impl Default for CdcParams {
     }
 }
 
+/// What a cut of an earlier state of the file, under the same rule, tells
+/// [`cdc_cut`] about a chunk starting at one of its boundaries.
+///
+/// The Gear hash at position `i` is a `u64` shifted left once per byte, so
+/// it depends only on the 64 bytes ending at `i`; whether it cuts there
+/// depends on that hash, on `i` less the chunk's start and on the bytes left
+/// to EOF. Where those are what they were, the old scan's outcome stands.
+#[derive(Debug, Clone, Copy, Default)]
+struct Resume {
+    /// No boundary fires at a position before this one: the old scan passed
+    /// it over the same bytes. The scan starts here, its hash warmed over
+    /// the 64 bytes before.
+    skip: usize,
+    /// `(at, cut)`: from position `at` on every hash, threshold and length is
+    /// what the old scan saw, and the old scan cut at `cut` — so a scan that
+    /// reaches `at` uncut settles on `cut` without reading on.
+    settle: Option<(usize, usize)>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Bytes the Gear scan has read on this thread, warm-up included: what
+    /// the O(edit) tests bound.
+    static GEAR_SCANNED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Length of the next chunk of `data` under the FastCDC cut rule: the first
 /// position past `min_size` where the Gear hash matches the hard mask
 /// (before the average point) or the easy mask (after it), else `max_size`,
 /// else all of `data`. Only the first `known` bytes of `data` are read:
-/// `None` when the cut lies beyond them.
-fn cdc_cut(data: &[u8], known: usize, params: &CdcParams) -> Option<usize> {
+/// `None` when the cut lies beyond them. `resume` lets the scan start past
+/// `min_size`, and stop short of the cut, where an earlier cut of the same
+/// bytes already decided those positions; a `cut` past `max_size` is never
+/// taken, so a foreign `resume` still yields a valid chunk.
+fn cdc_cut(data: &[u8], known: usize, params: &CdcParams, resume: Resume) -> Option<usize> {
     let len = data.len();
     if len <= params.min_size {
         return Some(len);
@@ -167,24 +196,39 @@ fn cdc_cut(data: &[u8], known: usize, params: &CdcParams) -> Option<usize> {
     let mask_hard: u64 = (1u64 << (bits + 2)) - 1;
     let mask_easy: u64 = (1u64 << bits.saturating_sub(2)) - 1;
     let normal = params.avg_size.min(max);
-    let stop = max.min(known);
-    let mut hash: u64 = 0;
-    let mut i = params.min_size;
-    while i < normal.min(stop) {
-        hash = (hash << 1).wrapping_add(GEAR[data[i] as usize]);
-        if hash & mask_hard == 0 {
-            return Some(i + 1);
+    let start = params.min_size.max(resume.skip.min(known));
+    let settle = resume.settle.filter(|&(at, cut)| at < cut && cut <= max);
+    let stop = settle
+        .map_or(max, |(at, _)| max.min(at.max(start)))
+        .min(known);
+    let warm = start.saturating_sub(64).max(params.min_size);
+    let mut hash = data[warm..start]
+        .iter()
+        .fold(0u64, |hash, &b| (hash << 1).wrapping_add(GEAR[b as usize]));
+    let mut i = start;
+    let fired = 'scan: {
+        while i < normal.min(stop) {
+            hash = (hash << 1).wrapping_add(GEAR[data[i] as usize]);
+            if hash & mask_hard == 0 {
+                break 'scan Some(i + 1);
+            }
+            i += 1;
         }
-        i += 1;
-    }
-    while i < stop {
-        hash = (hash << 1).wrapping_add(GEAR[data[i] as usize]);
-        if hash & mask_easy == 0 {
-            return Some(i + 1);
+        while i < stop {
+            hash = (hash << 1).wrapping_add(GEAR[data[i] as usize]);
+            if hash & mask_easy == 0 {
+                break 'scan Some(i + 1);
+            }
+            i += 1;
         }
-        i += 1;
-    }
-    (i >= max).then_some(max)
+        None
+    };
+    #[cfg(test)]
+    GEAR_SCANNED.with(|n| n.set(n.get() + (fired.unwrap_or(i) - warm) as u64));
+    fired.or(match settle {
+        Some((at, cut)) if i >= at => Some(cut),
+        _ => (i >= max).then_some(max),
+    })
 }
 
 /// The bytes [`ChunkMap::rebuild_from`] cuts and hashes: a flat buffer of the
@@ -293,11 +337,12 @@ impl CutRule {
 
     /// Length of the chunk starting at `rest[0]`, `rest` running to EOF, if
     /// the rule can tell from the first `known` bytes of `rest`: a stride
-    /// reads none of them.
-    fn cut(&self, rest: &[u8], known: usize) -> Option<usize> {
+    /// reads none of them, and a content-defined cut only those `resume`
+    /// leaves open.
+    fn cut(&self, rest: &[u8], known: usize, resume: Resume) -> Option<usize> {
         match self {
             CutRule::Fixed(stride) => Some(rest.len().min(*stride)),
-            CutRule::Cdc(params) => cdc_cut(rest, known, params),
+            CutRule::Cdc(params) => cdc_cut(rest, known, params, resume),
         }
     }
 }
@@ -332,16 +377,24 @@ impl ChunkMap {
     /// * every `prev` chunk lying wholly before the extent is kept, hash and
     ///   all. Never the last one across a length change: EOF cut it, not its
     ///   content, and the same bytes followed by more may cut elsewhere;
-    /// * cutting resumes at the start of the first affected chunk;
+    /// * cutting resumes at the start of the first affected chunk, and the
+    ///   content-defined scan of that chunk at the edit: no boundary fired
+    ///   before `dirty.start`, nor before `prev`'s last byte of the chunk
+    ///   (EOF may have cut there, not content). At an unchanged length, a
+    ///   scan 63 bytes past `dirty.end` without a cut is back on the hashes
+    ///   `prev` saw, and settles on `prev`'s end of the chunk unread;
     /// * past `dirty.end`, as soon as a cut lands on a `prev` boundary of a
     ///   file of unchanged length, the bytes from there on are the bytes
     ///   `prev` was cut from, and its remaining entries are spliced in
     ///   unhashed.
     ///
-    /// A `prev` of another stride or target average is ignored (a full
-    /// rebuild); one cut under different CDC min/max knobs of the same
-    /// average is not recognisable, and yields a valid tiling with correct
-    /// hashes that a from-scratch cut would have placed differently.
+    /// The count returned is of bytes hashed: whole chunks, more than the
+    /// scan reads to place their cuts. A `prev` of another stride or target
+    /// average is ignored (a full rebuild); one cut under different CDC
+    /// min/max knobs of the same average is not recognisable, and yields a
+    /// valid tiling with correct hashes that a from-scratch cut would have
+    /// placed differently: each chunk it cuts within this rule's
+    /// `max_size`, each it keeps or splices in `prev`'s own.
     pub fn rebuild(
         prev: Option<&ChunkMap>,
         data: &[u8],
@@ -357,8 +410,10 @@ impl ChunkMap {
     /// [`ChunkMap::rebuild`] over bytes that arrive on demand: every byte the
     /// rebuild cuts or hashes is faulted in from `source` first — the dirty
     /// extent's chunks in one call, then, past it, each chunk a CDC re-cut
-    /// runs into before it falls back onto `prev`. An extent no cut reaches
-    /// is never read, so it keeps `prev`'s offset and hash in the result.
+    /// runs into before it falls back onto `prev`. The first re-cut chunk is
+    /// hashed whole but scanned only from the edit; a chunk it settles on
+    /// is faulted in for its hash alone. An extent no cut reaches is never
+    /// read, so it keeps `prev`'s offset and hash in the result.
     pub fn rebuild_from<S: ChunkSource>(
         prev: Option<&ChunkMap>,
         source: &mut S,
@@ -381,6 +436,7 @@ impl ChunkMap {
         let dirty_end = if same_len { dirty.end.min(len) } else { len };
         let dirty_start = dirty.start.min(dirty_end);
         let mut pos = 0usize;
+        let mut resume = Resume::default();
         if let Some(prev) = prev {
             if same_len && dirty_start == dirty_end {
                 return Ok((prev.clone(), 0));
@@ -393,7 +449,20 @@ impl ChunkMap {
                 .saturating_sub(1);
             map.chunks.extend_from_slice(&prev.chunks[..keep]);
             map.offsets.extend_from_slice(&prev.offsets[..keep]);
-            pos = prev.offsets.get(keep).map_or(0, |&start| start as usize);
+            if let Some(&start) = prev.offsets.get(keep) {
+                pos = start as usize;
+                let end = prev.offsets.get(keep + 1).map_or(prev.file_len, |&end| end);
+                // Up to the edit, the chunk's bytes are the ones `prev` was
+                // cut from, so none of them fired there. The old last byte
+                // is not one of them: EOF may have cut there, not content.
+                resume.skip = (dirty_start.min(end - 1) - start) as usize;
+                // Past 63 bytes after the edit the hash is the old one
+                // again; at an unchanged length, so is every threshold.
+                if same_len {
+                    resume.settle =
+                        Some(((dirty_end + 63 - start) as usize, (end - start) as usize));
+                }
+            }
         }
         let resync = prev.filter(|_| same_len);
         let recut_from = pos;
@@ -410,11 +479,13 @@ impl ChunkMap {
             }
             let end = loop {
                 let known = source.present_until(pos) - pos;
-                match rule.cut(&source.bytes()[pos..], known) {
+                match rule.cut(&source.bytes()[pos..], known, resume) {
                     Some(cut) => break pos + cut,
                     None => source.fault(pos + known..pos + known + 1)?,
                 }
             };
+            // Only the chunk starting on `prev`'s boundary knows its past.
+            resume = Resume::default();
             source.fault(pos..end)?;
             map.offsets.push(pos as u64);
             map.chunks.push(sha256(&source.bytes()[pos..end]));
@@ -1477,6 +1548,46 @@ mod tests {
         let empty = ChunkMap::build_cdc(&[], &params);
         assert_eq!(empty.chunk_count(), 0);
         assert_eq!(ChunkMap::decode(&empty.encode()).unwrap(), empty);
+    }
+
+    /// The rebuild of `data` over `prev` after a write of `dirty`, checked
+    /// against the from-scratch cut, and the bytes its Gear scan read.
+    fn gear_scanned_by_rebuild(prev: &ChunkMap, data: &[u8], dirty: std::ops::Range<u64>) -> u64 {
+        let params = CdcParams::default();
+        let before = GEAR_SCANNED.with(|n| n.get());
+        let (map, _) = ChunkMap::rebuild(Some(prev), data, dirty, CutRule::Cdc(params));
+        let scanned = GEAR_SCANNED.with(|n| n.get()) - before;
+        assert_eq!(map, ChunkMap::build_cdc(data, &params));
+        scanned
+    }
+
+    #[test]
+    fn the_gear_scan_of_a_rebuild_is_o_edit() {
+        let params = CdcParams::default();
+        let mut data = random_bytes(4 << 20, 20140614);
+        let prev = ChunkMap::build_cdc(&data, &params);
+        // 4 KiB overwritten in the middle of the longest chunk: the edit,
+        // the 64 bytes that warm the hash before it and the 63 after it
+        // whose hash still sees it — not the ~0.75 MiB from `min_size` on.
+        let longest = (0..prev.chunk_count())
+            .max_by_key(|&index| prev.chunk_len(index))
+            .unwrap();
+        let chunk = prev.byte_range(longest);
+        assert!(chunk.len() > params.avg_size / 2, "{chunk:?}");
+        let at = chunk.start + chunk.len() / 2;
+        data[at..at + 4096].copy_from_slice(&random_bytes(4096, 1));
+        let dirty = at as u64..(at + 4096) as u64;
+        let scanned = gear_scanned_by_rebuild(&prev, &data, dirty);
+        assert!((4096..=4096 + 128).contains(&scanned), "scanned {scanned}");
+
+        // An append scans the old last byte, which EOF or content may have
+        // cut, the 64 before it, and the appended bytes.
+        let appended = random_bytes(100 << 10, 2);
+        let prev = ChunkMap::build_cdc(&data, &params);
+        let old_len = data.len() as u64;
+        data.extend_from_slice(&appended);
+        let scanned = gear_scanned_by_rebuild(&prev, &data, old_len..data.len() as u64);
+        assert!(scanned <= appended.len() as u64 + 65, "scanned {scanned}");
     }
 
     #[test]

@@ -20,6 +20,7 @@ use scfs_repro::scfs::agent::ScfsAgent;
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::scfs::types::{CdcParams, ChunkMap, CutRule, FileHandle, OpenFlags};
+use scfs_repro::scfs_crypto::sha256;
 use scfs_repro::sim_core::rng::DetRng;
 use scfs_repro::sim_core::time::SimDuration;
 use scfs_repro::workloads::setup::{Backend, Deployment};
@@ -105,10 +106,20 @@ fn assert_rebuild_matches(prev: &ChunkMap, file: &Edited, rule: CutRule) -> (Chu
     (map, rehashed)
 }
 
-fn rules() -> [CutRule; 2] {
+/// Small knobs put a content cut every few dozen bytes, so edits land on,
+/// beside and across cuts, and on a last chunk that content cut, all the
+/// time.
+const SMALL: CdcParams = CdcParams {
+    min_size: 16,
+    avg_size: 64,
+    max_size: 256,
+};
+
+fn rules() -> [CutRule; 3] {
     [
         CutRule::Fixed(1000),
         CutRule::Cdc(CdcParams::with_avg(1024)),
+        CutRule::Cdc(SMALL),
     ]
 }
 
@@ -254,6 +265,167 @@ fn rebuild_handles_tiny_and_empty_files_and_foreign_maps() {
         let (map, rehashed) = ChunkMap::rebuild(Some(prev), &data, 10..20, *rule);
         assert_eq!(map, from_scratch(&data, *rule));
         assert_eq!(rehashed, data.len() as u64);
+    }
+}
+
+/// Single edits of every kind, each rebuilt from the map of the state
+/// before it and checked against the from-scratch cut: overwrites on and
+/// across cuts, appends with and without a hole, mid-file inserts written
+/// as tail rewrites, and truncates both ways.
+#[test]
+fn ten_thousand_single_edits_rebuild_to_the_from_scratch_map() {
+    let mut rng = DetRng::new(20140614);
+    for rule in rules() {
+        let mut file = Edited {
+            data: rng.bytes(2000),
+            dirty: None,
+        };
+        let mut prev = from_scratch(&file.data, rule);
+        let edits = if rule == CutRule::Cdc(SMALL) {
+            10_000
+        } else {
+            1_000
+        };
+        for _ in 0..edits {
+            let len = file.data.len();
+            let at = rng.range_u64(0, len as u64) as usize;
+            let some = rng.range_u64(1, 300) as usize;
+            match rng.next_below(6) {
+                0 | 1 => file.write(at, &rng.bytes(some)),
+                2 => {
+                    let mut tail = rng.bytes(some.min(40));
+                    tail.extend_from_slice(&file.data[at..]);
+                    file.write(at, &tail);
+                }
+                3 => file.write(len + rng.next_below(2) as usize * some, &rng.bytes(some)),
+                4 => file.truncate(at),
+                _ => file.truncate(len + some),
+            }
+            // Keep the file a few hundred cuts long at most.
+            if file.data.len() > 6000 {
+                file.truncate(rng.range_u64(0, 6000) as usize);
+            }
+            prev = assert_rebuild_matches(&prev, &file, rule).0;
+            file.dirty = None;
+        }
+    }
+}
+
+/// An append to a file whose old last chunk ends on a content cut, at every
+/// such cut: the old last byte fired a boundary that is also EOF, and the
+/// re-cut must find it again rather than resume past it.
+#[test]
+fn an_append_after_a_content_cut_keeps_the_cut() {
+    for params in [SMALL, CdcParams::with_avg(1024)] {
+        let rule = CutRule::Cdc(params);
+        let mut rng = DetRng::new(7);
+        let original = rng.bytes(40 * params.avg_size);
+        let full = ChunkMap::build_cdc(&original, &params);
+        let mut checked = 0;
+        for index in 0..full.chunk_count() - 1 {
+            let chunk = full.byte_range(index);
+            if chunk.len() == params.max_size {
+                continue; // forced, not content
+            }
+            let prev = ChunkMap::build_cdc(&original[..chunk.end], &params);
+            assert_eq!(prev.byte_range(prev.chunk_count() - 1), chunk);
+            for more in [
+                1,
+                17,
+                params.min_size,
+                params.avg_size + 5,
+                params.max_size + 1,
+            ] {
+                let mut file = Edited {
+                    data: original[..chunk.end].to_vec(),
+                    dirty: None,
+                };
+                file.write(chunk.end, &rng.bytes(more));
+                let (map, _) = assert_rebuild_matches(&prev, &file, rule);
+                assert_eq!(
+                    map.byte_range(index),
+                    chunk,
+                    "append of {more} at {}",
+                    chunk.end
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked >= 5 * 20, "only {checked} appends checked");
+    }
+}
+
+/// A `prev` cut under other min/max knobs of the same average is accepted
+/// but not recognisable: the rebuild must still tile the file with chunks
+/// that hash to their bytes, and every chunk it cuts — any that is not one
+/// of `prev`'s, kept or spliced in whole — is at most this rule's
+/// `max_size`, however far `prev`'s boundaries lie. A run of one byte value
+/// that never fires a cut puts them a foreign `max_size` apart.
+#[test]
+fn a_foreign_prev_still_yields_a_valid_tiling() {
+    let foreign = [
+        CdcParams {
+            min_size: 1,
+            avg_size: 64,
+            max_size: 4096,
+        },
+        CdcParams {
+            min_size: 64,
+            avg_size: 64,
+            max_size: 64,
+        },
+        CdcParams {
+            min_size: 40,
+            avg_size: 64,
+            max_size: 1024,
+        },
+    ];
+    let mut rng = DetRng::new(11);
+    for other in foreign {
+        let uncut = (0..=255u8)
+            .find(|&b| ChunkMap::build_cdc(&[b; 5000], &other).chunk_len(0) == other.max_size)
+            .unwrap();
+        for round in 0..600 {
+            let len = rng.range_u64(0, 5000) as usize;
+            let data = match round % 2 {
+                0 => rng.bytes(len),
+                _ => vec![uncut; len],
+            };
+            let mut file = Edited { data, dirty: None };
+            let prev = ChunkMap::build_cdc(&file.data, &other);
+            match round % 3 {
+                // A few bytes just past a `prev` cut, at an unchanged length.
+                0 if prev.chunk_count() > 0 => {
+                    let index = rng.next_below(prev.chunk_count() as u64) as usize;
+                    let chunk = prev.byte_range(index);
+                    let at = chunk.start + rng.next_below(chunk.len().min(100) as u64) as usize;
+                    let some = rng.bytes(8.min(len - at));
+                    file.write(at, &some);
+                }
+                _ => file.random_edit(&mut rng),
+            }
+            let dirty = file.dirty.clone().unwrap_or(0..0);
+            let (map, _) = ChunkMap::rebuild(Some(&prev), &file.data, dirty, CutRule::Cdc(SMALL));
+            assert_eq!(map.file_len(), file.data.len() as u64);
+            let prevs: Vec<_> = (0..prev.chunk_count())
+                .map(|index| (prev.byte_range(index), prev.chunks()[index]))
+                .collect();
+            let mut covered = 0;
+            for index in 0..map.chunk_count() {
+                let chunk = map.byte_range(index);
+                assert_eq!(chunk.start, covered, "{other:?}");
+                assert!(!chunk.is_empty());
+                let hash = map.chunks()[index];
+                assert_eq!(hash, sha256(&file.data[chunk.clone()]));
+                let cut = !prevs.contains(&(chunk.clone(), hash));
+                assert!(
+                    !cut || chunk.len() <= SMALL.max_size,
+                    "{chunk:?} under {other:?}"
+                );
+                covered = chunk.end;
+            }
+            assert_eq!(covered, file.data.len());
+        }
     }
 }
 
