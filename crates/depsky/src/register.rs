@@ -28,6 +28,7 @@
 //! blocks live under [`KEY_SPACE`], and [`DepSkyClient::blob_of_key`] reads
 //! the `(base, hash)` back off any of them.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use cloud_store::error::StorageError;
@@ -80,7 +81,8 @@ impl std::fmt::Debug for PlacementSpec {
     }
 }
 
-/// One decoded block object fetched from a cloud.
+/// One decoded block object fetched from a cloud. It keeps the GET reply it
+/// was decoded from, and its shard is where it lies in that reply.
 #[derive(Debug, Clone)]
 struct BlockPayload {
     slot: u8,
@@ -89,7 +91,16 @@ struct BlockPayload {
     /// Length of the plaintext the blob decodes to.
     size: u64,
     share_data: Vec<u8>,
-    shard: Vec<u8>,
+    /// The GET reply, whole.
+    reply: Vec<u8>,
+    /// Where the shard lies in `reply`.
+    shard_at: Range<usize>,
+}
+
+impl BlockPayload {
+    fn shard(&self) -> &[u8] {
+        &self.reply[self.shard_at.clone()]
+    }
 }
 
 /// The DepSky client: one write-once, content-addressed data unit per blob.
@@ -243,9 +254,10 @@ impl DepSkyClient {
     ///
     /// Each block is allocated once, at its final size, and built in place:
     /// its header and key share, then its shard. A data shard is the
-    /// plaintext's bytes encrypted where they land; a parity shard is coded
-    /// from those. The bytes are the ones [`ErasureCoder::encode`] over
-    /// [`ChaCha20::encrypt`] would give, under the same key draws.
+    /// plaintext's bytes, appended encrypted straight from `data`; a parity
+    /// shard is coded from those. The bytes are the ones
+    /// [`ErasureCoder::encode`] over [`ChaCha20::encrypt`] would give, under
+    /// the same key draws.
     fn encode_blocks(&self, hash: &ContentHash, data: &[u8]) -> Result<Vec<Vec<u8>>, StorageError> {
         if &sha256(data) != hash {
             return Err(StorageError::invalid(format!(
@@ -273,8 +285,8 @@ impl DepSkyClient {
             let head = block.len();
             if slot < data_shards {
                 let from = (slot * shard_len).min(data.len());
-                block.extend_from_slice(&data[from..(from + shard_len).min(data.len())]);
-                apply_keystream_at(&cipher, from, &mut block[head..]);
+                let shard = &data[from..(from + shard_len).min(data.len())];
+                cipher.extend_with_keystream(from, shard, &mut block);
             }
             block.resize(head + shard_len, 0);
             block
@@ -366,8 +378,9 @@ impl DepSkyClient {
     /// the policy's read order, exactly the blocks a decode needs, and
     /// widens to the rest once that wave has fully resolved (so a widening
     /// pays its latency). Each block that arrives carrying the slot its
-    /// holder holds, with a shard as long as its plaintext length implies,
-    /// joins the candidates; the read returns at the first arrival that
+    /// holder holds, with a shard as long as its plaintext length implies
+    /// ([`DepSkyClient::candidate`]), joins the candidates, its GET reply
+    /// kept whole; the read returns at the first arrival that
     /// completes `f + 1` of them decoding to `hash`
     /// ([`DepSkyClient::open_with_newest`]; at most C(3, 2) = 3 decodes at
     /// `f = 1`). A Byzantine holder, or a rewrite that replaced some blocks,
@@ -402,22 +415,20 @@ impl DepSkyClient {
             let wave = wave.iter().copied();
             let outcomes = self.on_holders(ctx, &name, wave, |cloud, c, key, _| cloud.get(c, key));
             self.record_outcomes(start, &outcomes);
-            for outcome in &outcomes {
-                let bytes = outcome.value.as_deref().ok();
-                let Some(block) = bytes.and_then(|bytes| decode_block(bytes).ok()) else {
+            last = outcomes.last().map(|o| o.completed_at).or(last);
+            for outcome in outcomes {
+                let Ok(reply) = outcome.value else {
                     continue;
                 };
-                let shard_len = self.coder.shard_size(block.size as usize).max(1);
-                if block.slot as usize != outcome.index || block.shard.len() != shard_len {
+                let Some(block) = self.candidate(outcome.index, reply) else {
                     continue;
-                }
+                };
                 arrived.push(block);
-                if let Some(plaintext) = self.open_with_newest(&mut arrived, hash) {
+                if let Some(plaintext) = self.open_with_newest(&arrived, hash) {
                     ctx.clock.advance_to(outcome.completed_at);
                     return Ok(plaintext);
                 }
             }
-            last = outcomes.last().map(|o| o.completed_at).or(last);
         }
         if let Some(at) = last {
             ctx.clock.advance_to(at);
@@ -459,10 +470,19 @@ impl DepSkyClient {
         Ok(())
     }
 
+    /// The block `reply` holds, if it could be slot `slot` of a blob of this
+    /// pool: it decodes, carries that slot, and its shard is as long as its
+    /// plaintext length implies.
+    fn candidate(&self, slot: usize, reply: Vec<u8>) -> Option<BlockPayload> {
+        let block = decode_block(reply).ok()?;
+        let shard_len = self.coder.shard_size(block.size as usize).max(1);
+        (block.slot as usize == slot && block.shard_at.len() == shard_len).then_some(block)
+    }
+
     /// Tries each set of `f + 1` of `blocks` that includes the last one and
     /// whose blocks agree on nonce and plaintext length: the plaintext of the
     /// first that decodes to content hashing to `hash`.
-    fn open_with_newest(&self, blocks: &mut [BlockPayload], hash: &ContentHash) -> Option<Vec<u8>> {
+    fn open_with_newest(&self, blocks: &[BlockPayload], hash: &ContentHash) -> Option<Vec<u8>> {
         let newest = blocks.len().checked_sub(1)?;
         let (nonce, size) = (blocks[newest].nonce, blocks[newest].size);
         let picks = combinations(blocks.len(), self.config.data_shards());
@@ -482,24 +502,15 @@ impl DepSkyClient {
     }
 
     /// Decrypts the blob of `size` bytes that the `f + 1` blocks `pick` of
-    /// `blocks` encode, if they are one encryption: their shards are lent to
-    /// the decoder and put back, their key shares combined. `None` if they
-    /// do not decode.
-    fn open(&self, blocks: &mut [BlockPayload], pick: &[usize], size: u64) -> Option<Vec<u8>> {
-        let mut shards: Vec<Option<Vec<u8>>> = vec![None; self.coder.total_shards()];
-        for &i in pick {
-            if let Some(shard) = shards.get_mut(blocks[i].slot as usize) {
-                *shard = Some(std::mem::take(&mut blocks[i].shard));
-            }
-        }
-        let decoded = self.coder.decode(&shards, size as usize);
-        for &i in pick {
-            let lent = shards.get_mut(blocks[i].slot as usize);
-            if let Some(shard) = lent.and_then(Option::take) {
-                blocks[i].shard = shard;
-            }
-        }
-        let mut plaintext = decoded.ok()?;
+    /// `blocks` encode, if they are one encryption: their key shares are
+    /// combined, and their shards deciphered. `None` if they do not decode.
+    ///
+    /// When the pick is the data shards, slots `0..f + 1` (what a fault-free
+    /// read on the paper's layout races), the plaintext is their bytes in
+    /// slot order: each is appended deciphered straight from its GET reply,
+    /// so every byte is written once. A pick that needs parity copies its
+    /// shards into the erasure decoder and deciphers the result in place.
+    fn open(&self, blocks: &[BlockPayload], pick: &[usize], size: u64) -> Option<Vec<u8>> {
         let shares: Vec<Share> = pick
             .iter()
             .map(|&i| Share {
@@ -508,7 +519,29 @@ impl DepSkyClient {
             })
             .collect();
         let key: [u8; 32] = combine_shares(&shares, pick.len()).ok()?.try_into().ok()?;
-        ChaCha20::new(&key, &blocks[pick[0]].nonce).apply_keystream(1, &mut plaintext);
+        let cipher = ChaCha20::new(&key, &blocks[pick[0]].nonce);
+        let size = size as usize;
+        let mut picked: Vec<&BlockPayload> = pick.iter().map(|&i| &blocks[i]).collect();
+        picked.sort_by_key(|block| block.slot);
+        let slots = picked.iter().map(|block| block.slot as usize);
+        if slots.eq(0..self.coder.data_shards()) {
+            let mut plaintext = Vec::with_capacity(size);
+            for block in picked {
+                let from = plaintext.len();
+                let shard = block.shard();
+                let shard = &shard[..shard.len().min(size - from)];
+                cipher.extend_with_keystream(from, shard, &mut plaintext);
+            }
+            return Some(plaintext);
+        }
+        let mut shards: Vec<Option<Vec<u8>>> = vec![None; self.coder.total_shards()];
+        for block in picked {
+            if let Some(shard) = shards.get_mut(block.slot as usize) {
+                *shard = Some(block.shard().to_vec());
+            }
+        }
+        let mut plaintext = self.coder.decode(&shards, size).ok()?;
+        cipher.apply_keystream(1, &mut plaintext);
         Some(plaintext)
     }
 }
@@ -555,26 +588,10 @@ fn block_head(slot: u8, share: &Share, nonce: &[u8; 12], size: u64, shard_len: u
     w.finish()
 }
 
-/// XORs into `data` the keystream bytes `offset..offset + data.len()` of the
-/// message `cipher` encrypts from block 1 ([`ChaCha20::encrypt`]): a shard's
-/// worth of plaintext encrypts where it lands in its block.
-fn apply_keystream_at(cipher: &ChaCha20, offset: usize, data: &mut [u8]) {
-    let counter = 1u32.wrapping_add((offset / 64) as u32);
-    let skip = offset % 64;
-    if skip == 0 {
-        return cipher.apply_keystream(counter, data);
-    }
-    let mut block = [0u8; 64];
-    cipher.apply_keystream(counter, &mut block);
-    let (head, rest) = data.split_at_mut(data.len().min(64 - skip));
-    for (b, k) in head.iter_mut().zip(&block[skip..]) {
-        *b ^= k;
-    }
-    cipher.apply_keystream(counter.wrapping_add(1), rest);
-}
-
-fn decode_block(bytes: &[u8]) -> Result<BlockPayload, DecodeError> {
-    let mut r = Reader::new(bytes);
+/// Decodes the block a GET reply holds, keeping the reply: its shard is
+/// where the last field lies in it, not a copy.
+fn decode_block(reply: Vec<u8>) -> Result<BlockPayload, DecodeError> {
+    let mut r = Reader::new(&reply);
     let slot = r.get_u8()?;
     let share_index = r.get_u8()?;
     let nonce_bytes = r.get_bytes_max(12)?;
@@ -583,7 +600,7 @@ fn decode_block(bytes: &[u8]) -> Result<BlockPayload, DecodeError> {
     })?;
     let size = r.get_u64()?;
     let share_data = r.get_bytes()?;
-    let shard = r.get_bytes()?;
+    let shard_len = r.get_bytes_max(reply.len())?.len();
     if !r.is_exhausted() {
         return Err(DecodeError {
             reason: format!("{} trailing bytes after block", r.remaining()),
@@ -595,7 +612,8 @@ fn decode_block(bytes: &[u8]) -> Result<BlockPayload, DecodeError> {
         nonce,
         size,
         share_data,
-        shard,
+        shard_at: reply.len() - shard_len..reply.len(),
+        reply,
     })
 }
 
@@ -1059,12 +1077,14 @@ mod tests {
 
     #[test]
     fn the_keystream_at_an_offset_is_that_slice_of_the_whole() {
+        // What a shard enciphers and deciphers with: a slice of the message
+        // extended with the keystream at its offset.
         let cipher = ChaCha20::new(&[7; 32], &[9; 12]);
-        let whole = cipher.encrypt(&[0; 200 + 1100]);
+        let whole = cipher.encrypt(&[0; 200 + 5000]);
         for offset in 0..200 {
-            for len in [0, 1, 63, 64, 65, 129, 1100] {
-                let mut keystream = vec![0; len];
-                apply_keystream_at(&cipher, offset, &mut keystream);
+            for len in [0, 1, 63, 64, 65, 129, 1100, 5000] {
+                let mut keystream = Vec::new();
+                cipher.extend_with_keystream(offset, &vec![0; len], &mut keystream);
                 assert_eq!(keystream, whole[offset..offset + len], "{len} at {offset}");
             }
         }
@@ -1384,14 +1404,90 @@ mod tests {
     #[test]
     fn a_block_with_a_short_nonce_or_a_tail_is_rejected() {
         let valid = encode_block(1, 2, &[9; 12], 99, &[3; 33], &[4; 50]);
-        assert_eq!(decode_block(&valid).unwrap().size, 99);
+        assert_eq!(decode_block(valid.clone()).unwrap().size, 99);
         let mut w = Writer::new();
         w.put_u8(1).put_u8(2).put_bytes(&[9; 11]).put_u64(99);
         w.put_bytes(&[3; 33]).put_bytes(&[4; 50]);
-        assert!(decode_block(&w.finish()).is_err(), "11-byte nonce");
+        assert!(decode_block(w.finish()).is_err(), "11-byte nonce");
         let mut tailed = valid;
         tailed.push(0);
-        assert!(decode_block(&tailed).is_err(), "trailing byte");
+        assert!(decode_block(tailed).is_err(), "trailing byte");
+    }
+
+    #[test]
+    fn a_kept_reply_is_checked_as_a_copied_block_was() {
+        // A block keeps its reply whole, and its shard is the reply's tail.
+        let ds = client(test_clouds(4));
+        let valid = encode_block(1, 2, &[9; 12], 99, &[3; 33], &[4; 50]);
+        let block = ds.candidate(1, valid.clone()).unwrap();
+        assert_eq!(block.shard(), [4; 50]);
+        assert!(block.reply == valid, "the reply, not a copy of its parts");
+        // What the decoder rejects.
+        let mut w = Writer::new();
+        w.put_u8(1).put_u8(2).put_bytes(&[9; 11]).put_u64(99);
+        w.put_bytes(&[3; 33]).put_bytes(&[4; 50]);
+        assert!(decode_block(w.finish()).is_err(), "11-byte nonce");
+        let tailed = [&valid[..], &[0]].concat();
+        assert!(decode_block(tailed).is_err(), "trailing byte");
+        let prefix = valid.len() - 50 - 8;
+        for claimed in [51u64, u64::MAX] {
+            let mut past = valid.clone();
+            past[prefix..prefix + 8].copy_from_slice(&claimed.to_le_bytes());
+            assert!(decode_block(past).is_err(), "a {claimed}-byte shard");
+        }
+        // What the read rejects beside: a shard shorter or longer than 99
+        // bytes over f + 1 = 2 imply, or a slot its holder does not hold.
+        for shard in [49, 51] {
+            let odd = encode_block(1, 2, &[9; 12], 99, &[3; 33], &vec![4; shard]);
+            assert!(decode_block(odd.clone()).is_ok(), "{shard}-byte shard");
+            assert!(ds.candidate(1, odd).is_none(), "{shard}-byte shard");
+        }
+        assert!(ds.candidate(0, valid).is_none(), "slot 1 at slot 0");
+    }
+
+    #[test]
+    fn a_cold_read_with_a_data_holder_down_decodes_through_parity() {
+        // Slots 0 and 1 hold the data shards. With either holder down, the
+        // read widens to slot 2's parity and decodes from it; sizes cover an
+        // empty blob, a shard boundary inside a keystream block and shards
+        // longer than the cipher's stage.
+        for down in [0, 1] {
+            for len in [0, 1, 129, 4097, 300_001] {
+                let sims = sim_clouds(4);
+                let mut clock = Clock::new();
+                let data: Vec<u8> = (0..len).map(|i| (i * 11 + i / 509) as u8).collect();
+                let hash = write(&client(as_stores(&sims)), &mut ctx(&mut clock), &data);
+                let outage = FaultPlan::outage(SimInstant::EPOCH, SimInstant::from_secs(1_000_000));
+                sims[down].set_fault_plan(outage, 3);
+                let before = request_counts(&sims).1;
+                let read = cold_read(&client(as_stores(&sims)), SimDuration::ZERO, &hash);
+                assert!(read == Ok(data), "slot {down} down, {len} bytes");
+                assert_eq!(request_counts(&sims).1 - before, 3, "slot {down}, {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_fault_free_read_opens_the_data_shards_in_either_arrival_order() {
+        // An `AllClouds` spec keeps pool order, so slot i is on cloud i
+        // whatever its latency: the holder of slot 1 may answer first. The
+        // plaintext is the shards in slot order whichever came first.
+        for latencies in [[100.0, 200.0, 300.0, 400.0], [200.0, 100.0, 300.0, 400.0]] {
+            let sims = latency_clouds(latencies);
+            let build = |seed| {
+                let spec = all_clouds_spec(&sims, 4, 3, 3);
+                let config = DepSkyConfig::scfs_default();
+                DepSkyClient::with_placement(as_stores(&sims), config, spec, seed).unwrap()
+            };
+            let mut clock = Clock::new();
+            let data: Vec<u8> = (0..70_001u32).map(|i| (i * 3 + i / 97) as u8).collect();
+            let hash = write(&build(1), &mut ctx(&mut clock), &data);
+            let reader = build(2);
+            assert_eq!(reader.holders, [0, 1, 2], "{latencies:?}");
+            let read = cold_read(&reader, SimDuration::from_secs(1), &hash);
+            assert!(read == Ok(data), "{latencies:?}");
+            assert_eq!(request_counts(&sims).1, 2, "{latencies:?}");
+        }
     }
 
     proptest! {
@@ -1407,8 +1503,8 @@ mod tests {
         ) {
             let valid = encode_block(2, 3, &[7; 12], size, &share, &shard);
             crate::wire::assert_fails_closed(&valid, &tail, flip, 13, |bytes| {
-                let b = decode_block(bytes).ok()?;
-                Some(encode_block(b.slot, b.share_index, &b.nonce, b.size, &b.share_data, &b.shard))
+                let b = decode_block(bytes.to_vec()).ok()?;
+                Some(encode_block(b.slot, b.share_index, &b.nonce, b.size, &b.share_data, b.shard()))
             });
         }
     }

@@ -24,14 +24,16 @@
 //! The three kernels every stored byte goes through — the SHA-256
 //! compression function, the ChaCha20 keystream and the GF(2⁸)
 //! multiply-accumulate ([`gf256::mul_acc`]) under the erasure code — each
-//! have exactly two implementations: a portable scalar one, and an x86-64 one
-//! on the SHA extensions (SHA-256) or AVX2 (the other two). Every call picks
-//! by what `is_x86_feature_detected!` reports for the CPU it runs on and by
-//! nothing else — no cargo feature, build flag, configuration field or
-//! environment variable. The two produce the same bytes: the scalar code is
-//! the only path elsewhere and the reference the accelerated code is tested
-//! against, and no digest, ciphertext or shard records which one ran. Each
-//! accelerated kernel is a private `x86` module of its file; those three
+//! have a portable scalar implementation and x86-64 vector ones: SHA-256 on
+//! the SHA extensions, the multiply-accumulate on AVX2, and the keystream in
+//! two tiers, sixteen blocks per pass on AVX-512 and eight on AVX2. Every
+//! call takes the widest one that `is_x86_feature_detected!` reports for the
+//! CPU it runs on, and nothing else picks — no cargo feature, build flag,
+//! configuration field or environment variable. All of them produce the same
+//! bytes: the scalar code is the only path elsewhere and the reference the
+//! accelerated code is tested against, and no digest, ciphertext or shard
+//! records which one ran. Each file's vector code is a private `x86` module
+//! of it; those three
 //! files hold all the `unsafe` in the workspace: every other crate forbids
 //! `unsafe_code`, this one denies it and allows it on those three modules.
 //!
