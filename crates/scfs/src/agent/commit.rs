@@ -395,8 +395,9 @@ impl ScfsAgent {
     /// local disk first. A waiting commit (a blocking close, `sync`) starts
     /// the upload at the spill's own instant, so the two overlap and the
     /// data may reach the cloud before the local disk; it returns at the
-    /// later of the anchor update and the spill landing. Returns the
-    /// version's map and the committed metadata.
+    /// later of the anchor update and the spill landing. The version
+    /// records keep the checkpoints the handle's cuts took of the chunks
+    /// they now name. Returns the version's map and the committed metadata.
     fn commit_buffer(
         &mut self,
         file: &mut OpenFile,
@@ -427,6 +428,7 @@ impl ScfsAgent {
         let committed = self.run_commit(None, metadata, store, unlock, wait);
         self.clock.advance_to(spilled);
         let committed = committed?;
+        self.versions.adopt(std::mem::take(&mut file.checkpoints));
         self.maybe_run_gc();
         Ok((map, committed))
     }

@@ -1,12 +1,12 @@
 //! The open-file table: `open`, and the byte-range read, write and truncate
 //! paths over a handle's chunks and, once it is written, its flat buffer.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
 
 use cloud_store::store::OpCtx;
-use scfs_crypto::ContentHash;
+use scfs_crypto::{ContentHash, Sha256};
 use sim_core::time::SimInstant;
 
 use super::versions::VersionRecord;
@@ -73,6 +73,9 @@ pub(super) struct OpenFile {
     /// What the handle holds of each chunk of `chunk_map` (empty without
     /// one).
     pub(super) chunks: Vec<Chunk>,
+    /// The hash checkpoints the handle's cuts kept since its last commit,
+    /// which hands them to the agent's version records.
+    pub(super) checkpoints: BTreeMap<ContentHash, Vec<Sha256>>,
     /// In-flight sequential prefetches: chunk index → the background instant
     /// the fetch completes. The data is already in the caches, but a
     /// foreground read arriving earlier must wait for that instant.
@@ -265,7 +268,9 @@ impl OpenFile {
 }
 
 /// An open handle's flat buffer as the [`ChunkSource`] a commit cuts: a
-/// hole faults in the first time the cut touches it.
+/// hole faults in the first time the cut touches it. It offers the
+/// checkpoints the handle and the version records keep, and the chunks the
+/// memory tier holds, read without an access.
 pub(super) struct Faulting<'a> {
     pub(super) agent: &'a mut ScfsAgent,
     pub(super) file: &'a mut OpenFile,
@@ -285,6 +290,20 @@ impl ChunkSource for Faulting<'_> {
     fn fault(&mut self, range: Range<usize>) -> Result<(), ScfsError> {
         let holes = self.file.holes_in(&range);
         self.agent.fault_in(self.file, &holes)
+    }
+
+    fn checkpoints(&self, hash: &ContentHash) -> &[Sha256] {
+        let kept = self.file.checkpoints.get(hash);
+        kept.map_or_else(|| self.agent.versions.checkpoints(hash), Vec::as_slice)
+    }
+
+    fn keep_checkpoints(&mut self, hash: ContentHash, checkpoints: Vec<Sha256>) {
+        self.file.checkpoints.insert(hash, checkpoints);
+    }
+
+    fn chunk_bytes(&self, hash: &ContentHash) -> Option<&[u8]> {
+        let key = ScfsAgent::chunk_cache_key(hash);
+        self.agent.cache.memory().peek(&key).map(|bytes| &bytes[..])
     }
 }
 
@@ -393,6 +412,7 @@ impl ScfsAgent {
                 chunk_map,
                 staged: None,
                 chunks,
+                checkpoints: BTreeMap::new(),
                 prefetch_ready: HashMap::new(),
                 last_read_end: None,
                 locked,

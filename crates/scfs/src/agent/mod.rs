@@ -114,11 +114,13 @@ pub struct AgentStats {
     /// complete because 64 commits were already in flight (the explicit
     /// backpressure of the bounded upload queue).
     pub backpressure_stalls: u64,
-    /// Buffer bytes `close`, `sync` and `fsync` actually cut into chunks and
-    /// hashed: the whole buffer for a first or truncating commit, otherwise
-    /// from the start of the chunk holding the first written byte to where
-    /// the cuts fall back onto the previous map's (EOF once the length
-    /// changed) — see [`crate::types::ChunkMap::rebuild`].
+    /// Buffer bytes of the chunks `close`, `sync` and `fsync` cut
+    /// themselves: the whole buffer for a first or truncating commit,
+    /// otherwise from the start of the chunk holding the first written byte
+    /// to where the cuts fall back onto the previous map's, less every chunk
+    /// recognised as a `prev` chunk shifted by the length change — see
+    /// [`crate::types::ChunkMap::rebuild_from`]. A chunk counts whole, though
+    /// its hash may resume from a checkpoint and so read fewer bytes.
     pub rehashed_bytes: u64,
 }
 

@@ -4,11 +4,12 @@
 //! belongs to; these records do. When a record moves to a newer version, or
 //! goes with an unlink, what only the old version named leaves the cache
 //! ([`ScfsAgent::move_record`]): a superseded version is never served again,
-//! so its chunks would only push live ones out.
+//! so its chunks would only push live ones out. The hash checkpoints this
+//! agent's cuts kept of a chunk live as long as a record names the chunk.
 
 use std::collections::BTreeMap;
 
-use scfs_crypto::ContentHash;
+use scfs_crypto::{ContentHash, Sha256};
 
 use super::ScfsAgent;
 use crate::types::ChunkMap;
@@ -66,6 +67,9 @@ pub(super) struct Versions {
     /// Records naming each chunk or root: a chunk another object's live
     /// version shares (a copy, cross-file dedup) stays while one does.
     named: BTreeMap<ContentHash, u32>,
+    /// The hash checkpoints of named chunks that a cut here hashed
+    /// ([`crate::types::ChunkSource::checkpoints`]).
+    checkpoints: BTreeMap<ContentHash, Vec<Sha256>>,
 }
 
 impl Versions {
@@ -116,7 +120,22 @@ impl Versions {
             return false;
         }
         self.named.remove(&hash);
+        self.checkpoints.remove(&hash);
         true
+    }
+
+    /// The checkpoints kept of the chunk `hash`, or none.
+    pub(super) fn checkpoints(&self, hash: &ContentHash) -> &[Sha256] {
+        self.checkpoints.get(hash).map_or(&[], Vec::as_slice)
+    }
+
+    /// Keeps the checkpoints a handle's cuts took of the chunks a record
+    /// now names; the rest go.
+    pub(super) fn adopt(&mut self, checkpoints: BTreeMap<ContentHash, Vec<Sha256>>) {
+        let named = checkpoints
+            .into_iter()
+            .filter(|(hash, _)| self.named.contains_key(hash));
+        self.checkpoints.extend(named);
     }
 }
 
@@ -146,12 +165,13 @@ mod tests {
     use crate::backend::{FileStorage, SingleCloudStorage};
     use crate::config::{Mode, ScfsConfig};
     use crate::fs::FileSystem;
-    use crate::types::OpenFlags;
+    use crate::types::{CdcParams, CutRule, OpenFlags};
     use cloud_store::sim_cloud::SimulatedCloud;
     use coord::replication::ReplicatedCoordinator;
     use coord::service::CoordinationService;
     use scfs_crypto::sha256;
     use sim_core::fault::FaultPlan;
+    use sim_core::rng::DetRng;
     use sim_core::time::SimDuration;
     use sim_core::units::Bytes;
     use std::sync::Arc;
@@ -407,6 +427,49 @@ mod tests {
         }
         let replaced = fs.config().chunk_map(&v1).chunks()[1];
         assert_eq!(cached(&fs, &replaced), (false, false));
+    }
+
+    /// 200 edits of one file — overwrites, inserts, deletes and appends,
+    /// some staged by `fsync` and written again — each leave checkpoints
+    /// only of chunks a record names.
+    #[test]
+    fn the_checkpoints_are_only_of_named_chunks() {
+        let mut fs = test_agent(Mode::Blocking);
+        fs.config.chunking = CutRule::Cdc(CdcParams::with_avg(128 << 10));
+        let mut rng = DetRng::new(200);
+        let mut model = rng.bytes(1 << 20);
+        fs.write_file("/f", &model).unwrap();
+        for round in 0..200u64 {
+            let h = fs.open("/f", OpenFlags::read_write()).unwrap();
+            let at = rng.range_u64(0, model.len() as u64) as usize;
+            match round % 4 {
+                0 => {
+                    let end = model.len().min(at + 4096);
+                    model[at..end].copy_from_slice(&rng.bytes(end - at));
+                }
+                1 => drop(model.splice(at..at, rng.bytes(1024))),
+                2 => drop(model.drain(at..model.len().min(at + 1024))),
+                _ => model.extend_from_slice(&rng.bytes(8192)),
+            }
+            let at = at.min(model.len());
+            fs.write(h, at as u64, &model[at..]).unwrap();
+            fs.truncate(h, model.len() as u64).unwrap();
+            if round % 10 == 0 {
+                // Staged, then written over before the commit: what the
+                // staged cut hashed there is named by no record.
+                fs.fsync(h).unwrap();
+                let end = model.len().min(at + 4096);
+                model[at..end].copy_from_slice(&rng.bytes(end - at));
+                fs.write(h, at as u64, &model[at..end]).unwrap();
+            }
+            fs.close(h).unwrap();
+            let Versions {
+                named, checkpoints, ..
+            } = &fs.versions;
+            assert!(checkpoints.keys().all(|hash| named.contains_key(hash)));
+        }
+        assert!(fs.versions.checkpoints.len() > 2);
+        assert_eq!(fs.read_file("/f").unwrap(), model);
     }
 
     #[test]

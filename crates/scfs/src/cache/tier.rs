@@ -430,6 +430,13 @@ impl CacheTier {
         fresh
     }
 
+    /// The payload resident under `key`, read without an access: no
+    /// latency, no hit or miss, no recency step.
+    pub(crate) fn peek(&self, key: &str) -> Option<&Arc<[u8]>> {
+        let id = *self.index.get(key)?;
+        Some(&self.slots.get(id as usize)?.as_ref()?.data)
+    }
+
     /// Whether the tier holds an entry for `key` matching `expected_hash`
     /// (no latency charged, no recency refreshed; accounting only).
     pub fn contains(&self, key: &str, expected_hash: Option<&ContentHash>) -> bool {
@@ -660,15 +667,5 @@ impl TieredCache {
         let in_memory = self.memory.probe(key, expected_hash);
         let on_disk = self.disk.probe(key, expected_hash);
         in_memory || on_disk
-    }
-}
-
-#[cfg(test)]
-impl CacheTier {
-    /// The payload resident under `key`, read without an access: lets a test
-    /// tell a rewritten entry from one left alone by its allocation.
-    pub(crate) fn peek(&self, key: &str) -> Option<&Arc<[u8]>> {
-        let id = *self.index.get(key)?;
-        Some(&self.slots.get(id as usize)?.as_ref()?.data)
     }
 }

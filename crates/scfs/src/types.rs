@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use cloud_store::types::{AccountId, Acl, Permission};
 use depsky::wire::{DecodeError, Reader, Writer};
-use scfs_crypto::{sha256, ContentHash};
+use scfs_crypto::{sha256, ContentHash, Sha256};
 use sim_core::time::SimInstant;
 
 /// Default chunk size of the chunked data path (1 MiB), overridable through
@@ -157,6 +157,8 @@ impl Default for CdcParams {
 /// it depends only on the 64 bytes ending at `i`; whether it cuts there
 /// depends on that hash, on `i` less the chunk's start and on the bytes left
 /// to EOF. Where those are what they were, the old scan's outcome stands.
+/// It covers the scan only: the chunk's SHA-256 resumes from the old
+/// chunk's checkpoints instead ([`ChunkMap::rebuild_from`]).
 #[derive(Debug, Clone, Copy, Default)]
 struct Resume {
     /// No boundary fires at a position before this one: the old scan passed
@@ -174,6 +176,8 @@ thread_local! {
     /// Bytes the Gear scan has read on this thread, warm-up included: what
     /// the O(edit) tests bound.
     static GEAR_SCANNED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Bytes the cut has fed to SHA-256 on this thread.
+    static SHA_HASHED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Length of the next chunk of `data` under the FastCDC cut rule: the first
@@ -231,10 +235,38 @@ fn cdc_cut(data: &[u8], known: usize, params: &CdcParams, resume: Resume) -> Opt
     })
 }
 
+/// Spacing of the hash checkpoints a cut keeps of a chunk it hashes: the
+/// hasher is cloned after every 64 KiB of the chunk, short of its end. A
+/// multiple of the 64-byte block, so a clone is the exact state; at 112
+/// bytes a clone, they cost about 0.17 % of the bytes hashed.
+const CHECKPOINT_SPACING: usize = 64 << 10;
+
+/// The hash of `chunk` and its checkpoints. `inherited` are the checkpoints
+/// of a chunk whose first `inherited.len()` spacings are `chunk`'s too: the
+/// hash resumes from the last of them, and they are `chunk`'s first.
+fn hash_chunk(chunk: &[u8], inherited: &[Sha256]) -> (ContentHash, Vec<Sha256>) {
+    let mut checkpoints = inherited.to_vec();
+    let mut hasher = inherited.last().cloned().unwrap_or_default();
+    let resumed_at = inherited.len() * CHECKPOINT_SPACING;
+    for (i, piece) in chunk[resumed_at..].chunks(CHECKPOINT_SPACING).enumerate() {
+        if i > 0 {
+            checkpoints.push(hasher.clone());
+        }
+        hasher.update(piece);
+    }
+    #[cfg(test)]
+    SHA_HASHED.with(|n| n.set(n.get() + (chunk.len() - resumed_at) as u64));
+    let hash = hasher.finalize();
+    debug_assert!(inherited.is_empty() || hash == sha256(chunk));
+    (hash, checkpoints)
+}
+
 /// The bytes [`ChunkMap::rebuild_from`] cuts and hashes: a flat buffer of the
 /// file's length in which some extents may not have arrived yet. A slice has
 /// every byte; an open handle's buffer faults an absent chunk in the first
 /// time a cut or a hash touches it.
+/// It may also know chunks of `prev`: checkpoints and bytes. A slice knows
+/// neither, so a rebuild over one hashes every chunk it cuts whole.
 pub trait ChunkSource {
     /// Why bringing bytes in failed.
     type Error;
@@ -248,6 +280,22 @@ pub trait ChunkSource {
 
     /// Brings every byte of `range` in.
     fn fault(&mut self, range: std::ops::Range<usize>) -> Result<(), Self::Error>;
+
+    /// The checkpoints a cut kept of the chunk `hash`
+    /// ([`ChunkSource::keep_checkpoints`]), or none.
+    fn checkpoints(&self, _hash: &ContentHash) -> &[Sha256] {
+        &[]
+    }
+
+    /// Takes the checkpoints of a chunk the cut just hashed: its hasher
+    /// after every 64 KiB, short of its end.
+    fn keep_checkpoints(&mut self, _hash: ContentHash, _checkpoints: Vec<Sha256>) {}
+
+    /// The bytes of the chunk `hash`, if the source holds them without
+    /// reading or fetching anything.
+    fn chunk_bytes(&self, _hash: &ContentHash) -> Option<&[u8]> {
+        None
+    }
 }
 
 impl ChunkSource for &[u8] {
@@ -388,13 +436,15 @@ impl ChunkMap {
     ///   `prev` was cut from, and its remaining entries are spliced in
     ///   unhashed.
     ///
-    /// The count returned is of bytes hashed: whole chunks, more than the
-    /// scan reads to place their cuts. A `prev` of another stride or target
-    /// average is ignored (a full rebuild); one cut under different CDC
-    /// min/max knobs of the same average is not recognisable, and yields a
-    /// valid tiling with correct hashes that a from-scratch cut would have
-    /// placed differently: each chunk it cuts within this rule's
-    /// `max_size`, each it keeps or splices in `prev`'s own.
+    /// The count returned is of the chunks the rebuild cut itself, each
+    /// whole: more than the scan reads to place their cuts, and more than
+    /// [`ChunkMap::rebuild_from`] hashes of them when its source keeps
+    /// checkpoints. A `prev` of another stride or target average is ignored
+    /// (a full rebuild); one cut under different CDC min/max knobs of the
+    /// same average is not recognisable, and yields a valid tiling with
+    /// correct hashes that a from-scratch cut would have placed differently:
+    /// each chunk it cuts within this rule's `max_size`, each it keeps,
+    /// splices or recognises `prev`'s own.
     pub fn rebuild(
         prev: Option<&ChunkMap>,
         data: &[u8],
@@ -411,9 +461,17 @@ impl ChunkMap {
     /// rebuild cuts or hashes is faulted in from `source` first — the dirty
     /// extent's chunks in one call, then, past it, each chunk a CDC re-cut
     /// runs into before it falls back onto `prev`. The first re-cut chunk is
-    /// hashed whole but scanned only from the edit; a chunk it settles on
-    /// is faulted in for its hash alone. An extent no cut reaches is never
+    /// scanned only from the edit; a chunk it settles on is faulted in for
+    /// its hash alone. An extent no cut reaches is never
     /// read, so it keeps `prev`'s offset and hash in the result.
+    ///
+    /// What the source knows of `prev` spares host work, never a fault. Up
+    /// to the edit, the first re-cut chunk is the `prev` chunk there, so its
+    /// SHA-256 resumes from that chunk's last checkpoint at or before the
+    /// edit ([`ChunkSource::checkpoints`]). Past it, a chunk whose present
+    /// bytes equal a `prev` chunk's shifted by the length change
+    /// ([`ChunkSource::chunk_bytes`]) is that chunk, hash and all: the rule
+    /// cuts a chunk from its own bytes. So an insert's tail is compared.
     pub fn rebuild_from<S: ChunkSource>(
         prev: Option<&ChunkMap>,
         source: &mut S,
@@ -437,6 +495,9 @@ impl ChunkMap {
         let dirty_start = dirty.start.min(dirty_end);
         let mut pos = 0usize;
         let mut resume = Resume::default();
+        // The `prev` chunk the first re-cut chunk starts as, and how many of
+        // its first bytes the edit left as they were.
+        let mut unchanged: Option<(ContentHash, usize)> = None;
         if let Some(prev) = prev {
             if same_len && dirty_start == dirty_end {
                 return Ok((prev.clone(), 0));
@@ -462,10 +523,12 @@ impl ChunkMap {
                     resume.settle =
                         Some(((dirty_end + 63 - start) as usize, (end - start) as usize));
                 }
+                unchanged = Some((prev.chunks[keep], (dirty_start.min(end) - start) as usize));
             }
         }
         let resync = prev.filter(|_| same_len);
         let recut_from = pos;
+        let mut rehashed = 0;
         // Every byte from here to the end of the extent is cut and hashed:
         // bring it in with one call, so its chunks move in parallel waves.
         source.fault(recut_from..dirty_end as usize)?;
@@ -477,6 +540,15 @@ impl ChunkMap {
                     break;
                 }
             }
+            let shifted = prev
+                .filter(|_| pos > recut_from)
+                .and_then(|p| p.shifted(source, pos));
+            if let Some((hash, end)) = shifted {
+                map.offsets.push(pos as u64);
+                map.chunks.push(hash);
+                pos = end;
+                continue;
+            }
             let end = loop {
                 let known = source.present_until(pos) - pos;
                 match rule.cut(&source.bytes()[pos..], known, resume) {
@@ -487,11 +559,41 @@ impl ChunkMap {
             // Only the chunk starting on `prev`'s boundary knows its past.
             resume = Resume::default();
             source.fault(pos..end)?;
+            let inherited = match unchanged.take() {
+                Some((hash, same)) => {
+                    let kept = source.checkpoints(&hash);
+                    &kept[..kept.len().min(same.min(end - pos) / CHECKPOINT_SPACING)]
+                }
+                None => &[],
+            };
+            let (hash, checkpoints) = hash_chunk(&source.bytes()[pos..end], inherited);
+            if !checkpoints.is_empty() {
+                source.keep_checkpoints(hash, checkpoints);
+            }
             map.offsets.push(pos as u64);
-            map.chunks.push(sha256(&source.bytes()[pos..end]));
+            map.chunks.push(hash);
+            rehashed += (end - pos) as u64;
             pos = end;
         }
-        Ok((map, (pos - recut_from) as u64))
+        Ok((map, rehashed))
+    }
+
+    /// The hash and end of the chunk of this map, `prev`, shifted by the
+    /// length change to the cut `pos`, if `source` holds its bytes and the
+    /// present bytes at `pos` equal them. Shifted so, `prev`'s last chunk,
+    /// which EOF cut, ends at EOF again: no byte follows it to cut elsewhere.
+    fn shifted<S: ChunkSource>(&self, source: &S, pos: usize) -> Option<(ContentHash, usize)> {
+        let bytes = source.bytes();
+        let old = (pos as u64 + self.file_len).checked_sub(bytes.len() as u64)?;
+        let index = self.offsets.binary_search(&old).ok()?;
+        let end = pos + self.chunk_len(index);
+        if source.present_until(pos) < end {
+            return None;
+        }
+        let hash = self.chunks[index];
+        let equal = source.chunk_bytes(&hash)? == &bytes[pos..end];
+        debug_assert!(!equal || sha256(&bytes[pos..end]) == hash);
+        equal.then_some((hash, end))
     }
 
     /// The map of an empty file.
@@ -1588,6 +1690,131 @@ mod tests {
         data.extend_from_slice(&appended);
         let scanned = gear_scanned_by_rebuild(&prev, &data, old_len..data.len() as u64);
         assert!(scanned <= appended.len() as u64 + 65, "scanned {scanned}");
+    }
+
+    /// A file that keeps what an agent keeps: the checkpoints of every chunk
+    /// a cut hashed, and the bytes of the chunks it was told to hold.
+    #[derive(Default)]
+    struct Keeping {
+        data: Vec<u8>,
+        kept: std::collections::BTreeMap<ContentHash, Vec<Sha256>>,
+        held: std::collections::BTreeMap<ContentHash, Vec<u8>>,
+    }
+
+    impl ChunkSource for Keeping {
+        type Error = std::convert::Infallible;
+
+        fn bytes(&self) -> &[u8] {
+            &self.data
+        }
+
+        fn present_until(&self, _pos: usize) -> usize {
+            self.data.len()
+        }
+
+        fn fault(&mut self, _range: std::ops::Range<usize>) -> Result<(), Self::Error> {
+            Ok(())
+        }
+
+        fn checkpoints(&self, hash: &ContentHash) -> &[Sha256] {
+            self.kept.get(hash).map_or(&[], Vec::as_slice)
+        }
+
+        fn keep_checkpoints(&mut self, hash: ContentHash, checkpoints: Vec<Sha256>) {
+            self.kept.insert(hash, checkpoints);
+        }
+
+        fn chunk_bytes(&self, hash: &ContentHash) -> Option<&[u8]> {
+            self.held.get(hash).map(Vec::as_slice)
+        }
+    }
+
+    /// What a rebuild of `source` over `prev` returned, checked against the
+    /// from-scratch cut, with the bytes it fed SHA-256 and the Gear scan.
+    fn hashed_by_rebuild<S: ChunkSource<Error = std::convert::Infallible>>(
+        prev: Option<&ChunkMap>,
+        source: &mut S,
+        dirty: std::ops::Range<u64>,
+        rule: CutRule,
+    ) -> (ChunkMap, u64, u64, u64) {
+        let count = || (SHA_HASHED.with(|n| n.get()), GEAR_SCANNED.with(|n| n.get()));
+        let (hashed, scanned) = count();
+        let Ok((map, rehashed)) = ChunkMap::rebuild_from(prev, source, dirty, rule);
+        let after = count();
+        assert_eq!(map, ChunkMap::rebuild(None, source.bytes(), 0..0, rule).0);
+        (map, rehashed, after.0 - hashed, after.1 - scanned)
+    }
+
+    #[test]
+    fn a_resumed_hash_reads_from_the_last_checkpoint_before_the_edit() {
+        let rule = CutRule::Cdc(CdcParams::default());
+        let mut file = Keeping {
+            data: random_bytes(4 << 20, 20140614),
+            ..Keeping::default()
+        };
+        let (prev, ..) = hashed_by_rebuild(None, &mut file, 0..0, rule);
+        let longest = (0..prev.chunk_count())
+            .max_by_key(|&index| prev.chunk_len(index))
+            .unwrap();
+        let chunk = prev.byte_range(longest);
+        let spacings = (chunk.len() - 1) / CHECKPOINT_SPACING;
+        assert_eq!(file.kept[&prev.chunks()[longest]].len(), spacings);
+        let at = chunk.start + chunk.len() / 2;
+        file.data[at..at + 4096].copy_from_slice(&random_bytes(4096, 1));
+        let dirty = at as u64..(at + 4096) as u64;
+        let (map, rehashed, hashed, _) = hashed_by_rebuild(Some(&prev), &mut file, dirty, rule);
+        // The edited chunk counts whole, but its hash reads from the last
+        // checkpoint at or before the edit, and it keeps every checkpoint.
+        assert_eq!(rehashed, chunk.len() as u64);
+        let bound = chunk.end - at + CHECKPOINT_SPACING;
+        assert!(hashed <= bound as u64, "hashed {hashed} of {chunk:?}");
+        assert_eq!(file.kept[&map.chunks()[longest]].len(), spacings);
+    }
+
+    #[test]
+    fn an_inserts_shifted_tail_is_compared_not_cut() {
+        for rule in [
+            CutRule::Cdc(CdcParams::with_avg(64 << 10)),
+            CutRule::Fixed(64 << 10),
+        ] {
+            let data = random_bytes(4 << 20, 7);
+            let prev = ChunkMap::rebuild(None, &data, 0..0, rule).0;
+            let at = (1 << 20) + 5;
+            let keep = prev.chunks_for_range(at as u64, 1).start;
+            // Inserted as a rewrite of the tail, under fixed strides one
+            // stride long so that the tail stays on its boundaries.
+            let inserted = match rule {
+                CutRule::Fixed(stride) => stride,
+                CutRule::Cdc(_) => 1024,
+            };
+            let mut edited = data[..at].to_vec();
+            edited.extend_from_slice(&random_bytes(inserted, 8));
+            edited.extend_from_slice(&data[at..]);
+            let dirty = at as u64..edited.len() as u64;
+            let mut file = Keeping {
+                data: edited.clone(),
+                held: (0..prev.chunk_count())
+                    .map(|index| (prev.chunks()[index], data[prev.byte_range(index)].to_vec()))
+                    .collect(),
+                ..Keeping::default()
+            };
+            let (_, rehashed, hashed, scanned) =
+                hashed_by_rebuild(Some(&prev), &mut file, dirty.clone(), rule);
+            let one = (prev.chunk_len(keep) + inserted) as u64;
+            assert!(
+                rehashed <= one && hashed <= one,
+                "{rule:?}: {rehashed}, {hashed}"
+            );
+            assert!(scanned <= one, "{rule:?}: scanned {scanned}");
+
+            // A slice offers neither checkpoints nor bytes: it cuts and
+            // hashes from the chunk holding the insert to EOF, each chunk
+            // from its first byte.
+            let (_, rehashed, hashed, _) =
+                hashed_by_rebuild(Some(&prev), &mut &edited[..], dirty, rule);
+            let tail = edited.len() - prev.byte_range(keep).start;
+            assert_eq!((rehashed, hashed), (tail as u64, tail as u64), "{rule:?}");
+        }
     }
 
     #[test]

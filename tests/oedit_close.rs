@@ -11,18 +11,26 @@
 //!   the whole buffer for a first or truncating commit;
 //! * a handle driven through `fsync`, `sync` and `close` on both backends
 //!   commits the versions, and uploads the chunks, a from-scratch writer of
-//!   the same contents does.
+//!   the same contents does;
+//! * a source that offers hash checkpoints and `prev`'s chunk bytes (a
+//!   resumed SHA-256, an insert's shifted tail recognised) rebuilds the same
+//!   map and faults the same chunks in as one that offers neither, and an
+//!   agent that has them commits the roots, and uploads the chunks, one
+//!   without them does.
 
+use std::collections::BTreeMap;
 use std::ops::Range;
 
 use proptest::prelude::*;
 use scfs_repro::scfs::agent::ScfsAgent;
+use scfs_repro::scfs::cache::TieredStats;
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::fs::FileSystem;
-use scfs_repro::scfs::types::{CdcParams, ChunkMap, CutRule, FileHandle, OpenFlags};
-use scfs_repro::scfs_crypto::sha256;
+use scfs_repro::scfs::types::{CdcParams, ChunkMap, ChunkSource, CutRule, FileHandle, OpenFlags};
+use scfs_repro::scfs_crypto::{sha256, ContentHash, Sha256};
 use scfs_repro::sim_core::rng::DetRng;
 use scfs_repro::sim_core::time::SimDuration;
+use scfs_repro::sim_core::units::Bytes;
 use scfs_repro::workloads::setup::{Backend, Deployment};
 
 const KIB: usize = 1 << 10;
@@ -429,6 +437,166 @@ fn a_foreign_prev_still_yields_a_valid_tiling() {
     }
 }
 
+/// A file under a handle as an agent holds it: every `prev` chunk no edit
+/// touched is absent — garbage until the rebuild faults it in — and each
+/// fault is logged. With `offer` set it also offers what an agent keeps:
+/// the checkpoints its cuts took and `prev`'s chunk bytes.
+struct Offering<'a> {
+    data: Vec<u8>,
+    real: &'a [u8],
+    absent: Vec<Range<usize>>,
+    faults: Vec<Range<usize>>,
+    offer: bool,
+    kept: &'a mut BTreeMap<ContentHash, Vec<Sha256>>,
+    held: &'a BTreeMap<ContentHash, Vec<u8>>,
+}
+
+impl<'a> Offering<'a> {
+    fn new(
+        file: &'a Edited,
+        prev: &ChunkMap,
+        offer: bool,
+        kept: &'a mut BTreeMap<ContentHash, Vec<Sha256>>,
+        held: &'a BTreeMap<ContentHash, Vec<u8>>,
+    ) -> Self {
+        let (len, dirty) = (file.data.len(), file.dirty.clone().unwrap_or(0..0));
+        let absent: Vec<Range<usize>> = (0..prev.chunk_count())
+            .map(|index| prev.byte_range(index))
+            .filter(|chunk| chunk.end <= len)
+            .filter(|chunk| chunk.end as u64 <= dirty.start || chunk.start as u64 >= dirty.end)
+            .collect();
+        let mut data = file.data.clone();
+        for chunk in &absent {
+            data[chunk.clone()].fill(0xA7);
+        }
+        Offering {
+            data,
+            real: &file.data,
+            absent,
+            faults: Vec::new(),
+            offer,
+            kept,
+            held,
+        }
+    }
+}
+
+impl ChunkSource for Offering<'_> {
+    type Error = std::convert::Infallible;
+
+    fn bytes(&self) -> &[u8] {
+        &self.data
+    }
+
+    fn present_until(&self, pos: usize) -> usize {
+        let mut holes = self.absent.iter().filter(|chunk| chunk.end > pos);
+        holes
+            .next()
+            .map_or(self.data.len(), |hole| hole.start.max(pos))
+    }
+
+    fn fault(&mut self, range: Range<usize>) -> Result<(), Self::Error> {
+        let (hit, absent) = self
+            .absent
+            .drain(..)
+            .partition(|chunk| chunk.start < range.end && range.start < chunk.end);
+        self.absent = absent;
+        for chunk in hit {
+            self.data[chunk.clone()].copy_from_slice(&self.real[chunk.clone()]);
+            self.faults.push(chunk);
+        }
+        Ok(())
+    }
+
+    fn checkpoints(&self, hash: &ContentHash) -> &[Sha256] {
+        match self.kept.get(hash) {
+            Some(kept) if self.offer => kept,
+            _ => &[],
+        }
+    }
+
+    fn keep_checkpoints(&mut self, hash: ContentHash, checkpoints: Vec<Sha256>) {
+        if self.offer {
+            self.kept.insert(hash, checkpoints);
+        }
+    }
+
+    fn chunk_bytes(&self, hash: &ContentHash) -> Option<&[u8]> {
+        self.held
+            .get(hash)
+            .filter(|_| self.offer)
+            .map(Vec::as_slice)
+    }
+}
+
+/// Rebuilds `file` over `prev` once through a source that offers
+/// checkpoints (`kept`, which the cut adds to) and `prev`'s chunk bytes,
+/// and once through one that offers neither: both must be the
+/// from-scratch map and fault the same chunks in, in the same order, and
+/// the offering one may cut no more. Returns the map.
+fn assert_offering_rebuild_matches(
+    prev: &ChunkMap,
+    old: &[u8],
+    file: &Edited,
+    rule: CutRule,
+    kept: &mut BTreeMap<ContentHash, Vec<Sha256>>,
+) -> ChunkMap {
+    let dirty = file.dirty.clone().unwrap_or(0..0);
+    let held: BTreeMap<ContentHash, Vec<u8>> = (0..prev.chunk_count())
+        .map(|index| (prev.chunks()[index], old[prev.byte_range(index)].to_vec()))
+        .collect();
+    let mut none = BTreeMap::new();
+    let mut plain = Offering::new(file, prev, false, &mut none, &held);
+    let Ok((expected, cut)) = ChunkMap::rebuild_from(Some(prev), &mut plain, dirty.clone(), rule);
+    let mut offering = Offering::new(file, prev, true, kept, &held);
+    let Ok((map, offered_cut)) = ChunkMap::rebuild_from(Some(prev), &mut offering, dirty, rule);
+    assert_eq!(expected, from_scratch(&file.data, rule), "rule {rule:?}");
+    assert_eq!(map, expected, "rule {rule:?}, dirty {:?}", file.dirty);
+    assert_eq!(offering.faults, plain.faults);
+    assert!(offered_cut <= cut);
+    map
+}
+
+proptest! {
+    /// Random scripts of inserts, deletes, overwrites, appends past holes
+    /// and truncates, rebuilt through a source that offers checkpoints and
+    /// `prev`'s bytes, under every rule of `rules()` and one whose chunks
+    /// are long enough to hold checkpoints.
+    #[test]
+    fn prop_an_offering_source_rebuilds_the_from_scratch_map(
+        file_len in 0usize..40_000,
+        seed in any::<u64>(),
+    ) {
+        let long = CutRule::Cdc(CdcParams::with_avg(128 * KIB));
+        for rule in rules().into_iter().chain([long]) {
+            let mut rng = DetRng::new(seed);
+            let len = if rule == long { file_len * 32 } else { file_len };
+            let mut file = Edited { data: rng.bytes(len), dirty: None };
+            let mut kept = BTreeMap::new();
+            let mut prev = from_scratch(&file.data, rule);
+            for _handle in 0..4 {
+                let old = file.data.clone();
+                for _edit in 0..rng.range_u64(1, 4) {
+                    let len = file.data.len();
+                    match rng.next_below(4) {
+                        // Delete, written as a rewrite of the tail.
+                        0 if len > 0 => {
+                            let at = rng.range_u64(0, len as u64) as usize;
+                            let gone = rng.range_u64(1, 3000).min((len - at) as u64) as usize;
+                            let tail = file.data[at + gone..].to_vec();
+                            file.write(at, &tail);
+                            file.truncate(len - gone);
+                        }
+                        _ => file.random_edit(&mut rng),
+                    }
+                }
+                prev = assert_offering_rebuild_matches(&prev, &old, &file, rule, &mut kept);
+                file.dirty = None;
+            }
+        }
+    }
+}
+
 /// `rehashed_bytes` spent by `op`.
 fn rehashed_by(fs: &mut ScfsAgent, op: impl FnOnce(&mut ScfsAgent)) -> u64 {
     let before = fs.stats().rehashed_bytes;
@@ -593,4 +761,144 @@ fn incremental_commits_match_from_scratch_commits_aws() {
 #[test]
 fn incremental_commits_match_from_scratch_commits_coc() {
     incremental_commits_match_from_scratch_commits(Backend::CloudOfClouds);
+}
+
+/// `config` cutting content-defined chunks around `avg` bytes.
+fn cdc(config: &ScfsConfig, avg: usize) -> ScfsConfig {
+    ScfsConfig {
+        chunking: CutRule::Cdc(CdcParams::with_avg(avg)),
+        ..config.clone()
+    }
+}
+
+/// `data` with `inserted` put in at `at`.
+fn inserted(data: &[u8], at: usize, inserted: &[u8]) -> Vec<u8> {
+    [&data[..at], inserted, &data[at..]].concat()
+}
+
+/// Opens `path`, rewrites its bytes from `at` on as `new`'s and truncates
+/// it to `new`'s length: an editor's save of an insert or a delete.
+fn rewrite_tail(fs: &mut ScfsAgent, path: &str, new: &[u8], at: usize) {
+    let h = fs.open(path, OpenFlags::read_write()).unwrap();
+    fs.write(h, at as u64, &new[at..]).unwrap();
+    fs.truncate(h, new.len() as u64).unwrap();
+    fs.close(h).unwrap();
+}
+
+/// A mount that kept checkpoints and one that holds none — a second
+/// backend instance's, which never cut the file — make the same edits of
+/// two copies of one file: an overwrite deep inside a chunk, an insert and
+/// a delete. Each commits the from-scratch root.
+#[test]
+fn a_mount_without_checkpoints_commits_the_same_root() {
+    let config = cdc(&ScfsConfig::test(Mode::Blocking), 256 * KIB);
+    let deployment = Deployment::instant(Backend::Aws, 11);
+    let mut kept = deployment.mount("alice", config.clone(), 1);
+    let mut rng = DetRng::new(5);
+    let mut model = rng.bytes(4 * MIB);
+    kept.write_file("/f", &model).unwrap();
+    kept.write_file("/g", &model).unwrap();
+    let mut fresh = deployment
+        .second_instance()
+        .mount("alice", config.clone(), 2);
+    fresh.sleep(SimDuration::from_secs(60));
+    let at = MIB + 300 * KIB;
+    for edit in 0..3 {
+        let new = match edit {
+            0 => {
+                let mut new = model.clone();
+                new[at..at + 4 * KIB].copy_from_slice(&rng.bytes(4 * KIB));
+                new
+            }
+            1 => inserted(&model, at, &rng.bytes(KIB)),
+            _ => [&model[..at], &model[at + 3 * KIB..]].concat(),
+        };
+        rewrite_tail(&mut kept, "/f", &new, at);
+        rewrite_tail(&mut fresh, "/g", &new, at);
+        model = new;
+        let root = Some(config.chunk_map(&model).root_hash());
+        assert_eq!(kept.stat("/f").unwrap().version_hash, root, "edit {edit}");
+        assert_eq!(fresh.stat("/g").unwrap().version_hash, root, "edit {edit}");
+    }
+    assert_eq!(fresh.read_file("/g").unwrap(), model);
+}
+
+/// A 1 KiB insert written as a rewrite of a 500 KiB tail: the close cuts
+/// the chunk holding the insert and recognises the shifted chunks after it
+/// in the memory tier, and uploads what a writer of both versions from
+/// scratch uploads.
+fn an_insert_recognises_its_shifted_tail(backend: Backend) {
+    let config = cdc(&ScfsConfig::test(Mode::Blocking), 16 * KIB);
+    let mut rng = DetRng::new(17);
+    let original = rng.bytes(600 * KIB);
+    let at = 100 * KIB + 3;
+    let edited = inserted(&original, at, &rng.bytes(KIB));
+    let mut fs = Deployment::instant(backend, 11).mount("alice", config.clone(), 1);
+    fs.write_file("/f", &original).unwrap();
+    let base = fs.stats();
+    rewrite_tail(&mut fs, "/f", &edited, at);
+    let incremental = fs.stats();
+    let rehashed = incremental.rehashed_bytes - base.rehashed_bytes;
+    assert!(
+        rehashed < (edited.len() - at) as u64 / 4,
+        "rehashed {rehashed}"
+    );
+
+    let mut scratch = Deployment::instant(backend, 11).mount("alice", config.clone(), 1);
+    scratch.write_file("/f", &original).unwrap();
+    let scratch_base = scratch.stats();
+    scratch.write_file("/f", &edited).unwrap();
+    let from_scratch = scratch.stats();
+    assert_eq!(
+        incremental.chunk_uploads - base.chunk_uploads,
+        from_scratch.chunk_uploads - scratch_base.chunk_uploads
+    );
+    assert_eq!(
+        incremental.bytes_uploaded - base.bytes_uploaded,
+        from_scratch.bytes_uploaded - scratch_base.bytes_uploaded
+    );
+    for fs in [&mut fs, &mut scratch] {
+        let root = Some(config.chunk_map(&edited).root_hash());
+        assert_eq!(fs.stat("/f").unwrap().version_hash, root);
+        assert_eq!(fs.read_file("/f").unwrap(), edited);
+    }
+}
+
+#[test]
+fn an_insert_recognises_its_shifted_tail_aws() {
+    an_insert_recognises_its_shifted_tail(Backend::Aws);
+}
+
+#[test]
+fn an_insert_recognises_its_shifted_tail_coc() {
+    an_insert_recognises_its_shifted_tail(Backend::CloudOfClouds);
+}
+
+/// With `prev`'s chunks out of the memory tier there is nothing to compare
+/// the shifted tail with: the close cuts and hashes it as before, and
+/// reads nothing to get the old bytes — no cache access, no cloud request.
+#[test]
+fn an_insert_fetches_nothing_to_compare_its_tail() {
+    let config = cdc(&ScfsConfig::test(Mode::Blocking), 16 * KIB)
+        .with_cache_capacities(Bytes::kib(1), Bytes::gib(1));
+    let mut rng = DetRng::new(19);
+    let original = rng.bytes(600 * KIB);
+    let at = 100 * KIB + 3;
+    let edited = inserted(&original, at, &rng.bytes(KIB));
+    let mut fs = Deployment::instant(Backend::Aws, 11).mount("alice", config.clone(), 1);
+    fs.write_file("/f", &original).unwrap();
+    let h = fs.open("/f", OpenFlags::read_write()).unwrap();
+    fs.write(h, at as u64, &edited[at..]).unwrap();
+    let (stats, cache) = (fs.stats(), fs.cache_stats());
+    fs.close(h).unwrap();
+    let rehashed = fs.stats().rehashed_bytes - stats.rehashed_bytes;
+    assert!(
+        rehashed >= (edited.len() - at) as u64,
+        "rehashed {rehashed}"
+    );
+    assert_eq!(fs.stats().cloud_downloads, stats.cloud_downloads);
+    assert_eq!(fs.stats().cache_served_reads, stats.cache_served_reads);
+    let accesses = |stats: TieredStats| [stats.memory, stats.disk].map(|s| (s.hits, s.misses));
+    assert_eq!(accesses(fs.cache_stats()), accesses(cache));
+    assert_eq!(fs.read_file("/f").unwrap(), edited);
 }
