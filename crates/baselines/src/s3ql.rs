@@ -10,10 +10,12 @@
 //!
 //! Like the real S3QL, blocks are stored **content-addressed and
 //! deduplicated**: each 128 KiB block goes to a `s3ql/block/{hash}` object
-//! and a block whose hash was already uploaded is skipped. This keeps the
-//! baseline honest against SCFS's refcounted global chunk store — both
-//! systems move identical content once; what S3QL still lacks is sharing,
-//! cloud-of-clouds redundancy and a GC that can reclaim safely. Its
+//! and a block whose hash was already uploaded is skipped, as the real
+//! S3QL does for one file system. SCFS dedups within a file only, across its
+//! versions — its chunks belong to their object, as the paper's file
+//! versions do — so identical content under two paths moves once here and
+//! twice there; what S3QL lacks is sharing, cloud-of-clouds redundancy and a
+//! GC that can reclaim safely. Its
 //! blocks are also strictly **fixed-size** (as in the real system), so a
 //! mid-file insert shifts every later block boundary and re-uploads the
 //! tail — the workload SCFS's content-defined chunking
@@ -280,8 +282,7 @@ mod tests {
         fs.write_file("/a", &data).unwrap();
         let puts_after_first = cloud.metrics().snapshot().puts;
         assert_eq!(puts_after_first, 3, "three distinct blocks");
-        // The same bytes under a different path are fully deduplicated,
-        // matching what the SCFS global chunk store does.
+        // The same bytes under a different path are fully deduplicated.
         fs.write_file("/b", &data).unwrap();
         assert_eq!(cloud.metrics().snapshot().puts, puts_after_first);
         assert_eq!(fs.dedup_skipped_blocks(), 3);

@@ -22,9 +22,10 @@
 //! number of preemptions (deviations from the default order), pruning
 //! subtrees whose observable trace it has already seen (sleep-set style),
 //! and checks structural invariants after every run: ABD reads return
-//! old-or-new and never travel backwards, chunkstore refcounts never
-//! underflow, no blob is orphaned at quiescence, the cache's byte accounting
-//! balances, and every `Pending` token is settled at drain. A violating
+//! old-or-new and never travel backwards, release-journal sequence numbers
+//! stay unique, no blob is orphaned at quiescence and every file reads back
+//! cold, the cache's byte accounting balances, and every `Pending` token is
+//! settled at drain. A violating
 //! schedule is [`shrink()`]-reduced to a minimal decision vector and
 //! serialized as a replayable [`blob::Schedule`], committed under
 //! `tests/schedules/` as a regression corpus.

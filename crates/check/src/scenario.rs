@@ -17,10 +17,11 @@
 //!   classic off-by-one that stock stress tests miss but reply reordering
 //!   exposes.
 //! * [`ScenarioKind::ChunkstoreGc`] — non-blocking closes race the chunk
-//!   garbage collector; the oracle is the chunkstore's structural
-//!   invariants (no refcount underflow, journal seq sanity), the cache's
-//!   byte accounting, zero orphaned blobs at quiescence and every `Pending`
-//!   settled at drain.
+//!   garbage collector, and a second backend instance stores and collects
+//!   identical content; the oracle is the release journal's structural
+//!   invariants (journal seq sanity), the cache's byte accounting, a cold
+//!   read of every file, zero orphaned blobs across both instances at
+//!   quiescence and every `Pending` settled at drain.
 
 use std::sync::Arc;
 
@@ -303,9 +304,13 @@ fn run_abd(seed: u64, mutant: bool, decisions: &[usize]) -> RunOutcome {
 /// rounds. Each close spawns a background upload on the file's lane; a low
 /// GC threshold fires the collector mid-flight, releasing superseded
 /// versions through the two-phase journal. Lane dispatch and journal replay
-/// order are under controller choice. Structural invariants are evaluated
-/// after every syscall, and quiescence invariants (orphans, pending
-/// settlement) after sleeping past the drain horizon.
+/// order are under controller choice. Then `bob`, a mount on a second
+/// backend instance over the same cloud, as every client runs its own
+/// agent, writes the content of `/a`'s last version under his own path,
+/// unlinks it and lets his collector reclaim it. Structural invariants are
+/// evaluated after every syscall, and quiescence invariants (orphans over
+/// both instances, pending settlement, a cold read of alice's files) after
+/// sleeping past the drain horizon.
 ///
 /// There is no seeded mutant for this scenario yet (`mutant` only widens
 /// the write pattern), so exploration asserts the invariants hold under
@@ -325,7 +330,7 @@ fn run_chunkstore_gc(seed: u64, mutant: bool, decisions: &[usize]) -> RunOutcome
         "alice".into(),
         config,
         storage.clone(),
-        Some(coordinator),
+        Some(coordinator.clone()),
         seed,
     )
     .expect("test mount cannot fail");
@@ -370,6 +375,27 @@ fn run_chunkstore_gc(seed: u64, mutant: bool, decisions: &[usize]) -> RunOutcome
     fs.close(h).expect("close of clean handle succeeds");
     fs.check_invariants(&mut violations);
 
+    // A second instance stores identical content as its own object and
+    // collects it: what it deletes must be nothing of alice's.
+    let second = Arc::new(SingleCloudStorage::new(cloud.clone()));
+    let mut bob_config = ScfsConfig::test(Mode::Blocking);
+    bob_config.chunking = CutRule::Fixed(CHUNK as usize);
+    bob_config.gc.written_bytes_threshold = Bytes::new(1);
+    let mut bob = ScfsAgent::mount(
+        "bob".into(),
+        bob_config,
+        second.clone(),
+        Some(coordinator.clone()),
+        seed + 1,
+    )
+    .expect("test mount cannot fail");
+    let last = |file: usize| payload(rounds - 1, file);
+    bob.write_file("/bob", &last(0))
+        .and_then(|()| bob.unlink("/bob"))
+        .and_then(|()| bob.write_file("/bob-trigger", b"x"))
+        .expect("simulated write cannot fail without faults");
+    bob.check_invariants(&mut violations);
+
     // Quiescence: sleep past the drain horizon, then nothing may be in
     // flight, no blob may be orphaned and the journal must be clean.
     let drain = fs.background_drain_instant();
@@ -382,8 +408,27 @@ fn run_chunkstore_gc(seed: u64, mutant: bool, decisions: &[usize]) -> RunOutcome
             format!("{in_flight} background jobs in flight past the drain horizon"),
         ));
     }
+    let drain = drain.max(bob.background_drain_instant());
+    let mut reader = ScfsAgent::mount(
+        "alice".into(),
+        ScfsConfig::test(Mode::Blocking),
+        Arc::new(SingleCloudStorage::new(cloud.clone())),
+        Some(coordinator),
+        seed + 2,
+    )
+    .expect("test mount cannot fail");
+    reader.wait_for(&Pending::new((), drain, drain));
+    for (file, path) in ["/a", "/b"].iter().enumerate() {
+        let detail = match reader.read_file(path) {
+            Ok(data) if data == last(file) => continue,
+            Ok(data) => format!("a cold mount reads {} other bytes as {path}", data.len()),
+            Err(e) => format!("a cold mount cannot read {path}: {e}"),
+        };
+        violations.push(InvariantViolation::new("chunkstore.cold-read", detail));
+    }
     let orphans = storage
         .blob_audit()
+        .union(second.blob_audit())
         .orphans(KeyStyle::Aws, cloud.stored_keys("scfs/"));
     if !orphans.is_empty() {
         violations.push(InvariantViolation::new(

@@ -1,12 +1,11 @@
-//! The version commit — what `close`, `sync` and `copy_file` run — and the
-//! records of the commits still in flight on a background lane.
+//! The version commit — what `close` and `sync` run — and the records of
+//! the commits still in flight on a background lane.
 
 use std::sync::Arc;
 
 use cloud_store::error::StorageError;
 use cloud_store::store::OpCtx;
 use cloud_store::types::Permission;
-use scfs_crypto::ContentHash;
 use sim_core::background::Pending;
 use sim_core::time::SimInstant;
 
@@ -17,9 +16,8 @@ use crate::cache::WriteMode;
 use crate::chunkstore::BlobName;
 use crate::durability::DurabilityLevel;
 use crate::error::ScfsError;
-use crate::fs::FileSystem;
 use crate::transfer::TransferOptions;
-use crate::types::{manifest_rides_inline, normalize_path, ChunkMap, FileHandle, FileMetadata};
+use crate::types::{manifest_rides_inline, ChunkMap, FileHandle, FileMetadata};
 
 /// Maximum number of background version commits (non-blocking closes) in
 /// flight at once. A `close` that would exceed the bound blocks until the
@@ -27,37 +25,6 @@ use crate::types::{manifest_rides_inline, normalize_path, ChunkMap, FileHandle, 
 /// unbounded implicit queue (counted in
 /// [`super::AgentStats::backpressure_stalls`]).
 const MAX_PENDING_UPLOADS: usize = 64;
-
-/// What a commit puts in the storage service — the one step that varies
-/// between `close`/`sync` and `copy_file`.
-#[derive(Clone, Copy)]
-enum NewVersion<'a> {
-    /// The buffer of a handle, laid out by `map`: its dirty chunks go up.
-    Data {
-        data: &'a [u8],
-        map: &'a ChunkMap,
-        prev: Option<&'a ChunkMap>,
-    },
-    /// The version of `src` stored under `root`: a manifest-only copy that
-    /// references its chunks through the chunk store's refcounts — zero
-    /// chunk transfers, and when `src` carries its manifest inline zero
-    /// manifest reads and zero manifest writes: no cloud request at all.
-    CopyOf {
-        src: &'a FileMetadata,
-        root: ContentHash,
-    },
-}
-
-impl<'a> NewVersion<'a> {
-    /// The buffer of `file`, laid out by `map`.
-    fn buffer(file: &'a OpenFile, map: &'a ChunkMap) -> Self {
-        NewVersion::Data {
-            data: file.flat(),
-            map,
-            prev: file.chunk_map.as_ref(),
-        }
-    }
-}
 
 impl ScfsAgent {
     /// Drops the records of background uploads that have completed by now.
@@ -123,10 +90,8 @@ impl ScfsAgent {
     /// currently is: `store` puts the new version of `metadata`'s object in
     /// the storage service and its hash in the consistency anchor
     /// ([`ScfsAgent::store_and_anchor`]), then — when `unlock` is set — the
-    /// write lock is released. Returns the committed metadata, or `Ok(None)`
-    /// when the backend cannot commit a [`NewVersion::CopyOf`] (the caller
-    /// materializes instead, under the lock it still holds), and the instant
-    /// the anchor update returned: where a waiting close returns.
+    /// write lock is released. Returns the committed metadata and the
+    /// instant the anchor update returned: where a waiting close returns.
     ///
     /// A failed commit still releases the lock: the caller has dropped the
     /// handle and can retry nothing, so holding on would lock every other
@@ -136,13 +101,13 @@ impl ScfsAgent {
     fn commit(
         &mut self,
         metadata: FileMetadata,
-        store: impl FnOnce(&mut Self, FileMetadata) -> Result<Option<FileMetadata>, ScfsError>,
+        store: impl FnOnce(&mut Self, FileMetadata) -> Result<FileMetadata, ScfsError>,
         unlock: bool,
-    ) -> (Result<Option<FileMetadata>, ScfsError>, SimInstant) {
+    ) -> (Result<FileMetadata, ScfsError>, SimInstant) {
         let lock_id = metadata.storage_id.clone();
         let committed = store(self, metadata);
         let anchored = self.clock.now();
-        if unlock && !matches!(committed, Ok(None)) {
+        if unlock {
             self.release_lock(&lock_id);
         }
         (committed, anchored)
@@ -165,12 +130,17 @@ impl ScfsAgent {
         }
     }
 
-    /// Steps w2 and w3 of the consistency-anchor write (Figure 3).
+    /// Steps w2 and w3 of the consistency-anchor write (Figure 3): the
+    /// buffer `data`, laid out by `map`, goes up as the new version of
+    /// `metadata`'s object (`prev` is the map the handle opened), and its
+    /// hash into the anchor.
     fn store_and_anchor(
         &mut self,
         mut metadata: FileMetadata,
-        version: NewVersion<'_>,
-    ) -> Result<Option<FileMetadata>, ScfsError> {
+        data: &[u8],
+        map: &ChunkMap,
+        prev: Option<&ChunkMap>,
+    ) -> Result<FileMetadata, ScfsError> {
         // A freshly written manifest object must carry the file ACL so that
         // every user the file is shared with — including its owner, when the
         // writer is a grantee — can read the new version. The backend tags
@@ -185,77 +155,24 @@ impl ScfsAgent {
         let (id, acl) = (&metadata.storage_id, cloud_acl.as_ref());
         let opts = TransferOptions::default();
         let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-        // The tuple may already have delivered a copy's source map: then the
-        // backend reads no manifest, tracked or not.
-        let copied = match version {
-            NewVersion::CopyOf { src, .. } => src.inline_manifest()?,
-            NewVersion::Data { .. } => None,
-        };
-        let stored = match version {
-            NewVersion::Data { data, map, prev } => {
-                let is_new = metadata.version_hash.is_none();
-                Some(
-                    self.storage
-                        .write_version(&mut ctx, id, data, map, prev, is_new, acl, &opts)?,
-                )
-            }
-            NewVersion::CopyOf { src, root } => match &copied {
-                Some(map) => self.storage.copy_version_with_map(
-                    &mut ctx,
-                    &src.storage_id,
-                    id,
-                    &root,
-                    map,
-                    acl,
-                )?,
-                None => self
-                    .storage
-                    .copy_version(&mut ctx, &src.storage_id, id, &root, acl)?,
-            },
-        };
-        let Some(outcome) = stored else {
-            return Ok(None);
-        };
+        let is_new = metadata.version_hash.is_none();
+        let outcome = self
+            .storage
+            .write_version(&mut ctx, id, data, map, prev, is_new, acl, &opts)?;
         self.stats.cloud_uploads += 1;
         self.stats.chunk_uploads += outcome.chunks_uploaded;
         self.stats.bytes_uploaded += outcome.bytes_uploaded;
         self.stats.transfer_waves += outcome.waves;
         self.stats.dedup_hits_cross_file += outcome.dedup_cross_file;
         let now = ctx.clock.now();
-        match version {
-            NewVersion::Data { map, .. } => metadata.commit_version(map, now),
-            NewVersion::CopyOf { src, .. } => metadata.commit_copy_of(src, now),
-        }
+        metadata.commit_version(map, now);
         self.metadata.update(&mut ctx, metadata.clone())?;
         // Anchored: the version this one replaced is no longer live here.
-        if let Some(record) = self.record_of(&metadata, version, copied.as_ref()) {
+        if let Some(root) = metadata.version_hash {
+            let record = VersionRecord::new(metadata.version_count, root, map);
             self.move_record(&metadata.storage_id, Some(record));
         }
-        Ok(Some(metadata))
-    }
-
-    /// The record of `version`, just anchored as `metadata`. A copy's chunks
-    /// are its source's: the map the tuple carried (`copied`), else this
-    /// agent's record of that version. With neither — a manifest object this
-    /// agent never loaded — there is no record, and the destination keeps
-    /// its old one until its next open: no chunk of the copy is dropped
-    /// meanwhile.
-    fn record_of(
-        &self,
-        metadata: &FileMetadata,
-        version: NewVersion<'_>,
-        copied: Option<&ChunkMap>,
-    ) -> Option<VersionRecord> {
-        let (root, count) = (metadata.version_hash?, metadata.version_count);
-        match (version, copied) {
-            (NewVersion::Data { map, .. }, _) | (NewVersion::CopyOf { .. }, Some(map)) => {
-                Some(VersionRecord::new(count, root, map))
-            }
-            (NewVersion::CopyOf { src, .. }, None) => self
-                .versions
-                .at(&src.storage_id, &root)
-                .map(|record| record.renumbered(count)),
-        }
+        Ok(metadata)
     }
 
     /// [`ScfsAgent::store_and_anchor`] of `file`'s buffer, laid out by
@@ -271,27 +188,28 @@ impl ScfsAgent {
         metadata: FileMetadata,
         file: &mut OpenFile,
         map: &ChunkMap,
-    ) -> Result<Option<FileMetadata>, ScfsError> {
+    ) -> Result<FileMetadata, ScfsError> {
         let holes = file.holes();
         let Some(prev) = file.chunk_map.as_ref().filter(|_| !holes.is_empty()) else {
-            return self.store_and_anchor(metadata, NewVersion::buffer(file, map));
+            return self.store_and_anchor(metadata, file.flat(), map, file.chunk_map.as_ref());
         };
         let refused = |key: &str| {
-            let mut names = holes.iter().map(|&i| BlobName::Chunk(prev.chunks()[i]));
+            let id = &metadata.storage_id;
+            let mut names = holes.iter().map(|&i| BlobName::chunk(id, prev.chunks()[i]));
             names.any(|name| name.key() == key)
         };
-        match self.store_and_anchor(metadata.clone(), NewVersion::buffer(file, map)) {
+        match self.store_and_anchor(metadata.clone(), file.flat(), map, Some(prev)) {
             Err(ScfsError::Storage(StorageError::IntegrityViolation { key })) if refused(&key) => {
                 self.fault_in(file, &holes)?;
-                self.store_and_anchor(metadata, NewVersion::buffer(file, map))
+                self.store_and_anchor(metadata, file.flat(), map, file.chunk_map.as_ref())
             }
             stored => stored,
         }
     }
 
     /// Runs [`ScfsAgent::commit`] on the object's lane — commits of the same
-    /// object serialize, different objects overlap — no earlier than
-    /// `not_before`, and settles it the way the caller's mode prescribes.
+    /// object serialize, different objects overlap — and settles it the way
+    /// the caller's mode prescribes.
     /// `wait` (a blocking close, any `sync`): the foreground waits for the
     /// anchor update — not for the lock release behind it, which the job
     /// still sends and a write-open of the object waits for. Otherwise the
@@ -302,17 +220,16 @@ impl ScfsAgent {
     /// local caches.
     fn run_commit(
         &mut self,
-        not_before: Option<SimInstant>,
         metadata: FileMetadata,
-        store: impl FnOnce(&mut Self, FileMetadata) -> Result<Option<FileMetadata>, ScfsError>,
+        store: impl FnOnce(&mut Self, FileMetadata) -> Result<FileMetadata, ScfsError>,
         unlock: bool,
         wait: bool,
-    ) -> Result<Option<FileMetadata>, ScfsError> {
+    ) -> Result<FileMetadata, ScfsError> {
         if !wait {
             self.apply_close_backpressure();
         }
         let lane = metadata.storage_id.clone();
-        let start = not_before.map_or(self.clock.now(), |at| self.clock.now().max(at));
+        let start = self.clock.now();
         let token = self.on_lane(start, &lane, |agent| agent.commit(metadata, store, unlock));
         let (started_at, ready_at) = (token.started_at(), token.ready_at());
         let (committed, anchored) = token.into_inner();
@@ -322,13 +239,11 @@ impl ScfsAgent {
             return committed;
         }
         let committed = committed?;
-        if let Some(md) = &committed {
-            // A second commit of the same object supersedes the earlier
-            // record: the lane already ordered the commits, and the later
-            // token covers the earlier one.
-            self.pending_uploads
-                .insert(lane, Pending::new(md.clone(), started_at, ready_at));
-        }
+        // A second commit of the same object supersedes the earlier record:
+        // the lane already ordered the commits, and the later token covers
+        // the earlier one.
+        self.pending_uploads
+            .insert(lane, Pending::new(committed.clone(), started_at, ready_at));
         Ok(committed)
     }
 
@@ -403,7 +318,7 @@ impl ScfsAgent {
         file: &mut OpenFile,
         unlock: bool,
         wait: bool,
-    ) -> Result<(ChunkMap, Option<FileMetadata>), ScfsError> {
+    ) -> Result<(ChunkMap, FileMetadata), ScfsError> {
         let map = self.cut_buffer(file)?;
         let mut spilled = self.spill_chunks(file, &map, WriteMode::Through);
         let manifest = map.encode();
@@ -425,7 +340,7 @@ impl ScfsAgent {
         }
         let metadata = file.metadata.clone();
         let store = |agent: &mut Self, metadata| agent.store_buffer(metadata, file, &map);
-        let committed = self.run_commit(None, metadata, store, unlock, wait);
+        let committed = self.run_commit(metadata, store, unlock, wait);
         self.clock.advance_to(spilled);
         let committed = committed?;
         self.versions.adopt(std::mem::take(&mut file.checkpoints));
@@ -475,10 +390,8 @@ impl ScfsAgent {
             // The lane orders this commit behind any in-flight upload of the
             // same object; the new token supersedes the pending record.
             self.pending_uploads.remove(&file.metadata.storage_id);
-            let (map, committed) = self.commit_buffer(file, false, true)?;
-            if let Some(metadata) = committed {
-                file.metadata = metadata;
-            }
+            let (map, metadata) = self.commit_buffer(file, false, true)?;
+            file.metadata = metadata;
             file.rebase(map);
             file.staged = None;
             file.dirty = None;
@@ -486,57 +399,6 @@ impl ScfsAgent {
             self.wait_pending_uploads(|id, _| id == file.metadata.storage_id);
         }
         Ok(self.storage.cloud_durability())
-    }
-
-    /// Manifest-only copy: the destination's new version references the
-    /// source version's chunks through the global chunk store's refcounts,
-    /// so zero chunks move — only a metadata update and, for a source whose
-    /// manifest is an object rather than part of its tuple, a manifest — and
-    /// every referenced chunk counts as a cross-file dedup hit
-    /// ([`AgentStats::dedup_hits_cross_file`]). Falls back to the
-    /// materializing open/read/write/close path (the trait default) when the
-    /// source has no committed version or the backend keeps no chunk
-    /// registry.
-    pub(super) fn copy(&mut self, from: &str, to: &str) -> Result<(), ScfsError> {
-        let from = self.enter(from)?;
-        let to = normalize_path(to)?;
-        let src = self.lookup_file(&from)?;
-        // This agent's own in-flight commit of the source is part of its
-        // view (read-your-writes), and fixes the commit's lower time bound:
-        // no earlier than the source's chunks are in the cloud.
-        let src = self.with_pending_commit(&from, src);
-        let src_ready = self.pending_by_path(&from).map(Pending::ready_at);
-        // Like the materializing default (whose `open` reads the committed
-        // version, never another handle's dirty buffer), the copy source is
-        // the last committed version; a file that never committed one falls
-        // back to the open/read/write path.
-        let Some(root) = src.version_hash else {
-            return self.copy_through_handles(&from, &to);
-        };
-        // The destination is what a write-open would have set up: a new
-        // version of an existing file or a fresh object, under its lock.
-        let (dst, locked) = self.resolve_file(&to, true, true)?;
-        let version = NewVersion::CopyOf { src: &src, root };
-        let store = |agent: &mut Self, dst| agent.store_and_anchor(dst, version);
-        let wait = self.config.mode.blocking_close();
-        match self.run_commit(src_ready, dst, store, locked, wait)? {
-            Some(_) => {
-                self.written_since_gc += src.size;
-                self.maybe_run_gc();
-                Ok(())
-            }
-            // The backend keeps no chunk registry for the source (or a
-            // chunk is no longer stored): materialize instead.
-            None => self.copy_through_handles(&from, &to),
-        }
-    }
-
-    /// The fallback copy: materialize the source and write it through the
-    /// normal open/read/write/close path (what the [`FileSystem`] trait
-    /// default does for every other system).
-    fn copy_through_handles(&mut self, from: &str, to: &str) -> Result<(), ScfsError> {
-        let data = self.read_file(from)?;
-        self.write_file(to, &data)
     }
 }
 
@@ -670,40 +532,60 @@ mod tests {
         assert_eq!(md.version_count, 2);
     }
 
+    /// The copy is a read of the source and a write of the destination, as
+    /// through FUSE: the destination stores its own chunks, and keeps its
+    /// bytes across the source's next version and the source's unlink and
+    /// collection, read back cold by another mount. (The name predates the
+    /// materializing copy.)
     #[test]
     fn copy_file_is_manifest_only_and_counts_dedup_hits() {
-        let mut fs = test_agent(Mode::Blocking);
-        // Four distinct 1 MiB chunks.
-        let mut data = vec![0u8; 4 << 20];
-        for (i, chunk) in data.chunks_mut(1 << 20).enumerate() {
-            chunk.fill(i as u8 + 1);
-        }
+        let cloud = Arc::new(SimulatedCloud::test("s3"));
+        let coord: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
+        let mount = |seed| {
+            let storage = Arc::new(SingleCloudStorage::new(cloud.clone()));
+            let mut config = ScfsConfig::test(Mode::Blocking);
+            config.gc.written_bytes_threshold = Bytes::new(1);
+            config.gc.versions_to_keep = 1;
+            ScfsAgent::mount("alice".into(), config, storage, Some(coord.clone()), seed).unwrap()
+        };
+        let mut fs = mount(1);
+        let data = four_chunks();
         fs.write_file("/src", &data).unwrap();
-        let chunks_before = fs.stats().chunk_uploads;
-        let dedup_before = fs.stats().dedup_hits_cross_file;
+        let before = fs.stats();
         fs.copy_file("/src", "/dst").unwrap();
+        let after = fs.stats();
         assert_eq!(
-            fs.stats().chunk_uploads,
-            chunks_before,
-            "a manifest-only copy moves zero chunks"
+            after.chunk_uploads,
+            before.chunk_uploads + 4,
+            "its own four"
         );
         assert_eq!(
-            fs.stats().dedup_hits_cross_file,
-            dedup_before + 4,
-            "every referenced chunk is a cross-file dedup hit"
+            after.chunk_downloads, before.chunk_downloads,
+            "read from the cache"
         );
-        assert_eq!(fs.read_file("/dst").unwrap(), data);
+        assert_eq!(after.dedup_hits_cross_file, 0);
         assert_eq!(fs.stat("/dst").unwrap().size, data.len() as u64);
-        // The source stays intact and independently versioned.
-        assert_eq!(fs.read_file("/src").unwrap(), data);
+
+        let (v2, offset) = edited(data.clone(), 1);
+        let h = fs.open("/src", OpenFlags::read_write()).unwrap();
+        fs.write(h, offset, b"edit").unwrap();
+        fs.close(h).unwrap();
+        assert_eq!(fs.read_file("/dst").unwrap(), data);
+        fs.unlink("/src").unwrap();
+        fs.write_file("/trigger", b"x").unwrap();
+        assert!(fs.stats().gc_runs >= 3);
+        let mut cold = mount(2);
+        cold.sleep(SimDuration::from_secs(60));
+        assert_eq!(cold.read_file("/dst").unwrap(), data);
+        assert_ne!(data, v2);
     }
 
     #[test]
     fn copy_file_never_re_reads_a_manifest_the_tuple_delivered() {
         // Two backend instances over one cloud — two processes of one
-        // account. The second one's registry has never heard of `/src`, so
-        // `copy_version` would have to fetch its manifest from the cloud;
-        // the tuple already carried it.
+        // account. The second one's registry has never heard of `/src`; the
+        // tuple carries its manifest, so the copy's read fetches the one
+        // chunk and no manifest, and its write stores that chunk alone.
         let cloud = Arc::new(SimulatedCloud::test("s3"));
         let coord: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
         let mount = |seed| {
@@ -722,16 +604,16 @@ mod tests {
         mount(1).write_file("/src", &data).unwrap();
         let mut second = mount(2);
         second.sleep(SimDuration::from_secs(60));
-        // Identical content written through the second instance: its chunk
-        // store now holds the chunk a manifest-only copy will reference.
-        second.write_file("/twin", &data).unwrap();
-        let before = (cloud.metrics().snapshot(), second.stats());
+        let before = cloud.metrics().snapshot();
         second.copy_file("/src", "/dst").unwrap();
-        let after = (cloud.metrics().snapshot(), second.stats());
-        assert_eq!(after.0.gets, before.0.gets, "no manifest GET, no chunk GET");
-        assert_eq!(after.0.puts, before.0.puts, "its manifest rides inline");
-        assert_eq!(after.1.bytes_uploaded, before.1.bytes_uploaded);
-        assert_eq!(after.1.chunk_uploads, before.1.chunk_uploads);
+        let after = cloud.metrics().snapshot();
+        assert_eq!(after.gets, before.gets + 1, "the chunk, and no manifest");
+        assert_eq!(
+            after.puts,
+            before.puts + 1,
+            "the chunk: its manifest rides inline"
+        );
+        assert_eq!(second.stats().chunk_uploads, 1);
         assert_eq!(second.read_file("/dst").unwrap(), data);
         let (src, dst) = (second.stat("/src").unwrap(), second.stat("/dst").unwrap());
         assert_eq!(dst.version_hash, src.version_hash);

@@ -75,8 +75,8 @@ impl ScfsAgent {
             true
         });
         // Phase two: replay the release journal — physically delete the
-        // blobs whose refcount hit zero, retrying any entry an earlier cycle
-        // failed on. This is what turns a failed delete into a delayed
+        // blobs no retained version names, retrying any entry an earlier
+        // cycle failed on. This is what turns a failed delete into a delayed
         // reclamation rather than a leaked orphan.
         match storage.replay_release_journal(&mut ctx, &JournalOpts::default()) {
             Ok(report) => {

@@ -8,9 +8,10 @@
 //! * `handles` — the open-file table: `open`, and byte-range reads, writes
 //!   and truncates over a handle's sparse buffer, which faults a chunk in
 //!   only when a read, a write or a commit's re-cut needs its bytes;
-//! * `commit` — the version commit that `close`, `sync` and `copy_file` all
-//!   run, and the records of commits still in flight. The three modes differ
-//!   only in *when* `close` returns (paper §3.1): one `if` in `run_commit`;
+//! * `commit` — the version commit that `close` and `sync` run, and the
+//!   records of commits still in flight. The three modes differ only in
+//!   *when* `close` returns (paper §3.1): one `if` in `run_commit`. A copy
+//!   is the [`FileSystem`] default, a read and a write, as through FUSE;
 //! * `fetch` — manifests and the chunk-fetch loop behind read faults and
 //!   the sequential prefetcher;
 //! * `gc` — the background collector, which reclaims the storage of the files
@@ -97,8 +98,9 @@ pub struct AgentStats {
     pub gc_retried: u64,
     /// Blobs reclaimed on a retry pass: orphans recovered by the journal.
     pub gc_orphans_reclaimed: u64,
-    /// Distinct chunks skipped at upload because another file (or user) had
-    /// already stored identical content in the global chunk store.
+    /// Always 0: a chunk belongs to its object, so no upload is skipped for
+    /// another file's content. A stub the benchmark package compiles
+    /// against, to go with the ROADMAP's Benchmark-v2 item 1(b).
     pub dedup_hits_cross_file: u64,
     /// Parallel waves executed by the foreground transfer engine: a close
     /// that uploads 16 chunks at parallelism 4 adds 4 waves, and its
@@ -290,8 +292,8 @@ impl ScfsAgent {
     }
 
     /// Appends any violated agent-side structural invariants to `out`: the
-    /// cache tiers' byte accounting and the storage backend's chunkstore
-    /// refcount/journal invariants. The model checker runs this after every
+    /// cache tiers' byte accounting and the storage backend's release
+    /// journal invariants. The model checker runs this after every
     /// step of a schedule; tests can assert the list stays empty.
     pub fn check_invariants(&self, out: &mut Vec<InvariantViolation>) {
         self.cache.check_invariants(out);
@@ -574,10 +576,6 @@ impl FileSystem for ScfsAgent {
         let path = self.enter(path)?;
         let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
         Ok(self.metadata.get(&mut ctx, &path)?.acl)
-    }
-
-    fn copy_file(&mut self, from: &str, to: &str) -> Result<(), ScfsError> {
-        self.copy(from, to)
     }
 }
 

@@ -37,14 +37,6 @@ impl VersionRecord {
         }
     }
 
-    /// The same version, as version `count` of another object (a copy).
-    pub(super) fn renumbered(&self, count: u64) -> Self {
-        VersionRecord {
-            count,
-            ..self.clone()
-        }
-    }
-
     /// Every hash the record names: its chunks and its root.
     fn names(&self) -> impl Iterator<Item = ContentHash> + '_ {
         self.chunks.iter().copied().chain([self.root])
@@ -64,8 +56,8 @@ struct Superseded {
 #[derive(Debug, Default)]
 pub(super) struct Versions {
     records: BTreeMap<String, VersionRecord>,
-    /// Records naming each chunk or root: a chunk another object's live
-    /// version shares (a copy, cross-file dedup) stays while one does.
+    /// Records naming each chunk or root: a chunk whose content another
+    /// object's live version also has (a copy) stays while one does.
     named: BTreeMap<ContentHash, u32>,
     /// The hash checkpoints of named chunks that a cut here hashed
     /// ([`crate::types::ChunkSource::checkpoints`]).
@@ -79,11 +71,6 @@ impl Versions {
         self.records
             .get(id)
             .is_none_or(|r| r.root != *root && r.count <= count)
-    }
-
-    /// The record of `id`, if it holds the version under `root`.
-    pub(super) fn at(&self, id: &str, root: &ContentHash) -> Option<&VersionRecord> {
-        self.records.get(id).filter(|r| r.root == *root)
     }
 
     /// Replaces the record of `id` with `record` (`None` removes it) and
@@ -222,7 +209,7 @@ mod tests {
         let superseded = versions.replace("dst", None);
         assert_eq!(superseded.chunks, vec![sha256(b"aaaa")]);
         assert_eq!(superseded.root, Some(shared.root));
-        assert!(versions.at("src", &shared.root).is_none());
+        assert_ne!(versions.records["src"].root, shared.root);
     }
 
     /// Whether the memory and the disk tier of `fs` hold the chunk `hash`.
@@ -390,8 +377,8 @@ mod tests {
         fs.write_file("/f", &v1).unwrap();
         let map = fs.config().chunk_map(&v1);
         let id = fs.stat("/f").unwrap().storage_id;
-        let record = fs.versions.at(&id, &map.root_hash()).cloned();
-        assert!(record.is_some());
+        let record = fs.versions.records.get(&id).cloned();
+        assert_eq!(record.as_ref().map(|r| r.root), Some(map.root_hash()));
 
         let h = fs.open("/f", OpenFlags::read_write()).unwrap();
         let (_, offset) = edited(v1, 2);
@@ -400,7 +387,7 @@ mod tests {
         let outage = FaultPlan::outage(now, now + SimDuration::from_secs(3600));
         cloud.set_fault_plan(outage, 1);
         assert!(fs.close(h).is_err(), "the cloud is down");
-        assert_eq!(fs.versions.at(&id, &map.root_hash()).cloned(), record);
+        assert_eq!(fs.versions.records.get(&id).cloned(), record);
         for hash in map.chunks() {
             assert_eq!(cached(&fs, hash), (true, true));
         }

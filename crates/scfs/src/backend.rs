@@ -10,27 +10,28 @@
 //! operations are what the storage service of the agent needs on the chunked
 //! data path:
 //!
-//! * write a new immutable version — upload the chunks of the file that are
-//!   not already in the **global chunk store** (chunks are content-addressed
-//!   across versions, files and users; see [`crate::chunkstore`]) plus,
-//!   unless the caller's metadata tuple carries it (the table below), a
-//!   small [`ChunkMap`] manifest stored per object under its root hash (the
-//!   storage-service half of the consistency-anchor algorithm). Everything
-//!   here is boundary-agnostic: dirty-chunk selection, dedup and refcounts
-//!   compare content hashes, so fixed-size and content-defined
-//!   ([`ChunkMap::build_cdc`]) maps move through unchanged;
-//! * read the manifest with a given root hash, and individual chunks by
-//!   content hash (only the chunks a reader is missing);
-//! * release old versions — each version drops one reference per distinct
-//!   chunk and on its manifest object, if it stored one, and a blob is
-//!   physically reclaimed only once its reference count is zero, through
-//!   the two-phase release journal
-//!   ([`FileStorage::replay_release_journal`]), so a failed delete is
-//!   retried instead of leaking an orphan;
+//! * write a new immutable version — upload the chunks of the file that no
+//!   retained version of the same object already names (a chunk belongs to
+//!   its object, see [`crate::chunkstore`]) plus, unless the caller's
+//!   metadata tuple carries it (the table below), a small [`ChunkMap`]
+//!   manifest stored per object under its root hash (the storage-service
+//!   half of the consistency-anchor algorithm). Everything here is
+//!   boundary-agnostic: dirty-chunk selection and liveness compare content
+//!   hashes, so fixed-size and content-defined ([`ChunkMap::build_cdc`])
+//!   maps move through unchanged;
+//! * read the manifest with a given root hash, and individual chunks of an
+//!   object by content hash (only the chunks a reader is missing);
+//! * release old versions — a blob is physically reclaimed once no
+//!   retained version of its object names it, through the two-phase
+//!   release journal ([`FileStorage::replay_release_journal`]), so a failed
+//!   delete is retried instead of leaking an orphan;
 //! * propagate ACL changes to the stored manifests of a file (chunks are
-//!   owned by the shared chunk-store principal and are capability-protected
-//!   by whatever holds the manifest, so `setfacl` is at most O(versions),
-//!   never O(versions × chunks)).
+//!   owned by the chunk-store principal and are capability-protected by
+//!   whatever holds the manifest, so `setfacl` is at most O(versions), never
+//!   O(versions × chunks)).
+//!
+//! A copy is the paper's: a read of the source and a write of the
+//! destination, which stores the destination's own chunks.
 //!
 //! ## Commit invariant
 //!
@@ -56,12 +57,11 @@
 //! | lives in | the metadata tuple, beside the root hash it hashes to | an object under `id\|root` |
 //! | read by | whoever may read the tuple (on the committing instance, [`FileStorage::read_manifest`] answers from its registry) | whoever the object's cloud ACL admits |
 //! | a commit stores | the dirty chunks: no manifest PUT, no ACL tag, no manifest intent in the journal | the dirty chunks and, beside them, the tagged manifest |
-//! | GC deletes | the chunks whose refcount reached zero | those chunks and the manifest object |
-//! | the cloud alone reconstructs | chunks by content hash — not which file they belong to, or in what order | every retained version of every id |
+//! | GC deletes | the chunks no retained version of the object names | those chunks and the manifest object |
+//! | the cloud alone reconstructs | which chunks each object has — not which version they belong to, or in what order | every retained version of every id |
 //!
 //! For an inline version a close therefore sends its chunk PUTs, one
-//! metadata write and one unlock, and waits for all but the unlock; a
-//! manifest-only copy is zero cloud requests.
+//! metadata write and one unlock, and waits for all but the unlock.
 //! The id → chunks link of such a version has the durability of the anchor
 //! (the coordination service's replicas; the private name space in the
 //! non-sharing mode) — which the path → id → root-hash link always had.
@@ -94,7 +94,8 @@ pub struct WriteOutcome {
     /// Root hash of the written version (hash of the encoded [`ChunkMap`]);
     /// this is the `hash` the consistency anchor stores.
     pub root_hash: ContentHash,
-    /// Chunks actually uploaded (dirty chunks not already stored globally).
+    /// Chunks actually uploaded (dirty chunks no retained version of the
+    /// object names).
     pub chunks_uploaded: u64,
     /// Payload bytes a PUT carried: the dirty chunks, plus the manifest when
     /// the version stores one (an inline manifest travels in the metadata
@@ -107,10 +108,9 @@ pub struct WriteOutcome {
     /// Parallel waves the chunk uploads took (0 when no chunk moved); the
     /// caller's clock advanced by roughly this many chunk-upload latencies.
     pub waves: u64,
-    /// Distinct chunks this version skipped because *another file* (or
-    /// another user) had already stored identical content in the global
-    /// chunk store — the cross-file dedup wins, as opposed to chunks reused
-    /// from this object's own previous versions.
+    /// Always 0: a chunk belongs to its object, so no version reuses
+    /// another file's chunk. A stub the benchmark package compiles against,
+    /// to go with the ROADMAP's Benchmark-v2 item 1(b).
     pub dedup_cross_file: u64,
 }
 
@@ -127,11 +127,22 @@ struct StoredVersion {
     stored_manifest: bool,
 }
 
+impl StoredVersion {
+    /// Whether this version, of the object `blob` belongs to, names `blob`:
+    /// a chunk of its map, or the manifest object it stored.
+    fn names(&self, blob: &BlobName) -> bool {
+        match blob {
+            BlobName::Chunk { hash, .. } => self.map.chunks().contains(hash),
+            BlobName::Manifest { root, .. } => self.stored_manifest && self.root == *root,
+        }
+    }
+}
+
 /// Registry of the versions written through one backend instance: object id
 /// → versions, newest last. It records which commits exist, the map of each
-/// (for copies and for manifests that ride inline) and whether it stored a
-/// manifest object (for `set_acl`). Whether any *blob* is still needed is the
-/// chunk store's refcount, never a scan over this map.
+/// (for manifests that ride inline, and for liveness) and whether it stored
+/// a manifest object (for `set_acl`). A blob is live while a retained
+/// version of its object names it.
 #[derive(Debug, Default)]
 struct VersionRegistry {
     versions: BTreeMap<String, Vec<StoredVersion>>,
@@ -156,7 +167,7 @@ impl VersionRegistry {
     }
 
     /// The retained version of `id` committed under `root`, if this
-    /// instance still tracks it.
+    /// instance still records it.
     fn version(&self, id: &str, root: &ContentHash) -> Option<&StoredVersion> {
         self.versions
             .get(id)?
@@ -165,9 +176,8 @@ impl VersionRegistry {
             .find(|v| v.root == *root)
     }
 
-    /// Every chunk hash referenced by a retained version of `id` — the
-    /// "this file's own history" set used to tell cross-file dedup hits
-    /// apart from ordinary cross-version reuse.
+    /// Every chunk hash a retained version of `id` names: the chunks a new
+    /// version of `id` need not upload.
     fn live_chunks(&self, id: &str) -> HashSet<ContentHash> {
         self.versions
             .get(id)
@@ -194,6 +204,23 @@ impl VersionRegistry {
             .collect()
     }
 
+    /// Whether a retained version of `blob`'s object names it.
+    fn names(&self, blob: &BlobName) -> bool {
+        let versions = self.versions.get(blob.id());
+        versions.is_some_and(|vs| vs.iter().any(|v| v.names(blob)))
+    }
+
+    /// Every blob a retained version names.
+    fn live_blobs(&self) -> impl Iterator<Item = BlobName> + '_ {
+        self.versions.iter().flat_map(|(id, versions)| {
+            versions.iter().flat_map(move |v| {
+                let chunks = v.map.chunks().iter().map(move |h| BlobName::chunk(id, *h));
+                let manifest = v.stored_manifest.then(|| BlobName::manifest(id, v.root));
+                chunks.chain(manifest)
+            })
+        })
+    }
+
     /// Drops and returns all but the newest `keep` versions of `id`, oldest
     /// first.
     fn prune(&mut self, id: &str, keep: usize) -> Vec<StoredVersion> {
@@ -213,7 +240,7 @@ impl VersionRegistry {
 }
 
 /// The shared mutable state of one backend instance: the per-object version
-/// registry and the global refcounted chunk store with its release journal.
+/// registry and the release journal.
 #[derive(Debug, Default)]
 struct StoreState {
     registry: VersionRegistry,
@@ -226,9 +253,9 @@ struct StoreState {
 
 impl StoreState {
     /// The tail of every version commit, once all its blobs have landed:
-    /// takes the version's references — its distinct chunks and its manifest
-    /// object, if it stores one — which cancels the provisional intents
-    /// journaled before the upload, and records the version.
+    /// records the version, and cancels the pending intents of what it
+    /// stores — its distinct chunks and its manifest object, if it stores
+    /// one — among them the provisional intents journaled before the upload.
     fn commit_version(
         &mut self,
         id: &str,
@@ -237,30 +264,39 @@ impl StoreState {
         stored_manifest: bool,
         unique: &BTreeSet<ContentHash>,
     ) {
-        let mut blobs: BTreeSet<BlobName> = unique.iter().map(|h| BlobName::Chunk(*h)).collect();
+        let mut blobs: BTreeSet<BlobName> =
+            unique.iter().map(|h| BlobName::chunk(id, *h)).collect();
         if stored_manifest {
             blobs.insert(BlobName::manifest(id, root));
         }
-        self.chunks.retain(&blobs);
+        self.chunks.cancel(&blobs);
         self.registry.push(id, root, map.clone(), stored_manifest);
     }
 
-    /// Phase one of deletion: drops the references of `dropped`, versions of
-    /// `id`, and journals the release intents — the stored manifests, then
-    /// each version's distinct chunks in file order (hash-set order would
-    /// make which delete a fault hits vary run to run). Returns how many
-    /// versions went.
+    /// Phase one of deletion: journals the release intents of what
+    /// `dropped`, versions of `id` no longer retained, named and no retained
+    /// version names — the stored manifests, then each version's distinct
+    /// chunks in file order (hash-set order would make which delete a fault
+    /// hits vary run to run). A blob several dropped versions name is
+    /// journaled with the last of them. Returns how many versions went.
     fn release(&mut self, id: &str, dropped: Vec<StoredVersion>) -> usize {
-        let manifests = dropped
-            .iter()
-            .filter(|v| v.stored_manifest)
-            .map(|v| BlobName::manifest(id, v.root));
-        let chunks = dropped.iter().flat_map(|v| {
-            let mut seen = HashSet::new();
-            let distinct = v.map.chunks().iter().filter(move |h| seen.insert(**h));
-            distinct.map(|h| BlobName::Chunk(*h))
-        });
-        self.chunks.release(manifests.chain(chunks));
+        let mut roots: HashSet<ContentHash> =
+            self.registry.live_manifests(id).into_iter().collect();
+        let mut chunks = self.registry.live_chunks(id);
+        // Newest first, so a blob is journaled with the last version naming
+        // it; then back in version order.
+        let mut manifests = Vec::new();
+        let mut per_version = Vec::new();
+        for v in dropped.iter().rev() {
+            if v.stored_manifest && roots.insert(v.root) {
+                manifests.push(BlobName::manifest(id, v.root));
+            }
+            let gone = v.map.chunks().iter().filter(|h| chunks.insert(**h));
+            per_version.push(gone.map(|h| BlobName::chunk(id, *h)).collect::<Vec<_>>());
+        }
+        let chunks = per_version.into_iter().rev().flatten();
+        self.chunks
+            .journal(manifests.into_iter().rev().chain(chunks));
         dropped.len()
     }
 }
@@ -272,15 +308,14 @@ pub trait FileStorage: Send + Sync {
     fn label(&self) -> &'static str;
 
     /// Stores a new version of the object identified by `id`: uploads the
-    /// chunks of `data` (laid out by `map`) that are not already in the
-    /// global chunk store and, beside the first chunk wave, the encoded
-    /// manifest under its root hash — unless it rides in the caller's
-    /// metadata tuple ([`manifest_rides_inline`]; the module's commit
-    /// invariant); once all of it has landed, takes one chunk-store
-    /// reference per distinct chunk and records the version.
-    /// Identical content already stored by *any* file or user is skipped
-    /// (cross-file dedup); when the instance has no record of `id` (a fresh
-    /// mount), chunks present in `prev` are trusted as stored. Only the
+    /// chunks of `data` (laid out by `map`) that no retained version of `id`
+    /// names and, beside the first chunk wave, the encoded manifest under
+    /// its root hash — unless it rides in the caller's metadata tuple
+    /// ([`manifest_rides_inline`]; the module's commit invariant); once all
+    /// of it has landed, records the version. The chunks are `id`'s own:
+    /// identical content under another object is not reused. When the
+    /// instance has no record of `id` (a fresh mount), chunks present in
+    /// `prev` are trusted as stored. Only the
     /// chunks it uploads are read from `data`: a caller may leave a chunk
     /// `prev` names unread (an open handle's hole), and a chunk `prev` names
     /// whose bytes in `data` do not hash to it fails the write with an
@@ -443,16 +478,10 @@ pub trait FileStorage: Send + Sync {
         Ok(data)
     }
 
-    /// Commits a new version of `dst_id` that references the chunks of the
-    /// version of `src_id` stored under `root` — a manifest-only copy: zero
-    /// chunks move, the destination takes one chunk-store reference per
-    /// distinct chunk, and only the (re-tagged) manifest is uploaded — not
-    /// even that when it rides in the metadata tuple.
-    /// Returns `Ok(None)` when the backend cannot commit such a copy (no
-    /// registry record and no globally stored chunks to reference, or a
-    /// source manifest that should have been in the caller's tuple, so that
-    /// neither the copy's tuple nor the cloud would hold it); callers fall
-    /// back to a materializing copy.
+    /// Always `Ok(None)`, and no caller: a copy reads the source and writes
+    /// the destination, whose chunks are its own. A stub the benchmark
+    /// package's storage decorator compiles against, to go with the
+    /// ROADMAP's Benchmark-v2 item 1(b).
     fn copy_version(
         &self,
         ctx: &mut OpCtx<'_>,
@@ -463,25 +492,6 @@ pub trait FileStorage: Send + Sync {
     ) -> Result<Option<WriteOutcome>, ScfsError> {
         let _ = (ctx, src_id, dst_id, root, acl);
         Ok(None)
-    }
-
-    /// [`FileStorage::copy_version`] for a caller that already holds the
-    /// source version's chunk map `map` (it rode in the metadata tuple,
-    /// authenticated against `root`): the backend must not read the manifest
-    /// again, from its registry or from the cloud. The default forwards to
-    /// `copy_version`, so a storage that does not override it stays correct
-    /// and merely loses the saving.
-    fn copy_version_with_map(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        src_id: &str,
-        dst_id: &str,
-        root: &ContentHash,
-        map: &ChunkMap,
-        acl: Option<&Acl>,
-    ) -> Result<Option<WriteOutcome>, ScfsError> {
-        let _ = map;
-        self.copy_version(ctx, src_id, dst_id, root, acl)
     }
 
     /// The durability level (Table 1) data reaches once a version commit on
@@ -509,7 +519,7 @@ pub trait FileStorage: Send + Sync {
     fn delete_all(&self, ctx: &mut OpCtx<'_>, id: &str) -> Result<(), ScfsError>;
 
     /// Phase two of reclamation: attempts the pending release intents —
-    /// deleting the blobs no retained version references — and marks the
+    /// deleting the blobs no retained version names — and marks the
     /// successful ones applied.
     /// Failed deletes leave their entries pending for the next pass, so a
     /// transient cloud error delays reclamation instead of leaking blobs.
@@ -537,8 +547,8 @@ pub trait FileStorage: Send + Sync {
         let _ = slot;
     }
 
-    /// Appends any violated storage invariants (chunkstore refcounts and
-    /// journal bookkeeping) to `out`. Backends without a chunk store have
+    /// Appends any violated storage invariants (release-journal
+    /// bookkeeping) to `out`. Backends without a chunk store have
     /// nothing to check — the default reports nothing.
     fn check_invariants(&self, out: &mut Vec<InvariantViolation>) {
         let _ = out;
@@ -554,9 +564,8 @@ pub trait FileStorage: Send + Sync {
 /// in its cloud(s). `ctx` carries the principal the engine chose for the
 /// blob's kind ([`principal_ctx`]); how the name is spelled there is
 /// [`BlobName`]'s to say. Everything else — dirty-chunk selection,
-/// refcounting, cross-file dedup, manifest commit, the release journal, ACL
-/// fan-out — is [`ChunkedStorage`]'s [`FileStorage`] implementation below,
-/// written once.
+/// liveness, manifest commit, the release journal, ACL fan-out — is
+/// [`ChunkedStorage`]'s [`FileStorage`] implementation below, written once.
 trait BlobStore: Send + Sync {
     /// Short backend label for result tables.
     const LABEL: &'static str;
@@ -584,9 +593,9 @@ fn principal_ctx<'c>(ctx: &'c mut OpCtx<'_>, blob: &BlobName) -> OpCtx<'c> {
 }
 
 /// The chunked storage engine over one backend's four blob primitives: the
-/// version registry, the global chunk store and its release journal, and
-/// the whole of [`FileStorage`]. Public under its two instantiations,
-/// [`SingleCloudStorage`] and [`CloudOfCloudsStorage`].
+/// version registry, the release journal, and the whole of [`FileStorage`].
+/// Public under its two instantiations, [`SingleCloudStorage`] and
+/// [`CloudOfCloudsStorage`].
 pub struct ChunkedStorage<B> {
     blobs: B,
     state: Mutex<StoreState>,
@@ -600,16 +609,12 @@ impl<B> ChunkedStorage<B> {
         }
     }
 
-    /// Current global reference count of a chunk (test/diagnostic hook).
-    pub fn chunk_refcount(&self, hash: &ContentHash) -> u64 {
-        self.state.lock().chunks.refcount(&BlobName::Chunk(*hash))
-    }
-
     /// The blobs that may legitimately exist in the cloud(s) right now; feed
     /// a raw key listing to [`BlobAudit::orphans`] to assert the GC leaked
     /// nothing.
     pub fn blob_audit(&self) -> BlobAudit {
-        BlobAudit::new(self.state.lock().chunks.reachable_blobs())
+        let state = self.state.lock();
+        BlobAudit::new(state.chunks.reachable_blobs(state.registry.live_blobs()))
     }
 }
 
@@ -660,31 +665,18 @@ impl<B: BlobStore> FileStorage for ChunkedStorage<B> {
         opts: &TransferOptions,
     ) -> Result<WriteOutcome, ScfsError> {
         let unique = map.unique_chunks();
-        let (stored, own, tracked) = {
+        let (stored, tracked) = {
             let state = self.state.lock();
-            let stored: HashSet<ContentHash> = unique
-                .iter()
-                .filter(|h| state.chunks.is_stored(&BlobName::Chunk(**h)))
-                .copied()
-                .collect();
-            (
-                stored,
-                state.registry.live_chunks(id),
-                state.registry.tracks(id),
-            )
+            (state.registry.live_chunks(id), state.registry.tracks(id))
         };
-        // The chunk store is GC-aware: once the instance tracks `id`, the
-        // refcounts alone decide which chunks are stored. `prev` is only
-        // trusted on a fresh instance with no record — otherwise a chunk
-        // that is clean relative to `prev` but already reclaimed would be
-        // silently omitted, committing a version that can never be read.
+        // Once the instance records `id`, its retained versions alone decide
+        // which chunks are stored. `prev` is only trusted on a fresh
+        // instance with no record — otherwise a chunk that is clean relative
+        // to `prev` but already reclaimed would be silently omitted,
+        // committing a version that can never be read.
         let prev_chunks: HashSet<ContentHash> =
             prev.map_or_else(HashSet::new, |prev| prev.chunks().iter().copied().collect());
         let trusted = |h: &ContentHash| !tracked && prev_chunks.contains(h);
-        let dedup_cross_file = unique
-            .iter()
-            .filter(|h| stored.contains(*h) && !own.contains(*h) && !trusted(h))
-            .count() as u64;
         let plan = TransferPlan::upload(map, |h| stored.contains(h) || trusted(h));
         // A chunk clean relative to `prev` is one the caller need not hold:
         // an open handle leaves a chunk it never read as a hole in `data`.
@@ -694,7 +686,7 @@ impl<B: BlobStore> FileStorage for ChunkedStorage<B> {
             prev_chunks.contains(&job.hash) && sha256(&data[map.byte_range(job.index)]) != job.hash
         }) {
             return Err(StorageError::IntegrityViolation {
-                key: BlobName::Chunk(job.hash).key(),
+                key: BlobName::chunk(id, job.hash).key(),
             }
             .into());
         }
@@ -706,12 +698,12 @@ impl<B: BlobStore> FileStorage for ChunkedStorage<B> {
         // are covered by pending release intents and the next replay
         // reclaims them — a failed write must not orphan what it managed to
         // upload.
-        let chunks = plan.jobs().iter().map(|j| BlobName::Chunk(j.hash));
+        let chunks = plan.jobs().iter().map(|j| BlobName::chunk(id, j.hash));
         let stored_manifest = object.map(|_| BlobName::manifest(id, root));
         self.state
             .lock()
             .chunks
-            .journal_provisional(chunks.chain(stored_manifest));
+            .journal(chunks.chain(stored_manifest));
         // A stored manifest (and its ACL tag) rides beside the first chunk
         // wave on a fork taken at the same instant: nothing can name it until
         // the anchor publishes `root`, so it needs no ordering after the
@@ -723,7 +715,7 @@ impl<B: BlobStore> FileStorage for ChunkedStorage<B> {
         });
         let uploaded = execute_plan(ctx, opts, &plan, |job, fork_ctx| {
             let chunk = &data[map.byte_range(job.index)];
-            let blob = BlobName::Chunk(job.hash);
+            let blob = BlobName::chunk(id, job.hash);
             self.blobs
                 .put(&mut principal_ctx(fork_ctx, &blob), &blob, chunk)?;
             Ok(chunk.len() as u64)
@@ -742,87 +734,8 @@ impl<B: BlobStore> FileStorage for ChunkedStorage<B> {
             chunks_uploaded: report.chunks,
             bytes_uploaded: sizes.iter().sum::<u64>() + object.map_or(0, |o| o.len() as u64),
             waves: report.waves,
-            dedup_cross_file,
+            dedup_cross_file: 0,
         })
-    }
-
-    fn copy_version(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        src_id: &str,
-        dst_id: &str,
-        root: &ContentHash,
-        acl: Option<&Acl>,
-    ) -> Result<Option<WriteOutcome>, ScfsError> {
-        // The source map comes from the registry when this instance tracks
-        // the version, otherwise from the cloud manifest.
-        let tracked = {
-            let state = self.state.lock();
-            state.registry.version(src_id, root).map(|v| v.map.clone())
-        };
-        let map = match tracked {
-            Some(map) => map,
-            None => self.read_manifest(ctx, src_id, root)?,
-        };
-        // A caller without the map holds a tuple without it, and the copy's
-        // tuple would be a copy of that. If the manifest should have ridden
-        // inline there is no object to copy either: the new version's map
-        // would exist nowhere a reader looks. The caller materializes.
-        if manifest_rides_inline(&map.encode()) {
-            return Ok(None);
-        }
-        self.copy_version_with_map(ctx, src_id, dst_id, root, &map, acl)
-    }
-
-    fn copy_version_with_map(
-        &self,
-        ctx: &mut OpCtx<'_>,
-        _src_id: &str,
-        dst_id: &str,
-        root: &ContentHash,
-        map: &ChunkMap,
-        acl: Option<&Acl>,
-    ) -> Result<Option<WriteOutcome>, ScfsError> {
-        let manifest = map.encode();
-        if sha256(&manifest) != *root {
-            return Err(ScfsError::invalid(
-                "copy source map does not hash to the version's root hash",
-            ));
-        }
-        let object = manifest_object(&manifest);
-        let unique = map.unique_chunks();
-        {
-            // Every referenced chunk must be globally stored (the live
-            // source version guarantees that on the instance that wrote it);
-            // otherwise a manifest-only copy would commit an unreadable
-            // version — signal the caller to materialize instead.
-            let mut state = self.state.lock();
-            if !unique
-                .iter()
-                .all(|h| state.chunks.is_stored(&BlobName::Chunk(*h)))
-            {
-                return Ok(None);
-            }
-            // Provisional release intent, exactly like `write_version`: if
-            // the manifest put below fails, replay reclaims it.
-            let stored_manifest = object.map(|_| BlobName::manifest(dst_id, *root));
-            state.chunks.journal_provisional(stored_manifest);
-        }
-        // The copy of an inline version is chunk references and the
-        // caller's anchor write: no cloud request at all.
-        if let Some(object) = object {
-            put_tagged_manifest(&self.blobs, ctx, dst_id, root, object, acl)?;
-        }
-        self.state
-            .lock()
-            .commit_version(dst_id, *root, map, object.is_some(), &unique);
-        Ok(Some(WriteOutcome {
-            root_hash: *root,
-            chunks_uploaded: 0,
-            bytes_uploaded: object.map_or(0, |o| o.len() as u64),
-            waves: 0,
-            dedup_cross_file: unique.len() as u64,
-        }))
     }
 
     fn read_manifest(
@@ -866,10 +779,10 @@ impl<B: BlobStore> FileStorage for ChunkedStorage<B> {
     fn read_chunk(
         &self,
         ctx: &mut OpCtx<'_>,
-        _id: &str,
+        id: &str,
         hash: &ContentHash,
     ) -> Result<Vec<u8>, ScfsError> {
-        let blob = BlobName::Chunk(*hash);
+        let blob = BlobName::chunk(id, *hash);
         Ok(self.blobs.get(&mut principal_ctx(ctx, &blob), &blob)?)
     }
 
@@ -912,7 +825,14 @@ impl<B: BlobStore> FileStorage for ChunkedStorage<B> {
             if retried {
                 report.retried += 1;
             }
-            let Some(blob) = self.state.lock().chunks.decide(entry.seq) else {
+            let decided = {
+                let mut state = self.state.lock();
+                let StoreState {
+                    registry, chunks, ..
+                } = &mut *state;
+                chunks.decide(entry.seq, |blob| registry.names(blob))
+            };
+            let Some(blob) = decided else {
                 report.cancelled += 1;
                 continue;
             };
@@ -1036,19 +956,19 @@ impl BlobStore for CloudOfClouds {
     const DURABILITY: DurabilityLevel = DurabilityLevel::CloudOfClouds;
 
     fn put(&self, ctx: &mut OpCtx<'_>, blob: &BlobName, data: &[u8]) -> Result<(), StorageError> {
-        self.0.write_blob(ctx, blob.base(), blob.hash(), data)
+        self.0.write_blob(ctx, &blob.base(), blob.hash(), data)
     }
 
     fn get(&self, ctx: &mut OpCtx<'_>, blob: &BlobName) -> Result<Vec<u8>, StorageError> {
-        self.0.read_blob(ctx, blob.base(), blob.hash())
+        self.0.read_blob(ctx, &blob.base(), blob.hash())
     }
 
     fn delete(&self, ctx: &mut OpCtx<'_>, blob: &BlobName) -> Result<(), StorageError> {
-        self.0.delete_blob(ctx, blob.base(), blob.hash())
+        self.0.delete_blob(ctx, &blob.base(), blob.hash())
     }
 
     fn set_acl(&self, ctx: &mut OpCtx<'_>, blob: &BlobName, acl: &Acl) -> Result<(), StorageError> {
-        self.0.set_blob_acl(ctx, blob.base(), blob.hash(), acl)
+        self.0.set_blob_acl(ctx, &blob.base(), blob.hash(), acl)
     }
 }
 
@@ -1184,7 +1104,7 @@ mod tests {
         let (o2, m2) = write(storage, &mut ctx, "f", &v2, Some(&m1), false);
         assert_eq!(o2.chunks_uploaded, 1);
         assert!(o2.bytes_uploaded < 2 * CHUNK as u64);
-        assert_eq!(o2.dedup_cross_file, 0, "reuse of own chunks is not a hit");
+        assert_eq!(o2.dedup_cross_file, 0);
         // Rewriting identical content uploads no chunks at all.
         let (o3, _) = write(storage, &mut ctx, "f", &v2, Some(&m2), false);
         assert_eq!(o3.chunks_uploaded, 0);
@@ -1201,44 +1121,59 @@ mod tests {
         run_append_uploads_only_dirty_chunks(&coc());
     }
 
-    fn run_cross_file_dedup(storage: &dyn FileStorage) {
+    /// Identical content under a second object, of another user, is that
+    /// object's own: its four chunks upload once for it, under its id, and
+    /// each file reads back from its own blobs. (The tests' names predate
+    /// per-object chunks, when the second object uploaded nothing.)
+    fn run_cross_file_dedup(storage: &dyn FileStorage, keys: &dyn Fn(&str) -> usize) {
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
         let mut data = Vec::new();
         for i in 0..4u8 {
             data.extend(std::iter::repeat_n(0xC0 | i, CHUNK));
         }
-        let (o1, _) = write(storage, &mut ctx, "alice-f1", &data, None, true);
+        let (o1, m1) = write(storage, &mut ctx, "alice-f1", &data, None, true);
         assert_eq!(o1.chunks_uploaded, 4);
         assert_eq!(o1.dedup_cross_file, 0);
-        // The same content under a *different* object id — and a different
-        // user — moves zero chunks: the global chunk store already has them.
         let mut bob_ctx = OpCtx::new(ctx.clock, "bob".into());
         let (o2, _) = write(storage, &mut bob_ctx, "bob-f1", &data, None, true);
-        assert_eq!(o2.chunks_uploaded, 0, "identical content moves once");
-        assert_eq!(o2.dedup_cross_file, 4, "all four chunks were global hits");
-        // Both files read back fully, under their own manifests.
-        assert_eq!(
-            storage
-                .read_version(
-                    &mut bob_ctx,
-                    "bob-f1",
-                    &o2.root_hash,
-                    &TransferOptions::default()
-                )
-                .unwrap(),
-            data
-        );
+        assert_eq!(o2.chunks_uploaded, 4, "the second object stores its own");
+        assert_eq!(o2.dedup_cross_file, 0);
+        assert_eq!(o2.root_hash, o1.root_hash);
+        for id in ["alice-f1", "bob-f1"] {
+            assert_eq!(keys(id), 4, "{id} has its four chunks");
+        }
+        // A rewrite of the same object still uploads nothing.
+        let (o3, _) = write(storage, &mut bob_ctx, "alice-f1", &data, Some(&m1), false);
+        assert_eq!(o3.chunks_uploaded, 0);
+        for id in ["alice-f1", "bob-f1"] {
+            let read =
+                storage.read_version(&mut bob_ctx, id, &o2.root_hash, &TransferOptions::default());
+            assert_eq!(read.unwrap(), data);
+        }
     }
 
     #[test]
     fn single_cloud_cross_file_dedup_uploads_once() {
-        run_cross_file_dedup(&single());
+        let (storage, cloud) = single_with_cloud();
+        let keys = |id: &str| cloud.stored_keys(&format!("scfs/{id}/chunks/")).len();
+        run_cross_file_dedup(&storage, &keys);
     }
 
     #[test]
     fn cloud_of_clouds_cross_file_dedup_uploads_once() {
-        run_cross_file_dedup(&coc());
+        let (storage, clouds) = coc_with_clouds();
+        // Each chunk is its blocks, one per holder: count its units.
+        let keys = |id: &str| {
+            let keys = clouds
+                .iter()
+                .flat_map(|c| c.stored_keys(&format!("depsky/{id}.chunks|")));
+            let units: BTreeSet<String> = keys
+                .map(|k| k.split('/').nth(1).unwrap().to_string())
+                .collect();
+            units.len()
+        };
+        run_cross_file_dedup(&storage, &keys);
     }
 
     fn run_shared_chunk_survives_other_files_gc(storage: &dyn FileStorage) {
@@ -1249,15 +1184,12 @@ mod tests {
             let data = vec![0xE0 | chunks as u8; chunks * CHUNK];
             let (_, _) = write(storage, &mut ctx, "f1", &data, None, true);
             let (o2, _) = write(storage, &mut ctx, "f2", &data, None, true);
-            // Deleting f1 releases its references but must not reclaim the
-            // chunks f2 still holds.
+            // Deleting f1 reclaims its own chunk and manifest object, if it
+            // stored one, and nothing of f2's identical content.
             storage.delete_all(&mut ctx, "f1").unwrap();
             let report = replay(storage, &mut ctx);
             assert_eq!(report.errors, 0);
-            assert_eq!(
-                report.deleted, manifests,
-                "only f1's manifest object, if it stored one, is reclaimed"
-            );
+            assert_eq!(report.deleted, 1 + manifests, "f1's one distinct chunk");
             assert_eq!(
                 storage
                     .read_version(&mut ctx, "f2", &o2.root_hash, &TransferOptions::default())
@@ -1339,7 +1271,7 @@ mod tests {
             None,
             &TransferOptions::default(),
         );
-        let key = BlobName::Chunk(m1.chunks()[0]).key();
+        let key = BlobName::chunk("f", m1.chunks()[0]).key();
         assert!(
             matches!(
                 &result,
@@ -1620,7 +1552,7 @@ mod tests {
                 &TransferOptions::default(),
             )
             .is_err());
-        assert!(!sim.stored_keys("scfs/chunks/").is_empty());
+        assert!(!sim.stored_keys("scfs/f/chunks/").is_empty());
         // The provisional journal entries keep the partial blobs reachable…
         assert!(storage
             .blob_audit()
@@ -1691,7 +1623,7 @@ mod tests {
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
         let fill = |tags: &[u8]| -> Vec<u8> { tags.iter().flat_map(|t| [*t; CHUNK]).collect() };
-        let chunk = |tag: u8| BlobName::Chunk(sha256(&[tag; CHUNK]));
+        let chunk = |tag: u8| BlobName::chunk("f", sha256(&[tag; CHUNK]));
         let versions = [
             fill(&[0xA0, 0xA1]),
             fill(&[[0xA0].as_slice(), &[0xB0; OVER_BOUND - 1]].concat()),

@@ -53,11 +53,10 @@ impl Mode {
 /// than `written_bytes_threshold`, a background collector releases all but
 /// the newest `versions_to_keep` versions of each file it owns, as well as
 /// the files the user removed. Physical reclamation goes through the
-/// refcounted chunk store's two-phase release journal
-/// ([`crate::chunkstore`]): the collector appends release intents, then
-/// replays the journal to delete blobs whose reference count hit zero —
-/// failed deletes stay pending and are retried in later cycles instead of
-/// leaking.
+/// two-phase release journal ([`crate::chunkstore`]): the collector appends
+/// release intents, then replays the journal to delete the blobs no
+/// retained version of their object names — failed deletes stay pending
+/// and are retried in later cycles instead of leaking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GcConfig {
     /// Number of written bytes (W) that triggers a collection cycle.

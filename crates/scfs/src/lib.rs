@@ -22,11 +22,11 @@
 //! cloud-of-clouds ([`backend`]), moving through the parallel chunk
 //! [`transfer`] engine (plan → bounded-parallel execution on forked virtual
 //! clocks), and the agent supports the paper's three modes of operation
-//! (blocking, non-blocking, non-sharing; [`config`]). Chunks live in a
-//! global, refcounted, content-addressed namespace ([`chunkstore`]):
-//! identical content moves once across versions, files and users, and the
-//! garbage collector reclaims through a two-phase release journal that
-//! retries failed deletes instead of leaking orphans.
+//! (blocking, non-blocking, non-sharing; [`config`]). A chunk belongs to
+//! its object and is addressed by content under it ([`chunkstore`]): a
+//! version uploads only the chunks its object's retained versions do not
+//! already name, and the garbage collector reclaims through a two-phase
+//! release journal that retries failed deletes instead of leaking orphans.
 //!
 //! Chunk boundaries are either fixed-size strides or **content-defined**
 //! (Gear/FastCDC rolling hash; [`types::CutRule`],

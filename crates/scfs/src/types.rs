@@ -58,9 +58,9 @@ pub const INLINE_MANIFEST_MAX: usize = 512;
 /// storage service stores **no** manifest object for the version; `false`:
 /// the tuple carries the root hash alone and the manifest is an object
 /// under `id|root`. The tuple writer ([`FileMetadata::commit_version`]) and
-/// the storage backends ([`crate::backend::FileStorage::write_version`],
-/// `copy_version_with_map`) both ask here, so a version's manifest is
-/// always in exactly one of the two places.
+/// the storage backend ([`crate::backend::FileStorage::write_version`])
+/// both ask here, so a version's manifest is always in exactly one of the
+/// two places.
 pub fn manifest_rides_inline(manifest: &[u8]) -> bool {
     manifest.len() <= INLINE_MANIFEST_MAX
 }
@@ -663,10 +663,10 @@ impl ChunkMap {
         sha256(&self.encode())
     }
 
-    /// The distinct chunk hashes of this version — the set of references a
-    /// version holds in the global chunk store (a chunk repeated within the
-    /// file still counts as one reference). Ordered, so refcount bookkeeping
-    /// derived from it is iteration-order deterministic.
+    /// The distinct chunk hashes of this version — the chunk blobs of its
+    /// object it names (a chunk repeated within the file is one blob).
+    /// Ordered, so bookkeeping derived from it is iteration-order
+    /// deterministic.
     pub fn unique_chunks(&self) -> std::collections::BTreeSet<ContentHash> {
         self.chunks.iter().copied().collect()
     }
@@ -908,9 +908,8 @@ pub struct FileMetadata {
     /// list from the anchor read itself. Authenticated, never trusted:
     /// whenever it is present `sha256(manifest) == version_hash`, so the
     /// anchor still names exactly one version. Private to keep that true —
-    /// [`FileMetadata::commit_version`] and [`FileMetadata::commit_copy_of`]
-    /// are the only writers and [`FileMetadata::decode`] rejects a tuple
-    /// that breaks it.
+    /// [`FileMetadata::commit_version`] is the only writer and
+    /// [`FileMetadata::decode`] rejects a tuple that breaks it.
     manifest: Option<Arc<[u8]>>,
     /// Number of versions written so far.
     pub version_count: u64,
@@ -966,20 +965,6 @@ impl FileMetadata {
         self.version_hash = Some(sha256(&manifest));
         self.manifest = manifest_rides_inline(&manifest).then(|| manifest.into());
         self.size = map.file_len();
-        self.modified_at = now;
-        self.version_count += 1;
-    }
-
-    /// Points the tuple at the current version of `src`, committed at `now`
-    /// — the anchor write of a manifest-only copy. The inline manifest, if
-    /// `src` carries one, is the same bytes under the same root hash, so
-    /// [`manifest_rides_inline`] answers for the copy what it answered for
-    /// the source.
-    pub fn commit_copy_of(&mut self, src: &FileMetadata, now: SimInstant) {
-        debug_assert!(src.manifest.as_deref().is_none_or(manifest_rides_inline));
-        self.version_hash = src.version_hash;
-        self.manifest = src.manifest.clone();
-        self.size = src.size;
         self.modified_at = now;
         self.version_count += 1;
     }
@@ -1328,13 +1313,6 @@ mod tests {
         assert_eq!(md.inline_manifest().unwrap(), Some(cdc(9)));
         md.commit_version(&cdc(10), now);
         assert_eq!(md.inline_manifest().unwrap(), None);
-        // A manifest-only copy carries the source's inline manifest along.
-        md.commit_version(&twelve, now);
-        let mut copy = FileMetadata::new_file("/g", "alice".into(), "id2".into(), now);
-        copy.commit_copy_of(&md, now);
-        assert_eq!(copy.inline_manifest().unwrap(), Some(twelve));
-        assert_eq!((copy.version_hash, copy.size), (md.version_hash, md.size));
-        assert_eq!(FileMetadata::decode(&copy.encode()).unwrap(), copy);
     }
 
     /// Hand-encodes a metadata tuple field by field, so each decoder check

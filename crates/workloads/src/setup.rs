@@ -46,7 +46,6 @@ use scfs::backend::{CloudOfCloudsStorage, FileStorage, SingleCloudStorage};
 use scfs::chunkstore::KeyStyle;
 use scfs::config::{Mode, ScfsConfig};
 use scfs::fs::FileSystem;
-use scfs_crypto::ContentHash;
 use sim_core::fault::FaultPlan;
 
 /// Which SCFS backend to build.
@@ -348,25 +347,30 @@ impl Deployment {
         plane.set_replica_fault(replica, plan, seed);
     }
 
-    /// Current global reference count of a chunk in the backend's chunk
-    /// store.
-    pub fn chunk_refcount(&self, hash: &ContentHash) -> u64 {
-        match &self.storage {
-            Storage::Single(storage) => storage.chunk_refcount(hash),
-            Storage::Coc(storage) => storage.chunk_refcount(hash),
-        }
+    /// The orphan-leak check: every key any cloud stores under the SCFS
+    /// namespace that is reachable from no retained version or pending
+    /// release-journal entry of this backend instance.
+    pub fn orphans(&self) -> Vec<String> {
+        self.orphans_with(&[])
     }
 
-    /// The orphan-leak check: every key any cloud stores under the SCFS
-    /// namespace that is reachable from no live manifest, live chunk
-    /// reference or pending release-journal entry of this backend instance.
-    pub fn orphans(&self) -> Vec<String> {
-        let (audit, style) = match &self.storage {
-            Storage::Single(storage) => (storage.blob_audit(), KeyStyle::Aws),
-            Storage::Coc(storage) => (storage.blob_audit(), KeyStyle::DepSky),
+    /// [`Deployment::orphans`] over this backend instance and `others`,
+    /// second instances over the same clouds: a key is an orphan when none
+    /// of them accounts for it.
+    pub fn orphans_with(&self, others: &[&Deployment]) -> Vec<String> {
+        let audit = |deployment: &Deployment| match &deployment.storage {
+            Storage::Single(storage) => storage.blob_audit(),
+            Storage::Coc(storage) => storage.blob_audit(),
+        };
+        let union = others
+            .iter()
+            .fold(audit(self), |union, other| union.union(audit(other)));
+        let style = match &self.storage {
+            Storage::Single(_) => KeyStyle::Aws,
+            Storage::Coc(_) => KeyStyle::DepSky,
         };
         let keys = self.clouds.iter().flat_map(|cloud| cloud.stored_keys(""));
-        audit.orphans(style, keys)
+        union.orphans(style, keys)
     }
 }
 

@@ -169,9 +169,10 @@ mod tests {
         let without = metadata_cache_point(SimDuration::ZERO, cfg, 3);
         let with = metadata_cache_point(SimDuration::from_millis(500), cfg, 3);
         // Each copy resolves the source (the FUSE-style lookup) and then
-        // reads its metadata again inside `copy_file`; the cache absorbs the
-        // second read. The manifest-only copy made the rest of the operation
-        // cheap, so the visible penalty is one coordination read per copy.
+        // reads its metadata again when `copy_file` opens it; the cache
+        // absorbs the second read. The rest of the copy, a cached read and
+        // a write, costs the same with or without the cache, so the
+        // visible penalty is one coordination read per copy.
         assert!(
             without.copy_s > with.copy_s * 1.08,
             "no cache: {:.2}s, 500ms cache: {:.2}s",

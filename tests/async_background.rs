@@ -137,8 +137,11 @@ fn sync_reports_the_backend_durability_level() {
     }
 }
 
-/// The manifest-only copy works end-to-end on both backends and in
-/// non-blocking mode surfaces a completion token like any other commit.
+/// The copy — a read of the source and a write of the destination — works
+/// end-to-end on both backends and in non-blocking mode surfaces a
+/// completion token like any other commit. The read comes from the cache
+/// and the write stores the destination's own chunks. (The name predates
+/// the materializing copy, when the destination uploaded nothing.)
 #[test]
 fn copy_file_moves_zero_chunks_on_both_backends() {
     for backend in [Backend::Aws, Backend::CloudOfClouds] {
@@ -146,16 +149,21 @@ fn copy_file_moves_zero_chunks_on_both_backends() {
         let mut fs = env.mount("alice", ScfsConfig::paper_default(Mode::NonBlocking), 1);
         let data = distinct_chunks(4, 0x44);
         fs.write_file("/library/original.bin", &data).unwrap();
-        let chunks_before = fs.stats().chunk_uploads;
+        let before = fs.stats();
 
         fs.copy_file("/library/original.bin", "/library/copy.bin")
             .unwrap();
+        let after = fs.stats();
         assert_eq!(
-            fs.stats().chunk_uploads,
-            chunks_before,
-            "manifest-only copy must move zero chunks"
+            after.chunk_downloads, before.chunk_downloads,
+            "a cached read"
         );
-        assert!(fs.stats().dedup_hits_cross_file >= 4);
+        assert_eq!(
+            after.chunk_uploads,
+            before.chunk_uploads + 4,
+            "the copy stores its own four chunks"
+        );
+        assert_eq!(after.dedup_hits_cross_file, 0);
 
         // The copy's commit is itself a background token; a second client
         // waits on it and reads the copy.

@@ -1,15 +1,17 @@
-//! Integration tests of the refcounted global chunk store and its two-phase
-//! release journal — the acceptance criteria of the chunkstore refactor:
+//! Integration tests of per-object chunks and the two-phase release
+//! journal:
 //!
-//! * identical content written under a second file id (or by a second user)
-//!   uploads zero chunks, on both the AWS and CoC backends;
-//! * deleting one file never reclaims a chunk another file's retained
-//!   version still references;
+//! * a chunk belongs to its object: identical content written under a
+//!   second file id (or by a second user) uploads that file's own chunks,
+//!   on both the AWS and CoC backends, and deleting one file never reclaims
+//!   a chunk another file's retained version names;
+//! * a second backend instance — another client's agent — that stores and
+//!   collects content another instance committed leaves that instance's
+//!   file readable, and the orphan audit over both instances finds nothing;
 //! * with injected delete faults the GC reaches zero orphans within two
 //!   retry cycles — asserted by the orphan-leak check, which lists every
 //!   blob a `SimulatedCloud` actually stores and verifies each one is
-//!   reachable from a live manifest, a live chunk reference or a pending
-//!   release-journal entry;
+//!   reachable from a retained version or a pending release-journal entry;
 //! * journal replay is idempotent under arbitrary repeated delete faults
 //!   (property-tested);
 //! * the keys that audit parses are the keys the backends write: a blob
@@ -19,9 +21,9 @@
 //!   a chunk PUT beside a stored manifest, or either half of a DepSky blob —
 //!   leaves the anchor untouched and is fully reclaimed by one replay; the
 //!   commit of a version whose manifest rides in the tuple journals chunk
-//!   intents only, and its manifest-only copy has no request that can fail.
+//!   intents only.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
@@ -182,12 +184,32 @@ fn faulty_deployment(backend: Backend) -> (Deployment, Vec<Arc<FaultyCloud>>) {
     (deployment, faulty)
 }
 
-#[test]
-fn identical_content_under_a_second_file_uploads_zero_chunks_aws() {
-    let deployment = Deployment::instant(Backend::Aws, 11);
+/// The chunk blobs `deployment`'s clouds store for the object `path`
+/// names, however many objects of a DepSky unit each one is.
+fn stored_chunks(deployment: &Deployment, fs: &mut ScfsAgent, path: &str) -> BTreeSet<BlobName> {
+    let id = fs.stat(path).unwrap().storage_id;
+    let style = match deployment.storage().label() {
+        "CoC" => KeyStyle::DepSky,
+        _ => KeyStyle::Aws,
+    };
+    let keys = deployment
+        .clouds
+        .iter()
+        .flat_map(|cloud| cloud.stored_keys(""));
+    let blobs = keys.filter_map(|key| BlobName::parse(style, &key));
+    blobs
+        .filter(|blob| matches!(blob, BlobName::Chunk { .. }) && blob.id() == id)
+        .collect()
+}
+
+/// Identical content under a second file of one mount is that file's own:
+/// its four chunks upload again, under its id. (The tests' names predate
+/// per-object chunks, when the second file uploaded nothing.)
+fn assert_identical_content_under_a_second_file_uploads_its_own(backend: Backend, tag: u8) {
+    let deployment = Deployment::instant(backend, 11);
     let mut fs = deployment.mount("alice", test_config(), 1);
 
-    let data = four_chunks(0);
+    let data = four_chunks(tag);
     fs.write_file("/a", &data).unwrap();
     let first = fs.stats();
     assert_eq!(first.chunk_uploads, 4);
@@ -196,27 +218,29 @@ fn identical_content_under_a_second_file_uploads_zero_chunks_aws() {
     fs.write_file("/b", &data).unwrap();
     let second = fs.stats();
     assert_eq!(
-        second.chunk_uploads, first.chunk_uploads,
-        "identical content under a second file id must upload zero chunks"
+        second.chunk_uploads,
+        first.chunk_uploads + 4,
+        "a second file id uploads its own four chunks"
     );
-    assert_eq!(second.dedup_hits_cross_file, 4);
+    assert_eq!(second.dedup_hits_cross_file, 0);
+    let a = stored_chunks(&deployment, &mut fs, "/a");
+    let b = stored_chunks(&deployment, &mut fs, "/b");
+    assert_eq!((a.len(), b.len()), (4, 4));
+    let hashes =
+        |blobs: &BTreeSet<BlobName>| -> Vec<_> { blobs.iter().map(|b| *b.hash()).collect() };
+    assert_eq!(hashes(&a), hashes(&b), "the same content, stored twice");
     assert_eq!(fs.read_file("/b").unwrap(), data);
     assert_no_orphans(&deployment);
 }
 
 #[test]
-fn identical_content_under_a_second_file_uploads_zero_chunks_coc() {
-    let deployment = Deployment::instant(Backend::CloudOfClouds, 11);
-    let mut fs = deployment.mount("alice", test_config(), 1);
+fn identical_content_under_a_second_file_uploads_zero_chunks_aws() {
+    assert_identical_content_under_a_second_file_uploads_its_own(Backend::Aws, 0);
+}
 
-    let data = four_chunks(0x30);
-    fs.write_file("/a", &data).unwrap();
-    assert_eq!(fs.stats().chunk_uploads, 4);
-    fs.write_file("/b", &data).unwrap();
-    assert_eq!(fs.stats().chunk_uploads, 4, "zero chunks moved for /b");
-    assert_eq!(fs.stats().dedup_hits_cross_file, 4);
-    assert_eq!(fs.read_file("/b").unwrap(), data);
-    assert_no_orphans(&deployment);
+#[test]
+fn identical_content_under_a_second_file_uploads_zero_chunks_coc() {
+    assert_identical_content_under_a_second_file_uploads_its_own(Backend::CloudOfClouds, 0x30);
 }
 
 #[test]
@@ -227,13 +251,13 @@ fn identical_content_from_a_second_user_uploads_zero_chunks() {
 
     let data = four_chunks(0x50);
     alice.write_file("/alice/doc", &data).unwrap();
-    // Bob writes his *own private file* with identical bytes: the global
-    // chunk store moves nothing, and Bob can still read every byte back —
-    // the chunks are owned by the shared chunk-store principal, not Alice.
+    // Bob writes his *own private file* with identical bytes: it is his
+    // object, and it stores its own four chunks.
     bob.write_file("/bob/doc", &data).unwrap();
-    assert_eq!(bob.stats().chunk_uploads, 0, "cross-user dedup");
-    assert_eq!(bob.stats().dedup_hits_cross_file, 4);
+    assert_eq!(bob.stats().chunk_uploads, 4, "no cross-user dedup");
+    assert_eq!(bob.stats().dedup_hits_cross_file, 0);
     assert_eq!(bob.read_file("/bob/doc").unwrap(), data);
+    assert_eq!(alice.read_file("/alice/doc").unwrap(), data);
     assert_no_orphans(&deployment);
 }
 
@@ -247,25 +271,70 @@ fn deleting_one_file_never_reclaims_chunks_another_file_references() {
 
     let data = four_chunks(0x70);
     fs.write_file("/keep", &data).unwrap();
+    let kept = stored_chunks(&deployment, &mut fs, "/keep");
+    assert_eq!(kept.len(), 4);
     fs.write_file("/kill", &data).unwrap();
+    let id = fs.stat("/kill").unwrap().storage_id;
+    assert_eq!(stored_chunks(&deployment, &mut fs, "/kill").len(), 4);
     fs.unlink("/kill").unwrap();
     // Any write past the 1-byte threshold triggers a GC cycle that fully
     // deletes /kill.
     fs.write_file("/trigger", b"x").unwrap();
     assert!(fs.stats().gc_runs >= 1);
 
-    // /kill's references are gone, but /keep still holds its own.
+    // /kill's chunks are gone, and /keep's are all still stored.
     assert_eq!(fs.read_file("/keep").unwrap(), data);
-    let map = ChunkMap::build(&data, CHUNK);
-    for hash in map.unique_chunks() {
-        assert_eq!(
-            deployment.chunk_refcount(&hash),
-            1,
-            "exactly /keep's reference must remain"
-        );
-    }
+    assert_eq!(stored_chunks(&deployment, &mut fs, "/keep"), kept);
+    let left = deployment.clouds[0].stored_keys(&format!("scfs/{id}/"));
+    assert_eq!(left, Vec::<String>::new(), "/kill's blobs are reclaimed");
     assert_eq!(deployment.storage().pending_releases(), 0);
     assert_no_orphans(&deployment);
+}
+
+/// Another client's agent — a second backend instance — stores content
+/// that alice's instance committed, under bob's own path, and collects it:
+/// bob's collector deletes bob's chunks, so a cold mount still reads all of
+/// alice's file, and no blob is left that neither instance accounts for.
+/// When every chunk lived in one namespace, bob's collector deleted the
+/// shared chunks alice's file still named: `NotFound` on AWS,
+/// `QuorumNotReached { needed: 2, obtained: 0 }` on the cloud-of-clouds.
+fn assert_a_second_instance_collects_only_its_own_chunks(backend: Backend) {
+    let deployment = Deployment::instant(backend, 11);
+    let mut alice = deployment.mount("alice", test_config(), 1);
+    let data = four_chunks(0x60);
+    alice.write_file("/alice/doc", &data).unwrap();
+
+    let bobs = deployment.second_instance();
+    let mut config = test_config();
+    config.gc.written_bytes_threshold = Bytes::new(1);
+    config.gc.versions_to_keep = 1;
+    let mut bob = bobs.mount("bob", config, 2);
+    bob.write_file("/bob/doc", &data).unwrap();
+    bob.unlink("/bob/doc").unwrap();
+    for i in 0..3u8 {
+        bob.write_file(&format!("/bob/more-{i}"), &four_chunks(0x80 | i))
+            .unwrap();
+    }
+    assert!(bob.stats().gc_runs >= 3);
+
+    let mut reader = deployment
+        .second_instance()
+        .mount("alice", test_config(), 3);
+    let drain = bob.background_drain_instant().max(alice.now());
+    reader.sleep(drain.duration_since(reader.now()) + SimDuration::from_secs(1));
+    assert_eq!(reader.read_file("/alice/doc").unwrap(), data);
+    let orphans = deployment.orphans_with(&[&bobs]);
+    assert!(orphans.is_empty(), "unreachable blobs leaked: {orphans:?}");
+}
+
+#[test]
+fn a_second_instance_collects_only_its_own_chunks_aws() {
+    assert_a_second_instance_collects_only_its_own_chunks(Backend::Aws);
+}
+
+#[test]
+fn a_second_instance_collects_only_its_own_chunks_coc() {
+    assert_a_second_instance_collects_only_its_own_chunks(Backend::CloudOfClouds);
 }
 
 /// A handle outlives the unlink of its file, as a descriptor of an unlinked
@@ -488,19 +557,14 @@ fn assert_failed_commit_is_reclaimed(
 
 #[test]
 fn failed_chunk_put_beside_a_stored_manifest_is_reclaimed_aws() {
-    assert_failed_commit_is_reclaimed(
-        FaultEnv::new(Backend::Aws),
-        "scfs/chunks/",
-        OVER_BOUND,
-        true,
-    );
+    assert_failed_commit_is_reclaimed(FaultEnv::new(Backend::Aws), "/chunks/", OVER_BOUND, true);
 }
 
 #[test]
 fn failed_chunk_put_beside_a_stored_manifest_is_reclaimed_coc() {
     assert_failed_commit_is_reclaimed(
         FaultEnv::new(Backend::CloudOfClouds),
-        "depsky/chunks|",
+        ".chunks|",
         OVER_BOUND,
         true,
     );
@@ -510,17 +574,12 @@ fn failed_chunk_put_beside_a_stored_manifest_is_reclaimed_coc() {
 /// and the journal holds the chunk's intent and no manifest's.
 #[test]
 fn failed_one_put_close_journals_no_manifest_intent_aws() {
-    assert_failed_commit_is_reclaimed(FaultEnv::new(Backend::Aws), "scfs/chunks/", 1, false);
+    assert_failed_commit_is_reclaimed(FaultEnv::new(Backend::Aws), "/chunks/", 1, false);
 }
 
 #[test]
 fn failed_one_put_close_journals_no_manifest_intent_coc() {
-    assert_failed_commit_is_reclaimed(
-        FaultEnv::new(Backend::CloudOfClouds),
-        "depsky/chunks|",
-        1,
-        false,
-    );
+    assert_failed_commit_is_reclaimed(FaultEnv::new(Backend::CloudOfClouds), ".chunks|", 1, false);
 }
 
 /// Named for when a manifest stored a metadata record beside its blocks and
@@ -582,14 +641,15 @@ fn assert_bob_opens_for_writing(env: &FaultEnv, alice: &ScfsAgent, expected: &[u
 /// A failed commit releases the write lock it was going to release. `alice`
 /// holds the lock of a file she shares with `bob` when the cloud starts
 /// failing the PUTs `failing_puts` names; `commit` is her blocking close or
-/// manifest-only copy onto `/f`. It errors out, the anchor still names the
+/// copy onto `/f`. It errors out, the anchor still names the
 /// old version — and `bob` opens the file for writing at once, not a lease
 /// (120 s) later: the handle is gone, so nothing could retry under the lock.
 fn assert_failed_commit_releases_the_lock(
     failing_puts: &'static str,
     commit: impl FnOnce(&mut ScfsAgent) -> Result<(), ScfsError>,
 ) {
-    // The copy source stores a manifest object: its copy has a PUT to fail.
+    // The copy source stores a manifest object: so does its copy, whose
+    // manifest PUT is the one to fail when the chunks land.
     let (env, mut alice) = shared_file_env(OVER_BOUND);
     env.fail_puts_containing(Some(failing_puts));
     assert!(commit(&mut alice).is_err());
@@ -600,7 +660,7 @@ fn assert_failed_commit_releases_the_lock(
 
 #[test]
 fn failed_close_of_a_shared_file_releases_its_write_lock() {
-    assert_failed_commit_releases_the_lock("scfs/chunks/", |alice| {
+    assert_failed_commit_releases_the_lock("/chunks/", |alice| {
         alice.write_file("/f", &four_chunks(0x33))
     });
 }
@@ -610,22 +670,11 @@ fn failed_copy_onto_a_shared_file_releases_its_write_lock() {
     assert_failed_commit_releases_the_lock("/manifest/", |alice| alice.copy_file("/src", "/f"));
 }
 
-/// The inline twin: the manifest-only copy of a version whose manifest rides
-/// in the tuple issues no cloud request, so a cloud failing every PUT cannot
-/// fail it — it commits, and unlocks.
-#[test]
-fn an_inline_copy_commits_under_a_put_failing_cloud() {
-    let (env, mut alice) = shared_file_env(4);
-    env.fail_puts_containing(Some(""));
-    alice.copy_file("/src", "/f").unwrap();
-    assert_eq!(env.deployment.storage().pending_releases(), 0);
-    assert_bob_opens_for_writing(&env, &alice, &four_chunks(0x50));
-}
-
 proptest! {
-    /// Format → parse is the identity under both key styles, for chunks and
-    /// for the manifests of any `{user}-f{n}` id, whichever of a DepSky
-    /// unit's objects the key names; and neither style reads the other's.
+    /// Format → parse is the identity under both key styles, for the chunks
+    /// and the manifests of any `{user}-f{n}` id, whichever of a DepSky
+    /// unit's objects the key names; a chunk and a manifest of one id and
+    /// hash have different keys; and neither style reads the other's.
     #[test]
     fn prop_blob_names_parse_back_from_their_keys(
         content in any::<u64>(),
@@ -636,10 +685,14 @@ proptest! {
     ) {
         let hash = sha256(&content.to_le_bytes());
         let id = format!("u{user:x}_a.b-f{n}");
-        for blob in [BlobName::Chunk(hash), BlobName::manifest(&id, hash)] {
+        let (chunk, manifest) = (BlobName::chunk(&id, hash), BlobName::manifest(&id, hash));
+        prop_assert_ne!(chunk.key(), manifest.key());
+        prop_assert_ne!(chunk.base(), manifest.base());
+        for blob in [chunk, manifest] {
             prop_assert_eq!(BlobName::parse(KeyStyle::Aws, &blob.key()).as_ref(), Some(&blob));
             prop_assert_eq!(BlobName::parse(KeyStyle::DepSky, &blob.key()), None);
-            let unit = DepSkyClient::blob_unit(blob.base(), blob.hash());
+            prop_assert_eq!(blob.id(), id.as_str());
+            let unit = DepSkyClient::blob_unit(&blob.base(), blob.hash());
             for object in ["metadata".to_string(), format!("v{version}/block{slot}")] {
                 let key = format!("depsky/{unit}/{object}");
                 prop_assert_eq!(BlobName::parse(KeyStyle::DepSky, &key).as_ref(), Some(&blob));

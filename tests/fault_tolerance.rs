@@ -179,9 +179,13 @@ struct LyingHolder {
     first: Mutex<BTreeMap<String, Vec<u8>>>,
 }
 
-/// A block key of a blob stored under an object's base, not the chunks'.
+/// A block key of a manifest: a blob whose unit is its object's id, not the
+/// id's `.chunks` base.
 fn is_manifest_block(key: &str) -> bool {
-    !key.starts_with("depsky/chunks|") && key.contains("/block")
+    let unit = key
+        .strip_prefix("depsky/")
+        .and_then(|rest| rest.split_once('|'));
+    unit.is_some_and(|(base, _)| !base.ends_with(".chunks")) && key.contains("/block")
 }
 
 /// `block` with its key share and shard XORed, still decoding as a block of

@@ -10,8 +10,8 @@
 //! * a file that crosses the bound and comes back leaves no manifest object
 //!   behind after GC, and the collector never deletes one that was never
 //!   stored;
-//! * `bytes_uploaded` counts what a PUT carried, and the manifest-only copy
-//!   of an inline version is no cloud request at all;
+//! * `bytes_uploaded` counts what a PUT carried, and the copy of an inline
+//!   version PUTs its own chunks and no manifest;
 //! * `setfacl` tags the manifest objects that exist and nothing else;
 //! * a tuple whose writer stripped the inline manifest of an at-or-below-bound
 //!   version fails closed on a cold reader;
@@ -118,22 +118,21 @@ enum Blob {
     Manifest(String),
 }
 
-/// Parses a single-cloud key (`scfs/chunks/{hex}`, `scfs/{id}/manifest/{hex}`)
-/// or a DepSky one (`depsky/{unit}/…`, units `chunks|{hex}` and `{id}|{hex}`).
+/// Parses a single-cloud key (`scfs/{id}/chunks/{hex}`,
+/// `scfs/{id}/manifest/{hex}`) or a DepSky one (`depsky/{unit}/…`, units
+/// `{id}.chunks|{hex}` and `{id}|{hex}`).
 fn blob_of(key: &str) -> Blob {
     if let Some(rest) = key.strip_prefix("scfs/") {
-        return match rest.strip_prefix("chunks/") {
-            Some(hex) => Blob::Chunk(hex.to_string()),
-            None => {
-                let (_, hex) = rest.split_once("/manifest/").expect("an SCFS key");
-                Blob::Manifest(hex.to_string())
-            }
+        let (object, hex) = rest.rsplit_once('/').expect("an SCFS key");
+        return match object.ends_with("/chunks") {
+            true => Blob::Chunk(hex.to_string()),
+            false => Blob::Manifest(hex.to_string()),
         };
     }
     let rest = key.strip_prefix("depsky/").expect("an SCFS key");
     let unit = rest.split('/').next().expect("a DepSky unit");
     match unit.split_once('|').expect("a base|hash unit") {
-        ("chunks", hex) => Blob::Chunk(hex.to_string()),
+        (base, hex) if base.ends_with(".chunks") => Blob::Chunk(hex.to_string()),
         (_, hex) => Blob::Manifest(hex.to_string()),
     }
 }
@@ -435,16 +434,26 @@ fn assert_bytes_uploaded_counts_what_a_put_carried(coc: bool) {
         "a stored manifest is PUT payload"
     );
 
-    // The manifest-only copy of an inline version: chunk references and an
-    // anchor write, no cloud request.
+    // The copy of an inline version reads the source from the cache and
+    // writes the destination: its own chunk, and no manifest.
     env.take_log();
     fs.copy_file("/one", "/copy").unwrap();
+    let uploaded = uploaded + one.len() as u64;
     assert_eq!(fs.stats().bytes_uploaded, uploaded);
-    assert_eq!(env.take_log(), Vec::new());
+    let log = env.take_log();
+    assert!(!log.is_empty());
+    let one_chunk = chunks_of(&config.chunk_map(&one));
+    for (op, key) in &log {
+        assert_eq!(*op, Op::Put);
+        assert!(one_chunk.contains(&blob_of(key)), "{key}");
+    }
     assert_eq!(fs.read_file("/copy").unwrap(), one);
-    // Of a stored one: its manifest again, under the destination's id.
+    // Of a stored one: its chunks and its manifest again, under the
+    // destination's id.
     fs.copy_file("/sixteen", "/copy16").unwrap();
-    assert_eq!(fs.stats().bytes_uploaded, uploaded + manifest.len() as u64);
+    let expected = uploaded + (sixteen.len() + manifest.len()) as u64;
+    assert_eq!(fs.stats().bytes_uploaded, expected);
+    assert_eq!(fs.read_file("/copy16").unwrap(), sixteen);
 }
 
 #[test]
@@ -554,9 +563,9 @@ fn a_tuple_stripped_of_its_inline_manifest_fails_closed_on_a_cold_reader() {
         assert_eq!((*op, blob_of(key)), (Op::Get, manifest_of(&map)));
     }
 
-    // The instance that committed the version still has its map, so there a
-    // copy is possible — and must not reproduce the defect: it materializes,
-    // and the new file's tuple carries its manifest.
+    // The instance that committed the version still has its map, so there
+    // the file reads — and a copy must not reproduce the defect: it writes
+    // the bytes anew, and the new file's tuple carries its manifest.
     alice.sleep(SimDuration::from_secs(30));
     alice.copy_file("/f", "/copy").unwrap();
     let mut reader = env.cold_mount("alice", &config, &alice);

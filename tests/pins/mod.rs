@@ -41,23 +41,25 @@ use scfs_repro::workloads::setup::{build_scfs, Backend, Deployment, Plane};
 /// rows differ. The AWS
 /// rows last moved when open handles became sparse (a whole-chunk overwrite
 /// and a truncate read nothing first). The `file_sync` rows last moved when
-/// `unlink` began to take the file's chunks out of the cache: the two lock
-/// files hold the same bytes, so the second one's close writes the chunk
-/// the first one's unlink dropped to the local disk again. The fault-path
-/// digest last moved by
-/// text alone: a lock key gained its `/write` leaf, and the `LockHeld` and
-/// `NotFound` results it folds print the key.
+/// a chunk came to belong to its object: the two lock files hold the same
+/// bytes, so the second one uploads its own chunk, and the closing copy is
+/// a read and a write that uploads the copy's chunks. The metadata fleet's
+/// trace hash moved with them, its makespan did not: every mount's private
+/// file holds the same 64 bytes, and each now uploads its own chunk. The
+/// fault-path digest last moved by text alone: a lock key gained its
+/// `/write` leaf, and the `LockHeld` and `NotFound` results it folds print
+/// the key.
 const PINS: &[(&str, u64)] = &[
     ("data_fleet.AWS.trace_hash", 0x0185_a9d2_df7a_bb13),
     ("data_fleet.AWS.makespan_ns", 471351749462),
     ("data_fleet.CoC.trace_hash", 0x104f_e9de_cc06_ed6e),
     ("data_fleet.CoC.makespan_ns", 471740579186),
-    ("metadata_fleet.trace_hash", 0xfec0_71ce_884e_3fbf),
+    ("metadata_fleet.trace_hash", 0x34e8_b80d_8c1a_87ed),
     ("metadata_fleet.makespan_ns", 688230371),
-    ("file_sync.NonBlocking.end_ns", 3353265833),
-    ("file_sync.NonBlocking.drain_ns", 3528924771),
-    ("file_sync.NonSharing.end_ns", 729978730),
-    ("file_sync.NonSharing.drain_ns", 777560938),
+    ("file_sync.NonBlocking.end_ns", 3219206253),
+    ("file_sync.NonBlocking.drain_ns", 4266630853),
+    ("file_sync.NonSharing.end_ns", 731942039),
+    ("file_sync.NonSharing.drain_ns", 1573544305),
     ("fault_paths.digest", 0xd2ab_3477_db9c_e361),
 ];
 
@@ -101,7 +103,7 @@ pub fn metadata_fleet_pins() -> Vec<(String, u64)> {
 
 /// The two modes no benchmark workload mounts: one Figure 8 file-sync run
 /// each on the cloud-of-clouds, then a durable save (`sync` waiting on a
-/// background commit) and a manifest-only `copy_file`, at the foreground
+/// background commit) and a `copy_file` (a read and a write), at the foreground
 /// instant the run ends and at the instant its last background job lands.
 pub fn file_sync_pins() -> Vec<(String, u64)> {
     let mut pins = Vec::new();
