@@ -379,10 +379,10 @@ impl DepSkyClient {
     /// widens to the rest once that wave has fully resolved (so a widening
     /// pays its latency). Each block that arrives carrying the slot its
     /// holder holds, with a shard as long as its plaintext length implies
-    /// ([`DepSkyClient::candidate`]), joins the candidates, its GET reply
+    /// (`DepSkyClient::candidate`), joins the candidates, its GET reply
     /// kept whole; the read returns at the first arrival that
     /// completes `f + 1` of them decoding to `hash`
-    /// ([`DepSkyClient::open_with_newest`]; at most C(3, 2) = 3 decodes at
+    /// (`DepSkyClient::open_with_newest`; at most C(3, 2) = 3 decodes at
     /// `f = 1`). A Byzantine holder, or a rewrite that replaced some blocks,
     /// only costs a wave and decodes. If no `f + 1` blocks verify, the clock
     /// ends at the last answer and the read fails with a transient

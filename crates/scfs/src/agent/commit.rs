@@ -268,18 +268,13 @@ impl ScfsAgent {
         for (index, chunk_hash) in map.chunks().iter().enumerate() {
             let range = map.byte_range(index);
             let key = Self::chunk_cache_key(chunk_hash);
-            if file.is_hole(&range) || self.cache.probe_disk(&key, chunk_hash) {
+            if file.is_hole(&range) || self.cache.probe_disk(&key) {
                 continue;
             }
             let chunk: Arc<[u8]> = Arc::from(&file.flat()[range]);
-            landed = self.cache.put_after(
-                &mut self.clock,
-                landed,
-                &key,
-                chunk,
-                Some(*chunk_hash),
-                mode,
-            );
+            landed = self
+                .cache
+                .put_after(&mut self.clock, landed, &key, chunk, mode);
         }
         landed
     }
@@ -329,7 +324,6 @@ impl ScfsAgent {
                 spilled,
                 &Self::manifest_cache_key(&root),
                 manifest.into(),
-                Some(root),
                 WriteMode::Through,
             );
         }
@@ -716,7 +710,7 @@ mod tests {
         let map = fs.config().chunk_map(data);
         map.chunks().iter().all(|hash| {
             let key = ScfsAgent::chunk_cache_key(hash);
-            fs.cache.disk().contains(&key, Some(hash))
+            fs.cache.disk().contains(&key)
         })
     }
 
@@ -797,9 +791,9 @@ mod tests {
             fs.write(h, offset, b"edit").unwrap();
             assert_eq!(fs.stats().chunk_downloads, 1, "{path}: one chunk fetched");
             let faulted = ScfsAgent::chunk_cache_key(&old.chunks()[3]);
-            assert!(fs.cache.memory().contains(&faulted, None));
+            assert!(fs.cache.memory().contains(&faulted));
             assert!(
-                !fs.cache.disk().contains(&faulted, None),
+                !fs.cache.disk().contains(&faulted),
                 "fetched into memory only"
             );
             let start = fs.now();
@@ -817,9 +811,7 @@ mod tests {
             let new = fs.config().chunk_map(&data);
             let on_disk = |i: usize| {
                 let hash = &new.chunks()[i];
-                fs.cache
-                    .disk()
-                    .contains(&ScfsAgent::chunk_cache_key(hash), Some(hash))
+                fs.cache.disk().contains(&ScfsAgent::chunk_cache_key(hash))
             };
             assert!(
                 on_disk(3),

@@ -43,7 +43,7 @@ impl ScfsAgent {
         let manifest_key = Self::manifest_cache_key(&root);
         // The tiered cache handles the memory → disk fallthrough and
         // promotes a disk hit into memory by moving the Arc.
-        if let Some(bytes) = self.cache.get(&mut self.clock, &manifest_key, Some(&root)) {
+        if let Some(bytes) = self.cache.get(&mut self.clock, &manifest_key) {
             return ChunkMap::decode(&bytes).map_err(|e| {
                 ScfsError::invalid(format!("cached manifest corrupted: {}", e.reason))
             });
@@ -63,7 +63,6 @@ impl ScfsAgent {
             &mut self.clock,
             &manifest_key,
             fetched.data.into(),
-            Some(root),
             WriteMode::CacheOnly,
         );
         Ok(map)
@@ -75,7 +74,7 @@ impl ScfsAgent {
     fn plan_fetch(&mut self, map: &ChunkMap, indices: &[usize]) -> TransferPlan {
         let cache = &mut self.cache;
         TransferPlan::fetch(map, indices.iter().copied(), |hash| {
-            cache.probe(&Self::chunk_cache_key(hash), Some(hash))
+            cache.probe(&Self::chunk_cache_key(hash))
         })
     }
 
@@ -130,7 +129,6 @@ impl ScfsAgent {
                 &mut self.clock,
                 &Self::chunk_cache_key(&job.hash),
                 data.clone(),
-                Some(job.hash),
                 WriteMode::CacheOnly,
             );
             out.push((*job, data, chunk.retries));
@@ -171,7 +169,7 @@ impl ScfsAgent {
             // The tiered get promotes a disk hit into memory by moving the
             // Arc (one insert charge, no payload copy).
             let key = Self::chunk_cache_key(&hash);
-            if let Some(chunk) = self.cache.get(&mut self.clock, &key, Some(&hash)) {
+            if let Some(chunk) = self.cache.get(&mut self.clock, &key) {
                 Self::check_chunk_len(file, map, index, chunk.len())?;
                 out.push(chunk);
                 continue;

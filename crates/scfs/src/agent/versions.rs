@@ -22,7 +22,7 @@ pub(super) struct VersionRecord {
     /// The root hash: the manifest's cache key, when the manifest is an
     /// object rather than part of the tuple.
     root: ContentHash,
-    /// The distinct chunks, sorted.
+    /// The distinct chunks, in file order.
     chunks: Vec<ContentHash>,
 }
 
@@ -33,7 +33,7 @@ impl VersionRecord {
         VersionRecord {
             count,
             root,
-            chunks: map.unique_chunks().into_iter().collect(),
+            chunks: map.distinct_chunks(),
         }
     }
 
@@ -216,10 +216,7 @@ mod tests {
     fn cached(fs: &ScfsAgent, hash: &ContentHash) -> (bool, bool) {
         let key = ScfsAgent::chunk_cache_key(hash);
         let (memory, disk) = (fs.cache.memory(), fs.cache.disk());
-        (
-            memory.contains(&key, Some(hash)),
-            disk.contains(&key, Some(hash)),
-        )
+        (memory.contains(&key), disk.contains(&key))
     }
 
     /// Mounts of one account over one instantaneous cloud and coordination
@@ -410,7 +407,7 @@ mod tests {
         let map = fs.config().chunk_map(&v2);
         for hash in map.chunks() {
             let key = ScfsAgent::chunk_cache_key(hash);
-            assert!(fs.cache.probe_disk(&key, hash));
+            assert!(fs.cache.probe_disk(&key));
         }
         let replaced = fs.config().chunk_map(&v1).chunks()[1];
         assert_eq!(cached(&fs, &replaced), (false, false));

@@ -55,7 +55,7 @@
 //! | encoded manifest | ≤ [`INLINE_MANIFEST_MAX`] (≤ 12 fixed / ≤ 9 CDC chunks) | larger |
 //! |---|---|---|
 //! | lives in | the metadata tuple, beside the root hash it hashes to | an object under `id\|root` |
-//! | read by | whoever may read the tuple (on the committing instance, [`FileStorage::read_manifest`] answers from its registry) | whoever the object's cloud ACL admits |
+//! | read by | whoever may read the tuple, and no one else: [`FileStorage::read_manifest`] finds no object | whoever the object's cloud ACL admits |
 //! | a commit stores | the dirty chunks: no manifest PUT, no ACL tag, no manifest intent in the journal | the dirty chunks and, beside them, the tagged manifest |
 //! | GC deletes | the chunks no retained version of the object names | those chunks and the manifest object |
 //! | the cloud alone reconstructs | which chunks each object has — not which version they belong to, or in what order | every retained version of every id |
@@ -68,7 +68,7 @@
 //!
 //! [`INLINE_MANIFEST_MAX`]: crate::types::INLINE_MANIFEST_MAX
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use cloud_store::error::StorageError;
@@ -114,13 +114,15 @@ pub struct WriteOutcome {
     pub dedup_cross_file: u64,
 }
 
-/// One stored version of an object: its root hash and chunk map. Backends
-/// keep these per object id so the garbage collector can release per-version
-/// references without listing the cloud.
-#[derive(Debug, Clone)]
+/// One stored version of an object: its root hash and the chunks it names.
+/// Backends keep these per object id so the garbage collector can release
+/// per-version references without listing the cloud.
+#[derive(Debug)]
 struct StoredVersion {
     root: ContentHash,
-    map: ChunkMap,
+    /// The version's distinct chunks, in file order
+    /// ([`ChunkMap::distinct_chunks`]).
+    chunks: Vec<ContentHash>,
     /// Whether the version has a manifest object in the cloud(s) —
     /// `!manifest_rides_inline`, decided once at commit. A root names one
     /// encoding, so versions sharing a root agree on it.
@@ -129,20 +131,20 @@ struct StoredVersion {
 
 impl StoredVersion {
     /// Whether this version, of the object `blob` belongs to, names `blob`:
-    /// a chunk of its map, or the manifest object it stored.
+    /// one of its chunks, or the manifest object it stored.
     fn names(&self, blob: &BlobName) -> bool {
         match blob {
-            BlobName::Chunk { hash, .. } => self.map.chunks().contains(hash),
+            BlobName::Chunk { hash, .. } => self.chunks.contains(hash),
             BlobName::Manifest { root, .. } => self.stored_manifest && self.root == *root,
         }
     }
 }
 
 /// Registry of the versions written through one backend instance: object id
-/// → versions, newest last. It records which commits exist, the map of each
-/// (for manifests that ride inline, and for liveness) and whether it stored
-/// a manifest object (for `set_acl`). A blob is live while a retained
-/// version of its object names it.
+/// → versions, newest last. It records which commits exist, the chunks of
+/// each (for liveness) and whether it stored a manifest object (for
+/// `set_acl`). A blob is live while a retained version of its object names
+/// it. It answers for no manifest: an inline one is the tuple's to give.
 #[derive(Debug, Default)]
 struct VersionRegistry {
     versions: BTreeMap<String, Vec<StoredVersion>>,
@@ -150,15 +152,11 @@ struct VersionRegistry {
 
 impl VersionRegistry {
     /// Records a newly written version.
-    fn push(&mut self, id: &str, root: ContentHash, map: ChunkMap, stored_manifest: bool) {
+    fn push(&mut self, id: &str, version: StoredVersion) {
         self.versions
             .entry(id.to_string())
             .or_default()
-            .push(StoredVersion {
-                root,
-                map,
-                stored_manifest,
-            });
+            .push(version);
     }
 
     /// Whether this registry has any record of `id`.
@@ -166,26 +164,12 @@ impl VersionRegistry {
         self.versions.contains_key(id)
     }
 
-    /// The retained version of `id` committed under `root`, if this
-    /// instance still records it.
-    fn version(&self, id: &str, root: &ContentHash) -> Option<&StoredVersion> {
-        self.versions
-            .get(id)?
-            .iter()
-            .rev()
-            .find(|v| v.root == *root)
-    }
-
     /// Every chunk hash a retained version of `id` names: the chunks a new
     /// version of `id` need not upload.
     fn live_chunks(&self, id: &str) -> HashSet<ContentHash> {
         self.versions
             .get(id)
-            .map(|vs| {
-                vs.iter()
-                    .flat_map(|v| v.map.chunks().iter().copied())
-                    .collect()
-            })
+            .map(|vs| vs.iter().flat_map(|v| v.chunks.iter().copied()).collect())
             .unwrap_or_default()
     }
 
@@ -214,7 +198,7 @@ impl VersionRegistry {
     fn live_blobs(&self) -> impl Iterator<Item = BlobName> + '_ {
         self.versions.iter().flat_map(|(id, versions)| {
             versions.iter().flat_map(move |v| {
-                let chunks = v.map.chunks().iter().map(move |h| BlobName::chunk(id, *h));
+                let chunks = v.chunks.iter().map(move |h| BlobName::chunk(id, *h));
                 let manifest = v.stored_manifest.then(|| BlobName::manifest(id, v.root));
                 chunks.chain(manifest)
             })
@@ -256,21 +240,13 @@ impl StoreState {
     /// records the version, and cancels the pending intents of what it
     /// stores — its distinct chunks and its manifest object, if it stores
     /// one — among them the provisional intents journaled before the upload.
-    fn commit_version(
-        &mut self,
-        id: &str,
-        root: ContentHash,
-        map: &ChunkMap,
-        stored_manifest: bool,
-        unique: &BTreeSet<ContentHash>,
-    ) {
-        let mut blobs: BTreeSet<BlobName> =
-            unique.iter().map(|h| BlobName::chunk(id, *h)).collect();
-        if stored_manifest {
-            blobs.insert(BlobName::manifest(id, root));
-        }
-        self.chunks.cancel(&blobs);
-        self.registry.push(id, root, map.clone(), stored_manifest);
+    fn commit_version(&mut self, id: &str, version: StoredVersion) {
+        let chunks = version.chunks.iter().map(|h| BlobName::chunk(id, *h));
+        let manifest = version
+            .stored_manifest
+            .then(|| BlobName::manifest(id, version.root));
+        self.chunks.cancel(&chunks.chain(manifest).collect());
+        self.registry.push(id, version);
     }
 
     /// Phase one of deletion: journals the release intents of what
@@ -291,7 +267,7 @@ impl StoreState {
             if v.stored_manifest && roots.insert(v.root) {
                 manifests.push(BlobName::manifest(id, v.root));
             }
-            let gone = v.map.chunks().iter().filter(|h| chunks.insert(**h));
+            let gone = v.chunks.iter().filter(|h| chunks.insert(**h));
             per_version.push(gone.map(|h| BlobName::chunk(id, *h)).collect::<Vec<_>>());
         }
         let chunks = per_version.into_iter().rev().flatten();
@@ -338,13 +314,12 @@ pub trait FileStorage: Send + Sync {
         opts: &TransferOptions,
     ) -> Result<WriteOutcome, ScfsError>;
 
-    /// Reads the chunk map of the version of `id` whose root hash is `hash`:
-    /// from the manifest object, or, for a version this instance committed
-    /// without one, from its registry. Returns a transient not-found error
-    /// while the version is not yet visible — the caller runs the
+    /// Reads the chunk map of the version of `id` whose root hash is `hash`
+    /// from its manifest object. Returns a transient not-found error while
+    /// the version is not yet visible — the caller runs the
     /// consistency-anchor retry loop — and for a version that stored no
-    /// manifest object and that this instance has no record of: its map is
-    /// in its metadata tuple and nowhere else.
+    /// manifest object, on every instance, the committing one included: its
+    /// map is in its metadata tuple and nowhere else.
     fn read_manifest(
         &self,
         ctx: &mut OpCtx<'_>,
@@ -664,7 +639,6 @@ impl<B: BlobStore> FileStorage for ChunkedStorage<B> {
         acl: Option<&Acl>,
         opts: &TransferOptions,
     ) -> Result<WriteOutcome, ScfsError> {
-        let unique = map.unique_chunks();
         let (stored, tracked) = {
             let state = self.state.lock();
             (state.registry.live_chunks(id), state.registry.tracks(id))
@@ -726,9 +700,12 @@ impl<B: BlobStore> FileStorage for ChunkedStorage<B> {
         ctx.clock.advance_to(manifest_clock.now());
         let (sizes, report) = uploaded?;
         manifest_put?;
-        self.state
-            .lock()
-            .commit_version(id, root, map, object.is_some(), &unique);
+        let version = StoredVersion {
+            root,
+            chunks: map.distinct_chunks(),
+            stored_manifest: object.is_some(),
+        };
+        self.state.lock().commit_version(id, version);
         Ok(WriteOutcome {
             root_hash: root,
             chunks_uploaded: report.chunks,
@@ -759,21 +736,8 @@ impl<B: BlobStore> FileStorage for ChunkedStorage<B> {
         id: &str,
         hash: &ContentHash,
     ) -> Result<Vec<u8>, ScfsError> {
-        // A version this instance committed inline has no manifest object:
-        // its map is the registry's to give. A stored manifest, or a version
-        // this instance has no record of, is the cloud's to answer.
-        let inline = {
-            let state = self.state.lock();
-            let tracked = state.registry.version(id, hash);
-            tracked.and_then(|v| (!v.stored_manifest).then(|| v.map.encode()))
-        };
-        match inline {
-            Some(manifest) => Ok(manifest),
-            None => {
-                let blob = BlobName::manifest(id, *hash);
-                Ok(self.blobs.get(&mut principal_ctx(ctx, &blob), &blob)?)
-            }
-        }
+        let blob = BlobName::manifest(id, *hash);
+        Ok(self.blobs.get(&mut principal_ctx(ctx, &blob), &blob)?)
     }
 
     fn read_chunk(
@@ -982,6 +946,7 @@ mod tests {
     use depsky::config::DepSkyConfig;
     use sim_core::fault::FaultPlan;
     use sim_core::time::{Clock, SimDuration, SimInstant};
+    use std::collections::BTreeSet;
 
     const CHUNK: usize = 1024;
     /// Chunks of the smallest fixed-size map whose manifest no longer rides
@@ -1039,6 +1004,21 @@ mod tests {
         (outcome, map)
     }
 
+    /// Reads the version `map` lays out back from `id`'s chunks: the map a
+    /// reader takes from the metadata tuple, the only copy of an inline one.
+    fn read_back(
+        storage: &dyn FileStorage,
+        ctx: &mut OpCtx<'_>,
+        id: &str,
+        map: &ChunkMap,
+    ) -> Result<Vec<u8>, ScfsError> {
+        let mut data = Vec::with_capacity(map.file_len() as usize);
+        for hash in map.chunks() {
+            data.extend(storage.read_chunk(ctx, id, hash)?);
+        }
+        Ok(data)
+    }
+
     fn replay(storage: &dyn FileStorage, ctx: &mut OpCtx<'_>) -> ReplayReport {
         storage
             .replay_release_journal(ctx, &JournalOpts::default())
@@ -1052,30 +1032,16 @@ mod tests {
         let mut v2 = v1.clone();
         v2.extend_from_slice(b"appended tail");
         let (o1, m1) = write(storage, &mut ctx, "file-1", &v1, None, true);
-        let (o2, _) = write(storage, &mut ctx, "file-1", &v2, Some(&m1), false);
+        let (o2, m2) = write(storage, &mut ctx, "file-1", &v2, Some(&m1), false);
         assert_ne!(o1.root_hash, o2.root_hash);
-        assert_eq!(
-            storage
-                .read_version(
-                    &mut ctx,
-                    "file-1",
-                    &o1.root_hash,
-                    &TransferOptions::default()
-                )
-                .unwrap(),
-            v1
-        );
-        assert_eq!(
-            storage
-                .read_version(
-                    &mut ctx,
-                    "file-1",
-                    &o2.root_hash,
-                    &TransferOptions::default()
-                )
-                .unwrap(),
-            v2
-        );
+        assert_eq!(read_back(storage, &mut ctx, "file-1", &m1).unwrap(), v1);
+        assert_eq!(read_back(storage, &mut ctx, "file-1", &m2).unwrap(), v2);
+        // Both manifests ride inline: no object holds them, and the
+        // instance that committed them has no other answer.
+        match storage.read_manifest(&mut ctx, "file-1", &o2.root_hash) {
+            Err(ScfsError::Storage(e)) => assert!(e.is_transient(), "{e}"),
+            other => panic!("an inline manifest was answered: {other:?}"),
+        }
     }
 
     #[test]
@@ -1147,9 +1113,7 @@ mod tests {
         let (o3, _) = write(storage, &mut bob_ctx, "alice-f1", &data, Some(&m1), false);
         assert_eq!(o3.chunks_uploaded, 0);
         for id in ["alice-f1", "bob-f1"] {
-            let read =
-                storage.read_version(&mut bob_ctx, id, &o2.root_hash, &TransferOptions::default());
-            assert_eq!(read.unwrap(), data);
+            assert_eq!(read_back(storage, &mut bob_ctx, id, &m1).unwrap(), data);
         }
     }
 
@@ -1183,19 +1147,14 @@ mod tests {
         for (chunks, manifests) in [(2, 0), (OVER_BOUND, 1)] {
             let data = vec![0xE0 | chunks as u8; chunks * CHUNK];
             let (_, _) = write(storage, &mut ctx, "f1", &data, None, true);
-            let (o2, _) = write(storage, &mut ctx, "f2", &data, None, true);
+            let (_, m2) = write(storage, &mut ctx, "f2", &data, None, true);
             // Deleting f1 reclaims its own chunk and manifest object, if it
             // stored one, and nothing of f2's identical content.
             storage.delete_all(&mut ctx, "f1").unwrap();
             let report = replay(storage, &mut ctx);
             assert_eq!(report.errors, 0);
             assert_eq!(report.deleted, 1 + manifests, "f1's one distinct chunk");
-            assert_eq!(
-                storage
-                    .read_version(&mut ctx, "f2", &o2.root_hash, &TransferOptions::default())
-                    .unwrap(),
-                data
-            );
+            assert_eq!(read_back(storage, &mut ctx, "f2", &m2).unwrap(), data);
             assert_eq!(storage.pending_releases(), 0);
         }
     }
@@ -1233,13 +1192,8 @@ mod tests {
         // Rewrite the v1 content with the stale m1 as prev: every chunk of
         // the new version must be readable, even those m1 claims exist.
         data[..CHUNK].fill(0xA1);
-        let (o, _) = write(&storage, &mut ctx, "f", &data, Some(&m1), false);
-        assert_eq!(
-            storage
-                .read_version(&mut ctx, "f", &o.root_hash, &TransferOptions::default())
-                .unwrap(),
-            data
-        );
+        let (_, m) = write(&storage, &mut ctx, "f", &data, Some(&m1), false);
+        assert_eq!(read_back(&storage, &mut ctx, "f", &m).unwrap(), data);
     }
 
     /// A writer whose `prev` names a chunk the store no longer holds, and
@@ -1255,7 +1209,7 @@ mod tests {
         let (_, m1) = write(storage, &mut ctx, "f", &data, None, true);
         // A newer version replaces chunk 0, and the collector reclaims it.
         data[..CHUNK].fill(0xC3);
-        let (o2, _) = write(storage, &mut ctx, "f", &data, Some(&m1), false);
+        let (_, m2) = write(storage, &mut ctx, "f", &data, Some(&m1), false);
         assert_eq!(storage.delete_old_versions(&mut ctx, "f", 1).unwrap(), 1);
         assert!(replay(storage, &mut ctx).deleted > 0);
 
@@ -1282,8 +1236,7 @@ mod tests {
         assert_eq!(puts(), before, "nothing was PUT");
         assert_eq!(storage.pending_releases(), pending, "nothing was journaled");
         // The store is as it was: the live version still reads back.
-        let read = storage.read_version(&mut ctx, "f", &o2.root_hash, &TransferOptions::default());
-        assert_eq!(read.unwrap(), data);
+        assert_eq!(read_back(storage, &mut ctx, "f", &m2).unwrap(), data);
     }
 
     #[test]
@@ -1315,12 +1268,11 @@ mod tests {
         for storage in [&single() as &dyn FileStorage, &coc() as &dyn FileStorage] {
             let mut clock = Clock::new();
             let mut ctx = OpCtx::new(&mut clock, "alice".into());
-            let (o, _) = write(storage, &mut ctx, "f", &[], None, true);
+            let (o, m) = write(storage, &mut ctx, "f", &[], None, true);
             assert_eq!(o.chunks_uploaded, 0);
+            assert_eq!(m.chunk_count(), 0);
             assert_eq!(
-                storage
-                    .read_version(&mut ctx, "f", &o.root_hash, &TransferOptions::default())
-                    .unwrap(),
+                read_back(storage, &mut ctx, "f", &m).unwrap(),
                 Vec::<u8>::new()
             );
         }
@@ -1336,16 +1288,14 @@ mod tests {
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
         let mut maps: Vec<ChunkMap> = Vec::new();
-        let mut outcomes = Vec::new();
         let mut data = vec![0u8; 2 * CHUNK];
         for i in 0..5u8 {
             // Each version rewrites the last chunk only; chunk 0 is shared by
             // all versions.
             data[2 * CHUNK - 1] = i;
             let prev = maps.last().cloned();
-            let (o, m) = write(storage, &mut ctx, "f", &data, prev.as_ref(), i == 0);
+            let (_, m) = write(storage, &mut ctx, "f", &data, prev.as_ref(), i == 0);
             maps.push(m);
-            outcomes.push(o);
         }
         let removed = storage.delete_old_versions(&mut ctx, "f", 2).unwrap();
         assert_eq!(removed, 3);
@@ -1353,31 +1303,13 @@ mod tests {
         assert_eq!(report.errors, 0);
         assert_eq!(storage.pending_releases(), 0);
         // Newest versions survive — including the shared first chunk.
-        assert!(storage
-            .read_version(
-                &mut ctx,
-                "f",
-                &outcomes[4].root_hash,
-                &TransferOptions::default()
-            )
-            .is_ok());
-        assert!(storage
-            .read_version(
-                &mut ctx,
-                "f",
-                &outcomes[3].root_hash,
-                &TransferOptions::default()
-            )
-            .is_ok());
-        // Oldest versions are gone.
-        assert!(storage
-            .read_version(
-                &mut ctx,
-                "f",
-                &outcomes[0].root_hash,
-                &TransferOptions::default()
-            )
-            .is_err());
+        assert!(read_back(storage, &mut ctx, "f", &maps[4]).is_ok());
+        assert!(read_back(storage, &mut ctx, "f", &maps[3]).is_ok());
+        // Oldest versions are gone: each last chunk of its own was reclaimed.
+        // (Version 0 is all zeros, its last chunk the shared first one: its
+        // content is still live.)
+        assert!(read_back(storage, &mut ctx, "f", &maps[1]).is_err());
+        assert!(read_back(storage, &mut ctx, "f", &maps[2]).is_err());
         assert_eq!(storage.delete_old_versions(&mut ctx, "f", 2).unwrap(), 0);
     }
 
@@ -1396,12 +1328,11 @@ mod tests {
         let storage = single();
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
-        let (o, _) = write(&storage, &mut ctx, "f", b"data", None, true);
+        let (_, m) = write(&storage, &mut ctx, "f", b"data", None, true);
+        assert!(read_back(&storage, &mut ctx, "f", &m).is_ok());
         storage.delete_all(&mut ctx, "f").unwrap();
         assert!(replay(&storage, &mut ctx).deleted > 0);
-        assert!(storage
-            .read_version(&mut ctx, "f", &o.root_hash, &TransferOptions::default())
-            .is_err());
+        assert!(read_back(&storage, &mut ctx, "f", &m).is_err());
     }
 
     #[test]

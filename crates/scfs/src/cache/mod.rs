@@ -5,9 +5,10 @@
 //! (hundreds of MB) over a large, long-term **local-disk cache** (GBs).
 //! Both tiers draw realistic local latencies (microseconds for memory,
 //! milliseconds for disk) — reads and memory writes on the client's virtual
-//! clock, disk writes behind it — and a cached
-//! entry is validated against the coordination service's version hash
-//! before being served, so a stale copy is never returned.
+//! clock, disk writes behind it. An entry is keyed by the hash of its own
+//! bytes, which a reader reaches only from the version hash the
+//! coordination service anchors (root → manifest → chunks): a key names
+//! one content, so a stale copy is never returned.
 //!
 //! The module is split in three layers:
 //!
@@ -76,7 +77,6 @@ impl CacheConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scfs_crypto::sha256;
     use sim_core::latency::LatencyProfile;
     use sim_core::rng::DetRng;
     use sim_core::time::{Clock, SimDuration};
@@ -95,12 +95,8 @@ mod tests {
         let mut cache = CacheTier::memory(Bytes::mib(1), PolicyKind::Lru, 1);
         let mut clock = Clock::new();
         let data = vec![1u8; 1000];
-        let hash = sha256(&data);
-        cache.put(&mut clock, "/f", payload(&data), Some(hash));
-        assert_eq!(
-            &cache.get(&mut clock, "/f", Some(&hash)).unwrap()[..],
-            &data[..]
-        );
+        cache.put(&mut clock, "/f", payload(&data), None);
+        assert_eq!(&cache.get(&mut clock, "/f", None).unwrap()[..], &data[..]);
         assert!(cache.get(&mut clock, "/missing", None).is_none());
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
@@ -123,20 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn stale_entries_are_not_served() {
-        let mut cache = CacheTier::disk(Bytes::mib(1), 2);
-        let mut clock = Clock::new();
-        let old = vec![1u8; 100];
-        cache.put(&mut clock, "/f", payload(&old), Some(sha256(&old)));
-        // The coordination service now says the file has a newer hash.
-        let new_hash = sha256(b"newer version");
-        assert!(cache.get(&mut clock, "/f", Some(&new_hash)).is_none());
-        // With no expectation the stale data is still retrievable (fresh
-        // files that were never uploaded have no hash to validate).
-        assert!(cache.get(&mut clock, "/f", None).is_some());
-    }
-
-    #[test]
     fn lru_eviction_respects_capacity() {
         let mut cache = CacheTier::memory(Bytes::new(300), PolicyKind::Lru, 3);
         let mut clock = Clock::new();
@@ -146,9 +128,9 @@ mod tests {
         // Touch /a so /b becomes the LRU victim.
         assert!(cache.get(&mut clock, "/a", None).is_some());
         cache.put(&mut clock, "/d", zeros(100), None);
-        assert!(cache.contains("/a", None));
-        assert!(!cache.contains("/b", None));
-        assert!(cache.contains("/d", None));
+        assert!(cache.contains("/a"));
+        assert!(!cache.contains("/b"));
+        assert!(cache.contains("/d"));
         assert!(cache.stats().evictions >= 1);
         assert!(cache.used_bytes().get() <= 300);
     }
@@ -161,17 +143,15 @@ mod tests {
         cache.put(&mut clock, "/b", zeros(100), None);
         cache.put(&mut clock, "/c", zeros(100), None);
         let before = clock.now();
-        // Probing /a refreshes it, so /b becomes the LRU victim...
-        assert!(cache.probe("/a", None));
-        assert!(!cache.probe("/missing", None));
-        // ...and a stale-hash probe does not match.
-        assert!(!cache.probe("/a", Some(&sha256(b"other version"))));
+        // Probing /a refreshes it, so /b becomes the LRU victim.
+        assert!(cache.probe("/a"));
+        assert!(!cache.probe("/missing"));
         assert_eq!(clock.now(), before, "probe charges no latency");
         assert_eq!(cache.stats().hits, 0);
         assert_eq!(cache.stats().misses, 0);
         cache.put(&mut clock, "/d", zeros(100), None);
-        assert!(cache.contains("/a", None));
-        assert!(!cache.contains("/b", None), "/b was the LRU victim");
+        assert!(cache.contains("/a"));
+        assert!(!cache.contains("/b"), "/b was the LRU victim");
     }
 
     #[test]
@@ -179,7 +159,7 @@ mod tests {
         let mut cache = CacheTier::memory(Bytes::new(100), PolicyKind::Lru, 4);
         let mut clock = Clock::new();
         cache.put(&mut clock, "/huge", zeros(1000), None);
-        assert!(!cache.contains("/huge", None));
+        assert!(!cache.contains("/huge"));
         assert!(cache.is_empty());
     }
 
@@ -204,7 +184,7 @@ mod tests {
         // the stale entry — a staleness invalidation, not a capacity
         // eviction.
         cache.put(&mut clock, "/f", zeros(1000), None);
-        assert!(!cache.contains("/f", None));
+        assert!(!cache.contains("/f"));
         assert_eq!(cache.used_bytes(), Bytes::ZERO);
         assert_eq!(cache.stats().invalidations, 1);
         assert_eq!(cache.stats().evictions, 0);
@@ -235,12 +215,12 @@ mod tests {
             assert!(cache.get(&mut clock, path, None).is_some());
         }
         cache.put(&mut clock, "/e", zeros(100), None);
-        assert!(!cache.contains("/b", None), "/b was the LRU victim");
+        assert!(!cache.contains("/b"), "/b was the LRU victim");
         // Next victim is /c (oldest surviving access).
         cache.put(&mut clock, "/f", zeros(100), None);
-        assert!(!cache.contains("/c", None), "/c was the next victim");
+        assert!(!cache.contains("/c"), "/c was the next victim");
         for survivor in ["/a", "/d", "/e", "/f"] {
-            assert!(cache.contains(survivor, None), "{survivor} must survive");
+            assert!(cache.contains(survivor), "{survivor} must survive");
         }
     }
 
@@ -262,33 +242,6 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.bytes_evicted, 100);
-    }
-
-    #[test]
-    fn stale_hash_lookup_counts_as_miss_and_entry_is_replaceable() {
-        let mut cache = CacheTier::disk(Bytes::mib(1), 9);
-        let mut clock = Clock::new();
-        let v1 = b"version one".to_vec();
-        let h1 = sha256(&v1);
-        cache.put(&mut clock, "/f", payload(&v1), Some(h1));
-
-        // The anchor now advertises a newer hash: the cached entry is stale.
-        let v2 = b"version two".to_vec();
-        let h2 = sha256(&v2);
-        assert!(cache.get(&mut clock, "/f", Some(&h2)).is_none());
-        assert_eq!(cache.stats().misses, 1);
-
-        // Re-inserting under the new hash replaces the entry in place.
-        cache.put(&mut clock, "/f", payload(&v2), Some(h2));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(
-            &cache.get(&mut clock, "/f", Some(&h2)).unwrap()[..],
-            &v2[..]
-        );
-        assert!(
-            cache.get(&mut clock, "/f", Some(&h1)).is_none(),
-            "old hash is gone"
-        );
     }
 
     #[test]
@@ -321,35 +274,21 @@ mod tests {
         let mut cache = TieredCache::new(&config, 31);
         let mut clock = Clock::new();
         let data = vec![7u8; 200];
-        let hash = sha256(&data);
-        cache.put(
-            &mut clock,
-            "/f",
-            payload(&data),
-            Some(hash),
-            WriteMode::DiskOnly,
-        );
-        assert!(!cache.memory().contains("/f", None));
+        cache.put(&mut clock, "/f", payload(&data), WriteMode::DiskOnly);
+        assert!(!cache.memory().contains("/f"));
 
         // A read hits disk and promotes into memory...
-        assert!(cache.get(&mut clock, "/f", Some(&hash)).is_some());
-        assert!(cache.memory().contains("/f", Some(&hash)));
+        assert!(cache.get(&mut clock, "/f").is_some());
+        assert!(cache.memory().contains("/f"));
         assert_eq!(cache.stats().promotions, 1);
 
         // ...and filling memory demotes evictions to disk, where they are
         // still served without any upstream fetch.
         let other = vec![9u8; 200];
-        let other_hash = sha256(&other);
-        cache.put(
-            &mut clock,
-            "/g",
-            payload(&other),
-            Some(other_hash),
-            WriteMode::CacheOnly,
-        );
-        assert!(!cache.memory().contains("/f", None), "/f was evicted");
-        assert!(cache.disk().contains("/f", Some(&hash)));
-        assert!(cache.get(&mut clock, "/f", Some(&hash)).is_some());
+        cache.put(&mut clock, "/g", payload(&other), WriteMode::CacheOnly);
+        assert!(!cache.memory().contains("/f"), "/f was evicted");
+        assert!(cache.disk().contains("/f"));
+        assert!(cache.get(&mut clock, "/f").is_some());
     }
 
     #[test]
@@ -358,18 +297,11 @@ mod tests {
         let mut cache = TieredCache::new(&config, 32);
         let mut clock = Clock::new();
         let data = zeros(500);
-        let hash = sha256(&data);
-        cache.put(
-            &mut clock,
-            "/f",
-            data.clone(),
-            Some(hash),
-            WriteMode::DiskOnly,
-        );
-        let served = cache.get(&mut clock, "/f", Some(&hash)).unwrap();
+        cache.put(&mut clock, "/f", data.clone(), WriteMode::DiskOnly);
+        let served = cache.get(&mut clock, "/f").unwrap();
         assert!(Arc::ptr_eq(&data, &served), "promotion must not copy");
         // The promoted copy in memory is the same allocation too.
-        let from_mem = cache.get(&mut clock, "/f", Some(&hash)).unwrap();
+        let from_mem = cache.get(&mut clock, "/f").unwrap();
         assert!(Arc::ptr_eq(&data, &from_mem));
     }
 
@@ -379,20 +311,13 @@ mod tests {
         let mut cache = TieredCache::new(&config, 33);
         let mut clock = Clock::new();
         let data = vec![1u8; 200];
-        let hash = sha256(&data);
-        cache.put(
-            &mut clock,
-            "/f",
-            payload(&data),
-            Some(hash),
-            WriteMode::DiskOnly,
-        );
-        assert!(cache.get(&mut clock, "/f", Some(&hash)).is_some()); // promote
-                                                                     // Evict /f from memory; its disk copy is intact, so no demotion
-                                                                     // write is needed.
-        cache.put(&mut clock, "/g", zeros(250), None, WriteMode::CacheOnly);
+        cache.put(&mut clock, "/f", payload(&data), WriteMode::DiskOnly);
+        assert!(cache.get(&mut clock, "/f").is_some()); // promote
+                                                        // Evict /f from memory; its disk copy is intact, so no demotion
+                                                        // write is needed.
+        cache.put(&mut clock, "/g", zeros(250), WriteMode::CacheOnly);
         assert_eq!(cache.stats().demotions, 0);
-        assert!(cache.disk().contains("/f", Some(&hash)));
+        assert!(cache.disk().contains("/f"));
     }
 
     #[test]
@@ -400,9 +325,9 @@ mod tests {
         let config = CacheConfig::default().with_capacities(Bytes::new(100), Bytes::new(10_000));
         let mut cache = TieredCache::new(&config, 34);
         let mut clock = Clock::new();
-        cache.put(&mut clock, "/big", zeros(500), None, WriteMode::CacheOnly);
-        assert!(!cache.memory().contains("/big", None));
-        assert!(cache.disk().contains("/big", None));
+        cache.put(&mut clock, "/big", zeros(500), WriteMode::CacheOnly);
+        assert!(!cache.memory().contains("/big"));
+        assert!(cache.disk().contains("/big"));
     }
 
     #[test]
@@ -411,24 +336,13 @@ mod tests {
         let mut cache = TieredCache::new(&config, 35);
         let mut clock = Clock::new();
         let data = vec![4u8; 200];
-        let hash = sha256(&data);
-        cache.put(
-            &mut clock,
-            "/f",
-            payload(&data),
-            Some(hash),
-            WriteMode::DiskOnly,
-        );
+        cache.put(&mut clock, "/f", payload(&data), WriteMode::DiskOnly);
         let before = clock.now();
-        // Absent from both tiers, and present on disk under another version:
-        // the index answers both, so neither is an access.
-        assert!(cache.get(&mut clock, "/missing", None).is_none());
-        assert!(cache
-            .get(&mut clock, "/f", Some(&sha256(b"other")))
-            .is_none());
+        // Absent from both tiers: the index answers, so it is no access.
+        assert!(cache.get(&mut clock, "/missing").is_none());
         assert_eq!(clock.now(), before, "a miss is free on both tiers");
-        assert_eq!(cache.stats().memory.misses, 2);
-        assert_eq!(cache.stats().disk.misses, 2);
+        assert_eq!(cache.stats().memory.misses, 1);
+        assert_eq!(cache.stats().disk.misses, 1);
         let mut disk = CacheTier::disk(Bytes::new(1000), 36);
         assert!(disk.get(&mut clock, "/missing", None).is_none());
         assert_eq!(clock.now(), before);
@@ -483,51 +397,47 @@ mod tests {
         let mut cache = TieredCache::new(&config, 37);
         let mut lat = Latencies::new(37);
         let mut clock = Clock::new();
-        let entry = |byte: u8| {
-            let data = vec![byte; 200];
-            let hash = sha256(&data);
-            (payload(&data), Some(hash))
-        };
+        let entry = |byte: u8| payload(&[byte; 200]);
 
         // DiskOnly: the caller's clock does not move; the write lands later.
-        let (a, ha) = entry(1);
+        let a = entry(1);
         let t = clock.now();
-        let landed = cache.put(&mut clock, "/a", a, ha, WriteMode::DiskOnly);
+        let landed = cache.put(&mut clock, "/a", a, WriteMode::DiskOnly);
         assert_eq!(clock.now(), t, "a disk write leaves the clock alone");
         assert_eq!(landed, t + lat.disk_write(200));
         assert!(landed >= t + min_disk_write(200));
 
         // Through: the caller pays the memory write only.
-        let (b, hb) = entry(2);
+        let b = entry(2);
         let t = clock.now();
-        let landed = cache.put(&mut clock, "/b", b, hb, WriteMode::Through);
+        let landed = cache.put(&mut clock, "/b", b, WriteMode::Through);
         assert_eq!(clock.now(), t + lat.memory_write(200));
         assert_eq!(landed, t + lat.disk_write(200));
 
         // CacheOnly with an eviction: /b is on disk already, so nothing is
         // demoted and nothing lands later than now.
-        let (m, hm) = entry(3);
+        let m = entry(3);
         let t = clock.now();
-        let landed = cache.put(&mut clock, "/m", m, hm, WriteMode::CacheOnly);
+        let landed = cache.put(&mut clock, "/m", m, WriteMode::CacheOnly);
         assert_eq!(clock.now(), t + lat.memory_write(200));
         assert_eq!(landed, clock.now());
         assert_eq!(cache.stats().demotions, 0);
 
         // ...but evicting the memory-only /m demotes it, behind the caller.
-        let (n, hn) = entry(4);
+        let n = entry(4);
         let t = clock.now();
-        let landed = cache.put(&mut clock, "/n", n, hn, WriteMode::CacheOnly);
+        let landed = cache.put(&mut clock, "/n", n, WriteMode::CacheOnly);
         let after = t + lat.memory_write(200);
         assert_eq!(clock.now(), after);
         assert_eq!(landed, after + lat.disk_write(200));
         assert_eq!(cache.stats().demotions, 1);
-        assert!(cache.disk().contains("/m", hm.as_ref()));
+        assert!(cache.disk().contains("/m"));
 
         // One call's disk writes queue: a Through put that evicts /n lands
         // its own write, then the demotion of /n behind it.
-        let (u, hu) = entry(5);
+        let u = entry(5);
         let t = clock.now();
-        let landed = cache.put(&mut clock, "/u", u, hu, WriteMode::Through);
+        let landed = cache.put(&mut clock, "/u", u, WriteMode::Through);
         assert_eq!(clock.now(), t + lat.memory_write(200));
         let own = lat.disk_write(200);
         assert_eq!(landed, t + own + lat.disk_write(200));
@@ -536,27 +446,27 @@ mod tests {
 
         // So do the writes of a caller that threads its landing instant
         // through several puts.
-        let (v, hv) = entry(6);
-        let (w, hw) = entry(7);
+        let v = entry(6);
+        let w = entry(7);
         let t = clock.now();
-        let first = cache.put(&mut clock, "/v", v, hv, WriteMode::DiskOnly);
-        let second = cache.put_after(&mut clock, first, "/w", w, hw, WriteMode::DiskOnly);
+        let first = cache.put(&mut clock, "/v", v, WriteMode::DiskOnly);
+        let second = cache.put_after(&mut clock, first, "/w", w, WriteMode::DiskOnly);
         assert_eq!(clock.now(), t);
         assert_eq!(first, t + lat.disk_write(200));
         assert_eq!(second, first + lat.disk_write(200));
 
         // Promotion: a disk hit is read on the caller's clock and moved into
         // memory; the memory-only /x it pushes out is demoted behind.
-        let (x, hx) = entry(8);
-        cache.put(&mut clock, "/x", x, hx, WriteMode::CacheOnly);
+        let x = entry(8);
+        cache.put(&mut clock, "/x", x, WriteMode::CacheOnly);
         lat.memory_write(200);
         let t = clock.now();
-        assert!(cache.get(&mut clock, "/m", hm.as_ref()).is_some());
+        assert!(cache.get(&mut clock, "/m").is_some());
         let read = lat.disk_read(200);
         assert_eq!(clock.now(), t + read + lat.memory_write(0));
         assert_eq!(cache.stats().promotions, 1);
         assert_eq!(cache.stats().demotions, 3);
-        assert!(cache.disk().contains("/x", hx.as_ref()));
+        assert!(cache.disk().contains("/x"));
     }
 
     #[test]

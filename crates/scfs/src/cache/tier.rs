@@ -27,6 +27,11 @@
 //!
 //! Payloads are `Arc<[u8]>` end to end: hits, promotions and demotions move
 //! reference counts, never chunk bytes.
+//!
+//! A key is a content address — `chunk:{hex}` or `manifest:{hex}`, the hash
+//! of the very bytes it holds — with no version beside it: an entry can be
+//! missing, never stale, and the same key on both tiers is the same
+//! payload.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -44,9 +49,9 @@ use crate::invariant::InvariantViolation;
 /// Statistics of one cache tier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that found a usable entry.
+    /// Lookups that found an entry.
     pub hits: u64,
-    /// Lookups that missed (absent or stale).
+    /// Lookups that missed.
     pub misses: u64,
     /// Least-recently-used entries evicted to make room.
     pub evictions: u64,
@@ -65,12 +70,11 @@ pub struct CacheStats {
 }
 
 /// One resident entry: its key (owned here, surrendered on eviction so the
-/// victim key is never cloned), payload and version hash.
+/// victim key is never cloned) and payload.
 #[derive(Debug)]
 struct Entry {
     key: String,
     data: Arc<[u8]>,
-    hash: Option<ContentHash>,
 }
 
 /// An entry evicted from a tier, handed back so the caller can demote it.
@@ -80,8 +84,6 @@ pub struct Evicted {
     pub key: String,
     /// The payload (moved, not copied).
     pub data: Arc<[u8]>,
-    /// The version hash the payload corresponds to.
-    pub hash: Option<ContentHash>,
 }
 
 /// One cache level: bounded by total payload bytes, charging its latency
@@ -199,50 +201,32 @@ impl CacheTier {
         }
     }
 
-    fn fresh(entry: &Entry, expected_hash: Option<&ContentHash>) -> bool {
-        match expected_hash {
-            None => true,
-            Some(h) => entry.hash.as_ref() == Some(h),
-        }
-    }
-
-    /// Looks up `key` and returns its payload if the resident entry matches
-    /// `expected_hash` (a `None` expectation accepts any entry — used for
-    /// freshly created files that have no cloud version yet). A hit charges
-    /// the tier's read latency for the payload size; the payload itself is
-    /// an `Arc` clone, never a byte copy. A miss charges nothing.
+    /// Looks up `key`, a content address, and returns its payload. A hit
+    /// charges the tier's read latency for the payload size; the payload
+    /// itself is an `Arc` clone, never a byte copy. A miss charges nothing.
+    /// `_hash` selects nothing: the key already names the content. It is
+    /// a stub the benchmark package's cache kernel calls, to go with the
+    /// ROADMAP's Benchmark-v2 item 1(b).
     pub fn get(
         &mut self,
         clock: &mut Clock,
         key: &str,
-        expected_hash: Option<&ContentHash>,
+        _hash: Option<&ContentHash>,
     ) -> Option<Arc<[u8]>> {
-        self.get_with_hash(clock, key, expected_hash)
-            .map(|(d, _)| d)
-    }
-
-    /// As [`CacheTier::get`], also returning the stored version hash (the
-    /// promotion path needs it to tag the promoted entry correctly).
-    pub fn get_with_hash(
-        &mut self,
-        clock: &mut Clock,
-        key: &str,
-        expected_hash: Option<&ContentHash>,
-    ) -> Option<(Arc<[u8]>, Option<ContentHash>)> {
         // An index entry pointing at a vacated slot would be an invariant
         // breach; it degrades to a miss rather than a panic on the read path.
         let hit = self.index.get(key).copied().and_then(|id| {
             let entry = self.slots.get(id as usize)?.as_ref()?;
-            Self::fresh(entry, expected_hash).then(|| (id, entry.data.clone(), entry.hash))
+            Some((id, entry.data.clone()))
         });
         match hit {
-            Some((id, data, hash)) => {
+            Some((id, data)) => {
                 self.recency.touch(id);
                 self.stats.hits += 1;
                 self.stats.bytes_hit += data.len() as u64;
                 let read = Bytes::new(data.len() as u64);
                 clock.advance(self.latency.sample_op(&mut self.rng, Bytes::ZERO, read));
-                Some((data, hash))
+                Some(data)
             }
             // The index answered: a miss costs no access (like `probe`).
             None => {
@@ -252,18 +236,19 @@ impl CacheTier {
         }
     }
 
-    /// Inserts (or replaces) `key` with `data` tagged by `hash`, charging
+    /// Inserts (or replaces) `key`, the content address of `data`, charging
     /// the tier's write latency for the payload size and evicting the least
     /// recently used entries until it fits. Evicted entries are returned so
-    /// the caller can demote them to a lower tier.
+    /// the caller can demote them to a lower tier. `_hash` is the stub
+    /// [`CacheTier::get`] describes.
     pub fn put(
         &mut self,
         clock: &mut Clock,
         key: &str,
         data: Arc<[u8]>,
-        hash: Option<ContentHash>,
+        _hash: Option<ContentHash>,
     ) -> Vec<Evicted> {
-        let (latency, evicted) = self.insert(key, data, hash, true);
+        let (latency, evicted) = self.insert(key, data, true);
         clock.advance(latency);
         evicted
     }
@@ -271,14 +256,8 @@ impl CacheTier {
     /// Inserts an entry whose payload is already resident in a lower tier —
     /// the promotion path. The `Arc` is moved, so only the tier's
     /// per-request insert latency is charged, not a payload transfer.
-    pub fn put_moved(
-        &mut self,
-        clock: &mut Clock,
-        key: &str,
-        data: Arc<[u8]>,
-        hash: Option<ContentHash>,
-    ) -> Vec<Evicted> {
-        let (latency, evicted) = self.insert(key, data, hash, false);
+    pub fn put_moved(&mut self, clock: &mut Clock, key: &str, data: Arc<[u8]>) -> Vec<Evicted> {
+        let (latency, evicted) = self.insert(key, data, false);
         clock.advance(latency);
         evicted
     }
@@ -291,13 +270,12 @@ impl CacheTier {
         &mut self,
         key: &str,
         data: Arc<[u8]>,
-        hash: Option<ContentHash>,
         charge_payload: bool,
     ) -> (SimDuration, Vec<Evicted>) {
         let size = data.len() as u64;
         // A payload larger than the whole tier bypasses it: no bytes are
         // written, so no transfer latency is charged. The entry it would
-        // have replaced still has to go (it is stale) — that loss is an
+        // have replaced still goes, as a put replaces — that loss is an
         // invalidation, not a capacity eviction.
         if size > self.capacity.get() {
             if self.remove_resident(key).is_some() {
@@ -319,7 +297,6 @@ impl CacheTier {
                 // a victim.
                 self.used -= slot.data.len() as u64;
                 slot.data = data;
-                slot.hash = hash;
                 self.recency.remove(id);
                 self.evict_until_fits(size, &mut evicted);
                 self.used += size;
@@ -335,7 +312,6 @@ impl CacheTier {
         let entry = Entry {
             key: key.to_string(),
             data,
-            hash,
         };
         let id = match self.free.pop() {
             Some(id) => {
@@ -406,28 +382,23 @@ impl CacheTier {
         Some(Evicted {
             key: entry.key,
             data: entry.data,
-            hash: entry.hash,
         })
     }
 
-    /// Presence probe for the lazy read path: whether a usable entry exists,
+    /// Presence probe for the lazy read path: whether an entry exists,
     /// refreshing its recency so that chunks a transfer plan is about to
     /// consume are not evicted between planning and execution. No latency is
     /// charged and no hit/miss is counted — this is a planning query, not a
     /// data access.
-    pub fn probe(&mut self, key: &str, expected_hash: Option<&ContentHash>) -> bool {
+    pub fn probe(&mut self, key: &str) -> bool {
         let Some(id) = self.index.get(key).copied() else {
             return false;
         };
-        let fresh = self
-            .slots
-            .get(id as usize)
-            .and_then(|s| s.as_ref())
-            .is_some_and(|entry| Self::fresh(entry, expected_hash));
-        if fresh {
+        let resident = self.slots.get(id as usize).is_some_and(Option::is_some);
+        if resident {
             self.recency.touch(id);
         }
-        fresh
+        resident
     }
 
     /// The payload resident under `key`, read without an access: no
@@ -437,13 +408,10 @@ impl CacheTier {
         Some(&self.slots.get(id as usize)?.as_ref()?.data)
     }
 
-    /// Whether the tier holds an entry for `key` matching `expected_hash`
-    /// (no latency charged, no recency refreshed; accounting only).
-    pub fn contains(&self, key: &str, expected_hash: Option<&ContentHash>) -> bool {
-        self.index
-            .get(key)
-            .and_then(|&id| self.slots.get(id as usize)?.as_ref())
-            .is_some_and(|entry| Self::fresh(entry, expected_hash))
+    /// Whether the tier holds an entry for `key` (no latency charged, no
+    /// recency refreshed; accounting only).
+    pub fn contains(&self, key: &str) -> bool {
+        self.peek(key).is_some()
     }
 }
 
@@ -554,36 +522,30 @@ impl TieredCache {
     /// into the memory tier by moving the `Arc` (one insert charge, no
     /// payload copy); entries the promotion pushes out of memory are
     /// demoted back to disk, behind the caller.
-    pub fn get(
-        &mut self,
-        clock: &mut Clock,
-        key: &str,
-        expected_hash: Option<&ContentHash>,
-    ) -> Option<Arc<[u8]>> {
-        if let Some(data) = self.memory.get(clock, key, expected_hash) {
+    pub fn get(&mut self, clock: &mut Clock, key: &str) -> Option<Arc<[u8]>> {
+        if let Some(data) = self.memory.get(clock, key, None) {
             return Some(data);
         }
-        let (data, stored_hash) = self.disk.get_with_hash(clock, key, expected_hash)?;
+        let data = self.disk.get(clock, key, None)?;
         self.promotions += 1;
-        let evicted = self.memory.put_moved(clock, key, data.clone(), stored_hash);
+        let evicted = self.memory.put_moved(clock, key, data.clone());
         self.demote(clock, clock.now(), evicted);
         Some(data)
     }
 
-    /// Inserts `key` into the tier(s) selected by `mode`. Memory evictions
-    /// caused by the insert are demoted to disk. Disk writes are written
-    /// behind: returns the instant the last of them lands (now, if the put
-    /// wrote nothing to disk).
+    /// Inserts `key`, the content address of `data`, into the tier(s)
+    /// selected by `mode`. Memory evictions caused by the insert are demoted
+    /// to disk. Disk writes are written behind: returns the instant the last
+    /// of them lands (now, if the put wrote nothing to disk).
     pub fn put(
         &mut self,
         clock: &mut Clock,
         key: &str,
         data: Arc<[u8]>,
-        hash: Option<ContentHash>,
         mode: WriteMode,
     ) -> SimInstant {
         let now = clock.now();
-        self.put_after(clock, now, key, data, hash, mode)
+        self.put_after(clock, now, key, data, mode)
     }
 
     /// As [`TieredCache::put`], with this put's disk writes queued behind
@@ -595,56 +557,49 @@ impl TieredCache {
         queued: SimInstant,
         key: &str,
         data: Arc<[u8]>,
-        hash: Option<ContentHash>,
         mode: WriteMode,
     ) -> SimInstant {
         let start = queued.max(clock.now());
         match mode {
             WriteMode::Through => {
-                let landed = self.write_behind(start, key, data.clone(), hash);
-                let evicted = self.memory.put(clock, key, data, hash);
+                let landed = self.write_behind(start, key, data.clone());
+                let evicted = self.memory.put(clock, key, data, None);
                 self.demote(clock, landed, evicted)
             }
             WriteMode::CacheOnly if data.len() as u64 > self.memory.capacity().get() => {
-                self.write_behind(start, key, data, hash)
+                self.write_behind(start, key, data)
             }
             WriteMode::CacheOnly => {
-                let evicted = self.memory.put(clock, key, data, hash);
+                let evicted = self.memory.put(clock, key, data, None);
                 self.demote(clock, start, evicted)
             }
-            WriteMode::DiskOnly => self.write_behind(start, key, data, hash),
+            WriteMode::DiskOnly => self.write_behind(start, key, data),
         }
     }
 
     /// Writes memory-tier evictions into the disk tier, behind the caller:
     /// each is a real disk write (the bytes genuinely move from RAM to
     /// disk), queued after `queued` and the ones before it; returns where the
-    /// last one lands. Payloads the disk already holds under the same
-    /// version hash are skipped — in particular, promoted entries falling
-    /// back out of memory, whose disk copy never went away. Disk evictions
-    /// caused by a demotion leave the cache for good.
+    /// last one lands. A key the disk already holds is skipped: it names
+    /// the same bytes — in particular, a promoted entry falling back out of
+    /// memory, whose disk copy never went away. Disk evictions caused by a
+    /// demotion leave the cache for good.
     fn demote(&mut self, clock: &Clock, queued: SimInstant, evicted: Vec<Evicted>) -> SimInstant {
         let mut landed = queued.max(clock.now());
         for e in evicted {
-            if e.hash.is_some() && self.disk.contains(&e.key, e.hash.as_ref()) {
+            if self.disk.contains(&e.key) {
                 continue;
             }
             self.demotions += 1;
-            landed = self.write_behind(landed, &e.key, e.data, e.hash);
+            landed = self.write_behind(landed, &e.key, e.data);
         }
         landed
     }
 
     /// Writes `key` to the disk tier behind the caller, starting at `from`,
     /// and returns the instant it lands. Disk evictions leave the cache.
-    fn write_behind(
-        &mut self,
-        from: SimInstant,
-        key: &str,
-        data: Arc<[u8]>,
-        hash: Option<ContentHash>,
-    ) -> SimInstant {
-        from + self.disk.insert(key, data, hash, true).0
+    fn write_behind(&mut self, from: SimInstant, key: &str, data: Arc<[u8]>) -> SimInstant {
+        from + self.disk.insert(key, data, true).0
     }
 
     /// Removes `key` from both tiers (see [`CacheTier::remove`]): each tier
@@ -654,18 +609,17 @@ impl TieredCache {
         self.disk.remove(key);
     }
 
-    /// Whether the disk tier holds `key` under `hash`, refreshing its disk
-    /// recency as a rewrite would — without the write (no latency, no
-    /// hit/miss counted).
-    pub fn probe_disk(&mut self, key: &str, hash: &ContentHash) -> bool {
-        self.disk.probe(key, Some(hash))
+    /// Whether the disk tier holds `key`, refreshing its disk recency as a
+    /// rewrite would — without the write (no latency, no hit/miss counted).
+    pub fn probe_disk(&mut self, key: &str) -> bool {
+        self.disk.probe(key)
     }
 
     /// Presence probe across both tiers (no latency, no hit/miss counted);
     /// refreshes recency in whichever tier holds the entry.
-    pub fn probe(&mut self, key: &str, expected_hash: Option<&ContentHash>) -> bool {
-        let in_memory = self.memory.probe(key, expected_hash);
-        let on_disk = self.disk.probe(key, expected_hash);
+    pub fn probe(&mut self, key: &str) -> bool {
+        let in_memory = self.memory.probe(key);
+        let on_disk = self.disk.probe(key);
         in_memory || on_disk
     }
 }

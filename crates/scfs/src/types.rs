@@ -664,11 +664,16 @@ impl ChunkMap {
     }
 
     /// The distinct chunk hashes of this version — the chunk blobs of its
-    /// object it names (a chunk repeated within the file is one blob).
-    /// Ordered, so bookkeeping derived from it is iteration-order
-    /// deterministic.
-    pub fn unique_chunks(&self) -> std::collections::BTreeSet<ContentHash> {
-        self.chunks.iter().copied().collect()
+    /// object it names (a chunk repeated within the file is one blob) — in
+    /// file order, each at its first occurrence: an order that follows from
+    /// the file alone, so bookkeeping derived from it is deterministic.
+    pub fn distinct_chunks(&self) -> Vec<ContentHash> {
+        let mut seen = std::collections::HashSet::new();
+        self.chunks
+            .iter()
+            .copied()
+            .filter(|h| seen.insert(*h))
+            .collect()
     }
 
     /// Indices of the chunks of this map that `prev` does not already hold —

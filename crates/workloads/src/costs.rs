@@ -150,8 +150,8 @@ pub struct FileCosts {
 /// Measures one file of `size` incompressible bytes on the paper's
 /// `backend` deployment: a blocking write by one mount, then, once its clock
 /// is past the writer's close, a cold read by a mount on
-/// [`Deployment::second_instance`] (whose version registry does not hold
-/// the map the writer wrote), then a cached re-read by that reader after its
+/// [`Deployment::second_instance`] (a backend instance with no record of
+/// the writer's version), then a cached re-read by that reader after its
 /// metadata cache expired.
 pub fn file_costs(backend: Backend, size: Bytes, seed: u64) -> FileCosts {
     const PATH: &str = "/file";

@@ -635,8 +635,11 @@ pub fn run_fleet_metadata(
                         .expect("population writes cannot conflict");
                 }
             }
+            // File index `files_per_dir` is past the shared ones: the
+            // private file differs from every other file of every mount.
+            let private = file_payload(m, cfg.files_per_dir, 64);
             agent
-                .write_file(&format!("{dir}/own_m{m}_v0"), &file_payload(m, !0, 64))
+                .write_file(&format!("{dir}/own_m{m}_v0"), &private)
                 .expect("private file creation cannot conflict");
             epoch = epoch.max(agent.now()).max(agent.background_drain_instant());
             FleetMount {
@@ -782,6 +785,15 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(b, c);
+        // A metadata-fleet mount's private file, as `run_fleet_metadata`
+        // writes it.
+        let files_per_dir = 8;
+        let private = |m| file_payload(m, files_per_dir, 64);
+        let (p0, p1) = (private(0), private(1));
+        assert_ne!(p0, p1, "two mounts' private files");
+        for f in 0..files_per_dir {
+            assert_ne!(p0, file_payload(0, f, 64), "a private and a shared file");
+        }
     }
 
     #[test]

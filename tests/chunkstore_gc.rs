@@ -34,6 +34,7 @@ use scfs_repro::cloud_store::store::{ObjectStore, OpCtx};
 use scfs_repro::cloud_store::types::{Acl, ObjectMeta, Permission};
 use scfs_repro::depsky::register::DepSkyClient;
 use scfs_repro::scfs::agent::ScfsAgent;
+use scfs_repro::scfs::backend::FileStorage;
 use scfs_repro::scfs::chunkstore::{BlobName, JournalOpts, KeyStyle};
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::error::ScfsError;
@@ -61,6 +62,21 @@ fn distinct_chunks(tag: u8, n: usize) -> Vec<u8> {
 }
 
 /// A four-chunk test payload: its manifest rides in the metadata tuple.
+/// Reads the version `map` lays out back from `id`'s chunks: the map a
+/// reader takes from the metadata tuple, the only copy of an inline one.
+fn read_back(
+    storage: &dyn FileStorage,
+    ctx: &mut OpCtx<'_>,
+    id: &str,
+    map: &ChunkMap,
+) -> Result<Vec<u8>, ScfsError> {
+    let mut data = Vec::with_capacity(map.file_len() as usize);
+    for hash in map.chunks() {
+        data.extend(storage.read_chunk(ctx, id, hash)?);
+    }
+    Ok(data)
+}
+
 fn four_chunks(tag: u8) -> Vec<u8> {
     distinct_chunks(tag, 4)
 }
@@ -725,7 +741,7 @@ proptest! {
 
         // f1 accumulates versions that share their leading chunks and vary
         // their last one; f2 shares f1's base content entirely.
-        let mut roots = Vec::new();
+        let mut maps = Vec::new();
         let mut contents: Vec<Vec<u8>> = Vec::new();
         let mut prev: Option<ChunkMap> = None;
         for v in 0..versions {
@@ -738,16 +754,16 @@ proptest! {
                 data
             };
             let map = ChunkMap::build(&data, CHUNK);
-            let outcome = storage.write_version(
+            storage.write_version(
                 &mut ctx, "f1", &data, &map, prev.as_ref(), v == 0, None, &opts,
             ).unwrap();
-            roots.push(outcome.root_hash);
+            maps.push(map.clone());
             contents.push(data);
             prev = Some(map);
         }
         let shared = four_chunks(0x20);
         let shared_map = ChunkMap::build(&shared, CHUNK);
-        let o2 = storage.write_version(
+        storage.write_version(
             &mut ctx, "f2", &shared, &shared_map, None, true, None, &opts,
         ).unwrap();
 
@@ -774,11 +790,11 @@ proptest! {
         prop_assert_eq!(storage.pending_releases(), 0);
 
         // Retained versions of f1 and all of f2 are intact.
-        for (root, data) in roots.iter().zip(&contents).skip(versions.saturating_sub(keep)) {
-            prop_assert_eq!(&storage.read_version(&mut ctx, "f1", root, &opts).unwrap(), data);
+        for (map, data) in maps.iter().zip(&contents).skip(versions.saturating_sub(keep)) {
+            prop_assert_eq!(&read_back(storage.as_ref(), &mut ctx, "f1", map).unwrap(), data);
         }
         prop_assert_eq!(
-            storage.read_version(&mut ctx, "f2", &o2.root_hash, &opts).unwrap(),
+            read_back(storage.as_ref(), &mut ctx, "f2", &shared_map).unwrap(),
             shared
         );
         let orphans = deployment.orphans();

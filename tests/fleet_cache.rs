@@ -24,7 +24,6 @@ use scfs_repro::scfs::cache::{
 };
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::fs::FileSystem;
-use scfs_repro::scfs_crypto::{sha256, ContentHash};
 use scfs_repro::sim_core::time::{Clock, SimDuration};
 use scfs_repro::sim_core::units::Bytes;
 use scfs_repro::workloads::fleet::{run_fleet, FleetConfig};
@@ -265,7 +264,7 @@ proptest! {
                 }
                 2 => tier.remove(&key),
                 _ => {
-                    tier.probe(&key, None);
+                    tier.probe(&key);
                 }
             }
             prop_assert!(
@@ -275,7 +274,7 @@ proptest! {
                 tier.capacity()
             );
             let resident: u64 = (0..16)
-                .filter(|&i| tier.contains(&format!("k{i}"), None))
+                .filter(|&i| tier.contains(&format!("k{i}")))
                 .map(|i| key_size(i) as u64)
                 .sum();
             prop_assert_eq!(
@@ -287,14 +286,15 @@ proptest! {
     }
 }
 
-/// One entry of the reference model: key, payload size, version hash.
-type ModelEntry = (String, u64, Option<ContentHash>);
+/// One entry of the reference model: key (a content address) and payload
+/// size.
+type ModelEntry = (String, u64);
 
 /// What a tier evicted, in the model's terms.
 fn as_model(evicted: Vec<Evicted>) -> Vec<ModelEntry> {
     evicted
         .into_iter()
-        .map(|e| (e.key, e.data.len() as u64, e.hash))
+        .map(|e| (e.key, e.data.len() as u64))
         .collect()
 }
 
@@ -327,10 +327,8 @@ impl ModelLru {
         self.order.iter().map(|e| e.1).sum()
     }
 
-    fn find(&self, key: &str, expected: Option<&ContentHash>) -> Option<usize> {
-        self.order
-            .iter()
-            .position(|e| e.0 == key && (expected.is_none() || e.2.as_ref() == expected))
+    fn find(&self, key: &str) -> Option<usize> {
+        self.order.iter().position(|e| e.0 == key)
     }
 
     /// Drops `key`, if resident; whether it was.
@@ -350,7 +348,7 @@ impl ModelLru {
     /// Replaces or inserts `key` as the most recent entry and returns what
     /// had to leave, oldest first; a payload larger than the tier only
     /// displaces the entry it would have replaced (an invalidation).
-    fn put(&mut self, key: &str, size: u64, hash: Option<ContentHash>) -> Vec<ModelEntry> {
+    fn put(&mut self, key: &str, size: u64) -> Vec<ModelEntry> {
         if size > self.capacity {
             self.remove(key);
             return Vec::new();
@@ -361,19 +359,19 @@ impl ModelLru {
             evicted.push(self.order.remove(0));
             self.evictions += 1;
         }
-        self.order.push((key.to_string(), size, hash));
+        self.order.push((key.to_string(), size));
         evicted
     }
 
-    /// Refreshes a matching entry's recency (the `probe` of the real tier).
-    fn touch(&mut self, key: &str, expected: Option<&ContentHash>) -> Option<ModelEntry> {
-        let entry = self.order.remove(self.find(key, expected)?);
+    /// Refreshes an entry's recency (the `probe` of the real tier).
+    fn touch(&mut self, key: &str) -> Option<ModelEntry> {
+        let entry = self.order.remove(self.find(key)?);
         self.order.push(entry.clone());
         Some(entry)
     }
 
-    fn get(&mut self, key: &str, expected: Option<&ContentHash>) -> Option<ModelEntry> {
-        let hit = self.touch(key, expected);
+    fn get(&mut self, key: &str) -> Option<ModelEntry> {
+        let hit = self.touch(key);
         match &hit {
             Some(entry) => {
                 self.hits += 1;
@@ -390,8 +388,8 @@ impl ModelLru {
         for i in 0..MODEL_KEYS {
             let key = format!("k{i}");
             assert_eq!(
-                tier.contains(&key, None),
-                self.find(&key, None).is_some(),
+                tier.contains(&key),
+                self.find(&key).is_some(),
                 "{what}: residency of {key}"
             );
         }
@@ -413,14 +411,12 @@ impl ModelLru {
 /// Size of the key universe the model-based tests draw from.
 const MODEL_KEYS: u32 = 12;
 
-/// One decoded step of a model-based case: the key, a payload size (one in
-/// sixteen just over one of `capacities`), and a version (two hashed
-/// versions and the hash-less one a never-uploaded file has).
+/// One decoded step of a model-based case: the key and a payload size (one
+/// in sixteen just over one of `capacities`).
 struct ModelOp {
     kind: u32,
     key: String,
     size: u64,
-    hash: Option<ContentHash>,
 }
 
 impl ModelOp {
@@ -431,12 +427,10 @@ impl ModelOp {
         } else {
             64 + selector * 37 % 3000
         };
-        let version = (op >> 20) % 3;
         ModelOp {
             kind: op % 8,
             key: format!("k{}", (op >> 3) % MODEL_KEYS),
             size,
-            hash: (version < 2).then(|| sha256(&[version as u8])),
         }
     }
 
@@ -447,8 +441,8 @@ impl ModelOp {
 
 proptest! {
     /// Eviction *order*, step by step: a `CacheTier` driven by random `put`
-    /// (varied sizes, replace-in-place, larger-than-tier), `get` (matching
-    /// and stale `expected_hash`), `probe` and `remove` answers every lookup
+    /// (varied sizes, replace-in-place, larger-than-tier), `get`, `probe`
+    /// and `remove` answers every lookup
     /// like the reference LRU, evicts the same keys in the same order, and
     /// keeps the same resident set, `used_bytes` and counters. A final
     /// tier-sized put flushes the whole recency list for comparison.
@@ -460,16 +454,15 @@ proptest! {
         let mut clock = Clock::new();
         for (step, &raw) in ops.iter().enumerate() {
             let op = ModelOp::decode(raw, &[capacity]);
-            let expected = op.hash.as_ref();
             match op.kind {
                 0..=2 => {
-                    let evicted = tier.put(&mut clock, &op.key, op.payload(), op.hash);
-                    let wanted = model.put(&op.key, op.size, op.hash);
+                    let evicted = tier.put(&mut clock, &op.key, op.payload(), None);
+                    let wanted = model.put(&op.key, op.size);
                     prop_assert_eq!(as_model(evicted), wanted, "step {}: evicted, in order", step);
                 }
                 3..=5 => {
-                    let served = tier.get(&mut clock, &op.key, expected);
-                    let wanted = model.get(&op.key, expected);
+                    let served = tier.get(&mut clock, &op.key, None);
+                    let wanted = model.get(&op.key);
                     prop_assert_eq!(
                         served.map(|data| data.len() as u64),
                         wanted.map(|e| e.1),
@@ -477,8 +470,8 @@ proptest! {
                     );
                 }
                 6 => prop_assert_eq!(
-                    tier.probe(&op.key, expected),
-                    model.touch(&op.key, expected).is_some(),
+                    tier.probe(&op.key),
+                    model.touch(&op.key).is_some(),
                     "step {}: probe {}", step, op.key
                 ),
                 _ => {
@@ -493,11 +486,11 @@ proptest! {
     }
 
     /// The two-tier composition against two reference LRUs: demotions land
-    /// on disk in eviction order, a disk hit is promoted (and replaces a
-    /// stale memory entry in place), payloads over the memory tier go
-    /// straight to disk, a promoted entry that falls back out of memory
-    /// — its disk copy still current — is neither counted as a demotion nor
-    /// written (which would refresh its disk recency) a second time, and
+    /// on disk in eviction order, a disk hit is promoted, payloads over the
+    /// memory tier go straight to disk, an entry that falls out of memory
+    /// while the disk holds its key — a promoted one, or one written
+    /// through — is neither counted as a demotion nor written (which would
+    /// refresh its disk recency) a second time, and
     /// `remove` takes a key out of both tiers, one invalidation each. After
     /// every step each tier's `used_bytes` is its resident bytes.
     #[test]
@@ -514,43 +507,42 @@ proptest! {
         let mut clock = Clock::new();
 
         fn demote(disk: &mut ModelLru, demotions: &mut u64, evicted: Vec<ModelEntry>) {
-            for (key, size, hash) in evicted {
-                if hash.is_some() && disk.find(&key, hash.as_ref()).is_some() {
+            for (key, size) in evicted {
+                if disk.find(&key).is_some() {
                     continue;
                 }
                 *demotions += 1;
-                disk.put(&key, size, hash);
+                disk.put(&key, size);
             }
         }
 
         for (step, &raw) in ops.iter().enumerate() {
             let op = ModelOp::decode(raw, &[memory_capacity, disk_capacity]);
-            let expected = op.hash.as_ref();
             match op.kind {
                 0..=3 => {
                     let mode = [WriteMode::Through, WriteMode::CacheOnly, WriteMode::DiskOnly]
                         [(raw >> 24) as usize % 3];
-                    cache.put(&mut clock, &op.key, op.payload(), op.hash, mode);
+                    cache.put(&mut clock, &op.key, op.payload(), mode);
                     if mode == WriteMode::DiskOnly
                         || mode == WriteMode::CacheOnly && op.size > memory_capacity
                     {
-                        disk.put(&op.key, op.size, op.hash);
+                        disk.put(&op.key, op.size);
                     } else {
                         if mode == WriteMode::Through {
-                            disk.put(&op.key, op.size, op.hash);
+                            disk.put(&op.key, op.size);
                         }
-                        let evicted = memory.put(&op.key, op.size, op.hash);
+                        let evicted = memory.put(&op.key, op.size);
                         demote(&mut disk, &mut demotions, evicted);
                     }
                 }
                 4..=6 => {
-                    let served = cache.get(&mut clock, &op.key, expected);
-                    let wanted = memory.get(&op.key, expected).or_else(|| {
-                        let (key, size, hash) = disk.get(&op.key, expected)?;
+                    let served = cache.get(&mut clock, &op.key);
+                    let wanted = memory.get(&op.key).or_else(|| {
+                        let (key, size) = disk.get(&op.key)?;
                         promotions += 1;
-                        let evicted = memory.put(&key, size, hash);
+                        let evicted = memory.put(&key, size);
                         demote(&mut disk, &mut demotions, evicted);
-                        Some((key, size, hash))
+                        Some((key, size))
                     });
                     prop_assert_eq!(
                         served.map(|data| data.len() as u64),
@@ -564,10 +556,10 @@ proptest! {
                     disk.remove(&op.key);
                 }
                 _ => {
-                    let in_memory = memory.touch(&op.key, expected).is_some();
-                    let on_disk = disk.touch(&op.key, expected).is_some();
+                    let in_memory = memory.touch(&op.key).is_some();
+                    let on_disk = disk.touch(&op.key).is_some();
                     prop_assert_eq!(
-                        cache.probe(&op.key, expected),
+                        cache.probe(&op.key),
                         in_memory || on_disk,
                         "step {}: probe {}", step, op.key
                     );
@@ -587,8 +579,8 @@ proptest! {
         for i in 0..16 {
             let key = format!("flush{i}");
             let size = memory_capacity / 4;
-            cache.put(&mut clock, &key, vec![0u8; size as usize].into(), None, WriteMode::CacheOnly);
-            let evicted = memory.put(&key, size, None);
+            cache.put(&mut clock, &key, vec![0u8; size as usize].into(), WriteMode::CacheOnly);
+            let evicted = memory.put(&key, size);
             demote(&mut disk, &mut demotions, evicted);
             memory.assert_matches(cache.memory(), &format!("flush {i}, memory tier"));
             disk.assert_matches(cache.disk(), &format!("flush {i}, disk tier"));

@@ -1,5 +1,5 @@
 //! The lock release after a close (paper §2.5.2, Figure 4): what a close
-//! waits for, what a reopen waits for, and two lock holes that are still
+//! waits for, what a reopen waits for, and three lock holes that are still
 //! open.
 //!
 //! A blocking close promises that the data is in the cloud and that its root
@@ -182,4 +182,30 @@ fn open_hole_a_write_open_trusts_metadata_read_before_its_lock() {
         b"baseB",
         "alice's append is lost"
     );
+}
+
+/// An open hole (ROADMAP item 7(i)): two mounts of one account hand out one
+/// storage id. Each mount numbers the files it creates from 1, so the first
+/// file either creates is `alice-f1`, and the write lock is keyed by the
+/// storage id: while mount A keeps `/shared/a` open for write, mount B
+/// cannot open `/shared/b`, a file nobody else touches. A fix (ids unique
+/// per account) flips the `Locked` assertion to `Ok` and the two ids apart.
+#[test]
+fn open_hole_two_mounts_of_one_account_hand_out_one_storage_id() {
+    for backend in [Backend::Aws, Backend::CloudOfClouds] {
+        let deployment = Deployment::instant(backend, 5);
+        let mut a = deployment.mount("alice", ScfsConfig::test(Mode::Blocking), 1);
+        let mut b = deployment.mount("alice", ScfsConfig::test(Mode::Blocking), 2);
+        let h = a.open("/shared/a", OpenFlags::create()).unwrap();
+        sleep_until(&mut b, a.now() + SimDuration::from_secs(1));
+        match b.open("/shared/b", OpenFlags::create()) {
+            Err(ScfsError::Locked { holder, .. }) => assert_eq!(holder, "alice-1"),
+            other => panic!("{backend:?}: {other:?}"),
+        }
+        a.close(h).unwrap();
+        sleep_until(&mut a, b.now() + SimDuration::from_secs(1));
+        for path in ["/shared/a", "/shared/b"] {
+            assert_eq!(a.stat(path).unwrap().storage_id, "alice-f1", "{backend:?}");
+        }
+    }
 }
