@@ -421,11 +421,18 @@ pub trait FileStorage: Send + Sync {
         })
     }
 
-    /// Reads and reassembles the whole version of `id` whose root hash is
-    /// `hash` (manifest plus every chunk), fetching the chunks through the
-    /// transfer engine at most `opts.max_parallel` at a time. This is the
-    /// blocking path re-expressed over the async twin: a begin on a
-    /// throwaway scheduler followed by an immediate wait.
+    /// Reads and reassembles the version of `id` whose root hash is `hash`
+    /// from its stored manifest object and every chunk, fetching the chunks
+    /// through the transfer engine at most `opts.max_parallel` at a time.
+    /// This is the blocking path re-expressed over the async twin: a begin
+    /// on a throwaway scheduler followed by an immediate wait.
+    ///
+    /// It reads the map through [`FileStorage::read_manifest`], so a version
+    /// whose manifest rides in the metadata tuple (no manifest object is
+    /// stored) fails with a transient not-found, on every backend instance,
+    /// the committing one included. No production path calls it (the agent
+    /// reads chunks through the map its tuple or manifest gave it); it stays
+    /// because the benchmark's decorator forwards it (ROADMAP item 1(b)).
     fn read_version(
         &self,
         ctx: &mut OpCtx<'_>,

@@ -10,16 +10,17 @@
 //! coordination service anchors (root → manifest → chunks): a key names
 //! one content, so a stale copy is never returned.
 //!
-//! The module is split in three layers:
+//! The module has two layers:
 //!
-//! * `policy` — the one replacement policy, as the paper has it: LRU over
-//!   an intrusive recency list (O(1) eviction — no full-map scan).
-//! * [`tier`] — [`CacheTier`], one bounded level owning the payloads
-//!   (`Arc<[u8]>`: hits never copy chunk bytes), the key index, the byte
-//!   accounting, the latency charging and its recency list.
+//! * [`tier`] — [`CacheTier`], one bounded level, LRU as the paper has it,
+//!   in two maps: its entries by key (payloads are `Arc<[u8]>`, so hits
+//!   never copy chunk bytes) and the same keys ordered by last use. A hit,
+//!   a probe, an insert and an eviction are each O(log n), with no scan for
+//!   a victim. The tier also keeps the byte accounting and charges its
+//!   latencies.
 //! * [`TieredCache`] — the memory-over-disk composition the agent mounts:
-//!   disk hits are **promoted** into memory by moving the `Arc` (one insert
-//!   charge, no copy), and memory evictions are **demoted** to disk instead
+//!   disk hits that fit the memory tier are **promoted** into it by moving
+//!   the `Arc` (one insert charge, no copy), and memory evictions are **demoted** to disk instead
 //!   of being dropped, so re-reads stay local instead of touching the
 //!   cloud. Every disk write, a demotion included, is **written behind**:
 //!   it leaves the caller's clock alone and reports the instant it lands,
@@ -37,11 +38,9 @@
 //! [fleet harness](../../workloads/fleet/index.html) measures the resulting
 //! hit rates and latency percentiles at 10⁴+ simulated mounts.
 
-mod policy;
 pub mod tier;
 
-pub use policy::PolicyKind;
-pub use tier::{CacheStats, CacheTier, Evicted, TieredCache, TieredStats, WriteMode};
+pub use tier::{CacheStats, CacheTier, Evicted, PolicyKind, TieredCache, TieredStats, WriteMode};
 
 use sim_core::units::Bytes;
 
@@ -318,6 +317,24 @@ mod tests {
         cache.put(&mut clock, "/g", zeros(250), WriteMode::CacheOnly);
         assert_eq!(cache.stats().demotions, 0);
         assert!(cache.disk().contains("/f"));
+    }
+
+    #[test]
+    fn a_disk_hit_too_large_for_memory_is_served_without_a_promotion() {
+        let config = CacheConfig::default().with_capacities(Bytes::new(8), Bytes::new(64));
+        let mut cache = TieredCache::new(&config, 38);
+        let mut clock = Clock::new();
+        let data = zeros(16);
+        cache.put(&mut clock, "/f", data.clone(), WriteMode::DiskOnly);
+        for _ in 0..2 {
+            let served = cache.get(&mut clock, "/f").unwrap();
+            assert!(Arc::ptr_eq(&data, &served));
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.disk.hits, 2, "both reads are served from disk");
+        assert_eq!(stats.promotions, 0, "nothing moved into memory");
+        assert_eq!(stats.memory.policy_steps, 0, "memory was never touched");
+        assert!(cache.memory().is_empty());
     }
 
     #[test]

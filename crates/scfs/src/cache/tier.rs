@@ -1,16 +1,27 @@
 //! Cache tiers and the two-tier composition used by the agent.
 //!
-//! A [`CacheTier`] owns the resident entries of one level (memory or disk):
-//! a slab of [`Arc<[u8]>`] payloads, a key index, the byte accounting, the
-//! virtual-clock latency charging and the LRU recency list that picks its
-//! victims. [`TieredCache`] composes a memory tier over a disk tier and
-//! makes the paper's two-level behaviour (§2.5.1) first-class:
+//! A [`CacheTier`] owns the resident entries of one level (memory or disk)
+//! in two maps: `entries`, each key's [`Arc<[u8]>`] payload and the stamp
+//! of its last use, and `by_use`, the same keys ordered by that stamp, the
+//! least recently used first. A hit, a probe or an insert restamps its key;
+//! an eviction pops the first one. Each is O(log n), with no scan for a
+//! victim. Beside them the tier keeps the byte accounting and the
+//! virtual-clock latency charging. [`TieredCache`] composes a memory tier
+//! over a disk tier and makes the paper's two-level behaviour (§2.5.1)
+//! first-class:
 //!
-//! * **promotion** — a disk hit moves the `Arc` into the memory tier,
-//!   charging one memory insert (request latency, no payload copy);
+//! * **promotion** — a disk hit that fits the memory tier moves the `Arc`
+//!   into it, charging one memory insert (request latency, no payload copy);
 //! * **demotion** — entries evicted from memory under capacity pressure are
 //!   written to the disk tier instead of being dropped, so a later read is
 //!   a disk hit rather than a cloud download.
+//!
+//! LRU is the one replacement policy, as the paper's client cache is at
+//! both levels, and on purpose. Measured on the zipfian fleet, TinyLFU
+//! admission and size-aware GDSF were no better than LRU
+//! (`BENCH_transfer.json` run 12, LRU / TinyLFU / GDSF: `read_p50` 0.4639 /
+//! 0.4698 / 0.4634 s, byte hit rate 0.271 / 0.248 / 0.271), so a choice
+//! between them is not worth a trait, a dispatch and two knobs.
 //!
 //! Every disk-tier payload write — a `Through` or `DiskOnly` put, an
 //! oversized `CacheOnly` put, a demotion — is **written behind** the caller:
@@ -33,7 +44,7 @@
 //! missing, never stale, and the same key on both tiers is the same
 //! payload.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use scfs_crypto::ContentHash;
@@ -42,9 +53,16 @@ use sim_core::rng::DetRng;
 use sim_core::time::{Clock, SimDuration, SimInstant};
 use sim_core::units::Bytes;
 
-use super::policy::{EntryId, PolicyKind, RecencyList};
 use super::CacheConfig;
 use crate::invariant::InvariantViolation;
+
+/// The spelling `benchmark/src/kernels.rs` constructs a memory tier with.
+/// It selects nothing and goes with Benchmark v2 (ROADMAP).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PolicyKind {
+    /// Least-recently-used — the only policy there is.
+    Lru,
+}
 
 /// Statistics of one cache tier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -64,16 +82,17 @@ pub struct CacheStats {
     pub bytes_hit: u64,
     /// Payload bytes evicted to make room.
     pub bytes_evicted: u64,
-    /// Bookkeeping steps performed on the recency list; flat per eviction
-    /// regardless of resident entry count.
+    /// Bookkeeping steps on the recency order: one per insert, per touch
+    /// (a hit or a probe), per removal and per victim pick, so an eviction
+    /// is two, however many entries are resident.
     pub policy_steps: u64,
 }
 
-/// One resident entry: its key (owned here, surrendered on eviction so the
-/// victim key is never cloned) and payload.
+/// One resident entry: the stamp it sits at in the recency order, and its
+/// payload.
 #[derive(Debug)]
 struct Entry {
-    key: String,
+    used_at: u64,
     data: Arc<[u8]>,
 }
 
@@ -93,10 +112,11 @@ pub struct CacheTier {
     name: &'static str,
     capacity: Bytes,
     used: u64,
-    index: HashMap<String, EntryId>,
-    slots: Vec<Option<Entry>>,
-    free: Vec<EntryId>,
-    recency: RecencyList,
+    entries: HashMap<Arc<str>, Entry>,
+    /// The keys of `entries` by the stamp of their last use, the victim
+    /// first. A stamp is the step count at that use, so stamps are unique
+    /// and grow.
+    by_use: BTreeMap<u64, Arc<str>>,
     latency: LatencyProfile,
     rng: DetRng,
     stats: CacheStats,
@@ -119,10 +139,8 @@ impl CacheTier {
             name,
             capacity,
             used: 0,
-            index: HashMap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            recency: RecencyList::new(),
+            entries: HashMap::new(),
+            by_use: BTreeMap::new(),
             latency,
             rng: DetRng::new(seed),
             stats: CacheStats::default(),
@@ -139,34 +157,46 @@ impl CacheTier {
         Bytes::new(self.used)
     }
 
-    /// Access statistics (with the recency list's step counter folded in).
+    /// Access statistics.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            policy_steps: self.recency.steps(),
-            ..self.stats
-        }
+        self.stats
     }
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.entries.len()
     }
 
     /// Whether the tier is empty.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.entries.is_empty()
     }
 
-    /// Appends any violated byte-accounting invariants to `out`: `used` is
-    /// exactly the sum of resident payload sizes, never exceeds capacity,
-    /// and the key index covers exactly the occupied slots.
+    /// Appends any violated invariants to `out`: the recency order holds
+    /// every resident key exactly once, at its entry's stamp; `used` is
+    /// exactly the sum of resident payload sizes and never exceeds
+    /// capacity.
     pub fn check_invariants(&self, out: &mut Vec<InvariantViolation>) {
-        let resident: u64 = self
-            .slots
-            .iter()
-            .flatten()
-            .map(|entry| entry.data.len() as u64)
-            .sum();
+        let mut resident = 0u64;
+        let mut ordered = 0usize;
+        for (&stamp, key) in &self.by_use {
+            if let Some(entry) = self.entries.get(key).filter(|e| e.used_at == stamp) {
+                resident += entry.data.len() as u64;
+                ordered += 1;
+            }
+        }
+        if ordered != self.by_use.len() || ordered != self.entries.len() {
+            out.push(InvariantViolation::new(
+                "cache.order-mismatch",
+                format!(
+                    "{} tier: {} keys, {} stamps, {} at their entry's stamp",
+                    self.name,
+                    self.entries.len(),
+                    self.by_use.len(),
+                    ordered
+                ),
+            ));
+        }
         if resident != self.used {
             out.push(InvariantViolation::new(
                 "cache.used-bytes-accounting",
@@ -187,18 +217,6 @@ impl CacheTier {
                 ),
             ));
         }
-        let occupied = self.slots.iter().flatten().count();
-        if occupied != self.index.len() {
-            out.push(InvariantViolation::new(
-                "cache.index-slot-mismatch",
-                format!(
-                    "{} tier: {} occupied slots but {} indexed keys",
-                    self.name,
-                    occupied,
-                    self.index.len()
-                ),
-            ));
-        }
     }
 
     /// Looks up `key`, a content address, and returns its payload. A hit
@@ -213,27 +231,16 @@ impl CacheTier {
         key: &str,
         _hash: Option<&ContentHash>,
     ) -> Option<Arc<[u8]>> {
-        // An index entry pointing at a vacated slot would be an invariant
-        // breach; it degrades to a miss rather than a panic on the read path.
-        let hit = self.index.get(key).copied().and_then(|id| {
-            let entry = self.slots.get(id as usize)?.as_ref()?;
-            Some((id, entry.data.clone()))
-        });
-        match hit {
-            Some((id, data)) => {
-                self.recency.touch(id);
-                self.stats.hits += 1;
-                self.stats.bytes_hit += data.len() as u64;
-                let read = Bytes::new(data.len() as u64);
-                clock.advance(self.latency.sample_op(&mut self.rng, Bytes::ZERO, read));
-                Some(data)
-            }
+        let Some(data) = self.touch(key).map(|entry| entry.data.clone()) else {
             // The index answered: a miss costs no access (like `probe`).
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+            self.stats.misses += 1;
+            return None;
+        };
+        self.stats.hits += 1;
+        self.stats.bytes_hit += data.len() as u64;
+        let read = Bytes::new(data.len() as u64);
+        clock.advance(self.latency.sample_op(&mut self.rng, Bytes::ZERO, read));
+        Some(data)
     }
 
     /// Inserts (or replaces) `key`, the content address of `data`, charging
@@ -278,66 +285,24 @@ impl CacheTier {
         // have replaced still goes, as a put replaces — that loss is an
         // invalidation, not a capacity eviction.
         if size > self.capacity.get() {
-            if self.remove_resident(key).is_some() {
-                self.stats.invalidations += 1;
-            }
+            self.remove(key);
             return (SimDuration::ZERO, Vec::new());
         }
         let payload = Bytes::new(if charge_payload { size } else { 0 });
         let latency = self.latency.sample_op(&mut self.rng, payload, Bytes::ZERO);
+        // An entry being replaced leaves the order and the byte count while
+        // room is made, so it cannot be its own victim.
+        let key = self.remove_resident(key).unwrap_or_else(|| Arc::from(key));
         let mut evicted = Vec::new();
-        // Single index lookup decides replace-in-place vs fresh insert; the
-        // old implementation hashed the key up to three times per put
-        // (remove, evict loop, insert).
-        if let Some(id) = self.index.get(key).copied() {
-            if let Some(slot) = self.slots.get_mut(id as usize).and_then(|s| s.as_mut()) {
-                // Replacing in place: retire the old payload from the
-                // recency list and the byte accounting, make room, then
-                // re-register. While the entry is off the list it cannot be
-                // a victim.
-                self.used -= slot.data.len() as u64;
-                slot.data = data;
-                self.recency.remove(id);
-                self.evict_until_fits(size, &mut evicted);
-                self.used += size;
-                self.recency.insert(id);
-                return (latency, evicted);
-            }
-            // An index entry naming a vacated slot is an invariant breach;
-            // drop it and fall through to a fresh insert instead of
-            // panicking on the write path.
-            self.index.remove(key);
-        }
-        self.evict_until_fits(size, &mut evicted);
-        let entry = Entry {
-            key: key.to_string(),
-            data,
-        };
-        let id = match self.free.pop() {
-            Some(id) => {
-                self.slots[id as usize] = Some(entry);
-                id
-            }
-            None => {
-                self.slots.push(Some(entry));
-                (self.slots.len() - 1) as EntryId
-            }
-        };
-        self.index.insert(key.to_string(), id);
-        self.used += size;
-        self.recency.insert(id);
-        (latency, evicted)
-    }
-
-    /// Evicts least-recently-used entries into `evicted` until `size` more
-    /// bytes fit (or nothing evictable is left).
-    fn evict_until_fits(&mut self, size: u64, evicted: &mut Vec<Evicted>) {
         while self.used + size > self.capacity.get() {
-            match self.evict_one() {
-                Some(e) => evicted.push(e),
-                None => break,
-            }
+            let Some(e) = self.evict_one() else { break };
+            evicted.push(e);
         }
+        self.used += size;
+        let used_at = self.step();
+        self.by_use.insert(used_at, key.clone());
+        self.entries.insert(key, Entry { used_at, data });
+        (latency, evicted)
     }
 
     /// Removes `key` from the tier — the agent's drop of a chunk or
@@ -350,39 +315,51 @@ impl CacheTier {
         }
     }
 
-    /// Unindexes and frees the entry under `key`, if any, without touching
-    /// the stats.
-    fn remove_resident(&mut self, key: &str) -> Option<Entry> {
-        let id = self.index.remove(key)?;
-        // A vacated slot behind a live index entry degrades to "nothing to
-        // remove" (the index entry is already gone).
-        let entry = self.slots.get_mut(id as usize).and_then(|s| s.take())?;
-        self.recency.remove(id);
+    /// Takes the entry under `key`, if any, out of both maps and the byte
+    /// count (one step, and no other counter); returns its key.
+    fn remove_resident(&mut self, key: &str) -> Option<Arc<str>> {
+        let (key, entry) = self.entries.remove_entry(key)?;
+        self.step();
+        self.by_use.remove(&entry.used_at);
         self.used -= entry.data.len() as u64;
-        self.free.push(id);
+        Some(key)
+    }
+
+    /// Evicts the least recently used entry: a victim pick and a removal,
+    /// one step each.
+    fn evict_one(&mut self) -> Option<Evicted> {
+        self.step();
+        let (_, key) = self.by_use.pop_first()?;
+        self.step();
+        let entry = self.entries.remove(&key)?;
+        let len = entry.data.len() as u64;
+        self.used -= len;
+        self.stats.evictions += 1;
+        self.stats.bytes_evicted += len;
+        Some(Evicted {
+            key: String::from(&*key),
+            data: entry.data,
+        })
+    }
+
+    /// Restamps a resident `key` as the most recently used (one step) and
+    /// returns its entry.
+    fn touch(&mut self, key: &str) -> Option<&Entry> {
+        let entry = self.entries.get_mut(key)?;
+        // `step`, but on the field: `entry` still borrows `entries`.
+        self.stats.policy_steps += 1;
+        let used_at = std::mem::replace(&mut entry.used_at, self.stats.policy_steps);
+        if let Some(key) = self.by_use.remove(&used_at) {
+            self.by_use.insert(entry.used_at, key);
+        }
         Some(entry)
     }
 
-    /// Evicts the least recently used entry, surrendering its owned key and
-    /// payload — no clones on the eviction path.
-    fn evict_one(&mut self) -> Option<Evicted> {
-        let id = self.recency.victim()?;
-        let Some(entry) = self.slots.get_mut(id as usize).and_then(|s| s.take()) else {
-            // A victim naming a vacated slot would loop forever if retried;
-            // retire it from the list and report no eviction.
-            self.recency.remove(id);
-            return None;
-        };
-        self.recency.remove(id);
-        self.index.remove(&entry.key);
-        self.used -= entry.data.len() as u64;
-        self.free.push(id);
-        self.stats.evictions += 1;
-        self.stats.bytes_evicted += entry.data.len() as u64;
-        Some(Evicted {
-            key: entry.key,
-            data: entry.data,
-        })
+    /// Counts one bookkeeping step and returns the count, which is also
+    /// the stamp of a use made at this step.
+    fn step(&mut self) -> u64 {
+        self.stats.policy_steps += 1;
+        self.stats.policy_steps
     }
 
     /// Presence probe for the lazy read path: whether an entry exists,
@@ -391,27 +368,19 @@ impl CacheTier {
     /// charged and no hit/miss is counted — this is a planning query, not a
     /// data access.
     pub fn probe(&mut self, key: &str) -> bool {
-        let Some(id) = self.index.get(key).copied() else {
-            return false;
-        };
-        let resident = self.slots.get(id as usize).is_some_and(Option::is_some);
-        if resident {
-            self.recency.touch(id);
-        }
-        resident
+        self.touch(key).is_some()
     }
 
     /// The payload resident under `key`, read without an access: no
     /// latency, no hit or miss, no recency step.
     pub(crate) fn peek(&self, key: &str) -> Option<&Arc<[u8]>> {
-        let id = *self.index.get(key)?;
-        Some(&self.slots.get(id as usize)?.as_ref()?.data)
+        self.entries.get(key).map(|entry| &entry.data)
     }
 
     /// Whether the tier holds an entry for `key` (no latency charged, no
     /// recency refreshed; accounting only).
     pub fn contains(&self, key: &str) -> bool {
-        self.peek(key).is_some()
+        self.entries.contains_key(key)
     }
 }
 
@@ -518,18 +487,21 @@ impl TieredCache {
         }
     }
 
-    /// Two-level lookup: memory first, then disk. A disk hit is promoted
-    /// into the memory tier by moving the `Arc` (one insert charge, no
-    /// payload copy); entries the promotion pushes out of memory are
-    /// demoted back to disk, behind the caller.
+    /// Two-level lookup: memory first, then disk. A disk hit that fits the
+    /// memory tier is promoted into it by moving the `Arc` (one insert
+    /// charge, no payload copy); entries the promotion pushes out of memory
+    /// are demoted back to disk, behind the caller. A larger one is served
+    /// from disk and stays there.
     pub fn get(&mut self, clock: &mut Clock, key: &str) -> Option<Arc<[u8]>> {
         if let Some(data) = self.memory.get(clock, key, None) {
             return Some(data);
         }
         let data = self.disk.get(clock, key, None)?;
-        self.promotions += 1;
-        let evicted = self.memory.put_moved(clock, key, data.clone());
-        self.demote(clock, clock.now(), evicted);
+        if data.len() as u64 <= self.memory.capacity().get() {
+            self.promotions += 1;
+            let evicted = self.memory.put_moved(clock, key, data.clone());
+            self.demote(clock, clock.now(), evicted);
+        }
         Some(data)
     }
 

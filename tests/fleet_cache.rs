@@ -1,9 +1,9 @@
 //! Integration tests of the two-tier LRU chunk cache and the fleet-scale
 //! workload harness:
 //!
-//! * eviction cost is independent of the resident entry count (an
-//!   operation-count budget per eviction, no O(n) victim scan), both on the
-//!   bare tier and across fleet runs on both backends;
+//! * an eviction stays within a fixed budget of bookkeeping steps however
+//!   many entries are resident (no victim scan), both on the bare tier and
+//!   across fleet runs on both backends;
 //! * a chunk evicted from the memory tier is demoted to the disk tier and a
 //!   later read is served from disk without a cloud download;
 //! * `used_bytes` always equals the byte-sum of resident entries and never
@@ -11,8 +11,9 @@
 //!   (property-tested);
 //! * a tier, and the memory-over-disk composition (`remove` included),
 //!   answer, evict and count exactly like a `Vec`-backed reference LRU,
-//!   step by step, under arbitrary operation sequences (model-based
-//!   property tests);
+//!   bookkeeping steps included, and pass their own invariant checks, step
+//!   by step, under arbitrary operation sequences (model-based property
+//!   tests);
 //! * the fleet harness is deterministic: the same seed reproduces the same
 //!   trace hash and the same measured numbers.
 
@@ -24,6 +25,7 @@ use scfs_repro::scfs::cache::{
 };
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::fs::FileSystem;
+use scfs_repro::scfs::invariant::InvariantViolation;
 use scfs_repro::sim_core::time::{Clock, SimDuration};
 use scfs_repro::sim_core::units::Bytes;
 use scfs_repro::workloads::fleet::{run_fleet, FleetConfig};
@@ -31,7 +33,7 @@ use scfs_repro::workloads::setup::{Backend, Deployment};
 
 const ENTRY: usize = 1024;
 
-/// Recency-list work (in `steps`) per insert once the tier is full, with
+/// Recency-order work (in `steps`) per insert once the tier is full, with
 /// `resident` entries resident. Every insert misses, so each one runs the
 /// eviction loop.
 fn steps_per_insert_at(resident: usize) -> f64 {
@@ -56,9 +58,10 @@ fn steps_per_insert_at(resident: usize) -> f64 {
     (after.policy_steps - before.policy_steps) as f64 / OPS as f64
 }
 
-/// The O(1)-eviction requirement on the bare tier: growing the resident
-/// set 64× must not grow the per-eviction bookkeeping. A tier that scanned
-/// all residents for its victim would be ~64× more expensive when large.
+/// The per-eviction step budget on the bare tier: growing the resident set
+/// 64× must not grow the bookkeeping steps an eviction takes. A tier that
+/// scanned all residents for its victim would be ~64× more expensive when
+/// large.
 #[test]
 fn eviction_cost_is_independent_of_resident_count() {
     let small = steps_per_insert_at(64);
@@ -299,7 +302,9 @@ fn as_model(evicted: Vec<Evicted>) -> Vec<ModelEntry> {
 }
 
 /// The reference LRU the real tier is checked against: a `Vec` ordered
-/// least-recently-used first, every operation a linear scan.
+/// least-recently-used first, every operation a linear scan. It counts
+/// bookkeeping steps by the tier's rule: one per insert, per touch (a hit
+/// or a probe), per removal and per victim pick.
 struct ModelLru {
     capacity: u64,
     order: Vec<ModelEntry>,
@@ -308,6 +313,7 @@ struct ModelLru {
     evictions: u64,
     invalidations: u64,
     bytes_hit: u64,
+    steps: u64,
 }
 
 impl ModelLru {
@@ -320,6 +326,7 @@ impl ModelLru {
             evictions: 0,
             invalidations: 0,
             bytes_hit: 0,
+            steps: 0,
         }
     }
 
@@ -331,11 +338,13 @@ impl ModelLru {
         self.order.iter().position(|e| e.0 == key)
     }
 
-    /// Drops `key`, if resident; whether it was.
+    /// Drops `key`, if resident (one step); whether it was.
     fn forget(&mut self, key: &str) -> bool {
         let resident = self.order.len();
         self.order.retain(|e| e.0 != key);
-        self.order.len() < resident
+        let forgot = self.order.len() < resident;
+        self.steps += u64::from(forgot);
+        forgot
     }
 
     /// The tier's `remove`: a resident entry leaves as an invalidation.
@@ -358,8 +367,10 @@ impl ModelLru {
         while self.used() + size > self.capacity {
             evicted.push(self.order.remove(0));
             self.evictions += 1;
+            self.steps += 2; // the victim pick and its removal
         }
         self.order.push((key.to_string(), size));
+        self.steps += 1;
         evicted
     }
 
@@ -367,6 +378,7 @@ impl ModelLru {
     fn touch(&mut self, key: &str) -> Option<ModelEntry> {
         let entry = self.order.remove(self.find(key)?);
         self.order.push(entry.clone());
+        self.steps += 1;
         Some(entry)
     }
 
@@ -382,9 +394,12 @@ impl ModelLru {
         hit
     }
 
-    /// Resident set, `used_bytes` and the five counters of `tier` equal the
-    /// model's.
+    /// Resident set, `used_bytes` and the six counters of `tier` equal the
+    /// model's, and `tier` finds nothing wrong with itself.
     fn assert_matches(&self, tier: &CacheTier, what: &str) {
+        let mut violations: Vec<InvariantViolation> = Vec::new();
+        tier.check_invariants(&mut violations);
+        assert!(violations.is_empty(), "{what}: {violations:?}");
         for i in 0..MODEL_KEYS {
             let key = format!("k{i}");
             assert_eq!(
@@ -405,6 +420,7 @@ impl ModelLru {
             stats.invalidations, self.invalidations,
             "{what}: invalidations"
         );
+        assert_eq!(stats.policy_steps, self.steps, "{what}: policy_steps");
     }
 }
 
@@ -444,8 +460,9 @@ proptest! {
     /// (varied sizes, replace-in-place, larger-than-tier), `get`, `probe`
     /// and `remove` answers every lookup
     /// like the reference LRU, evicts the same keys in the same order, and
-    /// keeps the same resident set, `used_bytes` and counters. A final
-    /// tier-sized put flushes the whole recency list for comparison.
+    /// keeps the same resident set, `used_bytes` and counters, bookkeeping
+    /// steps included, with the tier's invariant check clean. A final
+    /// tier-sized put flushes the whole recency order for comparison.
     #[test]
     fn prop_tier_matches_reference_lru(ops in collection::vec(any::<u32>(), 1..200)) {
         let capacity = 8 * 1024;
@@ -486,13 +503,16 @@ proptest! {
     }
 
     /// The two-tier composition against two reference LRUs: demotions land
-    /// on disk in eviction order, a disk hit is promoted, payloads over the
-    /// memory tier go straight to disk, an entry that falls out of memory
+    /// on disk in eviction order, a disk hit that fits the memory tier is
+    /// promoted (a larger one stays on disk), payloads over the memory tier
+    /// go straight to disk, an entry that falls out of memory
     /// while the disk holds its key — a promoted one, or one written
     /// through — is neither counted as a demotion nor written (which would
     /// refresh its disk recency) a second time, and
     /// `remove` takes a key out of both tiers, one invalidation each. After
-    /// every step each tier's `used_bytes` is its resident bytes.
+    /// every step each tier's `used_bytes` is its resident bytes, its
+    /// counters (bookkeeping steps included) are the model's, and both
+    /// tiers' invariant checks are clean.
     #[test]
     fn prop_tiered_cache_matches_two_reference_lrus(
         ops in collection::vec(any::<u32>(), 1..200)
@@ -539,9 +559,11 @@ proptest! {
                     let served = cache.get(&mut clock, &op.key);
                     let wanted = memory.get(&op.key).or_else(|| {
                         let (key, size) = disk.get(&op.key)?;
-                        promotions += 1;
-                        let evicted = memory.put(&key, size);
-                        demote(&mut disk, &mut demotions, evicted);
+                        if size <= memory_capacity {
+                            promotions += 1;
+                            let evicted = memory.put(&key, size);
+                            demote(&mut disk, &mut demotions, evicted);
+                        }
                         Some((key, size))
                     });
                     prop_assert_eq!(
@@ -574,8 +596,8 @@ proptest! {
                 "step {}: promotions / demotions", step
             );
         }
-        // Push both recency lists out one entry at a time: the order in
-        // which residents disappear is the order the lists held them in.
+        // Push both recency orders out one entry at a time: the order in
+        // which residents disappear is the order the tiers held them in.
         for i in 0..16 {
             let key = format!("flush{i}");
             let size = memory_capacity / 4;
