@@ -470,17 +470,47 @@ impl FileSystem for ScfsAgent {
         Ok(self.with_pending_commit(&path, md))
     }
 
+    /// Creates the directory `path` in one coordination round trip: the
+    /// create needs nothing the parent lookup answers, so the lookup runs on
+    /// a fork of this mount's clock, the exclusive create on the clock itself
+    /// from the same instant, and the call returns at the later of the two.
+    ///
+    /// A parent that is absent, unreadable or not a directory fails the call
+    /// with the parent's error, which wins over the create's own (a child
+    /// that already exists under a missing parent is still `NotFound`). A
+    /// child the create did land is then deleted again: no transaction, a
+    /// compensating delete, the one extra coordination call and only on this
+    /// error path. Other mounts can see such a child for at most that one
+    /// round trip; should the delete fail, it stays.
     fn mkdir(&mut self, path: &str) -> Result<(), ScfsError> {
         let path = self.enter(path)?;
         let now = self.clock.now();
         let md = FileMetadata::new_directory(&path, self.user.clone(), now);
-        let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-        // The root always exists.
         let parent = crate::types::parent_of(&path);
-        if parent != "/" && self.metadata.get(&mut ctx, &parent).is_err() {
-            return Err(ScfsError::not_found(parent));
+        let mut parent_clock = self.clock.fork();
+        // The root always exists.
+        let found = (parent != "/").then(|| {
+            let mut ctx = OpCtx::new(&mut parent_clock, self.user.clone());
+            self.metadata.get(&mut ctx, &parent)
+        });
+        let parent_error = match found {
+            Some(Err(e)) => Some(e),
+            Some(Ok(dir)) if dir.file_type != FileType::Directory => Some(ScfsError::WrongType {
+                path: parent,
+                expected: "directory",
+            }),
+            _ => None,
+        };
+        let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
+        let created = self.metadata.create(&mut ctx, md);
+        ctx.clock.advance_to(parent_clock.now());
+        let Some(e) = parent_error else {
+            return created;
+        };
+        if created.is_ok() {
+            self.metadata.delete(&mut ctx, &path).ok();
         }
-        self.metadata.create(&mut ctx, md)
+        Err(e)
     }
 
     fn readdir(&mut self, path: &str) -> Result<Vec<String>, ScfsError> {

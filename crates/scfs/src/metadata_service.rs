@@ -92,6 +92,9 @@ fn path_error(path: &str, e: CoordError) -> ScfsError {
         CoordError::AlreadyExists { .. } => ScfsError::AlreadyExists {
             path: path.to_string(),
         },
+        CoordError::AccessDenied { .. } => ScfsError::PermissionDenied {
+            path: path.to_string(),
+        },
         other => other.into(),
     }
 }

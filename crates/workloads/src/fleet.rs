@@ -622,8 +622,10 @@ pub fn run_fleet_metadata(
             let mut agent = deployment.mount(&account, cfg.scfs.clone(), seed);
             let populates_dir = cfg.disjoint_dirs || m < cfg.teams;
             if populates_dir {
-                // `mkdir` (unlike `write_file`) checks its parent, so the
-                // working directory must exist before the storm's mkdirs.
+                // `mkdir` checks its parent, so the working directory must
+                // exist before the storm's mkdirs. A file create does not
+                // (`tests/mkdir_parent.rs`,
+                // `open_hole_a_file_create_does_not_check_its_parent`).
                 if let Some(parent) = dir.rfind('/').filter(|&p| p > 0).map(|p| &dir[..p]) {
                     agent.mkdir(parent).expect("fresh team parent directory");
                 }
