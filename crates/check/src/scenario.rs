@@ -18,10 +18,10 @@
 //!   exposes.
 //! * [`ScenarioKind::ChunkstoreGc`] — non-blocking closes race the chunk
 //!   garbage collector, and a second backend instance stores and collects
-//!   identical content; the oracle is the release journal's structural
-//!   invariants (journal seq sanity), the cache's byte accounting, a cold
-//!   read of every file, zero orphaned blobs across both instances at
-//!   quiescence and every `Pending` settled at drain.
+//!   identical content; the oracle is the cache's byte accounting, a cold
+//!   read of every file, and at quiescence a release journal that one
+//!   fault-free replay drains on each instance, zero orphaned blobs across
+//!   both instances and every `Pending` settled at drain.
 
 use std::sync::Arc;
 
@@ -34,8 +34,8 @@ use coord::router::fnv1a;
 use coord::service::CoordinationService;
 use parking_lot::Mutex;
 use scfs::agent::ScfsAgent;
-use scfs::backend::SingleCloudStorage;
-use scfs::chunkstore::KeyStyle;
+use scfs::backend::{FileStorage, SingleCloudStorage};
+use scfs::chunkstore::{JournalOpts, KeyStyle};
 use scfs::config::{Mode, ScfsConfig};
 use scfs::fs::FileSystem;
 use scfs::invariant::InvariantViolation;
@@ -308,9 +308,10 @@ fn run_abd(seed: u64, mutant: bool, decisions: &[usize]) -> RunOutcome {
 /// backend instance over the same cloud, as every client runs its own
 /// agent, writes the content of `/a`'s last version under his own path,
 /// unlinks it and lets his collector reclaim it. Structural invariants are
-/// evaluated after every syscall, and quiescence invariants (orphans over
-/// both instances, pending settlement, a cold read of alice's files) after
-/// sleeping past the drain horizon.
+/// evaluated after every syscall, and quiescence invariants (a journal each
+/// instance's fault-free replay drains, orphans over both instances,
+/// pending settlement, a cold read of alice's files) after sleeping past the
+/// drain horizon.
 ///
 /// There is no seeded mutant for this scenario yet (`mutant` only widens
 /// the write pattern), so exploration asserts the invariants hold under
@@ -425,6 +426,22 @@ fn run_chunkstore_gc(seed: u64, mutant: bool, decisions: &[usize]) -> RunOutcome
             Err(e) => format!("a cold mount cannot read {path}: {e}"),
         };
         violations.push(InvariantViolation::new("chunkstore.cold-read", detail));
+    }
+    // A fault-free replay applies every release intent: one still pending
+    // after it is a release no replay would ever apply.
+    for (instance, account) in [(&storage, "alice"), (&second, "bob")] {
+        let mut clock = Clock::starting_at(drain);
+        let mut ctx = OpCtx::new(&mut clock, account.into());
+        instance
+            .replay_release_journal(&mut ctx, &JournalOpts::default())
+            .ok();
+        let pending = instance.pending_releases();
+        if pending != 0 {
+            violations.push(InvariantViolation::new(
+                "chunkstore.journal-drained",
+                format!("{account}: {pending} release intents pending after a fault-free replay"),
+            ));
+        }
     }
     let orphans = storage
         .blob_audit()

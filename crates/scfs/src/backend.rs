@@ -45,8 +45,8 @@
 //! from the same instant, a stored manifest (then its ACL tag) — and returns
 //! when all of it has landed; DepSky's [`DepSkyClient::write_blob`] does the
 //! same with a blob's blocks. A version that fails
-//! part-way is invisible, and the provisional release intents journaled
-//! before the wave reclaim whatever it stored.
+//! part-way is invisible, and the release intents it journals on failure,
+//! for everything it meant to store, reclaim whatever landed.
 //!
 //! A version's manifest lives in exactly one place, and
 //! [`manifest_rides_inline`] — asked here and by the tuple writer,
@@ -239,7 +239,7 @@ impl StoreState {
     /// The tail of every version commit, once all its blobs have landed:
     /// records the version, and cancels the pending intents of what it
     /// stores — its distinct chunks and its manifest object, if it stores
-    /// one — among them the provisional intents journaled before the upload.
+    /// one — that an earlier prune or failed write left.
     fn commit_version(&mut self, id: &str, version: StoredVersion) {
         let chunks = version.chunks.iter().map(|h| BlobName::chunk(id, *h));
         let manifest = version
@@ -529,9 +529,11 @@ pub trait FileStorage: Send + Sync {
         let _ = slot;
     }
 
-    /// Appends any violated storage invariants (release-journal
-    /// bookkeeping) to `out`. Backends without a chunk store have
-    /// nothing to check — the default reports nothing.
+    /// Appends any violated storage invariants to `out`. A stub: no
+    /// backend has one left to check, so nothing overrides this default,
+    /// which reports nothing. It stays because the benchmark package's
+    /// storage decorator forwards it, and goes with the ROADMAP's
+    /// Benchmark-v2 item 1(b).
     fn check_invariants(&self, out: &mut Vec<InvariantViolation>) {
         let _ = out;
     }
@@ -674,17 +676,6 @@ impl<B: BlobStore> FileStorage for ChunkedStorage<B> {
         let manifest = map.encode();
         let root = sha256(&manifest);
         let object = manifest_object(&manifest);
-        // Journal this write's uploads provisionally, its plan's chunks then
-        // its manifest: if anything below fails, the already-stored blobs
-        // are covered by pending release intents and the next replay
-        // reclaims them — a failed write must not orphan what it managed to
-        // upload.
-        let chunks = plan.jobs().iter().map(|j| BlobName::chunk(id, j.hash));
-        let stored_manifest = object.map(|_| BlobName::manifest(id, root));
-        self.state
-            .lock()
-            .chunks
-            .journal(chunks.chain(stored_manifest));
         // A stored manifest (and its ACL tag) rides beside the first chunk
         // wave on a fork taken at the same instant: nothing can name it until
         // the anchor publishes `root`, so it needs no ordering after the
@@ -702,11 +693,19 @@ impl<B: BlobStore> FileStorage for ChunkedStorage<B> {
             Ok(chunk.len() as u64)
         });
         // Join before looking at either result: both sides were issued, so a
-        // failure on one still charges the other's time, and whatever it
-        // stored is covered by the provisional intents journaled above.
+        // failure on one still charges the other's time. A failed write must
+        // not orphan what it managed to upload: it journals its plan's
+        // chunks, then its manifest, and the next replay reclaims them.
         ctx.clock.advance_to(manifest_clock.now());
-        let (sizes, report) = uploaded?;
-        manifest_put?;
+        let (sizes, report) = match (uploaded, manifest_put) {
+            (Ok(uploaded), Ok(())) => uploaded,
+            (Err(e), _) | (Ok(_), Err(e)) => {
+                let chunks = plan.jobs().iter().map(|j| BlobName::chunk(id, j.hash));
+                let manifest = object.map(|_| BlobName::manifest(id, root));
+                self.state.lock().chunks.journal(chunks.chain(manifest));
+                return Err(e);
+            }
+        };
         let version = StoredVersion {
             root,
             chunks: map.distinct_chunks(),
@@ -781,44 +780,32 @@ impl<B: BlobStore> FileStorage for ChunkedStorage<B> {
         _opts: &JournalOpts,
     ) -> Result<ReplayReport, ScfsError> {
         let mut report = ReplayReport::default();
-        let mut snapshot = self.state.lock().chunks.pending_snapshot();
-        {
-            // Model-checking seam: explore other replay interleavings of
-            // this batch (the order entries of one pass race each other).
-            // With no controller installed the snapshot order — oldest
-            // first — is kept untouched.
-            let slot = self.state.lock().controller.clone();
-            slot.permute(ChoiceKind::JournalReplay, "gc-replay", &mut snapshot);
-        }
-        for entry in snapshot {
+        let (mut batch, slot) = {
+            let mut state = self.state.lock();
+            (state.chunks.take_pending(), state.controller.clone())
+        };
+        // Model-checking seam: explore other replay interleavings of this
+        // batch (the order entries of one pass race each other). With no
+        // controller installed the queue order — oldest first — is kept.
+        slot.permute(ChoiceKind::JournalReplay, "gc-replay", &mut batch);
+        for entry in batch {
             report.attempted += 1;
             let retried = entry.attempts > 0;
-            if retried {
-                report.retried += 1;
-            }
-            let decided = {
-                let mut state = self.state.lock();
-                let StoreState {
-                    registry, chunks, ..
-                } = &mut *state;
-                chunks.decide(entry.seq, |blob| registry.names(blob))
-            };
-            let Some(blob) = decided else {
+            report.retried += u64::from(retried);
+            // A blob a retained version names again is not deleted: the
+            // entry is applied as it is.
+            if self.state.lock().registry.names(&entry.target) {
                 report.cancelled += 1;
                 continue;
-            };
-            let deleted = self.blobs.delete(&mut principal_ctx(ctx, &blob), &blob);
-            let mut state = self.state.lock();
-            match deleted {
+            }
+            let blob = &entry.target;
+            match self.blobs.delete(&mut principal_ctx(ctx, blob), blob) {
                 Ok(()) => {
-                    state.chunks.mark_applied(entry.seq);
                     report.deleted += 1;
-                    if retried {
-                        report.reclaimed_after_retry += 1;
-                    }
+                    report.reclaimed_after_retry += u64::from(retried);
                 }
                 Err(_) => {
-                    state.chunks.mark_failed(entry.seq);
+                    self.state.lock().chunks.requeue_failed(entry);
                     report.errors += 1;
                 }
             }
@@ -832,10 +819,6 @@ impl<B: BlobStore> FileStorage for ChunkedStorage<B> {
 
     fn install_schedule_controller(&self, slot: ControllerSlot) {
         self.state.lock().controller = slot;
-    }
-
-    fn check_invariants(&self, out: &mut Vec<InvariantViolation>) {
-        self.state.lock().chunks.check_invariants(out);
     }
 
     fn set_acl(&self, ctx: &mut OpCtx<'_>, id: &str, acl: &Acl) -> Result<(), ScfsError> {
@@ -1491,7 +1474,8 @@ mod tests {
             )
             .is_err());
         assert!(!sim.stored_keys("scfs/f/chunks/").is_empty());
-        // The provisional journal entries keep the partial blobs reachable…
+        // The journal entries the failure left keep the partial blobs
+        // reachable…
         assert!(storage
             .blob_audit()
             .orphans(KeyStyle::Aws, sim.stored_keys("scfs/"))
@@ -1514,6 +1498,32 @@ mod tests {
                 .unwrap(),
             data
         );
+    }
+
+    #[test]
+    fn a_failed_rewrite_of_a_retained_root_is_cancelled_at_replay() {
+        // Content a retained version already stores uploads no chunk, so a
+        // rewrite whose manifest PUT fails journals that version's manifest
+        // alone: replay must find it named and cancel the entry, not delete
+        // the blob.
+        let sim = Arc::new(SimulatedCloud::test("s3"));
+        let faulty = Arc::new(ManifestPutFails::new(sim.clone()));
+        let storage = SingleCloudStorage::new(faulty.clone());
+        let mut clock = Clock::new();
+        let mut ctx = OpCtx::new(&mut clock, "alice".into());
+        let data: Vec<u8> = (0..OVER_BOUND as u8).flat_map(|t| [t; CHUNK]).collect();
+        let (kept, map) = write(&storage, &mut ctx, "f", &data, None, true);
+        faulty.set_failing(true);
+        let opts = TransferOptions::default();
+        let failed = storage.write_version(&mut ctx, "f", &data, &map, None, false, None, &opts);
+        assert!(failed.is_err());
+        faulty.set_failing(false);
+        assert_eq!(storage.pending_releases(), 1);
+        let report = replay(&storage, &mut ctx);
+        assert_eq!((report.deleted, report.cancelled), (0, 1));
+        assert_eq!(storage.pending_releases(), 0);
+        let read = storage.read_version(&mut ctx, "f", &kept.root_hash, &opts);
+        assert_eq!(read.unwrap(), data);
     }
 
     #[test]
@@ -1552,7 +1562,7 @@ mod tests {
 
     #[test]
     fn a_prune_journals_manifests_then_chunks_version_by_version() {
-        // The journal a prune leaves, as `(seq, target)`: the manifest
+        // The journal a prune leaves, as its targets in order: the manifest
         // objects it frees, then the chunks whose count reaches zero, version
         // by version; an inline version frees no manifest, and a root a kept
         // version still stores frees nothing. Replay walks this order, so it
@@ -1575,22 +1585,22 @@ mod tests {
             roots.push(outcome.root_hash);
         }
         assert_eq!(storage.delete_old_versions(&mut ctx, "f", 1).unwrap(), 4);
-        let journal: Vec<(u64, BlobName)> = storage
+        let journal: Vec<BlobName> = storage
             .state
             .lock()
             .chunks
             .pending_entries()
-            .map(|entry| (entry.seq, entry.target.clone()))
+            .map(|entry| entry.target.clone())
             .collect();
         assert_eq!(
             journal,
             [
-                (9, BlobName::manifest("f", roots[1])),
-                (10, BlobName::manifest("f", roots[2])),
-                (11, chunk(0xA1)),
-                (12, chunk(0xA0)),
-                (13, chunk(0xB0)),
-                (14, chunk(0xB1)),
+                BlobName::manifest("f", roots[1]),
+                BlobName::manifest("f", roots[2]),
+                chunk(0xA1),
+                chunk(0xA0),
+                chunk(0xB0),
+                chunk(0xB1),
             ]
         );
         let report = replay(&storage, &mut ctx);

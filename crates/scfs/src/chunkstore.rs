@@ -28,21 +28,21 @@
 //!   versions first *appends* "intent to release" entries for the blobs
 //!   that no retained version of the object names any more (phase one: the
 //!   registry may forget the versions, the journal has not), and only then
-//!   are they physically deleted and the entries marked applied (phase
-//!   two). A failed delete leaves its entry pending: the next replay
-//!   retries it instead of leaking the blob. A blob that a version names
-//!   again before its pending delete runs is *cancelled*, never deleted.
+//!   does a replay take the whole queue and delete them (phase two). A
+//!   failed delete puts its entry back at the end of the queue: the next
+//!   replay retries it instead of leaking the blob. A blob that a version
+//!   names again before its pending delete runs is *cancelled*, never
+//!   deleted.
 //!
-//! Writes are journaled too: before uploading, `write_version` appends
-//! *provisional* intents for the chunks (and the manifest object, if the
-//! version stores one) it is about to store, and cancels them once the
-//! version is recorded. A write that fails mid-flight — after some chunk
-//! uploads, or on the manifest put — therefore leaves its partial blobs
-//! covered by pending entries, and the next replay reclaims them instead of
-//! orphaning them. The journal never holds a [`BlobName::Manifest`] for a
-//! manifest that rides inline: not provisionally, not when its version is
-//! pruned — there is no object, and a delete of one would be a request (a
-//! round of them on the cloud-of-clouds) for nothing.
+//! A failed write is journaled too: when `write_version` fails after
+//! issuing its wave — after some chunk uploads, or on the manifest put — it
+//! appends intents for the chunks it planned to upload, then the manifest
+//! object if the version was to store one, and the next replay reclaims
+//! whatever landed instead of orphaning it. The journal never holds a
+//! [`BlobName::Manifest`] for a manifest that rides inline: not for a
+//! failed write, not when its version is pruned — there is no object, and a
+//! delete of one would be a request (a round of them on the
+//! cloud-of-clouds) for nothing.
 //!
 //! Journal replay is driven by the agent's garbage collector, which runs as
 //! a job on the [`sim_core::background::BackgroundScheduler`]'s GC lane:
@@ -75,8 +75,6 @@ use std::collections::{BTreeSet, VecDeque};
 use cloud_store::types::AccountId;
 use depsky::register::DepSkyClient;
 use scfs_crypto::{hash_from_hex, to_hex, ContentHash};
-
-use crate::invariant::InvariantViolation;
 
 /// Account name of the chunk-store principal that owns every chunk blob.
 pub const CHUNK_STORE_PRINCIPAL: &str = "scfs-chunkstore";
@@ -217,8 +215,6 @@ impl BlobName {
 /// One entry of the release journal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalEntry {
-    /// Monotonic sequence number (append order).
-    pub seq: u64,
     /// The blob this entry intends to release.
     pub target: BlobName,
     /// Failed physical-delete attempts so far; an entry with `attempts > 0`
@@ -251,14 +247,12 @@ pub struct ReplayReport {
     pub errors: u64,
 }
 
-/// The release journal of one backend instance: the blobs it intends to
-/// delete, oldest first. Which blobs are live is the version registry's to
-/// say; the journal only remembers what may have to go.
+/// The release journal of one backend instance: a queue of the blobs it
+/// intends to delete, oldest first. Which blobs are live is the version
+/// registry's to say; the journal only remembers what may have to go.
 #[derive(Debug, Default)]
 pub struct ChunkStore {
-    /// Release intents not yet applied, oldest first.
     pending: VecDeque<JournalEntry>,
-    next_seq: u64,
 }
 
 impl ChunkStore {
@@ -273,69 +267,38 @@ impl ChunkStore {
     }
 
     /// Appends an intent to release each of `blobs`: the blobs a prune left
-    /// unnamed (phase one; the physical deletes happen in replay, so a crash
-    /// or delete failure between the phases leaves retryable entries, never
-    /// orphans), or the blobs a write is *about to store* (if the write
-    /// fails before it is recorded, replay finds them unnamed and reclaims
-    /// them instead of orphaning them).
+    /// unnamed (phase one; the physical deletes happen in replay, so a
+    /// delete failure between the phases leaves retryable entries, never
+    /// orphans), or the blobs a failed write may have stored (no version
+    /// names them, and replay reclaims them instead of orphaning them).
     pub fn journal(&mut self, blobs: impl IntoIterator<Item = BlobName>) {
-        for target in blobs {
-            self.pending.push_back(JournalEntry {
-                seq: self.next_seq,
-                target,
-                attempts: 0,
-            });
-            self.next_seq += 1;
-        }
+        let entries = blobs.into_iter().map(|target| JournalEntry {
+            target,
+            attempts: 0,
+        });
+        self.pending.extend(entries);
     }
 
     /// Cancels the pending intents of `blobs` — the blobs of a newly
-    /// recorded version: its provisional intents, and any stale one from an
-    /// earlier prune (a pending delete must not destroy a blob just
-    /// recommitted). Cancellation is pure bookkeeping.
+    /// recorded version: an intent left by an earlier prune or failed write
+    /// must not destroy a blob just recommitted. Cancellation is pure
+    /// bookkeeping.
     pub fn cancel(&mut self, blobs: &BTreeSet<BlobName>) {
         self.pending.retain(|entry| !blobs.contains(&entry.target));
     }
 
-    /// Snapshot of the pending entries, oldest first.
-    pub fn pending_snapshot(&self) -> Vec<JournalEntry> {
-        self.pending.iter().cloned().collect()
+    /// Takes every pending entry, oldest first, for one replay pass; what
+    /// the pass cannot apply it hands back with [`ChunkStore::requeue_failed`].
+    pub fn take_pending(&mut self) -> Vec<JournalEntry> {
+        self.pending.drain(..).collect()
     }
 
-    /// Decides what entry `seq` requires *now*: `Some(target)` if the blob
-    /// must be deleted, `None` if the entry was applied without a delete
-    /// (`is_live`: a retained version names the blob again).
-    pub fn decide(
-        &mut self,
-        seq: u64,
-        is_live: impl FnOnce(&BlobName) -> bool,
-    ) -> Option<BlobName> {
-        let entry = self.pending.iter().find(|e| e.seq == seq)?;
-        if is_live(&entry.target) {
-            self.mark_applied(seq);
-            return None;
-        }
-        Some(entry.target.clone())
-    }
-
-    /// Marks entry `seq` applied (the blob is gone, or provably not needed).
-    pub fn mark_applied(&mut self, seq: u64) {
-        if let Some(pos) = self.pending.iter().position(|e| e.seq == seq) {
-            self.pending.remove(pos);
-        }
-    }
-
-    /// Records a failed delete attempt of entry `seq`: the entry stays
-    /// pending but rotates to the back of the queue, so a persistently
-    /// failing blob is not what every pass attempts first.
-    pub fn mark_failed(&mut self, seq: u64) {
-        let Some(pos) = self.pending.iter().position(|e| e.seq == seq) else {
-            return;
-        };
-        if let Some(mut entry) = self.pending.remove(pos) {
-            entry.attempts += 1;
-            self.pending.push_back(entry);
-        }
+    /// Puts `entry`, whose delete just failed, back at the end of the queue
+    /// with one more attempt counted, so a persistently failing blob is not
+    /// what every pass attempts first.
+    pub fn requeue_failed(&mut self, mut entry: JournalEntry) {
+        entry.attempts += 1;
+        self.pending.push_back(entry);
     }
 
     /// The blobs that may legitimately exist in the cloud: `live`, every
@@ -344,26 +307,6 @@ impl ChunkStore {
         let mut set: BTreeSet<BlobName> = live.into_iter().collect();
         set.extend(self.pending.iter().map(|entry| entry.target.clone()));
         set
-    }
-
-    /// Appends any violated journal invariants to `out`: sequence numbers
-    /// are unique and below the allocation cursor.
-    pub fn check_invariants(&self, out: &mut Vec<InvariantViolation>) {
-        let mut seen = BTreeSet::new();
-        for entry in &self.pending {
-            if entry.seq >= self.next_seq {
-                out.push(InvariantViolation::new(
-                    "chunkstore.journal-seq-range",
-                    format!("entry seq {} >= next_seq {}", entry.seq, self.next_seq),
-                ));
-            }
-            if !seen.insert(entry.seq) {
-                out.push(InvariantViolation::new(
-                    "chunkstore.journal-seq-duplicate",
-                    format!("journal seq {} appears twice", entry.seq),
-                ));
-            }
-        }
     }
 }
 
@@ -452,36 +395,40 @@ mod tests {
     fn provisional_upload_intents_cover_failed_writes() {
         let mut store = ChunkStore::default();
         let blobs = set([chunk(4), chunk(5)]);
-        // A write journals its uploads first...
+        // A failed write journals what it may have stored...
         store.journal(blobs.iter().cloned());
         assert_eq!(store.pending_len(), 2);
-        // ...and if it is never recorded, no version names them: the
-        // entries demand deletion.
-        let seqs: Vec<u64> = store.pending_entries().map(|e| e.seq).collect();
-        for seq in &seqs {
-            assert!(
-                store.decide(*seq, |_| false).is_some(),
-                "an unrecorded upload is garbage"
-            );
-        }
-        // A recorded write cancels its provisional entries instead.
+        // ...so no version names them, yet they stay reachable until a
+        // replay deletes them.
+        assert_eq!(
+            store.reachable_blobs([]),
+            blobs,
+            "an unrecorded upload is garbage"
+        );
+        // A version that stores them after all cancels the entries instead.
         store.cancel(&blobs);
         assert_eq!(store.pending_len(), 0);
     }
 
     #[test]
     fn failed_entries_rotate_to_the_back() {
+        let (first, second) = (BlobName::manifest("f", h(1)), BlobName::manifest("f", h(2)));
         let mut store = ChunkStore::default();
-        store.journal([BlobName::manifest("f", h(1)), BlobName::manifest("f", h(2))]);
-        let first = store.pending_entries().next().unwrap().seq;
-        store.mark_failed(first);
-        let order: Vec<u64> = store.pending_entries().map(|e| e.seq).collect();
+        store.journal([first.clone()]);
+        let batch = store.take_pending();
+        store.journal([second.clone()]);
+        for entry in batch {
+            store.requeue_failed(entry);
+        }
+        let order: Vec<(BlobName, u32)> = store
+            .pending_entries()
+            .map(|e| (e.target.clone(), e.attempts))
+            .collect();
         assert_eq!(
             order,
-            vec![first + 1, first],
+            vec![(second, 0), (first, 1)],
             "a failing entry must not block the queue head"
         );
-        assert_eq!(store.pending_entries().last().unwrap().attempts, 1);
     }
 
     #[test]
@@ -493,14 +440,12 @@ mod tests {
         store.cancel(&set([chunk(1)]));
         assert_eq!(store.pending_len(), 0);
         // An intent journaled while a version names the chunk — by a write
-        // that then failed — is cancelled at replay.
+        // that then failed — is dropped at replay: the pass takes it, finds
+        // the chunk named, deletes nothing and hands nothing back (the
+        // backend's `a_failed_rewrite_of_a_retained_root_is_cancelled_at_replay`).
         store.journal([chunk(1)]);
-        let seq = store.pending_entries().next().unwrap().seq;
-        assert_eq!(
-            store.decide(seq, |blob| *blob == chunk(1)),
-            None,
-            "a named chunk is cancelled"
-        );
+        let batch = store.take_pending();
+        assert_eq!(batch.len(), 1, "a named chunk is cancelled");
         assert_eq!(store.pending_len(), 0);
     }
 
@@ -508,14 +453,21 @@ mod tests {
     fn failed_deletes_stay_pending_and_count_attempts() {
         let mut store = ChunkStore::default();
         store.journal([chunk(9)]);
-        let seq = store.pending_entries().next().unwrap().seq;
-        assert_eq!(store.decide(seq, |_| false), Some(chunk(9)));
-        store.mark_failed(seq);
+        let mut batch = store.take_pending();
+        assert_eq!(
+            batch,
+            vec![JournalEntry {
+                target: chunk(9),
+                attempts: 0
+            }]
+        );
+        store.requeue_failed(batch.remove(0));
         let entry = store.pending_entries().next().unwrap();
         assert_eq!(entry.attempts, 1, "failure recorded, entry still pending");
-        // The retry applies.
-        assert!(store.decide(seq, |_| false).is_some());
-        store.mark_applied(seq);
+        // The retry applies: the pass takes the entry and does not hand it
+        // back.
+        let retry = store.take_pending();
+        assert_eq!(retry[0].attempts, 1);
         assert_eq!(store.pending_len(), 0);
     }
 

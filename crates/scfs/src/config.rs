@@ -53,10 +53,11 @@ impl Mode {
 /// than `written_bytes_threshold`, a background collector releases all but
 /// the newest `versions_to_keep` versions of each file it owns, as well as
 /// the files the user removed. Physical reclamation goes through the
-/// two-phase release journal ([`crate::chunkstore`]): the collector appends
-/// release intents, then replays the journal to delete the blobs no
-/// retained version of their object names — failed deletes stay pending
-/// and are retried in later cycles instead of leaking.
+/// two-phase release journal ([`crate::chunkstore`]), a queue of blob
+/// names: the collector appends release intents, then replays the queue to
+/// delete the blobs no retained version of their object names — a failed
+/// delete goes back at the end of the queue and is retried in a later cycle
+/// instead of leaking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GcConfig {
     /// Number of written bytes (W) that triggers a collection cycle.

@@ -4,18 +4,18 @@
 //! schedules and needs to *observe* invariant violations — a `debug_assert`
 //! would abort the exploration at the first counterexample instead of
 //! letting the explorer record, shrink and serialize it. So the structures
-//! that carry cross-schedule invariants (the release journal's sequence
-//! numbers, the cache tiers' byte accounting) expose a `check_invariants` method that
-//! appends any violations to a list, and the checker treats a non-empty
-//! list as a failed schedule. Ordinary tests can still assert the list is
-//! empty, which is the `debug_assert` these callbacks replace.
+//! that carry cross-schedule invariants (the cache tiers' byte accounting)
+//! expose a `check_invariants` method that appends any violations to a
+//! list, and the checker treats a non-empty list as a failed schedule.
+//! Ordinary tests can still assert the list is empty, which is the
+//! `debug_assert` these callbacks replace.
 
 use std::fmt;
 
 /// One violated invariant: which one, and what the structure looked like.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InvariantViolation {
-    /// Stable invariant name (e.g. `"chunkstore.journal-seq-duplicate"`).
+    /// Stable invariant name (e.g. `"cache.used-bytes-accounting"`).
     pub name: &'static str,
     /// Human-readable description of the violating state.
     pub detail: String,

@@ -347,7 +347,9 @@ impl MetadataService {
         let (old, new) = (Self::coord_key(from), Self::coord_key(to));
         let mut moved = 0usize;
         for store in self.stores() {
-            moved += store.rename_prefix(ctx, &old, &new)?;
+            moved += store
+                .rename_prefix(ctx, &old, &new)
+                .map_err(|e| path_error(from, e))?;
         }
         if moved == 0 {
             return Err(ScfsError::not_found(from));

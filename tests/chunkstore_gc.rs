@@ -21,7 +21,10 @@
 //!   a chunk PUT beside a stored manifest, or either half of a DepSky blob —
 //!   leaves the anchor untouched and is fully reclaimed by one replay; the
 //!   commit of a version whose manifest rides in the tuple journals chunk
-//!   intents only.
+//!   intents only;
+//! * a failed write's intents (plan order, manifest last) are cancelled by
+//!   a commit of the same content, a failed delete is requeued and retried,
+//!   and no key is deleted twice or while a retained version names it.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -35,13 +38,13 @@ use scfs_repro::cloud_store::types::{Acl, ObjectMeta, Permission};
 use scfs_repro::depsky::register::DepSkyClient;
 use scfs_repro::scfs::agent::ScfsAgent;
 use scfs_repro::scfs::backend::FileStorage;
-use scfs_repro::scfs::chunkstore::{BlobName, JournalOpts, KeyStyle};
+use scfs_repro::scfs::chunkstore::{BlobName, JournalOpts, KeyStyle, ReplayReport};
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::error::ScfsError;
 use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::scfs::transfer::TransferOptions;
 use scfs_repro::scfs::types::{ChunkMap, CutRule, OpenFlags};
-use scfs_repro::scfs_crypto::sha256;
+use scfs_repro::scfs_crypto::{sha256, to_hex};
 use scfs_repro::sim_core::time::{Clock, SimDuration};
 use scfs_repro::sim_core::units::Bytes;
 use scfs_repro::workloads::setup::{Backend, Deployment, Plane, Providers};
@@ -90,11 +93,13 @@ fn test_config() -> ScfsConfig {
 /// An object store that fails `delete` according to a scripted pattern
 /// (front of the queue per call; an empty queue succeeds) and `put` of every
 /// key containing a configured substring, delegating everything else — the
-/// fault injector for the orphan-leak and failed-commit regressions.
+/// fault injector for the orphan-leak and failed-commit regressions. It logs
+/// every delete it is asked for, and whether the key went.
 struct FaultyCloud {
     inner: Arc<SimulatedCloud>,
     fail_pattern: Mutex<VecDeque<bool>>,
     failing_puts: Mutex<Option<&'static str>>,
+    deletes: Mutex<Vec<(String, bool)>>,
 }
 
 impl FaultyCloud {
@@ -103,7 +108,14 @@ impl FaultyCloud {
             inner,
             fail_pattern: Mutex::new(VecDeque::new()),
             failing_puts: Mutex::new(None),
+            deletes: Mutex::new(Vec::new()),
         }
+    }
+
+    /// Every delete asked of this cloud so far, in order: the key, and
+    /// whether it was deleted.
+    fn deletes(&self) -> Vec<(String, bool)> {
+        self.deletes.lock().unwrap().clone()
     }
 
     /// Fails every `put` whose key contains `needle` until reset to `None`.
@@ -158,10 +170,14 @@ impl ObjectStore for FaultyCloud {
             .unwrap()
             .pop_front()
             .unwrap_or(false);
-        if fail {
-            return Err(StorageError::unavailable("injected delete fault"));
-        }
-        self.inner.delete(ctx, key)
+        let result = if fail {
+            Err(StorageError::unavailable("injected delete fault"))
+        } else {
+            self.inner.delete(ctx, key)
+        };
+        let entry = (key.to_string(), result.is_ok());
+        self.deletes.lock().unwrap().push(entry);
+        result
     }
 
     fn list(&self, ctx: &mut OpCtx<'_>, prefix: &str) -> Result<Vec<String>, StorageError> {
@@ -684,6 +700,212 @@ fn failed_close_of_a_shared_file_releases_its_write_lock() {
 #[test]
 fn failed_copy_onto_a_shared_file_releases_its_write_lock() {
     assert_failed_commit_releases_the_lock("/manifest/", |alice| alice.copy_file("/src", "/f"));
+}
+
+/// The object of the journal script below, its two versions — each over
+/// the inline bound, so each stores a manifest object — and their maps.
+const SCRIPTED: &str = "f";
+
+fn scripted_versions() -> [(Vec<u8>, ChunkMap); 2] {
+    [0x20, 0x40].map(|tag| {
+        let data = distinct_chunks(tag, OVER_BOUND);
+        let map = ChunkMap::build(&data, CHUNK);
+        (data, map)
+    })
+}
+
+/// Commits the first scripted version on a fresh `backend` deployment over
+/// [`FaultyCloud`]s, then writes the second and fails it mid-wave: every
+/// PUT of its third chunk fails, and the rest of the wave lands.
+fn commit_then_fail_a_write(backend: Backend) -> (Deployment, Vec<Arc<FaultyCloud>>, Clock) {
+    let (deployment, faulty) = faulty_deployment(backend);
+    let [(v0, map0), (v1, map1)] = scripted_versions();
+    let storage = deployment.storage();
+    let opts = TransferOptions::default();
+    let mut clock = Clock::new();
+    let mut ctx = OpCtx::new(&mut clock, "alice".into());
+    storage
+        .write_version(&mut ctx, SCRIPTED, &v0, &map0, None, true, None, &opts)
+        .unwrap();
+    let needle: &'static str = Box::leak(to_hex(&map1.chunks()[2]).into_boxed_str());
+    for cloud in &faulty {
+        cloud.fail_puts_containing(Some(needle));
+    }
+    let failed = storage.write_version(
+        &mut ctx,
+        SCRIPTED,
+        &v1,
+        &map1,
+        Some(&map0),
+        false,
+        None,
+        &opts,
+    );
+    assert!(failed.is_err());
+    for cloud in &faulty {
+        cloud.fail_puts_containing(None);
+    }
+    (deployment, faulty, clock)
+}
+
+fn replay_once(storage: &dyn FileStorage, ctx: &mut OpCtx<'_>) -> ReplayReport {
+    storage
+        .replay_release_journal(ctx, &JournalOpts::default())
+        .unwrap()
+}
+
+/// The journal paths a failed write and a prune take, on `backend`,
+/// through the storage seam: a write fails mid-wave; the same content then
+/// commits before any replay; the version before it is pruned, and a replay
+/// meets one failing delete.
+///
+/// * The failed write leaves an intent per chunk of its plan, in plan
+///   order, then one for its manifest object. The queue is read on a twin
+///   deployment, identical up to the failure, by a fault-free replay, which
+///   deletes in queue order.
+/// * The commit of the same content cancels every one of them.
+/// * The failing delete is counted, requeued and retried by the next
+///   replay. Single cloud only: a DepSky delete reports no holder's failure
+///   (pinned by the `open_hole_` test below).
+/// * No key is ever deleted twice, no key the retained version names is
+///   deleted at all, and a fault-free drain leaves nothing pending and no
+///   orphan.
+fn assert_the_journal_paths_a_failed_write_and_a_prune_take(backend: Backend) {
+    let style = match backend {
+        Backend::Aws => KeyStyle::Aws,
+        _ => KeyStyle::DepSky,
+    };
+    let [(_, map0), (v1, map1)] = scripted_versions();
+    let root1 = sha256(&map1.encode());
+    let mut intents: Vec<BlobName> = map1
+        .chunks()
+        .iter()
+        .map(|hash| BlobName::chunk(SCRIPTED, *hash))
+        .collect();
+    intents.push(BlobName::manifest(SCRIPTED, root1));
+
+    let (twin, faulty, mut clock) = commit_then_fail_a_write(backend);
+    assert_eq!(twin.storage().pending_releases(), intents.len());
+    replay_once(
+        twin.storage().as_ref(),
+        &mut OpCtx::new(&mut clock, "alice".into()),
+    );
+    let mut queue: Vec<BlobName> = faulty[0]
+        .deletes()
+        .iter()
+        .filter_map(|(key, _)| BlobName::parse(style, key))
+        .collect();
+    queue.dedup();
+    assert_eq!(queue, intents, "plan order, the manifest last");
+
+    let (deployment, faulty, mut clock) = commit_then_fail_a_write(backend);
+    let storage = deployment.storage();
+    let mut ctx = OpCtx::new(&mut clock, "alice".into());
+    assert_no_orphans(&deployment);
+    let opts = TransferOptions::default();
+    storage
+        .write_version(
+            &mut ctx,
+            SCRIPTED,
+            &v1,
+            &map1,
+            Some(&map0),
+            false,
+            None,
+            &opts,
+        )
+        .unwrap();
+    assert_eq!(storage.pending_releases(), 0, "the commit cancels them all");
+
+    assert_eq!(
+        storage.delete_old_versions(&mut ctx, SCRIPTED, 1).unwrap(),
+        1
+    );
+    let released = OVER_BOUND as u64 + 1;
+    assert_eq!(storage.pending_releases() as u64, released);
+    if backend == Backend::Aws {
+        faulty[0].script_failures([true]);
+        let report = replay_once(storage.as_ref(), &mut ctx);
+        assert_eq!(
+            (report.attempted, report.deleted, report.errors),
+            (released, released - 1, 1)
+        );
+        assert_eq!(
+            storage.pending_releases(),
+            1,
+            "the failed delete is requeued"
+        );
+        assert_no_orphans(&deployment);
+    }
+    let drained = replay_once(storage.as_ref(), &mut ctx);
+    assert_eq!(drained.errors, 0);
+    assert_eq!(drained.retried, u64::from(backend == Backend::Aws));
+    assert_eq!(storage.pending_releases(), 0);
+    assert_no_orphans(&deployment);
+
+    let retained: BTreeSet<BlobName> = intents.into_iter().collect();
+    let mut deletes = 0;
+    for cloud in &faulty {
+        let deleted: Vec<String> = cloud
+            .deletes()
+            .into_iter()
+            .filter_map(|(key, gone)| gone.then_some(key))
+            .collect();
+        deletes += deleted.len();
+        let distinct: BTreeSet<&String> = deleted.iter().collect();
+        assert_eq!(
+            distinct.len(),
+            deleted.len(),
+            "a key deleted twice: {deleted:?}"
+        );
+        for key in &deleted {
+            let blob = BlobName::parse(style, key);
+            assert!(
+                !blob.is_some_and(|blob| retained.contains(&blob)),
+                "{key} is named by the retained version"
+            );
+        }
+    }
+    assert!(deletes > 0, "the prune deleted something");
+    assert_eq!(
+        read_back(storage.as_ref(), &mut ctx, SCRIPTED, &map1).unwrap(),
+        v1
+    );
+}
+
+#[test]
+fn the_journal_paths_a_failed_write_and_a_prune_take_aws() {
+    assert_the_journal_paths_a_failed_write_and_a_prune_take(Backend::Aws);
+}
+
+#[test]
+fn the_journal_paths_a_failed_write_and_a_prune_take_coc() {
+    assert_the_journal_paths_a_failed_write_and_a_prune_take(Backend::CloudOfClouds);
+}
+
+/// A failed block delete on the cloud-of-clouds is never retried: DepSky's
+/// `delete_blob` is best-effort over the holders and reports no holder's
+/// failure, so replay applies the entry and the block stays, reachable from
+/// nothing. A fix fails the delete while a block may remain, requeues the
+/// entry, and flips the last assertion to no orphans.
+#[test]
+fn open_hole_a_failed_block_delete_on_the_cloud_of_clouds_leaks_the_block() {
+    let (deployment, faulty) = faulty_deployment(Backend::CloudOfClouds);
+    let storage = deployment.storage();
+    let mut clock = Clock::new();
+    let mut ctx = OpCtx::new(&mut clock, "alice".into());
+    let data = four_chunks(0x61);
+    let map = ChunkMap::build(&data, CHUNK);
+    let opts = TransferOptions::default();
+    storage
+        .write_version(&mut ctx, "f", &data, &map, None, true, None, &opts)
+        .unwrap();
+    storage.delete_all(&mut ctx, "f").unwrap();
+    faulty[0].script_failures([true]);
+    let report = replay_once(storage.as_ref(), &mut ctx);
+    assert_eq!((report.deleted, report.errors), (4, 0), "no delete fails");
+    assert_eq!(storage.pending_releases(), 0);
+    assert_eq!(deployment.orphans().len(), 1, "the block cloud 0 kept");
 }
 
 proptest! {

@@ -1,4 +1,4 @@
-//! `rename` and `readdir` are path operations, not string-prefix ones — three
+//! `rename` and `readdir` are path operations, not string-prefix ones — four
 //! regressions, each driven through `FileSystem` on the replicated
 //! coordination service, on a 4-shard ABD plane, and on a `NonSharing` mount
 //! (the private name space: a coordination node of one, under the same
@@ -14,11 +14,16 @@
 //! * `readdir("/a")` lists `/a`'s direct children, a child named like its
 //!   parent (`/a/a`) included and that child's own children not (the
 //!   coordinated modes used to strip the parent's name repeatedly, drop
-//!   `/a/a` and list `/a/a/x` in its place).
+//!   `/a/a` and list `/a/a/x` in its place);
+//! * a `rename` of another account's directory is refused with
+//!   `PermissionDenied` of the path asked for (it used to name the
+//!   coordination key, `/scfs/meta/a`), and moves nothing. Not in
+//!   non-sharing mode, where no other account shares the name space.
 
 use scfs_repro::coord::sharded::ShardTopology;
 use scfs_repro::scfs::agent::ScfsAgent;
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
+use scfs_repro::scfs::error::ScfsError;
 use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::workloads::setup::{Backend, Deployment, Plane, Providers};
 
@@ -33,15 +38,19 @@ enum Under {
 /// `alice`, with the paper's 500 ms metadata cache, on a fresh instantaneous
 /// deployment.
 fn mount(under: Under) -> ScfsAgent {
+    let (deployment, mode) = deployment(under);
+    deployment.mount("alice", ScfsConfig::test(mode), 1)
+}
+
+/// A fresh instantaneous deployment, and the mode its mounts run in.
+fn deployment(under: Under) -> (Deployment, Mode) {
     let spec = Deployment::on(Backend::Aws).providers(Providers::Instantaneous);
     let (plane, mode) = match under {
         Under::Replicated => (Plane::Instantaneous, Mode::Blocking),
         Under::FourShards => (Plane::Sharded(ShardTopology::test(4)), Mode::Blocking),
         Under::NonSharing => (Plane::Instantaneous, Mode::NonSharing),
     };
-    spec.plane(plane)
-        .build(3)
-        .mount("alice", ScfsConfig::test(mode), 1)
+    (spec.plane(plane).build(3), mode)
 }
 
 fn assert_rename_leaves_siblings_that_share_a_name_prefix(under: Under) {
@@ -100,6 +109,20 @@ fn assert_readdir_lists_direct_children_even_one_named_like_its_parent(under: Un
     assert_eq!(fs.readdir("/").unwrap(), ["/a", "/ab"]);
 }
 
+fn assert_a_denied_rename_names_the_path_asked_for(under: Under) {
+    let (env, mode) = deployment(under);
+    let mut alice = env.mount("alice", ScfsConfig::test(mode), 1);
+    alice.mkdir("/a").unwrap();
+    alice.write_file("/a/f", b"alice's").unwrap();
+    let mut bob = env.mount("bob", ScfsConfig::test(mode), 2);
+    assert_eq!(
+        bob.rename("/a", "/b"),
+        Err(ScfsError::PermissionDenied { path: "/a".into() })
+    );
+    assert_eq!(alice.read_file("/a/f").unwrap(), b"alice's");
+    assert!(alice.stat("/b").is_err(), "nothing moved");
+}
+
 #[test]
 fn rename_leaves_prefix_siblings_on_the_replicated_plane() {
     assert_rename_leaves_siblings_that_share_a_name_prefix(Under::Replicated);
@@ -143,4 +166,14 @@ fn readdir_lists_a_child_named_like_its_parent_on_the_four_shard_plane() {
 #[test]
 fn readdir_lists_a_child_named_like_its_parent_in_non_sharing_mode() {
     assert_readdir_lists_direct_children_even_one_named_like_its_parent(Under::NonSharing);
+}
+
+#[test]
+fn a_denied_rename_names_the_path_on_the_replicated_plane() {
+    assert_a_denied_rename_names_the_path_asked_for(Under::Replicated);
+}
+
+#[test]
+fn a_denied_rename_names_the_path_on_the_four_shard_plane() {
+    assert_a_denied_rename_names_the_path_asked_for(Under::FourShards);
 }
