@@ -8,6 +8,24 @@
 //!
 //! The same structure is reused (by composition) by the S3FS-like and
 //! S3QL-like baselines, which add their cloud behaviour on top.
+//!
+//! It is also the reference of the sequential specification
+//! (`tests/spec.rs`), whose deviation table cites where it answers more
+//! loosely than POSIX, or than SCFS:
+//!
+//! * its name space is a flat map of paths: `mkdir` and a create check no
+//!   parent, `unlink` removes a directory's name as it does a file's, and
+//!   `readdir` of a missing path or of a regular file lists the paths
+//!   directly under the name (`Ok([])` for none);
+//! * a rename into its own subtree moves the names one by one, over each
+//!   other;
+//! * a truncating open truncates at the handle's first write or truncate,
+//!   so one closed unwritten leaves the file whole, and `truncate` goes
+//!   through a read-only handle;
+//! * a `stat` of a file that two handles have written reports one of their
+//!   sizes, which one unspecified;
+//! * `sync` stops at the local disk: only `close` makes a handle's bytes
+//!   the file's.
 
 use std::collections::{BTreeMap, HashMap};
 

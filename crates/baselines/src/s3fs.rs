@@ -6,6 +6,15 @@
 //! no main-memory cache for open files, which is why its read
 //! micro-benchmarks are slower than everyone else's (paper §4.2), and its
 //! metadata-intensive workloads are the slowest of all systems evaluated.
+//!
+//! Its name space is held twice, in the local tree and in S3, and the two
+//! can part (the deviation table of `tests/spec.rs` cites this): an open
+//! asks S3 first, so opening a directory, which S3 holds as a `/`-suffixed
+//! marker object, is `NotFound`; a create PUTs its object before the local
+//! create can refuse it; a flush PUTs the path of a handle whose file is
+//! gone; and a rename copies the one object at its name, none under it,
+//! and onto itself deletes it. An open of a name S3 still holds brings it
+//! back locally.
 
 use std::sync::Arc;
 

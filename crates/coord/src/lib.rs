@@ -36,10 +36,12 @@
 //!
 //! Each group runs in a [`replication::ReplicationMode`]: crash-tolerant
 //! groups have `2f + 1` replicas, write quorum `f + 1`, and trust any single
-//! reply; Byzantine groups have `3f + 1` replicas, write quorum `2f + 1`,
-//! and require `f + 1` *matching* replies before trusting a value. ABD
-//! timestamps are packed into the entry version (`(seqno << 20) | writer`),
-//! so the ABD and SMR lanes share one monotone version space per key.
+//! reply (at `f = 0`, the paper's single AWS instance and the private name
+//! space's node of one); Byzantine groups have `3f + 1` replicas, write
+//! quorum `2f + 1`, and require `f + 1` *matching* replies before trusting a
+//! value. ABD timestamps are packed into the entry version (`(seqno << 20) |
+//! writer`), so the ABD and SMR lanes share one monotone version space per
+//! key.
 //! Byzantine replicas can garble the values they return but not forge
 //! timestamps (commands are signed and metadata self-verifying, as in
 //! DepSky); reads vote replies and write back the winner on disagreement.

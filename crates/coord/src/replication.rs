@@ -35,10 +35,9 @@ use crate::store::TupleStore;
 /// Fault-tolerance mode of the replicated coordination service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplicationMode {
-    /// A single, unreplicated instance (the paper's AWS backend).
-    SingleNode,
     /// Crash fault tolerance with `2f + 1` replicas (ZooKeeper / Zab,
-    /// or DepSpace in crash mode).
+    /// or DepSpace in crash mode). At `f = 0` it is a single, unreplicated
+    /// instance: the paper's AWS backend.
     CrashFaultTolerant {
         /// Number of tolerated crash faults.
         f: usize,
@@ -55,7 +54,6 @@ impl ReplicationMode {
     /// Number of replicas this mode requires.
     pub fn replica_count(&self) -> usize {
         match *self {
-            ReplicationMode::SingleNode => 1,
             ReplicationMode::CrashFaultTolerant { f } => 2 * f + 1,
             ReplicationMode::ByzantineFaultTolerant { f } => 3 * f + 1,
         }
@@ -64,7 +62,6 @@ impl ReplicationMode {
     /// Size of the quorum needed to commit an update.
     pub fn write_quorum(&self) -> usize {
         match *self {
-            ReplicationMode::SingleNode => 1,
             ReplicationMode::CrashFaultTolerant { f } => f + 1,
             ReplicationMode::ByzantineFaultTolerant { f } => 2 * f + 1,
         }
@@ -73,7 +70,6 @@ impl ReplicationMode {
     /// Number of matching replies a client needs to trust a response.
     pub fn reply_quorum(&self) -> usize {
         match *self {
-            ReplicationMode::SingleNode => 1,
             ReplicationMode::CrashFaultTolerant { .. } => 1,
             ReplicationMode::ByzantineFaultTolerant { f } => f + 1,
         }
@@ -82,7 +78,6 @@ impl ReplicationMode {
     /// Number of tolerated faults.
     pub fn f(&self) -> usize {
         match *self {
-            ReplicationMode::SingleNode => 0,
             ReplicationMode::CrashFaultTolerant { f }
             | ReplicationMode::ByzantineFaultTolerant { f } => f,
         }
@@ -116,7 +111,7 @@ impl ReplicationConfig {
     /// Portugal in 60–100 ms per access.
     pub fn aws_single_ec2() -> Self {
         ReplicationConfig {
-            mode: ReplicationMode::SingleNode,
+            mode: ReplicationMode::CrashFaultTolerant { f: 0 },
             replicas: vec![ReplicaConfig {
                 name: "EC2 (Ireland)".into(),
                 client_rtt: LatencyModel::uniform_ms(58.0, 92.0),
@@ -204,8 +199,8 @@ impl ReplicationConfig {
     /// Samples the three latency terms of one SMR-ordered update, in this
     /// RNG draw order: the client ↔ leader round trip, the leader's
     /// processing time, and the protocol's ordering rounds among the
-    /// replicas — none on a single node; one for crash tolerance (the leader
-    /// proposes and waits for acknowledgements from a quorum of followers);
+    /// replicas — one for crash tolerance (the leader proposes and waits for
+    /// acknowledgements from a quorum of followers, free on a single node);
     /// two for Byzantine tolerance (the PRE-PREPARE/PREPARE and COMMIT
     /// all-to-all exchanges). Each round is one inter-replica round trip
     /// bounded by the slowest member of the quorum.
@@ -216,7 +211,6 @@ impl ReplicationConfig {
         let leader_rtt = self.replicas[0].client_rtt.sample(rng);
         let processing = self.processing.sample(rng);
         let rounds = match self.mode {
-            ReplicationMode::SingleNode => 0,
             ReplicationMode::CrashFaultTolerant { .. } => 1,
             ReplicationMode::ByzantineFaultTolerant { .. } => 2,
         };
@@ -268,7 +262,7 @@ impl ReplicatedCoordinator {
     /// as an agent's private name space.
     pub fn test() -> Self {
         ReplicatedCoordinator::from_validated(
-            ReplicationConfig::test_instant(ReplicationMode::SingleNode),
+            ReplicationConfig::test_instant(ReplicationMode::CrashFaultTolerant { f: 0 }),
             0,
         )
     }
@@ -301,7 +295,7 @@ impl ReplicatedCoordinator {
         let mut rng = self.rng.lock();
         let processing = self.config.processing.sample(&mut rng);
         match self.config.mode {
-            ReplicationMode::SingleNode | ReplicationMode::CrashFaultTolerant { .. } => {
+            ReplicationMode::CrashFaultTolerant { .. } => {
                 self.config.replicas[0].client_rtt.sample(&mut rng) + processing
             }
             ReplicationMode::ByzantineFaultTolerant { .. } => {
@@ -523,7 +517,12 @@ mod tests {
 
     #[test]
     fn mode_sizes() {
-        assert_eq!(ReplicationMode::SingleNode.replica_count(), 1);
+        let single = ReplicationMode::CrashFaultTolerant { f: 0 };
+        assert_eq!(single.replica_count(), 1);
+        assert_eq!(
+            (single.write_quorum(), single.reply_quorum(), single.f()),
+            (1, 1, 0)
+        );
         assert_eq!(
             ReplicationMode::CrashFaultTolerant { f: 1 }.replica_count(),
             3

@@ -324,20 +324,21 @@ impl DepSkyClient {
         })
     }
 
-    /// Issues `op` on every block of the blob `base|hash`, at once and
-    /// best-effort, and waits out the slowest holder.
+    /// Issues `op` on every block of the blob `base|hash` at once, waits out
+    /// the slowest holder, and returns each holder's answer in slot order.
     fn on_every_holder(
         &self,
         ctx: &mut OpCtx<'_>,
         base: &str,
         hash: &ContentHash,
         mut op: impl FnMut(&dyn ObjectStore, &mut OpCtx<'_>, &str) -> Result<(), StorageError>,
-    ) {
+    ) -> Vec<Result<(), StorageError>> {
         let name = Self::blob_unit(base, hash);
         let outcomes = self.on_holders(ctx, &name, 0..self.holders.len(), |cloud, c, key, _| {
             op(cloud, c, key)
         });
         join_all(ctx.clock, outcomes.iter().map(|o| o.completed_at));
+        outcomes.into_iter().map(|o| o.value).collect()
     }
 
     /// Stores the immutable blob `base|hash` through the full DepSky-CA
@@ -441,17 +442,25 @@ impl DepSkyClient {
         })
     }
 
-    /// Deletes the blob `base|hash`: one DELETE per holder, best-effort,
-    /// waiting out the slowest. A block that never landed costs its request
-    /// and nothing else.
+    /// Deletes the blob `base|hash`: one DELETE per holder, waiting out the
+    /// slowest. A block that never landed, or that an earlier try deleted,
+    /// answers `NotFound`, which is tolerated like `AccessDenied`; any other
+    /// holder error fails the call, so the caller retries the whole blob.
     pub fn delete_blob(
         &self,
         ctx: &mut OpCtx<'_>,
         base: &str,
         hash: &ContentHash,
     ) -> Result<(), StorageError> {
-        self.on_every_holder(ctx, base, hash, |cloud, c, key| cloud.delete(c, key));
-        Ok(())
+        let answers = self.on_every_holder(ctx, base, hash, |cloud, c, key| cloud.delete(c, key));
+        let tolerated = |e: &StorageError| {
+            matches!(
+                e,
+                StorageError::NotFound { .. } | StorageError::AccessDenied { .. }
+            )
+        };
+        let mut failed = answers.into_iter().filter_map(Result::err);
+        failed.find(|e| !tolerated(e)).map_or(Ok(()), Err)
     }
 
     /// Propagates an ACL to every block of the blob `base|hash` (the

@@ -597,19 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn reads_and_writes_use_offsets() {
-        let mut fs = test_agent(Mode::Blocking);
-        let h = fs.open("/f", OpenFlags::create()).unwrap();
-        fs.write(h, 0, b"0123456789").unwrap();
-        fs.write(h, 4, b"XY").unwrap();
-        assert_eq!(fs.read(h, 3, 4).unwrap(), b"3XY6");
-        fs.truncate(h, 5).unwrap();
-        assert_eq!(fs.read(h, 0, 100).unwrap(), b"0123X");
-        fs.close(h).unwrap();
-        assert_eq!(fs.stat("/f").unwrap().size, 5);
-    }
-
-    #[test]
     fn write_write_conflicts_are_prevented_by_locks() {
         let cloud = Arc::new(SimulatedCloud::test("s3"));
         let storage = Arc::new(SingleCloudStorage::new(cloud));

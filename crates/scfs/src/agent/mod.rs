@@ -632,17 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn create_write_read_round_trip() {
-        let mut fs = test_agent(Mode::Blocking);
-        fs.write_file("/docs/report.txt", b"hello SCFS").unwrap();
-        assert_eq!(fs.read_file("/docs/report.txt").unwrap(), b"hello SCFS");
-        let md = fs.stat("/docs/report.txt").unwrap();
-        assert_eq!(md.size, 10);
-        assert_eq!(md.version_count, 1);
-        assert!(md.version_hash.is_some());
-    }
-
-    #[test]
     fn non_sharing_mode_needs_no_coordination_service() {
         let cloud = Arc::new(SimulatedCloud::test("s3"));
         let storage = Arc::new(SingleCloudStorage::new(cloud));
@@ -671,28 +660,6 @@ mod tests {
             3,
         )
         .is_err());
-    }
-
-    #[test]
-    fn directories_mkdir_readdir_unlink() {
-        let mut fs = test_agent(Mode::Blocking);
-        fs.mkdir("/projects").unwrap();
-        fs.write_file("/projects/a.txt", b"a").unwrap();
-        fs.write_file("/projects/b.txt", b"b").unwrap();
-        let listing = fs.readdir("/projects").unwrap();
-        assert_eq!(listing.len(), 2);
-        fs.unlink("/projects/a.txt").unwrap();
-        assert!(matches!(
-            fs.stat("/projects/a.txt"),
-            Err(ScfsError::NotFound { .. })
-        ));
-        assert_eq!(
-            fs.readdir("/projects").unwrap(),
-            ["/projects/b.txt"],
-            "unlink removes the name at once"
-        );
-        // mkdir under a missing parent fails.
-        assert!(fs.mkdir("/does/not/exist").is_err());
     }
 
     #[test]

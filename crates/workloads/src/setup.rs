@@ -187,9 +187,9 @@ impl DeploymentSpec {
                 ShardedCoordinator::new(topology, plane_seed)
                     .expect("the topology's group configuration is consistent"),
             )),
-            (Plane::Instantaneous, _) => {
-                replicated(ReplicationConfig::test_instant(ReplicationMode::SingleNode))
-            }
+            (Plane::Instantaneous, _) => replicated(ReplicationConfig::test_instant(
+                ReplicationMode::CrashFaultTolerant { f: 0 },
+            )),
             (Plane::Paper, Backend::Aws) => replicated(ReplicationConfig::aws_single_ec2()),
             (Plane::Paper, Backend::CloudOfClouds) => {
                 replicated(ReplicationConfig::coc_byzantine())

@@ -765,8 +765,8 @@ fn replay_once(storage: &dyn FileStorage, ctx: &mut OpCtx<'_>) -> ReplayReport {
 ///   deletes in queue order.
 /// * The commit of the same content cancels every one of them.
 /// * The failing delete is counted, requeued and retried by the next
-///   replay. Single cloud only: a DepSky delete reports no holder's failure
-///   (pinned by the `open_hole_` test below).
+///   replay: on the cloud-of-clouds, one holder's failed block delete
+///   fails the blob's.
 /// * No key is ever deleted twice, no key the retained version names is
 ///   deleted at all, and a fault-free drain leaves nothing pending and no
 ///   orphan.
@@ -823,23 +823,20 @@ fn assert_the_journal_paths_a_failed_write_and_a_prune_take(backend: Backend) {
     );
     let released = OVER_BOUND as u64 + 1;
     assert_eq!(storage.pending_releases() as u64, released);
-    if backend == Backend::Aws {
-        faulty[0].script_failures([true]);
-        let report = replay_once(storage.as_ref(), &mut ctx);
-        assert_eq!(
-            (report.attempted, report.deleted, report.errors),
-            (released, released - 1, 1)
-        );
-        assert_eq!(
-            storage.pending_releases(),
-            1,
-            "the failed delete is requeued"
-        );
-        assert_no_orphans(&deployment);
-    }
+    faulty[0].script_failures([true]);
+    let report = replay_once(storage.as_ref(), &mut ctx);
+    assert_eq!(
+        (report.attempted, report.deleted, report.errors),
+        (released, released - 1, 1)
+    );
+    assert_eq!(
+        storage.pending_releases(),
+        1,
+        "the failed delete is requeued"
+    );
+    assert_no_orphans(&deployment);
     let drained = replay_once(storage.as_ref(), &mut ctx);
-    assert_eq!(drained.errors, 0);
-    assert_eq!(drained.retried, u64::from(backend == Backend::Aws));
+    assert_eq!((drained.errors, drained.retried), (0, 1));
     assert_eq!(storage.pending_releases(), 0);
     assert_no_orphans(&deployment);
 
@@ -883,13 +880,11 @@ fn the_journal_paths_a_failed_write_and_a_prune_take_coc() {
     assert_the_journal_paths_a_failed_write_and_a_prune_take(Backend::CloudOfClouds);
 }
 
-/// A failed block delete on the cloud-of-clouds is never retried: DepSky's
-/// `delete_blob` is best-effort over the holders and reports no holder's
-/// failure, so replay applies the entry and the block stays, reachable from
-/// nothing. A fix fails the delete while a block may remain, requeues the
-/// entry, and flips the last assertion to no orphans.
+/// A failed block delete on the cloud-of-clouds fails the blob's delete,
+/// so replay requeues the entry. The retry asks every holder again; those
+/// that already deleted their block answer `NotFound`, and nothing is left.
 #[test]
-fn open_hole_a_failed_block_delete_on_the_cloud_of_clouds_leaks_the_block() {
+fn a_failed_block_delete_on_the_cloud_of_clouds_is_requeued_and_leaks_nothing() {
     let (deployment, faulty) = faulty_deployment(Backend::CloudOfClouds);
     let storage = deployment.storage();
     let mut clock = Clock::new();
@@ -903,9 +898,20 @@ fn open_hole_a_failed_block_delete_on_the_cloud_of_clouds_leaks_the_block() {
     storage.delete_all(&mut ctx, "f").unwrap();
     faulty[0].script_failures([true]);
     let report = replay_once(storage.as_ref(), &mut ctx);
-    assert_eq!((report.deleted, report.errors), (4, 0), "no delete fails");
+    assert_eq!((report.deleted, report.errors), (3, 1));
+    assert_eq!(
+        storage.pending_releases(),
+        1,
+        "the failed delete is requeued"
+    );
+    assert_no_orphans(&deployment);
+    let drained = replay_once(storage.as_ref(), &mut ctx);
+    assert_eq!(
+        (drained.deleted, drained.retried, drained.errors),
+        (1, 1, 0)
+    );
     assert_eq!(storage.pending_releases(), 0);
-    assert_eq!(deployment.orphans().len(), 1, "the block cloud 0 kept");
+    assert_eq!(deployment.orphans(), Vec::<String>::new());
 }
 
 proptest! {

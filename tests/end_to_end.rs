@@ -1,7 +1,6 @@
 //! End-to-end integration tests spanning the whole stack: simulated clouds,
 //! replicated coordination service, DepSky, the SCFS agent and the baselines.
 
-use proptest::prelude::*;
 use scfs_repro::cloud_store::store::OpCtx;
 use scfs_repro::cloud_store::types::{Acl, Permission};
 use scfs_repro::scfs::agent::ScfsAgent;
@@ -12,33 +11,6 @@ use scfs_repro::scfs::types::{OpenFlags, MAX_FILE_LEN};
 use scfs_repro::sim_core::time::{Clock, SimDuration};
 use scfs_repro::sim_core::units::Bytes;
 use scfs_repro::workloads::setup::{build_system, Backend, Deployment, SystemKind};
-
-#[test]
-fn every_system_supports_the_basic_posix_workflow() {
-    for kind in SystemKind::all() {
-        let mut fs = build_system(kind, 1234);
-        fs.mkdir("/work")
-            .unwrap_or_else(|e| panic!("{}: mkdir: {e}", kind.label()));
-        fs.write_file("/work/a.bin", &vec![1u8; 32 * 1024])
-            .unwrap_or_else(|e| panic!("{}: write: {e}", kind.label()));
-        assert_eq!(
-            fs.read_file("/work/a.bin").unwrap().len(),
-            32 * 1024,
-            "{}",
-            kind.label()
-        );
-        let listing = fs.readdir("/work").unwrap();
-        assert!(
-            listing.iter().any(|p| p.ends_with("a.bin")),
-            "{}: {listing:?}",
-            kind.label()
-        );
-        fs.copy_file("/work/a.bin", "/work/b.bin").unwrap();
-        fs.unlink("/work/a.bin").unwrap();
-        assert!(fs.stat("/work/a.bin").is_err(), "{}", kind.label());
-        assert_eq!(fs.read_file("/work/b.bin").unwrap().len(), 32 * 1024);
-    }
-}
 
 /// The baselines bound a write and a truncate by the maximum file size and
 /// answer as the agent does, instead of panicking on the end-offset
@@ -366,66 +338,6 @@ fn open_hole_a_rename_before_a_deferred_unlink_lands_carries_the_file_along() {
     assert!(matches!(carried, Ok(0)), "{carried:?}");
 }
 
-/// Runs the call `word` encodes on `fs` over a handful of paths outside
-/// `/shared`, nested and namesake ones among them. Returns what the
-/// specification compares: the names a listing returned, the bytes a read
-/// returned, a `stat`'s size and type, or the variant of an error.
-fn run_encoded_call(
-    fs: &mut ScfsAgent,
-    word: u64,
-) -> Result<String, std::mem::Discriminant<ScfsError>> {
-    const PATHS: [&str; 6] = ["/a", "/a/x", "/a/y", "/ab", "/b", "/b/x"];
-    let path = PATHS[(word >> 8) as usize % PATHS.len()];
-    let other = PATHS[(word >> 16) as usize % PATHS.len()];
-    let bytes = vec![(word >> 24) as u8; 1 + (word >> 32) as usize % 300];
-    let answer = match word % 8 {
-        0 => fs.mkdir(path).map(|()| String::new()),
-        1 => fs.write_file(path, &bytes).map(|()| String::new()),
-        2 => fs.read_file(path).map(|data| format!("{data:?}")),
-        3 => fs
-            .stat(path)
-            .map(|md| format!("{} {:?}", md.size, md.file_type)),
-        4 => fs.readdir(path).map(|names| format!("{names:?}")),
-        5 => fs.rename(path, other).map(|()| String::new()),
-        6 => fs.unlink(path).map(|()| String::new()),
-        _ => fs
-            .setfacl(path, &"bob".into(), Permission::Read)
-            .map(|()| String::new()),
-    };
-    answer.map_err(|e| std::mem::discriminant(&e))
-}
-
-proptest! {
-    /// One specification for both metadata stores: a random sequence of
-    /// calls on paths outside `/shared` answers the same on a mount whose
-    /// tuples all live in the coordination service, on one with a private
-    /// name space, and in non-sharing mode. With no metadata cache, every
-    /// lookup reads a store. Only coordination access counts may differ.
-    #[test]
-    fn private_and_coordinated_metadata_answer_every_call_alike(
-        calls in collection::vec(any::<u64>(), 1..40)
-    ) {
-        let mounts = [
-            (Mode::Blocking, false),
-            (Mode::Blocking, true),
-            (Mode::NonSharing, false),
-        ];
-        let [mut coordinated, mut private, mut non_sharing] = mounts.map(|(mode, pns)| {
-            let mut config = ScfsConfig::test(mode);
-            config.private_name_spaces = pns;
-            config.metadata_cache_expiry = SimDuration::ZERO;
-            Deployment::instant(Backend::Aws, 7).mount("alice", config, 1)
-        });
-        for (step, &word) in calls.iter().enumerate() {
-            let expected = run_encoded_call(&mut coordinated, word);
-            let pns = run_encoded_call(&mut private, word);
-            prop_assert_eq!(&pns, &expected, "PNS, call {}", step);
-            let ns = run_encoded_call(&mut non_sharing, word);
-            prop_assert_eq!(&ns, &expected, "NS, call {}", step);
-        }
-    }
-}
-
 /// Coordination-service key of the metadata tuple of `path`.
 fn tuple_key(path: &str) -> String {
     format!("/scfs/meta{path}")
@@ -520,4 +432,71 @@ fn tampered_inline_manifest_is_rejected_before_any_cloud_read() {
     }
     assert_eq!(reader.stats().cloud_downloads, 0);
     assert_eq!(cloud.metrics().snapshot().gets, gets);
+}
+
+/// Open hole, pinned as it behaves: with a private name space, a rename
+/// across the `/shared` boundary moves the tuple within the store it was
+/// in, while every later lookup of the new name asks the store the new name
+/// routes to. So a directory renamed out of `/shared` is gone for its
+/// owner's `stat` and `open`, and a private file renamed into `/shared`
+/// too, though a listing still shows them. A fix moves the tuple between
+/// the stores, as `setfacl` does.
+#[test]
+fn open_hole_a_rename_across_the_shared_tree_hides_it_from_a_private_name_space() {
+    for mode in [Mode::Blocking, Mode::NonBlocking] {
+        let mut config = ScfsConfig::test(mode);
+        config.private_name_spaces = true;
+        let mut fs = Deployment::instant(Backend::Aws, 7).mount("alice", config, 1);
+        fs.write_file("/shared/d/f", b"shared").unwrap();
+        fs.write_file("/p", b"private").unwrap();
+        fs.rename("/shared/d", "/d").unwrap();
+        fs.rename("/p", "/shared/p").unwrap();
+        fs.sleep(SimDuration::from_secs(1));
+        for path in ["/d/f", "/shared/p"] {
+            let hidden = fs.read_file(path);
+            assert!(
+                matches!(hidden, Err(ScfsError::NotFound { .. })),
+                "{mode:?}: {hidden:?}"
+            );
+        }
+        assert_eq!(fs.readdir("/d").unwrap(), ["/d/f"], "{mode:?}");
+        assert_eq!(fs.readdir("/shared").unwrap(), ["/shared/p"], "{mode:?}");
+    }
+}
+
+/// Open hole, pinned as it behaves: a handle keeps the path it was opened
+/// by, so once its file is renamed, the handle's dirty size still answers a
+/// `stat` of the old path, and its close commits the new version under the
+/// old name, bringing it back, while the renamed file keeps the old bytes.
+/// A fix follows the object: the stat and the commit go by storage id.
+#[test]
+fn open_hole_a_handle_open_across_a_rename_commits_under_the_old_name() {
+    for mode in [Mode::Blocking, Mode::NonBlocking, Mode::NonSharing] {
+        let mut fs = Deployment::instant(Backend::Aws, 7).mount("alice", ScfsConfig::test(mode), 1);
+        fs.write_file("/a", b"old").unwrap();
+        let h = fs.open("/a", OpenFlags::read_write()).unwrap();
+        fs.write(h, 0, b"new!").unwrap();
+        fs.rename("/a", "/b").unwrap();
+        assert_eq!(fs.stat("/a").map(|md| md.size), Ok(4), "{mode:?}");
+        fs.close(h).unwrap();
+        fs.sleep(SimDuration::from_secs(1));
+        assert_eq!(fs.read_file("/a").unwrap(), b"new!", "{mode:?}");
+        assert_eq!(fs.read_file("/b").unwrap(), b"old", "{mode:?}");
+    }
+}
+
+/// Open hole, pinned as it behaves: `sync` commits a handle whose file had
+/// no committed version when it opened, dirty or not. So the sync of a
+/// handle that only created the file commits its empty buffer over the
+/// version another handle closed since. A fix syncs a clean handle only
+/// when the file still has no version.
+#[test]
+fn open_hole_a_sync_of_a_clean_creating_handle_commits_over_a_later_version() {
+    for mode in [Mode::Blocking, Mode::NonBlocking, Mode::NonSharing] {
+        let mut fs = Deployment::instant(Backend::Aws, 7).mount("alice", ScfsConfig::test(mode), 1);
+        let created = fs.open("/f", OpenFlags::create()).unwrap();
+        fs.write_file("/f", b"later").unwrap();
+        fs.sync(created).unwrap();
+        assert_eq!(fs.read_file("/f").unwrap(), b"", "{mode:?}");
+    }
 }

@@ -13,41 +13,23 @@
 //!   the child, the grandparent lists what it listed before, and the planes
 //!   hold as many tuples as before;
 //! * the parent's error wins over the create's own: a child that already
-//!   exists under a missing parent is still `NotFound`, and is not deleted;
+//!   exists under a missing parent is still `NotFound`, and is not deleted
+//!   (a script the reference model of `tests/model/mod.rs` answers for);
 //! * on the paper's AWS deployment a mkdir costs about one coordination round
 //!   trip, like a `stat`, not two.
 //!
 //! A file create still checks no parent; that open hole is pinned here too.
 
-use scfs_repro::coord::sharded::ShardTopology;
+mod model;
+
+use model::{check, Call, Under};
 use scfs_repro::scfs::agent::ScfsAgent;
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::error::ScfsError;
 use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::scfs::types::FileType;
 use scfs_repro::sim_core::time::SimDuration;
-use scfs_repro::workloads::setup::{Backend, Deployment, Plane, Providers};
-
-/// The three mounts every regression runs on.
-#[derive(Debug, Clone, Copy)]
-enum Under {
-    Replicated,
-    FourShards,
-    NonSharing,
-}
-
-const ALL: [Under; 3] = [Under::Replicated, Under::FourShards, Under::NonSharing];
-
-/// A fresh instantaneous deployment, and the mode its mounts run in.
-fn deployment(under: Under) -> (Deployment, Mode) {
-    let spec = Deployment::on(Backend::Aws).providers(Providers::Instantaneous);
-    let (plane, mode) = match under {
-        Under::Replicated => (Plane::Instantaneous, Mode::Blocking),
-        Under::FourShards => (Plane::Sharded(ShardTopology::test(4)), Mode::Blocking),
-        Under::NonSharing => (Plane::Instantaneous, Mode::NonSharing),
-    };
-    (spec.plane(plane).build(3), mode)
-}
+use scfs_repro::workloads::setup::{Backend, Deployment};
 
 /// What a failed mkdir of `child` must leave as it found it: the listing of
 /// `grandparent` and the number of tuples in every store `fs` reaches.
@@ -81,7 +63,7 @@ fn assert_fails_and_leaves_nothing(
 }
 
 fn assert_a_missing_parent_is_not_found(under: Under) {
-    let (env, mode) = deployment(under);
+    let (env, mode) = under.deployment();
     let mut fs = env.mount("alice", ScfsConfig::test(mode), 1);
     fs.mkdir("/g").unwrap();
     fs.mkdir("/g/kept").unwrap();
@@ -90,7 +72,7 @@ fn assert_a_missing_parent_is_not_found(under: Under) {
 }
 
 fn assert_a_file_parent_is_the_wrong_type(under: Under) {
-    let (env, mode) = deployment(under);
+    let (env, mode) = under.deployment();
     let mut fs = env.mount("alice", ScfsConfig::test(mode), 1);
     fs.mkdir("/g").unwrap();
     fs.write_file("/g/f", b"a regular file").unwrap();
@@ -103,7 +85,7 @@ fn assert_a_file_parent_is_the_wrong_type(under: Under) {
 }
 
 fn assert_an_unreadable_parent_is_permission_denied(under: Under) {
-    let (env, mode) = deployment(under);
+    let (env, mode) = under.deployment();
     let mut alice = env.mount("alice", ScfsConfig::test(mode), 1);
     alice.mkdir("/a").unwrap();
     let mut bob = env.mount("bob", ScfsConfig::test(mode), 2);
@@ -113,18 +95,14 @@ fn assert_an_unreadable_parent_is_permission_denied(under: Under) {
     assert_eq!(alice.readdir("/a").unwrap(), Vec::<String>::new());
 }
 
-fn assert_the_parents_error_wins_over_an_existing_child(under: Under) {
-    let (env, mode) = deployment(under);
-    let mut fs = env.mount("alice", ScfsConfig::test(mode), 1);
-    // A file create checks no parent: the one way to a child whose parent
-    // has no tuple.
-    fs.write_file("/missing/x", b"orphan").unwrap();
-    assert_eq!(
-        fs.mkdir("/missing/x"),
-        Err(ScfsError::not_found("/missing"))
-    );
-    assert_eq!(fs.read_file("/missing/x").unwrap(), b"orphan", "{under:?}");
-}
+/// A file create checks no parent: the one way to a child whose parent has
+/// no tuple. A mkdir of that child answers the parent's `NotFound`, and the
+/// child stays.
+const THE_PARENTS_ERROR_WINS: &[Call] = &[
+    Call::WriteFile("/missing/x", 1, 5),
+    Call::Mkdir("/missing/x"),
+    Call::ReadFile("/missing/x"),
+];
 
 #[test]
 fn a_missing_parent_is_not_found_on_the_replicated_plane() {
@@ -171,17 +149,17 @@ fn an_unreadable_parent_is_permission_denied_on_the_four_shard_plane() {
 
 #[test]
 fn the_parents_error_wins_over_an_existing_child_on_the_replicated_plane() {
-    assert_the_parents_error_wins_over_an_existing_child(Under::Replicated);
+    check(Under::Replicated.system(), THE_PARENTS_ERROR_WINS);
 }
 
 #[test]
 fn the_parents_error_wins_over_an_existing_child_on_the_four_shard_plane() {
-    assert_the_parents_error_wins_over_an_existing_child(Under::FourShards);
+    check(Under::FourShards.system(), THE_PARENTS_ERROR_WINS);
 }
 
 #[test]
 fn the_parents_error_wins_over_an_existing_child_in_non_sharing_mode() {
-    assert_the_parents_error_wins_over_an_existing_child(Under::NonSharing);
+    check(Under::NonSharing.system(), THE_PARENTS_ERROR_WINS);
 }
 
 /// On the paper's AWS deployment (DepSpace over the WAN), the parent lookup
@@ -222,8 +200,8 @@ fn a_mkdir_costs_about_one_round_trip_on_the_paper_deployment() {
 /// `mkdir`'s does.
 #[test]
 fn open_hole_a_file_create_does_not_check_its_parent() {
-    for under in ALL {
-        let (env, mode) = deployment(under);
+    for under in Under::ALL {
+        let (env, mode) = under.deployment();
         let mut fs = env.mount("alice", ScfsConfig::test(mode), 1);
         fs.write_file("/f", b"a regular file").unwrap();
         fs.write_file("/missing/x", b"x").unwrap();
