@@ -27,7 +27,7 @@
 //! * `sync` stops at the local disk: only `close` makes a handle's bytes
 //!   the file's.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use cloud_store::types::{AccountId, Acl, Permission};
 use scfs::error::ScfsError;
@@ -91,7 +91,7 @@ pub struct LocalFs {
     overheads: FsOverheads,
     disk: LatencyProfile,
     files: BTreeMap<String, (FileMetadata, Vec<u8>)>,
-    open: HashMap<FileHandle, LocalOpenFile>,
+    open: BTreeMap<FileHandle, LocalOpenFile>,
     next_handle: u64,
 }
 
@@ -112,7 +112,7 @@ impl LocalFs {
             overheads,
             disk: LatencyProfile::local_disk(),
             files: BTreeMap::new(),
-            open: HashMap::new(),
+            open: BTreeMap::new(),
             next_handle: 1,
         }
     }
@@ -386,6 +386,10 @@ impl FileSystem for LocalFs {
                 md.path = new_key.clone();
                 self.files.insert(new_key, (md, data));
             }
+        }
+        // An open handle follows its file, as a descriptor does.
+        for file in self.open.values_mut().filter(|f| is_under(&f.path, &from)) {
+            file.path = format!("{to}{}", &file.path[from.len()..]);
         }
         Ok(())
     }

@@ -371,16 +371,17 @@ impl ScfsAgent {
     }
 
     /// The `sync` path on one open file: promote its current contents to
-    /// cloud durability (see [`crate::durability`]). A dirty or
-    /// never-committed handle is committed like a close that waits — but the
-    /// handle stays open and keeps its lock; a clean handle waits on the
-    /// object's in-flight token, if any.
+    /// cloud durability (see [`crate::durability`]). A dirty handle is
+    /// committed like a close that waits — but the handle stays open and
+    /// keeps its lock; a clean handle, one that only created its file too
+    /// (its tuple describes the empty file), waits on the object's
+    /// in-flight token, if any.
     pub(super) fn sync_open(&mut self, file: &mut OpenFile) -> Result<DurabilityLevel, ScfsError> {
         if file.unlinked {
             // Nothing of an unlinked file outlives its handle's buffer.
             return Ok(DurabilityLevel::MainMemory);
         }
-        if file.is_dirty() || file.metadata.version_hash.is_none() {
+        if file.is_dirty() {
             // The lane orders this commit behind any in-flight upload of the
             // same object; the new token supersedes the pending record.
             self.pending_uploads.remove(&file.metadata.storage_id);

@@ -588,15 +588,6 @@ mod tests {
     use sim_core::units::Bytes;
 
     #[test]
-    fn open_missing_file_without_create_fails() {
-        let mut fs = test_agent(Mode::Blocking);
-        assert!(matches!(
-            fs.open("/nope", OpenFlags::read_only()),
-            Err(ScfsError::NotFound { .. })
-        ));
-    }
-
-    #[test]
     fn write_write_conflicts_are_prevented_by_locks() {
         let cloud = Arc::new(SimulatedCloud::test("s3"));
         let storage = Arc::new(SingleCloudStorage::new(cloud));
@@ -900,18 +891,5 @@ mod tests {
         let mut fresh = mount(2);
         fresh.sleep(SimDuration::from_secs(600));
         assert_eq!(fresh.read_file("/f").unwrap(), model);
-    }
-
-    #[test]
-    fn bad_handles_are_rejected() {
-        let mut fs = test_agent(Mode::Blocking);
-        assert!(matches!(
-            fs.read(FileHandle(99), 0, 1),
-            Err(ScfsError::BadHandle { .. })
-        ));
-        assert!(matches!(
-            fs.close(FileHandle(99)),
-            Err(ScfsError::BadHandle { .. })
-        ));
     }
 }

@@ -246,6 +246,12 @@ impl ScfsAgent {
         &self.metadata
     }
 
+    /// The agent's storage backend instance (its version registry and
+    /// release journal).
+    pub fn storage(&self) -> &Arc<dyn FileStorage> {
+        &self.storage
+    }
+
     /// The agent's configuration.
     pub fn config(&self) -> &ScfsConfig {
         &self.config
@@ -557,6 +563,10 @@ impl FileSystem for ScfsAgent {
         Ok(())
     }
 
+    /// Renames `from`, and everything under it, to `to`. This agent's open
+    /// handles follow their files, as descriptors do, so a commit of theirs
+    /// lands under the new name; another mount's handles are not reached,
+    /// as by `unlink`, and still commit under the path they opened.
     fn rename(&mut self, from: &str, to: &str) -> Result<(), ScfsError> {
         let from = self.enter(from)?;
         let to = normalize_path(to)?;
@@ -571,6 +581,11 @@ impl FileSystem for ScfsAgent {
         });
         let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
         self.metadata.rename(&mut ctx, &from, &to)?;
+        let moved = self.open_files.values_mut();
+        for file in moved.filter(|f| is_under(&f.path, &from)) {
+            file.path = format!("{to}{}", &file.path[from.len()..]);
+            file.metadata.path = file.path.clone();
+        }
         Ok(())
     }
 
@@ -663,33 +678,12 @@ mod tests {
     }
 
     #[test]
-    fn rename_moves_files() {
-        let mut fs = test_agent(Mode::Blocking);
-        fs.write_file("/old-name", b"data").unwrap();
-        fs.rename("/old-name", "/new-name").unwrap();
-        assert_eq!(fs.read_file("/new-name").unwrap(), b"data");
-        assert!(fs.stat("/old-name").is_err());
-    }
-
-    #[test]
     fn stat_of_open_dirty_file_reflects_buffer() {
         let mut fs = test_agent(Mode::Blocking);
         let h = fs.open("/f", OpenFlags::create()).unwrap();
         fs.write(h, 0, &vec![0u8; 4096]).unwrap();
         assert_eq!(fs.stat("/f").unwrap().size, 4096);
         fs.close(h).unwrap();
-    }
-
-    #[test]
-    fn getfacl_and_setfacl() {
-        let mut fs = test_agent(Mode::Blocking);
-        fs.write_file("/doc", b"x").unwrap();
-        assert!(fs.getfacl("/doc").unwrap().is_empty());
-        fs.setfacl("/doc", &"bob".into(), Permission::Read).unwrap();
-        assert!(fs
-            .getfacl("/doc")
-            .unwrap()
-            .allows(&"bob".into(), Permission::Read));
     }
 
     /// Four distinct 1 MiB chunks (the default chunk size).

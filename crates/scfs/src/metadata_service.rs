@@ -524,48 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn exclusive_create_detects_duplicates() {
-        let mut svc = service(Some(coord()), false, SimDuration::ZERO);
-        let mut clock = Clock::new();
-        let mut ctx = OpCtx::new(&mut clock, "alice".into());
-        svc.create(&mut ctx, md("/f")).unwrap();
-        assert!(matches!(
-            svc.create(&mut ctx, md("/f")),
-            Err(ScfsError::AlreadyExists { .. })
-        ));
-    }
-
-    #[test]
-    fn list_children_merges_pns_and_coordination() {
-        let mut svc = service(Some(coord()), true, SimDuration::ZERO);
-        let mut clock = Clock::new();
-        let mut ctx = OpCtx::new(&mut clock, "alice".into());
-        svc.create(&mut ctx, md("/docs/private1")).unwrap();
-        svc.create(&mut ctx, md("/shared/public1")).unwrap();
-        let docs = svc.list_children(&mut ctx, "/docs").unwrap();
-        assert_eq!(docs, vec!["/docs/private1".to_string()]);
-        let shared = svc.list_children(&mut ctx, "/shared").unwrap();
-        assert_eq!(shared, vec!["/shared/public1".to_string()]);
-    }
-
-    #[test]
-    fn rename_and_delete() {
-        let mut svc = service(Some(coord()), false, SimDuration::ZERO);
-        let mut clock = Clock::new();
-        let mut ctx = OpCtx::new(&mut clock, "alice".into());
-        svc.create(&mut ctx, md("/old/f")).unwrap();
-        assert_eq!(svc.rename(&mut ctx, "/old", "/new").unwrap(), 1);
-        assert!(svc.get(&mut ctx, "/new/f").is_ok());
-        assert!(svc.get(&mut ctx, "/old/f").is_err());
-        svc.delete(&mut ctx, "/new/f").unwrap();
-        assert!(svc.get(&mut ctx, "/new/f").is_err());
-        assert!(matches!(
-            svc.rename(&mut ctx, "/nonexistent", "/x"),
-            Err(ScfsError::NotFound { .. })
-        ));
-    }
-
-    #[test]
     fn setfacl_moves_private_file_to_coordination_service() {
         use cloud_store::types::Permission;
         let c = coord();

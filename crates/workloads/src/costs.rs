@@ -149,10 +149,9 @@ pub struct FileCosts {
 
 /// Measures one file of `size` incompressible bytes on the paper's
 /// `backend` deployment: a blocking write by one mount, then, once its clock
-/// is past the writer's close, a cold read by a mount on
-/// [`Deployment::second_instance`] (a backend instance with no record of
-/// the writer's version), then a cached re-read by that reader after its
-/// metadata cache expired.
+/// is past the writer's close, a cold read by a second mount (its own
+/// backend instance, with no record of the writer's version), then a cached
+/// re-read by that reader after its metadata cache expired.
 pub fn file_costs(backend: Backend, size: Bytes, seed: u64) -> FileCosts {
     const PATH: &str = "/file";
     let deployment = Deployment::paper(backend, seed);
@@ -167,9 +166,7 @@ pub fn file_costs(backend: Backend, size: Bytes, seed: u64) -> FileCosts {
     });
     let storage_per_day = rent(&deployment, 1.0);
 
-    let mut reader = deployment
-        .second_instance()
-        .mount("alice", config.clone(), 2);
+    let mut reader = deployment.mount("alice", config.clone(), 2);
     reader.sleep(writer.now().duration_since(reader.now()));
     let read = |reader: &mut ScfsAgent| {
         let back = reader

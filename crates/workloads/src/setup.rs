@@ -3,8 +3,10 @@
 //! The paper's Figure 5 draws a deployment as a product — storage backend
 //! (one cloud | DepSky cloud-of-clouds) × coordination plane × the mode a
 //! client mounts in. A [`Deployment`] is the first two factors: it owns the
-//! simulated clouds, the backend over them and the coordination plane, built
-//! from exactly the inputs it cannot derive:
+//! simulated clouds and the coordination plane, shared by every mount, and
+//! builds each mount its own backend instance over the clouds, as each
+//! client of the paper runs its own agent (§2.2). It is built from exactly
+//! the inputs it cannot derive:
 //!
 //! 1. the [`Backend`] kind;
 //! 2. the provider profiles ([`Providers`]: the paper's WAN set, the
@@ -29,7 +31,8 @@
 //! seeded `seed ^ 0x9999`; both conventions are kept so that no recorded
 //! number moves.
 
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
 use baselines::{LocalFs, S3fsLike, S3qlLike};
 use cloud_store::providers::{ProviderProfile, ProviderSet};
@@ -43,7 +46,7 @@ use depsky::register::{DepSkyClient, PlacementSpec};
 use placement::{PolicyKind, ProviderMatrix};
 use scfs::agent::ScfsAgent;
 use scfs::backend::{CloudOfCloudsStorage, FileStorage, SingleCloudStorage};
-use scfs::chunkstore::KeyStyle;
+use scfs::chunkstore::{BlobAudit, KeyStyle};
 use scfs::config::{Mode, ScfsConfig};
 use scfs::fs::FileSystem;
 use sim_core::fault::FaultPlan;
@@ -145,10 +148,10 @@ impl DeploymentSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the inputs are inconsistent: a provider list that does not
-    /// match the backend, a placement on the single-cloud backend or one
-    /// whose width or write wait the provider list cannot satisfy, an
-    /// invalid topology.
+    /// Panics if the topology is invalid. Inputs the backend cannot run on
+    /// (a provider list that does not match it, a placement on the
+    /// single-cloud backend or one whose width or write wait the provider
+    /// list cannot satisfy) panic at the first [`Deployment::instance`].
     pub fn build_behind(
         self,
         seed: u64,
@@ -197,53 +200,20 @@ impl DeploymentSpec {
         };
 
         Deployment {
-            storage: new_backend(self.backend, &stores, placement.as_ref(), seed),
             backend: self.backend,
             clouds,
             stores,
             placement,
             seed,
             plane,
+            audits: Arc::default(),
         }
     }
 }
 
-/// Builds a backend instance over `stores`: the one place a storage backend
-/// or a DepSky client is constructed. Without a placement the client runs
-/// the paper's layout, itself an `AllClouds` spec, over exactly `n` clouds.
-fn new_backend(
-    backend: Backend,
-    stores: &[Arc<dyn ObjectStore>],
-    placement: Option<&PlacementSpec>,
-    seed: u64,
-) -> Storage {
-    match backend {
-        Backend::Aws => {
-            assert!(placement.is_none(), "placement needs the DepSky backend");
-            let [cloud] = stores else {
-                panic!("the single-cloud backend runs on exactly one provider");
-            };
-            Storage::Single(Arc::new(SingleCloudStorage::new(cloud.clone())))
-        }
-        Backend::CloudOfClouds => {
-            let (stores, config) = (stores.to_vec(), DepSkyConfig::scfs_default());
-            let depsky = match placement {
-                Some(spec) => DepSkyClient::with_placement(stores, config, spec.clone(), seed),
-                None => DepSkyClient::new(stores, config, seed),
-            };
-            Storage::Coc(Arc::new(CloudOfCloudsStorage::new(
-                depsky.expect("providers (and placement) match the f = 1 configuration"),
-            )))
-        }
-    }
-}
-
-/// The backend, concretely enough for the chunk-store audit hooks.
-#[derive(Clone)]
-enum Storage {
-    Single(Arc<SingleCloudStorage>),
-    Coc(Arc<CloudOfCloudsStorage>),
-}
+/// What a backend instance can account for: a blob in its audit is no
+/// orphan.
+type Audit = Box<dyn Fn() -> BlobAudit + Send>;
 
 /// The coordination plane, concretely enough for its replica-fault hook.
 #[derive(Clone)]
@@ -252,8 +222,10 @@ enum PlaneHandle {
     Sharded(Arc<ShardedCoordinator>),
 }
 
-/// One deployment: the simulated clouds, the storage backend over them and
-/// the coordination plane, shared by every agent mounted on it.
+/// One deployment: the simulated clouds and the coordination plane, shared
+/// by every agent mounted on it. The backend instance over the clouds is not
+/// shared: as in the paper, each mount is its own process, with its own
+/// version registry, chunk store and release journal.
 #[derive(Clone)]
 pub struct Deployment {
     /// The simulated clouds, in provider order: fault plans, metrics,
@@ -263,8 +235,10 @@ pub struct Deployment {
     stores: Vec<Arc<dyn ObjectStore>>,
     placement: Option<PlacementSpec>,
     seed: u64,
-    storage: Storage,
     plane: PlaneHandle,
+    /// The audit of every backend instance built so far, shared by clones:
+    /// a blob any of them can reach is no orphan.
+    audits: Arc<Mutex<Vec<Audit>>>,
 }
 
 impl Deployment {
@@ -294,24 +268,41 @@ impl Deployment {
             .build(seed)
     }
 
-    /// A second process of the same deployment: a fresh backend instance
-    /// (empty version registry, chunk store and release journal) over the
-    /// same clouds, behind the same interposer, on the same coordination
-    /// plane.
-    pub fn second_instance(&self) -> Deployment {
-        let (stores, placement) = (&self.stores, self.placement.as_ref());
-        Deployment {
-            storage: new_backend(self.backend, stores, placement, self.seed),
-            ..self.clone()
-        }
-    }
-
-    /// The storage backend every mount shares.
-    pub fn storage(&self) -> Arc<dyn FileStorage> {
-        match &self.storage {
-            Storage::Single(storage) => storage.clone(),
-            Storage::Coc(storage) => storage.clone(),
-        }
+    /// A fresh backend instance over the deployment's clouds, behind its
+    /// interposer: one process's empty version registry, chunk store and
+    /// release journal. Every [`Deployment::mount`] gets its own; a test that
+    /// drives a bare backend, with no agent, takes one here. The one place a
+    /// storage backend or a DepSky client is constructed: without a
+    /// placement the client runs the paper's layout, itself an `AllClouds`
+    /// spec, over exactly `n` clouds.
+    pub fn instance(&self) -> Arc<dyn FileStorage> {
+        let (instance, audit): (Arc<dyn FileStorage>, Audit) = match self.backend {
+            Backend::Aws => {
+                assert!(
+                    self.placement.is_none(),
+                    "placement needs the DepSky backend"
+                );
+                let [cloud] = &self.stores[..] else {
+                    panic!("the single-cloud backend runs on exactly one provider");
+                };
+                let storage = Arc::new(SingleCloudStorage::new(cloud.clone()));
+                (storage.clone(), Box::new(move || storage.blob_audit()))
+            }
+            Backend::CloudOfClouds => {
+                let (stores, config, seed) =
+                    (self.stores.clone(), DepSkyConfig::scfs_default(), self.seed);
+                let depsky = match &self.placement {
+                    Some(spec) => DepSkyClient::with_placement(stores, config, spec.clone(), seed),
+                    None => DepSkyClient::new(stores, config, seed),
+                };
+                let depsky =
+                    depsky.expect("providers (and placement) match the f = 1 configuration");
+                let storage = Arc::new(CloudOfCloudsStorage::new(depsky));
+                (storage.clone(), Box::new(move || storage.blob_audit()))
+            }
+        };
+        self.audits.lock().expect("no audit panics").push(audit);
+        instance
     }
 
     /// The coordination plane every coordinated mount shares.
@@ -322,12 +313,13 @@ impl Deployment {
         }
     }
 
-    /// Mounts an agent for `user`, in the mode `config` names.
+    /// Mounts an agent for `user`, in the mode `config` names, on a fresh
+    /// backend instance ([`Deployment::instance`]).
     pub fn mount(&self, user: &str, config: ScfsConfig, seed: u64) -> ScfsAgent {
         ScfsAgent::mount(
             user.into(),
             config,
-            self.storage(),
+            self.instance(),
             Some(self.coordinator()),
             seed,
         )
@@ -348,26 +340,17 @@ impl Deployment {
     }
 
     /// The orphan-leak check: every key any cloud stores under the SCFS
-    /// namespace that is reachable from no retained version or pending
-    /// release-journal entry of this backend instance.
+    /// namespace that no backend instance of this deployment accounts for,
+    /// from a retained version or a pending release-journal entry.
     pub fn orphans(&self) -> Vec<String> {
-        self.orphans_with(&[])
-    }
-
-    /// [`Deployment::orphans`] over this backend instance and `others`,
-    /// second instances over the same clouds: a key is an orphan when none
-    /// of them accounts for it.
-    pub fn orphans_with(&self, others: &[&Deployment]) -> Vec<String> {
-        let audit = |deployment: &Deployment| match &deployment.storage {
-            Storage::Single(storage) => storage.blob_audit(),
-            Storage::Coc(storage) => storage.blob_audit(),
-        };
-        let union = others
+        let audits = self.audits.lock().expect("no audit panics");
+        let none = BlobAudit::new(BTreeSet::new());
+        let union = audits
             .iter()
-            .fold(audit(self), |union, other| union.union(audit(other)));
-        let style = match &self.storage {
-            Storage::Single(_) => KeyStyle::Aws,
-            Storage::Coc(_) => KeyStyle::DepSky,
+            .fold(none, |union, audit| union.union(audit()));
+        let style = match self.backend {
+            Backend::Aws => KeyStyle::Aws,
+            Backend::CloudOfClouds => KeyStyle::DepSky,
         };
         let keys = self.clouds.iter().flat_map(|cloud| cloud.stored_keys(""));
         union.orphans(style, keys)
@@ -492,7 +475,7 @@ mod tests {
         // the shared matrix has seen fail for a minute a request, moves a
         // live `write_targets` of the health-aware policies, but not the
         // pool's layout: one blob write is still `width` PUTs, and a cold
-        // read through a second instance `f + 1` GETs.
+        // read on another mount `f + 1` GETs.
         use sim_core::time::SimDuration;
         use sim_core::units::Bytes;
         let kinds = [
@@ -533,7 +516,7 @@ mod tests {
                 assert_eq!(holds, layout.contains(&cloud), "{label}: cloud {cloud}");
             }
 
-            let mut reader = deployment.second_instance().mount("alice", config, 2);
+            let mut reader = deployment.mount("alice", config, 2);
             reader.sleep(SimDuration::from_secs(3_600));
             assert_eq!(reader.read_file("/one-chunk").unwrap(), data, "{label}");
             assert_eq!(requests(), (3, 2), "{label}: f + 1 block GETs");

@@ -5,9 +5,11 @@
 //!   second file id (or by a second user) uploads that file's own chunks,
 //!   on both the AWS and CoC backends, and deleting one file never reclaims
 //!   a chunk another file's retained version names;
-//! * a second backend instance — another client's agent — that stores and
-//!   collects content another instance committed leaves that instance's
-//!   file readable, and the orphan audit over both instances finds nothing;
+//! * every mount is its own backend instance, as every client runs its own
+//!   agent: another client's mount that stores and collects content one
+//!   mount committed leaves that mount's file readable, and the orphan
+//!   audit over every instance finds nothing; nor does it when two mounts
+//!   write one object in turn, each collecting after every close;
 //! * with injected delete faults the GC reaches zero orphans within two
 //!   retry cycles — asserted by the orphan-leak check, which lists every
 //!   blob a `SimulatedCloud` actually stores and verifies each one is
@@ -195,7 +197,8 @@ impl ObjectStore for FaultyCloud {
 
 /// The orphan-leak check: every blob the clouds store under the SCFS
 /// namespace must be reachable from a live manifest, a live chunk reference
-/// or a pending release-journal entry of the deployment's backend.
+/// or a pending release-journal entry of one of the deployment's backend
+/// instances.
 fn assert_no_orphans(deployment: &Deployment) {
     let orphans = deployment.orphans();
     assert!(orphans.is_empty(), "unreachable blobs leaked: {orphans:?}");
@@ -220,7 +223,7 @@ fn faulty_deployment(backend: Backend) -> (Deployment, Vec<Arc<FaultyCloud>>) {
 /// names, however many objects of a DepSky unit each one is.
 fn stored_chunks(deployment: &Deployment, fs: &mut ScfsAgent, path: &str) -> BTreeSet<BlobName> {
     let id = fs.stat(path).unwrap().storage_id;
-    let style = match deployment.storage().label() {
+    let style = match fs.storage().label() {
         "CoC" => KeyStyle::DepSky,
         _ => KeyStyle::Aws,
     };
@@ -319,11 +322,11 @@ fn deleting_one_file_never_reclaims_chunks_another_file_references() {
     assert_eq!(stored_chunks(&deployment, &mut fs, "/keep"), kept);
     let left = deployment.clouds[0].stored_keys(&format!("scfs/{id}/"));
     assert_eq!(left, Vec::<String>::new(), "/kill's blobs are reclaimed");
-    assert_eq!(deployment.storage().pending_releases(), 0);
+    assert_eq!(fs.storage().pending_releases(), 0);
     assert_no_orphans(&deployment);
 }
 
-/// Another client's agent — a second backend instance — stores content
+/// Another client's agent — its own backend instance — stores content
 /// that alice's instance committed, under bob's own path, and collects it:
 /// bob's collector deletes bob's chunks, so a cold mount still reads all of
 /// alice's file, and no blob is left that neither instance accounts for.
@@ -336,11 +339,10 @@ fn assert_a_second_instance_collects_only_its_own_chunks(backend: Backend) {
     let data = four_chunks(0x60);
     alice.write_file("/alice/doc", &data).unwrap();
 
-    let bobs = deployment.second_instance();
     let mut config = test_config();
     config.gc.written_bytes_threshold = Bytes::new(1);
     config.gc.versions_to_keep = 1;
-    let mut bob = bobs.mount("bob", config, 2);
+    let mut bob = deployment.mount("bob", config, 2);
     bob.write_file("/bob/doc", &data).unwrap();
     bob.unlink("/bob/doc").unwrap();
     for i in 0..3u8 {
@@ -349,14 +351,11 @@ fn assert_a_second_instance_collects_only_its_own_chunks(backend: Backend) {
     }
     assert!(bob.stats().gc_runs >= 3);
 
-    let mut reader = deployment
-        .second_instance()
-        .mount("alice", test_config(), 3);
+    let mut reader = deployment.mount("alice", test_config(), 3);
     let drain = bob.background_drain_instant().max(alice.now());
     reader.sleep(drain.duration_since(reader.now()) + SimDuration::from_secs(1));
     assert_eq!(reader.read_file("/alice/doc").unwrap(), data);
-    let orphans = deployment.orphans_with(&[&bobs]);
-    assert!(orphans.is_empty(), "unreachable blobs leaked: {orphans:?}");
+    assert_no_orphans(&deployment);
 }
 
 #[test]
@@ -367,6 +366,49 @@ fn a_second_instance_collects_only_its_own_chunks_aws() {
 #[test]
 fn a_second_instance_collects_only_its_own_chunks_coc() {
     assert_a_second_instance_collects_only_its_own_chunks(Backend::CloudOfClouds);
+}
+
+/// One object written through two instances: alice writes a file and grants
+/// bob `Write`, bob rewrites it on his own mount, then alice rewrites it
+/// again. Both mounts keep one version and collect after every close, so
+/// alice's collector prunes under a version her instance never saw. A cold
+/// mount still reads her last bytes, and no stored blob is one that no
+/// instance accounts for.
+fn assert_one_object_written_through_two_instances(backend: Backend) {
+    const DOC: &str = "/shared/doc";
+    let deployment = Deployment::instant(backend, 11);
+    let mut config = test_config();
+    config.gc.written_bytes_threshold = Bytes::new(1);
+    config.gc.versions_to_keep = 1;
+    let mut alice = deployment.mount("alice", config.clone(), 1);
+    let mut bob = deployment.mount("bob", config, 2);
+    alice.write_file(DOC, &four_chunks(0x91)).unwrap();
+    alice
+        .setfacl(DOC, &"bob".into(), Permission::Write)
+        .unwrap();
+    bob.sleep(alice.now().duration_since(bob.now()) + SimDuration::from_secs(1));
+    bob.write_file(DOC, &four_chunks(0x92)).unwrap();
+    alice.sleep(bob.now().duration_since(alice.now()) + SimDuration::from_secs(1));
+    alice.write_file(DOC, &four_chunks(0x93)).unwrap();
+    assert!(alice.stats().gc_runs >= 2 && bob.stats().gc_runs >= 1);
+
+    let mut reader = deployment.mount("alice", test_config(), 3);
+    let drain = alice
+        .background_drain_instant()
+        .max(bob.background_drain_instant());
+    reader.sleep(drain.duration_since(reader.now()) + SimDuration::from_secs(1));
+    assert_eq!(reader.read_file(DOC).unwrap(), four_chunks(0x93));
+    assert_no_orphans(&deployment);
+}
+
+#[test]
+fn one_object_written_through_two_instances_aws() {
+    assert_one_object_written_through_two_instances(Backend::Aws);
+}
+
+#[test]
+fn one_object_written_through_two_instances_coc() {
+    assert_one_object_written_through_two_instances(Backend::CloudOfClouds);
 }
 
 /// A handle outlives the unlink of its file, as a descriptor of an unlinked
@@ -395,7 +437,7 @@ fn closing_a_dirty_handle_of_an_unlinked_file_commits_nothing() {
     assert!(gone(&mut fs));
     fs.sleep(SimDuration::from_secs(2));
     assert!(gone(&mut fs), "past the metadata cache too");
-    assert_eq!(deployment.storage().pending_releases(), 0);
+    assert_eq!(fs.storage().pending_releases(), 0);
     assert_no_orphans(&deployment);
     let mut clock = Clock::new();
     clock.advance_to(fs.now());
@@ -467,7 +509,7 @@ fn gc_reaches_zero_orphans_within_two_cycles_despite_delete_faults() {
     let after_faulty = fs.stats();
     assert_eq!(after_faulty.gc_runs, 1);
     assert!(after_faulty.gc_errors > 0, "failed deletes must be counted");
-    assert!(deployment.storage().pending_releases() > 0);
+    assert!(fs.storage().pending_releases() > 0);
     assert_no_orphans(&deployment);
 
     // Cycle 2: the cloud heals. The retry pass reclaims every orphan.
@@ -480,11 +522,7 @@ fn gc_reaches_zero_orphans_within_two_cycles_despite_delete_faults() {
         healed.gc_orphans_reclaimed > 0,
         "retried deletions reclaimed the orphans"
     );
-    assert_eq!(
-        deployment.storage().pending_releases(),
-        0,
-        "journal fully drained"
-    );
+    assert_eq!(fs.storage().pending_releases(), 0, "journal fully drained");
     assert_no_orphans(&deployment);
     // The retained data was never touched by any of this.
     assert_eq!(fs.read_file("/f").unwrap(), four_chunks(0x03));
@@ -506,7 +544,7 @@ fn coc_gc_leaves_no_orphans() {
     fs.write_file("/trigger", b"x").unwrap();
     assert!(fs.stats().gc_runs >= 1);
     assert!(fs.stats().gc_reclaimed_versions > 0);
-    assert_eq!(deployment.storage().pending_releases(), 0);
+    assert_eq!(fs.storage().pending_releases(), 0);
     assert_no_orphans(&deployment);
     assert_eq!(fs.read_file("/f").unwrap(), four_chunks(0x13));
 }
@@ -551,8 +589,8 @@ fn assert_failed_commit_is_reclaimed(
     chunks: usize,
     lands_beside: bool,
 ) {
-    let storage = env.deployment.storage();
     let mut fs = env.deployment.mount("alice", test_config(), 1);
+    let storage = fs.storage().clone();
     let (v1, v2) = (distinct_chunks(0x20, chunks), distinct_chunks(0x40, chunks));
     fs.write_file("/f", &v1).unwrap();
     let committed = env.stored_keys();
@@ -714,13 +752,23 @@ fn scripted_versions() -> [(Vec<u8>, ChunkMap); 2] {
     })
 }
 
-/// Commits the first scripted version on a fresh `backend` deployment over
-/// [`FaultyCloud`]s, then writes the second and fails it mid-wave: every
-/// PUT of its third chunk fails, and the rest of the wave lands.
-fn commit_then_fail_a_write(backend: Backend) -> (Deployment, Vec<Arc<FaultyCloud>>, Clock) {
+/// A bare backend instance on a fresh `backend` deployment over
+/// [`FaultyCloud`]s, with those clouds and a clock past its writes.
+type ScriptedEnv = (
+    Deployment,
+    Arc<dyn FileStorage>,
+    Vec<Arc<FaultyCloud>>,
+    Clock,
+);
+
+/// Commits the first scripted version through a bare backend instance of a
+/// fresh `backend` deployment over [`FaultyCloud`]s, then writes the second
+/// and fails it mid-wave: every PUT of its third chunk fails, and the rest
+/// of the wave lands.
+fn commit_then_fail_a_write(backend: Backend) -> ScriptedEnv {
     let (deployment, faulty) = faulty_deployment(backend);
     let [(v0, map0), (v1, map1)] = scripted_versions();
-    let storage = deployment.storage();
+    let storage = deployment.instance();
     let opts = TransferOptions::default();
     let mut clock = Clock::new();
     let mut ctx = OpCtx::new(&mut clock, "alice".into());
@@ -745,7 +793,7 @@ fn commit_then_fail_a_write(backend: Backend) -> (Deployment, Vec<Arc<FaultyClou
     for cloud in &faulty {
         cloud.fail_puts_containing(None);
     }
-    (deployment, faulty, clock)
+    (deployment, storage, faulty, clock)
 }
 
 fn replay_once(storage: &dyn FileStorage, ctx: &mut OpCtx<'_>) -> ReplayReport {
@@ -784,12 +832,9 @@ fn assert_the_journal_paths_a_failed_write_and_a_prune_take(backend: Backend) {
         .collect();
     intents.push(BlobName::manifest(SCRIPTED, root1));
 
-    let (twin, faulty, mut clock) = commit_then_fail_a_write(backend);
-    assert_eq!(twin.storage().pending_releases(), intents.len());
-    replay_once(
-        twin.storage().as_ref(),
-        &mut OpCtx::new(&mut clock, "alice".into()),
-    );
+    let (_, twin, faulty, mut clock) = commit_then_fail_a_write(backend);
+    assert_eq!(twin.pending_releases(), intents.len());
+    replay_once(twin.as_ref(), &mut OpCtx::new(&mut clock, "alice".into()));
     let mut queue: Vec<BlobName> = faulty[0]
         .deletes()
         .iter()
@@ -798,8 +843,7 @@ fn assert_the_journal_paths_a_failed_write_and_a_prune_take(backend: Backend) {
     queue.dedup();
     assert_eq!(queue, intents, "plan order, the manifest last");
 
-    let (deployment, faulty, mut clock) = commit_then_fail_a_write(backend);
-    let storage = deployment.storage();
+    let (deployment, storage, faulty, mut clock) = commit_then_fail_a_write(backend);
     let mut ctx = OpCtx::new(&mut clock, "alice".into());
     assert_no_orphans(&deployment);
     let opts = TransferOptions::default();
@@ -886,7 +930,7 @@ fn the_journal_paths_a_failed_write_and_a_prune_take_coc() {
 #[test]
 fn a_failed_block_delete_on_the_cloud_of_clouds_is_requeued_and_leaks_nothing() {
     let (deployment, faulty) = faulty_deployment(Backend::CloudOfClouds);
-    let storage = deployment.storage();
+    let storage = deployment.instance();
     let mut clock = Clock::new();
     let mut ctx = OpCtx::new(&mut clock, "alice".into());
     let data = four_chunks(0x61);
@@ -962,7 +1006,7 @@ proptest! {
         replay_passes in 1usize..4,
     ) {
         let (deployment, faulty) = faulty_deployment(Backend::Aws);
-        let (storage, flaky) = (deployment.storage(), &faulty[0]);
+        let (storage, flaky) = (deployment.instance(), &faulty[0]);
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
         let opts = TransferOptions::default();

@@ -464,39 +464,45 @@ fn open_hole_a_rename_across_the_shared_tree_hides_it_from_a_private_name_space(
     }
 }
 
-/// Open hole, pinned as it behaves: a handle keeps the path it was opened
-/// by, so once its file is renamed, the handle's dirty size still answers a
-/// `stat` of the old path, and its close commits the new version under the
-/// old name, bringing it back, while the renamed file keeps the old bytes.
-/// A fix follows the object: the stat and the commit go by storage id.
+/// A handle follows its file across a rename, as a descriptor does: once
+/// the file is renamed, the old path is gone for a `stat`, and the handle's
+/// close commits the new version under the new name, bringing nothing back
+/// under the old one.
 #[test]
-fn open_hole_a_handle_open_across_a_rename_commits_under_the_old_name() {
+fn a_handle_open_across_a_rename_commits_under_the_new_name() {
     for mode in [Mode::Blocking, Mode::NonBlocking, Mode::NonSharing] {
         let mut fs = Deployment::instant(Backend::Aws, 7).mount("alice", ScfsConfig::test(mode), 1);
         fs.write_file("/a", b"old").unwrap();
         let h = fs.open("/a", OpenFlags::read_write()).unwrap();
         fs.write(h, 0, b"new!").unwrap();
         fs.rename("/a", "/b").unwrap();
-        assert_eq!(fs.stat("/a").map(|md| md.size), Ok(4), "{mode:?}");
+        let stat = fs.stat("/a").map(|md| md.size);
+        assert!(
+            matches!(stat, Err(ScfsError::NotFound { .. })),
+            "{mode:?}: {stat:?}"
+        );
         fs.close(h).unwrap();
         fs.sleep(SimDuration::from_secs(1));
-        assert_eq!(fs.read_file("/a").unwrap(), b"new!", "{mode:?}");
-        assert_eq!(fs.read_file("/b").unwrap(), b"old", "{mode:?}");
+        assert_eq!(fs.read_file("/b").unwrap(), b"new!", "{mode:?}");
+        let gone = fs.read_file("/a");
+        assert!(
+            matches!(gone, Err(ScfsError::NotFound { .. })),
+            "{mode:?}: {gone:?}"
+        );
     }
 }
 
-/// Open hole, pinned as it behaves: `sync` commits a handle whose file had
-/// no committed version when it opened, dirty or not. So the sync of a
-/// handle that only created the file commits its empty buffer over the
-/// version another handle closed since. A fix syncs a clean handle only
-/// when the file still has no version.
+/// `sync` commits a dirty handle only. A handle that only created its file
+/// is clean: the tuple the create wrote already describes the empty file,
+/// so its sync commits nothing over the version another handle closed
+/// since.
 #[test]
-fn open_hole_a_sync_of_a_clean_creating_handle_commits_over_a_later_version() {
+fn a_sync_of_a_clean_creating_handle_keeps_a_later_version() {
     for mode in [Mode::Blocking, Mode::NonBlocking, Mode::NonSharing] {
         let mut fs = Deployment::instant(Backend::Aws, 7).mount("alice", ScfsConfig::test(mode), 1);
         let created = fs.open("/f", OpenFlags::create()).unwrap();
         fs.write_file("/f", b"later").unwrap();
         fs.sync(created).unwrap();
-        assert_eq!(fs.read_file("/f").unwrap(), b"", "{mode:?}");
+        assert_eq!(fs.read_file("/f").unwrap(), b"later", "{mode:?}");
     }
 }

@@ -377,7 +377,7 @@ fn a_cold_mount_reads_a_manifest_past_a_lying_record() {
         };
         assert_eq!(rewritten, 1, "{lie:?}");
 
-        let mut reader = fx.second_instance().mount("alice", config, 2);
+        let mut reader = fx.mount("alice", config, 2);
         reader.sleep(writer.now().duration_since(reader.now()) + SimDuration::from_secs(1));
         liar.lying.store(true, Ordering::SeqCst);
         let before = gets(&fx.clouds);

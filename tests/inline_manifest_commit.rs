@@ -153,9 +153,8 @@ fn blobs(log: &[(Op, String)], op: Op) -> Vec<Blob> {
     of_kind.map(|(_, key)| blob_of(key)).collect()
 }
 
-/// One deployment with every cloud request logged. `deployment` is its
-/// first backend instance; [`Deployment::second_instance`] is a second
-/// process — empty registry, empty chunk store, same buckets, same log.
+/// One deployment with every cloud request logged. Each mount is its own
+/// process: empty registry, empty chunk store, same buckets, same log.
 struct Env {
     deployment: Deployment,
     recorders: Vec<Arc<Recorder>>,
@@ -190,11 +189,9 @@ impl Env {
         }
     }
 
-    /// A mount through a backend instance of its own, its clock past
-    /// everything `after` has done.
+    /// A mount, its clock past everything `after` has done.
     fn cold_mount(&self, user: &str, config: &ScfsConfig, after: &ScfsAgent) -> ScfsAgent {
-        let second = self.deployment.second_instance();
-        let mut agent = second.mount(user, config.clone(), 2);
+        let mut agent = self.deployment.mount(user, config.clone(), 2);
         agent.sleep(after.now().duration_since(agent.now()) + SimDuration::from_secs(1));
         agent
     }
@@ -371,7 +368,7 @@ fn assert_crossing_the_bound_and_back_leaves_no_manifest_behind(coc: bool) {
     assert_eq!(fs.stats().gc_errors, 0);
     let mut clock = Clock::starting_at(fs.background_drain_instant());
     let mut ctx = OpCtx::new(&mut clock, "alice".into());
-    let storage = env.deployment.storage();
+    let storage = fs.storage();
     let replayed = storage
         .replay_release_journal(&mut ctx, &JournalOpts::default())
         .unwrap();
@@ -520,69 +517,60 @@ fn setfacl_tags_only_the_manifests_that_exist_coc() {
 /// takes a set-ACL from the object's owner alone: on AWS `SingleCloud`'s
 /// `set_acl` tolerates the refusal, on the cloud-of-clouds
 /// `DepSkyClient::set_blob_acl` ignores every error. carol's tuple admits
-/// her and the manifest object does not, so her read fails, alike when all
-/// three share one backend instance and when bob and carol each mount
-/// through their own. A fix (shared ownership of an object's blobs, as in
-/// Commune) flips the last assertion to a read of bob's bytes.
+/// her and the manifest object does not, so her read fails. A fix (shared
+/// ownership of an object's blobs, as in Commune) flips the last assertion
+/// to a read of bob's bytes.
 fn assert_a_grant_after_a_collaborators_write_does_not_reach_its_manifest(coc: bool) {
     const DOC: &str = "/shared/doc";
     const CONTROL: &str = "/shared/control";
     let mut config = ScfsConfig::test(Mode::Blocking);
     config.chunking = CutRule::Fixed(1024);
     let payload = |seed| DetRng::new(seed).bytes(13 * 1024);
-    for own_instances in [false, true] {
-        let env = Env::new(coc);
-        let mount = |user: &str, seed, after: &ScfsAgent| {
-            let mut agent = if own_instances {
-                env.deployment
-                    .second_instance()
-                    .mount(user, config.clone(), seed)
-            } else {
-                env.deployment.mount(user, config.clone(), seed)
-            };
-            agent.sleep(after.now().duration_since(agent.now()) + SimDuration::from_secs(1));
-            agent
-        };
-        let mut alice = env.deployment.mount("alice", config.clone(), 1);
-        // Control: carol granted before bob's write reads his bytes, since
-        // his write tags his manifest with the tuple's ACL.
-        for path in [DOC, CONTROL] {
-            alice.write_file(path, &payload(1)).unwrap();
-            alice
-                .setfacl(path, &"bob".into(), Permission::Write)
-                .unwrap();
-        }
+    let env = Env::new(coc);
+    let mount = |user: &str, seed, after: &ScfsAgent| {
+        let mut agent = env.deployment.mount(user, config.clone(), seed);
+        agent.sleep(after.now().duration_since(agent.now()) + SimDuration::from_secs(1));
+        agent
+    };
+    let mut alice = env.deployment.mount("alice", config.clone(), 1);
+    // Control: carol granted before bob's write reads his bytes, since
+    // his write tags his manifest with the tuple's ACL.
+    for path in [DOC, CONTROL] {
+        alice.write_file(path, &payload(1)).unwrap();
         alice
-            .setfacl(CONTROL, &"carol".into(), Permission::Read)
+            .setfacl(path, &"bob".into(), Permission::Write)
             .unwrap();
-        let mut bob = mount("bob", 2, &alice);
-        let (v2, control) = (payload(2), payload(3));
-        bob.write_file(DOC, &v2).unwrap();
-        bob.write_file(CONTROL, &control).unwrap();
-        let root = config.chunk_map(&v2).root_hash();
-        assert!(!manifest_rides_inline(&config.chunk_map(&v2).encode()));
-
-        alice.sleep(bob.now().duration_since(alice.now()) + SimDuration::from_secs(1));
-        alice
-            .setfacl(DOC, &"carol".into(), Permission::Read)
-            .unwrap();
-        let mut carol = mount("carol", 3, &alice);
-        assert_eq!(carol.read_file(CONTROL).unwrap(), control);
-        let read = carol.read_file(DOC);
-        let refused = if coc {
-            matches!(
-                read,
-                Err(ScfsError::Storage(StorageError::QuorumNotReached {
-                    needed: 2,
-                    obtained: 0
-                }))
-            )
-        } else {
-            let key = format!("scfs/alice-f1/manifest/{}", to_hex(&root));
-            matches!(&read, Err(ScfsError::Storage(StorageError::AccessDenied { key: k, .. })) if *k == key)
-        };
-        assert!(refused, "own instances {own_instances}: {read:?}");
     }
+    alice
+        .setfacl(CONTROL, &"carol".into(), Permission::Read)
+        .unwrap();
+    let mut bob = mount("bob", 2, &alice);
+    let (v2, control) = (payload(2), payload(3));
+    bob.write_file(DOC, &v2).unwrap();
+    bob.write_file(CONTROL, &control).unwrap();
+    let root = config.chunk_map(&v2).root_hash();
+    assert!(!manifest_rides_inline(&config.chunk_map(&v2).encode()));
+
+    alice.sleep(bob.now().duration_since(alice.now()) + SimDuration::from_secs(1));
+    alice
+        .setfacl(DOC, &"carol".into(), Permission::Read)
+        .unwrap();
+    let mut carol = mount("carol", 3, &alice);
+    assert_eq!(carol.read_file(CONTROL).unwrap(), control);
+    let read = carol.read_file(DOC);
+    let refused = if coc {
+        matches!(
+            read,
+            Err(ScfsError::Storage(StorageError::QuorumNotReached {
+                needed: 2,
+                obtained: 0
+            }))
+        )
+    } else {
+        let key = format!("scfs/alice-f1/manifest/{}", to_hex(&root));
+        matches!(&read, Err(ScfsError::Storage(StorageError::AccessDenied { key: k, .. })) if *k == key)
+    };
+    assert!(refused, "{read:?}");
 }
 
 #[test]
@@ -679,10 +667,9 @@ fn every_coc_blob_is_its_three_blocks_and_the_slowest_cloud_gets_no_request() {
     let gcs = env.cloud_index("gcs");
     assert_eq!(logs[gcs], Vec::new(), "no request reaches GCS");
 
-    // A cold read through a second backend instance: one round of `f + 1`
-    // block GETs per blob, the manifest's included.
-    let second = env.deployment.second_instance();
-    let mut reader = second.mount("alice", config, 2);
+    // A cold read on another mount: one round of `f + 1` block GETs per
+    // blob, the manifest's included.
+    let mut reader = env.deployment.mount("alice", config, 2);
     reader.sleep(writer.now().duration_since(reader.now()) + SimDuration::from_secs(60));
     assert_eq!(reader.read_file("/f").unwrap(), data);
     let logs = env.take_logs();
@@ -703,7 +690,7 @@ fn every_coc_blob_is_its_three_blocks_and_the_slowest_cloud_gets_no_request() {
 #[test]
 fn collecting_a_coc_chunk_is_one_delete_per_holder() {
     let env = Env::build(Deployment::on(Backend::CloudOfClouds));
-    let storage = env.deployment.storage();
+    let storage = env.deployment.instance();
     let config = Shape::Fixed(2).config();
     let mut clock = Clock::new();
     let mut ctx = OpCtx::new(&mut clock, "alice".into());

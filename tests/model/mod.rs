@@ -241,18 +241,6 @@ impl Reference {
         self.fs.stat(path).ok().map(|md| md.file_type)
     }
 
-    /// Whether a handle open for writing on the reference names `path` or
-    /// a path under it.
-    fn open_under(&self, path: &str) -> bool {
-        let open = self
-            .handles
-            .open
-            .iter()
-            .filter(|h| self.fs.handle_writable(**h));
-        let mut paths = open.filter_map(|h| self.fs.handle_path(*h));
-        paths.any(|p| is_under(&p, path))
-    }
-
     /// How many handles open on the reference can write `path`.
     fn writers(&self, path: &str) -> usize {
         let open = self
@@ -426,7 +414,9 @@ const DEVIATIONS: &[Deviation] = &[
     Deviation {
         on: scfs,
         rules: |call, reference| {
-            let Call::Truncate(slot, _) = *call else { return None };
+            let Call::Truncate(slot, _) = *call else {
+                return None;
+            };
             let (fs, h) = (&reference.fs, reference.handles.get(slot));
             let path = fs.handle_path(h).filter(|_| !fs.handle_writable(h))?;
             refuses(ScfsError::PermissionDenied { path })
@@ -445,18 +435,6 @@ const DEVIATIONS: &[Deviation] = &[
         cite: "paper Table 1 (scfs::durability): SCFS's sync takes a dirty handle to the \
                cloud, a version a reopen reads, and the handle stays open clean; \
                baselines::localfs module doc: the reference's stops at the local disk",
-    },
-    Deviation {
-        on: scfs,
-        rules: |call, reference| {
-            let Call::Sync(slot) = *call else { return None };
-            let (fs, h) = (&reference.fs, reference.handles.get(slot));
-            let (path, buffer) = (fs.handle_path(h)?, fs.handle_contents(h)?);
-            let stale = fs.handle_writable(h) && fs.raw_contents(&path) != Some(buffer);
-            stale.then_some(Instead::Diverges)
-        },
-        cite: "tests/end_to_end.rs::\
-               open_hole_a_sync_of_a_clean_creating_handle_commits_over_a_later_version",
     },
     Deviation {
         on: scfs,
@@ -480,17 +458,9 @@ const DEVIATIONS: &[Deviation] = &[
     Deviation {
         on: scfs,
         rules: |call, reference| match call {
-            Call::Rename(from, _) if reference.open_under(from) => {
-                Some(Instead::Diverges)
-            }
-            _ => None,
-        },
-        cite: "tests/end_to_end.rs::open_hole_a_handle_open_across_a_rename_commits_under_the_old_name",
-    },
-    Deviation {
-        on: scfs,
-        rules: |call, reference| match call {
-            Call::Rename(from, to) if from != to && is_under(to, from) && reference.holds_under(from) => {
+            Call::Rename(from, to)
+                if from != to && is_under(to, from) && reference.holds_under(from) =>
+            {
                 Some(Instead::Diverges)
             }
             _ => None,
@@ -532,9 +502,9 @@ const DEVIATIONS: &[Deviation] = &[
     Deviation {
         on: |_| true,
         rules: |call, reference| match call {
-            Call::Readdir(path) if reference.kind(path) != Some(FileType::Directory) => {
-                Some(Instead::Answer(reference.fs.readdir(path).map(Answer::Names)))
-            }
+            Call::Readdir(path) if reference.kind(path) != Some(FileType::Directory) => Some(
+                Instead::Answer(reference.fs.readdir(path).map(Answer::Names)),
+            ),
             _ => None,
         },
         cite: "baselines::localfs module doc: readdir of a missing path or of a regular file \
@@ -567,7 +537,10 @@ const DEVIATIONS: &[Deviation] = &[
                 (gone && fs.handle_writable(h)).then_some(Instead::Diverges)
             }
             Call::Rename(from, to) => {
-                let under = reference.names.iter().any(|n| n != from && is_under(n, from));
+                let under = reference
+                    .names
+                    .iter()
+                    .any(|n| n != from && is_under(n, from));
                 let apart = under || from == to;
                 (apart && reference.holds_under(from)).then_some(Instead::Diverges)
             }

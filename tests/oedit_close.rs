@@ -785,8 +785,8 @@ fn rewrite_tail(fs: &mut ScfsAgent, path: &str, new: &[u8], at: usize) {
     fs.close(h).unwrap();
 }
 
-/// A mount that kept checkpoints and one that holds none — a second
-/// backend instance's, which never cut the file — make the same edits of
+/// A mount that kept checkpoints and one that holds none — another mount,
+/// on its own backend instance, which never cut the file — make the same edits of
 /// two copies of one file: an overwrite deep inside a chunk, an insert and
 /// a delete. Each commits the from-scratch root.
 #[test]
@@ -798,9 +798,7 @@ fn a_mount_without_checkpoints_commits_the_same_root() {
     let mut model = rng.bytes(4 * MIB);
     kept.write_file("/f", &model).unwrap();
     kept.write_file("/g", &model).unwrap();
-    let mut fresh = deployment
-        .second_instance()
-        .mount("alice", config.clone(), 2);
+    let mut fresh = deployment.mount("alice", config.clone(), 2);
     fresh.sleep(SimDuration::from_secs(60));
     let at = MIB + 300 * KIB;
     for edit in 0..3 {

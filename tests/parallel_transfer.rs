@@ -77,15 +77,15 @@ fn close_latency_secs(deployment: &Deployment, data: &[u8]) -> f64 {
     fs.now().duration_since(start).as_secs_f64()
 }
 
-/// Virtual seconds the deployment's backend takes to store `data` as a new
-/// version, moving its chunks in waves of `parallel`.
+/// Virtual seconds a bare backend instance of the deployment takes to store
+/// `data` as a new version, moving its chunks in waves of `parallel`.
 fn write_version_secs(deployment: &Deployment, parallel: usize, data: &[u8]) -> f64 {
     let map = ScfsConfig::test(Mode::Blocking).chunk_map(data);
     let mut clock = Clock::new();
     let mut ctx = OpCtx::new(&mut clock, "alice".into());
     let opts = TransferOptions::parallel(parallel);
     deployment
-        .storage()
+        .instance()
         .write_version(&mut ctx, "seq", data, &map, None, true, None, &opts)
         .unwrap();
     clock.now().as_secs_f64()
@@ -230,7 +230,7 @@ fn assert_cold_small_read_is_one_round_trip(backend: Backend) {
     let gets = total_gets(&deployment);
     let mut ctx = OpCtx::new(&mut clock, "alice".into());
     let chunk = deployment
-        .storage()
+        .instance()
         .read_chunk(&mut ctx, "alice-f1", &sha256(&data))
         .unwrap();
     assert_eq!(chunk, data, "the file is one chunk");
