@@ -79,6 +79,10 @@ struct LocalOpenFile {
     flags: OpenFlags,
     buffer: Vec<u8>,
     dirty: bool,
+    /// Its file's name was unlinked: the handle still reads and writes its
+    /// own bytes, but answers no `stat` and commits nothing on `close`, so
+    /// a file created again under that name never sees them.
+    detached: bool,
 }
 
 /// A purely local user-level file system.
@@ -148,6 +152,12 @@ impl LocalFs {
     /// not-yet-closed writes (for the embedding baselines' `sync`).
     pub fn handle_contents(&self, handle: FileHandle) -> Option<&[u8]> {
         self.open.get(&handle).map(|f| f.buffer.as_slice())
+    }
+
+    /// Whether the open handle's file was unlinked since it was opened: its
+    /// bytes are its own, and its `close` commits nothing.
+    pub fn handle_detached(&self, handle: FileHandle) -> bool {
+        self.open.get(&handle).is_some_and(|f| f.detached)
     }
 
     /// Whether the open handle was opened with write access.
@@ -227,6 +237,7 @@ impl FileSystem for LocalFs {
                 flags,
                 buffer,
                 dirty: false,
+                detached: false,
             },
         );
         Ok(handle)
@@ -307,7 +318,7 @@ impl FileSystem for LocalFs {
             .open
             .remove(&handle)
             .ok_or(ScfsError::BadHandle { handle: handle.0 })?;
-        if file.dirty {
+        if file.dirty && !file.detached {
             let now = self.clock.now();
             if let Some((md, data)) = self.files.get_mut(&file.path) {
                 *data = file.buffer;
@@ -322,7 +333,8 @@ impl FileSystem for LocalFs {
     fn stat(&mut self, path: &str) -> Result<FileMetadata, ScfsError> {
         self.charge_syscall();
         let path = normalize_path(path)?;
-        if let Some(open) = self.open.values().find(|f| f.path == path && f.dirty) {
+        let dirty = |f: &&LocalOpenFile| f.path == path && f.dirty && !f.detached;
+        if let Some(open) = self.open.values().find(dirty) {
             if let Some((md, _)) = self.files.get(&path) {
                 let mut md = md.clone();
                 md.size = open.buffer.len() as u64;
@@ -363,8 +375,11 @@ impl FileSystem for LocalFs {
         let path = normalize_path(path)?;
         self.files
             .remove(&path)
-            .map(|_| ())
-            .ok_or_else(|| ScfsError::not_found(path))
+            .ok_or_else(|| ScfsError::not_found(path.clone()))?;
+        for file in self.open.values_mut().filter(|f| f.path == path) {
+            file.detached = true;
+        }
+        Ok(())
     }
 
     fn rename(&mut self, from: &str, to: &str) -> Result<(), ScfsError> {
@@ -442,6 +457,22 @@ mod tests {
         assert!(fs.open("/nope", OpenFlags::read_only()).is_err());
         assert!(fs.stat("/nope").is_err());
         assert!(fs.unlink("/nope").is_err());
+    }
+
+    #[test]
+    fn an_unlinked_files_handle_is_detached_from_its_name() {
+        let mut fs = fs();
+        let h = fs.open("/f", OpenFlags::create()).unwrap();
+        fs.write(h, 0, b"dead handle bytes").unwrap();
+        fs.unlink("/f").unwrap();
+        fs.write_file("/f", b"new").unwrap();
+        // The handle keeps its own bytes, but the name is the new file's:
+        // `stat` answers its size, and the close commits nothing over it.
+        assert_eq!(fs.read(h, 0, 4).unwrap(), b"dead");
+        assert_eq!(fs.stat("/f").unwrap().size, 3);
+        fs.close(h).unwrap();
+        assert_eq!(fs.read_file("/f").unwrap(), b"new");
+        assert_eq!(fs.stat("/f").unwrap().size, 3);
     }
 
     #[test]

@@ -88,6 +88,9 @@ pub struct RegisterGroup {
     read_quorum_skew: AtomicUsize,
 }
 
+/// What [`RegisterGroup::rename_entry`] moved, and what it overwrote.
+pub(crate) type Moved = (Arc<EntryState>, Option<Arc<EntryState>>);
+
 /// What one replica answered to an ABD read round.
 #[derive(Debug)]
 struct ReadReply {
@@ -539,6 +542,50 @@ impl RegisterGroup {
         Ok(())
     }
 
+    /// The entry's own move of a rename whose `from` and `to` this group both
+    /// owns, at one SMR commit. Every applying replica installs one state:
+    /// the newest `from` among them by register timestamp (a tombstone moves
+    /// nothing, so a replica that missed a deletion brings nothing back)
+    /// under `to`, one version above every applying replica's, and a
+    /// tombstone above the newest under `from`. An entry the caller may not
+    /// write is refused before any replica changes.
+    pub(crate) fn rename_entry(
+        &self,
+        ctx: &mut OpCtx<'_>,
+        from: &str,
+        to: &str,
+    ) -> Result<Option<Moved>, CoordError> {
+        let commit_at = self.smr_commit(ctx)?;
+        let mut applying: Vec<_> = self.replicas.iter().map(|r| r.lock()).collect();
+        applying.retain_mut(|n| !matches!(n.faults.decide(commit_at), FaultDecision::Unavailable));
+        if applying.is_empty() {
+            return Err(CoordError::unavailable("no replica applied the rename"));
+        }
+        let newest = |key: &str| {
+            let snapshots = applying
+                .iter()
+                .map(|n| n.store.abd_snapshot(key, commit_at));
+            let newest = snapshots.max_by_key(|(ts, ..)| *ts);
+            newest.map_or((0, None), |(ts, state, _)| (ts, state.cloned()))
+        };
+        let ((from_ts, state), (to_ts, clobbered)) = (newest(from), newest(to));
+        let Some(state) = state else { return Ok(None) };
+        if !state.writable_by(&ctx.account) {
+            return Err(CoordError::denied(from, &ctx.account));
+        }
+        let version = to_ts.max(state.version) + 1;
+        let installed = Arc::new(state.at_version(version));
+        let mut built: [Built; 2] = Default::default();
+        for node in &mut applying {
+            let [at_from, at_to] = &mut built;
+            node.store
+                .abd_install(from, from_ts + 1, None, commit_at, at_from);
+            node.store
+                .abd_install(to, version, Some(&installed), commit_at, at_to);
+        }
+        Ok(Some((state, clobbered)))
+    }
+
     /// Shared SMR ordering step: checks that enough honest replicas are up,
     /// charges the client the leader round trip plus the protocol's ordering
     /// rounds (with single-server queueing at the leader), advances the
@@ -813,8 +860,8 @@ mod tests {
     }
 
     /// Every lane and round that stores: ABD writes (new key, overwrite),
-    /// SMR creates, ACL change, delete and rename, and a cross-shard rename's
-    /// collect and apply.
+    /// SMR creates, ACL change, delete and rename, a cross-shard rename's
+    /// collect and apply, and a same-shard rename's entry move.
     fn mix_of_commands(group: &RegisterGroup, c: &mut OpCtx<'_>) {
         group.write(c, "/d/a", b"1".to_vec().into()).unwrap();
         let create = |key: &str| Command::Cas {
@@ -857,6 +904,9 @@ mod tests {
         let moved = |(k, s): &KeyedState| (format!("/f{}", &k[2..]), Arc::clone(s));
         let inserts: Vec<_> = collected.iter().map(moved).collect();
         group.rename_apply(c, &deletes, &inserts).unwrap();
+        // A same-shard rename's entry move, there and back.
+        assert!(group.rename_entry(c, "/f/c", "/f/x").unwrap().is_some());
+        assert!(group.rename_entry(c, "/f/x", "/f/c").unwrap().is_some());
     }
 
     #[test]

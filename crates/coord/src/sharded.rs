@@ -8,12 +8,12 @@
 //! (ABD lane for get/put, SMR lane for conditional ops); `list` and
 //! `rename_prefix` scatter-gather across all groups on forked clocks.
 //!
-//! A cross-shard `rename_prefix` runs as collect → check → apply: a quorum
-//! snapshot of the affected entries from every group, a client-side
-//! all-or-nothing permission check, then one batched install per target
-//! group at an SMR commit instant. This approximates a two-phase commit —
-//! good enough for the simulation's single-issuer renames; a production
-//! plane would drive the same phases from a transaction log.
+//! `rename_prefix` runs as move + collect → check → apply. An entry that
+//! keeps its shard moves at one SMR commit of its group, beside a quorum
+//! snapshot of its descendants from every group; these are checked
+//! client-side all-or-nothing, then installed in one batch per target group.
+//! No transaction log spans the rounds; as in CFS, a refused descendant
+//! moves the entry back in one compensating commit instead.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,7 +30,7 @@ use crate::error::CoordError;
 use crate::replication::{ReplicationConfig, ReplicationMode};
 use crate::router::NamespaceRouter;
 use crate::service::{CoordinationService, Entry, SessionId};
-use crate::store::EntryState;
+use crate::store::{EntryState, KeyedState};
 
 /// A `shards × replicas` deployment shape for the metadata plane.
 #[derive(Debug, Clone, PartialEq)]
@@ -218,6 +218,10 @@ impl CoordinationService for ShardedCoordinator {
             .expect_unit()
     }
 
+    /// One round for an entry that keeps its group — the move at one SMR
+    /// commit (`RegisterGroup::rename_entry`) beside the collect under
+    /// `from/` — and a second only for descendants: for that round `to`
+    /// exists without its children (module doc).
     fn rename_prefix(
         &self,
         ctx: &mut OpCtx<'_>,
@@ -228,23 +232,50 @@ impl CoordinationService for ShardedCoordinator {
         if old_prefix.is_empty() {
             return Err(CoordError::invalid("empty rename prefix"));
         }
+        // A raw prefix, or a `to` at or under `from`: the collect path alone.
+        let home = self.router.route(old_prefix);
+        let under = format!("{old_prefix}/");
+        let own_move = self.router.route(new_prefix) == home
+            && !old_prefix.ends_with('/')
+            && !format!("{new_prefix}/").starts_with(&under);
 
-        // Collect: quorum snapshot of the affected entries from every group.
-        let collected = self.scatter(ctx, |group, sub| group.collect_prefix(sub, old_prefix))?;
+        // Round one: the entry's own move on a fork, the collect of what
+        // lies under it on the caller's clock, both from this instant.
+        let mut entry_clock = ctx.clock.fork();
+        let mut sub = OpCtx::new(&mut entry_clock, ctx.account.clone());
+        let entry =
+            own_move.then(|| self.groups[home].rename_entry(&mut sub, old_prefix, new_prefix));
+        let collect = if own_move { &under } else { old_prefix };
+        let collected = self.scatter(ctx, |group, sub| group.collect_prefix(sub, collect));
+        ctx.clock.advance_to(entry_clock.now());
+        let entry = entry.transpose()?.flatten();
 
-        // Check: the rename is all-or-nothing, so permissions are verified
-        // before any shard mutates.
-        for (key, state) in collected.iter().flatten() {
-            if !state.writable_by(&ctx.account) {
-                return Err(CoordError::denied(key, &ctx.account));
+        // Check: all-or-nothing; a refused descendant or a failed collect
+        // moves the entry back, and what it clobbered, in one commit.
+        let denied = |(key, state): &KeyedState| {
+            (!state.writable_by(&ctx.account)).then(|| CoordError::denied(key, &ctx.account))
+        };
+        let checked =
+            collected.and_then(|c| c.iter().flatten().find_map(denied).map_or(Ok(c), Err));
+        let collected = match checked {
+            Ok(collected) => collected,
+            Err(e) => {
+                if let Some((state, clobbered)) = entry {
+                    let mut inserts = vec![(old_prefix.to_string(), state)];
+                    inserts.extend(clobbered.map(|c| (new_prefix.to_string(), c)));
+                    self.groups[home]
+                        .rename_apply(ctx, &[new_prefix.into()], &inserts)
+                        .ok();
+                }
+                return Err(e);
             }
-        }
+        };
 
         // Plan, per shard: deletes stay on the source shard, each moved
         // entry lands on the shard that owns its *new* key.
         type Plan = (Vec<Arc<str>>, Vec<(String, Arc<EntryState>)>);
         let mut plan: Vec<Plan> = self.groups.iter().map(|_| Plan::default()).collect();
-        let mut moved = 0usize;
+        let mut moved = usize::from(entry.is_some());
         for (source, entries) in collected.into_iter().enumerate() {
             for (key, state) in entries {
                 let new_key = format!("{new_prefix}{}", &key[old_prefix.len()..]);
@@ -255,7 +286,7 @@ impl CoordinationService for ShardedCoordinator {
             }
         }
 
-        // Apply: one batched SMR commit per group that has work.
+        // Round two: one batched SMR commit per group that has work.
         let runs = run_forked(ctx.clock, 0..plan.len(), |i, fork| {
             let (deletes, inserts) = &plan[i];
             if deletes.is_empty() && inserts.is_empty() {
@@ -281,6 +312,8 @@ impl CoordinationService for ShardedCoordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replication::ReplicaConfig;
+    use sim_core::latency::LatencyModel;
     use sim_core::time::Clock;
 
     fn ctx<'a>(clock: &'a mut Clock, who: &str) -> OpCtx<'a> {
@@ -374,6 +407,154 @@ mod tests {
             Err(CoordError::AccessDenied { .. })
         ));
         assert!(plane.get(&mut a, "/scfs/meta/dir/f").is_ok());
+    }
+
+    /// A plane whose every hop takes a fixed time and whose replicas never
+    /// queue: a client round trip is 10 ms, an SMR commit 14 ms (the leader
+    /// round trip plus one 4 ms ordering round).
+    fn fixed_plane(shards: usize) -> ShardedCoordinator {
+        let site = |i| ReplicaConfig {
+            name: format!("fixed-{i}"),
+            client_rtt: LatencyModel::constant_ms(10.0),
+        };
+        let group = ReplicationConfig {
+            mode: ReplicationMode::CrashFaultTolerant { f: 1 },
+            replicas: (0..3).map(site).collect(),
+            inter_replica_rtt: LatencyModel::constant_ms(4.0),
+            processing: LatencyModel::zero(),
+        };
+        ShardedCoordinator::new(ShardTopology::new(shards, group), 9).unwrap()
+    }
+
+    /// How long `op` keeps the caller's clock.
+    fn elapsed(clock: &mut Clock, op: impl FnOnce(&mut OpCtx<'_>)) -> SimDuration {
+        let start = clock.now();
+        op(&mut ctx(clock, "alice"));
+        clock.now().duration_since(start)
+    }
+
+    /// The first `{base}{i}` whose child `{base}{i}/f` lives on another
+    /// shard than the directory itself.
+    fn dir_with_a_foreign_child(plane: &ShardedCoordinator, base: &str) -> String {
+        let route = |key: &str| plane.router().route(key);
+        (0..)
+            .map(|i| format!("{base}{i}"))
+            .find(|dir| route(dir) != route(&format!("{dir}/f")))
+            .unwrap()
+    }
+
+    #[test]
+    fn a_leaf_rename_costs_one_smr_commit_not_a_collect_plus_a_commit() {
+        let plane = fixed_plane(4);
+        let mut clock = Clock::new();
+        let mut c = ctx(&mut clock, "alice");
+        plane.put(&mut c, "/scfs/meta/d/f", b"v".to_vec()).unwrap();
+        plane.cas(&mut c, "/scfs/meta/d/x", None, vec![]).unwrap();
+        let commit = elapsed(&mut clock, |c| plane.delete(c, "/scfs/meta/d/x").unwrap());
+        assert_eq!(commit, SimDuration::from_millis(14));
+        let rename = elapsed(&mut clock, |c| {
+            let moved = plane.rename_prefix(c, "/scfs/meta/d/f", "/scfs/meta/d/g");
+            assert_eq!(moved.unwrap(), 1);
+        });
+        assert_eq!(
+            rename,
+            SimDuration::from_millis(14),
+            "collect beside commit"
+        );
+        let mut c = ctx(&mut clock, "alice");
+        assert_eq!(plane.get(&mut c, "/scfs/meta/d/g").unwrap().value, b"v");
+        assert!(plane.get(&mut c, "/scfs/meta/d/f").is_err());
+
+        // A name that holds nothing answers in the same one round.
+        let missing = elapsed(&mut clock, |c| {
+            let moved = plane.rename_prefix(c, "/scfs/meta/d/x", "/scfs/meta/d/y");
+            assert_eq!(moved.unwrap(), 0);
+        });
+        assert_eq!(missing, SimDuration::from_millis(14));
+    }
+
+    #[test]
+    fn a_directory_with_a_child_on_another_shard_lands_every_entry_on_its_new_shard() {
+        let plane = fixed_plane(4);
+        let (old, new) = (
+            dir_with_a_foreign_child(&plane, "/scfs/meta/p/old"),
+            dir_with_a_foreign_child(&plane, "/scfs/meta/p/new"),
+        );
+        let mut clock = Clock::new();
+        let mut c = ctx(&mut clock, "alice");
+        plane.put(&mut c, &old, b"dir".to_vec()).unwrap();
+        plane
+            .put(&mut c, &format!("{old}/f"), b"child".to_vec())
+            .unwrap();
+        let rename = elapsed(&mut clock, |c| {
+            assert_eq!(plane.rename_prefix(c, &old, &new).unwrap(), 2);
+        });
+        assert_eq!(
+            rename,
+            SimDuration::from_millis(28),
+            "move beside collect, then apply"
+        );
+        let mut c = ctx(&mut clock, "alice");
+        for (key, value) in [(new.clone(), &b"dir"[..]), (format!("{new}/f"), b"child")] {
+            let home = plane.router().route(&key);
+            for shard in 0..4 {
+                let read = plane.group(shard).read(&mut c, &key);
+                if shard == home {
+                    assert_eq!(read.unwrap().value, value, "{key}");
+                } else {
+                    assert!(read.is_err(), "{key} also on shard {shard}");
+                }
+            }
+        }
+        assert!(plane.get(&mut c, &old).is_err());
+        assert!(plane.get(&mut c, &format!("{old}/f")).is_err());
+        assert_eq!(plane.entry_count(), 2);
+    }
+
+    #[test]
+    fn a_rename_across_directories_on_different_shards_still_moves() {
+        let plane = fixed_plane(4);
+        let route = |key: &str| plane.router().route(key);
+        let from = "/scfs/meta/a/f";
+        let to = (0..)
+            .map(|i| format!("/scfs/meta/b{i}/f"))
+            .find(|to| route(to) != route(from))
+            .unwrap();
+        let mut clock = Clock::new();
+        let mut c = ctx(&mut clock, "alice");
+        plane.put(&mut c, from, b"v".to_vec()).unwrap();
+        assert_eq!(plane.rename_prefix(&mut c, from, &to).unwrap(), 1);
+        assert_eq!(plane.get(&mut c, &to).unwrap().value, b"v");
+        assert!(plane.get(&mut c, from).is_err());
+        assert_eq!(plane.entry_count(), 1);
+    }
+
+    /// Bob's directory holds a child of alice's that bob may not write: the
+    /// rename is refused after the directory itself moved, and the
+    /// compensating commit puts it back, with the `to` it clobbered.
+    #[test]
+    fn a_refused_descendant_moves_the_entry_back() {
+        let plane = plane(4, 6);
+        let (dir, to) = ("/scfs/meta/home/bob", "/scfs/meta/home/bob2");
+        let child = format!("{dir}/alices");
+        let mut clock = Clock::new();
+        let mut bob = ctx(&mut clock, "bob");
+        plane.put(&mut bob, dir, b"dir".to_vec()).unwrap();
+        plane.put(&mut bob, to, b"old bob2".to_vec()).unwrap();
+        let mut alice = ctx(&mut clock, "alice");
+        plane.put(&mut alice, &child, b"hers".to_vec()).unwrap();
+
+        let mut bob = ctx(&mut clock, "bob");
+        assert!(matches!(
+            plane.rename_prefix(&mut bob, dir, to),
+            Err(CoordError::AccessDenied { .. })
+        ));
+        assert_eq!(plane.get(&mut bob, dir).unwrap().value, b"dir");
+        assert_eq!(plane.get(&mut bob, to).unwrap().value, b"old bob2");
+        let mut alice = ctx(&mut clock, "alice");
+        assert_eq!(plane.get(&mut alice, &child).unwrap().value, b"hers");
+        assert!(plane.get(&mut alice, &format!("{to}/alices")).is_err());
+        assert_eq!(plane.entry_count(), 3);
     }
 
     #[test]

@@ -875,6 +875,59 @@ mod tests {
         }
     }
 
+    /// `block` with its key share and shard garbled, still decoding as a
+    /// block of the same slot, nonce and plaintext length.
+    fn fabricated(block: Vec<u8>) -> Vec<u8> {
+        let b = decode_block(block).unwrap();
+        let garble = |bytes: &[u8]| -> Vec<u8> { bytes.iter().map(|x| x ^ 0x5A).collect() };
+        let (share, shard) = (garble(&b.share_data), garble(b.shard()));
+        encode_block(b.slot, b.share_index, &b.nonce, b.size, &share, &shard)
+    }
+
+    #[test]
+    fn a_lying_record_does_not_defeat_a_cold_read() {
+        // Named for the metadata record a liar once served; a blob has no
+        // record now, so the liar lies about what a read does fetch, the
+        // blob's blocks. One cloud of four holds, for a blob written twice,
+        // its first block (stale: a rewrite is a fresh encryption over the
+        // same keys) or a garbled one (fabricated). A cold client races the
+        // two first holders: a liar among them costs one widening to the
+        // third, a liar outside them (the third holder, or the fourth cloud,
+        // which holds nothing) costs nothing.
+        for stale in [true, false] {
+            for liar in 0..4 {
+                let sims = sim_clouds(4);
+                let client =
+                    |seed| DepSkyClient::new(as_stores(&sims), DepSkyConfig::scfs_default(), seed);
+                let data = vec![0x3Cu8; 5_000];
+                let mut clock = Clock::new();
+                let mut c = ctx(&mut clock);
+                let writer = client(1).unwrap();
+                let hash = write(&writer, &mut c, &data);
+                let keys = sims[liar].list(&mut c, "depsky/").unwrap();
+                let first: Vec<_> = keys.iter().map(|k| sims[liar].get(&mut c, k)).collect();
+                write(&writer, &mut c, &data);
+                for (key, first) in keys.iter().zip(first) {
+                    let now = sims[liar].get(&mut c, key).unwrap();
+                    assert_ne!(first.as_ref(), Ok(&now), "a rewrite re-encrypts {key}");
+                    let lie = if stale {
+                        first.unwrap()
+                    } else {
+                        fabricated(now)
+                    };
+                    sims[liar].put(&mut c, key, &lie).unwrap();
+                }
+
+                let before = request_counts(&sims).1;
+                let read = client(2).unwrap().read_blob(&mut c, "f", &hash);
+                assert_eq!(read, Ok(data), "stale {stale}, cloud {liar}");
+                let gets = 2 + u64::from(liar < 2);
+                let seen = request_counts(&sims).1 - before;
+                assert_eq!(seen, gets, "stale {stale}, cloud {liar}");
+            }
+        }
+    }
+
     #[test]
     fn data_survives_one_unavailable_cloud() {
         let sims = sim_clouds(4);

@@ -11,15 +11,12 @@ use scfs_repro::cloud_store::providers::{ProviderProfile, ProviderSet};
 use scfs_repro::cloud_store::sim_cloud::SimulatedCloud;
 use scfs_repro::cloud_store::store::{ObjectStore, OpCtx};
 use scfs_repro::cloud_store::types::{Acl, ObjectMeta};
-use scfs_repro::depsky::config::DepSkyConfig;
-use scfs_repro::depsky::register::DepSkyClient;
 use scfs_repro::depsky::wire::{Reader, Writer};
 use scfs_repro::scfs::agent::ScfsAgent;
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::error::ScfsError;
 use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::scfs::types::CutRule;
-use scfs_repro::scfs_crypto::sha256;
 use scfs_repro::sim_core::fault::FaultPlan;
 use scfs_repro::sim_core::time::{Clock, SimDuration, SimInstant};
 use scfs_repro::sim_core::units::Bytes;
@@ -170,8 +167,9 @@ enum Lie {
 }
 
 /// A cloud that, once `lying`, tells `lie` about every block of a blob other
-/// than a chunk (a manifest, or a bare client's blob) it serves and forwards
-/// everything else.
+/// than a chunk (a manifest) it serves and forwards everything else. The
+/// DepSky-level twin, a lie about a bare blob's blocks, is
+/// `depsky::register::tests::a_lying_record_does_not_defeat_a_cold_read`.
 struct LyingHolder {
     inner: Arc<SimulatedCloud>,
     lie: Lie,
@@ -271,58 +269,6 @@ fn lying_holder(inner: Arc<SimulatedCloud>, lie: Lie) -> Arc<LyingHolder> {
         lying: AtomicBool::new(false),
         first: Mutex::new(BTreeMap::new()),
     })
-}
-
-#[test]
-fn a_lying_record_does_not_defeat_a_cold_read() {
-    // Named for the metadata record a liar once served; a blob has no record
-    // now, so the liar lies about what a read does fetch, the blob's blocks.
-    // One cloud of four serves, for a blob written twice, its first block
-    // (stale) or a garbled one (fabricated). A cold client races the two
-    // first holders: a liar among them costs one widening to the third, a
-    // liar outside them (the third holder, or the fourth cloud, which holds
-    // nothing) costs nothing.
-    for lie in [Lie::Stale, Lie::Fabricate] {
-        for liar in 0..4 {
-            let sims: Vec<Arc<SimulatedCloud>> = ProviderSet::test_backend(4)
-                .into_iter()
-                .enumerate()
-                .map(|(i, p)| Arc::new(SimulatedCloud::new(p, i as u64)))
-                .collect();
-            let lying = lying_holder(sims[liar].clone(), lie);
-            let stores: Vec<Arc<dyn ObjectStore>> = sims
-                .iter()
-                .enumerate()
-                .map(|(i, sim)| {
-                    if i == liar {
-                        lying.clone() as Arc<dyn ObjectStore>
-                    } else {
-                        sim.clone() as Arc<dyn ObjectStore>
-                    }
-                })
-                .collect();
-            let client =
-                |seed| DepSkyClient::new(stores.clone(), DepSkyConfig::scfs_default(), seed);
-            let data = vec![0x3Cu8; 5_000];
-            let hash = sha256(&data);
-            let mut clock = Clock::new();
-            let mut ctx = OpCtx::new(&mut clock, "alice".into());
-            let writer = client(1).unwrap();
-            writer.write_blob(&mut ctx, "f", &hash, &data).unwrap();
-            writer.write_blob(&mut ctx, "f", &hash, &data).unwrap();
-
-            lying.lying.store(true, Ordering::SeqCst);
-            let before = gets(&sims);
-            let read = client(2).unwrap().read_blob(&mut ctx, "f", &hash);
-            assert_eq!(read, Ok(data), "{lie:?} from cloud {liar}");
-            let widening = u64::from(liar < 2);
-            assert_eq!(
-                gets(&sims) - before,
-                2 + widening,
-                "{lie:?} from cloud {liar}"
-            );
-        }
-    }
 }
 
 #[test]

@@ -336,6 +336,42 @@ fn a_completed_delete_survives_the_heal_of_a_partitioned_replica() {
     }
 }
 
+/// A leaf deleted while one replica was partitioned, and renamed after the
+/// heal: that replica still holds the leaf, but every replica that applies
+/// the move installs the newest state among them — the tombstone — so the
+/// name stays gone under both names and the rename moves nothing.
+#[test]
+fn a_leaf_deleted_during_a_partition_is_not_renamed_back_after_the_heal() {
+    let (old, new) = ("/scfs/meta/d/old", "/scfs/meta/d/new");
+    for shards in [1, 4] {
+        for (seed, replica) in (0..16).zip([1, 2].into_iter().cycle()) {
+            let plane = ShardedCoordinator::new(ShardTopology::metro(shards, 1), seed).unwrap();
+            let mut clock = Clock::new();
+            let mut ctx = OpCtx::new(&mut clock, "alice".into());
+            plane.cas(&mut ctx, old, None, b"leaf".to_vec()).unwrap();
+            let t0 = ctx.clock.now();
+            let healed = t0 + SimDuration::from_secs(1);
+            let shard = plane.router().route(old);
+            plane.set_replica_fault(shard, replica, FaultPlan::outage(t0, healed), 3);
+            plane.delete(&mut ctx, old).unwrap();
+
+            clock.advance_to(healed + SimDuration::from_secs(1));
+            let mut ctx = OpCtx::new(&mut clock, "alice".into());
+            let moved = plane.rename_prefix(&mut ctx, old, new).unwrap();
+            assert_eq!(moved, 0, "{shards} shards, seed {seed}");
+            for round in 0..10 {
+                for gone in [old, new] {
+                    let read = plane.get(&mut ctx, gone);
+                    assert!(
+                        matches!(read, Err(CoordError::NotFound { .. })),
+                        "{shards} shards, seed {seed}, read {round}: {gone} came back as {read:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// The keys the model-based tests below work on: a handful of directories
 /// (so a four-shard plane spreads them) with a few names each.
 fn model_key(pick: u32) -> String {
@@ -368,7 +404,8 @@ fn step_instant(step: usize) -> SimInstant {
 
 proptest! {
     /// Point reads against a `BTreeMap` reference: a random sequence of
-    /// `put`, `cas` (create or update) and `delete` with one non-leader
+    /// `put`, `cas` (create or update), `delete` and a rename within one
+    /// directory (the model moves the value) with one non-leader
     /// replica of each group partitioned for a random run of steps; after
     /// every step — during the outage and after it — `get` of every key
     /// equals the model's.
@@ -388,7 +425,7 @@ proptest! {
             let mut ctx = ctx_at(&mut clock, step_instant(step), "alice");
             let key = model_key(command >> 8);
             let value = command.to_le_bytes().to_vec();
-            match command % 4 {
+            match command % 5 {
                 0 => {
                     plane.put(&mut ctx, &key, value.clone()).unwrap();
                     model.insert(key, value);
@@ -403,11 +440,23 @@ proptest! {
                     plane.cas(&mut ctx, &key, expected, value.clone()).unwrap();
                     model.insert(key, value);
                 }
-                _ => {
+                3 => {
                     let deleted = plane.delete(&mut ctx, &key);
                     match model.remove(&key) {
                         Some(_) => deleted.unwrap(),
                         None => prop_assert!(matches!(deleted, Err(CoordError::NotFound { .. }))),
+                    }
+                }
+                _ => {
+                    // A rename within the directory: the entry's own move,
+                    // a value clobbering the target's, or nothing at all.
+                    let pick = command >> 8;
+                    let to = model_key(pick + 3 * (1 + ((command >> 7) & 1)));
+                    let moved = plane.rename_prefix(&mut ctx, &key, &to).unwrap();
+                    let value = model.remove(&key);
+                    prop_assert_eq!(moved, usize::from(value.is_some()), "step {}: {} -> {}", step, key, to);
+                    if let Some(value) = value {
+                        model.insert(to, value);
                     }
                 }
             }

@@ -429,12 +429,14 @@ const DEVIATIONS: &[Deviation] = &[
         rules: |call, reference| {
             let Call::Sync(slot) = *call else { return None };
             let (fs, h) = (&reference.fs, reference.handles.get(slot));
-            let path = fs.handle_path(h).filter(|_| reference.dirty.contains(&h))?;
+            let commits = |h| reference.dirty.contains(&h) && !fs.handle_detached(h);
+            let path = fs.handle_path(h).filter(|_| commits(h))?;
             fs.exists(&path).then_some(Instead::Commits)
         },
         cite: "paper Table 1 (scfs::durability): SCFS's sync takes a dirty handle to the \
                cloud, a version a reopen reads, and the handle stays open clean; \
-               baselines::localfs module doc: the reference's stops at the local disk",
+               baselines::localfs module doc: the reference's stops at the local disk. \
+               A handle whose file was unlinked commits nothing on either",
     },
     Deviation {
         on: scfs,

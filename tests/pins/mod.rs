@@ -60,7 +60,7 @@ const PINS: &[(&str, u64)] = &[
     ("file_sync.NonBlocking.drain_ns", 4266630853),
     ("file_sync.NonSharing.end_ns", 731942039),
     ("file_sync.NonSharing.drain_ns", 1573544305),
-    ("fault_paths.digest", 0xd2ab_3477_db9c_e361),
+    ("fault_paths.digest", 0x1b7e_035e_4f05_1f44),
 ];
 
 /// The data fleet on the paper deployment of `backend`.
