@@ -20,11 +20,12 @@
 //!
 //! Unlike the latency-only [`crate::replication::ReplicatedCoordinator`],
 //! each replica here models **server capacity**: a request occupies the
-//! replica from `max(arrival, busy_until)` for one processing time. Since a
-//! broadcast round visits every replica, one group saturates at roughly
-//! `1 / processing_mean` operations per second no matter how many replicas it
-//! has — which is exactly why the sharded plane ([`crate::sharded`]) scales
-//! throughput linearly in the number of groups, not in replicas per group.
+//! replica for one processing time on its reservation calendar: a read in
+//! the first free slot, a change at the horizon. Since a broadcast round
+//! visits every replica, one group saturates at roughly `1 / processing_mean`
+//! operations per second no matter how many replicas it has — which is
+//! exactly why the sharded plane ([`crate::sharded`]) scales throughput
+//! linearly in the number of groups, not in replicas per group.
 //!
 //! Fault model: replica faults come from the existing
 //! [`sim_core::fault::FaultInjector`]. `Unavailable` replicas send no reply.
@@ -45,6 +46,7 @@ use sim_core::rng::DetRng;
 use sim_core::schedule::{ChoiceKind, ControllerSlot};
 use sim_core::time::{SimDuration, SimInstant};
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, MutexGuard};
 
@@ -60,14 +62,52 @@ use crate::store::{AbdWriteOutcome, Built, EntryState, KeyedState, TupleStore};
 const RANK_BITS: u32 = 20;
 const RANK_MASK: u64 = (1 << RANK_BITS) - 1;
 
-/// One replica of the group: its state machine, its fault plan, the
-/// instant until which its (single) server thread is occupied, and how many
+/// One replica's server: its bookings, in start order and disjoint. Clients
+/// run in host order, so a request can arrive after one stamped later (a
+/// close's update lands behind its cloud PUT). A read fills the first gap
+/// that fits it, waiting for no booking that begins after it could have
+/// finished; a change starts at the horizon, so no reply given is
+/// contradicted by a change placed before it. Bookings are kept down to 5 s
+/// behind the horizon; a request arriving below that is `late`.
+#[derive(Debug, Default)]
+struct Calendar {
+    booked: VecDeque<(SimInstant, SimInstant)>,
+    horizon: SimInstant,
+    late: u64,
+}
+
+impl Calendar {
+    /// Books `proc` for a request arriving at `arrival` and returns when its
+    /// service starts: in the first free slot at or after `arrival` if the
+    /// request only reads (`fill`) and is not late, else at the horizon.
+    fn book(&mut self, arrival: SimInstant, proc: SimDuration, fill: bool) -> SimInstant {
+        let low_water = |end: SimInstant| end + SimDuration::from_secs(5) < self.horizon;
+        while self.booked.front().is_some_and(|&(_, end)| low_water(end)) {
+            self.booked.pop_front();
+        }
+        let late = low_water(arrival);
+        self.late += u64::from(late);
+        let free_from = if fill && !late { arrival } else { self.horizon };
+        let mut at = self.booked.partition_point(|&(_, end)| end <= free_from);
+        let mut start = arrival.max(free_from);
+        while let Some(&(_, end)) = self.booked.get(at).filter(|b| b.0 < start + proc) {
+            (start, at) = (start.max(end), at + 1);
+        }
+        self.booked.insert(at, (start, start + proc));
+        self.horizon = self.horizon.max(start + proc);
+        start
+    }
+}
+
+/// One replica of the group: its state machine, its fault plan, its
+/// calendar, the latest SMR commit it ordered (as the leader), and how many
 /// read-only replies its store has computed.
 #[derive(Debug)]
 struct ReplicaNode {
     store: TupleStore,
     faults: FaultInjector,
-    busy_until: SimInstant,
+    calendar: Calendar,
+    committed: SimInstant,
     evaluated: u64,
 }
 
@@ -123,7 +163,8 @@ impl RegisterGroup {
                 Mutex::new(ReplicaNode {
                     store: TupleStore::new(),
                     faults: FaultInjector::inert(),
-                    busy_until: SimInstant::EPOCH,
+                    calendar: Calendar::default(),
+                    committed: SimInstant::EPOCH,
                     evaluated: 0,
                 })
             })
@@ -182,19 +223,25 @@ impl RegisterGroup {
             .unwrap_or(0)
     }
 
+    /// How many requests reached a replica below its low-water mark.
+    pub fn late_requests(&self) -> u64 {
+        self.replicas.iter().map(|r| r.lock().calendar.late).sum()
+    }
+
     /// Broadcasts one round to every replica on forked clocks and returns the
     /// outcomes sorted by reply arrival. `visit` runs on the replica's store
     /// at its service instant, replica after replica; the `bool` argument is
     /// set when the replica is Byzantine and the reply value must be garbled.
-    /// A read-only round keeps both as a ticket, and [`Self::evaluate`] visits
-    /// the store only for a reply the client absorbs, before the group's next
-    /// mutating round (the register timestamp is not time-indexed). A `None`
+    /// A `read_only` round fills each calendar's first free slot and keeps
+    /// both as a ticket; [`Self::evaluate`] visits the store, time-indexed,
+    /// only for a reply the client absorbs, before any other round. A `None`
     /// outcome means the replica sent no reply (crashed or partitioned); its
     /// fork still advances a full round trip so a failed quorum waits a
     /// realistic time.
     fn round<T>(
         &self,
         ctx: &OpCtx<'_>,
+        read_only: bool,
         mut visit: impl FnMut(&mut TupleStore, SimInstant, bool) -> T,
     ) -> Vec<ForkedRun<Option<T>>> {
         run_forked(ctx.clock, 0..self.replicas.len(), |i, fork| {
@@ -214,11 +261,7 @@ impl RegisterGroup {
                     None
                 }
                 decision => {
-                    // Single-server queue: the request waits for the replica
-                    // to free up, then occupies it for one processing time.
-                    let service_start = arrival.max(node.busy_until);
-                    let depart = service_start + proc;
-                    node.busy_until = depart;
+                    let depart = node.calendar.book(arrival, proc, read_only) + proc;
                     let value = visit(
                         &mut node.store,
                         depart,
@@ -281,7 +324,7 @@ impl RegisterGroup {
         site: &str,
         what: &str,
     ) -> Result<Vec<(MutexGuard<'_, ReplicaNode>, SimInstant)>, CoordError> {
-        let runs = self.deliver(site, self.round(ctx, |_, at, corrupt| (at, corrupt)));
+        let runs = self.deliver(site, self.round(ctx, true, |_, at, corrupt| (at, corrupt)));
         let mut absorbed = Vec::new();
         self.await_write_quorum(ctx, &runs, what, |run| {
             let Some((at, false)) = run.value else {
@@ -299,7 +342,7 @@ impl RegisterGroup {
         let skew = self.read_quorum_skew.load(Ordering::Relaxed);
         let wq = self.config.mode.write_quorum().saturating_sub(skew).max(1);
         let rq = self.config.mode.reply_quorum();
-        let runs = self.deliver(key, self.round(ctx, |_, at, corrupt| (at, corrupt)));
+        let runs = self.deliver(key, self.round(ctx, true, |_, at, corrupt| (at, corrupt)));
 
         // Walk replies in delivery order, computing each as it is
         // considered; once `write_quorum` have arrived, look for a value
@@ -363,7 +406,7 @@ impl RegisterGroup {
                 }
             });
             let mut built = Built::default();
-            let install_runs = self.round(ctx, |store, at, _| {
+            let install_runs = self.round(ctx, false, |store, at, _| {
                 store.abd_install(key, ts, install.as_ref(), at, &mut built)
             });
             let install_runs = self.deliver(key, install_runs);
@@ -405,7 +448,7 @@ impl RegisterGroup {
         // Phase 1: timestamp query. Byzantine replicas cannot forge
         // timestamps (commands are signed), so the plain quorum max is safe;
         // at worst a corrupt replica burns sequence numbers.
-        let ts_runs = self.deliver(key, self.round(ctx, |_, at, corrupt| (at, corrupt)));
+        let ts_runs = self.deliver(key, self.round(ctx, true, |_, at, corrupt| (at, corrupt)));
         let mut max_ts = 0u64;
         self.await_write_quorum(ctx, &ts_runs, "timestamp query", |run| {
             let Some((at, _)) = run.value else {
@@ -425,7 +468,7 @@ impl RegisterGroup {
         let mut built = Built::default();
         let write_runs = self.deliver(
             key,
-            self.round(ctx, |store, at, _| {
+            self.round(ctx, false, |store, at, _| {
                 store.abd_write(key, ts, &value, &ctx.account, at, &mut built)
             }),
         );
@@ -588,8 +631,9 @@ impl RegisterGroup {
 
     /// Shared SMR ordering step: checks that enough honest replicas are up,
     /// charges the client the leader round trip plus the protocol's ordering
-    /// rounds (with single-server queueing at the leader), advances the
-    /// caller's clock to the reply and returns the commit instant.
+    /// rounds (the leader serves it at its horizon; a commit never precedes
+    /// the one ordered before it), advances the caller's clock to the reply
+    /// and returns the commit instant.
     fn smr_commit(&self, ctx: &mut OpCtx<'_>) -> Result<SimInstant, CoordError> {
         let start = ctx.clock.now();
         let honest = self
@@ -609,9 +653,9 @@ impl RegisterGroup {
         let arrival = start + one_way;
         let commit_at = {
             let mut leader = self.replicas[0].lock();
-            let service_start = arrival.max(leader.busy_until);
-            leader.busy_until = service_start + proc;
-            service_start + ordering + proc
+            let service_start = leader.calendar.book(arrival, proc, false);
+            leader.committed = leader.committed.max(service_start + ordering + proc);
+            leader.committed
         };
         ctx.clock.advance_to(commit_at + one_way);
         Ok(commit_at)
@@ -998,6 +1042,124 @@ mod tests {
                     assert_eq!(group.list(&mut c, "/f/").unwrap(), ["/f/a", "/f/c"]);
                 }
                 assert_eq!(evaluated(&group).iter().sum::<u64>(), before + wq);
+            }
+        }
+    }
+
+    /// Random bookings, some arriving out of order and a few below the
+    /// low-water mark: a read-only one takes the first free slot at or after
+    /// its arrival, so it waits for no reservation that begins after it
+    /// could have finished; any other starts at the horizon, as does a late
+    /// one, which is counted. Reservations never overlap.
+    #[test]
+    fn a_read_waits_only_for_reservations_that_begin_before_it_could_finish() {
+        let mut rng = DetRng::new(56);
+        let mut calendar = Calendar::default();
+        let mut late = 0;
+        for step in 0..4000u64 {
+            let base = SimInstant::from_millis(step * 4);
+            let arrival = match rng.next_below(64) {
+                0 => SimInstant::from_millis((step * 4).saturating_sub(6000)),
+                n => base + SimDuration::from_millis(rng.next_below(600) * (n % 2)),
+            };
+            let proc = SimDuration::from_nanos(rng.range_u64(500_000, 6_000_000));
+            let fill = rng.chance(0.8);
+            let before: Vec<_> = calendar.booked.iter().copied().collect();
+            let horizon = calendar.horizon;
+            let start = calendar.book(arrival, proc, fill);
+            let free = |at: SimInstant| before.iter().all(|&(b, e)| e <= at || at + proc <= b);
+            if arrival + SimDuration::from_secs(5) < horizon {
+                late += 1;
+                assert_eq!(start, arrival.max(horizon), "step {step}: late");
+            } else if fill {
+                assert!(start >= arrival && free(start), "step {step}");
+                let earlier = before.iter().map(|&(_, e)| e).chain([arrival]);
+                for at in earlier.filter(|&at| arrival <= at && at < start) {
+                    assert!(!free(at), "step {step}: {at:?} was free before {start:?}");
+                }
+            } else {
+                assert_eq!(start, arrival.max(horizon), "step {step}");
+            }
+            let booked: Vec<_> = calendar.booked.iter().collect();
+            assert!(booked.windows(2).all(|w| w[0].1 <= w[1].0), "step {step}");
+        }
+        assert_eq!(calendar.late, late);
+        assert!(late > 0);
+    }
+
+    /// A read arriving more than 5 s below a replica's horizon finds no
+    /// bookings left to fit between: it is served at the horizon, as a
+    /// change is, and counted once per replica.
+    #[test]
+    fn a_read_below_the_low_water_mark_waits_for_the_horizon_and_is_counted() {
+        let group = RegisterGroup::new(ReplicationConfig::metro_crash(1), 25).unwrap();
+        let mut late = Clock::starting_at(SimInstant::from_secs(10));
+        group
+            .write(&mut ctx(&mut late, "alice"), "/f", b"v".to_vec().into())
+            .unwrap();
+        let mut early = Clock::starting_at(SimInstant::from_secs(6));
+        assert!(group.read(&mut ctx(&mut early, "alice"), "/f").is_err());
+        assert!(early.now() < SimInstant::from_secs(7), "fills a gap");
+        assert_eq!(group.late_requests(), 0);
+        let mut earlier = Clock::starting_at(SimInstant::from_secs(1));
+        let entry = group.read(&mut ctx(&mut earlier, "alice"), "/f").unwrap();
+        assert_eq!(entry.value, b"v", "served after the write, at the horizon");
+        assert!(earlier.now() > late.now());
+        assert_eq!(group.late_requests(), 3);
+    }
+
+    /// Two exclusive creates of one key, the later-stamped one first in host
+    /// order: the leader orders them, and the second commits after the
+    /// first, so it sees the key and loses. The ordering rounds of the
+    /// cloud-of-clouds profile vary more than a replica's processing time,
+    /// which let the second commit before the first.
+    #[test]
+    fn exclusive_creates_in_reverse_host_order_have_one_winner() {
+        for seed in 0..32 {
+            let group = RegisterGroup::new(ReplicationConfig::coc_byzantine(), seed).unwrap();
+            let create = || Command::Cas {
+                key: "/f".into(),
+                expected: None,
+                value: b"c".to_vec().into(),
+            };
+            let mut later = Clock::starting_at(SimInstant::from_millis(5));
+            let mut earlier = Clock::new();
+            let wins = [&mut later, &mut earlier]
+                .into_iter()
+                .map(|clock| group.smr(&mut ctx(clock, "alice"), create()).unwrap())
+                .filter(|reply| matches!(reply, Reply::Version(_)))
+                .count();
+            assert_eq!(wins, 1, "seed {seed}");
+        }
+    }
+
+    /// A replica misses a write stamped late, and a read stamped before it
+    /// runs after it in host order: the read is served in the gap before the
+    /// write, where the register timestamp is still the old one, so any
+    /// write-back installs the old state under the old timestamp. Every read
+    /// after the heal returns the new value.
+    #[test]
+    fn an_earlier_read_after_a_later_write_never_brings_the_old_value_back() {
+        for seed in 0..16 {
+            let group = RegisterGroup::new(ReplicationConfig::metro_crash(1), seed).unwrap();
+            let mut clock = Clock::new();
+            group
+                .write(&mut ctx(&mut clock, "alice"), "/f", b"old".to_vec().into())
+                .unwrap();
+            let outage = FaultPlan::outage(SimInstant::from_secs(1), SimInstant::from_secs(2));
+            group.set_fault(2, outage, seed);
+            let mut later = Clock::starting_at(SimInstant::from_millis(1500));
+            let new = b"new".to_vec().into();
+            group
+                .write(&mut ctx(&mut later, "alice"), "/f", new)
+                .unwrap();
+            let mut earlier = Clock::starting_at(SimInstant::from_millis(500));
+            let early = group.read(&mut ctx(&mut earlier, "alice"), "/f").unwrap();
+            assert_eq!(early.value, b"old", "seed {seed}: served before the write");
+            let mut after = Clock::starting_at(SimInstant::from_secs(3));
+            for _ in 0..8 {
+                let entry = group.read(&mut ctx(&mut after, "alice"), "/f").unwrap();
+                assert_eq!(entry.value, b"new", "seed {seed}");
             }
         }
     }

@@ -51,8 +51,8 @@
 //! The plane's shape is `shards × replicas`, configured by
 //! [`sharded::ShardTopology`] (shard count + per-group
 //! [`replication::ReplicationConfig`]) — the harness that builds the
-//! coordination service picks it. Each replica models single-server
-//! queueing, so one group saturates at roughly `1 / processing_time`
+//! coordination service picks it. Each replica is a single server with a
+//! reservation calendar, so one group saturates at roughly `1 / processing_time`
 //! regardless of replica count — throughput scales with *shards*, fault
 //! tolerance with *replicas per shard*.
 //!
@@ -66,7 +66,7 @@
 //!   model, fault injection, reply voting) and the shared
 //!   [`replication::ReplicationConfig`] deployment profiles.
 //! * [`abd`] — one quorum-replicated register group: ABD reads/writes with
-//!   write-back, an SMR lane for conditional ops, per-replica queueing.
+//!   write-back, an SMR lane for conditional ops, per-replica calendars.
 //! * [`router`] — the FNV-1a directory-hash namespace router (process-stable
 //!   by construction).
 //! * [`sharded`] — the sharded plane gluing router and groups together

@@ -149,13 +149,14 @@ pub(crate) enum AbdWriteOutcome {
     Denied,
 }
 
-/// One committed change to a key: the instant it became effective and the new
-/// state (`None` = deleted). States are shared: a read hands the `Arc` from
-/// the replica through the vote to the caller without copying the entry.
+/// One committed change to a key: its instant, the new state (`None` =
+/// deleted) and the register timestamp from then on. States are shared: a
+/// read hands the `Arc` from the replica through the vote to the caller.
 #[derive(Debug, Clone)]
 struct HistoryEvent {
     at: SimInstant,
     state: Option<Arc<EntryState>>,
+    ts: u64,
 }
 
 /// History of one key: its newest event inline, so a read of the present —
@@ -165,26 +166,46 @@ struct HistoryEvent {
 struct KeyHistory {
     latest: Option<HistoryEvent>,
     older: Vec<HistoryEvent>,
-    /// The register timestamp: the highest version ever assigned to this
-    /// key, by a value or by a deletion. Kept here so a read costs the same
-    /// whatever the number of versions the key has had.
-    max_version: u64,
 }
 
 impl KeyHistory {
-    /// Commits `state` at `at`, keeping the history sorted by commit instant
-    /// and the register timestamp at the highest version seen.
-    fn push(&mut self, at: SimInstant, state: Option<Arc<EntryState>>) {
-        if let Some(state) = &state {
-            self.max_version = self.max_version.max(state.version);
-        }
-        let event = HistoryEvent { at, state };
+    /// The highest version ever assigned to this key, by a value or by a
+    /// deletion: what a new version must exceed.
+    fn max_version(&self) -> u64 {
+        self.latest.as_ref().map_or(0, |e| e.ts)
+    }
+
+    /// Commits `state` at `at` under its own version.
+    fn push(&mut self, at: SimInstant, state: Arc<EntryState>) {
+        self.commit(at, state.version, Some(state));
+    }
+
+    /// Commits `state` at `at` under register timestamp `ts`, keeping the
+    /// history sorted by commit instant and each event's register timestamp
+    /// the highest at or before it. A deletion (`None`) takes the next
+    /// timestamp, as a value would: a replica that missed the deletion then
+    /// holds an *older* timestamp than the replicas that applied it, so a
+    /// quorum read prefers the tombstone over the stale live state instead
+    /// of tying with it.
+    fn commit(&mut self, at: SimInstant, ts: u64, state: Option<Arc<EntryState>>) {
         match &mut self.latest {
             Some(latest) if latest.at > at => {
                 let pos = self.older.iter().rposition(|e| e.at <= at);
-                self.older.insert(pos.map_or(0, |p| p + 1), event);
+                let pos = pos.map_or(0, |p| p + 1);
+                for later in self.older[pos..].iter_mut().chain([&mut *latest]) {
+                    later.ts = later.ts.max(ts);
+                }
+                let ts = ts.max(pos.checked_sub(1).map_or(0, |p| self.older[p].ts));
+                self.older.insert(pos, HistoryEvent { at, state, ts });
             }
-            latest => self.older.extend(latest.replace(event)),
+            latest => {
+                let ts = ts.max(latest.as_ref().map_or(0, |e| e.ts));
+                if let Some(previous) = latest.replace(HistoryEvent { at, state, ts }) {
+                    // Most keys that change keep one older event: room for one.
+                    self.older.reserve_exact(usize::from(self.older.is_empty()));
+                    self.older.push(previous);
+                }
+            }
         }
     }
 
@@ -194,14 +215,9 @@ impl KeyHistory {
         events.find(|e| e.at <= t)
     }
 
-    /// Commits a deletion at `at` under register timestamp `ts` — the next
-    /// one, as a value would take: a replica that missed the deletion then
-    /// holds an *older* timestamp than the replicas that applied it, so a
-    /// quorum read prefers the tombstone over the stale live state instead
-    /// of tying with it.
-    fn tombstone(&mut self, at: SimInstant, ts: u64) {
-        self.max_version = self.max_version.max(ts);
-        self.push(at, None);
+    /// The register timestamp as of instant `t`.
+    fn ts_at(&self, t: SimInstant) -> u64 {
+        self.event_at(t).map_or(0, |e| e.ts)
     }
 
     /// The state visible at instant `t`, accounting for ephemeral expiry.
@@ -372,8 +388,8 @@ impl TupleStore {
     }
 
     /// ABD read phase at one replica: the register timestamp (the highest
-    /// version ever assigned, by a value or a deletion, so lease expiries
-    /// never move it backwards) and the live state, read as of instant `now`.
+    /// version assigned, by a value or a deletion, so lease expiries never
+    /// move it backwards) and the live state, both as of instant `now`.
     pub(crate) fn abd_snapshot(
         &self,
         key: &str,
@@ -381,7 +397,7 @@ impl TupleStore {
     ) -> (u64, Option<&Arc<EntryState>>, Option<SimInstant>) {
         match self.keys.get(key) {
             Some(history) => (
-                history.max_version,
+                history.ts_at(now),
                 history.state_at(now),
                 history.updated_at(now),
             ),
@@ -402,11 +418,11 @@ impl TupleStore {
         built: &mut Built,
     ) -> bool {
         self.with_history(key, built, |history, _| {
-            let newer = ts > history.max_version;
+            let newer = ts > history.max_version();
             if newer {
                 match state {
-                    Some(state) => history.push(now, Some(Arc::clone(state))),
-                    None => history.tombstone(now, ts),
+                    Some(state) => history.push(now, Arc::clone(state)),
+                    None => history.commit(now, ts, None),
                 }
             }
             newer
@@ -430,25 +446,25 @@ impl TupleStore {
             if current.is_some_and(|cur| !cur.writable_by(who)) {
                 return AbdWriteOutcome::Denied;
             }
-            if ts <= history.max_version {
+            if ts <= history.max_version() {
                 return AbdWriteOutcome::Stale;
             }
             let state = EntryState::written(Arc::clone(value), ts, current, who);
-            history.push(now, Some(built.state(state)));
+            history.push(now, built.state(state));
             AbdWriteOutcome::Installed
         })
     }
 
     /// Every live entry under the path `prefix` at `now`
-    /// ([`Self::rename_range`]) with its register timestamp, in key order —
-    /// what a rename's collect phase reads.
+    /// ([`Self::rename_range`]) with its register timestamp then, in key
+    /// order — what a rename's collect phase reads.
     pub(crate) fn collect_prefix<'a>(
         &'a self,
         prefix: &'a str,
         now: SimInstant,
     ) -> impl Iterator<Item = (&'a Arc<str>, u64, &'a Arc<EntryState>)> + 'a {
         self.rename_range(prefix)
-            .filter_map(move |(k, h)| h.state_at(now).map(|s| (k, h.max_version, s)))
+            .filter_map(move |(k, h)| h.state_at(now).map(|s| (k, h.ts_at(now), s)))
     }
 
     /// Apply phase of a cross-shard rename on one replica: tombstones the
@@ -464,13 +480,13 @@ impl TupleStore {
     ) {
         for key in deletes {
             if let Some(history) = self.keys.get_mut(key) {
-                history.tombstone(now, history.max_version + 1);
+                history.commit(now, history.max_version() + 1, None);
             }
         }
         for ((key, state), built) in inserts.iter().zip(built.moved(inserts.len())) {
             self.with_history(key, built, |target, built| {
-                let version = target.max_version.max(state.version) + 1;
-                target.push(now, Some(built.state(state.at_version(version))));
+                let version = target.max_version().max(state.version) + 1;
+                target.push(now, built.state(state.at_version(version)));
             });
         }
     }
@@ -515,9 +531,9 @@ impl TupleStore {
                 return Reply::Error(CoordError::denied(key, who));
             }
 
-            let new_version = history.max_version + 1;
+            let new_version = history.max_version() + 1;
             let state = EntryState::written(Arc::clone(value), new_version, current, who);
-            history.push(now, Some(built.state(state)));
+            history.push(now, built.state(state));
             Reply::Version(new_version)
         })
     }
@@ -546,7 +562,7 @@ impl TupleStore {
                     holder,
                 });
             }
-            let new_version = history.max_version + 1;
+            let new_version = history.max_version() + 1;
             let state = EntryState {
                 value: Arc::clone(value),
                 version: new_version,
@@ -554,7 +570,7 @@ impl TupleStore {
                 acl: Arc::new(Acl::private()),
                 ephemeral: Some((session.clone(), expires_at)),
             };
-            history.push(now, Some(built.state(state)));
+            history.push(now, built.state(state));
             Reply::Version(new_version)
         })
     }
@@ -569,7 +585,7 @@ impl TupleStore {
         if !current.writable_by(who) {
             return Reply::Error(CoordError::denied(key, who));
         }
-        history.tombstone(now, history.max_version + 1);
+        history.commit(now, history.max_version() + 1, None);
         Reply::Unit
     }
 
@@ -590,12 +606,12 @@ impl TupleStore {
         if &current.owner != who {
             return Reply::Error(CoordError::denied(key, who));
         }
-        let new_version = history.max_version + 1;
+        let new_version = history.max_version() + 1;
         let state = EntryState {
             acl: Arc::clone(acl),
             ..current.at_version(new_version)
         };
-        history.push(now, Some(built.state(state)));
+        history.push(now, built.state(state));
         Reply::Version(new_version)
     }
 
@@ -625,14 +641,14 @@ impl TupleStore {
         // value, owner and ACL.
         for (key, _) in &affected {
             if let Some(history) = self.keys.get_mut(key) {
-                history.tombstone(now, history.max_version + 1);
+                history.commit(now, history.max_version() + 1, None);
             }
         }
         for ((key, state), built) in affected.iter().zip(built.moved(affected.len())) {
             let new_key = format!("{new_prefix}{}", &key[old_prefix.len()..]);
             self.with_history(&new_key, built, |target, built| {
-                let version = target.max_version + 1;
-                target.push(now, Some(built.state(state.at_version(version))));
+                let version = target.max_version() + 1;
+                target.push(now, built.state(state.at_version(version)));
             });
         }
         Reply::Count(affected.len())
@@ -1194,7 +1210,8 @@ mod tests {
         let mut store = TupleStore::new();
         let mut counter: BTreeMap<String, u64> = BTreeMap::new();
         let mut live: std::collections::BTreeSet<String> = Default::default();
-        let timestamp = |store: &TupleStore, key: &str| store.keys.get(key).map(|h| h.max_version);
+        let timestamp =
+            |store: &TupleStore, key: &str| store.keys.get(key).map(|h| h.max_version());
         for step in 0..2000 {
             let key = names[rng.next_below(4) as usize];
             let histories = store.keys.len();

@@ -5,12 +5,31 @@
 //!
 //! The build environment has no network access, so the real `proptest` crate
 //! cannot be fetched. The shim samples each strategy deterministically
-//! (seeded per test by the test name), runs a fixed number of cases, and
-//! reports the failing case number on assertion failure. There is no
-//! shrinking — the failing inputs are printed instead.
+//! (seeded per test by the test name), runs [`cases`] cases (64 unless the
+//! `PROPTEST_CASES` environment variable says otherwise), and reports the
+//! failing case number on assertion failure. There is no shrinking — the
+//! failing inputs are printed instead.
 
-/// Number of cases each `proptest!` test runs (the real crate defaults to 256).
+/// Number of cases each `proptest!` test runs by default (the real crate
+/// defaults to 256).
 pub const CASES: u64 = 64;
+
+/// Number of cases each `proptest!` test runs: `PROPTEST_CASES` when it is
+/// set, as the real crate reads it, else [`CASES`]. The first cases are the
+/// same whatever the count, so a deep run extends the default one.
+///
+/// # Panics
+///
+/// Panics if `PROPTEST_CASES` is set to anything but a positive integer.
+pub fn cases() -> u64 {
+    let Ok(value) = std::env::var("PROPTEST_CASES") else {
+        return CASES;
+    };
+    match value.trim().parse() {
+        Ok(n) if n > 0 => n,
+        _ => panic!("PROPTEST_CASES must be a positive integer, not {value:?}"),
+    }
+}
 
 /// Deterministic SplitMix64 generator driving all strategy sampling.
 #[derive(Debug, Clone)]
@@ -187,7 +206,7 @@ macro_rules! prop_assert_ne {
 }
 
 /// Declares property tests: each `fn name(pat in strategy, ...) { body }`
-/// becomes a `#[test]` running [`CASES`] sampled cases.
+/// becomes a `#[test]` running [`cases`] sampled cases.
 #[macro_export]
 macro_rules! proptest {
     ($(
@@ -202,7 +221,8 @@ macro_rules! proptest {
                 __seed = (__seed ^ b as u64).wrapping_mul(0x1000_0000_01b3);
             }
             let mut __rng = $crate::TestRng::new(__seed);
-            for __case in 0..$crate::CASES {
+            let __cases = $crate::cases();
+            for __case in 0..__cases {
                 $(let $arg = $crate::Strategy::sample(&($strategy), &mut __rng);)+
                 let __inputs = format!(concat!($(stringify!($arg), " = {:?}; "),+), $(&$arg),+);
                 let __result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| $body));
@@ -210,7 +230,7 @@ macro_rules! proptest {
                     eprintln!(
                         "proptest case {}/{} of `{}` failed with inputs: {}",
                         __case + 1,
-                        $crate::CASES,
+                        __cases,
                         stringify!($name),
                         __inputs
                     );

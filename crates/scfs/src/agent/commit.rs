@@ -530,10 +530,9 @@ mod tests {
     /// The copy is a read of the source and a write of the destination, as
     /// through FUSE: the destination stores its own chunks, and keeps its
     /// bytes across the source's next version and the source's unlink and
-    /// collection, read back cold by another mount. (The name predates the
-    /// materializing copy.)
+    /// collection, read back cold by another mount.
     #[test]
-    fn copy_file_is_manifest_only_and_counts_dedup_hits() {
+    fn a_copy_uploads_its_own_four_chunks_and_outlives_its_source() {
         let cloud = Arc::new(SimulatedCloud::test("s3"));
         let coord: Arc<dyn CoordinationService> = Arc::new(ReplicatedCoordinator::test());
         let mount = |seed| {

@@ -332,16 +332,17 @@ impl MetadataService {
     /// path operation: `/a` names `/a` and the subtree under `/a/`, never the
     /// sibling `/ab`. What was cached of either tree is dropped — `to`'s too,
     /// so a clobbered destination is not served from its old tuple until the
-    /// cache expires. A path this client deleted is not there to move.
+    /// cache expires. A rename of a path this client is deleting waits for
+    /// the delete to land, as a create does, and moves what is left under it.
     pub fn rename(
         &mut self,
         ctx: &mut OpCtx<'_>,
         from: &str,
         to: &str,
     ) -> Result<usize, ScfsError> {
-        if self.deleted_until(from, ctx.clock.now()).is_some() {
-            return Err(ScfsError::not_found(from));
-        }
+        let now = ctx.clock.now();
+        ctx.clock
+            .advance_to(self.deleted_until(from, now).unwrap_or(now));
         self.cache
             .retain(|k, _| !is_under(k, from) && !is_under(k, to));
         let (old, new) = (Self::coord_key(from), Self::coord_key(to));

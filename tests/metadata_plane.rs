@@ -19,6 +19,9 @@
 //! * the metadata-heavy fleet mode scales with the shard count (≥ 3× from one
 //!   shard to four, stat p99 not rising, overlapping team directories slower
 //!   than disjoint homes) and records per-op-class latencies;
+//! * a replica serves a read in the first free slot at or after its
+//!   arrival: a `stat` is not queued behind another mount's close whose
+//!   update, stamped later behind its cloud PUT, reached the plane first;
 //! * the fault paths no fault-free run takes (write-back, garbled votes,
 //!   disagreeing `list` unions, the rename collect merge) fold to a pinned
 //!   digest, whose call mix and value live in the ledger `tests/pins/mod.rs`.
@@ -33,6 +36,8 @@ use scfs_repro::coord::replication::ReplicationConfig;
 use scfs_repro::coord::router::{dirname, fnv1a, NamespaceRouter};
 use scfs_repro::coord::service::CoordinationService;
 use scfs_repro::coord::sharded::{ShardTopology, ShardedCoordinator};
+use scfs_repro::scfs::config::{Mode, ScfsConfig};
+use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::scfs::metadata_service::MetadataService;
 use scfs_repro::sim_core::fault::FaultPlan;
 use scfs_repro::sim_core::time::{Clock, SimDuration, SimInstant};
@@ -130,77 +135,113 @@ fn ctx_at<'a>(clock: &'a mut Clock, at: SimInstant, who: &str) -> OpCtx<'a> {
     OpCtx::new(clock, who.into())
 }
 
+/// One write among `reads` on a metro group, each started at its own
+/// virtual instant and run in host order `host` (a permutation of the
+/// schedule, write first): every read returns the old or the new value;
+/// reads strictly before the write see old, strictly after see new; and new
+/// is never followed by old between non-overlapping reads (the write-back
+/// makes reads linearization points).
+fn assert_abd_reads_are_linearizable(seed: u32, write_delay: u64, reads: &[u64], host: &[usize]) {
+    let group = RegisterGroup::new(ReplicationConfig::metro_crash(1), seed as u64).unwrap();
+    let base = SimInstant::from_secs(1);
+
+    // Install the old value well before the contention window.
+    let mut clock = Clock::new();
+    let mut ctx = OpCtx::new(&mut clock, "w".into());
+    group
+        .write(&mut ctx, "/reg", b"old".to_vec().into())
+        .unwrap();
+    assert!(
+        clock.now() < base,
+        "initial write must settle before the window"
+    );
+
+    #[derive(Debug)]
+    enum Op {
+        Write,
+        Read,
+    }
+    let mut schedule: Vec<(SimInstant, Op)> =
+        vec![(base + SimDuration::from_millis(write_delay), Op::Write)];
+    for &r in reads {
+        schedule.push((base + SimDuration::from_millis(r), Op::Read));
+    }
+
+    let mut write_span = None;
+    let mut read_log: Vec<(SimInstant, SimInstant, bool)> = Vec::new();
+    for &i in host {
+        let (at, op) = &schedule[i];
+        let mut clock = Clock::new();
+        let mut ctx = ctx_at(&mut clock, *at, "w");
+        match op {
+            Op::Write => {
+                group
+                    .write(&mut ctx, "/reg", b"new".to_vec().into())
+                    .unwrap();
+                write_span = Some((*at, clock.now()));
+            }
+            Op::Read => {
+                let entry = group.read(&mut ctx, "/reg").unwrap();
+                assert!(
+                    entry.value == b"old" || entry.value == b"new",
+                    "read returned a third value: {:?}",
+                    entry.value
+                );
+                read_log.push((*at, clock.now(), entry.value == b"new"));
+            }
+        }
+    }
+
+    let (w_start, w_end) = write_span.unwrap();
+    for &(start, end, saw_new) in &read_log {
+        if end < w_start {
+            assert!(
+                !saw_new,
+                "read finished before the write started but saw new"
+            );
+        }
+        if start > w_end {
+            assert!(saw_new, "read started after the write finished but saw old");
+        }
+    }
+    // Monotonicity across non-overlapping read pairs.
+    for &(_, end_a, new_a) in &read_log {
+        for &(start_b, _, new_b) in &read_log {
+            if end_a < start_b {
+                assert!(
+                    !new_a || new_b,
+                    "a read observed new, then a later read observed old"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
-    /// Random read schedules around one write: every read returns the old
-    /// or the new value; reads strictly before the write see old, strictly
-    /// after see new; and new is never followed by old between
-    /// non-overlapping reads (the write-back makes reads linearization
-    /// points).
+    /// Random read schedules around one write, executed in virtual start
+    /// order (the stores are time-indexed, so this interleaves them
+    /// correctly).
     #[test]
     fn prop_abd_reads_are_linearizable(seed in any::<u32>(), write_delay in 0u64..30, reads in collection::vec(0u64..150, 4..9)) {
-        let group = RegisterGroup::new(ReplicationConfig::metro_crash(1), seed as u64).unwrap();
-        let base = SimInstant::from_secs(1);
+        let mut host: Vec<usize> = (0..=reads.len()).collect();
+        let start = |i: usize| if i == 0 { write_delay } else { reads[i - 1] };
+        host.sort_by_key(|&i| start(i));
+        assert_abd_reads_are_linearizable(seed, write_delay, &reads, &host);
+    }
 
-        // Install the old value well before the contention window.
-        let mut clock = Clock::new();
-        let mut ctx = OpCtx::new(&mut clock, "w".into());
-        group.write(&mut ctx, "/reg", b"old".to_vec().into()).unwrap();
-        prop_assert!(clock.now() < base, "initial write must settle before the window");
-
-        // One writer plus the readers, executed in virtual start order (the
-        // stores are time-indexed, so this interleaves them correctly).
-        let w_start = base + SimDuration::from_millis(write_delay);
-        #[derive(Debug)]
-        enum Op { Write, Read }
-        let mut schedule: Vec<(SimInstant, Op)> = vec![(w_start, Op::Write)];
-        for &r in &reads {
-            schedule.push((base + SimDuration::from_millis(r), Op::Read));
-        }
-        schedule.sort_by_key(|(at, _)| *at);
-
-        let mut write_span = None;
-        let mut read_log: Vec<(SimInstant, SimInstant, bool)> = Vec::new();
-        for (at, op) in schedule {
-            let mut clock = Clock::new();
-            match op {
-                Op::Write => {
-                    let mut ctx = ctx_at(&mut clock, at, "w");
-                    group.write(&mut ctx, "/reg", b"new".to_vec().into()).unwrap();
-                    write_span = Some((at, clock.now()));
-                }
-                Op::Read => {
-                    let mut ctx = ctx_at(&mut clock, at, "w");
-                    let entry = group.read(&mut ctx, "/reg").unwrap();
-                    prop_assert!(
-                        entry.value == b"old" || entry.value == b"new",
-                        "read returned a third value: {:?}",
-                        entry.value
-                    );
-                    read_log.push((at, clock.now(), entry.value == b"new"));
-                }
-            }
-        }
-
-        let (w_start, w_end) = write_span.unwrap();
-        for &(start, end, saw_new) in &read_log {
-            if end < w_start {
-                prop_assert!(!saw_new, "read finished before the write started but saw new");
-            }
-            if start > w_end {
-                prop_assert!(saw_new, "read started after the write finished but saw old");
-            }
-        }
-        // Monotonicity across non-overlapping read pairs.
-        for (i, &(_, end_a, new_a)) in read_log.iter().enumerate() {
-            for &(start_b, _, new_b) in &read_log[i + 1..] {
-                if end_a < start_b {
-                    prop_assert!(
-                        !new_a || new_b,
-                        "a read observed new, then a later read observed old"
-                    );
-                }
-            }
-        }
+    /// The same schedules in a random host order: an operation may reach
+    /// the replicas after one stamped later, as a close's update behind its
+    /// cloud PUT does. A read takes the first free slot of each replica's
+    /// calendar and reads the store as of it; an install waits for the
+    /// horizon. The history stays linearizable in virtual time.
+    #[test]
+    fn prop_abd_reads_are_linearizable_in_any_host_order(seed in any::<u32>(), write_delay in 0u64..30, reads in collection::vec(0u64..150, 4..9), order in any::<u64>()) {
+        let mut host: Vec<(u64, usize)> = (0..=reads.len())
+            .map(|i| ((order ^ i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15), i))
+            .collect();
+        host.sort_unstable();
+        let host: Vec<usize> = host.into_iter().map(|(_, i)| i).collect();
+        assert_abd_reads_are_linearizable(seed, write_delay, &reads, &host);
     }
 }
 
@@ -553,6 +594,45 @@ fn sharded_plane_serves_the_full_coordination_api() {
     assert_eq!(
         plane.get(&mut ctx, "/scfs/meta/renamed/f").unwrap().value,
         vec![1]
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Replica calendars: host order is not virtual order
+// ---------------------------------------------------------------------------
+
+/// Alice's blocking close updates her tuple once its S3 PUT is done, so the
+/// update is stamped hundreds of milliseconds after the close began. It runs
+/// first in host order; Bob's `stat`, stamped in between, still reaches the
+/// one metro group's replicas before that update and is served in one round
+/// (a 16 ms round trip and 6 ms of processing at most), not after it.
+#[test]
+fn a_stat_is_not_queued_behind_a_later_stamped_close_on_another_mount() {
+    let deployment = Deployment::on(Backend::Aws)
+        .plane(Plane::Sharded(ShardTopology::metro(1, 1)))
+        .build(56);
+    let config = ScfsConfig::test(Mode::Blocking);
+    let mut alice = deployment.mount("alice", config.clone(), 1);
+    let mut bob = deployment.mount("bob", config, 2);
+    alice.write_file("/alice", b"first").unwrap();
+    bob.write_file("/bob", b"bob's").unwrap();
+    let start = alice.now().max(bob.now()) + SimDuration::from_secs(2);
+    alice.sleep(start.duration_since(alice.now()));
+    bob.sleep(start.duration_since(bob.now()) + SimDuration::from_millis(100));
+
+    alice.write_file("/alice", &[7; 4096]).unwrap();
+    let closed = alice.now().duration_since(start);
+    assert!(
+        closed > SimDuration::from_millis(200),
+        "close took {closed:?}"
+    );
+    let asked = bob.now();
+    assert_eq!(bob.stat("/bob").unwrap().size, 5);
+    let took = bob.now().duration_since(asked);
+    assert!(
+        took <= SimDuration::from_millis(22),
+        "a stat asked {:?} into a {closed:?} close took {took:?}",
+        asked.duration_since(start)
     );
 }
 

@@ -1,8 +1,8 @@
 //! `rename` and `readdir` are path operations, not string-prefix ones —
-//! four regressions, each on the replicated coordination service, on a
+//! five regressions, each on the replicated coordination service, on a
 //! 4-shard ABD plane, and on a `NonSharing` mount (the private name space: a
 //! coordination node of one, under the same `TupleStore` path rules as the
-//! replicated plane). The first three are scripts the reference model of
+//! replicated plane). The first four are scripts the reference model of
 //! `tests/model/mod.rs` answers for:
 //!
 //! * `rename("/a", "/c")` moves `/a` and the subtree under `/a/`, and leaves
@@ -16,6 +16,9 @@
 //!   parent (`/a/a`) included and that child's own children not (the
 //!   coordinated modes used to strip the parent's name repeatedly, drop
 //!   `/a/a` and list `/a/a/x` in its place);
+//! * `rename("/shared", …)` right after `unlink("/shared")` moves what is
+//!   left under `/shared/` (it used to answer `NotFound` until the metadata
+//!   cache forgot the unlinked path);
 //! * a `rename` of another account's directory is refused with
 //!   `PermissionDenied` of the path asked for (it used to name the
 //!   coordination key, `/scfs/meta/a`), and moves nothing. Not in
@@ -27,6 +30,7 @@ use model::{check, Call, Under};
 use scfs_repro::scfs::config::ScfsConfig;
 use scfs_repro::scfs::error::ScfsError;
 use scfs_repro::scfs::fs::FileSystem;
+use scfs_repro::scfs::types::OpenFlags;
 
 /// A file and a directory renamed beside their name-prefix siblings.
 const PREFIX_SIBLINGS: &[Call] = &[
@@ -72,6 +76,19 @@ const A_CHILD_NAMED_LIKE_ITS_PARENT: &[Call] = &[
     Call::Readdir("/a/a"),
     Call::Readdir("/"),
 ];
+
+/// A rename of a path this mount just unlinked, with a name left under it.
+fn from_a_just_unlinked_path() -> [Call; 7] {
+    [
+        Call::Open("/shared/ab", OpenFlags::create()),
+        Call::Open("/shared", OpenFlags::create()),
+        Call::Unlink("/shared"),
+        Call::Rename("/shared", "/a/a/x"),
+        Call::Stat("/a/a/x/ab"),
+        Call::Stat("/shared/ab"),
+        Call::Readdir("/a/a/x"),
+    ]
+}
 
 fn assert_a_denied_rename_names_the_path_asked_for(under: Under) {
     let (env, mode) = under.deployment();
@@ -130,6 +147,21 @@ fn readdir_lists_a_child_named_like_its_parent_on_the_four_shard_plane() {
 #[test]
 fn readdir_lists_a_child_named_like_its_parent_in_non_sharing_mode() {
     check(Under::NonSharing.system(), A_CHILD_NAMED_LIKE_ITS_PARENT);
+}
+
+#[test]
+fn rename_moves_what_is_left_under_a_just_unlinked_path_on_the_replicated_plane() {
+    check(Under::Replicated.system(), &from_a_just_unlinked_path());
+}
+
+#[test]
+fn rename_moves_what_is_left_under_a_just_unlinked_path_on_the_four_shard_plane() {
+    check(Under::FourShards.system(), &from_a_just_unlinked_path());
+}
+
+#[test]
+fn rename_moves_what_is_left_under_a_just_unlinked_path_in_non_sharing_mode() {
+    check(Under::NonSharing.system(), &from_a_just_unlinked_path());
 }
 
 #[test]
