@@ -66,9 +66,10 @@ const RANK_MASK: u64 = (1 << RANK_BITS) - 1;
 /// run in host order, so a request can arrive after one stamped later (a
 /// close's update lands behind its cloud PUT). A read fills the first gap
 /// that fits it, waiting for no booking that begins after it could have
-/// finished; a change starts at the horizon, so no reply given is
-/// contradicted by a change placed before it. Bookings are kept down to 5 s
-/// behind the horizon; a request arriving below that is `late`.
+/// finished; a change starts at the horizon, so no reply the replica gave
+/// is contradicted by a change it placed before it (a follower applies an
+/// SMR commit at the leader's instant, unbooked). Bookings are kept down to
+/// 5 s behind the horizon; a request arriving below that is `late`.
 #[derive(Debug, Default)]
 struct Calendar {
     booked: VecDeque<(SimInstant, SimInstant)>,
@@ -221,11 +222,6 @@ impl RegisterGroup {
             .map(|r| r.lock().store.entry_count(SimInstant(u64::MAX)))
             .max()
             .unwrap_or(0)
-    }
-
-    /// How many requests reached a replica below its low-water mark.
-    pub fn late_requests(&self) -> u64 {
-        self.replicas.iter().map(|r| r.lock().calendar.late).sum()
     }
 
     /// Broadcasts one round to every replica on forked clocks and returns the
@@ -445,17 +441,16 @@ impl RegisterGroup {
         let wq = self.config.mode.write_quorum();
         let rq = self.config.mode.reply_quorum();
 
-        // Phase 1: timestamp query. Byzantine replicas cannot forge
-        // timestamps (commands are signed), so the plain quorum max is safe;
-        // at worst a corrupt replica burns sequence numbers.
+        // Phase 1: timestamp query, in a free slot, answering the highest
+        // timestamp ever held: a later-stamped write may already hold the
+        // next one. Timestamps are signed, so the plain quorum max is safe.
         let ts_runs = self.deliver(key, self.round(ctx, true, |_, at, corrupt| (at, corrupt)));
         let mut max_ts = 0u64;
         self.await_write_quorum(ctx, &ts_runs, "timestamp query", |run| {
-            let Some((at, _)) = run.value else {
+            if run.value.is_none() {
                 return false;
-            };
-            let ts = self.evaluate(run.index).store.abd_snapshot(key, at).0;
-            max_ts = max_ts.max(ts);
+            }
+            max_ts = max_ts.max(self.evaluate(run.index).store.abd_timestamp(key));
             true
         })?;
 
@@ -605,11 +600,9 @@ impl RegisterGroup {
             return Err(CoordError::unavailable("no replica applied the rename"));
         }
         let newest = |key: &str| {
-            let snapshots = applying
-                .iter()
-                .map(|n| n.store.abd_snapshot(key, commit_at));
-            let newest = snapshots.max_by_key(|(ts, ..)| *ts);
-            newest.map_or((0, None), |(ts, state, _)| (ts, state.cloned()))
+            let newest = applying.iter().max_by_key(|n| n.store.abd_timestamp(key));
+            let state = newest.and_then(|n| n.store.abd_snapshot(key, commit_at).1.cloned());
+            (newest.map_or(0, |n| n.store.abd_timestamp(key)), state)
         };
         let ((from_ts, state), (to_ts, clobbered)) = (newest(from), newest(to));
         let Some(state) = state else { return Ok(None) };
@@ -1093,6 +1086,8 @@ mod tests {
     #[test]
     fn a_read_below_the_low_water_mark_waits_for_the_horizon_and_is_counted() {
         let group = RegisterGroup::new(ReplicationConfig::metro_crash(1), 25).unwrap();
+        let late_requests =
+            || -> u64 { group.replicas.iter().map(|r| r.lock().calendar.late).sum() };
         let mut late = Clock::starting_at(SimInstant::from_secs(10));
         group
             .write(&mut ctx(&mut late, "alice"), "/f", b"v".to_vec().into())
@@ -1100,12 +1095,55 @@ mod tests {
         let mut early = Clock::starting_at(SimInstant::from_secs(6));
         assert!(group.read(&mut ctx(&mut early, "alice"), "/f").is_err());
         assert!(early.now() < SimInstant::from_secs(7), "fills a gap");
-        assert_eq!(group.late_requests(), 0);
+        assert_eq!(late_requests(), 0);
         let mut earlier = Clock::starting_at(SimInstant::from_secs(1));
         let entry = group.read(&mut ctx(&mut earlier, "alice"), "/f").unwrap();
         assert_eq!(entry.value, b"v", "served after the write, at the horizon");
         assert!(earlier.now() > late.now());
-        assert_eq!(group.late_requests(), 3);
+        assert_eq!(late_requests(), 3);
+    }
+
+    /// Two writes by one account, the later-stamped one first in host order
+    /// and missed by replica 2: the second's timestamp query is served in a
+    /// gap before the first write, yet answers the highest timestamp each
+    /// replica ever held, so the second write takes a timestamp above the
+    /// first's instead of the same one (which replicas 0 and 1 would refuse
+    /// as stale and replica 2 would store under the second value, leaving
+    /// reads to disagree for good). Every read after the heal returns the
+    /// second value.
+    #[test]
+    fn writes_in_reverse_host_order_never_share_a_timestamp() {
+        for seed in 0..16 {
+            let group = RegisterGroup::new(ReplicationConfig::metro_crash(1), seed).unwrap();
+            let mut clock = Clock::new();
+            group
+                .write(&mut ctx(&mut clock, "alice"), "/f", b"old".to_vec().into())
+                .unwrap();
+            let outage = FaultPlan::outage(SimInstant::from_secs(1), SimInstant::from_secs(2));
+            group.set_fault(2, outage, seed);
+            let mut later = Clock::starting_at(SimInstant::from_millis(1500));
+            let first = group
+                .write(
+                    &mut ctx(&mut later, "alice"),
+                    "/f",
+                    b"first".to_vec().into(),
+                )
+                .unwrap();
+            let mut earlier = Clock::starting_at(SimInstant::from_millis(500));
+            let second = group
+                .write(
+                    &mut ctx(&mut earlier, "alice"),
+                    "/f",
+                    b"second".to_vec().into(),
+                )
+                .unwrap();
+            assert!(second > first, "seed {seed}: {second:#x} after {first:#x}");
+            let mut after = Clock::starting_at(SimInstant::from_secs(3));
+            for _ in 0..8 {
+                let entry = group.read(&mut ctx(&mut after, "alice"), "/f").unwrap();
+                assert_eq!(entry.value, b"second", "seed {seed}");
+            }
+        }
     }
 
     /// Two exclusive creates of one key, the later-stamped one first in host

@@ -405,6 +405,11 @@ impl TupleStore {
         }
     }
 
+    /// The highest version ever assigned the key: what a new one must exceed.
+    pub(crate) fn abd_timestamp(&self, key: &str) -> u64 {
+        self.keys.get(key).map_or(0, KeyHistory::max_version)
+    }
+
     /// ABD write-back at one replica: installs the winner of a read — a
     /// `state` whose `version` is the register timestamp `ts`, or a deletion
     /// (`None`) — iff `ts` is newer than anything this replica has seen for

@@ -243,6 +243,37 @@ proptest! {
         let host: Vec<usize> = host.into_iter().map(|(_, i)| i).collect();
         assert_abd_reads_are_linearizable(seed, write_delay, &reads, &host);
     }
+
+    /// Writes by one account at random instants, in a random host order,
+    /// with one replica out for part of the window: a write's timestamp
+    /// query may be served before an install it runs after in host order,
+    /// yet no two writes share a timestamp, and once they are done every
+    /// read returns the value written under the highest.
+    #[test]
+    fn prop_abd_writes_in_any_host_order_take_distinct_timestamps(seed in any::<u32>(), writes in collection::vec(0u64..3000, 2..6), order in any::<u64>(), down in 0usize..3) {
+        let group = RegisterGroup::new(ReplicationConfig::metro_crash(1), seed as u64).unwrap();
+        let outage = FaultPlan::outage(SimInstant::from_secs(1), SimInstant::from_secs(2));
+        group.set_fault(down, outage, seed as u64);
+        let mut host: Vec<(u64, usize)> = (0..writes.len())
+            .map(|i| ((order ^ i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15), i))
+            .collect();
+        host.sort_unstable();
+        let mut stamped = Vec::new();
+        for (_, i) in host {
+            let mut clock = Clock::new();
+            let mut ctx = ctx_at(&mut clock, SimInstant::from_millis(writes[i]), "w");
+            let value = format!("v{i}").into_bytes().into();
+            stamped.push((group.write(&mut ctx, "/reg", value).unwrap(), i));
+        }
+        stamped.sort_unstable();
+        prop_assert!(stamped.windows(2).all(|w| w[0].0 < w[1].0), "{:?}", stamped);
+        let newest = format!("v{}", stamped[stamped.len() - 1].1);
+        let mut clock = Clock::starting_at(SimInstant::from_secs(5));
+        for _ in 0..6 {
+            let entry = group.read(&mut OpCtx::new(&mut clock, "w".into()), "/reg").unwrap();
+            prop_assert_eq!(&entry.value[..], newest.as_bytes());
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
