@@ -402,9 +402,15 @@ impl FileSystem for LocalFs {
                 self.files.insert(new_key, (md, data));
             }
         }
-        // An open handle follows its file, as a descriptor does.
-        for file in self.open.values_mut().filter(|f| is_under(&f.path, &from)) {
-            file.path = format!("{to}{}", &file.path[from.len()..]);
+        // An open handle follows its file, as a descriptor does; one of a
+        // clobbered `to` itself is detached, as POSIX orphans its inode (one
+        // of a name under `to` that a moved name overwrites is not).
+        for file in self.open.values_mut() {
+            if is_under(&file.path, &from) {
+                file.path = format!("{to}{}", &file.path[from.len()..]);
+            } else {
+                file.detached |= file.path == to;
+            }
         }
         Ok(())
     }

@@ -1,9 +1,10 @@
-//! The replayable schedule blob: the corpus format under `tests/schedules/`.
+//! The replayable schedule blob: the corpus format under `tests/schedules/`,
+//! and of a mutant's witness beside its patch under `tests/mutants/`.
 //!
 //! A schedule blob is a small, diff-friendly text file that pins one
-//! scenario run completely: scenario, seed, mutant flag, the non-default
-//! decisions (sparse, `index=option`), what the run is expected to do
-//! (`violation` or `pass`) and the expected trace hash. `scfs-check replay`
+//! scenario run completely: scenario, seed, the non-default decisions
+//! (sparse, `index=option`), what the run is expected to do (`violation` or
+//! `pass`) and the expected trace hash. `scfs-check replay`
 //! re-executes the blob and fails if any of the expectations drift — a
 //! shrunk race witness stays a regression test forever, and a `pass` blob
 //! pins an interesting-but-correct interleaving.
@@ -12,7 +13,6 @@
 //! scfs-check schedule v1
 //! scenario: abd-quorum
 //! seed: 7
-//! mutant: read-quorum-skew
 //! expect: violation
 //! trace: 0x1f2e3d4c5b6a7988
 //! decide: 4=2  # delivery@/reg options=3
@@ -50,8 +50,6 @@ pub struct Schedule {
     pub scenario: ScenarioKind,
     /// Scenario seed.
     pub seed: u64,
-    /// Whether the seeded mutant is enabled.
-    pub mutant: bool,
     /// Dense decision vector (trailing defaults trimmed).
     pub decisions: Vec<usize>,
     /// Whether the run must violate or pass.
@@ -67,7 +65,6 @@ impl Schedule {
     pub fn from_run(
         scenario: ScenarioKind,
         seed: u64,
-        mutant: bool,
         mut decisions: Vec<usize>,
         outcome: &RunOutcome,
     ) -> Self {
@@ -79,7 +76,6 @@ impl Schedule {
         Schedule {
             scenario,
             seed,
-            mutant,
             decisions,
             expect: if outcome.violations.is_empty() {
                 Expect::Pass
@@ -98,16 +94,6 @@ impl Schedule {
         writeln!(out, "{MAGIC}").ok();
         writeln!(out, "scenario: {}", self.scenario.name()).ok();
         writeln!(out, "seed: {}", self.seed).ok();
-        writeln!(
-            out,
-            "mutant: {}",
-            if self.mutant {
-                "read-quorum-skew"
-            } else {
-                "none"
-            }
-        )
-        .ok();
         writeln!(out, "expect: {}", self.expect.name()).ok();
         writeln!(out, "trace: {:#018x}", self.trace_hash).ok();
         for (i, &d) in self.decisions.iter().enumerate() {
@@ -139,7 +125,6 @@ impl Schedule {
         }
         let mut scenario = None;
         let mut seed = None;
-        let mut mutant = None;
         let mut expect = None;
         let mut trace_hash = None;
         let mut sparse: Vec<(usize, usize)> = Vec::new();
@@ -160,13 +145,6 @@ impl Schedule {
                     )
                 }
                 "seed" => seed = Some(value.parse().map_err(|_| format!("bad seed: {value}"))?),
-                "mutant" => {
-                    mutant = Some(match value {
-                        "none" => false,
-                        "read-quorum-skew" => true,
-                        other => return Err(format!("unknown mutant: {other}")),
-                    })
-                }
                 "expect" => {
                     expect = Some(match value {
                         "violation" => Expect::Violation,
@@ -204,7 +182,6 @@ impl Schedule {
         Ok(Schedule {
             scenario: scenario.ok_or("missing scenario")?,
             seed: seed.ok_or("missing seed")?,
-            mutant: mutant.ok_or("missing mutant")?,
             decisions,
             expect: expect.ok_or("missing expect")?,
             trace_hash: trace_hash.ok_or("missing trace")?,
@@ -214,7 +191,7 @@ impl Schedule {
     /// Re-executes the schedule and checks every pinned expectation.
     /// Returns the run's violation list on success (empty for `pass`).
     pub fn replay(&self) -> Result<RunOutcome, String> {
-        let outcome = self.scenario.run(self.seed, self.mutant, &self.decisions);
+        let outcome = self.scenario.run(self.seed, &self.decisions);
         if outcome.trace_hash != self.trace_hash {
             return Err(format!(
                 "trace diverged: pinned {:#018x}, replay produced {:#018x}",
@@ -243,7 +220,6 @@ mod tests {
         let sched = Schedule {
             scenario: ScenarioKind::AbdQuorum,
             seed: 7,
-            mutant: true,
             decisions: vec![0, 0, 2, 0, 1],
             expect: Expect::Violation,
             trace_hash: 0x1f2e_3d4c_5b6a_7988,
@@ -263,7 +239,7 @@ mod tests {
 
     #[test]
     fn comments_and_annotations_are_ignored() {
-        let text = "scfs-check schedule v1\n# a comment\nscenario: chunkstore-gc\nseed: 3\nmutant: none\nexpect: pass\ntrace: 0x0000000000000001\ndecide: 1=1  # lane@file-a options=2\n";
+        let text = "scfs-check schedule v1\n# a comment\nscenario: chunkstore-gc\nseed: 3\nexpect: pass\ntrace: 0x0000000000000001\ndecide: 1=1  # lane@file-a options=2\n";
         let sched = Schedule::parse(text).unwrap();
         assert_eq!(sched.scenario, ScenarioKind::ChunkstoreGc);
         assert_eq!(sched.decisions, vec![0, 1]);

@@ -97,8 +97,6 @@ pub struct ExploreReport {
     pub scenario: ScenarioKind,
     /// Seed used.
     pub seed: u64,
-    /// Whether the seeded mutant was enabled.
-    pub mutant: bool,
     /// Schedules executed (each a distinct decision vector).
     pub schedules: usize,
     /// Distinct observable traces among them.
@@ -113,16 +111,10 @@ pub struct ExploreReport {
 
 /// Explores `scenario` under `cfg`, stopping at the first violation or when
 /// the run budget is exhausted.
-pub fn explore(
-    scenario: ScenarioKind,
-    seed: u64,
-    mutant: bool,
-    cfg: &ExploreConfig,
-) -> ExploreReport {
+pub fn explore(scenario: ScenarioKind, seed: u64, cfg: &ExploreConfig) -> ExploreReport {
     let mut report = ExploreReport {
         scenario,
         seed,
-        mutant,
         schedules: 0,
         distinct_traces: 0,
         pruned_subtrees: 0,
@@ -138,7 +130,7 @@ pub fn explore(
         if report.schedules >= cfg.max_runs {
             break;
         }
-        let outcome = scenario.run(seed, mutant, &decisions);
+        let outcome = scenario.run(seed, &decisions);
         report.schedules += 1;
         report.max_choice_points = report.max_choice_points.max(outcome.records.len());
         if seen_traces.insert(outcome.trace_hash) {
@@ -194,7 +186,7 @@ mod tests {
             max_runs: 40,
             max_preemptions: 1,
         };
-        let report = explore(ScenarioKind::AbdQuorum, 7, false, &cfg);
+        let report = explore(ScenarioKind::AbdQuorum, 7, &cfg);
         assert!(report.schedules > 1, "must explore beyond the root");
         assert!(report.first_violation.is_none(), "clean code stays clean");
         assert!(report.distinct_traces >= 1);

@@ -27,8 +27,9 @@
 //! cold, the cache's byte accounting balances, and every `Pending` token is
 //! settled at drain. A violating
 //! schedule is [`shrink()`]-reduced to a minimal decision vector and
-//! serialized as a replayable [`blob::Schedule`], committed under
-//! `tests/schedules/` as a regression corpus.
+//! serialized as a replayable [`blob::Schedule`]. Pinned correct
+//! interleavings are committed under `tests/schedules/`; a mutant's witness
+//! sits beside its patch under `tests/mutants/`.
 //!
 //! The empty decision vector *is* today's deterministic schedule: with no
 //! controller installed (production) or an exhausted vector, every choice

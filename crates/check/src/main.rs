@@ -2,17 +2,16 @@
 //!
 //! ```text
 //! scfs-check explore [--scenario NAME|all] [--seed N] [--budget smoke|deep|runs=N,preempt=K]
-//!                    [--mutant] [--expect-violation] [--emit-schedule PATH] [--json PATH]
+//!                    [--emit-schedule PATH] [--json PATH]
 //! scfs-check replay PATH... [--json PATH]
 //! ```
 //!
-//! `explore` enumerates schedules and exits 0 when the outcome matches the
-//! expectation: by default, zero invariant violations; with
-//! `--expect-violation` (the mutant acceptance gate), a violation must be
-//! found — it is then shrunk and, with `--emit-schedule`, written as a
-//! replayable blob. `replay` re-executes committed schedule blobs (files or
-//! directories of `*.sched`) and exits 0 when every pinned expectation
-//! holds. Exit codes: 0 ok, 1 findings/drift, 2 usage or I/O errors.
+//! `explore` enumerates schedules and exits 0 when it finds zero invariant
+//! violations. A violation is shrunk and, with `--emit-schedule`, written as
+//! a replayable blob; that is how a checked-in mutant
+//! (`tests/mutants/*.patch`) gets its witness. `replay` re-executes
+//! committed schedule blobs (files or directories of `*.sched`) and exits 0
+//! when every pinned expectation holds. Exit codes: 0 ok, 1 findings/drift, 2 usage or I/O errors.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -27,8 +26,6 @@ struct ExploreArgs {
     scenarios: Vec<ScenarioKind>,
     seed: u64,
     budget: ExploreConfig,
-    mutant: bool,
-    expect_violation: bool,
     emit_schedule: Option<PathBuf>,
     json: Option<PathBuf>,
 }
@@ -41,7 +38,7 @@ struct ReplayArgs {
 fn usage() -> String {
     "usage: scfs-check <explore|replay> [args]\n  \
      explore [--scenario NAME|all] [--seed N] [--budget smoke|deep|runs=N,preempt=K]\n          \
-     [--mutant] [--expect-violation] [--emit-schedule PATH] [--json PATH]\n  \
+     [--emit-schedule PATH] [--json PATH]\n  \
      replay PATH... [--json PATH]"
         .to_string()
 }
@@ -64,7 +61,7 @@ fn run_explore(args: ExploreArgs) -> Result<bool, String> {
     let mut json_entries = Vec::new();
     for &scenario in &args.scenarios {
         let t0 = Instant::now();
-        let report = explore(scenario, args.seed, args.mutant, &args.budget);
+        let report = explore(scenario, args.seed, &args.budget);
         let elapsed = t0.elapsed();
         println!(
             "scfs-check: {}: {} schedules ({} distinct traces, {} pruned, {} choice points max) in {:.2}s",
@@ -77,67 +74,48 @@ fn run_explore(args: ExploreArgs) -> Result<bool, String> {
         );
         let mut shrunk_len = None;
         let mut violation_names = Vec::new();
-        match report.first_violation {
-            Some(witness) => {
-                violation_names = witness
+        if let Some(witness) = report.first_violation {
+            violation_names = witness
+                .outcome
+                .violations
+                .iter()
+                .map(|v| v.name.to_string())
+                .collect();
+            println!(
+                "scfs-check: {}: VIOLATION under {:?}: {}",
+                scenario.name(),
+                witness.decisions,
+                witness
                     .outcome
                     .violations
                     .iter()
-                    .map(|v| v.name.to_string())
-                    .collect();
-                println!(
-                    "scfs-check: {}: VIOLATION under {:?}: {}",
-                    scenario.name(),
-                    witness.decisions,
-                    witness
-                        .outcome
-                        .violations
-                        .iter()
-                        .map(|v| v.to_string())
-                        .collect::<Vec<_>>()
-                        .join("; ")
-                );
-                let (minimal, shrink_runs) =
-                    shrink(scenario, args.seed, args.mutant, &witness.decisions);
-                let outcome = scenario.run(args.seed, args.mutant, &minimal);
-                println!(
-                    "scfs-check: {}: shrunk to {:?} ({} verification runs)",
-                    scenario.name(),
-                    minimal,
-                    shrink_runs
-                );
-                shrunk_len = Some(minimal.len());
-                if let Some(path) = &args.emit_schedule {
-                    let sched = Schedule::from_run(
-                        scenario,
-                        args.seed,
-                        args.mutant,
-                        minimal.clone(),
-                        &outcome,
-                    );
-                    std::fs::write(path, sched.serialize(&outcome.records))
-                        .map_err(|e| format!("write {}: {e}", path.display()))?;
-                    println!("scfs-check: wrote {}", path.display());
-                }
-                if !args.expect_violation {
-                    ok = false;
-                }
+                    .map(|v| v.to_string())
+                    .collect::<Vec<_>>()
+                    .join("; ")
+            );
+            let (minimal, shrink_runs) = shrink(&witness.decisions, |d| {
+                !scenario.run(args.seed, d).violations.is_empty()
+            });
+            let outcome = scenario.run(args.seed, &minimal);
+            println!(
+                "scfs-check: {}: shrunk to {:?} ({} verification runs)",
+                scenario.name(),
+                minimal,
+                shrink_runs
+            );
+            shrunk_len = Some(minimal.len());
+            if let Some(path) = &args.emit_schedule {
+                let sched = Schedule::from_run(scenario, args.seed, minimal.clone(), &outcome);
+                std::fs::write(path, sched.serialize(&outcome.records))
+                    .map_err(|e| format!("write {}: {e}", path.display()))?;
+                println!("scfs-check: wrote {}", path.display());
             }
-            None => {
-                if args.expect_violation {
-                    println!(
-                        "scfs-check: {}: expected a violation but none found",
-                        scenario.name()
-                    );
-                    ok = false;
-                }
-            }
+            ok = false;
         }
         json_entries.push(format!(
-            "{{\"scenario\":\"{}\",\"seed\":{},\"mutant\":{},\"schedules\":{},\"distinct_traces\":{},\"pruned_subtrees\":{},\"max_choice_points\":{},\"elapsed_ms\":{},\"violations\":[{}],\"shrunk_len\":{}}}",
+            "{{\"scenario\":\"{}\",\"seed\":{},\"schedules\":{},\"distinct_traces\":{},\"pruned_subtrees\":{},\"max_choice_points\":{},\"elapsed_ms\":{},\"violations\":[{}],\"shrunk_len\":{}}}",
             scenario.name(),
             args.seed,
-            args.mutant,
             report.schedules,
             report.distinct_traces,
             report.pruned_subtrees,
@@ -233,8 +211,6 @@ fn parse_explore(mut argv: std::env::Args) -> Result<ExploreArgs, String> {
         scenarios: ScenarioKind::all().to_vec(),
         seed: 7,
         budget: ExploreConfig::smoke(),
-        mutant: false,
-        expect_violation: false,
         emit_schedule: None,
         json: None,
     };
@@ -251,8 +227,6 @@ fn parse_explore(mut argv: std::env::Args) -> Result<ExploreArgs, String> {
             }
             "--seed" => args.seed = value()?.parse().map_err(|e| format!("bad seed: {e}"))?,
             "--budget" => args.budget = ExploreConfig::parse(&value()?)?,
-            "--mutant" => args.mutant = true,
-            "--expect-violation" => args.expect_violation = true,
             "--emit-schedule" => args.emit_schedule = Some(PathBuf::from(value()?)),
             "--json" => args.json = Some(PathBuf::from(value()?)),
             _ => return Err(usage()),

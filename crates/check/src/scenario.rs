@@ -1,10 +1,10 @@
 //! The checked scenarios: small, racy workloads with oracle invariants.
 //!
-//! A scenario is a pure function from `(seed, mutant flag, decision vector)`
-//! to a [`RunOutcome`]: it builds a fresh simulated system, installs a
+//! A scenario is a pure function from `(seed, decision vector)` to a
+//! [`RunOutcome`]: it builds a fresh simulated system, installs a
 //! [`VectorController`] into the schedule seam, drives a fixed operation
 //! script, and evaluates its invariants. Determinism of the simulator makes
-//! the mapping exact — the same triple always yields the same record
+//! the mapping exact — the same pair always yields the same record
 //! sequence, trace hash and violations, which is what exploration, shrinking
 //! and corpus replay all rely on.
 //!
@@ -12,10 +12,11 @@
 //!
 //! * [`ScenarioKind::AbdQuorum`] — two writers and one reader race on one
 //!   ABD register; the oracle is single-register linearizability ("old or
-//!   new, never backwards"). The `mutant` flag narrows the read-side
-//!   decision quorum by one ([`RegisterGroup::set_read_quorum_skew`]) — the
-//!   classic off-by-one that stock stress tests miss but reply reordering
-//!   exposes.
+//!   new, never backwards"). The explorer's own test is a checked-in
+//!   mutant, `tests/mutants/abd-read-quorum-skew.patch`: it narrows the
+//!   read-side decision quorum by one — the classic off-by-one that stock
+//!   stress tests miss but reply reordering exposes — and its shrunk
+//!   witness sits beside it.
 //! * [`ScenarioKind::ChunkstoreGc`] — non-blocking closes race the chunk
 //!   garbage collector, and a second backend instance stores and collects
 //!   identical content; the oracle is the cache's byte accounting, a cold
@@ -81,10 +82,10 @@ impl ScenarioKind {
     }
 
     /// Runs the scenario under `decisions` and evaluates its invariants.
-    pub fn run(self, seed: u64, mutant: bool, decisions: &[usize]) -> RunOutcome {
+    pub fn run(self, seed: u64, decisions: &[usize]) -> RunOutcome {
         match self {
-            ScenarioKind::AbdQuorum => run_abd(seed, mutant, decisions),
-            ScenarioKind::ChunkstoreGc => run_chunkstore_gc(seed, mutant, decisions),
+            ScenarioKind::AbdQuorum => run_abd(seed, decisions),
+            ScenarioKind::ChunkstoreGc => run_chunkstore_gc(seed, decisions),
         }
     }
 }
@@ -139,22 +140,20 @@ struct AbdEvent {
 ///
 /// With the correct quorum, any `write_quorum` considered replies contain a
 /// fresh one and the decide-by-max plus write-back repair the lagging
-/// replica, so every schedule is clean. With the seeded off-by-one mutant a
-/// read decides from a single reply, and the schedule that delivers the
-/// lagging replica first returns the old value after writer 1 completed.
+/// replica, so every schedule is clean. Under the off-by-one mutant
+/// (`tests/mutants/abd-read-quorum-skew.patch`) a read decides from a single
+/// reply, and the schedule that delivers the lagging replica first returns
+/// the old value after writer 1 completed.
 ///
 /// Oracle — single-register linearizability, version order as value order:
 /// 1. a read observing a version the register never committed;
 /// 2. a read invoked after a write responded returning an older version
 ///    ("old after new");
 /// 3. two non-overlapping reads travelling backwards in version order.
-fn run_abd(seed: u64, mutant: bool, decisions: &[usize]) -> RunOutcome {
+fn run_abd(seed: u64, decisions: &[usize]) -> RunOutcome {
     const KEY: &str = "/reg";
     let group = RegisterGroup::new(ReplicationConfig::metro_crash(1), seed)
         .expect("metro_crash(1) is a consistent configuration");
-    if mutant {
-        group.set_read_quorum_skew(1);
-    }
 
     // Setup write, outside the explored window: the controller is installed
     // only afterwards, so the decision vector's indices start at the race.
@@ -313,10 +312,9 @@ fn run_abd(seed: u64, mutant: bool, decisions: &[usize]) -> RunOutcome {
 /// pending settlement, a cold read of alice's files) after sleeping past the
 /// drain horizon.
 ///
-/// There is no seeded mutant for this scenario yet (`mutant` only widens
-/// the write pattern), so exploration asserts the invariants hold under
-/// every explored interleaving.
-fn run_chunkstore_gc(seed: u64, mutant: bool, decisions: &[usize]) -> RunOutcome {
+/// Exploration asserts the invariants hold under every explored
+/// interleaving.
+fn run_chunkstore_gc(seed: u64, decisions: &[usize]) -> RunOutcome {
     const CHUNK: u64 = 16 * 1024;
     // A WAN-latency cloud: uploads take real virtual time, so lanes overlap
     // and the lane-dispatch choice points actually fire.
@@ -361,8 +359,8 @@ fn run_chunkstore_gc(seed: u64, mutant: bool, decisions: &[usize]) -> RunOutcome
         data
     };
 
-    let rounds = if mutant { 5 } else { 4 };
-    for round in 0..rounds {
+    const ROUNDS: usize = 4;
+    for round in 0..ROUNDS {
         for (file, path) in ["/a", "/b"].iter().enumerate() {
             fs.write_file(path, &payload(round, file))
                 .expect("simulated write cannot fail without faults");
@@ -390,7 +388,7 @@ fn run_chunkstore_gc(seed: u64, mutant: bool, decisions: &[usize]) -> RunOutcome
         seed + 1,
     )
     .expect("test mount cannot fail");
-    let last = |file: usize| payload(rounds - 1, file);
+    let last = |file: usize| payload(ROUNDS - 1, file);
     bob.write_file("/bob", &last(0))
         .and_then(|()| bob.unlink("/bob"))
         .and_then(|()| bob.write_file("/bob-trigger", b"x"))
@@ -484,8 +482,8 @@ mod tests {
 
     #[test]
     fn abd_default_schedule_is_clean_and_stable() {
-        let a = ScenarioKind::AbdQuorum.run(7, false, &[]);
-        let b = ScenarioKind::AbdQuorum.run(7, false, &[]);
+        let a = ScenarioKind::AbdQuorum.run(7, &[]);
+        let b = ScenarioKind::AbdQuorum.run(7, &[]);
         assert!(a.violations.is_empty(), "{:?}", a.violations);
         assert_eq!(a.trace_hash, b.trace_hash);
         assert_eq!(a.records.len(), b.records.len());
@@ -498,8 +496,8 @@ mod tests {
 
     #[test]
     fn chunkstore_default_schedule_is_clean_and_stable() {
-        let a = ScenarioKind::ChunkstoreGc.run(7, false, &[]);
-        let b = ScenarioKind::ChunkstoreGc.run(7, false, &[]);
+        let a = ScenarioKind::ChunkstoreGc.run(7, &[]);
+        let b = ScenarioKind::ChunkstoreGc.run(7, &[]);
         assert!(a.violations.is_empty(), "{:?}", a.violations);
         assert_eq!(a.trace_hash, b.trace_hash);
         assert!(!a.records.is_empty(), "the race window must offer choices");
@@ -507,10 +505,10 @@ mod tests {
 
     #[test]
     fn same_decisions_same_outcome() {
-        let probe = ScenarioKind::AbdQuorum.run(7, false, &[]);
+        let probe = ScenarioKind::AbdQuorum.run(7, &[]);
         let flip = vec![1; probe.records.len().min(4)];
-        let a = ScenarioKind::AbdQuorum.run(7, false, &flip);
-        let b = ScenarioKind::AbdQuorum.run(7, false, &flip);
+        let a = ScenarioKind::AbdQuorum.run(7, &flip);
+        let b = ScenarioKind::AbdQuorum.run(7, &flip);
         assert_eq!(a.trace_hash, b.trace_hash);
         assert_eq!(a.records, b.records);
     }

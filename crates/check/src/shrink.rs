@@ -7,12 +7,10 @@
 //! 2. decrement one decision (take a *nearer* non-default option);
 //! 3. truncate trailing default entries (pure cosmetics, costs no run).
 //!
-//! A candidate is kept only if the scenario still violates under it, so the
-//! result provably reproduces the bug. The metric is lexicographic
+//! A candidate is kept only if it still violates, so the result provably
+//! reproduces the bug. The metric is lexicographic
 //! `(preemptions, sum of decisions, length)` — strictly decreasing, so the
 //! loop terminates.
-
-use crate::scenario::ScenarioKind;
 
 /// How simple a vector is; shrinking strictly decreases this.
 fn cost(d: &[usize]) -> (usize, usize, usize) {
@@ -23,10 +21,6 @@ fn cost(d: &[usize]) -> (usize, usize, usize) {
     )
 }
 
-fn violates(scenario: ScenarioKind, seed: u64, mutant: bool, d: &[usize]) -> bool {
-    !scenario.run(seed, mutant, d).violations.is_empty()
-}
-
 fn trim(mut d: Vec<usize>) -> Vec<usize> {
     while d.last() == Some(&0) {
         d.pop();
@@ -35,17 +29,16 @@ fn trim(mut d: Vec<usize>) -> Vec<usize> {
 }
 
 /// Shrinks `decisions` (which must violate) to a locally minimal vector
-/// that still violates. Returns the vector and the number of verification
+/// that still violates; `violates` runs a candidate, for `scfs-check` a
+/// scenario under it. Returns the vector and the number of verification
 /// runs spent.
 pub fn shrink(
-    scenario: ScenarioKind,
-    seed: u64,
-    mutant: bool,
     decisions: &[usize],
+    mut violates: impl FnMut(&[usize]) -> bool,
 ) -> (Vec<usize>, usize) {
     let mut best = trim(decisions.to_vec());
     let mut runs = 0;
-    debug_assert!(violates(scenario, seed, mutant, &best));
+    debug_assert!(violates(&best));
     loop {
         let mut improved = false;
         for i in 0..best.len() {
@@ -58,7 +51,7 @@ pub fn shrink(
             zeroed[i] = 0;
             let zeroed = trim(zeroed);
             runs += 1;
-            if violates(scenario, seed, mutant, &zeroed) && cost(&zeroed) < cost(&best) {
+            if violates(&zeroed) && cost(&zeroed) < cost(&best) {
                 best = zeroed;
                 improved = true;
                 break;
@@ -67,7 +60,7 @@ pub fn shrink(
             dec[i] -= 1;
             let dec = trim(dec);
             runs += 1;
-            if violates(scenario, seed, mutant, &dec) && cost(&dec) < cost(&best) {
+            if violates(&dec) && cost(&dec) < cost(&best) {
                 best = dec;
                 improved = true;
                 break;

@@ -47,7 +47,6 @@ use sim_core::schedule::{ChoiceKind, ControllerSlot};
 use sim_core::time::{SimDuration, SimInstant};
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, MutexGuard};
 
 use crate::commands::{Command, Reply, SignedCommand};
@@ -122,11 +121,6 @@ pub struct RegisterGroup {
     /// in arrival order); the model checker installs one to explore other
     /// delivery orders.
     controller: Mutex<ControllerSlot>,
-    /// Mutation-testing knob: how much to *narrow* the read-side decision
-    /// quorum below `write_quorum` (clamped at 1). Zero in production; the
-    /// model checker sets 1 to plant the classic quorum-off-by-one bug and
-    /// prove the explorer catches it.
-    read_quorum_skew: AtomicUsize,
 }
 
 /// What [`RegisterGroup::rename_entry`] moved, and what it overwrote.
@@ -175,7 +169,6 @@ impl RegisterGroup {
             replicas,
             rng: Mutex::new(DetRng::new(seed)),
             controller: Mutex::new(ControllerSlot::inactive()),
-            read_quorum_skew: AtomicUsize::new(0),
         }
     }
 
@@ -184,14 +177,6 @@ impl RegisterGroup {
     /// in arrival order.
     pub fn install_schedule_controller(&self, slot: ControllerSlot) {
         *self.controller.lock() = slot;
-    }
-
-    /// Mutation-testing knob: narrows the read-side decision quorum by
-    /// `skew` (clamped at 1 reply). `scfs-check` uses this to seed the
-    /// quorum-off-by-one bug its acceptance run must catch; production code
-    /// never calls it.
-    pub fn set_read_quorum_skew(&self, skew: usize) {
-        self.read_quorum_skew.store(skew, Ordering::Relaxed);
     }
 
     /// Applies the installed controller's delivery order to a round's
@@ -335,8 +320,7 @@ impl RegisterGroup {
     /// ABD read: query all replicas, decide from a quorum, write back on
     /// disagreement.
     pub fn read(&self, ctx: &mut OpCtx<'_>, key: &str) -> Result<Entry, CoordError> {
-        let skew = self.read_quorum_skew.load(Ordering::Relaxed);
-        let wq = self.config.mode.write_quorum().saturating_sub(skew).max(1);
+        let wq = self.config.mode.write_quorum();
         let rq = self.config.mode.reply_quorum();
         let runs = self.deliver(key, self.round(ctx, true, |_, at, corrupt| (at, corrupt)));
 

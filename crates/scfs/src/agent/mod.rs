@@ -565,8 +565,12 @@ impl FileSystem for ScfsAgent {
 
     /// Renames `from`, and everything under it, to `to`. This agent's open
     /// handles follow their files, as descriptors do, so a commit of theirs
-    /// lands under the new name; another mount's handles are not reached,
-    /// as by `unlink`, and still commit under the path they opened.
+    /// lands under the new name; its handles of `to` itself, when the
+    /// rename clobbers it, are orphaned, as by `unlink`, as POSIX orphans
+    /// the clobbered inode. A handle of a name under `to` that a moved name
+    /// overwrites is not detached.
+    /// Another mount's handles are not reached, as by `unlink`, and still
+    /// commit under the path they opened.
     fn rename(&mut self, from: &str, to: &str) -> Result<(), ScfsError> {
         let from = self.enter(from)?;
         let to = normalize_path(to)?;
@@ -581,10 +585,13 @@ impl FileSystem for ScfsAgent {
         });
         let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
         self.metadata.rename(&mut ctx, &from, &to)?;
-        let moved = self.open_files.values_mut();
-        for file in moved.filter(|f| is_under(&f.path, &from)) {
-            file.path = format!("{to}{}", &file.path[from.len()..]);
-            file.metadata.path = file.path.clone();
+        for file in self.open_files.values_mut() {
+            if is_under(&file.path, &from) {
+                file.path = format!("{to}{}", &file.path[from.len()..]);
+                file.metadata.path = file.path.clone();
+            } else {
+                file.unlinked |= file.path == to;
+            }
         }
         Ok(())
     }

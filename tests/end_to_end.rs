@@ -3,6 +3,7 @@
 
 use scfs_repro::cloud_store::store::OpCtx;
 use scfs_repro::cloud_store::types::{Acl, Permission};
+use scfs_repro::coord::sharded::ShardTopology;
 use scfs_repro::scfs::agent::ScfsAgent;
 use scfs_repro::scfs::config::{Mode, ScfsConfig};
 use scfs_repro::scfs::error::ScfsError;
@@ -10,7 +11,9 @@ use scfs_repro::scfs::fs::FileSystem;
 use scfs_repro::scfs::types::{OpenFlags, MAX_FILE_LEN};
 use scfs_repro::sim_core::time::{Clock, SimDuration};
 use scfs_repro::sim_core::units::Bytes;
-use scfs_repro::workloads::setup::{build_system, Backend, Deployment, SystemKind};
+use scfs_repro::workloads::setup::{
+    build_system, Backend, Deployment, Plane, Providers, SystemKind,
+};
 
 /// The baselines bound a write and a truncate by the maximum file size and
 /// answer as the agent does, instead of panicking on the end-offset
@@ -212,12 +215,14 @@ fn answer_on(fs: &mut ScfsAgent, call: &str, path: &str) -> Result<String, Strin
 }
 
 /// A deleted file has one representation, no tuple, so an unlinked path
-/// answers every call as a path that was never created does — in every
-/// mode, with the private name space on or off, and right after the unlink
-/// as well as once the metadata cache has expired. On the paper deployment a
-/// non-blocking unlink lands later, on the object's lane behind the upload;
-/// its writer gets the same answers before it lands, and a create of the
-/// name waits for the delete instead of meeting the old tuple.
+/// answers every call as a path that was never created does. The spec
+/// (`tests/spec.rs`) states that for every mode on an instantaneous
+/// deployment; this is the case it cannot script: on the paper deployment
+/// a non-blocking unlink lands later, on the object's lane behind the
+/// upload. Its writer gets the same answers before it lands, with the
+/// private name space on or off, right after the unlink and once the
+/// metadata cache has expired, and a create of the name waits for the
+/// delete instead of meeting the old tuple.
 #[test]
 fn an_unlinked_path_answers_like_one_never_created() {
     let calls = [
@@ -231,46 +236,36 @@ fn an_unlinked_path_answers_like_one_never_created() {
         "getfacl",
         "setfacl",
     ];
-    let instant = || Deployment::instant(Backend::Aws, 7);
-    let paper = || Deployment::paper(Backend::Aws, 7);
-    let cases: [(Mode, &dyn Fn() -> Deployment); 4] = [
-        (Mode::Blocking, &instant),
-        (Mode::NonBlocking, &instant),
-        (Mode::NonSharing, &instant),
-        (Mode::NonBlocking, &paper),
-    ];
     let mut windows = 0;
-    for (mode, deployment) in cases {
-        for pns in [false, true] {
-            for pause in [SimDuration::ZERO, SimDuration::from_secs(2)] {
-                // A fresh mount per call: /docs/src exists, /docs/notes was
-                // written and unlinked, /docs/fresh never existed.
-                let setup = || {
-                    let mut config = ScfsConfig::test(mode);
-                    config.private_name_spaces = pns;
-                    let mut fs = deployment().mount("alice", config, 1);
-                    fs.write_file("/docs/src", b"source").unwrap();
-                    fs.write_file("/docs/notes", b"draft").unwrap();
-                    let upload = fs.upload_token("/docs/notes");
-                    fs.unlink("/docs/notes").unwrap();
-                    fs.sleep(pause);
-                    let in_flight = upload.is_some_and(|u| fs.now() < u.ready_at());
-                    (fs, in_flight)
-                };
-                let (_, in_flight) = setup();
-                windows += usize::from(in_flight);
-                for call in calls {
-                    let unlinked = answer_on(&mut setup().0, call, "/docs/notes");
-                    let fresh = answer_on(&mut setup().0, call, "/docs/fresh");
-                    assert_eq!(
-                        unlinked, fresh,
-                        "{call}: {mode:?}, PNS {pns}, after {pause}, in flight {in_flight}"
-                    );
-                }
+    for pns in [false, true] {
+        for pause in [SimDuration::ZERO, SimDuration::from_secs(2)] {
+            // A fresh mount per call: /docs/src exists, /docs/notes was
+            // written and unlinked, /docs/fresh never existed.
+            let setup = || {
+                let mut config = ScfsConfig::test(Mode::NonBlocking);
+                config.private_name_spaces = pns;
+                let mut fs = Deployment::paper(Backend::Aws, 7).mount("alice", config, 1);
+                fs.write_file("/docs/src", b"source").unwrap();
+                fs.write_file("/docs/notes", b"draft").unwrap();
+                let upload = fs.upload_token("/docs/notes");
+                fs.unlink("/docs/notes").unwrap();
+                fs.sleep(pause);
+                let in_flight = upload.is_some_and(|u| fs.now() < u.ready_at());
+                (fs, in_flight)
+            };
+            let (_, in_flight) = setup();
+            windows += usize::from(in_flight);
+            for call in calls {
+                let unlinked = answer_on(&mut setup().0, call, "/docs/notes");
+                let fresh = answer_on(&mut setup().0, call, "/docs/fresh");
+                assert_eq!(
+                    unlinked, fresh,
+                    "{call}: PNS {pns}, after {pause}, in flight {in_flight}"
+                );
             }
         }
     }
-    assert_eq!(windows, 2, "the paper cases right after the unlink");
+    assert_eq!(windows, 2, "right after the unlink");
 }
 
 /// The unlink of a file whose non-blocking upload is still in flight is a
@@ -504,5 +499,31 @@ fn a_sync_of_a_clean_creating_handle_keeps_a_later_version() {
         fs.write_file("/f", b"later").unwrap();
         fs.sync(created).unwrap();
         assert_eq!(fs.read_file("/f").unwrap(), b"later", "{mode:?}");
+    }
+}
+
+/// Open hole (ROADMAP item 29), pinned as it behaves: a commit writes back
+/// the whole tuple its handle read at open, ACL included, so a grant made
+/// while a dirty handle is open is erased by that handle's close. The
+/// reference keeps the grant; the row of `tests/model/mod.rs` citing this
+/// test says so. A fix makes the commit a `cas` that re-applies only the
+/// close's own fields, and bob keeps his grant.
+#[test]
+fn open_hole_a_close_erases_a_grant_made_while_its_handle_was_open() {
+    let bob = "bob".into();
+    for plane in [Plane::Instantaneous, Plane::Sharded(ShardTopology::test(4))] {
+        let spec = Deployment::on(Backend::Aws).providers(Providers::Instantaneous);
+        let mut fs = spec
+            .plane(plane)
+            .build(7)
+            .mount("alice", ScfsConfig::test(Mode::Blocking), 1);
+        let h = fs.open("/a", OpenFlags::create()).unwrap();
+        fs.write(h, 0, b"draft").unwrap();
+        fs.setfacl("/a", &bob, Permission::Read).unwrap();
+        assert!(fs.getfacl("/a").unwrap().allows(&bob, Permission::Read));
+        fs.close(h).unwrap();
+        fs.sleep(SimDuration::from_secs(1));
+        assert_eq!(fs.read_file("/a").unwrap(), b"draft");
+        assert!(!fs.getfacl("/a").unwrap().allows(&bob, Permission::Read));
     }
 }
