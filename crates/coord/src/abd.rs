@@ -20,12 +20,22 @@
 //!
 //! Unlike the latency-only [`crate::replication::ReplicatedCoordinator`],
 //! each replica here models **server capacity**: a request occupies the
-//! replica for one processing time on its reservation calendar: a read in
-//! the first free slot, a change at the horizon. Since a broadcast round
+//! replica for one processing time on its reservation calendar, in the first
+//! free slot it may take. A read may take any at or after its arrival. A
+//! change is placed after its own key's replies: linearizability is local,
+//! so it waits for every reply the replica computed on the key, every change
+//! committed to it and the replica's scans, never for the whole horizon (an
+//! SMR command waits for its keys on every replica). Since a broadcast round
 //! visits every replica, one group saturates at roughly `1 / processing_mean`
 //! operations per second no matter how many replicas it has — which is
 //! exactly why the sharded plane ([`crate::sharded`]) scales throughput
 //! linearly in the number of groups, not in replicas per group.
+//!
+//! A key the SMR lane tombstones is queued and pruned from every replica
+//! once no request can reach it: its newest event is a tombstone on every
+//! replica that holds it, and that tombstone and every reply on the key lie
+//! below the low-water mark, 5 s (`RETENTION`) below the earliest replica
+//! horizon, where a request is served at the horizon.
 //!
 //! Fault model: replica faults come from the existing
 //! [`sim_core::fault::FaultInjector`]. `Unavailable` replicas send no reply.
@@ -61,14 +71,21 @@ use crate::store::{AbdWriteOutcome, Built, EntryState, KeyedState, TupleStore};
 const RANK_BITS: u32 = 20;
 const RANK_MASK: u64 = (1 << RANK_BITS) - 1;
 
+/// How far below a replica's horizon its calendar keeps bookings (a request
+/// arriving below that is `late`, served at the horizon), and so how far
+/// below the group's earliest horizon the low-water mark of pruning lies.
+const RETENTION: SimDuration = SimDuration::from_secs(5);
+
 /// One replica's server: its bookings, in start order and disjoint. Clients
 /// run in host order, so a request can arrive after one stamped later (a
 /// close's update lands behind its cloud PUT). A read fills the first gap
 /// that fits it, waiting for no booking that begins after it could have
-/// finished; a change starts at the horizon, so no reply the replica gave
-/// is contradicted by a change it placed before it (a follower applies an
-/// SMR commit at the leader's instant, unbooked). Bookings are kept down to
-/// 5 s behind the horizon; a request arriving below that is `late`.
+/// finished. A change fills the first gap after its key's replies too: after
+/// every reply the replica computed on the key and every change committed to
+/// it, and after the replica's scans and replies on absent keys, so no reply
+/// is contradicted by a change placed before it. An SMR commit waits for its
+/// keys on every replica, followers included. Bookings are kept down to
+/// [`RETENTION`] below the horizon; a request arriving below that is `late`.
 #[derive(Debug, Default)]
 struct Calendar {
     booked: VecDeque<(SimInstant, SimInstant)>,
@@ -77,19 +94,20 @@ struct Calendar {
 }
 
 impl Calendar {
-    /// Books `proc` for a request arriving at `arrival` and returns when its
-    /// service starts: in the first free slot at or after `arrival` if the
-    /// request only reads (`fill`) and is not late, else at the horizon.
-    fn book(&mut self, arrival: SimInstant, proc: SimDuration, fill: bool) -> SimInstant {
-        let low_water = |end: SimInstant| end + SimDuration::from_secs(5) < self.horizon;
+    /// Books `proc` for a request arriving at `arrival` that may start at
+    /// `after` (at or after `arrival`) and returns when its service starts:
+    /// in the first free slot at or after `after`, or, if the request is
+    /// late, at the horizon if that is later.
+    fn book(&mut self, arrival: SimInstant, proc: SimDuration, after: SimInstant) -> SimInstant {
+        let low_water = |end: SimInstant| end + RETENTION < self.horizon;
         while self.booked.front().is_some_and(|&(_, end)| low_water(end)) {
             self.booked.pop_front();
         }
         let late = low_water(arrival);
         self.late += u64::from(late);
-        let free_from = if fill && !late { arrival } else { self.horizon };
+        let free_from = if late { self.horizon.max(after) } else { after };
         let mut at = self.booked.partition_point(|&(_, end)| end <= free_from);
-        let mut start = arrival.max(free_from);
+        let mut start = free_from;
         while let Some(&(_, end)) = self.booked.get(at).filter(|b| b.0 < start + proc) {
             (start, at) = (start.max(end), at + 1);
         }
@@ -100,14 +118,12 @@ impl Calendar {
 }
 
 /// One replica of the group: its state machine, its fault plan, its
-/// calendar, the latest SMR commit it ordered (as the leader), and how many
-/// read-only replies its store has computed.
+/// calendar, and how many read-only replies its store has computed.
 #[derive(Debug)]
 struct ReplicaNode {
     store: TupleStore,
     faults: FaultInjector,
     calendar: Calendar,
-    committed: SimInstant,
     evaluated: u64,
 }
 
@@ -121,6 +137,9 @@ pub struct RegisterGroup {
     /// in arrival order); the model checker installs one to explore other
     /// delivery orders.
     controller: Mutex<ControllerSlot>,
+    /// Keys tombstoned by the SMR lane, with the commit instant, in commit
+    /// order: checked for pruning as the low-water mark passes them.
+    tombstones: Mutex<VecDeque<(SimInstant, Arc<str>)>>,
 }
 
 /// What [`RegisterGroup::rename_entry`] moved, and what it overwrote.
@@ -159,7 +178,6 @@ impl RegisterGroup {
                     store: TupleStore::new(),
                     faults: FaultInjector::inert(),
                     calendar: Calendar::default(),
-                    committed: SimInstant::EPOCH,
                     evaluated: 0,
                 })
             })
@@ -169,6 +187,7 @@ impl RegisterGroup {
             replicas,
             rng: Mutex::new(DetRng::new(seed)),
             controller: Mutex::new(ControllerSlot::inactive()),
+            tombstones: Mutex::default(),
         }
     }
 
@@ -213,16 +232,17 @@ impl RegisterGroup {
     /// outcomes sorted by reply arrival. `visit` runs on the replica's store
     /// at its service instant, replica after replica; the `bool` argument is
     /// set when the replica is Byzantine and the reply value must be garbled.
-    /// A `read_only` round fills each calendar's first free slot and keeps
-    /// both as a ticket; [`Self::evaluate`] visits the store, time-indexed,
-    /// only for a reply the client absorbs, before any other round. A `None`
-    /// outcome means the replica sent no reply (crashed or partitioned); its
-    /// fork still advances a full round trip so a failed quorum waits a
-    /// realistic time.
+    /// Each replica books the first free slot at or after the arrival; a
+    /// round that `changes` a key, after that key's replies too. A read-only
+    /// round keeps the slot and the fault as a ticket; [`Self::evaluate`]
+    /// visits the store, time-indexed, only for a reply the client absorbs,
+    /// before any other round. A `None` outcome means the replica sent no
+    /// reply (crashed or partitioned); its fork still advances a full round
+    /// trip so a failed quorum waits a realistic time.
     fn round<T>(
         &self,
         ctx: &OpCtx<'_>,
-        read_only: bool,
+        changes: Option<&str>,
         mut visit: impl FnMut(&mut TupleStore, SimInstant, bool) -> T,
     ) -> Vec<ForkedRun<Option<T>>> {
         run_forked(ctx.clock, 0..self.replicas.len(), |i, fork| {
@@ -242,7 +262,9 @@ impl RegisterGroup {
                     None
                 }
                 decision => {
-                    let depart = node.calendar.book(arrival, proc, read_only) + proc;
+                    let after =
+                        changes.map_or(arrival, |key| arrival.max(node.store.reached(Some(key))));
+                    let depart = node.calendar.book(arrival, proc, after) + proc;
                     let value = visit(
                         &mut node.store,
                         depart,
@@ -298,20 +320,22 @@ impl RegisterGroup {
     /// A scan round (`list`, rename collect): awaits a write quorum of honest
     /// replies — a corrupt one is discarded, keys being self-verifying — and
     /// returns their replicas, locked, in delivery order, with the instants
-    /// they served the request at.
+    /// they served the request at, which each records.
     fn scan_quorum(
         &self,
         ctx: &mut OpCtx<'_>,
         site: &str,
         what: &str,
     ) -> Result<Vec<(MutexGuard<'_, ReplicaNode>, SimInstant)>, CoordError> {
-        let runs = self.deliver(site, self.round(ctx, true, |_, at, corrupt| (at, corrupt)));
+        let runs = self.deliver(site, self.round(ctx, None, |_, at, corrupt| (at, corrupt)));
         let mut absorbed = Vec::new();
         self.await_write_quorum(ctx, &runs, what, |run| {
             let Some((at, false)) = run.value else {
                 return false;
             };
-            absorbed.push((self.evaluate(run.index), at));
+            let mut node = self.evaluate(run.index);
+            node.store.reach(None, at);
+            absorbed.push((node, at));
             true
         })?;
         Ok(absorbed)
@@ -322,7 +346,7 @@ impl RegisterGroup {
     pub fn read(&self, ctx: &mut OpCtx<'_>, key: &str) -> Result<Entry, CoordError> {
         let wq = self.config.mode.write_quorum();
         let rq = self.config.mode.reply_quorum();
-        let runs = self.deliver(key, self.round(ctx, true, |_, at, corrupt| (at, corrupt)));
+        let runs = self.deliver(key, self.round(ctx, None, |_, at, corrupt| (at, corrupt)));
 
         // Walk replies in delivery order, computing each as it is
         // considered; once `write_quorum` have arrived, look for a value
@@ -339,7 +363,7 @@ impl RegisterGroup {
                 continue;
             };
             latest = latest.max(run.completed_at);
-            let node = self.evaluate(run.index);
+            let mut node = self.evaluate(run.index);
             let (ts, state, updated_at) = node.store.abd_snapshot(key, at);
             let state = if corrupt {
                 state.map(garble)
@@ -386,7 +410,7 @@ impl RegisterGroup {
                 }
             });
             let mut built = Built::default();
-            let install_runs = self.round(ctx, false, |store, at, _| {
+            let install_runs = self.round(ctx, Some(key), |store, at, _| {
                 store.abd_install(key, ts, install.as_ref(), at, &mut built)
             });
             let install_runs = self.deliver(key, install_runs);
@@ -428,13 +452,13 @@ impl RegisterGroup {
         // Phase 1: timestamp query, in a free slot, answering the highest
         // timestamp ever held: a later-stamped write may already hold the
         // next one. Timestamps are signed, so the plain quorum max is safe.
-        let ts_runs = self.deliver(key, self.round(ctx, true, |_, at, corrupt| (at, corrupt)));
+        let ts_runs = self.deliver(key, self.round(ctx, None, |_, at, corrupt| (at, corrupt)));
         let mut max_ts = 0u64;
         self.await_write_quorum(ctx, &ts_runs, "timestamp query", |run| {
-            if run.value.is_none() {
+            let Some((at, _)) = run.value else {
                 return false;
-            }
-            max_ts = max_ts.max(self.evaluate(run.index).store.abd_timestamp(key));
+            };
+            max_ts = max_ts.max(self.evaluate(run.index).store.abd_timestamp(key, at));
             true
         })?;
 
@@ -447,7 +471,7 @@ impl RegisterGroup {
         let mut built = Built::default();
         let write_runs = self.deliver(
             key,
-            self.round(ctx, false, |store, at, _| {
+            self.round(ctx, Some(key), |store, at, _| {
                 store.abd_write(key, ts, &value, &ctx.account, at, &mut built)
             }),
         );
@@ -520,11 +544,19 @@ impl RegisterGroup {
     /// and every live replica applies it at the same commit instant, so
     /// conditional operations (CAS, ephemeral creates) see one total order.
     pub fn smr(&self, ctx: &mut OpCtx<'_>, command: Command) -> Result<Reply, CoordError> {
-        let commit_at = self.smr_commit(ctx)?;
         let signed = SignedCommand {
             issuer: ctx.account.clone(),
             command,
         };
+        let key = match &signed.command {
+            Command::Put { key, .. }
+            | Command::Cas { key, .. }
+            | Command::CreateEphemeral { key, .. }
+            | Command::Delete { key }
+            | Command::SetAcl { key, .. } => Some(key.as_str()),
+            Command::RenamePrefix { .. } => None,
+        };
+        let commit_at = self.smr_commit(ctx, |store| store.reached(key))?;
         let mut reply = None;
         let mut built = Built::default();
         for replica in &self.replicas {
@@ -533,6 +565,7 @@ impl RegisterGroup {
                 FaultDecision::Unavailable => continue,
                 decision => {
                     let r = node.store.apply_with(&signed, commit_at, &mut built);
+                    node.store.reach(key, commit_at);
                     // The voted reply comes from honest replicas; a corrupt
                     // replica's answer is outvoted and ignored.
                     if reply.is_none() && matches!(decision, FaultDecision::Allow) {
@@ -540,6 +573,10 @@ impl RegisterGroup {
                     }
                 }
             }
+        }
+        if let (Command::Delete { key }, Some(Reply::Unit)) = (&signed.command, &reply) {
+            let mut tombstones = self.tombstones.lock();
+            tombstones.push_back((commit_at, key.as_str().into()));
         }
         reply.ok_or_else(|| CoordError::unavailable("no honest replica applied the command"))
     }
@@ -552,7 +589,11 @@ impl RegisterGroup {
         deletes: &[Arc<str>],
         inserts: &[(String, Arc<EntryState>)],
     ) -> Result<(), CoordError> {
-        let commit_at = self.smr_commit(ctx)?;
+        let commit_at = self.smr_commit(ctx, |store| {
+            let deleted = deletes.iter().map(|key| store.reached(Some(key)));
+            let inserted = inserts.iter().map(|(key, _)| store.reached(Some(key)));
+            deleted.chain(inserted).max().unwrap_or_default()
+        })?;
         let mut built = Built::default();
         for replica in &self.replicas {
             let mut node = replica.lock();
@@ -561,6 +602,8 @@ impl RegisterGroup {
                     .apply_rename_batch(deletes, inserts, commit_at, &mut built);
             }
         }
+        let tombstoned = deletes.iter().map(|key| (commit_at, Arc::clone(key)));
+        self.tombstones.lock().extend(tombstoned);
         Ok(())
     }
 
@@ -577,16 +620,23 @@ impl RegisterGroup {
         from: &str,
         to: &str,
     ) -> Result<Option<Moved>, CoordError> {
-        let commit_at = self.smr_commit(ctx)?;
+        let commit_at = self.smr_commit(ctx, |store| {
+            store.reached(Some(from)).max(store.reached(Some(to)))
+        })?;
         let mut applying: Vec<_> = self.replicas.iter().map(|r| r.lock()).collect();
         applying.retain_mut(|n| !matches!(n.faults.decide(commit_at), FaultDecision::Unavailable));
         if applying.is_empty() {
             return Err(CoordError::unavailable("no replica applied the rename"));
         }
-        let newest = |key: &str| {
-            let newest = applying.iter().max_by_key(|n| n.store.abd_timestamp(key));
-            let state = newest.and_then(|n| n.store.abd_snapshot(key, commit_at).1.cloned());
-            (newest.map_or(0, |n| n.store.abd_timestamp(key)), state)
+        let mut newest = |key: &str| {
+            let stamped = applying
+                .iter_mut()
+                .map(|n| (n.store.abd_timestamp(key, commit_at), n));
+            stamped
+                .max_by_key(|(ts, _)| *ts)
+                .map_or((0, None), |(ts, n)| {
+                    (ts, n.store.abd_snapshot(key, commit_at).1.cloned())
+                })
         };
         let ((from_ts, state), (to_ts, clobbered)) = (newest(from), newest(to));
         let Some(state) = state else { return Ok(None) };
@@ -603,21 +653,27 @@ impl RegisterGroup {
             node.store
                 .abd_install(to, version, Some(&installed), commit_at, at_to);
         }
+        self.tombstones.lock().push_back((commit_at, from.into()));
         Ok(Some((state, clobbered)))
     }
 
-    /// Shared SMR ordering step: checks that enough honest replicas are up,
-    /// charges the client the leader round trip plus the protocol's ordering
-    /// rounds (the leader serves it at its horizon; a commit never precedes
-    /// the one ordered before it), advances the caller's clock to the reply
-    /// and returns the commit instant.
-    fn smr_commit(&self, ctx: &mut OpCtx<'_>) -> Result<SimInstant, CoordError> {
+    /// Shared SMR ordering step: prunes, checks that enough honest replicas
+    /// are up, charges the client the leader round trip (served in its first
+    /// free slot after the keys were `reached` on every replica) plus the
+    /// ordering rounds, advances its clock to the reply, returns the commit.
+    fn smr_commit(
+        &self,
+        ctx: &mut OpCtx<'_>,
+        reached: impl Fn(&TupleStore) -> SimInstant,
+    ) -> Result<SimInstant, CoordError> {
+        self.prune();
         let start = ctx.clock.now();
-        let honest = self
-            .replicas
-            .iter()
-            .filter(|r| matches!(r.lock().faults.decide(start), FaultDecision::Allow))
-            .count();
+        let (mut honest, mut after) = (0, SimInstant::EPOCH);
+        for replica in &self.replicas {
+            let mut node = replica.lock();
+            honest += usize::from(matches!(node.faults.decide(start), FaultDecision::Allow));
+            after = after.max(reached(&node.store));
+        }
         if honest < self.config.mode.write_quorum() {
             return Err(CoordError::unavailable(format!(
                 "only {honest} of {} register replicas are honest",
@@ -628,14 +684,32 @@ impl RegisterGroup {
         let (leader_rtt, proc, ordering) = self.config.sample_ordered_update(&mut self.rng.lock());
         let one_way = SimDuration::from_nanos(leader_rtt.as_nanos() / 2);
         let arrival = start + one_way;
-        let commit_at = {
-            let mut leader = self.replicas[0].lock();
-            let service_start = leader.calendar.book(arrival, proc, false);
-            leader.committed = leader.committed.max(service_start + ordering + proc);
-            leader.committed
-        };
+        let mut leader = self.replicas[0].lock();
+        let commit_at = leader.calendar.book(arrival, proc, arrival.max(after)) + ordering + proc;
         ctx.clock.advance_to(commit_at + one_way);
         Ok(commit_at)
+    }
+
+    /// Removes each queued key no request can reach from every replica (the
+    /// module doc). One reached since is checked again once the mark passes
+    /// that; one a replica holds live beside a tombstone, a retention later;
+    /// one live on every holder was created again: its next delete queues it.
+    fn prune(&self) {
+        let mut nodes: Vec<_> = self.replicas.iter().map(|r| r.lock()).collect();
+        let horizon = nodes.iter().map(|n| n.calendar.horizon).min();
+        let horizon = horizon.unwrap_or(SimInstant::EPOCH);
+        let mut queue = self.tombstones.lock();
+        while let Some((_, key)) = queue.pop_front_if(|(at, _)| *at + RETENTION < horizon) {
+            let (mut live, mut dead, mut last) = (false, false, SimInstant::EPOCH);
+            for (alive, reached) in nodes.iter().filter_map(|n| n.store.held(&key)) {
+                (live, dead, last) = (live || alive, dead || !alive, last.max(reached));
+            }
+            if !live && last + RETENTION < horizon {
+                nodes.iter_mut().for_each(|n| n.store.prune(&key));
+            } else if dead {
+                queue.push_back((if live { last.max(horizon) } else { last }, key));
+            }
+        }
     }
 }
 
@@ -1024,10 +1098,11 @@ mod tests {
     }
 
     /// Random bookings, some arriving out of order and a few below the
-    /// low-water mark: a read-only one takes the first free slot at or after
-    /// its arrival, so it waits for no reservation that begins after it
-    /// could have finished; any other starts at the horizon, as does a late
-    /// one, which is counted. Reservations never overlap.
+    /// low-water mark: each takes the first free slot at or after the instant
+    /// it may start at (its arrival, or later for a change), so it waits for
+    /// no reservation that begins after it could have finished; a late one
+    /// starts at the horizon, or at that instant if later, and is counted.
+    /// Reservations never overlap.
     #[test]
     fn a_read_waits_only_for_reservations_that_begin_before_it_could_finish() {
         let mut rng = DetRng::new(56);
@@ -1040,22 +1115,21 @@ mod tests {
                 n => base + SimDuration::from_millis(rng.next_below(600) * (n % 2)),
             };
             let proc = SimDuration::from_nanos(rng.range_u64(500_000, 6_000_000));
-            let fill = rng.chance(0.8);
+            let wait = rng.next_below(200) * u64::from(rng.chance(0.2));
+            let after = arrival + SimDuration::from_millis(wait);
             let before: Vec<_> = calendar.booked.iter().copied().collect();
             let horizon = calendar.horizon;
-            let start = calendar.book(arrival, proc, fill);
+            let start = calendar.book(arrival, proc, after);
             let free = |at: SimInstant| before.iter().all(|&(b, e)| e <= at || at + proc <= b);
             if arrival + SimDuration::from_secs(5) < horizon {
                 late += 1;
-                assert_eq!(start, arrival.max(horizon), "step {step}: late");
-            } else if fill {
-                assert!(start >= arrival && free(start), "step {step}");
-                let earlier = before.iter().map(|&(_, e)| e).chain([arrival]);
-                for at in earlier.filter(|&at| arrival <= at && at < start) {
+                assert_eq!(start, after.max(horizon), "step {step}: late");
+            } else {
+                assert!(start >= after && free(start), "step {step}");
+                let earlier = before.iter().map(|&(_, e)| e).chain([after]);
+                for at in earlier.filter(|&at| after <= at && at < start) {
                     assert!(!free(at), "step {step}: {at:?} was free before {start:?}");
                 }
-            } else {
-                assert_eq!(start, arrival.max(horizon), "step {step}");
             }
             let booked: Vec<_> = calendar.booked.iter().collect();
             assert!(booked.windows(2).all(|w| w[0].1 <= w[1].0), "step {step}");
@@ -1183,6 +1257,79 @@ mod tests {
                 let entry = group.read(&mut ctx(&mut after, "alice"), "/f").unwrap();
                 assert_eq!(entry.value, b"new", "seed {seed}");
             }
+        }
+    }
+
+    /// Replica 2 is out while a delete commits. Once the low-water mark has
+    /// passed the tombstone, reads still answer `NotFound` and every replica
+    /// still holds the key: replica 2 holds it live. A read writes the
+    /// tombstone back to replica 2; a later read keeps the key until the mark
+    /// passes that read too. Then the key is gone from every store.
+    #[test]
+    fn a_tombstone_is_pruned_once_every_replica_holds_it_and_the_mark_passed_every_reply() {
+        for seed in 0..8 {
+            let group = RegisterGroup::new(ReplicationConfig::metro_crash(1), seed).unwrap();
+            let run = |ms: u64, op: &mut dyn FnMut(&mut OpCtx<'_>)| {
+                let mut clock = Clock::starting_at(SimInstant::from_millis(ms));
+                op(&mut ctx(&mut clock, "alice"));
+            };
+            let create = |key: &str| Command::Cas {
+                key: key.into(),
+                expected: None,
+                value: b"c".to_vec().into(),
+            };
+            // Every horizon moves to `ms`; an SMR command then prunes.
+            let pass_the_mark = |ms: u64| {
+                run(ms, &mut |c| {
+                    group.write(c, "/g", b"g".to_vec().into()).unwrap();
+                });
+                run(ms + 100, &mut |c| {
+                    group.smr(c, create(&format!("/h{ms}"))).unwrap();
+                });
+            };
+            let held = || -> Vec<_> {
+                let held = |r: &Mutex<ReplicaNode>| r.lock().store.held("/f").map(|h| h.0);
+                group.replicas.iter().map(held).collect()
+            };
+            let not_found = |ms: u64| {
+                run(ms, &mut |c| {
+                    let read = group.read(c, "/f");
+                    assert!(
+                        matches!(read, Err(CoordError::NotFound { .. })),
+                        "seed {seed}: {read:?}"
+                    );
+                })
+            };
+            run(0, &mut |c| {
+                group.smr(c, create("/f")).unwrap();
+            });
+            let outage = |from: u64| {
+                FaultPlan::outage(SimInstant::from_secs(from), SimInstant::from_secs(from + 1))
+            };
+            group.set_fault(2, outage(1), seed);
+            run(1500, &mut |c| {
+                group.smr(c, Command::Delete { key: "/f".into() }).unwrap();
+            });
+            let missed = [Some(false), Some(false), Some(true)];
+            assert_eq!(held(), missed, "seed {seed}");
+
+            pass_the_mark(10_000);
+            assert_eq!(held(), missed, "seed {seed}: replica 2 holds it live");
+            (0..4).for_each(|_| not_found(10_200));
+            group.set_fault(0, outage(11), seed);
+            not_found(11_500);
+            assert_eq!(held(), [Some(false); 3], "seed {seed}: written back");
+
+            not_found(18_000);
+            pass_the_mark(21_000);
+            assert_eq!(
+                held(),
+                [Some(false); 3],
+                "seed {seed}: read at 18 s, mark at 16 s"
+            );
+            pass_the_mark(30_000);
+            assert_eq!(held(), [None; 3], "seed {seed}: pruned");
+            not_found(30_500);
         }
     }
 

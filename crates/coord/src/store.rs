@@ -161,11 +161,13 @@ struct HistoryEvent {
 
 /// History of one key: its newest event inline, so a read of the present —
 /// the common one — touches no heap memory, and the older ones sorted by
-/// commit instant.
+/// commit instant; and the latest instant the replica computed a reply on
+/// the key or committed a change to it, which no later change may precede.
 #[derive(Debug, Clone, Default)]
-struct KeyHistory {
+pub(crate) struct KeyHistory {
     latest: Option<HistoryEvent>,
     older: Vec<HistoryEvent>,
+    reached: SimInstant,
 }
 
 impl KeyHistory {
@@ -188,6 +190,7 @@ impl KeyHistory {
     /// quorum read prefers the tombstone over the stale live state instead
     /// of tying with it.
     fn commit(&mut self, at: SimInstant, ts: u64, state: Option<Arc<EntryState>>) {
+        self.reached = self.reached.max(at);
         match &mut self.latest {
             Some(latest) if latest.at > at => {
                 let pos = self.older.iter().rposition(|e| e.at <= at);
@@ -243,6 +246,9 @@ pub struct TupleStore {
     /// Keys are shared strings: a `list` or a rename collect hands each
     /// replica's keys on by reference count instead of copying them.
     keys: BTreeMap<Arc<str>, KeyHistory>,
+    /// The latest instant the store answered about keys it does not hold: a
+    /// scan, or a point reply on an absent key.
+    scanned: SimInstant,
 }
 
 impl TupleStore {
@@ -387,27 +393,66 @@ impl TupleStore {
             .count()
     }
 
+    /// Records a reply computed at `now` on `key` (`None`: a scan), and
+    /// returns the key's history if the store holds it.
+    pub(crate) fn reach(&mut self, key: Option<&str>, now: SimInstant) -> Option<&KeyHistory> {
+        match key.and_then(|key| self.keys.get_mut(key)) {
+            Some(history) => {
+                history.reached = history.reached.max(now);
+                Some(history)
+            }
+            None => {
+                self.scanned = self.scanned.max(now);
+                None
+            }
+        }
+    }
+
+    /// The latest instant a reply on `key` was computed or a change to it
+    /// committed, scans and replies on absent keys included: where a change
+    /// to `key` may start. `None` stands for every key.
+    pub(crate) fn reached(&self, key: Option<&str>) -> SimInstant {
+        let held = match key {
+            Some(key) => self.keys.get(key).map(|h| h.reached),
+            None => self.keys.values().map(|h| h.reached).max(),
+        };
+        held.unwrap_or(SimInstant::EPOCH).max(self.scanned)
+    }
+
     /// ABD read phase at one replica: the register timestamp (the highest
     /// version assigned, by a value or a deletion, so lease expiries never
-    /// move it backwards) and the live state, both as of instant `now`.
+    /// move it backwards) and the live state, both as of instant `now`, in
+    /// the walk that records the reply.
     pub(crate) fn abd_snapshot(
-        &self,
+        &mut self,
         key: &str,
         now: SimInstant,
     ) -> (u64, Option<&Arc<EntryState>>, Option<SimInstant>) {
-        match self.keys.get(key) {
-            Some(history) => (
-                history.ts_at(now),
-                history.state_at(now),
-                history.updated_at(now),
-            ),
+        match self.reach(Some(key), now) {
+            Some(h) => (h.ts_at(now), h.state_at(now), h.updated_at(now)),
             None => (0, None, None),
         }
     }
 
-    /// The highest version ever assigned the key: what a new one must exceed.
-    pub(crate) fn abd_timestamp(&self, key: &str) -> u64 {
-        self.keys.get(key).map_or(0, KeyHistory::max_version)
+    /// The highest version ever assigned the key, what a new one must exceed,
+    /// answered at `now`.
+    pub(crate) fn abd_timestamp(&mut self, key: &str, now: SimInstant) -> u64 {
+        self.reach(Some(key), now)
+            .map_or(0, KeyHistory::max_version)
+    }
+
+    /// Whether the store holds `key` live (its newest event is not a
+    /// tombstone), and when the key was last reached; `None` if it does not
+    /// hold the key.
+    pub(crate) fn held(&self, key: &str) -> Option<(bool, SimInstant)> {
+        let history = self.keys.get(key)?;
+        let live = history.latest.as_ref().is_some_and(|e| e.state.is_some());
+        Some((live, history.reached))
+    }
+
+    /// Forgets `key`, which no request can reach any more.
+    pub(crate) fn prune(&mut self, key: &str) {
+        self.keys.remove(key);
     }
 
     /// ABD write-back at one replica: installs the winner of a read — a

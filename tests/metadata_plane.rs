@@ -276,6 +276,105 @@ proptest! {
     }
 }
 
+/// What a client saw of one key: a read's value (the index of the create
+/// that wrote it), whether a `list` named the key, and whether an exclusive
+/// create or a delete took effect.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Seen {
+    Read(Option<usize>),
+    Listed(bool),
+    Created(usize, bool),
+    Deleted(bool),
+}
+
+/// The state one key is left in by `seen` applied to `state` in sequence,
+/// or `None` if a sequential run cannot answer `seen` there.
+fn step(state: Option<usize>, seen: Seen) -> Option<Option<usize>> {
+    match (seen, state) {
+        (Seen::Read(value), _) => (value == state).then_some(state),
+        (Seen::Listed(held), _) => (held == state.is_some()).then_some(state),
+        (Seen::Created(value, true), None) => Some(Some(value)),
+        (Seen::Deleted(true), Some(_)) => Some(None),
+        (Seen::Created(_, false), Some(_)) | (Seen::Deleted(false), None) => Some(state),
+        _ => None,
+    }
+}
+
+/// Whether one key's operations, each `(invoked, answered, seen)`, have a
+/// sequential order that keeps their real-time order and answers each as
+/// seen (a search over the operations not yet placed, from `state`).
+fn linearizable(
+    ops: &[(SimInstant, SimInstant, Seen)],
+    placed: u32,
+    state: Option<usize>,
+    tried: &mut std::collections::HashSet<(u32, Option<usize>)>,
+) -> bool {
+    let pending = || (0..ops.len()).filter(move |i| placed & (1 << i) == 0);
+    let Some(first_answer) = pending().map(|i| ops[i].1).min() else {
+        return true;
+    };
+    tried.insert((placed, state))
+        && pending().filter(|&i| ops[i].0 <= first_answer).any(|i| {
+            step(state, ops[i].2)
+                .is_some_and(|next| linearizable(ops, placed | 1 << i, next, tried))
+        })
+}
+
+proptest! {
+    /// ABD reads, `list`, exclusive creates and deletes of two keys on one
+    /// metro group, at random instants in three bursts 4 s apart, run in a
+    /// random host order: every key's history is linearizable in virtual
+    /// time. A change placed before a reply it runs after in host order
+    /// would contradict that reply, whether a leader or a follower computed
+    /// it, and a tombstone pruned while a reply on it can still be
+    /// overtaken would let a create slip in before that reply.
+    #[test]
+    fn prop_no_reply_is_contradicted_by_a_change_placed_before_it(seed in any::<u32>(), ops in collection::vec(any::<u32>(), 4..11), order in any::<u64>()) {
+        let plane = ShardedCoordinator::new(ShardTopology::metro(1, 1), seed as u64).unwrap();
+        let keys = ["/d/a", "/d/b"];
+        let mut host: Vec<(u64, usize)> = (0..ops.len())
+            .map(|i| ((order ^ i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15), i))
+            .collect();
+        host.sort_unstable();
+        let mut history: [Vec<(SimInstant, SimInstant, Seen)>; 2] = Default::default();
+        for (_, i) in host {
+            let op = ops[i];
+            let at = SimInstant::from_millis(1000 + 4000 * u64::from(op % 3) + u64::from(op >> 8) % 250);
+            let mut clock = Clock::starting_at(at);
+            let mut ctx = OpCtx::new(&mut clock, "alice".into());
+            let k = (op >> 2) as usize % 2;
+            let seen: Vec<(usize, Seen)> = match (op >> 3) % 4 {
+                0 => match plane.get(&mut ctx, keys[k]) {
+                    Ok(entry) => vec![(k, Seen::Read(Some(entry.value[0] as usize)))],
+                    Err(CoordError::NotFound { .. }) => vec![(k, Seen::Read(None))],
+                    Err(e) => panic!("get: {e}"),
+                },
+                1 => {
+                    let listed = plane.list(&mut ctx, "/d/").unwrap();
+                    (0..2).map(|k| (k, Seen::Listed(listed.iter().any(|l| l == keys[k])))).collect()
+                }
+                2 => match plane.cas(&mut ctx, keys[k], None, vec![i as u8]) {
+                    Ok(_) => vec![(k, Seen::Created(i, true))],
+                    Err(CoordError::AlreadyExists { .. }) => vec![(k, Seen::Created(i, false))],
+                    Err(e) => panic!("cas: {e}"),
+                },
+                _ => match plane.delete(&mut ctx, keys[k]) {
+                    Ok(()) => vec![(k, Seen::Deleted(true))],
+                    Err(CoordError::NotFound { .. }) => vec![(k, Seen::Deleted(false))],
+                    Err(e) => panic!("delete: {e}"),
+                },
+            };
+            for (k, seen) in seen {
+                history[k].push((at, clock.now(), seen));
+            }
+        }
+        for (key, ops) in keys.iter().zip(&history) {
+            let mut tried = Default::default();
+            prop_assert!(linearizable(ops, 0, None, &mut tried), "{}: {:?}", key, ops);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Fault masking through the sharded plane
 // ---------------------------------------------------------------------------

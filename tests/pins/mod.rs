@@ -44,23 +44,25 @@ use scfs_repro::workloads::setup::{build_scfs, Backend, Deployment, Plane};
 /// a chunk came to belong to its object: the two lock files hold the same
 /// bytes, so the second one uploads its own chunk, and the closing copy is
 /// a read and a write that uploads the copy's chunks. The metadata fleet's
-/// trace hash moved with them, its makespan did not: every mount's private
-/// file holds the same 64 bytes, and each now uploads its own chunk. The
-/// fault-path digest last moved by text alone: a lock key gained its
-/// `/write` leaf, and the `LockHeld` and `NotFound` results it folds print
-/// the key.
+/// trace hash last moved, and its makespan did not, when a metadata change
+/// came to wait for its own key's replies instead of the replica's horizon
+/// and a key no request can reach came to be pruned. The fault-path digest
+/// moved then through version numbers alone: its calls run in host order
+/// on one clock, so every instant is unchanged, but a key deleted and
+/// pruned starts again at version 1 when it is created anew (9 of its 640
+/// calls answer another version).
 const PINS: &[(&str, u64)] = &[
     ("data_fleet.AWS.trace_hash", 0x0185_a9d2_df7a_bb13),
     ("data_fleet.AWS.makespan_ns", 471351749462),
     ("data_fleet.CoC.trace_hash", 0x104f_e9de_cc06_ed6e),
     ("data_fleet.CoC.makespan_ns", 471740579186),
-    ("metadata_fleet.trace_hash", 0x34e8_b80d_8c1a_87ed),
+    ("metadata_fleet.trace_hash", 0x23a2_af6e_0da2_7230),
     ("metadata_fleet.makespan_ns", 688230371),
     ("file_sync.NonBlocking.end_ns", 3219206253),
     ("file_sync.NonBlocking.drain_ns", 4266630853),
     ("file_sync.NonSharing.end_ns", 731942039),
     ("file_sync.NonSharing.drain_ns", 1573544305),
-    ("fault_paths.digest", 0x1b7e_035e_4f05_1f44),
+    ("fault_paths.digest", 0xff8c_443c_b055_c937),
 ];
 
 /// The data fleet on the paper deployment of `backend`.

@@ -124,65 +124,45 @@ fn assert_a_denied_rename_names_the_path_asked_for(under: Under) {
     assert!(alice.stat("/b").is_err(), "nothing moved");
 }
 
-#[test]
-fn rename_leaves_prefix_siblings_on_the_replicated_plane() {
-    check(Under::Replicated.system(), PREFIX_SIBLINGS);
+/// One test per plane, each checking `$script` through the model there.
+macro_rules! on_every_plane {
+    ($script:expr => $replicated:ident, $four_shards:ident, $non_sharing:ident) => {
+        #[test]
+        fn $replicated() {
+            check(Under::Replicated.system(), &$script);
+        }
+
+        #[test]
+        fn $four_shards() {
+            check(Under::FourShards.system(), &$script);
+        }
+
+        #[test]
+        fn $non_sharing() {
+            check(Under::NonSharing.system(), &$script);
+        }
+    };
 }
 
-#[test]
-fn rename_leaves_prefix_siblings_on_the_four_shard_plane() {
-    check(Under::FourShards.system(), PREFIX_SIBLINGS);
-}
+on_every_plane!(PREFIX_SIBLINGS =>
+    rename_leaves_prefix_siblings_on_the_replicated_plane,
+    rename_leaves_prefix_siblings_on_the_four_shard_plane,
+    rename_leaves_prefix_siblings_in_non_sharing_mode);
 
-#[test]
-fn rename_leaves_prefix_siblings_in_non_sharing_mode() {
-    check(Under::NonSharing.system(), PREFIX_SIBLINGS);
-}
+on_every_plane!(OVER_A_STATTED_DESTINATION =>
+    rename_over_a_statted_destination_is_visible_at_once_on_the_replicated_plane,
+    rename_over_a_statted_destination_is_visible_at_once_on_the_four_shard_plane,
+    rename_over_a_statted_destination_is_visible_at_once_in_non_sharing_mode);
 
-#[test]
-fn rename_over_a_statted_destination_is_visible_at_once_on_the_replicated_plane() {
-    check(Under::Replicated.system(), OVER_A_STATTED_DESTINATION);
-}
+on_every_plane!(A_CHILD_NAMED_LIKE_ITS_PARENT =>
+    readdir_lists_a_child_named_like_its_parent_on_the_replicated_plane,
+    readdir_lists_a_child_named_like_its_parent_on_the_four_shard_plane,
+    readdir_lists_a_child_named_like_its_parent_in_non_sharing_mode);
 
-#[test]
-fn rename_over_a_statted_destination_is_visible_at_once_on_the_four_shard_plane() {
-    check(Under::FourShards.system(), OVER_A_STATTED_DESTINATION);
-}
-
-#[test]
-fn rename_over_a_statted_destination_is_visible_at_once_in_non_sharing_mode() {
-    check(Under::NonSharing.system(), OVER_A_STATTED_DESTINATION);
-}
-
-#[test]
-fn readdir_lists_a_child_named_like_its_parent_on_the_replicated_plane() {
-    check(Under::Replicated.system(), A_CHILD_NAMED_LIKE_ITS_PARENT);
-}
-
-#[test]
-fn readdir_lists_a_child_named_like_its_parent_on_the_four_shard_plane() {
-    check(Under::FourShards.system(), A_CHILD_NAMED_LIKE_ITS_PARENT);
-}
-
-#[test]
-fn readdir_lists_a_child_named_like_its_parent_in_non_sharing_mode() {
-    check(Under::NonSharing.system(), A_CHILD_NAMED_LIKE_ITS_PARENT);
-}
-
-#[test]
-fn rename_moves_what_is_left_under_a_just_unlinked_path_on_the_replicated_plane() {
-    check(Under::Replicated.system(), &from_a_just_unlinked_path());
-}
-
-#[test]
-fn rename_moves_what_is_left_under_a_just_unlinked_path_on_the_four_shard_plane() {
-    check(Under::FourShards.system(), &from_a_just_unlinked_path());
-}
-
-#[test]
-fn rename_moves_what_is_left_under_a_just_unlinked_path_in_non_sharing_mode() {
-    check(Under::NonSharing.system(), &from_a_just_unlinked_path());
-}
+on_every_plane!(from_a_just_unlinked_path() =>
+    rename_moves_what_is_left_under_a_just_unlinked_path_on_the_replicated_plane,
+    rename_moves_what_is_left_under_a_just_unlinked_path_on_the_four_shard_plane,
+    rename_moves_what_is_left_under_a_just_unlinked_path_in_non_sharing_mode);
 
 #[test]
 fn rename_orphans_the_open_destination_it_clobbers() {
