@@ -395,21 +395,23 @@ impl FileSystem for LocalFs {
         if affected.is_empty() {
             return Err(ScfsError::not_found(from));
         }
+        let mut clobbered = Vec::new();
         for key in affected {
             if let Some((mut md, data)) = self.files.remove(&key) {
                 let new_key = format!("{to}{}", &key[from.len()..]);
                 md.path = new_key.clone();
+                clobbered.push(new_key.clone());
                 self.files.insert(new_key, (md, data));
             }
         }
         // An open handle follows its file, as a descriptor does; one of a
-        // clobbered `to` itself is detached, as POSIX orphans its inode (one
-        // of a name under `to` that a moved name overwrites is not).
+        // name a moved name overwrites, `to` itself or one under it, is
+        // detached, as POSIX orphans its inode.
         for file in self.open.values_mut() {
             if is_under(&file.path, &from) {
                 file.path = format!("{to}{}", &file.path[from.len()..]);
             } else {
-                file.detached |= file.path == to;
+                file.detached |= clobbered.contains(&file.path);
             }
         }
         Ok(())

@@ -13,8 +13,9 @@
 //!   dominate versions assigned by the SMR lane and vice versa.
 //! * **SMR lane** (CAS, ephemeral creates, deletes, ACL changes, renames):
 //!   operations that need consensus on *order*, not just on value, go through
-//!   a simulated atomic broadcast — the leader orders the command and every
-//!   live replica applies it at the same commit instant. This mirrors how
+//!   a simulated atomic broadcast — the leader orders the command, the newest
+//!   live replica decides it and every other live one installs the outcome,
+//!   all at the same commit instant. This mirrors how
 //!   SCFS keeps locks on DepSpace/ZooKeeper while CFS-style systems move
 //!   plain metadata reads/writes off the consensus path.
 //!
@@ -56,6 +57,7 @@ use sim_core::rng::DetRng;
 use sim_core::schedule::{ChoiceKind, ControllerSlot};
 use sim_core::time::{SimDuration, SimInstant};
 
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::sync::{Arc, MutexGuard};
 
@@ -540,9 +542,14 @@ impl RegisterGroup {
         Ok(entries)
     }
 
-    /// Runs one command through the group's SMR lane: the leader orders it
-    /// and every live replica applies it at the same commit instant, so
-    /// conditional operations (CAS, ephemeral creates) see one total order.
+    /// Runs one command through the group's SMR lane: the leader orders it,
+    /// and it is decided once, at the commit instant, on the newest replica
+    /// that applies it — the honest one with the highest register timestamp
+    /// for the key, the first on a tie. Every other applying replica installs
+    /// the outcome, a tombstone included, so one that missed a commit never
+    /// decides against it; a refused command changes no replica. A rename by
+    /// prefix names no one key and is refused: a group renames through
+    /// [`Self::rename_entry`] and [`Self::rename_apply`].
     pub fn smr(&self, ctx: &mut OpCtx<'_>, command: Command) -> Result<Reply, CoordError> {
         let signed = SignedCommand {
             issuer: ctx.account.clone(),
@@ -553,32 +560,38 @@ impl RegisterGroup {
             | Command::Cas { key, .. }
             | Command::CreateEphemeral { key, .. }
             | Command::Delete { key }
-            | Command::SetAcl { key, .. } => Some(key.as_str()),
-            Command::RenamePrefix { .. } => None,
+            | Command::SetAcl { key, .. } => key.as_str(),
+            Command::RenamePrefix { .. } => return Err(CoordError::invalid("no one key")),
         };
-        let commit_at = self.smr_commit(ctx, |store| store.reached(key))?;
-        let mut reply = None;
+        let commit_at = self.smr_commit(ctx, |store| store.reached(Some(key)))?;
+        let mut applying: Vec<_> = (self.replicas.iter().map(|r| r.lock()))
+            .filter_map(|mut node| match node.faults.decide(commit_at) {
+                FaultDecision::Unavailable => None,
+                decision => Some((matches!(decision, FaultDecision::Allow), node)),
+            })
+            .collect();
+        let newest = (0..applying.len())
+            .filter(|&i| applying[i].0)
+            .min_by_key(|&i| Reverse(applying[i].1.store.max_version(key)));
+        let decider = newest.ok_or_else(|| CoordError::unavailable("no honest replica applied"))?;
         let mut built = Built::default();
-        for replica in &self.replicas {
-            let mut node = replica.lock();
-            match node.faults.decide(commit_at) {
-                FaultDecision::Unavailable => continue,
-                decision => {
-                    let r = node.store.apply_with(&signed, commit_at, &mut built);
-                    node.store.reach(key, commit_at);
-                    // The voted reply comes from honest replicas; a corrupt
-                    // replica's answer is outvoted and ignored.
-                    if reply.is_none() && matches!(decision, FaultDecision::Allow) {
-                        reply = Some(r);
-                    }
-                }
+        let store = &mut applying[decider].1.store;
+        let reply = store.apply_with(&signed, commit_at, &mut built);
+        let refused = matches!(reply, Reply::Error(_));
+        let (ts, state, _) = store.abd_snapshot(key, commit_at);
+        let state = state.cloned();
+        for (i, (_, node)) in applying.iter_mut().enumerate() {
+            if i != decider && !refused {
+                node.store
+                    .abd_install(key, ts, state.as_ref(), commit_at, &mut built);
             }
+            node.store.reach(Some(key), commit_at);
         }
-        if let (Command::Delete { key }, Some(Reply::Unit)) = (&signed.command, &reply) {
+        if let (Command::Delete { key }, Reply::Unit) = (&signed.command, &reply) {
             let mut tombstones = self.tombstones.lock();
             tombstones.push_back((commit_at, key.as_str().into()));
         }
-        reply.ok_or_else(|| CoordError::unavailable("no honest replica applied the command"))
+        Ok(reply)
     }
 
     /// Apply phase of a cross-shard rename: tombstones `deletes` and installs
@@ -955,8 +968,8 @@ mod tests {
     }
 
     /// Every lane and round that stores: ABD writes (new key, overwrite),
-    /// SMR creates, ACL change, delete and rename, a cross-shard rename's
-    /// collect and apply, and a same-shard rename's entry move.
+    /// SMR creates, ACL change and delete, a cross-shard rename's collect and
+    /// apply, and a same-shard rename's entry move.
     fn mix_of_commands(group: &RegisterGroup, c: &mut OpCtx<'_>) {
         group.write(c, "/d/a", b"1".to_vec().into()).unwrap();
         let create = |key: &str| Command::Cas {
@@ -989,12 +1002,7 @@ mod tests {
         group
             .smr(c, Command::Delete { key: "/d/b".into() })
             .unwrap();
-        let rename = Command::RenamePrefix {
-            old_prefix: "/d".into(),
-            new_prefix: "/e".into(),
-        };
-        group.smr(c, rename).unwrap();
-        let collected = group.collect_prefix(c, "/e").unwrap();
+        let collected = group.collect_prefix(c, "/d").unwrap();
         let deletes: Vec<Arc<str>> = collected.iter().map(|(k, _)| Arc::clone(k)).collect();
         let moved = |(k, s): &KeyedState| (format!("/f{}", &k[2..]), Arc::clone(s));
         let inserts: Vec<_> = collected.iter().map(moved).collect();
@@ -1331,6 +1339,47 @@ mod tests {
             assert_eq!(held(), [None; 3], "seed {seed}: pruned");
             not_found(30_500);
         }
+    }
+
+    /// A key created, deleted and pruned once the low-water mark passed its
+    /// tombstone, then created anew: the new incarnation's versions start
+    /// above the old one's, so a `cas` on a version read from the deleted
+    /// incarnation is refused instead of matching the new one.
+    #[test]
+    fn a_key_created_again_after_its_prune_refuses_a_cas_on_an_old_version() {
+        let group = RegisterGroup::new(ReplicationConfig::metro_crash(1), 26).unwrap();
+        let run = |secs: u64, command: Command| {
+            let mut clock = Clock::starting_at(SimInstant::from_secs(secs));
+            group.smr(&mut ctx(&mut clock, "alice"), command).unwrap()
+        };
+        let cas = |key: &str, expected| Command::Cas {
+            key: key.into(),
+            expected,
+            value: b"c".to_vec().into(),
+        };
+        let old = run(0, cas("/f", None)).expect_version().unwrap();
+        run(1, Command::Delete { key: "/f".into() })
+            .expect_unit()
+            .unwrap();
+        // Every horizon moves past the mark; the next SMR command prunes.
+        let mut clock = Clock::starting_at(SimInstant::from_secs(20));
+        let value = b"g".to_vec().into();
+        group
+            .write(&mut ctx(&mut clock, "alice"), "/g", value)
+            .unwrap();
+        run(21, cas("/h", None));
+        let held = |r: &Mutex<ReplicaNode>| r.lock().store.held("/f");
+        assert!(group.replicas.iter().all(|r| held(r).is_none()), "pruned");
+        let new = run(22, cas("/f", None)).expect_version().unwrap();
+        assert!(
+            new > old + 1,
+            "{new} is above the deleted {old} and its tombstone"
+        );
+        let stale = run(23, cas("/f", Some(old)));
+        assert!(
+            matches!(stale, Reply::Error(CoordError::VersionMismatch { .. })),
+            "{stale:?}"
+        );
     }
 
     #[test]

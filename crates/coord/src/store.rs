@@ -249,6 +249,9 @@ pub struct TupleStore {
     /// The latest instant the store answered about keys it does not hold: a
     /// scan, or a point reply on an absent key.
     scanned: SimInstant,
+    /// The highest version of any key pruned: a key created anew starts above
+    /// every earlier incarnation, so no `cas` computed from one matches it.
+    floor: u64,
 }
 
 impl TupleStore {
@@ -297,7 +300,8 @@ impl TupleStore {
         })
     }
 
-    /// Runs `f` on the history of `key`. Only a key the store has never seen
+    /// Runs `f` on the history of `key` and [`Self::max_version`] of it,
+    /// what a new version must exceed. Only a key the store has never seen
     /// allocates (or takes the one `built` holds), and its fresh history is
     /// kept only if `f` committed an event: a refused command leaves nothing
     /// for later scans to visit.
@@ -305,13 +309,14 @@ impl TupleStore {
         &mut self,
         key: &str,
         built: &mut Built,
-        f: impl FnOnce(&mut KeyHistory, &mut Built) -> R,
+        f: impl FnOnce(&mut KeyHistory, u64, &mut Built) -> R,
     ) -> R {
         if let Some(history) = self.keys.get_mut(key) {
-            return f(history, built);
+            let max = history.max_version();
+            return f(history, max, built);
         }
         let mut history = KeyHistory::default();
-        let result = f(&mut history, built);
+        let result = f(&mut history, self.floor, built);
         if history.latest.is_some() {
             self.keys.insert(built.key(key), history);
         }
@@ -434,11 +439,18 @@ impl TupleStore {
         }
     }
 
-    /// The highest version ever assigned the key, what a new one must exceed,
-    /// answered at `now`.
+    /// The highest version ever assigned the key — the floor for one the
+    /// store does not hold — what a new one must exceed, answered at `now`.
     pub(crate) fn abd_timestamp(&mut self, key: &str, now: SimInstant) -> u64 {
-        self.reach(Some(key), now)
-            .map_or(0, KeyHistory::max_version)
+        self.reach(Some(key), now);
+        self.max_version(key)
+    }
+
+    /// [`Self::abd_timestamp`], recording no reply.
+    pub(crate) fn max_version(&self, key: &str) -> u64 {
+        self.keys
+            .get(key)
+            .map_or(self.floor, KeyHistory::max_version)
     }
 
     /// Whether the store holds `key` live (its newest event is not a
@@ -450,9 +462,11 @@ impl TupleStore {
         Some((live, history.reached))
     }
 
-    /// Forgets `key`, which no request can reach any more.
+    /// Forgets `key`, which no request can reach any more, keeping its
+    /// highest version in the floor.
     pub(crate) fn prune(&mut self, key: &str) {
-        self.keys.remove(key);
+        let pruned = self.keys.remove(key).map_or(0, |h| h.max_version());
+        self.floor = self.floor.max(pruned);
     }
 
     /// ABD write-back at one replica: installs the winner of a read — a
@@ -467,8 +481,8 @@ impl TupleStore {
         now: SimInstant,
         built: &mut Built,
     ) -> bool {
-        self.with_history(key, built, |history, _| {
-            let newer = ts > history.max_version();
+        self.with_history(key, built, |history, max, _| {
+            let newer = ts > max;
             if newer {
                 match state {
                     Some(state) => history.push(now, Arc::clone(state)),
@@ -491,12 +505,12 @@ impl TupleStore {
         now: SimInstant,
         built: &mut Built,
     ) -> AbdWriteOutcome {
-        self.with_history(key, built, |history, built| {
+        self.with_history(key, built, |history, max, built| {
             let current = history.state_at(now);
             if current.is_some_and(|cur| !cur.writable_by(who)) {
                 return AbdWriteOutcome::Denied;
             }
-            if ts <= history.max_version() {
+            if ts <= max {
                 return AbdWriteOutcome::Stale;
             }
             let state = EntryState::written(Arc::clone(value), ts, current, who);
@@ -534,8 +548,8 @@ impl TupleStore {
             }
         }
         for ((key, state), built) in inserts.iter().zip(built.moved(inserts.len())) {
-            self.with_history(key, built, |target, built| {
-                let version = target.max_version().max(state.version) + 1;
+            self.with_history(key, built, |target, max, built| {
+                let version = max.max(state.version) + 1;
                 target.push(now, built.state(state.at_version(version)));
             });
         }
@@ -553,7 +567,7 @@ impl TupleStore {
         if key.is_empty() {
             return Reply::Error(CoordError::invalid("empty key"));
         }
-        self.with_history(key, built, |history, built| {
+        self.with_history(key, built, |history, max, built| {
             let current = history.state_at(now);
 
             // Conditional-update checks.
@@ -581,7 +595,7 @@ impl TupleStore {
                 return Reply::Error(CoordError::denied(key, who));
             }
 
-            let new_version = history.max_version() + 1;
+            let new_version = max + 1;
             let state = EntryState::written(Arc::clone(value), new_version, current, who);
             history.push(now, built.state(state));
             Reply::Version(new_version)
@@ -600,7 +614,7 @@ impl TupleStore {
         if key.is_empty() {
             return Reply::Error(CoordError::invalid("empty key"));
         }
-        self.with_history(key, built, |history, built| {
+        self.with_history(key, built, |history, max, built| {
             if let Some(current) = history.state_at(now) {
                 let holder = current
                     .ephemeral
@@ -612,7 +626,7 @@ impl TupleStore {
                     holder,
                 });
             }
-            let new_version = history.max_version() + 1;
+            let new_version = max + 1;
             let state = EntryState {
                 value: Arc::clone(value),
                 version: new_version,
@@ -696,8 +710,8 @@ impl TupleStore {
         }
         for ((key, state), built) in affected.iter().zip(built.moved(affected.len())) {
             let new_key = format!("{new_prefix}{}", &key[old_prefix.len()..]);
-            self.with_history(&new_key, built, |target, built| {
-                let version = target.max_version() + 1;
+            self.with_history(&new_key, built, |target, max, built| {
+                let version = max + 1;
                 target.push(now, built.state(state.at_version(version)));
             });
         }

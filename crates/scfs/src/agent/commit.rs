@@ -133,10 +133,11 @@ impl ScfsAgent {
     /// Steps w2 and w3 of the consistency-anchor write (Figure 3): the
     /// buffer `data`, laid out by `map`, goes up as the new version of
     /// `metadata`'s object (`prev` is the map the handle opened), and its
-    /// hash into the anchor.
+    /// hash into the anchor by a `cas` on the tuple the handle read. A failed
+    /// one names nothing, so it releases the version.
     fn store_and_anchor(
         &mut self,
-        mut metadata: FileMetadata,
+        metadata: FileMetadata,
         data: &[u8],
         map: &ChunkMap,
         prev: Option<&ChunkMap>,
@@ -146,31 +147,38 @@ impl ScfsAgent {
         // writer is a grantee — can read the new version. The backend tags
         // exactly that object, if this write stores one; a manifest that
         // rides in the tuple is admitted by the tuple's own ACL.
-        let cloud_acl = (metadata.is_shared() || metadata.owner != self.user).then(|| {
-            let mut acl = metadata.acl.clone();
-            acl.grant(metadata.owner.clone(), Permission::Write);
-            acl.grant(self.user.clone(), Permission::Write);
-            acl
-        });
-        let (id, acl) = (&metadata.storage_id, cloud_acl.as_ref());
+        let cloud_acl = |md: &FileMetadata| {
+            (md.is_shared() || md.owner != self.user).then(|| {
+                let mut acl = md.acl.clone();
+                acl.grant(md.owner.clone(), Permission::Write);
+                acl.grant(self.user.clone(), Permission::Write);
+                acl
+            })
+        };
+        let (id, acl) = (metadata.storage_id.clone(), cloud_acl(&metadata));
         let opts = TransferOptions::default();
         let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-        let is_new = metadata.version_hash.is_none();
+        let (is_new, tag) = (metadata.version_hash.is_none(), acl.as_ref());
         let outcome = self
             .storage
-            .write_version(&mut ctx, id, data, map, prev, is_new, acl, &opts)?;
+            .write_version(&mut ctx, &id, data, map, prev, is_new, tag, &opts)?;
         self.stats.cloud_uploads += 1;
         self.stats.chunk_uploads += outcome.chunks_uploaded;
         self.stats.bytes_uploaded += outcome.bytes_uploaded;
         self.stats.transfer_waves += outcome.waves;
         self.stats.dedup_hits_cross_file += outcome.dedup_cross_file;
         let now = ctx.clock.now();
-        metadata.commit_version(map, now);
-        self.metadata.update(&mut ctx, metadata.clone())?;
+        let own = |md: &mut FileMetadata| md.commit_version(map, now);
+        let committed = self.metadata.write(&mut ctx, metadata, own);
+        let metadata = committed.inspect_err(|_| self.storage.release_unanchored(&id, prev))?;
+        // A refused write may have re-read a grant: tag with the ACL written.
+        if let Some(written) = cloud_acl(&metadata).filter(|w| tag != Some(w)) {
+            self.storage.set_acl(&mut ctx, &id, &written)?;
+        }
         // Anchored: the version this one replaced is no longer live here.
         if let Some(root) = metadata.version_hash {
             let record = VersionRecord::new(metadata.version_count, root, map);
-            self.move_record(&metadata.storage_id, Some(record));
+            self.move_record(&id, Some(record));
         }
         Ok(metadata)
     }
@@ -366,8 +374,11 @@ impl ScfsAgent {
         // unless the backend has no record of a hole's chunk, and the
         // commit faults the holes in after all (`store_buffer`).
         let (unlock, wait) = (file.locked, self.config.mode.blocking_close());
-        self.commit_buffer(&mut file, unlock, wait)?;
-        Ok(())
+        // A refused commit returns as the close of a file this agent unlinked.
+        match self.commit_buffer(&mut file, unlock, wait) {
+            Err(e) if !matches!(e, ScfsError::NotFound { .. }) => Err(e),
+            _ => Ok(()),
+        }
     }
 
     /// The `sync` path on one open file: promote its current contents to

@@ -348,7 +348,7 @@ impl ScfsAgent {
                 let now = self.clock.now();
                 let md = FileMetadata::new_file(path, self.user.clone(), storage_id, now);
                 let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-                self.metadata.create(&mut ctx, md.clone())?;
+                let md = self.metadata.write(&mut ctx, md, |_| {})?;
                 self.owned_files.insert(md.storage_id.clone(), false);
                 md
             }

@@ -508,10 +508,10 @@ impl FileSystem for ScfsAgent {
             _ => None,
         };
         let mut ctx = OpCtx::new(&mut self.clock, self.user.clone());
-        let created = self.metadata.create(&mut ctx, md);
+        let created = self.metadata.write(&mut ctx, md, |_| {});
         ctx.clock.advance_to(parent_clock.now());
         let Some(e) = parent_error else {
-            return created;
+            return created.map(drop);
         };
         if created.is_ok() {
             self.metadata.delete(&mut ctx, &path).ok();
@@ -553,7 +553,7 @@ impl FileSystem for ScfsAgent {
         }
         // This agent's open handles of the file keep their buffers, like
         // descriptors of an unlinked POSIX file, but no commit of theirs
-        // gives the name back. Another mount's handles are not reached.
+        // gives the name back. Another mount's handles' commits are refused.
         for file in self.open_files.values_mut() {
             file.unlinked |= file.metadata.storage_id == id;
         }
@@ -565,12 +565,11 @@ impl FileSystem for ScfsAgent {
 
     /// Renames `from`, and everything under it, to `to`. This agent's open
     /// handles follow their files, as descriptors do, so a commit of theirs
-    /// lands under the new name; its handles of `to` itself, when the
-    /// rename clobbers it, are orphaned, as by `unlink`, as POSIX orphans
-    /// the clobbered inode. A handle of a name under `to` that a moved name
-    /// overwrites is not detached.
-    /// Another mount's handles are not reached, as by `unlink`, and still
-    /// commit under the path they opened.
+    /// lands under the new name; its handles of a name the rename clobbers,
+    /// `to` itself or one under it that a moved name overwrites, are
+    /// orphaned, as by `unlink`, as POSIX orphans the clobbered inode.
+    /// Another mount's handles are not reached, as by `unlink`: the tuple
+    /// they opened is gone, so their commits are refused.
     fn rename(&mut self, from: &str, to: &str) -> Result<(), ScfsError> {
         let from = self.enter(from)?;
         let to = normalize_path(to)?;
@@ -589,8 +588,9 @@ impl FileSystem for ScfsAgent {
             if is_under(&file.path, &from) {
                 file.path = format!("{to}{}", &file.path[from.len()..]);
                 file.metadata.path = file.path.clone();
-            } else {
-                file.unlinked |= file.path == to;
+            } else if is_under(&file.path, &to) {
+                let held = self.metadata.get(&mut ctx, &file.path);
+                file.unlinked |= !held.is_ok_and(|md| md.storage_id == file.metadata.storage_id);
             }
         }
         Ok(())
@@ -613,14 +613,13 @@ impl FileSystem for ScfsAgent {
         if metadata.owner != self.user {
             return Err(ScfsError::PermissionDenied { path });
         }
-        let mut acl = metadata.acl.clone();
-        acl.grant(user.clone(), permission);
-        // (i) update the ACLs of the cloud objects holding the file data;
-        // (ii) update the metadata tuple (and its coordination-service ACL).
-        if metadata.file_type == FileType::File && metadata.version_hash.is_some() {
-            self.storage.set_acl(&mut ctx, &metadata.storage_id, &acl)?;
+        // (i) update the metadata tuple and its coordination-service ACL;
+        // (ii) the ACLs of the cloud objects holding the file data, to it.
+        let grant = |acl: &mut Acl| acl.grant(user.clone(), permission);
+        let md = self.metadata.set_acl(&mut ctx, metadata, grant)?;
+        if md.file_type == FileType::File && md.version_hash.is_some() {
+            self.storage.set_acl(&mut ctx, &md.storage_id, &md.acl)?;
         }
-        self.metadata.set_acl(&mut ctx, metadata, acl)?;
         Ok(())
     }
 

@@ -500,6 +500,10 @@ pub trait FileStorage: Send + Sync {
     /// [`FileStorage::delete_old_versions`]).
     fn delete_all(&self, ctx: &mut OpCtx<'_>, id: &str) -> Result<(), ScfsError>;
 
+    /// Releases the newest version of `id`, which a refused anchor write left
+    /// unnamed, but for the chunks of `prev`, its base. The default keeps it.
+    fn release_unanchored(&self, _id: &str, _prev: Option<&ChunkMap>) {}
+
     /// Phase two of reclamation: attempts the pending release intents —
     /// deleting the blobs no retained version names — and marks the
     /// successful ones applied.
@@ -772,6 +776,15 @@ impl<B: BlobStore> FileStorage for ChunkedStorage<B> {
         let pruned = state.registry.remove_all(id);
         state.release(id, pruned);
         Ok(())
+    }
+
+    fn release_unanchored(&self, id: &str, prev: Option<&ChunkMap>) {
+        let mut state = self.state.lock();
+        if let Some(mut version) = state.registry.versions.get_mut(id).and_then(Vec::pop) {
+            let base = prev.map_or(&[][..], ChunkMap::chunks);
+            version.chunks.retain(|h| !base.contains(h));
+            state.release(id, vec![version]);
+        }
     }
 
     fn replay_release_journal(

@@ -202,7 +202,7 @@ impl MetadataService {
         }
     }
 
-    /// The tuple of `path` in the store `private` names, uncached.
+    /// The tuple of `path` in the store `private` names, uncached, at its version.
     fn read(
         &self,
         ctx: &mut OpCtx<'_>,
@@ -218,6 +218,7 @@ impl MetadataService {
         // After a rename the tuple is stored under the new key but its `path`
         // field still carries the old name; the key is authoritative.
         md.path = path.to_string();
+        md.tuple_version = Some(entry.version);
         Ok(md)
     }
 
@@ -237,38 +238,48 @@ impl MetadataService {
         Ok(md)
     }
 
-    /// Writes `metadata`'s tuple to the store its path and ACL route it to:
-    /// an exclusive create, or an unconditional update.
-    fn write(
+    /// One `cas` of `metadata`'s tuple in the store `private` names, on its
+    /// version (none yet: an exclusive create); returns it at the new one.
+    fn cas(
         &mut self,
         ctx: &mut OpCtx<'_>,
-        metadata: FileMetadata,
-        exclusive: bool,
-    ) -> Result<(), ScfsError> {
-        let private = self.is_private(&metadata.path, Some(&metadata));
+        private: bool,
+        mut metadata: FileMetadata,
+    ) -> Result<FileMetadata, ScfsError> {
         let (store, key) = (self.store(private)?, Self::coord_key(&metadata.path));
-        let written = if exclusive {
-            store.cas(ctx, &key, None, metadata.encode())
-        } else {
-            store.put(ctx, &key, metadata.encode())
-        };
-        written.map_err(|e| path_error(&metadata.path, e))?;
+        let written = store.cas(ctx, &key, metadata.tuple_version, metadata.encode());
+        metadata.tuple_version = Some(written.map_err(|e| path_error(&metadata.path, e))?);
         self.cache_put(&metadata.path, Some(&metadata), ctx.clock.now());
-        Ok(())
+        Ok(metadata)
     }
 
-    /// Creates the metadata of a new object (exclusive), once this client's
-    /// own delete of the name, if one is still landing, has landed.
-    pub fn create(&mut self, ctx: &mut OpCtx<'_>, metadata: FileMetadata) -> Result<(), ScfsError> {
-        let now = ctx.clock.now();
-        ctx.clock
-            .advance_to(self.deleted_until(&metadata.path, now).unwrap_or(now));
-        self.write(ctx, metadata, true)
-    }
-
-    /// Updates the metadata of an existing object.
-    pub fn update(&mut self, ctx: &mut OpCtx<'_>, metadata: FileMetadata) -> Result<(), ScfsError> {
-        self.write(ctx, metadata, false)
+    /// Writes `metadata` with `own`, the fields the call owns, applied, by a
+    /// `cas` on its version (a create, once this client's delete of the name
+    /// has landed). A refused one re-reads the tuple past the cache and
+    /// re-applies `own`; one gone or of another object is `NotFound`.
+    pub fn write(
+        &mut self,
+        ctx: &mut OpCtx<'_>,
+        mut metadata: FileMetadata,
+        own: impl Fn(&mut FileMetadata),
+    ) -> Result<FileMetadata, ScfsError> {
+        let (path, id) = (metadata.path.clone(), metadata.storage_id.clone());
+        if let Some(landed) = self.deleted_until(&path, ctx.clock.now()) {
+            ctx.clock.advance_to(landed);
+        }
+        loop {
+            let private = self.is_private(&path, Some(&metadata));
+            own(&mut metadata);
+            match self.cas(ctx, private, metadata) {
+                Err(ScfsError::Coordination(CoordError::VersionMismatch { .. })) => {}
+                written => return written,
+            }
+            self.cache.remove(&path);
+            metadata = self.get(ctx, &path)?;
+            if metadata.storage_id != id {
+                return Err(ScfsError::not_found(&path));
+            }
+        }
     }
 
     /// Deletes the metadata of `path`: its private tuple, and the
@@ -358,29 +369,39 @@ impl MetadataService {
         Ok(moved)
     }
 
-    /// Applies an ACL change to the metadata tuple. A file outside `/shared`
-    /// keeps its private tuple, which carries the new ACL; once that ACL
-    /// shares the file, the tuple is a marker and the coordination service
-    /// holds the file's tuple too, with the entry ACL set so the grantee can
-    /// actually read it (paper §2.7).
+    /// [`Self::write`]s the ACL with `grant`. A file outside `/shared` keeps
+    /// its private tuple, which carries the new ACL; once that ACL shares the
+    /// file, the tuple is a marker and the coordination service holds the
+    /// file's tuple too, with the entry ACL set so the grantee can actually
+    /// read it (paper §2.7).
     pub fn set_acl(
         &mut self,
         ctx: &mut OpCtx<'_>,
-        mut metadata: FileMetadata,
-        acl: Acl,
+        metadata: FileMetadata,
+        grant: impl Fn(&mut Acl),
     ) -> Result<FileMetadata, ScfsError> {
-        metadata.acl = acl.clone();
-        let key = Self::coord_key(&metadata.path);
-        if self.is_private(&metadata.path, None) {
-            self.store(true)?.put(ctx, &key, metadata.encode())?;
+        let private = self.is_private(&metadata.path, Some(&metadata));
+        let mut md = self.write(ctx, metadata, |md| grant(&mut md.acl))?;
+        if self.is_private(&md.path, Some(&md)) {
+            return Ok(md);
         }
-        if !self.is_private(&metadata.path, Some(&metadata)) {
-            let coord = self.store(false)?;
-            coord.put(ctx, &key, metadata.encode())?;
-            coord.set_acl(ctx, &key, acl)?;
+        let key = Self::coord_key(&md.path);
+        if private {
+            md.tuple_version = None;
+            md = match self.cas(ctx, false, md.clone()) {
+                // A rename onto the name left a tuple of the object it held.
+                Err(ScfsError::AlreadyExists { .. }) => {
+                    md.tuple_version = Some(self.store(false)?.get(ctx, &key)?.version);
+                    self.cas(ctx, false, md)?
+                }
+                written => written?,
+            };
         }
-        self.cache_put(&metadata.path, Some(&metadata), ctx.clock.now());
-        Ok(metadata)
+        self.store(false)?.set_acl(ctx, &key, md.acl.clone())?;
+        // The entry ACL is one more update of the entry.
+        md.tuple_version = md.tuple_version.map(|v| v + 1);
+        self.cache_put(&md.path, Some(&md), ctx.clock.now());
+        Ok(md)
     }
 
     /// The coordination key of the write lock on the object stored under
@@ -477,7 +498,7 @@ mod tests {
         let mut svc = service(Some(c.clone()), false, SimDuration::ZERO);
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
-        svc.create(&mut ctx, md("/docs/a")).unwrap();
+        svc.write(&mut ctx, md("/docs/a"), |_| {}).unwrap();
         assert_eq!(c.access_count(), 1, "a create is one coordination call");
         assert_eq!(svc.get(&mut ctx, "/docs/a").unwrap().path, "/docs/a");
         assert_eq!(c.access_count(), 2, "an uncached lookup is one more");
@@ -489,7 +510,7 @@ mod tests {
         let mut svc = service(Some(c.clone()), true, SimDuration::ZERO);
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
-        svc.create(&mut ctx, md("/docs/private")).unwrap();
+        svc.write(&mut ctx, md("/docs/private"), |_| {}).unwrap();
         assert!(svc.get(&mut ctx, "/docs/private").is_ok());
         assert_eq!(
             c.access_count(),
@@ -497,7 +518,8 @@ mod tests {
             "private files must not touch the coordination service"
         );
         // Files under the shared prefix still use the coordination service.
-        svc.create(&mut ctx, md("/shared/group-report")).unwrap();
+        svc.write(&mut ctx, md("/shared/group-report"), |_| {})
+            .unwrap();
         assert_eq!(c.access_count(), 1);
     }
 
@@ -507,7 +529,7 @@ mod tests {
         let mut svc = service(Some(c.clone()), false, SimDuration::from_millis(500));
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
-        svc.create(&mut ctx, md("/f")).unwrap();
+        svc.write(&mut ctx, md("/f"), |_| {}).unwrap();
         // Past the expiry of what the create cached, a burst of stats within
         // 500 ms reads the coordination service once.
         clock.advance(SimDuration::from_secs(1));
@@ -531,12 +553,11 @@ mod tests {
         let mut svc = service(Some(c.clone()), true, SimDuration::ZERO);
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
-        svc.create(&mut ctx, md("/docs/report")).unwrap();
+        svc.write(&mut ctx, md("/docs/report"), |_| {}).unwrap();
         assert_eq!(c.access_count(), 0);
         let metadata = svc.get(&mut ctx, "/docs/report").unwrap();
-        let mut acl = Acl::private();
-        acl.grant("bob".into(), Permission::Read);
-        let updated = svc.set_acl(&mut ctx, metadata, acl).unwrap();
+        let grant = |acl: &mut Acl| acl.grant("bob".into(), Permission::Read);
+        let updated = svc.set_acl(&mut ctx, metadata, grant).unwrap();
         assert!(updated.is_shared());
         // The grantee reads the coordination tuple...
         let mut bob_clock = Clock::new();
@@ -560,7 +581,7 @@ mod tests {
         let mut svc = service(Some(coord()), false, SimDuration::ZERO);
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
-        svc.create(&mut ctx, md("/d/f")).unwrap();
+        svc.write(&mut ctx, md("/d/f"), |_| {}).unwrap();
         // The delete commits ten seconds into the foreground's future, as
         // one on a background lane does.
         let mut lane = Clock::new();
@@ -576,7 +597,7 @@ mod tests {
             Err(ScfsError::NotFound { .. })
         ));
         // A create of the name waits for the delete.
-        svc.create(&mut ctx, md("/d/f")).unwrap();
+        svc.write(&mut ctx, md("/d/f"), |_| {}).unwrap();
         assert_eq!(ctx.clock.now(), landed);
         assert!(svc.get(&mut ctx, "/d/f").is_ok());
     }
@@ -588,7 +609,7 @@ mod tests {
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
         for i in 0..10 {
             let path = format!("/f{i}");
-            svc.create(&mut ctx, md(&path)).unwrap();
+            svc.write(&mut ctx, md(&path), |_| {}).unwrap();
             svc.delete(&mut ctx, &path).unwrap();
         }
         assert!(svc.get(&mut ctx, "/f0").is_err());
@@ -600,7 +621,7 @@ mod tests {
         let mut svc = service(None, true, SimDuration::ZERO);
         let mut clock = Clock::new();
         let mut ctx = OpCtx::new(&mut clock, "alice".into());
-        svc.create(&mut ctx, md("/f")).unwrap();
+        svc.write(&mut ctx, md("/f"), |_| {}).unwrap();
         assert!(svc.get(&mut ctx, "/f").is_ok());
         assert!(svc.is_private("/anything", None));
         assert_eq!(svc.private_tuples(), 1);

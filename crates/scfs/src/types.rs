@@ -918,6 +918,9 @@ pub struct FileMetadata {
     manifest: Option<Arc<[u8]>>,
     /// Number of versions written so far.
     pub version_count: u64,
+    /// The anchor's `Entry::version` this copy was read or written at (none
+    /// before its create): what its next write is conditional on. Not encoded.
+    pub tuple_version: Option<u64>,
 }
 
 impl FileMetadata {
@@ -935,23 +938,15 @@ impl FileMetadata {
             version_hash: None,
             manifest: None,
             version_count: 0,
+            tuple_version: None,
         }
     }
 
     /// Creates metadata for a new directory.
     pub fn new_directory(path: &str, owner: AccountId, now: SimInstant) -> Self {
         FileMetadata {
-            path: path.to_string(),
             file_type: FileType::Directory,
-            size: 0,
-            owner,
-            acl: Acl::private(),
-            created_at: now,
-            modified_at: now,
-            storage_id: String::new(),
-            version_hash: None,
-            manifest: None,
-            version_count: 0,
+            ..FileMetadata::new_file(path, owner, String::new(), now)
         }
     }
 
@@ -1115,6 +1110,7 @@ impl FileMetadata {
             version_hash,
             manifest,
             version_count,
+            tuple_version: None,
         })
     }
 

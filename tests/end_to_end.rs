@@ -502,21 +502,26 @@ fn a_sync_of_a_clean_creating_handle_keeps_a_later_version() {
     }
 }
 
-/// Open hole (ROADMAP item 29), pinned as it behaves: a commit writes back
-/// the whole tuple its handle read at open, ACL included, so a grant made
-/// while a dirty handle is open is erased by that handle's close. The
-/// reference keeps the grant; the row of `tests/model/mod.rs` citing this
-/// test says so. A fix makes the commit a `cas` that re-applies only the
-/// close's own fields, and bob keeps his grant.
+/// A commit is a `cas` on the tuple its handle read at open: a grant made
+/// while a dirty handle is open refuses that handle's first write, and the
+/// close re-applies only its own fields to the tuple it re-reads, so the
+/// grant survives, on the tuple and on the bytes the grantee reads. With a
+/// private name space the grant makes the private tuple a marker, and the
+/// close re-reads and writes the coordination service's tuple instead.
 #[test]
-fn open_hole_a_close_erases_a_grant_made_while_its_handle_was_open() {
+fn a_close_keeps_a_grant_made_while_its_handle_was_open() {
     let bob = "bob".into();
-    for plane in [Plane::Instantaneous, Plane::Sharded(ShardTopology::test(4))] {
+    let planes = [
+        (Plane::Instantaneous, false),
+        (Plane::Sharded(ShardTopology::test(4)), false),
+        (Plane::Instantaneous, true),
+    ];
+    for (plane, private_name_space) in planes {
         let spec = Deployment::on(Backend::Aws).providers(Providers::Instantaneous);
-        let mut fs = spec
-            .plane(plane)
-            .build(7)
-            .mount("alice", ScfsConfig::test(Mode::Blocking), 1);
+        let deployment = spec.plane(plane).build(7);
+        let mut config = ScfsConfig::test(Mode::Blocking);
+        config.private_name_spaces = private_name_space;
+        let mut fs = deployment.mount("alice", config, 1);
         let h = fs.open("/a", OpenFlags::create()).unwrap();
         fs.write(h, 0, b"draft").unwrap();
         fs.setfacl("/a", &bob, Permission::Read).unwrap();
@@ -524,6 +529,82 @@ fn open_hole_a_close_erases_a_grant_made_while_its_handle_was_open() {
         fs.close(h).unwrap();
         fs.sleep(SimDuration::from_secs(1));
         assert_eq!(fs.read_file("/a").unwrap(), b"draft");
-        assert!(!fs.getfacl("/a").unwrap().allows(&bob, Permission::Read));
+        assert!(fs.getfacl("/a").unwrap().allows(&bob, Permission::Read));
+        let mut reader = deployment.mount("bob", ScfsConfig::test(Mode::Blocking), 2);
+        reader.sleep(fs.now().duration_since(reader.now()));
+        assert_eq!(reader.read_file("/a").unwrap(), b"draft");
+    }
+}
+
+/// A commit hands the handle the tuple at the version it wrote, so a `sync`
+/// and then a `close` of one handle each write once, on both planes: the
+/// close's `cas` and its lock release are its only coordination calls.
+#[test]
+fn a_sync_then_a_close_of_one_handle_are_never_refused() {
+    for plane in [Plane::Instantaneous, Plane::Sharded(ShardTopology::test(4))] {
+        let spec = Deployment::on(Backend::Aws).providers(Providers::Instantaneous);
+        let deployment = spec.plane(plane.clone()).build(7);
+        let mut fs = deployment.mount("alice", ScfsConfig::test(Mode::Blocking), 1);
+        let h = fs.open("/f", OpenFlags::create()).unwrap();
+        fs.write(h, 0, b"one").unwrap();
+        fs.sync(h).unwrap();
+        fs.write(h, 3, b"two").unwrap();
+        let before = deployment.coordinator().access_count();
+        fs.close(h).unwrap();
+        let calls = deployment.coordinator().access_count() - before;
+        assert_eq!(calls, 2, "{plane:?}");
+        assert_eq!(fs.read_file("/f").unwrap(), b"onetwo", "{plane:?}");
+    }
+}
+
+/// A non-blocking close whose anchor update lands between a `setfacl`'s
+/// read of the tuple and its write, on a plane whose calls take time:
+/// bob's close, running first on its object's lane, commits the tuple in
+/// the window; alice's write is refused, re-reads the tuple and grants on
+/// it. Both changes survive.
+#[test]
+fn a_close_landing_inside_a_setfacl_survives_it() {
+    let (bob, carol) = ("bob".into(), "carol".into());
+    let planes = [
+        (Plane::Paper, 40),
+        (Plane::Sharded(ShardTopology::metro(2, 1)), 5),
+    ];
+    for (plane, lead_ms) in planes {
+        let spec = Deployment::on(Backend::Aws).providers(Providers::Instantaneous);
+        let deployment = spec.plane(plane.clone()).build(7);
+        let mut alice = deployment.mount("alice", ScfsConfig::test(Mode::Blocking), 1);
+        alice.write_file("/shared/doc", b"alice's").unwrap();
+        alice
+            .setfacl("/shared/doc", &bob, Permission::Write)
+            .unwrap();
+        let mut fs = deployment.mount("bob", ScfsConfig::test(Mode::NonBlocking), 2);
+        fs.sleep(alice.now().duration_since(fs.now()) + SimDuration::from_secs(1));
+        let h = fs.open("/shared/doc", OpenFlags::read_write()).unwrap();
+        fs.write(h, 0, b"bob's!!").unwrap();
+        let closed = fs.now();
+        fs.close(h).unwrap();
+        // The close's `cas` commits about one call after `closed`; starting
+        // `lead_ms` before `closed`, the grant reads before that and writes
+        // after it.
+        let lead = SimDuration::from_millis(lead_ms);
+        alice.sleep(closed.duration_since(alice.now()).saturating_sub(lead));
+        let before = deployment.coordinator().access_count();
+        alice
+            .setfacl("/shared/doc", &carol, Permission::Read)
+            .unwrap();
+        let calls = deployment.coordinator().access_count() - before;
+        assert!(
+            calls > 3,
+            "{plane:?}: the grant was refused once ({calls} calls)"
+        );
+        alice.sleep(SimDuration::from_secs(2));
+        assert_eq!(
+            alice.read_file("/shared/doc").unwrap(),
+            b"bob's!!",
+            "{plane:?}"
+        );
+        let acl = alice.getfacl("/shared/doc").unwrap();
+        assert!(acl.allows(&bob, Permission::Write), "{plane:?}: {acl:?}");
+        assert!(acl.allows(&carol, Permission::Read), "{plane:?}: {acl:?}");
     }
 }

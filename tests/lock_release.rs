@@ -148,9 +148,12 @@ fn open_hole_a_non_blocking_reopen_loses_its_lock_to_the_in_flight_release() {
 /// An open hole, pinned as it behaves: a write-open locks *after* it looks
 /// the file up, and the lookup may be served by the metadata cache. bob's
 /// cached tuple predates alice's append; once her lock is released he locks
-/// the file, appends to the stale version and anchors it over hers. A fix
-/// reads the tuple afresh after the lock is taken (one more coordination
-/// read per write-open); it flips the last assertion to `baseAB`.
+/// the file, appends to the stale version and anchors it over hers: his
+/// close's `cas` on the cached version is refused, and it re-applies its own
+/// fields, the stale-based version among them, to the tuple it re-reads. A
+/// fix reads the tuple afresh after the lock is taken (one more coordination
+/// read per write-open, ROADMAP item 12); it flips the last assertion to
+/// `baseAB`.
 #[test]
 fn open_hole_a_write_open_trusts_metadata_read_before_its_lock() {
     let deployment = Deployment::instant(Backend::Aws, 3);

@@ -543,6 +543,52 @@ fn a_leaf_deleted_during_a_partition_is_not_renamed_back_after_the_heal() {
     }
 }
 
+/// An exclusive create — a `cas(None)` or a lock's `create_ephemeral` —
+/// that commits while replica 1 is partitioned, and a second one of the key
+/// after the heal: the second is refused, and no read ever returns its
+/// value. The refusal is decided on the newest applying replica, not on one
+/// that missed the first create, so no replica applies it.
+fn a_second_create_after_the_heal_is_refused_everywhere(
+    create: impl Fn(&ShardedCoordinator, &mut OpCtx<'_>, &[u8]) -> Result<(), CoordError>,
+) {
+    let key = "/scfs/meta/d/key";
+    for seed in 0..50 {
+        let plane = ShardedCoordinator::new(ShardTopology::metro(1, 1), seed).unwrap();
+        let mut clock = Clock::new();
+        let t0 = clock.now();
+        let healed = t0 + SimDuration::from_secs(1);
+        plane.set_replica_fault(0, 1, FaultPlan::outage(t0, healed), 3);
+        let mut ctx = OpCtx::new(&mut clock, "alice".into());
+        create(&plane, &mut ctx, b"first").unwrap();
+
+        clock.advance_to(healed + SimDuration::from_secs(1));
+        let mut ctx = OpCtx::new(&mut clock, "alice".into());
+        let second = create(&plane, &mut ctx, b"second");
+        assert!(second.is_err(), "seed {seed}: the second create won");
+        for round in 0..10 {
+            let read = plane.get(&mut ctx, key).map(|entry| entry.value);
+            assert_eq!(read, Ok(b"first".to_vec()), "seed {seed}, read {round}");
+        }
+    }
+}
+
+#[test]
+fn a_refused_exclusive_create_after_a_partition_changes_no_replica() {
+    a_second_create_after_the_heal_is_refused_everywhere(|plane, ctx, value| {
+        let key = "/scfs/meta/d/key";
+        plane.cas(ctx, key, None, value.to_vec()).map(drop)
+    });
+}
+
+#[test]
+fn a_refused_lock_after_a_partition_changes_no_replica() {
+    let session = scfs_repro::coord::service::SessionId::new("s1");
+    a_second_create_after_the_heal_is_refused_everywhere(|plane, ctx, value| {
+        let (key, lease) = ("/scfs/meta/d/key", SimDuration::from_secs(3600));
+        plane.create_ephemeral(ctx, key, value.to_vec(), &session, lease)
+    });
+}
+
 /// The keys the model-based tests below work on: a handful of directories
 /// (so a four-shard plane spreads them) with a few names each.
 fn model_key(pick: u32) -> String {
@@ -575,8 +621,9 @@ fn step_instant(step: usize) -> SimInstant {
 
 proptest! {
     /// Point reads against a `BTreeMap` reference: a random sequence of
-    /// `put`, `cas` (create or update), `delete` and a rename within one
-    /// directory (the model moves the value) with one non-leader
+    /// `put`, `cas` (create or update, and refused ones), `delete` (of
+    /// present and absent keys) and a rename within one directory (the
+    /// model moves the value) with one non-leader
     /// replica of each group partitioned for a random run of steps; after
     /// every step — during the outage and after it — `get` of every key
     /// equals the model's.
@@ -601,7 +648,7 @@ proptest! {
                     plane.put(&mut ctx, &key, value.clone()).unwrap();
                     model.insert(key, value);
                 }
-                1 | 2 => {
+                1 => {
                     // A conditional update the model says must succeed:
                     // exclusive create of an absent key, or an update at the
                     // version a read just returned.
@@ -610,6 +657,19 @@ proptest! {
                         .then(|| plane.get(&mut ctx, &key).unwrap().version);
                     plane.cas(&mut ctx, &key, expected, value.clone()).unwrap();
                     model.insert(key, value);
+                }
+                2 => {
+                    // One the model says must be refused: an exclusive
+                    // create of a present key, or an update of a present key
+                    // at a stale version or of an absent one at any.
+                    let expected = match model.contains_key(&key) {
+                        true if command & 0x80 == 0 => None,
+                        true => Some(plane.get(&mut ctx, &key).unwrap().version - 1),
+                        false => Some(1),
+                    };
+                    let refused = plane.cas(&mut ctx, &key, expected, value);
+                    let why = matches!(refused, Err(CoordError::AlreadyExists { .. } | CoordError::VersionMismatch { .. }));
+                    prop_assert!(why, "step {}: {} at {:?}: {:?}", step, key, expected, refused);
                 }
                 3 => {
                     let deleted = plane.delete(&mut ctx, &key);

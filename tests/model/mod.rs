@@ -31,7 +31,7 @@
     reason = "each test binary scripts the calls and systems it needs"
 )]
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::mem::{discriminant, Discriminant};
 use std::sync::Arc;
 
@@ -167,8 +167,6 @@ struct Reference {
     names: BTreeSet<String>,
     /// The open handles a write or a truncate went through.
     dirty: BTreeSet<FileHandle>,
-    /// Each open handle's file's ACL as the open found it.
-    acl_at_open: BTreeMap<FileHandle, Acl>,
 }
 
 impl Reference {
@@ -178,7 +176,6 @@ impl Reference {
             handles: Handles::default(),
             names: BTreeSet::new(),
             dirty: BTreeSet::new(),
-            acl_at_open: BTreeMap::new(),
         }
     }
 
@@ -200,10 +197,6 @@ impl Reference {
             _ => {}
         }
         let answer = run(&mut self.fs, &mut self.handles, call);
-        if let (Call::Open(path, _), Ok(_)) = (call, &answer) {
-            let acl = self.fs.getfacl(path).unwrap_or_default();
-            self.acl_at_open.insert(self.handles.get(0), acl);
-        }
         match *call {
             Call::Write(slot, ..) | Call::Truncate(slot, _) if answer.is_ok() => {
                 self.dirty.insert(self.handles.get(slot));
@@ -233,8 +226,6 @@ impl Reference {
         let Ok(reopened) = self.fs.open(&path, OpenFlags::read_write()) else {
             return;
         };
-        let acl = self.acl_at_open.remove(&handle).unwrap_or_default();
-        self.acl_at_open.insert(reopened, acl);
         for open in &mut self.handles.open {
             if *open == handle {
                 *open = reopened;
@@ -389,24 +380,6 @@ fn scfs(system: &System) -> bool {
 /// Where a system answers other than the reference. The first row that
 /// covers a call rules it.
 const DEVIATIONS: &[Deviation] = &[
-    Deviation {
-        on: scfs,
-        rules: |call, reference| {
-            let (Call::Close(slot) | Call::Sync(slot)) = *call else {
-                return None;
-            };
-            let h = reference.handles.get(slot);
-            let fs = &mut reference.fs;
-            if !reference.dirty.contains(&h) || fs.handle_detached(h) {
-                return None;
-            }
-            let acl = fs.getfacl(&fs.handle_path(h)?).ok()?;
-            (reference.acl_at_open.get(&h) != Some(&acl)).then_some(Instead::Diverges)
-        },
-        cite:
-            "tests/end_to_end.rs::open_hole_a_close_erases_a_grant_made_while_its_handle_was_open: \
-               a commit writes back the ACL its handle read at open (ROADMAP item 29)",
-    },
     Deviation {
         on: scfs,
         rules: |call, reference| {

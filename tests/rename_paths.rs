@@ -22,7 +22,7 @@
 //! * a `rename` over a file this mount holds open orphans that handle, as
 //!   POSIX orphans the clobbered inode: after an unlink of the name, `stat`
 //!   no longer answers the handle's size (minimized from the spec at 6 000
-//!   cases);
+//!   cases) — `to` itself, or a name under it that a moved name overwrites;
 //! * a `rename` of another account's directory is refused with
 //!   `PermissionDenied` of the path asked for (it used to name the
 //!   coordination key, `/scfs/meta/a`), and moves nothing. Not in
@@ -97,6 +97,20 @@ fn over_an_open_destination() -> [Call; 8] {
     ]
 }
 
+/// The same over a name under the destination that a moved name overwrites.
+fn over_an_open_name_under_the_destination() -> [Call; 8] {
+    [
+        Call::WriteFile("/a/x", 1, 9),
+        Call::Open("/b/x", OpenFlags::create()),
+        Call::Rename("/a", "/b"),
+        Call::Open("/shared", OpenFlags::create_truncate()),
+        Call::Write(1, 391, 2, 75),
+        Call::Unlink("/b/x"),
+        Call::Pause,
+        Call::Stat("/b/x"),
+    ]
+}
+
 /// A rename of a path this mount just unlinked, with a name left under it.
 fn from_a_just_unlinked_path() -> [Call; 7] {
     [
@@ -168,6 +182,7 @@ on_every_plane!(from_a_just_unlinked_path() =>
 fn rename_orphans_the_open_destination_it_clobbers() {
     for under in Under::ALL {
         check(under.system(), &over_an_open_destination());
+        check(under.system(), &over_an_open_name_under_the_destination());
     }
 }
 
